@@ -48,9 +48,9 @@
 //     aligns S with the execution shard count so each execution shard
 //     streams its write partition to a private log.
 //   - -store-sync D: durability. 0 (default) never fsyncs; with D > 0
-//     the sharded backend group-commits on a D fsync linger (writers
-//     block until a covering fsync) and the serial disk backend fsyncs
-//     every Put.
+//     the sharded backend group-commits on a D fsync linger (writes
+//     are visible once appended; no response leaves before a covering
+//     fsync) and the serial disk backend fsyncs every Put.
 //   - -store-compact-ratio R: checkpoint-driven log compaction for the
 //     disk backends. When a stable checkpoint fires, any shard log whose
 //     garbage fraction (dead bytes / total bytes) reaches R is rewritten

@@ -170,6 +170,19 @@ func TestShapeDiskPipe(t *testing.T) {
 	if shardedRate >= diskRate {
 		t.Fatalf("fsyncs per txn/s: sharded %.3f vs serial %.3f — no amortization", shardedRate, diskRate)
 	}
+	// And its reach across batches: with two or more batches in flight the
+	// shard workers append and move on and the coordinator stages batch k+1
+	// while k awaits its fsync, so a window's fsync covers more than one
+	// batch's partition — under a read mix too, since a read waits for the
+	// writes before it to be appended, not durable. A worker that waited
+	// out its own fsync could at best reach exactly one per shard per batch.
+	if DiskTuning.Depth >= 2 {
+		for _, row := range []string{"sharded_gc", "sharded_gc_rmix"} {
+			if got := out.Metrics["diskpipe_batches_per_fsync_"+row] * diskpipeExecShards; got <= 1 {
+				t.Fatalf("%s at depth %d: %.2f fsyncs per shard per batch, want fewer than one", row, DiskTuning.Depth, 1/got)
+			}
+		}
+	}
 }
 
 // TestShapeCompaction checks the compaction invariants rather than exact

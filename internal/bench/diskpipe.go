@@ -34,6 +34,10 @@ var DiskTuning = struct {
 	CompactMinBytes int64
 }{Sync: 200 * time.Microsecond, Depth: 4}
 
+// diskpipeExecShards is E for every diskpipe row, so the storage backend
+// is the only axis that moves.
+const diskpipeExecShards = 4
+
 // diskpipe measures the durable storage pipeline on the real replica
 // stack (in-process transport, E = 4 execution shards throughout, so the
 // storage backend is the only axis that moves):
@@ -48,11 +52,17 @@ var DiskTuning = struct {
 //     log), group commit amortizing the fsync across every write in a
 //     linger window, and cross-batch execution pipelining keeping the
 //     shards fed across batch barriers.
+//   - sharded-gc-rmix: the same store under half reads ordered through
+//     consensus. A read needs the writes before it appended, not durable,
+//     so it must cost no fsync of its own.
 //
-// The fsync-stall column is the mechanism made visible: serial fsync
-// stalls the execute stage once per record, group commit once per window.
-// On a few-core machine the stall split, not wall-clock throughput, is
-// the quantity to watch (cf. the workerscale/execshards guidance).
+// The fsync columns are the mechanism made visible: serial fsync stalls
+// the execute stage once per record; the shard workers append and move on,
+// the wait for the window's one fsync happens off them at retirement, and
+// the batches in flight share it — batches/fsync above 1/E is consecutive
+// batches landing in one window. On a few-core machine these counts, not
+// wall-clock throughput, are the quantity to watch (cf. the
+// workerscale/execshards guidance).
 func diskpipe(s Scale) (Outcome, error) {
 	window := 600 * time.Millisecond
 	clients := 64
@@ -60,34 +70,41 @@ func diskpipe(s Scale) (Outcome, error) {
 		window = 2 * time.Second
 		clients = 192
 	}
-	const execShards = 4
-
 	type row struct {
-		name    string
-		backend string
-		sync    time.Duration
-		depth   int
+		name     string
+		backend  string
+		sync     time.Duration
+		depth    int
+		readFrac float64
 	}
 	rows := []row{
 		{name: "mem", backend: "mem", depth: 1},
 		{name: "disk-serial", backend: "disk", sync: DiskTuning.Sync, depth: 1},
 		{name: "sharded-gc", backend: "sharded", sync: DiskTuning.Sync, depth: DiskTuning.Depth},
+		{name: "sharded-gc-rmix", backend: "sharded", sync: DiskTuning.Sync, depth: DiskTuning.Depth, readFrac: 0.5},
 	}
 
 	tab := Table{
 		Title: "Durable storage pipeline (PBFT, real pipeline, E=4 execution shards)",
-		Columns: []string{"store", "tput", "p50", "fsyncs",
-			"fsync stall ms", "shard busy ms"},
+		Columns: []string{"store", "tput", "p50", "fsyncs", "fsyncs/ktxn",
+			"batches/fsync", "fsync stall ms", "shard busy ms"},
 	}
 	metrics := map[string]float64{}
 	var memTput, diskTput, shardedTput float64
 
 	for _, r := range rows {
-		res, backup, err := runDiskLoad(r.backend, r.sync, r.depth, execShards, clients, window)
+		res, backup, err := runDiskLoad(r.backend, r.sync, r.depth, diskpipeExecShards, clients, window, r.readFrac)
 		if err != nil {
 			return Outcome{}, err
 		}
 		stallMS := float64(backup.StoreFsyncStallNS) / 1e6
+		perKTxn, perFsync := "-", "-"
+		var fsyncsPerKTxn, batchesPerFsync float64
+		if backup.StoreFsyncs > 0 && backup.TxnsExecuted > 0 {
+			fsyncsPerKTxn = float64(backup.StoreFsyncs) / float64(backup.TxnsExecuted) * 1e3
+			batchesPerFsync = float64(backup.BatchesExecuted) / float64(backup.StoreFsyncs)
+			perKTxn, perFsync = fmt.Sprintf("%.1f", fsyncsPerKTxn), fmt.Sprintf("%.2f", batchesPerFsync)
+		}
 		shardCells := "-"
 		if len(backup.ExecShardBusyNS) > 0 {
 			cells := make([]string, len(backup.ExecShardBusyNS))
@@ -97,18 +114,21 @@ func diskpipe(s Scale) (Outcome, error) {
 			shardCells = strings.Join(cells, " ")
 		}
 		tab.AddRow(r.name, ktps(res.Throughput), ms(res.P50Lat),
-			fmt.Sprintf("%d", backup.StoreFsyncs), fmt.Sprintf("%.1f", stallMS), shardCells)
+			fmt.Sprintf("%d", backup.StoreFsyncs), perKTxn, perFsync,
+			fmt.Sprintf("%.1f", stallMS), shardCells)
 
 		key := strings.ReplaceAll(r.name, "-", "_")
 		metrics["diskpipe_tput_"+key] = res.Throughput
 		metrics["diskpipe_fsyncs_"+key] = float64(backup.StoreFsyncs)
+		metrics["diskpipe_fsyncs_per_ktxn_"+key] = fsyncsPerKTxn
+		metrics["diskpipe_batches_per_fsync_"+key] = batchesPerFsync
 		metrics["diskpipe_fsync_stall_ms_"+key] = stallMS
-		switch r.backend {
+		switch r.name {
 		case "mem":
 			memTput = res.Throughput
-		case "disk":
+		case "disk-serial":
 			diskTput = res.Throughput
-		case "sharded":
+		case "sharded-gc":
 			shardedTput = res.Throughput
 		}
 	}
@@ -125,12 +145,14 @@ func diskpipe(s Scale) (Outcome, error) {
 }
 
 // runDiskLoad runs one PBFT cluster with the given store backend under
-// the execshards Zipfian write load and returns the client-side result
-// plus a backup replica's stats (execution and storage run at every
+// the execshards Zipfian load — writes, with readFrac of the ops turned
+// into reads ordered through consensus — and returns the client-side
+// result plus a backup replica's stats (execution and storage run at every
 // replica; the backup isolates them from the primary's batching work).
-func runDiskLoad(backend string, sync time.Duration, depth, execShards, clients int, window time.Duration) (cluster.Result, replica.Stats, error) {
+func runDiskLoad(backend string, sync time.Duration, depth, execShards, clients int, window time.Duration, readFrac float64) (cluster.Result, replica.Stats, error) {
 	wl := workload.Default()
 	wl.Records = 8192
+	wl.ReadFraction = readFrac
 	// The execshards regime: multi-op transactions with fat values make
 	// the store the stage under test.
 	wl.OpsPerTxn = 8

@@ -201,9 +201,12 @@ func TestStoreFaultsCapabilities(t *testing.T) {
 	if _, ok := mem.(store.SyncStatser); ok {
 		t.Error("wrapped MemStore gained SyncStatser")
 	}
+	if _, ok := mem.(store.Appender); ok {
+		t.Error("wrapped MemStore gained Appender")
+	}
 
 	for _, backend := range []string{"disk", "sharded"} {
-		inner, err := store.OpenBackend(store.BackendConfig{Backend: backend, Dir: t.TempDir(), ExecShards: 1})
+		inner, err := store.OpenBackend(store.BackendConfig{Backend: backend, Dir: t.TempDir(), ExecShards: 1, SyncLinger: time.Millisecond})
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
@@ -216,6 +219,39 @@ func TestStoreFaultsCapabilities(t *testing.T) {
 		}
 		if _, ok := wrapped.(store.Batcher); ok != (backend == "sharded") {
 			t.Errorf("wrapped %s Batcher = %v", backend, ok)
+		}
+		ap, ok := wrapped.(store.Appender)
+		if ok != (backend == "sharded") {
+			t.Errorf("wrapped %s Appender = %v", backend, ok)
+		}
+		if ok {
+			// The faults land on the append, where the write happens: every
+			// second one is lost and says so, the others are delayed by the
+			// stall, visible on return and durable once waited for.
+			sf.SetFailEvery(2)
+			sf.SetWriteStall(time.Millisecond)
+			var ticket store.Ticket
+			for i := 0; i < 4; i++ {
+				t0 := time.Now()
+				next, err := ap.Append([]store.KV{{Key: uint64(i), Value: []byte{byte(i)}}}, ticket)
+				if d := time.Since(t0); d < time.Millisecond {
+					t.Errorf("append %d returned after %v, before the injected stall", i, d)
+				}
+				if failed := i%2 == 1; failed != errors.Is(err, ErrInjectedWrite) || failed != (next == ticket) {
+					t.Errorf("append %d: err = %v, ticket moved = %v", i, err, next != ticket)
+				}
+				ticket = next
+			}
+			sf.SetFailEvery(0)
+			sf.SetWriteStall(0)
+			if err := ap.WaitDurable(ticket); err != nil {
+				t.Errorf("wait through the wrapper: %v", err)
+			}
+			for i := 0; i < 4; i++ {
+				if _, err := wrapped.Get(uint64(i)); (err == nil) != (i%2 == 0) {
+					t.Errorf("key %d after every-second append failed: %v", i, err)
+				}
+			}
 		}
 		if err := wrapped.Close(); err != nil {
 			t.Fatalf("close %s: %v", backend, err)

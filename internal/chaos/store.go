@@ -28,12 +28,12 @@ type StoreFaults struct {
 // NewStoreFaults returns a fault-free injector.
 func NewStoreFaults() *StoreFaults { return &StoreFaults{} }
 
-// SetWriteStall makes every Put/PutMany sleep for d before touching the
-// store; 0 disables the stall.
+// SetWriteStall makes every Put/PutMany/Append sleep for d before touching
+// the store; 0 disables the stall.
 func (sf *StoreFaults) SetWriteStall(d time.Duration) { sf.stallNS.Store(int64(d)) }
 
-// SetFailEvery makes every nth write (counted across Put and PutMany
-// calls) fail with ErrInjectedWrite without reaching the store; 0
+// SetFailEvery makes every nth write (counted across Put, PutMany and
+// Append calls) fail with ErrInjectedWrite without reaching the store; 0
 // disables injection. Counting is deterministic, so tests can assert the
 // exact number of injected failures.
 func (sf *StoreFaults) SetFailEvery(n int) { sf.failEvery.Store(int64(n)) }
@@ -56,12 +56,14 @@ func (sf *StoreFaults) before() error {
 
 // WrapStore wraps st with sf's write-fault injection. The wrapper
 // preserves the inner store's optional capabilities exactly — the replica
-// type-asserts store.Batcher, store.SyncStatser, store.Compactor, and
-// store.Scanner, so a wrapped ShardedDiskStore must still advertise all
-// of them and a wrapped MemStore must not grow SyncStats it cannot
-// honestly report. All three backends implement Scanner, so each typed
-// variant requires it; a capability combination with no matching backend
-// falls back to the capability-free core.
+// type-asserts store.Batcher, store.Appender, store.SyncStatser,
+// store.Compactor, and store.Scanner, so a wrapped ShardedDiskStore must
+// still advertise all of them (without Appender its execute shards would
+// quietly run the blocking PutMany fallback and the disk scenarios would
+// test a path deployments do not take) and a wrapped MemStore must not
+// grow SyncStats it cannot honestly report. All three backends implement
+// Scanner, so each typed variant requires it; a capability combination
+// with no matching backend falls back to the capability-free core.
 // Its signature (modulo the receiver) matches cluster.Options.StoreWrapper.
 func (sf *StoreFaults) WrapStore(st store.Store) store.Store {
 	base := faultStore{inner: st, sf: sf}
@@ -69,9 +71,10 @@ func (sf *StoreFaults) WrapStore(st store.Store) store.Store {
 	s, isS := st.(store.SyncStatser)
 	c, isC := st.(store.Compactor)
 	sc, isSc := st.(store.Scanner)
+	a, isA := st.(store.Appender)
 	switch {
-	case isB && isS && isC && isSc: // ShardedDiskStore
-		return &faultStoreBSC{faultStore: base, b: b, s: s, c: c, sc: sc}
+	case isB && isA && isS && isC && isSc: // ShardedDiskStore
+		return &faultStoreBSC{faultStore: base, b: b, a: a, s: s, c: c, sc: sc}
 	case isS && isC && isSc: // DiskStore
 		return &faultStoreSC{faultStore: base, s: s, c: c, sc: sc}
 	case isB && isSc: // MemStore
@@ -135,12 +138,25 @@ func (f *faultStoreSC) Scan(start, end uint64, fn func(uint64, []byte) bool) err
 type faultStoreBSC struct {
 	faultStore
 	b  store.Batcher
+	a  store.Appender
 	s  store.SyncStatser
 	c  store.Compactor
 	sc store.Scanner
 }
 
-func (f *faultStoreBSC) PutMany(kvs []store.KV) error     { return f.putMany(f.b, kvs) }
+func (f *faultStoreBSC) PutMany(kvs []store.KV) error { return f.putMany(f.b, kvs) }
+
+// Append takes the write faults where the write happens: a stalled disk
+// delays the append and with it the ticket, an injected error loses the
+// partition. WaitDurable passes through — the fsync is the real one.
+func (f *faultStoreBSC) Append(kvs []store.KV, prev store.Ticket) (store.Ticket, error) {
+	if err := f.sf.before(); err != nil {
+		return prev, err
+	}
+	return f.a.Append(kvs, prev)
+}
+func (f *faultStoreBSC) WaitDurable(t store.Ticket) error { return f.a.WaitDurable(t) }
+
 func (f *faultStoreBSC) SyncStats() store.SyncStats       { return f.s.SyncStats() }
 func (f *faultStoreBSC) MaybeCompact() (int, error)       { return f.c.MaybeCompact() }
 func (f *faultStoreBSC) Compact() error                   { return f.c.Compact() }
@@ -158,6 +174,7 @@ var (
 	_ store.Compactor   = (*faultStoreSC)(nil)
 	_ store.Scanner     = (*faultStoreSC)(nil)
 	_ store.Batcher     = (*faultStoreBSC)(nil)
+	_ store.Appender    = (*faultStoreBSC)(nil)
 	_ store.SyncStatser = (*faultStoreBSC)(nil)
 	_ store.Compactor   = (*faultStoreBSC)(nil)
 	_ store.Scanner     = (*faultStoreBSC)(nil)

@@ -59,51 +59,56 @@ func (o *InOrder[T]) Offer(seq uint64, v T) bool {
 // and returns it together with its sequence number. It reports false after
 // Close.
 func (o *InOrder[T]) Next() (uint64, T, bool) {
-	o.mu.Lock()
-	seq := o.next
-	slot := o.slots[seq%uint64(len(o.slots))]
-	o.mu.Unlock()
-	var zero T
-	select {
-	case v := <-slot:
-		o.mu.Lock()
-		o.next = seq + 1
-		o.mu.Unlock()
-		return seq, v, true
-	case <-o.done:
-		// Drain race: an Offer may have landed just before Close.
-		select {
-		case v := <-slot:
-			o.mu.Lock()
-			o.next = seq + 1
-			o.mu.Unlock()
-			return seq, v, true
-		default:
-			return 0, zero, false
-		}
-	}
+	seq, v, w := o.NextOr(nil)
+	return seq, v, w == WokeItem
 }
 
-// TryNext is the non-blocking form of Next: it returns the item for the
-// next in-order sequence number if it has already been offered and
-// reports false otherwise. The pipelined execute coordinator polls it to
-// decide between staging new work and retiring in-flight work; like Next
-// it is safe for a single consumer interleaving both calls.
-func (o *InOrder[T]) TryNext() (uint64, T, bool) {
+// Woke says what ended a NextOr wait.
+type Woke int
+
+const (
+	// WokeItem: the next in-order item arrived and is returned.
+	WokeItem Woke = iota
+	// WokeAlt: the caller's channel became ready first.
+	WokeAlt
+	// WokeClosed: the buffer was closed with the next item not offered.
+	WokeClosed
+)
+
+// NextOr is Next with a second thing to wait for: it returns the next
+// in-order item, or WokeAlt as soon as alt is ready (closed, or sent to)
+// while that item has not been offered. An item that is already there wins
+// over a ready alt, so with alt closed NextOr is a non-blocking poll; a nil
+// alt never fires. The pipelined execute coordinator passes its oldest
+// in-flight batch's barrier, staging when new work is there and retiring
+// when the barrier falls, and blocking on neither while the other is ready.
+// Like Next it is for a single consumer.
+func (o *InOrder[T]) NextOr(alt <-chan struct{}) (uint64, T, Woke) {
 	o.mu.Lock()
 	seq := o.next
 	slot := o.slots[seq%uint64(len(o.slots))]
 	o.mu.Unlock()
-	var zero T
+	var v T
 	select {
-	case v := <-slot:
-		o.mu.Lock()
-		o.next = seq + 1
-		o.mu.Unlock()
-		return seq, v, true
+	case v = <-slot:
 	default:
-		return 0, zero, false
+		select {
+		case v = <-slot:
+		case <-alt:
+			return 0, v, WokeAlt
+		case <-o.done:
+			// Drain race: an Offer may have landed just before Close.
+			select {
+			case v = <-slot:
+			default:
+				return 0, v, WokeClosed
+			}
+		}
 	}
+	o.mu.Lock()
+	o.next = seq + 1
+	o.mu.Unlock()
+	return seq, v, WokeItem
 }
 
 // NextSeq returns the sequence number Next will deliver.

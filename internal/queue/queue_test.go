@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func queues(capacity int) map[string]Queue[int] {
@@ -248,34 +249,79 @@ func TestInOrderRandomCompletionProperty(t *testing.T) {
 	}
 }
 
-// TestInOrderTryNext: the non-blocking poll must deliver only the next
-// in-order item — never an out-of-order one — and interleave correctly
-// with blocking Next calls from the same consumer.
-func TestInOrderTryNext(t *testing.T) {
+// TestInOrderNextOr: with a ready alt NextOr is a non-blocking poll that
+// must deliver only the next in-order item — never an out-of-order one,
+// and the item rather than the alt when both are ready — and interleave
+// correctly with blocking Next calls from the same consumer. With an alt
+// that is not ready it blocks until whichever of the two comes first.
+func TestInOrderNextOr(t *testing.T) {
+	ready := make(chan struct{})
+	close(ready)
 	o := NewInOrder[int](16, 0)
-	if _, _, ok := o.TryNext(); ok {
-		t.Fatal("TryNext on empty returned ok")
+	if _, _, w := o.NextOr(ready); w != WokeAlt {
+		t.Fatalf("NextOr on empty = %v, want WokeAlt", w)
 	}
 	o.Offer(1, 10) // out of order: seq 0 not offered yet
-	if _, _, ok := o.TryNext(); ok {
-		t.Fatal("TryNext delivered out-of-order seq 1")
+	if _, _, w := o.NextOr(ready); w != WokeAlt {
+		t.Fatalf("NextOr with only out-of-order seq 1 offered = %v, want WokeAlt", w)
 	}
 	o.Offer(0, 0)
-	seq, v, ok := o.TryNext()
-	if !ok || seq != 0 || v != 0 {
-		t.Fatalf("TryNext = (%d,%d,%v), want (0,0,true)", seq, v, ok)
+	for i := 0; i < 20; i++ { // the item must win every time, not at random
+		p := NewInOrder[int](4, 0)
+		p.Offer(0, 7)
+		if seq, v, w := p.NextOr(ready); w != WokeItem || seq != 0 || v != 7 {
+			t.Fatalf("NextOr with item and alt both ready = (%d,%d,%v), want the item", seq, v, w)
+		}
+	}
+	seq, v, w := o.NextOr(ready)
+	if w != WokeItem || seq != 0 || v != 0 {
+		t.Fatalf("NextOr = (%d,%d,%v), want (0,0,WokeItem)", seq, v, w)
 	}
 	// Seq 1 is now the in-order head; blocking Next must pick it up.
-	seq, v, ok = o.Next()
+	seq, v, ok := o.Next()
 	if !ok || seq != 1 || v != 10 {
 		t.Fatalf("Next = (%d,%d,%v), want (1,10,true)", seq, v, ok)
 	}
-	if _, _, ok := o.TryNext(); ok {
-		t.Fatal("TryNext returned ok with nothing pending")
+	if _, _, w := o.NextOr(ready); w != WokeAlt {
+		t.Fatalf("NextOr with nothing pending = %v, want WokeAlt", w)
 	}
+
+	// Blocking: an alt that fires later wakes the wait; so does an Offer,
+	// and then the alt stays unconsumed for the caller.
+	alt := make(chan struct{})
+	got := make(chan Woke, 1)
+	go func() {
+		_, _, w := o.NextOr(alt)
+		got <- w
+	}()
+	select {
+	case w := <-got:
+		t.Fatalf("NextOr returned %v with neither item nor alt ready", w)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(alt)
+	if w := <-got; w != WokeAlt {
+		t.Fatalf("NextOr after alt fired = %v, want WokeAlt", w)
+	}
+	pending := make(chan struct{})
+	go func() {
+		seq, v, w := o.NextOr(pending)
+		if seq != 2 || v != 20 {
+			w = -1
+		}
+		got <- w
+	}()
+	o.Offer(2, 20)
+	if w := <-got; w != WokeItem {
+		t.Fatalf("NextOr after Offer = %v, want (2,20,WokeItem)", w)
+	}
+
 	o.Close()
-	if _, _, ok := o.TryNext(); ok {
-		t.Fatal("TryNext returned ok after Close with empty slot")
+	if _, _, w := o.NextOr(nil); w != WokeClosed {
+		t.Fatalf("NextOr(nil) after Close with empty slot = %v, want WokeClosed", w)
+	}
+	if _, _, w := o.NextOr(ready); w == WokeItem {
+		t.Fatal("NextOr delivered an item after Close with empty slot")
 	}
 }
 

@@ -174,6 +174,46 @@ func TestExecShardDeterminism(t *testing.T) {
 	}
 }
 
+// lingers are the group-commit windows the three determinism tests run at:
+// one far shorter than a batch takes to arrive, so nearly every partition
+// pays its own fsync, and the deployed 2 ms, where the appends of the
+// batches in flight must land in one window and share its fsync.
+var lingers = []time.Duration{50 * time.Microsecond, 2 * time.Millisecond}
+
+func forEachLinger(t *testing.T, test func(*testing.T, time.Duration)) {
+	for _, linger := range lingers {
+		t.Run(linger.String(), func(t *testing.T) { test(t, linger) })
+	}
+}
+
+// checkGroupCommit asserts the pipelined run fsynced and, at the 2 ms
+// window, that it spent less than one fsync per shard per batch — which a
+// shard worker that waits out its own fsync, or a coordinator that sits in
+// batch k's barrier with k+1 unstaged, can never do.
+func checkGroupCommit(t *testing.T, linger time.Duration, fsyncs uint64, batches, shards int) {
+	t.Helper()
+	if fsyncs == 0 {
+		t.Fatal("group-commit store never fsynced under the pipelined run")
+	}
+	if linger >= time.Millisecond && fsyncs >= uint64(batches*shards) {
+		t.Fatalf("%d fsyncs for %d batches on %d shards at a %v window: batches never shared one", fsyncs, batches, shards, linger)
+	}
+}
+
+// preloadEven fills every even key, so reads and scans hit both existing
+// and missing keys, in one batched write: at a 2 ms window a Put per key
+// would wait out a window each.
+func preloadEven(t *testing.T, st store.Store) {
+	t.Helper()
+	var kvs []store.KV
+	for k := uint64(0); k < shardTestRecords; k += 2 {
+		kvs = append(kvs, store.KV{Key: k, Value: []byte{byte(k), byte(k >> 8)}})
+	}
+	if err := st.(store.Batcher).PutMany(kvs); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestExecPipelineDeterminism is the acceptance check for cross-batch
 // pipelined execution over the durable store: E=4 with pipeline depth 3
 // streaming its partitions into a sharded group-commit DiskStore must
@@ -181,13 +221,17 @@ func TestExecShardDeterminism(t *testing.T) {
 // to E=1 serial execution over a MemStore. Per-shard FIFO ordering (the
 // conflict mechanism) plus in-order retirement is what makes this hold.
 func TestExecPipelineDeterminism(t *testing.T) {
+	forEachLinger(t, testExecPipelineDeterminism)
+}
+
+func testExecPipelineDeterminism(t *testing.T, linger time.Duration) {
 	const batches = 32
 	acts := shardTestBatches(t, batches)
 
 	serial := newExecReplica(t, 1, 1, store.NewMemStore(shardTestRecords))
 	disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
 		Shards:     4,
-		SyncLinger: 50 * time.Microsecond,
+		SyncLinger: linger,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,9 +281,7 @@ func TestExecPipelineDeterminism(t *testing.T) {
 	if ss.ExecPipelineDepth != 1 {
 		t.Fatalf("serial replica reports depth %d, want 1", ss.ExecPipelineDepth)
 	}
-	if ps.StoreFsyncs == 0 {
-		t.Fatal("group-commit store never fsynced under the pipelined run")
-	}
+	checkGroupCommit(t, linger, ps.StoreFsyncs, batches, 4)
 	if got, want := storeDigest(t, pipelined.Store()), storeDigest(t, serial.Store()); got != want {
 		t.Fatalf("store state diverged: pipelined sharded disk %x vs serial mem %x", got[:8], want[:8])
 	}

@@ -302,35 +302,31 @@ func TestLocalReadStalenessBound(t *testing.T) {
 // per-shard FIFO plus write-flush-before-read is what makes a read
 // observe exactly the writes sequenced before it.
 func TestReadMixDeterminism(t *testing.T) {
+	forEachLinger(t, testReadMixDeterminism)
+}
+
+func testReadMixDeterminism(t *testing.T, linger time.Duration) {
 	const batches = 32
 	const clients = 4
 	acts := readMixBatches(t, batches)
 	// 4 requests per batch plus the one duplicate re-delivery.
 	wantResponses := batches*clients + 1
 
-	// Preload half the table so reads hit both existing and missing keys.
-	preload := func(st store.Store) {
-		for k := uint64(0); k < shardTestRecords; k += 2 {
-			if err := st.Put(k, []byte{byte(k), byte(k >> 8)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
 	mem := store.NewMemStore(shardTestRecords)
-	preload(mem)
+	preloadEven(t, mem)
 	serial, serialEPs := newReadMixReplica(t, 1, 1, clients, mem)
 
 	disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
 		Shards:     4,
-		SyncLinger: 50 * time.Microsecond,
+		SyncLinger: linger,
 		ReadIndex:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	preload(disk)
+	preloadEven(t, disk)
+	preloadFsyncs := disk.SyncStats().Fsyncs
 	pipelined, pipelinedEPs := newReadMixReplica(t, 4, 3, clients, disk)
 
 	for _, act := range acts {
@@ -356,6 +352,7 @@ func TestReadMixDeterminism(t *testing.T) {
 	if ss.ReadsExecuted != ps.ReadsExecuted {
 		t.Fatalf("reads executed diverged: serial %d vs pipelined %d", ss.ReadsExecuted, ps.ReadsExecuted)
 	}
+	checkGroupCommit(t, linger, ps.StoreFsyncs-preloadFsyncs, batches, 4)
 	if got, want := storeDigest(t, pipelined.Store()), storeDigest(t, serial.Store()); got != want {
 		t.Fatalf("store state diverged: pipelined %x vs serial %x", got[:8], want[:8])
 	}

@@ -117,6 +117,10 @@ func scanTxnBatches(t *testing.T, batches int) []consensus.Execute {
 // the write-flush barrier and the coordinator merges the disjoint sorted
 // fragments at retirement, so the merged rows equal the serial scan.
 func TestScanDeterminism(t *testing.T) {
+	forEachLinger(t, testScanDeterminism)
+}
+
+func testScanDeterminism(t *testing.T, linger time.Duration) {
 	const batches = 32
 	const clients = 4
 	acts := scanTxnBatches(t, batches)
@@ -124,30 +128,21 @@ func TestScanDeterminism(t *testing.T) {
 	// re-delivery and the two read-your-writes requests.
 	wantResponses := batches*clients + 3
 
-	// Preload half the table so reads and scans hit both existing and
-	// missing keys.
-	preload := func(st store.Store) {
-		for k := uint64(0); k < shardTestRecords; k += 2 {
-			if err := st.Put(k, []byte{byte(k), byte(k >> 8)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
 	mem := store.NewMemStore(shardTestRecords)
-	preload(mem)
+	preloadEven(t, mem)
 	serial, serialEPs := newReadMixReplica(t, 1, 1, clients+1, mem)
 
 	disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
 		Shards:     4,
-		SyncLinger: 50 * time.Microsecond,
+		SyncLinger: linger,
 		ReadIndex:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	preload(disk)
+	preloadEven(t, disk)
+	preloadFsyncs := disk.SyncStats().Fsyncs
 	pipelined, pipelinedEPs := newReadMixReplica(t, 4, 3, clients+1, disk)
 
 	for _, act := range acts {
@@ -173,6 +168,7 @@ func TestScanDeterminism(t *testing.T) {
 	if ss.ReadsExecuted != ps.ReadsExecuted {
 		t.Fatalf("reads executed diverged: serial %d vs pipelined %d", ss.ReadsExecuted, ps.ReadsExecuted)
 	}
+	checkGroupCommit(t, linger, ps.StoreFsyncs-preloadFsyncs, batches, 4)
 	if got, want := storeDigest(t, pipelined.Store()), storeDigest(t, serial.Store()); got != want {
 		t.Fatalf("store state diverged: pipelined %x vs serial %x", got[:8], want[:8])
 	}

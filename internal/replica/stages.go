@@ -7,6 +7,7 @@ import (
 
 	"resilientdb/internal/consensus"
 	"resilientdb/internal/crypto"
+	"resilientdb/internal/queue"
 	"resilientdb/internal/store"
 	"resilientdb/internal/types"
 	"resilientdb/internal/workload"
@@ -611,15 +612,18 @@ func (r *Replica) inlineExecute(act consensus.Execute) {
 // executeLoop is the coordinating execute-thread. It drains the in-order
 // queue strictly by sequence number and, with ExecPipelineDepth P > 1,
 // keeps up to P committed batches in flight across the execution shards:
-// batch k+1's partitions are fanned out before batch k's barrier is
-// waited. Per-shard FIFO queues are the conflict mechanism — a later
-// batch's partition for shard s queues behind an earlier batch's job on
-// the same shard, so conflicting (same-shard) key partitions stay in
-// batch order, while shards the earlier batch left idle start on the new
-// batch immediately. Retirement (barrier wait, ledger append, checkpoint
-// digest, client responses) always happens in sequence order, which is
-// what keeps the ledger and checkpoint digests byte-identical to serial
-// execution.
+// batch k+1's partitions are fanned out before batch k's barrier is down.
+// Per-shard FIFO queues are the conflict mechanism — a later batch's
+// partition for shard s queues behind an earlier batch's job on the same
+// shard, so conflicting (same-shard) key partitions stay in batch order,
+// while shards the earlier batch left idle start on the new batch
+// immediately. The coordinator never sits in a barrier while committed work
+// waits unstaged: with room in the window it waits for the next batch or
+// the oldest barrier, whichever comes first, so consecutive batches' appends
+// reach the store inside one group-commit window and share its fsync.
+// Retirement (ledger append, checkpoint digest, client responses) always
+// happens in sequence order, which is what keeps the ledger and checkpoint
+// digests byte-identical to serial execution.
 func (r *Replica) executeLoop() {
 	defer r.execWg.Done()
 	if r.execDepth <= 1 {
@@ -637,34 +641,33 @@ func (r *Replica) executeLoop() {
 	retireOldest := func() {
 		b := inflight[0]
 		inflight = inflight[1:]
+		<-b.done
 		t0 := time.Now()
 		r.retireBatch(b)
 		r.addBusy(StageExecute, time.Since(t0))
 	}
 	for {
-		var item execItem
-		if len(inflight) == 0 {
-			_, it, ok := r.execIn.Next()
-			if !ok {
-				break
-			}
-			item = it
-		} else if _, it, ok := r.execIn.TryNext(); ok {
-			item = it
-		} else {
-			// Nothing new is ready: retire the oldest in-flight batch
-			// rather than sitting on completed work — the overlap window
-			// only stays open while there is a backlog to overlap with.
-			// This is also what bounds response latency at depth > 1.
+		var oldest <-chan struct{} // nil with nothing in flight: never ready
+		if len(inflight) > 0 {
+			oldest = inflight[0].done
+		}
+		if len(inflight) >= r.execDepth {
+			retireOldest()
+			continue
+		}
+		_, item, woke := r.execIn.NextOr(oldest)
+		if woke == queue.WokeClosed {
+			break
+		}
+		if woke == queue.WokeAlt {
+			// Retiring as soon as the barrier is down, rather than when the
+			// window fills, is what bounds response latency at depth > 1.
 			retireOldest()
 			continue
 		}
 		t0 := time.Now()
 		inflight = append(inflight, r.stageBatch(item.act))
 		r.addBusy(StageExecute, time.Since(t0))
-		for len(inflight) >= r.execDepth {
-			retireOldest()
-		}
 	}
 	// Shutdown: drain the in-flight window so every accepted batch still
 	// reaches the ledger and its clients.
@@ -684,7 +687,11 @@ func (r *Replica) executeLoop() {
 // in-order retirement keeps whole batches ordered. So the store contents,
 // ledger, and checkpoint digests are byte-identical to serial execution.
 func (r *Replica) executeBatch(act consensus.Execute) {
-	r.retireBatch(r.stageBatch(act))
+	b := r.stageBatch(act)
+	if b.done != nil {
+		<-b.done
+	}
+	r.retireBatch(b)
 }
 
 // stageBatch runs the coordinator half of execution for one committed
@@ -709,6 +716,7 @@ func (r *Replica) stageBatch(act consensus.Execute) *inflightExec {
 	b := &inflightExec{act: act}
 	sharded := r.execShards > 1
 	if sharded {
+		b.done = make(chan struct{})
 		b.parts = <-r.partsFree
 		for i := range b.parts {
 			b.parts[i] = b.parts[i][:0]
@@ -797,15 +805,27 @@ func (r *Replica) stageBatch(act consensus.Execute) *inflightExec {
 			// Allocated before fan-out: shard workers fill disjoint slots.
 			b.reads = make([]types.ReadResult, nextSlot)
 		}
+		// The coordinator's own count keeps the barrier up until every
+		// partition is handed out, however fast the first worker finishes.
+		b.pending.Store(1)
 		for sh := range b.parts {
 			if len(b.parts[sh]) == 0 {
 				continue
 			}
-			b.done.Add(1)
-			r.shardQs[sh] <- execShardJob{ops: b.parts[sh], reads: b.reads, done: &b.done}
+			b.pending.Add(1)
+			r.shardQs[sh] <- execShardJob{ops: b.parts[sh], reads: b.reads, batch: b}
 		}
+		b.partDone()
 	}
 	return b
+}
+
+// partDone takes one partition off the batch's barrier and lowers the
+// barrier with the last.
+func (b *inflightExec) partDone() {
+	if b.pending.Add(-1) == 0 {
+		close(b.done)
+	}
 }
 
 // readKey answers one read against the store's current (last-applied)
@@ -900,12 +920,16 @@ func mergeScanFrags(frags [][]types.ScanRow, limit uint32) []types.ScanRow {
 	return merged
 }
 
-// retireBatch completes one staged batch in sequence order: wait for its
-// shard barrier, append the block, report the execution to the engine
-// (driving checkpoints), and answer every client in the batch.
+// retireBatch completes one staged batch in sequence order, once its
+// barrier is down — every partition executed and, on a durable store,
+// every write of the batch covered by a completed fsync: append the block,
+// report the execution to the engine (driving checkpoints), and answer
+// every client in the batch. Nothing about batch k leaves the replica
+// before this point, and k retires after every earlier batch, which is
+// the whole durability contract: reads and scans may have observed
+// appended-not-yet-durable writes, but their results leave only here.
 func (r *Replica) retireBatch(b *inflightExec) {
 	defer r.execPending.Add(-1)
-	b.done.Wait()
 	if b.parts != nil {
 		// The workers are done with the partition buffers; recycle them.
 		r.partsFree <- b.parts
@@ -992,36 +1016,51 @@ func (r *Replica) retireBatch(b *inflightExec) {
 }
 
 // execShardLoop is one execution shard worker: it applies its partition
-// of each committed batch to the store in batch order and signals the
-// batch barrier. Consecutive writes accumulate into a scratch buffer
-// applied in one batched call (store.Batcher) when the store supports it;
-// stores without it — DiskStore, whose blocking serialized API is the
-// Section 5.7 contrast — fall back to per-op Puts serialized by the store
-// itself. Pending writes always flush before a read executes, so a read
-// observes every earlier write to its key: same-batch ones through the
-// flush, earlier-batch ones through the shard queue's FIFO (one key
-// always maps to one shard). Each read's result lands in its assigned
-// slot of the batch's shared result buffer; partitions carry disjoint
-// slots, so workers never race on an element.
+// of each committed batch to the store in batch order. Consecutive writes
+// accumulate into a scratch buffer applied in one batched call. Against a
+// store.Appender the call makes them visible and returns a ticket, and the
+// worker moves on: it never waits for a disk, the finished partition's
+// ticket goes to the shard's durable waiter, and the waiter takes the
+// partition off the batch barrier once an fsync covers it. Against a plain
+// store.Batcher the call blocks until the writes are applied (and, for a
+// durable store behind a wrapper that hides Appender, durable); stores with
+// neither — DiskStore, whose blocking serialized API is the Section 5.7
+// contrast — fall back to per-op Puts serialized by the store itself.
+// Pending writes always flush before a read or scan executes, so it
+// observes every earlier write to its keys: same-batch ones through the
+// flush, earlier-batch ones through the shard queue's FIFO (one key always
+// maps to one shard) — appended is enough for that, durable is not needed,
+// because the result leaves the replica only at in-order retirement. Each
+// read's result lands in its assigned slot of the batch's shared result
+// buffer; partitions carry disjoint slots, so workers never race on an
+// element.
 func (r *Replica) execShardLoop(shard int) {
 	defer r.shardWg.Done()
 	var scratch []store.KV
+	// ticket covers the current job's appended writes; it is threaded
+	// through Append so one ticket always covers them all.
+	var ticket store.Ticket
 	flush := func() {
 		if len(scratch) == 0 {
 			return
 		}
-		if r.execBatch != nil {
-			if err := r.execBatch.PutMany(scratch); err != nil {
-				// Lost writes diverge store state from the ledger; count
-				// them loudly (StoreWriteFailures) instead of swallowing.
-				r.storeFailures.Add(1)
-			}
-		} else {
+		var err error
+		switch {
+		case r.execAppend != nil:
+			ticket, err = r.execAppend.Append(scratch, ticket)
+		case r.execBatch != nil:
+			err = r.execBatch.PutMany(scratch)
+		default:
 			for i := range scratch {
 				if err := r.store.Put(scratch[i].Key, scratch[i].Value); err != nil {
 					r.storeFailures.Add(1)
 				}
 			}
+		}
+		if err != nil {
+			// Lost writes diverge store state from the ledger; count them
+			// loudly (StoreWriteFailures) instead of swallowing.
+			r.storeFailures.Add(1)
 		}
 		scratch = scratch[:0]
 	}
@@ -1048,7 +1087,28 @@ func (r *Replica) execShardLoop(shard int) {
 		if d := time.Since(t0); d > 0 {
 			r.shardBusyNS[shard].Add(uint64(d))
 		}
-		job.done.Done()
+		if ticket == (store.Ticket{}) {
+			job.batch.partDone()
+			continue
+		}
+		r.durableQs[shard] <- durableWait{ticket: ticket, batch: job.batch}
+		ticket = store.Ticket{}
+	}
+}
+
+// durableWaitLoop is one shard's durable waiter: it does the waiting for
+// a disk that the shard worker no longer does. Tickets arrive in append
+// order, so while it waits for one fsync the tickets queued behind it are
+// usually covered by the same one.
+func (r *Replica) durableWaitLoop(shard int) {
+	defer r.durableWg.Done()
+	for w := range r.durableQs[shard] {
+		if err := r.execAppend.WaitDurable(w.ticket); err != nil {
+			// Once per partition: the batch's writes on this shard are
+			// applied but not known durable.
+			r.storeFailures.Add(1)
+		}
+		w.batch.partDone()
 	}
 }
 

@@ -26,9 +26,12 @@ import (
 //     to private logs.
 //   - With SyncLinger > 0 a per-shard committer fsyncs at most once per
 //     linger window, covering every write appended before the sync
-//     (group commit): writers block until a covering fsync completes, so
-//     durability is real, but N writers in a window share one fsync
-//     instead of paying N.
+//     (group commit). Visible and durable are separate events (Appender):
+//     an append is readable at once and returns a ticket, and whoever must
+//     not act before the write is safe waits on the ticket, so durability
+//     is real but N appends in a window share one fsync instead of paying
+//     N, and the appending goroutine never waits for the disk. Put and
+//     PutMany are the synchronous form, append then wait.
 //
 // Each shard's log uses the shared record format (v2 adds a per-record
 // CRC-32C; pre-CRC v1 logs stay readable) and the same recovery: on open
@@ -79,10 +82,11 @@ type diskLogShard struct {
 	logState
 
 	// Group commit: appended counts append operations, synced the prefix
-	// of them covered by a completed fsync. A writer waits until synced
-	// reaches its own append; the committer advances synced once per
-	// linger window. syncErr is sticky — after a failed fsync the shard
-	// refuses further durable writes rather than lying about durability.
+	// of them covered by a completed fsync. An append's ticket is the value
+	// of appended it produced; WaitDurable blocks until synced reaches it,
+	// and the committer advances synced once per linger window. syncErr is
+	// sticky — after a failed fsync the shard refuses further appends
+	// rather than lying about durability.
 	// syncing marks an fsync in flight on f outside the lock, so
 	// compaction never swaps (and closes) the file under it.
 	appended uint64
@@ -108,7 +112,8 @@ type ShardedDiskOptions struct {
 	// SyncLinger selects durability: 0 never fsyncs (the DiskStore
 	// default — the Section 5.7 property under test is the blocking
 	// store API, not durability); > 0 group-commits with that fsync
-	// linger, so every Put/PutMany returns only after a covering fsync.
+	// linger, so every Put/PutMany returns only after a covering fsync
+	// and every Append ticket can be waited on for one.
 	SyncLinger time.Duration
 	// CompactRatio is the per-shard garbage fraction (dead bytes / total
 	// log bytes) past which MaybeCompact rewrites that shard's log. 0
@@ -264,6 +269,14 @@ func (s *ShardedDiskStore) shardFor(key uint64) *diskLogShard {
 	return s.shards[ShardOf(key, len(s.shards))]
 }
 
+// arm wakes the shard's committer if it is idle; it never blocks.
+func (sh *diskLogShard) arm() {
+	select {
+	case sh.dirtyC <- struct{}{}:
+	default:
+	}
+}
+
 // appendLocked writes the records to the shard's log in order and updates
 // the index and byte accounting; the caller holds sh.mu. One contiguous
 // buffer means one write syscall per call regardless of record count.
@@ -286,32 +299,10 @@ func (sh *diskLogShard) appendLocked(kvs []KV) error {
 	return nil
 }
 
-// awaitSync blocks the caller until an fsync covering append operation
-// seq completes; it returns the shard's sticky sync error, or ErrClosed
-// when the store closed before the write became durable. The caller holds
-// sh.mu; stall time is reported to the store's counters.
-func (s *ShardedDiskStore) awaitSync(sh *diskLogShard, seq uint64) error {
-	select {
-	case sh.dirtyC <- struct{}{}:
-	default:
-	}
-	t0 := time.Now()
-	for sh.synced < seq && sh.syncErr == nil && !sh.closed {
-		sh.cond.Wait()
-	}
-	s.stallNS.Add(uint64(time.Since(t0)))
-	if sh.syncErr != nil {
-		return sh.syncErr
-	}
-	if sh.synced < seq {
-		return ErrClosed
-	}
-	return nil
-}
-
 // commitLoop is one shard's group committer: woken by the first dirty
-// write, it lingers to collect a group, fsyncs once, and releases every
-// writer the sync covered. Writes that land during the fsync re-arm it.
+// append, it lingers to collect a group, fsyncs once, and releases every
+// WaitDurable the sync covered. Appends that land during the fsync re-arm
+// it.
 func (s *ShardedDiskStore) commitLoop(sh *diskLogShard) {
 	defer s.wg.Done()
 	timer := time.NewTimer(s.linger)
@@ -347,7 +338,7 @@ func (s *ShardedDiskStore) commitLoop(sh *diskLogShard) {
 		}
 		sh.mu.Unlock()
 		if skip {
-			// A writer armed dirtyC during a linger window whose fsync (or
+			// An append armed dirtyC during a linger window whose fsync (or
 			// a compaction rewrite) already covered it; nothing to sync.
 			continue
 		}
@@ -368,10 +359,7 @@ func (s *ShardedDiskStore) commitLoop(sh *diskLogShard) {
 		sh.cond.Broadcast()
 		sh.mu.Unlock()
 		if rearm {
-			select {
-			case sh.dirtyC <- struct{}{}:
-			default:
-			}
+			sh.arm()
 		}
 	}
 }
@@ -379,115 +367,144 @@ func (s *ShardedDiskStore) commitLoop(sh *diskLogShard) {
 // Put implements Store: append to the owning shard's log and, in group
 // commit mode, wait for a covering fsync.
 func (s *ShardedDiskStore) Put(key uint64, value []byte) error {
-	if err := s.putShard(s.shardFor(key), []KV{{Key: key, Value: value}}); err != nil {
-		return err
-	}
-	s.ordered.insert(key)
-	return nil
+	return s.PutMany([]KV{{Key: key, Value: value}})
 }
 
-func (s *ShardedDiskStore) putShard(sh *diskLogShard, kvs []KV) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.closed {
-		return ErrClosed
-	}
-	if sh.syncErr != nil {
-		return sh.syncErr
-	}
-	if err := sh.appendLocked(kvs); err != nil {
-		return err
-	}
-	if s.linger > 0 {
-		return s.awaitSync(sh, sh.appended)
-	}
-	return nil
-}
-
-// PutMany implements Batcher: writes are grouped by owning shard, each
-// group appended with a single write syscall, and in group commit mode
-// the caller waits once per touched shard. When the caller's partition
-// was built with the same ShardOf shard count — the aligned execute-shard
-// configuration — the whole batch lands in one log. Distinct concurrent
-// callers must cover disjoint key sets (the Batcher contract); same-shard
-// appends from different callers are serialized by the shard lock.
+// PutMany implements Batcher as Append followed by WaitDurable: the
+// synchronous form, for callers (table preload, tests, the execute stage
+// behind a wrapper that hides Appender) that want the write durable on
+// return.
 func (s *ShardedDiskStore) PutMany(kvs []KV) error {
+	t, err := s.Append(kvs, Ticket{})
+	if err != nil {
+		return err
+	}
+	return s.WaitDurable(t)
+}
+
+// Append implements Appender: writes are grouped by owning shard and each
+// group is appended with a single write syscall, after which it is in the
+// index, the read index and the ordered sidecar — visible to Get and Scan —
+// and its shard's committer is armed. Nothing here waits for a disk when
+// the caller's partitions were built with the same ShardOf shard count (the
+// aligned execute-shard configuration): the whole partition lands in one
+// log and the new ticket covers prev. A partition that spans shards, or a
+// prev on another shard, leaves several tickets; all but the last touched
+// shard's are waited for here, after every append has been issued so the
+// shards' group commits overlap.
+func (s *ShardedDiskStore) Append(kvs []KV, prev Ticket) (Ticket, error) {
 	if len(kvs) == 0 {
-		return nil
+		return prev, nil
 	}
-	// Common case first: every key in one shard (aligned partitions).
-	first := ShardOf(kvs[0].Key, len(s.shards))
-	aligned := true
+	// Common case first: every key in one shard. Grouping starts at the
+	// first key that is not, so each key is hashed once either way.
+	n := len(s.shards)
+	first := ShardOf(kvs[0].Key, n)
+	var groups [][]KV
 	for i := 1; i < len(kvs); i++ {
-		if ShardOf(kvs[i].Key, len(s.shards)) != first {
-			aligned = false
-			break
+		sh := ShardOf(kvs[i].Key, n)
+		if groups == nil {
+			if sh == first {
+				continue
+			}
+			groups = make([][]KV, n)
+			groups[first] = append(groups[first], kvs[:i]...)
 		}
-	}
-	if aligned {
-		if err := s.putShard(s.shards[first], kvs); err != nil {
-			return err
-		}
-		for i := range kvs {
-			s.ordered.insert(kvs[i].Key)
-		}
-		return nil
-	}
-	// Mixed partition: group records by shard, preserving order per shard.
-	groups := make([][]KV, len(s.shards))
-	for i := range kvs {
-		sh := ShardOf(kvs[i].Key, len(s.shards))
 		groups[sh] = append(groups[sh], kvs[i])
 	}
-	// Append to every touched shard first — arming each shard's committer
-	// as we go — and only then wait for the covering fsyncs, so the group
-	// commits of different shards overlap instead of paying one full
-	// linger+fsync per shard in sequence.
-	type pendingSync struct {
-		sh  *diskLogShard
-		seq uint64
+	// last is the ticket to return; early collects the tickets it does not
+	// cover, which only exist off the aligned path.
+	last := prev
+	var early []Ticket
+	appendGroup := func(idx int, g []KV) error {
+		t, err := s.appendShard(idx, g)
+		if err != nil {
+			return err
+		}
+		if last.seq != 0 && last.shard != t.shard {
+			early = append(early, last)
+		}
+		last = t
+		return nil
 	}
-	var waits []pendingSync
+	if groups == nil {
+		if err := appendGroup(first, kvs); err != nil {
+			return prev, err
+		}
+	}
 	for idx, g := range groups {
 		if len(g) == 0 {
 			continue
 		}
-		sh := s.shards[idx]
-		sh.mu.Lock()
-		if sh.closed {
-			sh.mu.Unlock()
-			return ErrClosed
-		}
-		if sh.syncErr != nil {
-			err := sh.syncErr
-			sh.mu.Unlock()
-			return err
-		}
-		if err := sh.appendLocked(g); err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-		if s.linger > 0 {
-			select {
-			case sh.dirtyC <- struct{}{}:
-			default:
-			}
-			waits = append(waits, pendingSync{sh: sh, seq: sh.appended})
-		}
-		sh.mu.Unlock()
-	}
-	for _, w := range waits {
-		w.sh.mu.Lock()
-		err := s.awaitSync(w.sh, w.seq)
-		w.sh.mu.Unlock()
-		if err != nil {
-			return err
+		if err := appendGroup(idx, g); err != nil {
+			return prev, err
 		}
 	}
-	for i := range kvs {
-		s.ordered.insert(kvs[i].Key)
+	s.ordered.insertMany(kvs)
+	for _, t := range early {
+		if err := s.WaitDurable(t); err != nil {
+			return last, err
+		}
 	}
-	return nil
+	return last, nil
+}
+
+// appendShard appends one shard's records and returns their ticket: the
+// shard's append counter in group commit mode, the zero Ticket when the
+// store never fsyncs.
+func (s *ShardedDiskStore) appendShard(idx int, kvs []KV) (Ticket, error) {
+	sh := s.shards[idx]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.closed {
+		return Ticket{}, ErrClosed
+	}
+	if sh.syncErr != nil {
+		return Ticket{}, sh.syncErr
+	}
+	if err := sh.appendLocked(kvs); err != nil {
+		return Ticket{}, err
+	}
+	if s.linger == 0 {
+		return Ticket{}, nil
+	}
+	sh.arm()
+	return Ticket{shard: idx, seq: sh.appended}, nil
+}
+
+// WaitDurable implements Appender: it blocks until a completed fsync (the
+// committer's, a compaction rewrite's, or Close's final one) covers t, and
+// otherwise returns the shard's sticky sync error, or ErrClosed when the
+// store closed first. Time spent blocked is reported as fsync stall.
+func (s *ShardedDiskStore) WaitDurable(t Ticket) error {
+	if t.seq == 0 {
+		return nil
+	}
+	sh := s.shards[t.shard]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.synced >= t.seq {
+		return nil
+	}
+	// Arm again: the append's own arm was consumed by the window now in
+	// progress, and a committer that finds the flag set after its fsync
+	// opens the next window at once, so under a steady stream of appends
+	// the windows run back to back instead of each append opening its own
+	// a think-time later.
+	sh.arm()
+	t0 := time.Now()
+	for sh.synced < t.seq && sh.syncErr == nil && !sh.closed {
+		sh.cond.Wait()
+	}
+	s.stallNS.Add(uint64(time.Since(t0)))
+	switch {
+	case sh.synced >= t.seq:
+		return nil
+	case sh.syncErr != nil:
+		return sh.syncErr
+	default:
+		return ErrClosed
+	}
 }
 
 // Get implements Store. With the read index enabled the value comes from
@@ -619,7 +636,7 @@ func (s *ShardedDiskStore) Compact() error {
 // the caller holds sh.mu (writers to this shard stall for the duration,
 // which is what CompactStats.StallNS measures). Because the rewrite
 // fsyncs every live record before the rename, a completed compaction is
-// also a covering group commit: writers parked in awaitSync are released,
+// also a covering group commit: callers parked in WaitDurable are released,
 // since the latest version of every appended key is now durable.
 func (s *ShardedDiskStore) compactShardLocked(sh *diskLogShard) error {
 	// Never swap the file while the committer has an fsync in flight on

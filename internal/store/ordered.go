@@ -81,6 +81,26 @@ func (o *orderedKeys) insert(k uint64) {
 	o.mu.Unlock()
 }
 
+// insertMany adds every key of kvs with one read-locked membership pass;
+// the write lock is taken only from the first absent key on, which on
+// overwrite-dominated traffic is almost never.
+func (o *orderedKeys) insertMany(kvs []KV) {
+	o.mu.RLock()
+	i := 0
+	for i < len(kvs) && o.containsLocked(kvs[i].Key) {
+		i++
+	}
+	o.mu.RUnlock()
+	if i == len(kvs) {
+		return
+	}
+	o.mu.Lock()
+	for ; i < len(kvs); i++ {
+		o.insertLocked(kvs[i].Key)
+	}
+	o.mu.Unlock()
+}
+
 // containsLocked reports membership; the caller holds mu (either mode).
 func (o *orderedKeys) containsLocked(k uint64) bool {
 	bi := o.blockFor(k)

@@ -61,15 +61,44 @@ type KV struct {
 // callers must guarantee the partitions are key-disjoint, which is what
 // makes the result order-independent across callers. MemStore and
 // ShardedDiskStore implement it (the sharded store additionally streams
-// an aligned partition to a single append log with one write syscall and
-// one group-commit wait); DiskStore deliberately does not, so the naive
-// off-memory store keeps its blocking, fully serialized API (the
-// Section 5.7 contrast) and sharded execution degrades to serialized
+// an aligned partition to a single append log with one write syscall; its
+// PutMany is Append followed by WaitDurable, so it returns only once a
+// completed fsync covers the partition); DiskStore deliberately does not,
+// so the naive off-memory store keeps its blocking, fully serialized API
+// (the Section 5.7 contrast) and sharded execution degrades to serialized
 // Puts against it.
 type Batcher interface {
 	// PutMany applies every write in kvs in order. Distinct concurrent
 	// calls must cover disjoint key sets.
 	PutMany(kvs []KV) error
+}
+
+// Appender is an optional Store capability beside Batcher that splits
+// visible from durable, so the goroutine applying writes never waits for a
+// disk: Append makes a partition visible to Get and Scan at once and hands
+// back a Ticket; WaitDurable, called by whoever must not act before the
+// writes are safe, blocks until a completed fsync covers the ticket. Only
+// ShardedDiskStore implements it. The same key-disjointness rule as
+// Batcher applies to concurrent Append callers.
+type Appender interface {
+	// Append applies every write in kvs in order and returns a ticket that
+	// covers them and everything prev covered, so a caller threading its
+	// last ticket through its next Append only ever holds one. On error the
+	// ticket is prev, unless the writes were applied and it was the wait
+	// for prev that failed.
+	Append(kvs []KV, prev Ticket) (Ticket, error)
+	// WaitDurable returns once a completed fsync covers t. It returns at
+	// once for the zero Ticket and for a store that does not fsync.
+	WaitDurable(t Ticket) error
+}
+
+// Ticket names a position in one store shard's append stream. It is
+// prefix-covering: an fsync that covers a ticket covers every earlier
+// append to that shard. The zero Ticket covers nothing and is always
+// durable.
+type Ticket struct {
+	shard int
+	seq   uint64
 }
 
 // SyncStats reports a durable store's group-commit behaviour: how many
@@ -79,9 +108,10 @@ type Batcher interface {
 type SyncStats struct {
 	// Fsyncs is the number of fsync calls issued.
 	Fsyncs uint64
-	// FsyncStallNS is the cumulative time writers spent blocked waiting
-	// for an fsync to cover their writes (for per-op sync stores this is
-	// simply the total fsync time, since the writer is the one syncing).
+	// FsyncStallNS is the cumulative time callers spent blocked waiting
+	// for an fsync to cover writes: in WaitDurable for the sharded store
+	// (its PutMany included); for per-op sync stores simply the total
+	// fsync time, since the writer is the one syncing.
 	FsyncStallNS uint64
 }
 
@@ -155,6 +185,7 @@ var (
 	_ Store       = (*ShardedDiskStore)(nil)
 	_ Batcher     = (*MemStore)(nil)
 	_ Batcher     = (*ShardedDiskStore)(nil)
+	_ Appender    = (*ShardedDiskStore)(nil)
 	_ SyncStatser = (*DiskStore)(nil)
 	_ SyncStatser = (*ShardedDiskStore)(nil)
 	_ Compactor   = (*DiskStore)(nil)
@@ -258,8 +289,8 @@ func (s *MemStore) PutMany(kvs []KV) error {
 		sh.mu.Lock()
 		sh.m[kvs[i].Key] = cp
 		sh.mu.Unlock()
-		s.ordered.insert(kvs[i].Key)
 	}
+	s.ordered.insertMany(kvs)
 	return nil
 }
 
