@@ -27,12 +27,12 @@
 // per-shard busy split (the evidence that write-set partitioning spreads
 // the last serialized pipeline stage).
 //
-// The diskpipe experiment runs the real pipeline over the three store
-// backends — MemStore, the serial fsync-per-Put DiskStore (the
-// Section 5.7 off-memory contrast), and the sharded group-commit
-// DiskStore with cross-batch execution pipelining — reporting throughput,
-// fsync counts, and fsync-stall time. -store-shards, -store-sync, and
-// -exec-pipeline-depth tune the sharded row.
+// The diskpipe experiment runs the real pipeline over MemStore and over
+// the disk store twice: one log behind nothing but the blocking Put, every
+// record waiting out its own fsync (the Section 5.7 off-memory contrast),
+// and sharded with group commit and cross-batch execution pipelining —
+// reporting throughput, fsync counts, and fsync-stall time. -store-shards,
+// -store-sync, and -exec-pipeline-depth tune the sharded rows.
 //
 // The compaction experiment measures the sharded store's log garbage
 // collection: an overwrite-heavy Zipfian history, then shard-log bytes
@@ -86,7 +86,7 @@ func run() int {
 	workerThreads := flag.Int("worker-threads", 4, "workerscale: largest worker-lane count in the sweep")
 	execShards := flag.Int("execute-shards", 4, "execshards: largest execution-shard count in the sweep")
 	storeShards := flag.Int("store-shards", 0, "diskpipe: append logs for the sharded store (0 aligns with the execution shards)")
-	storeSync := flag.Duration("store-sync", bench.DiskTuning.Sync, "diskpipe: fsync policy (group-commit linger for the sharded store; the serial store fsyncs every Put; 0 disables fsync on both disk rows, isolating the blocking-API cost)")
+	storeSync := flag.Duration("store-sync", bench.DiskTuning.Sync, "diskpipe: fsync linger of the disk rows (shared by everything appended in a window on the sharded rows, waited out per Put on the serial row; 0 disables fsync, isolating the blocking-API cost)")
 	execDepth := flag.Int("exec-pipeline-depth", bench.DiskTuning.Depth, "diskpipe: cross-batch execution pipelining depth for the sharded-store row")
 	compactRatio := flag.Float64("store-compact-ratio", 0, "compaction/diskpipe: garbage ratio past which a shard log is compacted (0 = store default 0.5, negative disables)")
 	compactMin := flag.Int64("store-compact-min-bytes", 0, "compaction/diskpipe: log size floor for threshold-driven compaction (0 = store default 1 MiB, negative removes the floor)")

@@ -37,12 +37,11 @@
 //     pipelining; per-shard FIFO keeps conflicting key partitions in
 //     batch order, and ledger appends stay strictly sequential). 1
 //     (default) is the strict per-batch barrier.
-//   - -store-backend mem|disk|sharded: the record store. mem (default)
-//     is the paper's recommended in-memory table; disk is the blocking
-//     serial store of the Section 5.7 off-memory experiment; sharded is
-//     the group-commit store — one append log per shard, recovered
+//   - -store-backend mem|sharded: the record store. mem (default) is the
+//     paper's recommended in-memory table; sharded is the durable
+//     group-commit store — one append log per shard, recovered
 //     independently after a crash.
-//   - -store-dir D: root directory for the disk backends (default
+//   - -store-dir D: root directory for the sharded backend (default
 //     resdb-data/replica-<id>).
 //   - -store-shards S: append logs for the sharded backend; 0 (default)
 //     aligns S with the execution shard count so each execution shard
@@ -50,9 +49,9 @@
 //   - -store-sync D: durability. 0 (default) never fsyncs; with D > 0
 //     the sharded backend group-commits on a D fsync linger (writes
 //     are visible once appended; no response leaves before a covering
-//     fsync) and the serial disk backend fsyncs every Put.
+//     fsync).
 //   - -store-compact-ratio R: checkpoint-driven log compaction for the
-//     disk backends. When a stable checkpoint fires, any shard log whose
+//     sharded backend. When a stable checkpoint fires, any shard log whose
 //     garbage fraction (dead bytes / total bytes) reaches R is rewritten
 //     to live records only. 0 (default) uses the built-in 0.5; negative
 //     disables compaction (logs grow with history).
@@ -60,7 +59,7 @@
 //     rewrites (rewriting a tiny log cannot pay for its stall). 0
 //     (default) uses the built-in 1 MiB; negative removes the floor.
 //   - -store-read-index: keep every key's latest value in an in-memory
-//     index over the disk backends, so Get — and with it the locally
+//     index over the sharded backend, so Get — and with it the locally
 //     served read path — never touches a shard log or lock. 0 (default)
 //     keeps it on; -1 disables it (reads go back through the log, the
 //     Section 5.7 blocking contrast). Ignored by the mem backend.
@@ -155,13 +154,13 @@ func run() int {
 	batchThreads := flag.Int("batch-threads", 0, "batch-threads B (0 = default 2, -1 folds batching into the worker lanes)")
 	execShards := flag.Int("execute-shards", 0, "execution shards E (0 = default single execute-thread, -1 folds execution into the worker lanes, E > 1 = parallel write-set-partitioned shards)")
 	execDepth := flag.Int("exec-pipeline-depth", 1, "cross-batch execution pipelining depth P (1 = strict per-batch barrier; P > 1 overlaps up to P batches across the execution shards)")
-	storeBackend := flag.String("store-backend", "mem", "record store: mem | disk (serial blocking log) | sharded (group-commit, one log per shard)")
-	storeDir := flag.String("store-dir", "", "root directory for disk-backed stores (default resdb-data/replica-<id>)")
+	storeBackend := flag.String("store-backend", "mem", "record store: mem | sharded (durable, group-commit, one log per shard)")
+	storeDir := flag.String("store-dir", "", "root directory for the sharded store (default resdb-data/replica-<id>)")
 	storeShards := flag.Int("store-shards", 0, "append logs for the sharded store backend (0 aligns with the execution shard count)")
-	storeSync := flag.Duration("store-sync", 0, "fsync policy: 0 never fsyncs; >0 group-commits the sharded store on this linger (serial disk backend fsyncs every Put)")
+	storeSync := flag.Duration("store-sync", 0, "fsync policy: 0 never fsyncs; >0 group-commits the sharded store on this linger")
 	storeCompactRatio := flag.Float64("store-compact-ratio", 0, "garbage ratio (dead/total log bytes) past which a stable checkpoint compacts a shard log (0 = default 0.5, negative disables compaction)")
 	storeCompactMin := flag.Int64("store-compact-min-bytes", 0, "log size below which checkpoint-driven compaction never rewrites (0 = default 1 MiB, negative removes the floor)")
-	storeReadIndex := flag.Int("store-read-index", 0, "in-memory read index over the disk backends so local reads never touch a shard log or lock (0 = default on, -1 disables)")
+	storeReadIndex := flag.Int("store-read-index", 0, "in-memory read index over the sharded store so local reads never touch a shard log or lock (0 = default on, -1 disables)")
 	verifyThreads := flag.Int("verify-threads", 0, "parallel signature-verification workers (0 = default 2, -1 verifies inline on the worker lanes)")
 	workerThreads := flag.Int("worker-threads", 1, "parallel consensus worker lanes (1 = the paper's single worker-thread)")
 	netBatch := flag.Int("net-batch", transport.DefaultBatchMax, "max envelopes per TCP batch frame (1 disables transport batching)")

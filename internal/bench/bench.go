@@ -150,7 +150,7 @@ func All() []Experiment {
 			Paper: "the single worker-thread saturates at the backups (Figure 9); lock-striped instances let W lanes split consensus stepping so the worker stops being the lone saturated stage", Run: workerscale},
 		{ID: "execshards", Title: "Execution shards: throughput and per-shard busy time vs ExecuteThreads (real pipeline)",
 			Paper: "the paper caps execution at one thread (data conflicts, Section 6); write-set partitioning lifts the cap — E shards split a Zipfian write load deterministically, shown by the per-shard busy table", Run: execshards},
-		{ID: "diskpipe", Title: "Durable storage pipeline: MemStore vs serial DiskStore vs sharded group-commit DiskStore (real pipeline)",
+		{ID: "diskpipe", Title: "Durable storage pipeline: MemStore vs the disk store behind a serial blocking Put vs sharded with group commit (real pipeline)",
 			Paper: "naive off-memory storage cuts throughput ~94% (Section 5.7); sharding the log per execution shard and group-committing the fsync narrows that gap — the fsync-stall column shows the amortization", Run: diskpipe},
 		{ID: "compaction", Title: "Checkpoint-driven log compaction: shard-log bytes and reopen time before/after (sharded store)",
 			Paper: "a stable checkpoint licenses discarding old state (Section 4.7), and off-memory storage only stays viable if its costs stay bounded (Section 5.7) — compaction rewrites live records so log size and restart replay track live data, not history", Run: compaction},

@@ -8,6 +8,8 @@ import (
 
 	"resilientdb/internal/cluster"
 	"resilientdb/internal/replica"
+	"resilientdb/internal/store"
+	"resilientdb/internal/types"
 	"resilientdb/internal/workload"
 )
 
@@ -18,15 +20,15 @@ var DiskTuning = struct {
 	// Shards is the sharded backend's append-log count; 0 aligns it with
 	// the execution shard count.
 	Shards int
-	// Sync is the fsync policy for the disk-backed rows: the sharded
-	// backend group-commits on this linger, the serial backend fsyncs
-	// every Put.
+	// Sync is the fsync linger of the disk-backed rows: the sharded rows
+	// share each window's fsync across everything appended in it, the
+	// serial row waits one out per Put.
 	Sync time.Duration
 	// Depth is the cross-batch execution pipelining depth for the
 	// sharded-store row.
 	Depth int
-	// CompactRatio and CompactMinBytes are handed to the disk backends as
-	// their checkpoint-driven compaction thresholds (0 = store defaults).
+	// CompactRatio and CompactMinBytes are handed to the disk store as
+	// its checkpoint-driven compaction thresholds (0 = store defaults).
 	// They shape diskpipe's disk rows (whose replicas MaybeCompact on
 	// stable checkpoints); the compaction experiment's forced Compact
 	// ignores thresholds by design.
@@ -44,9 +46,12 @@ const diskpipeExecShards = 4
 //
 //   - mem: the paper's recommended in-memory table (Section 6 "Memory
 //     Storage") — the ceiling.
-//   - disk-serial: the Section 5.7 off-memory contrast, a single blocking
-//     append log with an fsync on every Put — the naive durable store
-//     whose cost the paper measures at ~94% of throughput.
+//   - disk-serial: the Section 5.7 off-memory contrast — the same disk
+//     store with one log, reached through nothing but the blocking
+//     store.Store interface (its batching and append/durable-split
+//     capabilities hidden), so every record is its own Put and waits out
+//     its own append and fsync: the naive durable store whose cost the
+//     paper measures at ~94% of throughput.
 //   - sharded-gc: the refactored store — one append log per execution
 //     shard (each shard worker streams its write partition to a private
 //     log), group commit amortizing the fsync across every write in a
@@ -70,18 +75,11 @@ func diskpipe(s Scale) (Outcome, error) {
 		window = 2 * time.Second
 		clients = 192
 	}
-	type row struct {
-		name     string
-		backend  string
-		sync     time.Duration
-		depth    int
-		readFrac float64
-	}
-	rows := []row{
+	rows := []diskRow{
 		{name: "mem", backend: "mem", depth: 1},
-		{name: "disk-serial", backend: "disk", sync: DiskTuning.Sync, depth: 1},
-		{name: "sharded-gc", backend: "sharded", sync: DiskTuning.Sync, depth: DiskTuning.Depth},
-		{name: "sharded-gc-rmix", backend: "sharded", sync: DiskTuning.Sync, depth: DiskTuning.Depth, readFrac: 0.5},
+		{name: "disk-serial", backend: "sharded", shards: 1, bare: true, sync: DiskTuning.Sync, depth: 1},
+		{name: "sharded-gc", backend: "sharded", shards: DiskTuning.Shards, sync: DiskTuning.Sync, depth: DiskTuning.Depth},
+		{name: "sharded-gc-rmix", backend: "sharded", shards: DiskTuning.Shards, sync: DiskTuning.Sync, depth: DiskTuning.Depth, readFrac: 0.5},
 	}
 
 	tab := Table{
@@ -93,7 +91,7 @@ func diskpipe(s Scale) (Outcome, error) {
 	var memTput, diskTput, shardedTput float64
 
 	for _, r := range rows {
-		res, backup, err := runDiskLoad(r.backend, r.sync, r.depth, diskpipeExecShards, clients, window, r.readFrac)
+		res, backup, err := runDiskLoad(r, diskpipeExecShards, clients, window)
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -144,40 +142,66 @@ func diskpipe(s Scale) (Outcome, error) {
 	return Outcome{Tables: []Table{tab}, Metrics: metrics}, nil
 }
 
-// runDiskLoad runs one PBFT cluster with the given store backend under
-// the execshards Zipfian load — writes, with readFrac of the ops turned
-// into reads ordered through consensus — and returns the client-side
-// result plus a backup replica's stats (execution and storage run at every
-// replica; the backup isolates them from the primary's batching work).
-func runDiskLoad(backend string, sync time.Duration, depth, execShards, clients int, window time.Duration, readFrac float64) (cluster.Result, replica.Stats, error) {
+// diskRow is one store configuration of the diskpipe experiment. bare
+// hides every optional capability of the store from the replica, leaving
+// the blocking store.Store interface.
+type diskRow struct {
+	name     string
+	backend  string
+	shards   int
+	bare     bool
+	sync     time.Duration
+	depth    int
+	readFrac float64
+}
+
+// runDiskLoad runs one PBFT cluster with the row's store under the
+// execshards Zipfian load — writes, with readFrac of the ops turned into
+// reads ordered through consensus — and returns the client-side result
+// plus a backup replica's stats (execution and storage run at every
+// replica; the backup isolates them from the primary's batching work). A
+// bare row's fsync counters are read from the store itself, which the
+// replica cannot see through the wrapper.
+func runDiskLoad(row diskRow, execShards, clients int, window time.Duration) (cluster.Result, replica.Stats, error) {
 	wl := workload.Default()
 	wl.Records = 8192
-	wl.ReadFraction = readFrac
+	wl.ReadFraction = row.readFrac
 	// The execshards regime: multi-op transactions with fat values make
 	// the store the stage under test.
 	wl.OpsPerTxn = 8
 	wl.ValueSize = 256
-	c, err := cluster.New(cluster.Options{
+	opts := cluster.Options{
 		N:                    4,
 		Clients:              clients,
 		Burst:                4,
 		BatchSize:            20,
 		ExecuteThreads:       execShards,
-		ExecPipelineDepth:    depth,
-		StoreBackend:         backend,
-		StoreShards:          DiskTuning.Shards,
-		StoreSync:            sync,
+		ExecPipelineDepth:    row.depth,
+		StoreBackend:         row.backend,
+		StoreShards:          row.shards,
+		StoreSync:            row.sync,
 		StoreCompactRatio:    DiskTuning.CompactRatio,
 		StoreCompactMinBytes: DiskTuning.CompactMinBytes,
 		Workload:             wl,
 		CheckpointInterval:   25,
 		Seed:                 13,
-	})
+	}
+	if row.bare {
+		opts.StoreWrapper = func(_ types.ReplicaID, st store.Store) store.Store {
+			return struct{ store.Store }{st}
+		}
+	}
+	c, err := cluster.New(opts)
 	if err != nil {
 		return cluster.Result{}, replica.Stats{}, err
 	}
 	c.Start()
 	defer c.Stop()
 	res := c.Run(context.Background(), window)
-	return res, c.Replica(1).Stats(), nil
+	backup := c.Replica(1).Stats()
+	if row.bare {
+		sy := c.Store(1).(store.SyncStatser).SyncStats()
+		backup.StoreFsyncs, backup.StoreFsyncStallNS = sy.Fsyncs, sy.FsyncStallNS
+	}
+	return res, backup, nil
 }

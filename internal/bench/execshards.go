@@ -58,9 +58,10 @@ func execshards(s Scale) (Outcome, error) {
 		}
 		winNS := float64(res.Duration.Nanoseconds())
 
-		// The execute stage at a backup: coordinator wall time (BusyNS)
-		// plus the per-shard apply split. Serial runs have no shards, so
-		// the shard column shows the serial apply folded into the stage.
+		// The execute stage at a backup: coordinator busy time (BusyNS:
+		// staging and retiring) plus the per-shard apply split. At E=1
+		// there are no shards: the apply runs inline on the coordinator
+		// and is folded into the stage column.
 		execMS := float64(backup.BusyNS[replica.StageExecute]) / 1e6
 		shardCells := "-"
 		maxShard := 0.0

@@ -2,14 +2,18 @@ package chaos
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"resilientdb/internal/cluster"
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/store"
 	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
+	"resilientdb/internal/workload"
 )
 
 func testDirectory(t *testing.T) *crypto.Directory {
@@ -187,6 +191,57 @@ func TestStoreFaultsFailEvery(t *testing.T) {
 	}
 }
 
+// TestStoreFaultsFailEveryCounted runs a cluster over fault-wrapped stores
+// with every 5th write call failing, at E=1 (the batch applied inline) and
+// E=4 (fanned out to shard workers), on the memory store (PutMany) and the
+// sharded disk store (Append): Stats.StoreWriteFailures means one per failed
+// store call at every E, so summed over the replicas it must equal the
+// injector's own count exactly.
+func TestStoreFaultsFailEveryCounted(t *testing.T) {
+	for _, backend := range []string{"mem", "sharded"} {
+		for _, e := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/E=%d", backend, e), func(t *testing.T) {
+				sf := NewStoreFaults()
+				wl := workload.Default()
+				wl.Records = 1024
+				wl.OpsPerTxn = 4
+				c, err := cluster.New(cluster.Options{
+					N:              4,
+					Clients:        4,
+					BatchSize:      8,
+					ExecuteThreads: e,
+					StoreBackend:   backend,
+					StoreSync:      100 * time.Microsecond,
+					Workload:       wl,
+					Seed:           13,
+					StoreWrapper:   func(_ types.ReplicaID, st store.Store) store.Store { return sf.WrapStore(st) },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sf.SetFailEvery(5)
+				c.Start()
+				defer c.Stop()
+				c.Run(context.Background(), 200*time.Millisecond)
+				if !c.WaitForQuiesce(5*time.Second, nil) {
+					t.Fatal("cluster did not quiesce")
+				}
+				var counted uint64
+				for i := 0; i < 4; i++ {
+					counted += c.Replica(i).Stats().StoreWriteFailures
+				}
+				injected := sf.InjectedErrors.Load()
+				if injected == 0 {
+					t.Fatal("no write was failed: the run exercised nothing")
+				}
+				if counted != injected {
+					t.Fatalf("StoreWriteFailures sum to %d, the injector failed %d store calls", counted, injected)
+				}
+			})
+		}
+	}
+}
+
 // TestStoreFaultsCapabilities checks the wrapper preserves exactly the
 // optional interfaces each backend implements — the replica type-asserts
 // them, so a lost capability silently degrades the pipeline and a gained
@@ -205,57 +260,56 @@ func TestStoreFaultsCapabilities(t *testing.T) {
 		t.Error("wrapped MemStore gained Appender")
 	}
 
-	for _, backend := range []string{"disk", "sharded"} {
-		inner, err := store.OpenBackend(store.BackendConfig{Backend: backend, Dir: t.TempDir(), ExecShards: 1, SyncLinger: time.Millisecond})
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
+	inner, err := store.OpenBackend(store.BackendConfig{Backend: "sharded", Dir: t.TempDir(), ExecShards: 1, SyncLinger: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped := sf.WrapStore(inner)
+	if _, ok := wrapped.(store.SyncStatser); !ok {
+		t.Error("wrapped sharded store lost SyncStatser")
+	}
+	if _, ok := wrapped.(store.Compactor); !ok {
+		t.Error("wrapped sharded store lost Compactor")
+	}
+	if _, ok := wrapped.(store.Batcher); !ok {
+		t.Error("wrapped sharded store lost Batcher")
+	}
+	if _, ok := wrapped.(store.Scanner); !ok {
+		t.Error("wrapped sharded store lost Scanner")
+	}
+	ap, ok := wrapped.(store.Appender)
+	if !ok {
+		t.Fatal("wrapped sharded store lost Appender")
+	}
+	// The faults land on the append, where the write happens: every second
+	// one is lost and says so, the others are delayed by the stall, visible
+	// on return and durable once waited for.
+	sf.SetFailEvery(2)
+	sf.SetWriteStall(time.Millisecond)
+	var ticket store.Ticket
+	for i := 0; i < 4; i++ {
+		t0 := time.Now()
+		next, err := ap.Append([]store.KV{{Key: uint64(i), Value: []byte{byte(i)}}}, ticket)
+		if d := time.Since(t0); d < time.Millisecond {
+			t.Errorf("append %d returned after %v, before the injected stall", i, d)
 		}
-		wrapped := sf.WrapStore(inner)
-		if _, ok := wrapped.(store.SyncStatser); !ok {
-			t.Errorf("wrapped %s lost SyncStatser", backend)
+		if failed := i%2 == 1; failed != errors.Is(err, ErrInjectedWrite) || failed != (next == ticket) {
+			t.Errorf("append %d: err = %v, ticket moved = %v", i, err, next != ticket)
 		}
-		if _, ok := wrapped.(store.Compactor); !ok {
-			t.Errorf("wrapped %s lost Compactor", backend)
+		ticket = next
+	}
+	sf.SetFailEvery(0)
+	sf.SetWriteStall(0)
+	if err := ap.WaitDurable(ticket); err != nil {
+		t.Errorf("wait through the wrapper: %v", err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := wrapped.Get(uint64(i)); (err == nil) != (i%2 == 0) {
+			t.Errorf("key %d after every-second append failed: %v", i, err)
 		}
-		if _, ok := wrapped.(store.Batcher); ok != (backend == "sharded") {
-			t.Errorf("wrapped %s Batcher = %v", backend, ok)
-		}
-		ap, ok := wrapped.(store.Appender)
-		if ok != (backend == "sharded") {
-			t.Errorf("wrapped %s Appender = %v", backend, ok)
-		}
-		if ok {
-			// The faults land on the append, where the write happens: every
-			// second one is lost and says so, the others are delayed by the
-			// stall, visible on return and durable once waited for.
-			sf.SetFailEvery(2)
-			sf.SetWriteStall(time.Millisecond)
-			var ticket store.Ticket
-			for i := 0; i < 4; i++ {
-				t0 := time.Now()
-				next, err := ap.Append([]store.KV{{Key: uint64(i), Value: []byte{byte(i)}}}, ticket)
-				if d := time.Since(t0); d < time.Millisecond {
-					t.Errorf("append %d returned after %v, before the injected stall", i, d)
-				}
-				if failed := i%2 == 1; failed != errors.Is(err, ErrInjectedWrite) || failed != (next == ticket) {
-					t.Errorf("append %d: err = %v, ticket moved = %v", i, err, next != ticket)
-				}
-				ticket = next
-			}
-			sf.SetFailEvery(0)
-			sf.SetWriteStall(0)
-			if err := ap.WaitDurable(ticket); err != nil {
-				t.Errorf("wait through the wrapper: %v", err)
-			}
-			for i := 0; i < 4; i++ {
-				if _, err := wrapped.Get(uint64(i)); (err == nil) != (i%2 == 0) {
-					t.Errorf("key %d after every-second append failed: %v", i, err)
-				}
-			}
-		}
-		if err := wrapped.Close(); err != nil {
-			t.Fatalf("close %s: %v", backend, err)
-		}
+	}
+	if err := wrapped.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 }
 

@@ -289,7 +289,7 @@ func RunScenario(sc Scenario, tn Tuning) (*Report, error) {
 	// knows each replica's directory (the compaction-crash scenario plants
 	// a stray rewrite temp there before restart).
 	var storeRoot string
-	if sc.Backend == "disk" || sc.Backend == "sharded" {
+	if sc.Backend == "sharded" {
 		var err error
 		storeRoot, err = os.MkdirTemp("", "chaos-store-")
 		if err != nil {

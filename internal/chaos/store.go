@@ -61,7 +61,7 @@ func (sf *StoreFaults) before() error {
 // still advertise all of them (without Appender its execute shards would
 // quietly run the blocking PutMany fallback and the disk scenarios would
 // test a path deployments do not take) and a wrapped MemStore must not
-// grow SyncStats it cannot honestly report. All three backends implement
+// grow SyncStats it cannot honestly report. Both backends implement
 // Scanner, so each typed variant requires it; a capability combination
 // with no matching backend falls back to the capability-free core.
 // Its signature (modulo the receiver) matches cluster.Options.StoreWrapper.
@@ -75,8 +75,6 @@ func (sf *StoreFaults) WrapStore(st store.Store) store.Store {
 	switch {
 	case isB && isA && isS && isC && isSc: // ShardedDiskStore
 		return &faultStoreBSC{faultStore: base, b: b, a: a, s: s, c: c, sc: sc}
-	case isS && isC && isSc: // DiskStore
-		return &faultStoreSC{faultStore: base, s: s, c: c, sc: sc}
 	case isB && isSc: // MemStore
 		return &faultStoreB{faultStore: base, b: b, sc: sc}
 	default:
@@ -120,21 +118,6 @@ func (f *faultStoreB) Scan(start, end uint64, fn func(uint64, []byte) bool) erro
 	return f.sc.Scan(start, end, fn)
 }
 
-type faultStoreSC struct {
-	faultStore
-	s  store.SyncStatser
-	c  store.Compactor
-	sc store.Scanner
-}
-
-func (f *faultStoreSC) SyncStats() store.SyncStats       { return f.s.SyncStats() }
-func (f *faultStoreSC) MaybeCompact() (int, error)       { return f.c.MaybeCompact() }
-func (f *faultStoreSC) Compact() error                   { return f.c.Compact() }
-func (f *faultStoreSC) CompactStats() store.CompactStats { return f.c.CompactStats() }
-func (f *faultStoreSC) Scan(start, end uint64, fn func(uint64, []byte) bool) error {
-	return f.sc.Scan(start, end, fn)
-}
-
 type faultStoreBSC struct {
 	faultStore
 	b  store.Batcher
@@ -170,9 +153,6 @@ var (
 	_ store.Store       = (*faultStore)(nil)
 	_ store.Batcher     = (*faultStoreB)(nil)
 	_ store.Scanner     = (*faultStoreB)(nil)
-	_ store.SyncStatser = (*faultStoreSC)(nil)
-	_ store.Compactor   = (*faultStoreSC)(nil)
-	_ store.Scanner     = (*faultStoreSC)(nil)
 	_ store.Batcher     = (*faultStoreBSC)(nil)
 	_ store.Appender    = (*faultStoreBSC)(nil)
 	_ store.SyncStatser = (*faultStoreBSC)(nil)

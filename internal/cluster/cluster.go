@@ -75,10 +75,9 @@ type Options struct {
 	StoreFactory func(id types.ReplicaID) (store.Store, error)
 	// StoreBackend selects the record store when StoreFactory is nil:
 	// "mem" (default) keeps records in memory (the paper's recommended
-	// configuration, Section 6 "Memory Storage"); "disk" is the serial
-	// blocking DiskStore (the Section 5.7 off-memory contrast, fsync per
-	// Put when StoreSync > 0); "sharded" is the sharded group-commit
-	// DiskStore (one append log per shard, fsync linger StoreSync).
+	// configuration, Section 6 "Memory Storage"); "sharded" is the durable
+	// group-commit store (one append log per shard, fsync linger
+	// StoreSync). store.OpenBackend validates the name.
 	StoreBackend string
 	// StoreDir is the root directory for disk-backed stores; each replica
 	// gets a replica-<id> subdirectory. Empty means a fresh temp dir.
@@ -86,11 +85,10 @@ type Options struct {
 	// StoreShards is the sharded backend's log count; 0 aligns it with
 	// ExecuteThreads so each execution shard streams to a private log.
 	StoreShards int
-	// StoreSync enables durability on the disk backends: for "sharded" it
-	// is the group-commit fsync linger; for "disk" any positive value
-	// selects fsync-per-Put. 0 (default) never fsyncs.
+	// StoreSync enables durability on the sharded backend: it is the
+	// group-commit fsync linger. 0 (default) never fsyncs.
 	StoreSync time.Duration
-	// StoreCompactRatio is the disk backends' garbage-ratio compaction
+	// StoreCompactRatio is the sharded backend's garbage-ratio compaction
 	// threshold (dead bytes / total log bytes, checked per shard log when
 	// a stable checkpoint fires the replica's compaction trigger). 0
 	// means the default (store.DefaultCompactRatio); negative disables
@@ -100,7 +98,7 @@ type Options struct {
 	// compaction never rewrites. 0 means the default
 	// (store.DefaultCompactMinBytes); negative removes the floor.
 	StoreCompactMinBytes int64
-	// StoreReadIndex controls the disk backends' in-memory read index
+	// StoreReadIndex controls the sharded backend's in-memory read index
 	// (the current-state layer local reads are served from): 0 keeps it on
 	// (the deployment default), -1 disables it so Get goes back through
 	// the shard log. Ignored by the mem backend.
@@ -184,12 +182,8 @@ func (o *Options) fill() error {
 	if o.ExecPipelineDepth < 1 {
 		o.ExecPipelineDepth = 1 // strict per-batch barrier, the baseline
 	}
-	switch o.StoreBackend {
-	case "":
+	if o.StoreBackend == "" {
 		o.StoreBackend = "mem"
-	case "mem", "disk", "sharded":
-	default:
-		return fmt.Errorf("cluster: unknown store backend %q (want mem|disk|sharded)", o.StoreBackend)
 	}
 	if o.StoreSync < 0 {
 		return fmt.Errorf("cluster: negative store sync linger %v", o.StoreSync)
@@ -299,7 +293,7 @@ type Cluster struct {
 func (c *Cluster) buildStore(id types.ReplicaID) (store.Store, error) {
 	o := &c.opts
 	dir := ""
-	if o.StoreBackend == "disk" || o.StoreBackend == "sharded" {
+	if o.StoreBackend == "sharded" {
 		root := o.StoreDir
 		if root == "" {
 			if c.tmpStoreDir == "" {
@@ -565,7 +559,7 @@ func (c *Cluster) Restart(i int) error {
 
 	id := types.ReplicaID(i)
 	st := c.stores[i]
-	if c.storeOwned[i] && (c.opts.StoreBackend == "disk" || c.opts.StoreBackend == "sharded") {
+	if c.storeOwned[i] && c.opts.StoreBackend == "sharded" {
 		// A real crash loses the process but not the disk: close the old
 		// handle and reopen the same directory, replaying the shard logs.
 		_ = st.Close()

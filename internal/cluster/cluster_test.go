@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,6 +39,17 @@ func runCluster(t *testing.T, opts Options, d time.Duration) (*Cluster, Result) 
 	t.Cleanup(c.Stop)
 	res := c.Run(context.Background(), d)
 	return c, res
+}
+
+// TestClusterRejectsDiskBackend: the serial "disk" backend is gone; asking
+// for it fails New with the replacement named.
+func TestClusterRejectsDiskBackend(t *testing.T) {
+	opts := smallOpts()
+	opts.StoreBackend = "disk"
+	_, err := New(opts)
+	if err == nil || !strings.Contains(err.Error(), "sharded -store-shards 1") {
+		t.Fatalf("New with the disk backend = %v, want an error naming sharded -store-shards 1", err)
+	}
 }
 
 func TestPBFTClusterEndToEnd(t *testing.T) {

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -55,24 +56,34 @@ func writeBatch(seq types.SeqNum, client types.ClientID, clientSeq uint64, ops [
 }
 
 // TestDurableAtRetire pins the durability contract of the visible/durable
-// split on a replica with E=2 and pipeline depth 2. While batch k's writes
-// are appended but not covered by an fsync, nothing about k leaves the
-// replica — no client response, no ledger block (and so no checkpoint
-// vote), no LastRetired advance — yet batch k+1 is staged behind it, its
-// writes become visible, and its read observes k's not-yet-durable write.
-// Once the fsync lands k retires, then k+1, in order. A durable wait that
-// fails is a lost partition: counted once per partition, not per write.
+// split, at E=2 with pipeline depth 2 and at E=1, where the stager applies
+// the batch and waits for its fsync inline. While batch k's writes are
+// appended but not covered by an fsync, nothing about k leaves the replica —
+// no client response, no ledger block (and so no checkpoint vote), no
+// LastRetired advance. At E=2 batch k+1 is meanwhile staged behind it, its
+// writes become visible, and its read observes k's not-yet-durable write; at
+// E=1 the strict barrier holds k+1 back. Once the fsync lands k retires,
+// then k+1, in order. A durable wait that fails is a lost partition: counted
+// once per partition, not per write.
 func TestDurableAtRetire(t *testing.T) {
+	for _, e := range []int{1, 2} {
+		t.Run(fmt.Sprintf("E=%d", e), func(t *testing.T) { testDurableAtRetire(t, e) })
+	}
+}
+
+func testDurableAtRetire(t *testing.T, e int) {
+	// Keys are picked per shard of two in both rows; at E=1 (one store
+	// shard, one partition) the split is merely two keys.
 	const shards = 2
 	disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
-		Shards: shards, SyncLinger: 100 * time.Microsecond, ReadIndex: true,
+		Shards: e, SyncLinger: 100 * time.Microsecond, ReadIndex: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disk.Close()
 	gated := &gatedStore{ShardedDiskStore: disk, gate: make(chan struct{})}
-	r, eps := newReadMixReplica(t, shards, 2, 1, gated)
+	r, eps := newReadMixReplica(t, e, 2, 1, gated)
 	if r.execAppend == nil {
 		t.Fatal("the replica did not pick up the store's Appender: the test would exercise the PutMany fallback")
 	}
@@ -92,16 +103,21 @@ func TestDurableAtRetire(t *testing.T) {
 	r.execIn.Offer(1, execItem{act: k1})
 	r.execIn.Offer(2, execItem{act: k2})
 
-	// Gate shut: both batches execute as far as the store, neither retires.
+	// Gate shut: the batches execute as far as the store — both at depth 2,
+	// only the first behind E=1's strict barrier — and neither retires.
+	visible := []uint64{a, b}
+	if e > 1 {
+		visible = []uint64{c, d}
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, errC := disk.Get(c)
-		_, errD := disk.Get(d)
-		if errC == nil && errD == nil {
+		_, err0 := disk.Get(visible[0])
+		_, err1 := disk.Get(visible[1])
+		if err0 == nil && err1 == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("batch 2 was not staged behind batch 1's pending fsync: Get(c)=%v Get(d)=%v", errC, errD)
+			t.Fatalf("writes never became visible behind the pending fsync: Get(%d)=%v Get(%d)=%v", visible[0], err0, visible[1], err1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -109,6 +125,11 @@ func TestDurableAtRetire(t *testing.T) {
 	case env := <-inbox:
 		t.Fatalf("a %v left the replica before any fsync was waited out", env.Type)
 	case <-time.After(50 * time.Millisecond):
+	}
+	if e == 1 {
+		if _, err := disk.Get(c); err == nil {
+			t.Fatal("batch 2 was applied while batch 1 still awaited its fsync at depth 1")
+		}
 	}
 	if got := r.LastRetired(); got != 0 {
 		t.Fatalf("LastRetired = %d with batch 1 not durable", got)
@@ -149,9 +170,9 @@ func TestDurableAtRetire(t *testing.T) {
 		t.Fatalf("%d store failures on a healthy run", got)
 	}
 
-	// A failed durable wait: three writes on each shard, two partitions,
-	// two failures. The batch still retires — the failure is loud, not a
-	// wedge.
+	// A failed durable wait: three writes on each of two shards, one
+	// partition per execution shard, one failure per partition. The batch
+	// still retires — the failure is loud, not a wedge.
 	gated.failWait.Store(true)
 	var ops []types.Op
 	for i, k0, k1 := 0, d+1, d+1; i < 3; i++ {
@@ -163,7 +184,7 @@ func TestDurableAtRetire(t *testing.T) {
 	}
 	r.execIn.Offer(3, execItem{act: writeBatch(3, 0, 3, ops)})
 	waitBatches(t, r, 3)
-	if got := r.Stats().StoreWriteFailures; got != shards {
-		t.Fatalf("StoreWriteFailures = %d after a failed wait on %d partitions of 3 writes each, want %d", got, shards, shards)
+	if got := r.Stats().StoreWriteFailures; got != uint64(e) {
+		t.Fatalf("StoreWriteFailures = %d after a failed wait on %d partitions of 6 writes in all, want %d", got, e, e)
 	}
 }

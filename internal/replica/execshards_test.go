@@ -115,10 +115,16 @@ func waitBatches(t *testing.T, r *Replica, want uint64) {
 // state yields identical digests.
 func storeDigest(t *testing.T, st store.Store) types.Digest {
 	t.Helper()
+	return digestRecords(t, st.Get)
+}
+
+// digestRecords is storeDigest over anything that can answer a Get.
+func digestRecords(t *testing.T, get func(uint64) ([]byte, error)) types.Digest {
+	t.Helper()
 	var buf bytes.Buffer
 	var hdr [12]byte
 	for k := uint64(0); k < shardTestRecords; k++ {
-		v, err := st.Get(k)
+		v, err := get(k)
 		if errors.Is(err, store.ErrNotFound) {
 			continue
 		}
@@ -216,7 +222,7 @@ func preloadEven(t *testing.T, st store.Store) {
 
 // TestExecPipelineDeterminism is the acceptance check for cross-batch
 // pipelined execution over the durable store: E=4 with pipeline depth 3
-// streaming its partitions into a sharded group-commit DiskStore must
+// streaming its partitions into the sharded group-commit disk store must
 // produce ledger and checkpoint digests and store contents byte-identical
 // to E=1 serial execution over a MemStore. Per-shard FIFO ordering (the
 // conflict mechanism) plus in-order retirement is what makes this hold.
@@ -228,7 +234,7 @@ func testExecPipelineDeterminism(t *testing.T, linger time.Duration) {
 	const batches = 32
 	acts := shardTestBatches(t, batches)
 
-	serial := newExecReplica(t, 1, 1, store.NewMemStore(shardTestRecords))
+	serial, serialEPs := newReadMixReplica(t, 1, 1, 4, store.NewMemStore(shardTestRecords))
 	disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
 		Shards:     4,
 		SyncLinger: linger,
@@ -285,50 +291,42 @@ func testExecPipelineDeterminism(t *testing.T, linger time.Duration) {
 	if got, want := storeDigest(t, pipelined.Store()), storeDigest(t, serial.Store()); got != want {
 		t.Fatalf("store state diverged: pipelined sharded disk %x vs serial mem %x", got[:8], want[:8])
 	}
+	checkAgainstModel(t, acts, false, serial, serialEPs)
 }
 
-// TestExecShardDiskStoreFallback: a store without the batched apply path
-// (DiskStore stays serialized, the Section 5.7 contrast) must still
-// execute correctly through the shard workers' per-op fallback.
+// TestExecShardDiskStoreFallback: a bare store.Store — no Batcher, no
+// Appender, the interface's minimum — must still execute correctly through
+// the per-op Put fallback, at E=4 through the shard workers and at E=1
+// inline, and end byte-identical to the batched path.
 func TestExecShardDiskStoreFallback(t *testing.T) {
-	dir, err := crypto.NewDirectory(crypto.NoSig(), [32]byte{9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk, err := store.OpenDisk(t.TempDir()+"/records.log", store.DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := transport.NewInproc()
-	r, err := New(Config{
-		ID:             1,
-		N:              4,
-		Protocol:       PBFT,
-		ExecuteThreads: 4,
-		LedgerMode:     ledger.HashChain,
-		Store:          disk,
-		Directory:      dir,
-		Endpoint:       net.Endpoint(types.ReplicaNode(1), 3, 1<<10),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Start()
-	t.Cleanup(r.Stop)
-
 	const batches = 4
 	acts := shardTestBatches(t, batches)
+	batched := newShardReplica(t, 1)
 	for _, act := range acts {
-		r.execIn.Offer(uint64(act.Seq), execItem{act: act})
+		batched.execIn.Offer(uint64(act.Seq), execItem{act: act})
 	}
-	waitBatches(t, r, batches)
+	waitBatches(t, batched, batches)
 
-	serial := newShardReplica(t, 1)
-	for _, act := range acts {
-		serial.execIn.Offer(uint64(act.Seq), execItem{act: act})
-	}
-	waitBatches(t, serial, batches)
-	if got, want := storeDigest(t, disk), storeDigest(t, serial.Store()); got != want {
-		t.Fatalf("disk-backed sharded state diverged: %x vs %x", got[:8], want[:8])
+	for _, e := range []int{1, 4} {
+		mem := store.NewMemStore(shardTestRecords)
+		// The embedding promotes only store.Store's methods, so no optional
+		// capability shows through.
+		r := newExecReplica(t, e, 1, struct{ store.Store }{mem})
+		if r.execAppend != nil || r.execBatch != nil || r.scanner != nil {
+			t.Fatalf("E=%d: the bare store leaked a capability", e)
+		}
+		for _, act := range acts {
+			r.execIn.Offer(uint64(act.Seq), execItem{act: act})
+		}
+		waitBatches(t, r, batches)
+		if got, want := storeDigest(t, mem), storeDigest(t, batched.Store()); got != want {
+			t.Fatalf("E=%d: per-op fallback state diverged from the batched path: %x vs %x", e, got[:8], want[:8])
+		}
+		if got, want := r.Ledger().StateDigest(), batched.Ledger().StateDigest(); got != want {
+			t.Fatalf("E=%d: ledger diverged: %x vs %x", e, got[:8], want[:8])
+		}
+		if got := r.Stats().StoreWriteFailures; got != 0 {
+			t.Fatalf("E=%d: %d store failures on a healthy run", e, got)
+		}
 	}
 }

@@ -101,6 +101,24 @@ type respFingerprint struct {
 	seq       types.SeqNum
 }
 
+// renderResponse is the canonical string of one response: the result digest
+// and every read result byte, scan rows included.
+func renderResponse(result types.Digest, reads []types.ReadResult) string {
+	val := fmt.Sprintf("result=%x reads=", result)
+	for _, rr := range reads {
+		if rr.Scan {
+			val += "[scan"
+			for _, row := range rr.Rows {
+				val += fmt.Sprintf("(%d,%x)", row.Key, row.Value)
+			}
+			val += "]"
+			continue
+		}
+		val += fmt.Sprintf("(%v,%x)", rr.Found, rr.Value)
+	}
+	return val
+}
+
 // collectResponses drains want client responses from the endpoints and
 // renders each into a canonical string covering the result digest and
 // every read result byte.
@@ -128,18 +146,7 @@ func collectResponses(t *testing.T, eps []transport.Endpoint, want int) map[resp
 			}
 			resp := msg.(*types.ClientResponse)
 			key := respFingerprint{client: resp.Client, clientSeq: resp.ClientSeq, seq: resp.Seq}
-			val := fmt.Sprintf("result=%x reads=", resp.Result)
-			for _, rr := range resp.ReadResults {
-				if rr.Scan {
-					val += "[scan"
-					for _, row := range rr.Rows {
-						val += fmt.Sprintf("(%d,%x)", row.Key, row.Value)
-					}
-					val += "]"
-					continue
-				}
-				val += fmt.Sprintf("(%v,%x)", rr.Found, rr.Value)
-			}
+			val := renderResponse(resp.Result, resp.ReadResults)
 			if prev, ok := got[key]; ok && prev != val {
 				t.Fatalf("replica answered %v twice with different results:\n%s\n%s", key, prev, val)
 			}
@@ -296,7 +303,7 @@ func TestLocalReadStalenessBound(t *testing.T) {
 
 // TestReadMixDeterminism is the acceptance check for conflict-ordered
 // read–write execution: a mixed Zipfian workload run under E=4 with
-// pipeline depth 3 over a sharded group-commit DiskStore must produce
+// pipeline depth 3 over the sharded group-commit disk store must produce
 // ledger digests, checkpoint chains, store state, AND per-request read
 // results byte-identical to E=1 serial execution over a MemStore. The
 // per-shard FIFO plus write-flush-before-read is what makes a read
@@ -357,9 +364,10 @@ func testReadMixDeterminism(t *testing.T, linger time.Duration) {
 		t.Fatalf("store state diverged: pipelined %x vs serial %x", got[:8], want[:8])
 	}
 
-	// The decisive check: every request's response — result digest and
-	// read values — must match between the two execution modes.
-	serialResp := collectResponses(t, serialEPs, wantResponses)
+	// The decisive checks: every request's response — result digest and
+	// read values — must match the model's, and between the two execution
+	// modes.
+	serialResp := checkAgainstModel(t, acts, true, serial, serialEPs)
 	pipelinedResp := collectResponses(t, pipelinedEPs, wantResponses)
 	if len(serialResp) != len(pipelinedResp) {
 		t.Fatalf("response counts diverged: serial %d vs pipelined %d", len(serialResp), len(pipelinedResp))

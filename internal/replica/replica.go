@@ -16,10 +16,11 @@
 //     parallel, routed by sequence number (Section 4.5's out-of-order
 //     processing, now multi-threaded);
 //   - an execute stage draining the in-order execution queue (txn % QC
-//     slots, Section 4.6): one coordinating execute-thread that, with
-//     ExecuteThreads E > 1, hash-partitions each committed batch's
-//     write-set across E shard workers applying their partitions to the
-//     store concurrently, then retires batches strictly in order (ledger
+//     slots, Section 4.6) along one route at every E: the coordinating
+//     execute-thread hash-partitions each committed batch's typed ops,
+//     the partitions are applied to the store (inline when there is one,
+//     by E shard workers concurrently when ExecuteThreads E > 1), and
+//     batches retire strictly in order behind their barrier (ledger
 //     append, checkpoint digest, client responses). ExecPipelineDepth
 //     P > 1 relaxes the per-batch barrier into cross-batch pipelining:
 //     up to P batches in flight, with per-shard FIFO queues keeping
@@ -365,9 +366,10 @@ type Stats struct {
 	// ExecShardBusyNS is cumulative store-apply busy time per execution
 	// shard, mirroring WorkerLaneBusyNS: with ExecuteThreads > 1 it shows
 	// how the write-set partitions spread across shards. The execute
-	// entry of BusyNS remains the coordinator's wall time per batch
-	// (partitioning plus the barrier wait), so shard busy vs coordinator
-	// wall time is the parallelism evidence on few-core machines.
+	// entry of BusyNS is the coordinator's own work per batch (staging and
+	// retiring, plus the apply itself when one partition runs inline; time
+	// parked on a barrier is not busy), so shard busy vs coordinator busy
+	// is the parallelism evidence on few-core machines.
 	ExecShardBusyNS []uint64
 	// ExecPipelineDepth is the effective cross-batch pipelining depth (1 =
 	// the strict per-batch barrier).
@@ -379,10 +381,13 @@ type Stats struct {
 	// to show what group commit buys over per-op fsync.
 	StoreFsyncs       uint64
 	StoreFsyncStallNS uint64
-	// StoreWriteFailures counts execute-stage writes the store rejected
-	// (full disk, failed fsync, closed store). Any nonzero value means
-	// store state may have diverged from the ledger — the durable-store
-	// analogue of the evidence counter.
+	// StoreWriteFailures counts failed store calls of the execute stage,
+	// one per call at every E: a write flush the store rejected (one
+	// Append or PutMany, however many writes it carried; one Put on a bare
+	// store.Store), a durable wait that failed (full disk, failed fsync,
+	// closed store), or a read or scan the store could not answer. Any
+	// nonzero value means store state may have diverged from the ledger —
+	// the durable-store analogue of the evidence counter.
 	StoreWriteFailures uint64
 	// StoreCompactions, StoreCompactFailures, StoreCompactReclaimedBytes,
 	// and StoreCompactStallNS surface the durable store's log-compaction
@@ -462,12 +467,13 @@ type execItem struct {
 	act consensus.Execute
 }
 
-// shardOp is one typed operation routed to an execution shard, in batch
-// order. A write carries the value to apply; a read carries the slot in
-// the batch's read-result buffer where its result lands. A scan carries
-// its range bounds and a pointer to this shard's fragment slot: the
-// worker fills it with the sorted rows of its own key partition inside
-// [key, end], and the coordinator merges the fragments at retirement.
+// shardOp is one typed operation of a committed batch, routed to one of the
+// batch's partitions at its batch position. A write carries the value to
+// apply; a read carries the slot in the batch's read-result buffer where its
+// result lands. A scan carries its range bounds and where its rows go: with
+// one partition the whole result into its slot, with several a pointer to
+// this partition's fragment — the sorted rows of its own key partition inside
+// [key, end] — which the coordinator merges at retirement.
 type shardOp struct {
 	key   uint64
 	value []byte
@@ -486,32 +492,17 @@ type readRange struct {
 	start, n int
 }
 
-// pendingScan is one scan op of an in-flight batch: the coordinator fans
-// the scan to every shard worker (each computes the sorted fragment of
-// its own key partition) and merges the disjoint fragments into the
-// batch's read-result slot at retirement. limit is the row cap after the
-// merge; capping each fragment at limit too is lossless — a row a shard
-// drops has ≥ limit smaller same-shard rows ahead of it, so it cannot be
-// among the lowest limit rows overall.
+// pendingScan is one scan op of an in-flight batch fanned out over several
+// partitions: each computes the sorted fragment of its own key partition
+// and the coordinator merges the disjoint fragments into the batch's
+// read-result slot at retirement. limit is the row cap after the merge;
+// capping each fragment at limit too is lossless — a row a shard drops has
+// ≥ limit smaller same-shard rows ahead of it, so it cannot be among the
+// lowest limit rows overall.
 type pendingScan struct {
 	slot  int
 	limit uint32
 	frags [][]types.ScanRow
-}
-
-// execShardJob is one shard's partition of a committed batch: the writes
-// and reads touching the shard's keys, in batch order. The ops slice
-// belongs to the batch's partition-buffer set, which is only recycled
-// (via partsFree) after the batch's barrier completed; reads is the
-// batch's shared read-result buffer — each shard writes only the slots
-// its own partition carries, so workers never race on an element.
-// Handing the job's batch to partDone (directly or through the shard's
-// durable waiter) is the worker's last touch of the job, so the buffers
-// are never rebuilt while a worker still reads them.
-type execShardJob struct {
-	ops   []shardOp
-	reads []types.ReadResult
-	batch *inflightExec
 }
 
 // durableWait is what a shard worker leaves with its shard's durable
@@ -523,23 +514,28 @@ type durableWait struct {
 	batch  *inflightExec
 }
 
-// inflightExec is one committed batch mid-pipeline: its typed partitions
-// are fanned out to the shard workers, its barrier not yet down. pending
-// counts the partitions still executing or awaiting durability; whoever
-// takes it to zero closes done, which is what the coordinator selects on.
-// done is nil for serial execution, which has no barrier to wait for. The
-// coordinator retires in-flight batches strictly in sequence order.
+// inflightExec is one committed batch mid-pipeline: staged into partitions,
+// its barrier not yet waited out. parts holds each partition's ops in batch
+// order; the set belongs to the batch until retirement recycles it (via
+// partsFree), and taking a partition off the barrier is a worker's last
+// touch of the batch, so the buffers are never rebuilt while a worker still
+// reads them. A batch applied inline is born with the shared, already
+// lowered barrier; a fanned-out one gets its own, pending counts the
+// partitions still executing or awaiting durability, and whoever takes it to
+// zero closes done. The coordinator retires batches strictly in sequence
+// order.
 type inflightExec struct {
 	act      consensus.Execute
 	txnCount uint32
 	pending  atomic.Int32
 	done     chan struct{}
-	parts    [][]shardOp // owned partition buffers; recycled at retire
-	// reads is the slot-indexed read-result buffer the shard workers (or
-	// the serial path) fill during execution; readRanges maps each request
-	// in the batch to its span. Both stay nil for write-only batches, so
-	// the write path allocates nothing new. scans lists the batch's scan
-	// slots, filled by the coordinator's fragment merge at retirement.
+	parts    [][]shardOp
+	// reads is the slot-indexed read-result buffer the partitions fill —
+	// each only the slots its own ops carry, so workers never race on an
+	// element; readRanges maps each request in the batch to its span. Both
+	// stay nil for write-only batches, so the write path allocates nothing
+	// for them. scans lists the fanned-out scan slots, filled by the
+	// coordinator's fragment merge at retirement.
 	reads      []types.ReadResult
 	readRanges []readRange
 	scans      []pendingScan
@@ -566,18 +562,18 @@ type Replica struct {
 	// empty rows and count a store failure.
 	scanner store.Scanner
 
-	// Execution sharding (ExecuteThreads > 1): execShards workers each
-	// own one hash partition of the key space; the coordinating
-	// execute-thread fans a batch's writes out over shardQs and retires
-	// batches strictly in order. execDepth is the cross-batch pipelining
-	// depth (1 = strict per-batch barrier); partsFree recycles execDepth
-	// sets of coordinator-owned partition buffers, so a batch's buffers
-	// are only reused after its barrier completed. execBatch caches the
-	// blocking batched apply path (PutMany) for stores that offer no
+	// Execute stage. Every committed batch is staged into partitions: one,
+	// applied inline by whoever staged it, unless ExecuteThreads > 1, when
+	// execShards workers each own one hash partition of the key space and
+	// the coordinating execute-thread fans the batch out over shardQs.
+	// execDepth is the cross-batch pipelining depth (1 = strict per-batch
+	// barrier); partsFree recycles execDepth sets of partition buffers, so
+	// a batch's buffers are only reused after it retired. execBatch caches
+	// the blocking batched apply path (PutMany) for stores that offer no
 	// Appender; see execAppend at the end of the struct.
 	execShards int
 	execDepth  int
-	shardQs    []chan execShardJob
+	shardQs    []chan *inflightExec
 	shardWg    sync.WaitGroup
 	partsFree  chan [][]shardOp
 	execBatch  store.Batcher
@@ -697,16 +693,20 @@ type Replica struct {
 	laneBusyNS     []atomic.Uint64
 	shardBusyNS    []atomic.Uint64
 
-	// execAppend is the store's visible/durable split, when it has one: a
-	// shard worker appends through it (visible at once) and leaves the
-	// wait for the fsync to its shard's durable waiter on durableQs, so no
-	// worker ever waits for a disk. These sit after the counters because
-	// 56 bytes ahead of them moved which hot atomics share a cache line and
-	// cost the MemStore workloads, which never touch these fields, 3% of
-	// their throughput.
-	execAppend store.Appender
-	durableQs  []chan durableWait
-	durableWg  sync.WaitGroup
+	// execAppend is the store's visible/durable split, when it has one:
+	// partitions are appended through it (visible at once) and the wait
+	// for the fsync happens before retirement — inline for a batch applied
+	// inline, by the shard's durable waiter on durableQs for a fanned-out
+	// one, so no shard worker ever waits for a disk. inlineScratch is the
+	// write buffer of the inline apply, reused batch after batch (one
+	// stager at a time: the execute-thread, or a worker lane under
+	// inlineMu). These sit after the counters because 56 bytes ahead of
+	// them moved which hot atomics share a cache line and cost the MemStore
+	// workloads 3% of their throughput.
+	execAppend    store.Appender
+	durableQs     []chan durableWait
+	durableWg     sync.WaitGroup
+	inlineScratch []store.KV
 }
 
 // New creates a replica; call Start to launch the pipeline.
@@ -807,33 +807,35 @@ func New(cfg Config) (*Replica, error) {
 	}
 	r.laneBusyNS = make([]atomic.Uint64, lanes)
 	r.execDepth = 1
+	parts := 1
 	if cfg.ExecuteThreads > 1 {
 		r.execShards = cfg.ExecuteThreads
-		// Pipelining depth only exists for the sharded execute stage: with
-		// a serial executor there are no shard workers to overlap.
+		parts = r.execShards
+		// Pipelining depth only exists for the sharded execute stage: a
+		// batch applied inline is finished before the next is staged.
 		r.execDepth = cfg.ExecPipelineDepth
 		// A shard can hold one outstanding job per in-flight batch; sizing
 		// the queue to the depth keeps the coordinator from blocking on
 		// fan-out (blocking would only be backpressure, not a bug).
-		r.shardQs = make([]chan execShardJob, r.execShards)
+		r.shardQs = make([]chan *inflightExec, r.execShards)
 		for i := range r.shardQs {
-			r.shardQs[i] = make(chan execShardJob, r.execDepth)
-		}
-		r.partsFree = make(chan [][]shardOp, r.execDepth)
-		for i := 0; i < r.execDepth; i++ {
-			r.partsFree <- make([][]shardOp, r.execShards)
+			r.shardQs[i] = make(chan *inflightExec, r.execDepth)
 		}
 		r.shardBusyNS = make([]atomic.Uint64, r.execShards)
-		if a, ok := st.(store.Appender); ok {
-			r.execAppend = a
-			// One entry per in-flight batch, like the shard queue feeding it.
-			r.durableQs = make([]chan durableWait, r.execShards)
-			for i := range r.durableQs {
-				r.durableQs[i] = make(chan durableWait, r.execDepth)
-			}
-		} else if b, ok := st.(store.Batcher); ok {
-			r.execBatch = b
+	}
+	r.partsFree = make(chan [][]shardOp, r.execDepth)
+	for i := 0; i < r.execDepth; i++ {
+		r.partsFree <- make([][]shardOp, parts)
+	}
+	if a, ok := st.(store.Appender); ok {
+		r.execAppend = a
+		// One entry per in-flight batch, like the shard queue feeding it.
+		r.durableQs = make([]chan durableWait, r.execShards)
+		for i := range r.durableQs {
+			r.durableQs[i] = make(chan durableWait, r.execDepth)
 		}
+	} else if b, ok := st.(store.Batcher); ok {
+		r.execBatch = b
 	}
 	if comp, ok := st.(store.Compactor); ok {
 		r.compactor = comp

@@ -110,7 +110,7 @@ func scanTxnBatches(t *testing.T, batches int) []consensus.Execute {
 // TestScanDeterminism is the acceptance check for general transactions:
 // a randomized mixed write/read/scan workload — plus hand-crafted
 // intra-transaction read-your-writes cases — run under E=4 with pipeline
-// depth 3 over a sharded group-commit DiskStore with the ordered read
+// depth 3 over the sharded group-commit disk store with the ordered read
 // index must produce ledger digests, checkpoint chains, store state, AND
 // per-request responses (every scan row included) byte-identical to E=1
 // serial execution over a MemStore. Scans fan out to every shard behind
@@ -173,9 +173,10 @@ func testScanDeterminism(t *testing.T, linger time.Duration) {
 		t.Fatalf("store state diverged: pipelined %x vs serial %x", got[:8], want[:8])
 	}
 
-	// The decisive check: every request's response — result digest, read
-	// values, and every scan row — must match between the execution modes.
-	serialResp := collectResponses(t, serialEPs, wantResponses)
+	// The decisive checks: every request's response — result digest, read
+	// values, and every scan row — must match the model's, and between the
+	// execution modes.
+	serialResp := checkAgainstModel(t, acts, true, serial, serialEPs)
 	pipelinedResp := collectResponses(t, pipelinedEPs, wantResponses)
 	if len(serialResp) != len(pipelinedResp) {
 		t.Fatalf("response counts diverged: serial %d vs pipelined %d", len(serialResp), len(pipelinedResp))

@@ -175,7 +175,8 @@ func (r *Replica) readLoop() {
 			}
 			for i := range req.Scans {
 				sc := &req.Scans[i]
-				reply.Results = append(reply.Results, r.scanRange(sc.Key, sc.EndKey, sc.Limit))
+				reply.Results = append(reply.Results,
+					types.ReadResult{Scan: true, Rows: r.scanRows(sc.Key, sc.EndKey, sc.Limit, -1)})
 			}
 		}
 		r.localReads.Add(1)
@@ -608,52 +609,48 @@ func (r *Replica) inlineExecute(act consensus.Execute) {
 }
 
 // ---- Execute stage (Section 4.6) ----
+//
+// One route carries every committed batch from the in-order queue to the
+// store and out, at every E and depth: stage (stageBatch) → apply
+// (applyPartition) → barrier (every partition applied, then every write
+// covered by a completed fsync) → retire (retireBatch, in sequence order).
 
 // executeLoop is the coordinating execute-thread. It drains the in-order
-// queue strictly by sequence number and, with ExecPipelineDepth P > 1,
-// keeps up to P committed batches in flight across the execution shards:
-// batch k+1's partitions are fanned out before batch k's barrier is down.
-// Per-shard FIFO queues are the conflict mechanism — a later batch's
-// partition for shard s queues behind an earlier batch's job on the same
-// shard, so conflicting (same-shard) key partitions stay in batch order,
-// while shards the earlier batch left idle start on the new batch
+// queue strictly by sequence number and keeps up to ExecPipelineDepth
+// committed batches in flight: batch k+1 is staged before batch k's barrier
+// is down. Per-shard FIFO queues are the conflict mechanism — a later
+// batch's partition for shard s queues behind an earlier batch's job on the
+// same shard, so conflicting (same-shard) key partitions stay in batch
+// order, while shards the earlier batch left idle start on the new batch
 // immediately. The coordinator never sits in a barrier while committed work
 // waits unstaged: with room in the window it waits for the next batch or
 // the oldest barrier, whichever comes first, so consecutive batches' appends
-// reach the store inside one group-commit window and share its fsync.
-// Retirement (ledger append, checkpoint digest, client responses) always
-// happens in sequence order, which is what keeps the ledger and checkpoint
-// digests byte-identical to serial execution.
+// reach the store inside one group-commit window and share its fsync. At
+// depth 1 the window holds one batch, which is the strict per-batch barrier:
+// stage, wait, retire. Retirement (ledger append, checkpoint digest, client
+// responses) always happens in sequence order, which is what keeps the
+// ledger and checkpoint digests byte-identical at every E and depth.
 func (r *Replica) executeLoop() {
 	defer r.execWg.Done()
-	if r.execDepth <= 1 {
-		for {
-			_, item, ok := r.execIn.Next()
-			if !ok {
-				return
-			}
-			t0 := time.Now()
-			r.executeBatch(item.act)
-			r.addBusy(StageExecute, time.Since(t0))
-		}
-	}
-	var inflight []*inflightExec
+	inflight := make([]*inflightExec, 0, r.execDepth)
 	retireOldest := func() {
 		b := inflight[0]
-		inflight = inflight[1:]
+		n := copy(inflight, inflight[1:])
+		inflight[n] = nil
+		inflight = inflight[:n]
 		<-b.done
 		t0 := time.Now()
 		r.retireBatch(b)
 		r.addBusy(StageExecute, time.Since(t0))
 	}
 	for {
-		var oldest <-chan struct{} // nil with nothing in flight: never ready
-		if len(inflight) > 0 {
-			oldest = inflight[0].done
-		}
 		if len(inflight) >= r.execDepth {
 			retireOldest()
 			continue
+		}
+		var oldest <-chan struct{} // nil with nothing in flight: never ready
+		if len(inflight) > 0 {
+			oldest = inflight[0].done
 		}
 		_, item, woke := r.execIn.NextOr(oldest)
 		if woke == queue.WokeClosed {
@@ -676,58 +673,58 @@ func (r *Replica) executeLoop() {
 	}
 }
 
-// executeBatch applies one committed batch with the strict per-batch
-// barrier: stage (dedup, partition, fan-out or serial apply) then retire
-// (barrier, ledger, checkpoint, responses) back to back. The 0E inline
-// path and the depth-1 execute-thread both use it.
-//
-// The sharded path is deterministic: per-client dedup runs on the
-// coordinator before fan-out, one key always maps to the same shard
-// (workload.ShardOf), each shard applies its partition in batch order, and
-// in-order retirement keeps whole batches ordered. So the store contents,
-// ledger, and checkpoint digests are byte-identical to serial execution.
+// executeBatch takes one committed batch down the whole route on the calling
+// thread — stage, barrier, retire back to back — for the 0E inline path.
 func (r *Replica) executeBatch(act consensus.Execute) {
 	b := r.stageBatch(act)
-	if b.done != nil {
-		<-b.done
-	}
+	<-b.done
 	r.retireBatch(b)
 }
 
+// loweredBarrier is the barrier of every batch applied inline: closed once
+// and shared, so such a batch retires through the same wait as a fanned-out
+// one without allocating a channel. Never closed again: partDone only runs
+// for batches that own their barrier.
+var loweredBarrier = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // stageBatch runs the coordinator half of execution for one committed
-// batch: per-client dedup, typed-op partitioning, and fan-out to the
-// shard workers (or, for serial execution, the store operations
-// themselves). It must be called in sequence order — dedup state advances
-// here. Read results land in slot order — slots are assigned in (request,
-// transaction, op) order as the coordinator walks the batch, and
-// duplicate-skipped transactions contribute none — so the result layout
-// is identical for serial and sharded execution.
+// batch: per-client dedup, then every op of every surviving transaction
+// into the partition owning its key (workload.ShardOf over the partition
+// count — always partition 0 when there is one), at its batch position. It
+// must be called in sequence order — dedup state advances here. Read results
+// land in slot order — slots are assigned in (request, transaction, op)
+// order as the coordinator walks the batch, and duplicate-skipped
+// transactions contribute none — so the result layout is identical at every
+// E.
 //
-// Ops within one transaction observe earlier ops' writes (read-your-
-// writes): serially that is immediate, and sharded it holds because a
-// key's write and read land in the same shard partition in batch order,
-// and the worker flushes pending writes before answering a read. A scan
-// spans shards, so it is appended to every shard's partition at its batch
-// position: each worker reaches the scan only after flushing exactly the
-// writes that precede it in batch order, computes the sorted fragment of
-// its own key partition, and the coordinator merges the disjoint
-// fragments at retirement — byte-identical to the serial scan.
+// Ops within one transaction observe earlier ops' writes (read-your-writes):
+// a key's write and read land in the same partition in batch order, and
+// applyPartition flushes pending writes before answering a read. A scan
+// spans partitions, so it is appended to every one at its batch position:
+// each reaches the scan only after flushing exactly the writes that precede
+// it in batch order, computes the sorted fragment of its own key partition,
+// and the coordinator merges the disjoint fragments at retirement. With one
+// partition the fragment is the whole result and goes straight to its slot.
+//
+// Once staged, the batch is applied, and how is the one choice on the route,
+// read off the partition count: a single partition is applied, and waited
+// durable, right here by the stager, and the batch keeps the already lowered
+// barrier it was born with; several are handed to the shard workers, who
+// lower the batch's own. Either way the caller waits on done and retires.
 func (r *Replica) stageBatch(act consensus.Execute) *inflightExec {
-	b := &inflightExec{act: act}
-	sharded := r.execShards > 1
-	if sharded {
-		b.done = make(chan struct{})
-		b.parts = <-r.partsFree
-		for i := range b.parts {
-			b.parts[i] = b.parts[i][:0]
-		}
+	b := &inflightExec{act: act, done: loweredBarrier, parts: <-r.partsFree}
+	n := len(b.parts)
+	for i := range b.parts {
+		b.parts[i] = b.parts[i][:0]
 	}
 	nextSlot := 0
-	// Only the coordinator mutates lastExec; the lock is taken once per
-	// batch so DedupSnapshot (the restart-bootstrap export) sees a
-	// consistent table.
+	// Only the stager mutates lastExec; the lock is taken once per batch so
+	// DedupSnapshot (the restart-bootstrap export) sees a consistent table.
 	r.dedupMu.Lock()
-	defer r.dedupMu.Unlock()
 	for i := range act.Requests {
 		req := &act.Requests[i]
 		b.txnCount += uint32(len(req.Txns))
@@ -740,55 +737,28 @@ func (r *Replica) stageBatch(act consensus.Execute) *inflightExec {
 			}
 			for k := range txn.Ops {
 				op := &txn.Ops[k]
-				if op.Kind == types.OpRead {
-					if b.readRanges == nil {
-						b.readRanges = make([]readRange, len(act.Requests))
-					}
-					if sharded {
-						sh := workload.ShardOf(op.Key, r.execShards)
-						b.parts[sh] = append(b.parts[sh],
-							shardOp{key: op.Key, slot: nextSlot, read: true})
-					} else {
-						// Serial execution reads inline: every earlier
-						// write of this batch has already been applied, so
-						// the read observes exactly the prefix before it.
-						b.reads = append(b.reads, r.readKey(op.Key))
-					}
+				switch op.Kind {
+				case types.OpRead:
+					sh := workload.ShardOf(op.Key, n)
+					b.parts[sh] = append(b.parts[sh], shardOp{key: op.Key, slot: nextSlot, read: true})
 					nextSlot++
-					continue
-				}
-				if op.Kind == types.OpScan {
-					if b.readRanges == nil {
-						b.readRanges = make([]readRange, len(act.Requests))
-					}
-					if sharded {
-						// The scan joins every shard's partition at this
-						// batch position; frags[sh] receives shard sh's
-						// sorted fragment and the merge happens at retire.
-						frags := make([][]types.ScanRow, r.execShards)
-						for sh := 0; sh < r.execShards; sh++ {
-							b.parts[sh] = append(b.parts[sh], shardOp{
-								key: op.Key, end: op.EndKey, limit: op.Limit,
-								scan: true, frag: &frags[sh],
-							})
+				case types.OpScan:
+					so := shardOp{key: op.Key, end: op.EndKey, limit: op.Limit, slot: nextSlot, scan: true}
+					if n == 1 {
+						b.parts[0] = append(b.parts[0], so)
+					} else {
+						frags := make([][]types.ScanRow, n)
+						for sh := range b.parts {
+							so.frag = &frags[sh]
+							b.parts[sh] = append(b.parts[sh], so)
 						}
 						b.scans = append(b.scans, pendingScan{slot: nextSlot, limit: op.Limit, frags: frags})
-					} else {
-						b.reads = append(b.reads, r.scanRange(op.Key, op.EndKey, op.Limit))
 					}
 					nextSlot++
-					continue
-				}
-				// YCSB-style write application (Section 5.1).
-				if sharded {
-					sh := workload.ShardOf(op.Key, r.execShards)
-					b.parts[sh] = append(b.parts[sh],
-						shardOp{key: op.Key, value: op.Value})
-				} else if err := r.store.Put(op.Key, op.Value); err != nil {
-					// A durable store can fail (full disk, failed fsync);
-					// a silently lost write would diverge store state from
-					// the ledger, so make it loud.
-					r.storeFailures.Add(1)
+				default:
+					// YCSB-style write application (Section 5.1).
+					sh := workload.ShardOf(op.Key, n)
+					b.parts[sh] = append(b.parts[sh], shardOp{key: op.Key, value: op.Value})
 				}
 			}
 			if txn.ClientSeq > last {
@@ -796,27 +766,37 @@ func (r *Replica) stageBatch(act consensus.Execute) *inflightExec {
 			}
 		}
 		r.lastExec[req.Client] = last
-		if b.readRanges != nil {
+		if nextSlot > start {
+			// A request without reads keeps the zero range.
+			if b.readRanges == nil {
+				b.readRanges = make([]readRange, len(act.Requests))
+			}
 			b.readRanges[i] = readRange{start: start, n: nextSlot - start}
 		}
 	}
-	if sharded {
-		if nextSlot > 0 {
-			// Allocated before fan-out: shard workers fill disjoint slots.
-			b.reads = make([]types.ReadResult, nextSlot)
-		}
-		// The coordinator's own count keeps the barrier up until every
-		// partition is handed out, however fast the first worker finishes.
-		b.pending.Store(1)
-		for sh := range b.parts {
-			if len(b.parts[sh]) == 0 {
-				continue
-			}
-			b.pending.Add(1)
-			r.shardQs[sh] <- execShardJob{ops: b.parts[sh], reads: b.reads, batch: b}
-		}
-		b.partDone()
+	r.dedupMu.Unlock()
+	if nextSlot > 0 {
+		// Allocated before any partition runs: they fill disjoint slots.
+		b.reads = make([]types.ReadResult, nextSlot)
 	}
+	if n == 1 {
+		var ticket store.Ticket
+		r.inlineScratch, ticket = r.applyPartition(0, b.parts[0], b.reads, r.inlineScratch)
+		r.awaitDurable(ticket)
+		return b
+	}
+	b.done = make(chan struct{})
+	// The coordinator's own count keeps the barrier up until every
+	// partition is handed out, however fast the first worker finishes.
+	b.pending.Store(1)
+	for sh := range b.parts {
+		if len(b.parts[sh]) == 0 {
+			continue
+		}
+		b.pending.Add(1)
+		r.shardQs[sh] <- b
+	}
+	b.partDone()
 	return b
 }
 
@@ -825,6 +805,87 @@ func (r *Replica) stageBatch(act consensus.Execute) *inflightExec {
 func (b *inflightExec) partDone() {
 	if b.pending.Add(-1) == 0 {
 		close(b.done)
+	}
+}
+
+// applyPartition executes one partition of a committed batch against the
+// store, in batch order; it is the only place the execute stage touches the
+// store. Consecutive writes accumulate in scratch and are flushed in one
+// store call (flushWrites) before any read or scan executes, so the read
+// observes every earlier write to its keys: same-batch ones through the
+// flush, earlier-batch ones because batches are applied in order (inline) or
+// through the shard queue's FIFO (one key always maps to one shard) —
+// appended is enough for that, durable is not needed, because the result
+// leaves the replica only at in-order retirement. Each read's result lands
+// in its assigned slot of the batch's shared result buffer. It returns the
+// emptied scratch for reuse and the ticket covering every write it
+// appended (zero when the store has no visible/durable split): the caller
+// decides who waits for it.
+func (r *Replica) applyPartition(shard int, ops []shardOp, reads []types.ReadResult, scratch []store.KV) ([]store.KV, store.Ticket) {
+	var ticket store.Ticket
+	for i := range ops {
+		op := &ops[i]
+		if !op.read && !op.scan {
+			scratch = append(scratch, store.KV{Key: op.key, Value: op.value})
+			continue
+		}
+		ticket = r.flushWrites(scratch, ticket)
+		scratch = scratch[:0]
+		switch {
+		case op.read:
+			reads[op.slot] = r.readKey(op.key)
+		case op.frag != nil:
+			*op.frag = r.scanRows(op.key, op.end, op.limit, shard)
+		default:
+			reads[op.slot] = types.ReadResult{Scan: true, Rows: r.scanRows(op.key, op.end, op.limit, -1)}
+		}
+	}
+	ticket = r.flushWrites(scratch, ticket)
+	return scratch[:0], ticket
+}
+
+// flushWrites applies a partition's accumulated writes with the widest
+// write call the store offers. Against a store.Appender the call makes them
+// visible and returns a ticket — threaded through prev so one ticket always
+// covers the whole partition — and nobody has waited for a disk yet.
+// Against a plain store.Batcher the call blocks until the writes are
+// applied (and, for a durable store behind a wrapper that hides Appender,
+// durable). A bare store.Store — the interface's minimum — gets one
+// blocking Put per write. Lost writes diverge store state from the ledger,
+// so every failed store call is counted loudly (StoreWriteFailures)
+// instead of swallowed.
+func (r *Replica) flushWrites(kvs []store.KV, prev store.Ticket) store.Ticket {
+	if len(kvs) == 0 {
+		return prev
+	}
+	var err error
+	switch {
+	case r.execAppend != nil:
+		prev, err = r.execAppend.Append(kvs, prev)
+	case r.execBatch != nil:
+		err = r.execBatch.PutMany(kvs)
+	default:
+		for i := range kvs {
+			if err := r.store.Put(kvs[i].Key, kvs[i].Value); err != nil {
+				r.storeFailures.Add(1)
+			}
+		}
+	}
+	if err != nil {
+		r.storeFailures.Add(1)
+	}
+	return prev
+}
+
+// awaitDurable blocks until a completed fsync covers the ticket's writes
+// (at once for the zero ticket). A failed wait is counted once: the
+// partition's writes are applied but not known durable.
+func (r *Replica) awaitDurable(t store.Ticket) {
+	if t == (store.Ticket{}) {
+		return
+	}
+	if err := r.execAppend.WaitDurable(t); err != nil {
+		r.storeFailures.Add(1)
 	}
 }
 
@@ -844,39 +905,18 @@ func (r *Replica) readKey(key uint64) types.ReadResult {
 	}
 }
 
-// scanRange answers one scan op against the store's current state:
-// ascending rows of [start, end], truncated to limit. An inverted range
-// or zero limit returns no rows (well-formed per types.Op); a store
-// without an ordered view, or a failing one, returns no rows and counts
-// a store failure. Rows grow incrementally, so a hostile limit cannot
-// drive an allocation.
-func (r *Replica) scanRange(start, end uint64, limit uint32) types.ReadResult {
-	res := types.ReadResult{Scan: true}
+// scanRows answers one scan against the store's current state: the
+// ascending rows of [start, end], truncated to limit. With shard ≥ 0 only
+// the keys that execution shard owns are kept (still capped at limit, which
+// is lossless — see pendingScan): filtering to the shard's own partition is
+// what makes a fragment a pure function of the shard's serially ordered
+// write prefix even while other shards are mid-batch, since a key's writes
+// only ever come from its owning shard. An inverted range or zero limit
+// returns no rows (well-formed per types.Op); a store without an ordered
+// view, or a failing one, returns no rows and counts a store failure. Rows
+// grow incrementally, so a hostile limit cannot drive an allocation.
+func (r *Replica) scanRows(start, end uint64, limit uint32, shard int) []types.ScanRow {
 	if limit == 0 || start > end {
-		return res
-	}
-	if r.scanner == nil {
-		r.storeFailures.Add(1)
-		return res
-	}
-	err := r.scanner.Scan(start, end, func(k uint64, v []byte) bool {
-		res.Rows = append(res.Rows, types.ScanRow{Key: k, Value: v})
-		return uint32(len(res.Rows)) < limit
-	})
-	if err != nil {
-		r.storeFailures.Add(1)
-	}
-	return res
-}
-
-// scanShardFragment computes one shard worker's fragment of a fanned-out
-// scan: the ascending rows of [op.key, op.end] whose keys the shard owns,
-// capped at op.limit (lossless — see pendingScan). Filtering to the
-// shard's own partition is what makes the fragment a pure function of the
-// shard's serially ordered write prefix even while other shards are
-// mid-batch: a key's writes only ever come from its owning shard.
-func (r *Replica) scanShardFragment(shard int, op *shardOp) []types.ScanRow {
-	if op.limit == 0 || op.key > op.end {
 		return nil
 	}
 	if r.scanner == nil {
@@ -884,12 +924,12 @@ func (r *Replica) scanShardFragment(shard int, op *shardOp) []types.ScanRow {
 		return nil
 	}
 	var rows []types.ScanRow
-	err := r.scanner.Scan(op.key, op.end, func(k uint64, v []byte) bool {
-		if workload.ShardOf(k, r.execShards) != shard {
+	err := r.scanner.Scan(start, end, func(k uint64, v []byte) bool {
+		if shard >= 0 && workload.ShardOf(k, r.execShards) != shard {
 			return true
 		}
 		rows = append(rows, types.ScanRow{Key: k, Value: v})
-		return uint32(len(rows)) < op.limit
+		return uint32(len(rows)) < limit
 	})
 	if err != nil {
 		r.storeFailures.Add(1)
@@ -930,11 +970,9 @@ func mergeScanFrags(frags [][]types.ScanRow, limit uint32) []types.ScanRow {
 // appended-not-yet-durable writes, but their results leave only here.
 func (r *Replica) retireBatch(b *inflightExec) {
 	defer r.execPending.Add(-1)
-	if b.parts != nil {
-		// The workers are done with the partition buffers; recycle them.
-		r.partsFree <- b.parts
-		b.parts = nil
-	}
+	// The partitions are applied; recycle their buffers.
+	r.partsFree <- b.parts
+	b.parts = nil
 	// The barrier passed, so every shard's scan fragments are final; merge
 	// them into their result slots before responses are built.
 	for i := range b.scans {
@@ -1015,99 +1053,38 @@ func (r *Replica) retireBatch(b *inflightExec) {
 	r.signalProgress()
 }
 
-// execShardLoop is one execution shard worker: it applies its partition
-// of each committed batch to the store in batch order. Consecutive writes
-// accumulate into a scratch buffer applied in one batched call. Against a
-// store.Appender the call makes them visible and returns a ticket, and the
-// worker moves on: it never waits for a disk, the finished partition's
-// ticket goes to the shard's durable waiter, and the waiter takes the
-// partition off the batch barrier once an fsync covers it. Against a plain
-// store.Batcher the call blocks until the writes are applied (and, for a
-// durable store behind a wrapper that hides Appender, durable); stores with
-// neither — DiskStore, whose blocking serialized API is the Section 5.7
-// contrast — fall back to per-op Puts serialized by the store itself.
-// Pending writes always flush before a read or scan executes, so it
-// observes every earlier write to its keys: same-batch ones through the
-// flush, earlier-batch ones through the shard queue's FIFO (one key always
-// maps to one shard) — appended is enough for that, durable is not needed,
-// because the result leaves the replica only at in-order retirement. Each
-// read's result lands in its assigned slot of the batch's shared result
-// buffer; partitions carry disjoint slots, so workers never race on an
-// element.
+// execShardLoop is one execution shard worker: it applies its partition of
+// each fanned-out batch in batch order and never waits for a disk. A
+// partition that appended writes leaves their ticket with the shard's
+// durable waiter, which takes it off the batch barrier once an fsync covers
+// it; one that did not (a store without the visible/durable split, or no
+// writes) comes off the barrier here.
 func (r *Replica) execShardLoop(shard int) {
 	defer r.shardWg.Done()
 	var scratch []store.KV
-	// ticket covers the current job's appended writes; it is threaded
-	// through Append so one ticket always covers them all.
-	var ticket store.Ticket
-	flush := func() {
-		if len(scratch) == 0 {
-			return
-		}
-		var err error
-		switch {
-		case r.execAppend != nil:
-			ticket, err = r.execAppend.Append(scratch, ticket)
-		case r.execBatch != nil:
-			err = r.execBatch.PutMany(scratch)
-		default:
-			for i := range scratch {
-				if err := r.store.Put(scratch[i].Key, scratch[i].Value); err != nil {
-					r.storeFailures.Add(1)
-				}
-			}
-		}
-		if err != nil {
-			// Lost writes diverge store state from the ledger; count them
-			// loudly (StoreWriteFailures) instead of swallowing.
-			r.storeFailures.Add(1)
-		}
-		scratch = scratch[:0]
-	}
-	for job := range r.shardQs[shard] {
+	for b := range r.shardQs[shard] {
+		var ticket store.Ticket
 		t0 := time.Now()
-		for i := range job.ops {
-			op := &job.ops[i]
-			if op.scan {
-				// Flush first so the fragment observes exactly the writes
-				// preceding the scan in batch order, then fill this shard's
-				// fragment slot; the coordinator merges after the barrier.
-				flush()
-				*op.frag = r.scanShardFragment(shard, op)
-				continue
-			}
-			if !op.read {
-				scratch = append(scratch, store.KV{Key: op.key, Value: op.value})
-				continue
-			}
-			flush()
-			job.reads[op.slot] = r.readKey(op.key)
-		}
-		flush()
+		scratch, ticket = r.applyPartition(shard, b.parts[shard], b.reads, scratch)
 		if d := time.Since(t0); d > 0 {
 			r.shardBusyNS[shard].Add(uint64(d))
 		}
 		if ticket == (store.Ticket{}) {
-			job.batch.partDone()
+			b.partDone()
 			continue
 		}
-		r.durableQs[shard] <- durableWait{ticket: ticket, batch: job.batch}
-		ticket = store.Ticket{}
+		r.durableQs[shard] <- durableWait{ticket: ticket, batch: b}
 	}
 }
 
 // durableWaitLoop is one shard's durable waiter: it does the waiting for
-// a disk that the shard worker no longer does. Tickets arrive in append
-// order, so while it waits for one fsync the tickets queued behind it are
-// usually covered by the same one.
+// a disk that the shard worker does not. Tickets arrive in append order,
+// so while it waits for one fsync the tickets queued behind it are usually
+// covered by the same one.
 func (r *Replica) durableWaitLoop(shard int) {
 	defer r.durableWg.Done()
 	for w := range r.durableQs[shard] {
-		if err := r.execAppend.WaitDurable(w.ticket); err != nil {
-			// Once per partition: the batch's writes on this shard are
-			// applied but not known durable.
-			r.storeFailures.Add(1)
-		}
+		r.awaitDurable(w.ticket)
 		w.batch.partDone()
 	}
 }

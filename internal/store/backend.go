@@ -2,8 +2,6 @@ package store
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 )
 
@@ -12,11 +10,10 @@ import (
 // backend semantics — the fsync mapping, the shard-count alignment rule,
 // the on-disk layout — cannot drift between deployment styles.
 type BackendConfig struct {
-	// Backend is "mem" (default), "disk" (the serial blocking log, the
-	// Section 5.7 off-memory contrast), or "sharded" (the group-commit
+	// Backend is "mem" (default) or "sharded" (the durable group-commit
 	// store, one append log per shard).
 	Backend string
-	// Dir is the directory for the disk backends (ignored by mem).
+	// Dir is the sharded backend's directory (ignored by mem).
 	Dir string
 	// Shards is the sharded backend's append-log count; 0 aligns it with
 	// ExecShards so each execution shard streams to a private log.
@@ -24,10 +21,9 @@ type BackendConfig struct {
 	// ExecShards is the execution shard count Shards aligns to when 0.
 	ExecShards int
 	// SyncLinger selects durability: 0 never fsyncs; > 0 group-commits
-	// the sharded backend on this fsync linger and makes the serial disk
-	// backend fsync every Put.
+	// the sharded backend on this fsync linger.
 	SyncLinger time.Duration
-	// CompactRatio is the disk backends' garbage-ratio compaction
+	// CompactRatio is the sharded backend's garbage-ratio compaction
 	// threshold (dead bytes / total log bytes, checked per shard log when
 	// the replica's stable-checkpoint trigger fires). 0 means the default
 	// (store.DefaultCompactRatio); negative disables threshold-driven
@@ -39,7 +35,7 @@ type BackendConfig struct {
 	CompactMinBytes int64
 	// MemSizeHint sizes the in-memory store (0 means 1<<16 records).
 	MemSizeHint int
-	// ReadIndex gives the disk backends an in-memory read index so Get —
+	// ReadIndex gives the sharded backend an in-memory read index so Get —
 	// and with it the locally-served read path — never touches a log file
 	// or shard lock. Ignored by mem (already memory-resident). Replica
 	// deployments enable it by default via the -store-read-index knob.
@@ -55,16 +51,6 @@ func OpenBackend(cfg BackendConfig) (Store, error) {
 			hint = 1 << 16
 		}
 		return NewMemStore(hint), nil
-	case "disk":
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("store: creating dir: %w", err)
-		}
-		return OpenDisk(filepath.Join(cfg.Dir, "records.log"), DiskOptions{
-			SyncEveryPut:    cfg.SyncLinger > 0,
-			CompactRatio:    cfg.CompactRatio,
-			CompactMinBytes: cfg.CompactMinBytes,
-			ReadIndex:       cfg.ReadIndex,
-		})
 	case "sharded":
 		shards := cfg.Shards
 		if shards == 0 {
@@ -78,6 +64,8 @@ func OpenBackend(cfg BackendConfig) (Store, error) {
 			ReadIndex:       cfg.ReadIndex,
 		})
 	default:
-		return nil, fmt.Errorf("store: unknown backend %q (want mem|disk|sharded)", cfg.Backend)
+		// "disk", the serial single-log backend, is gone: one shard of the
+		// sharded store holds the same data behind the same blocking Put.
+		return nil, fmt.Errorf("store: unknown backend %q (want mem|sharded; for the former serial \"disk\" backend use sharded -store-shards 1)", cfg.Backend)
 	}
 }

@@ -175,131 +175,126 @@ func TestShardedDiskMaybeCompactThresholds(t *testing.T) {
 	})
 }
 
-// TestDiskStoreCompaction: the serial store gets the same garbage
-// collection — Compact bounds the single log, MaybeCompact honors the
-// thresholds, and the compacted (v2) log recovers.
+// TestDiskStoreCompaction: at one shard — the serial store's shape — as at
+// four, MaybeCompact honors the thresholds and bounds every log, and the
+// compacted logs recover.
 func TestDiskStoreCompaction(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "records.log")
-	s, err := OpenDisk(path, DiskOptions{CompactRatio: 0.5, CompactMinBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const keys, versions = 100, 8
-	writeOverwriteHistory(t, s, keys, versions)
-	fi, _ := os.Stat(path)
-	pre := fi.Size()
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		dir := t.TempDir()
+		s := openSharded(t, dir, ShardedDiskOptions{Shards: shards, CompactRatio: 0.5, CompactMinBytes: -1})
+		const keys, versions = 100, 8
+		writeOverwriteHistory(t, s, keys, versions)
+		pre := shardLogSizes(t, dir)
 
-	n, err := s.MaybeCompact()
-	if err != nil || n != 1 {
-		t.Fatalf("MaybeCompact = (%d,%v), want (1,nil)", n, err)
-	}
-	fi, _ = os.Stat(path)
-	if fi.Size() >= pre/2 {
-		t.Fatalf("compaction barely shrank the log: %d -> %d", pre, fi.Size())
-	}
-	checkFinalHistory(t, s, keys, versions)
-	cs := s.CompactStats()
-	if cs.Compactions != 1 || cs.ReclaimedBytes == 0 {
-		t.Fatalf("CompactStats = %+v", cs)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+		n, err := s.MaybeCompact()
+		if err != nil || n != shards {
+			t.Fatalf("MaybeCompact = (%d,%v), want (%d,nil)", n, err, shards)
+		}
+		if post := shardLogSizes(t, dir); post >= pre/2 {
+			t.Fatalf("compaction barely shrank the logs: %d -> %d", pre, post)
+		}
+		checkFinalHistory(t, s, keys, versions)
+		cs := s.CompactStats()
+		if cs.Compactions != uint64(shards) || cs.ReclaimedBytes == 0 {
+			t.Fatalf("CompactStats = %+v", cs)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	s2, err := OpenDisk(path, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	checkFinalHistoryLenient(t, s2, keys, versions)
+		s2 := openSharded(t, dir, ShardedDiskOptions{})
+		defer s2.Close()
+		checkFinalHistoryLenient(t, s2, keys, versions)
+	})
 }
 
-// TestV2MidLogCorruptionDetected: a flipped byte in the middle of a v2
-// log — in a value and in a header — must be detected by the CRC on
-// recovery, which keeps the longest valid prefix; the repair must be
-// durable across a second restart. (On a v1 log the same flip was
-// silently accepted; this is the regression the CRC format exists for.)
+// TestV2MidLogCorruptionDetected: a flipped byte in the middle of a log —
+// in a value and in a header — must be detected by the CRC on recovery,
+// which keeps the longest valid prefix; the repair must be durable across
+// a second restart. (On a v1 log the same flip was silently accepted;
+// this is the regression the CRC format exists for.)
 func TestV2MidLogCorruptionDetected(t *testing.T) {
 	for name, flip := range map[string]int64{
 		"value":  16 + 4,     // inside record 0's value bytes
 		"header": 16 + 9 + 2, // inside record 1's header (its key field)
 	} {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, "records.log")
-			s, err := OpenDisk(path, DiskOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Three records with distinct keys: 9-byte values at offsets
-			// 8 (header), 8+25, 8+50.
-			for k := uint64(0); k < 3; k++ {
-				if err := s.Put(k, []byte(fmt.Sprintf("value-%03d", k))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Flip one byte mid-log (not in the tail record).
-			f, err := os.OpenFile(path, os.O_RDWR, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var b [1]byte
-			off := int64(8) + flip // past the file magic
-			if _, err := f.ReadAt(b[:], off); err != nil {
-				t.Fatal(err)
-			}
-			b[0] ^= 0x40
-			if _, err := f.WriteAt(b[:], off); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-
-			s2, err := OpenDisk(path, DiskOptions{})
-			if err != nil {
-				t.Fatalf("recovery after mid-log corruption: %v", err)
-			}
-			// The corrupt record and everything after it are gone; the
-			// records before it survive — the longest valid prefix.
-			var wantLive []uint64
-			if name == "value" {
-				wantLive = nil // record 0 is the corrupt one
-			} else {
-				wantLive = []uint64{0}
-			}
-			if got := s2.Len(); got != len(wantLive) {
-				t.Fatalf("Len after corruption = %d, want %d (longest valid prefix)", got, len(wantLive))
-			}
-			for _, k := range wantLive {
-				want := fmt.Sprintf("value-%03d", k)
-				if v, err := s2.Get(k); err != nil || string(v) != want {
-					t.Fatalf("Get(%d) = (%q,%v), want %q", k, v, err, want)
-				}
-			}
-			// The store is writable after the truncation and the repair is
-			// durable across another restart.
-			if err := s2.Put(9, []byte("after-repair")); err != nil {
-				t.Fatal(err)
-			}
-			if err := s2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			s3, err := OpenDisk(path, DiskOptions{})
-			if err != nil {
-				t.Fatalf("second recovery: %v", err)
-			}
-			defer s3.Close()
-			if got := s3.Len(); got != len(wantLive)+1 {
-				t.Fatalf("Len after second recovery = %d, want %d", got, len(wantLive)+1)
-			}
-			if v, err := s3.Get(9); err != nil || string(v) != "after-repair" {
-				t.Fatalf("Get(9) = (%q,%v)", v, err)
-			}
+			forEachShardCount(t, func(t *testing.T, shards int) {
+				testMidLogCorruption(t, shards, flip, name == "value")
+			})
 		})
+	}
+}
+
+func testMidLogCorruption(t *testing.T, shards int, flip int64, firstRecord bool) {
+	dir := t.TempDir()
+	s := openSharded(t, dir, ShardedDiskOptions{Shards: shards})
+	// Three records with distinct keys in one log, and a fourth key of the
+	// same log for the post-repair write: 9-byte values at offsets
+	// 8 (header), 8+25, 8+50.
+	same := keysOnShardOf(0, shards, 4)
+	value := func(k uint64) string { return fmt.Sprintf("value-%03d", k%1000) }
+	for _, k := range same[:3] {
+		if err := s.Put(k, []byte(value(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Flip one byte mid-log (not in the tail record).
+	f, err := os.OpenFile(shardLog(dir, same[0], shards), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b [1]byte
+	off := int64(8) + flip // past the file magic
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
+	if err != nil {
+		t.Fatalf("recovery after mid-log corruption: %v", err)
+	}
+	// The corrupt record and everything after it are gone; the records
+	// before it survive — the longest valid prefix.
+	wantLive := same[:1]
+	if firstRecord {
+		wantLive = nil // record 0 is the corrupt one
+	}
+	if got := s2.Len(); got != len(wantLive) {
+		t.Fatalf("Len after corruption = %d, want %d (longest valid prefix)", got, len(wantLive))
+	}
+	for _, k := range wantLive {
+		if v, err := s2.Get(k); err != nil || string(v) != value(k) {
+			t.Fatalf("Get(%d) = (%q,%v), want %q", k, v, err, value(k))
+		}
+	}
+	// The log is writable after the truncation and the repair is durable
+	// across another restart.
+	if err := s2.Put(same[3], []byte("after-repair")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := OpenShardedDisk(dir, ShardedDiskOptions{})
+	if err != nil {
+		t.Fatalf("second recovery: %v", err)
+	}
+	defer s3.Close()
+	if got := s3.Len(); got != len(wantLive)+1 {
+		t.Fatalf("Len after second recovery = %d, want %d", got, len(wantLive)+1)
+	}
+	if v, err := s3.Get(same[3]); err != nil || string(v) != "after-repair" {
+		t.Fatalf("Get(%d) = (%q,%v)", same[3], v, err)
 	}
 }
 
@@ -369,85 +364,94 @@ func TestShardedDiskV2MidLogCorruption(t *testing.T) {
 	}
 }
 
-// TestV1LogStillReadable: a pre-CRC v1 log (no magic header) must open,
-// read, keep appending in v1 format across a restart (so one log never
-// mixes formats), and upgrade to v2 only through compaction.
+// TestV1LogStillReadable: a pre-CRC v1 log (no magic header) must open —
+// and be upgraded by that open: the log on disk is v2 before the first
+// append, holds the same live set, takes v2 appends, and reopens as v2. A
+// crash mid-upgrade (a stray temp rewrite beside the untouched v1 log) is
+// ignored and the upgrade runs again.
 func TestV1LogStillReadable(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "records.log")
-
-	// Craft a v1 log by hand: records are [key 8][vlen 4][value].
-	var raw bytes.Buffer
-	v1 := func(key uint64, val string) {
-		var hdr [12]byte
-		binary.BigEndian.PutUint64(hdr[:8], key)
-		binary.BigEndian.PutUint32(hdr[8:], uint32(len(val)))
-		raw.Write(hdr[:])
-		raw.WriteString(val)
-	}
-	v1(1, "one")
-	v1(2, "two")
-	v1(1, "one-v2") // overwrite: recovery keeps the latest
-	if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := OpenDisk(path, DiskOptions{})
-	if err != nil {
-		t.Fatalf("opening v1 log: %v", err)
-	}
-	if v, err := s.Get(1); err != nil || string(v) != "one-v2" {
-		t.Fatalf("Get(1) = (%q,%v)", v, err)
-	}
-	if v, err := s.Get(2); err != nil || string(v) != "two" {
-		t.Fatalf("Get(2) = (%q,%v)", v, err)
-	}
-	// Appends to a v1 log stay v1 and survive a v1 re-recovery.
-	if err := s.Put(3, []byte("three")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenDisk(path, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key, want := range map[uint64]string{1: "one-v2", 2: "two", 3: "three"} {
-		if v, err := s2.Get(key); err != nil || string(v) != want {
-			t.Fatalf("recovered Get(%d) = (%q,%v), want %q", key, v, err, want)
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		dir := t.TempDir()
+		openSharded(t, dir, ShardedDiskOptions{Shards: shards}).Close() // lay out SHARDS + empty logs
+		// Three keys of one log, whose v1 predecessor is crafted by hand:
+		// records are [key 8][vlen 4][value].
+		same := keysOnShardOf(1, shards, 3)
+		path := shardLog(dir, same[0], shards)
+		var raw bytes.Buffer
+		v1 := func(key uint64, val string) {
+			var hdr [12]byte
+			binary.BigEndian.PutUint64(hdr[:8], key)
+			binary.BigEndian.PutUint32(hdr[8:], uint32(len(val)))
+			raw.Write(hdr[:])
+			raw.WriteString(val)
 		}
-	}
-
-	// Compaction upgrades the log to v2 (magic header), still readable.
-	if err := s2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	head := make([]byte, 8)
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Read(head); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if !bytes.Equal(head, logMagic[:]) {
-		t.Fatalf("compacted log is not v2: header %q", head)
-	}
-	s3, err := OpenDisk(path, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	for key, want := range map[uint64]string{1: "one-v2", 2: "two", 3: "three"} {
-		if v, err := s3.Get(key); err != nil || string(v) != want {
-			t.Fatalf("post-upgrade Get(%d) = (%q,%v), want %q", key, v, err, want)
+		v1(same[0], "one")
+		v1(same[1], "two")
+		v1(same[0], "one-v2") // overwrite: recovery keeps the latest
+		if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
+		// A crashed earlier upgrade: its temp rewrite never got renamed.
+		stray := filepath.Join(dir, ".compact-crashed-upgrade")
+		if err := os.WriteFile(stray, []byte("partial rewrite"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		isV2 := func(stage string) {
+			t.Helper()
+			head := make([]byte, len(logMagic))
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.Read(head); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(head, logMagic[:]) {
+				t.Fatalf("%s: log is not v2: header %q", stage, head)
+			}
+		}
+
+		s, err := OpenShardedDisk(dir, ShardedDiskOptions{})
+		if err != nil {
+			t.Fatalf("opening v1 log: %v", err)
+		}
+		isV2("after the upgrading open")
+		if strays, _ := filepath.Glob(filepath.Join(dir, compactTmpPattern)); len(strays) != 0 {
+			t.Fatalf("temp rewrites survived the open: %v", strays)
+		}
+		if got := s.Len(); got != 2 {
+			t.Fatalf("Len = %d, want the v1 log's 2 live keys", got)
+		}
+		if v, err := s.Get(same[0]); err != nil || string(v) != "one-v2" {
+			t.Fatalf("Get(%d) = (%q,%v)", same[0], v, err)
+		}
+		if v, err := s.Get(same[1]); err != nil || string(v) != "two" {
+			t.Fatalf("Get(%d) = (%q,%v)", same[1], v, err)
+		}
+		// The upgraded log takes appends, CRCs and all.
+		if err := s.Put(same[2], []byte("three")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		isV2("after the reopen")
+		if got := s2.Len(); got != 3 {
+			t.Fatalf("reopened Len = %d, want 3", got)
+		}
+		for key, want := range map[uint64]string{same[0]: "one-v2", same[1]: "two", same[2]: "three"} {
+			if v, err := s2.Get(key); err != nil || string(v) != want {
+				t.Fatalf("recovered Get(%d) = (%q,%v), want %q", key, v, err, want)
+			}
+		}
+	})
 }
 
 // TestCompactionCrashMatrix simulates a crash at each rung of the
@@ -516,7 +520,7 @@ func TestCompactionCrashMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := recoverLog(src)
+		st, _, err := recoverLog(src)
 		if err != nil {
 			t.Fatal(err)
 		}

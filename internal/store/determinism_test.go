@@ -17,8 +17,8 @@ import (
 // TestZipfianStoreDeterminism is the store half of the execution
 // determinism contract: a randomized Zipfian write history, partitioned
 // by the canonical shard hash and applied with concurrent per-partition
-// PutMany calls, must leave MemStore and the sharded group-commit
-// DiskStore in byte-identical final state — same live keys, same bytes —
+// PutMany calls, must leave MemStore and the sharded group-commit disk
+// store in byte-identical final state — same live keys, same bytes —
 // regardless of how the concurrent partitions interleave.
 func TestZipfianStoreDeterminism(t *testing.T) {
 	const (
@@ -110,7 +110,7 @@ func TestZipfianStoreDeterminism(t *testing.T) {
 		t.Fatal("workload wrote no records")
 	}
 	if !bytes.Equal(memState.Bytes(), diskState.Bytes()) {
-		t.Fatal("MemStore and sharded DiskStore final states are not byte-identical")
+		t.Fatal("MemStore and ShardedDiskStore final states are not byte-identical")
 	}
 	if cs := disk.CompactStats(); cs.Compactions == 0 {
 		t.Fatal("the disk store never compacted: the mid-run rewrite was not exercised")

@@ -33,12 +33,11 @@ import (
 //     N, and the appending goroutine never waits for the disk. Put and
 //     PutMany are the synchronous form, append then wait.
 //
-// Each shard's log uses the shared record format (v2 adds a per-record
-// CRC-32C; pre-CRC v1 logs stay readable) and the same recovery: on open
-// a torn tail — and, in a v2 log, any record failing its CRC — ends the
-// valid prefix, independently per shard. A SHARDS meta file pins the
-// shard count, since reopening with a different count would look keys up
-// in the wrong logs.
+// Each shard's log is a CRC-32C-per-record log (see format.go; a pre-CRC
+// v1 log is upgraded once, at open): on open a torn tail or any record
+// failing its CRC ends the valid prefix, independently per shard. A SHARDS
+// meta file pins the shard count, since reopening with a different count
+// would look keys up in the wrong logs.
 //
 // Shard logs are append-only, so superseded values accumulate until
 // Compact (or the threshold-driven MaybeCompact, which the replica fires
@@ -77,8 +76,8 @@ type diskLogShard struct {
 	cond *sync.Cond // signalled when synced advances, a sync/compaction finishes, or the shard closes
 	f    *os.File
 	path string
-	// logState is the log bookkeeping (index, append offset, format,
-	// live/total bytes), guarded by mu like the rest of the shard.
+	// logState is the log bookkeeping (index, append offset, live/total
+	// bytes), guarded by mu like the rest of the shard.
 	logState
 
 	// Group commit: appended counts append operations, synced the prefix
@@ -109,11 +108,10 @@ type ShardedDiskOptions struct {
 	// count when reopening an existing store. Opening an existing store
 	// with a conflicting non-zero count is an error.
 	Shards int
-	// SyncLinger selects durability: 0 never fsyncs (the DiskStore
-	// default — the Section 5.7 property under test is the blocking
-	// store API, not durability); > 0 group-commits with that fsync
-	// linger, so every Put/PutMany returns only after a covering fsync
-	// and every Append ticket can be waited on for one.
+	// SyncLinger selects durability: 0 never fsyncs (writes reach the page
+	// cache only); > 0 group-commits with that fsync linger, so every
+	// Put/PutMany returns only after a covering fsync and every Append
+	// ticket can be waited on for one.
 	SyncLinger time.Duration
 	// CompactRatio is the per-shard garbage fraction (dead bytes / total
 	// log bytes) past which MaybeCompact rewrites that shard's log. 0
@@ -184,14 +182,8 @@ func OpenShardedDisk(dir string, opts ShardedDiskOptions) (*ShardedDiskStore, er
 	s.compactRatio, s.compactMin = resolveCompactKnobs(opts.CompactRatio, opts.CompactMinBytes)
 	for i := 0; i < n; i++ {
 		path := filepath.Join(dir, fmt.Sprintf("shard-%03d.log", i))
-		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+		f, st, err := openLog(path)
 		if err != nil {
-			s.closeFiles()
-			return nil, fmt.Errorf("store: opening shard %d log: %w", i, err)
-		}
-		st, err := recoverLog(f)
-		if err != nil {
-			f.Close()
 			s.closeFiles()
 			return nil, fmt.Errorf("store: recovering shard %d: %w", i, err)
 		}
@@ -281,15 +273,14 @@ func (sh *diskLogShard) arm() {
 // the index and byte accounting; the caller holds sh.mu. One contiguous
 // buffer means one write syscall per call regardless of record count.
 func (sh *diskLogShard) appendLocked(kvs []KV) error {
-	buf := encodeRecords(kvs, sh.v2)
+	buf := encodeRecords(kvs)
 	if _, err := sh.f.WriteAt(buf, sh.off); err != nil {
 		return fmt.Errorf("store: appending records: %w", err)
 	}
 	at := int64(0)
-	hdr := sh.hdrSize()
 	for i := range kvs {
-		sh.account(kvs[i].Key, sh.off+at+hdr, uint32(len(kvs[i].Value)))
-		at += hdr + int64(len(kvs[i].Value))
+		sh.account(kvs[i].Key, sh.off+at+recHdrV2, uint32(len(kvs[i].Value)))
+		at += recHdrV2 + int64(len(kvs[i].Value))
 	}
 	sh.off += int64(len(buf))
 	sh.appended++
@@ -610,8 +601,7 @@ func (s *ShardedDiskStore) MaybeCompact() (int, error) {
 }
 
 // Compact implements Compactor: every shard's log is rewritten to live
-// records only, unconditionally (upgrading v1 logs to the CRC format in
-// the process).
+// records only, unconditionally.
 func (s *ShardedDiskStore) Compact() error {
 	var firstErr error
 	for _, sh := range s.shards {

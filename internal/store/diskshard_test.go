@@ -195,8 +195,8 @@ func TestShardedDiskGroupCommit(t *testing.T) {
 	}
 }
 
-// TestShardedDiskTornTailDoubleRestart is the sharded analogue of the
-// DiskStore torn-tail tests: corrupt one shard's log tail, recover (the
+// TestShardedDiskTornTailDoubleRestart is the many-shard companion of the
+// single-log torn-tail tests: corrupt one shard's log tail, recover (the
 // truncation must not disturb the other shards), write more, and restart
 // again — the repair must be durable across the second restart.
 func TestShardedDiskTornTailDoubleRestart(t *testing.T) {

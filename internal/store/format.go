@@ -10,30 +10,35 @@ import (
 	"path/filepath"
 )
 
-// Log format. Both disk backends share one record-log layout, so they
-// crash-repair, verify, and compact identically.
-//
-// A v1 log (the seed format) is a bare sequence of records:
-//
-//	[8 bytes key][4 bytes value length][value bytes]
-//
-// A v2 log starts with an 8-byte magic header and adds a per-record
-// CRC-32C covering the record header and value:
+// Log format. Every shard log is written in one record-log layout (v2): an
+// 8-byte magic header, then records carrying a CRC-32C over the record
+// header and value:
 //
 //	"RDBLOG2\n" ([8]byte magic)
 //	[8 bytes key][4 bytes value length][4 bytes CRC-32C][value bytes] ...
 //
 // The CRC is computed over the first 12 header bytes plus the value, so
 // a flipped bit anywhere in a record — key, length, or payload — fails
-// verification on recovery. v1 logs can only detect torn tails; v2 logs
-// detect arbitrary mid-log corruption and recovery keeps the longest
-// valid prefix. Existing v1 logs stay readable (and keep appending v1
-// records, so a crash mid-upgrade cannot mix formats within one log);
-// new logs and compacted logs are always v2.
+// verification on recovery, which keeps the longest valid prefix.
+//
+// A v1 log (the seed format) is a bare sequence of CRC-less records:
+//
+//	[8 bytes key][4 bytes value length][value bytes]
+//
+// It is only ever read: open upgrades a v1 log once, through the
+// compaction rewrite (rewriteLiveRecords), whose rename makes the upgrade
+// atomic — a crash leaves the whole v1 log or the whole v2 one, so no log
+// ever mixes formats and every append is v2.
 const (
 	recHdrV1 = 12 // [key 8][vlen 4]
 	recHdrV2 = 16 // [key 8][vlen 4][crc 4]
 )
+
+// recordRef locates one record's value bytes inside its log.
+type recordRef struct {
+	off    int64
+	length uint32
+}
 
 // logMagic marks a v2 log. A v1 log at least one record long starts with
 // its first record's 8-byte key instead; a v1 log shorter than one header
@@ -54,7 +59,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // the strays.
 const compactTmpPattern = ".compact-*"
 
-// Compaction knob defaults (see ShardedDiskOptions / DiskOptions).
+// Compaction knob defaults (see ShardedDiskOptions).
 const (
 	// DefaultCompactRatio is the garbage fraction (dead bytes / total log
 	// bytes) past which MaybeCompact rewrites a log.
@@ -91,92 +96,103 @@ func shouldCompact(live, total int64, ratio float64, minBytes int64) bool {
 }
 
 // logState is everything recovery (or compaction) learns about one log;
-// both disk backends embed it as their per-log bookkeeping, so appends
-// maintain it through account and a compaction swap replaces it
-// wholesale.
+// each shard embeds it as its per-log bookkeeping, so appends maintain it
+// through account and a compaction swap replaces it wholesale.
 type logState struct {
 	index map[uint64]recordRef
 	off   int64 // append offset
-	v2    bool  // record format of this log
 	live  int64 // bytes of records still reachable through the index
-	total int64 // bytes of all records (excluding the v2 file header)
-}
-
-// hdrSize returns the per-record header size of this log's format.
-func (st *logState) hdrSize() int64 {
-	if st.v2 {
-		return recHdrV2
-	}
-	return recHdrV1
+	total int64 // bytes of all records (excluding the file header)
 }
 
 // account updates the live/total byte counters and the index for one
 // appended record, subtracting the record the key previously pointed at.
 func (st *logState) account(key uint64, valueOff int64, vlen uint32) {
-	rec := st.hdrSize() + int64(vlen)
+	rec := recHdrV2 + int64(vlen)
 	st.total += rec
 	if old, ok := st.index[key]; ok {
-		st.live -= st.hdrSize() + int64(old.length)
+		st.live -= recHdrV2 + int64(old.length)
 	}
 	st.live += rec
 	st.index[key] = recordRef{off: valueOff, length: vlen}
 }
 
-// encodeRecords packs kvs into one contiguous buffer in the log's format
-// (one write syscall per append batch regardless of record count).
-func encodeRecords(kvs []KV, v2 bool) []byte {
-	hdr := recHdrV1
-	if v2 {
-		hdr = recHdrV2
-	}
+// encodeRecords packs kvs into one contiguous buffer of log records (one
+// write syscall per append batch regardless of record count).
+func encodeRecords(kvs []KV) []byte {
 	size := 0
 	for i := range kvs {
-		size += hdr + len(kvs[i].Value)
+		size += recHdrV2 + len(kvs[i].Value)
 	}
 	buf := make([]byte, size)
 	at := 0
 	for i := range kvs {
 		binary.BigEndian.PutUint64(buf[at:at+8], kvs[i].Key)
 		binary.BigEndian.PutUint32(buf[at+8:at+12], uint32(len(kvs[i].Value)))
-		if v2 {
-			crc := crc32.Checksum(buf[at:at+12], crcTable)
-			crc = crc32.Update(crc, crcTable, kvs[i].Value)
-			binary.BigEndian.PutUint32(buf[at+12:at+16], crc)
-		}
-		copy(buf[at+hdr:], kvs[i].Value)
-		at += hdr + len(kvs[i].Value)
+		crc := crc32.Checksum(buf[at:at+12], crcTable)
+		crc = crc32.Update(crc, crcTable, kvs[i].Value)
+		binary.BigEndian.PutUint32(buf[at+12:at+16], crc)
+		copy(buf[at+recHdrV2:], kvs[i].Value)
+		at += recHdrV2 + len(kvs[i].Value)
 	}
 	return buf
 }
 
-// recoverLog scans a record log, rebuilding the key index and the
-// live/total byte accounting. Shared by DiskStore and ShardedDiskStore so
-// both repair crashes identically:
+// openLog opens (or creates) the record log at path and recovers it: the
+// returned handle and state are ready for appends, which are always v2.
 //
 //   - a v2 log (magic header) verifies every record's CRC-32C and keeps
 //     the longest valid prefix — a torn tail or a flipped byte anywhere
 //     truncates the log at the first bad record;
-//   - a v1 log (no header) keeps the pre-CRC behaviour: only a torn
-//     final record is detected and discarded;
+//   - a v1 log (no header) is read with the pre-CRC rules — only a torn
+//     final record is detected and discarded — and its live records are
+//     rewritten to a v2 log that atomically replaces it, before the store
+//     sees it. A crash mid-upgrade leaves the v1 log authoritative and a
+//     stray temp file the next open removes, and the upgrade runs again;
 //   - an empty or sub-header log is (re)initialized as v2.
-func recoverLog(f *os.File) (logState, error) {
-	st := logState{index: make(map[uint64]recordRef)}
+func openLog(path string) (*os.File, logState, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, logState{}, fmt.Errorf("opening log: %w", err)
+	}
+	st, v1, err := recoverLog(f)
+	if err != nil {
+		f.Close()
+		return nil, logState{}, err
+	}
+	if !v1 {
+		return f, st, nil
+	}
+	upgraded, st, err := rewriteLiveRecords(f, st.index, path)
+	f.Close()
+	if err != nil {
+		return nil, logState{}, fmt.Errorf("upgrading v1 log: %w", err)
+	}
+	return upgraded, st, nil
+}
+
+// recoverLog scans an open record log, rebuilding the key index and the
+// live/total byte accounting. v1 reports a pre-CRC log: its state carries
+// only the index, enough for the upgrade rewrite and nothing else.
+func recoverLog(f *os.File) (st logState, v1 bool, err error) {
 	fi, err := f.Stat()
 	if err != nil {
-		return st, fmt.Errorf("stat log: %w", err)
+		return st, false, fmt.Errorf("stat log: %w", err)
 	}
 	size := fi.Size() // invariant during the scan (only Truncate shrinks it)
 	if size >= int64(len(logMagic)) {
 		var magic [len(logMagic)]byte
 		if _, err := f.ReadAt(magic[:], 0); err != nil {
-			return st, fmt.Errorf("reading log header: %w", err)
+			return st, false, fmt.Errorf("reading log header: %w", err)
 		}
 		if magic == logMagic {
-			return recoverV2(f, size)
+			st, err = recoverV2(f, size)
+			return st, false, err
 		}
 	}
 	if size >= recHdrV1 {
-		return recoverV1(f, size)
+		st.index, err = recoverV1(f, size)
+		return st, true, err
 	}
 	// Too short to be either format: at most a torn v1 header or a torn
 	// v2 magic, both of which truncate to empty. Initialize as v2 and
@@ -186,57 +202,44 @@ func recoverLog(f *os.File) (logState, error) {
 	// misread a v2 log as v1 — no CRCs, records parsed 4 bytes off — and
 	// build a garbage index instead of a clean empty log.
 	if err := f.Truncate(0); err != nil {
-		return st, fmt.Errorf("truncating torn log: %w", err)
+		return st, false, fmt.Errorf("truncating torn log: %w", err)
 	}
 	if _, err := f.WriteAt(logMagic[:], 0); err != nil {
-		return st, fmt.Errorf("writing log header: %w", err)
+		return st, false, fmt.Errorf("writing log header: %w", err)
 	}
 	if err := f.Sync(); err != nil {
-		return st, fmt.Errorf("syncing log header: %w", err)
+		return st, false, fmt.Errorf("syncing log header: %w", err)
 	}
+	st.index = make(map[uint64]recordRef)
 	st.off = int64(len(logMagic))
-	st.v2 = true
-	return st, nil
+	return st, false, nil
 }
 
-func recoverV1(f *os.File, size int64) (logState, error) {
-	st := logState{index: make(map[uint64]recordRef)}
+// recoverV1 is the read side of the v1 upgrade: it indexes the latest
+// record of every key in a pre-CRC log, stopping at a torn final record.
+// The log itself is left untouched — it stays authoritative until the
+// upgrade's rename replaces it.
+func recoverV1(f *os.File, size int64) (map[uint64]recordRef, error) {
+	index := make(map[uint64]recordRef)
 	var hdr [recHdrV1]byte
-	off := int64(0)
-	for {
-		_, err := f.ReadAt(hdr[:], off)
-		if err == io.EOF {
-			break
-		}
-		if err == io.ErrUnexpectedEOF {
-			// Torn header: discard the tail.
-			if terr := f.Truncate(off); terr != nil {
-				return st, fmt.Errorf("truncating torn log: %w", terr)
-			}
-			break
-		}
-		if err != nil {
-			return st, fmt.Errorf("scanning log: %w", err)
+	for off := int64(0); off+recHdrV1 <= size; {
+		if _, err := f.ReadAt(hdr[:], off); err != nil {
+			return nil, fmt.Errorf("scanning v1 log: %w", err)
 		}
 		key := binary.BigEndian.Uint64(hdr[:8])
 		vlen := binary.BigEndian.Uint32(hdr[8:])
 		end := off + recHdrV1 + int64(vlen)
 		if end > size {
-			// Torn value: discard the tail.
-			if terr := f.Truncate(off); terr != nil {
-				return st, fmt.Errorf("truncating torn log: %w", terr)
-			}
-			break
+			break // torn value
 		}
-		st.account(key, off+recHdrV1, vlen)
+		index[key] = recordRef{off: off + recHdrV1, length: vlen}
 		off = end
 	}
-	st.off = off
-	return st, nil
+	return index, nil
 }
 
 func recoverV2(f *os.File, size int64) (logState, error) {
-	st := logState{index: make(map[uint64]recordRef), v2: true}
+	st := logState{index: make(map[uint64]recordRef)}
 	var hdr [recHdrV2]byte
 	var val []byte
 	off := int64(len(logMagic))
@@ -287,9 +290,9 @@ func recoverV2(f *os.File, size int64) (logState, error) {
 	return st, nil
 }
 
-// rewriteLiveRecords is the compaction rewrite: every record still
-// reachable through index is read back from src and written to a fresh v2
-// log that atomically replaces logPath. The crash-safety ladder is the
+// rewriteLiveRecords is the compaction rewrite (and the v1 upgrade): every
+// record still reachable through index is read back from src and written
+// to a fresh v2 log that atomically replaces logPath. The crash-safety ladder is the
 // persistShardMeta discipline — temp file, fsync, rename, directory
 // fsync — so the original log stays the authoritative copy until the
 // rename lands, and a crash at any point leaves either the old log or the
@@ -311,7 +314,7 @@ func rewriteLiveRecords(src *os.File, index map[uint64]recordRef, logPath string
 	if _, err := w.Write(logMagic[:]); err != nil {
 		return fail(err)
 	}
-	st := logState{index: make(map[uint64]recordRef, len(index)), v2: true}
+	st := logState{index: make(map[uint64]recordRef, len(index))}
 	st.off = int64(len(logMagic))
 	var hdr [recHdrV2]byte
 	var val []byte

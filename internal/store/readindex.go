@@ -3,15 +3,15 @@ package store
 import "sync"
 
 // readIndex is an in-memory map of each key's latest applied value,
-// maintained alongside a disk backend's append log. With it enabled, Get
-// is answered entirely from memory — no log-file read, no store or shard
-// lock — so the locally-served read path never stalls behind writers,
+// maintained alongside a shard's append log. With it enabled, Get is
+// answered entirely from memory — no log-file read, no shard lock — so
+// the locally-served read path never stalls behind writers,
 // group commits, or compaction rewrites. Writers update the index after
 // appending, so it always reflects the applied (not necessarily yet
 // fsynced) state, which is exactly the last-executed snapshot the local
 // read path serves; durability remains the log's concern.
 //
-// The raw stores leave the index off by default: the Section 5.7
+// The raw store leaves the index off by default: the Section 5.7
 // experiment's property under test is the blocking storage API, and an
 // always-on cache would erase the contrast. OpenBackend turns it on for
 // replica deployments.
@@ -39,16 +39,8 @@ func (ri *readIndex) get(key uint64) ([]byte, bool) {
 	return out, true
 }
 
-// put stores a copy of value, so callers may recycle their buffers.
-func (ri *readIndex) put(key uint64, value []byte) {
-	v := make([]byte, len(value))
-	copy(v, value)
-	ri.mu.Lock()
-	ri.m[key] = v
-	ri.mu.Unlock()
-}
-
-// putMany stores copies of a batch under one lock acquisition.
+// putMany stores copies of a batch — so callers may recycle their buffers
+// — under one lock acquisition.
 func (ri *readIndex) putMany(kvs []KV) {
 	ri.mu.Lock()
 	for i := range kvs {

@@ -9,13 +9,14 @@ import (
 	"time"
 )
 
-// openIndexed builds each disk backend with the read index enabled.
-func openIndexed(t *testing.T, backend string, dir string, linger time.Duration) Store {
+// openIndexed builds the disk backend with the read index enabled, through
+// OpenBackend like a deployment does.
+func openIndexed(t *testing.T, shards int, dir string, linger time.Duration) Store {
 	t.Helper()
 	st, err := OpenBackend(BackendConfig{
-		Backend:    backend,
+		Backend:    "sharded",
 		Dir:        dir,
-		Shards:     4,
+		Shards:     shards,
 		SyncLinger: linger,
 		ReadIndex:  true,
 	})
@@ -30,59 +31,57 @@ func openIndexed(t *testing.T, backend string, dir string, linger time.Duration)
 // records but changes no values), and a reopen repopulates the index from
 // the recovered log.
 func TestReadIndexCorrectness(t *testing.T) {
-	for _, backend := range []string{"disk", "sharded"} {
-		t.Run(backend, func(t *testing.T) {
-			dir := t.TempDir()
-			st := openIndexed(t, backend, dir, 100*time.Microsecond)
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		dir := t.TempDir()
+		st := openIndexed(t, shards, dir, 100*time.Microsecond)
+		for k := uint64(0); k < 64; k++ {
+			if err := st.Put(k, []byte(fmt.Sprintf("v1-%d", k))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := uint64(0); k < 32; k++ {
+			if err := st.Put(k, []byte(fmt.Sprintf("v2-%d", k))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(stage string) {
+			t.Helper()
 			for k := uint64(0); k < 64; k++ {
-				if err := st.Put(k, []byte(fmt.Sprintf("v1-%d", k))); err != nil {
-					t.Fatal(err)
+				want := fmt.Sprintf("v2-%d", k)
+				if k >= 32 {
+					want = fmt.Sprintf("v1-%d", k)
+				}
+				v, err := st.Get(k)
+				if err != nil {
+					t.Fatalf("%s: Get(%d): %v", stage, k, err)
+				}
+				if !bytes.Equal(v, []byte(want)) {
+					t.Fatalf("%s: Get(%d) = %q, want %q", stage, k, v, want)
 				}
 			}
-			for k := uint64(0); k < 32; k++ {
-				if err := st.Put(k, []byte(fmt.Sprintf("v2-%d", k))); err != nil {
-					t.Fatal(err)
-				}
+			if _, err := st.Get(9999); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("%s: Get(missing) = %v, want ErrNotFound", stage, err)
 			}
-			check := func(stage string) {
-				t.Helper()
-				for k := uint64(0); k < 64; k++ {
-					want := fmt.Sprintf("v2-%d", k)
-					if k >= 32 {
-						want = fmt.Sprintf("v1-%d", k)
-					}
-					v, err := st.Get(k)
-					if err != nil {
-						t.Fatalf("%s: Get(%d): %v", stage, k, err)
-					}
-					if !bytes.Equal(v, []byte(want)) {
-						t.Fatalf("%s: Get(%d) = %q, want %q", stage, k, v, want)
-					}
-				}
-				if _, err := st.Get(9999); !errors.Is(err, ErrNotFound) {
-					t.Fatalf("%s: Get(missing) = %v, want ErrNotFound", stage, err)
-				}
-			}
-			check("before compaction")
-			if err := st.(Compactor).Compact(); err != nil {
-				t.Fatal(err)
-			}
-			check("after compaction")
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		check("before compaction")
+		if err := st.(Compactor).Compact(); err != nil {
+			t.Fatal(err)
+		}
+		check("after compaction")
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			st = openIndexed(t, backend, dir, 100*time.Microsecond)
-			defer st.Close()
-			check("after reopen")
-		})
-	}
+		st = openIndexed(t, shards, dir, 100*time.Microsecond)
+		defer st.Close()
+		check("after reopen")
+	})
 }
 
 // TestReadIndexGetCopies: a caller mutating a returned value must not
 // poison the index.
 func TestReadIndexGetCopies(t *testing.T) {
-	st := openIndexed(t, "sharded", t.TempDir(), 0)
+	st := openIndexed(t, 4, t.TempDir(), 0)
 	defer st.Close()
 	if err := st.Put(1, []byte("abc")); err != nil {
 		t.Fatal(err)
@@ -107,68 +106,66 @@ func TestReadIndexGetCopies(t *testing.T) {
 // underneath. Run under -race (CI does); correctness here means every read
 // observes some applied value, never a torn or stale-beyond-applied one.
 func TestReadIndexConcurrentReads(t *testing.T) {
-	for _, backend := range []string{"disk", "sharded"} {
-		t.Run(backend, func(t *testing.T) {
-			st := openIndexed(t, backend, t.TempDir(), 0)
-			defer st.Close()
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		st := openIndexed(t, shards, t.TempDir(), 0)
+		defer st.Close()
 
-			const keys = 32
-			// Seed every key so readers never see NotFound.
+		const keys = 32
+		// Seed every key so readers never see NotFound.
+		for k := uint64(0); k < keys; k++ {
+			if err := st.Put(k, versionValue(k, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				k := uint64(r)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					k = (k + 7) % keys
+					v, err := st.Get(k)
+					if err != nil {
+						errs <- fmt.Errorf("Get(%d): %w", k, err)
+						return
+					}
+					if len(v) < 16 || !bytes.Equal(v[:8], versionValue(k, 0)[:8]) {
+						errs <- fmt.Errorf("Get(%d) returned torn value %q", k, v)
+						return
+					}
+				}
+			}(r)
+		}
+		// Writer + compactor share the main goroutine: overwrite every
+		// key repeatedly with full-log compactions interleaved.
+		for round := uint64(1); round <= 50; round++ {
 			for k := uint64(0); k < keys; k++ {
-				if err := st.Put(k, versionValue(k, 0)); err != nil {
+				if err := st.Put(k, versionValue(k, round)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			errs := make(chan error, 8)
-			for r := 0; r < 4; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					k := uint64(r)
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						k = (k + 7) % keys
-						v, err := st.Get(k)
-						if err != nil {
-							errs <- fmt.Errorf("Get(%d): %w", k, err)
-							return
-						}
-						if len(v) < 16 || !bytes.Equal(v[:8], versionValue(k, 0)[:8]) {
-							errs <- fmt.Errorf("Get(%d) returned torn value %q", k, v)
-							return
-						}
-					}
-				}(r)
-			}
-			// Writer + compactor share the main goroutine: overwrite every
-			// key repeatedly with full-log compactions interleaved.
-			for round := uint64(1); round <= 50; round++ {
-				for k := uint64(0); k < keys; k++ {
-					if err := st.Put(k, versionValue(k, round)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if round%10 == 0 {
-					if err := st.(Compactor).Compact(); err != nil {
-						t.Fatal(err)
-					}
+			if round%10 == 0 {
+				if err := st.(Compactor).Compact(); err != nil {
+					t.Fatal(err)
 				}
 			}
-			close(stop)
-			wg.Wait()
-			select {
-			case err := <-errs:
-				t.Fatal(err)
-			default:
-			}
-		})
-	}
+		}
+		close(stop)
+		wg.Wait()
+		select {
+		case err := <-errs:
+			t.Fatal(err)
+		default:
+		}
+	})
 }
 
 // versionValue builds a value whose first 8 bytes identify the key and the

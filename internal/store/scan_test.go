@@ -3,30 +3,21 @@ package store
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 )
 
 // scanBackends builds one instance of each Scanner-capable backend for a
-// subtest run. Disk backends get the read index enabled (the replica
-// deployment shape) and the sharded store a short group-commit linger so
-// scans race real fsync scheduling.
+// subtest run. The disk backend runs at one shard and at four, with the
+// read index enabled (the replica deployment shape); the four-shard store
+// gets a short group-commit linger so scans race real fsync scheduling.
 func scanBackends(t *testing.T) map[string]Store {
 	t.Helper()
-	disk, err := OpenDisk(filepath.Join(t.TempDir(), "records.log"), DiskOptions{ReadIndex: true})
-	if err != nil {
-		t.Fatalf("OpenDisk: %v", err)
-	}
-	sharded, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 4, SyncLinger: 200 * time.Microsecond, ReadIndex: true})
-	if err != nil {
-		t.Fatalf("OpenShardedDisk: %v", err)
-	}
 	return map[string]Store{
-		"mem":     NewMemStore(64),
-		"disk":    disk,
-		"sharded": sharded,
+		"mem":       NewMemStore(64),
+		"sharded-1": openSharded(t, t.TempDir(), ShardedDiskOptions{Shards: 1, ReadIndex: true}),
+		"sharded-4": openSharded(t, t.TempDir(), ShardedDiskOptions{Shards: 4, SyncLinger: 200 * time.Microsecond, ReadIndex: true}),
 	}
 }
 
@@ -113,56 +104,38 @@ func TestScanOrderAndBounds(t *testing.T) {
 	}
 }
 
-// TestScanAfterReopen checks the disk backends seed their ordered sidecar
-// from the recovered index, so scans work on a freshly reopened store.
+// TestScanAfterReopen checks the disk backend seeds its ordered sidecar
+// from the recovered indexes, so scans work on a freshly reopened store —
+// reading values back through the log or through the read index.
 func TestScanAfterReopen(t *testing.T) {
-	dir := t.TempDir()
-	diskPath := filepath.Join(dir, "records.log")
-	shardDir := filepath.Join(dir, "shards")
+	for _, shards := range []int{1, 3} {
+		for _, readIndex := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards-%d/readindex-%v", shards, readIndex), func(t *testing.T) {
+				dir := t.TempDir()
+				st := openSharded(t, dir, ShardedDiskOptions{Shards: shards})
+				for k := uint64(0); k < 100; k++ {
+					if err := st.Put(k, []byte{byte(k)}); err != nil {
+						t.Fatalf("Put: %v", err)
+					}
+				}
+				st.Close()
 
-	disk, err := OpenDisk(diskPath, DiskOptions{})
-	if err != nil {
-		t.Fatalf("OpenDisk: %v", err)
-	}
-	sharded, err := OpenShardedDisk(shardDir, ShardedDiskOptions{Shards: 3})
-	if err != nil {
-		t.Fatalf("OpenShardedDisk: %v", err)
-	}
-	for k := uint64(0); k < 100; k++ {
-		if err := disk.Put(k, []byte{byte(k)}); err != nil {
-			t.Fatalf("disk Put: %v", err)
-		}
-		if err := sharded.Put(k, []byte{byte(k)}); err != nil {
-			t.Fatalf("sharded Put: %v", err)
-		}
-	}
-	disk.Close()
-	sharded.Close()
-
-	disk, err = OpenDisk(diskPath, DiskOptions{ReadIndex: true})
-	if err != nil {
-		t.Fatalf("reopen disk: %v", err)
-	}
-	defer disk.Close()
-	sharded, err = OpenShardedDisk(shardDir, ShardedDiskOptions{})
-	if err != nil {
-		t.Fatalf("reopen sharded: %v", err)
-	}
-	defer sharded.Close()
-
-	for name, sc := range map[string]Scanner{"disk": disk, "sharded": sharded} {
-		next := uint64(10)
-		if err := sc.Scan(10, 19, func(k uint64, v []byte) bool {
-			if k != next || len(v) != 1 || v[0] != byte(k) {
-				t.Errorf("%s: row (%d,%v), want (%d,[%d])", name, k, v, next, byte(next))
-			}
-			next++
-			return true
-		}); err != nil {
-			t.Fatalf("%s reopen Scan: %v", name, err)
-		}
-		if next != 20 {
-			t.Fatalf("%s reopen scan visited %d keys, want 10", name, next-10)
+				st = openSharded(t, dir, ShardedDiskOptions{ReadIndex: readIndex})
+				defer st.Close()
+				next := uint64(10)
+				if err := st.Scan(10, 19, func(k uint64, v []byte) bool {
+					if k != next || len(v) != 1 || v[0] != byte(k) {
+						t.Errorf("row (%d,%v), want (%d,[%d])", k, v, next, byte(next))
+					}
+					next++
+					return true
+				}); err != nil {
+					t.Fatalf("reopen Scan: %v", err)
+				}
+				if next != 20 {
+					t.Fatalf("reopen scan visited %d keys, want 10", next-10)
+				}
+			})
 		}
 	}
 }

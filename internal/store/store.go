@@ -1,27 +1,26 @@
 // Package store is the storage layer of the fabric (paper Figure 5): the
 // record tables the execution layer reads and writes.
 //
-// Two implementations mirror the Section 5.7 experiment: MemStore keeps
-// records in an in-memory key-value structure, while DiskStore is an
-// off-memory store reached through a blocking, serialized API backed by
-// synchronous file I/O — the role SQLite plays in the paper. The paper's
+// Two implementations mirror the two sides of the Section 5.7 experiment.
+// MemStore keeps records in an in-memory key-value structure: the paper's
 // conclusion (Section 6, "Memory Storage") is that replicas can keep
-// records in memory because at most f replicas fail; DiskStore exists to
-// measure what that choice is worth.
+// records in memory because at most f replicas fail. ShardedDiskStore is
+// the off-memory side, and the middle the paper did not build: a durable
+// store engineered like every other pipeline stage — one append log per
+// shard (partitioned by the same ShardOf hash the execute stage uses) and
+// group-commit fsync, so durability stops being the serialized tail of the
+// pipeline. Reached through nothing but the blocking Store interface (one
+// shard, every Put waiting out its own fsync) it is the paper's naive
+// off-memory store — the role SQLite plays there; the diskpipe bench runs
+// it both ways to quantify how much of the penalty the engineering wins
+// back.
 //
-// A third implementation, ShardedDiskStore, is the middle the paper did
-// not build: a durable store engineered like every other pipeline stage —
-// one append log per shard (partitioned by the same ShardOf hash the
-// execute stage uses) and group-commit fsync, so durability stops being
-// the serialized tail of the pipeline. The diskpipe bench quantifies how
-// much of the Section 5.7 penalty this wins back.
-//
-// Both disk backends keep their logs bounded: records carry a CRC-32C
-// (format v2; recovery keeps the longest valid prefix, and pre-CRC v1
-// logs stay readable) and superseded values are garbage-collected by
-// Compactor, which the replica triggers from its stable-checkpoint path —
-// the paper's Section 4.7 license to discard old state. The compaction
-// bench measures log bytes and reopen time before/after.
+// Shard logs stay bounded: records carry a CRC-32C (recovery keeps the
+// longest valid prefix; a pre-CRC v1 log is upgraded once, at open) and
+// superseded values are garbage-collected by Compactor, which the replica
+// triggers from its stable-checkpoint path — the paper's Section 4.7
+// license to discard old state. The compaction bench measures log bytes
+// and reopen time before/after.
 package store
 
 import (
@@ -63,10 +62,8 @@ type KV struct {
 // ShardedDiskStore implement it (the sharded store additionally streams
 // an aligned partition to a single append log with one write syscall; its
 // PutMany is Append followed by WaitDurable, so it returns only once a
-// completed fsync covers the partition); DiskStore deliberately does not,
-// so the naive off-memory store keeps its blocking, fully serialized API
-// (the Section 5.7 contrast) and sharded execution degrades to serialized
-// Puts against it.
+// completed fsync covers the partition). A store that offers neither this
+// nor Appender is applied one blocking Put at a time.
 type Batcher interface {
 	// PutMany applies every write in kvs in order. Distinct concurrent
 	// calls must cover disjoint key sets.
@@ -108,10 +105,9 @@ type Ticket struct {
 type SyncStats struct {
 	// Fsyncs is the number of fsync calls issued.
 	Fsyncs uint64
-	// FsyncStallNS is the cumulative time callers spent blocked waiting
-	// for an fsync to cover writes: in WaitDurable for the sharded store
-	// (its PutMany included); for per-op sync stores simply the total
-	// fsync time, since the writer is the one syncing.
+	// FsyncStallNS is the cumulative time callers spent blocked in
+	// WaitDurable (Put and PutMany included) waiting for an fsync to cover
+	// their writes.
 	FsyncStallNS uint64
 }
 
@@ -142,8 +138,7 @@ type CompactStats struct {
 	StallNS uint64
 }
 
-// compactCounters is the atomic backing for CompactStats, shared by both
-// disk backends so they report identically.
+// compactCounters is the atomic backing for CompactStats.
 type compactCounters struct {
 	compactions atomic.Uint64
 	failures    atomic.Uint64
@@ -181,17 +176,13 @@ type Compactor interface {
 // Compile-time interface compliance checks.
 var (
 	_ Store       = (*MemStore)(nil)
-	_ Store       = (*DiskStore)(nil)
 	_ Store       = (*ShardedDiskStore)(nil)
 	_ Batcher     = (*MemStore)(nil)
 	_ Batcher     = (*ShardedDiskStore)(nil)
 	_ Appender    = (*ShardedDiskStore)(nil)
-	_ SyncStatser = (*DiskStore)(nil)
 	_ SyncStatser = (*ShardedDiskStore)(nil)
-	_ Compactor   = (*DiskStore)(nil)
 	_ Compactor   = (*ShardedDiskStore)(nil)
 	_ Scanner     = (*MemStore)(nil)
-	_ Scanner     = (*DiskStore)(nil)
 	_ Scanner     = (*ShardedDiskStore)(nil)
 )
 

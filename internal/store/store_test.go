@@ -6,22 +6,57 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
+
+// shardCounts are the shapes every single-log test of the disk backend
+// runs at: one shard, which is what the serial store was, and four.
+var shardCounts = []int{1, 4}
+
+// forEachShardCount runs test once per entry of shardCounts, as a subtest.
+func forEachShardCount(t *testing.T, test func(t *testing.T, shards int)) {
+	for _, shards := range shardCounts {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) { test(t, shards) })
+	}
+}
+
+// openSharded opens (or reopens) the sharded store under dir.
+func openSharded(t testing.TB, dir string, opts ShardedDiskOptions) *ShardedDiskStore {
+	t.Helper()
+	s, err := OpenShardedDisk(dir, opts)
+	if err != nil {
+		t.Fatalf("OpenShardedDisk: %v", err)
+	}
+	return s
+}
+
+// shardLog is the path of the log that owns key in a store of shards logs.
+func shardLog(dir string, key uint64, shards int) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%03d.log", ShardOf(key, shards)))
+}
+
+// keysOnShardOf returns the first n keys living in the same log as key.
+func keysOnShardOf(key uint64, shards, n int) []uint64 {
+	var keys []uint64
+	for k := key; len(keys) < n; k++ {
+		if ShardOf(k, shards) == ShardOf(key, shards) {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
 
 // stores builds one of each Store implementation for shared conformance
 // tests.
 func stores(t *testing.T) map[string]Store {
 	t.Helper()
-	disk, err := OpenDisk(filepath.Join(t.TempDir(), "records.log"), DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
+	out := map[string]Store{"mem": NewMemStore(100)}
+	for _, shards := range shardCounts {
+		out[fmt.Sprintf("sharded-%d", shards)] = openSharded(t, t.TempDir(), ShardedDiskOptions{Shards: shards})
 	}
-	return map[string]Store{
-		"mem":  NewMemStore(100),
-		"disk": disk,
-	}
+	return out
 }
 
 func TestStoreConformance(t *testing.T) {
@@ -191,152 +226,162 @@ func TestMemStorePutManyConcurrentPartitions(t *testing.T) {
 	}
 }
 
-func TestDiskStoreRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "records.log")
-	s, err := OpenDisk(path, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
+// TestOpenBackendRejectsDisk: the serial "disk" backend is gone, and asking
+// for it must say what replaces it.
+func TestOpenBackendRejectsDisk(t *testing.T) {
+	_, err := OpenBackend(BackendConfig{Backend: "disk", Dir: t.TempDir()})
+	if err == nil || !strings.Contains(err.Error(), "sharded -store-shards 1") {
+		t.Fatalf("OpenBackend(disk) = %v, want an error naming sharded -store-shards 1", err)
 	}
-	for i := uint64(0); i < 100; i++ {
-		if err := s.Put(i, []byte(fmt.Sprintf("value-%d", i))); err != nil {
+}
+
+func TestDiskStoreRecovery(t *testing.T) {
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		dir := t.TempDir()
+		s := openSharded(t, dir, ShardedDiskOptions{Shards: shards})
+		for i := uint64(0); i < 100; i++ {
+			if err := s.Put(i, []byte(fmt.Sprintf("value-%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Overwrite some keys so recovery must keep only the latest version.
+		if err := s.Put(7, []byte("seven-v2")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Overwrite some keys so recovery must keep only the latest version.
-	if err := s.Put(7, []byte("seven-v2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	s2, err := OpenDisk(path, DiskOptions{})
+		s2 := openSharded(t, dir, ShardedDiskOptions{})
+		defer s2.Close()
+		if s2.Len() != 100 {
+			t.Fatalf("recovered Len = %d, want 100", s2.Len())
+		}
+		v, err := s2.Get(7)
+		if err != nil || string(v) != "seven-v2" {
+			t.Fatalf("recovered Get(7) = (%q,%v)", v, err)
+		}
+		v, err = s2.Get(42)
+		if err != nil || string(v) != "value-42" {
+			t.Fatalf("recovered Get(42) = (%q,%v)", v, err)
+		}
+	})
+}
+
+// appendRaw appends raw bytes to the log owning key, as a crash mid-write
+// would leave them.
+func appendRaw(t *testing.T, dir string, key uint64, shards int, raw []byte) {
+	t.Helper()
+	f, err := os.OpenFile(shardLog(dir, key, shards), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	if s2.Len() != 100 {
-		t.Fatalf("recovered Len = %d, want 100", s2.Len())
+	if _, err := f.Write(raw); err != nil {
+		t.Fatal(err)
 	}
-	v, err := s2.Get(7)
-	if err != nil || string(v) != "seven-v2" {
-		t.Fatalf("recovered Get(7) = (%q,%v)", v, err)
-	}
-	v, err = s2.Get(42)
-	if err != nil || string(v) != "value-42" {
-		t.Fatalf("recovered Get(42) = (%q,%v)", v, err)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestDiskStoreTornWriteRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "records.log")
-	s, err := OpenDisk(path, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(1, []byte("complete")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a torn write: append half a record.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0, 0, 0, 0, 0, 0, 0, 9, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		dir := t.TempDir()
+		s := openSharded(t, dir, ShardedDiskOptions{Shards: shards})
+		if err := s.Put(1, []byte("complete")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Simulate a torn write: append half a record header.
+		appendRaw(t, dir, 1, shards, []byte{0, 0, 0, 0, 0, 0, 0, 9, 0, 0})
 
-	s2, err := OpenDisk(path, DiskOptions{})
-	if err != nil {
-		t.Fatalf("recovery after torn write: %v", err)
-	}
-	defer s2.Close()
-	if s2.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s2.Len())
-	}
-	v, err := s2.Get(1)
-	if err != nil || string(v) != "complete" {
-		t.Fatalf("Get(1) = (%q,%v)", v, err)
-	}
-	// The store must be writable again after truncating the torn tail.
-	if err := s2.Put(2, []byte("after")); err != nil {
-		t.Fatal(err)
-	}
-	v, err = s2.Get(2)
-	if err != nil || string(v) != "after" {
-		t.Fatalf("Get(2) = (%q,%v)", v, err)
-	}
+		s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
+		if err != nil {
+			t.Fatalf("recovery after torn write: %v", err)
+		}
+		defer s2.Close()
+		if s2.Len() != 1 {
+			t.Fatalf("Len = %d, want 1", s2.Len())
+		}
+		v, err := s2.Get(1)
+		if err != nil || string(v) != "complete" {
+			t.Fatalf("Get(1) = (%q,%v)", v, err)
+		}
+		// The store must be writable again after truncating the torn tail,
+		// in the log that was torn.
+		after := keysOnShardOf(1, shards, 2)[1]
+		if err := s2.Put(after, []byte("after")); err != nil {
+			t.Fatal(err)
+		}
+		v, err = s2.Get(after)
+		if err != nil || string(v) != "after" {
+			t.Fatalf("Get(%d) = (%q,%v)", after, v, err)
+		}
+	})
 }
 
 // TestDiskStoreTornValueRecovery covers the other torn-write shape: a
-// complete 12-byte header whose value bytes were only partially written.
+// complete record header whose value bytes were only partially written.
 // Recovery must discard the tail record — keeping the key's previous
 // version — and the truncation must survive further restarts.
 func TestDiskStoreTornValueRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "records.log")
-	s, err := OpenDisk(path, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(1, []byte("one-v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(2, []byte("two")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Torn value for key 1: the header claims 100 bytes, only 20 landed.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr := make([]byte, 12)
-	hdr[7] = 1    // key 1, big-endian
-	hdr[11] = 100 // value length 100
-	if _, err := f.Write(append(hdr, bytes.Repeat([]byte{0xAB}, 20)...)); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s2, err := OpenDisk(path, DiskOptions{})
-	if err != nil {
-		t.Fatalf("recovery after torn value: %v", err)
-	}
-	if s2.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s2.Len())
-	}
-	// The torn overwrite must not shadow the intact earlier version.
-	if v, err := s2.Get(1); err != nil || string(v) != "one-v1" {
-		t.Fatalf("Get(1) = (%q,%v), want the pre-torn version", v, err)
-	}
-	if err := s2.Put(3, []byte("three")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second restart: the truncated log plus the new record must recover
-	// cleanly — the tail repair is durable, not a one-shot in-memory fix.
-	s3, err := OpenDisk(path, DiskOptions{})
-	if err != nil {
-		t.Fatalf("second recovery: %v", err)
-	}
-	defer s3.Close()
-	if s3.Len() != 3 {
-		t.Fatalf("Len after second recovery = %d, want 3", s3.Len())
-	}
-	for key, want := range map[uint64]string{1: "one-v1", 2: "two", 3: "three"} {
-		if v, err := s3.Get(key); err != nil || string(v) != want {
-			t.Fatalf("Get(%d) = (%q,%v), want %q", key, v, err, want)
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		dir := t.TempDir()
+		s := openSharded(t, dir, ShardedDiskOptions{Shards: shards})
+		// Three keys of one log: the torn record and the post-repair write
+		// land where the intact versions live.
+		same := keysOnShardOf(1, shards, 3)
+		if err := s.Put(same[0], []byte("one-v1")); err != nil {
+			t.Fatal(err)
 		}
-	}
+		if err := s.Put(same[1], []byte("two")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Torn value for key 1: the header claims 100 bytes, only 20 landed.
+		hdr := make([]byte, recHdrV2)
+		hdr[7] = 1    // key 1, big-endian
+		hdr[11] = 100 // value length 100
+		appendRaw(t, dir, 1, shards, append(hdr, bytes.Repeat([]byte{0xAB}, 20)...))
+
+		s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
+		if err != nil {
+			t.Fatalf("recovery after torn value: %v", err)
+		}
+		if s2.Len() != 2 {
+			t.Fatalf("Len = %d, want 2", s2.Len())
+		}
+		// The torn overwrite must not shadow the intact earlier version.
+		if v, err := s2.Get(1); err != nil || string(v) != "one-v1" {
+			t.Fatalf("Get(1) = (%q,%v), want the pre-torn version", v, err)
+		}
+		if err := s2.Put(same[2], []byte("three")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Second restart: the truncated log plus the new record must recover
+		// cleanly — the tail repair is durable, not a one-shot in-memory fix.
+		s3, err := OpenShardedDisk(dir, ShardedDiskOptions{})
+		if err != nil {
+			t.Fatalf("second recovery: %v", err)
+		}
+		defer s3.Close()
+		if s3.Len() != 3 {
+			t.Fatalf("Len after second recovery = %d, want 3", s3.Len())
+		}
+		for key, want := range map[uint64]string{same[0]: "one-v1", same[1]: "two", same[2]: "three"} {
+			if v, err := s3.Get(key); err != nil || string(v) != want {
+				t.Fatalf("Get(%d) = (%q,%v), want %q", key, v, err, want)
+			}
+		}
+	})
 }
 
 // ---- Calibration benchmarks for the Section 5.7 storage experiment. ----
@@ -354,17 +399,18 @@ func BenchmarkMemStorePut(b *testing.B) {
 }
 
 func BenchmarkDiskStorePut(b *testing.B) {
-	s, err := OpenDisk(filepath.Join(b.TempDir(), "bench.log"), DiskOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	val := bytes.Repeat([]byte{0x11}, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Put(uint64(i%600000), val); err != nil {
-			b.Fatal(err)
-		}
+	for _, shards := range shardCounts {
+		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
+			s := openSharded(b, b.TempDir(), ShardedDiskOptions{Shards: shards})
+			defer s.Close()
+			val := bytes.Repeat([]byte{0x11}, 100)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Put(uint64(i%600000), val); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -386,21 +432,22 @@ func BenchmarkMemStoreGet(b *testing.B) {
 }
 
 func BenchmarkDiskStoreGet(b *testing.B) {
-	s, err := OpenDisk(filepath.Join(b.TempDir(), "bench.log"), DiskOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	val := bytes.Repeat([]byte{0x11}, 100)
-	for i := uint64(0); i < 1000; i++ {
-		if err := s.Put(i, val); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Get(uint64(i % 1000)); err != nil {
-			b.Fatal(err)
-		}
+	for _, shards := range shardCounts {
+		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
+			s := openSharded(b, b.TempDir(), ShardedDiskOptions{Shards: shards})
+			defer s.Close()
+			val := bytes.Repeat([]byte{0x11}, 100)
+			for i := uint64(0); i < 1000; i++ {
+				if err := s.Put(i, val); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Get(uint64(i % 1000)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
