@@ -47,9 +47,10 @@
 //     aligns S with the execution shard count so each execution shard
 //     streams its write partition to a private log.
 //   - -store-sync D: durability. 0 (default) never fsyncs; with D > 0
-//     the sharded backend group-commits on a D fsync linger (writes
-//     are visible once appended; no response leaves before a covering
-//     fsync).
+//     the sharded backend group-commits (writes are visible once
+//     appended; no response leaves before a covering fsync) and D is the
+//     minimum spacing between one shard's fsyncs; an idle shard syncs at
+//     once.
 //   - -store-compact-ratio R: checkpoint-driven log compaction for the
 //     sharded backend. When a stable checkpoint fires, any shard log whose
 //     garbage fraction (dead bytes / total bytes) reaches R is rewritten
@@ -157,7 +158,7 @@ func run() int {
 	storeBackend := flag.String("store-backend", "mem", "record store: mem | sharded (durable, group-commit, one log per shard)")
 	storeDir := flag.String("store-dir", "", "root directory for the sharded store (default resdb-data/replica-<id>)")
 	storeShards := flag.Int("store-shards", 0, "append logs for the sharded store backend (0 aligns with the execution shard count)")
-	storeSync := flag.Duration("store-sync", 0, "fsync policy: 0 never fsyncs; >0 group-commits the sharded store on this linger")
+	storeSync := flag.Duration("store-sync", 0, "fsync policy: 0 never fsyncs; >0 group-commits the sharded store with this minimum spacing between one shard's fsyncs; an idle shard syncs at once")
 	storeCompactRatio := flag.Float64("store-compact-ratio", 0, "garbage ratio (dead/total log bytes) past which a stable checkpoint compacts a shard log (0 = default 0.5, negative disables compaction)")
 	storeCompactMin := flag.Int64("store-compact-min-bytes", 0, "log size below which checkpoint-driven compaction never rewrites (0 = default 1 MiB, negative removes the floor)")
 	storeReadIndex := flag.Int("store-read-index", 0, "in-memory read index over the sharded store so local reads never touch a shard log or lock (0 = default on, -1 disables)")

@@ -20,9 +20,10 @@ var DiskTuning = struct {
 	// Shards is the sharded backend's append-log count; 0 aligns it with
 	// the execution shard count.
 	Shards int
-	// Sync is the fsync linger of the disk-backed rows: the sharded rows
-	// share each window's fsync across everything appended in it, the
-	// serial row waits one out per Put.
+	// Sync is the minimum spacing between one shard's fsyncs on the
+	// disk-backed rows; an idle shard syncs at once. The sharded rows share
+	// an fsync across everything appended since the last, the serial row
+	// waits for one per Put.
 	Sync time.Duration
 	// Depth is the cross-batch execution pipelining depth for the
 	// sharded-store row.
@@ -54,8 +55,8 @@ const diskpipeExecShards = 4
 //     paper measures at ~94% of throughput.
 //   - sharded-gc: the refactored store — one append log per execution
 //     shard (each shard worker streams its write partition to a private
-//     log), group commit amortizing the fsync across every write in a
-//     linger window, and cross-batch execution pipelining keeping the
+//     log), group commit amortizing the fsync across every write since
+//     the last one, and cross-batch execution pipelining keeping the
 //     shards fed across batch barriers.
 //   - sharded-gc-rmix: the same store under half reads ordered through
 //     consensus. A read needs the writes before it appended, not durable,

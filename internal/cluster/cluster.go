@@ -76,7 +76,7 @@ type Options struct {
 	// StoreBackend selects the record store when StoreFactory is nil:
 	// "mem" (default) keeps records in memory (the paper's recommended
 	// configuration, Section 6 "Memory Storage"); "sharded" is the durable
-	// group-commit store (one append log per shard, fsync linger
+	// group-commit store (one append log per shard, fsync spacing
 	// StoreSync). store.OpenBackend validates the name.
 	StoreBackend string
 	// StoreDir is the root directory for disk-backed stores; each replica
@@ -85,8 +85,9 @@ type Options struct {
 	// StoreShards is the sharded backend's log count; 0 aligns it with
 	// ExecuteThreads so each execution shard streams to a private log.
 	StoreShards int
-	// StoreSync enables durability on the sharded backend: it is the
-	// group-commit fsync linger. 0 (default) never fsyncs.
+	// StoreSync enables durability on the sharded backend: > 0 group-commits
+	// and is the minimum spacing between one shard's fsyncs; an idle shard
+	// syncs at once. 0 (default) never fsyncs.
 	StoreSync time.Duration
 	// StoreCompactRatio is the sharded backend's garbage-ratio compaction
 	// threshold (dead bytes / total log bytes, checked per shard log when
@@ -743,7 +744,7 @@ func (c *Cluster) WaitForHeight(h uint64, timeout time.Duration, live func(int) 
 // has already retired past H — their stores legitimately differ until
 // retirement converges.
 // A momentary agreement is not enough: requests already inside the
-// pipeline when the load stops (inbox queues, the batch linger) can
+// pipeline when the load stops (inbox queues, the batch stage) can
 // still commit a straggler batch after a snapshot observes agreement,
 // so the settled state must also hold still for a dwell window before
 // it is trusted.

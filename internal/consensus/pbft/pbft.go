@@ -99,6 +99,14 @@ func newInstance() *instance {
 	}
 }
 
+// revote clears an instance's votes so they can be collected again in a
+// newer view; whether it was released stays.
+func (in *instance) revote() {
+	in.prepares = make(map[types.Digest]map[types.ReplicaID]bool)
+	in.commits = make(map[types.Digest]map[types.ReplicaID][]byte)
+	in.sentCommit = false
+}
+
 // numStripes shards the instance table; with a watermark window of 4096
 // open instances, 64 stripes keep the expected lock collision rate between
 // two lanes stepping different sequence numbers under 2%.
@@ -455,8 +463,15 @@ func (e *Engine) onPrePrepare(from types.ReplicaID, m *types.PrePrepare) []conse
 				Detail:  fmt.Sprintf("equivocating pre-prepares at seq %d", m.Seq),
 			}}
 		}
-		e.stats.Dropped.Add(1) // duplicate
-		return nil
+		if in.view >= m.View {
+			e.stats.Dropped.Add(1) // duplicate
+			return nil
+		}
+		// A new view's primary re-proposed a batch this replica already
+		// released in an older view: run the vote again in the new view,
+		// so a replica that had not committed the batch can assemble its
+		// quorum, without executing it twice (advance releases once).
+		in.revote()
 	}
 	in.view = m.View
 	in.digest = m.Digest
@@ -880,6 +895,7 @@ func (e *Engine) enterNewView(nv *types.NewView) []consensus.Action {
 			s := e.stripeFor(pp.Seq)
 			s.mu.Lock()
 			in := s.inst(pp.Seq)
+			in.revote()
 			in.view = nv.View
 			in.digest = pp.Digest
 			in.havePP = true

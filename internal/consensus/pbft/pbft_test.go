@@ -392,6 +392,41 @@ func TestViewChangeRecoversPreparedBatch(t *testing.T) {
 	}
 }
 
+func TestViewChangeRevotesReleasedBatch(t *testing.T) {
+	// A batch commits and executes at three replicas while the fourth sees
+	// none of it; then the primary crashes. With exactly 2f+1 replicas left,
+	// the one behind can commit the re-proposed batch only if the two that
+	// already executed it vote for it again in the new view — and they must
+	// not execute it again.
+	c := newCluster(t, 4, nil)
+	req := enginetest.MakeRequest(1, 1)
+	c.Down[3] = true
+	c.Propose(0, []types.ClientRequest{req})
+	c.Run(100_000)
+	for r := 0; r < 3; r++ {
+		if got := c.ExecutedDigests(types.ReplicaID(r)); len(got) != 1 {
+			t.Fatalf("replica %d executed %d/1 before the crash", r, len(got))
+		}
+	}
+	c.Down[3], c.Down[0] = false, true
+	for r := 1; r < 4; r++ {
+		c.Timeout(types.ReplicaID(r))
+	}
+	c.Run(1_000_000)
+	c.Propose(1, []types.ClientRequest{enginetest.MakeRequest(2, 1)})
+	c.Run(1_000_000)
+	want := types.BatchDigest([]types.ClientRequest{req})
+	for r := 1; r < 4; r++ {
+		got := c.ExecutedDigests(types.ReplicaID(r))
+		if len(got) != 2 || got[0] != want {
+			t.Fatalf("replica %d executed %d/2 batches after the view change", r, len(got))
+		}
+		if n := c.Engines[r].Stats().Executed; n != 2 {
+			t.Fatalf("replica %d released %d batches for execution, want 2: a re-vote must not re-execute", r, n)
+		}
+	}
+}
+
 func TestViewChangeJoinOnFPlusOne(t *testing.T) {
 	// Only f+1 = 2 replicas time out; the remaining honest replica must
 	// join the view change anyway so it completes.

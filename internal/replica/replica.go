@@ -86,12 +86,10 @@ type Config struct {
 	N  int
 	// Protocol selects PBFT or Zyzzyva.
 	Protocol Protocol
-	// BatchSize is the number of transactions aggregated per consensus
-	// batch (the paper's default is 100, Section 5.1).
+	// BatchSize caps the transactions aggregated per consensus batch (the
+	// paper's default is 100, Section 5.1): the batch stage proposes what
+	// is queued, up to this many, and never waits for more.
 	BatchSize int
-	// BatchLinger flushes a partial batch after this much quiet time so
-	// lightly loaded systems keep bounded latency.
-	BatchLinger time.Duration
 	// BatchThreads is B: 0 folds batching into the worker-thread.
 	BatchThreads int
 	// ExecuteThreads is E, the number of execution shards: 0 folds
@@ -252,9 +250,6 @@ func (c *Config) fill() error {
 	if c.BatchSize < 1 {
 		c.BatchSize = 100
 	}
-	if c.BatchLinger <= 0 {
-		c.BatchLinger = 2 * time.Millisecond
-	}
 	if c.OutputThreads < 1 {
 		c.OutputThreads = 2
 	}
@@ -349,8 +344,11 @@ type Stats struct {
 	View         types.View
 	LedgerHeight uint64
 	// BusyNS is cumulative busy time per stage, the runtime analogue of
-	// the Figure 9 saturation measurement. The worker entry aggregates
-	// all lanes; WorkerLaneBusyNS has the per-lane split.
+	// the Figure 9 saturation measurement. Busy means working: the batch
+	// entry is assembling, verifying and proposing, not time parked on an
+	// empty queue or a full watermark window, as the execute entry leaves
+	// out time parked on a barrier. The worker entry aggregates all lanes;
+	// WorkerLaneBusyNS has the per-lane split.
 	BusyNS [stageCount]uint64
 	// WorkerLanes is the number of worker lanes actually running (1 for
 	// engines that require serialized stepping, regardless of the

@@ -280,11 +280,14 @@ func (r *Replica) isPrimaryHint() bool {
 
 // ---- Batch stage (Section 4.3) ----
 
-// batchLoop is one batch-thread: it drains the shared lock-free queue,
-// assembles up to BatchSize transactions (flushing after BatchLinger),
-// verifies client signatures, and proposes the batch. Waiting for the
-// first request of a batch and lingering for stragglers both park on the
-// queue's blocking API — an idle batch-thread burns no CPU.
+// batchLoop is one batch-thread: it parks on the shared lock-free queue for
+// the first request of a batch, takes whatever else is already queued up to
+// BatchSize transactions, verifies client signatures, and proposes. It
+// never waits for stragglers: while propose verifies and steps the engine
+// the queue builds, and the next drain takes it, so load fills batches by
+// itself and an idle primary proposes a lone request at once. Busy time is
+// assembling, verifying and proposing; time parked on the empty queue or on
+// a full watermark window is not counted.
 func (r *Replica) batchLoop() {
 	defer r.stage1Wg.Done()
 	for {
@@ -296,24 +299,24 @@ func (r *Replica) batchLoop() {
 		reqs := []types.ClientRequest{*first}
 		txns := len(first.Txns)
 		r.reqPool.Put(first)
-		deadline := t0.Add(r.cfg.BatchLinger)
 		for txns < r.cfg.BatchSize {
-			next, ok := r.batchQ.PopWait(time.Until(deadline))
+			next, ok := r.batchQ.TryPop()
 			if !ok {
-				break // linger expired or queue closed: flush what we have
+				break // queue drained: propose what we have
 			}
 			reqs = append(reqs, *next)
 			txns += len(next.Txns)
 			r.reqPool.Put(next)
 		}
-		r.propose(reqs)
-		r.addBusy(StageBatch, time.Since(t0))
+		parked := r.propose(reqs)
+		r.addBusy(StageBatch, time.Since(t0)-parked)
 	}
 }
 
 // propose verifies client signatures and drives the engine's Propose,
-// retrying while the watermark window is full.
-func (r *Replica) propose(reqs []types.ClientRequest) {
+// retrying while the watermark window is full. It returns how long it sat
+// parked in awaitProgress, which is waiting, not work.
+func (r *Replica) propose(reqs []types.ClientRequest) (parked time.Duration) {
 	if len(reqs) == 0 {
 		return
 	}
@@ -323,17 +326,23 @@ func (r *Replica) propose(reqs []types.ClientRequest) {
 			return
 		}
 	}
+	park := func() bool {
+		t0 := time.Now()
+		ok := r.awaitProgress()
+		parked += time.Since(t0)
+		return ok
+	}
 	for {
 		if r.cfg.DisableOutOfOrder {
 			// Ablation: strictly one consensus instance at a time.
 			for r.inflight.Load() > 0 {
-				if !r.awaitProgress() {
-					return
+				if !park() {
+					return parked
 				}
 			}
 		}
 		if !r.engine.IsPrimary() {
-			return // lost the primary role; clients will retransmit
+			return parked // lost the primary role; clients will retransmit
 		}
 		acts := r.engine.Propose(reqs)
 		if acts != nil {
@@ -341,12 +350,12 @@ func (r *Replica) propose(reqs []types.ClientRequest) {
 				r.inflight.Add(1)
 			}
 			r.handleActions(acts)
-			return
+			return parked
 		}
 		// Watermark window full (or the primary role was lost between the
 		// check and the call): park until execution catches up.
-		if !r.awaitProgress() {
-			return
+		if !park() {
+			return parked
 		}
 	}
 }
@@ -413,47 +422,27 @@ func (r *Replica) signalProgress() {
 // ---- Worker stage (Sections 4.3–4.4) ----
 
 // workerLoop is lane 0: it drives the consensus engine over control and
-// lane-0 consensus traffic and (in 0B mode) also assembles batches.
+// lane-0 consensus traffic and (in 0B mode) also assembles batches, by the
+// batch stage's rule: a pending batch is proposed when it is full or when
+// the lane's queue drains, never on a timer.
 func (r *Replica) workerLoop() {
 	defer r.stage1Wg.Done()
 	var pend []types.ClientRequest
 	pendTxns := 0
-	var lingerC <-chan time.Time
-
-	flush := func() {
-		if len(pend) > 0 {
-			r.propose(pend)
-			pend = nil
-			pendTxns = 0
+	for item := range r.workQs[0] {
+		t0 := time.Now()
+		if item.req != nil {
+			pend = append(pend, *item.req)
+			pendTxns += len(item.req.Txns)
+		} else {
+			r.processItem(item)
 		}
-		lingerC = nil
-	}
-
-	for {
-		select {
-		case item, ok := <-r.workQs[0]:
-			if !ok {
-				flush()
-				return
-			}
-			t0 := time.Now()
-			if item.req != nil {
-				pend = append(pend, *item.req)
-				pendTxns += len(item.req.Txns)
-				if pendTxns >= r.cfg.BatchSize {
-					flush()
-				} else if lingerC == nil {
-					lingerC = time.After(r.cfg.BatchLinger)
-				}
-			} else {
-				r.processItem(item)
-			}
-			r.addLaneBusy(0, time.Since(t0))
-		case <-lingerC:
-			t0 := time.Now()
-			flush()
-			r.addLaneBusy(0, time.Since(t0))
+		var parked time.Duration
+		if len(pend) > 0 && (pendTxns >= r.cfg.BatchSize || len(r.workQs[0]) == 0) {
+			parked = r.propose(pend)
+			pend, pendTxns = nil, 0
 		}
+		r.addLaneBusy(0, time.Since(t0)-parked)
 	}
 }
 

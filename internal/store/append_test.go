@@ -4,17 +4,37 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// A linger far longer than any test step: whatever is appended before the
-// first wait falls inside one group-commit window, or — for the tests that
-// never let the window expire — no committer fsync happens at all.
+// A linger far longer than any test step: on a primed shard whatever is
+// appended before the first wait falls inside one spacing interval and
+// shares the fsync that ends it, or — for the tests that never let the
+// interval expire — no further committer fsync happens at all.
 const (
 	oneWindow  = 100 * time.Millisecond
 	neverFires = time.Minute
 )
+
+// primeKey is far above every key the tests below write or scan.
+const primeKey = 1 << 40
+
+// prime makes one durable append to every shard and returns the fsyncs that
+// cost. An idle shard syncs at once, so on a fresh store the linger holds
+// nothing back; after priming, every shard's committer has just started an
+// fsync and the linger is what stands between it and the next.
+func prime(t *testing.T, s *ShardedDiskStore) uint64 {
+	t.Helper()
+	for i := range s.shards {
+		if err := s.Put(keyInShard(primeKey, i, len(s.shards)), []byte("prime")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s.SyncStats().Fsyncs
+}
 
 // keyInShard returns the first key at or after from that ShardOf maps to
 // shard.
@@ -46,6 +66,7 @@ func TestAppendVisibleThenDurable(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			primed := prime(t, s)
 			const n = 5
 			var tickets []Ticket
 			var ticket Ticket
@@ -72,16 +93,16 @@ func TestAppendVisibleThenDurable(t *testing.T) {
 			if len(rows) != 2*n || rows[0] != "0=a-0" || rows[2*n-1] != fmt.Sprintf("%d=b-%d", 2*n-1, n-1) {
 				t.Fatalf("Scan over appended, unsynced writes = %v", rows)
 			}
-			if got := s.SyncStats().Fsyncs; got != 0 {
-				t.Fatalf("%d fsyncs before anyone waited inside the first window", got)
+			if got := s.SyncStats().Fsyncs - primed; got != 0 {
+				t.Fatalf("%d fsyncs before anyone waited inside the spacing interval", got)
 			}
 
 			if err := s.WaitDurable(ticket); err != nil {
 				t.Fatal(err)
 			}
 			after := s.SyncStats()
-			if after.Fsyncs != 1 {
-				t.Fatalf("%d appends and one wait cost %d fsyncs, want exactly 1", n, after.Fsyncs)
+			if got := after.Fsyncs - primed; got != 1 {
+				t.Fatalf("%d appends and one wait cost %d fsyncs, want exactly 1", n, got)
 			}
 			for i, earlier := range tickets {
 				if err := s.WaitDurable(earlier); err != nil {
@@ -183,10 +204,11 @@ func TestAppendStickySyncError(t *testing.T) {
 	}
 }
 
-// TestAppendWaitersReleasedByCloseAndCompact: a waiter parked on a window
-// that never expires is released by the two other events that make its
-// writes durable — Close's final fsync and a completed compaction rewrite
-// — each counted as the one covering fsync, with no error.
+// TestAppendWaitersReleasedByCloseAndCompact: a waiter parked behind a
+// spacing interval that never expires is released by the two other events
+// that make its writes durable — Close's final fsync and a completed
+// compaction rewrite — each counted as the one covering fsync, with no
+// error.
 func TestAppendWaitersReleasedByCloseAndCompact(t *testing.T) {
 	releasers := map[string]func(*ShardedDiskStore) error{
 		"close":   (*ShardedDiskStore).Close,
@@ -200,6 +222,7 @@ func TestAppendWaitersReleasedByCloseAndCompact(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			primed := prime(t, s)
 			ticket, err := s.Append([]KV{{Key: 9, Value: []byte("nine")}}, Ticket{})
 			if err != nil {
 				t.Fatal(err)
@@ -222,8 +245,8 @@ func TestAppendWaitersReleasedByCloseAndCompact(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("waiter still parked")
 			}
-			if got := s.SyncStats().Fsyncs; got != 1 {
-				t.Fatalf("Fsyncs = %d, want the one covering sync", got)
+			if got := s.SyncStats().Fsyncs - primed; got != 1 {
+				t.Fatalf("Fsyncs = %d after priming, want the one covering sync", got)
 			}
 			s.Close()
 			s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
@@ -235,5 +258,76 @@ func TestAppendWaitersReleasedByCloseAndCompact(t *testing.T) {
 				t.Fatalf("recovered Get(9) = (%q,%v)", v, err)
 			}
 		})
+	}
+}
+
+// TestIdleShardSyncsAtOnce: the linger spaces fsyncs, it does not delay the
+// first. On a fresh shard nothing has synced within the last hour, so an
+// append's fsync starts at once and its waiter pays one fsync, not an hour
+// and one fsync.
+func TestIdleShardSyncsAtOnce(t *testing.T) {
+	s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 1, SyncLinger: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ticket, err := s.Append([]KV{{Key: 1, Value: []byte("one")}}, Ticket{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- s.WaitDurable(ticket) }()
+	select {
+	case err := <-waited:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first waiter on an idle shard is still parked: the committer slept before its fsync")
+	}
+	if got := s.SyncStats().Fsyncs; got != 1 {
+		t.Fatalf("Fsyncs = %d, want 1", got)
+	}
+}
+
+// TestSyncSpacingCapsFsyncs is the promise SyncLinger's docs make: under a
+// steady stream of durable writes for T, one shard's committer completes at
+// most T/SyncLinger + 1 fsyncs (consecutive fsyncs start at least a linger
+// apart, and the first may start at once), and the writers share them.
+func TestSyncSpacingCapsFsyncs(t *testing.T) {
+	const (
+		linger  = 20 * time.Millisecond
+		stream  = 300 * time.Millisecond
+		writers = 4
+	)
+	s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 1, SyncLinger: linger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var puts atomic.Uint64
+	var wg sync.WaitGroup
+	t0 := time.Now()
+	for w := uint64(0); w < writers; w++ {
+		wg.Add(1)
+		go func(w uint64) {
+			defer wg.Done()
+			for k := w << 32; time.Since(t0) < stream; k++ {
+				if err := s.Put(k, []byte("v")); err != nil {
+					t.Error(err)
+					return
+				}
+				puts.Add(1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	fsyncs := s.SyncStats().Fsyncs
+	limit := uint64(time.Since(t0)/linger) + 1
+	if fsyncs > limit {
+		t.Fatalf("%d fsyncs in %v at SyncLinger %v, want at most %d", fsyncs, time.Since(t0), linger, limit)
+	}
+	if fsyncs < 2 || puts.Load() <= fsyncs {
+		t.Fatalf("%d durable puts over %d fsyncs: the stream never exercised the spacing or shared no fsync", puts.Load(), fsyncs)
 	}
 }

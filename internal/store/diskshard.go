@@ -25,13 +25,14 @@ import (
 //     workers (with an aligned shard count) stream their key partitions
 //     to private logs.
 //   - With SyncLinger > 0 a per-shard committer fsyncs at most once per
-//     linger window, covering every write appended before the sync
-//     (group commit). Visible and durable are separate events (Appender):
-//     an append is readable at once and returns a ticket, and whoever must
-//     not act before the write is safe waits on the ticket, so durability
-//     is real but N appends in a window share one fsync instead of paying
-//     N, and the appending goroutine never waits for the disk. Put and
-//     PutMany are the synchronous form, append then wait.
+//     SyncLinger, covering every write appended before the sync (group
+//     commit); an idle shard syncs at once. Visible and durable are
+//     separate events (Appender): an append is readable at once and
+//     returns a ticket, and whoever must not act before the write is safe
+//     waits on the ticket, so durability is real but N appends between two
+//     syncs share one fsync instead of paying N, and the appending
+//     goroutine never waits for the disk. Put and PutMany are the
+//     synchronous form, append then wait.
 //
 // Each shard's log is a CRC-32C-per-record log (see format.go; a pre-CRC
 // v1 log is upgraded once, at open): on open a torn tail or any record
@@ -83,7 +84,7 @@ type diskLogShard struct {
 	// Group commit: appended counts append operations, synced the prefix
 	// of them covered by a completed fsync. An append's ticket is the value
 	// of appended it produced; WaitDurable blocks until synced reaches it,
-	// and the committer advances synced once per linger window. syncErr is
+	// and the committer advances synced at most once per linger. syncErr is
 	// sticky — after a failed fsync the shard refuses further appends
 	// rather than lying about durability.
 	// syncing marks an fsync in flight on f outside the lock, so
@@ -109,9 +110,10 @@ type ShardedDiskOptions struct {
 	// with a conflicting non-zero count is an error.
 	Shards int
 	// SyncLinger selects durability: 0 never fsyncs (writes reach the page
-	// cache only); > 0 group-commits with that fsync linger, so every
-	// Put/PutMany returns only after a covering fsync and every Append
-	// ticket can be waited on for one.
+	// cache only); > 0 group-commits, so every Put/PutMany returns only
+	// after a covering fsync and every Append ticket can be waited on for
+	// one, and is the minimum spacing between one shard's fsyncs; an idle
+	// shard syncs at once.
 	SyncLinger time.Duration
 	// CompactRatio is the per-shard garbage fraction (dead bytes / total
 	// log bytes) past which MaybeCompact rewrites that shard's log. 0
@@ -290,31 +292,31 @@ func (sh *diskLogShard) appendLocked(kvs []KV) error {
 	return nil
 }
 
-// commitLoop is one shard's group committer: woken by the first dirty
-// append, it lingers to collect a group, fsyncs once, and releases every
-// WaitDurable the sync covered. Appends that land during the fsync re-arm
-// it.
+// commitLoop is one shard's group committer: woken by a dirty append, it
+// fsyncs once and releases every WaitDurable the sync covered. The linger
+// is spacing, not sleep: an fsync starts at once unless this shard's
+// previous one started less than a linger ago, and then only the remainder
+// is waited out — so an idle shard's first waiter pays one fsync, and under
+// load the appends that land during an fsync or inside the spacing re-arm
+// the committer and share the next one.
 func (s *ShardedDiskStore) commitLoop(sh *diskLogShard) {
 	defer s.wg.Done()
-	timer := time.NewTimer(s.linger)
-	if !timer.Stop() {
-		<-timer.C
-	}
+	var lastStart time.Time
+	spacing := time.NewTimer(0)
+	<-spacing.C // expired and drained, as every Reset below finds it
 	for {
 		select {
 		case <-sh.dirtyC:
 		case <-s.stop:
 			return
 		}
-		// Linger: let more writers join the group before paying the fsync.
-		timer.Reset(s.linger)
-		select {
-		case <-timer.C:
-		case <-s.stop:
-			if !timer.Stop() {
-				<-timer.C
+		if wait := s.linger - time.Since(lastStart); wait > 0 {
+			spacing.Reset(wait)
+			select {
+			case <-spacing.C:
+			case <-s.stop:
+				return
 			}
-			return
 		}
 
 		sh.mu.Lock()
@@ -329,11 +331,12 @@ func (s *ShardedDiskStore) commitLoop(sh *diskLogShard) {
 		}
 		sh.mu.Unlock()
 		if skip {
-			// An append armed dirtyC during a linger window whose fsync (or
-			// a compaction rewrite) already covered it; nothing to sync.
+			// An append armed dirtyC while an fsync (or a compaction
+			// rewrite) that covered it was in flight; nothing to sync.
 			continue
 		}
 
+		lastStart = time.Now()
 		err := f.Sync() // outside the lock: appends may proceed meanwhile
 
 		sh.mu.Lock()
@@ -477,11 +480,11 @@ func (s *ShardedDiskStore) WaitDurable(t Ticket) error {
 	if sh.synced >= t.seq {
 		return nil
 	}
-	// Arm again: the append's own arm was consumed by the window now in
-	// progress, and a committer that finds the flag set after its fsync
-	// opens the next window at once, so under a steady stream of appends
-	// the windows run back to back instead of each append opening its own
-	// a think-time later.
+	// Arm again: the append's own arm was consumed by the fsync now in
+	// flight, and a committer that finds the flag set after its fsync goes
+	// straight on to the next, a linger after this one started, so under a
+	// steady stream of appends the fsyncs run at the spacing instead of
+	// each append starting its own a think-time later.
 	sh.arm()
 	t0 := time.Now()
 	for sh.synced < t.seq && sh.syncErr == nil && !sh.closed {
