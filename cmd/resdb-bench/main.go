@@ -5,16 +5,9 @@
 //	resdb-bench -list
 //	resdb-bench -experiment fig10
 //	resdb-bench -experiment all -scale paper -out results.txt
-//	resdb-bench -experiment tcpbatch -net-batch 128 -net-linger 200us
 //
 // Scale "small" (default) shrinks populations so the full suite finishes
 // in minutes; "paper" uses the paper's populations (80K clients).
-//
-// The tcpbatch experiment measures the transport layer directly: batched
-// TCP frames against per-envelope frames. -net-batch sets the maximum
-// envelopes coalesced per frame and -net-linger how long a partial batch
-// waits for more envelopes before flushing (0 flushes when the outbound
-// queue drains).
 //
 // The workerscale experiment runs the real replica pipeline and sweeps
 // the consensus worker lanes from 1 to -worker-threads in powers of two,
@@ -54,22 +47,20 @@
 // layers an ambient link fault under every scenario so the matrix can be
 // rerun on an already-degraded network.
 //
-// -json-dir additionally writes each experiment's metrics as
-// BENCH_<id>.json into the given directory — the machine-readable
-// artifact CI archives.
+// End-to-end throughput, latency, allocations per transaction and the
+// per-layer account (transport, codec, crypto, pools, gateway) are not
+// measured here: go run -C benchmark resilientdb/benchmark is the harness
+// every claim is measured with.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"resilientdb/internal/bench"
 	"resilientdb/internal/chaos"
-	"resilientdb/internal/transport"
 )
 
 func main() {
@@ -81,8 +72,6 @@ func run() int {
 	experiment := flag.String("experiment", "all", "experiment id (e.g. fig10) or 'all'")
 	scaleName := flag.String("scale", "small", "small | paper")
 	outPath := flag.String("out", "", "also write results to this file")
-	netBatch := flag.Int("net-batch", transport.DefaultBatchMax, "tcpbatch: max envelopes per TCP batch frame")
-	netLinger := flag.Duration("net-linger", 0, "tcpbatch: partial-batch flush delay (0 flushes when the queue drains)")
 	workerThreads := flag.Int("worker-threads", 4, "workerscale: largest worker-lane count in the sweep")
 	execShards := flag.Int("execute-shards", 4, "execshards: largest execution-shard count in the sweep")
 	storeShards := flag.Int("store-shards", 0, "diskpipe: append logs for the sharded store (0 aligns with the execution shards)")
@@ -91,11 +80,8 @@ func run() int {
 	compactRatio := flag.Float64("store-compact-ratio", 0, "compaction/diskpipe: garbage ratio past which a shard log is compacted (0 = store default 0.5, negative disables)")
 	compactMin := flag.Int64("store-compact-min-bytes", 0, "compaction/diskpipe: log size floor for threshold-driven compaction (0 = store default 1 MiB, negative removes the floor)")
 	chaosSpec := flag.String("chaos", "", "faults: ambient link fault layered under every scenario, drop=P,dup=P,corrupt=P,delay=D,reorder=D,seed=N (empty = fault-free between injections)")
-	jsonDir := flag.String("json-dir", "", "also write each experiment's metrics as BENCH_<id>.json into this directory")
 	flag.Parse()
 
-	bench.TCPTuning.BatchMax = *netBatch
-	bench.TCPTuning.Linger = *netLinger
 	if *workerThreads >= 1 {
 		bench.WorkerTuning.MaxThreads = *workerThreads
 	}
@@ -164,36 +150,10 @@ func run() int {
 	}
 
 	for _, e := range targets {
-		out, err := bench.RunAndRender(e, scale, w)
-		if err != nil {
+		if _, err := bench.RunAndRender(e, scale, w); err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			return 1
 		}
-		if *jsonDir != "" {
-			if err := writeJSON(*jsonDir, e.ID, *scaleName, out); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-		}
 	}
 	return 0
-}
-
-// writeJSON records one experiment's metrics as BENCH_<id>.json — the
-// machine-readable counterpart to the rendered tables, keyed exactly like
-// Outcome.Metrics.
-func writeJSON(dir, id, scale string, out bench.Outcome) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	doc := struct {
-		Experiment string             `json:"experiment"`
-		Scale      string             `json:"scale"`
-		Metrics    map[string]float64 `json:"metrics"`
-	}{Experiment: id, Scale: scale, Metrics: out.Metrics}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_"+id+".json"), append(data, '\n'), 0o644)
 }

@@ -30,16 +30,13 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
+	"resilientdb/cmd/internal/deploy"
 	"resilientdb/internal/cluster"
-	clientengine "resilientdb/internal/consensus/client"
-	"resilientdb/internal/crypto"
 	"resilientdb/internal/gateway"
 	"resilientdb/internal/stats"
-	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
 	"resilientdb/internal/workload"
 )
@@ -49,28 +46,27 @@ func main() {
 }
 
 func run() int {
-	n := flag.Int("n", 4, "number of replicas")
-	replicas := flag.String("replicas", "", "comma-separated replica addresses, index = id")
-	protoName := flag.String("protocol", "pbft", "pbft | zyzzyva")
+	dep := deploy.Register(flag.CommandLine, false)
 	clients := flag.Int("clients", 16, "number of closed-loop clients")
 	burst := flag.Int("burst", 1, "transactions per request")
 	duration := flag.Duration("duration", 10*time.Second, "run duration")
 	timeout := flag.Duration("timeout", 500*time.Millisecond, "client retransmission timeout")
-	seed := flag.Int64("seed", 1, "shared key-derivation seed (must match nodes)")
 	readFraction := flag.Float64("read-fraction", 0, "fraction of read-only transactions in [0,1] (0 = write-only default, -1 explicitly disables reads)")
 	scanFraction := flag.Float64("scan-fraction", 0, "fraction of range-scan transactions in [0,1] (0 = none default, -1 explicitly disables scans)")
 	scanLength := flag.Int("scan-length", 0, "max rows per range scan (0 = default 100)")
 	preset := flag.String("workload", "", "YCSB workload preset: a (50% reads) | b (95%) | c (read-only) | e (95% scans); empty keeps -read-fraction/-scan-fraction")
 	readMode := flag.String("read-mode", "quorum", "how write-free requests (reads and scans) travel: quorum (ordered through consensus) | local (served by one replica from its last-executed snapshot under the client's staleness bound)")
-	netBatch := flag.Int("net-batch", transport.DefaultBatchMax, "max envelopes per TCP batch frame (1 disables transport batching)")
-	netLinger := flag.Duration("net-linger", 0, "partial TCP batch flush delay (0 flushes when the queue drains)")
-	netZeroCopy := flag.Int("net-zerocopy", 0, "zero-copy inbound frame decode from pooled buffers (0 = default on, -1 copies every frame)")
-	pooledEncode := flag.Int("pooled-encode", 0, "pooled outbound body encode (0 = default on, -1 allocates per message)")
 	gatewayAddr := flag.String("gateway", "", "gateway front-door address: run the session load generator against it instead of direct per-client consensus (empty = direct mode)")
 	sessions := flag.Int("sessions", 0, "simulated closed-loop sessions in gateway mode (0 = default 1024)")
 	gwBatch := flag.Int("gw-batch", 0, "submits coalesced per session frame in gateway mode (0 = default 64, -1 disables coalescing)")
 	gwLinger := flag.Duration("gw-linger", 0, "how long a non-full session frame waits for more submits (0 = default 100µs, negative flushes immediately)")
 	flag.Parse()
+
+	wcfg := workload.Default()
+	wcfg.ReadFraction = *readFraction
+	wcfg.ScanFraction = *scanFraction
+	wcfg.ScanLength = *scanLength
+	wcfg.Preset = *preset
 
 	if *gatewayAddr != "" {
 		return runSessions(sessionConfig{
@@ -81,40 +77,15 @@ func run() int {
 			linger:   *gwLinger,
 			retry:    *timeout,
 			duration: *duration,
-			seed:     *seed,
-			readFrac: *readFraction,
-			scanFrac: *scanFraction,
-			scanLen:  *scanLength,
-			preset:   *preset,
+			seed:     dep.Seed,
+			workload: wcfg,
 		})
 	}
 
-	proto := clientengine.PBFT
-	if *protoName == "zyzzyva" {
-		proto = clientengine.Zyzzyva
-	} else if *protoName != "pbft" {
-		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *protoName)
-		return 2
-	}
-
-	addrList := strings.Split(*replicas, ",")
-	if len(addrList) != *n {
-		fmt.Fprintf(os.Stderr, "-replicas must list exactly %d addresses\n", *n)
-		return 2
-	}
-	addrs := make(map[types.NodeID]string, *n)
-	for i, a := range addrList {
-		addrs[types.ReplicaNode(types.ReplicaID(i))] = strings.TrimSpace(a)
-	}
-
-	var seedBytes [32]byte
-	for i := 0; i < 8; i++ {
-		seedBytes[i] = byte(*seed >> (8 * i))
-	}
-	dir, err := crypto.NewDirectory(crypto.Recommended(), seedBytes)
+	d, err := dep.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return 2
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *duration)
@@ -123,49 +94,28 @@ func run() int {
 	var wg sync.WaitGroup
 	cls := make([]*cluster.Client, *clients)
 	start := time.Now()
-	wcfg := workload.Default()
-	wcfg.ReadFraction = *readFraction
-	wcfg.ScanFraction = *scanFraction
-	wcfg.ScanLength = *scanLength
-	wcfg.Preset = *preset
 	for i := 0; i < *clients; i++ {
 		wl, err := workload.New(wcfg, int64(i))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		ep, err := transport.NewTCPWithConfig(transport.TCPConfig{
-			Self:       types.ClientNode(types.ClientID(i)),
-			ListenAddr: "127.0.0.1:0",
-			Addrs:      addrs,
-			Inboxes:    1,
-			Capacity:   1 << 10,
-			BatchMax:   *netBatch,
-			Linger:     *netLinger,
-			ZeroCopy:   *netZeroCopy >= 0,
-		})
+		ep, err := d.ClientEndpoint(types.ClientID(i))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 		defer ep.Close()
-		for node := range addrs {
-			if err := ep.Hello(node); err != nil {
-				fmt.Fprintf(os.Stderr, "cannot reach %v: %v\n", node, err)
-				return 1
-			}
-		}
 		cl, err := cluster.NewClient(cluster.ClientConfig{
-			ID:           types.ClientID(i),
-			N:            *n,
-			Protocol:     proto,
-			Burst:        *burst,
-			Timeout:      *timeout,
-			Directory:    dir,
-			Endpoint:     ep,
-			Workload:     wl,
-			ReadMode:     *readMode,
-			PooledEncode: *pooledEncode,
+			ID:        types.ClientID(i),
+			N:         d.N,
+			Protocol:  d.ClientProtocol,
+			Burst:     *burst,
+			Timeout:   *timeout,
+			Directory: d.Directory,
+			Endpoint:  ep,
+			Workload:  wl,
+			ReadMode:  *readMode,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -251,10 +201,7 @@ type sessionConfig struct {
 	linger, retry   time.Duration
 	duration        time.Duration
 	seed            int64
-	readFrac        float64
-	scanFrac        float64
-	scanLen         int
-	preset          string
+	workload        workload.Config
 }
 
 // runSessions is gateway mode: instead of one consensus engine per
@@ -265,16 +212,11 @@ func runSessions(sc sessionConfig) int {
 	if sc.sessions == 0 {
 		sc.sessions = 1 << 10
 	}
-	wcfg := workload.Default()
-	wcfg.ReadFraction = sc.readFrac
-	wcfg.ScanFraction = sc.scanFrac
-	wcfg.ScanLength = sc.scanLen
-	wcfg.Preset = sc.preset
 	cfg := gateway.LoadConfig{
 		Sessions:     sc.sessions,
 		Conns:        sc.conns,
 		Dial:         func() (net.Conn, error) { return net.Dial("tcp", sc.addr) },
-		Workload:     wcfg,
+		Workload:     sc.workload,
 		Seed:         sc.seed,
 		RetryTimeout: sc.retry,
 	}

@@ -42,12 +42,10 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	clientengine "resilientdb/internal/consensus/client"
-	"resilientdb/internal/crypto"
+	"resilientdb/cmd/internal/deploy"
 	"resilientdb/internal/gateway"
 	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
@@ -58,10 +56,8 @@ func main() {
 }
 
 func run() int {
+	dep := deploy.Register(flag.CommandLine, false)
 	listen := flag.String("listen", "127.0.0.1:9000", "session listen address")
-	n := flag.Int("n", 4, "number of replicas")
-	replicas := flag.String("replicas", "", "comma-separated replica addresses, index = id")
-	protoName := flag.String("protocol", "pbft", "pbft | zyzzyva")
 	upstreams := flag.Int("upstreams", 0, "replica-facing consensus workers (0 = default 4)")
 	gwBatch := flag.Int("gw-batch", 0, "transactions coalesced per consensus request (0 = default 128, -1 disables coalescing)")
 	gwLinger := flag.Duration("gw-linger", 0, "how long a non-full batch waits for more transactions (0 = default 200µs, negative flushes immediately)")
@@ -71,64 +67,23 @@ func run() int {
 	gwDedup := flag.Int("gw-dedup", 0, "cached replies per session for retry replay (0 = default 8)")
 	gwSessionIdle := flag.Duration("gw-session-idle", 0, "idle time before a session's dedup state is evicted (0 = default 5m, negative never evicts)")
 	timeout := flag.Duration("timeout", 500*time.Millisecond, "upstream retransmission timeout")
-	netBatch := flag.Int("net-batch", transport.DefaultBatchMax, "max envelopes per TCP batch frame on the upstream connections (1 disables transport batching)")
-	netLinger := flag.Duration("net-linger", 0, "partial TCP batch flush delay on the upstream connections (0 flushes when the queue drains)")
-	netZeroCopy := flag.Int("net-zerocopy", 0, "zero-copy inbound frame decode from pooled buffers (0 = default on, -1 copies every frame)")
-	seed := flag.Int64("seed", 1, "shared key-derivation seed (must match nodes)")
 	statsEvery := flag.Duration("stats", 5*time.Second, "stats print interval")
 	flag.Parse()
 
-	proto := clientengine.PBFT
-	if *protoName == "zyzzyva" {
-		proto = clientengine.Zyzzyva
-	} else if *protoName != "pbft" {
-		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *protoName)
-		return 2
-	}
-
-	addrList := strings.Split(*replicas, ",")
-	if len(addrList) != *n {
-		fmt.Fprintf(os.Stderr, "-replicas must list exactly %d addresses\n", *n)
-		return 2
-	}
-	addrs := make(map[types.NodeID]string, *n)
-	for i, a := range addrList {
-		addrs[types.ReplicaNode(types.ReplicaID(i))] = strings.TrimSpace(a)
-	}
-
-	var seedBytes [32]byte
-	for i := 0; i < 8; i++ {
-		seedBytes[i] = byte(*seed >> (8 * i))
-	}
-	dir, err := crypto.NewDirectory(crypto.Recommended(), seedBytes)
+	d, err := dep.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return 2
 	}
 
 	cfg := gateway.Config{
-		N:         *n,
-		Protocol:  proto,
-		Directory: dir,
+		N:         d.N,
+		Protocol:  d.ClientProtocol,
+		Directory: d.Directory,
 		Endpoint: func(id types.ClientID) (transport.Endpoint, error) {
-			ep, err := transport.NewTCPWithConfig(transport.TCPConfig{
-				Self:       types.ClientNode(id),
-				ListenAddr: "127.0.0.1:0",
-				Addrs:      addrs,
-				Inboxes:    1,
-				Capacity:   1 << 10,
-				BatchMax:   *netBatch,
-				Linger:     *netLinger,
-				ZeroCopy:   *netZeroCopy >= 0,
-			})
+			ep, err := d.ClientEndpoint(id)
 			if err != nil {
-				return nil, err
-			}
-			for node := range addrs {
-				if err := ep.Hello(node); err != nil {
-					ep.Close()
-					return nil, fmt.Errorf("cannot reach %v: %w", node, err)
-				}
+				return nil, err // not ep: a nil *TCPEndpoint is a non-nil Endpoint
 			}
 			return ep, nil
 		},
@@ -187,7 +142,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		}
 	}()
-	fmt.Printf("gateway (%s, %d replicas) listening on %s\n", proto, *n, ln.Addr())
+	fmt.Printf("gateway (%s, %d replicas) listening on %s\n", d.ClientProtocol, d.N, ln.Addr())
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

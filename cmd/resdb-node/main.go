@@ -2,7 +2,15 @@
 //
 // Every node of a deployment is started with the same -n, -seed, and
 // -peers list; key material is derived deterministically from the seed
-// (see internal/crypto), standing in for out-of-band provisioning.
+// (see internal/crypto), standing in for out-of-band provisioning. Those
+// flags, -protocol and the -net-* pair are shared with resdb-client and
+// resdb-gateway and registered by cmd/internal/deploy.
+//
+// Inbound TCP frames are always decoded in place from pooled buffers,
+// outbound bodies always marshal into pooled arenas, and verify workers
+// always drain their queue in batches (Section 4.8; see "Memory & buffer
+// pools" in docs/ARCHITECTURE.md) — these are how the node works, not
+// knobs.
 //
 // The hot-path knobs. The foldable-stage flags (-batch-threads,
 // -verify-threads, -execute-shards) follow the cluster-wide convention:
@@ -64,17 +72,6 @@
 //     served read path — never touches a shard log or lock. 0 (default)
 //     keeps it on; -1 disables it (reads go back through the log, the
 //     Section 5.7 blocking contrast). Ignored by the mem backend.
-//   - -net-zerocopy: decode inbound TCP frames in place from pooled
-//     buffers (Section 4.8 buffer-pool management); each pipeline stage
-//     releases its envelope when done and the buffer is reused. 0
-//     (default) on, -1 copies every frame (the pre-pooling baseline).
-//   - -pooled-encode: marshal outbound bodies into pooled arena buffers
-//     recycled after the transport write. 0 (default) on, -1 allocates a
-//     fresh body per message (the pre-pooling baseline).
-//   - -verify-batch K: let each verify worker drain up to K queued
-//     signature checks per wakeup and verify them as one batch (failed
-//     batches fall back to per-signature checks for attribution). 0 =
-//     default 16, 1 or -1 = per-signature verification.
 //   - -pprof-addr ADDR: serve net/http/pprof on ADDR (e.g.
 //     127.0.0.1:6060) and add heap/GC deltas to the stats tick; empty
 //     (default) disables profiling entirely.
@@ -97,12 +94,11 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
+	"resilientdb/cmd/internal/deploy"
 	"resilientdb/internal/chaos"
-	"resilientdb/internal/crypto"
 	"resilientdb/internal/replica"
 	"resilientdb/internal/store"
 	"resilientdb/internal/transport"
@@ -126,31 +122,10 @@ func knob(v, def int) int {
 	return v
 }
 
-// buildStore constructs the record store selected by -store-backend via
-// the shared store.OpenBackend (the same constructor the in-process
-// cluster uses, so backend semantics cannot drift between deployments).
-func buildStore(backend, dir string, id, shards, execThreads int, syncLinger time.Duration, compactRatio float64, compactMinBytes int64, readIndex bool) (store.Store, error) {
-	if dir == "" {
-		dir = filepath.Join("resdb-data", fmt.Sprintf("replica-%d", id))
-	}
-	return store.OpenBackend(store.BackendConfig{
-		Backend:         backend,
-		Dir:             dir,
-		Shards:          shards,
-		ExecShards:      execThreads,
-		SyncLinger:      syncLinger,
-		CompactRatio:    compactRatio,
-		CompactMinBytes: compactMinBytes,
-		ReadIndex:       readIndex,
-	})
-}
-
 func run() int {
+	dep := deploy.Register(flag.CommandLine, true)
 	id := flag.Int("id", 0, "replica identifier (0..n-1)")
-	n := flag.Int("n", 4, "number of replicas")
 	listen := flag.String("listen", "127.0.0.1:7000", "listen address")
-	peers := flag.String("peers", "", "comma-separated replica addresses, index = id")
-	protoName := flag.String("protocol", "pbft", "pbft | zyzzyva")
 	batch := flag.Int("batch", 100, "transactions per consensus batch")
 	batchThreads := flag.Int("batch-threads", 0, "batch-threads B (0 = default 2, -1 folds batching into the worker lanes)")
 	execShards := flag.Int("execute-shards", 0, "execution shards E (0 = default single execute-thread, -1 folds execution into the worker lanes, E > 1 = parallel write-set-partitioned shards)")
@@ -164,55 +139,17 @@ func run() int {
 	storeReadIndex := flag.Int("store-read-index", 0, "in-memory read index over the sharded store so local reads never touch a shard log or lock (0 = default on, -1 disables)")
 	verifyThreads := flag.Int("verify-threads", 0, "parallel signature-verification workers (0 = default 2, -1 verifies inline on the worker lanes)")
 	workerThreads := flag.Int("worker-threads", 1, "parallel consensus worker lanes (1 = the paper's single worker-thread)")
-	netBatch := flag.Int("net-batch", transport.DefaultBatchMax, "max envelopes per TCP batch frame (1 disables transport batching)")
-	netLinger := flag.Duration("net-linger", 0, "how long a partial TCP batch waits for more envelopes before flushing (0 flushes when the queue drains)")
-	netZeroCopy := flag.Int("net-zerocopy", 0, "zero-copy inbound frame decode from pooled buffers (0 = default on, -1 copies every frame)")
-	pooledEncode := flag.Int("pooled-encode", 0, "pooled outbound body encode (0 = default on, -1 allocates per message)")
-	verifyBatch := flag.Int("verify-batch", 0, "signature checks drained per verify-worker wakeup (0 = default 16, 1 or -1 = per-signature)")
 	chaosSpec := flag.String("chaos", "", "fault-injection spec for this replica's outbound traffic: drop=P,dup=P,corrupt=P,delay=D,reorder=D,byz=mode@replica,seed=N (empty disables; see internal/chaos)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address and report heap/GC deltas in the stats tick (empty disables)")
-	seed := flag.Int64("seed", 1, "shared key-derivation seed")
 	statsEvery := flag.Duration("stats", 5*time.Second, "stats print interval")
 	flag.Parse()
 
-	proto := replica.PBFT
-	if *protoName == "zyzzyva" {
-		proto = replica.Zyzzyva
-	} else if *protoName != "pbft" {
-		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *protoName)
-		return 2
-	}
-
-	addrList := strings.Split(*peers, ",")
-	if len(addrList) != *n {
-		fmt.Fprintf(os.Stderr, "-peers must list exactly %d addresses\n", *n)
-		return 2
-	}
-	addrs := make(map[types.NodeID]string, *n)
-	for i, a := range addrList {
-		addrs[types.ReplicaNode(types.ReplicaID(i))] = strings.TrimSpace(a)
-	}
-
-	var seedBytes [32]byte
-	for i := 0; i < 8; i++ {
-		seedBytes[i] = byte(*seed >> (8 * i))
-	}
-	dir, err := crypto.NewDirectory(crypto.Recommended(), seedBytes)
+	d, err := dep.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return 2
 	}
-
-	ep, err := transport.NewTCPWithConfig(transport.TCPConfig{
-		Self:       types.ReplicaNode(types.ReplicaID(*id)),
-		ListenAddr: *listen,
-		Addrs:      addrs,
-		Inboxes:    3,
-		Capacity:   1 << 13,
-		BatchMax:   *netBatch,
-		Linger:     *netLinger,
-		ZeroCopy:   *netZeroCopy >= 0,
-	})
+	ep, err := d.ReplicaEndpoint(types.ReplicaID(*id), *listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -227,11 +164,25 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-		repEP = spec.Fabric().WrapEndpoint(types.ReplicaID(*id), repEP, dir)
+		repEP = spec.Fabric().WrapEndpoint(types.ReplicaID(*id), repEP, d.Directory)
 	}
 
 	execThreads := knob(*execShards, 1)
-	st, err := buildStore(*storeBackend, *storeDir, *id, *storeShards, execThreads, *storeSync, *storeCompactRatio, *storeCompactMin, *storeReadIndex >= 0)
+	if *storeDir == "" {
+		*storeDir = filepath.Join("resdb-data", fmt.Sprintf("replica-%d", *id))
+	}
+	// The same constructor the in-process cluster uses, so backend
+	// semantics cannot drift between deployments.
+	st, err := store.OpenBackend(store.BackendConfig{
+		Backend:         *storeBackend,
+		Dir:             *storeDir,
+		Shards:          *storeShards,
+		ExecShards:      execThreads,
+		SyncLinger:      *storeSync,
+		CompactRatio:    *storeCompactRatio,
+		CompactMinBytes: *storeCompactMin,
+		ReadIndex:       *storeReadIndex >= 0,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -240,18 +191,16 @@ func run() int {
 
 	rep, err := replica.New(replica.Config{
 		ID:                types.ReplicaID(*id),
-		N:                 *n,
-		Protocol:          proto,
+		N:                 d.N,
+		Protocol:          d.ReplicaProtocol,
 		BatchSize:         *batch,
 		BatchThreads:      knob(*batchThreads, 2),
 		ExecuteThreads:    execThreads,
 		ExecPipelineDepth: *execDepth,
 		VerifyThreads:     knob(*verifyThreads, 2),
 		WorkerThreads:     *workerThreads,
-		VerifyBatch:       *verifyBatch,
-		PooledEncode:      *pooledEncode,
 		Store:             st,
-		Directory:         dir,
+		Directory:         d.Directory,
 		Endpoint:          repEP,
 		VerifyClientSigs:  true,
 		ViewTimeout:       2 * time.Second,
@@ -261,7 +210,7 @@ func run() int {
 		return 1
 	}
 	rep.Start()
-	fmt.Printf("replica %d/%d (%s) listening on %s\n", *id, *n, proto, ep.Addr())
+	fmt.Printf("replica %d/%d (%s) listening on %s\n", *id, d.N, d.ReplicaProtocol, ep.Addr())
 
 	profiling := *pprofAddr != ""
 	if profiling {
@@ -296,7 +245,7 @@ func run() int {
 				s.StoreCompactions, s.StoreCompactReclaimedBytes)
 			if profiling {
 				hits, misses := ep.FramePoolStats()
-				fmt.Printf("final-mem: framepool-hits=%d framepool-misses=%d encpool-hits=%d encpool-misses=%d verify-batched=%d\n",
+				fmt.Printf("final-mem: framepool-hits=%d framepool-misses=%d encpool-hits=%d encpool-misses=%d batch-verified=%d\n",
 					hits, misses, s.EncodePoolHits, s.EncodePoolMisses, s.VerifyBatched)
 			}
 			return 0
@@ -312,7 +261,7 @@ func run() int {
 				var m runtime.MemStats
 				runtime.ReadMemStats(&m)
 				hits, misses := ep.FramePoolStats()
-				line += fmt.Sprintf(" heap=%dKiB gc=+%d pause=+%s framepool=%d/%d encpool=%d/%d verify-batched=%d",
+				line += fmt.Sprintf(" heap=%dKiB gc=+%d pause=+%s framepool=%d/%d encpool=%d/%d batch-verified=%d",
 					m.HeapAlloc>>10, m.NumGC-lastMem.NumGC,
 					time.Duration(m.PauseTotalNs-lastMem.PauseTotalNs),
 					hits, hits+misses, s.EncodePoolHits, s.EncodePoolHits+s.EncodePoolMisses,

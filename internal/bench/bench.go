@@ -144,8 +144,6 @@ func All() []Experiment {
 			Paper: "out-of-order processing is worth ~60% throughput (Section 4.5)", Run: ablationOOO},
 		{ID: "ablation-exec", Title: "Ablation: decoupled execution (1E) vs worker-executed (0E)",
 			Paper: "decoupling execution from ordering is worth ~9.5% (Section 3)", Run: ablationExec},
-		{ID: "tcpbatch", Title: "Transport: batched vs per-envelope TCP frames (envelopes/s over localhost)",
-			Paper: "per-message sends put one syscall on every envelope; batch frames amortize it (cf. Section 4.1 output-threads)", Run: tcpbatch},
 		{ID: "workerscale", Title: "Worker lanes: throughput and per-lane busy time vs WorkerThreads (real pipeline)",
 			Paper: "the single worker-thread saturates at the backups (Figure 9); lock-striped instances let W lanes split consensus stepping so the worker stops being the lone saturated stage", Run: workerscale},
 		{ID: "execshards", Title: "Execution shards: throughput and per-shard busy time vs ExecuteThreads (real pipeline)",
@@ -158,12 +156,8 @@ func All() []Experiment {
 			Paper: "the paper orders every operation through consensus; serving read-only requests from a replica's last-executed snapshot skips the three-phase round — the seq-used column shows local reads consuming no sequence numbers", Run: readmix},
 		{ID: "scans", Title: "Range scans: consensus-ordered vs locally-served scans under YCSB-E mixes (real pipeline)",
 			Paper: "the paper's transactions are opaque write payloads; general transactions add ordered range scans — fanned to every execute shard behind a write-flush barrier, merged deterministically — and the seq-used column shows write-free scans served locally under a staleness bound consuming no sequence numbers", Run: scans},
-		{ID: "allocs", Title: "Zero-copy hot path: pooled frames, arena decode, batched verification (allocation A/B)",
-			Paper: "the paper pre-allocates message buffers and pools them (Section 4.8 \"smart memory management\"); the microbenchmarks isolate each pooled mechanism and the cluster rows show heap allocations per transaction with pooling off vs on", Run: allocs},
 		{ID: "faults", Title: "Fault matrix: degraded throughput and recovery time per injected fault class (chaos harness)",
 			Paper: "the paper evaluates replica failures (Figure 17) and argues the pipeline dips rather than collapses under a crashed backup; the chaos matrix generalizes that run to Byzantine, network, and storage fault classes and adds recovery-time and safety-invariant columns", Run: faults},
-		{ID: "gateway", Title: "Gateway tier: multiplexed sessions vs direct clients, with overload pushback (real pipeline)",
-			Paper: "the paper's evaluation drives up to 80K closed-loop clients, each its own identity and connection (Section 5.1); the gateway tier multiplexes that population over a handful of replica-facing connections, coalescing session transactions into shared signed requests — the overload row shows saturation surfacing as explicit busy pushback instead of silent transport drops", Run: gatewaybench},
 	}
 }
 

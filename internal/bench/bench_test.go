@@ -4,16 +4,13 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
-
-	"resilientdb/internal/chaos"
 )
 
 func TestAllExperimentsRegistered(t *testing.T) {
 	want := []string{"fig1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
 		"fig13", "fig14", "fig15", "fig16", "fig17", "ablation-ooo", "ablation-exec",
-		"tcpbatch", "workerscale", "execshards", "diskpipe", "compaction", "readmix",
-		"scans", "allocs", "faults", "gateway"}
+		"workerscale", "execshards", "diskpipe", "compaction", "readmix",
+		"scans", "faults"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(all), len(want))
@@ -289,34 +286,6 @@ func TestShapeScans(t *testing.T) {
 	}
 }
 
-// TestShapeAllocs checks the zero-copy experiment's headline claims: the
-// pooled frame decode must cut allocations per operation by at least half
-// against the copying decoder, and the pooled cluster run must allocate
-// measurably less per transaction than the pre-pooling baseline.
-func TestShapeAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run in -short mode")
-	}
-	out, err := allocs(ScaleSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out.Metrics["allocs_frame_reduction_pct"]; got < 50 {
-		t.Fatalf("frame decode allocs reduction = %.1f%%, want ≥50%%", got)
-	}
-	if c, p := out.Metrics["allocs_encode_copy_allocs_per_op"], out.Metrics["allocs_encode_pooled_allocs_per_op"]; p >= c {
-		t.Fatalf("pooled encode allocates %.0f/op, copy %.0f/op — pooling saved nothing", p, c)
-	}
-	for _, key := range []string{"baseline", "pooled"} {
-		if out.Metrics["allocs_cluster_tput_"+key] <= 0 {
-			t.Fatalf("cluster row %s completed no transactions", key)
-		}
-	}
-	if got := out.Metrics["allocs_cluster_mallocs_reduction_pct"]; got <= 0 {
-		t.Fatalf("cluster mallocs/txn reduction = %.1f%%, want > 0", got)
-	}
-}
-
 func TestRunAndRenderProducesOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run in -short mode")
@@ -335,40 +304,5 @@ func TestRunAndRenderProducesOutput(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Ablation") {
 		t.Fatalf("output missing table title:\n%s", buf.String())
-	}
-}
-
-// TestShapeFaults runs the chaos fault matrix through the bench wrapper:
-// every scenario must report throughput in all three windows and zero
-// invariant violations — a violation means the numbers describe a broken
-// cluster.
-func TestShapeFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run in -short mode")
-	}
-	old := ChaosTuning
-	ChaosTuning = chaos.Tuning{
-		Warmup:  300 * time.Millisecond,
-		Fault:   time.Second,
-		Recover: 900 * time.Millisecond,
-		Records: 512,
-		Seed:    13,
-	}
-	defer func() { ChaosTuning = old }()
-	out, err := faults(ScaleSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range chaos.DefaultMatrix() {
-		key := strings.ReplaceAll(sc.Name, "-", "_")
-		if out.Metrics["faults_baseline_tput_"+key] <= 0 {
-			t.Errorf("%s: no baseline throughput", sc.Name)
-		}
-		if v := out.Metrics["faults_violations_"+key]; v != 0 {
-			t.Errorf("%s: %v invariant violations", sc.Name, v)
-		}
-		if _, ok := out.Metrics["faults_recovery_s_"+key]; !ok {
-			t.Errorf("%s: no recovery time recorded", sc.Name)
-		}
 	}
 }

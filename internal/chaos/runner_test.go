@@ -42,6 +42,12 @@ func runScenario(t *testing.T, sc Scenario) *Report {
 	for _, v := range rep.Violations {
 		t.Errorf("%s: invariant violated: %s", sc.Name, v)
 	}
+	if rep.BaselineTput <= 0 {
+		t.Errorf("%s: no baseline throughput", sc.Name)
+	}
+	if rep.RecoverySeconds <= 0 {
+		t.Errorf("%s: no recovery time recorded", sc.Name)
+	}
 	return rep
 }
 

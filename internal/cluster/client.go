@@ -10,10 +10,8 @@ import (
 	"fmt"
 	"time"
 
-	"resilientdb/internal/consensus"
 	clientengine "resilientdb/internal/consensus/client"
 	"resilientdb/internal/crypto"
-	"resilientdb/internal/pool"
 	"resilientdb/internal/stats"
 	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
@@ -46,12 +44,6 @@ type ClientConfig struct {
 	// cross-key snapshot (see types.ReadRequest). Requests carrying any
 	// write always go through consensus.
 	ReadMode string
-	// PooledEncode controls the pooled outbound encode path (Section 4.8
-	// buffer-pool management): 0 (default) marshals request bodies into
-	// pooled arena buffers recycled when the transport writes them out;
-	// negative allocates a fresh body per message (the pre-pooling
-	// baseline, kept for allocation A/B measurements).
-	PooledEncode int
 }
 
 // ClientStats is a snapshot of one client's counters.
@@ -78,11 +70,10 @@ type ClientStats struct {
 // Client is a closed-loop load generator: it keeps exactly one request in
 // flight and records end-to-end latency per completed request.
 type Client struct {
-	cfg      ClientConfig
-	engine   *clientengine.Engine
-	auth     crypto.Authenticator
-	encBufs  *pool.BytePool // outbound body arenas; nil when PooledEncode < 0
-	encHint  int            // largest body marshalled so far (single-goroutine use in Run)
+	cfg ClientConfig
+	// link is the consensus engine plus its send/await path over the
+	// endpoint; localRead shares its transmit and reply-opening halves.
+	link     *clientengine.Link
 	latency  *stats.Histogram
 	readLat  *stats.Histogram
 	scanLat  *stats.Histogram
@@ -123,23 +114,18 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	default:
 		return nil, fmt.Errorf("cluster: client %d unknown read mode %q (want quorum|local)", cfg.ID, cfg.ReadMode)
 	}
-	eng, err := clientengine.New(cfg.ID, cfg.N, cfg.Protocol)
+	link, err := clientengine.NewLink(cfg.ID, cfg.N, cfg.Protocol, cfg.Directory, cfg.Endpoint, cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
+	return &Client{
 		cfg:      cfg,
-		engine:   eng,
-		auth:     cfg.Directory.NodeAuth(types.ClientNode(cfg.ID)),
+		link:     link,
 		latency:  &stats.Histogram{},
 		readLat:  &stats.Histogram{},
 		scanLat:  &stats.Histogram{},
 		writeLat: &stats.Histogram{},
-	}
-	if cfg.PooledEncode >= 0 {
-		c.encBufs = new(pool.BytePool)
-	}
-	return c, nil
+	}, nil
 }
 
 // Latency exposes the client's latency histogram.
@@ -159,13 +145,13 @@ func (c *Client) WriteLatency() *stats.Histogram { return c.writeLat }
 
 // Stats returns a snapshot of the client's counters.
 func (c *Client) Stats() ClientStats {
-	es := c.engine.Stats()
+	es := c.link.Stats()
 	return ClientStats{
 		TxnsCompleted:  c.txns,
 		Requests:       c.requests,
 		FastPath:       es.FastPath,
 		SlowPath:       es.SlowPath,
-		Retransmits:    es.Retransmits + c.localRetx,
+		Retransmits:    c.link.Retransmits() + c.localRetx,
 		ReadTxns:       c.readTxns,
 		ScanTxns:       c.scanTxns,
 		WriteTxns:      c.writeTxns,
@@ -179,7 +165,7 @@ func (c *Client) Stats() ClientStats {
 func (c *Client) Run(ctx context.Context) {
 	inbox := c.cfg.Endpoint.Inbox(0)
 	clientSeq := uint64(1)
-	timer := time.NewTimer(c.cfg.Timeout)
+	timer := time.NewTimer(c.cfg.Timeout) // localRead's rotation timer
 	defer timer.Stop()
 
 	for ctx.Err() == nil {
@@ -204,59 +190,21 @@ func (c *Client) Run(ctx context.Context) {
 				c.staleFallbacks++
 			}
 		}
-		sig, err := c.auth.Sign(types.ReplicaNode(0), req.SigningBytes())
-		if err != nil {
+		if err := c.link.Sign(&req); err != nil {
 			return
 		}
-		req.Sig = sig
 		start := time.Now()
 		c.requests++
-		c.dispatch(c.engine.Submit(req))
-
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
+		c.link.Submit(req)
+		outcome := c.link.Await(ctx.Done())
+		if outcome == nil {
+			return
 		}
-		timer.Reset(c.cfg.Timeout)
-
-	waitResponse:
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case env, ok := <-inbox:
-				if !ok {
-					return
-				}
-				if err := c.auth.Verify(env.From, env.Body, env.Auth); err != nil {
-					env.Release()
-					continue
-				}
-				from := env.From
-				msg, err := types.DecodeBody(env.Type, env.Body)
-				// Decode copied every field, so the envelope (and any frame
-				// arena behind it) retires here.
-				env.Release()
-				if err != nil {
-					continue
-				}
-				outcome, acts := c.engine.OnMessage(from, msg)
-				c.dispatch(acts)
-				if outcome != nil {
-					if s := uint64(outcome.Seq); s > c.maxSeq {
-						c.maxSeq = s
-					}
-					c.record(time.Since(start), class)
-					clientSeq += uint64(c.cfg.Burst)
-					break waitResponse
-				}
-			case <-timer.C:
-				c.dispatch(c.engine.OnTimeout())
-				timer.Reset(c.cfg.Timeout)
-			}
+		if s := uint64(outcome.Seq); s > c.maxSeq {
+			c.maxSeq = s
 		}
+		c.record(time.Since(start), class)
+		clientSeq += uint64(c.cfg.Burst)
 	}
 }
 
@@ -318,10 +266,9 @@ func (c *Client) localRead(ctx context.Context, inbox <-chan *types.Envelope, re
 	// Spread clients across replicas so local reads scale with n instead
 	// of piling onto the primary.
 	target := int(uint32(c.cfg.ID)) % c.cfg.N
-	self := types.ClientNode(c.cfg.ID)
 	start := time.Now()
 	c.requests++
-	c.transmit(self, types.ReplicaNode(types.ReplicaID(target)), msg)
+	c.link.Transmit(types.ReplicaNode(types.ReplicaID(target)), msg)
 
 	if !timer.Stop() {
 		select {
@@ -338,13 +285,8 @@ func (c *Client) localRead(ctx context.Context, inbox <-chan *types.Envelope, re
 			if !ok {
 				return localAborted
 			}
-			if err := c.auth.Verify(env.From, env.Body, env.Auth); err != nil {
-				env.Release()
-				continue
-			}
-			m, err := types.DecodeBody(env.Type, env.Body)
-			env.Release() // decode copied every field; the envelope retires here
-			if err != nil {
+			_, m, ok := c.link.Open(env)
+			if !ok {
 				continue
 			}
 			reply, ok := m.(*types.ReadReply)
@@ -360,7 +302,7 @@ func (c *Client) localRead(ctx context.Context, inbox <-chan *types.Envelope, re
 					return localStale
 				}
 				target = (target + 1) % c.cfg.N
-				c.transmit(self, types.ReplicaNode(types.ReplicaID(target)), msg)
+				c.link.Transmit(types.ReplicaNode(types.ReplicaID(target)), msg)
 				timer.Reset(c.cfg.Timeout)
 				continue
 			}
@@ -370,7 +312,7 @@ func (c *Client) localRead(ctx context.Context, inbox <-chan *types.Envelope, re
 		case <-timer.C:
 			c.localRetx++
 			target = (target + 1) % c.cfg.N
-			c.transmit(self, types.ReplicaNode(types.ReplicaID(target)), msg)
+			c.link.Transmit(types.ReplicaNode(types.ReplicaID(target)), msg)
 			timer.Reset(c.cfg.Timeout)
 		}
 	}
@@ -414,50 +356,4 @@ func readOps(req *types.ClientRequest) (keys []uint64, scans []types.Op) {
 		}
 	}
 	return keys, scans
-}
-
-// dispatch signs and transmits client engine actions.
-func (c *Client) dispatch(acts []consensus.Action) {
-	self := types.ClientNode(c.cfg.ID)
-	for _, a := range acts {
-		switch act := a.(type) {
-		case consensus.Send:
-			c.transmit(self, act.To, act.Msg)
-		case consensus.Broadcast:
-			for r := 0; r < c.cfg.N; r++ {
-				c.transmit(self, types.ReplicaNode(types.ReplicaID(r)), act.Msg)
-			}
-		}
-	}
-}
-
-func (c *Client) transmit(from, to types.NodeID, msg types.Message) {
-	var body []byte
-	var arena *types.Arena
-	if c.encBufs != nil {
-		// The high-water-mark hint keeps marshals in the right capacity
-		// class so steady-state encodes borrow instead of growing.
-		body, arena = types.MarshalBodyArena(msg, c.encBufs, c.encHint)
-		if len(body) > c.encHint {
-			c.encHint = len(body)
-		}
-	} else {
-		body = types.MarshalBody(msg)
-	}
-	sig, err := c.auth.Sign(to, body)
-	if err != nil {
-		arena.Release()
-		return
-	}
-	env := types.AcquireEnvelope()
-	env.From = from
-	env.To = to
-	env.Type = msg.Type()
-	env.Body = body
-	env.Auth = sig
-	env.Attach(arena)
-	if err := c.cfg.Endpoint.Send(env); err != nil {
-		env.Release() // the send went nowhere; retire the envelope here
-	}
-	arena.Release() // drop the builder's reference
 }

@@ -32,18 +32,17 @@ type Options struct {
 	Burst     int
 	BatchSize int
 	// Thread counts; see replica.Config. Defaults follow the paper's
-	// standard configuration: 2 batch-threads, 1 execute-thread,
-	// 2 output-threads, 2 replica input-threads, plus 2 verify-threads
-	// (the parallel-crypto refinement of Section 4.2). Pass -1 to request
-	// the folded 0B / 0E / inline-verify configurations explicitly.
+	// standard configuration: 2 batch-threads, 1 execute-thread, plus
+	// 2 verify-threads (the parallel-crypto refinement of Section 4.2);
+	// the 2 output-threads and 2 replica input-threads are fixed. Pass -1
+	// to request the folded 0B / 0E / inline-verify configurations
+	// explicitly.
 	// ExecuteThreads is E, the execution shard count: values above 1 run
 	// the execute stage as E write-set-partitioned shard workers behind
 	// the in-order coordinator (deterministic — see
 	// replica.Config.ExecuteThreads).
 	BatchThreads   int
 	ExecuteThreads int
-	OutputThreads  int
-	ReplicaInboxes int
 	VerifyThreads  int
 	// ExecPipelineDepth is the execute stage's cross-batch pipelining
 	// depth (default 1, the strict per-batch barrier; see
@@ -99,27 +98,12 @@ type Options struct {
 	// compaction never rewrites. 0 means the default
 	// (store.DefaultCompactMinBytes); negative removes the floor.
 	StoreCompactMinBytes int64
-	// StoreReadIndex controls the sharded backend's in-memory read index
-	// (the current-state layer local reads are served from): 0 keeps it on
-	// (the deployment default), -1 disables it so Get goes back through
-	// the shard log. Ignored by the mem backend.
-	StoreReadIndex int
 	// ReadMode selects how clients issue read-only requests: "quorum"
 	// (default) orders them through consensus; "local" sends them to a
 	// single replica, answered from its last-executed state without a
 	// consensus round (per-key freshness only — see types.ReadRequest for
 	// the exact semantics).
 	ReadMode string
-	// PooledEncode controls the pooled outbound encode path on replicas
-	// and clients alike (see replica.Config.PooledEncode): 0 (default) on,
-	// negative off — the pre-pooling baseline kept for allocation A/B
-	// measurements.
-	PooledEncode int
-	// VerifyBatch is the verify pool's batch-drain limit (see
-	// replica.Config.VerifyBatch): 0 means the default
-	// (crypto.DefaultVerifyBatch), 1 verifies per signature, negative
-	// disables batching explicitly.
-	VerifyBatch int
 	// Seed makes key material and workloads reproducible.
 	Seed int64
 	// PreloadTable loads the YCSB table into every store before starting.
@@ -165,12 +149,6 @@ func (o *Options) fill() error {
 	if o.ExecuteThreads < 0 {
 		o.ExecuteThreads = 0 // explicit 0E request
 	}
-	if o.OutputThreads == 0 {
-		o.OutputThreads = 2
-	}
-	if o.ReplicaInboxes == 0 {
-		o.ReplicaInboxes = 2
-	}
 	if o.VerifyThreads == 0 {
 		o.VerifyThreads = 2
 	}
@@ -211,8 +189,10 @@ func (o *Options) fill() error {
 	return nil
 }
 
-// ExecuteThreadsOne is a helper constant for readability at call sites.
-const ExecuteThreadsOne = 1
+// replicaInboxes is every replica endpoint's inbox count: one for client
+// traffic plus two shared by replica traffic — one input-thread each
+// (Section 4.1).
+const replicaInboxes = 3
 
 // Result summarizes a load run.
 type Result struct {
@@ -317,7 +297,7 @@ func (c *Cluster) buildStore(id types.ReplicaID) (store.Store, error) {
 		CompactRatio:    o.StoreCompactRatio,
 		CompactMinBytes: o.StoreCompactMinBytes,
 		MemSizeHint:     int(o.Workload.Records),
-		ReadIndex:       o.StoreReadIndex >= 0,
+		ReadIndex:       true,
 	})
 }
 
@@ -346,7 +326,7 @@ func (c *Cluster) closeOwnedStores() {
 // traffic sent before the replica runs (Restart) register early and let
 // the inbox buffer.
 func (c *Cluster) buildEndpoint(id types.ReplicaID) transport.Endpoint {
-	ep := c.net.Endpoint(types.ReplicaNode(id), 1+c.opts.ReplicaInboxes, 1<<13)
+	ep := c.net.Endpoint(types.ReplicaNode(id), replicaInboxes, 1<<13)
 	if c.opts.EndpointWrapper != nil {
 		ep = c.opts.EndpointWrapper(id, ep, c.dir)
 	}
@@ -365,8 +345,6 @@ func (c *Cluster) buildReplica(id types.ReplicaID, st store.Store, boot *replica
 		BatchSize:          opts.BatchSize,
 		BatchThreads:       opts.BatchThreads,
 		ExecuteThreads:     opts.ExecuteThreads,
-		OutputThreads:      opts.OutputThreads,
-		ReplicaInboxes:     opts.ReplicaInboxes,
 		VerifyThreads:      opts.VerifyThreads,
 		WorkerThreads:      opts.WorkerThreads,
 		ExecPipelineDepth:  opts.ExecPipelineDepth,
@@ -378,8 +356,6 @@ func (c *Cluster) buildReplica(id types.ReplicaID, st store.Store, boot *replica
 		VerifyClientSigs:   true,
 		DisableOutOfOrder:  opts.DisableOutOfOrder,
 		ViewTimeout:        opts.ViewTimeout,
-		PooledEncode:       opts.PooledEncode,
-		VerifyBatch:        opts.VerifyBatch,
 		Bootstrap:          boot,
 	})
 }
@@ -389,11 +365,7 @@ func New(opts Options) (*Cluster, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	var seed [32]byte
-	seed[0] = byte(opts.Seed)
-	seed[1] = byte(opts.Seed >> 8)
-	seed[2] = byte(opts.Seed >> 16)
-	dir, err := crypto.NewDirectory(opts.Crypto, seed)
+	dir, err := crypto.NewDirectoryFromSeed(opts.Crypto, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -450,16 +422,15 @@ func New(opts Options) (*Cluster, error) {
 		}
 		ep := c.net.Endpoint(types.ClientNode(id), 1, 1<<10)
 		cl, err := NewClient(ClientConfig{
-			ID:           id,
-			N:            opts.N,
-			Protocol:     proto,
-			Burst:        opts.Burst,
-			Timeout:      opts.ClientTimeout,
-			Directory:    dir,
-			Endpoint:     ep,
-			Workload:     wl,
-			ReadMode:     opts.ReadMode,
-			PooledEncode: opts.PooledEncode,
+			ID:        id,
+			N:         opts.N,
+			Protocol:  proto,
+			Burst:     opts.Burst,
+			Timeout:   opts.ClientTimeout,
+			Directory: dir,
+			Endpoint:  ep,
+			Workload:  wl,
+			ReadMode:  opts.ReadMode,
 		})
 		if err != nil {
 			return nil, err

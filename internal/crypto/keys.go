@@ -54,6 +54,17 @@ func NewDirectory(cfg Config, seed [32]byte) (*Directory, error) {
 	}, nil
 }
 
+// NewDirectoryFromSeed creates a Directory rooted at an integer seed: the
+// one rule every deployment mode (the in-process cluster, resdb-node,
+// resdb-client, resdb-gateway) uses to turn a shared -seed into key
+// material, so the same seed yields keys that verify each other's
+// signatures whichever mode derived them.
+func NewDirectoryFromSeed(cfg Config, seed int64) (*Directory, error) {
+	var root [32]byte
+	binary.LittleEndian.PutUint64(root[:8], uint64(seed))
+	return NewDirectory(cfg, root)
+}
+
 // Config returns the directory's scheme configuration.
 func (d *Directory) Config() Config { return d.cfg }
 

@@ -207,7 +207,6 @@ type Gateway struct {
 	dupReplayed    atomic.Uint64
 	dupRejected    atomic.Uint64
 	requests       atomic.Uint64
-	retransmits    atomic.Uint64
 	readMismatches atomic.Uint64
 	connsTotal     atomic.Uint64
 	sessionsLive   atomic.Int64
@@ -293,6 +292,10 @@ func (g *Gateway) evictLoop() {
 
 // Stats returns a snapshot of the gateway's counters.
 func (g *Gateway) Stats() Stats {
+	var retransmits uint64
+	for _, u := range g.upstreams {
+		retransmits += u.link.Retransmits()
+	}
 	return Stats{
 		Accepted:       g.accepted.Load(),
 		Completed:      g.completed.Load(),
@@ -301,7 +304,7 @@ func (g *Gateway) Stats() Stats {
 		DupReplayed:    g.dupReplayed.Load(),
 		DupRejected:    g.dupRejected.Load(),
 		Requests:       g.requests.Load(),
-		Retransmits:    g.retransmits.Load(),
+		Retransmits:    retransmits,
 		ReadMismatches: g.readMismatches.Load(),
 		Conns:          g.connsTotal.Load(),
 		Sessions:       uint64(max64(g.sessionsLive.Load(), 0)),

@@ -3,49 +3,36 @@ package gateway
 import (
 	"time"
 
-	"resilientdb/internal/consensus"
 	clientengine "resilientdb/internal/consensus/client"
-	"resilientdb/internal/crypto"
-	"resilientdb/internal/pool"
 	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
 )
 
 // upstream is one replica-facing consensus worker: a closed loop with its
-// own gateway client identity, signing key, transport endpoint, and
-// client engine, keeping exactly one coalesced request in flight. The
-// gateway's replica-facing connection count is the upstream count — a
-// handful — regardless of how many hundred thousand sessions ride them.
+// own gateway client identity, transport endpoint, and client link (engine,
+// signing key, send/await path), keeping exactly one coalesced request in
+// flight. The gateway's replica-facing connection count is the upstream
+// count — a handful — regardless of how many hundred thousand sessions
+// ride them.
 type upstream struct {
-	gw     *Gateway
-	id     types.ClientID
-	engine *clientengine.Engine
-	auth   crypto.Authenticator
-	ep     transport.Endpoint
-
-	encBufs *pool.BytePool
-	encHint int
-	seq     uint64 // next FirstSeq; gateway transactions number per-upstream
+	gw   *Gateway
+	id   types.ClientID
+	link *clientengine.Link
+	ep   transport.Endpoint
+	seq  uint64 // next FirstSeq; gateway transactions number per-upstream
 }
 
 func newUpstream(gw *Gateway, id types.ClientID) (*upstream, error) {
-	eng, err := clientengine.New(id, gw.cfg.N, gw.cfg.Protocol)
-	if err != nil {
-		return nil, err
-	}
 	ep, err := gw.cfg.Endpoint(id)
 	if err != nil {
 		return nil, err
 	}
-	return &upstream{
-		gw:      gw,
-		id:      id,
-		engine:  eng,
-		auth:    gw.cfg.Directory.NodeAuth(types.ClientNode(id)),
-		ep:      ep,
-		encBufs: new(pool.BytePool),
-		seq:     1,
-	}, nil
+	link, err := clientengine.NewLink(id, gw.cfg.N, gw.cfg.Protocol, gw.cfg.Directory, ep, gw.cfg.Timeout)
+	if err != nil {
+		ep.Close()
+		return nil, err
+	}
+	return &upstream{gw: gw, id: id, link: link, ep: ep, seq: 1}, nil
 }
 
 // run is the worker loop: collect a batch from the admission queue, fold
@@ -53,20 +40,20 @@ func newUpstream(gw *Gateway, id types.ClientID) (*upstream, error) {
 // outcome back per session.
 func (u *upstream) run() {
 	defer u.ep.Close()
-	timer := time.NewTimer(u.gw.cfg.Timeout)
-	defer timer.Stop()
+	linger := time.NewTimer(u.gw.cfg.Linger)
+	defer linger.Stop()
 	for {
-		batch := u.collect(timer)
+		batch := u.collect(linger)
 		if batch == nil {
 			return
 		}
-		u.submit(batch, timer)
+		u.submit(batch)
 	}
 }
 
 // collect blocks for the first pending, then lingers up to cfg.Linger for
 // more, bounded by cfg.Batch. It returns nil on shutdown.
-func (u *upstream) collect(timer *time.Timer) []*pending {
+func (u *upstream) collect(linger *time.Timer) []*pending {
 	gw := u.gw
 	var first *pending
 	select {
@@ -75,12 +62,12 @@ func (u *upstream) collect(timer *time.Timer) []*pending {
 		return nil
 	}
 	batch := []*pending{first}
-	resetTimer(timer, gw.cfg.Linger)
+	resetTimer(linger, gw.cfg.Linger)
 	for len(batch) < gw.cfg.Batch {
 		select {
 		case p := <-gw.submitQ:
 			batch = append(batch, p)
-		case <-timer.C:
+		case <-linger.C:
 			return batch
 		case <-gw.stop:
 			// Shutdown mid-collect: still flush what we hold — the arenas
@@ -94,7 +81,7 @@ func (u *upstream) collect(timer *time.Timer) []*pending {
 
 // submit drives one coalesced request through consensus and fans the
 // outcome back. On shutdown the batch's arenas retire without replies.
-func (u *upstream) submit(batch []*pending, timer *time.Timer) {
+func (u *upstream) submit(batch []*pending) {
 	gw := u.gw
 	txns := make([]types.Transaction, len(batch))
 	for i, p := range batch {
@@ -105,15 +92,13 @@ func (u *upstream) submit(batch []*pending, timer *time.Timer) {
 		}
 	}
 	req := types.ClientRequest{Client: u.id, FirstSeq: u.seq, Txns: txns}
-	sig, err := u.auth.Sign(types.ReplicaNode(0), req.SigningBytes())
-	if err != nil {
+	if err := u.link.Sign(&req); err != nil {
 		u.abandon(batch)
 		return
 	}
-	req.Sig = sig
 	gw.requests.Add(1)
-	u.dispatch(u.engine.Submit(req))
-	outcome := u.await(timer)
+	u.link.Submit(req)
+	outcome := u.link.Await(gw.stop)
 	if outcome == nil {
 		u.abandon(batch)
 		return
@@ -163,43 +148,6 @@ func (u *upstream) submit(batch []*pending, timer *time.Timer) {
 	}
 }
 
-// await pumps the endpoint inbox until the in-flight request completes,
-// retransmitting on timeout. It returns nil only on shutdown.
-func (u *upstream) await(timer *time.Timer) *clientengine.Outcome {
-	gw := u.gw
-	inbox := u.ep.Inbox(0)
-	resetTimer(timer, gw.cfg.Timeout)
-	for {
-		select {
-		case <-gw.stop:
-			return nil
-		case env, ok := <-inbox:
-			if !ok {
-				return nil
-			}
-			if err := u.auth.Verify(env.From, env.Body, env.Auth); err != nil {
-				env.Release()
-				continue
-			}
-			from := env.From
-			msg, err := types.DecodeBody(env.Type, env.Body)
-			env.Release() // decode copied every field; the envelope retires here
-			if err != nil {
-				continue
-			}
-			outcome, acts := u.engine.OnMessage(from, msg)
-			u.dispatch(acts)
-			if outcome != nil {
-				return outcome
-			}
-		case <-timer.C:
-			gw.retransmits.Add(1)
-			u.dispatch(u.engine.OnTimeout())
-			resetTimer(timer, gw.cfg.Timeout)
-		}
-	}
-}
-
 // abandon retires a batch that can no longer complete (shutdown): the
 // arenas release and the sessions' pending marks clear so a reconnecting
 // session could resubmit. No reply is sent — the connection is going
@@ -214,47 +162,6 @@ func (u *upstream) abandon(batch []*pending) {
 		gw.sessMu.Unlock()
 		p.arena.Release()
 	}
-}
-
-// dispatch signs and transmits client-engine actions, mirroring the
-// cluster client's pooled-encode send path.
-func (u *upstream) dispatch(acts []consensus.Action) {
-	self := types.ClientNode(u.id)
-	for _, a := range acts {
-		switch act := a.(type) {
-		case consensus.Send:
-			u.transmit(self, act.To, act.Msg)
-		case consensus.Broadcast:
-			for r := 0; r < u.gw.cfg.N; r++ {
-				u.transmit(self, types.ReplicaNode(types.ReplicaID(r)), act.Msg)
-			}
-		}
-	}
-}
-
-func (u *upstream) transmit(from, to types.NodeID, msg types.Message) {
-	// The high-water-mark hint keeps marshals in the right capacity class
-	// so steady-state encodes borrow instead of growing.
-	body, arena := types.MarshalBodyArena(msg, u.encBufs, u.encHint)
-	if len(body) > u.encHint {
-		u.encHint = len(body)
-	}
-	sig, err := u.auth.Sign(to, body)
-	if err != nil {
-		arena.Release()
-		return
-	}
-	env := types.AcquireEnvelope()
-	env.From = from
-	env.To = to
-	env.Type = msg.Type()
-	env.Body = body
-	env.Auth = sig
-	env.Attach(arena)
-	if err := u.ep.Send(env); err != nil {
-		env.Release() // the send went nowhere; retire the envelope here
-	}
-	arena.Release() // drop the builder's reference
 }
 
 // resetTimer arms timer for d, draining a stale fire first.

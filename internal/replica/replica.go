@@ -4,8 +4,8 @@
 //
 // A replica runs these stages, each on its own goroutine(s):
 //
-//   - one input-thread dedicated to client traffic and ReplicaInboxes
-//     input-threads sharing replica traffic (Section 4.1);
+//   - one input-thread dedicated to client traffic and one per further
+//     endpoint inbox sharing replica traffic (Section 4.1);
 //   - at the primary, BatchThreads batch-threads pulling client requests
 //     from a shared lock-free queue, verifying client signatures, building
 //     batches with a single digest, signing and proposing them
@@ -26,8 +26,7 @@
 //     up to P batches in flight, with per-shard FIFO queues keeping
 //     conflicting key partitions in batch order;
 //   - one checkpoint-thread processing checkpoint traffic (Section 4.7);
-//   - OutputThreads output-threads transmitting signed envelopes
-//     (Section 4.1).
+//   - two output-threads transmitting signed envelopes (Section 4.1).
 //
 // Setting BatchThreads or ExecuteThreads to zero folds that stage into the
 // worker-thread, reproducing the paper's 0B/0E configurations
@@ -120,8 +119,6 @@ type Config struct {
 	// responses are still emitted strictly in sequence order at retire
 	// time, so the result remains byte-identical to serial execution.
 	ExecPipelineDepth int
-	// OutputThreads is the number of transmitting threads (default 2).
-	OutputThreads int
 	// WorkerThreads is W: the number of parallel worker lanes stepping
 	// the consensus engine (default 1, the paper's baseline single
 	// worker-thread). With W > 1, sequence-carrying consensus messages
@@ -138,32 +135,14 @@ type Config struct {
 	// authenticated in a crypto.VerifyPool before they reach the
 	// worker-thread (per-inbox order is preserved), so the worker only
 	// ever sees authenticated messages; 0 verifies inline on the
-	// worker-thread, the paper's baseline assignment (Section 4.3).
+	// worker-thread, the paper's baseline assignment (Section 4.3). Each
+	// pool worker claims up to crypto.DefaultVerifyBatch pending
+	// submissions per wakeup and checks them with one batched call,
+	// amortizing the dispatch cost per signature under load.
 	VerifyThreads int
-	// VerifyBatch is the verify pool's batch window: each pool worker
-	// claims up to this many pending submissions per wakeup and checks
-	// them with one batched call (crypto.BatchVerifier), amortizing the
-	// dispatch cost per signature under load. 0 means
-	// crypto.DefaultVerifyBatch; 1 verifies strictly per signature.
-	// Only meaningful with VerifyThreads > 0.
-	VerifyBatch int
-	// PooledEncode controls the pooled outbound encode path (Section 4.8
-	// buffer-pool management on the send side): broadcast and sendTo
-	// marshal bodies into arena-backed buffers from a per-replica byte
-	// pool, reference-counted per destination envelope and recycled when
-	// the transport writer (or in-process receiver) retires the last one.
-	// 0 (the default) enables it; negative disables it, making every send
-	// build a fresh body buffer — the pre-pooling behavior, kept as the
-	// allocs benchmark's baseline.
-	PooledEncode int
-	// ReplicaInboxes is the number of input-threads for replica traffic
-	// (default 2).
-	ReplicaInboxes int
 	// CheckpointInterval is Δ in batches; the paper checkpoints once per
 	// 10K transactions, i.e. every 100 batches of 100 (Section 5.1).
 	CheckpointInterval uint64
-	// WatermarkWindow bounds out-of-order pipelining depth.
-	WatermarkWindow uint64
 	// LedgerMode selects block linkage (default CommitCertificate,
 	// Section 4.6).
 	LedgerMode ledger.Mode
@@ -238,9 +217,6 @@ func (c *Config) fill() error {
 	if c.VerifyThreads < 0 {
 		return fmt.Errorf("replica: negative VerifyThreads")
 	}
-	if c.VerifyBatch < 0 {
-		c.VerifyBatch = 1 // negative = explicitly disabled, per-signature
-	}
 	if c.WorkerThreads < 0 {
 		return fmt.Errorf("replica: negative WorkerThreads")
 	}
@@ -250,17 +226,8 @@ func (c *Config) fill() error {
 	if c.BatchSize < 1 {
 		c.BatchSize = 100
 	}
-	if c.OutputThreads < 1 {
-		c.OutputThreads = 2
-	}
-	if c.ReplicaInboxes < 1 {
-		c.ReplicaInboxes = 2
-	}
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 100
-	}
-	if c.WatermarkWindow == 0 {
-		c.WatermarkWindow = 4096
 	}
 	if c.LedgerMode == 0 {
 		c.LedgerMode = ledger.CommitCertificate
@@ -273,6 +240,18 @@ func (c *Config) fill() error {
 	}
 	return nil
 }
+
+const (
+	// watermarkWindow bounds out-of-order pipelining depth: how many
+	// sequence numbers consensus may run ahead of the last stable
+	// checkpoint (and Zyzzyva's speculation depth).
+	watermarkWindow = 4096
+	// outputThreads is the number of transmitting threads; destinations
+	// are partitioned across them (Section 4.1).
+	outputThreads = 2
+	// cacheLine is the padding unit fencing Replica's hot counters.
+	cacheLine = 64
+)
 
 // Stage identifies a pipeline stage for busy-time accounting.
 type Stage int
@@ -399,10 +378,10 @@ type Stats struct {
 	StoreCompactReclaimedBytes uint64
 	StoreCompactStallNS        uint64
 	// EncodePoolHits and EncodePoolMisses are the outbound encode pool's
-	// reuse counters (both zero when PooledEncode is disabled): a miss is
-	// a send that had to allocate its body buffer. VerifyBatched counts
-	// signatures accepted via the verify pool's batched path; against
-	// MsgsIn it shows how often verification wakeups were amortized.
+	// reuse counters: a miss is a send that had to allocate its body
+	// buffer. VerifyBatched counts signatures accepted via the verify
+	// pool's batched path; against MsgsIn it shows how often verification
+	// wakeups were amortized.
 	EncodePoolHits   uint64
 	EncodePoolMisses uint64
 	VerifyBatched    uint64
@@ -541,6 +520,34 @@ type inflightExec struct {
 
 // Replica is a runnable pipelined replica.
 type Replica struct {
+	// The hot counters, written by every stage on every message or batch,
+	// lead the struct between two cache lines of padding: no field added,
+	// removed or resized below (Config above all) can move them across a
+	// line or put a read-mostly field on one of theirs.
+	_ [cacheLine]byte
+
+	txnsExecuted    atomic.Uint64
+	batchesExecuted atomic.Uint64
+	readsExecuted   atomic.Uint64
+	localReads      atomic.Uint64
+	localReadDrops  atomic.Uint64
+	// lastRetired is the highest sequence number whose batch has fully
+	// retired (ledger appended, store applied); locally served reads are
+	// stamped with it as a per-key freshness lower bound (reads run
+	// concurrently with later batches applying, so it is not a snapshot
+	// position).
+	lastRetired    atomic.Uint64
+	msgsIn         atomic.Uint64
+	msgsOut        atomic.Uint64
+	authFailures   atomic.Uint64
+	decodeFailures atomic.Uint64
+	storeFailures  atomic.Uint64
+	busyNS         [stageCount]atomic.Uint64
+	laneBusyNS     []atomic.Uint64
+	shardBusyNS    []atomic.Uint64
+
+	_ [cacheLine]byte
+
 	cfg Config
 	// engine is safe for concurrent stepping: either a natively
 	// concurrent engine (consensus.ConcurrentStepper, e.g. the
@@ -568,7 +575,7 @@ type Replica struct {
 	// barrier); partsFree recycles execDepth sets of partition buffers, so
 	// a batch's buffers are only reused after it retired. execBatch caches
 	// the blocking batched apply path (PutMany) for stores that offer no
-	// Appender; see execAppend at the end of the struct.
+	// Appender (execAppend).
 	execShards int
 	execDepth  int
 	shardQs    []chan *inflightExec
@@ -620,12 +627,13 @@ type Replica struct {
 
 	reqPool *pool.Pool[types.ClientRequest]
 
-	// encBufs backs the pooled outbound encode path (nil when
-	// Config.PooledEncode is negative): broadcast/sendTo bodies are
-	// marshaled into arena-backed buffers recycled here once the last
-	// destination envelope retires. encHint tracks the largest body seen,
-	// so marshals borrow from the right capacity class up front instead of
-	// growing out of an undersized buffer on every large batch.
+	// encBufs backs the outbound encode path (Section 4.8 buffer-pool
+	// management on the send side): broadcast/sendTo bodies are marshaled
+	// into arena-backed buffers, reference-counted per destination
+	// envelope and recycled here once the transport writer (or in-process
+	// receiver) retires the last one. encHint tracks the largest body
+	// seen, so marshals borrow from the right capacity class up front
+	// instead of growing out of an undersized buffer on every large batch.
 	encBufs *pool.BytePool
 	encHint atomic.Int64
 
@@ -671,26 +679,6 @@ type Replica struct {
 	outWg    sync.WaitGroup
 	watchWg  sync.WaitGroup
 
-	txnsExecuted    atomic.Uint64
-	batchesExecuted atomic.Uint64
-	readsExecuted   atomic.Uint64
-	localReads      atomic.Uint64
-	localReadDrops  atomic.Uint64
-	// lastRetired is the highest sequence number whose batch has fully
-	// retired (ledger appended, store applied); locally served reads are
-	// stamped with it as a per-key freshness lower bound (reads run
-	// concurrently with later batches applying, so it is not a snapshot
-	// position).
-	lastRetired    atomic.Uint64
-	msgsIn         atomic.Uint64
-	msgsOut        atomic.Uint64
-	authFailures   atomic.Uint64
-	decodeFailures atomic.Uint64
-	storeFailures  atomic.Uint64
-	busyNS         [stageCount]atomic.Uint64
-	laneBusyNS     []atomic.Uint64
-	shardBusyNS    []atomic.Uint64
-
 	// execAppend is the store's visible/durable split, when it has one:
 	// partitions are appended through it (visible at once) and the wait
 	// for the fsync happens before retirement — inline for a batch applied
@@ -698,9 +686,7 @@ type Replica struct {
 	// one, so no shard worker ever waits for a disk. inlineScratch is the
 	// write buffer of the inline apply, reused batch after batch (one
 	// stager at a time: the execute-thread, or a worker lane under
-	// inlineMu). These sit after the counters because 56 bytes ahead of
-	// them moved which hot atomics share a cache line and cost the MemStore
-	// workloads 3% of their throughput.
+	// inlineMu).
 	execAppend    store.Appender
 	durableQs     []chan durableWait
 	durableWg     sync.WaitGroup
@@ -737,7 +723,7 @@ func New(cfg Config) (*Replica, error) {
 			ID:                 cfg.ID,
 			N:                  cfg.N,
 			CheckpointInterval: cfg.CheckpointInterval,
-			WatermarkWindow:    cfg.WatermarkWindow,
+			WatermarkWindow:    watermarkWindow,
 			StartView:          startView,
 			StartSeq:           startSeq,
 		})
@@ -746,7 +732,7 @@ func New(cfg Config) (*Replica, error) {
 			ID:                  cfg.ID,
 			N:                   cfg.N,
 			CheckpointInterval:  cfg.CheckpointInterval,
-			MaxSpeculationDepth: cfg.WatermarkWindow,
+			MaxSpeculationDepth: watermarkWindow,
 		})
 	}
 	if err != nil {
@@ -786,18 +772,16 @@ func New(cfg Config) (*Replica, error) {
 		store:      st,
 		batchQ:     queue.NewMPMC[*types.ClientRequest](1 << 14),
 		ckptQ:      make(chan workItem, 1<<10),
-		execIn:     queue.NewInOrder[execItem](int(cfg.WatermarkWindow)*2, uint64(startSeq)+1),
-		execWindow: int(cfg.WatermarkWindow),
+		execIn:     queue.NewInOrder[execItem](watermarkWindow*2, uint64(startSeq)+1),
+		execWindow: watermarkWindow,
 		lastExec:   make(map[types.ClientID]uint64),
 		stop:       make(chan struct{}),
 		progressC:  make(chan struct{}, 1),
 		readQ:      make(chan *types.ReadRequest, 1<<10),
+		encBufs:    new(pool.BytePool),
 		reqPool: pool.New[types.ClientRequest](nil, func(cr *types.ClientRequest) {
 			*cr = types.ClientRequest{}
 		}, 1024, 1<<16),
-	}
-	if cfg.PooledEncode >= 0 {
-		r.encBufs = new(pool.BytePool)
 	}
 	r.workQs = make([]chan workItem, lanes)
 	for i := range r.workQs {
@@ -850,7 +834,7 @@ func New(cfg Config) (*Replica, error) {
 			r.lastExec[c] = seq
 		}
 	}
-	r.outQs = make([]chan *types.Envelope, cfg.OutputThreads)
+	r.outQs = make([]chan *types.Envelope, outputThreads)
 	for i := range r.outQs {
 		r.outQs[i] = make(chan *types.Envelope, 1<<13)
 	}
@@ -940,9 +924,7 @@ func (r *Replica) Stats() Stats {
 		s.StoreCompactReclaimedBytes = cs.ReclaimedBytes
 		s.StoreCompactStallNS = cs.StallNS
 	}
-	if r.encBufs != nil {
-		s.EncodePoolHits, s.EncodePoolMisses = r.encBufs.Stats()
-	}
+	s.EncodePoolHits, s.EncodePoolMisses = r.encBufs.Stats()
 	if r.verifyPool != nil {
 		s.VerifyBatched = r.verifyPool.BatchedVerifies()
 	}
@@ -1057,7 +1039,7 @@ func (r *Replica) Start() {
 	// submission order and routes only authenticated envelopes onward.
 	nIn := r.cfg.Endpoint.Inboxes()
 	if r.cfg.VerifyThreads > 0 {
-		r.verifyPool = crypto.NewVerifyPoolBatch(r.auth, r.cfg.VerifyThreads, r.cfg.VerifyThreads*64, r.cfg.VerifyBatch)
+		r.verifyPool = crypto.NewVerifyPoolBatch(r.auth, r.cfg.VerifyThreads, r.cfg.VerifyThreads*64, crypto.DefaultVerifyBatch)
 		r.verifyQs = make([]chan verifiedItem, nIn)
 		for i := range r.verifyQs {
 			r.verifyQs[i] = make(chan verifiedItem, 256)

@@ -64,7 +64,7 @@ func TestDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.cfg.BatchSize != 100 || r.cfg.OutputThreads != 2 || r.cfg.ReplicaInboxes != 2 {
+	if r.cfg.BatchSize != 100 || len(r.outQs) != outputThreads {
 		t.Fatalf("defaults not applied: %+v", r.cfg)
 	}
 	if r.cfg.CheckpointInterval != 100 {

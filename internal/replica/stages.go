@@ -1148,16 +1148,11 @@ func (r *Replica) sendTo(to types.NodeID, msg types.Message) {
 	arena.Release()
 }
 
-// marshalOut encodes an outbound body, into a pooled arena buffer when
-// pooled encode is on (Config.PooledEncode >= 0) and into a fresh
-// allocation otherwise. The returned arena carries the builder's
-// reference — nil when pooling is off, which Attach and Release both
-// tolerate — and the caller must Release it exactly once after attaching
-// it to every envelope that shares the body.
+// marshalOut encodes an outbound body into a pooled arena buffer. The
+// returned arena carries the builder's reference; the caller must Release
+// it exactly once after attaching it to every envelope that shares the
+// body.
 func (r *Replica) marshalOut(msg types.Message) ([]byte, *types.Arena) {
-	if r.encBufs == nil {
-		return types.MarshalBody(msg), nil
-	}
 	// Seed the pooled buffer with the largest body seen so far: a marshal
 	// that outgrows its buffer reallocates on append and strands the
 	// undersized slice, so guessing high keeps the path allocation-free

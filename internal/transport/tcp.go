@@ -21,9 +21,9 @@ const (
 	// DefaultBatchMax is the default maximum number of envelopes per
 	// batch frame.
 	DefaultBatchMax = 64
-	// DefaultBatchBytes is the default encoded-size threshold that
-	// flushes a batch early.
-	DefaultBatchBytes = 64 << 10
+	// batchBytes is the encoded-size threshold that flushes a batch
+	// early, bounding frame size independently of BatchMax.
+	batchBytes = 64 << 10
 	// peerQueueCap is the depth of a replica peer's outbound queue;
 	// senders block (backpressure) when the writer falls this far behind.
 	peerQueueCap = 4096
@@ -55,10 +55,6 @@ type TCPConfig struct {
 	// envelope travels in its own frame, still serialized through the
 	// peer's writer goroutine).
 	BatchMax int
-	// BatchBytes flushes a batch once its encoded size reaches this
-	// threshold, bounding frame size independently of BatchMax. 0 means
-	// DefaultBatchBytes.
-	BatchBytes int
 	// Linger is how long a writer waits for more envelopes before
 	// flushing a partial batch. 0 flushes as soon as the outbound queue
 	// is momentarily empty: under load batches still fill (the queue
@@ -87,9 +83,6 @@ func (c *TCPConfig) fill() {
 	}
 	if c.BatchMax < 1 {
 		c.BatchMax = 1
-	}
-	if c.BatchBytes < 1 {
-		c.BatchBytes = DefaultBatchBytes
 	}
 }
 
@@ -426,7 +419,7 @@ func (e *TCPEndpoint) writeLoop(to types.NodeID, p *tcpPeer) {
 		}
 		stopping := false
 	collect:
-		for len(batch) < e.cfg.BatchMax && size < e.cfg.BatchBytes {
+		for len(batch) < e.cfg.BatchMax && size < batchBytes {
 			if lingerC != nil {
 				select {
 				case env := <-p.out:

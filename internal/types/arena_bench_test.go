@@ -1,8 +1,8 @@
 package types_test
 
-// Allocation-accounting benchmarks for the zero-copy hot path, the
-// package-level counterparts of the `allocs` bench experiment: run with
-// -benchmem to compare allocs/op between the copying and pooled forms.
+// Allocation accounting for the zero-copy hot path: benchmarks to run
+// with -benchmem (allocs/op of the copying forms against the pooled forms
+// the pipeline uses), and tests pinning the two claims pooling rests on.
 
 import (
 	"bytes"
@@ -12,8 +12,8 @@ import (
 	"resilientdb/internal/types"
 )
 
-func benchFrame(b *testing.B) []byte {
-	b.Helper()
+func benchFrame(tb testing.TB) []byte {
+	tb.Helper()
 	envs := make([]*types.Envelope, 0, 64)
 	for i := 0; i < 64; i++ {
 		envs = append(envs, &types.Envelope{
@@ -81,5 +81,55 @@ func BenchmarkMarshalBodyArena(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, arena := types.MarshalBodyArena(msg, bufs, 0)
 		arena.Release()
+	}
+}
+
+// TestPooledFrameDecodeHalvesAllocs pins what zero-copy receive buys: a
+// 64-envelope batch frame decoded into pooled envelopes aliasing one
+// pooled arena costs at most half the allocations of the copying decoder.
+func TestPooledFrameDecodeHalvesAllocs(t *testing.T) {
+	frame := benchFrame(t)
+	r := bytes.NewReader(frame)
+	bufs := new(pool.BytePool)
+	copied := testing.AllocsPerRun(100, func() {
+		r.Reset(frame)
+		if _, err := types.ReadFrames(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	pooled := testing.AllocsPerRun(100, func() {
+		r.Reset(frame)
+		envs, err := types.ReadFramesPooled(r, bufs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range envs {
+			e.Release()
+		}
+	})
+	t.Logf("allocations per frame: copy decode %.0f, pooled decode %.0f", copied, pooled)
+	if pooled > copied/2 {
+		t.Fatalf("pooled decode allocates %.0f per frame, copy decode %.0f — want at most half", pooled, copied)
+	}
+}
+
+// TestMarshalBodyArenaAllocatesLess pins what pooled encode buys: in
+// steady state (the buffer released after each send, as the transport
+// does) MarshalBodyArena allocates less than MarshalBody.
+func TestMarshalBodyArenaAllocatesLess(t *testing.T) {
+	msg := benchMessage()
+	bufs := new(pool.BytePool)
+	copied := testing.AllocsPerRun(100, func() {
+		_ = types.MarshalBody(msg)
+	})
+	pooled := testing.AllocsPerRun(100, func() {
+		_, arena := types.MarshalBodyArena(msg, bufs, 0)
+		arena.Release()
+	})
+	if types.RaceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random; steady-state reuse is nondeterministic")
+	}
+	if pooled >= copied {
+		t.Fatalf("pooled encode allocates %.0f per body, copy encode %.0f — pooling saved nothing", pooled, copied)
 	}
 }

@@ -11,18 +11,23 @@
 //     TCP, running the full Figure 6 pipeline — input-threads,
 //     batch-threads, worker lanes, the in-order execute stage (optionally
 //     fanned across write-set-partitioned shards), checkpoint-thread,
-//     output-threads — with real ED25519/RSA/AES-CMAC authentication, an
-//     in-memory or disk-backed store, and a blockchain ledger.
+//     output-threads — with real ED25519/RSA/AES-CMAC authentication,
+//     message buffers pooled on the receive and send side and signatures
+//     verified in batches (Section 4.8; how the fabric works, not
+//     options), an in-memory or disk-backed store, and a blockchain
+//     ledger.
 //
 //   - A deterministic simulator: Simulate replays the paper's evaluation
 //     at full scale (32 replicas, 8 cores, 80K clients) by driving the
 //     very same consensus engines under a calibrated cost model.
 //
 //   - The experiment suite: Experiments and RunExperiment regenerate
-//     every table and figure of the paper's Section 5.
+//     every table and figure of the paper's Section 5, plus the sweeps
+//     over the runnable fabric that have no other home yet.
 //
-// See DESIGN.md for the architecture and EXPERIMENTS.md for
-// paper-versus-measured results.
+// End-to-end and per-layer performance of the runnable fabric is measured
+// by the separate benchmark/ module (BENCHMARK.json is its contract). See
+// docs/ARCHITECTURE.md for the architecture and the knob reference.
 package resilientdb
 
 import (
@@ -55,7 +60,7 @@ const (
 
 // ClusterOptions configures a cluster; zero values select the paper's
 // standard configuration (batch 100, 2 batch-threads, 1 execute-thread,
-// 2 output-threads, CMAC+ED25519, in-memory storage).
+// CMAC+ED25519, in-memory storage).
 type ClusterOptions = cluster.Options
 
 // Cluster is a runnable deployment of replicas plus closed-loop clients.

@@ -1,10 +1,12 @@
 #!/bin/sh
-# check-doc-drift.sh — fail if any command-line flag registered in
-# cmd/*/main.go is missing from the docs/ARCHITECTURE.md knob reference.
+# check-doc-drift.sh — fail if any command-line flag registered under
+# cmd/ (the binaries' main.go files and the shared cmd/internal/ packages)
+# is missing from the docs/ARCHITECTURE.md knob reference.
 #
 # The knob reference only stays trustworthy if it cannot silently rot:
-# every `flag.Type("name", ...)` registration must appear in the docs as
-# a backticked `-name` cell. Run from the repository root (CI does).
+# every `flag.Type("name", ...)` registration — or `fs.Type(...)` on a
+# *flag.FlagSet named fs — must appear in the docs as a backticked `-name`
+# cell. Run from the repository root (CI does).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -15,24 +17,35 @@ if [ ! -f "$docs" ]; then
     exit 1
 fi
 
+sources=$(find cmd -name '*.go' ! -name '*_test.go' | sort)
+
 # Both registration forms: flag.Int("name", ...) and
-# flag.IntVar(&x, "name", ...).
-flags=$({
-    grep -ohE 'flag\.[A-Za-z0-9]+\("[a-zA-Z0-9-]+"' cmd/*/main.go \
-        | sed -E 's/.*\("([^"]+)"$/\1/'
-    grep -ohE 'flag\.[A-Za-z0-9]+Var\([^,]+,[[:space:]]*"[a-zA-Z0-9-]+"' cmd/*/main.go \
-        | sed -E 's/.*"([^"]+)"$/\1/'
-} | sort -u)
+# flag.IntVar(&x, "name", ...), on the package or on a FlagSet named fs.
+extract() {
+    {
+        grep -ohE '\b(flag|fs)\.[A-Za-z0-9]+\("[a-zA-Z0-9-]+"' "$@" \
+            | sed -E 's/.*\("([^"]+)"$/\1/'
+        grep -ohE '\b(flag|fs)\.[A-Za-z0-9]+Var\([^,]+,[[:space:]]*"[a-zA-Z0-9-]+"' "$@" \
+            | sed -E 's/.*"([^"]+)"$/\1/'
+    } | sort -u
+}
+flags=$(extract $sources)
 
 if [ -z "$flags" ]; then
-    echo "doc drift: extracted no flags from cmd/*/main.go — the extraction regex has rotted" >&2
+    echo "doc drift: extracted no flags from cmd/ — the extraction regex has rotted" >&2
+    exit 1
+fi
+# The shared deployment flags live in cmd/internal/; if none is seen there
+# the script has gone blind to that directory and would pass silently.
+if [ -z "$(extract $(find cmd/internal -name '*.go' ! -name '*_test.go'))" ]; then
+    echo "doc drift: extracted no flags from cmd/internal/ — the extraction regex has rotted" >&2
     exit 1
 fi
 
 status=0
 for f in $flags; do
     if ! grep -q -- "\`-$f\`" "$docs"; then
-        echo "doc drift: flag -$f (cmd/*/main.go) is not documented in $docs" >&2
+        echo "doc drift: flag -$f (registered under cmd/) is not documented in $docs" >&2
         status=1
     fi
 done
