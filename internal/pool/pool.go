@@ -1,6 +1,6 @@
 // Package pool implements the buffer-pool management of Section 4.8:
-// message and transaction objects are preallocated at initialization and
-// recycled instead of being allocated and freed once per message.
+// encode and frame buffers are recycled instead of being allocated and
+// freed once per message.
 package pool
 
 import (
@@ -8,92 +8,11 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a typed free-list of reusable objects. Get hands out a recycled
-// object when one is available and allocates otherwise; Put returns an
-// object to the pool after resetting it. Pool is safe for concurrent use.
-//
-// Unlike sync.Pool, objects are never reclaimed by the garbage collector
-// behind the pool's back, mirroring the paper's fixed buffer pools, and
-// hit/miss counters are exposed so tests and benchmarks can observe reuse.
-type Pool[T any] struct {
-	mu    sync.Mutex
-	free  []*T
-	alloc func() *T
-	reset func(*T)
-	cap   int
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-// New creates a Pool that allocates with alloc and recycles with reset
-// (reset may be nil). prealloc objects are created eagerly — the paper's
-// "large number of empty objects" at system initialization — and maxIdle
-// bounds how many idle objects the pool retains (0 means unbounded).
-func New[T any](alloc func() *T, reset func(*T), prealloc, maxIdle int) *Pool[T] {
-	if alloc == nil {
-		alloc = func() *T { return new(T) }
-	}
-	p := &Pool[T]{alloc: alloc, reset: reset, cap: maxIdle}
-	if prealloc > 0 {
-		p.free = make([]*T, 0, prealloc)
-		for i := 0; i < prealloc; i++ {
-			p.free = append(p.free, alloc())
-		}
-	}
-	return p
-}
-
-// Get returns an object from the pool, allocating if the pool is empty.
-func (p *Pool[T]) Get() *T {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		v := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		p.hits.Add(1)
-		return v
-	}
-	p.mu.Unlock()
-	p.misses.Add(1)
-	return p.alloc()
-}
-
-// Put resets v and returns it to the pool. Objects beyond the idle bound
-// are dropped for the garbage collector.
-func (p *Pool[T]) Put(v *T) {
-	if v == nil {
-		return
-	}
-	if p.reset != nil {
-		p.reset(v)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cap > 0 && len(p.free) >= p.cap {
-		return
-	}
-	p.free = append(p.free, v)
-}
-
-// Idle returns the number of objects currently parked in the pool.
-func (p *Pool[T]) Idle() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
-}
-
-// Stats returns the cumulative hit and miss counts.
-func (p *Pool[T]) Stats() (hits, misses uint64) {
-	return p.hits.Load(), p.misses.Load()
-}
-
 // BytePool recycles byte slices bucketed by capacity class. It backs the
 // encoding buffers of the output threads and the zero-copy frame arenas
 // of the receive path, where message sizes vary with batch size and
-// payload (Sections 5.3 and 5.5). Hit/miss counters mirror Pool's so the
-// node stats tick and the allocs benchmark can observe reuse.
+// payload (Sections 5.3 and 5.5). Hit/miss counters let the node stats
+// tick and the benchmark observe reuse.
 type BytePool struct {
 	pools [numClasses]sync.Pool
 	// boxes recycles the *[]byte headers the class pools store, so a

@@ -1,105 +1,6 @@
 package pool
 
-import (
-	"sync"
-	"testing"
-)
-
-type message struct {
-	seq  uint64
-	body []byte
-}
-
-func newMessagePool(prealloc, maxIdle int) *Pool[message] {
-	return New(
-		func() *message { return &message{body: make([]byte, 0, 64)} },
-		func(m *message) { m.seq = 0; m.body = m.body[:0] },
-		prealloc, maxIdle,
-	)
-}
-
-func TestPoolPreallocation(t *testing.T) {
-	p := newMessagePool(10, 0)
-	if got := p.Idle(); got != 10 {
-		t.Fatalf("Idle = %d, want 10", got)
-	}
-	for i := 0; i < 10; i++ {
-		if p.Get() == nil {
-			t.Fatal("Get returned nil")
-		}
-	}
-	hits, misses := p.Stats()
-	if hits != 10 || misses != 0 {
-		t.Fatalf("Stats = (%d,%d), want (10,0)", hits, misses)
-	}
-	// Pool exhausted: next Get allocates.
-	if p.Get() == nil {
-		t.Fatal("Get returned nil after exhaustion")
-	}
-	if _, misses := p.Stats(); misses != 1 {
-		t.Fatalf("misses = %d, want 1", misses)
-	}
-}
-
-func TestPoolResetOnPut(t *testing.T) {
-	p := newMessagePool(0, 0)
-	m := p.Get()
-	m.seq = 99
-	m.body = append(m.body, 1, 2, 3)
-	p.Put(m)
-	got := p.Get()
-	if got != m {
-		t.Fatal("Get did not return the recycled object")
-	}
-	if got.seq != 0 || len(got.body) != 0 {
-		t.Fatalf("recycled object not reset: %+v", got)
-	}
-}
-
-func TestPoolMaxIdleBound(t *testing.T) {
-	p := newMessagePool(0, 2)
-	a, b, c := p.Get(), p.Get(), p.Get()
-	p.Put(a)
-	p.Put(b)
-	p.Put(c) // dropped: pool already holds maxIdle
-	if got := p.Idle(); got != 2 {
-		t.Fatalf("Idle = %d, want 2", got)
-	}
-}
-
-func TestPoolPutNilIsNoop(t *testing.T) {
-	p := newMessagePool(0, 0)
-	p.Put(nil)
-	if got := p.Idle(); got != 0 {
-		t.Fatalf("Idle = %d after Put(nil)", got)
-	}
-}
-
-func TestPoolConcurrentReuse(t *testing.T) {
-	p := newMessagePool(32, 0)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 5000; i++ {
-				m := p.Get()
-				m.seq = uint64(i)
-				m.body = append(m.body, byte(i))
-				p.Put(m)
-			}
-		}()
-	}
-	wg.Wait()
-	hits, misses := p.Stats()
-	if hits+misses != 8*5000 {
-		t.Fatalf("hits+misses = %d, want %d", hits+misses, 8*5000)
-	}
-	// With 32 preallocated objects and 8 workers, reuse must dominate.
-	if hits < misses {
-		t.Fatalf("pool not reusing: hits=%d misses=%d", hits, misses)
-	}
-}
+import "testing"
 
 func TestBytePoolCapacityPromise(t *testing.T) {
 	var bp BytePool
@@ -126,34 +27,4 @@ func TestBytePoolHugeSlices(t *testing.T) {
 		t.Fatal("huge Get under capacity")
 	}
 	bp.Put(s) // must not panic; slice is simply dropped
-}
-
-// BenchmarkAblationPoolGetPut vs BenchmarkAblationMallocFree measure the
-// Section 4.8 claim: recycling message objects beats per-message
-// allocation. Run with -benchmem to see the allocation counts.
-func BenchmarkAblationPoolGetPut(b *testing.B) {
-	p := newMessagePool(64, 0)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			m := p.Get()
-			m.seq = 1
-			m.body = append(m.body[:0], 1, 2, 3, 4, 5, 6, 7, 8)
-			p.Put(m)
-		}
-	})
-}
-
-func BenchmarkAblationMallocFree(b *testing.B) {
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		var sink *message
-		for pb.Next() {
-			m := &message{body: make([]byte, 0, 64)}
-			m.seq = 1
-			m.body = append(m.body, 1, 2, 3, 4, 5, 6, 7, 8)
-			sink = m
-		}
-		_ = sink
-	})
 }

@@ -52,8 +52,8 @@ type cell[T any] struct {
 // It is the "lock-free common queue" placed between the input-thread and
 // the batch-threads at the primary (Section 4.3).
 //
-// Pushes and non-blocking pops stay lock-free. Blocking consumers (Pop,
-// PopWait) park on a wake channel instead of spinning: a pusher that
+// Pushes and non-blocking pops stay lock-free. A blocking consumer (Pop)
+// parks on a wake channel instead of spinning: a pusher that
 // observes registered waiters deposits a wake token, and a woken consumer
 // that takes an item re-arms the token for the next waiter (a cascade),
 // so idle batch-threads burn no CPU while loaded ones never sleep.
@@ -65,7 +65,7 @@ type MPMC[T any] struct {
 	closed  atomic.Bool
 	sleepNS int64
 
-	// waiters counts consumers parked (or about to park) in Pop/PopWait;
+	// waiters counts consumers parked (or about to park) in Pop;
 	// pushers only touch the wake channel when it is non-zero.
 	waiters atomic.Int32
 	// wakeC carries at most one wake token. A token means "state changed:
@@ -204,42 +204,6 @@ func (q *MPMC[T]) Pop() (T, bool) {
 			return v, ok
 		}
 		<-q.wakeC
-	}
-}
-
-// PopWait dequeues, blocking up to timeout for an item to arrive. A
-// non-positive timeout degenerates to TryPop. It reports false on
-// timeout and when the queue is closed and drained — either way the
-// caller's deadline semantics hold: it never blocks past timeout.
-func (q *MPMC[T]) PopWait(timeout time.Duration) (T, bool) {
-	if v, ok := q.TryPop(); ok {
-		return v, true
-	}
-	var zero T
-	if timeout <= 0 {
-		return zero, false
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	q.waiters.Add(1)
-	defer q.waiters.Add(-1)
-	for {
-		if v, ok := q.TryPop(); ok {
-			q.wakeNext()
-			return v, true
-		}
-		if q.closed.Load() {
-			q.wakeNext()
-			v, ok := q.TryPop()
-			return v, ok
-		}
-		select {
-		case <-q.wakeC:
-			// State changed (or a stale token): loop and recheck.
-		case <-t.C:
-			v, ok := q.TryPop()
-			return v, ok
-		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -186,6 +187,104 @@ func TestMPMCPerProducerOrder(t *testing.T) {
 		if l != perProducer-1 {
 			t.Fatalf("producer %d delivered up to %d", p, l)
 		}
+	}
+}
+
+func TestPopWokenByPush(t *testing.T) {
+	q := NewMPMC[int](8)
+	done := make(chan int, 1)
+	go func() {
+		v, ok := q.Pop()
+		if !ok {
+			done <- -1
+			return
+		}
+		done <- v
+	}()
+	time.Sleep(10 * time.Millisecond) // let the consumer park
+	q.Push(7)
+	select {
+	case v := <-done:
+		if v != 7 {
+			t.Fatalf("parked consumer got %d, want 7", v)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("push never woke the parked consumer")
+	}
+}
+
+func TestCloseWakesAllParkedConsumers(t *testing.T) {
+	q := NewMPMC[int](8)
+	const waiters = 6
+	var wg sync.WaitGroup
+	var woke atomic.Int32
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, ok := q.Pop(); !ok {
+				woke.Add(1)
+			}
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // let everyone park
+	q.Close()
+	doneC := make(chan struct{})
+	go func() { wg.Wait(); close(doneC) }()
+	select {
+	case <-doneC:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left consumers parked (wake cascade broken)")
+	}
+	if got := woke.Load(); got != waiters {
+		t.Fatalf("%d of %d consumers observed the close", got, waiters)
+	}
+}
+
+// TestPopConcurrentHandoff hammers parked consumers with bursty producers:
+// every pushed item must come out exactly once even though the single wake
+// token is shared by all waiters.
+func TestPopConcurrentHandoff(t *testing.T) {
+	q := NewMPMC[uint32](64)
+	const producers, consumers, perProducer = 4, 4, 2000
+	var got sync.Map
+	var received atomic.Int64
+	var prod, cons sync.WaitGroup
+
+	for c := 0; c < consumers; c++ {
+		cons.Add(1)
+		go func() {
+			defer cons.Done()
+			for {
+				v, ok := q.Pop()
+				if !ok {
+					return // closed and drained
+				}
+				if _, dup := got.LoadOrStore(v, true); dup {
+					t.Errorf("value %d delivered twice", v)
+					return
+				}
+				received.Add(1)
+			}
+		}()
+	}
+	for p := 0; p < producers; p++ {
+		prod.Add(1)
+		go func(p int) {
+			defer prod.Done()
+			for i := 0; i < perProducer; i++ {
+				q.Push(uint32(p*perProducer + i))
+				if i%64 == 0 {
+					time.Sleep(time.Microsecond) // force park/wake cycles
+				}
+			}
+		}(p)
+	}
+	prod.Wait()
+	q.Close()
+	cons.Wait()
+	if received.Load() != producers*perProducer {
+		t.Fatalf("received %d of %d items", received.Load(), producers*perProducer)
 	}
 }
 

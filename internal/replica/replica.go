@@ -625,8 +625,6 @@ type Replica struct {
 	verifyQs   []chan verifiedItem
 	verifyWg   sync.WaitGroup
 
-	reqPool *pool.Pool[types.ClientRequest]
-
 	// encBufs backs the outbound encode path (Section 4.8 buffer-pool
 	// management on the send side): broadcast/sendTo bodies are marshaled
 	// into arena-backed buffers, reference-counted per destination
@@ -634,7 +632,13 @@ type Replica struct {
 	// receiver) retires the last one. encHint tracks the largest body
 	// seen, so marshals borrow from the right capacity class up front
 	// instead of growing out of an undersized buffer on every large batch.
-	encBufs *pool.BytePool
+	// A proposal's buffer does not come back when a receiver on the
+	// in-process fabric decoded it in place (types.DecodeEnvelope disowns
+	// it). The interface is so the recycling-safety test can poison.
+	encBufs interface {
+		types.FrameBuffers
+		Stats() (hits, misses uint64)
+	}
 	encHint atomic.Int64
 
 	// Execution-side dedup: last executed client sequence per client.
@@ -779,9 +783,6 @@ func New(cfg Config) (*Replica, error) {
 		progressC:  make(chan struct{}, 1),
 		readQ:      make(chan *types.ReadRequest, 1<<10),
 		encBufs:    new(pool.BytePool),
-		reqPool: pool.New[types.ClientRequest](nil, func(cr *types.ClientRequest) {
-			*cr = types.ClientRequest{}
-		}, 1024, 1<<16),
 	}
 	r.workQs = make([]chan workItem, lanes)
 	for i := range r.workQs {

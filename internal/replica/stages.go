@@ -52,12 +52,14 @@ func (r *Replica) inputClientLoop(inbox <-chan *types.Envelope, pend chan<- veri
 }
 
 // handleClientRequest decodes one client request off the client inbox and
-// hands the decoded copy to the batch stage. Decoding copies every field
-// out of the envelope, so whatever the outcome the envelope retires here —
-// its frame arena may be recycled the moment this returns.
+// hands it to the batch stage. The request's payloads, values and
+// signature are views into the frame it arrived in; DecodeEnvelope took
+// that frame out of its pool in the same call, so the envelope still
+// retires here whatever the outcome, and the request is not copied again
+// until a store persists it.
 func (r *Replica) handleClientRequest(env *types.Envelope) {
 	defer env.Release()
-	msg, err := types.DecodeBody(env.Type, env.Body)
+	msg, err := types.DecodeEnvelope(env)
 	if err != nil {
 		r.decodeFailures.Add(1)
 		return
@@ -193,11 +195,13 @@ func (r *Replica) readLoop() {
 // can cost a worker lane anything. With VerifyThreads == 0 the body is
 // decoded before its authenticator is checked (the auth check stays on
 // the worker lane, the paper's cost assignment); that gives unverified
-// peers pre-auth parsing on the input stage, but DecodeBody is
+// peers pre-auth parsing on the input stage, but the decoder is
 // bounds-checked and O(body bytes) — the same order as the MAC check the
-// envelope must pay anyway.
+// envelope must pay anyway. Proposals (PrePrepare, OrderedRequest, NewView)
+// decode as views into their frame, which DecodeEnvelope disowns; votes
+// decode as copies and their frames go back to the pool.
 func (r *Replica) route(env *types.Envelope, verified bool) {
-	msg, err := types.DecodeBody(env.Type, env.Body)
+	msg, err := types.DecodeEnvelope(env)
 	if err != nil {
 		r.decodeFailures.Add(1)
 		env.Release()
@@ -298,7 +302,6 @@ func (r *Replica) batchLoop() {
 		t0 := time.Now()
 		reqs := []types.ClientRequest{*first}
 		txns := len(first.Txns)
-		r.reqPool.Put(first)
 		for txns < r.cfg.BatchSize {
 			next, ok := r.batchQ.TryPop()
 			if !ok {
@@ -306,7 +309,6 @@ func (r *Replica) batchLoop() {
 			}
 			reqs = append(reqs, *next)
 			txns += len(next.Txns)
-			r.reqPool.Put(next)
 		}
 		parked := r.propose(reqs)
 		r.addBusy(StageBatch, time.Since(t0)-parked)
@@ -466,10 +468,11 @@ func (r *Replica) laneLoop(lane int) {
 func (r *Replica) processItem(item workItem) {
 	env := item.env
 	// The lane is the envelope's final owner. Both things that outlive
-	// this call — the decoded message and env.Auth — are copies (decode
-	// copies every message field; Envelope.decode copies Auth precisely
-	// because engines retain authenticators in commit certificates), so
-	// the frame arena may be recycled when this returns.
+	// this call are safe past the release: env.Auth is a copy
+	// (Envelope.decode copies it precisely because engines retain
+	// authenticators in commit certificates), and the decoded message is
+	// either a copy or a view into a frame route's DecodeEnvelope already
+	// took out of the pool.
 	defer env.Release()
 	if !item.verified {
 		if err := r.auth.Verify(env.From, env.Body, env.Auth); err != nil {

@@ -108,7 +108,7 @@ type TCPEndpoint struct {
 	ln      net.Listener
 	inboxes []chan *types.Envelope
 	drops   atomic.Uint64
-	frames  *pool.BytePool // inbound frame arenas; nil unless ZeroCopy
+	frames  types.FrameBuffers // inbound frame arenas; nil unless ZeroCopy
 
 	mu       sync.Mutex
 	addrs    map[types.NodeID]string
@@ -214,10 +214,20 @@ func (e *TCPEndpoint) Drops() uint64 { return e.drops.Load() }
 // FramePoolStats returns the inbound frame pool's cumulative hit and miss
 // counts. Both are zero when ZeroCopy is off.
 func (e *TCPEndpoint) FramePoolStats() (hits, misses uint64) {
-	if e.frames == nil {
-		return 0, 0
+	if p, ok := e.frames.(*pool.BytePool); ok {
+		return p.Stats()
 	}
-	return e.frames.Stats()
+	return 0, 0
+}
+
+// SetFrameBuffers replaces the recycler inbound frames are borrowed from.
+// It exists so a test can substitute one that poisons every returned
+// buffer, which turns a use-after-recycle anywhere downstream into wrong
+// bytes instead of a rare flake. Call it before any peer connects.
+func (e *TCPEndpoint) SetFrameBuffers(bufs types.FrameBuffers) {
+	e.mu.Lock() // the accept loop takes mu before it starts a reader
+	e.frames = bufs
+	e.mu.Unlock()
 }
 
 func (e *TCPEndpoint) acceptLoop() {

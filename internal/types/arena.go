@@ -2,7 +2,10 @@
 // paper's Section 4.8 applied to the receive path. A frame read from the
 // network borrows its buffer from a pool; every envelope decoded out of
 // the frame holds a reference on the shared arena, and the buffer returns
-// to the pool when the last pipeline stage releases its envelope.
+// to the pool when the last pipeline stage releases its envelope. Frames
+// that carried client requests are the exception: the replica decodes
+// those as views into the frame (DecodeEnvelope) and the frame is
+// disowned — the request is never copied until a store persists it.
 
 package types
 
@@ -26,11 +29,17 @@ type FrameBuffers interface {
 // Release drops one and returns the buffer to its FrameBuffers when the
 // count reaches zero. After that point any slice aliasing the buffer may
 // be overwritten by a future borrower, so a reference must outlive every
-// alias.
+// alias — or, for aliases with no bounded lifetime, the arena is disowned
+// and the buffer never goes back.
 type Arena struct {
 	buf  []byte
 	bufs FrameBuffers
 	refs atomic.Int32
+	// disowned is set by whichever reference holder decoded a long-lived
+	// view into buf. Envelopes of one frame retire on different goroutines,
+	// hence the atomic; the final Release reads it after the count hits
+	// zero, which orders it after every holder's write.
+	disowned atomic.Bool
 }
 
 // arenaPool recycles Arena structs themselves: one is born and retired
@@ -56,7 +65,22 @@ func (a *Arena) Retain() {
 	a.refs.Add(1)
 }
 
-// Release drops one reference, recycling the buffer on the last one.
+// disown hands the buffer to the garbage collector: the final Release
+// still recycles the Arena struct but no longer Puts the buffer, so
+// slices aliasing it stay valid for as long as anything references them.
+// It is the deliberate form of a missed release, for views that outlive
+// every pipeline stage (a request logged by a consensus engine, then
+// parked in the execute queue past the checkpoint that pruned it — there
+// is no last stage to drop a reference at). The caller must hold a
+// reference. Nil arenas are no-ops.
+func (a *Arena) disown() {
+	if a != nil {
+		a.disowned.Store(true)
+	}
+}
+
+// Release drops one reference. The last one recycles the Arena struct and,
+// unless the arena was disowned, returns the buffer to its FrameBuffers.
 // Releasing more times than retained corrupts the pool; missing a release
 // only leaks the buffer to the garbage collector. Nil arenas are no-ops.
 func (a *Arena) Release() {
@@ -67,6 +91,9 @@ func (a *Arena) Release() {
 		return
 	}
 	buf, bufs := a.buf, a.bufs
+	if a.disowned.Swap(false) {
+		bufs = nil
+	}
 	a.buf, a.bufs = nil, nil
 	arenaPool.Put(a)
 	if bufs != nil && buf != nil {

@@ -6,6 +6,8 @@ package types_test
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"testing"
 
 	"resilientdb/internal/pool"
@@ -131,5 +133,118 @@ func TestMarshalBodyArenaAllocatesLess(t *testing.T) {
 	}
 	if pooled >= copied {
 		t.Fatalf("pooled encode allocates %.0f per body, copy encode %.0f — pooling saved nothing", pooled, copied)
+	}
+}
+
+// benchRequestBody is the benchmark's request: 32 one-op transactions of
+// 100-byte values under one 64-byte signature.
+func benchRequestBody() []byte {
+	req := &types.ClientRequest{Client: 1, FirstSeq: 1, Sig: bytes.Repeat([]byte{0x51}, 64)}
+	for i := 0; i < 32; i++ {
+		req.Txns = append(req.Txns, types.Transaction{
+			Client: 1, ClientSeq: uint64(1 + i),
+			Ops: []types.Op{{Key: uint64(i), Value: bytes.Repeat([]byte{byte(i)}, 100)}},
+		})
+	}
+	return types.MarshalBody(req)
+}
+
+func BenchmarkRequestDecodeCopy(b *testing.B) {
+	body := benchRequestBody()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := types.DecodeBody(types.MsgClientRequest, body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkRequestDecodeAlias(b *testing.B) {
+	body := benchRequestBody()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := types.DecodeBodyAlias(types.MsgClientRequest, body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRequestDecodeAllocCaps pins what decoding a request costs. In place,
+// as the replica does it: the message, its transactions and one op slab,
+// whatever the transaction count. In copy mode: those plus one copy per
+// value and the signature. An allocation per transaction put back on either
+// path (32 here) breaks its cap.
+func TestRequestDecodeAllocCaps(t *testing.T) {
+	body := benchRequestBody()
+	env := &types.Envelope{From: types.ClientNode(1), To: types.ReplicaNode(0), Type: types.MsgClientRequest, Body: body}
+	alias := testing.AllocsPerRun(200, func() {
+		if _, err := types.DecodeEnvelope(env); err != nil {
+			t.Fatal(err)
+		}
+	})
+	copied := testing.AllocsPerRun(200, func() {
+		if _, err := types.DecodeBody(types.MsgClientRequest, body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations per 32-transaction request: in place %.0f, copy mode %.0f", alias, copied)
+	if types.RaceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random; the pooled Reader is nondeterministic")
+	}
+	if alias > 6 {
+		t.Fatalf("in-place decode allocates %.0f per request, want at most 6", alias)
+	}
+	if copied > 40 {
+		t.Fatalf("copy-mode decode allocates %.0f per request, want at most 40", copied)
+	}
+}
+
+// TestHostileCountsBuyNoMemory: a forged transaction or op count fails
+// with ErrOversized, and a count that is just plausible for the bytes that
+// follow it allocates in proportion to those bytes — the op slab is sized
+// from the transaction count but never beyond the ops the unread bytes
+// could encode.
+func TestHostileCountsBuyNoMemory(t *testing.T) {
+	header := func(txns, nops uint32) *types.Writer {
+		var w types.Writer
+		w.U32(1)    // client
+		w.U64(1)    // first seq
+		w.U32(txns) // transaction count
+		w.U32(1)    // first transaction: client
+		w.U64(1)    // client seq
+		w.U32(nops) // op count
+		return &w
+	}
+	for _, row := range []struct {
+		name       string
+		txns, nops uint32
+		filler     int
+		oversized  bool
+	}{
+		{"forged txn count", 1 << 30, 1, 1 << 10, true},
+		{"forged op count", 1, 1 << 30, 1 << 10, true},
+		{"forged typed op count", 1, 1<<30 | 1<<31, 1 << 10, true},
+		{"plausible counts, truncated body", 1 << 10, 1 << 10, 1 << 14, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			w := header(row.txns, row.nops)
+			body := append(w.Bytes(), bytes.Repeat([]byte{0xFF}, row.filler)...)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := types.DecodeBody(types.MsgClientRequest, body)
+			_, aerr := types.DecodeBodyAlias(types.MsgClientRequest, body)
+			runtime.ReadMemStats(&after)
+			if err == nil || aerr == nil {
+				t.Fatal("hostile body decoded")
+			}
+			if row.oversized && (!errors.Is(err, types.ErrOversized) || !errors.Is(aerr, types.ErrOversized)) {
+				t.Fatalf("want ErrOversized, got %v / %v", err, aerr)
+			}
+			// Two decodes; a Transaction is 4 and an Op 4.7 times its
+			// smallest wire form.
+			if spent, most := after.TotalAlloc-before.TotalAlloc, uint64(2*10*len(body)+4096); spent > most {
+				t.Fatalf("decoding a %d-byte hostile body allocated %d bytes, want at most %d", len(body), spent, most)
+			}
+		})
 	}
 }

@@ -65,10 +65,30 @@ func TestArenaNilSafe(t *testing.T) {
 	nilEnv.Release()
 }
 
+// recycleFrame writes envs as one batch frame and reads it back through the
+// pooled reader, so every returned envelope aliases one buffer of bufs.
+func recycleFrame(t *testing.T, bufs FrameBuffers, envs ...*Envelope) []*Envelope {
+	t.Helper()
+	var frame bytes.Buffer
+	if err := WriteBatchFrame(&frame, envs); err != nil {
+		t.Fatal(err)
+	}
+	out, err := ReadFramesPooled(&frame, bufs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(envs) {
+		t.Fatalf("decoded %d envelopes, want %d", len(out), len(envs))
+	}
+	return out
+}
+
 // TestPooledDecodeCopiesSurviveRecycle is the core aliasing-safety
-// contract: after every envelope from a pooled frame is released (and the
-// frame buffer poisoned and recycled), messages decoded in copy mode and
-// the copied Auth bytes must be unaffected.
+// contract: after every envelope from a pooled frame is released, what was
+// decoded from it and the copied Auth bytes must be unaffected — by copy
+// (DecodeBody: the frame is poisoned and recycled under the message) or by
+// taking the frame out of the pool (DecodeEnvelope on a request: the
+// message is a view, and no release may recycle what it looks at).
 func TestPooledDecodeCopiesSurviveRecycle(t *testing.T) {
 	payload := strings.Repeat("req-payload-", 32)
 	req := &ClientRequest{
@@ -85,54 +105,104 @@ func TestPooledDecodeCopiesSurviveRecycle(t *testing.T) {
 		{From: ReplicaNode(1), To: ReplicaNode(0), Type: MsgPrepare,
 			Body: MarshalBody(&Prepare{View: 1, Seq: 5, Replica: 1}), Auth: []byte("auth-two")},
 	}
-	var frame bytes.Buffer
-	if err := WriteBatchFrame(&frame, in); err != nil {
-		t.Fatal(err)
-	}
+	for _, mode := range []struct {
+		name     string
+		decode   func(*Envelope) (Message, error)
+		recycled bool // does the frame go back to the pool?
+	}{
+		{"DecodeBody", func(e *Envelope) (Message, error) { return DecodeBody(e.Type, e.Body) }, true},
+		{"DecodeEnvelope", DecodeEnvelope, false},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			bufs := &stubBuffers{}
+			envs := recycleFrame(t, bufs, in...)
+			msg, err := mode.decode(envs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			vote, err := mode.decode(envs[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			auth := envs[1].Auth
+			for _, e := range envs {
+				e.Release()
+			}
+			want := 0
+			if !mode.recycled {
+				want = 1 // disowned: the collector frees it, the pool never sees it
+			}
+			if got := bufs.outstanding(); got != want {
+				t.Fatalf("%d frame buffers never returned to the pool, want %d", got, want)
+			}
+			// Churn the pool: anything it got back is poisoned and reissued.
+			for i := 0; i < 8; i++ {
+				bufs.Put(append(bufs.Get(4096), "next frame's bytes"...))
+			}
 
+			got, ok := msg.(*ClientRequest)
+			if !ok {
+				t.Fatalf("decoded %T, want *ClientRequest", msg)
+			}
+			if got.Client != 7 || got.FirstSeq != 99 || len(got.Txns) != 1 || got.Txns[0].Ops[0].Key != 42 {
+				t.Fatalf("decoded request mangled: %+v", got)
+			}
+			if string(got.Txns[0].Ops[0].Value) != payload {
+				t.Fatal("decoded value mutated once the frame was released")
+			}
+			if !bytes.Equal(got.Sig, []byte("client-signature")) {
+				t.Fatal("decoded signature mutated once the frame was released")
+			}
+			if p, ok := vote.(*Prepare); !ok || p.View != 1 || p.Seq != 5 || p.Replica != 1 {
+				t.Fatalf("decoded vote mangled: %+v", vote)
+			}
+			// Auth must be a copy too: engines retain authenticators in commit
+			// certificates long past the frame's lifetime.
+			if !bytes.Equal(auth, []byte("auth-two")) {
+				t.Fatal("envelope Auth aliased the recycled frame buffer")
+			}
+		})
+	}
+}
+
+// TestDecodeEnvelopeKeepsVoteFramesPooled is the converse: a frame that
+// carried only votes still goes back to its pool after DecodeEnvelope, and
+// so does a request frame whose body failed to decode — disowning is for
+// frames something decoded now looks into, nothing else.
+func TestDecodeEnvelopeKeepsVoteFramesPooled(t *testing.T) {
+	vote := func(m Message) *Envelope {
+		return &Envelope{From: ReplicaNode(1), To: ReplicaNode(0), Type: m.Type(), Body: MarshalBody(m), Auth: []byte("mac")}
+	}
 	bufs := &stubBuffers{}
-	envs, err := ReadFramesPooled(&frame, bufs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(envs) != 2 {
-		t.Fatalf("decoded %d envelopes, want 2", len(envs))
-	}
-
-	// Copy-decode the first body, keep the second envelope's Auth, then
-	// retire everything so the frame buffer is poisoned and recycled.
-	msg, err := DecodeBody(envs[0].Type, envs[0].Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	auth := envs[1].Auth
+	envs := recycleFrame(t, bufs,
+		vote(&Prepare{View: 1, Seq: 5, Replica: 1}),
+		vote(&Commit{View: 1, Seq: 5, Replica: 1}),
+		vote(&Checkpoint{Seq: 8, Replica: 1}))
 	for _, e := range envs {
+		if _, err := DecodeEnvelope(e); err != nil {
+			t.Fatal(err)
+		}
 		e.Release()
 	}
 	if got := bufs.outstanding(); got != 0 {
-		t.Fatalf("frame buffer not recycled (outstanding=%d)", got)
+		t.Fatalf("vote-only frame not recycled (outstanding=%d)", got)
 	}
 
-	got, ok := msg.(*ClientRequest)
-	if !ok {
-		t.Fatalf("decoded %T, want *ClientRequest", msg)
+	envs = recycleFrame(t, bufs, &Envelope{From: ClientNode(7), To: ReplicaNode(0),
+		Type: MsgClientRequest, Body: []byte{0, 0, 0, 7, 0xFF}, Auth: []byte("mac")})
+	if _, err := DecodeEnvelope(envs[0]); err == nil {
+		t.Fatal("truncated request decoded")
 	}
-	if string(got.Txns[0].Ops[0].Value) != payload {
-		t.Fatal("copy-decoded message mutated by recycled frame buffer")
-	}
-	if !bytes.Equal(got.Sig, []byte("client-signature")) {
-		t.Fatal("copy-decoded signature mutated by recycled frame buffer")
-	}
-	// Auth must be a copy too: engines retain authenticators in commit
-	// certificates long past the frame's lifetime.
-	if !bytes.Equal(auth, []byte("auth-two")) {
-		t.Fatal("envelope Auth aliased the recycled frame buffer")
+	envs[0].Release()
+	if got := bufs.outstanding(); got != 0 {
+		t.Fatalf("frame of an undecodable request not recycled (outstanding=%d)", got)
 	}
 }
 
 // TestDecodeBodyAliasSharesBuffer pins down the difference between the two
 // decode modes: alias-mode fields observe buffer mutation, copy-mode
-// fields do not. This is why the live pipeline decodes in copy mode.
+// fields do not. This is why an aliased message needs its buffer's
+// lifetime settled, which DecodeEnvelope does for the live pipeline.
 func TestDecodeBodyAliasSharesBuffer(t *testing.T) {
 	req := &ClientRequest{
 		Client: 1, FirstSeq: 1,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // ErrUnknownType is returned when a decoder encounters a type tag outside
@@ -109,70 +110,89 @@ func newMessage(t MsgType) (Message, error) {
 	}
 }
 
+// readerPool recycles the Readers behind the Decode* entry points: a
+// Reader handed to Message.unmarshal escapes through the interface, so a
+// stack one would cost an allocation per decoded message.
+var readerPool = sync.Pool{New: func() any { return new(Reader) }}
+
+// decodeBody is the one body decoder behind every entry point below. The
+// body must be consumed exactly: a decodable prefix with trailing garbage
+// is still malformed — accepting it would let two distinct wire forms
+// carry one message, and signatures cover the whole body.
+func decodeBody(t MsgType, b []byte, alias bool) (Message, error) {
+	msg, err := newMessage(t)
+	if err != nil {
+		return nil, err
+	}
+	r := readerPool.Get().(*Reader)
+	*r = Reader{buf: b, alias: alias}
+	msg.unmarshal(r)
+	err = r.Err()
+	if err == nil && r.Remaining() != 0 {
+		err = fmt.Errorf("%d trailing bytes", r.Remaining())
+	}
+	*r = Reader{} // drop the input and the op slab before pooling
+	readerPool.Put(r)
+	if err != nil {
+		return nil, fmt.Errorf("decoding %s body: %w", t, err)
+	}
+	return msg, nil
+}
+
 // Decode parses a tagged encoding produced by Encode.
 func Decode(b []byte) (Message, error) {
 	if len(b) < 1 {
 		return nil, ErrTruncated
 	}
-	msg, err := newMessage(MsgType(b[0]))
-	if err != nil {
-		return nil, err
-	}
-	r := NewReader(b[1:])
-	msg.unmarshal(r)
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decoding %s: %w", MsgType(b[0]), err)
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("decoding %s: %d trailing bytes", MsgType(b[0]), r.Remaining())
-	}
-	return msg, nil
+	return decodeBody(MsgType(b[0]), b[1:], false)
 }
 
 // DecodeBody parses an untagged body encoding for a known message type.
 // Every byte-slice field of the result is a copy, safe to retain.
 func DecodeBody(t MsgType, b []byte) (Message, error) {
-	msg, err := newMessage(t)
-	if err != nil {
-		return nil, err
-	}
-	r := NewReader(b)
-	msg.unmarshal(r)
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decoding %s body: %w", t, err)
-	}
-	if r.Remaining() != 0 {
-		// A decodable prefix with trailing garbage is still a malformed
-		// body: accepting it would let two distinct wire forms carry one
-		// message, and signatures cover the whole body.
-		return nil, fmt.Errorf("decoding %s body: %d trailing bytes", t, r.Remaining())
-	}
-	return msg, nil
+	return decodeBody(t, b, false)
 }
 
 // DecodeBodyAlias parses an untagged body like DecodeBody but in alias
 // mode: the result's byte-slice fields (transaction payloads, values,
-// signatures) are subslices of b, not copies. The caller must guarantee
-// b outlives every use of the message — in particular it must NOT hand
-// the message to a consensus engine, which logs request batches until
-// the next stable checkpoint, or to the store. The replica pipeline
-// therefore decodes bodies in copy mode and reserves aliasing for the
-// envelope layer; this entry point serves callers with strictly scoped
-// message lifetimes (and the decode benchmarks that bound the copy cost).
+// signatures) are capacity-clipped subslices of b, not copies. The caller
+// must guarantee b is neither overwritten nor recycled while the message
+// is in use. It serves callers that own b outright and the decode
+// benchmarks that bound the copy cost; the replica pipeline, whose bodies
+// sit in pooled frames, goes through DecodeEnvelope, which settles the
+// buffer's lifetime in the same call.
 func DecodeBodyAlias(t MsgType, b []byte) (Message, error) {
-	msg, err := newMessage(t)
-	if err != nil {
-		return nil, err
+	return decodeBody(t, b, true)
+}
+
+// bearsRequests reports whether a message type carries client requests:
+// the bodies whose decoded form a consensus engine logs until the next
+// stable checkpoint, and the only ones large enough for the copy to matter.
+func bearsRequests(t MsgType) bool {
+	switch t {
+	case MsgClientRequest, MsgPrePrepare, MsgOrderedRequest, MsgNewView:
+		return true
 	}
-	r := NewAliasReader(b)
-	msg.unmarshal(r)
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decoding %s body: %w", t, err)
+	return false
+}
+
+// DecodeEnvelope decodes e.Body into a message that stays valid after e
+// is released, for as long as the caller keeps it. Request-bearing bodies
+// (ClientRequest, PrePrepare, OrderedRequest, NewView) are decoded as
+// views into Body and, in the same call, the arena behind Body is
+// disowned: its buffer now belongs to the garbage collector and no
+// Release will recycle it under the message. Every other type — the
+// fixed-size votes, whose frames are most of the traffic — is decoded in
+// copy mode and its frame keeps returning to the pool. A decode failure
+// leaves the arena untouched. This is the replica pipeline's only decoder,
+// so an aliased message over a recyclable buffer cannot be built there.
+func DecodeEnvelope(e *Envelope) (Message, error) {
+	alias := bearsRequests(e.Type)
+	msg, err := decodeBody(e.Type, e.Body, alias)
+	if err == nil && alias {
+		e.arena.disown()
 	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("decoding %s body: %d trailing bytes", t, r.Remaining())
-	}
-	return msg, nil
+	return msg, err
 }
 
 // Envelope is the transport frame: a tagged message body plus sender,
@@ -188,9 +208,10 @@ type Envelope struct {
 	// arena, when non-nil, owns the pooled buffer Body aliases; pooled
 	// marks envelopes that return to the envelope pool on Release. Auth
 	// never aliases an arena — consensus engines retain authenticators in
-	// commit certificates past any frame's lifetime, so decode always
-	// copies it. Envelopes are single-owner values: whoever holds one
-	// either passes it on or releases it, exactly once.
+	// commit certificates past any frame's lifetime, and sixteen bytes are
+	// no reason to pin a frame, so decode always copies it. Envelopes are
+	// single-owner values: whoever holds one either passes it on or
+	// releases it, exactly once.
 	arena  *Arena
 	pooled bool
 }
@@ -341,9 +362,12 @@ func ReadFrames(r io.Reader) ([]*Envelope, error) {
 // from the envelope pool, each Body aliases the shared frame buffer, and
 // each envelope holds a reference on the frame's arena. The caller owns
 // the returned envelopes and must Release every one exactly once; the
-// buffer returns to bufs when the last reference drops. Auth is copied
-// regardless (engines retain it), and messages decoded from Body with
-// DecodeBody are copies, so only Body itself is lifetime-bound.
+// buffer returns to bufs when the last reference drops — unless a
+// DecodeEnvelope on one of them found a request-bearing body and disowned
+// the frame, in which case the garbage collector frees it once the decoded
+// requests are gone. Auth is copied regardless (engines retain it in
+// commit certificates), and messages decoded from Body with DecodeBody are
+// copies, so otherwise only Body itself is lifetime-bound.
 func ReadFramesPooled(r io.Reader, bufs FrameBuffers) ([]*Envelope, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {

@@ -137,14 +137,86 @@ func scanBodyCorpus() []struct {
 	}
 }
 
+// requestsOf returns every client request a message carries, in place.
+func requestsOf(msg types.Message) []*types.ClientRequest {
+	var out []*types.ClientRequest
+	add := func(reqs []types.ClientRequest) {
+		for i := range reqs {
+			out = append(out, &reqs[i])
+		}
+	}
+	switch m := msg.(type) {
+	case *types.ClientRequest:
+		out = append(out, m)
+	case *types.PrePrepare:
+		add(m.Requests)
+	case *types.OrderedRequest:
+		add(m.Requests)
+	case *types.NewView:
+		for i := range m.PrePrepares {
+			add(m.PrePrepares[i].Requests)
+		}
+	}
+	return out
+}
+
+// appendEverywhere appends to every slice a decoded request hands out. Ops
+// are carved from one slab per message and, in alias mode, every byte field
+// is a window on the input, so an unclipped capacity would let these writes
+// land in the neighbouring transaction, value or length prefix.
+func appendEverywhere(msg types.Message) {
+	for _, req := range requestsOf(msg) {
+		for i := range req.Txns {
+			txn := &req.Txns[i]
+			for j := range txn.Ops {
+				_ = append(txn.Ops[j].Value, 0xEE, 0xEE, 0xEE, 0xEE)
+			}
+			_ = append(txn.Ops, types.Op{Kind: types.OpScan, Key: ^uint64(0), Value: []byte("intruder")})
+			_ = append(txn.Payload, 0xEE, 0xEE, 0xEE, 0xEE)
+		}
+		_ = append(req.Sig, 0xEE, 0xEE, 0xEE, 0xEE)
+	}
+}
+
+// requestBodyCorpus returns one well-formed body per request-bearing type,
+// each with several multi-op transactions so the op slab is shared.
+func requestBodyCorpus() []struct {
+	kind types.MsgType
+	body []byte
+} {
+	reqs := []types.ClientRequest{
+		{Client: 3, FirstSeq: 10, Sig: []byte("sig-a"), Txns: []types.Transaction{
+			{Client: 3, ClientSeq: 10, Ops: []types.Op{{Key: 1, Value: []byte("one")}, {Key: 2, Value: []byte("two")}}},
+			{Client: 3, ClientSeq: 11, Ops: []types.Op{{Key: 3, Value: []byte("three")}}, Payload: []byte("pay")},
+			{Client: 3, ClientSeq: 12},
+		}},
+		{Client: 4, FirstSeq: 1, Sig: []byte("sig-b"), Txns: []types.Transaction{
+			{Client: 4, ClientSeq: 1, Ops: []types.Op{{Kind: types.OpRead, Key: 9}, {Kind: types.OpScan, Key: 1, EndKey: 5, Limit: 3}, {Key: 7, Value: []byte("w")}}},
+		}},
+	}
+	pp := types.PrePrepare{View: 1, Seq: 2, Digest: types.BatchDigest(reqs), Requests: reqs}
+	return []struct {
+		kind types.MsgType
+		body []byte
+	}{
+		{types.MsgClientRequest, types.MarshalBody(&reqs[0])},
+		{types.MsgPrePrepare, types.MarshalBody(&pp)},
+		{types.MsgOrderedRequest, types.MarshalBody(&types.OrderedRequest{View: 1, Seq: 2, Digest: pp.Digest, Requests: reqs})},
+		{types.MsgNewView, types.MarshalBody(&types.NewView{View: 2, PrePrepares: []types.PrePrepare{pp, pp}})},
+	}
+}
+
 // FuzzDecodeBody covers body decoding for every message type the wire
-// can carry, seeded with the chaos harness's malformed bodies. A body
-// that decodes must re-marshal without panicking.
+// can carry, seeded with the chaos harness's malformed bodies. The two
+// decode modes must accept exactly the same bodies; a body that decodes
+// must re-marshal to the same bytes from either, those bytes must be a
+// fixed point of decode and re-marshal, and no append on a slice the
+// decoder handed out may change them (capacity clipping).
 func FuzzDecodeBody(f *testing.F) {
 	kinds := []types.MsgType{
 		types.MsgClientRequest, types.MsgClientResponse, types.MsgPrePrepare,
 		types.MsgPrepare, types.MsgCommit, types.MsgCheckpoint,
-		types.MsgViewChange, types.MsgNewView,
+		types.MsgViewChange, types.MsgNewView, types.MsgOrderedRequest,
 		types.MsgReadRequest, types.MsgReadReply,
 	}
 	for _, body := range chaos.MalformedBodies() {
@@ -155,11 +227,41 @@ func FuzzDecodeBody(f *testing.F) {
 	for _, seed := range scanBodyCorpus() {
 		f.Add(uint8(seed.kind), seed.body)
 	}
+	for _, seed := range requestBodyCorpus() {
+		f.Add(uint8(seed.kind), seed.body)
+	}
 	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
-		msg, err := types.DecodeBody(types.MsgType(kind), body)
+		mt := types.MsgType(kind)
+		input := append([]byte(nil), body...)
+		copied, err := types.DecodeBody(mt, body)
+		aliased, aerr := types.DecodeBodyAlias(mt, body)
+		if (err == nil) != (aerr == nil) {
+			t.Fatalf("copy mode: %v, alias mode: %v", err, aerr)
+		}
 		if err != nil {
 			return
 		}
-		_ = types.MarshalBody(msg)
+		enc := types.MarshalBody(copied)
+		if got := types.MarshalBody(aliased); !bytes.Equal(got, enc) {
+			t.Fatalf("alias-mode decode re-encodes to %x, copy-mode to %x", got, enc)
+		}
+		again, err := types.DecodeBody(mt, enc)
+		if err != nil {
+			t.Fatalf("re-encoded body does not decode: %v", err)
+		}
+		if got := types.MarshalBody(again); !bytes.Equal(got, enc) {
+			t.Fatalf("re-encoding is not a fixed point: %x then %x", enc, got)
+		}
+		appendEverywhere(copied)
+		appendEverywhere(aliased)
+		if !bytes.Equal(body, input) {
+			t.Fatalf("append on a decoded field wrote into the input buffer")
+		}
+		if got := types.MarshalBody(copied); !bytes.Equal(got, enc) {
+			t.Fatalf("append on one field changed a neighbour (copy mode): %x, was %x", got, enc)
+		}
+		if got := types.MarshalBody(aliased); !bytes.Equal(got, enc) {
+			t.Fatalf("append on one field changed a neighbour (alias mode): %x, was %x", got, enc)
+		}
 	})
 }

@@ -141,15 +141,15 @@ func unmarshalTxn(r *Reader, t *Transaction) {
 	}
 	typed := raw&opsTypedBit != 0
 	nops := int(raw &^ opsTypedBit)
-	minOp := 12 // v1: key + value length prefix
+	minOp := minOpSize
 	if typed {
-		minOp = 13 // + kind byte
+		minOp++ // kind byte
 	}
 	if nops > r.Remaining()/minOp+1 {
 		r.fail(fmt.Errorf("%w: %d ops", ErrOversized, nops))
 		return
 	}
-	t.Ops = make([]Op, nops)
+	t.Ops = r.ops(nops)
 	for i := 0; i < nops; i++ {
 		if typed {
 			t.Ops[i].Kind = OpKind(r.U8())
@@ -182,6 +182,7 @@ func (r *ClientRequest) unmarshal(rd *Reader) {
 		return
 	}
 	r.Txns = make([]Transaction, n)
+	rd.wantOps(n)
 	for i := 0; i < n; i++ {
 		unmarshalTxn(rd, &r.Txns[i])
 	}

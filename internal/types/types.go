@@ -171,7 +171,7 @@ func (r *ClientRequest) TxnCount() int { return len(r.Txns) }
 func (r *ClientRequest) SigningBytes() []byte {
 	clone := *r
 	clone.Sig = nil
-	var w Writer
+	w := Writer{buf: make([]byte, 0, clone.Size())}
 	clone.marshal(&w)
 	return w.Bytes()
 }

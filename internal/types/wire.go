@@ -65,6 +65,12 @@ type Reader struct {
 	off   int
 	err   error
 	alias bool
+
+	// opSlab is the unused tail of the backing array the current message's
+	// transactions carve their Ops from, and opNext the length of the next
+	// one: a request of 32 one-op transactions costs one []Op, not 32.
+	opSlab []Op
+	opNext int
 }
 
 // NewReader returns a Reader over b. The Reader does not copy b.
@@ -183,6 +189,44 @@ func (r *Reader) blob(alias bool) []byte {
 	}
 	out := make([]byte, n)
 	copy(out, b)
+	return out
+}
+
+// minOpSize is the smallest wire form of one Op: key and value length
+// prefix (the v1 layout; typed ops spend a kind byte more).
+const minOpSize = 12
+
+// wantOps tells the reader that txns transactions follow, so the next slab
+// holds at least one Op for each of them.
+func (r *Reader) wantOps(txns int) {
+	if txns > r.opNext {
+		r.opNext = txns
+	}
+}
+
+// ops returns n zeroed Ops carved from the reader's slab, clipped to
+// capacity n so an append on one transaction's Ops reallocates instead of
+// running into its neighbour's. The caller has already checked n against
+// the bytes remaining; a fresh slab is sized by wantOps, then doubles, and
+// never exceeds the number of ops the unread bytes could encode — so a
+// forged count cannot buy more memory than the body it arrived in.
+func (r *Reader) ops(n int) []Op {
+	if n == 0 {
+		return []Op{}
+	}
+	if n > len(r.opSlab) {
+		size := r.opNext
+		if most := r.Remaining()/minOpSize + 1; size > most {
+			size = most
+		}
+		if size < n {
+			size = n
+		}
+		r.opSlab = make([]Op, size)
+		r.opNext = 2 * size
+	}
+	out := r.opSlab[:n:n]
+	r.opSlab = r.opSlab[n:]
 	return out
 }
 
