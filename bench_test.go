@@ -175,7 +175,7 @@ func BenchmarkAblationDecoupledExecution(b *testing.B) {
 // per-envelope baseline at equal client load.
 func benchTCPTransport(b *testing.B, batchMax int, linger time.Duration) {
 	b.Helper()
-	rx, err := transport.NewTCP(types.ReplicaNode(1), "127.0.0.1:0", nil, 1, 1<<15)
+	rx, err := transport.NewTCPWithConfig(transport.TCPConfig{Self: types.ReplicaNode(1), ListenAddr: "127.0.0.1:0", Inboxes: 1, Capacity: 1 << 15})
 	if err != nil {
 		b.Fatal(err)
 	}

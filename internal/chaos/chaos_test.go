@@ -315,7 +315,7 @@ func TestStoreFaultsCapabilities(t *testing.T) {
 
 func TestMalformedFramesAllFailFrameDecode(t *testing.T) {
 	for i, frame := range MalformedFrames() {
-		if envs, err := types.ReadFrames(bytes.NewReader(frame)); err == nil {
+		if envs, err := types.ReadFramesPooled(bytes.NewReader(frame), nil); err == nil {
 			t.Errorf("frame %d decoded into %d envelopes, want error", i, len(envs))
 		}
 	}

@@ -22,7 +22,7 @@ func MalformedBodies() [][]byte {
 		{0xFF, 0xFF, 0xFF, 0xFF}, // huge first count/field
 		{0x00, 0x00, 0x00, 0x01}, // count 1 with no elements behind it
 		make([]byte, 64),         // zeros: plausible prefix, bad tail
-		// Scan-bearing shapes: a typed-op arm cut off mid-scan (kind 2,
+		// Scan-bearing shapes: an op cut off mid-scan (kind 2,
 		// key, no end/limit/value) and a count followed by a scan marker
 		// claiming a huge row count with nothing behind it.
 		{0x00, 0x00, 0x00, 0x01, 0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
@@ -31,12 +31,12 @@ func MalformedBodies() [][]byte {
 }
 
 // MalformedFrames returns wire-level frames (length prefix included) that
-// must make types.ReadFrames and types.ReadFramesPooled return an error —
-// never panic or over-allocate. Shapes: truncated prefix, oversized
-// length, forged batch counts, truncated payloads, and trailing bytes.
+// must make types.ReadFramesPooled return an error — never panic or
+// over-allocate. Shapes: truncated prefix, oversized length, missing and
+// forged envelope counts, truncated payloads, and trailing bytes.
 func MalformedFrames() [][]byte {
-	// Minimal valid envelope payload: from=0, to=0, type=1, empty body
-	// blob, empty auth blob — 17 bytes, the minEnvelopeSize wire form.
+	// Minimal valid envelope: from=0, to=0, type=1, empty body blob, empty
+	// auth blob — 17 bytes, the minEnvelopeSize wire form.
 	minEnv := []byte{
 		0, 0, 0, 0, // from
 		0, 0, 0, 0, // to
@@ -44,21 +44,24 @@ func MalformedFrames() [][]byte {
 		0, 0, 0, 0, // body len
 		0, 0, 0, 0, // auth len
 	}
-	frame := func(prefix uint32, payload []byte) []byte {
-		out := []byte{byte(prefix >> 24), byte(prefix >> 16), byte(prefix >> 8), byte(prefix)}
-		return append(out, payload...)
+	u32 := func(v uint32) []byte { return []byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)} }
+	// frame announces length payload bytes, then count and whatever follows.
+	frame := func(length, count uint32, rest ...byte) []byte {
+		return append(append(u32(length), u32(count)...), rest...)
 	}
-	const batchBit = 1 << 31
+	one := uint32(4 + len(minEnv)) // payload length of a frame of one minEnv
 	return [][]byte{
-		{},                         // no prefix at all
-		{0x00},                     // truncated prefix
-		frame(1<<28+1, nil),        // length beyond maxFrameLen
-		frame(0, nil),              // empty single frame
-		frame(10, []byte{1, 2, 3}), // truncated payload
-		frame(uint32(len(minEnv)+2), append(append([]byte{}, minEnv...), 0xAA, 0xBB)), // trailing bytes
-		frame(batchBit|4, []byte{0x00, 0xFF, 0xFF, 0xFF}),                             // forged huge batch count
-		frame(batchBit|4, []byte{0x00, 0x00, 0x00, 0x01}),                             // batch count 1, no envelope
-		frame(batchBit|0, nil),                             // batch frame with no count
-		frame(uint32(len(minEnv)), minEnv[:len(minEnv)-1]), // envelope short one byte
+		{},                       // no prefix at all
+		{0x00},                   // truncated prefix
+		u32(1<<28 + 1),           // length beyond maxFrameLen
+		u32(1<<31 | 4),           // as above, by the top bit alone
+		u32(0),                   // no room for the envelope count
+		append(u32(10), 1, 2, 3), // truncated payload
+		frame(4, 0x00FFFFFF),     // forged huge count
+		frame(4, 1),              // count 1, no envelope
+		frame(one, 2, minEnv...), // count 2, one envelope
+		frame(one-1, 1, minEnv[:len(minEnv)-1]...),                          // envelope short one byte
+		frame(one+2, 1, append(append([]byte{}, minEnv...), 0xAA, 0xBB)...), // trailing bytes
+		frame(one, 0, minEnv...),                                            // count 0, then an envelope
 	}
 }

@@ -31,7 +31,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	eps := make([]*transport.TCPEndpoint, n)
 	addrs := make(map[types.NodeID]string)
 	for i := 0; i < n; i++ {
-		ep, err := transport.NewTCP(types.ReplicaNode(types.ReplicaID(i)), "127.0.0.1:0", nil, 3, 1<<12)
+		ep, err := transport.NewTCPWithConfig(transport.TCPConfig{Self: types.ReplicaNode(types.ReplicaID(i)), ListenAddr: "127.0.0.1:0", Inboxes: 3, Capacity: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cep, err := transport.NewTCP(types.ClientNode(types.ClientID(i)), "127.0.0.1:0", nil, 1, 1<<10)
+		cep, err := transport.NewTCPWithConfig(transport.TCPConfig{Self: types.ClientNode(types.ClientID(i)), ListenAddr: "127.0.0.1:0", Inboxes: 1, Capacity: 1 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,11 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"resilientdb/internal/chaos"
 	"resilientdb/internal/cluster"
 	"resilientdb/internal/pool"
 	"resilientdb/internal/transport"
@@ -156,6 +160,115 @@ func TestSessionWireMalformed(t *testing.T) {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
+
+	// A forged op count that the bytes behind it could almost carry: 39
+	// bytes hold at most three 13-byte ops, so a count of 5 is refused as
+	// oversized before any op is allocated or parsed.
+	forged := frameBytes(t, 1, func(w *types.Writer) {
+		w.U8(kindSubmit)
+		w.U64(1)
+		w.U64(1)
+		w.U32(5)
+		for i := 0; i < 3; i++ {
+			w.U8(uint8(types.OpWrite))
+			w.U64(uint64(i))
+			w.Blob(nil)
+		}
+	})
+	if _, err := readSessionFrame(bytes.NewReader(forged), bufs); !errors.Is(err, types.ErrOversized) {
+		t.Errorf("forged op count: %v, want ErrOversized", err)
+	}
+}
+
+// appendGoldenMessages appends the submit and the reply TestSessionWireGolden
+// spells out byte by byte.
+func appendGoldenMessages(w *types.Writer) {
+	appendSubmit(w, &Submit{Session: 1, Nonce: 2, Ops: []types.Op{
+		{Kind: types.OpWrite, Key: 3, Value: []byte("v")},
+		{Kind: types.OpScan, Key: 4, EndKey: 5, Limit: 6},
+	}})
+	appendReply(w, &Reply{Session: 1, Nonce: 2, Status: StatusOK, Seq: 7, Busy: 9, Reads: []types.ReadResult{
+		{Found: true, Value: []byte("v")},
+		{Scan: true, Rows: []types.ScanRow{{Key: 4, Value: []byte("r")}}},
+	}})
+}
+
+// TestSessionWireGolden pins the session frame's bytes, field by field.
+func TestSessionWireGolden(t *testing.T) {
+	golden := "00000077 00000002" + // payload length (4 + 60 + 55), two messages
+		"01 0000000000000001 0000000000000002" + // submit: session 1, nonce 2
+		" 00000002" + // two ops
+		" 00 0000000000000003 00000001 76" + // write key 3 = "v"
+		" 02 0000000000000004 0000000000000005 00000006 00000000" + // scan [4,5] limit 6
+		"02 0000000000000001 0000000000000002 01 0000000000000007 09" + // reply: ok, seq 7, busy 9
+		" 00000002" + // two reads
+		" 01 00000001 76" + // found "v"
+		" 02 00000001 0000000000000004 00000001 72" // scan: one row, key 4 = "r"
+	want, err := hex.DecodeString(strings.ReplaceAll(golden, " ", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := frameBytes(t, 2, appendGoldenMessages)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("session frame encodes to\n  %x\nwant\n  %x", got, want)
+	}
+	f, err := readSessionFrame(bytes.NewReader(want), new(pool.BytePool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Arena.Release()
+	if len(f.Submits) != 1 || len(f.Submits[0].Ops) != 2 || len(f.Replies) != 1 || len(f.Replies[0].Reads) != 2 {
+		t.Fatalf("golden session frame decodes to %+v", f)
+	}
+}
+
+// FuzzReadSessionFrame feeds arbitrary byte streams to the session frame
+// reader, seeded with the chaos harness's malformed frames and bodies and
+// the golden frame's shapes. Decoding must fail cleanly or yield messages
+// that re-encode to the frame they came from; the frame buffer goes back
+// to its pool either way.
+func FuzzReadSessionFrame(f *testing.F) {
+	for _, frame := range chaos.MalformedFrames() {
+		f.Add(frame)
+	}
+	frame := func(count int, payload []byte) []byte {
+		var buf bytes.Buffer
+		_ = writeSessionFrame(&buf, count, payload) // a bytes.Buffer takes every write
+		return buf.Bytes()
+	}
+	for _, body := range chaos.MalformedBodies() {
+		f.Add(frame(1, append([]byte{kindSubmit}, body...)))
+		f.Add(frame(1, append([]byte{kindReply}, body...)))
+	}
+	var w types.Writer
+	appendGoldenMessages(&w)
+	f.Add(frame(2, w.Bytes()))
+	f.Add(frame(0, nil))
+
+	bufs := new(pool.BytePool)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := bytes.NewReader(data)
+		sf, err := readSessionFrame(in, bufs)
+		if err != nil {
+			return
+		}
+		defer sf.Arena.Release()
+		// Submits and replies may interleave on the wire; re-encoding each
+		// kind in order reproduces the frame when it carried only one kind.
+		if len(sf.Submits) > 0 && len(sf.Replies) > 0 {
+			return
+		}
+		var w types.Writer
+		for i := range sf.Submits {
+			appendSubmit(&w, &sf.Submits[i])
+		}
+		for i := range sf.Replies {
+			appendReply(&w, &sf.Replies[i])
+		}
+		if got := frame(len(sf.Submits)+len(sf.Replies), w.Bytes()); !bytes.Equal(got, data[:len(data)-in.Len()]) {
+			t.Fatalf("session frame %x re-encodes to %x", data[:len(data)-in.Len()], got)
+		}
+	})
 }
 
 func frameBytes(t *testing.T, count int, build func(*types.Writer)) []byte {

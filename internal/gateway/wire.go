@@ -13,18 +13,11 @@
 //
 // Message layout (kind byte first):
 //
-//	submit: 0x01 [u64 session][u64 nonce][u32 ops](op)...
-//	op:     point  [u8 kind][u64 key][blob value]
-//	        scan   [u8 kind=2][u64 key][u64 end][u32 limit][blob value]
-//	reply:  0x02 [u64 session][u64 nonce][u8 status][u64 seq][u8 busy]
-//	             [u32 reads](read)...
-//	read:   point  [u8 marker=0|1 found][blob value]
-//	        scan   [u8 marker=2][u32 rows]([u64 key][blob value])...
+//	submit: 0x01 [u64 session][u64 nonce][op list]
+//	reply:  0x02 [u64 session][u64 nonce][u8 status][u64 seq][u8 busy][read-result list]
 //
-// The scan arms mirror the consensus wire format (types.Op / scanMarker):
-// an OpScan carries its inclusive end key and row limit, and a scan read
-// result carries its merged rows. Pre-scan peers never emitted op kind 2
-// or marker 2, so their bytes decode unchanged.
+// The op list and the read-result list are the consensus wire's own
+// (types.Writer.Ops and ReadResults, and their Reader halves).
 //
 // A session submits one transaction per message with a session-local,
 // strictly increasing nonce starting at 1 (0 is reserved as the dedup
@@ -123,16 +116,7 @@ func appendSubmit(w *types.Writer, s *Submit) {
 	w.U8(kindSubmit)
 	w.U64(s.Session)
 	w.U64(s.Nonce)
-	w.U32(uint32(len(s.Ops)))
-	for i := range s.Ops {
-		w.U8(uint8(s.Ops[i].Kind))
-		w.U64(s.Ops[i].Key)
-		if s.Ops[i].Kind == types.OpScan {
-			w.U64(s.Ops[i].EndKey)
-			w.U32(s.Ops[i].Limit)
-		}
-		w.Blob(s.Ops[i].Value)
-	}
+	w.Ops(s.Ops)
 }
 
 // appendReply appends one reply message to w.
@@ -143,24 +127,7 @@ func appendReply(w *types.Writer, r *Reply) {
 	w.U8(uint8(r.Status))
 	w.U64(r.Seq)
 	w.U8(r.Busy)
-	w.U32(uint32(len(r.Reads)))
-	for i := range r.Reads {
-		if r.Reads[i].Scan {
-			w.U8(2)
-			w.U32(uint32(len(r.Reads[i].Rows)))
-			for _, row := range r.Reads[i].Rows {
-				w.U64(row.Key)
-				w.Blob(row.Value)
-			}
-			continue
-		}
-		if r.Reads[i].Found {
-			w.U8(1)
-		} else {
-			w.U8(0)
-		}
-		w.Blob(r.Reads[i].Value)
-	}
+	w.ReadResults(r.Reads)
 }
 
 // writeSessionFrame writes one frame carrying count messages already
@@ -224,23 +191,7 @@ func readSessionFrame(r io.Reader, bufs types.FrameBuffers) (sessionFrame, error
 			var s Submit
 			s.Session = rd.U64()
 			s.Nonce = rd.U64()
-			ops := int(rd.U32())
-			if ops < 0 || ops > rd.Remaining()/9+1 {
-				arena.Release()
-				return sessionFrame{}, fmt.Errorf("gateway: submit with %d ops", ops)
-			}
-			if ops > 0 {
-				s.Ops = make([]types.Op, ops)
-				for j := 0; j < ops; j++ {
-					s.Ops[j].Kind = types.OpKind(rd.U8())
-					s.Ops[j].Key = rd.U64()
-					if s.Ops[j].Kind == types.OpScan {
-						s.Ops[j].EndKey = rd.U64()
-						s.Ops[j].Limit = rd.U32()
-					}
-					s.Ops[j].Value = rd.Blob() // aliases the frame buffer
-				}
-			}
+			s.Ops = rd.Ops() // values alias the frame buffer
 			f.Submits = append(f.Submits, s)
 		case kindReply:
 			var rp Reply
@@ -249,38 +200,7 @@ func readSessionFrame(r io.Reader, bufs types.FrameBuffers) (sessionFrame, error
 			rp.Status = Status(rd.U8())
 			rp.Seq = rd.U64()
 			rp.Busy = rd.U8()
-			reads := int(rd.U32())
-			if reads < 0 || reads > rd.Remaining()/5+1 {
-				arena.Release()
-				return sessionFrame{}, fmt.Errorf("gateway: reply with %d reads", reads)
-			}
-			if reads > 0 {
-				rp.Reads = make([]types.ReadResult, reads)
-				for j := 0; j < reads; j++ {
-					switch marker := rd.U8(); marker {
-					case 2:
-						rp.Reads[j].Scan = true
-						rows := int(rd.U32())
-						if rows < 0 || rows > rd.Remaining()/12+1 {
-							arena.Release()
-							return sessionFrame{}, fmt.Errorf("gateway: scan result with %d rows", rows)
-						}
-						if rows > 0 {
-							rp.Reads[j].Rows = make([]types.ScanRow, rows)
-							for k := 0; k < rows; k++ {
-								rp.Reads[j].Rows[k].Key = rd.U64()
-								rp.Reads[j].Rows[k].Value = rd.CopyBlob() // replies outlive the frame
-							}
-						}
-					case 0, 1:
-						rp.Reads[j].Found = marker == 1
-						rp.Reads[j].Value = rd.CopyBlob() // replies outlive the frame
-					default:
-						arena.Release()
-						return sessionFrame{}, fmt.Errorf("gateway: unknown read marker %d", marker)
-					}
-				}
-			}
+			rp.Reads = rd.ReadResults() // copies: replies outlive the frame
 			f.Replies = append(f.Replies, rp)
 		default:
 			arena.Release()

@@ -2,11 +2,11 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -211,8 +211,7 @@ func TestDiskStoreCompaction(t *testing.T) {
 // TestV2MidLogCorruptionDetected: a flipped byte in the middle of a log —
 // in a value and in a header — must be detected by the CRC on recovery,
 // which keeps the longest valid prefix; the repair must be durable across
-// a second restart. (On a v1 log the same flip was silently accepted;
-// this is the regression the CRC format exists for.)
+// a second restart.
 func TestV2MidLogCorruptionDetected(t *testing.T) {
 	for name, flip := range map[string]int64{
 		"value":  16 + 4,     // inside record 0's value bytes
@@ -364,92 +363,72 @@ func TestShardedDiskV2MidLogCorruption(t *testing.T) {
 	}
 }
 
-// TestV1LogStillReadable: a pre-CRC v1 log (no magic header) must open —
-// and be upgraded by that open: the log on disk is v2 before the first
-// append, holds the same live set, takes v2 appends, and reopens as v2. A
-// crash mid-upgrade (a stray temp rewrite beside the untouched v1 log) is
-// ignored and the upgrade runs again.
-func TestV1LogStillReadable(t *testing.T) {
+// TestCorruptLogHeaderIsAnErrorNotARepair: one flipped bit in a log's magic
+// header must fail the open with an error naming the file, and leave the
+// file byte for byte as it was — the records behind a rotted header are
+// intact, and it is the operator's call what to do with them. A file too
+// short to hold the header is the other case: a torn first write, which the
+// open replaces with an empty log.
+func TestCorruptLogHeaderIsAnErrorNotARepair(t *testing.T) {
 	forEachShardCount(t, func(t *testing.T, shards int) {
 		dir := t.TempDir()
-		openSharded(t, dir, ShardedDiskOptions{Shards: shards}).Close() // lay out SHARDS + empty logs
-		// Three keys of one log, whose v1 predecessor is crafted by hand:
-		// records are [key 8][vlen 4][value].
+		s := openSharded(t, dir, ShardedDiskOptions{Shards: shards})
 		same := keysOnShardOf(1, shards, 3)
-		path := shardLog(dir, same[0], shards)
-		var raw bytes.Buffer
-		v1 := func(key uint64, val string) {
-			var hdr [12]byte
-			binary.BigEndian.PutUint64(hdr[:8], key)
-			binary.BigEndian.PutUint32(hdr[8:], uint32(len(val)))
-			raw.Write(hdr[:])
-			raw.WriteString(val)
-		}
-		v1(same[0], "one")
-		v1(same[1], "two")
-		v1(same[0], "one-v2") // overwrite: recovery keeps the latest
-		if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// A crashed earlier upgrade: its temp rewrite never got renamed.
-		stray := filepath.Join(dir, ".compact-crashed-upgrade")
-		if err := os.WriteFile(stray, []byte("partial rewrite"), 0o600); err != nil {
-			t.Fatal(err)
-		}
-		isV2 := func(stage string) {
-			t.Helper()
-			head := make([]byte, len(logMagic))
-			f, err := os.Open(path)
-			if err != nil {
+		for _, k := range same {
+			if err := s.Put(k, []byte(fmt.Sprintf("v-%d", k))); err != nil {
 				t.Fatal(err)
 			}
-			defer f.Close()
-			if _, err := f.Read(head); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(head, logMagic[:]) {
-				t.Fatalf("%s: log is not v2: header %q", stage, head)
-			}
-		}
-
-		s, err := OpenShardedDisk(dir, ShardedDiskOptions{})
-		if err != nil {
-			t.Fatalf("opening v1 log: %v", err)
-		}
-		isV2("after the upgrading open")
-		if strays, _ := filepath.Glob(filepath.Join(dir, compactTmpPattern)); len(strays) != 0 {
-			t.Fatalf("temp rewrites survived the open: %v", strays)
-		}
-		if got := s.Len(); got != 2 {
-			t.Fatalf("Len = %d, want the v1 log's 2 live keys", got)
-		}
-		if v, err := s.Get(same[0]); err != nil || string(v) != "one-v2" {
-			t.Fatalf("Get(%d) = (%q,%v)", same[0], v, err)
-		}
-		if v, err := s.Get(same[1]); err != nil || string(v) != "two" {
-			t.Fatalf("Get(%d) = (%q,%v)", same[1], v, err)
-		}
-		// The upgraded log takes appends, CRCs and all.
-		if err := s.Put(same[2], []byte("three")); err != nil {
-			t.Fatal(err)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-
-		s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
+		path := shardLog(dir, same[0], shards)
+		healthy, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s2.Close()
-		isV2("after the reopen")
-		if got := s2.Len(); got != 3 {
-			t.Fatalf("reopened Len = %d, want 3", got)
+		corrupt := append([]byte(nil), healthy...)
+		corrupt[3] ^= 0x10
+		if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		for key, want := range map[uint64]string{same[0]: "one-v2", same[1]: "two", same[2]: "three"} {
-			if v, err := s2.Get(key); err != nil || string(v) != want {
-				t.Fatalf("recovered Get(%d) = (%q,%v), want %q", key, v, err, want)
+
+		if s, err := OpenShardedDisk(dir, ShardedDiskOptions{}); err == nil {
+			s.Close()
+			t.Fatal("a log with a corrupt header opened")
+		} else if !strings.Contains(err.Error(), path) {
+			t.Fatalf("error does not name the log: %v", err)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, corrupt) {
+			t.Fatalf("failed open rewrote the log: %d bytes before, %d after", len(corrupt), len(after))
+		}
+
+		// Undo the flip and every record is still there.
+		if err := os.WriteFile(path, healthy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s2 := openSharded(t, dir, ShardedDiskOptions{})
+		for _, k := range same {
+			if v, err := s2.Get(k); err != nil || string(v) != fmt.Sprintf("v-%d", k) {
+				t.Fatalf("Get(%d) after restoring the header = (%q,%v)", k, v, err)
 			}
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// A torn header, by contrast, is an empty log.
+		if err := os.WriteFile(path, healthy[:5], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s3 := openSharded(t, dir, ShardedDiskOptions{})
+		defer s3.Close()
+		if _, err := s3.Get(same[0]); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get on a log reinitialized from a torn header: %v", err)
 		}
 	})
 }
@@ -520,7 +499,7 @@ func TestCompactionCrashMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, _, err := recoverLog(src)
+		st, err := recoverLog(src)
 		if err != nil {
 			t.Fatal(err)
 		}

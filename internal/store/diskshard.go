@@ -34,9 +34,9 @@ import (
 //     goroutine never waits for the disk. Put and PutMany are the
 //     synchronous form, append then wait.
 //
-// Each shard's log is a CRC-32C-per-record log (see format.go; a pre-CRC
-// v1 log is upgraded once, at open): on open a torn tail or any record
-// failing its CRC ends the valid prefix, independently per shard. A SHARDS
+// Each shard's log is a CRC-32C-per-record log (see format.go): on open a
+// torn tail or any record failing its CRC ends the valid prefix,
+// independently per shard. A SHARDS
 // meta file pins the shard count, since reopening with a different count
 // would look keys up in the wrong logs.
 //
@@ -281,8 +281,8 @@ func (sh *diskLogShard) appendLocked(kvs []KV) error {
 	}
 	at := int64(0)
 	for i := range kvs {
-		sh.account(kvs[i].Key, sh.off+at+recHdrV2, uint32(len(kvs[i].Value)))
-		at += recHdrV2 + int64(len(kvs[i].Value))
+		sh.account(kvs[i].Key, sh.off+at+recHdr, uint32(len(kvs[i].Value)))
+		at += recHdr + int64(len(kvs[i].Value))
 	}
 	sh.off += int64(len(buf))
 	sh.appended++

@@ -10,29 +10,15 @@ import (
 	"path/filepath"
 )
 
-// Log format. Every shard log is written in one record-log layout (v2): an
-// 8-byte magic header, then records carrying a CRC-32C over the record
-// header and value:
+// Log format. A shard log is an 8-byte magic header, then records carrying
+// a CRC-32C over the record's key, length and value:
 //
 //	"RDBLOG2\n" ([8]byte magic)
 //	[8 bytes key][4 bytes value length][4 bytes CRC-32C][value bytes] ...
 //
-// The CRC is computed over the first 12 header bytes plus the value, so
-// a flipped bit anywhere in a record — key, length, or payload — fails
+// A flipped bit anywhere in a record — key, length, or payload — fails
 // verification on recovery, which keeps the longest valid prefix.
-//
-// A v1 log (the seed format) is a bare sequence of CRC-less records:
-//
-//	[8 bytes key][4 bytes value length][value bytes]
-//
-// It is only ever read: open upgrades a v1 log once, through the
-// compaction rewrite (rewriteLiveRecords), whose rename makes the upgrade
-// atomic — a crash leaves the whole v1 log or the whole v2 one, so no log
-// ever mixes formats and every append is v2.
-const (
-	recHdrV1 = 12 // [key 8][vlen 4]
-	recHdrV2 = 16 // [key 8][vlen 4][crc 4]
-)
+const recHdr = 16 // [key 8][vlen 4][crc 4]
 
 // recordRef locates one record's value bytes inside its log.
 type recordRef struct {
@@ -40,19 +26,31 @@ type recordRef struct {
 	length uint32
 }
 
-// logMagic marks a v2 log. A v1 log at least one record long starts with
-// its first record's 8-byte key instead; a v1 log shorter than one header
-// is a torn tail under v1 rules and is truncated to empty either way.
-// Known limitation: a pre-upgrade v1 log whose first record's key happens
-// to equal these exact 8 bytes (0x5244424C4F47320A) would be misdetected
-// as v2. Accepted: the collision needs that one adversarial key first in
-// a seed-era log, and the alternative — per-log format sidecars — adds a
-// second crash-ordering problem to solve a 2^-64 one.
+// logMagic opens every log. A file long enough to hold it that starts with
+// anything else is not a log this store wrote — or is one whose header rotted
+// — and opening it is an error, never a repair.
 var logMagic = [8]byte{'R', 'D', 'B', 'L', 'O', 'G', '2', '\n'}
 
 // crcTable is the Castagnoli polynomial, the standard storage CRC (SSE4.2
 // hardware-accelerated on amd64).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// putRecordHeader fills hdr for one record and returns it. This and
+// recordCRC are the one definition of the record layout: appends, the
+// compaction rewrite and recovery all go through them.
+func putRecordHeader(hdr []byte, key uint64, value []byte) []byte {
+	hdr = hdr[:recHdr]
+	binary.BigEndian.PutUint64(hdr[:8], key)
+	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(value)))
+	binary.BigEndian.PutUint32(hdr[12:16], recordCRC(hdr, value))
+	return hdr
+}
+
+// recordCRC is the checksum a record's header must carry: CRC-32C over the
+// header's key and length fields, then the value.
+func recordCRC(hdr, value []byte) uint32 {
+	return crc32.Update(crc32.Checksum(hdr[:12], crcTable), crcTable, value)
+}
 
 // compactTmpPattern names in-flight compaction rewrites. A crash leaves
 // the temp file behind and the original log authoritative; open removes
@@ -108,10 +106,10 @@ type logState struct {
 // account updates the live/total byte counters and the index for one
 // appended record, subtracting the record the key previously pointed at.
 func (st *logState) account(key uint64, valueOff int64, vlen uint32) {
-	rec := recHdrV2 + int64(vlen)
+	rec := recHdr + int64(vlen)
 	st.total += rec
 	if old, ok := st.index[key]; ok {
-		st.live -= recHdrV2 + int64(old.length)
+		st.live -= recHdr + int64(old.length)
 	}
 	st.live += rec
 	st.index[key] = recordRef{off: valueOff, length: vlen}
@@ -122,129 +120,76 @@ func (st *logState) account(key uint64, valueOff int64, vlen uint32) {
 func encodeRecords(kvs []KV) []byte {
 	size := 0
 	for i := range kvs {
-		size += recHdrV2 + len(kvs[i].Value)
+		size += recHdr + len(kvs[i].Value)
 	}
 	buf := make([]byte, size)
 	at := 0
 	for i := range kvs {
-		binary.BigEndian.PutUint64(buf[at:at+8], kvs[i].Key)
-		binary.BigEndian.PutUint32(buf[at+8:at+12], uint32(len(kvs[i].Value)))
-		crc := crc32.Checksum(buf[at:at+12], crcTable)
-		crc = crc32.Update(crc, crcTable, kvs[i].Value)
-		binary.BigEndian.PutUint32(buf[at+12:at+16], crc)
-		copy(buf[at+recHdrV2:], kvs[i].Value)
-		at += recHdrV2 + len(kvs[i].Value)
+		putRecordHeader(buf[at:], kvs[i].Key, kvs[i].Value)
+		copy(buf[at+recHdr:], kvs[i].Value)
+		at += recHdr + len(kvs[i].Value)
 	}
 	return buf
 }
 
 // openLog opens (or creates) the record log at path and recovers it: the
-// returned handle and state are ready for appends, which are always v2.
+// returned handle and state are ready for appends.
 //
-//   - a v2 log (magic header) verifies every record's CRC-32C and keeps
-//     the longest valid prefix — a torn tail or a flipped byte anywhere
+//   - a log (magic header) verifies every record's CRC-32C and keeps the
+//     longest valid prefix — a torn tail or a flipped byte anywhere
 //     truncates the log at the first bad record;
-//   - a v1 log (no header) is read with the pre-CRC rules — only a torn
-//     final record is detected and discarded — and its live records are
-//     rewritten to a v2 log that atomically replaces it, before the store
-//     sees it. A crash mid-upgrade leaves the v1 log authoritative and a
-//     stray temp file the next open removes, and the upgrade runs again;
-//   - an empty or sub-header log is (re)initialized as v2.
+//   - a file shorter than the header is a torn first write and is
+//     (re)initialized as an empty log;
+//   - any other file is an error, and is left exactly as it was found.
 func openLog(path string) (*os.File, logState, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, logState{}, fmt.Errorf("opening log: %w", err)
 	}
-	st, v1, err := recoverLog(f)
+	st, err := recoverLog(f)
 	if err != nil {
 		f.Close()
-		return nil, logState{}, err
+		return nil, logState{}, fmt.Errorf("%s: %w", path, err)
 	}
-	if !v1 {
-		return f, st, nil
-	}
-	upgraded, st, err := rewriteLiveRecords(f, st.index, path)
-	f.Close()
-	if err != nil {
-		return nil, logState{}, fmt.Errorf("upgrading v1 log: %w", err)
-	}
-	return upgraded, st, nil
+	return f, st, nil
 }
 
 // recoverLog scans an open record log, rebuilding the key index and the
-// live/total byte accounting. v1 reports a pre-CRC log: its state carries
-// only the index, enough for the upgrade rewrite and nothing else.
-func recoverLog(f *os.File) (st logState, v1 bool, err error) {
+// live/total byte accounting.
+func recoverLog(f *os.File) (logState, error) {
+	st := logState{index: make(map[uint64]recordRef), off: int64(len(logMagic))}
 	fi, err := f.Stat()
 	if err != nil {
-		return st, false, fmt.Errorf("stat log: %w", err)
+		return st, fmt.Errorf("stat log: %w", err)
 	}
 	size := fi.Size() // invariant during the scan (only Truncate shrinks it)
-	if size >= int64(len(logMagic)) {
-		var magic [len(logMagic)]byte
-		if _, err := f.ReadAt(magic[:], 0); err != nil {
-			return st, false, fmt.Errorf("reading log header: %w", err)
+	if size < int64(len(logMagic)) {
+		// At most a torn magic. Write the header and fsync it before any
+		// record can follow: the filesystem may persist pages in any order,
+		// and a crash that kept later record pages but dropped an unsynced
+		// header would leave a file the next open refuses.
+		if err := f.Truncate(0); err != nil {
+			return st, fmt.Errorf("truncating torn log: %w", err)
 		}
-		if magic == logMagic {
-			st, err = recoverV2(f, size)
-			return st, false, err
+		if _, err := f.WriteAt(logMagic[:], 0); err != nil {
+			return st, fmt.Errorf("writing log header: %w", err)
 		}
-	}
-	if size >= recHdrV1 {
-		st.index, err = recoverV1(f, size)
-		return st, true, err
-	}
-	// Too short to be either format: at most a torn v1 header or a torn
-	// v2 magic, both of which truncate to empty. Initialize as v2 and
-	// fsync the header before any record can follow it: the filesystem
-	// may persist pages in any order, and a crash that kept later record
-	// pages but dropped the unsynced header would make the next recovery
-	// misread a v2 log as v1 — no CRCs, records parsed 4 bytes off — and
-	// build a garbage index instead of a clean empty log.
-	if err := f.Truncate(0); err != nil {
-		return st, false, fmt.Errorf("truncating torn log: %w", err)
-	}
-	if _, err := f.WriteAt(logMagic[:], 0); err != nil {
-		return st, false, fmt.Errorf("writing log header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return st, false, fmt.Errorf("syncing log header: %w", err)
-	}
-	st.index = make(map[uint64]recordRef)
-	st.off = int64(len(logMagic))
-	return st, false, nil
-}
-
-// recoverV1 is the read side of the v1 upgrade: it indexes the latest
-// record of every key in a pre-CRC log, stopping at a torn final record.
-// The log itself is left untouched — it stays authoritative until the
-// upgrade's rename replaces it.
-func recoverV1(f *os.File, size int64) (map[uint64]recordRef, error) {
-	index := make(map[uint64]recordRef)
-	var hdr [recHdrV1]byte
-	for off := int64(0); off+recHdrV1 <= size; {
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			return nil, fmt.Errorf("scanning v1 log: %w", err)
+		if err := f.Sync(); err != nil {
+			return st, fmt.Errorf("syncing log header: %w", err)
 		}
-		key := binary.BigEndian.Uint64(hdr[:8])
-		vlen := binary.BigEndian.Uint32(hdr[8:])
-		end := off + recHdrV1 + int64(vlen)
-		if end > size {
-			break // torn value
-		}
-		index[key] = recordRef{off: off + recHdrV1, length: vlen}
-		off = end
+		return st, nil
 	}
-	return index, nil
-}
-
-func recoverV2(f *os.File, size int64) (logState, error) {
-	st := logState{index: make(map[uint64]recordRef)}
-	var hdr [recHdrV2]byte
+	var magic [len(logMagic)]byte
+	if _, err := f.ReadAt(magic[:], 0); err != nil {
+		return st, fmt.Errorf("reading log header: %w", err)
+	}
+	if magic != logMagic {
+		return st, fmt.Errorf("not a record log: header %q, want %q", magic[:], logMagic[:])
+	}
+	var hdr [recHdr]byte
 	var val []byte
-	off := int64(len(logMagic))
 	for {
-		_, err := f.ReadAt(hdr[:], off)
+		_, err := f.ReadAt(hdr[:], st.off)
 		if err == io.EOF {
 			break
 		}
@@ -253,12 +198,11 @@ func recoverV2(f *os.File, size int64) (logState, error) {
 			return st, fmt.Errorf("scanning log: %w", err)
 		}
 		var key uint64
-		var vlen, want uint32
+		var vlen uint32
 		if !truncate {
 			key = binary.BigEndian.Uint64(hdr[:8])
 			vlen = binary.BigEndian.Uint32(hdr[8:12])
-			want = binary.BigEndian.Uint32(hdr[12:16])
-			if off+recHdrV2+int64(vlen) > size {
+			if st.off+recHdr+int64(vlen) > size {
 				truncate = true // torn value (or a corrupt length field)
 			}
 		}
@@ -267,32 +211,29 @@ func recoverV2(f *os.File, size int64) (logState, error) {
 				val = make([]byte, vlen)
 			}
 			val = val[:vlen]
-			if _, err := f.ReadAt(val, off+recHdrV2); err != nil {
+			if _, err := f.ReadAt(val, st.off+recHdr); err != nil {
 				return st, fmt.Errorf("scanning log: %w", err)
 			}
-			crc := crc32.Checksum(hdr[:recHdrV1], crcTable)
-			crc = crc32.Update(crc, crcTable, val)
 			// A CRC mismatch means corruption (torn write or bit rot) at
 			// this record; everything before it verified, so keep the
 			// longest valid prefix and discard the rest.
-			truncate = crc != want
+			truncate = recordCRC(hdr[:], val) != binary.BigEndian.Uint32(hdr[12:16])
 		}
 		if truncate {
-			if terr := f.Truncate(off); terr != nil {
+			if terr := f.Truncate(st.off); terr != nil {
 				return st, fmt.Errorf("truncating corrupt log: %w", terr)
 			}
 			break
 		}
-		st.account(key, off+recHdrV2, vlen)
-		off += recHdrV2 + int64(vlen)
+		st.account(key, st.off+recHdr, vlen)
+		st.off += recHdr + int64(vlen)
 	}
-	st.off = off
 	return st, nil
 }
 
-// rewriteLiveRecords is the compaction rewrite (and the v1 upgrade): every
-// record still reachable through index is read back from src and written
-// to a fresh v2 log that atomically replaces logPath. The crash-safety ladder is the
+// rewriteLiveRecords is the compaction rewrite: every record still
+// reachable through index is read back from src and written to a fresh
+// log that atomically replaces logPath. The crash-safety ladder is the
 // persistShardMeta discipline — temp file, fsync, rename, directory
 // fsync — so the original log stays the authoritative copy until the
 // rename lands, and a crash at any point leaves either the old log or the
@@ -316,7 +257,7 @@ func rewriteLiveRecords(src *os.File, index map[uint64]recordRef, logPath string
 	}
 	st := logState{index: make(map[uint64]recordRef, len(index))}
 	st.off = int64(len(logMagic))
-	var hdr [recHdrV2]byte
+	var hdr [recHdr]byte
 	var val []byte
 	for key, ref := range index {
 		if int(ref.length) > cap(val) {
@@ -326,19 +267,14 @@ func rewriteLiveRecords(src *os.File, index map[uint64]recordRef, logPath string
 		if _, err := src.ReadAt(val, ref.off); err != nil {
 			return fail(fmt.Errorf("reading live record %d: %w", key, err))
 		}
-		binary.BigEndian.PutUint64(hdr[:8], key)
-		binary.BigEndian.PutUint32(hdr[8:12], ref.length)
-		crc := crc32.Checksum(hdr[:recHdrV1], crcTable)
-		crc = crc32.Update(crc, crcTable, val)
-		binary.BigEndian.PutUint32(hdr[12:16], crc)
-		if _, err := w.Write(hdr[:]); err != nil {
+		if _, err := w.Write(putRecordHeader(hdr[:], key, val)); err != nil {
 			return fail(err)
 		}
 		if _, err := w.Write(val); err != nil {
 			return fail(err)
 		}
-		st.account(key, st.off+recHdrV2, ref.length)
-		st.off += recHdrV2 + int64(ref.length)
+		st.account(key, st.off+recHdr, ref.length)
+		st.off += recHdr + int64(ref.length)
 	}
 	if err := w.Flush(); err != nil {
 		return fail(err)

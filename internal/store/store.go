@@ -16,8 +16,7 @@
 // back.
 //
 // Shard logs stay bounded: records carry a CRC-32C (recovery keeps the
-// longest valid prefix; a pre-CRC v1 log is upgraded once, at open) and
-// superseded values are garbage-collected by Compactor, which the replica
+// longest valid prefix) and superseded values are garbage-collected by Compactor, which the replica
 // triggers from its stable-checkpoint path — the paper's Section 4.7
 // license to discard old state. The compaction bench measures log bytes
 // and reopen time before/after.

@@ -343,7 +343,7 @@ func TestDiskStoreTornValueRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Torn value for key 1: the header claims 100 bytes, only 20 landed.
-		hdr := make([]byte, recHdrV2)
+		hdr := make([]byte, recHdr)
 		hdr[7] = 1    // key 1, big-endian
 		hdr[11] = 100 // value length 100
 		appendRaw(t, dir, 1, shards, append(hdr, bytes.Repeat([]byte{0xAB}, 20)...))

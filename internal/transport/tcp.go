@@ -15,11 +15,11 @@ import (
 // the transport's dominant cost at high throughput ("What Blocks My
 // Blockchain's Throughput?" finds per-message serialization alongside
 // signature verification as the top bottlenecks): coalescing queued
-// envelopes into one batch frame amortizes the length prefix and, more
+// envelopes into one frame amortizes the frame header and, more
 // importantly, the Write call across the whole batch.
 const (
 	// DefaultBatchMax is the default maximum number of envelopes per
-	// batch frame.
+	// frame.
 	DefaultBatchMax = 64
 	// batchBytes is the encoded-size threshold that flushes a batch
 	// early, bounding frame size independently of BatchMax.
@@ -51,9 +51,9 @@ type TCPConfig struct {
 	Inboxes  int
 	Capacity int
 	// BatchMax is the maximum number of envelopes coalesced into one
-	// batch frame. 0 means DefaultBatchMax; 1 disables batching (every
-	// envelope travels in its own frame, still serialized through the
-	// peer's writer goroutine).
+	// frame. 0 means DefaultBatchMax; 1 disables batching (every envelope
+	// travels in its own frame, still serialized through the peer's
+	// writer goroutine).
 	BatchMax int
 	// Linger is how long a writer waits for more envelopes before
 	// flushing a partial batch. 0 flushes as soon as the outbound queue
@@ -61,13 +61,14 @@ type TCPConfig struct {
 	// outpaces the writer), while an idle connection pays no added
 	// latency. Positive values trade latency for fuller batches.
 	Linger time.Duration
-	// ZeroCopy switches the receive path to pooled zero-copy decode
-	// (Section 4.8 buffer-pool management): frame buffers come from a
-	// per-endpoint pool, decoded envelopes alias them, and the buffer
-	// returns to the pool when every consumer has called Release on its
-	// envelope. Consumers that never Release only forfeit reuse — the
-	// buffer falls to the garbage collector — so the mode is safe with
-	// release-unaware receivers, just not profitable.
+	// ZeroCopy gives the receive path a frame-buffer pool (Section 4.8
+	// buffer-pool management). Decoded envelopes alias the frame they
+	// arrived in either way; with ZeroCopy the frame's buffer comes from a
+	// per-endpoint pool and returns to it when every consumer has called
+	// Release on its envelope, without it every frame is allocated and
+	// left to the garbage collector. Consumers that never Release only
+	// forfeit reuse, so the pool is safe with release-unaware receivers,
+	// just not profitable.
 	ZeroCopy bool
 }
 
@@ -88,7 +89,7 @@ func (c *TCPConfig) fill() {
 
 // tcpPeer is one live connection plus the writer goroutine that owns its
 // write side. Routing every write (Send and Hello alike) through the
-// writer serializes frame writes — concurrent WriteFrame calls on a shared
+// writer serializes frame writes — concurrent writes on a shared
 // connection could interleave partial frames and corrupt the stream — and
 // is where outbound batching happens.
 type tcpPeer struct {
@@ -98,7 +99,7 @@ type tcpPeer struct {
 }
 
 // TCPEndpoint attaches a node to the network over TCP with
-// length-prefixed envelope frames (single and batch, see types.ReadFrames).
+// length-prefixed envelope frames (see types.AppendBatchFrame).
 // Outbound connections are dialed lazily per destination and reused;
 // inbound connections are accepted continuously and drained into the
 // classified inboxes.
@@ -108,7 +109,7 @@ type TCPEndpoint struct {
 	ln      net.Listener
 	inboxes []chan *types.Envelope
 	drops   atomic.Uint64
-	frames  types.FrameBuffers // inbound frame arenas; nil unless ZeroCopy
+	frames  types.FrameBuffers // inbound frame recycler; nil unless ZeroCopy
 
 	mu       sync.Mutex
 	addrs    map[types.NodeID]string
@@ -123,20 +124,7 @@ type TCPEndpoint struct {
 
 var _ Endpoint = (*TCPEndpoint)(nil)
 
-// NewTCP creates a TCP endpoint listening on listenAddr with default
-// batching. addrs maps every peer (and may include self) to its dialable
-// address. Inbound frames are spread over the given number of inboxes.
-func NewTCP(self types.NodeID, listenAddr string, addrs map[types.NodeID]string, inboxes, capacity int) (*TCPEndpoint, error) {
-	return NewTCPWithConfig(TCPConfig{
-		Self:       self,
-		ListenAddr: listenAddr,
-		Addrs:      addrs,
-		Inboxes:    inboxes,
-		Capacity:   capacity,
-	})
-}
-
-// NewTCPWithConfig creates a TCP endpoint with explicit batching knobs.
+// NewTCPWithConfig creates a TCP endpoint listening on cfg.ListenAddr.
 func NewTCPWithConfig(cfg TCPConfig) (*TCPEndpoint, error) {
 	cfg.fill()
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
@@ -259,13 +247,7 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 		conn.Close()
 	}()
 	for {
-		var envs []*types.Envelope
-		var err error
-		if e.frames != nil {
-			envs, err = types.ReadFramesPooled(conn, e.frames)
-		} else {
-			envs, err = types.ReadFrames(conn)
-		}
+		envs, err := types.ReadFramesPooled(conn, e.frames)
 		if err != nil {
 			return
 		}
@@ -392,8 +374,8 @@ func (e *TCPEndpoint) addPeerLocked(to types.NodeID, conn net.Conn) *tcpPeer {
 }
 
 // writeLoop is a peer's writer: it drains the outbound queue, coalesces
-// what it finds into batch frames, and writes each frame with a single
-// Write call.
+// what it finds into frames, and writes each frame with a single Write
+// call.
 func (e *TCPEndpoint) writeLoop(to types.NodeID, p *tcpPeer) {
 	defer e.writeWg.Done()
 	defer close(p.dead)
@@ -466,8 +448,8 @@ func (e *TCPEndpoint) writeLoop(to types.NodeID, p *tcpPeer) {
 	}
 }
 
-// writeBatch encodes the batch as one frame — single-envelope framing for
-// a batch of one — and writes it with a single Write call. On error the
+// writeBatch encodes the batch as one frame and writes it with a single
+// Write call. On error the
 // peer is torn down and false is returned. Either way the writer is the
 // envelopes' final owner and releases them; envelopes still queued behind
 // a failed write are left for the garbage collector.
@@ -476,11 +458,7 @@ func (e *TCPEndpoint) writeBatch(to types.NodeID, p *tcpPeer, w *types.Writer, b
 		return true
 	}
 	w.Reset()
-	if len(batch) == 1 {
-		types.AppendFrame(w, batch[0])
-	} else {
-		types.AppendBatchFrame(w, batch)
-	}
+	types.AppendBatchFrame(w, batch)
 	_, err := p.conn.Write(w.Bytes())
 	for _, env := range batch {
 		env.Release()

@@ -20,7 +20,7 @@ func newTCPPair(t *testing.T, cfg TCPConfig) (a, b *TCPEndpoint) {
 		t.Fatal(err)
 	}
 	t.Cleanup(a.Close)
-	b, err = NewTCP(types.ReplicaNode(1), "127.0.0.1:0", nil, 1, 1<<14)
+	b, err = NewTCPWithConfig(TCPConfig{Self: types.ReplicaNode(1), ListenAddr: "127.0.0.1:0", Inboxes: 1, Capacity: 1 << 14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestTCPDropCounter(t *testing.T) {
 	a, b := newTCPPair(t, TCPConfig{Inboxes: 1, Capacity: 1 << 10, BatchMax: 4})
 	// b's inbox holds 1<<14; rebuild b with capacity 1 instead.
 	b.Close()
-	b2, err := NewTCP(types.ReplicaNode(1), "127.0.0.1:0", nil, 1, 1)
+	b2, err := NewTCPWithConfig(TCPConfig{Self: types.ReplicaNode(1), ListenAddr: "127.0.0.1:0", Inboxes: 1, Capacity: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

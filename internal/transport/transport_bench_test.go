@@ -51,5 +51,5 @@ func benchTCPBlast(b *testing.B, zeroCopy bool) {
 	<-done
 }
 
-func BenchmarkTCPDeliveryCopy(b *testing.B)     { benchTCPBlast(b, false) }
+func BenchmarkTCPDeliveryNoPool(b *testing.B)   { benchTCPBlast(b, false) }
 func BenchmarkTCPDeliveryZeroCopy(b *testing.B) { benchTCPBlast(b, true) }

@@ -129,12 +129,12 @@ func TestInprocCloseClosesInboxes(t *testing.T) {
 
 func TestTCPRoundTrip(t *testing.T) {
 	addrs := make(map[types.NodeID]string)
-	a, err := NewTCP(types.ReplicaNode(0), "127.0.0.1:0", addrs, 2, 16)
+	a, err := NewTCPWithConfig(TCPConfig{Self: types.ReplicaNode(0), ListenAddr: "127.0.0.1:0", Addrs: addrs, Inboxes: 2, Capacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := NewTCP(types.ReplicaNode(1), "127.0.0.1:0", addrs, 2, 16)
+	b, err := NewTCPWithConfig(TCPConfig{Self: types.ReplicaNode(1), ListenAddr: "127.0.0.1:0", Addrs: addrs, Inboxes: 2, Capacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +171,12 @@ func TestTCPRoundTrip(t *testing.T) {
 
 func TestTCPManyFramesOrdered(t *testing.T) {
 	addrs := make(map[types.NodeID]string)
-	a, err := NewTCP(types.ReplicaNode(0), "127.0.0.1:0", addrs, 1, 4096)
+	a, err := NewTCPWithConfig(TCPConfig{Self: types.ReplicaNode(0), ListenAddr: "127.0.0.1:0", Addrs: addrs, Inboxes: 1, Capacity: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := NewTCP(types.ReplicaNode(1), "127.0.0.1:0", addrs, 1, 4096)
+	b, err := NewTCPWithConfig(TCPConfig{Self: types.ReplicaNode(1), ListenAddr: "127.0.0.1:0", Addrs: addrs, Inboxes: 1, Capacity: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestTCPManyFramesOrdered(t *testing.T) {
 }
 
 func TestTCPUnknownPeer(t *testing.T) {
-	a, err := NewTCP(types.ReplicaNode(0), "127.0.0.1:0", nil, 1, 4)
+	a, err := NewTCPWithConfig(TCPConfig{Self: types.ReplicaNode(0), ListenAddr: "127.0.0.1:0", Inboxes: 1, Capacity: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestTCPUnknownPeer(t *testing.T) {
 }
 
 func TestTCPCloseIsIdempotent(t *testing.T) {
-	a, err := NewTCP(types.ReplicaNode(0), "127.0.0.1:0", nil, 1, 4)
+	a, err := NewTCPWithConfig(TCPConfig{Self: types.ReplicaNode(0), ListenAddr: "127.0.0.1:0", Inboxes: 1, Capacity: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

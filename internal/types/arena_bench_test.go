@@ -1,8 +1,8 @@
 package types_test
 
 // Allocation accounting for the zero-copy hot path: benchmarks to run
-// with -benchmem (allocs/op of the copying forms against the pooled forms
-// the pipeline uses), and tests pinning the two claims pooling rests on.
+// with -benchmem (allocs/op of the unpooled forms against the pooled forms
+// the pipeline uses), and tests pinning the claims pooling rests on.
 
 import (
 	"bytes"
@@ -31,23 +31,11 @@ func benchFrame(tb testing.TB) []byte {
 	return append([]byte(nil), w.Bytes()...)
 }
 
-func BenchmarkFrameDecodeCopy(b *testing.B) {
+// benchFrameDecode decodes one 64-envelope frame per iteration and releases
+// every envelope, borrowing frame buffers from bufs (nil: allocate each).
+func benchFrameDecode(b *testing.B, bufs types.FrameBuffers) {
 	frame := benchFrame(b)
 	r := bytes.NewReader(frame)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Reset(frame)
-		if _, err := types.ReadFrames(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFrameDecodePooled(b *testing.B) {
-	frame := benchFrame(b)
-	r := bytes.NewReader(frame)
-	bufs := new(pool.BytePool)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,6 +49,10 @@ func BenchmarkFrameDecodePooled(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkFrameDecodeNilRecycler(b *testing.B) { benchFrameDecode(b, nil) }
+
+func BenchmarkFrameDecodePooled(b *testing.B) { benchFrameDecode(b, new(pool.BytePool)) }
 
 func benchMessage() types.Message {
 	return &types.Prepare{View: 3, Seq: 12345, Digest: types.Digest{1, 2, 3}, Replica: 2}
@@ -86,19 +78,16 @@ func BenchmarkMarshalBodyArena(b *testing.B) {
 	}
 }
 
-// TestPooledFrameDecodeHalvesAllocs pins what zero-copy receive buys: a
-// 64-envelope batch frame decoded into pooled envelopes aliasing one
-// pooled arena costs at most half the allocations of the copying decoder.
+// TestPooledFrameDecodeHalvesAllocs pins what zero-copy receive costs: a
+// 64-envelope frame decoded into pooled envelopes aliasing one pooled arena
+// allocates the envelope slice and one Auth copy per envelope — nothing per
+// Body, nothing for the frame buffer or the envelope structs. (The name
+// dates from a copying reader it was once compared against, at 2+ per
+// envelope; CI's Allocation gate selects the test by it.)
 func TestPooledFrameDecodeHalvesAllocs(t *testing.T) {
 	frame := benchFrame(t)
 	r := bytes.NewReader(frame)
 	bufs := new(pool.BytePool)
-	copied := testing.AllocsPerRun(100, func() {
-		r.Reset(frame)
-		if _, err := types.ReadFrames(r); err != nil {
-			t.Fatal(err)
-		}
-	})
 	pooled := testing.AllocsPerRun(100, func() {
 		r.Reset(frame)
 		envs, err := types.ReadFramesPooled(r, bufs)
@@ -109,9 +98,12 @@ func TestPooledFrameDecodeHalvesAllocs(t *testing.T) {
 			e.Release()
 		}
 	})
-	t.Logf("allocations per frame: copy decode %.0f, pooled decode %.0f", copied, pooled)
-	if pooled > copied/2 {
-		t.Fatalf("pooled decode allocates %.0f per frame, copy decode %.0f — want at most half", pooled, copied)
+	t.Logf("allocations per 64-envelope frame: %.0f", pooled)
+	if types.RaceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random; steady-state reuse is nondeterministic")
+	}
+	if most := float64(64 + 4); pooled > most {
+		t.Fatalf("pooled decode allocates %.0f per 64-envelope frame, want at most %.0f", pooled, most)
 	}
 }
 
@@ -160,10 +152,10 @@ func BenchmarkRequestDecodeCopy(b *testing.B) {
 }
 
 func BenchmarkRequestDecodeAlias(b *testing.B) {
-	body := benchRequestBody()
+	env := &types.Envelope{Type: types.MsgClientRequest, Body: benchRequestBody()}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := types.DecodeBodyAlias(types.MsgClientRequest, body); err != nil {
+		if _, err := types.DecodeEnvelope(env); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -223,7 +215,7 @@ func TestHostileCountsBuyNoMemory(t *testing.T) {
 	}{
 		{"forged txn count", 1 << 30, 1, 1 << 10, true},
 		{"forged op count", 1, 1 << 30, 1 << 10, true},
-		{"forged typed op count", 1, 1<<30 | 1<<31, 1 << 10, true},
+		{"forged op count, high bit set", 1, 1<<30 | 1<<31, 1 << 10, true},
 		{"plausible counts, truncated body", 1 << 10, 1 << 10, 1 << 14, false},
 	} {
 		t.Run(row.name, func(t *testing.T) {
@@ -232,7 +224,7 @@ func TestHostileCountsBuyNoMemory(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			_, err := types.DecodeBody(types.MsgClientRequest, body)
-			_, aerr := types.DecodeBodyAlias(types.MsgClientRequest, body)
+			_, aerr := types.DecodeEnvelope(&types.Envelope{Type: types.MsgClientRequest, Body: body})
 			runtime.ReadMemStats(&after)
 			if err == nil || aerr == nil {
 				t.Fatal("hostile body decoded")

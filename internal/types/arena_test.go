@@ -65,15 +65,11 @@ func TestArenaNilSafe(t *testing.T) {
 	nilEnv.Release()
 }
 
-// recycleFrame writes envs as one batch frame and reads it back through the
+// recycleFrame writes envs as one frame and reads it back through the
 // pooled reader, so every returned envelope aliases one buffer of bufs.
 func recycleFrame(t *testing.T, bufs FrameBuffers, envs ...*Envelope) []*Envelope {
 	t.Helper()
-	var frame bytes.Buffer
-	if err := WriteBatchFrame(&frame, envs); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadFramesPooled(&frame, bufs)
+	out, err := ReadFramesPooled(bytes.NewReader(frameOf(envs...)), bufs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +195,11 @@ func TestDecodeEnvelopeKeepsVoteFramesPooled(t *testing.T) {
 	}
 }
 
-// TestDecodeBodyAliasSharesBuffer pins down the difference between the two
-// decode modes: alias-mode fields observe buffer mutation, copy-mode
-// fields do not. This is why an aliased message needs its buffer's
-// lifetime settled, which DecodeEnvelope does for the live pipeline.
-func TestDecodeBodyAliasSharesBuffer(t *testing.T) {
+// TestDecodeEnvelopeSharesBuffer pins down the difference between the two
+// decode modes: a request DecodeEnvelope decoded observes buffer mutation,
+// a DecodeBody copy does not. This is why DecodeEnvelope settles the
+// buffer's lifetime in the same call.
+func TestDecodeEnvelopeSharesBuffer(t *testing.T) {
 	req := &ClientRequest{
 		Client: 1, FirstSeq: 1,
 		Txns: []Transaction{{Ops: []Op{{Kind: OpWrite, Key: 1, Value: []byte("AAAA")}}}},
@@ -211,7 +207,7 @@ func TestDecodeBodyAliasSharesBuffer(t *testing.T) {
 	}
 	body := MarshalBody(req)
 
-	aliased, err := DecodeBodyAlias(MsgClientRequest, body)
+	aliased, err := DecodeEnvelope(&Envelope{Type: MsgClientRequest, Body: body})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,28 +12,9 @@ import (
 // the registered message set.
 var ErrUnknownType = errors.New("types: unknown message type")
 
-// Encode appends the tagged encoding of msg to w: one type byte followed by
-// the message body.
-func Encode(w *Writer, msg Message) {
-	w.U8(uint8(msg.Type()))
-	msg.marshal(w)
-}
-
-// EncodeToBytes returns the tagged encoding of msg in a fresh buffer.
-// Callers that append into an existing Writer anyway should call Encode
-// directly and skip the intermediate buffer.
-func EncodeToBytes(msg Message) []byte {
-	w := GetWriter()
-	Encode(w, msg)
-	out := make([]byte, w.Len())
-	copy(out, w.Bytes())
-	PutWriter(w)
-	return out
-}
-
-// MarshalBody returns the body encoding of msg without the type tag. It is
-// the canonical input for signing and MAC computation. Callers that feed
-// the bytes straight into a Writer should use AppendBody instead.
+// MarshalBody returns the body encoding of msg in a fresh buffer. The type
+// tag travels beside the body, in the envelope. It is the canonical input
+// for signing and MAC computation.
 func MarshalBody(msg Message) []byte {
 	w := GetWriter()
 	msg.marshal(w)
@@ -41,10 +23,6 @@ func MarshalBody(msg Message) []byte {
 	PutWriter(w)
 	return out
 }
-
-// AppendBody appends the body encoding of msg to w — the append-into-
-// Writer form of MarshalBody, with no intermediate buffer or copy.
-func AppendBody(w *Writer, msg Message) { msg.marshal(w) }
 
 // MarshalBodyArena marshals msg into a buffer borrowed from bufs and
 // returns the encoded body along with the arena owning it. The arena
@@ -110,15 +88,17 @@ func newMessage(t MsgType) (Message, error) {
 	}
 }
 
-// readerPool recycles the Readers behind the Decode* entry points: a
+// readerPool recycles the Readers behind DecodeBody and DecodeEnvelope: a
 // Reader handed to Message.unmarshal escapes through the interface, so a
 // stack one would cost an allocation per decoded message.
 var readerPool = sync.Pool{New: func() any { return new(Reader) }}
 
-// decodeBody is the one body decoder behind every entry point below. The
-// body must be consumed exactly: a decodable prefix with trailing garbage
-// is still malformed — accepting it would let two distinct wire forms
-// carry one message, and signatures cover the whole body.
+// decodeBody is the one body decoder behind both entry points below.
+// Decoding is canonical: a body it accepts re-encodes to the same bytes.
+// The body must therefore be consumed exactly — a decodable prefix with
+// trailing garbage is malformed, because accepting it would let two
+// distinct wire forms carry one message, and signatures cover the whole
+// body.
 func decodeBody(t MsgType, b []byte, alias bool) (Message, error) {
 	msg, err := newMessage(t)
 	if err != nil {
@@ -139,30 +119,10 @@ func decodeBody(t MsgType, b []byte, alias bool) (Message, error) {
 	return msg, nil
 }
 
-// Decode parses a tagged encoding produced by Encode.
-func Decode(b []byte) (Message, error) {
-	if len(b) < 1 {
-		return nil, ErrTruncated
-	}
-	return decodeBody(MsgType(b[0]), b[1:], false)
-}
-
 // DecodeBody parses an untagged body encoding for a known message type.
 // Every byte-slice field of the result is a copy, safe to retain.
 func DecodeBody(t MsgType, b []byte) (Message, error) {
 	return decodeBody(t, b, false)
-}
-
-// DecodeBodyAlias parses an untagged body like DecodeBody but in alias
-// mode: the result's byte-slice fields (transaction payloads, values,
-// signatures) are capacity-clipped subslices of b, not copies. The caller
-// must guarantee b is neither overwritten nor recycled while the message
-// is in use. It serves callers that own b outright and the decode
-// benchmarks that bound the copy cost; the replica pipeline, whose bodies
-// sit in pooled frames, goes through DecodeEnvelope, which settles the
-// buffer's lifetime in the same call.
-func DecodeBodyAlias(t MsgType, b []byte) (Message, error) {
-	return decodeBody(t, b, true)
 }
 
 // bearsRequests reports whether a message type carries client requests:
@@ -184,8 +144,8 @@ func bearsRequests(t MsgType) bool {
 // Release will recycle it under the message. Every other type — the
 // fixed-size votes, whose frames are most of the traffic — is decoded in
 // copy mode and its frame keeps returning to the pool. A decode failure
-// leaves the arena untouched. This is the replica pipeline's only decoder,
-// so an aliased message over a recyclable buffer cannot be built there.
+// leaves the arena untouched. This is the only decoder that builds views,
+// so an aliased message over a recyclable buffer cannot be built at all.
 func DecodeEnvelope(e *Envelope) (Message, error) {
 	alias := bearsRequests(e.Type)
 	msg, err := decodeBody(e.Type, e.Body, alias)
@@ -216,12 +176,16 @@ type Envelope struct {
 	pooled bool
 }
 
-// EncodedSize returns the number of bytes WriteFrame will emit.
+// minEnvelopeSize is the smallest envelope wire form: from, to, type, and
+// two empty blobs. It validates frame counts against forged headers.
+const minEnvelopeSize = 4 + 4 + 1 + 4 + 4
+
+// EncodedSize returns the number of bytes the envelope occupies in a frame.
 func (e *Envelope) EncodedSize() int {
-	return 4 + 4 + 4 + 1 + 4 + len(e.Body) + 4 + len(e.Auth)
+	return minEnvelopeSize + len(e.Body) + len(e.Auth)
 }
 
-// encode appends the envelope wire form (without the outer length prefix).
+// encode appends the envelope wire form.
 func (e *Envelope) encode(w *Writer) {
 	w.U32(uint32(e.From))
 	w.U32(uint32(e.To))
@@ -230,9 +194,9 @@ func (e *Envelope) encode(w *Writer) {
 	w.Blob(e.Auth)
 }
 
-// decode parses the envelope wire form from r in place. Body follows r's
-// mode (aliased in alias mode); Auth is always copied because engines
-// retain it in commit certificates beyond the frame's lifetime.
+// decode parses the envelope wire form from r in place. Body aliases r's
+// input; Auth is always copied because engines retain it in commit
+// certificates beyond the frame's lifetime.
 func (e *Envelope) decode(r *Reader) {
 	e.From = NodeID(r.U32())
 	e.To = NodeID(r.U32())
@@ -241,155 +205,63 @@ func (e *Envelope) decode(r *Reader) {
 	e.Auth = r.CopyBlob()
 }
 
-// decodeEnvelope parses the envelope wire form.
-func decodeEnvelope(b []byte) (*Envelope, error) {
-	r := NewReader(b)
-	e := &Envelope{}
-	e.decode(r)
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decoding envelope: %w", err)
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("decoding envelope: %d trailing bytes", r.Remaining())
-	}
-	return e, nil
-}
-
-// batchFrameBit marks a frame's length prefix as a multi-envelope batch
-// frame. The bit is free because maxFrameLen bounds real lengths far below
-// it, and old-style single-envelope frames never set it, so both frame
-// kinds coexist on one connection.
-const batchFrameBit = 1 << 31
-
-// minEnvelopeSize is the smallest envelope wire form: from, to, type, and
-// two empty blobs. It validates batch counts against forged headers.
-const minEnvelopeSize = 4 + 4 + 1 + 4 + 4
-
-// AppendFrame appends the length-prefixed single-envelope frame to w.
-func AppendFrame(w *Writer, e *Envelope) {
-	w.U32(uint32(e.EncodedSize() - 4))
-	e.encode(w)
-}
-
-// AppendBatchFrame appends a batch frame carrying every envelope in envs:
-// a length prefix with the batch bit set, an envelope count, and the
-// concatenated envelope encodings. A batch frame costs one length prefix
-// and — crucially for the transport's send path — one Write call for the
-// whole batch instead of one per envelope.
+// AppendBatchFrame appends the frame carrying every envelope in envs: a
+// length prefix, an envelope count, and the concatenated envelope
+// encodings. A frame costs one header and — crucially for the transport's
+// send path — one Write call for the whole batch instead of one per
+// envelope.
 func AppendBatchFrame(w *Writer, envs []*Envelope) {
 	payload := 4
 	for _, e := range envs {
-		payload += e.EncodedSize() - 4
+		payload += e.EncodedSize()
 	}
-	w.U32(uint32(payload) | batchFrameBit)
+	w.U32(uint32(payload))
 	w.U32(uint32(len(envs)))
 	for _, e := range envs {
 		e.encode(w)
 	}
 }
 
-// WriteFrame writes a length-prefixed envelope to w. It is the TCP framing
-// used by the transport layer.
-func WriteFrame(w io.Writer, e *Envelope) error {
-	wr := GetWriter()
-	AppendFrame(wr, e)
-	_, err := w.Write(wr.Bytes())
-	PutWriter(wr)
-	if err != nil {
-		return fmt.Errorf("writing frame: %w", err)
-	}
-	return nil
-}
-
-// WriteBatchFrame writes one batch frame carrying all of envs to w.
-func WriteBatchFrame(w io.Writer, envs []*Envelope) error {
-	wr := GetWriter()
-	AppendBatchFrame(wr, envs)
-	_, err := w.Write(wr.Bytes())
-	PutWriter(wr)
-	if err != nil {
-		return fmt.Errorf("writing batch frame: %w", err)
-	}
-	return nil
-}
-
 // maxFrameLen bounds a single frame read from the network.
 const maxFrameLen = 1 << 28
 
-// ReadFrames reads one frame from r and returns the envelopes it carries:
-// exactly one for a single-envelope frame, zero or more for a batch frame.
-func ReadFrames(r io.Reader) ([]*Envelope, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err // io.EOF propagates untouched for clean shutdown
-	}
-	n := uint32(lenBuf[0])<<24 | uint32(lenBuf[1])<<16 | uint32(lenBuf[2])<<8 | uint32(lenBuf[3])
-	batch := n&batchFrameBit != 0
-	n &^= batchFrameBit
-	if n > maxFrameLen {
-		return nil, fmt.Errorf("%w: frame of %d bytes", ErrOversized, n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("reading frame body: %w", err)
-	}
-	if !batch {
-		e, err := decodeEnvelope(body)
-		if err != nil {
-			return nil, err
-		}
-		return []*Envelope{e}, nil
-	}
-	rd := NewReader(body)
-	count := rd.count(minEnvelopeSize)
-	envs := make([]*Envelope, 0, count)
-	for i := 0; i < count; i++ {
-		e := &Envelope{}
-		e.decode(rd)
-		envs = append(envs, e)
-	}
-	if err := rd.Err(); err != nil {
-		return nil, fmt.Errorf("decoding batch frame: %w", err)
-	}
-	if rd.Remaining() != 0 {
-		return nil, fmt.Errorf("decoding batch frame: %d trailing bytes", rd.Remaining())
-	}
-	return envs, nil
-}
-
-// ReadFramesPooled reads one frame like ReadFrames but borrows the frame
-// buffer from bufs and decodes in zero-copy mode: envelope structs come
-// from the envelope pool, each Body aliases the shared frame buffer, and
-// each envelope holds a reference on the frame's arena. The caller owns
-// the returned envelopes and must Release every one exactly once; the
-// buffer returns to bufs when the last reference drops — unless a
-// DecodeEnvelope on one of them found a request-bearing body and disowned
-// the frame, in which case the garbage collector frees it once the decoded
-// requests are gone. Auth is copied regardless (engines retain it in
-// commit certificates), and messages decoded from Body with DecodeBody are
-// copies, so otherwise only Body itself is lifetime-bound.
+// ReadFramesPooled reads one frame from r and returns the envelopes it
+// carries, decoded in place: envelope structs come from the envelope pool
+// and each Body aliases the frame buffer. With a non-nil bufs the buffer is
+// borrowed from it and each envelope holds a reference on the frame's
+// arena; the caller owns the returned envelopes and must Release every one
+// exactly once, and the buffer returns to bufs when the last reference
+// drops — unless a DecodeEnvelope on one of them found a request-bearing
+// body and disowned the frame, in which case the garbage collector frees
+// it once the decoded requests are gone. With a nil bufs the buffer is
+// allocated and belongs to the garbage collector from the start, so a
+// caller that never releases forfeits only the envelope structs' reuse.
+// Auth is copied regardless (engines retain it in commit certificates),
+// and messages decoded from Body with DecodeBody are copies, so otherwise
+// only Body itself is lifetime-bound.
 func ReadFramesPooled(r io.Reader, bufs FrameBuffers) ([]*Envelope, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return nil, err // io.EOF propagates untouched for clean shutdown
 	}
-	n := uint32(lenBuf[0])<<24 | uint32(lenBuf[1])<<16 | uint32(lenBuf[2])<<8 | uint32(lenBuf[3])
-	batch := n&batchFrameBit != 0
-	n &^= batchFrameBit
+	n := binary.BigEndian.Uint32(lenBuf[:])
 	if n > maxFrameLen {
 		return nil, fmt.Errorf("%w: frame of %d bytes", ErrOversized, n)
 	}
-	body := bufs.Get(int(n))[:n]
-	arena := NewArena(body, bufs) // the reader's reference
+	var body []byte
+	var arena *Arena // stays nil without a recycler; every use is nil-safe
+	if bufs != nil {
+		body = bufs.Get(int(n))[:n]
+		arena = NewArena(body, bufs) // the reader's reference
+	} else {
+		body = make([]byte, n)
+	}
 	if _, err := io.ReadFull(r, body); err != nil {
 		arena.Release()
 		return nil, fmt.Errorf("reading frame body: %w", err)
 	}
 	rd := NewAliasReader(body)
-	count := 1
-	if batch {
-		count = rd.count(minEnvelopeSize)
-	}
+	count := rd.count(minEnvelopeSize)
 	envs := make([]*Envelope, 0, count)
 	for i := 0; i < count; i++ {
 		e := AcquireEnvelope()
@@ -410,18 +282,4 @@ func ReadFramesPooled(r io.Reader, bufs FrameBuffers) ([]*Envelope, error) {
 	}
 	arena.Release() // hand over to the envelopes' references
 	return envs, nil
-}
-
-// ReadFrame reads one length-prefixed envelope from r. It rejects batch
-// frames that do not carry exactly one envelope; stream readers that must
-// accept both frame kinds use ReadFrames.
-func ReadFrame(r io.Reader) (*Envelope, error) {
-	envs, err := ReadFrames(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(envs) != 1 {
-		return nil, fmt.Errorf("types: expected single-envelope frame, got batch of %d", len(envs))
-	}
-	return envs[0], nil
 }

@@ -23,6 +23,16 @@ func envEqual(a, b *Envelope) bool {
 		bytes.Equal(a.Body, b.Body) && bytes.Equal(a.Auth, b.Auth)
 }
 
+// frameOf returns the wire frame carrying envs.
+func frameOf(envs ...*Envelope) []byte {
+	var w Writer
+	AppendBatchFrame(&w, envs)
+	return append([]byte(nil), w.Bytes()...)
+}
+
+// TestBatchFrameRoundTrip writes every case into one stream and reads the
+// frames back in order, with and without a recycler: each frame must yield
+// its envelopes and leave the reader at the next frame's prefix.
 func TestBatchFrameRoundTrip(t *testing.T) {
 	tests := []struct {
 		name string
@@ -35,123 +45,71 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 			batchEnv(2, 1, ""),
 			batchEnv(3, 1, strings.Repeat("x", 4096)),
 		}},
+		{"single again", []*Envelope{batchEnv(4, 5, "tail")}},
 	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := WriteBatchFrame(&buf, tt.envs); err != nil {
-				t.Fatal(err)
+	for name, bufs := range map[string]FrameBuffers{"nil recycler": nil, "pooled": &stubBuffers{}} {
+		t.Run(name, func(t *testing.T) {
+			var stream bytes.Buffer
+			for _, tt := range tests {
+				stream.Write(frameOf(tt.envs...))
 			}
-			got, err := ReadFrames(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(tt.envs) {
-				t.Fatalf("decoded %d envelopes, want %d", len(got), len(tt.envs))
-			}
-			for i := range got {
-				if !envEqual(got[i], tt.envs[i]) {
-					t.Fatalf("envelope %d = %+v, want %+v", i, got[i], tt.envs[i])
+			for _, tt := range tests {
+				got, err := ReadFramesPooled(&stream, bufs)
+				if err != nil {
+					t.Fatalf("%s: %v", tt.name, err)
+				}
+				if len(got) != len(tt.envs) {
+					t.Fatalf("%s: decoded %d envelopes, want %d", tt.name, len(got), len(tt.envs))
+				}
+				for i := range got {
+					if !envEqual(got[i], tt.envs[i]) {
+						t.Fatalf("%s: envelope %d = %+v, want %+v", tt.name, i, got[i], tt.envs[i])
+					}
+					got[i].Release()
 				}
 			}
-			if buf.Len() != 0 {
-				t.Fatalf("%d bytes left unread", buf.Len())
+			if stream.Len() != 0 {
+				t.Fatalf("%d bytes left unread", stream.Len())
+			}
+			if sb, ok := bufs.(*stubBuffers); ok && sb.outstanding() != 0 {
+				t.Fatalf("%d frame buffers never returned", sb.outstanding())
 			}
 		})
 	}
 }
 
-func TestReadFramesHandlesSingleEnvelopeFrames(t *testing.T) {
-	var buf bytes.Buffer
-	want := batchEnv(4, 5, "legacy-frame")
-	if err := WriteFrame(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrames(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || !envEqual(got[0], want) {
-		t.Fatalf("got %+v", got)
-	}
-}
-
-func TestMixedFrameStream(t *testing.T) {
-	// A connection may interleave both frame kinds; the reader must keep
-	// its framing across the transition.
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, batchEnv(0, 1, "a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBatchFrame(&buf, []*Envelope{batchEnv(0, 1, "b"), batchEnv(0, 1, "c")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(&buf, batchEnv(0, 1, "d")); err != nil {
-		t.Fatal(err)
-	}
-	var bodies []string
-	for buf.Len() > 0 {
-		envs, err := ReadFrames(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range envs {
-			bodies = append(bodies, string(e.Body))
-		}
-	}
-	if got := strings.Join(bodies, ""); got != "abcd" {
-		t.Fatalf("stream decoded as %q, want %q", got, "abcd")
-	}
-}
-
-func TestReadFrameRejectsMultiEnvelopeBatch(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBatchFrame(&buf, []*Envelope{batchEnv(0, 1, "x"), batchEnv(0, 1, "y")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("ReadFrame accepted a multi-envelope batch frame")
-	}
-}
-
 func TestBatchFrameForgedCountRejected(t *testing.T) {
-	var w Writer
-	AppendBatchFrame(&w, []*Envelope{batchEnv(0, 1, "only")})
-	frame := append([]byte(nil), w.Bytes()...)
+	frame := frameOf(batchEnv(0, 1, "only"))
 	// Inflate the count field (bytes 4..8) far beyond what the payload
 	// can hold; the decoder must fail instead of over-allocating.
 	frame[4], frame[5], frame[6], frame[7] = 0x7F, 0xFF, 0xFF, 0xFF
-	if _, err := ReadFrames(bytes.NewReader(frame)); err == nil {
-		t.Fatal("forged batch count accepted")
+	if _, err := ReadFramesPooled(bytes.NewReader(frame), nil); !errors.Is(err, ErrOversized) {
+		t.Fatalf("forged batch count: %v, want ErrOversized", err)
 	}
 }
 
 func TestBatchFrameTruncatedPayload(t *testing.T) {
-	var w Writer
-	AppendBatchFrame(&w, []*Envelope{batchEnv(0, 1, "aaaa"), batchEnv(0, 1, "bbbb")})
-	full := w.Bytes()
-	if _, err := ReadFrames(bytes.NewReader(full[:len(full)-3])); err == nil {
+	full := frameOf(batchEnv(0, 1, "aaaa"), batchEnv(0, 1, "bbbb"))
+	if _, err := ReadFramesPooled(bytes.NewReader(full[:len(full)-3]), nil); err == nil {
 		t.Fatal("truncated batch frame accepted")
 	}
 }
 
 func TestReadFramesCleanEOF(t *testing.T) {
-	if _, err := ReadFrames(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
+	if _, err := ReadFramesPooled(bytes.NewReader(nil), nil); !errors.Is(err, io.EOF) {
 		t.Fatalf("empty stream error = %v, want io.EOF", err)
 	}
 }
 
 func TestBatchFrameTrailingBytesRejected(t *testing.T) {
-	var w Writer
-	AppendBatchFrame(&w, []*Envelope{batchEnv(0, 1, "z")})
-	frame := append([]byte(nil), w.Bytes()...)
+	frame := frameOf(batchEnv(0, 1, "z"))
 	// Grow the declared payload length by one and append a stray byte the
 	// announced envelope count does not account for.
 	n := uint32(frame[0])<<24 | uint32(frame[1])<<16 | uint32(frame[2])<<8 | uint32(frame[3])
 	n++
 	frame[0], frame[1], frame[2], frame[3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
 	frame = append(frame, 0x00)
-	if _, err := ReadFrames(bytes.NewReader(frame)); err == nil {
+	if _, err := ReadFramesPooled(bytes.NewReader(frame), nil); err == nil {
 		t.Fatal("batch frame with trailing bytes accepted")
 	}
 }

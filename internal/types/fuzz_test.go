@@ -10,10 +10,14 @@ import (
 )
 
 // validFrameCorpus returns well-formed wire frames so the fuzzer starts
-// from inputs that exercise the success paths too: a single-envelope
-// frame and a batch frame carrying two envelopes.
-func validFrameCorpus(tb testing.TB) [][]byte {
-	tb.Helper()
+// from inputs that exercise the success paths too: an empty frame, a
+// one-envelope frame and a frame carrying two envelopes.
+func validFrameCorpus() [][]byte {
+	frame := func(envs ...*types.Envelope) []byte {
+		var w types.Writer
+		types.AppendBatchFrame(&w, envs)
+		return w.Bytes()
+	}
 	env := &types.Envelope{
 		From: types.ReplicaNode(0),
 		To:   types.ReplicaNode(1),
@@ -21,79 +25,56 @@ func validFrameCorpus(tb testing.TB) [][]byte {
 		Body: []byte{1, 2, 3},
 		Auth: []byte{4, 5, 6},
 	}
-	var single, batch bytes.Buffer
-	if err := types.WriteFrame(&single, env); err != nil {
-		tb.Fatalf("encoding seed frame: %v", err)
-	}
-	if err := types.WriteBatchFrame(&batch, []*types.Envelope{env, env}); err != nil {
-		tb.Fatalf("encoding seed batch frame: %v", err)
-	}
-	out := [][]byte{single.Bytes(), batch.Bytes()}
-	// Frames whose envelope bodies carry the scan wire arms (typed ops
-	// with hostile bounds, scan read results) so mutations start from the
-	// newest layouts too.
+	out := [][]byte{frame(), frame(env), frame(env, env)}
+	// Frames whose envelope bodies carry the scan wire arms (ops with
+	// hostile bounds, scan read results).
 	for _, seed := range scanBodyCorpus() {
-		scanEnv := &types.Envelope{
+		out = append(out, frame(&types.Envelope{
 			From: types.ClientNode(1),
 			To:   types.ReplicaNode(0),
 			Type: seed.kind,
 			Body: seed.body,
 			Auth: []byte{7},
-		}
-		var buf bytes.Buffer
-		if err := types.WriteFrame(&buf, scanEnv); err != nil {
-			tb.Fatalf("encoding scan seed frame: %v", err)
-		}
-		out = append(out, buf.Bytes())
+		}))
 	}
 	return out
 }
 
-// FuzzReadFrames feeds arbitrary byte streams to the copying frame
-// reader. The corpus seeds are the chaos harness's malformed frames —
-// every shape its fabric injects on the wire — plus valid frames.
-// Decoding must either fail cleanly or yield envelopes that re-encode;
-// any panic is a bug to fix in the decoder, not to recover from.
-func FuzzReadFrames(f *testing.F) {
-	for _, frame := range chaos.MalformedFrames() {
-		f.Add(frame)
-	}
-	for _, frame := range validFrameCorpus(f) {
-		f.Add(frame)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		envs, err := types.ReadFrames(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		for _, env := range envs {
-			var buf bytes.Buffer
-			if err := types.WriteFrame(&buf, env); err != nil {
-				t.Fatalf("decoded envelope does not re-encode: %v", err)
-			}
-		}
-	})
-}
-
-// FuzzReadFramesPooled covers the zero-copy reader: same inputs, plus
-// the arena reference-count contract — every returned envelope is
-// released exactly once and the input must not be able to corrupt the
-// pool.
+// FuzzReadFramesPooled feeds arbitrary byte streams to the frame reader.
+// The corpus seeds are the chaos harness's malformed frames — every shape
+// its fabric injects on the wire — plus valid frames. Decoding must fail
+// cleanly or yield envelopes that re-encode to the frame they came from,
+// identically with and without a recycler; any panic is a bug to fix in
+// the decoder, not to recover from. It also covers the arena
+// reference-count contract: every returned envelope is released exactly
+// once and the input must not be able to corrupt the pool.
 func FuzzReadFramesPooled(f *testing.F) {
 	for _, frame := range chaos.MalformedFrames() {
 		f.Add(frame)
 	}
-	for _, frame := range validFrameCorpus(f) {
+	for _, frame := range validFrameCorpus() {
 		f.Add(frame)
 	}
 	bufs := new(pool.BytePool)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		envs, err := types.ReadFramesPooled(bytes.NewReader(data), bufs)
+		in := bytes.NewReader(data)
+		envs, err := types.ReadFramesPooled(in, bufs)
+		plain, perr := types.ReadFramesPooled(bytes.NewReader(data), nil)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("with a recycler: %v, without: %v", err, perr)
+		}
 		if err != nil {
 			return
 		}
+		var pooled, unpooled types.Writer
+		types.AppendBatchFrame(&pooled, envs)
+		types.AppendBatchFrame(&unpooled, plain)
 		for _, env := range envs {
 			env.Release()
+		}
+		frame := data[:len(data)-in.Len()]
+		if !bytes.Equal(pooled.Bytes(), frame) || !bytes.Equal(unpooled.Bytes(), frame) {
+			t.Fatalf("frame %x re-encodes to %x (pooled), %x (nil recycler)", frame, pooled.Bytes(), unpooled.Bytes())
 		}
 	})
 }
@@ -208,16 +189,18 @@ func requestBodyCorpus() []struct {
 
 // FuzzDecodeBody covers body decoding for every message type the wire
 // can carry, seeded with the chaos harness's malformed bodies. The two
-// decode modes must accept exactly the same bodies; a body that decodes
-// must re-marshal to the same bytes from either, those bytes must be a
-// fixed point of decode and re-marshal, and no append on a slice the
-// decoder handed out may change them (capacity clipping).
+// decode modes (DecodeBody copies, DecodeEnvelope builds views for the
+// request-bearing types) must accept exactly the same bodies; decoding is
+// canonical, so a body that decodes must re-marshal to the very bytes it
+// was decoded from, in either mode; and no append on a slice the decoder
+// handed out may change them (capacity clipping).
 func FuzzDecodeBody(f *testing.F) {
 	kinds := []types.MsgType{
 		types.MsgClientRequest, types.MsgClientResponse, types.MsgPrePrepare,
 		types.MsgPrepare, types.MsgCommit, types.MsgCheckpoint,
 		types.MsgViewChange, types.MsgNewView, types.MsgOrderedRequest,
-		types.MsgReadRequest, types.MsgReadReply,
+		types.MsgReadRequest, types.MsgReadReply, types.MsgSpecResponse,
+		types.MsgCommitCert, types.MsgLocalCommit,
 	}
 	for _, body := range chaos.MalformedBodies() {
 		for _, kind := range kinds {
@@ -234,7 +217,7 @@ func FuzzDecodeBody(f *testing.F) {
 		mt := types.MsgType(kind)
 		input := append([]byte(nil), body...)
 		copied, err := types.DecodeBody(mt, body)
-		aliased, aerr := types.DecodeBodyAlias(mt, body)
+		aliased, aerr := types.DecodeEnvelope(&types.Envelope{Type: mt, Body: body})
 		if (err == nil) != (aerr == nil) {
 			t.Fatalf("copy mode: %v, alias mode: %v", err, aerr)
 		}
@@ -242,15 +225,11 @@ func FuzzDecodeBody(f *testing.F) {
 			return
 		}
 		enc := types.MarshalBody(copied)
+		if !bytes.Equal(enc, input) {
+			t.Fatalf("%v body %x decodes, but re-encodes to %x", mt, input, enc)
+		}
 		if got := types.MarshalBody(aliased); !bytes.Equal(got, enc) {
 			t.Fatalf("alias-mode decode re-encodes to %x, copy-mode to %x", got, enc)
-		}
-		again, err := types.DecodeBody(mt, enc)
-		if err != nil {
-			t.Fatalf("re-encoded body does not decode: %v", err)
-		}
-		if got := types.MarshalBody(again); !bytes.Equal(got, enc) {
-			t.Fatalf("re-encoding is not a fixed point: %x then %x", enc, got)
 		}
 		appendEverywhere(copied)
 		appendEverywhere(aliased)

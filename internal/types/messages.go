@@ -65,9 +65,9 @@ func (t MsgType) String() string {
 	}
 }
 
-// Message is the interface every wire message implements. Marshal appends
-// the body encoding to w; unmarshal decodes from r. Encode and Decode in
-// codec.go add the type tag.
+// Message is the interface every wire message implements. marshal appends
+// the body encoding to w; unmarshal decodes from r. The type tag travels in
+// the envelope, beside the body.
 type Message interface {
 	Type() MsgType
 	marshal(w *Writer)
@@ -97,70 +97,69 @@ var (
 // Type implements Message.
 func (r *ClientRequest) Type() MsgType { return MsgClientRequest }
 
-// opsTypedBit marks a transaction's op-count word as the typed (v2) op
-// encoding, which spends a kind byte per op. The bit is free because
-// count validation bounds real op counts far below it, and v1 encoders
-// never set it, so write-only frames from older peers decode unchanged —
-// and write-only transactions still encode to the exact v1 bytes, keeping
-// batch digests and signing bytes stable across the upgrade.
-const opsTypedBit = 1 << 31
+// Ops appends an op list: [u32 count] then, per op, [u8 kind][u64 key],
+// for a scan its bounds [u64 end][u32 limit], and the value blob. This and
+// Reader.Ops are the one definition of the op layout; transactions and the
+// gateway's session frames both carry ops through them.
+func (w *Writer) Ops(ops []Op) {
+	w.U32(uint32(len(ops)))
+	for i := range ops {
+		op := &ops[i]
+		w.U8(uint8(op.Kind))
+		w.U64(op.Key)
+		if op.Kind == OpScan {
+			w.U64(op.EndKey)
+			w.U32(op.Limit)
+		}
+		w.Blob(op.Value)
+	}
+}
+
+// opsSize returns the number of bytes Writer.Ops emits for ops.
+func opsSize(ops []Op) int {
+	n := 4 + minOpSize*len(ops)
+	for i := range ops {
+		n += len(ops[i].Value)
+		if ops[i].Kind == OpScan {
+			n += 8 + 4
+		}
+	}
+	return n
+}
+
+// Ops reads an op list written by Writer.Ops. The count is checked against
+// the bytes that remain before anything is allocated; values follow the
+// reader's mode (views in alias mode, copies otherwise).
+func (r *Reader) Ops() []Op {
+	n := r.count(minOpSize)
+	if r.err != nil {
+		return nil
+	}
+	ops := r.carveOps(n)
+	for i := range ops {
+		op := &ops[i]
+		op.Kind = OpKind(r.U8())
+		op.Key = r.U64()
+		if op.Kind == OpScan {
+			op.EndKey = r.U64()
+			op.Limit = r.U32()
+		}
+		op.Value = r.Blob()
+	}
+	return ops
+}
 
 func marshalTxn(w *Writer, t *Transaction) {
 	w.U32(uint32(t.Client))
 	w.U64(t.ClientSeq)
-	if !t.typedOps() {
-		// v1 layout: [key u64][value blob] per op, no kind bytes.
-		w.U32(uint32(len(t.Ops)))
-		for i := range t.Ops {
-			w.U64(t.Ops[i].Key)
-			w.Blob(t.Ops[i].Value)
-		}
-	} else {
-		w.U32(uint32(len(t.Ops)) | opsTypedBit)
-		for i := range t.Ops {
-			w.U8(uint8(t.Ops[i].Kind))
-			w.U64(t.Ops[i].Key)
-			if t.Ops[i].Kind == OpScan {
-				// Scan bounds ride between key and value, so non-scan
-				// typed ops keep their pre-scan byte layout exactly.
-				w.U64(t.Ops[i].EndKey)
-				w.U32(t.Ops[i].Limit)
-			}
-			w.Blob(t.Ops[i].Value)
-		}
-	}
+	w.Ops(t.Ops)
 	w.Blob(t.Payload)
 }
 
 func unmarshalTxn(r *Reader, t *Transaction) {
 	t.Client = ClientID(r.U32())
 	t.ClientSeq = r.U64()
-	raw := r.U32()
-	if r.Err() != nil {
-		return
-	}
-	typed := raw&opsTypedBit != 0
-	nops := int(raw &^ opsTypedBit)
-	minOp := minOpSize
-	if typed {
-		minOp++ // kind byte
-	}
-	if nops > r.Remaining()/minOp+1 {
-		r.fail(fmt.Errorf("%w: %d ops", ErrOversized, nops))
-		return
-	}
-	t.Ops = r.ops(nops)
-	for i := 0; i < nops; i++ {
-		if typed {
-			t.Ops[i].Kind = OpKind(r.U8())
-		}
-		t.Ops[i].Key = r.U64()
-		if t.Ops[i].Kind == OpScan {
-			t.Ops[i].EndKey = r.U64()
-			t.Ops[i].Limit = r.U32()
-		}
-		t.Ops[i].Value = r.Blob()
-	}
+	t.Ops = r.Ops()
 	t.Payload = r.Blob()
 }
 
@@ -470,7 +469,6 @@ type ReadResult struct {
 
 // scanMarker is the per-result tag byte that distinguishes a scan result
 // from a point read on the wire: 0 = not found, 1 = found, 2 = scan rows.
-// Pre-scan peers only ever emitted 0/1, so their bytes decode unchanged.
 const scanMarker = 2
 
 // marshalReadResult appends one result: [marker u8] then either the point
@@ -493,79 +491,47 @@ func marshalReadResult(w *Writer, res *ReadResult) {
 	w.Blob(res.Value)
 }
 
-// unmarshalReadResult decodes one result written by marshalReadResult.
-func unmarshalReadResult(r *Reader, res *ReadResult) {
-	switch marker := r.U8(); marker {
-	case scanMarker:
-		res.Scan = true
-		rows := r.count(12) // u64 key + u32 length prefix per row
-		if r.Err() != nil || rows == 0 {
-			return
-		}
-		res.Rows = make([]ScanRow, rows)
-		for i := 0; i < rows; i++ {
-			res.Rows[i].Key = r.U64()
-			res.Rows[i].Value = r.Blob()
-		}
-	default:
-		res.Found = marker != 0
-		res.Value = r.Blob()
-	}
-}
-
-// marshalReadResults appends the optional read-result tail: nothing at all
-// for write-only responses (preserving the pre-read wire bytes), else a
-// count plus one marshalReadResult per result.
-func marshalReadResults(w *Writer, results []ReadResult) {
-	if len(results) == 0 {
-		return
-	}
+// ReadResults appends a result list: [u32 count] then one marshalReadResult
+// per result. This and Reader.ReadResults are the one definition of the
+// read-result layout; responses, read replies and the gateway's session
+// replies all carry results through them.
+func (w *Writer) ReadResults(results []ReadResult) {
 	w.U32(uint32(len(results)))
 	for i := range results {
 		marshalReadResult(w, &results[i])
 	}
 }
 
-// marshalBusy appends the optional busy gauge after the read-result tail.
-// Zero (the idle common case) writes nothing, keeping write-only responses
-// byte-identical to the historical form; a nonzero gauge with no reads
-// first writes an explicit zero read count so the decoder can tell the
-// tails apart.
-func marshalBusy(w *Writer, reads []ReadResult, busy uint8) {
-	if busy == 0 {
-		return
-	}
-	if len(reads) == 0 {
-		w.U32(0)
-	}
-	w.U8(busy)
-}
-
-// unmarshalBusy decodes the optional busy gauge: whatever single byte
-// remains once the read results are consumed. Absent bytes mean an idle
-// (or pre-gauge) replica.
-func unmarshalBusy(r *Reader) uint8 {
-	if r.Remaining() == 0 {
-		return 0
-	}
-	return r.U8()
-}
-
-// unmarshalReadResults decodes the optional tail; absent bytes mean a
-// write-only response, which is how pre-read peers encode everything.
-// Reading exactly the declared count leaves any bytes past the results —
-// the optional busy gauge — for the caller.
-func unmarshalReadResults(r *Reader) []ReadResult {
-	if r.Remaining() == 0 {
-		return nil
-	}
-	n := r.count(5)
-	if r.Err() != nil || n == 0 {
+// ReadResults reads a result list written by Writer.ReadResults; an empty
+// list decodes as nil. Values are copied whatever the reader's mode:
+// results are handed to clients and sessions, which outlive any frame.
+func (r *Reader) ReadResults() []ReadResult {
+	n := r.count(5) // marker + u32 length prefix or row count
+	if r.err != nil || n == 0 {
 		return nil
 	}
 	results := make([]ReadResult, n)
-	for i := 0; i < n; i++ {
-		unmarshalReadResult(r, &results[i])
+	for i := range results {
+		res := &results[i]
+		switch marker := r.U8(); marker {
+		case 0, 1:
+			res.Found = marker == 1
+			res.Value = r.CopyBlob()
+		case scanMarker:
+			res.Scan = true
+			rows := r.count(12) // u64 key + u32 length prefix per row
+			if r.err != nil || rows == 0 {
+				continue
+			}
+			res.Rows = make([]ScanRow, rows)
+			for j := range res.Rows {
+				res.Rows[j].Key = r.U64()
+				res.Rows[j].Value = r.CopyBlob()
+			}
+		default:
+			r.fail(fmt.Errorf("unknown read marker %d", marker))
+			return nil
+		}
 	}
 	return results
 }
@@ -578,32 +544,17 @@ func unmarshalReadResults(r *Reader) []ReadResult {
 // digest over a response's carried ReadResults and discard mismatches,
 // because votes are counted on Result alone: without the recomputation a
 // single Byzantine replica could copy the correct Result from honest
-// replicas and attach forged read values. Scan results fold their marker,
-// row count, and every row's key and value, so forging, truncating, or
-// reordering scan rows changes the digest exactly like forging a point
-// read. With no reads the digest is byte-identical to the historical
-// write-only form, and point-read-only digests match the pre-scan form.
+// replicas and attach forged read values. Each result is folded in its wire
+// form, so a scan contributes its marker, row count, and every row's key
+// and value: forging, truncating, or reordering scan rows changes the
+// digest exactly like forging a point read.
 func ResponseDigest(seq SeqNum, client ClientID, clientSeq uint64, reads []ReadResult) Digest {
 	w := GetWriter()
 	w.U64(uint64(seq))
 	w.U32(uint32(client))
 	w.U64(clientSeq)
 	for i := range reads {
-		if reads[i].Scan {
-			w.U8(scanMarker)
-			w.U32(uint32(len(reads[i].Rows)))
-			for j := range reads[i].Rows {
-				w.U64(reads[i].Rows[j].Key)
-				w.Blob(reads[i].Rows[j].Value)
-			}
-			continue
-		}
-		found := byte(0)
-		if reads[i].Found {
-			found = 1
-		}
-		w.U8(found)
-		w.Blob(reads[i].Value)
+		marshalReadResult(w, &reads[i])
 	}
 	d := sha256.Sum256(w.Bytes())
 	PutWriter(w)
@@ -640,8 +591,8 @@ func (m *ClientResponse) marshal(w *Writer) {
 	w.U64(m.ClientSeq)
 	w.Bytes32(m.Result)
 	w.U16(uint16(m.Replica))
-	marshalReadResults(w, m.ReadResults)
-	marshalBusy(w, m.ReadResults, m.Busy)
+	w.ReadResults(m.ReadResults)
+	w.U8(m.Busy)
 }
 
 func (m *ClientResponse) unmarshal(r *Reader) {
@@ -651,8 +602,8 @@ func (m *ClientResponse) unmarshal(r *Reader) {
 	m.ClientSeq = r.U64()
 	m.Result = r.Bytes32()
 	m.Replica = ReplicaID(r.U16())
-	m.ReadResults = unmarshalReadResults(r)
-	m.Busy = unmarshalBusy(r)
+	m.ReadResults = r.ReadResults()
+	m.Busy = r.U8()
 }
 
 // ---- Zyzzyva messages ----
@@ -735,8 +686,8 @@ func (m *SpecResponse) marshal(w *Writer) {
 	w.U64(m.ClientSeq)
 	w.Bytes32(m.Result)
 	w.U16(uint16(m.Replica))
-	marshalReadResults(w, m.ReadResults)
-	marshalBusy(w, m.ReadResults, m.Busy)
+	w.ReadResults(m.ReadResults)
+	w.U8(m.Busy)
 }
 
 func (m *SpecResponse) unmarshal(r *Reader) {
@@ -748,8 +699,8 @@ func (m *SpecResponse) unmarshal(r *Reader) {
 	m.ClientSeq = r.U64()
 	m.Result = r.Bytes32()
 	m.Replica = ReplicaID(r.U16())
-	m.ReadResults = unmarshalReadResults(r)
-	m.Busy = unmarshalBusy(r)
+	m.ReadResults = r.ReadResults()
+	m.Busy = r.U8()
 }
 
 // CommitCert is Zyzzyva's slow path: a client that gathered only 2f+1
@@ -849,9 +800,7 @@ func (m *LocalCommit) unmarshal(r *Reader) {
 // reply with no results (its Seq stamp reporting how far it actually got)
 // so the client can fall back to the quorum path. Scans carries range
 // reads (Key/EndKey/Limit per entry; Kind is implied); their results
-// follow the Keys results in the reply, in request order. Both fields ride
-// an optional tail — a request without them is byte-identical to the
-// pre-scan wire form, and old bytes decode with MinSeq 0 and no scans.
+// follow the Keys results in the reply, in request order.
 type ReadRequest struct {
 	Client    ClientID
 	ClientSeq uint64
@@ -869,9 +818,6 @@ func (m *ReadRequest) marshal(w *Writer) {
 	w.U32(uint32(len(m.Keys)))
 	for _, k := range m.Keys {
 		w.U64(k)
-	}
-	if m.MinSeq == 0 && len(m.Scans) == 0 {
-		return // pre-scan wire form, byte-identical
 	}
 	w.U64(uint64(m.MinSeq))
 	w.U32(uint32(len(m.Scans)))
@@ -892,9 +838,6 @@ func (m *ReadRequest) unmarshal(r *Reader) {
 	m.Keys = make([]uint64, n)
 	for i := 0; i < n; i++ {
 		m.Keys[i] = r.U64()
-	}
-	if r.Err() != nil || r.Remaining() == 0 {
-		return // pre-scan peer: no staleness bound, no scans
 	}
 	m.MinSeq = SeqNum(r.U64())
 	n = r.count(20)
@@ -935,10 +878,7 @@ func (m *ReadReply) marshal(w *Writer) {
 	w.U64(m.ClientSeq)
 	w.U64(uint64(m.Seq))
 	w.U16(uint16(m.Replica))
-	w.U32(uint32(len(m.Results)))
-	for i := range m.Results {
-		marshalReadResult(w, &m.Results[i])
-	}
+	w.ReadResults(m.Results)
 }
 
 func (m *ReadReply) unmarshal(r *Reader) {
@@ -946,12 +886,5 @@ func (m *ReadReply) unmarshal(r *Reader) {
 	m.ClientSeq = r.U64()
 	m.Seq = SeqNum(r.U64())
 	m.Replica = ReplicaID(r.U16())
-	n := r.count(5)
-	if r.Err() != nil {
-		return
-	}
-	m.Results = make([]ReadResult, n)
-	for i := 0; i < n; i++ {
-		unmarshalReadResult(r, &m.Results[i])
-	}
+	m.Results = r.ReadResults()
 }

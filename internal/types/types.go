@@ -71,8 +71,7 @@ func (n NodeID) String() string {
 }
 
 // OpKind distinguishes the operation types a transaction can carry. The
-// zero value is a write so pre-existing write-only code (and decoded v1
-// frames) keeps its meaning without change.
+// zero value is a write, so Op{Key: k, Value: v} needs no Kind.
 type OpKind uint8
 
 const (
@@ -114,34 +113,10 @@ type Transaction struct {
 	Payload   []byte
 }
 
-// typedOps reports whether the transaction needs the typed (v2) op
-// encoding. Write-only transactions stay on the v1 layout so their bytes —
-// and every digest derived from them — are unchanged.
-func (t *Transaction) typedOps() bool {
-	for i := range t.Ops {
-		if t.Ops[i].Kind != OpWrite {
-			return true
-		}
-	}
-	return false
-}
-
 // Size returns the encoded size of the transaction in bytes. The simulator
-// and the NIC model use it to account for bandwidth. It tracks both wire
-// layouts: the typed encoding spends one extra kind byte per op, and a
-// scan op additionally carries its end key and limit.
+// and the NIC model use it to account for bandwidth.
 func (t *Transaction) Size() int {
-	n := 4 + 8 + 4 + 4 + len(t.Payload)
-	for i := range t.Ops {
-		n += 8 + 4 + len(t.Ops[i].Value)
-		if t.Ops[i].Kind == OpScan {
-			n += 8 + 4 // end key + limit
-		}
-	}
-	if t.typedOps() {
-		n += len(t.Ops)
-	}
-	return n
+	return 4 + 8 + opsSize(t.Ops) + 4 + len(t.Payload)
 }
 
 // ClientRequest is the unit a client submits: a burst of one or more

@@ -2,6 +2,7 @@ package types
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -66,10 +67,9 @@ func TestNodeIDMapping(t *testing.T) {
 
 func roundTrip(t *testing.T, msg Message) Message {
 	t.Helper()
-	b := EncodeToBytes(msg)
-	got, err := Decode(b)
+	got, err := DecodeBody(msg.Type(), MarshalBody(msg))
 	if err != nil {
-		t.Fatalf("Decode(%s): %v", msg.Type(), err)
+		t.Fatalf("DecodeBody(%s): %v", msg.Type(), err)
 	}
 	return got
 }
@@ -123,24 +123,21 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 
 // normalize maps nil slices to empty ones so DeepEqual compares structure,
 // not the nil-vs-empty distinction the codec legitimately flattens.
-func normalize(m Message) []byte { return EncodeToBytes(m) }
+func normalize(m Message) []byte { return MarshalBody(m) }
 
 func TestDecodeRejectsUnknownType(t *testing.T) {
-	if _, err := Decode([]byte{0xEE, 1, 2, 3}); err == nil {
-		t.Fatal("Decode accepted an unknown message type")
-	}
-	if _, err := Decode(nil); err == nil {
-		t.Fatal("Decode accepted an empty buffer")
+	if _, err := DecodeBody(0xEE, []byte{1, 2, 3}); !errors.Is(err, ErrUnknownType) {
+		t.Fatalf("DecodeBody of an unknown message type: %v, want ErrUnknownType", err)
 	}
 }
 
+// TestDecodeTruncatedNeverPanics: a body is consumed exactly, so every
+// proper prefix of one must fail — cleanly.
 func TestDecodeTruncatedNeverPanics(t *testing.T) {
-	full := EncodeToBytes(&PrePrepare{View: 3, Seq: 77, Digest: Digest{1}, Requests: []ClientRequest{sampleRequest(1)}})
+	full := MarshalBody(&PrePrepare{View: 3, Seq: 77, Digest: Digest{1}, Requests: []ClientRequest{sampleRequest(1)}})
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := Decode(full[:cut]); err == nil && cut < len(full) {
-			// Some prefixes may decode if trailing fields are empty; only
-			// assert that no prefix panics, which reaching here proves.
-			continue
+		if _, err := DecodeBody(MsgPrePrepare, full[:cut]); err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte body decoded", cut, len(full))
 		}
 	}
 }
@@ -148,13 +145,12 @@ func TestDecodeTruncatedNeverPanics(t *testing.T) {
 func TestDecodeHostileCounts(t *testing.T) {
 	// A pre-prepare declaring 2^32-1 requests must fail fast, not allocate.
 	var w Writer
-	w.U8(uint8(MsgPrePrepare))
 	w.U64(1) // view
 	w.U64(1) // seq
 	w.Bytes32(Digest{})
 	w.U32(0xFFFFFFFF) // hostile request count
-	if _, err := Decode(w.Bytes()); err == nil {
-		t.Fatal("Decode accepted hostile element count")
+	if _, err := DecodeBody(MsgPrePrepare, w.Bytes()); err == nil {
+		t.Fatal("DecodeBody accepted hostile element count")
 	}
 }
 
@@ -218,27 +214,22 @@ func TestFrameRoundTrip(t *testing.T) {
 		Body: []byte{1, 2, 3, 4},
 		Auth: []byte{9},
 	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, e); err != nil {
-		t.Fatal(err)
+	frame := frameOf(e)
+	if len(frame) != 8+e.EncodedSize() {
+		t.Fatalf("frame header + EncodedSize = %d, frame = %d", 8+e.EncodedSize(), len(frame))
 	}
-	if buf.Len() != e.EncodedSize() {
-		t.Fatalf("EncodedSize = %d, frame = %d", e.EncodedSize(), buf.Len())
-	}
-	got, err := ReadFrame(&buf)
+	got, err := ReadFramesPooled(bytes.NewReader(frame), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, e) {
+	if len(got) != 1 || !envEqual(got[0], e) {
 		t.Fatalf("frame mismatch: got %+v want %+v", got, e)
 	}
 }
 
 func TestFrameRejectsOversized(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("ReadFrame accepted oversized frame")
+	if _, err := ReadFramesPooled(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF}), nil); !errors.Is(err, ErrOversized) {
+		t.Fatalf("oversized length prefix: %v, want ErrOversized", err)
 	}
 }
 
@@ -319,7 +310,7 @@ func TestRequestSizeMatchesEncoding(t *testing.T) {
 }
 
 // quickTxn generates a random transaction for property tests, mixing
-// typed-op (read-bearing) and pure v1 write-only shapes.
+// read-bearing and write-only shapes.
 func quickTxn(rnd *rand.Rand) Transaction {
 	nops := rnd.Intn(4)
 	ops := make([]Op, nops)
@@ -352,7 +343,7 @@ func TestResponseDigestDeterministic(t *testing.T) {
 		t.Fatal("ResponseDigest ignores an input")
 	}
 	// Read results fold in: found-ness and value bytes both matter, and an
-	// empty result set stays byte-identical to the write-only digest.
+	// empty result set hashes like none at all.
 	reads := []ReadResult{{Found: true, Value: []byte("v")}}
 	c := ResponseDigest(5, 3, 77, reads)
 	if c == a {
@@ -385,12 +376,12 @@ func TestQuickRoundTripPrePrepare(t *testing.T) {
 			}
 		}
 		msg := &PrePrepare{View: View(view), Seq: SeqNum(seq), Digest: BatchDigest(reqs), Requests: reqs}
-		b := EncodeToBytes(msg)
-		got, err := Decode(b)
+		b := MarshalBody(msg)
+		got, err := DecodeBody(msg.Type(), b)
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(EncodeToBytes(got), b)
+		return bytes.Equal(MarshalBody(got), b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -407,12 +398,12 @@ func TestQuickRoundTripSmallMessages(t *testing.T) {
 			&LocalCommit{View: View(view), Seq: SeqNum(seq), History: d, Client: 1, ClientSeq: seq, Replica: ReplicaID(rep)},
 		}
 		for _, m := range msgs {
-			b := EncodeToBytes(m)
-			got, err := Decode(b)
+			b := MarshalBody(m)
+			got, err := DecodeBody(m.Type(), b)
 			if err != nil {
 				return false
 			}
-			if !bytes.Equal(EncodeToBytes(got), b) {
+			if !bytes.Equal(MarshalBody(got), b) {
 				return false
 			}
 		}

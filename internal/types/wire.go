@@ -192,9 +192,9 @@ func (r *Reader) blob(alias bool) []byte {
 	return out
 }
 
-// minOpSize is the smallest wire form of one Op: key and value length
-// prefix (the v1 layout; typed ops spend a kind byte more).
-const minOpSize = 12
+// minOpSize is the smallest wire form of one Op: kind, key and an empty
+// value's length prefix.
+const minOpSize = 1 + 8 + 4
 
 // wantOps tells the reader that txns transactions follow, so the next slab
 // holds at least one Op for each of them.
@@ -204,13 +204,13 @@ func (r *Reader) wantOps(txns int) {
 	}
 }
 
-// ops returns n zeroed Ops carved from the reader's slab, clipped to
+// carveOps returns n zeroed Ops carved from the reader's slab, clipped to
 // capacity n so an append on one transaction's Ops reallocates instead of
 // running into its neighbour's. The caller has already checked n against
 // the bytes remaining; a fresh slab is sized by wantOps, then doubles, and
 // never exceeds the number of ops the unread bytes could encode — so a
 // forged count cannot buy more memory than the body it arrived in.
-func (r *Reader) ops(n int) []Op {
+func (r *Reader) carveOps(n int) []Op {
 	if n == 0 {
 		return []Op{}
 	}
