@@ -127,7 +127,7 @@ func (l *Link) Open(env *types.Envelope) (from types.NodeID, msg types.Message, 
 	return env.From, msg, true
 }
 
-// dispatch signs and transmits client-engine actions.
+// dispatch transmits client-engine actions.
 func (l *Link) dispatch(acts []consensus.Action) {
 	for _, a := range acts {
 		switch act := a.(type) {
@@ -141,7 +141,13 @@ func (l *Link) dispatch(acts []consensus.Action) {
 	}
 }
 
-// Transmit signs msg for to and hands it to the endpoint.
+// Transmit hands msg to the endpoint, addressed to to. The envelope is
+// signed unless it carries a ClientRequest: no replica verifies that
+// envelope — the request's own Sig, which the batch stage checks and every
+// backup checks again, is what authenticates it — so a second signature
+// over the same bytes would be paid for by every request and read by no
+// one. Read requests and commit certificates carry no signature of their
+// own and are verified by envelope.
 func (l *Link) Transmit(to types.NodeID, msg types.Message) {
 	// The high-water-mark hint keeps marshals in the right capacity class
 	// so steady-state encodes borrow instead of growing.
@@ -149,10 +155,13 @@ func (l *Link) Transmit(to types.NodeID, msg types.Message) {
 	if len(body) > l.encHint {
 		l.encHint = len(body)
 	}
-	sig, err := l.auth.Sign(to, body)
-	if err != nil {
-		arena.Release()
-		return
+	var sig []byte
+	if msg.Type() != types.MsgClientRequest {
+		var err error
+		if sig, err = l.auth.Sign(to, body); err != nil {
+			arena.Release()
+			return
+		}
 	}
 	env := types.AcquireEnvelope()
 	env.From = types.ClientNode(l.id)

@@ -76,35 +76,79 @@ func (c *Config) fill() {
 	}
 }
 
-// instance is the per-sequence-number consensus state. Prepare and commit
-// votes are bucketed by digest because messages routinely arrive before
-// the pre-prepare that names the authoritative digest.
+// instance is the per-sequence-number consensus state.
 type instance struct {
 	view       types.View
 	digest     types.Digest
 	havePP     bool
 	isNull     bool
 	requests   []types.ClientRequest
-	prepares   map[types.Digest]map[types.ReplicaID]bool
-	commits    map[types.Digest]map[types.ReplicaID][]byte
+	votes      []vote // one slot per replica, indexed by replica id
 	sentCommit bool
 	committed  bool
 	released   bool // Execute action emitted
 }
 
-func newInstance() *instance {
-	return &instance{
-		prepares: make(map[types.Digest]map[types.ReplicaID]bool),
-		commits:  make(map[types.Digest]map[types.ReplicaID][]byte),
-	}
+// vote is one replica's slot in an instance's vote table: the digest it
+// prepared, the digest it committed, and the authenticator its commit
+// arrived under. A replica gets one prepare and one commit per (view,
+// seq) — PBFT's own rule — and the first of each is the one kept, so a
+// replica that votes two digests is counted once. The digest is recorded
+// with the vote rather than checked against the instance's because votes
+// routinely arrive before the pre-prepare that names the authoritative
+// digest; they count once it does.
+type vote struct {
+	prepare, commit     types.Digest
+	prepared, committed bool
+	commitAuth          []byte
+}
+
+func newInstance(n int) *instance {
+	return &instance{votes: make([]vote, n)}
 }
 
 // revote clears an instance's votes so they can be collected again in a
 // newer view; whether it was released stays.
 func (in *instance) revote() {
-	in.prepares = make(map[types.Digest]map[types.ReplicaID]bool)
-	in.commits = make(map[types.Digest]map[types.ReplicaID][]byte)
+	clear(in.votes)
 	in.sentCommit = false
+}
+
+// recordPrepare and recordCommit keep from's first vote; the caller holds
+// the instance's stripe lock, and OnMessage has turned away any from that
+// is not one of the n replicas.
+func (in *instance) recordPrepare(from types.ReplicaID, d types.Digest) {
+	if v := &in.votes[from]; !v.prepared {
+		v.prepare, v.prepared = d, true
+	}
+}
+
+func (in *instance) recordCommit(from types.ReplicaID, d types.Digest, auth []byte) {
+	if v := &in.votes[from]; !v.committed {
+		v.commit, v.committed, v.commitAuth = d, true, auth
+	}
+}
+
+// prepareCount and commitCount count the votes that match the pre-prepare's
+// digest; they mean nothing before havePP.
+func (in *instance) prepareCount() int {
+	n := 0
+	for i := range in.votes {
+		if in.votes[i].prepared && in.votes[i].prepare == in.digest {
+			n++
+		}
+	}
+	return n
+}
+
+func (in *instance) commitCount() int {
+	n := 0
+	for i := range in.votes {
+		if in.votes[i].committed && in.votes[i].commit == in.digest {
+			n++
+		}
+	}
+	return n
 }
 
 // numStripes shards the instance table; with a watermark window of 4096
@@ -122,10 +166,10 @@ type stripe struct {
 
 // inst returns the instance for seq, creating it if needed. The caller
 // holds the stripe lock.
-func (s *stripe) inst(seq types.SeqNum) *instance {
+func (s *stripe) inst(seq types.SeqNum, n int) *instance {
 	in, ok := s.instances[seq]
 	if !ok {
-		in = newInstance()
+		in = newInstance(n)
 		s.instances[seq] = in
 	}
 	return in
@@ -380,7 +424,7 @@ func (e *Engine) Propose(reqs []types.ClientRequest) []consensus.Action {
 	}
 	s := e.stripeFor(seq)
 	s.mu.Lock()
-	in := s.inst(seq)
+	in := s.inst(seq, e.cfg.N)
 	in.view = e.view
 	in.digest = pp.Digest
 	in.havePP = true
@@ -394,7 +438,8 @@ func (e *Engine) Propose(reqs []types.ClientRequest) []consensus.Action {
 // instances proceed in parallel; checkpoint and view-change traffic
 // mutates the control core and steps exclusively.
 func (e *Engine) OnMessage(from types.NodeID, msg types.Message, auth []byte) []consensus.Action {
-	if !from.IsReplica() {
+	if !from.IsReplica() || int(from.Replica()) >= e.cfg.N {
+		// Not one of the n replicas: it has no slot in any vote table.
 		e.stats.Dropped.Add(1)
 		return nil
 	}
@@ -453,7 +498,7 @@ func (e *Engine) onPrePrepare(from types.ReplicaID, m *types.PrePrepare) []conse
 	s := e.stripeFor(m.Seq)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	in := s.inst(m.Seq)
+	in := s.inst(m.Seq, e.cfg.N)
 	if in.havePP {
 		if in.digest != m.Digest {
 			// The primary proposed two different batches for one sequence
@@ -483,21 +528,10 @@ func (e *Engine) onPrePrepare(from types.ReplicaID, m *types.PrePrepare) []conse
 	if e.cfg.ID != consensus.PrimaryOf(e.view, e.cfg.N) {
 		// Backups vote; the primary's pre-prepare stands as its prepare.
 		p := &types.Prepare{View: m.View, Seq: m.Seq, Digest: m.Digest, Replica: e.cfg.ID}
-		recordPrepare(in, e.cfg.ID, m.Digest)
+		in.recordPrepare(e.cfg.ID, m.Digest)
 		acts = append(acts, consensus.Broadcast{Msg: p})
 	}
 	return append(acts, e.advance(m.Seq, in)...)
-}
-
-// recordPrepare adds a prepare vote; the caller holds the instance's
-// stripe lock.
-func recordPrepare(in *instance, from types.ReplicaID, d types.Digest) {
-	voters, ok := in.prepares[d]
-	if !ok {
-		voters = make(map[types.ReplicaID]bool)
-		in.prepares[d] = voters
-	}
-	voters[from] = true
 }
 
 func (e *Engine) onPrepare(from types.ReplicaID, m *types.Prepare) []consensus.Action {
@@ -512,8 +546,8 @@ func (e *Engine) onPrepare(from types.ReplicaID, m *types.Prepare) []consensus.A
 	s := e.stripeFor(m.Seq)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	in := s.inst(m.Seq)
-	recordPrepare(in, from, m.Digest)
+	in := s.inst(m.Seq, e.cfg.N)
+	in.recordPrepare(from, m.Digest)
 	return e.advance(m.Seq, in)
 }
 
@@ -529,15 +563,8 @@ func (e *Engine) onCommit(from types.ReplicaID, m *types.Commit, auth []byte) []
 	s := e.stripeFor(m.Seq)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	in := s.inst(m.Seq)
-	voters, ok := in.commits[m.Digest]
-	if !ok {
-		voters = make(map[types.ReplicaID][]byte)
-		in.commits[m.Digest] = voters
-	}
-	if _, dup := voters[from]; !dup {
-		voters[from] = auth
-	}
+	in := s.inst(m.Seq, e.cfg.N)
+	in.recordCommit(from, m.Digest, auth)
 	return e.advance(m.Seq, in)
 }
 
@@ -550,20 +577,15 @@ func (e *Engine) advance(seq types.SeqNum, in *instance) []consensus.Action {
 		return nil
 	}
 	// Prepared: pre-prepare plus 2f prepares matching its digest.
-	if !in.sentCommit && len(in.prepares[in.digest]) >= consensus.Quorum2f(e.cfg.N) {
+	if !in.sentCommit && in.prepareCount() >= consensus.Quorum2f(e.cfg.N) {
 		in.sentCommit = true
 		c := &types.Commit{View: in.view, Seq: seq, Digest: in.digest, Replica: e.cfg.ID}
 		// Record our own commit vote.
-		voters, ok := in.commits[in.digest]
-		if !ok {
-			voters = make(map[types.ReplicaID][]byte)
-			in.commits[in.digest] = voters
-		}
-		voters[e.cfg.ID] = nil
+		in.recordCommit(e.cfg.ID, in.digest, nil)
 		acts = append(acts, consensus.Broadcast{Msg: c})
 	}
 	// Committed: 2f+1 commits matching the pre-prepare digest.
-	if in.sentCommit && !in.released && len(in.commits[in.digest]) >= consensus.Quorum2f1(e.cfg.N) {
+	if in.sentCommit && !in.released && in.commitCount() >= consensus.Quorum2f1(e.cfg.N) {
 		in.committed = true
 		in.released = true
 		e.stats.Executed.Add(1)
@@ -578,19 +600,15 @@ func (e *Engine) advance(seq types.SeqNum, in *instance) []consensus.Action {
 	return acts
 }
 
-// commitProof deterministically assembles the block's commit certificate
-// from the recorded commit votes (Section 4.6: the 2f+1 commit signatures
-// replace the previous-block hash).
+// commitProof assembles the block's commit certificate from the recorded
+// commit votes, in replica-id order — the order of the vote table (Section
+// 4.6: the 2f+1 commit signatures replace the previous-block hash).
 func commitProof(in *instance) []types.CommitSig {
-	voters := in.commits[in.digest]
-	ids := make([]types.ReplicaID, 0, len(voters))
-	for id := range voters {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	proof := make([]types.CommitSig, len(ids))
-	for i, id := range ids {
-		proof[i] = types.CommitSig{Replica: id, Auth: voters[id]}
+	proof := make([]types.CommitSig, 0, in.commitCount())
+	for id := range in.votes {
+		if v := &in.votes[id]; v.committed && v.commit == in.digest {
+			proof = append(proof, types.CommitSig{Replica: types.ReplicaID(id), Auth: v.commitAuth})
+		}
 	}
 	return proof
 }
@@ -725,14 +743,15 @@ func (e *Engine) preparedProofs() []types.PreparedProof {
 		s := &e.stripes[i]
 		s.mu.Lock()
 		for seq, in := range s.instances {
-			if !in.havePP || len(in.prepares[in.digest]) < consensus.Quorum2f(e.cfg.N) {
+			if !in.havePP || in.prepareCount() < consensus.Quorum2f(e.cfg.N) {
 				continue
 			}
 			var votes []types.Prepare
-			for id := range in.prepares[in.digest] {
-				votes = append(votes, types.Prepare{View: in.view, Seq: seq, Digest: in.digest, Replica: id})
+			for id := range in.votes {
+				if v := &in.votes[id]; v.prepared && v.prepare == in.digest {
+					votes = append(votes, types.Prepare{View: in.view, Seq: seq, Digest: in.digest, Replica: types.ReplicaID(id)})
+				}
 			}
-			sort.Slice(votes, func(i, j int) bool { return votes[i].Replica < votes[j].Replica })
 			proofs = append(proofs, types.PreparedProof{
 				View: in.view, Seq: seq, Digest: in.digest, Prepares: votes,
 			})
@@ -894,7 +913,7 @@ func (e *Engine) enterNewView(nv *types.NewView) []consensus.Action {
 			}
 			s := e.stripeFor(pp.Seq)
 			s.mu.Lock()
-			in := s.inst(pp.Seq)
+			in := s.inst(pp.Seq, e.cfg.N)
 			in.revote()
 			in.view = nv.View
 			in.digest = pp.Digest

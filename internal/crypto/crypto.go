@@ -127,23 +127,3 @@ func HashChain(h, d types.Digest) types.Digest {
 	copy(buf[32:], d[:])
 	return sha256.Sum256(buf[:])
 }
-
-// noopAuth implements the None scheme.
-type noopAuth struct{}
-
-var _ Authenticator = noopAuth{}
-
-// Sign implements Authenticator; it returns no authenticator bytes.
-func (noopAuth) Sign(types.NodeID, []byte) ([]byte, error) { return nil, nil }
-
-// Verify implements Authenticator; it accepts everything.
-func (noopAuth) Verify(types.NodeID, []byte, []byte) error { return nil }
-
-// VerifyBatch implements BatchVerifier; it accepts everything.
-func (noopAuth) VerifyBatch([]types.NodeID, [][]byte, [][]byte) error { return nil }
-
-// PerDestination implements Authenticator.
-func (noopAuth) PerDestination() bool { return false }
-
-// Kind implements Authenticator.
-func (noopAuth) Kind() Kind { return None }

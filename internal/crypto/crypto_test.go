@@ -31,7 +31,9 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestSchemeRoundTrips(t *testing.T) {
-	msg := []byte("the order of transactions is the heart of consensus")
+	// Long enough that its first and last bytes are in different blocks of
+	// every primitive: an authenticator must cover all of it.
+	msg := bytes.Repeat([]byte("the order of transactions is the heart of consensus"), 40)
 	r0, r1 := types.ReplicaNode(0), types.ReplicaNode(1)
 
 	tests := []struct {
@@ -62,11 +64,19 @@ func TestSchemeRoundTrips(t *testing.T) {
 			if tt.cfg.ReplicaScheme == None {
 				return
 			}
-			// Tampered message must fail.
-			bad := append([]byte(nil), msg...)
-			bad[0] ^= 1
-			if err := a1.Verify(r0, bad, auth); err == nil {
-				t.Fatal("tampered message accepted")
+			// Tampered message must fail, wherever the flipped bit is.
+			for _, at := range []int{0, len(msg) / 2, len(msg) - 1} {
+				bad := append([]byte(nil), msg...)
+				bad[at] ^= 1
+				if err := a1.Verify(r0, bad, auth); err == nil {
+					t.Fatalf("message tampered at byte %d accepted", at)
+				}
+			}
+			// Tampered authenticator must fail.
+			badAuth := append([]byte(nil), auth...)
+			badAuth[len(badAuth)-1] ^= 1
+			if err := a1.Verify(r0, msg, badAuth); err == nil {
+				t.Fatal("tampered authenticator accepted")
 			}
 			// Wrong claimed sender must fail.
 			if err := a1.Verify(types.ReplicaNode(2), msg, auth); err == nil {

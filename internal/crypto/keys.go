@@ -152,114 +152,120 @@ func (d *Directory) macState(a, b types.NodeID) (*cmacState, error) {
 	return s, nil
 }
 
-// schemeAuth builds an authenticator of the given kind acting as self.
-func (d *Directory) schemeAuth(kind Kind, self types.NodeID) Authenticator {
-	switch kind {
-	case None:
-		return noopAuth{}
-	case ED25519:
-		return &edAuth{dir: d, self: self}
-	case RSA:
-		return &rsaAuth{dir: d, self: self}
-	case CMAC:
-		return &macAuth{dir: d, self: self}
-	default:
-		return noopAuth{}
-	}
+// NodeAuthenticator is what a node authenticates with: an Authenticator
+// that also verifies in batches and can sign a digest its caller already
+// holds.
+type NodeAuthenticator interface {
+	Authenticator
+	BatchVerifier
+	// SignDigest is Sign for a caller that has already computed
+	// SHA-256(msg): a broadcast under a per-destination scheme hashes its
+	// body once, not once per receiver.
+	SignDigest(dst types.NodeID, digest types.Digest) ([]byte, error)
 }
 
-// NodeAuth returns the combined authenticator for one node: messages
-// originated by clients use the client scheme, messages originated by
-// replicas use the replica scheme.
-func (d *Directory) NodeAuth(self types.NodeID) Authenticator {
-	return &combinedAuth{
-		self:    self,
-		client:  d.schemeAuth(d.cfg.ClientScheme, self),
-		replica: d.schemeAuth(d.cfg.ReplicaScheme, self),
-	}
+// NodeAuth returns the authenticator for one node: messages originated by
+// clients use the client scheme, messages originated by replicas use the
+// replica scheme. Every scheme authenticates SHA-256(msg), never msg: one
+// hash per Sign or Verify whatever the scheme, so the cost of a MAC or a
+// signature does not grow with the batch it covers (PBFT's authenticators
+// are MACs over a message digest for the same reason).
+func (d *Directory) NodeAuth(self types.NodeID) NodeAuthenticator {
+	return &nodeAuth{dir: d, self: self}
 }
 
-// combinedAuth routes to the client or replica scheme by message origin.
-type combinedAuth struct {
-	self    types.NodeID
-	client  Authenticator
-	replica Authenticator
+// nodeAuth hashes once and hands the digest to the scheme the message's
+// origin selects. The schemes are arms of a switch rather than values
+// behind an interface so that the digest stays on the caller's stack.
+type nodeAuth struct {
+	dir  *Directory
+	self types.NodeID
 }
 
-var _ Authenticator = (*combinedAuth)(nil)
-
-func (c *combinedAuth) own() Authenticator {
-	if c.self.IsClient() {
-		return c.client
+// schemeOf returns the scheme messages originated by node carry.
+func (a *nodeAuth) schemeOf(node types.NodeID) Kind {
+	if node.IsClient() {
+		return a.dir.cfg.ClientScheme
 	}
-	return c.replica
+	return a.dir.cfg.ReplicaScheme
 }
 
 // Sign implements Authenticator.
-func (c *combinedAuth) Sign(dst types.NodeID, msg []byte) ([]byte, error) {
-	return c.own().Sign(dst, msg)
+func (a *nodeAuth) Sign(dst types.NodeID, msg []byte) ([]byte, error) {
+	if a.Kind() == None {
+		return nil, nil // the measurement baseline pays for no hash either
+	}
+	return a.SignDigest(dst, Hash256(msg))
+}
+
+// SignDigest implements NodeAuthenticator.
+func (a *nodeAuth) SignDigest(dst types.NodeID, digest types.Digest) ([]byte, error) {
+	switch a.Kind() {
+	case None:
+		return nil, nil
+	case ED25519:
+		return ed25519.Sign(a.dir.edKey(a.self), digest[:]), nil
+	case RSA:
+		key, err := a.dir.rsaKey(a.self)
+		if err != nil {
+			return nil, err
+		}
+		sig, err := crsa.SignPKCS1v15(nil, key, stdcrypto.SHA256, digest[:])
+		if err != nil {
+			return nil, fmt.Errorf("crypto: rsa sign: %w", err)
+		}
+		return sig, nil
+	default: // CMAC; Config.Validate admits nothing else
+		s, err := a.dir.macState(a.self, dst)
+		if err != nil {
+			return nil, err
+		}
+		tag := s.Sum(digest[:])
+		return tag[:], nil
+	}
 }
 
 // Verify implements Authenticator.
-func (c *combinedAuth) Verify(src types.NodeID, msg, auth []byte) error {
-	if src.IsClient() {
-		return c.client.Verify(src, msg, auth)
+func (a *nodeAuth) Verify(src types.NodeID, msg, auth []byte) error {
+	kind := a.schemeOf(src)
+	if kind == None {
+		return nil
 	}
-	return c.replica.Verify(src, msg, auth)
-}
-
-// VerifyBatch implements BatchVerifier by routing each triple to the
-// scheme its source class uses, failing fast on the first rejection. It
-// makes every node authenticator batchable, so the verify pool's batch
-// window applies under all four Section 5.6 configurations; the win is
-// the amortized wakeup, not a batched equation, except where the
-// underlying scheme provides one.
-func (c *combinedAuth) VerifyBatch(srcs []types.NodeID, msgs, auths [][]byte) error {
-	for i := range srcs {
-		if err := c.Verify(srcs[i], msgs[i], auths[i]); err != nil {
+	digest := Hash256(msg)
+	switch kind {
+	case ED25519:
+		pub, ok := a.dir.edKey(src).Public().(ed25519.PublicKey)
+		if !ok {
+			return ErrUnknownPeer
+		}
+		if !ed25519.Verify(pub, digest[:], auth) {
+			return fmt.Errorf("%w: ed25519 from %v", ErrBadSignature, src)
+		}
+	case RSA:
+		key, err := a.dir.rsaKey(src)
+		if err != nil {
 			return err
+		}
+		if err := crsa.VerifyPKCS1v15(&key.PublicKey, stdcrypto.SHA256, digest[:], auth); err != nil {
+			return fmt.Errorf("%w: rsa from %v", ErrBadSignature, src)
+		}
+	default: // CMAC
+		s, err := a.dir.macState(a.self, src)
+		if err != nil {
+			return err
+		}
+		if !s.Verify(digest[:], auth) {
+			return fmt.Errorf("%w: cmac from %v", ErrBadSignature, src)
 		}
 	}
 	return nil
 }
 
-// PerDestination implements Authenticator.
-func (c *combinedAuth) PerDestination() bool { return c.own().PerDestination() }
-
-// Kind implements Authenticator.
-func (c *combinedAuth) Kind() Kind { return c.own().Kind() }
-
-// edAuth signs with ED25519 digital signatures.
-type edAuth struct {
-	dir  *Directory
-	self types.NodeID
-}
-
-var _ Authenticator = (*edAuth)(nil)
-
-// Sign implements Authenticator.
-func (a *edAuth) Sign(_ types.NodeID, msg []byte) ([]byte, error) {
-	return ed25519.Sign(a.dir.edKey(a.self), msg), nil
-}
-
-// Verify implements Authenticator.
-func (a *edAuth) Verify(src types.NodeID, msg, auth []byte) error {
-	pub, ok := a.dir.edKey(src).Public().(ed25519.PublicKey)
-	if !ok {
-		return ErrUnknownPeer
-	}
-	if !ed25519.Verify(pub, msg, auth) {
-		return fmt.Errorf("%w: ed25519 from %v", ErrBadSignature, src)
-	}
-	return nil
-}
-
-// VerifyBatch implements BatchVerifier. The standard library exposes no
-// batched ed25519 verification equation, so each signature is checked
-// individually; batching still pays for itself because the pool delivers
-// one wakeup, one public-key lookup loop, and one result sweep per batch
-// instead of per signature.
-func (a *edAuth) VerifyBatch(srcs []types.NodeID, msgs, auths [][]byte) error {
+// VerifyBatch implements BatchVerifier, failing fast on the first
+// rejection. It makes the verify pool's batch window apply under all four
+// Section 5.6 configurations; the standard library exposes no batched
+// verification equation, so the win is the amortized wakeup.
+func (a *nodeAuth) VerifyBatch(srcs []types.NodeID, msgs, auths [][]byte) error {
 	for i := range srcs {
 		if err := a.Verify(srcs[i], msgs[i], auths[i]); err != nil {
 			return err
@@ -268,88 +274,11 @@ func (a *edAuth) VerifyBatch(srcs []types.NodeID, msgs, auths [][]byte) error {
 	return nil
 }
 
-// PerDestination implements Authenticator.
-func (a *edAuth) PerDestination() bool { return false }
+// PerDestination implements Authenticator: only MACs are pairwise.
+func (a *nodeAuth) PerDestination() bool { return a.Kind() == CMAC }
 
 // Kind implements Authenticator.
-func (a *edAuth) Kind() Kind { return ED25519 }
-
-// rsaAuth signs SHA-256 digests with RSA PKCS#1 v1.5.
-type rsaAuth struct {
-	dir  *Directory
-	self types.NodeID
-}
-
-var _ Authenticator = (*rsaAuth)(nil)
-
-// Sign implements Authenticator.
-func (a *rsaAuth) Sign(_ types.NodeID, msg []byte) ([]byte, error) {
-	key, err := a.dir.rsaKey(a.self)
-	if err != nil {
-		return nil, err
-	}
-	digest := sha256.Sum256(msg)
-	sig, err := crsa.SignPKCS1v15(nil, key, stdcrypto.SHA256, digest[:])
-	if err != nil {
-		return nil, fmt.Errorf("crypto: rsa sign: %w", err)
-	}
-	return sig, nil
-}
-
-// Verify implements Authenticator.
-func (a *rsaAuth) Verify(src types.NodeID, msg, auth []byte) error {
-	key, err := a.dir.rsaKey(src)
-	if err != nil {
-		return err
-	}
-	digest := sha256.Sum256(msg)
-	if err := crsa.VerifyPKCS1v15(&key.PublicKey, stdcrypto.SHA256, digest[:], auth); err != nil {
-		return fmt.Errorf("%w: rsa from %v", ErrBadSignature, src)
-	}
-	return nil
-}
-
-// PerDestination implements Authenticator.
-func (a *rsaAuth) PerDestination() bool { return false }
-
-// Kind implements Authenticator.
-func (a *rsaAuth) Kind() Kind { return RSA }
-
-// macAuth authenticates with pairwise AES-CMAC tags.
-type macAuth struct {
-	dir  *Directory
-	self types.NodeID
-}
-
-var _ Authenticator = (*macAuth)(nil)
-
-// Sign implements Authenticator.
-func (a *macAuth) Sign(dst types.NodeID, msg []byte) ([]byte, error) {
-	s, err := a.dir.macState(a.self, dst)
-	if err != nil {
-		return nil, err
-	}
-	tag := s.Sum(msg)
-	return tag[:], nil
-}
-
-// Verify implements Authenticator.
-func (a *macAuth) Verify(src types.NodeID, msg, auth []byte) error {
-	s, err := a.dir.macState(a.self, src)
-	if err != nil {
-		return err
-	}
-	if !s.Verify(msg, auth) {
-		return fmt.Errorf("%w: cmac from %v", ErrBadSignature, src)
-	}
-	return nil
-}
-
-// PerDestination implements Authenticator.
-func (a *macAuth) PerDestination() bool { return true }
-
-// Kind implements Authenticator.
-func (a *macAuth) Kind() Kind { return CMAC }
+func (a *nodeAuth) Kind() Kind { return a.schemeOf(a.self) }
 
 // drbg is a deterministic SHA-256 counter-mode byte stream used to derive
 // reproducible RSA keys from the master seed. It is NOT a secure RNG for

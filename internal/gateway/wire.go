@@ -104,12 +104,9 @@ type Reply struct {
 // prefix must not make the gateway allocate unbounded memory.
 const maxSessionFrame = 1 << 24
 
-// minSubmitSize and minReplySize validate message counts against forged
-// headers, mirroring the transport codec's minEnvelopeSize.
-const (
-	minSubmitSize = 1 + 8 + 8 + 4
-	minReplySize  = 1 + 8 + 8 + 1 + 8 + 1 + 4
-)
+// minSubmitSize validates message counts against forged headers,
+// mirroring the transport codec's minEnvelopeSize.
+const minSubmitSize = 1 + 8 + 8 + 4
 
 // appendSubmit appends one submit message to w.
 func appendSubmit(w *types.Writer, s *Submit) {

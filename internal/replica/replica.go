@@ -558,7 +558,7 @@ type Replica struct {
 	// lanes is the number of worker lanes actually running: WorkerThreads
 	// for concurrent-steppable engines, 1 otherwise.
 	lanes int
-	auth  crypto.Authenticator
+	auth  crypto.NodeAuthenticator
 
 	ledger *ledger.Ledger
 	store  store.Store

@@ -1085,16 +1085,21 @@ func (r *Replica) durableWaitLoop(shard int) {
 
 // broadcast signs and enqueues msg for every other replica. Under a
 // digital-signature scheme the body is signed once and reused; under CMAC
-// a fresh MAC is computed per destination (the MAC-vector cost). With
-// pooled encode enabled, the body is marshalled into a pooled buffer whose
-// arena every destination's envelope retains; the buffer returns to the
-// pool when the last envelope retires (output write, inbox drop, or the
-// receiving stage's release).
+// it is hashed once and a fresh MAC of the digest is computed per
+// destination (the MAC-vector cost, now sixteen bytes of AES per receiver
+// whatever the body's size). The body is marshalled into a pooled buffer
+// whose arena every destination's envelope retains; the buffer returns to
+// the pool when the last envelope retires (output write, inbox drop, or
+// the receiving stage's release).
 func (r *Replica) broadcast(msg types.Message) {
 	body, arena := r.marshalOut(msg)
 	mt := msg.Type()
+	perDst := r.auth.PerDestination()
 	var shared []byte
-	if !r.auth.PerDestination() {
+	var digest types.Digest
+	if perDst {
+		digest = crypto.Hash256(body)
+	} else {
 		sig, err := r.auth.Sign(types.ReplicaNode(0), body)
 		if err != nil {
 			r.authFailures.Add(1)
@@ -1109,8 +1114,8 @@ func (r *Replica) broadcast(msg types.Message) {
 			continue
 		}
 		auth := shared
-		if auth == nil {
-			sig, err := r.auth.Sign(types.ReplicaNode(dst), body)
+		if perDst {
+			sig, err := r.auth.SignDigest(types.ReplicaNode(dst), digest)
 			if err != nil {
 				r.authFailures.Add(1)
 				continue

@@ -183,7 +183,7 @@ func TestAppendStickySyncError(t *testing.T) {
 	// Closing the log under the shard lock right after the append makes the
 	// committer's fsync, a linger later, fail.
 	sh.mu.Lock()
-	if err := sh.appendLocked([]KV{{Key: 1, Value: []byte("doomed")}}); err != nil {
+	if _, err := sh.appendLocked([]KV{{Key: 1, Value: []byte("doomed")}}); err != nil {
 		t.Fatal(err)
 	}
 	sh.f.Close()

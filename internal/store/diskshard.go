@@ -273,15 +273,18 @@ func (sh *diskLogShard) arm() {
 
 // appendLocked writes the records to the shard's log in order and updates
 // the index and byte accounting; the caller holds sh.mu. One contiguous
-// buffer means one write syscall per call regardless of record count.
-func (sh *diskLogShard) appendLocked(kvs []KV) error {
+// buffer means one write syscall per call regardless of record count. It
+// reports whether any record's key was new to the shard.
+func (sh *diskLogShard) appendLocked(kvs []KV) (fresh bool, err error) {
 	buf := encodeRecords(kvs)
 	if _, err := sh.f.WriteAt(buf, sh.off); err != nil {
-		return fmt.Errorf("store: appending records: %w", err)
+		return false, fmt.Errorf("store: appending records: %w", err)
 	}
 	at := int64(0)
 	for i := range kvs {
-		sh.account(kvs[i].Key, sh.off+at+recHdr, uint32(len(kvs[i].Value)))
+		if !sh.account(kvs[i].Key, sh.off+at+recHdr, uint32(len(kvs[i].Value))) {
+			fresh = true
+		}
 		at += recHdr + int64(len(kvs[i].Value))
 	}
 	sh.off += int64(len(buf))
@@ -289,7 +292,7 @@ func (sh *diskLogShard) appendLocked(kvs []KV) error {
 	if sh.ri != nil {
 		sh.ri.putMany(kvs)
 	}
-	return nil
+	return fresh, nil
 }
 
 // commitLoop is one shard's group committer: woken by a dirty append, it
@@ -379,10 +382,12 @@ func (s *ShardedDiskStore) PutMany(kvs []KV) error {
 // Append implements Appender: writes are grouped by owning shard and each
 // group is appended with a single write syscall, after which it is in the
 // index, the read index and the ordered sidecar — visible to Get and Scan —
-// and its shard's committer is armed. Nothing here waits for a disk when
-// the caller's partitions were built with the same ShardOf shard count (the
-// aligned execute-shard configuration): the whole partition lands in one
-// log and the new ticket covers prev. A partition that spans shards, or a
+// and its shard's committer is armed. The sidecar hears only of partitions
+// that brought a new key: the index lookup already knows an overwrite's key
+// is in it. Nothing here waits for a disk when the caller's partitions were
+// built with the same ShardOf shard count (the aligned execute-shard
+// configuration): the whole partition lands in one log and the new ticket
+// covers prev. A partition that spans shards, or a
 // prev on another shard, leaves several tickets; all but the last touched
 // shard's are waited for here, after every append has been issued so the
 // shards' group commits overlap.
@@ -410,11 +415,13 @@ func (s *ShardedDiskStore) Append(kvs []KV, prev Ticket) (Ticket, error) {
 	// cover, which only exist off the aligned path.
 	last := prev
 	var early []Ticket
+	fresh := false
 	appendGroup := func(idx int, g []KV) error {
-		t, err := s.appendShard(idx, g)
+		t, groupFresh, err := s.appendShard(idx, g)
 		if err != nil {
 			return err
 		}
+		fresh = fresh || groupFresh
 		if last.seq != 0 && last.shard != t.shard {
 			early = append(early, last)
 		}
@@ -434,7 +441,9 @@ func (s *ShardedDiskStore) Append(kvs []KV, prev Ticket) (Ticket, error) {
 			return prev, err
 		}
 	}
-	s.ordered.insertMany(kvs)
+	if fresh {
+		s.ordered.insertMany(kvs)
+	}
 	for _, t := range early {
 		if err := s.WaitDurable(t); err != nil {
 			return last, err
@@ -443,27 +452,28 @@ func (s *ShardedDiskStore) Append(kvs []KV, prev Ticket) (Ticket, error) {
 	return last, nil
 }
 
-// appendShard appends one shard's records and returns their ticket: the
+// appendShard appends one shard's records and returns their ticket — the
 // shard's append counter in group commit mode, the zero Ticket when the
-// store never fsyncs.
-func (s *ShardedDiskStore) appendShard(idx int, kvs []KV) (Ticket, error) {
+// store never fsyncs — and whether any of their keys was new.
+func (s *ShardedDiskStore) appendShard(idx int, kvs []KV) (Ticket, bool, error) {
 	sh := s.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.closed {
-		return Ticket{}, ErrClosed
+		return Ticket{}, false, ErrClosed
 	}
 	if sh.syncErr != nil {
-		return Ticket{}, sh.syncErr
+		return Ticket{}, false, sh.syncErr
 	}
-	if err := sh.appendLocked(kvs); err != nil {
-		return Ticket{}, err
+	fresh, err := sh.appendLocked(kvs)
+	if err != nil {
+		return Ticket{}, false, err
 	}
 	if s.linger == 0 {
-		return Ticket{}, nil
+		return Ticket{}, fresh, nil
 	}
 	sh.arm()
-	return Ticket{shard: idx, seq: sh.appended}, nil
+	return Ticket{shard: idx, seq: sh.appended}, fresh, nil
 }
 
 // WaitDurable implements Appender: it blocks until a completed fsync (the

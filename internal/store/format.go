@@ -104,15 +104,18 @@ type logState struct {
 }
 
 // account updates the live/total byte counters and the index for one
-// appended record, subtracting the record the key previously pointed at.
-func (st *logState) account(key uint64, valueOff int64, vlen uint32) {
+// appended record, subtracting the record the key previously pointed at,
+// and reports whether there was one.
+func (st *logState) account(key uint64, valueOff int64, vlen uint32) bool {
 	rec := recHdr + int64(vlen)
 	st.total += rec
-	if old, ok := st.index[key]; ok {
+	old, existed := st.index[key]
+	if existed {
 		st.live -= recHdr + int64(old.length)
 	}
 	st.live += rec
 	st.index[key] = recordRef{off: valueOff, length: vlen}
+	return existed
 }
 
 // encodeRecords packs kvs into one contiguous buffer of log records (one
@@ -189,11 +192,13 @@ func recoverLog(f *os.File) (logState, error) {
 	var hdr [recHdr]byte
 	var val []byte
 	for {
-		_, err := f.ReadAt(hdr[:], st.off)
-		if err == io.EOF {
+		// ReadAt on a file reports a short read as io.EOF with the bytes it
+		// did get: none is the clean end of the log, some is a torn header.
+		n, err := f.ReadAt(hdr[:], st.off)
+		if err == io.EOF && n == 0 {
 			break
 		}
-		truncate := err == io.ErrUnexpectedEOF
+		truncate := err == io.EOF
 		if err != nil && !truncate {
 			return st, fmt.Errorf("scanning log: %w", err)
 		}

@@ -39,14 +39,13 @@ func (ri *readIndex) get(key uint64) ([]byte, bool) {
 	return out, true
 }
 
-// putMany stores copies of a batch — so callers may recycle their buffers
-// — under one lock acquisition.
+// putMany stores a batch under one lock acquisition, in place where a
+// value fits the slice its key already holds (see overwrite; get copies
+// out under the same lock). Callers may recycle their buffers.
 func (ri *readIndex) putMany(kvs []KV) {
 	ri.mu.Lock()
 	for i := range kvs {
-		v := make([]byte, len(kvs[i].Value))
-		copy(v, kvs[i].Value)
-		ri.m[kvs[i].Key] = v
+		overwrite(ri.m, kvs[i].Key, kvs[i].Value)
 	}
 	ri.mu.Unlock()
 }

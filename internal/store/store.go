@@ -242,6 +242,36 @@ func (s *MemStore) shard(key uint64) *memShard {
 	return &s.shards[(key*0x9E3779B97F4A7C15)>>58%memShards]
 }
 
+// overwrite stores value under key in m and reports whether the key was
+// already there. A value that fits the slice its key already holds is
+// copied into it, so steady-state writes allocate nothing; only a new key,
+// or a value that outgrew its slice, allocates. The caller holds the write
+// lock that guards m, and every reader of m copies a value out before it
+// releases the read lock, so no reader sees a slice while it changes.
+func overwrite(m map[uint64][]byte, key uint64, value []byte) bool {
+	old, ok := m[key]
+	if ok && cap(old) >= len(value) {
+		if len(old) != len(value) {
+			old = old[:len(value)]
+			m[key] = old // the length lives in the map's copy of the header
+		}
+		copy(old, value)
+		return true
+	}
+	cp := make([]byte, len(value))
+	copy(cp, value)
+	m[key] = cp
+	return ok
+}
+
+// put is overwrite under the shard's write lock.
+func (sh *memShard) put(key uint64, value []byte) bool {
+	sh.mu.Lock()
+	existed := overwrite(sh.m, key, value)
+	sh.mu.Unlock()
+	return existed
+}
+
 // Put implements Store.
 func (s *MemStore) Put(key uint64, value []byte) error {
 	s.mu.RLock()
@@ -250,13 +280,9 @@ func (s *MemStore) Put(key uint64, value []byte) error {
 		return ErrClosed
 	}
 	s.mu.RUnlock()
-	sh := s.shard(key)
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	sh.mu.Lock()
-	sh.m[key] = cp
-	sh.mu.Unlock()
-	s.ordered.insert(key)
+	if !s.shard(key).put(key, value) {
+		s.ordered.insert(key)
+	}
 	return nil
 }
 
@@ -264,7 +290,9 @@ func (s *MemStore) Put(key uint64, value []byte) error {
 // whole partition, then applies the writes in order. Concurrent callers
 // are safe — the per-shard locks serialize same-shard collisions — and
 // with key-disjoint partitions the final contents are independent of how
-// callers interleave.
+// callers interleave. The ordered sidecar hears only of partitions that
+// brought a new key: the map lookup already knows an overwrite's key is in
+// it.
 func (s *MemStore) PutMany(kvs []KV) error {
 	s.mu.RLock()
 	if s.dead {
@@ -272,19 +300,20 @@ func (s *MemStore) PutMany(kvs []KV) error {
 		return ErrClosed
 	}
 	s.mu.RUnlock()
+	fresh := false
 	for i := range kvs {
-		cp := make([]byte, len(kvs[i].Value))
-		copy(cp, kvs[i].Value)
-		sh := s.shard(kvs[i].Key)
-		sh.mu.Lock()
-		sh.m[kvs[i].Key] = cp
-		sh.mu.Unlock()
+		if !s.shard(kvs[i].Key).put(kvs[i].Key, kvs[i].Value) {
+			fresh = true
+		}
 	}
-	s.ordered.insertMany(kvs)
+	if fresh {
+		s.ordered.insertMany(kvs)
+	}
 	return nil
 }
 
-// Get implements Store.
+// Get implements Store. The copy is taken under the shard lock: a writer
+// may overwrite the stored slice in place the moment the lock is released.
 func (s *MemStore) Get(key uint64) ([]byte, error) {
 	s.mu.RLock()
 	if s.dead {
@@ -295,12 +324,13 @@ func (s *MemStore) Get(key uint64) ([]byte, error) {
 	sh := s.shard(key)
 	sh.mu.RLock()
 	v, ok := sh.m[key]
-	sh.mu.RUnlock()
 	if !ok {
+		sh.mu.RUnlock()
 		return nil, fmt.Errorf("%w: %d", ErrNotFound, key)
 	}
 	cp := make([]byte, len(v))
 	copy(cp, v)
+	sh.mu.RUnlock()
 	return cp, nil
 }
 

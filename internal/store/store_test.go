@@ -294,6 +294,10 @@ func TestDiskStoreTornWriteRecovery(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
+		intact, err := os.Stat(shardLog(dir, 1, shards))
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Simulate a torn write: append half a record header.
 		appendRaw(t, dir, 1, shards, []byte{0, 0, 0, 0, 0, 0, 0, 9, 0, 0})
 
@@ -302,6 +306,11 @@ func TestDiskStoreTornWriteRecovery(t *testing.T) {
 			t.Fatalf("recovery after torn write: %v", err)
 		}
 		defer s2.Close()
+		// Open itself cuts the torn header off: the log on disk is its valid
+		// prefix before anything is appended to it.
+		if fi, err := os.Stat(shardLog(dir, 1, shards)); err != nil || fi.Size() != intact.Size() {
+			t.Fatalf("log is %d bytes after recovery (err %v), want the %d-byte valid prefix", fi.Size(), err, intact.Size())
+		}
 		if s2.Len() != 1 {
 			t.Fatalf("Len = %d, want 1", s2.Len())
 		}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -32,6 +33,12 @@ const (
 	// request, so a deep queue would only waste memory across the tens of
 	// thousands of client connections a deployment can carry.
 	clientQueueCap = 64
+	// readBufSize is each connection's read buffer: large enough that a
+	// client request or a frame of votes arrives prefix and body in one read
+	// syscall, small enough to multiply by every client connection. A frame
+	// that outgrows it costs one more read, straight into its pooled
+	// buffer.
+	readBufSize = 16 << 10
 	// closeFlushTimeout bounds how long Close waits for a stalled peer to
 	// accept the final flush.
 	closeFlushTimeout = 2 * time.Second
@@ -246,8 +253,13 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 		e.mu.Unlock()
 		conn.Close()
 	}()
+	// One buffered reader per connection: a frame's prefix and body, and
+	// every small frame queued behind it, arrive in one read syscall. Bodies
+	// are still copied out into pooled buffers, so nothing outlives the
+	// buffer's next fill.
+	br := bufio.NewReaderSize(conn, readBufSize)
 	for {
-		envs, err := types.ReadFramesPooled(conn, e.frames)
+		envs, err := types.ReadFramesPooled(br, e.frames)
 		if err != nil {
 			return
 		}

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -225,6 +226,30 @@ func AppendBatchFrame(w *Writer, envs []*Envelope) {
 // maxFrameLen bounds a single frame read from the network.
 const maxFrameLen = 1 << 28
 
+// readFrameLen reads a frame's length prefix. A buffered reader — what the
+// transport reads every connection through — lends the four bytes where
+// they lie; from any other reader they pass through a local that the
+// interface call sends to the heap.
+func readFrameLen(r io.Reader) (uint32, error) {
+	if br, ok := r.(*bufio.Reader); ok {
+		p, err := br.Peek(4)
+		if err != nil {
+			if err == io.EOF && len(p) > 0 {
+				err = io.ErrUnexpectedEOF // as io.ReadFull reports a torn prefix
+			}
+			return 0, err
+		}
+		n := binary.BigEndian.Uint32(p)
+		_, err = br.Discard(4)
+		return n, err
+	}
+	var lenBuf [4]byte
+	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint32(lenBuf[:]), nil
+}
+
 // ReadFramesPooled reads one frame from r and returns the envelopes it
 // carries, decoded in place: envelope structs come from the envelope pool
 // and each Body aliases the frame buffer. With a non-nil bufs the buffer is
@@ -240,11 +265,10 @@ const maxFrameLen = 1 << 28
 // and messages decoded from Body with DecodeBody are copies, so otherwise
 // only Body itself is lifetime-bound.
 func ReadFramesPooled(r io.Reader, bufs FrameBuffers) ([]*Envelope, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	n, err := readFrameLen(r)
+	if err != nil {
 		return nil, err // io.EOF propagates untouched for clean shutdown
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
 	if n > maxFrameLen {
 		return nil, fmt.Errorf("%w: frame of %d bytes", ErrOversized, n)
 	}
@@ -269,7 +293,7 @@ func ReadFramesPooled(r io.Reader, bufs FrameBuffers) ([]*Envelope, error) {
 		e.Attach(arena)
 		envs = append(envs, e)
 	}
-	err := rd.Err()
+	err = rd.Err()
 	if err == nil && rd.Remaining() != 0 {
 		err = fmt.Errorf("%d trailing bytes", rd.Remaining())
 	}

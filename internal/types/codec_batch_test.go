@@ -1,6 +1,7 @@
 package types
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -47,14 +48,20 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 		}},
 		{"single again", []*Envelope{batchEnv(4, 5, "tail")}},
 	}
-	for name, bufs := range map[string]FrameBuffers{"nil recycler": nil, "pooled": &stubBuffers{}} {
+	for name, bufs := range map[string]FrameBuffers{"nil recycler": nil, "pooled": &stubBuffers{}, "pooled, buffered reader": &stubBuffers{}} {
 		t.Run(name, func(t *testing.T) {
 			var stream bytes.Buffer
 			for _, tt := range tests {
 				stream.Write(frameOf(tt.envs...))
 			}
+			// The transport's shape: a buffer smaller than the largest frame,
+			// so prefixes are peeked and a body straddles fills.
+			var src io.Reader = &stream
+			if strings.Contains(name, "buffered") {
+				src = bufio.NewReaderSize(&stream, 64)
+			}
 			for _, tt := range tests {
-				got, err := ReadFramesPooled(&stream, bufs)
+				got, err := ReadFramesPooled(src, bufs)
 				if err != nil {
 					t.Fatalf("%s: %v", tt.name, err)
 				}
@@ -98,6 +105,21 @@ func TestBatchFrameTruncatedPayload(t *testing.T) {
 func TestReadFramesCleanEOF(t *testing.T) {
 	if _, err := ReadFramesPooled(bytes.NewReader(nil), nil); !errors.Is(err, io.EOF) {
 		t.Fatalf("empty stream error = %v, want io.EOF", err)
+	}
+	if _, err := ReadFramesPooled(bufio.NewReader(bytes.NewReader(nil)), nil); !errors.Is(err, io.EOF) {
+		t.Fatalf("empty buffered stream error = %v, want io.EOF", err)
+	}
+}
+
+// TestReadFramesTornPrefix: a stream that ends inside a length prefix is not
+// a clean shutdown, through either kind of reader.
+func TestReadFramesTornPrefix(t *testing.T) {
+	torn := frameOf(batchEnv(0, 1, "x"))[:2]
+	if _, err := ReadFramesPooled(bytes.NewReader(torn), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("torn prefix error = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if _, err := ReadFramesPooled(bufio.NewReader(bytes.NewReader(torn)), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("torn prefix through a buffered reader = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 

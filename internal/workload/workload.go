@@ -239,13 +239,30 @@ func (w *Workload) ScanFraction() float64 { return w.scanFrac }
 // reads or scans are configured, so it perturbs no draws, and streams
 // with reads but no scans draw exactly as they did before scans existed.
 func (w *Workload) NextTransaction(client types.ClientID, clientSeq uint64) types.Transaction {
+	txn, _ := w.buildTransaction(client, clientSeq, make([]types.Op, w.cfg.OpsPerTxn), nil)
+	return txn
+}
+
+// buildTransaction fills ops with the next transaction's operations and
+// cuts its value and payload bytes from the front of slab, each cut
+// clipped to its own length so that nothing appended to one value can
+// reach the next. It returns what is left of the slab; a slab too short
+// for this transaction (NextTransaction brings none) is replaced by one
+// that holds exactly it.
+func (w *Workload) buildTransaction(client types.ClientID, clientSeq uint64, ops []types.Op, slab []byte) (types.Transaction, []byte) {
 	readTxn, scanTxn := false, false
 	if w.readFrac > 0 || w.scanFrac > 0 {
 		u := w.rnd.Float64()
 		readTxn = u < w.readFrac
 		scanTxn = !readTxn && u < w.readFrac+w.scanFrac
 	}
-	ops := make([]types.Op, w.cfg.OpsPerTxn)
+	need := w.cfg.PayloadSize
+	if !readTxn && !scanTxn {
+		need += len(ops) * w.cfg.ValueSize
+	}
+	if len(slab) < need {
+		slab = make([]byte, need)
+	}
 	for i := range ops {
 		if readTxn {
 			ops[i] = types.Op{Kind: types.OpRead, Key: w.gen.Next()}
@@ -257,7 +274,8 @@ func (w *Workload) NextTransaction(client types.ClientID, clientSeq uint64) type
 			ops[i] = types.Op{Kind: types.OpScan, Key: key, EndKey: key + span - 1, Limit: uint32(span)}
 			continue
 		}
-		val := make([]byte, w.cfg.ValueSize)
+		val := slab[:w.cfg.ValueSize:w.cfg.ValueSize]
+		slab = slab[w.cfg.ValueSize:]
 		for j := range val {
 			val[j] = w.fill + byte(clientSeq) + byte(j)
 		}
@@ -265,7 +283,8 @@ func (w *Workload) NextTransaction(client types.ClientID, clientSeq uint64) type
 	}
 	var payload []byte
 	if w.cfg.PayloadSize > 0 {
-		payload = make([]byte, w.cfg.PayloadSize)
+		payload = slab[:w.cfg.PayloadSize:w.cfg.PayloadSize]
+		slab = slab[w.cfg.PayloadSize:]
 		for j := range payload {
 			payload[j] = byte(j)
 		}
@@ -275,19 +294,30 @@ func (w *Workload) NextTransaction(client types.ClientID, clientSeq uint64) type
 		ClientSeq: clientSeq,
 		Ops:       ops,
 		Payload:   payload,
-	}
+	}, slab
 }
 
 // NextRequest builds a client request carrying a burst of txns transactions
 // starting at clientSeq (client-side batching, Section 4.2). The request is
-// unsigned; the client engine signs it.
+// unsigned; the client engine signs it. Its transactions are carved from
+// one operation slab and one byte slab — three allocations a request, not
+// two a transaction and one more a value — which a request that goes
+// straight to the encoder gives back together. The byte slab is sized for a
+// burst of writes, the most a burst can need.
 func (w *Workload) NextRequest(client types.ClientID, clientSeq uint64, txns int) types.ClientRequest {
 	if txns < 1 {
 		txns = 1
 	}
+	per := w.cfg.OpsPerTxn
 	list := make([]types.Transaction, txns)
+	ops := make([]types.Op, txns*per)
+	perTxn := w.cfg.PayloadSize
+	if w.readFrac+w.scanFrac < 1 {
+		perTxn += per * w.cfg.ValueSize
+	}
+	slab := make([]byte, txns*perTxn)
 	for i := range list {
-		list[i] = w.NextTransaction(client, clientSeq+uint64(i))
+		list[i], slab = w.buildTransaction(client, clientSeq+uint64(i), ops[i*per:(i+1)*per:(i+1)*per], slab)
 	}
 	return types.ClientRequest{
 		Client:   client,
