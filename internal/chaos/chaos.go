@@ -497,7 +497,7 @@ func (e *endpoint) reSigned(env *types.Envelope, msg types.Message) *types.Envel
 }
 
 func (e *endpoint) signedBody(env *types.Envelope, body []byte) *types.Envelope {
-	sig, err := e.auth.Sign(env.To, body)
+	sig, err := e.auth.Sign(env.To, types.AuthenticatedBytes(env.Type, body))
 	if err != nil {
 		return nil
 	}

@@ -23,7 +23,7 @@ type Link struct {
 	engine  *Engine
 	id      types.ClientID
 	n       int
-	auth    crypto.Authenticator
+	auth    crypto.NodeAuthenticator
 	ep      transport.Endpoint
 	timeout time.Duration
 	timer   *time.Timer
@@ -62,9 +62,11 @@ func (l *Link) Stats() Stats { return l.engine.Stats() }
 // (or, for Zyzzyva, the commit-certificate phase).
 func (l *Link) Retransmits() uint64 { return l.retransmits.Load() }
 
-// Sign puts the client's signature on req.
+// Sign seals req — the one pass this process makes over its bytes — and
+// puts the client's signature over that digest on it. req must not change
+// afterwards.
 func (l *Link) Sign(req *types.ClientRequest) error {
-	sig, err := l.auth.Sign(types.ReplicaNode(0), req.SigningBytes())
+	sig, err := l.auth.SignDigest(types.ReplicaNode(0), req.Seal())
 	if err != nil {
 		return err
 	}
@@ -143,11 +145,11 @@ func (l *Link) dispatch(acts []consensus.Action) {
 
 // Transmit hands msg to the endpoint, addressed to to. The envelope is
 // signed unless it carries a ClientRequest: no replica verifies that
-// envelope — the request's own Sig, which the batch stage checks and every
-// backup checks again, is what authenticates it — so a second signature
-// over the same bytes would be paid for by every request and read by no
-// one. Read requests and commit certificates carry no signature of their
-// own and are verified by envelope.
+// envelope — the request's own Sig, which the primary's batch stage
+// checks before proposing, is what authenticates it — so a second
+// signature over the same bytes would be paid for by every request and
+// read by no one. Read requests and commit certificates carry no
+// signature of their own and are verified by envelope.
 func (l *Link) Transmit(to types.NodeID, msg types.Message) {
 	// The high-water-mark hint keeps marshals in the right capacity class
 	// so steady-state encodes borrow instead of growing.

@@ -80,6 +80,77 @@ func TestAuthCoversDigestGolden(t *testing.T) {
 	})
 }
 
+// goldenBatch is a fixed two-request batch: the first request is signed
+// with the benchmark driver's exact call, the second carries a literal
+// signature.
+func goldenBatch(t *testing.T, dir *Directory) []types.ClientRequest {
+	t.Helper()
+	reqs := []types.ClientRequest{
+		{Client: 7, FirstSeq: 100, Txns: []types.Transaction{
+			{Client: 7, ClientSeq: 100, Ops: []types.Op{{Key: 1, Value: []byte("one")}}},
+			{Client: 7, ClientSeq: 101, Ops: []types.Op{{Kind: types.OpRead, Key: 2}}, Payload: []byte{0xAA}},
+		}},
+		{Client: 8, FirstSeq: 5, Txns: []types.Transaction{
+			{Client: 8, ClientSeq: 5, Ops: []types.Op{{Kind: types.OpScan, Key: 3, EndKey: 9, Limit: 4}}},
+		}, Sig: []byte("literal-signature")},
+	}
+	sig, err := dir.NodeAuth(types.ClientNode(7)).Sign(types.ReplicaNode(0), reqs[0].SigningBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs[0].Sig = sig
+	return reqs
+}
+
+// TestProposalAuthGolden pins, as literals, the three things a proposal's
+// authentication is made of: a request's digest d = SHA-256(SigningBytes),
+// which the client signature covers and VerifyDigest accepts; BatchDigest,
+// which folds d and the signature of every request; and the primary's tag
+// over a PrePrepare, which covers the header (view, seq, digest) and not
+// the requests behind it. A d that covered other bytes, a batch digest
+// that dropped the signature, or a tag that went back to the whole body
+// changes a literal.
+func TestProposalAuthGolden(t *testing.T) {
+	dir := testDirectory(t, Recommended())
+	r0, r1 := types.ReplicaNode(0), types.ReplicaNode(1)
+	reqs := goldenBatch(t, dir)
+
+	d := reqs[0].Digest()
+	if got, want := hex.EncodeToString(d[:]), "f7919cb0f1a663b9fff917dd35f72d16e75f1b52234b36c513c7132c7c60954e"; got != want {
+		t.Fatalf("request digest %s, want %s", got, want)
+	}
+	if d != sha256.Sum256(reqs[0].SigningBytes()) {
+		t.Fatal("request digest is not SHA-256(SigningBytes)")
+	}
+	if err := dir.NodeAuth(r0).VerifyDigest(types.ClientNode(7), d, reqs[0].Sig); err != nil {
+		t.Fatalf("a signature over SigningBytes does not verify over the digest: %v", err)
+	}
+
+	batch := types.BatchDigest(reqs)
+	if got, want := hex.EncodeToString(batch[:]), "1d459eafc11c48248305ee5663858a544e833852a1135ba56bbd010c903d1146"; got != want {
+		t.Fatalf("batch digest %s, want %s", got, want)
+	}
+
+	body := types.MarshalBody(&types.PrePrepare{View: 2, Seq: 9, Digest: batch, Requests: reqs})
+	header := types.AuthenticatedBytes(types.MsgPrePrepare, body)
+	if len(header) != 8+8+32 {
+		t.Fatalf("a PrePrepare's authenticator covers %d bytes, want the 48-byte header", len(header))
+	}
+	tag, err := dir.NodeAuth(r0).Sign(r1, header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hex.EncodeToString(tag), "fbde978749b1ceadcd261967e84e0291"; got != want {
+		t.Fatalf("header tag %s, want %s", got, want)
+	}
+	if err := dir.NodeAuth(r1).Verify(r0, header, tag); err != nil {
+		t.Fatal(err)
+	}
+	if err := dir.NodeAuth(r1).Verify(r0, body, tag); err == nil {
+		t.Fatal("the header tag verifies over the whole body")
+	}
+}
+
 // TestSignDigestIsSign: handing SignDigest the hash of a message is
 // signing the message — what lets a broadcast hash once for every receiver.
 func TestSignDigestIsSign(t *testing.T) {

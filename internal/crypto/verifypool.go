@@ -20,18 +20,16 @@ import (
 // can submit a window of messages, then await the results in submission
 // order while the verifications themselves run in parallel.
 //
-// When the authenticator implements BatchVerifier and the pool is built
-// with a batch window > 1, each worker drains up to that many pending
-// submissions per wakeup and verifies them as one batch: a single
-// dispatch and a single batched check amortizes the per-signature channel
-// and scheduling cost under load, while an idle pool still verifies each
-// message the moment it arrives. A rejected batch falls back to
-// per-signature verification so the failure is attributed to exactly the
-// message that caused it.
+// When the pool is built with a batch window > 1, each worker drains up
+// to that many pending submissions per wakeup and verifies them as one
+// batch: a single dispatch and a single batched check amortizes the
+// per-signature channel and scheduling cost under load, while an idle pool
+// still verifies each message the moment it arrives. A rejected batch
+// falls back to per-signature verification so the failure is attributed to
+// exactly the message that caused it.
 type VerifyPool struct {
-	auth      Authenticator
-	batcher   BatchVerifier // nil disables batched verification
-	batchMax  int
+	auth      NodeAuthenticator
+	batchMax  int // 1 disables batched verification
 	jobs      chan verifyJob
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -51,11 +49,23 @@ type BatchVerifier interface {
 	VerifyBatch(srcs []types.NodeID, msgs, auths [][]byte) error
 }
 
+// verifyJob is one submission: over msg, or — hashed — over the digest
+// its submitter already held.
 type verifyJob struct {
-	src  types.NodeID
-	msg  []byte
-	auth []byte
-	done chan error
+	src    types.NodeID
+	msg    []byte
+	digest types.Digest
+	hashed bool
+	auth   []byte
+	done   chan error
+}
+
+// verify checks one job the way it was submitted.
+func (p *VerifyPool) verify(j *verifyJob) error {
+	if j.hashed {
+		return p.auth.VerifyDigest(j.src, j.digest, j.auth)
+	}
+	return p.auth.Verify(j.src, j.msg, j.auth)
 }
 
 // DefaultVerifyBatch is the batch window NewVerifyPoolBatch applies when
@@ -65,15 +75,15 @@ const DefaultVerifyBatch = 16
 // NewVerifyPool starts a pool of workers verifying with auth, one
 // signature at a time. queue bounds the number of submitted-but-unclaimed
 // jobs; Submit blocks (backpressure) when it fills.
-func NewVerifyPool(auth Authenticator, workers, queue int) *VerifyPool {
+func NewVerifyPool(auth NodeAuthenticator, workers, queue int) *VerifyPool {
 	return NewVerifyPoolBatch(auth, workers, queue, 1)
 }
 
 // NewVerifyPoolBatch is NewVerifyPool with a batch window: each worker
 // claims up to batchMax pending submissions per wakeup and verifies them
-// with one BatchVerifier call when auth supports it. batchMax 0 means
-// DefaultVerifyBatch; 1 disables batching.
-func NewVerifyPoolBatch(auth Authenticator, workers, queue, batchMax int) *VerifyPool {
+// with one VerifyBatch call. batchMax 0 means DefaultVerifyBatch; 1
+// disables batching.
+func NewVerifyPoolBatch(auth NodeAuthenticator, workers, queue, batchMax int) *VerifyPool {
 	if workers < 1 {
 		workers = 1
 	}
@@ -87,9 +97,6 @@ func NewVerifyPoolBatch(auth Authenticator, workers, queue, batchMax int) *Verif
 		batchMax = 1
 	}
 	p := &VerifyPool{auth: auth, batchMax: batchMax, jobs: make(chan verifyJob, queue)}
-	if b, ok := auth.(BatchVerifier); ok && batchMax > 1 {
-		p.batcher = b
-	}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
 		go p.worker()
@@ -99,9 +106,9 @@ func NewVerifyPoolBatch(auth Authenticator, workers, queue, batchMax int) *Verif
 
 func (p *VerifyPool) worker() {
 	defer p.wg.Done()
-	if p.batcher == nil {
+	if p.batchMax == 1 {
 		for j := range p.jobs {
-			j.done <- p.auth.Verify(j.src, j.msg, j.auth)
+			j.done <- p.verify(&j)
 		}
 		return
 	}
@@ -126,24 +133,37 @@ func (p *VerifyPool) worker() {
 			}
 		}
 		if len(batch) == 1 {
-			batch[0].done <- p.auth.Verify(batch[0].src, batch[0].msg, batch[0].auth)
+			batch[0].done <- p.verify(&batch[0])
 			continue
 		}
+		// A submission that came with its digest shares the wake-up only:
+		// VerifyBatch takes messages, so it is answered on its own and
+		// the rest go down as one batch.
 		srcs, msgs, auths = srcs[:0], msgs[:0], auths[:0]
-		for _, b := range batch {
+		rest := batch[:0]
+		for i := range batch {
+			b := &batch[i]
+			if b.hashed {
+				b.done <- p.verify(b)
+				continue
+			}
 			srcs = append(srcs, b.src)
 			msgs = append(msgs, b.msg)
 			auths = append(auths, b.auth)
+			rest = append(rest, *b)
 		}
-		if err := p.batcher.VerifyBatch(srcs, msgs, auths); err == nil {
-			p.batched.Add(uint64(len(batch)))
-			for _, b := range batch {
+		if len(rest) == 0 {
+			continue
+		}
+		if err := p.auth.VerifyBatch(srcs, msgs, auths); err == nil {
+			p.batched.Add(uint64(len(rest)))
+			for _, b := range rest {
 				b.done <- nil
 			}
 		} else {
 			// The batch carries at least one bad signature; attribute it.
-			for _, b := range batch {
-				b.done <- p.auth.Verify(b.src, b.msg, b.auth)
+			for i := range rest {
+				rest[i].done <- p.verify(&rest[i])
 			}
 		}
 	}
@@ -185,6 +205,17 @@ func (pd *Pending) Await() error {
 // pooled Pending instead of a fresh channel, making the submit/await
 // round allocation-free in steady state. Must not be called after Close.
 func (p *VerifyPool) SubmitPooled(src types.NodeID, msg, auth []byte) *Pending {
+	return p.submitPooled(verifyJob{src: src, msg: msg, auth: auth})
+}
+
+// SubmitDigestPooled is SubmitPooled for a submitter that already holds
+// SHA-256 of the message: the worker verifies over the digest and hashes
+// nothing.
+func (p *VerifyPool) SubmitDigestPooled(src types.NodeID, digest types.Digest, auth []byte) *Pending {
+	return p.submitPooled(verifyJob{src: src, digest: digest, hashed: true, auth: auth})
+}
+
+func (p *VerifyPool) submitPooled(j verifyJob) *Pending {
 	pd, _ := p.pendPool.Get().(*Pending)
 	if pd == nil {
 		pd = &Pending{}
@@ -194,7 +225,8 @@ func (p *VerifyPool) SubmitPooled(src types.NodeID, msg, auth []byte) *Pending {
 		ch = make(chan error, 1)
 	}
 	pd.p, pd.ch = p, ch
-	p.jobs <- verifyJob{src: src, msg: msg, auth: auth, done: ch}
+	j.done = ch
+	p.jobs <- j
 	return pd
 }
 

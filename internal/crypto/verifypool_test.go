@@ -156,7 +156,10 @@ func TestVerifyBatchDirect(t *testing.T) {
 // TestVerifyPoolBatchedVerdicts runs the batched pool over a mixed
 // valid/corrupted stream: every verdict must be attributed to exactly the
 // right submission even when the batch-level check rejects and the worker
-// falls back to per-signature verification.
+// falls back to per-signature verification. Every third submission hands
+// the pool the digest instead of the message: those share the batch's
+// wake-up, are answered over the digest, and must neither take a verdict
+// from nor give one to the messages batched around them.
 func TestVerifyPoolBatchedVerdicts(t *testing.T) {
 	dir := ed25519Directory(t)
 	signer := dir.NodeAuth(types.ReplicaNode(1))
@@ -182,7 +185,11 @@ func TestVerifyPoolBatchedVerdicts(t *testing.T) {
 	}
 	pending := make([]*Pending, n)
 	for i := range msgs {
-		pending[i] = pool.SubmitPooled(types.ReplicaNode(1), msgs[i], sigs[i])
+		if i%3 == 0 {
+			pending[i] = pool.SubmitDigestPooled(types.ReplicaNode(1), Hash256(msgs[i]), sigs[i])
+		} else {
+			pending[i] = pool.SubmitPooled(types.ReplicaNode(1), msgs[i], sigs[i])
+		}
 	}
 	for i, pd := range pending {
 		err := pd.Await()

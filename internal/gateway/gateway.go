@@ -195,7 +195,6 @@ type Stats struct {
 type Gateway struct {
 	cfg Config
 
-	submitQ   chan *pending
 	upstreams []*upstream
 	busy      atomic.Uint32 // latest replica gauge
 	busyAt    atomic.Int64  // UnixNano when busy was last stored
@@ -211,11 +210,24 @@ type Gateway struct {
 	connsTotal     atomic.Uint64
 	sessionsLive   atomic.Int64
 
-	// sessMu guards the gateway-wide session dedup table. Keying it here
-	// rather than per connection is what makes the retry contract survive
-	// a reconnect: the state outlives the pipe that created it.
+	// sessMu guards the gateway-wide session dedup table and the admission
+	// queue behind it. It is taken once per hand-off, never once per
+	// transaction: once per inbound frame (admit), once per upstream batch
+	// drained (collect) and once per upstream batch completed (complete).
+	// Keying the table here rather than per connection is what makes the
+	// retry contract survive a reconnect: the state outlives the pipe that
+	// created it.
 	sessMu   sync.Mutex
 	sessions map[uint64]*sessionState
+	// queue is the admission queue, a ring of cfg.QueueCap slots: admitted
+	// pendings wait here for an upstream. parked counts the upstreams
+	// waiting in collect for it to fill; a push that finds one leaves a
+	// token in wake.
+	queue  []*pending
+	qHead  int
+	qLen   int
+	parked int
+	wake   chan struct{} // capacity 1: a token means "look at the queue again"
 
 	mu     sync.Mutex
 	conns  map[*gwConn]struct{}
@@ -232,14 +244,7 @@ func New(cfg Config) (*Gateway, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	g := &Gateway{
-		cfg:      cfg,
-		submitQ:  make(chan *pending, cfg.QueueCap),
-		sessions: make(map[uint64]*sessionState),
-		conns:    make(map[*gwConn]struct{}),
-		lns:      make(map[net.Listener]struct{}),
-		stop:     make(chan struct{}),
-	}
+	g := newGateway(cfg)
 	for i := 0; i < cfg.Upstreams; i++ {
 		u, err := newUpstream(g, cfg.BaseClient+types.ClientID(i))
 		if err != nil {
@@ -259,6 +264,20 @@ func New(cfg Config) (*Gateway, error) {
 		g.evictLoop()
 	}()
 	return g, nil
+}
+
+// newGateway builds the front door's state for a filled Config, with no
+// worker running yet.
+func newGateway(cfg Config) *Gateway {
+	return &Gateway{
+		cfg:      cfg,
+		sessions: make(map[uint64]*sessionState),
+		queue:    make([]*pending, cfg.QueueCap),
+		wake:     make(chan struct{}, 1),
+		conns:    make(map[*gwConn]struct{}),
+		lns:      make(map[net.Listener]struct{}),
+		stop:     make(chan struct{}),
+	}
 }
 
 // evictLoop retires session dedup state that has sat idle (nothing in
@@ -281,7 +300,7 @@ func (g *Gateway) evictLoop() {
 		cutoff := time.Now().Add(-g.cfg.SessionIdle).UnixNano()
 		g.sessMu.Lock()
 		for id, st := range g.sessions {
-			if len(st.pending) == 0 && st.lastActive < cutoff {
+			if len(st.inflight) == 0 && st.lastActive < cutoff {
 				delete(g.sessions, id)
 				g.sessionsLive.Add(-1)
 			}
@@ -346,13 +365,7 @@ func (g *Gateway) Serve(ln net.Listener) error {
 // ServeConn adopts one session connection; it returns immediately and
 // the connection is handled until EOF, a protocol error, or Close.
 func (g *Gateway) ServeConn(c net.Conn) {
-	gc := &gwConn{
-		gw:      g,
-		c:       c,
-		bufs:    new(pool.BytePool),
-		replyCh: make(chan Reply, 4096),
-		done:    make(chan struct{}),
-	}
+	gc := newConn(g, c)
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
@@ -399,16 +412,12 @@ func (g *Gateway) Close() {
 	g.sessMu.Lock()
 	g.sessionsLive.Add(-int64(len(g.sessions)))
 	g.sessions = make(map[uint64]*sessionState)
-	g.sessMu.Unlock()
-	// Drain submits that raced the shutdown; their arenas must retire.
-	for {
-		select {
-		case p := <-g.submitQ:
-			p.arena.Release()
-		default:
-			return
-		}
+	// Submits that raced the shutdown never reach an upstream; their
+	// arenas must retire.
+	for _, p := range g.popLocked(nil, g.qLen) {
+		p.arena.Release()
 	}
+	g.sessMu.Unlock()
 }
 
 // noteBusy records a fresh replica saturation gauge from a completed
@@ -442,7 +451,8 @@ func (g *Gateway) admissionBusy() (uint8, bool) {
 
 // pending is one admitted session transaction traveling toward consensus.
 // It retains a reference on its frame's arena (ops alias the frame
-// buffer) until the reply is delivered.
+// buffer) until the reply is delivered. A frame's pendings are carved from
+// one slab.
 type pending struct {
 	conn    *gwConn
 	session uint64
@@ -452,18 +462,118 @@ type pending struct {
 	arena   *types.Arena
 }
 
-// sessionState is the per-session dedup record: the in-flight nonce set,
-// the completed high-water mark, and a bounded ring of cached replies.
-// It lives in the Gateway's session table (session ids are a
-// gateway-global namespace), so the retry contract holds across the
-// session's connection dropping and reconnecting; lastActive drives the
-// SessionIdle eviction.
+// pushLocked appends admitted pendings to the admission queue and, when an
+// upstream is parked on it, leaves a wake-up token. The caller holds
+// sessMu and has checked that they fit (room).
+func (g *Gateway) pushLocked(ps []pending) {
+	for i := range ps {
+		g.queue[(g.qHead+g.qLen)%len(g.queue)] = &ps[i]
+		g.qLen++
+	}
+	if len(ps) > 0 {
+		g.wakeParkedLocked()
+	}
+}
+
+// popLocked moves up to max pendings from the head of the admission queue
+// onto dst. The caller holds sessMu.
+func (g *Gateway) popLocked(dst []*pending, max int) []*pending {
+	for ; max > 0 && g.qLen > 0; max-- {
+		dst = append(dst, g.queue[g.qHead])
+		g.queue[g.qHead] = nil
+		g.qHead = (g.qHead + 1) % len(g.queue)
+		g.qLen--
+	}
+	return dst
+}
+
+// wakeParkedLocked leaves the wake-up token if an upstream is parked.
+func (g *Gateway) wakeParkedLocked() {
+	if g.parked > 0 {
+		select {
+		case g.wake <- struct{}{}:
+		default: // a token is already waiting to be picked up
+		}
+	}
+}
+
+// sessionState is the per-session dedup record: the in-flight nonces, the
+// completed high-water mark, and a fixed ring of cached replies. It lives
+// in the Gateway's session table (session ids are a gateway-global
+// namespace), so the retry contract holds across the session's connection
+// dropping and reconnecting; lastActive drives the SessionIdle eviction.
 type sessionState struct {
-	high       uint64  // highest completed nonce (0 = none yet)
-	cache      []Reply // last ≤ DedupWindow completed replies
-	pending    map[uint64]struct{}
+	high uint64 // highest completed nonce (0 = none yet)
+	// cache holds the last ≤ DedupWindow completed replies. It is
+	// allocated once at that capacity, fills by append, and from then on
+	// the oldest entry, at evict, is overwritten in place.
+	cache []Reply
+	evict int
+	// inflight lists the nonces admitted and not yet completed: nearly
+	// always zero or one for a closed-loop session, so a slice scanned
+	// linearly, its capacity kept across transactions.
+	inflight   []uint64
 	lastActive int64 // UnixNano of the last submit or completion
 }
+
+// isInflight reports whether nonce is admitted and not yet completed.
+func (st *sessionState) isInflight(nonce uint64) bool {
+	for _, n := range st.inflight {
+		if n == nonce {
+			return true
+		}
+	}
+	return false
+}
+
+// clearInflight forgets an in-flight nonce (completed or abandoned).
+func (st *sessionState) clearInflight(nonce uint64) {
+	for i, n := range st.inflight {
+		if n == nonce {
+			last := len(st.inflight) - 1
+			st.inflight[i] = st.inflight[last]
+			st.inflight = st.inflight[:last]
+			return
+		}
+	}
+}
+
+// complete records a consensus outcome: the nonce leaves the in-flight
+// set, the high-water mark advances and the reply enters the ring,
+// displacing the oldest once window replies are cached.
+func (st *sessionState) complete(nonce uint64, r Reply, now int64, window int) {
+	st.clearInflight(nonce)
+	if nonce > st.high {
+		st.high = nonce
+	}
+	st.lastActive = now
+	switch {
+	case st.cache == nil:
+		st.cache = append(make([]Reply, 0, window), r)
+	case len(st.cache) < window:
+		st.cache = append(st.cache, r)
+	default:
+		st.cache[st.evict] = r
+		st.evict = (st.evict + 1) % window
+	}
+}
+
+// cached returns the cached reply for a completed nonce, if the ring
+// still holds it.
+func (st *sessionState) cached(nonce uint64) (Reply, bool) {
+	for i := range st.cache {
+		if st.cache[i].Nonce == nonce {
+			return st.cache[i], true
+		}
+	}
+	return Reply{}, false
+}
+
+// replyBacklog bounds the replies a connection holds for its write loop.
+// A delivery waits while the backlog is at the bound and is then appended
+// whole, so the backlog never exceeds the bound by more than one delivery
+// (an upstream batch or a frame's worth of replies).
+const replyBacklog = 4096
 
 // gwConn is one multiplexed session connection: a pipe for frames, not
 // the home of session state.
@@ -472,19 +582,35 @@ type gwConn struct {
 	c    net.Conn
 	bufs *pool.BytePool
 
-	replyCh chan Reply
-	done    chan struct{}
-	once    sync.Once
+	// mu guards out and closed. The write loop waits on ready for out to
+	// gain replies; deliverers wait on room while out is at replyBacklog.
+	mu     sync.Mutex
+	ready  sync.Cond
+	room   sync.Cond
+	out    []Reply
+	closed bool
+	once   sync.Once
+}
+
+func newConn(g *Gateway, c net.Conn) *gwConn {
+	gc := &gwConn{gw: g, c: c, bufs: new(pool.BytePool)}
+	gc.ready.L, gc.room.L = &gc.mu, &gc.mu
+	return gc
 }
 
 // close tears the connection down exactly once: the socket closes (which
-// unblocks the read loop) and done unblocks the write loop and any
-// upstream trying to deliver a reply. Session dedup state is untouched —
-// it belongs to the gateway and keeps answering retries after the
-// session reconnects.
+// unblocks the read loop and a write loop stuck in Write) and closed
+// releases the write loop and any upstream waiting to deliver a reply.
+// Session dedup state is untouched — it belongs to the gateway and keeps
+// answering retries after the session reconnects.
 func (gc *gwConn) close() {
 	gc.once.Do(func() {
-		close(gc.done)
+		gc.mu.Lock()
+		gc.closed = true
+		gc.out = nil
+		gc.mu.Unlock()
+		gc.ready.Broadcast()
+		gc.room.Broadcast()
 		gc.c.Close()
 		gc.gw.mu.Lock()
 		delete(gc.gw.conns, gc)
@@ -492,9 +618,9 @@ func (gc *gwConn) close() {
 	})
 }
 
-// readLoop decodes inbound frames and routes each submit through
-// admission. Any decode error closes the connection — a corrupt
-// multiplexed stream cannot be resynchronized.
+// readLoop decodes inbound frames and runs each through admission. Any
+// decode error closes the connection — a corrupt multiplexed stream
+// cannot be resynchronized.
 func (gc *gwConn) readLoop() {
 	defer gc.close()
 	br := bufio.NewReaderSize(gc.c, 1<<16)
@@ -503,160 +629,156 @@ func (gc *gwConn) readLoop() {
 		if err != nil {
 			return
 		}
-		for i := range f.Submits {
-			gc.handleSubmit(&f.Submits[i], f.Arena)
-		}
+		gc.admit(f.Submits, f.Arena)
 		f.Arena.Release() // drop the reader's reference
 	}
 }
 
-// handleSubmit runs one submit through dedup and admission. The caller
-// owns a reference on arena; handleSubmit retains its own for any path
-// that outlives the call (enqueue toward consensus).
-func (gc *gwConn) handleSubmit(s *Submit, arena *types.Arena) {
-	gw := gc.gw
-	// Nonce 0 is reserved: the dedup high-water mark uses 0 for "nothing
-	// completed yet", so a completed nonce 0 could never be recognized as
-	// a duplicate and its retry would re-execute. Reject it outright —
-	// the wire contract says nonces start at 1.
-	if s.Nonce == 0 {
-		gw.dupRejected.Add(1)
-		gc.deliver(Reply{Session: s.Session, Nonce: 0, Status: StatusRejected})
+// admit runs one frame's submits through dedup and admission in a single
+// critical section with a single clock reading: what is per transaction
+// here is a table lookup and a slot in the frame's pending slab. The
+// caller owns a reference on arena; every admitted pending retains its
+// own. Submits answered on the spot (duplicates, pushback) get their
+// replies in one delivery after the lock is dropped.
+func (gc *gwConn) admit(subs []Submit, arena *types.Arena) {
+	if len(subs) == 0 {
 		return
 	}
+	gw := gc.gw
+	// Admission: replica saturation or a full queue is explicit pushback,
+	// not a silent drop. A pushed-back submit is NOT marked in flight, so
+	// the retry (same nonce) is a fresh admission attempt.
+	gauge, saturated := gw.admissionBusy()
+	now := time.Now().UnixNano()
+	slab := make([]pending, 0, len(subs))
+	var replies []Reply
+	var absorbed, replayed, rejected, pushedBack uint64
+
 	gw.sessMu.Lock()
-	st := gw.sessions[s.Session]
-	if st == nil {
-		st = &sessionState{pending: make(map[uint64]struct{})}
-		gw.sessions[s.Session] = st
-		gw.sessionsLive.Add(1)
-	}
-	st.lastActive = time.Now().UnixNano()
-	// Dedup before admission: a retry of work already accepted must never
-	// be double-executed OR pushed back — it is answered from the
-	// session's state alone.
-	if _, inflight := st.pending[s.Nonce]; inflight {
-		gw.sessMu.Unlock()
-		gw.dupAbsorbed.Add(1)
-		return // the original's reply answers this retry
-	}
-	if s.Nonce <= st.high {
-		for i := range st.cache {
-			if st.cache[i].Nonce == s.Nonce {
-				r := st.cache[i]
-				gw.sessMu.Unlock()
-				gw.dupReplayed.Add(1)
-				gc.deliver(r)
-				return
+	// Every pusher holds sessMu, so the room read here can only grow.
+	room := len(gw.queue) - gw.qLen
+	for i := range subs {
+		s := &subs[i]
+		// Nonce 0 is reserved: the dedup high-water mark uses 0 for
+		// "nothing completed yet", so a completed nonce 0 could never be
+		// recognized as a duplicate and its retry would re-execute. Reject
+		// it outright — the wire contract says nonces start at 1.
+		if s.Nonce == 0 {
+			rejected++
+			replies = append(replies, Reply{Session: s.Session, Nonce: 0, Status: StatusRejected})
+			continue
+		}
+		st := gw.sessions[s.Session]
+		if st == nil {
+			st = &sessionState{}
+			gw.sessions[s.Session] = st
+			gw.sessionsLive.Add(1)
+		}
+		st.lastActive = now
+		// Dedup before admission: a retry of work already accepted must
+		// never be double-executed OR pushed back — it is answered from
+		// the session's state alone.
+		if st.isInflight(s.Nonce) {
+			absorbed++ // the original's reply answers this retry
+			continue
+		}
+		if s.Nonce <= st.high {
+			if r, ok := st.cached(s.Nonce); ok {
+				replayed++
+				replies = append(replies, r)
+			} else {
+				rejected++
+				replies = append(replies, Reply{Session: s.Session, Nonce: s.Nonce, Status: StatusRejected})
+			}
+			continue
+		}
+		if saturated || len(slab) == room {
+			pushedBack++
+			replies = append(replies, Reply{Session: s.Session, Nonce: s.Nonce, Status: StatusBusy, Busy: gauge})
+			continue
+		}
+		reads := 0
+		for j := range s.Ops {
+			if s.Ops[j].Kind == types.OpRead || s.Ops[j].Kind == types.OpScan {
+				// Both produce one entry in the batched read results; the
+				// reply spans slice by that count.
+				reads++
 			}
 		}
-		gw.sessMu.Unlock()
-		gw.dupRejected.Add(1)
-		gc.deliver(Reply{Session: s.Session, Nonce: s.Nonce, Status: StatusRejected})
-		return
+		arena.Retain() // the pending's reference, held before an upstream can see it
+		slab = append(slab, pending{conn: gc, session: s.Session, nonce: s.Nonce, ops: s.Ops, reads: reads, arena: arena})
+		st.inflight = append(st.inflight, s.Nonce)
 	}
-	// Admission: replica saturation or a full queue is explicit pushback,
-	// not a silent drop. The submit is NOT marked pending, so the retry
-	// (same nonce) is a fresh admission attempt.
-	gauge, saturated := gw.admissionBusy()
-	if saturated {
-		gw.sessMu.Unlock()
-		gw.busyRejected.Add(1)
-		gc.deliver(Reply{Session: s.Session, Nonce: s.Nonce, Status: StatusBusy, Busy: gauge})
-		return
-	}
-	p := &pending{conn: gc, session: s.Session, nonce: s.Nonce, ops: s.Ops, arena: arena}
-	for i := range s.Ops {
-		if s.Ops[i].Kind == types.OpRead || s.Ops[i].Kind == types.OpScan {
-			// Both produce one entry in the batched read results; the
-			// reply spans slice by that count.
-			p.reads++
-		}
-	}
-	arena.Retain() // the pending's reference, held before an upstream can see it
-	select {
-	case gw.submitQ <- p:
-		st.pending[s.Nonce] = struct{}{}
-		gw.sessMu.Unlock()
-		gw.accepted.Add(1)
-	default:
-		gw.sessMu.Unlock()
-		arena.Release() // admission failed; the pending never existed
-		gw.busyRejected.Add(1)
-		gc.deliver(Reply{Session: s.Session, Nonce: s.Nonce, Status: StatusBusy, Busy: gauge})
-	}
-}
-
-// complete delivers a consensus outcome for one pending submit: the
-// session's dedup state advances, the reply is cached for retries, and
-// the pending's arena reference retires. The dedup update happens even
-// if the submitting connection has since closed — the transaction
-// executed, so a retry from a reconnected session must replay the
-// cached reply, never re-execute.
-func (gc *gwConn) complete(p *pending, r Reply) {
-	gw := gc.gw
-	gw.sessMu.Lock()
-	if st := gw.sessions[p.session]; st != nil {
-		delete(st.pending, p.nonce)
-		if p.nonce > st.high {
-			st.high = p.nonce
-		}
-		st.lastActive = time.Now().UnixNano()
-		st.cache = append(st.cache, r)
-		if len(st.cache) > gw.cfg.DedupWindow {
-			st.cache = st.cache[len(st.cache)-gw.cfg.DedupWindow:]
-		}
-	}
+	gw.pushLocked(slab)
 	gw.sessMu.Unlock()
-	p.arena.Release()
-	gw.completed.Add(1)
-	gc.deliver(r)
+
+	gw.accepted.Add(uint64(len(slab)))
+	gw.dupAbsorbed.Add(absorbed)
+	gw.dupReplayed.Add(replayed)
+	gw.dupRejected.Add(rejected)
+	gw.busyRejected.Add(pushedBack)
+	gc.deliver(replies)
 }
 
-// deliver hands a reply to the write loop, blocking only against a live
-// connection (backpressure toward a slow session pipe); a closed
-// connection drops the reply — the session's dedup cache (which outlives
-// the connection) answers the inevitable retry.
-func (gc *gwConn) deliver(r Reply) {
-	select {
-	case gc.replyCh <- r:
-	case <-gc.done:
+// deliver hands replies to the write loop as one append and one wake-up.
+// It blocks only against a live connection whose backlog is at
+// replyBacklog (backpressure toward a slow session pipe); a closed
+// connection drops them — the session's dedup cache (which outlives the
+// connection) answers the inevitable retry.
+func (gc *gwConn) deliver(replies []Reply) {
+	if len(replies) == 0 {
+		return
 	}
+	gc.mu.Lock()
+	for len(gc.out) >= replyBacklog && !gc.closed {
+		gc.room.Wait()
+	}
+	if !gc.closed {
+		gc.out = append(gc.out, replies...)
+	}
+	gc.mu.Unlock()
+	gc.ready.Signal()
 }
 
-// writeLoop drains replies, coalescing bursts into shared frames.
+// writeLoop drains the backlog a whole slice at a time (it and the
+// deliverers swap two buffers), writes it as frames of at most ReplyBatch
+// replies, and flushes when nothing more is waiting.
 func (gc *gwConn) writeLoop() {
 	defer gc.close()
 	bw := bufio.NewWriterSize(gc.c, 1<<16)
 	w := types.GetWriter()
 	defer types.PutWriter(w)
+	var batch []Reply
 	for {
-		var first Reply
-		select {
-		case first = <-gc.replyCh:
-		case <-gc.done:
-			return
-		}
-		w.Reset()
-		appendReply(w, &first)
-		count := 1
-	coalesce:
-		for count < gc.gw.cfg.ReplyBatch {
-			select {
-			case r := <-gc.replyCh:
-				appendReply(w, &r)
-				count++
-			default:
-				break coalesce
-			}
-		}
-		if err := writeSessionFrame(bw, count, w.Bytes()); err != nil {
-			return
-		}
-		if len(gc.replyCh) == 0 {
+		gc.mu.Lock()
+		if len(gc.out) == 0 && !gc.closed {
+			gc.mu.Unlock()
 			if err := bw.Flush(); err != nil {
 				return
 			}
+			gc.mu.Lock()
+			for len(gc.out) == 0 && !gc.closed {
+				gc.ready.Wait()
+			}
 		}
+		if gc.closed {
+			gc.mu.Unlock()
+			return
+		}
+		batch, gc.out = gc.out, batch[:0]
+		gc.mu.Unlock()
+		gc.room.Broadcast()
+		for off := 0; off < len(batch); {
+			frame := batch[off:min(off+gc.gw.cfg.ReplyBatch, len(batch))]
+			w.Reset()
+			for i := range frame {
+				appendReply(w, &frame[i])
+			}
+			if err := writeSessionFrame(bw, len(frame), w.Bytes()); err != nil {
+				return
+			}
+			off += len(frame)
+		}
+		clear(batch) // the read results must not outlive the write
 	}
 }

@@ -20,6 +20,11 @@ type upstream struct {
 	link *clientengine.Link
 	ep   transport.Endpoint
 	seq  uint64 // next FirstSeq; gateway transactions number per-upstream
+
+	// batch and replies are the worker's scratch, reused across requests:
+	// exactly one is in flight.
+	batch   []*pending
+	replies []Reply
 }
 
 func newUpstream(gw *Gateway, id types.ClientID) (*upstream, error) {
@@ -51,30 +56,54 @@ func (u *upstream) run() {
 	}
 }
 
-// collect blocks for the first pending, then lingers up to cfg.Linger for
-// more, bounded by cfg.Batch. It returns nil on shutdown.
+// collect takes up to cfg.Batch pendings from the admission queue in one
+// critical section. It parks while the queue is empty; once it holds a
+// non-full batch it waits up to cfg.Linger for more, looking again each
+// time a frame is admitted. It returns nil on shutdown with nothing in
+// hand.
 func (u *upstream) collect(linger *time.Timer) []*pending {
 	gw := u.gw
-	var first *pending
-	select {
-	case first = <-gw.submitQ:
-	case <-gw.stop:
-		return nil
-	}
-	batch := []*pending{first}
-	resetTimer(linger, gw.cfg.Linger)
-	for len(batch) < gw.cfg.Batch {
+	batch := u.batch[:0]
+	var lingerC <-chan time.Time // nil (never fires) until the first pending is in hand
+	parked, expired := false, false
+	for {
+		gw.sessMu.Lock()
+		if parked {
+			gw.parked--
+		}
+		batch = gw.popLocked(batch, gw.cfg.Batch-len(batch))
+		parked = len(batch) < gw.cfg.Batch && !expired
+		if parked {
+			gw.parked++
+		} else if gw.qLen > 0 {
+			// A push wakes one upstream; pass the token on when this one
+			// leaves work behind for another.
+			gw.wakeParkedLocked()
+		}
+		gw.sessMu.Unlock()
+		if !parked {
+			break
+		}
+		if len(batch) > 0 && lingerC == nil {
+			resetTimer(linger, gw.cfg.Linger)
+			lingerC = linger.C
+		}
+		// Whatever ends the wait, the queue is looked at once more: a
+		// frame admitted while the timer fired still makes this batch.
 		select {
-		case p := <-gw.submitQ:
-			batch = append(batch, p)
-		case <-linger.C:
-			return batch
+		case <-gw.wake:
+		case <-lingerC:
+			expired = true
 		case <-gw.stop:
 			// Shutdown mid-collect: still flush what we hold — the arenas
 			// must retire and sessions deserve their replies if the request
 			// can complete. submit() bails out on its own stop check.
-			return batch
+			expired = true
 		}
+	}
+	u.batch = batch
+	if len(batch) == 0 {
+		return nil
 	}
 	return batch
 }
@@ -118,48 +147,78 @@ func (u *upstream) submit(batch []*pending) {
 	for _, p := range batch {
 		totalReads += p.reads
 	}
+	status := StatusOK
 	if len(outcome.ReadResults) != totalReads {
 		gw.readMismatches.Add(1)
-		for i, p := range batch {
-			p.conn.complete(p, Reply{
-				Session: p.session,
-				Nonce:   p.nonce,
-				Status:  StatusRejected,
-				Seq:     outcome.ClientSeq + uint64(i),
-				Busy:    outcome.Busy,
-			})
-		}
-		return
+		status = StatusRejected
 	}
+	replies := u.replies[:0]
 	off := 0
 	for i, p := range batch {
 		r := Reply{
 			Session: p.session,
 			Nonce:   p.nonce,
-			Status:  StatusOK,
+			Status:  status,
 			Seq:     outcome.ClientSeq + uint64(i),
 			Busy:    outcome.Busy,
 		}
-		if p.reads > 0 {
+		if status == StatusOK && p.reads > 0 {
 			r.Reads = outcome.ReadResults[off : off+p.reads]
 		}
 		off += p.reads
-		p.conn.complete(p, r)
+		replies = append(replies, r)
+	}
+	u.complete(batch, replies)
+	clear(replies) // the scratch must not pin the outcome's read results
+	u.replies = replies
+}
+
+// complete delivers a consensus outcome for a whole batch: under one lock
+// acquisition and one clock reading every session's dedup state advances
+// and caches its reply for retries; then the pendings' arena references
+// retire and each connection gets its replies — one delivery per run of
+// consecutive pendings from the same connection, and a frame's pendings
+// sit together in the queue, so a batch costs a handful of deliveries, not
+// one per transaction. The dedup update happens even if the submitting
+// connection has since closed — the transaction executed, so a retry from
+// a reconnected session must replay the cached reply, never re-execute.
+func (u *upstream) complete(batch []*pending, replies []Reply) {
+	gw := u.gw
+	now := time.Now().UnixNano()
+	gw.sessMu.Lock()
+	for i, p := range batch {
+		if st := gw.sessions[p.session]; st != nil {
+			st.complete(p.nonce, replies[i], now, gw.cfg.DedupWindow)
+		}
+	}
+	gw.sessMu.Unlock()
+	gw.completed.Add(uint64(len(batch)))
+	for start := 0; start < len(batch); {
+		conn := batch[start].conn
+		end := start
+		for end < len(batch) && batch[end].conn == conn {
+			batch[end].arena.Release()
+			end++
+		}
+		conn.deliver(replies[start:end])
+		start = end
 	}
 }
 
 // abandon retires a batch that can no longer complete (shutdown): the
-// arenas release and the sessions' pending marks clear so a reconnecting
-// session could resubmit. No reply is sent — the connection is going
-// away with the gateway.
+// arenas release and the sessions' in-flight marks clear so a
+// reconnecting session could resubmit. No reply is sent — the connection
+// is going away with the gateway.
 func (u *upstream) abandon(batch []*pending) {
 	gw := u.gw
+	gw.sessMu.Lock()
 	for _, p := range batch {
-		gw.sessMu.Lock()
 		if st := gw.sessions[p.session]; st != nil {
-			delete(st.pending, p.nonce)
+			st.clearInflight(p.nonce)
 		}
-		gw.sessMu.Unlock()
+	}
+	gw.sessMu.Unlock()
+	for _, p := range batch {
 		p.arena.Release()
 	}
 }

@@ -189,6 +189,11 @@ func readSessionFrame(r io.Reader, bufs types.FrameBuffers) (sessionFrame, error
 			s.Session = rd.U64()
 			s.Nonce = rd.U64()
 			s.Ops = rd.Ops() // values alias the frame buffer
+			if f.Submits == nil {
+				// One slice for the frame: count was checked against the
+				// frame's length above.
+				f.Submits = make([]Submit, 0, count-i)
+			}
 			f.Submits = append(f.Submits, s)
 		case kindReply:
 			var rp Reply
@@ -198,6 +203,9 @@ func readSessionFrame(r io.Reader, bufs types.FrameBuffers) (sessionFrame, error
 			rp.Seq = rd.U64()
 			rp.Busy = rd.U8()
 			rp.Reads = rd.ReadResults() // copies: replies outlive the frame
+			if f.Replies == nil {
+				f.Replies = make([]Reply, 0, count-i)
+			}
 			f.Replies = append(f.Replies, rp)
 		default:
 			arena.Release()

@@ -37,7 +37,7 @@ func (r *Replica) inputClientLoop(inbox <-chan *types.Envelope, pend chan<- veri
 			if pend != nil {
 				// Ownership moves to the forwarder, which releases the
 				// envelope after routing (or on auth failure).
-				pend <- verifiedItem{env: env, res: r.verifyPool.SubmitPooled(env.From, env.Body, env.Auth)}
+				pend <- verifiedItem{env: env, res: r.verifyPool.SubmitPooled(env.From, types.AuthenticatedBytes(env.Type, env.Body), env.Auth)}
 				break
 			}
 			r.route(env, false)
@@ -95,7 +95,7 @@ func (r *Replica) handleClientRequest(env *types.Envelope) {
 // read lane only sees the decoded (copied) request.
 func (r *Replica) handleReadRequest(env *types.Envelope) {
 	defer env.Release()
-	if err := r.auth.Verify(env.From, env.Body, env.Auth); err != nil {
+	if err := r.verifyEnvelope(env); err != nil {
 		r.authFailures.Add(1)
 		return
 	}
@@ -141,7 +141,7 @@ func (r *Replica) inputReplicaLoop(inbox <-chan *types.Envelope, pend chan<- ver
 		t0 := time.Now()
 		r.msgsIn.Add(1)
 		if pend != nil {
-			pend <- verifiedItem{env: env, res: r.verifyPool.SubmitPooled(env.From, env.Body, env.Auth)}
+			pend <- verifiedItem{env: env, res: r.verifyPool.SubmitPooled(env.From, types.AuthenticatedBytes(env.Type, env.Body), env.Auth)}
 		} else {
 			r.route(env, false)
 		}
@@ -276,6 +276,12 @@ func (r *Replica) verifyForwardLoop(pend <-chan verifiedItem) {
 	}
 }
 
+// verifyEnvelope checks an inbound envelope's authenticator over the bytes
+// of its body that authenticators cover.
+func (r *Replica) verifyEnvelope(env *types.Envelope) error {
+	return r.auth.Verify(env.From, types.AuthenticatedBytes(env.Type, env.Body), env.Auth)
+}
+
 // isPrimaryHint is the lock-free primary check used on the hot input path;
 // it is refreshed whenever the view changes.
 func (r *Replica) isPrimaryHint() bool {
@@ -362,8 +368,11 @@ func (r *Replica) propose(reqs []types.ClientRequest) (parked time.Duration) {
 	}
 }
 
-// verifyClientSigs checks every request's client signature and returns the
-// survivors in order. With a verify pool available the checks fan out
+// verifyClientSigs checks every request's client signature — over the
+// digest the request already carries, so nothing is marshalled or hashed
+// here — and returns the survivors in order. Only the primary runs it: a
+// backup takes the requests of a proposal on the primary's authenticator
+// and the batch digest. With a verify pool available the checks fan out
 // across its workers — submitted in order, awaited in order — so one RSA
 // verify on the batch-thread no longer serializes the whole batch; without
 // a pool (VerifyThreads <= 0) the checks run inline, which is the paper's
@@ -372,7 +381,7 @@ func (r *Replica) verifyClientSigs(reqs []types.ClientRequest) []types.ClientReq
 	if r.verifyPool == nil || len(reqs) == 1 {
 		kept := reqs[:0]
 		for i := range reqs {
-			if err := r.auth.Verify(types.ClientNode(reqs[i].Client), reqs[i].SigningBytes(), reqs[i].Sig); err != nil {
+			if err := r.auth.VerifyDigest(types.ClientNode(reqs[i].Client), reqs[i].Digest(), reqs[i].Sig); err != nil {
 				r.authFailures.Add(1)
 				continue
 			}
@@ -382,7 +391,7 @@ func (r *Replica) verifyClientSigs(reqs []types.ClientRequest) []types.ClientReq
 	}
 	pending := make([]*crypto.Pending, len(reqs))
 	for i := range reqs {
-		pending[i] = r.verifyPool.SubmitPooled(types.ClientNode(reqs[i].Client), reqs[i].SigningBytes(), reqs[i].Sig)
+		pending[i] = r.verifyPool.SubmitDigestPooled(types.ClientNode(reqs[i].Client), reqs[i].Digest(), reqs[i].Sig)
 	}
 	kept := reqs[:0]
 	for i := range reqs {
@@ -475,22 +484,24 @@ func (r *Replica) processItem(item workItem) {
 	// took out of the pool.
 	defer env.Release()
 	if !item.verified {
-		if err := r.auth.Verify(env.From, env.Body, env.Auth); err != nil {
+		if err := r.verifyEnvelope(env); err != nil {
 			r.authFailures.Add(1)
 			return
 		}
 	}
-	// Batch digest verification for proposals: the hashing cost lands on
-	// the worker lanes at backups, where seq-based routing spreads it
-	// across all W lanes.
+	// A proposal's authenticator covers its header only
+	// (types.AuthenticatedBytes), so this check — unconditional, an empty
+	// batch included — is what authenticates the requests behind it. It
+	// folds the digests decode already computed; no request byte is read
+	// again.
 	switch m := item.msg.(type) {
 	case *types.PrePrepare:
-		if len(m.Requests) > 0 && types.BatchDigest(m.Requests) != m.Digest {
+		if types.BatchDigest(m.Requests) != m.Digest {
 			r.authFailures.Add(1)
 			return
 		}
 	case *types.OrderedRequest:
-		if len(m.Requests) > 0 && types.BatchDigest(m.Requests) != m.Digest {
+		if types.BatchDigest(m.Requests) != m.Digest {
 			r.authFailures.Add(1)
 			return
 		}
@@ -1098,9 +1109,9 @@ func (r *Replica) broadcast(msg types.Message) {
 	var shared []byte
 	var digest types.Digest
 	if perDst {
-		digest = crypto.Hash256(body)
+		digest = crypto.Hash256(types.AuthenticatedBytes(mt, body))
 	} else {
-		sig, err := r.auth.Sign(types.ReplicaNode(0), body)
+		sig, err := r.auth.Sign(types.ReplicaNode(0), types.AuthenticatedBytes(mt, body))
 		if err != nil {
 			r.authFailures.Add(1)
 			arena.Release()
@@ -1139,7 +1150,7 @@ func (r *Replica) broadcast(msg types.Message) {
 // sendTo signs and enqueues msg for a single destination.
 func (r *Replica) sendTo(to types.NodeID, msg types.Message) {
 	body, arena := r.marshalOut(msg)
-	sig, err := r.auth.Sign(to, body)
+	sig, err := r.auth.Sign(to, types.AuthenticatedBytes(msg.Type(), body))
 	if err != nil {
 		r.authFailures.Add(1)
 		arena.Release()

@@ -1,0 +1,246 @@
+package replica
+
+import (
+	"bytes"
+	"fmt"
+	"sync/atomic"
+	"testing"
+
+	"resilientdb/internal/consensus"
+	"resilientdb/internal/crypto"
+	"resilientdb/internal/transport"
+	"resilientdb/internal/types"
+)
+
+// proposalCounter wraps a replica's engine and counts the proposals that
+// reach it.
+type proposalCounter struct {
+	consensus.Engine
+	proposals atomic.Uint64
+}
+
+func (e *proposalCounter) OnMessage(from types.NodeID, msg types.Message, auth []byte) []consensus.Action {
+	switch msg.(type) {
+	case *types.PrePrepare, *types.OrderedRequest:
+		e.proposals.Add(1)
+	}
+	return e.Engine.OnMessage(from, msg, auth)
+}
+
+// signedBatch is n client requests signed with the benchmark driver's
+// exact call: auth.Sign(ReplicaNode(0), req.SigningBytes()).
+func signedBatch(t *testing.T, dir *crypto.Directory, n int) []types.ClientRequest {
+	t.Helper()
+	reqs := make([]types.ClientRequest, n)
+	for i := range reqs {
+		id := types.ClientID(10 + i)
+		reqs[i] = types.ClientRequest{Client: id, FirstSeq: 1, Txns: []types.Transaction{
+			{Client: id, ClientSeq: 1, Ops: []types.Op{{Key: uint64(i), Value: []byte("value")}}},
+			{Client: id, ClientSeq: 2, Ops: []types.Op{{Kind: types.OpRead, Key: 3}}, Payload: []byte{0xAB}},
+		}}
+		sig, err := dir.NodeAuth(types.ClientNode(id)).Sign(types.ReplicaNode(0), reqs[i].SigningBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i].Sig = sig
+	}
+	return reqs
+}
+
+// TestTamperedProposalNeverReachesEngine: a proposal's authenticator covers
+// its header only, so the digest check is what authenticates the requests
+// behind it. For an authenticated PrePrepare and OrderedRequest, with the
+// verify stage and with inline verification: flipping any single byte of
+// the body — header, count, any request field, any signature byte —
+// appending a request, dropping one, dropping all, or appending trailing
+// bytes, under the original authenticator, never reaches the engine and is
+// counted as an auth or decode failure. If the coverage of the
+// authenticator, the request digest or the batch digest shrinks, some byte
+// here gets through.
+func TestTamperedProposalNeverReachesEngine(t *testing.T) {
+	for _, proto := range []Protocol{PBFT, Zyzzyva} {
+		for _, verifyThreads := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%v/verify-threads-%d", proto, verifyThreads), func(t *testing.T) {
+				dir, err := crypto.NewDirectory(crypto.Recommended(), [32]byte{22})
+				if err != nil {
+					t.Fatal(err)
+				}
+				net := transport.NewInproc()
+				primary, backup := types.ReplicaNode(0), types.ReplicaNode(1)
+				r, err := New(Config{
+					ID: 1, N: 4, Protocol: proto, VerifyThreads: verifyThreads,
+					Directory: dir, Endpoint: net.Endpoint(backup, 3, 1<<12),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				engine := &proposalCounter{Engine: r.engine}
+				r.engine = engine
+				r.Start()
+				defer r.Stop()
+				sender := net.Endpoint(primary, 1, 16)
+				defer sender.Close()
+
+				reqs := signedBatch(t, dir, 2)
+				extra := signedBatch(t, dir, 3)[2]
+				build := func(seq types.SeqNum, digest types.Digest, reqs []types.ClientRequest) (types.MsgType, []byte) {
+					if proto == Zyzzyva {
+						m := &types.OrderedRequest{View: 0, Seq: seq, Digest: digest, History: crypto.HashChain(types.Digest{}, digest), Requests: reqs}
+						return m.Type(), types.MarshalBody(m)
+					}
+					m := &types.PrePrepare{View: 0, Seq: seq, Digest: digest, Requests: reqs}
+					return m.Type(), types.MarshalBody(m)
+				}
+				digest := types.BatchDigest(reqs)
+				mt, body := build(1, digest, reqs)
+				tag, err := dir.NodeAuth(primary).Sign(backup, types.AuthenticatedBytes(mt, body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sent := uint64(0)
+				send := func(body []byte) {
+					t.Helper()
+					if err := sender.Send(&types.Envelope{From: primary, To: backup, Type: mt, Body: body, Auth: tag}); err != nil {
+						t.Fatal(err)
+					}
+					sent++
+				}
+
+				// Every variant keeps the authenticated header, so the
+				// authenticator itself still verifies on all but the
+				// header flips.
+				for i := range body {
+					flipped := append([]byte(nil), body...)
+					flipped[i] ^= 0x01
+					send(flipped)
+				}
+				_, appended := build(1, digest, append(append([]types.ClientRequest(nil), reqs...), extra))
+				_, dropped := build(1, digest, reqs[:1])
+				_, emptied := build(1, digest, nil)
+				send(appended)
+				send(dropped)
+				send(emptied)
+				send(append(append([]byte(nil), body...), 0))
+				tampered := sent
+
+				waitFor(t, func() bool {
+					s := r.Stats()
+					return s.AuthFailures+s.DecodeFailures == tampered
+				}, "a tampered proposal was not counted")
+				if got := engine.proposals.Load(); got != 0 {
+					t.Fatalf("%d of %d tampered proposals reached the engine", got, tampered)
+				}
+				s := r.Stats()
+				t.Logf("%d-byte body: %d tampered proposals, %d auth failures, %d decode failures",
+					len(body), tampered, s.AuthFailures, s.DecodeFailures)
+				if s.AuthFailures == 0 || s.DecodeFailures == 0 {
+					t.Fatalf("auth failures %d, decode failures %d: both kinds of tampering must be counted", s.AuthFailures, s.DecodeFailures)
+				}
+
+				// The untouched proposal, last: it alone gets through.
+				send(append([]byte(nil), body...))
+				waitFor(t, func() bool { return engine.proposals.Load() == 1 }, "the authentic proposal never reached the engine")
+				if s := r.Stats(); s.AuthFailures+s.DecodeFailures != tampered {
+					t.Fatalf("the authentic proposal was counted as a failure: %+v", s)
+				}
+			})
+		}
+	}
+}
+
+// TestDriverSignedRequestVerifiesAfterDecode: a request signed the way the
+// benchmark's driver signs it — auth.Sign(ReplicaNode(0),
+// req.SigningBytes()) — passes verifyClientSigs after encode → frame →
+// DecodeEnvelope, on the inline route and through the verify pool, over
+// the digest decode computed; a flipped signature or payload byte fails
+// and is counted; and the inline check on a decoded request allocates
+// nothing — no signing bytes are rebuilt, whatever the request's size.
+func TestDriverSignedRequestVerifiesAfterDecode(t *testing.T) {
+	dir, err := crypto.NewDirectory(crypto.Recommended(), [32]byte{23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := transport.NewInproc()
+	r, err := New(Config{
+		ID: 0, N: 4, Protocol: PBFT, VerifyThreads: 2, VerifyClientSigs: true,
+		Directory: dir, Endpoint: net.Endpoint(types.ReplicaNode(0), 3, 64),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	defer r.Stop()
+
+	// decode sends each request through the wire: envelope, frame, pooled
+	// frame reader, in-place decode.
+	decode := func(reqs []types.ClientRequest) []types.ClientRequest {
+		t.Helper()
+		envs := make([]*types.Envelope, len(reqs))
+		for i := range reqs {
+			envs[i] = &types.Envelope{
+				From: types.ClientNode(reqs[i].Client), To: types.ReplicaNode(0),
+				Type: types.MsgClientRequest, Body: types.MarshalBody(&reqs[i]),
+			}
+		}
+		var w types.Writer
+		types.AppendBatchFrame(&w, envs)
+		got, err := types.ReadFramesPooled(bytes.NewReader(w.Bytes()), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]types.ClientRequest, len(got))
+		for i, env := range got {
+			msg, err := types.DecodeEnvelope(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = *msg.(*types.ClientRequest)
+			env.Release()
+		}
+		return out
+	}
+
+	signed := signedBatch(t, dir, 3)
+	signed[0].Txns[0].Payload = bytes.Repeat([]byte{0xC3}, 32<<10) // a request-sized buffer would show
+	sig, err := dir.NodeAuth(types.ClientNode(signed[0].Client)).Sign(types.ReplicaNode(0), signed[0].SigningBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	signed[0].Sig = sig
+
+	if kept := r.verifyClientSigs(decode(signed[:1])); len(kept) != 1 {
+		t.Fatal("inline: a driver-signed request failed verification after decode")
+	}
+	if kept := r.verifyClientSigs(decode(signed)); len(kept) != 3 {
+		t.Fatalf("pool: %d of 3 driver-signed requests verified after decode", len(kept))
+	}
+	if got := r.Stats().AuthFailures; got != 0 {
+		t.Fatalf("%d auth failures on authentic requests", got)
+	}
+
+	badSig := append([]types.ClientRequest(nil), signed...)
+	badSig[1].Sig = append([]byte(nil), badSig[1].Sig...)
+	badSig[1].Sig[5] ^= 1
+	if kept := r.verifyClientSigs(decode(badSig)); len(kept) != 2 || kept[0].Client != signed[0].Client || kept[1].Client != signed[2].Client {
+		t.Fatalf("pool: flipped signature byte: kept %d requests", len(kept))
+	}
+	badBody := append([]types.ClientRequest(nil), signed[:1]...)
+	badBody[0].FirstSeq++
+	if kept := r.verifyClientSigs(decode(badBody)); len(kept) != 0 {
+		t.Fatal("inline: a request changed after signing verified")
+	}
+	if got := r.Stats().AuthFailures; got != 2 {
+		t.Fatalf("auth failures = %d, want 2", got)
+	}
+
+	one := decode(signed[:1])
+	allocs := testing.AllocsPerRun(100, func() {
+		if kept := r.verifyClientSigs(one); len(kept) != 1 {
+			t.Fatal("verification failed")
+		}
+	})
+	t.Logf("allocations per inline verifyClientSigs of a decoded 32 KiB request: %.0f", allocs)
+	if allocs > 0 {
+		t.Fatalf("verifyClientSigs on a decoded request allocates %.0f, want 0", allocs)
+	}
+}

@@ -156,9 +156,33 @@ func DecodeEnvelope(e *Envelope) (Message, error) {
 	return msg, err
 }
 
+// AuthenticatedBytes returns the part of a body of type t that the
+// envelope's authenticator covers; every signer and verifier of replica
+// envelopes asks here. For a proposal (PrePrepare, OrderedRequest) that is
+// the fixed-size header — view, seq, batch digest (and history) — so the
+// cost of authenticating one does not grow with the batch it carries. The
+// requests behind the header are bound by the digest inside it: a receiver
+// must check BatchDigest(Requests) == Digest before acting on a proposal,
+// whatever the batch's size, or the payload is unauthenticated. Every
+// other body is covered whole.
+func AuthenticatedBytes(t MsgType, body []byte) []byte {
+	n := len(body)
+	switch t {
+	case MsgPrePrepare:
+		n = prePrepareHeaderSize
+	case MsgOrderedRequest:
+		n = orderedRequestHeaderSize
+	}
+	if n > len(body) {
+		return body // too short to decode; the decoder rejects it
+	}
+	return body[:n]
+}
+
 // Envelope is the transport frame: a tagged message body plus sender,
 // destination, and the authenticator (digital signature or MAC, Section 3
-// "Expensive Cryptographic Practices") computed over the body.
+// "Expensive Cryptographic Practices") computed over
+// AuthenticatedBytes(Type, Body).
 type Envelope struct {
 	From NodeID
 	To   NodeID

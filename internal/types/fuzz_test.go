@@ -2,6 +2,7 @@ package types_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 
 	"resilientdb/internal/chaos"
@@ -230,6 +231,15 @@ func FuzzDecodeBody(f *testing.F) {
 		}
 		if got := types.MarshalBody(aliased); !bytes.Equal(got, enc) {
 			t.Fatalf("alias-mode decode re-encodes to %x, copy-mode to %x", got, enc)
+		}
+		// The digest a request decodes with is taken from the input's own
+		// bytes; it must be the digest of the request's canonical form.
+		for _, msg := range []types.Message{copied, aliased} {
+			for _, req := range requestsOf(msg) {
+				if got, want := req.Digest(), sha256.Sum256(req.SigningBytes()); got != want {
+					t.Fatalf("%v: request decoded with digest %x, SHA-256(SigningBytes) is %x", mt, got, want)
+				}
+			}
 		}
 		appendEverywhere(copied)
 		appendEverywhere(aliased)

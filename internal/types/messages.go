@@ -163,17 +163,27 @@ func unmarshalTxn(r *Reader, t *Transaction) {
 	t.Payload = r.Blob()
 }
 
-func (r *ClientRequest) marshal(w *Writer) {
+// marshalSigned appends everything the client signature covers: the wire
+// form up to the signature field.
+func (r *ClientRequest) marshalSigned(w *Writer) {
 	w.U32(uint32(r.Client))
 	w.U64(r.FirstSeq)
 	w.U32(uint32(len(r.Txns)))
 	for i := range r.Txns {
 		marshalTxn(w, &r.Txns[i])
 	}
+}
+
+func (r *ClientRequest) marshal(w *Writer) {
+	r.marshalSigned(w)
 	w.Blob(r.Sig)
 }
 
+// unmarshal decodes the request and, decoding being canonical, hashes the
+// signed range of the input where it lies: the one pass this process
+// makes over the request's bytes.
 func (r *ClientRequest) unmarshal(rd *Reader) {
+	start := rd.off
 	r.Client = ClientID(rd.U32())
 	r.FirstSeq = rd.U64()
 	n := rd.count(16)
@@ -185,14 +195,21 @@ func (r *ClientRequest) unmarshal(rd *Reader) {
 	for i := 0; i < n; i++ {
 		unmarshalTxn(rd, &r.Txns[i])
 	}
+	if rd.Err() != nil {
+		return
+	}
+	r.d = sha256.Sum256(rd.buf[start:rd.off])
+	r.hashed = true
 	r.Sig = rd.Blob()
 }
 
 // ---- PrePrepare ----
 
 // PrePrepare is the primary's proposal binding a batch of client requests
-// to (view, seq). Backups verify the embedded client signatures and the
-// batch digest before preparing.
+// to (view, seq). The primary verified the client signatures before
+// proposing; a backup checks the primary's authenticator over the header
+// (AuthenticatedBytes) and that Requests hash to Digest, and does not look
+// at the client signatures.
 type PrePrepare struct {
 	View     View
 	Seq      SeqNum
@@ -227,9 +244,13 @@ func (m *PrePrepare) unmarshal(r *Reader) {
 	}
 }
 
+// prePrepareHeaderSize is the fixed-size prefix of a PrePrepare body: view,
+// seq and digest.
+const prePrepareHeaderSize = 8 + 8 + 32
+
 // Size returns the encoded size in bytes, used for bandwidth accounting.
 func (m *PrePrepare) Size() int {
-	n := 8 + 8 + 32 + 4
+	n := prePrepareHeaderSize + 4
 	for i := range m.Requests {
 		n += m.Requests[i].Size()
 	}
@@ -648,9 +669,13 @@ func (m *OrderedRequest) unmarshal(r *Reader) {
 	}
 }
 
+// orderedRequestHeaderSize is the fixed-size prefix of an OrderedRequest
+// body: view, seq, digest and history.
+const orderedRequestHeaderSize = 8 + 8 + 32 + 32
+
 // Size returns the encoded size in bytes, used for bandwidth accounting.
 func (m *OrderedRequest) Size() int {
-	n := 8 + 8 + 32 + 32 + 4
+	n := orderedRequestHeaderSize + 4
 	for i := range m.Requests {
 		n += m.Requests[i].Size()
 	}

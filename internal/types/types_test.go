@@ -249,13 +249,11 @@ func TestBatchDigestProperties(t *testing.T) {
 	if BatchDigest(swapped) == BatchDigest(reqs) {
 		t.Fatal("BatchDigest insensitive to order")
 	}
-	// Per-request digest differs from batch digest but shares properties.
-	p1 := PerRequestBatchDigest(reqs)
-	if p1 == BatchDigest(reqs) {
-		t.Fatal("digest modes unexpectedly collide")
-	}
-	if p1 != PerRequestBatchDigest(reqs) {
-		t.Fatal("PerRequestBatchDigest not deterministic")
+	// The signature is not under d, so it is folded beside it.
+	before := BatchDigest(reqs)
+	reqs[0].Sig[len(reqs[0].Sig)-1] ^= 1
+	if BatchDigest(reqs) == before {
+		t.Fatal("BatchDigest insensitive to a flipped signature byte")
 	}
 }
 
@@ -411,30 +409,5 @@ func TestQuickRoundTripSmallMessages(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// BenchmarkAblationBatchDigest vs BenchmarkAblationPerRequestDigest is
-// the Section 4.3 hashing ablation: one digest over the whole batch
-// versus hashing every request separately.
-func BenchmarkAblationBatchDigest(b *testing.B) {
-	reqs := make([]ClientRequest, 100)
-	for i := range reqs {
-		reqs[i] = sampleRequest(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BatchDigest(reqs)
-	}
-}
-
-func BenchmarkAblationPerRequestDigest(b *testing.B) {
-	reqs := make([]ClientRequest, 100)
-	for i := range reqs {
-		reqs[i] = sampleRequest(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PerRequestBatchDigest(reqs)
 	}
 }
