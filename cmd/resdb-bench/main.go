@@ -75,12 +75,18 @@ func run() int {
 	workerThreads := flag.Int("worker-threads", 4, "workerscale: largest worker-lane count in the sweep")
 	execShards := flag.Int("execute-shards", 4, "execshards: largest execution-shard count in the sweep")
 	storeShards := flag.Int("store-shards", 0, "diskpipe: append logs for the sharded store (0 aligns with the execution shards)")
-	storeSync := flag.Duration("store-sync", bench.DiskTuning.Sync, "diskpipe: minimum spacing between one shard's fsyncs on the disk rows; an idle shard syncs at once (everything appended between two syncs shares one on the sharded rows, every Put waits for its own on the serial row; 0 disables fsync, isolating the blocking-API cost)")
+	storeSync := flag.Bool("store-sync", bench.DiskTuning.Sync, "diskpipe: make the disk rows durable (everything appended during one fsync shares the next on the sharded rows, every Put waits for its own on the serial row; -store-sync=false disables fsync, isolating the blocking-API cost)")
 	execDepth := flag.Int("exec-pipeline-depth", bench.DiskTuning.Depth, "diskpipe: cross-batch execution pipelining depth for the sharded-store row")
 	compactRatio := flag.Float64("store-compact-ratio", 0, "compaction/diskpipe: garbage ratio past which a shard log is compacted (0 = store default 0.5, negative disables)")
 	compactMin := flag.Int64("store-compact-min-bytes", 0, "compaction/diskpipe: log size floor for threshold-driven compaction (0 = store default 1 MiB, negative removes the floor)")
 	chaosSpec := flag.String("chaos", "", "faults: ambient link fault layered under every scenario, drop=P,dup=P,corrupt=P,delay=D,reorder=D,seed=N (empty = fault-free between injections)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// -store-sync took a duration once; as a switch it would leave "2ms"
+		// here and every flag after it unparsed.
+		fmt.Fprintf(os.Stderr, "unexpected argument %q (-store-sync is a switch and takes no duration)\n", flag.Arg(0))
+		return 2
+	}
 
 	if *workerThreads >= 1 {
 		bench.WorkerTuning.MaxThreads = *workerThreads
@@ -89,11 +95,7 @@ func run() int {
 		bench.ExecTuning.MaxShards = *execShards
 	}
 	bench.DiskTuning.Shards = *storeShards
-	if *storeSync >= 0 {
-		// 0 is meaningful (no fsync: the pure blocking-API §5.7 shape),
-		// so only negative values fall back to the default spacing.
-		bench.DiskTuning.Sync = *storeSync
-	}
+	bench.DiskTuning.Sync = *storeSync
 	if *execDepth >= 1 {
 		bench.DiskTuning.Depth = *execDepth
 	}

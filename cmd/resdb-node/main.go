@@ -54,11 +54,11 @@
 //   - -store-shards S: append logs for the sharded backend; 0 (default)
 //     aligns S with the execution shard count so each execution shard
 //     streams its write partition to a private log.
-//   - -store-sync D: durability. 0 (default) never fsyncs; with D > 0
-//     the sharded backend group-commits (writes are visible once
-//     appended; no response leaves before a covering fsync) and D is the
-//     minimum spacing between one shard's fsyncs; an idle shard syncs at
-//     once.
+//   - -store-sync: durability. Off (default) never fsyncs; on, the
+//     sharded backend group-commits: writes are visible once appended, no
+//     response leaves before a covering fsync, and a shard's committer
+//     fsyncs whenever there is something to cover — what is appended
+//     during one fsync shares the next.
 //   - -store-compact-ratio R: checkpoint-driven log compaction for the
 //     sharded backend. When a stable checkpoint fires, any shard log whose
 //     garbage fraction (dead bytes / total bytes) reaches R is rewritten
@@ -133,7 +133,7 @@ func run() int {
 	storeBackend := flag.String("store-backend", "mem", "record store: mem | sharded (durable, group-commit, one log per shard)")
 	storeDir := flag.String("store-dir", "", "root directory for the sharded store (default resdb-data/replica-<id>)")
 	storeShards := flag.Int("store-shards", 0, "append logs for the sharded store backend (0 aligns with the execution shard count)")
-	storeSync := flag.Duration("store-sync", 0, "fsync policy: 0 never fsyncs; >0 group-commits the sharded store with this minimum spacing between one shard's fsyncs; an idle shard syncs at once")
+	storeSync := flag.Bool("store-sync", false, "make the sharded store durable: group-commit fsyncs, no response before one covers its writes (off = page cache only)")
 	storeCompactRatio := flag.Float64("store-compact-ratio", 0, "garbage ratio (dead/total log bytes) past which a stable checkpoint compacts a shard log (0 = default 0.5, negative disables compaction)")
 	storeCompactMin := flag.Int64("store-compact-min-bytes", 0, "log size below which checkpoint-driven compaction never rewrites (0 = default 1 MiB, negative removes the floor)")
 	storeReadIndex := flag.Int("store-read-index", 0, "in-memory read index over the sharded store so local reads never touch a shard log or lock (0 = default on, -1 disables)")
@@ -143,6 +143,12 @@ func run() int {
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address and report heap/GC deltas in the stats tick (empty disables)")
 	statsEvery := flag.Duration("stats", 5*time.Second, "stats print interval")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// -store-sync took a duration once; as a switch it would leave "2ms"
+		// here and every flag after it unparsed.
+		fmt.Fprintf(os.Stderr, "unexpected argument %q (-store-sync is a switch and takes no duration)\n", flag.Arg(0))
+		return 2
+	}
 
 	d, err := dep.Resolve()
 	if err != nil {
@@ -173,16 +179,19 @@ func run() int {
 	}
 	// The same constructor the in-process cluster uses, so backend
 	// semantics cannot drift between deployments.
-	st, err := store.OpenBackend(store.BackendConfig{
+	storeCfg := store.BackendConfig{
 		Backend:         *storeBackend,
 		Dir:             *storeDir,
 		Shards:          *storeShards,
 		ExecShards:      execThreads,
-		SyncLinger:      *storeSync,
 		CompactRatio:    *storeCompactRatio,
 		CompactMinBytes: *storeCompactMin,
 		ReadIndex:       *storeReadIndex >= 0,
-	})
+	}
+	if *storeSync {
+		storeCfg.SyncLinger = 1 // > 0 = durable; the magnitude is ignored
+	}
+	st, err := store.OpenBackend(storeCfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -20,11 +20,10 @@ var DiskTuning = struct {
 	// Shards is the sharded backend's append-log count; 0 aligns it with
 	// the execution shard count.
 	Shards int
-	// Sync is the minimum spacing between one shard's fsyncs on the
-	// disk-backed rows; an idle shard syncs at once. The sharded rows share
-	// an fsync across everything appended since the last, the serial row
-	// waits for one per Put.
-	Sync time.Duration
+	// Sync makes the disk-backed rows durable: the sharded rows share an
+	// fsync across everything appended during the one before, the serial
+	// row waits for one per Put. Off isolates the blocking-API cost.
+	Sync bool
 	// Depth is the cross-batch execution pipelining depth for the
 	// sharded-store row.
 	Depth int
@@ -35,7 +34,7 @@ var DiskTuning = struct {
 	// ignores thresholds by design.
 	CompactRatio    float64
 	CompactMinBytes int64
-}{Sync: 200 * time.Microsecond, Depth: 4}
+}{Sync: true, Depth: 4}
 
 // diskpipeExecShards is E for every diskpipe row, so the storage backend
 // is the only axis that moves.
@@ -64,11 +63,11 @@ const diskpipeExecShards = 4
 //
 // The fsync columns are the mechanism made visible: serial fsync stalls
 // the execute stage once per record; the shard workers append and move on,
-// the wait for the window's one fsync happens off them at retirement, and
-// the batches in flight share it — batches/fsync above 1/E is consecutive
-// batches landing in one window. On a few-core machine these counts, not
-// wall-clock throughput, are the quantity to watch (cf. the
-// workerscale/execshards guidance).
+// the wait for a covering fsync happens off them at retirement, and the
+// batches that append during one fsync share the next — batches/fsync above
+// 1/E is consecutive batches landing in one group. On a few-core machine
+// these counts, not wall-clock throughput, are the quantity to watch (cf.
+// the workerscale/execshards guidance).
 func diskpipe(s Scale) (Outcome, error) {
 	window := 600 * time.Millisecond
 	clients := 64
@@ -151,7 +150,7 @@ type diskRow struct {
 	backend  string
 	shards   int
 	bare     bool
-	sync     time.Duration
+	sync     bool
 	depth    int
 	readFrac float64
 }

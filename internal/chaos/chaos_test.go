@@ -211,7 +211,7 @@ func TestStoreFaultsFailEveryCounted(t *testing.T) {
 					BatchSize:      8,
 					ExecuteThreads: e,
 					StoreBackend:   backend,
-					StoreSync:      100 * time.Microsecond,
+					StoreSync:      true,
 					Workload:       wl,
 					Seed:           13,
 					StoreWrapper:   func(_ types.ReplicaID, st store.Store) store.Store { return sf.WrapStore(st) },

@@ -75,8 +75,8 @@ type Options struct {
 	// StoreBackend selects the record store when StoreFactory is nil:
 	// "mem" (default) keeps records in memory (the paper's recommended
 	// configuration, Section 6 "Memory Storage"); "sharded" is the durable
-	// group-commit store (one append log per shard, fsync spacing
-	// StoreSync). store.OpenBackend validates the name.
+	// group-commit store (one append log per shard, fsyncing when
+	// StoreSync is set). store.OpenBackend validates the name.
 	StoreBackend string
 	// StoreDir is the root directory for disk-backed stores; each replica
 	// gets a replica-<id> subdirectory. Empty means a fresh temp dir.
@@ -84,10 +84,10 @@ type Options struct {
 	// StoreShards is the sharded backend's log count; 0 aligns it with
 	// ExecuteThreads so each execution shard streams to a private log.
 	StoreShards int
-	// StoreSync enables durability on the sharded backend: > 0 group-commits
-	// and is the minimum spacing between one shard's fsyncs; an idle shard
-	// syncs at once. 0 (default) never fsyncs.
-	StoreSync time.Duration
+	// StoreSync makes the sharded backend durable: appends are visible at
+	// once, responses wait for a covering group-commit fsync. Off (the
+	// default), writes reach the page cache only.
+	StoreSync bool
 	// StoreCompactRatio is the sharded backend's garbage-ratio compaction
 	// threshold (dead bytes / total log bytes, checked per shard log when
 	// a stable checkpoint fires the replica's compaction trigger). 0
@@ -163,9 +163,6 @@ func (o *Options) fill() error {
 	}
 	if o.StoreBackend == "" {
 		o.StoreBackend = "mem"
-	}
-	if o.StoreSync < 0 {
-		return fmt.Errorf("cluster: negative store sync linger %v", o.StoreSync)
 	}
 	switch o.ReadMode {
 	case "":
@@ -288,17 +285,20 @@ func (c *Cluster) buildStore(id types.ReplicaID) (store.Store, error) {
 		}
 		dir = filepath.Join(root, fmt.Sprintf("replica-%d", id))
 	}
-	return store.OpenBackend(store.BackendConfig{
+	cfg := store.BackendConfig{
 		Backend:         o.StoreBackend,
 		Dir:             dir,
 		Shards:          o.StoreShards,
 		ExecShards:      o.ExecuteThreads,
-		SyncLinger:      o.StoreSync,
 		CompactRatio:    o.StoreCompactRatio,
 		CompactMinBytes: o.StoreCompactMinBytes,
 		MemSizeHint:     int(o.Workload.Records),
 		ReadIndex:       true,
-	})
+	}
+	if o.StoreSync {
+		cfg.SyncLinger = 1 // > 0 = durable; the magnitude is ignored
+	}
+	return store.OpenBackend(cfg)
 }
 
 // closeOwnedStores releases the stores the cluster built itself and the

@@ -309,7 +309,7 @@ func TestClusterCheckpointTriggersCompaction(t *testing.T) {
 	opts.CheckpointInterval = 2
 	opts.ExecuteThreads = 2
 	opts.StoreBackend = "sharded"
-	opts.StoreSync = 100 * time.Microsecond
+	opts.StoreSync = true
 	// Tiny key space → heavy overwrites → garbage accumulates fast; no
 	// size floor and a low ratio so the trigger fires inside the window.
 	opts.Workload.Records = 128

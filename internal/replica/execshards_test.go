@@ -180,35 +180,24 @@ func TestExecShardDeterminism(t *testing.T) {
 	}
 }
 
-// lingers are the group-commit windows the three determinism tests run at:
-// one far shorter than a batch takes to arrive, so nearly every partition
-// pays its own fsync, and the deployed 2 ms, where the appends of the
-// batches in flight must land in one window and share its fsync.
-var lingers = []time.Duration{50 * time.Microsecond, 2 * time.Millisecond}
-
-func forEachLinger(t *testing.T, test func(*testing.T, time.Duration)) {
-	for _, linger := range lingers {
-		t.Run(linger.String(), func(t *testing.T) { test(t, linger) })
-	}
-}
-
-// checkGroupCommit asserts the pipelined run fsynced and, at the 2 ms
-// window, that it spent less than one fsync per shard per batch — which a
-// shard worker that waits out its own fsync, or a coordinator that sits in
-// batch k's barrier with k+1 unstaged, can never do.
-func checkGroupCommit(t *testing.T, linger time.Duration, fsyncs uint64, batches, shards int) {
+// checkGroupCommit asserts the pipelined run fsynced and spent less than one
+// fsync per shard per batch — which a shard worker that waits out its own
+// fsync, or a coordinator that sits in batch k's barrier with k+1 unstaged,
+// can never do: the appends of the batches in flight must land during one
+// fsync and share the next.
+func checkGroupCommit(t *testing.T, fsyncs uint64, batches, shards int) {
 	t.Helper()
 	if fsyncs == 0 {
 		t.Fatal("group-commit store never fsynced under the pipelined run")
 	}
-	if linger >= time.Millisecond && fsyncs >= uint64(batches*shards) {
-		t.Fatalf("%d fsyncs for %d batches on %d shards at a %v window: batches never shared one", fsyncs, batches, shards, linger)
+	if fsyncs >= uint64(batches*shards) {
+		t.Fatalf("%d fsyncs for %d batches on %d shards: batches never shared one", fsyncs, batches, shards)
 	}
 }
 
 // preloadEven fills every even key, so reads and scans hit both existing
-// and missing keys, in one batched write: at a 2 ms window a Put per key
-// would wait out a window each.
+// and missing keys, in one batched write: a Put per key would wait out an
+// fsync each.
 func preloadEven(t *testing.T, st store.Store) {
 	t.Helper()
 	var kvs []store.KV
@@ -227,17 +216,13 @@ func preloadEven(t *testing.T, st store.Store) {
 // to E=1 serial execution over a MemStore. Per-shard FIFO ordering (the
 // conflict mechanism) plus in-order retirement is what makes this hold.
 func TestExecPipelineDeterminism(t *testing.T) {
-	forEachLinger(t, testExecPipelineDeterminism)
-}
-
-func testExecPipelineDeterminism(t *testing.T, linger time.Duration) {
 	const batches = 32
 	acts := shardTestBatches(t, batches)
 
 	serial, serialEPs := newReadMixReplica(t, 1, 1, 4, store.NewMemStore(shardTestRecords))
 	disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
 		Shards:     4,
-		SyncLinger: linger,
+		SyncLinger: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +272,7 @@ func testExecPipelineDeterminism(t *testing.T, linger time.Duration) {
 	if ss.ExecPipelineDepth != 1 {
 		t.Fatalf("serial replica reports depth %d, want 1", ss.ExecPipelineDepth)
 	}
-	checkGroupCommit(t, linger, ps.StoreFsyncs, batches, 4)
+	checkGroupCommit(t, ps.StoreFsyncs, batches, 4)
 	if got, want := storeDigest(t, pipelined.Store()), storeDigest(t, serial.Store()); got != want {
 		t.Fatalf("store state diverged: pipelined sharded disk %x vs serial mem %x", got[:8], want[:8])
 	}

@@ -309,10 +309,6 @@ func TestLocalReadStalenessBound(t *testing.T) {
 // per-shard FIFO plus write-flush-before-read is what makes a read
 // observe exactly the writes sequenced before it.
 func TestReadMixDeterminism(t *testing.T) {
-	forEachLinger(t, testReadMixDeterminism)
-}
-
-func testReadMixDeterminism(t *testing.T, linger time.Duration) {
 	const batches = 32
 	const clients = 4
 	acts := readMixBatches(t, batches)
@@ -325,7 +321,7 @@ func testReadMixDeterminism(t *testing.T, linger time.Duration) {
 
 	disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
 		Shards:     4,
-		SyncLinger: linger,
+		SyncLinger: 1,
 		ReadIndex:  true,
 	})
 	if err != nil {
@@ -359,7 +355,7 @@ func testReadMixDeterminism(t *testing.T, linger time.Duration) {
 	if ss.ReadsExecuted != ps.ReadsExecuted {
 		t.Fatalf("reads executed diverged: serial %d vs pipelined %d", ss.ReadsExecuted, ps.ReadsExecuted)
 	}
-	checkGroupCommit(t, linger, ps.StoreFsyncs-preloadFsyncs, batches, 4)
+	checkGroupCommit(t, ps.StoreFsyncs-preloadFsyncs, batches, 4)
 	if got, want := storeDigest(t, pipelined.Store()), storeDigest(t, serial.Store()); got != want {
 		t.Fatalf("store state diverged: pipelined %x vs serial %x", got[:8], want[:8])
 	}

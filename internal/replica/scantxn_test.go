@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"resilientdb/internal/consensus"
 	"resilientdb/internal/ledger"
@@ -117,10 +116,6 @@ func scanTxnBatches(t *testing.T, batches int) []consensus.Execute {
 // the write-flush barrier and the coordinator merges the disjoint sorted
 // fragments at retirement, so the merged rows equal the serial scan.
 func TestScanDeterminism(t *testing.T) {
-	forEachLinger(t, testScanDeterminism)
-}
-
-func testScanDeterminism(t *testing.T, linger time.Duration) {
 	const batches = 32
 	const clients = 4
 	acts := scanTxnBatches(t, batches)
@@ -134,7 +129,7 @@ func testScanDeterminism(t *testing.T, linger time.Duration) {
 
 	disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
 		Shards:     4,
-		SyncLinger: linger,
+		SyncLinger: 1,
 		ReadIndex:  true,
 	})
 	if err != nil {
@@ -168,7 +163,7 @@ func testScanDeterminism(t *testing.T, linger time.Duration) {
 	if ss.ReadsExecuted != ps.ReadsExecuted {
 		t.Fatalf("reads executed diverged: serial %d vs pipelined %d", ss.ReadsExecuted, ps.ReadsExecuted)
 	}
-	checkGroupCommit(t, linger, ps.StoreFsyncs-preloadFsyncs, batches, 4)
+	checkGroupCommit(t, ps.StoreFsyncs-preloadFsyncs, batches, 4)
 	if got, want := storeDigest(t, pipelined.Store()), storeDigest(t, serial.Store()); got != want {
 		t.Fatalf("store state diverged: pipelined %x vs serial %x", got[:8], want[:8])
 	}

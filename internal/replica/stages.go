@@ -627,9 +627,10 @@ func (r *Replica) inlineExecute(act consensus.Execute) {
 // order, while shards the earlier batch left idle start on the new batch
 // immediately. The coordinator never sits in a barrier while committed work
 // waits unstaged: with room in the window it waits for the next batch or
-// the oldest barrier, whichever comes first, so consecutive batches' appends
-// reach the store inside one group-commit window and share its fsync. At
-// depth 1 the window holds one batch, which is the strict per-batch barrier:
+// the oldest barrier, whichever comes first, so the next batch's appends
+// reach the store while the fsync the oldest waits for is still running, and
+// whatever lands during one fsync shares the next. At depth 1 the window
+// holds one batch, which is the strict per-batch barrier:
 // stage, wait, retire. Retirement (ledger append, checkpoint digest, client
 // responses) always happens in sequence order, which is what keeps the
 // ledger and checkpoint digests byte-identical at every E and depth.

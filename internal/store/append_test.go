@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,30 +12,86 @@ import (
 	"time"
 )
 
-// A linger far longer than any test step: on a primed shard whatever is
-// appended before the first wait falls inside one spacing interval and
-// shares the fsync that ends it, or — for the tests that never let the
-// interval expire — no further committer fsync happens at all.
-const (
-	oneWindow  = 100 * time.Millisecond
-	neverFires = time.Minute
-)
+// heldFsync is an fsync hook a test can hold the committer with: every
+// call announces itself on entered and then waits for letGo before the real
+// fsync.
+type heldFsync struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func newHeldFsync() *heldFsync {
+	// entered is sized past any number of fsyncs a test here causes, so the
+	// hook never blocks on a test that stopped listening.
+	return &heldFsync{entered: make(chan struct{}, 64), release: make(chan struct{})}
+}
+
+func (h *heldFsync) letGo() { h.once.Do(func() { close(h.release) }) }
+
+func (h *heldFsync) sync(f *os.File) error {
+	h.entered <- struct{}{}
+	<-h.release
+	return f.Sync()
+}
+
+// openHeld opens a durable one-shard store whose committer is parked inside
+// the fsync for one append to primeKey, which is how it stays until the
+// test calls letGo: whatever the test appends meanwhile is visible and not
+// durable, and forms the next group.
+func openHeld(t *testing.T, dir string, readIndex bool) (*ShardedDiskStore, *heldFsync) {
+	t.Helper()
+	h := newHeldFsync()
+	s, err := openShardedDisk(dir, ShardedDiskOptions{Shards: 1, SyncLinger: 1, ReadIndex: readIndex}, h.sync)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		h.letGo()
+		s.Close()
+	})
+	if _, err := s.Append([]KV{{Key: primeKey, Value: []byte("prime")}}, Ticket{}); err != nil {
+		t.Fatal(err)
+	}
+	<-h.entered
+	return s, h
+}
 
 // primeKey is far above every key the tests below write or scan.
 const primeKey = 1 << 40
 
-// prime makes one durable append to every shard and returns the fsyncs that
-// cost. An idle shard syncs at once, so on a fresh store the linger holds
-// nothing back; after priming, every shard's committer has just started an
-// fsync and the linger is what stands between it and the next.
-func prime(t *testing.T, s *ShardedDiskStore) uint64 {
-	t.Helper()
-	for i := range s.shards {
-		if err := s.Put(keyInShard(primeKey, i, len(s.shards)), []byte("prime")); err != nil {
-			t.Fatal(err)
-		}
+// slowFsync is an fsync hook that takes at least d: long enough for writers
+// to pile up behind it whatever the disk under the test is.
+func slowFsync(d time.Duration) func(*os.File) error {
+	return func(f *os.File) error {
+		time.Sleep(d)
+		return f.Sync()
 	}
-	return s.SyncStats().Fsyncs
+}
+
+// streamPuts starts writers goroutines that each Put one fresh key after
+// another for d, and returns a function that waits for them and reports how
+// many Puts returned.
+func streamPuts(t *testing.T, s Store, writers uint64, d time.Duration) (wait func() uint64) {
+	var puts atomic.Uint64
+	var wg sync.WaitGroup
+	t0 := time.Now()
+	for w := uint64(0); w < writers; w++ {
+		wg.Add(1)
+		go func(w uint64) {
+			defer wg.Done()
+			for k := w << 32; time.Since(t0) < d; k++ {
+				if err := s.Put(k, []byte("v")); err != nil {
+					t.Error(err)
+					return
+				}
+				puts.Add(1)
+			}
+		}(w)
+	}
+	return func() uint64 {
+		wg.Wait()
+		return puts.Load()
+	}
 }
 
 // keyInShard returns the first key at or after from that ShardOf maps to
@@ -46,6 +104,16 @@ func keyInShard(from uint64, shard, shards int) uint64 {
 	}
 }
 
+// awaitCompactor returns once a compaction is waiting for the shard's
+// in-flight fsync to end.
+func awaitCompactor(sh *diskLogShard) {
+	for waiting := 0; waiting == 0; time.Sleep(time.Millisecond) {
+		sh.mu.Lock()
+		waiting = sh.compactors
+		sh.mu.Unlock()
+	}
+}
+
 // progress reads a shard's group-commit counters.
 func (sh *diskLogShard) progress() (synced, appended uint64) {
 	sh.mu.Lock()
@@ -55,21 +123,18 @@ func (sh *diskLogShard) progress() (synced, appended uint64) {
 
 // TestAppendVisibleThenDurable is the Appender contract on one shard: an
 // append is readable by Get and Scan the moment it returns, with and
-// without the read index, while no fsync has happened yet; N appends and
-// one wait on the last ticket cost exactly one fsync; and every earlier
-// ticket is then covered, so waiting on it neither blocks nor syncs.
+// without the read index, while no fsync has completed yet; N appends that
+// land during one fsync and one wait on the last ticket cost exactly one
+// more; and every earlier ticket is then covered, so waiting on it neither
+// blocks nor syncs.
 func TestAppendVisibleThenDurable(t *testing.T) {
 	for _, readIndex := range []bool{false, true} {
 		t.Run(fmt.Sprintf("readindex=%v", readIndex), func(t *testing.T) {
-			s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 1, SyncLinger: oneWindow, ReadIndex: readIndex})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			primed := prime(t, s)
+			s, held := openHeld(t, t.TempDir(), readIndex)
 			const n = 5
 			var tickets []Ticket
 			var ticket Ticket
+			var err error
 			for i := uint64(0); i < n; i++ {
 				kvs := []KV{
 					{Key: 2 * i, Value: []byte(fmt.Sprintf("a-%d", i))},
@@ -93,16 +158,17 @@ func TestAppendVisibleThenDurable(t *testing.T) {
 			if len(rows) != 2*n || rows[0] != "0=a-0" || rows[2*n-1] != fmt.Sprintf("%d=b-%d", 2*n-1, n-1) {
 				t.Fatalf("Scan over appended, unsynced writes = %v", rows)
 			}
-			if got := s.SyncStats().Fsyncs - primed; got != 0 {
-				t.Fatalf("%d fsyncs before anyone waited inside the spacing interval", got)
+			if got := s.SyncStats().Fsyncs; got != 0 {
+				t.Fatalf("%d fsyncs completed while the committer was held in its first", got)
 			}
 
+			held.letGo()
 			if err := s.WaitDurable(ticket); err != nil {
 				t.Fatal(err)
 			}
 			after := s.SyncStats()
-			if got := after.Fsyncs - primed; got != 1 {
-				t.Fatalf("%d appends and one wait cost %d fsyncs, want exactly 1", n, got)
+			if after.Fsyncs != 2 {
+				t.Fatalf("%d appends during one fsync and one wait cost %d fsyncs, want the held one and exactly 1 more", n, after.Fsyncs)
 			}
 			for i, earlier := range tickets {
 				if err := s.WaitDurable(earlier); err != nil {
@@ -172,8 +238,9 @@ func TestAppendTicketCoversPrev(t *testing.T) {
 
 // TestAppendStickySyncError: a failed fsync surfaces through the wait that
 // needed it and, sticky, through every later append and wait — the shard
-// refuses to pretend.
+// refuses to pretend, and says why in the log once, not per refusal.
 func TestAppendStickySyncError(t *testing.T) {
+	logs := captureLogs(t)
 	s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 1, SyncLinger: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -181,12 +248,13 @@ func TestAppendStickySyncError(t *testing.T) {
 	defer s.Close()
 	sh := s.shards[0]
 	// Closing the log under the shard lock right after the append makes the
-	// committer's fsync, a linger later, fail.
+	// committer's fsync fail.
 	sh.mu.Lock()
 	if _, err := sh.appendLocked([]KV{{Key: 1, Value: []byte("doomed")}}); err != nil {
 		t.Fatal(err)
 	}
 	sh.f.Close()
+	sh.arm()
 	sh.mu.Unlock()
 	ticket := Ticket{shard: 0, seq: 1}
 	err = s.WaitDurable(ticket)
@@ -202,27 +270,24 @@ func TestAppendStickySyncError(t *testing.T) {
 	if got := s.SyncStats().Fsyncs; got != 0 {
 		t.Fatalf("failed fsyncs counted as durable: %d", got)
 	}
+	if out := logs.String(); strings.Count(out, "level=ERROR") != 1 || !strings.Contains(out, "shard=0") || !strings.Contains(out, sh.path) {
+		t.Fatalf("a shard going sticky, then refusing twice, logged:\n%s", out)
+	}
 }
 
 // TestAppendWaitersReleasedByCloseAndCompact: a waiter parked behind a
-// spacing interval that never expires is released by the two other events
-// that make its writes durable — Close's final fsync and a completed
-// compaction rewrite — each counted as the one covering fsync, with no
-// error.
+// committer that is held inside an earlier fsync is released by the two
+// other events that make its writes durable — Close's final fsync and a
+// completed compaction rewrite — with no error, and counted as the one
+// covering fsync. The compaction is deterministic: the committer starts no
+// fsync while a rewrite waits for the shard. Close races the committer for
+// the last group, and either of them syncs it once.
 func TestAppendWaitersReleasedByCloseAndCompact(t *testing.T) {
-	releasers := map[string]func(*ShardedDiskStore) error{
-		"close":   (*ShardedDiskStore).Close,
-		"compact": (*ShardedDiskStore).Compact,
-	}
-	for name, release := range releasers {
+	for _, name := range []string{"close", "compact"} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := OpenShardedDisk(dir, ShardedDiskOptions{Shards: 1, SyncLinger: neverFires})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			primed := prime(t, s)
+			s, held := openHeld(t, dir, false)
+			sh := s.shards[0]
 			ticket, err := s.Append([]KV{{Key: 9, Value: []byte("nine")}}, Ticket{})
 			if err != nil {
 				t.Fatal(err)
@@ -231,10 +296,19 @@ func TestAppendWaitersReleasedByCloseAndCompact(t *testing.T) {
 			go func() { waited <- s.WaitDurable(ticket) }()
 			select {
 			case err := <-waited:
-				t.Fatalf("WaitDurable returned %v with no fsync possible yet", err)
+				t.Fatalf("WaitDurable returned %v with the only fsync so far held", err)
 			case <-time.After(20 * time.Millisecond):
 			}
-			if err := release(s); err != nil {
+			released := make(chan error, 1)
+			if name == "close" {
+				go func() { released <- s.Close() }()
+				<-s.stop
+			} else {
+				go func() { released <- s.Compact() }()
+				awaitCompactor(sh)
+			}
+			held.letGo()
+			if err := <-released; err != nil {
 				t.Fatal(err)
 			}
 			select {
@@ -245,8 +319,13 @@ func TestAppendWaitersReleasedByCloseAndCompact(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("waiter still parked")
 			}
-			if got := s.SyncStats().Fsyncs - primed; got != 1 {
-				t.Fatalf("Fsyncs = %d after priming, want the one covering sync", got)
+			if got := s.SyncStats().Fsyncs; got != 2 {
+				t.Fatalf("Fsyncs = %d, want the held one and the one covering sync", got)
+			}
+			if name == "compact" {
+				if synced, appended := sh.progress(); synced != appended || len(held.entered) != 0 {
+					t.Fatalf("synced %d of %d appends, %d more committer fsyncs: the rewrite was not the covering commit", synced, appended, len(held.entered))
+				}
 			}
 			s.Close()
 			s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
@@ -261,73 +340,87 @@ func TestAppendWaitersReleasedByCloseAndCompact(t *testing.T) {
 	}
 }
 
-// TestIdleShardSyncsAtOnce: the linger spaces fsyncs, it does not delay the
-// first. On a fresh shard nothing has synced within the last hour, so an
-// append's fsync starts at once and its waiter pays one fsync, not an hour
-// and one fsync.
-func TestIdleShardSyncsAtOnce(t *testing.T) {
-	s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 1, SyncLinger: time.Hour})
+// TestLonePutSyncsAtOnce: nothing stands between a lone write and its
+// fsync, neither on a fresh shard nor on one that synced a moment ago — each
+// Put returns after exactly one fsync, whatever the magnitude of SyncLinger.
+func TestLonePutSyncsAtOnce(t *testing.T) {
+	const fsyncTakes = 5 * time.Millisecond
+	s, err := openShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 1, SyncLinger: time.Hour}, slowFsync(fsyncTakes))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ticket, err := s.Append([]KV{{Key: 1, Value: []byte("one")}}, Ticket{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waited := make(chan error, 1)
-	go func() { waited <- s.WaitDurable(ticket) }()
-	select {
-	case err := <-waited:
-		if err != nil {
+	for i := uint64(1); i <= 3; i++ {
+		t0 := time.Now()
+		if err := s.Put(i, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the first waiter on an idle shard is still parked: the committer slept before its fsync")
-	}
-	if got := s.SyncStats().Fsyncs; got != 1 {
-		t.Fatalf("Fsyncs = %d, want 1", got)
+		if took := time.Since(t0); took > time.Second {
+			t.Fatalf("lone Put %d took %v with a %v fsync: something else stood in front of it", i, took, fsyncTakes)
+		}
+		if got := s.SyncStats().Fsyncs; got != i {
+			t.Fatalf("Fsyncs = %d after %d lone Puts, want one each", got, i)
+		}
 	}
 }
 
-// TestSyncSpacingCapsFsyncs is the promise SyncLinger's docs make: under a
-// steady stream of durable writes for T, one shard's committer completes at
-// most T/SyncLinger + 1 fsyncs (consecutive fsyncs start at least a linger
-// apart, and the first may start at once), and the writers share them.
-func TestSyncSpacingCapsFsyncs(t *testing.T) {
+// TestGroupCommitFormsItsOwnGroups is natural group commit under load: with
+// an fsync that takes 5 ms and 8 writers on one shard, the writers that
+// append during one fsync share the next, so durable puts outnumber fsyncs;
+// no fsync starts with nothing to cover; and while a waiter is parked the
+// committer goes from one fsync straight into the next — the gap between
+// them is scheduling, not a timer.
+func TestGroupCommitFormsItsOwnGroups(t *testing.T) {
 	const (
-		linger  = 20 * time.Millisecond
-		stream  = 300 * time.Millisecond
-		writers = 4
+		fsyncTakes = 5 * time.Millisecond
+		stream     = 200 * time.Millisecond
+		writers    = 8
 	)
-	s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 1, SyncLinger: linger})
+	// The hook's state is the committer's alone until Close has waited
+	// for it. lastEnd is when the previous fsync ended, if it left a waiter
+	// parked.
+	var s *ShardedDiskStore
+	var empty int
+	var lastEnd time.Time
+	var gaps []time.Duration
+	slow := func(f *os.File) error {
+		start := time.Now()
+		synced, target := s.shards[0].progress()
+		if target == synced {
+			empty++
+		}
+		if !lastEnd.IsZero() {
+			gaps = append(gaps, start.Sub(lastEnd))
+		}
+		err := slowFsync(fsyncTakes)(f)
+		// Every writer is a Put, append then wait: an append this fsync
+		// does not cover has a waiter parked behind the next.
+		lastEnd = time.Time{}
+		if _, appended := s.shards[0].progress(); appended > target {
+			lastEnd = time.Now()
+		}
+		return err
+	}
+	s, err := openShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 1, SyncLinger: time.Hour}, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	var puts atomic.Uint64
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for w := uint64(0); w < writers; w++ {
-		wg.Add(1)
-		go func(w uint64) {
-			defer wg.Done()
-			for k := w << 32; time.Since(t0) < stream; k++ {
-				if err := s.Put(k, []byte("v")); err != nil {
-					t.Error(err)
-					return
-				}
-				puts.Add(1)
-			}
-		}(w)
-	}
-	wg.Wait()
+	puts := streamPuts(t, s, writers, stream)()
+	s.Close() // the committer is gone: the hook's state is ours to read
 	fsyncs := s.SyncStats().Fsyncs
-	limit := uint64(time.Since(t0)/linger) + 1
-	if fsyncs > limit {
-		t.Fatalf("%d fsyncs in %v at SyncLinger %v, want at most %d", fsyncs, time.Since(t0), linger, limit)
+	if fsyncs < 2 || puts <= fsyncs {
+		t.Fatalf("%d durable puts over %d fsyncs: the writers shared none", puts, fsyncs)
 	}
-	if fsyncs < 2 || puts.Load() <= fsyncs {
-		t.Fatalf("%d durable puts over %d fsyncs: the stream never exercised the spacing or shared no fsync", puts.Load(), fsyncs)
+	if empty != 0 {
+		t.Fatalf("%d of %d fsyncs started with nothing appended since the last", empty, fsyncs)
+	}
+	if len(gaps) < 2 {
+		t.Fatalf("%d fsyncs followed one that left a waiter parked: the stream never kept the committer busy", len(gaps))
+	}
+	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
+	median := gaps[len(gaps)/2]
+	t.Logf("%d puts, %d fsyncs, %d back-to-back gaps: median %v, max %v", puts, fsyncs, len(gaps), median, gaps[len(gaps)-1])
+	if median > time.Millisecond {
+		t.Fatalf("median gap between an fsync and the next with a waiter parked = %v (max %v): the committer waited for something", median, gaps[len(gaps)-1])
 	}
 }

@@ -21,7 +21,8 @@ type BackendConfig struct {
 	// ExecShards is the execution shard count Shards aligns to when 0.
 	ExecShards int
 	// SyncLinger selects durability: 0 never fsyncs; > 0 group-commits
-	// the sharded backend (see ShardedDiskOptions.SyncLinger).
+	// the sharded backend, magnitude ignored — no linger is kept (see
+	// ShardedDiskOptions.SyncLinger).
 	SyncLinger time.Duration
 	// CompactRatio is the sharded backend's garbage-ratio compaction
 	// threshold (dead bytes / total log bytes, checked per shard log when

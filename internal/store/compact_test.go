@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"log/slog"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -503,7 +505,7 @@ func TestCompactionCrashMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tmp, lState, err := rewriteLiveRecords(src, st.index, filepath.Join(dir, "shard-000.log.ignored"))
+		tmp, lState, err := rewriteLiveRecords(src, st, nil, filepath.Join(dir, "shard-000.log.ignored"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -540,8 +542,171 @@ func TestCompactionCrashMatrix(t *testing.T) {
 	})
 }
 
+// captureLogs routes slog's default logger into the returned buffer until
+// the test ends. Read it only after the event that logged is known to be
+// over.
+func captureLogs(t *testing.T) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	old := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&buf, nil)))
+	t.Cleanup(func() { slog.SetDefault(old) })
+	return &buf
+}
+
+// TestCompactionValueSources: the rewrite takes values from the read index
+// when the shard has one and from a sequential pass over the old log when
+// it does not, and either way every key reads back byte for byte what it
+// read before — from the swapped log, and from a cold reopen that verifies
+// every record's checksum. The history has overwrites that grow and shrink,
+// empty values, and one value larger than the pass's read buffer.
+func TestCompactionValueSources(t *testing.T) {
+	for _, readIndex := range []bool{true, false} {
+		t.Run(fmt.Sprintf("readindex=%v", readIndex), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenShardedDisk(dir, ShardedDiskOptions{Shards: 2, ReadIndex: readIndex})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const keys = 200
+			rng := rand.New(rand.NewSource(7))
+			for round := 0; round < 4; round++ {
+				var kvs []KV
+				for k := uint64(0); k < keys; k++ {
+					if round > 0 && rng.Intn(3) == 0 {
+						continue // this key's live record stays in an earlier round
+					}
+					v := make([]byte, rng.Intn(300))
+					rng.Read(v)
+					kvs = append(kvs, KV{Key: k, Value: v})
+				}
+				if err := s.PutMany(kvs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			big := make([]byte, 300<<10)
+			rng.Read(big)
+			for _, kv := range []KV{{Key: keys, Value: big}, {Key: keys + 1, Value: nil}, {Key: 3, Value: []byte("last write wins")}} {
+				if err := s.Put(kv.Key, kv.Value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := make(map[uint64][]byte)
+			for k := uint64(0); k < keys+2; k++ {
+				if want[k], err = s.Get(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pre := shardLogSizes(t, dir)
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			var live int64
+			for _, sh := range s.shards {
+				if sh.live != sh.total || sh.off != sh.total+int64(len(logMagic)) {
+					t.Fatalf("compacted shard: live %d, total %d, append offset %d", sh.live, sh.total, sh.off)
+				}
+				live += sh.off
+			}
+			if post := shardLogSizes(t, dir); post != live || post >= pre {
+				t.Fatalf("logs went from %d to %d bytes, shards account for %d", pre, post, live)
+			}
+			check := func(s *ShardedDiskStore, when string) {
+				t.Helper()
+				if s.Len() != len(want) {
+					t.Fatalf("%s: Len = %d, want %d", when, s.Len(), len(want))
+				}
+				for k, w := range want {
+					if v, err := s.Get(k); err != nil || !bytes.Equal(v, w) {
+						t.Fatalf("%s: Get(%d) = (%d bytes, %v), want the %d bytes it held before", when, k, len(v), err, len(w))
+					}
+				}
+			}
+			check(s, "after the swap")
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			check(s2, "reopened")
+		})
+	}
+}
+
+// TestCompactionNotStarvedByBusyShard: a saturated shard is inside an
+// fsync nearly always, and a rewrite cannot swap the log under one — so the
+// committer starts no fsync while a rewrite waits, and the rewrite gets in
+// after the one in flight instead of after the load.
+func TestCompactionNotStarvedByBusyShard(t *testing.T) {
+	const stream = 500 * time.Millisecond
+	s, err := openShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 1, SyncLinger: 1}, slowFsync(5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	wait := streamPuts(t, s, 8, stream)
+	time.Sleep(stream / 10)
+	c0 := time.Now()
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(c0); took > stream/2 {
+		t.Fatalf("Compact took %v on a shard with 8 durable writers: it waited for the load to stop", took)
+	}
+	wait()
+}
+
+// TestFailedCompactionSaysSoOnce: a rewrite that cannot happen (its
+// directory is gone) is counted, logged once with the shard and its path,
+// and leaves the store on its old log, usable. The committer stood back for
+// the rewrite while it waited for the shard; the waiter parked meanwhile
+// must get its fsync from the committer after all.
+func TestFailedCompactionSaysSoOnce(t *testing.T) {
+	logs := captureLogs(t)
+	dir := t.TempDir()
+	s, held := openHeld(t, dir, false)
+	sh := s.shards[0]
+	ticket, err := s.Append([]KV{{Key: 9, Value: []byte("nine")}}, Ticket{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- s.WaitDurable(ticket) }()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	compacted := make(chan error, 1)
+	go func() { compacted <- s.Compact() }()
+	awaitCompactor(sh)
+	held.letGo()
+	if err := <-compacted; err == nil {
+		t.Fatal("Compact succeeded with its directory gone")
+	}
+	select {
+	case err := <-waited:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the waiter a failed rewrite left unsynced is still parked")
+	}
+	if cs := s.CompactStats(); cs.Failures != 1 || cs.Compactions != 0 {
+		t.Fatalf("CompactStats = %+v, want one failure and nothing else", cs)
+	}
+	out := logs.String()
+	if strings.Count(out, "level=ERROR") != 1 || !strings.Contains(out, "shard=0") || !strings.Contains(out, sh.path) {
+		t.Fatalf("one failed compaction logged:\n%s", out)
+	}
+	if v, err := s.Get(9); err != nil || string(v) != "nine" {
+		t.Fatalf("Get(9) after the failed rewrite = (%q,%v)", v, err)
+	}
+}
+
 // TestShardedDiskCompactDuringGroupCommit: compaction under group commit
-// must release writers parked on the fsync linger (the rewrite's fsync
+// must release writers parked behind the next fsync (the rewrite's fsync
 // covers them) and keep every acknowledged write across a restart.
 func TestShardedDiskCompactDuringGroupCommit(t *testing.T) {
 	dir := t.TempDir()
@@ -610,9 +775,9 @@ func TestShardedDiskCompactDuringGroupCommit(t *testing.T) {
 // (ErrNotFound before the key exists, ErrClosed after Close) — never a
 // torn read, a panic, or a deadlock.
 func TestShardedDiskConcurrentGetPutCompactClose(t *testing.T) {
-	for name, linger := range map[string]time.Duration{"nosync": 0, "groupcommit": 100 * time.Microsecond} {
+	for name, durable := range map[string]time.Duration{"nosync": 0, "groupcommit": 1} {
 		t.Run(name, func(t *testing.T) {
-			s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 4, SyncLinger: linger})
+			s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 4, SyncLinger: durable})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -24,15 +25,15 @@ import (
 //     log file, lock, and fsync schedule, so the execute stage's shard
 //     workers (with an aligned shard count) stream their key partitions
 //     to private logs.
-//   - With SyncLinger > 0 a per-shard committer fsyncs at most once per
-//     SyncLinger, covering every write appended before the sync (group
-//     commit); an idle shard syncs at once. Visible and durable are
-//     separate events (Appender): an append is readable at once and
-//     returns a ticket, and whoever must not act before the write is safe
-//     waits on the ticket, so durability is real but N appends between two
-//     syncs share one fsync instead of paying N, and the appending
-//     goroutine never waits for the disk. Put and PutMany are the
-//     synchronous form, append then wait.
+//   - A durable store runs one committer per shard with no timer in it:
+//     an fsync covers every write appended before it started, and the
+//     writes that arrive while it runs form the next group (group commit).
+//     Visible and durable are separate events (Appender): an append is
+//     readable at once and returns a ticket, and whoever must not act
+//     before the write is safe waits on the ticket, so a lone write pays
+//     one fsync, N appends during one fsync share the next instead of
+//     paying N, and the appending goroutine never waits for the disk. Put
+//     and PutMany are the synchronous form, append then wait.
 //
 // Each shard's log is a CRC-32C-per-record log (see format.go): on open a
 // torn tail or any record failing its CRC ends the valid prefix,
@@ -47,9 +48,12 @@ import (
 // point, after which log size tracks live data instead of history and
 // restart replays only the compacted log.
 type ShardedDiskStore struct {
-	shards []*diskLogShard
-	dir    string
-	linger time.Duration
+	shards  []*diskLogShard
+	dir     string
+	durable bool
+	// fsync is (*os.File).Sync everywhere but in tests, which slow it down
+	// or hold it to see how the committer groups.
+	fsync func(*os.File) error
 
 	compactRatio float64
 	compactMin   int64
@@ -76,6 +80,7 @@ type diskLogShard struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signalled when synced advances, a sync/compaction finishes, or the shard closes
 	f    *os.File
+	idx  int
 	path string
 	// logState is the log bookkeeping (index, append offset, live/total
 	// bytes), guarded by mu like the rest of the shard.
@@ -83,18 +88,24 @@ type diskLogShard struct {
 
 	// Group commit: appended counts append operations, synced the prefix
 	// of them covered by a completed fsync. An append's ticket is the value
-	// of appended it produced; WaitDurable blocks until synced reaches it,
-	// and the committer advances synced at most once per linger. syncErr is
-	// sticky — after a failed fsync the shard refuses further appends
-	// rather than lying about durability.
+	// of appended it produced; WaitDurable blocks until synced reaches it.
+	// syncErr is sticky — after a failed fsync the shard refuses further
+	// appends rather than lying about durability.
 	// syncing marks an fsync in flight on f outside the lock, so
-	// compaction never swaps (and closes) the file under it.
-	appended uint64
-	synced   uint64
-	syncErr  error
-	syncing  bool
-	dirtyC   chan struct{} // capacity 1: wakes this shard's committer
-	closed   bool
+	// compaction never swaps (and closes) the file under it; compactors
+	// counts the compactions waiting for that fsync to end, and while there
+	// is one the committer starts no other — a busy shard is syncing nearly
+	// always, and the rewrite covers whatever the committer would have.
+	appended   uint64
+	synced     uint64
+	syncErr    error
+	syncing    bool
+	compactors int
+	dirtyC     chan struct{} // capacity 1: wakes this shard's committer
+	closed     bool
+	// enc is the append encode buffer, reused because appendLocked runs
+	// under mu and its write is synchronous.
+	enc []byte
 
 	// ri, when non-nil, answers Get from memory without touching the log
 	// file or the shard lock (see readindex.go). Appends update it under
@@ -112,8 +123,9 @@ type ShardedDiskOptions struct {
 	// SyncLinger selects durability: 0 never fsyncs (writes reach the page
 	// cache only); > 0 group-commits, so every Put/PutMany returns only
 	// after a covering fsync and every Append ticket can be waited on for
-	// one, and is the minimum spacing between one shard's fsyncs; an idle
-	// shard syncs at once.
+	// one. The magnitude is ignored: it once set an fsync linger, the
+	// committer keeps no clock, and the name stays until the benchmark
+	// that sets it can be changed.
 	SyncLinger time.Duration
 	// CompactRatio is the per-shard garbage fraction (dead bytes / total
 	// log bytes) past which MaybeCompact rewrites that shard's log. 0
@@ -136,8 +148,12 @@ const shardMetaFile = "SHARDS"
 // OpenShardedDisk opens (or creates) a sharded store rooted at dir,
 // recovering each shard's log independently.
 func OpenShardedDisk(dir string, opts ShardedDiskOptions) (*ShardedDiskStore, error) {
+	return openShardedDisk(dir, opts, (*os.File).Sync)
+}
+
+func openShardedDisk(dir string, opts ShardedDiskOptions, fsync func(*os.File) error) (*ShardedDiskStore, error) {
 	if opts.SyncLinger < 0 {
-		return nil, fmt.Errorf("store: negative sync linger %v", opts.SyncLinger)
+		return nil, fmt.Errorf("store: negative SyncLinger %v", opts.SyncLinger)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating shard dir: %w", err)
@@ -180,7 +196,7 @@ func OpenShardedDisk(dir string, opts ShardedDiskOptions) (*ShardedDiskStore, er
 		}
 	}
 
-	s := &ShardedDiskStore{dir: dir, linger: opts.SyncLinger, stop: make(chan struct{})}
+	s := &ShardedDiskStore{dir: dir, durable: opts.SyncLinger > 0, fsync: fsync, stop: make(chan struct{})}
 	s.compactRatio, s.compactMin = resolveCompactKnobs(opts.CompactRatio, opts.CompactMinBytes)
 	for i := 0; i < n; i++ {
 		path := filepath.Join(dir, fmt.Sprintf("shard-%03d.log", i))
@@ -189,7 +205,7 @@ func OpenShardedDisk(dir string, opts ShardedDiskOptions) (*ShardedDiskStore, er
 			s.closeFiles()
 			return nil, fmt.Errorf("store: recovering shard %d: %w", i, err)
 		}
-		sh := &diskLogShard{f: f, path: path, logState: st, dirtyC: make(chan struct{}, 1)}
+		sh := &diskLogShard{f: f, idx: i, path: path, logState: st, dirtyC: make(chan struct{}, 1)}
 		sh.cond = sync.NewCond(&sh.mu)
 		if opts.ReadIndex {
 			ri, err := loadReadIndex(f, st.index)
@@ -209,7 +225,7 @@ func OpenShardedDisk(dir string, opts ShardedDiskOptions) (*ShardedDiskStore, er
 		}
 	}
 	s.ordered = newOrderedKeys(keys)
-	if s.linger > 0 {
+	if s.durable {
 		for _, sh := range s.shards {
 			s.wg.Add(1)
 			go s.commitLoop(sh)
@@ -276,7 +292,8 @@ func (sh *diskLogShard) arm() {
 // buffer means one write syscall per call regardless of record count. It
 // reports whether any record's key was new to the shard.
 func (sh *diskLogShard) appendLocked(kvs []KV) (fresh bool, err error) {
-	buf := encodeRecords(kvs)
+	buf := encodeRecords(sh.enc, kvs)
+	sh.enc = buf
 	if _, err := sh.f.WriteAt(buf, sh.off); err != nil {
 		return false, fmt.Errorf("store: appending records: %w", err)
 	}
@@ -295,31 +312,18 @@ func (sh *diskLogShard) appendLocked(kvs []KV) (fresh bool, err error) {
 	return fresh, nil
 }
 
-// commitLoop is one shard's group committer: woken by a dirty append, it
-// fsyncs once and releases every WaitDurable the sync covered. The linger
-// is spacing, not sleep: an fsync starts at once unless this shard's
-// previous one started less than a linger ago, and then only the remainder
-// is waited out — so an idle shard's first waiter pays one fsync, and under
-// load the appends that land during an fsync or inside the spacing re-arm
-// the committer and share the next one.
+// commitLoop is one shard's group committer. It keeps no clock: woken by a
+// dirty append it fsyncs at once, releases every WaitDurable the sync
+// covered, and goes straight round again while appends landed meanwhile —
+// the group is whatever arrived during the previous fsync. A lone write
+// pays one fsync; under load the groups grow by themselves.
 func (s *ShardedDiskStore) commitLoop(sh *diskLogShard) {
 	defer s.wg.Done()
-	var lastStart time.Time
-	spacing := time.NewTimer(0)
-	<-spacing.C // expired and drained, as every Reset below finds it
 	for {
 		select {
 		case <-sh.dirtyC:
 		case <-s.stop:
 			return
-		}
-		if wait := s.linger - time.Since(lastStart); wait > 0 {
-			spacing.Reset(wait)
-			select {
-			case <-spacing.C:
-			case <-s.stop:
-				return
-			}
 		}
 
 		sh.mu.Lock()
@@ -328,24 +332,24 @@ func (s *ShardedDiskStore) commitLoop(sh *diskLogShard) {
 		// Snapshot f and mark the sync in flight under the lock: the
 		// syncing flag is what keeps compaction from swapping (and
 		// closing) the file while the fsync below runs outside the lock.
-		skip := target == sh.synced || sh.syncErr != nil || sh.closed
+		skip := target == sh.synced || sh.syncErr != nil || sh.closed || sh.compactors > 0
 		if !skip {
 			sh.syncing = true
 		}
 		sh.mu.Unlock()
 		if skip {
-			// An append armed dirtyC while an fsync (or a compaction
-			// rewrite) that covered it was in flight; nothing to sync.
+			// Nothing to sync: an fsync or a compaction rewrite already
+			// covered the append that armed dirtyC, or a rewrite is about
+			// to (and arms again if it fails).
 			continue
 		}
 
-		lastStart = time.Now()
-		err := f.Sync() // outside the lock: appends may proceed meanwhile
+		err := s.fsync(f) // outside the lock: appends may proceed meanwhile
 
 		sh.mu.Lock()
 		sh.syncing = false
 		if err != nil {
-			sh.syncErr = fmt.Errorf("store: fsync: %w", err)
+			sh.failSync("fsync", err)
 		} else {
 			s.fsyncs.Add(1) // only completed fsyncs count as durable
 			if target > sh.synced {
@@ -359,6 +363,14 @@ func (s *ShardedDiskStore) commitLoop(sh *diskLogShard) {
 			sh.arm()
 		}
 	}
+}
+
+// failSync makes a failed fsync sticky and says so, once: every later
+// append and wait on the shard returns the same error. The caller holds
+// sh.mu.
+func (sh *diskLogShard) failSync(op string, err error) {
+	sh.syncErr = fmt.Errorf("store: %s: %w", op, err)
+	slog.Error("store: fsync failed, shard refuses further writes", "shard", sh.idx, "path", sh.path, "err", err)
 }
 
 // Put implements Store: append to the owning shard's log and, in group
@@ -469,7 +481,7 @@ func (s *ShardedDiskStore) appendShard(idx int, kvs []KV) (Ticket, bool, error) 
 	if err != nil {
 		return Ticket{}, false, err
 	}
-	if s.linger == 0 {
+	if !s.durable {
 		return Ticket{}, fresh, nil
 	}
 	sh.arm()
@@ -490,12 +502,6 @@ func (s *ShardedDiskStore) WaitDurable(t Ticket) error {
 	if sh.synced >= t.seq {
 		return nil
 	}
-	// Arm again: the append's own arm was consumed by the fsync now in
-	// flight, and a committer that finds the flag set after its fsync goes
-	// straight on to the next, a linger after this one started, so under a
-	// steady stream of appends the fsyncs run at the spacing instead of
-	// each append starting its own a think-time later.
-	sh.arm()
 	t0 := time.Now()
 	for sh.synced < t.seq && sh.syncErr == nil && !sh.closed {
 		sh.cond.Wait()
@@ -645,23 +651,31 @@ func (s *ShardedDiskStore) compactShardLocked(sh *diskLogShard) error {
 	// Never swap the file while the committer has an fsync in flight on
 	// it outside the lock: closing the old handle mid-Sync would turn a
 	// healthy fsync into a sticky syncErr. Compaction holds the lock
-	// otherwise, so no new sync can start while it rewrites.
+	// otherwise, and the committer starts no fsync while one waits here.
+	sh.compactors++
 	for sh.syncing && !sh.closed {
 		sh.cond.Wait()
 	}
+	sh.compactors--
 	if sh.closed {
 		return ErrClosed
 	}
 	t0 := time.Now()
-	newF, st, err := rewriteLiveRecords(sh.f, sh.index, sh.path)
+	var values map[uint64][]byte
+	if sh.ri != nil {
+		values = sh.ri.m // appends, its only writers, hold sh.mu as we do
+	}
+	newF, st, err := rewriteLiveRecords(sh.f, sh.logState, values, sh.path)
 	if err != nil {
 		s.cstats.failures.Add(1)
+		slog.Error("store: compaction failed, shard stays on its old log", "shard", sh.idx, "path", sh.path, "err", err)
+		sh.arm() // the committer stood back for a covering rewrite that never came
 		return err
 	}
 	reclaimed := sh.off - st.off
 	old := sh.f
 	sh.f, sh.logState = newF, st
-	if s.linger > 0 && sh.synced < sh.appended && sh.syncErr == nil {
+	if s.durable && sh.synced < sh.appended && sh.syncErr == nil {
 		sh.synced = sh.appended
 		s.fsyncs.Add(1) // the rewrite's fsync doubled as a group commit
 	}
@@ -686,9 +700,9 @@ func (s *ShardedDiskStore) Close() error {
 		s.wg.Wait() // committers are gone; shard state is ours to finalize
 		for _, sh := range s.shards {
 			sh.mu.Lock()
-			if s.linger > 0 && sh.synced < sh.appended && sh.syncErr == nil {
-				if err := sh.f.Sync(); err != nil {
-					sh.syncErr = fmt.Errorf("store: final fsync: %w", err)
+			if s.durable && sh.synced < sh.appended && sh.syncErr == nil {
+				if err := s.fsync(sh.f); err != nil {
+					sh.failSync("final fsync", err)
 				} else {
 					sh.synced = sh.appended
 					s.fsyncs.Add(1)

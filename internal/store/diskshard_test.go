@@ -14,9 +14,9 @@ import (
 // TestShardedDiskConformance runs the Store contract against the sharded
 // store in both durability modes.
 func TestShardedDiskConformance(t *testing.T) {
-	for name, linger := range map[string]time.Duration{"nosync": 0, "groupcommit": 100 * time.Microsecond} {
+	for name, durable := range map[string]time.Duration{"nosync": 0, "groupcommit": 100 * time.Microsecond} {
 		t.Run(name, func(t *testing.T) {
-			s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 4, SyncLinger: linger})
+			s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 4, SyncLinger: durable})
 			if err != nil {
 				t.Fatal(err)
 			}

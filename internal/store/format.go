@@ -119,13 +119,17 @@ func (st *logState) account(key uint64, valueOff int64, vlen uint32) bool {
 }
 
 // encodeRecords packs kvs into one contiguous buffer of log records (one
-// write syscall per append batch regardless of record count).
-func encodeRecords(kvs []KV) []byte {
+// write syscall per append batch regardless of record count): buf's array
+// if it is large enough, a new one otherwise.
+func encodeRecords(buf []byte, kvs []KV) []byte {
 	size := 0
 	for i := range kvs {
 		size += recHdr + len(kvs[i].Value)
 	}
-	buf := make([]byte, size)
+	if cap(buf) < size {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
 	at := 0
 	for i := range kvs {
 		putRecordHeader(buf[at:], kvs[i].Key, kvs[i].Value)
@@ -237,15 +241,19 @@ func recoverLog(f *os.File) (logState, error) {
 }
 
 // rewriteLiveRecords is the compaction rewrite: every record still
-// reachable through index is read back from src and written to a fresh
-// log that atomically replaces logPath. The crash-safety ladder is the
-// persistShardMeta discipline — temp file, fsync, rename, directory
-// fsync — so the original log stays the authoritative copy until the
-// rename lands, and a crash at any point leaves either the old log or the
-// complete new one, never a mix. The temp file is removed on every
-// failure path, including a failed fsync. On success the returned file
-// handle is the renamed log.
-func rewriteLiveRecords(src *os.File, index map[uint64]recordRef, logPath string) (*os.File, logState, error) {
+// reachable through old.index is written to a fresh log that atomically
+// replaces logPath. The values come from memory when the caller has them
+// (the shard's read index) and otherwise from one sequential pass over src
+// in large reads, which keeps the records the index still points at and
+// copies them as they lie, checksum included — never one read per record:
+// the shard's writers are stalled for as long as this takes. The
+// crash-safety ladder is the persistShardMeta discipline — temp file,
+// fsync, rename, directory fsync — so the original log stays the
+// authoritative copy until the rename lands, and a crash at any point
+// leaves either the old log or the complete new one, never a mix. The temp
+// file is removed on every failure path, including a failed fsync. On
+// success the returned file handle is the renamed log.
+func rewriteLiveRecords(src *os.File, old logState, values map[uint64][]byte, logPath string) (*os.File, logState, error) {
 	dir := filepath.Dir(logPath)
 	tmp, err := os.CreateTemp(dir, compactTmpPattern)
 	if err != nil {
@@ -260,26 +268,38 @@ func rewriteLiveRecords(src *os.File, index map[uint64]recordRef, logPath string
 	if _, err := w.Write(logMagic[:]); err != nil {
 		return fail(err)
 	}
-	st := logState{index: make(map[uint64]recordRef, len(index))}
+	st := logState{index: make(map[uint64]recordRef, len(old.index))}
 	st.off = int64(len(logMagic))
 	var hdr [recHdr]byte
-	var val []byte
-	for key, ref := range index {
-		if int(ref.length) > cap(val) {
-			val = make([]byte, ref.length)
+	if values != nil {
+		for key := range old.index {
+			val := values[key]
+			w.Write(putRecordHeader(hdr[:], key, val)) // a failed write is sticky: Flush reports it
+			w.Write(val)
+			st.account(key, st.off+recHdr, uint32(len(val)))
+			st.off += recHdr + int64(len(val))
 		}
-		val = val[:ref.length]
-		if _, err := src.ReadAt(val, ref.off); err != nil {
-			return fail(fmt.Errorf("reading live record %d: %w", key, err))
+	} else {
+		at := int64(len(logMagic))
+		r := bufio.NewReaderSize(io.NewSectionReader(src, at, old.off-at), 1<<18)
+		for at < old.off {
+			if _, err := io.ReadFull(r, hdr[:]); err != nil {
+				return fail(fmt.Errorf("reading record at %d: %w", at, err))
+			}
+			key, vlen := binary.BigEndian.Uint64(hdr[:8]), binary.BigEndian.Uint32(hdr[8:12])
+			if old.index[key].off == at+recHdr {
+				w.Write(hdr[:])
+				_, err = io.CopyN(w, r, int64(vlen))
+				st.account(key, st.off+recHdr, vlen)
+				st.off += recHdr + int64(vlen)
+			} else {
+				_, err = r.Discard(int(vlen))
+			}
+			if err != nil {
+				return fail(fmt.Errorf("reading record at %d: %w", at, err))
+			}
+			at += recHdr + int64(vlen)
 		}
-		if _, err := w.Write(putRecordHeader(hdr[:], key, val)); err != nil {
-			return fail(err)
-		}
-		if _, err := w.Write(val); err != nil {
-			return fail(err)
-		}
-		st.account(key, st.off+recHdr, ref.length)
-		st.off += recHdr + int64(ref.length)
 	}
 	if err := w.Flush(); err != nil {
 		return fail(err)

@@ -168,9 +168,11 @@ func TestOverwriteLengths(t *testing.T) {
 
 // TestMemStoreOverwriteAllocatesNothing is the allocation gate for the
 // write path of a loaded table: a PutMany of same-sized values over keys
-// that exist costs no allocation, in the memory store and in the disk
-// store's read index. Inserting the keys in the first place is not held to
-// that: it allocates the values and reaches the ordered sidecar.
+// that exist costs no allocation, in the memory store, in the disk store's
+// read index, and in the durable disk store's Append of a partition that
+// lands in one shard (records are encoded into the shard's own buffer).
+// Inserting the keys in the first place is not held to that: it allocates
+// the values and reaches the ordered sidecar.
 func TestMemStoreOverwriteAllocatesNothing(t *testing.T) {
 	const records, burst = 4096, 32
 	val := make([]byte, 100)
@@ -210,8 +212,27 @@ func TestMemStoreOverwriteAllocatesNothing(t *testing.T) {
 		i++
 		ri.putMany(kvs)
 	})
-	t.Logf("allocations per %d-record overwrite: MemStore.PutMany %.0f, readIndex.putMany %.0f", burst, memAllocs, riAllocs)
-	if memAllocs != 0 || riAllocs != 0 {
-		t.Fatalf("overwriting %d records allocates %.0f (MemStore) and %.0f (readIndex), want 0 and 0", burst, memAllocs, riAllocs)
+
+	disk, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 1, SyncLinger: 1, ReadIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	preload(func(kvs []KV) {
+		if err := disk.PutMany(kvs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var ticket Ticket
+	diskAllocs := testing.AllocsPerRun(500, func() {
+		fill(i)
+		i++
+		if ticket, err = disk.Append(kvs, ticket); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations per %d-record overwrite: MemStore.PutMany %.0f, readIndex.putMany %.0f, ShardedDiskStore.Append %.0f", burst, memAllocs, riAllocs, diskAllocs)
+	if memAllocs != 0 || riAllocs != 0 || diskAllocs != 0 {
+		t.Fatalf("overwriting %d records allocates %.0f (MemStore), %.0f (readIndex) and %.0f (disk Append), want 0 each", burst, memAllocs, riAllocs, diskAllocs)
 	}
 }

@@ -11,13 +11,13 @@ import (
 
 // openIndexed builds the disk backend with the read index enabled, through
 // OpenBackend like a deployment does.
-func openIndexed(t *testing.T, shards int, dir string, linger time.Duration) Store {
+func openIndexed(t *testing.T, shards int, dir string, durable time.Duration) Store {
 	t.Helper()
 	st, err := OpenBackend(BackendConfig{
 		Backend:    "sharded",
 		Dir:        dir,
 		Shards:     shards,
-		SyncLinger: linger,
+		SyncLinger: durable,
 		ReadIndex:  true,
 	})
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 // scanBackends builds one instance of each Scanner-capable backend for a
 // subtest run. The disk backend runs at one shard and at four, with the
 // read index enabled (the replica deployment shape); the four-shard store
-// gets a short group-commit linger so scans race real fsync scheduling.
+// is durable, so scans race real fsync scheduling.
 func scanBackends(t *testing.T) map[string]Store {
 	t.Helper()
 	return map[string]Store{
