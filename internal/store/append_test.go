@@ -275,6 +275,50 @@ func TestAppendStickySyncError(t *testing.T) {
 	}
 }
 
+// TestAppendErrorLeavesGetAndScanAgreeing: when a partition spans shards and
+// a later shard refuses it (a sticky fsync error), the groups that did land
+// are readable by Get, so Scan must see their keys too — not only after a
+// restart rebuilds the ordered sidecar.
+func TestAppendErrorLeavesGetAndScanAgreeing(t *testing.T) {
+	captureLogs(t)
+	s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 2, SyncLinger: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// Shard 1 goes sticky the way TestAppendStickySyncError's does.
+	doomed := keyInShard(0, 1, 2)
+	sh := s.shards[1]
+	sh.mu.Lock()
+	if _, err := sh.appendLocked([]KV{{Key: doomed, Value: []byte("doomed")}}); err != nil {
+		t.Fatal(err)
+	}
+	sh.f.Close()
+	sh.arm()
+	sh.mu.Unlock()
+	if err := s.WaitDurable(Ticket{shard: 1, seq: 1}); err == nil {
+		t.Fatal("WaitDurable on a shard whose log is closed succeeded")
+	}
+
+	landed, refused := keyInShard(doomed+1, 0, 2), keyInShard(doomed+1, 1, 2)
+	if _, err := s.Append([]KV{{Key: landed, Value: []byte("landed")}, {Key: refused, Value: []byte("refused")}}, Ticket{}); err == nil {
+		t.Fatal("Append over a healthy and a sticky shard succeeded")
+	}
+	if v, err := s.Get(landed); err != nil || string(v) != "landed" {
+		t.Fatalf("Get(%d) on the healthy shard = (%q,%v)", landed, v, err)
+	}
+	var scanned []uint64
+	if err := s.Scan(landed, landed, func(k uint64, _ []byte) bool {
+		scanned = append(scanned, k)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(scanned) != 1 {
+		t.Fatalf("Scan over key %d, which Get returns, visited %v", landed, scanned)
+	}
+}
+
 // TestAppendWaitersReleasedByCloseAndCompact: a waiter parked behind a
 // committer that is held inside an earlier fsync is released by the two
 // other events that make its writes durable — Close's final fsync and a

@@ -14,20 +14,21 @@ import (
 	"time"
 )
 
-// shardLogSizes returns the size of every shard log under dir.
-func shardLogSizes(t *testing.T, dir string) int64 {
+// shardLogSizes returns the bytes of header and records in every shard log
+// of s. The files themselves are larger while the store is open, by the zeros
+// written ahead of the appends, and never by more than one chunk a shard:
+// that is checked here against the file on disk.
+func shardLogSizes(t *testing.T, s *ShardedDiskStore) int64 {
 	t.Helper()
-	logs, err := filepath.Glob(filepath.Join(dir, "shard-*.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var total int64
-	for _, p := range logs {
-		fi, err := os.Stat(p)
-		if err != nil {
-			t.Fatal(err)
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		off, alloc := sh.off, sh.alloc
+		sh.mu.Unlock()
+		if size := fileSize(t, sh.path); size != alloc || alloc < off || alloc > off+logChunk {
+			t.Fatalf("%s is %d bytes on disk: the shard has records up to %d and zeros up to %d", sh.path, size, off, alloc)
 		}
-		total += fi.Size()
+		total += off
 	}
 	return total
 }
@@ -71,12 +72,12 @@ func TestShardedDiskCompactionBoundsLog(t *testing.T) {
 	}
 	const keys, versions = 128, 10
 	writeOverwriteHistory(t, s, keys, versions)
-	pre := shardLogSizes(t, dir)
+	pre := shardLogSizes(t, s)
 
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	post := shardLogSizes(t, dir)
+	post := shardLogSizes(t, s)
 	if post >= pre/2 {
 		t.Fatalf("compaction barely shrank the logs: %d -> %d bytes (%d versions of history)", pre, post, versions)
 	}
@@ -186,13 +187,13 @@ func TestDiskStoreCompaction(t *testing.T) {
 		s := openSharded(t, dir, ShardedDiskOptions{Shards: shards, CompactRatio: 0.5, CompactMinBytes: -1})
 		const keys, versions = 100, 8
 		writeOverwriteHistory(t, s, keys, versions)
-		pre := shardLogSizes(t, dir)
+		pre := shardLogSizes(t, s)
 
 		n, err := s.MaybeCompact()
 		if err != nil || n != shards {
 			t.Fatalf("MaybeCompact = (%d,%v), want (%d,nil)", n, err, shards)
 		}
-		if post := shardLogSizes(t, dir); post >= pre/2 {
+		if post := shardLogSizes(t, s); post >= pre/2 {
 			t.Fatalf("compaction barely shrank the logs: %d -> %d", pre, post)
 		}
 		checkFinalHistory(t, s, keys, versions)
@@ -501,7 +502,7 @@ func TestCompactionCrashMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := recoverLog(src)
+		st, _, err := recoverLog(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -597,19 +598,23 @@ func TestCompactionValueSources(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			pre := shardLogSizes(t, dir)
+			pre := shardLogSizes(t, s)
 			if err := s.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			var live int64
+			closed := make(map[string]int64) // what each file must be once the store is closed
 			for _, sh := range s.shards {
 				if sh.live != sh.total || sh.off != sh.total+int64(len(logMagic)) {
 					t.Fatalf("compacted shard: live %d, total %d, append offset %d", sh.live, sh.total, sh.off)
 				}
-				live += sh.off
+				// The rewrite padded the new log to its next chunk boundary.
+				if sh.alloc%logChunk != 0 || sh.alloc < sh.off || sh.alloc-sh.off >= logChunk {
+					t.Fatalf("compacted shard: records end at %d, the file at %d", sh.off, sh.alloc)
+				}
+				closed[sh.path] = sh.off
 			}
-			if post := shardLogSizes(t, dir); post != live || post >= pre {
-				t.Fatalf("logs went from %d to %d bytes, shards account for %d", pre, post, live)
+			if post := shardLogSizes(t, s); post >= pre {
+				t.Fatalf("logs went from %d to %d bytes of records", pre, post)
 			}
 			check := func(s *ShardedDiskStore, when string) {
 				t.Helper()
@@ -625,6 +630,11 @@ func TestCompactionValueSources(t *testing.T) {
 			check(s, "after the swap")
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
+			}
+			for path, want := range closed {
+				if got := fileSize(t, path); got != want {
+					t.Fatalf("%s is %d bytes after Close, want its %d bytes of records", path, got, want)
+				}
 			}
 			s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
 			if err != nil {

@@ -37,7 +37,9 @@ import (
 //
 // Each shard's log is a CRC-32C-per-record log (see format.go): on open a
 // torn tail or any record failing its CRC ends the valid prefix,
-// independently per shard. A SHARDS
+// independently per shard. A log is grown ahead of its appends by chunks of
+// zeros (logChunk), so that a group-commit fsync flushes data and not a
+// change of file size; Close trims them. A SHARDS
 // meta file pins the shard count, since reopening with a different count
 // would look keys up in the wrong logs.
 //
@@ -200,10 +202,13 @@ func openShardedDisk(dir string, opts ShardedDiskOptions, fsync func(*os.File) e
 	s.compactRatio, s.compactMin = resolveCompactKnobs(opts.CompactRatio, opts.CompactMinBytes)
 	for i := 0; i < n; i++ {
 		path := filepath.Join(dir, fmt.Sprintf("shard-%03d.log", i))
-		f, st, err := openLog(path)
+		f, st, torn, err := openLog(path)
 		if err != nil {
 			s.closeFiles()
 			return nil, fmt.Errorf("store: recovering shard %d: %w", i, err)
+		}
+		if torn > 0 {
+			slog.Warn("store: recovery cut a torn or corrupt tail off the log", "shard", i, "path", path, "offset", st.off, "dropped", torn)
 		}
 		sh := &diskLogShard{f: f, idx: i, path: path, logState: st, dirtyC: make(chan struct{}, 1)}
 		sh.cond = sync.NewCond(&sh.mu)
@@ -294,6 +299,9 @@ func (sh *diskLogShard) arm() {
 func (sh *diskLogShard) appendLocked(kvs []KV) (fresh bool, err error) {
 	buf := encodeRecords(sh.enc, kvs)
 	sh.enc = buf
+	if err := sh.extend(sh.f, sh.off+int64(len(buf))); err != nil {
+		return false, fmt.Errorf("store: extending log: %w", err)
+	}
 	if _, err := sh.f.WriteAt(buf, sh.off); err != nil {
 		return false, fmt.Errorf("store: appending records: %w", err)
 	}
@@ -427,13 +435,16 @@ func (s *ShardedDiskStore) Append(kvs []KV, prev Ticket) (Ticket, error) {
 	// cover, which only exist off the aligned path.
 	last := prev
 	var early []Ticket
-	fresh := false
 	appendGroup := func(idx int, g []KV) error {
-		t, groupFresh, err := s.appendShard(idx, g)
+		t, fresh, err := s.appendShard(idx, g)
 		if err != nil {
 			return err
 		}
-		fresh = fresh || groupFresh
+		// Group by group, not once at the end: a group that landed is
+		// readable by Get, and must be by Scan too if a later group fails.
+		if fresh {
+			s.ordered.insertMany(g)
+		}
 		if last.seq != 0 && last.shard != t.shard {
 			early = append(early, last)
 		}
@@ -452,9 +463,6 @@ func (s *ShardedDiskStore) Append(kvs []KV, prev Ticket) (Ticket, error) {
 		if err := appendGroup(idx, g); err != nil {
 			return prev, err
 		}
-	}
-	if fresh {
-		s.ordered.insertMany(kvs)
 	}
 	for _, t := range early {
 		if err := s.WaitDurable(t); err != nil {
@@ -700,6 +708,12 @@ func (s *ShardedDiskStore) Close() error {
 		s.wg.Wait() // committers are gone; shard state is ours to finalize
 		for _, sh := range s.shards {
 			sh.mu.Lock()
+			// Trim the zeros ahead of the last append: a closed store's logs
+			// are exactly their records. Before the final fsync, so that when
+			// there is one it covers the new size too.
+			if err := sh.f.Truncate(sh.off); err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("store: trimming shard log: %w", err)
+			}
 			if s.durable && sh.synced < sh.appended && sh.syncErr == nil {
 				if err := s.fsync(sh.f); err != nil {
 					sh.failSync("final fsync", err)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -19,6 +20,28 @@ import (
 // A flipped bit anywhere in a record — key, length, or payload — fails
 // verification on recovery, which keeps the longest valid prefix.
 const recHdr = 16 // [key 8][vlen 4][crc 4]
+
+// logChunk is how far a log is grown ahead of its appends. An fsync of a
+// file that grew since the last one is a commit of the filesystem's journal,
+// which every log of the process queues for; an fsync of bytes written into
+// blocks the file already owns flushes data alone. So a log never grows by an
+// append: when one would cross the end of what the file owns (logState.alloc)
+// a whole chunk of zeros is written there first, and one fsync in a few
+// hundred covers a size change. Written zeros, not fallocate: an unwritten
+// extent is converted through the journal again when data lands in it.
+// Compaction pays for up to one chunk under the shard lock at every swap,
+// which is what keeps the constant small.
+//
+// The invariant: every byte in [off, alloc) is a zero this process wrote
+// after the file was last truncated (or what a record write that failed left
+// of its record, which recovery treats as the torn tail it is). Nothing is
+// durable or acknowledged because it lies below alloc — that still takes an
+// fsync after the record's own write — and sixteen zero bytes are not a
+// record (the CRC of a zero key and length is not zero), so recovery reads
+// the tail as the end of the log.
+const logChunk = 256 << 10
+
+var zeroChunk [logChunk]byte
 
 // recordRef locates one record's value bytes inside its log.
 type recordRef struct {
@@ -99,8 +122,20 @@ func shouldCompact(live, total int64, ratio float64, minBytes int64) bool {
 type logState struct {
 	index map[uint64]recordRef
 	off   int64 // append offset
+	alloc int64 // end of the zeros written ahead of off (see logChunk); >= off
 	live  int64 // bytes of records still reachable through the index
 	total int64 // bytes of all records (excluding the file header)
+}
+
+// extend grows f by whole chunks of zeros until it owns every byte below end.
+func (st *logState) extend(f *os.File, end int64) error {
+	for st.alloc < end {
+		if _, err := f.WriteAt(zeroChunk[:], st.alloc); err != nil {
+			return err
+		}
+		st.alloc += logChunk
+	}
+	return nil
 }
 
 // account updates the live/total byte counters and the index for one
@@ -144,30 +179,36 @@ func encodeRecords(buf []byte, kvs []KV) []byte {
 //
 //   - a log (magic header) verifies every record's CRC-32C and keeps the
 //     longest valid prefix — a torn tail or a flipped byte anywhere
-//     truncates the log at the first bad record;
+//     truncates the log at the first bad record, and so do the zeros an
+//     unclean stop leaves ahead of the last append (see logChunk);
 //   - a file shorter than the header is a torn first write and is
 //     (re)initialized as an empty log;
 //   - any other file is an error, and is left exactly as it was found.
-func openLog(path string) (*os.File, logState, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+//
+// torn is how many bytes were cut off behind a tail that was not zeros.
+func openLog(path string) (f *os.File, st logState, torn int64, err error) {
+	f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, logState{}, fmt.Errorf("opening log: %w", err)
+		return nil, logState{}, 0, fmt.Errorf("opening log: %w", err)
 	}
-	st, err := recoverLog(f)
-	if err != nil {
+	if st, torn, err = recoverLog(f); err != nil {
 		f.Close()
-		return nil, logState{}, fmt.Errorf("%s: %w", path, err)
+		return nil, logState{}, 0, fmt.Errorf("%s: %w", path, err)
 	}
-	return f, st, nil
+	return f, st, torn, nil
 }
 
 // recoverLog scans an open record log, rebuilding the key index and the
-// live/total byte accounting.
-func recoverLog(f *os.File) (logState, error) {
-	st := logState{index: make(map[uint64]recordRef), off: int64(len(logMagic))}
+// live/total byte accounting, and cuts the file to its valid prefix, so
+// alloc == off on return and the first append extends the log again. A tail
+// that starts with a zero header is what pre-extension leaves and is a clean
+// end; any other tail is a torn or rotted record, and torn reports how many
+// bytes went with it.
+func recoverLog(f *os.File) (st logState, torn int64, err error) {
+	st = logState{index: make(map[uint64]recordRef), off: int64(len(logMagic))}
 	fi, err := f.Stat()
 	if err != nil {
-		return st, fmt.Errorf("stat log: %w", err)
+		return st, 0, fmt.Errorf("stat log: %w", err)
 	}
 	size := fi.Size() // invariant during the scan (only Truncate shrinks it)
 	if size < int64(len(logMagic)) {
@@ -176,22 +217,23 @@ func recoverLog(f *os.File) (logState, error) {
 		// and a crash that kept later record pages but dropped an unsynced
 		// header would leave a file the next open refuses.
 		if err := f.Truncate(0); err != nil {
-			return st, fmt.Errorf("truncating torn log: %w", err)
+			return st, 0, fmt.Errorf("truncating torn log: %w", err)
 		}
 		if _, err := f.WriteAt(logMagic[:], 0); err != nil {
-			return st, fmt.Errorf("writing log header: %w", err)
+			return st, 0, fmt.Errorf("writing log header: %w", err)
 		}
 		if err := f.Sync(); err != nil {
-			return st, fmt.Errorf("syncing log header: %w", err)
+			return st, 0, fmt.Errorf("syncing log header: %w", err)
 		}
-		return st, nil
+		st.alloc = st.off
+		return st, 0, nil
 	}
 	var magic [len(logMagic)]byte
 	if _, err := f.ReadAt(magic[:], 0); err != nil {
-		return st, fmt.Errorf("reading log header: %w", err)
+		return st, 0, fmt.Errorf("reading log header: %w", err)
 	}
 	if magic != logMagic {
-		return st, fmt.Errorf("not a record log: header %q, want %q", magic[:], logMagic[:])
+		return st, 0, fmt.Errorf("not a record log: header %q, want %q", magic[:], logMagic[:])
 	}
 	var hdr [recHdr]byte
 	var val []byte
@@ -204,7 +246,7 @@ func recoverLog(f *os.File) (logState, error) {
 		}
 		truncate := err == io.EOF
 		if err != nil && !truncate {
-			return st, fmt.Errorf("scanning log: %w", err)
+			return st, 0, fmt.Errorf("scanning log: %w", err)
 		}
 		var key uint64
 		var vlen uint32
@@ -221,7 +263,7 @@ func recoverLog(f *os.File) (logState, error) {
 			}
 			val = val[:vlen]
 			if _, err := f.ReadAt(val, st.off+recHdr); err != nil {
-				return st, fmt.Errorf("scanning log: %w", err)
+				return st, 0, fmt.Errorf("scanning log: %w", err)
 			}
 			// A CRC mismatch means corruption (torn write or bit rot) at
 			// this record; everything before it verified, so keep the
@@ -229,15 +271,19 @@ func recoverLog(f *os.File) (logState, error) {
 			truncate = recordCRC(hdr[:], val) != binary.BigEndian.Uint32(hdr[12:16])
 		}
 		if truncate {
+			if !bytes.Equal(hdr[:n], zeroChunk[:n]) {
+				torn = size - st.off
+			}
 			if terr := f.Truncate(st.off); terr != nil {
-				return st, fmt.Errorf("truncating corrupt log: %w", terr)
+				return st, 0, fmt.Errorf("truncating corrupt log: %w", terr)
 			}
 			break
 		}
 		st.account(key, st.off+recHdr, vlen)
 		st.off += recHdr + int64(vlen)
 	}
-	return st, nil
+	st.alloc = st.off
+	return st, torn, nil
 }
 
 // rewriteLiveRecords is the compaction rewrite: every record still
@@ -252,7 +298,8 @@ func recoverLog(f *os.File) (logState, error) {
 // authoritative copy until the rename lands, and a crash at any point
 // leaves either the old log or the complete new one, never a mix. The temp
 // file is removed on every failure path, including a failed fsync. On
-// success the returned file handle is the renamed log.
+// success the returned file handle is the renamed log, zero-padded to its
+// next chunk boundary (see logChunk).
 func rewriteLiveRecords(src *os.File, old logState, values map[uint64][]byte, logPath string) (*os.File, logState, error) {
 	dir := filepath.Dir(logPath)
 	tmp, err := os.CreateTemp(dir, compactTmpPattern)
@@ -301,6 +348,10 @@ func rewriteLiveRecords(src *os.File, old logState, values map[uint64][]byte, lo
 			at += recHdr + int64(vlen)
 		}
 	}
+	// Pad to the next chunk boundary so the appends that follow the swap find
+	// the log already grown, and the growth rides on the fsync below.
+	st.alloc = (st.off + logChunk - 1) / logChunk * logChunk
+	w.Write(zeroChunk[:st.alloc-st.off])
 	if err := w.Flush(); err != nil {
 		return fail(err)
 	}
