@@ -74,7 +74,7 @@ func run() int {
 	outPath := flag.String("out", "", "also write results to this file")
 	workerThreads := flag.Int("worker-threads", 4, "workerscale: largest worker-lane count in the sweep")
 	execShards := flag.Int("execute-shards", 4, "execshards: largest execution-shard count in the sweep")
-	storeShards := flag.Int("store-shards", 0, "diskpipe: append logs for the sharded store (0 aligns with the execution shards)")
+	storeShards := flag.Int("store-shards", 0, "diskpipe: append logs for the sharded-gc rows (0 = one log; the sharded-gc-elogs row always has one per execution shard)")
 	storeSync := flag.Bool("store-sync", bench.DiskTuning.Sync, "diskpipe: make the disk rows durable (everything appended during one fsync shares the next on the sharded rows, every Put waits for its own on the serial row; -store-sync=false disables fsync, isolating the blocking-API cost)")
 	execDepth := flag.Int("exec-pipeline-depth", bench.DiskTuning.Depth, "diskpipe: cross-batch execution pipelining depth for the sharded-store row")
 	compactRatio := flag.Float64("store-compact-ratio", 0, "compaction/diskpipe: garbage ratio past which a shard log is compacted (0 = store default 0.5, negative disables)")

@@ -47,13 +47,13 @@
 //     (default) is the strict per-batch barrier.
 //   - -store-backend mem|sharded: the record store. mem (default) is the
 //     paper's recommended in-memory table; sharded is the durable
-//     group-commit store — one append log per shard, recovered
-//     independently after a crash.
+//     group-commit store — an append log every execution shard writes
+//     to, recovered to its longest valid prefix after a crash.
 //   - -store-dir D: root directory for the sharded backend (default
 //     resdb-data/replica-<id>).
 //   - -store-shards S: append logs for the sharded backend; 0 (default)
-//     aligns S with the execution shard count so each execution shard
-//     streams its write partition to a private log.
+//     keeps the count -store-dir was created with, else one — a committed
+//     batch then waits for one fsync whatever -execute-shards is.
 //   - -store-sync: durability. Off (default) never fsyncs; on, the
 //     sharded backend group-commits: writes are visible once appended, no
 //     response leaves before a covering fsync, and a shard's committer
@@ -132,7 +132,7 @@ func run() int {
 	execDepth := flag.Int("exec-pipeline-depth", 1, "cross-batch execution pipelining depth P (1 = strict per-batch barrier; P > 1 overlaps up to P batches across the execution shards)")
 	storeBackend := flag.String("store-backend", "mem", "record store: mem | sharded (durable, group-commit, one log per shard)")
 	storeDir := flag.String("store-dir", "", "root directory for the sharded store (default resdb-data/replica-<id>)")
-	storeShards := flag.Int("store-shards", 0, "append logs for the sharded store backend (0 aligns with the execution shard count)")
+	storeShards := flag.Int("store-shards", 0, "append logs for the sharded store backend (0 = the count -store-dir was created with, else 1)")
 	storeSync := flag.Bool("store-sync", false, "make the sharded store durable: group-commit fsyncs, no response before one covers its writes (off = page cache only)")
 	storeCompactRatio := flag.Float64("store-compact-ratio", 0, "garbage ratio (dead/total log bytes) past which a stable checkpoint compacts a shard log (0 = default 0.5, negative disables compaction)")
 	storeCompactMin := flag.Int64("store-compact-min-bytes", 0, "log size below which checkpoint-driven compaction never rewrites (0 = default 1 MiB, negative removes the floor)")
@@ -183,7 +183,6 @@ func run() int {
 		Backend:         *storeBackend,
 		Dir:             *storeDir,
 		Shards:          *storeShards,
-		ExecShards:      execThreads,
 		CompactRatio:    *storeCompactRatio,
 		CompactMinBytes: *storeCompactMin,
 		ReadIndex:       *storeReadIndex >= 0,

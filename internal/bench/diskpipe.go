@@ -17,8 +17,8 @@ import (
 // line: the diskpipe experiment compares the store backends under these
 // settings.
 var DiskTuning = struct {
-	// Shards is the sharded backend's append-log count; 0 aligns it with
-	// the execution shard count.
+	// Shards is the append-log count of the sharded-gc and sharded-gc-rmix
+	// rows; 0 is the store's default, one log.
 	Shards int
 	// Sync makes the disk-backed rows durable: the sharded rows share an
 	// fsync across everything appended during the one before, the serial
@@ -52,22 +52,30 @@ const diskpipeExecShards = 4
 //     capabilities hidden), so every record is its own Put and waits out
 //     its own append and fsync: the naive durable store whose cost the
 //     paper measures at ~94% of throughput.
-//   - sharded-gc: the refactored store — one append log per execution
-//     shard (each shard worker streams its write partition to a private
-//     log), group commit amortizing the fsync across every write since
-//     the last one, and cross-batch execution pipelining keeping the
-//     shards fed across batch barriers.
-//   - sharded-gc-rmix: the same store under half reads ordered through
+//   - sharded-gc: the refactored store as deployed — one append log that
+//     all E shard workers write their partitions to, group commit
+//     amortizing the fsync across every write since the last one, and
+//     cross-batch execution pipelining keeping the shards fed across batch
+//     barriers.
+//   - sharded-gc-elogs: the same with one log per execution shard, asked
+//     for by count (each worker's partition lands in a private log). It is
+//     the contrast that keeps the multi-log code: a batch here waits for
+//     the slowest of E committers. A host whose device overlaps flushes
+//     can argue for Shards > 1 from this pair of rows; a host where the
+//     row never wins is the argument for deleting it.
+//   - sharded-gc-rmix: sharded-gc under half reads ordered through
 //     consensus. A read needs the writes before it appended, not durable,
 //     so it must cost no fsync of its own.
 //
 // The fsync columns are the mechanism made visible: serial fsync stalls
 // the execute stage once per record; the shard workers append and move on,
 // the wait for a covering fsync happens off them at retirement, and the
-// batches that append during one fsync share the next — batches/fsync above
-// 1/E is consecutive batches landing in one group. On a few-core machine
-// these counts, not wall-clock throughput, are the quantity to watch (cf.
-// the workerscale/execshards guidance).
+// batches that append during one fsync share the next. On one log a batch
+// is one group's worth of appends, so batches/fsync above 1 is consecutive
+// batches landing in one group; on E logs every batch dirties all E, and
+// the same reading starts at 1/E. On a few-core machine these counts, not
+// wall-clock throughput, are the quantity to watch (cf. the
+// workerscale/execshards guidance).
 func diskpipe(s Scale) (Outcome, error) {
 	window := 600 * time.Millisecond
 	clients := 64
@@ -79,6 +87,7 @@ func diskpipe(s Scale) (Outcome, error) {
 		{name: "mem", backend: "mem", depth: 1},
 		{name: "disk-serial", backend: "sharded", shards: 1, bare: true, sync: DiskTuning.Sync, depth: 1},
 		{name: "sharded-gc", backend: "sharded", shards: DiskTuning.Shards, sync: DiskTuning.Sync, depth: DiskTuning.Depth},
+		{name: "sharded-gc-elogs", backend: "sharded", shards: diskpipeExecShards, sync: DiskTuning.Sync, depth: DiskTuning.Depth},
 		{name: "sharded-gc-rmix", backend: "sharded", shards: DiskTuning.Shards, sync: DiskTuning.Sync, depth: DiskTuning.Depth, readFrac: 0.5},
 	}
 

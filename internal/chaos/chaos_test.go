@@ -260,7 +260,7 @@ func TestStoreFaultsCapabilities(t *testing.T) {
 		t.Error("wrapped MemStore gained Appender")
 	}
 
-	inner, err := store.OpenBackend(store.BackendConfig{Backend: "sharded", Dir: t.TempDir(), ExecShards: 1, SyncLinger: time.Millisecond})
+	inner, err := store.OpenBackend(store.BackendConfig{Backend: "sharded", Dir: t.TempDir(), SyncLinger: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,14 +75,13 @@ type Options struct {
 	// StoreBackend selects the record store when StoreFactory is nil:
 	// "mem" (default) keeps records in memory (the paper's recommended
 	// configuration, Section 6 "Memory Storage"); "sharded" is the durable
-	// group-commit store (one append log per shard, fsyncing when
-	// StoreSync is set). store.OpenBackend validates the name.
+	// group-commit store (fsyncing when StoreSync is set). store.OpenBackend validates the name.
 	StoreBackend string
 	// StoreDir is the root directory for disk-backed stores; each replica
 	// gets a replica-<id> subdirectory. Empty means a fresh temp dir.
 	StoreDir string
-	// StoreShards is the sharded backend's log count; 0 aligns it with
-	// ExecuteThreads so each execution shard streams to a private log.
+	// StoreShards is the sharded backend's log count; 0 means the count
+	// StoreDir was created with, else one log whatever ExecuteThreads is.
 	StoreShards int
 	// StoreSync makes the sharded backend durable: appends are visible at
 	// once, responses wait for a covering group-commit fsync. Off (the
@@ -289,7 +288,6 @@ func (c *Cluster) buildStore(id types.ReplicaID) (store.Store, error) {
 		Backend:         o.StoreBackend,
 		Dir:             dir,
 		Shards:          o.StoreShards,
-		ExecShards:      o.ExecuteThreads,
 		CompactRatio:    o.StoreCompactRatio,
 		CompactMinBytes: o.StoreCompactMinBytes,
 		MemSizeHint:     int(o.Workload.Records),

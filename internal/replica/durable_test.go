@@ -188,3 +188,41 @@ func testDurableAtRetire(t *testing.T, e int) {
 		t.Fatalf("StoreWriteFailures = %d after a failed wait on %d partitions of 6 writes in all, want %d", got, e, e)
 	}
 }
+
+// TestFsyncsPerBatch counts what a lone committed batch costs the default
+// backend at E=2: each of 200 closed-loop batches (the next is offered when
+// the last has retired) writes in both execution shards' partitions, so on a
+// store with a log per execution shard it paid exactly two fsyncs, one per
+// log. On the one log a batch pays one, or two when the committer starts its
+// fsync between the two workers' appends. The bound is 1.6 per batch: 100
+// runs under -race beside two CPU hogs on two cores gave 240–270 fsyncs for
+// the 200 batches (215 unloaded), so 320 sits 50 above the worst seen and 80
+// below what a log per shard costs every time.
+func TestFsyncsPerBatch(t *testing.T) {
+	const e, batches = 2, 200
+	st, err := store.OpenBackend(store.BackendConfig{
+		Backend: "sharded", Dir: t.TempDir(), ExecShards: e, SyncLinger: 1, ReadIndex: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	r := newExecReplica(t, e, 2, st)
+	k0, k1 := uint64(0), uint64(0)
+	for b := uint64(1); b <= batches; b++ {
+		k0, k1 = keyOnShard(k0+1, 0, e), keyOnShard(k1+1, 1, e)
+		r.execIn.Offer(b, execItem{act: writeBatch(types.SeqNum(b), 0, b, []types.Op{
+			{Kind: types.OpWrite, Key: k0, Value: []byte("v0")},
+			{Kind: types.OpWrite, Key: k1, Value: []byte("v1")},
+		})})
+		waitBatches(t, r, b)
+	}
+	fsyncs := r.Stats().StoreFsyncs
+	t.Logf("%d fsyncs for %d lone batches", fsyncs, batches)
+	if fsyncs < batches {
+		t.Fatalf("%d fsyncs for %d lone batches: a batch retired with no fsync behind it", fsyncs, batches)
+	}
+	if fsyncs > batches*16/10 {
+		t.Fatalf("%d fsyncs for %d lone batches, want at most 1.6 per batch: two is a log per execution shard", fsyncs, batches)
+	}
+}

@@ -302,12 +302,13 @@ func TestLocalReadStalenessBound(t *testing.T) {
 }
 
 // TestReadMixDeterminism is the acceptance check for conflict-ordered
-// read–write execution: a mixed Zipfian workload run under E=4 with
-// pipeline depth 3 over the sharded group-commit disk store must produce
-// ledger digests, checkpoint chains, store state, AND per-request read
-// results byte-identical to E=1 serial execution over a MemStore. The
-// per-shard FIFO plus write-flush-before-read is what makes a read
-// observe exactly the writes sequenced before it.
+// read–write execution: a mixed Zipfian workload run under E execution
+// shards with pipeline depth 3 over the group-commit disk store — one log,
+// or a log per shard (diskLayouts) — must produce ledger digests,
+// checkpoint chains, store state, AND per-request read results
+// byte-identical to E=1 serial execution over a MemStore, and so to each
+// other. The per-shard FIFO plus write-flush-before-read is what makes a
+// read observe exactly the writes sequenced before it.
 func TestReadMixDeterminism(t *testing.T) {
 	const batches = 32
 	const clients = 4
@@ -318,70 +319,75 @@ func TestReadMixDeterminism(t *testing.T) {
 	mem := store.NewMemStore(shardTestRecords)
 	preloadEven(t, mem)
 	serial, serialEPs := newReadMixReplica(t, 1, 1, clients, mem)
-
-	disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
-		Shards:     4,
-		SyncLinger: 1,
-		ReadIndex:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
-	preloadEven(t, disk)
-	preloadFsyncs := disk.SyncStats().Fsyncs
-	pipelined, pipelinedEPs := newReadMixReplica(t, 4, 3, clients, disk)
-
 	for _, act := range acts {
 		serial.execIn.Offer(uint64(act.Seq), execItem{act: act})
-		pipelined.execIn.Offer(uint64(act.Seq), execItem{act: act})
 	}
 	waitBatches(t, serial, batches)
-	waitBatches(t, pipelined, batches)
-
-	if got, want := pipelined.Ledger().StateDigest(), serial.Ledger().StateDigest(); got != want {
-		t.Fatalf("ledger head digest diverged: pipelined %x vs serial %x", got[:8], want[:8])
-	}
-	if err := ledger.VerifyChainEquality(serial.Ledger(), pipelined.Ledger()); err != nil {
-		t.Fatalf("chains diverged: %v", err)
-	}
-	ss, ps := serial.Stats(), pipelined.Stats()
-	if ss.TxnsExecuted != ps.TxnsExecuted {
-		t.Fatalf("txns executed diverged: serial %d vs pipelined %d", ss.TxnsExecuted, ps.TxnsExecuted)
-	}
+	ss := serial.Stats()
 	if ss.ReadsExecuted == 0 {
 		t.Fatal("mixed workload executed no reads")
 	}
-	if ss.ReadsExecuted != ps.ReadsExecuted {
-		t.Fatalf("reads executed diverged: serial %d vs pipelined %d", ss.ReadsExecuted, ps.ReadsExecuted)
-	}
-	checkGroupCommit(t, ps.StoreFsyncs-preloadFsyncs, batches, 4)
-	if got, want := storeDigest(t, pipelined.Store()), storeDigest(t, serial.Store()); got != want {
-		t.Fatalf("store state diverged: pipelined %x vs serial %x", got[:8], want[:8])
-	}
-
-	// The decisive checks: every request's response — result digest and
-	// read values — must match the model's, and between the two execution
-	// modes.
+	// Every request's response — result digest and read values — must match
+	// the model's; below, between the execution modes.
 	serialResp := checkAgainstModel(t, acts, true, serial, serialEPs)
-	pipelinedResp := collectResponses(t, pipelinedEPs, wantResponses)
-	if len(serialResp) != len(pipelinedResp) {
-		t.Fatalf("response counts diverged: serial %d vs pipelined %d", len(serialResp), len(pipelinedResp))
-	}
-	withReads := 0
-	for key, sv := range serialResp {
-		pv, ok := pipelinedResp[key]
-		if !ok {
-			t.Fatalf("pipelined replica never answered %+v", key)
-		}
-		if sv != pv {
-			t.Fatalf("response %+v diverged:\nserial:    %s\npipelined: %s", key, sv, pv)
-		}
-		if len(sv) > len("result=")+64+len(" reads=") {
-			withReads++
-		}
-	}
-	if withReads == 0 {
-		t.Fatal("no response carried read results")
+
+	for _, l := range diskLayouts {
+		t.Run(fmt.Sprintf("E=%d/logs=%d", l.e, l.logs), func(t *testing.T) {
+			disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
+				Shards:     l.logs,
+				SyncLinger: 1,
+				ReadIndex:  true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer disk.Close()
+			preloadEven(t, disk)
+			preloadFsyncs := disk.SyncStats().Fsyncs
+			pipelined, pipelinedEPs := newReadMixReplica(t, l.e, 3, clients, disk)
+			for _, act := range acts {
+				pipelined.execIn.Offer(uint64(act.Seq), execItem{act: act})
+			}
+			waitBatches(t, pipelined, batches)
+
+			if got, want := pipelined.Ledger().StateDigest(), serial.Ledger().StateDigest(); got != want {
+				t.Fatalf("ledger head digest diverged: pipelined %x vs serial %x", got[:8], want[:8])
+			}
+			if err := ledger.VerifyChainEquality(serial.Ledger(), pipelined.Ledger()); err != nil {
+				t.Fatalf("chains diverged: %v", err)
+			}
+			ps := pipelined.Stats()
+			if ss.TxnsExecuted != ps.TxnsExecuted {
+				t.Fatalf("txns executed diverged: serial %d vs pipelined %d", ss.TxnsExecuted, ps.TxnsExecuted)
+			}
+			if ss.ReadsExecuted != ps.ReadsExecuted {
+				t.Fatalf("reads executed diverged: serial %d vs pipelined %d", ss.ReadsExecuted, ps.ReadsExecuted)
+			}
+			checkGroupCommit(t, ps.StoreFsyncs-preloadFsyncs, batches, l.e)
+			if got, want := storeDigest(t, pipelined.Store()), storeDigest(t, serial.Store()); got != want {
+				t.Fatalf("store state diverged: pipelined %x vs serial %x", got[:8], want[:8])
+			}
+
+			pipelinedResp := collectResponses(t, pipelinedEPs, wantResponses)
+			if len(serialResp) != len(pipelinedResp) {
+				t.Fatalf("response counts diverged: serial %d vs pipelined %d", len(serialResp), len(pipelinedResp))
+			}
+			withReads := 0
+			for key, sv := range serialResp {
+				pv, ok := pipelinedResp[key]
+				if !ok {
+					t.Fatalf("pipelined replica never answered %+v", key)
+				}
+				if sv != pv {
+					t.Fatalf("response %+v diverged:\nserial:    %s\npipelined: %s", key, sv, pv)
+				}
+				if len(sv) > len("result=")+64+len(" reads=") {
+					withReads++
+				}
+			}
+			if withReads == 0 {
+				t.Fatal("no response carried read results")
+			}
+		})
 	}
 }

@@ -482,7 +482,7 @@ type pendingScan struct {
 	frags [][]types.ScanRow
 }
 
-// durableWait is what a shard worker leaves with its shard's durable
+// durableWait is what a shard worker leaves with the replica's durable
 // waiter when a finished partition's writes are appended but not yet
 // covered by an fsync: the ticket covering them and the batch whose
 // barrier they hold up.
@@ -686,13 +686,13 @@ type Replica struct {
 	// execAppend is the store's visible/durable split, when it has one:
 	// partitions are appended through it (visible at once) and the wait
 	// for the fsync happens before retirement — inline for a batch applied
-	// inline, by the shard's durable waiter on durableQs for a fanned-out
-	// one, so no shard worker ever waits for a disk. inlineScratch is the
+	// inline, by the one durable waiter on durableQ for a fanned-out one,
+	// so no shard worker ever waits for a disk. inlineScratch is the
 	// write buffer of the inline apply, reused batch after batch (one
 	// stager at a time: the execute-thread, or a worker lane under
 	// inlineMu).
 	execAppend    store.Appender
-	durableQs     []chan durableWait
+	durableQ      chan durableWait
 	durableWg     sync.WaitGroup
 	inlineScratch []store.KV
 }
@@ -812,10 +812,10 @@ func New(cfg Config) (*Replica, error) {
 	}
 	if a, ok := st.(store.Appender); ok {
 		r.execAppend = a
-		// One entry per in-flight batch, like the shard queue feeding it.
-		r.durableQs = make([]chan durableWait, r.execShards)
-		for i := range r.durableQs {
-			r.durableQs[i] = make(chan durableWait, r.execDepth)
+		if r.execShards > 0 {
+			// One entry per partition of every in-flight batch, what the
+			// shard queues feeding it hold together.
+			r.durableQ = make(chan durableWait, r.execDepth*r.execShards)
 		}
 	} else if b, ok := st.(store.Batcher); ok {
 		r.execBatch = b
@@ -1095,9 +1095,9 @@ func (r *Replica) Start() {
 		r.shardWg.Add(1)
 		go r.execShardLoop(shard)
 	}
-	for shard := range r.durableQs {
+	if r.durableQ != nil {
 		r.durableWg.Add(1)
-		go r.durableWaitLoop(shard)
+		go r.durableWaitLoop()
 	}
 
 	for i := range r.outQs {
@@ -1155,9 +1155,9 @@ func (r *Replica) Stop() {
 			close(q)
 		}
 		r.shardWg.Wait()
-		// The shard workers were the durable waiters' only producers.
-		for _, q := range r.durableQs {
-			close(q)
+		// The shard workers were the durable waiter's only producers.
+		if r.durableQ != nil {
+			close(r.durableQ)
 		}
 		r.durableWg.Wait()
 

@@ -1059,7 +1059,7 @@ func (r *Replica) retireBatch(b *inflightExec) {
 
 // execShardLoop is one execution shard worker: it applies its partition of
 // each fanned-out batch in batch order and never waits for a disk. A
-// partition that appended writes leaves their ticket with the shard's
+// partition that appended writes leaves their ticket with the replica's
 // durable waiter, which takes it off the batch barrier once an fsync covers
 // it; one that did not (a store without the visible/durable split, or no
 // writes) comes off the barrier here.
@@ -1077,17 +1077,18 @@ func (r *Replica) execShardLoop(shard int) {
 			b.partDone()
 			continue
 		}
-		r.durableQs[shard] <- durableWait{ticket: ticket, batch: b}
+		r.durableQ <- durableWait{ticket: ticket, batch: b}
 	}
 }
 
-// durableWaitLoop is one shard's durable waiter: it does the waiting for
-// a disk that the shard worker does not. Tickets arrive in append order,
-// so while it waits for one fsync the tickets queued behind it are usually
-// covered by the same one.
-func (r *Replica) durableWaitLoop(shard int) {
+// durableWaitLoop is the replica's durable waiter: it does the waiting for
+// a disk that the shard workers do not. One serves all of them: a batch
+// retires only when every ticket of it is durable, and on the store's one log
+// they arrive in nearly append order, so while it waits for one fsync those
+// queued behind it are usually covered by the same one.
+func (r *Replica) durableWaitLoop() {
 	defer r.durableWg.Done()
-	for w := range r.durableQs[shard] {
+	for w := range r.durableQ {
 		r.awaitDurable(w.ticket)
 		w.batch.partDone()
 	}

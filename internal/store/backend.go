@@ -7,18 +7,21 @@ import (
 
 // BackendConfig selects and parameterizes a record store. resdb-node and
 // the in-process cluster both build their stores through OpenBackend so
-// backend semantics — the fsync mapping, the shard-count alignment rule,
-// the on-disk layout — cannot drift between deployment styles.
+// backend semantics — the fsync mapping, the log-count rule, the on-disk
+// layout — cannot drift between deployment styles.
 type BackendConfig struct {
 	// Backend is "mem" (default) or "sharded" (the durable group-commit
-	// store, one append log per shard).
+	// store).
 	Backend string
 	// Dir is the sharded backend's directory (ignored by mem).
 	Dir string
-	// Shards is the sharded backend's append-log count; 0 aligns it with
-	// ExecShards so each execution shard streams to a private log.
+	// Shards is the sharded backend's append-log count; 0 means the count
+	// the directory was created with, else one: however many execution
+	// shards append, a committed batch waits for one fsync.
 	Shards int
-	// ExecShards is the execution shard count Shards aligns to when 0.
+	// ExecShards is ignored — a store's layout must not follow
+	// -execute-shards. The name stays until the benchmark that sets it can
+	// be changed.
 	ExecShards int
 	// SyncLinger selects durability: 0 never fsyncs; > 0 group-commits
 	// the sharded backend, magnitude ignored — no linger is kept (see
@@ -53,12 +56,8 @@ func OpenBackend(cfg BackendConfig) (Store, error) {
 		}
 		return NewMemStore(hint), nil
 	case "sharded":
-		shards := cfg.Shards
-		if shards == 0 {
-			shards = cfg.ExecShards
-		}
 		return OpenShardedDisk(cfg.Dir, ShardedDiskOptions{
-			Shards:          shards,
+			Shards:          cfg.Shards,
 			SyncLinger:      cfg.SyncLinger,
 			CompactRatio:    cfg.CompactRatio,
 			CompactMinBytes: cfg.CompactMinBytes,

@@ -442,10 +442,14 @@ func TestCorruptLogHeaderIsAnErrorNotARepair(t *testing.T) {
 // every point: no acknowledged write may be lost, and stray temp files
 // must be cleaned up.
 func TestCompactionCrashMatrix(t *testing.T) {
+	forEachShardCount(t, testCompactionCrashMatrix)
+}
+
+func testCompactionCrashMatrix(t *testing.T, shards int) {
 	const keys, versions = 48, 4
 	setup := func(t *testing.T) (string, map[uint64]string) {
 		dir := t.TempDir()
-		s, err := OpenShardedDisk(dir, ShardedDiskOptions{Shards: 2})
+		s, err := OpenShardedDisk(dir, ShardedDiskOptions{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,18 +14,20 @@ import (
 	"time"
 )
 
-// ShardedDiskStore is the pipelined off-memory store: one append log per
-// shard, keys partitioned by the canonical ShardOf hash, and durability
-// provided by per-shard group commit. It exists to show what the paper's
-// Section 5.7 off-memory penalty costs once the storage layer is given
-// the same treatment as every other stage — shard the serialized
-// resource, batch the expensive syscall:
+// ShardedDiskStore is the pipelined off-memory store: an append log (one
+// unless a count is asked for), keys partitioned over the logs by the
+// canonical ShardOf hash, and durability provided by per-log group commit.
+// It exists to show what the paper's Section 5.7 off-memory penalty costs
+// once the storage layer is given the same treatment as every other stage —
+// batch the expensive syscall, and keep whoever appends from waiting for it:
 //
-//   - Writes to different shards never contend: each shard owns its own
-//     log file, lock, and fsync schedule, so the execute stage's shard
-//     workers (with an aligned shard count) stream their key partitions
-//     to private logs.
-//   - A durable store runs one committer per shard with no timer in it:
+//   - The unit of durability is the committed batch, and a batch touches
+//     every execution shard's partition. So the execute stage's shard workers
+//     all append to the one log (a partition is one write syscall under the
+//     log's lock) and one fsync covers all of them; on a log per worker the
+//     batch waits for the slowest of several. Explicit Shards: N gives N
+//     logs, each with its own file, lock and committer.
+//   - A durable store runs one committer per log with no timer in it:
 //     an fsync covers every write appended before it started, and the
 //     writes that arrive while it runs form the next group (group commit).
 //     Visible and durable are separate events (Appender): an append is
@@ -35,17 +37,17 @@ import (
 //     paying N, and the appending goroutine never waits for the disk. Put
 //     and PutMany are the synchronous form, append then wait.
 //
-// Each shard's log is a CRC-32C-per-record log (see format.go): on open a
+// Each log is a CRC-32C-per-record log (see format.go): on open a
 // torn tail or any record failing its CRC ends the valid prefix,
-// independently per shard. A log is grown ahead of its appends by chunks of
+// independently per log. A log is grown ahead of its appends by chunks of
 // zeros (logChunk), so that a group-commit fsync flushes data and not a
 // change of file size; Close trims them. A SHARDS
-// meta file pins the shard count, since reopening with a different count
+// meta file pins the log count, since reopening with a different count
 // would look keys up in the wrong logs.
 //
-// Shard logs are append-only, so superseded values accumulate until
+// Logs are append-only, so superseded values accumulate until
 // Compact (or the threshold-driven MaybeCompact, which the replica fires
-// on stable checkpoints) rewrites a shard's live records to a fresh log:
+// on stable checkpoints) rewrites a log's live records to a fresh one:
 // temp file + fsync + rename + directory fsync, crash-safe at every
 // point, after which log size tracks live data instead of history and
 // restart replays only the compacted log.
@@ -118,9 +120,10 @@ type diskLogShard struct {
 
 // ShardedDiskOptions configures a ShardedDiskStore.
 type ShardedDiskOptions struct {
-	// Shards is the number of append logs. 0 means 4, or the persisted
-	// count when reopening an existing store. Opening an existing store
-	// with a conflicting non-zero count is an error.
+	// Shards is the number of append logs. 0 means the count the
+	// directory's SHARDS file pins, else 1: a layout outlives the options
+	// of the process that made it. Opening an existing store with a
+	// conflicting non-zero count is an error.
 	Shards int
 	// SyncLinger selects durability: 0 never fsyncs (writes reach the page
 	// cache only); > 0 group-commits, so every Put/PutMany returns only
@@ -173,6 +176,9 @@ func openShardedDisk(dir string, opts ShardedDiskOptions, fsync func(*os.File) e
 		}
 		if n == 0 {
 			n = persisted
+			if n != 1 {
+				slog.Info("store: directory keeps the log count it was created with", "dir", dir, "logs", n)
+			}
 		} else if n != persisted {
 			return nil, fmt.Errorf("store: existing store has %d shards, requested %d", persisted, n)
 		}
@@ -181,7 +187,7 @@ func openShardedDisk(dir string, opts ShardedDiskOptions, fsync func(*os.File) e
 		return nil, fmt.Errorf("store: reading shard meta: %w", err)
 	}
 	if n == 0 {
-		n = 4
+		n = 1
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("store: need at least one shard, got %d", n)
@@ -404,13 +410,11 @@ func (s *ShardedDiskStore) PutMany(kvs []KV) error {
 // index, the read index and the ordered sidecar — visible to Get and Scan —
 // and its shard's committer is armed. The sidecar hears only of partitions
 // that brought a new key: the index lookup already knows an overwrite's key
-// is in it. Nothing here waits for a disk when the caller's partitions were
-// built with the same ShardOf shard count (the aligned execute-shard
-// configuration): the whole partition lands in one log and the new ticket
-// covers prev. A partition that spans shards, or a
-// prev on another shard, leaves several tickets; all but the last touched
-// shard's are waited for here, after every append has been issued so the
-// shards' group commits overlap.
+// is in it. Nothing here waits for a disk when the whole call lands in one
+// log — always, on a one-log store — and the new ticket covers prev. A call
+// that spans logs, or a prev on another log, leaves several tickets; all but
+// the last touched log's are waited for here, after every append has been
+// issued so the logs' group commits overlap.
 func (s *ShardedDiskStore) Append(kvs []KV, prev Ticket) (Ticket, error) {
 	if len(kvs) == 0 {
 		return prev, nil
@@ -432,7 +436,7 @@ func (s *ShardedDiskStore) Append(kvs []KV, prev Ticket) (Ticket, error) {
 		groups[sh] = append(groups[sh], kvs[i])
 	}
 	// last is the ticket to return; early collects the tickets it does not
-	// cover, which only exist off the aligned path.
+	// cover, which only exist on a store of several logs.
 	last := prev
 	var early []Ticket
 	appendGroup := func(idx int, g []KV) error {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -304,6 +305,88 @@ func TestShardedDiskMetaPinsShardCount(t *testing.T) {
 	}
 	if v, err := s2.Get(1); err != nil || string(v) != "one" {
 		t.Fatalf("Get(1) = (%q,%v)", v, err)
+	}
+}
+
+// TestOpenBackendOneLog: the log count is the store's business, not the
+// execute stage's. However many execution shards a deployment names, a
+// store opened without a count gets one log: a committed batch touches every
+// execution shard's partition and must wait for one fsync, not one per shard.
+func TestOpenBackendOneLog(t *testing.T) {
+	for _, e := range []int{1, 2, 4} {
+		st, err := OpenBackend(BackendConfig{Backend: "sharded", Dir: t.TempDir(), ExecShards: e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.(*ShardedDiskStore).Shards(); got != 1 {
+			t.Errorf("ExecShards %d opened %d logs, want 1", e, got)
+		}
+		st.Close()
+	}
+}
+
+// TestLayoutSurvivesExecShards: a directory keeps the log count it was
+// created with — by this build (one) or by an earlier one that followed the
+// execution shard count (two here) — when the operator, who never named a
+// log count, restarts with another -execute-shards. Every key stays
+// readable, the store takes writes, and an adopted count that is not the one
+// a fresh directory would get is said once per open.
+func TestLayoutSurvivesExecShards(t *testing.T) {
+	for name, created := range map[string]int{"this-build": 0, "two-logs-from-an-earlier-build": 2} {
+		t.Run(name, func(t *testing.T) {
+			logs := captureLogs(t)
+			dir := t.TempDir()
+			open := func(e int) *ShardedDiskStore {
+				t.Helper()
+				st, err := OpenBackend(BackendConfig{Backend: "sharded", Dir: dir, ExecShards: e, SyncLinger: 1})
+				if err != nil {
+					t.Fatalf("opening at ExecShards %d: %v", e, err)
+				}
+				return st.(*ShardedDiskStore)
+			}
+			var s *ShardedDiskStore
+			if created == 0 {
+				s = open(2)
+			} else {
+				s = openSharded(t, dir, ShardedDiskOptions{Shards: created, SyncLinger: 1})
+			}
+			want := s.Shards()
+			const keys = 64
+			for k := uint64(0); k < keys; k++ {
+				if err := s.Put(k, []byte(fmt.Sprintf("v-%d", k))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			logs.Reset()
+			for i, e := range []int{4, 1} {
+				s := open(e)
+				if got := s.Shards(); got != want {
+					t.Fatalf("reopened at ExecShards %d with %d logs, created with %d", e, got, want)
+				}
+				for k := uint64(0); k < keys+uint64(i); k++ {
+					if v, err := s.Get(k); err != nil || string(v) != fmt.Sprintf("v-%d", k) {
+						t.Fatalf("ExecShards %d: Get(%d) = (%q,%v)", e, k, v, err)
+					}
+				}
+				k := keys + uint64(i)
+				if err := s.Put(k, []byte(fmt.Sprintf("v-%d", k))); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantSaid := 0
+			if want != 1 {
+				wantSaid = 2 // one per reopen
+			}
+			if said := strings.Count(logs.String(), fmt.Sprintf("logs=%d", want)); said != wantSaid {
+				t.Fatalf("two reopens of a %d-log directory said so %d times, want %d:\n%s", want, said, wantSaid, logs.String())
+			}
+		})
 	}
 }
 

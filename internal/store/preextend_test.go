@@ -142,11 +142,11 @@ func TestPreExtendLogGrowsByChunks(t *testing.T) {
 	}
 }
 
-// syncedImage is an fsync hook that remembers what was in the log when the
+// syncedImage is an fsync hook that remembers what was in each log when its
 // last completed fsync began: the bytes a power loss cannot take back.
 type syncedImage struct {
 	mu  sync.Mutex
-	img []byte
+	img map[string][]byte // by log path
 }
 
 func (si *syncedImage) sync(f *os.File) error {
@@ -157,10 +157,14 @@ func (si *syncedImage) sync(f *os.File) error {
 	if err := f.Sync(); err != nil {
 		return err
 	}
-	si.mu.Lock()
-	si.img = before
-	si.mu.Unlock()
+	si.set(f.Name(), before)
 	return nil
+}
+
+func (si *syncedImage) set(path string, img []byte) {
+	si.mu.Lock()
+	si.img[path] = img
+	si.mu.Unlock()
 }
 
 // powerLoss builds what a power loss leaves of a log whose last completed
@@ -181,17 +185,21 @@ func powerLoss(rng *rand.Rand, synced, current []byte) []byte {
 }
 
 // TestPowerLossModel is the store against "everything written after the last
-// completed fsync may or may not be there, page by page". Each cycle opens
-// the log the previous crash left, writes acknowledged partitions (PutMany
+// completed fsync may or may not be there, page by page", log by log, at one
+// log and at four. Each cycle opens the logs the previous crash left, writes acknowledged partitions (PutMany
 // returned, or WaitDurable did) and unacknowledged ones (Append alone) with
 // values sized so that records straddle chunk boundaries, and then loses
 // power — every other cycle between a chunk's zero write and the record it
 // was written for. After the crash every acknowledged write must read back
 // with its last acknowledged value or one written after it, nothing that was
-// never written may surface, and the log must take the next cycle's appends
+// never written may surface, and the logs must take the next cycle's appends
 // and recover them in turn.
 func TestPowerLossModel(t *testing.T) {
 	captureLogs(t) // torn tails are the point here; the warning has its own test
+	forEachShardCount(t, testPowerLossModel)
+}
+
+func testPowerLossModel(t *testing.T, shards int) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -204,12 +212,11 @@ func TestPowerLossModel(t *testing.T) {
 			acked := make(map[uint64]bool)
 			straddles, zeroCrashes := 0, 0
 			for cycle := 0; cycle < 8; cycle++ {
-				si := &syncedImage{}
-				s, err := openShardedDisk(dir, ShardedDiskOptions{Shards: 1, SyncLinger: 1, CompactRatio: -1}, si.sync)
+				si := &syncedImage{img: make(map[string][]byte)}
+				s, err := openShardedDisk(dir, ShardedDiskOptions{Shards: shards, SyncLinger: 1, CompactRatio: -1}, si.sync)
 				if err != nil {
 					t.Fatalf("cycle %d: reopening after a power loss: %v", cycle, err)
 				}
-				sh := s.shards[0]
 
 				// What the crash left: for every key one of the values
 				// written since its last acknowledgement, which from here on
@@ -242,13 +249,13 @@ func TestPowerLossModel(t *testing.T) {
 					}
 					history[k], acked[k] = [][]byte{v}, true
 				}
-				recovered, err := os.ReadFile(sh.path) // the recovered log is the disk's state
-				if err != nil {
-					t.Fatal(err)
+				for _, sh := range s.shards {
+					recovered, err := os.ReadFile(sh.path) // the recovered log is the disk's state
+					if err != nil {
+						t.Fatal(err)
+					}
+					si.set(sh.path, recovered)
 				}
-				si.mu.Lock()
-				si.img = recovered
-				si.mu.Unlock()
 
 				write := func(wait bool) {
 					var kvs []KV
@@ -257,13 +264,19 @@ func TestPowerLossModel(t *testing.T) {
 						rng.Read(v)
 						kvs = append(kvs, KV{Key: uint64(rng.Intn(keys)), Value: v})
 					}
-					off, alloc := sh.off, sh.alloc
+					type mark struct{ off, alloc int64 }
+					before := make([]mark, len(s.shards))
+					for i, sh := range s.shards {
+						before[i] = mark{sh.off, sh.alloc}
+					}
 					ticket, err := s.Append(kvs, Ticket{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if off < alloc && alloc < sh.off {
-						straddles++
+					for i, sh := range s.shards {
+						if before[i].off < before[i].alloc && before[i].alloc < sh.off {
+							straddles++
+						}
 					}
 					if wait {
 						if err := s.WaitDurable(ticket); err != nil {
@@ -285,6 +298,7 @@ func TestPowerLossModel(t *testing.T) {
 				}
 				if cycle%2 == 1 {
 					// The zero write of the next extension, and no record.
+					sh := s.shards[rng.Intn(shards)]
 					sh.mu.Lock()
 					err := sh.extend(sh.f, sh.alloc+1)
 					sh.mu.Unlock()
@@ -294,23 +308,29 @@ func TestPowerLossModel(t *testing.T) {
 					zeroCrashes++
 				}
 
-				// Power loss. Wait out an fsync in flight first, so that the
-				// image and the file are read at one moment.
-				sh.mu.Lock()
-				for sh.syncing {
-					sh.cond.Wait()
-				}
-				current, err := os.ReadFile(sh.path)
-				si.mu.Lock()
-				synced := si.img
-				si.mu.Unlock()
-				sh.mu.Unlock()
-				if err != nil {
-					t.Fatal(err)
+				// Power loss. Wait out an fsync in flight first, so that a
+				// log's image and its file are read at one moment.
+				left := make([][]byte, shards)
+				for i, sh := range s.shards {
+					sh.mu.Lock()
+					for sh.syncing {
+						sh.cond.Wait()
+					}
+					current, err := os.ReadFile(sh.path)
+					si.mu.Lock()
+					synced := si.img[sh.path]
+					si.mu.Unlock()
+					sh.mu.Unlock()
+					if err != nil {
+						t.Fatal(err)
+					}
+					left[i] = powerLoss(rng, synced, current)
 				}
 				s.Close()
-				if err := os.WriteFile(sh.path, powerLoss(rng, synced, current), 0o644); err != nil {
-					t.Fatal(err)
+				for i, sh := range s.shards {
+					if err := os.WriteFile(sh.path, left[i], 0o644); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			if straddles == 0 || zeroCrashes == 0 {
@@ -338,13 +358,13 @@ func TestPreExtendRecoveryWarnsOnceOnATornTail(t *testing.T) {
 	// Zeros, as pre-extension leaves them, and then a record's worth of
 	// garbage behind them: still a clean end, the scan never gets that far.
 	appendRaw(t, dir, k, 2, append(make([]byte, 64), 0xAB, 0xCD))
-	s = openSharded(t, dir, ShardedDiskOptions{})
+	s = openSharded(t, dir, ShardedDiskOptions{Shards: 2}) // by count: adopting two logs is said, and is not this test's business
 	s.Close()
 	if out := logs.String(); out != "" {
 		t.Fatalf("a tail that starts with zeros is a clean end, and recovery said:\n%s", out)
 	}
 	appendRaw(t, dir, k, 2, []byte{0, 0, 0, 0, 0, 0, 0, 9, 0, 0}) // half a header
-	s = openSharded(t, dir, ShardedDiskOptions{})
+	s = openSharded(t, dir, ShardedDiskOptions{Shards: 2})
 	defer s.Close()
 	out := logs.String()
 	for _, attr := range []string{"level=WARN", "shard=1", fmt.Sprintf("offset=%d", valid), "dropped=10"} {

@@ -6,10 +6,10 @@
 // conclusion (Section 6, "Memory Storage") is that replicas can keep
 // records in memory because at most f replicas fail. ShardedDiskStore is
 // the off-memory side, and the middle the paper did not build: a durable
-// store engineered like every other pipeline stage — one append log per
-// shard (partitioned by the same ShardOf hash the execute stage uses) and
-// group-commit fsync, so durability stops being the serialized tail of the
-// pipeline. Reached through nothing but the blocking Store interface (one
+// store engineered like every other pipeline stage — one append log that
+// every execution shard writes to (several, partitioned by the same ShardOf
+// hash the execute stage uses, only when asked for) and group-commit
+// fsync, so durability stops being the serialized tail of the pipeline. Reached through nothing but the blocking Store interface (one
 // shard, every Put waiting out its own fsync) it is the paper's naive
 // off-memory store — the role SQLite plays there; the diskpipe bench runs
 // it both ways to quantify how much of the penalty the engineering wins
@@ -58,8 +58,8 @@ type KV struct {
 // shard workers apply their key partitions through it concurrently —
 // callers must guarantee the partitions are key-disjoint, which is what
 // makes the result order-independent across callers. MemStore and
-// ShardedDiskStore implement it (the sharded store additionally streams
-// an aligned partition to a single append log with one write syscall; its
+// ShardedDiskStore implement it (the sharded store additionally writes a
+// partition to its append log with one write syscall; its
 // PutMany is Append followed by WaitDurable, so it returns only once a
 // completed fsync covers the partition). A store that offers neither this
 // nor Appender is applied one blocking Put at a time.

@@ -354,9 +354,9 @@ func InitTable(st store.Store, cfg Config) error {
 
 // ShardOf maps a record key to one of shards execution shards. It
 // delegates to store.ShardOf — the canonical partition hash — so the
-// execute stage and the sharded durable store agree on shard placement:
-// with aligned counts each execution shard streams its whole partition to
-// exactly one append log. The hash decorrelates the shard from the
+// execute stage and a durable store opened with several logs place keys by
+// the same function: with equal counts an execution shard's partition lands
+// in exactly one log (with the default single log it always does). The hash decorrelates the shard from the
 // Zipfian popularity scramble and from MemStore's internal shard hash, so
 // hot keys spread across execution shards instead of clustering on one.
 func ShardOf(key uint64, shards int) int {
