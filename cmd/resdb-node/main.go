@@ -27,9 +27,10 @@
 //   - -batch-threads B: assemble and propose batches on B batch-threads
 //     at the primary; -1 folds batch assembly into worker lane 0 (the
 //     paper's 0B configuration).
-//   - -verify-threads V: verify peer signatures on V parallel workers
-//     between the input-threads and the worker lanes; -1 verifies inline
-//     on the worker lanes (the paper's baseline assignment).
+//   - -verify-threads V: input-threads authenticate peer envelopes before
+//     decoding them and V pool workers check a batch's client signatures;
+//     -1 verifies inline on the worker lanes and batch-threads (the
+//     paper's baseline assignment).
 //   - -worker-threads W: step the consensus engine on W parallel worker
 //     lanes routed by sequence number (control traffic stays on lane 0);
 //     1 restores the paper's single worker-thread. Zyzzyva always runs a
@@ -137,7 +138,7 @@ func run() int {
 	storeCompactRatio := flag.Float64("store-compact-ratio", 0, "garbage ratio (dead/total log bytes) past which a stable checkpoint compacts a shard log (0 = default 0.5, negative disables compaction)")
 	storeCompactMin := flag.Int64("store-compact-min-bytes", 0, "log size below which checkpoint-driven compaction never rewrites (0 = default 1 MiB, negative removes the floor)")
 	storeReadIndex := flag.Int("store-read-index", 0, "in-memory read index over the sharded store so local reads never touch a shard log or lock (0 = default on, -1 disables)")
-	verifyThreads := flag.Int("verify-threads", 0, "parallel signature-verification workers (0 = default 2, -1 verifies inline on the worker lanes)")
+	verifyThreads := flag.Int("verify-threads", 0, "client-signature verification workers; input-threads verify peer envelopes (0 = default 2, -1 verifies both inline on the worker lanes and batch-threads)")
 	workerThreads := flag.Int("worker-threads", 1, "parallel consensus worker lanes (1 = the paper's single worker-thread)")
 	chaosSpec := flag.String("chaos", "", "fault-injection spec for this replica's outbound traffic: drop=P,dup=P,corrupt=P,delay=D,reorder=D,byz=mode@replica,seed=N (empty disables; see internal/chaos)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address and report heap/GC deltas in the stats tick (empty disables)")
@@ -253,8 +254,8 @@ func run() int {
 				s.StoreCompactions, s.StoreCompactReclaimedBytes)
 			if profiling {
 				hits, misses := ep.FramePoolStats()
-				fmt.Printf("final-mem: framepool-hits=%d framepool-misses=%d encpool-hits=%d encpool-misses=%d batch-verified=%d\n",
-					hits, misses, s.EncodePoolHits, s.EncodePoolMisses, s.VerifyBatched)
+				fmt.Printf("final-mem: framepool-hits=%d framepool-misses=%d encpool-hits=%d encpool-misses=%d\n",
+					hits, misses, s.EncodePoolHits, s.EncodePoolMisses)
 			}
 			return 0
 		case <-tick.C:
@@ -269,17 +270,15 @@ func run() int {
 				var m runtime.MemStats
 				runtime.ReadMemStats(&m)
 				hits, misses := ep.FramePoolStats()
-				line += fmt.Sprintf(" heap=%dKiB gc=+%d pause=+%s framepool=%d/%d encpool=%d/%d batch-verified=%d",
+				line += fmt.Sprintf(" heap=%dKiB gc=+%d pause=+%s framepool=%d/%d encpool=%d/%d",
 					m.HeapAlloc>>10, m.NumGC-lastMem.NumGC,
 					time.Duration(m.PauseTotalNs-lastMem.PauseTotalNs),
-					hits, hits+misses, s.EncodePoolHits, s.EncodePoolHits+s.EncodePoolMisses,
-					s.VerifyBatched)
+					hits, hits+misses, s.EncodePoolHits, s.EncodePoolHits+s.EncodePoolMisses)
 				// Pipeline queue depths and the saturation gauge the replica
 				// piggybacks on its responses (what gateway admission sees).
-				line += fmt.Sprintf(" queues=in:%d/%d,batch:%d/%d,work:%d/%d,exec:%d/%d,out:%d/%d busy=%d",
+				line += fmt.Sprintf(" queues=in:%d/%d,batch:%d/%d,work:%d/%d,exec:%d/%d busy=%d",
 					s.InputQueueDepth, s.InputQueueCap, s.BatchQueueDepth, s.BatchQueueCap,
-					s.WorkQueueDepth, s.WorkQueueCap, s.ExecBacklog, s.ExecWindow,
-					s.OutQueueDepth, s.OutQueueCap, s.BusyGauge)
+					s.WorkQueueDepth, s.WorkQueueCap, s.ExecBacklog, s.ExecWindow, s.BusyGauge)
 				lastMem = m
 			}
 			fmt.Println(line)

@@ -94,7 +94,8 @@ func workerscale(s Scale) (Outcome, error) {
 func busiestOtherStage(st replica.Stats, winNS float64) (string, float64) {
 	// Per-thread divisors for multi-threaded stages under the default
 	// cluster configuration: 3 input threads (1 client inbox + 2 replica
-	// inboxes), 2 batch-threads, 2 output-threads.
+	// inboxes), 2 batch-threads. Output is not a stage of its own: the time
+	// inside Endpoint.Send is part of whichever stage sent.
 	stages := []struct {
 		s       replica.Stage
 		threads float64
@@ -103,7 +104,6 @@ func busiestOtherStage(st replica.Stats, winNS float64) (string, float64) {
 		{replica.StageBatch, 2},
 		{replica.StageExecute, 1},
 		{replica.StageCheckpoint, 1},
-		{replica.StageOutput, 2},
 	}
 	name, best := "none", 0.0
 	for _, sc := range stages {

@@ -481,7 +481,7 @@ func (e *endpoint) forgedResponse(env *types.Envelope) *types.Envelope {
 }
 
 // corrupted replaces the body with undecodable garbage re-signed by the
-// sender, so the receiver's verify stage passes it and the decode stage
+// sender, so the receiver's authenticator check passes it and the decode
 // counts it — a malformed flood lands in DecodeFailures, not
 // AuthFailures. Returns nil if signing fails (the original is kept).
 func (e *endpoint) corrupted(env *types.Envelope) *types.Envelope {

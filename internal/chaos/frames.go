@@ -7,8 +7,8 @@ package chaos
 
 // malformedBody returns a fresh body that no message type decodes: every
 // unmarshal starts by reading at least one u32, so three bytes always
-// leave the reader short. The receiver's verify stage passes it (the
-// fabric re-signs it) and the decode stage counts it in DecodeFailures.
+// leave the reader short. The receiver's authenticator check passes it (the
+// fabric re-signs it) and the decode counts it in DecodeFailures.
 func malformedBody() []byte { return []byte{0xFF, 0xFE, 0xFD} }
 
 // MalformedBodies returns decode-failing message bodies for fuzz seeding:

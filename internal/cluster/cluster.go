@@ -32,11 +32,12 @@ type Options struct {
 	Burst     int
 	BatchSize int
 	// Thread counts; see replica.Config. Defaults follow the paper's
-	// standard configuration: 2 batch-threads, 1 execute-thread, plus
-	// 2 verify-threads (the parallel-crypto refinement of Section 4.2);
-	// the 2 output-threads and 2 replica input-threads are fixed. Pass -1
-	// to request the folded 0B / 0E / inline-verify configurations
-	// explicitly.
+	// standard configuration: 2 batch-threads, 1 execute-thread, and
+	// VerifyThreads 2 (input-threads authenticate what they dequeue, two
+	// pool workers check client signatures); the 2 replica input-threads
+	// are fixed, and there are no output-threads (senders call the
+	// endpoint themselves). Pass -1 to request the folded 0B / 0E /
+	// inline-verify configurations explicitly.
 	// ExecuteThreads is E, the execution shard count: values above 1 run
 	// the execute stage as E write-set-partitioned shard workers behind
 	// the in-order coordinator (deterministic — see

@@ -41,34 +41,11 @@ func TestClusterEncodePool(t *testing.T) {
 	}
 }
 
-// TestClusterBatchedVerify runs an all-ed25519 cluster and checks both
-// correctness (agreed, valid chains) and that the verify pool's batched
-// path actually carried signatures.
-func TestClusterBatchedVerify(t *testing.T) {
-	opts := smallOpts()
-	opts.Crypto = crypto.AllED25519()
-	opts.VerifyThreads = 2
-	c, res := runCluster(t, opts, 1200*time.Millisecond)
-	if res.Txns == 0 {
-		t.Fatal("no transactions completed")
-	}
-	if err := c.VerifyLedgers(nil); err != nil {
-		t.Fatal(err)
-	}
-	var batched uint64
-	for i := 0; i < opts.N; i++ {
-		batched += c.Replica(i).Stats().VerifyBatched
-	}
-	if batched == 0 {
-		t.Fatal("no signature was verified via the batched path")
-	}
-}
-
 // TestTCPClusterZeroCopyEndToEnd is TestTCPClusterEndToEnd with the whole
-// zero-copy hot path on: pooled frame decode on every endpoint, pooled
-// outbound encode on replicas and clients, and batched verification. Run
-// under -race it exercises the arena handoff across the full
-// transport → verify → worker → execute pipeline.
+// zero-copy hot path on: pooled frame decode on every endpoint and pooled
+// outbound encode on replicas and clients. Run under -race it exercises the
+// arena handoff across the full transport → input → worker → execute
+// pipeline.
 func TestTCPClusterZeroCopyEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP cluster in -short mode")

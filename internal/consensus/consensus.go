@@ -102,9 +102,13 @@ type Engine interface {
 	// checkpoint generation.
 	OnExecuted(seq types.SeqNum, stateDigest types.Digest) []Action
 
-	// OnViewTimeout signals that progress stalled (the driver's view
-	// timer fired); the engine may start a view change.
-	OnViewTimeout() []Action
+	// OnViewTimeout signals that progress stalled in view (the driver's
+	// view timer fired); the engine may start a view change. The driver
+	// names the view it watched because the engine may have left it since
+	// — a time-out takes a lock the view change holds — and a time-out
+	// about an older view says nothing about this one: the engine ignores
+	// it.
+	OnViewTimeout(view types.View) []Action
 
 	// View returns the engine's current view.
 	View() types.View
@@ -176,10 +180,10 @@ func (s *serialEngine) OnExecuted(seq types.SeqNum, stateDigest types.Digest) []
 	return s.inner.OnExecuted(seq, stateDigest)
 }
 
-func (s *serialEngine) OnViewTimeout() []Action {
+func (s *serialEngine) OnViewTimeout(view types.View) []Action {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.inner.OnViewTimeout()
+	return s.inner.OnViewTimeout(view)
 }
 
 func (s *serialEngine) LastProposed() types.SeqNum {

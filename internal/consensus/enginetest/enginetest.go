@@ -92,7 +92,7 @@ func (c *Cluster) Timeout(rep types.ReplicaID) {
 	if c.Down[rep] {
 		return
 	}
-	c.handleActions(rep, c.Engines[rep].OnViewTimeout())
+	c.handleActions(rep, c.Engines[rep].OnViewTimeout(c.Engines[rep].View()))
 }
 
 // Pending returns the number of undelivered messages.

@@ -27,7 +27,7 @@ func (f *fakeEngine) Propose(reqs []types.ClientRequest) []consensus.Action {
 	return []consensus.Action{consensus.Broadcast{Msg: &types.PrePrepare{Seq: 1, Requests: reqs}}}
 }
 func (f *fakeEngine) OnExecuted(types.SeqNum, types.Digest) []consensus.Action { return nil }
-func (f *fakeEngine) OnViewTimeout() []consensus.Action                        { return nil }
+func (f *fakeEngine) OnViewTimeout(types.View) []consensus.Action              { return nil }
 func (f *fakeEngine) View() types.View                                         { return 0 }
 func (f *fakeEngine) IsPrimary() bool                                          { return f.id == 0 }
 func (f *fakeEngine) Stats() consensus.EngineStats                             { return consensus.EngineStats{} }

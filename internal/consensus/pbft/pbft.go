@@ -236,6 +236,20 @@ func (c *ckptTable) prune(target types.SeqNum) {
 	}
 }
 
+// maxAhead bounds, per sender, the per-sequence messages kept for views this
+// replica has not entered yet (see Engine.ahead). A sender past its share is
+// dropped as before; it cannot push out anybody else's.
+const maxAhead = 1024
+
+// aheadMsg is one pre-prepare, prepare or commit of a view above the
+// engine's own, kept until the engine enters that view.
+type aheadMsg struct {
+	from types.ReplicaID
+	view types.View
+	msg  types.Message
+	auth []byte
+}
+
 // Engine is a PBFT replica state machine, safe for concurrent stepping of
 // independent instances; see the package comment for the locking design.
 type Engine struct {
@@ -279,6 +293,20 @@ type Engine struct {
 	votedView    types.View
 	viewChanges  map[types.View]map[types.ReplicaID]*types.ViewChange
 
+	// ahead is the per-sequence traffic of views above this replica's own,
+	// in arrival order, and aheadFrom how much of it each sender holds. A
+	// backup votes in the new view the moment it has the NewView, and
+	// nothing orders its votes behind the new primary's NewView on the way
+	// to a third replica (different senders, different inboxes, different
+	// lanes): without this, a replica whose NewView arrives last drops its
+	// peers' prepares and commits for the re-proposed batches, nobody sends
+	// them again, and it never executes past the view change. enterNewView's
+	// callers replay what was kept for the view entered. Its own lock, taken
+	// under the control lock in either mode and never with a stripe lock.
+	aheadMu   sync.Mutex
+	ahead     []aheadMsg
+	aheadFrom []int
+
 	// stripes is the lock-striped per-sequence instance table.
 	stripes [numStripes]stripe
 
@@ -307,6 +335,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:         cfg,
 		f:           consensus.MaxFaults(cfg.N),
 		viewChanges: make(map[types.View]map[types.ReplicaID]*types.ViewChange),
+		aheadFrom:   make([]int, cfg.N),
 	}
 	for i := range e.stripes {
 		e.stripes[i].instances = make(map[types.SeqNum]*instance)
@@ -477,7 +506,7 @@ func (e *Engine) OnMessage(from types.NodeID, msg types.Message, auth []byte) []
 // new-view path re-enters it under the write lock).
 func (e *Engine) onPrePrepare(from types.ReplicaID, m *types.PrePrepare) []consensus.Action {
 	if m.View != e.view || e.inViewChange || !e.inWindow(m.Seq) {
-		e.stats.Dropped.Add(1)
+		e.keepOrDrop(from, m.View, m, nil)
 		return nil
 	}
 	if from != consensus.PrimaryOf(e.view, e.cfg.N) {
@@ -536,7 +565,7 @@ func (e *Engine) onPrePrepare(from types.ReplicaID, m *types.PrePrepare) []conse
 
 func (e *Engine) onPrepare(from types.ReplicaID, m *types.Prepare) []consensus.Action {
 	if m.View != e.view || e.inViewChange || !e.inWindow(m.Seq) {
-		e.stats.Dropped.Add(1)
+		e.keepOrDrop(from, m.View, m, nil)
 		return nil
 	}
 	if m.Replica != from {
@@ -553,7 +582,7 @@ func (e *Engine) onPrepare(from types.ReplicaID, m *types.Prepare) []consensus.A
 
 func (e *Engine) onCommit(from types.ReplicaID, m *types.Commit, auth []byte) []consensus.Action {
 	if m.View != e.view || e.inViewChange || !e.inWindow(m.Seq) {
-		e.stats.Dropped.Add(1)
+		e.keepOrDrop(from, m.View, m, auth)
 		return nil
 	}
 	if m.Replica != from {
@@ -566,6 +595,63 @@ func (e *Engine) onCommit(from types.ReplicaID, m *types.Commit, auth []byte) []
 	in := s.inst(m.Seq, e.cfg.N)
 	in.recordCommit(from, m.Digest, auth)
 	return e.advance(m.Seq, in)
+}
+
+// keepOrDrop disposes of a per-sequence message the engine cannot step now:
+// one of a view above its own is kept for when it enters that view (within
+// the sender's share), anything else is dropped — an older view's, or the
+// current view's while this replica has voted to leave it. The caller holds
+// the control lock in either mode.
+func (e *Engine) keepOrDrop(from types.ReplicaID, view types.View, msg types.Message, auth []byte) {
+	if view > e.view {
+		e.aheadMu.Lock()
+		kept := e.aheadFrom[from] < maxAhead
+		if kept {
+			e.aheadFrom[from]++
+			e.ahead = append(e.ahead, aheadMsg{from: from, view: view, msg: msg, auth: auth})
+		}
+		e.aheadMu.Unlock()
+		if kept {
+			return
+		}
+	}
+	e.stats.Dropped.Add(1)
+}
+
+// replayAhead steps, in arrival order, what was kept for the view just
+// entered, and forgets what was kept for views below it. It runs under the
+// write lock, so nothing is being kept meanwhile: a message of this view is
+// either in here or arrives to find the view entered.
+func (e *Engine) replayAhead() []consensus.Action {
+	e.aheadMu.Lock()
+	var due []aheadMsg
+	later := e.ahead[:0]
+	for _, a := range e.ahead {
+		if a.view > e.view {
+			later = append(later, a)
+			continue
+		}
+		e.aheadFrom[a.from]--
+		if a.view == e.view {
+			due = append(due, a)
+		}
+	}
+	clear(e.ahead[len(later):])
+	e.ahead = later
+	e.aheadMu.Unlock()
+
+	var acts []consensus.Action
+	for _, a := range due {
+		switch m := a.msg.(type) {
+		case *types.PrePrepare:
+			acts = append(acts, e.onPrePrepare(a.from, m)...)
+		case *types.Prepare:
+			acts = append(acts, e.onPrepare(a.from, m)...)
+		case *types.Commit:
+			acts = append(acts, e.onCommit(a.from, m, a.auth)...)
+		}
+	}
+	return acts
 }
 
 // advance fires the prepared→commit and committed→execute transitions of
@@ -708,10 +794,16 @@ func (e *Engine) advanceLowWater() []consensus.Action {
 // ---- View change ----
 
 // OnViewTimeout implements consensus.Engine: abandon the current view and
-// vote to move to the next.
-func (e *Engine) OnViewTimeout() []consensus.Action {
+// vote to move to the next — unless the time-out is about a view this
+// replica has left while the call waited for the lock. Acting on that one
+// would vote the replica out of a view it has only just entered, alone, and
+// a lone voter is never followed.
+func (e *Engine) OnViewTimeout(view types.View) []consensus.Action {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if view != e.view {
+		return nil
+	}
 	target := e.view + 1
 	if e.votedView >= target {
 		target = e.votedView + 1
@@ -796,7 +888,7 @@ func (e *Engine) recordViewChange(from types.ReplicaID, m *types.ViewChange) []c
 	nv := e.buildNewView(m.NewView, votes)
 	acts = append(acts, consensus.Broadcast{Msg: nv})
 	acts = append(acts, e.enterNewView(nv)...)
-	return acts
+	return append(acts, e.replayAhead()...)
 }
 
 // buildNewView assembles the proof of the view change plus re-proposals
@@ -880,7 +972,7 @@ func (e *Engine) onNewView(from types.ReplicaID, m *types.NewView) []consensus.A
 		pp := m.PrePrepares[i]
 		acts = append(acts, e.onPrePrepare(from, &pp)...)
 	}
-	return acts
+	return append(acts, e.replayAhead()...)
 }
 
 // enterNewView installs the new view and resets per-view state. The new

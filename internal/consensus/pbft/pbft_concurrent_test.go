@@ -312,7 +312,7 @@ func TestConcurrentViewChange(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		e.OnViewTimeout()
+		e.OnViewTimeout(0)
 		for _, rep := range []types.ReplicaID{0, 2, 3} {
 			vc := &types.ViewChange{NewView: 1, Replica: rep}
 			e.OnMessage(types.ReplicaNode(rep), vc, nil)

@@ -321,14 +321,68 @@ func TestDuplicateVotesDoNotDoubleCount(t *testing.T) {
 }
 
 func TestStaleViewMessagesDropped(t *testing.T) {
+	e, err := New(Config{ID: 1, N: 4, StartView: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &types.Prepare{View: 2, Seq: 1, Digest: types.Digest{1}, Replica: 2}
+	e.OnMessage(types.ReplicaNode(2), p, nil)
+	if e.Stats().Dropped != 1 {
+		t.Fatal("older-view prepare was not dropped")
+	}
+}
+
+func TestVotesAheadOfTheViewAreBoundedPerSender(t *testing.T) {
+	// A vote for a view this replica has not entered is kept, not stepped;
+	// one sender can fill its own share and nobody else's.
 	e, err := New(Config{ID: 1, N: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &types.Prepare{View: 7, Seq: 1, Digest: types.Digest{1}, Replica: 2}
-	e.OnMessage(types.ReplicaNode(2), p, nil)
-	if e.Stats().Dropped == 0 {
-		t.Fatal("future-view prepare was not dropped")
+	for i := 0; i < maxAhead+10; i++ {
+		p := &types.Prepare{View: 7, Seq: types.SeqNum(i + 1), Digest: types.Digest{1}, Replica: 2}
+		if acts := e.OnMessage(types.ReplicaNode(2), p, nil); acts != nil {
+			t.Fatalf("a view-7 prepare stepped a view-0 engine: %v", acts)
+		}
+	}
+	if got := e.Stats().Dropped; got != 10 {
+		t.Fatalf("dropped %d of %d votes ahead of the view, want the 10 past the sender's share", got, maxAhead+10)
+	}
+	e.OnMessage(types.ReplicaNode(3), &types.Commit{View: 7, Seq: 1, Digest: types.Digest{1}, Replica: 3}, nil)
+	if got := e.Stats().Dropped; got != 10 {
+		t.Fatal("one sender's full share cost another sender its vote")
+	}
+	if e.OpenInstances() != 0 {
+		t.Fatal("a kept vote opened an instance")
+	}
+}
+
+func TestViewChangeSurvivesVotesAheadOfNewView(t *testing.T) {
+	// Nothing orders a backup's new-view votes behind the new primary's
+	// NewView on their way to a third replica. Under shuffled delivery some
+	// replica gets its peers' prepares and commits for the re-proposed batch
+	// first; with exactly 2f+1 replicas alive it needs every one of them, and
+	// nobody sends a vote twice.
+	for seed := int64(1); seed <= 40; seed++ {
+		c := newCluster(t, 4, nil)
+		req := enginetest.MakeRequest(1, 1)
+		c.Propose(0, []types.ClientRequest{req})
+		for i := 0; i < 8; i++ { // prepares circulate, commits do not finish
+			c.Step()
+		}
+		c.Down[0] = true
+		c.Random = rand.New(rand.NewSource(seed))
+		for r := 1; r < 4; r++ {
+			c.Timeout(types.ReplicaID(r))
+		}
+		c.Run(1_000_000)
+		c.Propose(1, []types.ClientRequest{enginetest.MakeRequest(2, 1)})
+		c.Run(1_000_000)
+		for r := 1; r < 4; r++ {
+			if got := c.ExecutedDigests(types.ReplicaID(r)); len(got) != 2 {
+				t.Fatalf("seed %d: replica %d executed %d/2 batches across the view change", seed, r, len(got))
+			}
+		}
 	}
 }
 
@@ -439,6 +493,27 @@ func TestViewChangeJoinOnFPlusOne(t *testing.T) {
 		if got := c.Engines[types.ReplicaID(r)].View(); got != 1 {
 			t.Fatalf("replica %d in view %d, want 1", r, got)
 		}
+	}
+}
+
+func TestStaleViewTimeoutIgnored(t *testing.T) {
+	// A driver's time-out waits for the lock a view change holds. One that
+	// was measured in view 0 and lands in view 1 must not vote the replica
+	// out of view 1: it would go alone, and stay out.
+	c := newCluster(t, 4, nil)
+	c.Down[0] = true
+	c.Timeout(1)
+	c.Timeout(2)
+	c.Run(100_000)
+	e := c.Engines[3]
+	if e.View() != 1 {
+		t.Fatalf("replica 3 in view %d, want 1", e.View())
+	}
+	if acts := e.OnViewTimeout(0); acts != nil {
+		t.Fatalf("a time-out about view 0 moved a replica in view 1: %v", acts)
+	}
+	if acts := e.OnViewTimeout(1); len(acts) == 0 {
+		t.Fatal("a time-out about the current view started no view change")
 	}
 }
 

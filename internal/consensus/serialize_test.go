@@ -19,7 +19,7 @@ func (c *countEngine) OnMessage(types.NodeID, types.Message, []byte) []Action {
 }
 func (c *countEngine) Propose([]types.ClientRequest) []Action         { c.steps++; return nil }
 func (c *countEngine) OnExecuted(types.SeqNum, types.Digest) []Action { c.steps++; return nil }
-func (c *countEngine) OnViewTimeout() []Action                        { c.steps++; return nil }
+func (c *countEngine) OnViewTimeout(types.View) []Action              { c.steps++; return nil }
 func (c *countEngine) View() types.View                               { return 7 }
 func (c *countEngine) IsPrimary() bool                                { return true }
 func (c *countEngine) Stats() EngineStats                             { return EngineStats{Proposed: 9} }
@@ -55,7 +55,7 @@ func TestSerializeWrapsAndSerializes(t *testing.T) {
 				e.OnMessage(types.ReplicaNode(2), &types.Prepare{}, nil)
 				e.Propose(nil)
 				e.OnExecuted(1, types.Digest{})
-				e.OnViewTimeout()
+				e.OnViewTimeout(7)
 			}
 		}()
 	}

@@ -343,7 +343,7 @@ func (e *Engine) advanceLowWater() []consensus.Action {
 
 // OnViewTimeout implements consensus.Engine. Zyzzyva's view change is out
 // of scope (see the package comment); the engine only counts the stall.
-func (e *Engine) OnViewTimeout() []consensus.Action {
+func (e *Engine) OnViewTimeout(types.View) []consensus.Action {
 	e.stats.Dropped.Add(1)
 	return nil
 }

@@ -152,6 +152,15 @@ func (d *Directory) macState(a, b types.NodeID) (*cmacState, error) {
 	return s, nil
 }
 
+// BatchVerifier is the optional batched form of Authenticator.Verify.
+// VerifyBatch checks len(srcs) (src, msg, auth) triples and returns nil
+// only when every one verifies; any non-nil error rejects the whole
+// batch, and the caller re-verifies per signature to attribute it.
+// Implementations must accept mixed sources.
+type BatchVerifier interface {
+	VerifyBatch(srcs []types.NodeID, msgs, auths [][]byte) error
+}
+
 // NodeAuthenticator is what a node authenticates with: an Authenticator
 // that also verifies in batches and can sign or verify over a digest its
 // caller already holds.
@@ -269,9 +278,8 @@ func (a *nodeAuth) VerifyDigest(src types.NodeID, digest types.Digest, auth []by
 }
 
 // VerifyBatch implements BatchVerifier, failing fast on the first
-// rejection. It makes the verify pool's batch window apply under all four
-// Section 5.6 configurations; the standard library exposes no batched
-// verification equation, so the win is the amortized wakeup.
+// rejection. The standard library exposes no batched verification equation,
+// so it is a loop over Verify under all four Section 5.6 configurations.
 func (a *nodeAuth) VerifyBatch(srcs []types.NodeID, msgs, auths [][]byte) error {
 	for i := range srcs {
 		if err := a.Verify(srcs[i], msgs[i], auths[i]); err != nil {

@@ -6,10 +6,10 @@ import (
 	"resilientdb/internal/types"
 )
 
-// benchVerifyPool measures the submit/await round for a window of
-// signatures at the given batch limit; batchMax 1 is the per-signature
-// baseline the batched drain is compared against.
-func benchVerifyPool(b *testing.B, batchMax int) {
+// BenchmarkVerifyPool measures the submit/await round for a window of
+// ed25519 signatures over two workers: what a batch-thread pays to have a
+// batch's client signatures checked.
+func BenchmarkVerifyPool(b *testing.B) {
 	dir, err := NewDirectory(AllED25519(), [32]byte{5})
 	if err != nil {
 		b.Fatal(err)
@@ -21,7 +21,8 @@ func benchVerifyPool(b *testing.B, batchMax int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := NewVerifyPoolBatch(verifier, 2, 256, batchMax)
+	digest := Hash256(msg)
+	pool := NewVerifyPool(verifier, 2, 256)
 	defer pool.Close()
 
 	const window = 64
@@ -30,7 +31,7 @@ func benchVerifyPool(b *testing.B, batchMax int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range pending {
-			pending[j] = pool.SubmitPooled(types.ReplicaNode(1), msg, sig)
+			pending[j] = pool.SubmitDigestPooled(types.ReplicaNode(1), digest, sig)
 		}
 		for _, pd := range pending {
 			if err := pd.Await(); err != nil {
@@ -39,6 +40,3 @@ func benchVerifyPool(b *testing.B, batchMax int) {
 		}
 	}
 }
-
-func BenchmarkVerifyPoolPerSignature(b *testing.B) { benchVerifyPool(b, 1) }
-func BenchmarkVerifyPoolBatched(b *testing.B)      { benchVerifyPool(b, DefaultVerifyBatch) }

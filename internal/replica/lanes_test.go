@@ -122,10 +122,10 @@ func TestDecodeFailuresSplitFromAuthFailures(t *testing.T) {
 	}
 }
 
-// TestEnqueueOutAfterStopDoesNotPanic pins the shutdown guard that
-// replaced the recover() hack: a producer that races Stop (the watchdog,
-// a late execution) must drop its envelope cleanly.
-func TestEnqueueOutAfterStopDoesNotPanic(t *testing.T) {
+// TestSendAfterStopDoesNotPanic: a producer that outlives Stop (the
+// watchdog, a late execution) must drop its envelope cleanly — the closed
+// endpoint refuses it. TestStopWhileSending races the two.
+func TestSendAfterStopDoesNotPanic(t *testing.T) {
 	r, err := New(validConfig(t))
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestEnqueueOutAfterStopDoesNotPanic(t *testing.T) {
 	r.Start()
 	r.Stop()
 	before := r.Stats().MsgsOut
-	r.enqueueOut(&types.Envelope{
+	r.send(&types.Envelope{
 		From: types.ReplicaNode(0),
 		To:   types.ReplicaNode(1),
 		Type: types.MsgPrepare,

@@ -5,7 +5,9 @@
 // A replica runs these stages, each on its own goroutine(s):
 //
 //   - one input-thread dedicated to client traffic and one per further
-//     endpoint inbox sharing replica traffic (Section 4.1);
+//     endpoint inbox sharing replica traffic (Section 4.1); each
+//     authenticates the envelope it dequeued, then decodes it and routes it
+//     to the stage that owns it;
 //   - at the primary, BatchThreads batch-threads pulling client requests
 //     from a shared lock-free queue, verifying client signatures, building
 //     batches with a single digest, signing and proposing them
@@ -25,8 +27,12 @@
 //     P > 1 relaxes the per-batch barrier into cross-batch pipelining:
 //     up to P batches in flight, with per-shard FIFO queues keeping
 //     conflicting key partitions in batch order;
-//   - one checkpoint-thread processing checkpoint traffic (Section 4.7);
-//   - two output-threads transmitting signed envelopes (Section 4.1).
+//   - one checkpoint-thread processing checkpoint traffic (Section 4.7).
+//
+// There is no output stage of the replica's own: whichever stage produced a
+// message signs it and hands the envelope to the endpoint, whose per-peer
+// writers are the paper's output-threads (Section 4.1). A message changes
+// goroutine only where there is work on the other side.
 //
 // Setting BatchThreads or ExecuteThreads to zero folds that stage into the
 // worker-thread, reproducing the paper's 0B/0E configurations
@@ -130,15 +136,14 @@ type Config struct {
 	// (Zyzzyva's speculative history is inherently ordered) are
 	// serialized behind a single lane regardless of W.
 	WorkerThreads int
-	// VerifyThreads is V: the number of parallel signature-verification
-	// workers fed by the input-threads. With V > 0 peer envelopes are
-	// authenticated in a crypto.VerifyPool before they reach the
-	// worker-thread (per-inbox order is preserved), so the worker only
-	// ever sees authenticated messages; 0 verifies inline on the
-	// worker-thread, the paper's baseline assignment (Section 4.3). Each
-	// pool worker claims up to crypto.DefaultVerifyBatch pending
-	// submissions per wakeup and checks them with one batched call,
-	// amortizing the dispatch cost per signature under load.
+	// VerifyThreads is V. With V > 0 an input-thread authenticates every
+	// peer envelope it dequeues, before decoding it, so a worker lane only
+	// ever sees authenticated messages and an unauthenticated peer buys no
+	// parsing; the inboxes are the parallelism, whatever the scheme. V also
+	// sizes the crypto.VerifyPool that fans a batch's client signatures
+	// out, the one check that has a fan-out. 0 verifies peer envelopes on
+	// the worker lane and client signatures on the batch-thread, the
+	// paper's baseline assignment (Section 4.3), kept for the ablations.
 	VerifyThreads int
 	// CheckpointInterval is Δ in batches; the paper checkpoints once per
 	// 10K transactions, i.e. every 100 batches of 100 (Section 5.1).
@@ -246,9 +251,6 @@ const (
 	// sequence numbers consensus may run ahead of the last stable
 	// checkpoint (and Zyzzyva's speculation depth).
 	watermarkWindow = 4096
-	// outputThreads is the number of transmitting threads; destinations
-	// are partitioned across them (Section 4.1).
-	outputThreads = 2
 	// cacheLine is the padding unit fencing Replica's hot counters.
 	cacheLine = 64
 )
@@ -327,7 +329,9 @@ type Stats struct {
 	// entry is assembling, verifying and proposing, not time parked on an
 	// empty queue or a full watermark window, as the execute entry leaves
 	// out time parked on a barrier. The worker entry aggregates all lanes;
-	// WorkerLaneBusyNS has the per-lane split.
+	// WorkerLaneBusyNS has the per-lane split. The output entry is the time
+	// the sending stages spend inside Endpoint.Send (it is part of their
+	// own busy time too: there are no output-threads).
 	BusyNS [stageCount]uint64
 	// WorkerLanes is the number of worker lanes actually running (1 for
 	// engines that require serialized stepping, regardless of the
@@ -379,9 +383,8 @@ type Stats struct {
 	StoreCompactStallNS        uint64
 	// EncodePoolHits and EncodePoolMisses are the outbound encode pool's
 	// reuse counters: a miss is a send that had to allocate its body
-	// buffer. VerifyBatched counts signatures accepted via the verify
-	// pool's batched path; against MsgsIn it shows how often verification
-	// wakeups were amortized.
+	// buffer. VerifyBatched is always 0: envelopes are authenticated one at
+	// a time where they are dequeued (the field stays for its readers).
 	EncodePoolHits   uint64
 	EncodePoolMisses uint64
 	VerifyBatched    uint64
@@ -389,10 +392,11 @@ type Stats struct {
 	// pipeline queue is, taken when Stats is called. NetDrops only shows
 	// saturation after the damage; these show it while it builds, which
 	// is what the gateway's admission controller steers on. Input is the
-	// fullest endpoint inbox, Work the fullest worker lane, Out the
-	// fullest output queue; ExecBacklog counts batches decided by
-	// consensus but not yet retired (bounded by the watermark window,
-	// reported as ExecWindow).
+	// fullest endpoint inbox, Work the fullest worker lane; ExecBacklog
+	// counts batches decided by consensus but not yet retired (bounded by
+	// the watermark window, reported as ExecWindow). OutQueueDepth and
+	// OutQueueCap are always 0: the replica keeps no output queue (the
+	// fields stay for their readers).
 	InputQueueDepth int
 	InputQueueCap   int
 	BatchQueueDepth int
@@ -416,27 +420,17 @@ type Stats struct {
 }
 
 // workItem is the union flowing into the worker lanes: either a decoded
-// peer message or (in 0B mode) a client request to batch. The input/verify
-// stage decodes the envelope body before routing — decoding is what makes
+// peer message or (in 0B mode) a client request to batch. The input stage
+// decodes the envelope body before routing — decoding is what makes
 // sequence-based lane routing possible, and it takes that cost off the
 // worker lanes — so msg is always non-nil when env is. verified records
-// that the envelope's authenticator already passed the verify stage, so
+// that the input-thread already checked the envelope's authenticator, so
 // the worker must not spend time re-checking it.
 type workItem struct {
 	env      *types.Envelope
 	msg      types.Message
 	req      *types.ClientRequest
 	verified bool
-}
-
-// verifiedItem pairs an envelope with its in-flight verification; the
-// per-inbox forwarder awaits results in submission order, preserving
-// inbox FIFO while verification itself runs in parallel. The pending
-// handle is pooled — Await recycles it — so the verify stage allocates
-// nothing per message in steady state.
-type verifiedItem struct {
-	env *types.Envelope
-	res *crypto.Pending
 }
 
 // execItem carries one committed batch into the execution stage.
@@ -596,15 +590,7 @@ type Replica struct {
 	// go to lane seq mod lanes; control traffic stays on lane 0.
 	workQs []chan workItem
 	ckptQ  chan workItem
-	outQs  []chan *types.Envelope
 	execIn *queue.InOrder[execItem]
-
-	// Output shutdown guard: enqueueOut holds outMu in read mode while
-	// touching outQs; Stop takes it in write mode to mark the queues
-	// closed before closing them, so late producers (e.g. the watchdog)
-	// drop their envelopes instead of panicking on a closed channel.
-	outMu     sync.RWMutex
-	outClosed bool
 
 	// progressC wakes batch-threads parked on a full watermark window (or
 	// the DisableOutOfOrder gate); it is signalled on every executed
@@ -620,10 +606,9 @@ type Replica struct {
 	readQ  chan *types.ReadRequest
 	readWg sync.WaitGroup
 
-	// Verify stage (nil / empty when VerifyThreads == 0).
+	// verifyPool fans a batch's client signatures out over VerifyThreads
+	// workers (nil when VerifyThreads == 0).
 	verifyPool *crypto.VerifyPool
-	verifyQs   []chan verifiedItem
-	verifyWg   sync.WaitGroup
 
 	// encBufs backs the outbound encode path (Section 4.8 buffer-pool
 	// management on the send side): broadcast/sendTo bodies are marshaled
@@ -647,9 +632,13 @@ type Replica struct {
 	dedupMu  sync.Mutex
 	lastExec map[types.ClientID]uint64
 
-	// Watchdog state.
+	// Watchdog state. watchedView is the view lastProgress is about: a
+	// ViewChanged action restarts lastProgress and then stores the view, and
+	// the watchdog loads them in the opposite order, so a time-out it reports
+	// for a view was measured in that view or a later one, never an earlier.
 	pendingHint  atomic.Bool
 	lastProgress atomic.Int64 // unix nanos
+	watchedView  atomic.Uint64
 
 	// notPrimary caches the inverse primary role for the lock-free input
 	// path; refreshed on ViewChanged actions.
@@ -680,7 +669,6 @@ type Replica struct {
 	inputWg  sync.WaitGroup
 	stage1Wg sync.WaitGroup // batch, worker, checkpoint
 	execWg   sync.WaitGroup
-	outWg    sync.WaitGroup
 	watchWg  sync.WaitGroup
 
 	// execAppend is the store's visible/durable split, when it has one:
@@ -835,12 +823,9 @@ func New(cfg Config) (*Replica, error) {
 			r.lastExec[c] = seq
 		}
 	}
-	r.outQs = make([]chan *types.Envelope, outputThreads)
-	for i := range r.outQs {
-		r.outQs[i] = make(chan *types.Envelope, 1<<13)
-	}
 	r.notPrimary.Store(!engine.IsPrimary())
 	r.lastProgress.Store(time.Now().UnixNano())
+	r.watchedView.Store(uint64(engine.View()))
 	return r, nil
 }
 
@@ -926,9 +911,6 @@ func (r *Replica) Stats() Stats {
 		s.StoreCompactStallNS = cs.StallNS
 	}
 	s.EncodePoolHits, s.EncodePoolMisses = r.encBufs.Stats()
-	if r.verifyPool != nil {
-		s.VerifyBatched = r.verifyPool.BatchedVerifies()
-	}
 	s.Evidence = r.evidence.Load()
 	r.queueGauges(&s)
 	return s
@@ -958,12 +940,6 @@ func (r *Replica) queueGauges(s *Stats) {
 	}
 	s.ExecBacklog = int(r.execPending.Load())
 	s.ExecWindow = r.execWindow
-	for i := range r.outQs {
-		if n := len(r.outQs[i]); n > s.OutQueueDepth {
-			s.OutQueueDepth = n
-		}
-		s.OutQueueCap = cap(r.outQs[i])
-	}
 	s.BusyGauge = r.busyGauge()
 }
 
@@ -972,7 +948,10 @@ func (r *Replica) queueGauges(s *Stats) {
 // fraction of the fullest bounded queue, scaled. 0 is idle; 255 means
 // some queue is full and the next arrival on it would be dropped. It is
 // recomputed once per retired batch (and on Stats), never per
-// transaction, and reads only channel lengths and atomics.
+// transaction, and reads only channel lengths and atomics. Nothing on the
+// sending side is in it: the replica's own output queues read empty on
+// every workload (p95 fill 0.0004) until they were removed, and a peer
+// writer's backlog is one slow peer's, not this replica's load.
 func (r *Replica) busyGauge() uint8 {
 	g := 0
 	sat := func(n, c int) {
@@ -996,9 +975,6 @@ func (r *Replica) busyGauge() uint8 {
 		sat(len(r.workQs[i]), cap(r.workQs[i]))
 	}
 	sat(int(r.execPending.Load()), r.execWindow)
-	for i := range r.outQs {
-		sat(len(r.outQs[i]), cap(r.outQs[i]))
-	}
 	return uint8(g)
 }
 
@@ -1034,33 +1010,16 @@ func (r *Replica) addLaneBusy(lane int, d time.Duration) {
 
 // Start launches the pipeline goroutines.
 func (r *Replica) Start() {
-	// Verify stage: a shared verification pool plus one order-preserving
-	// forwarder per inbox. Each input-thread submits envelopes to the pool
-	// and hands the pending results to its forwarder, which awaits them in
-	// submission order and routes only authenticated envelopes onward.
-	nIn := r.cfg.Endpoint.Inboxes()
 	if r.cfg.VerifyThreads > 0 {
-		r.verifyPool = crypto.NewVerifyPoolBatch(r.auth, r.cfg.VerifyThreads, r.cfg.VerifyThreads*64, crypto.DefaultVerifyBatch)
-		r.verifyQs = make([]chan verifiedItem, nIn)
-		for i := range r.verifyQs {
-			r.verifyQs[i] = make(chan verifiedItem, 256)
-			r.verifyWg.Add(1)
-			go r.verifyForwardLoop(r.verifyQs[i])
-		}
-	}
-	pend := func(i int) chan verifiedItem {
-		if r.verifyQs == nil {
-			return nil
-		}
-		return r.verifyQs[i]
+		r.verifyPool = crypto.NewVerifyPool(r.auth, r.cfg.VerifyThreads, r.cfg.VerifyThreads*64)
 	}
 
 	// Input: client traffic on inbox 0, replica traffic on the rest.
 	r.inputWg.Add(1)
-	go r.inputClientLoop(r.cfg.Endpoint.Inbox(0), pend(0))
-	for i := 1; i < nIn; i++ {
+	go r.inputClientLoop(r.cfg.Endpoint.Inbox(0))
+	for i := 1; i < r.cfg.Endpoint.Inboxes(); i++ {
 		r.inputWg.Add(1)
-		go r.inputReplicaLoop(r.cfg.Endpoint.Inbox(i), pend(i))
+		go r.inputReplicaLoop(r.cfg.Endpoint.Inbox(i))
 	}
 
 	// Read lane: two workers answering locally served reads keep one slow
@@ -1100,11 +1059,6 @@ func (r *Replica) Start() {
 		go r.durableWaitLoop()
 	}
 
-	for i := range r.outQs {
-		r.outWg.Add(1)
-		go r.outputLoop(r.outQs[i])
-	}
-
 	if r.compactor != nil {
 		r.compactWg.Add(1)
 		go r.compactLoop()
@@ -1117,22 +1071,19 @@ func (r *Replica) Start() {
 }
 
 // Stop shuts the pipeline down gracefully and waits for every goroutine.
-// The replica's endpoint is closed as part of the shutdown.
+// The replica's endpoint is closed first, as part of the shutdown, and a
+// closed endpoint refuses a send: whatever a stage still produces while it
+// drains (a late retransmission, a watchdog time-out, a queued read's
+// reply) is released by its sender and goes nowhere.
 func (r *Replica) Stop() {
 	r.stopOnce.Do(func() {
 		close(r.stop)
 		r.cfg.Endpoint.Close()
 		r.inputWg.Wait()
 
-		// The input loops are the read lane's only producers; drain and
-		// stop it while the output stage is still up so queued replies
-		// still reach their clients.
+		// The input loops were the read lane's only producers.
 		close(r.readQ)
 		r.readWg.Wait()
-
-		// Input loops closed their verify queues on exit; wait for the
-		// forwarders to drain them before the queues they feed close.
-		r.verifyWg.Wait()
 
 		r.batchQ.Close()
 		for _, q := range r.workQs {
@@ -1160,20 +1111,6 @@ func (r *Replica) Stop() {
 			close(r.durableQ)
 		}
 		r.durableWg.Wait()
-
-		// Mark the output queues closed before closing them: any producer
-		// still in flight (the watchdog, a late retransmission) observes
-		// outClosed under the read lock and drops its envelope instead of
-		// sending on a closed channel. The stop channel is already closed,
-		// so blocked senders have woken by the time the write lock is
-		// granted.
-		r.outMu.Lock()
-		r.outClosed = true
-		r.outMu.Unlock()
-		for _, q := range r.outQs {
-			close(q)
-		}
-		r.outWg.Wait()
 		r.compactWg.Wait()
 		r.watchWg.Wait()
 	})

@@ -3,7 +3,9 @@ package replica
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"resilientdb/internal/consensus"
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
@@ -64,7 +66,7 @@ func TestDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.cfg.BatchSize != 100 || len(r.outQs) != outputThreads {
+	if r.cfg.BatchSize != 100 {
 		t.Fatalf("defaults not applied: %+v", r.cfg)
 	}
 	if r.cfg.CheckpointInterval != 100 {
@@ -100,6 +102,31 @@ func TestStartStopIdempotent(t *testing.T) {
 	s := r.Stats()
 	if s.TxnsExecuted != 0 {
 		t.Fatalf("idle replica executed %d txns", s.TxnsExecuted)
+	}
+}
+
+// TestNewViewRestartsWatchdog: the progress timer restarts when a view is
+// entered. A replica that joins a view change on f+1 votes never backed its
+// own timer off, so it enters the new view already a time-out idle with
+// clients still waiting; if its watchdog's next tick read that as the new
+// primary's silence it would vote for the view after, alone, and drop the
+// new view's traffic from then on (chaos' silent-primary run lost replica 3
+// this way, heights [16658 16658 16658 1331]).
+func TestNewViewRestartsWatchdog(t *testing.T) {
+	cfg := validConfig(t)
+	cfg.ViewTimeout = time.Minute
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.pendingHint.Store(true)
+	r.lastProgress.Store(time.Now().Add(-2 * cfg.ViewTimeout).UnixNano())
+	r.handleActions([]consensus.Action{consensus.ViewChanged{View: 1}})
+	if idle := time.Since(time.Unix(0, r.lastProgress.Load())); idle >= cfg.ViewTimeout {
+		t.Fatalf("a replica that just entered view 1 counts %v without progress against it, time-out %v", idle, cfg.ViewTimeout)
+	}
+	if v := r.watchedView.Load(); v != 1 {
+		t.Fatalf("the watchdog would report its next time-out for view %d, want 1", v)
 	}
 }
 

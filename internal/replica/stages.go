@@ -15,16 +15,11 @@ import (
 
 // ---- Input stage (Section 4.1) ----
 
-// inputClientLoop services inbox 0: client requests and, for Zyzzyva,
-// client commit certificates. With a verify stage (pend non-nil), commit
-// certificates are authenticated in the verify pool instead of on the
-// worker-thread; client request signatures stay with the batch stage,
-// which verifies them batch-wise (Section 4.3).
-func (r *Replica) inputClientLoop(inbox <-chan *types.Envelope, pend chan<- verifiedItem) {
+// inputClientLoop services inbox 0: client requests, locally served reads
+// and, for Zyzzyva, client commit certificates. Client request signatures
+// stay with the batch stage, which verifies them batch-wise (Section 4.3).
+func (r *Replica) inputClientLoop(inbox <-chan *types.Envelope) {
 	defer r.inputWg.Done()
-	if pend != nil {
-		defer close(pend)
-	}
 	for env := range inbox {
 		t0 := time.Now()
 		r.msgsIn.Add(1)
@@ -34,13 +29,7 @@ func (r *Replica) inputClientLoop(inbox <-chan *types.Envelope, pend chan<- veri
 		case types.MsgReadRequest:
 			r.handleReadRequest(env)
 		case types.MsgCommitCert:
-			if pend != nil {
-				// Ownership moves to the forwarder, which releases the
-				// envelope after routing (or on auth failure).
-				pend <- verifiedItem{env: env, res: r.verifyPool.SubmitPooled(env.From, types.AuthenticatedBytes(env.Type, env.Body), env.Auth)}
-				break
-			}
-			r.route(env, false)
+			r.admit(env)
 		default:
 			// An unexpected type on the client inbox is malformed traffic,
 			// not an authentication failure.
@@ -128,25 +117,38 @@ func (r *Replica) handleReadRequest(env *types.Envelope) {
 	}
 }
 
-// inputReplicaLoop services one replica-traffic inbox. With a verify
-// stage (pend non-nil) every envelope is submitted to the verification
-// pool and handed to the inbox's forwarder; otherwise it is routed
-// directly and the worker-thread verifies inline.
-func (r *Replica) inputReplicaLoop(inbox <-chan *types.Envelope, pend chan<- verifiedItem) {
+// inputReplicaLoop services one replica-traffic inbox.
+func (r *Replica) inputReplicaLoop(inbox <-chan *types.Envelope) {
 	defer r.inputWg.Done()
-	if pend != nil {
-		defer close(pend)
-	}
 	for env := range inbox {
 		t0 := time.Now()
 		r.msgsIn.Add(1)
-		if pend != nil {
-			pend <- verifiedItem{env: env, res: r.verifyPool.SubmitPooled(env.From, types.AuthenticatedBytes(env.Type, env.Body), env.Auth)}
-		} else {
-			r.route(env, false)
-		}
+		r.admit(env)
 		r.addBusy(StageInput, time.Since(t0))
 	}
+}
+
+// admit takes one peer envelope from the inbox to the stage that owns it.
+// With VerifyThreads > 0 the input-thread checks the authenticator itself,
+// here, before anything is decoded: the check is a hash of a short header
+// and one MAC (or one signature verify), the thread already holds the
+// envelope, and handing it to another goroutine for that would cost more
+// than the check and order nothing — the inbox is FIFO and so is this
+// thread. With VerifyThreads == 0 the check stays with the worker lane (the
+// paper's cost assignment, kept for the ablations) and the envelope is
+// decoded unauthenticated; that gives unverified peers pre-auth parsing on
+// the input stage, but the decoder is bounds-checked and O(body bytes) — the
+// same order as the MAC check the envelope must pay anyway.
+func (r *Replica) admit(env *types.Envelope) {
+	verified := r.cfg.VerifyThreads > 0
+	if verified {
+		if err := r.verifyEnvelope(env); err != nil {
+			r.authFailures.Add(1)
+			env.Release()
+			return
+		}
+	}
+	r.route(env, verified)
 }
 
 // readLoop is one worker of the read lane: it answers locally served
@@ -189,15 +191,10 @@ func (r *Replica) readLoop() {
 // route decodes an envelope and hands it to the stage that owns it:
 // checkpoint traffic to the checkpoint-thread, sequence-carrying consensus
 // messages to the worker lane owning their sequence number, and control
-// traffic to lane 0. Decoding here — on the input/verify stage, off the
-// worker lanes — is what makes sequence-based routing possible at all;
-// malformed bodies are counted as DecodeFailures and dropped before they
-// can cost a worker lane anything. With VerifyThreads == 0 the body is
-// decoded before its authenticator is checked (the auth check stays on
-// the worker lane, the paper's cost assignment); that gives unverified
-// peers pre-auth parsing on the input stage, but the decoder is
-// bounds-checked and O(body bytes) — the same order as the MAC check the
-// envelope must pay anyway. Proposals (PrePrepare, OrderedRequest, NewView)
+// traffic to lane 0. Decoding here — on the input stage, off the worker
+// lanes — is what makes sequence-based routing possible at all; malformed
+// bodies are counted as DecodeFailures and dropped before they can cost a
+// worker lane anything. Proposals (PrePrepare, OrderedRequest, NewView)
 // decode as views into their frame, which DecodeEnvelope disowns; votes
 // decode as copies and their frames go back to the pool.
 func (r *Replica) route(env *types.Envelope, verified bool) {
@@ -258,22 +255,6 @@ func (r *Replica) laneOf(msg types.Message) int {
 		return 0
 	}
 	return int(uint64(seq) % uint64(r.lanes))
-}
-
-// verifyForwardLoop is one inbox's forwarder: it awaits verification
-// results in submission order — keeping the inbox FIFO the engines rely
-// on — and forwards only authenticated envelopes, so downstream stages
-// never re-verify.
-func (r *Replica) verifyForwardLoop(pend <-chan verifiedItem) {
-	defer r.verifyWg.Done()
-	for it := range pend {
-		if err := it.res.Await(); err != nil {
-			r.authFailures.Add(1)
-			it.env.Release()
-			continue
-		}
-		r.route(it.env, true)
-	}
 }
 
 // verifyEnvelope checks an inbound envelope's authenticator over the bytes
@@ -470,10 +451,10 @@ func (r *Replica) laneLoop(lane int) {
 }
 
 // processItem authenticates and applies one decoded peer message (the
-// input/verify stage already decoded it). With VerifyThreads == 0
-// signature verification happens here, on the worker lane, exactly where
-// the paper assigns it (Section 4.3); when the verify stage already
-// authenticated the envelope (verified true) it is not checked again.
+// input stage already decoded it). With VerifyThreads == 0 signature
+// verification happens here, on the worker lane, exactly where the paper
+// assigns it (Section 4.3); when the input-thread already authenticated
+// the envelope (verified true) it is not checked again.
 func (r *Replica) processItem(item workItem) {
 	env := item.env
 	// The lane is the envelope's final owner. Both things that outlive
@@ -584,6 +565,14 @@ func (r *Replica) handleActions(acts []consensus.Action) {
 			r.signalProgress()
 		case consensus.ViewChanged:
 			r.notPrimary.Store(consensus.PrimaryOf(act.View, r.cfg.N) != r.cfg.ID)
+			// The watchdog's timer restarts with the view (PBFT's rule): the
+			// new primary gets a whole ViewTimeout to show progress. Without
+			// this a replica that joined the view change on f+1 votes, not
+			// on its own time-out, still carries the old view's idle time;
+			// its next tick, a moment after it entered, votes it out of the
+			// new view alone, and a lone voter is never followed.
+			r.lastProgress.Store(time.Now().UnixNano())
+			r.watchedView.Store(uint64(act.View))
 		case consensus.Evidence:
 			r.evidence.Add(1)
 		}
@@ -1094,16 +1083,23 @@ func (r *Replica) durableWaitLoop() {
 	}
 }
 
-// ---- Output stage (Section 4.1) ----
+// ---- Output (Section 4.1) ----
+//
+// The stage that produced a message signs it and hands the envelope to the
+// endpoint on its own goroutine. The endpoint's Send is a queue push on both
+// transports — the TCP endpoint's per-peer writers are the paper's
+// output-threads, and they never let one peer hold a sender for long — so a
+// queue and a thread of the replica's own in between would move an envelope
+// from one channel to another and do nothing else.
 
-// broadcast signs and enqueues msg for every other replica. Under a
+// broadcast signs msg for every other replica and sends it. Under a
 // digital-signature scheme the body is signed once and reused; under CMAC
 // it is hashed once and a fresh MAC of the digest is computed per
 // destination (the MAC-vector cost, now sixteen bytes of AES per receiver
 // whatever the body's size). The body is marshalled into a pooled buffer
 // whose arena every destination's envelope retains; the buffer returns to
-// the pool when the last envelope retires (output write, inbox drop, or
-// the receiving stage's release).
+// the pool when the last envelope retires (the peer writer's write, an inbox
+// drop, or the receiving stage's release).
 func (r *Replica) broadcast(msg types.Message) {
 	body, arena := r.marshalOut(msg)
 	mt := msg.Type()
@@ -1142,14 +1138,14 @@ func (r *Replica) broadcast(msg types.Message) {
 		env.Body = body
 		env.Auth = auth
 		env.Attach(arena)
-		r.enqueueOut(env)
+		r.send(env)
 	}
 	// Drop the builder's reference: from here only the envelopes keep the
 	// buffer alive.
 	arena.Release()
 }
 
-// sendTo signs and enqueues msg for a single destination.
+// sendTo signs msg for a single destination and sends it.
 func (r *Replica) sendTo(to types.NodeID, msg types.Message) {
 	body, arena := r.marshalOut(msg)
 	sig, err := r.auth.Sign(to, types.AuthenticatedBytes(msg.Type(), body))
@@ -1165,7 +1161,7 @@ func (r *Replica) sendTo(to types.NodeID, msg types.Message) {
 	env.Body = body
 	env.Auth = sig
 	env.Attach(arena)
-	r.enqueueOut(env)
+	r.send(env)
 	arena.Release()
 }
 
@@ -1187,41 +1183,18 @@ func (r *Replica) marshalOut(msg types.Message) ([]byte, *types.Arena) {
 	return body, arena
 }
 
-// enqueueOut places an envelope on the output queue owned by the
-// destination's output-thread (Section 4.1: clients and replicas are
-// partitioned across output-threads). The read lock pairs with Stop's
-// write-locked close: once outClosed is set the envelope is dropped —
-// correct, since the peer is gone or we are shutting down — and a send
-// already blocked on a full queue is released by the stop channel, which
-// Stop closes before it requests the write lock.
-func (r *Replica) enqueueOut(env *types.Envelope) {
-	idx := int(uint32(env.To)) % len(r.outQs)
-	r.outMu.RLock()
-	defer r.outMu.RUnlock()
-	if r.outClosed {
+// send hands a signed envelope to the endpoint. A successful Send passes
+// ownership to the transport (the TCP writer or the in-process receiver
+// releases it); on error — an unknown or dead peer, or an endpoint that Stop
+// already closed — the envelope went nowhere and retires here, silently.
+func (r *Replica) send(env *types.Envelope) {
+	t0 := time.Now()
+	if err := r.cfg.Endpoint.Send(env); err != nil {
 		env.Release()
-		return
-	}
-	select {
-	case r.outQs[idx] <- env:
+	} else {
 		r.msgsOut.Add(1)
-	case <-r.stop:
-		env.Release()
 	}
-}
-
-func (r *Replica) outputLoop(q chan *types.Envelope) {
-	defer r.outWg.Done()
-	for env := range q {
-		t0 := time.Now()
-		// A successful Send hands ownership to the transport (the TCP
-		// writer or the in-process receiver releases it); on error the
-		// envelope went nowhere and retires here.
-		if err := r.cfg.Endpoint.Send(env); err != nil {
-			env.Release() // dead peers are dropped silently
-		}
-		r.addBusy(StageOutput, time.Since(t0))
-	}
+	r.addBusy(StageOutput, time.Since(t0))
 }
 
 // ---- Watchdog (view-change trigger) ----
@@ -1238,11 +1211,14 @@ func (r *Replica) watchdogLoop() {
 			if !r.pendingHint.Load() {
 				continue
 			}
+			// The view first, then the idle time measured in it (or in a
+			// later one): the engine ignores a time-out about a view it left.
+			view := types.View(r.watchedView.Load())
 			idle := time.Since(time.Unix(0, r.lastProgress.Load()))
 			if idle < r.cfg.ViewTimeout {
 				continue
 			}
-			acts := r.engine.OnViewTimeout()
+			acts := r.engine.OnViewTimeout(view)
 			r.handleActions(acts)
 			r.lastProgress.Store(time.Now().UnixNano()) // back off
 		}

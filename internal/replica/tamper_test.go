@@ -49,8 +49,8 @@ func signedBatch(t *testing.T, dir *crypto.Directory, n int) []types.ClientReque
 
 // TestTamperedProposalNeverReachesEngine: a proposal's authenticator covers
 // its header only, so the digest check is what authenticates the requests
-// behind it. For an authenticated PrePrepare and OrderedRequest, with the
-// verify stage and with inline verification: flipping any single byte of
+// behind it. For an authenticated PrePrepare and OrderedRequest, verified on
+// the input-thread and on the worker lane: flipping any single byte of
 // the body — header, count, any request field, any signature byte —
 // appending a request, dropping one, dropping all, or appending trailing
 // bytes, under the original authenticator, never reaches the engine and is
@@ -242,5 +242,106 @@ func TestDriverSignedRequestVerifiesAfterDecode(t *testing.T) {
 	t.Logf("allocations per inline verifyClientSigs of a decoded 32 KiB request: %.0f", allocs)
 	if allocs > 0 {
 		t.Fatalf("verifyClientSigs on a decoded request allocates %.0f, want 0", allocs)
+	}
+}
+
+// stepCounter wraps a replica's engine, counts the peer messages that reach
+// it and passes none on.
+type stepCounter struct {
+	consensus.Engine
+	steps atomic.Uint64
+}
+
+func (e *stepCounter) OnMessage(types.NodeID, types.Message, []byte) []consensus.Action {
+	e.steps.Add(1)
+	return nil
+}
+
+// TestAuthBeforeDecode: nothing unauthenticated reaches a lane, and with
+// input-thread verification nothing unauthenticated is parsed. Over inline
+// verification and V = 2, MAC links and signature links: a flipped
+// authenticator on a well-formed vote counts one auth failure, no decode
+// failure and no engine step; a good authenticator on a malformed body
+// counts one decode failure; and a bad authenticator on a malformed body is
+// an auth failure when the input-thread verifies (it never reached the
+// decoder) and a decode failure at V = 0, where the check waits on the lane
+// behind the decode.
+func TestAuthBeforeDecode(t *testing.T) {
+	schemes := []struct {
+		name string
+		cfg  crypto.Config
+	}{{"cmac-links", crypto.Recommended()}, {"ed25519-links", crypto.AllED25519()}}
+	for _, scheme := range schemes {
+		for _, v := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/verify-threads-%d", scheme.name, v), func(t *testing.T) {
+				dir, err := crypto.NewDirectory(scheme.cfg, [32]byte{30})
+				if err != nil {
+					t.Fatal(err)
+				}
+				net := transport.NewInproc()
+				from, to := types.ReplicaNode(2), types.ReplicaNode(1)
+				r, err := New(Config{
+					ID: 1, N: 4, Protocol: PBFT, VerifyThreads: v,
+					Directory: dir, Endpoint: net.Endpoint(to, 3, 64),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				engine := &stepCounter{Engine: r.engine}
+				r.engine = engine
+				r.Start()
+				defer r.Stop()
+				sender := net.Endpoint(from, 1, 16)
+				defer sender.Close()
+
+				sign := func(body []byte) []byte {
+					t.Helper()
+					tag, err := dir.NodeAuth(from).Sign(to, types.AuthenticatedBytes(types.MsgPrepare, body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return tag
+				}
+				flip := func(tag []byte) []byte {
+					bad := append([]byte(nil), tag...)
+					bad[0] ^= 0x80
+					return bad
+				}
+				// want is the counters after one more envelope.
+				var want struct{ in, auth, decode, steps uint64 }
+				deliver := func(what string, body, tag []byte) {
+					t.Helper()
+					if err := sender.Send(&types.Envelope{From: from, To: to, Type: types.MsgPrepare, Body: body, Auth: tag}); err != nil {
+						t.Fatal(err)
+					}
+					want.in++
+					waitFor(t, func() bool {
+						s := r.Stats()
+						return s.MsgsIn == want.in && s.AuthFailures+s.DecodeFailures+engine.steps.Load() == want.auth+want.decode+want.steps
+					}, what+": not accounted for")
+					s := r.Stats()
+					if s.AuthFailures != want.auth || s.DecodeFailures != want.decode || engine.steps.Load() != want.steps {
+						t.Fatalf("%s: auth failures %d, decode failures %d, engine steps %d; want %d, %d, %d",
+							what, s.AuthFailures, s.DecodeFailures, engine.steps.Load(), want.auth, want.decode, want.steps)
+					}
+				}
+
+				vote := types.MarshalBody(&types.Prepare{View: 0, Seq: 1})
+				malformed := vote[:len(vote)-1]
+
+				want.auth++
+				deliver("flipped authenticator, well-formed body", vote, flip(sign(vote)))
+				want.decode++
+				deliver("good authenticator, malformed body", malformed, sign(malformed))
+				if v > 0 {
+					want.auth++
+				} else {
+					want.decode++
+				}
+				deliver("flipped authenticator, malformed body", malformed, flip(sign(malformed)))
+				want.steps++
+				deliver("good authenticator, well-formed body", vote, sign(vote))
+			})
+		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"resilientdb/internal/types"
 )
 
-// TestVerifyStageRejectsForgedEnvelopes runs a replica with a parallel
-// verify stage and checks that forged peer traffic dies there — counted
+// TestVerifyStageRejectsForgedEnvelopes runs a replica whose input-threads
+// verify (V > 0) and checks that forged peer traffic dies there — counted
 // as an auth failure, never reaching the worker — while genuinely
 // authenticated traffic passes.
 func TestVerifyStageRejectsForgedEnvelopes(t *testing.T) {
@@ -60,7 +60,7 @@ func TestVerifyStageRejectsForgedEnvelopes(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return r.Stats().MsgsIn == 2 }, "valid envelope never arrived")
-	// Give the verify stage time to (wrongly) reject it before asserting
+	// Give the input-thread time to (wrongly) reject it before asserting
 	// the failure count did not move.
 	time.Sleep(50 * time.Millisecond)
 	if got := r.Stats().AuthFailures; got != 1 {

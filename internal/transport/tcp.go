@@ -25,8 +25,8 @@ const (
 	// batchBytes is the encoded-size threshold that flushes a batch
 	// early, bounding frame size independently of BatchMax.
 	batchBytes = 64 << 10
-	// peerQueueCap is the depth of a replica peer's outbound queue;
-	// senders block (backpressure) when the writer falls this far behind.
+	// peerQueueCap is the depth of a replica peer's outbound queue: what a
+	// writer may fall behind before Send waits for it (see Send).
 	peerQueueCap = 4096
 	// clientQueueCap is the depth of a client peer's outbound queue.
 	// A replica answers each client with ~one response per in-flight
@@ -39,9 +39,12 @@ const (
 	// that outgrows it costs one more read, straight into its pooled
 	// buffer.
 	readBufSize = 16 << 10
-	// closeFlushTimeout bounds how long Close waits for a stalled peer to
-	// accept the final flush.
-	closeFlushTimeout = 2 * time.Second
+	// stallTimeout bounds what one unresponsive peer can cost this endpoint:
+	// how long its writer waits for a dial, how long Close waits for it to
+	// accept the final flush, and how long its writer may take over half a
+	// queue of envelopes before a full queue drops instead of waiting (see
+	// Send).
+	stallTimeout = 2 * time.Second
 )
 
 // TCPConfig parameterizes a TCPEndpoint.
@@ -94,22 +97,38 @@ func (c *TCPConfig) fill() {
 	}
 }
 
-// tcpPeer is one live connection plus the writer goroutine that owns its
-// write side. Routing every write (Send and Hello alike) through the
-// writer serializes frame writes — concurrent writes on a shared
-// connection could interleave partial frames and corrupt the stream — and
-// is where outbound batching happens.
+// tcpPeer is the path to one destination: an outbound queue and the writer
+// goroutine that owns the connection behind it for its whole life. The
+// writer dials (unless the connection was learned from inbound traffic),
+// then drains; routing every write (Send and Hello alike) through it
+// serializes frame writes — concurrent writes on a shared connection could
+// interleave partial frames and corrupt the stream — and is where outbound
+// batching happens. Nobody but the writer ever waits for the network.
 type tcpPeer struct {
+	out chan *types.Envelope
+	// conn is nil until the writer's dial returns; written and read under
+	// the endpoint's mu (Close sets a deadline on it), otherwise the
+	// writer's alone.
 	conn net.Conn
-	out  chan *types.Envelope
-	dead chan struct{} // closed when the writer exits; senders stop blocking
+	up   chan struct{} // closed once conn is connected
+	dead chan struct{} // closed when the writer exits
+	err  error         // why it exited; read after dead closes
+	// moved is when (unix nanos) the writer last caught up — a write left the
+	// queue at most half full — or, short of that, put another half queue on
+	// the wire. 0 marks the peer stalled: a sender found the queue full
+	// stallTimeout after moved, and the writer has not caught up since. While
+	// it is 0 a full queue drops instead of waiting (see Send).
+	moved atomic.Int64
+	// sent counts the envelopes written since moved was last set; the
+	// writer's alone.
+	sent int
 }
 
 // TCPEndpoint attaches a node to the network over TCP with
 // length-prefixed envelope frames (see types.AppendBatchFrame).
-// Outbound connections are dialed lazily per destination and reused;
-// inbound connections are accepted continuously and drained into the
-// classified inboxes.
+// Outbound connections are dialed lazily per destination, by the
+// destination's writer, and reused; inbound connections are accepted
+// continuously and drained into the classified inboxes.
 type TCPEndpoint struct {
 	cfg     TCPConfig
 	self    types.NodeID
@@ -117,6 +136,9 @@ type TCPEndpoint struct {
 	inboxes []chan *types.Envelope
 	drops   atomic.Uint64
 	frames  types.FrameBuffers // inbound frame recycler; nil unless ZeroCopy
+	// dial is net.DialTimeout everywhere but in tests, which hold it back
+	// or fail it.
+	dial func(addr string) (net.Conn, error)
 
 	mu       sync.Mutex
 	addrs    map[types.NodeID]string
@@ -146,6 +168,9 @@ func NewTCPWithConfig(cfg TCPConfig) (*TCPEndpoint, error) {
 		peers:    make(map[types.NodeID]*tcpPeer),
 		accepted: make(map[net.Conn]bool),
 		stopW:    make(chan struct{}),
+		dial: func(addr string) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, stallTimeout)
+		},
 	}
 	if cfg.ZeroCopy {
 		e.frames = new(pool.BytePool)
@@ -174,11 +199,12 @@ func (e *TCPEndpoint) SetPeerAddr(node types.NodeID, addr string) {
 	e.mu.Unlock()
 }
 
-// Hello dials the peer (if needed) and sends a transport-level hello
-// frame, teaching the peer a return path to this endpoint. Clients, which
-// have no listener the replicas could know about, call this for every
-// replica before submitting requests so that responses can flow back over
-// the client-initiated connections.
+// Hello sends a transport-level hello frame, teaching the peer a return
+// path to this endpoint, and returns once the connection carrying it is up
+// (or could not be brought up). Clients, which have no listener the
+// replicas could know about, call this for every replica before submitting
+// requests so that responses can flow back over the client-initiated
+// connections.
 func (e *TCPEndpoint) Hello(to types.NodeID) error {
 	p, err := e.peer(to)
 	if err != nil {
@@ -187,9 +213,14 @@ func (e *TCPEndpoint) Hello(to types.NodeID) error {
 	env := &types.Envelope{From: e.self, To: to, Type: 0}
 	select {
 	case p.out <- env:
+	case <-p.dead:
+		return fmt.Errorf("transport: hello to %v: %w", to, p.err)
+	}
+	select {
+	case <-p.up:
 		return nil
 	case <-p.dead:
-		return fmt.Errorf("transport: hello to %v: %w", to, ErrClosed)
+		return fmt.Errorf("transport: hello to %v: %w", to, p.err)
 	}
 }
 
@@ -203,7 +234,9 @@ func (e *TCPEndpoint) Inbox(i int) <-chan *types.Envelope { return e.inboxes[i] 
 func (e *TCPEndpoint) Inboxes() int { return len(e.inboxes) }
 
 // Drops implements Endpoint: envelopes discarded because their inbox was
-// full when they arrived.
+// full when they arrived, because they were sent to a stalled peer whose
+// queue was full (see Send), or because they were queued behind a dial or a
+// write that failed.
 func (e *TCPEndpoint) Drops() uint64 { return e.drops.Load() }
 
 // FramePoolStats returns the inbound frame pool's cumulative hit and miss
@@ -274,7 +307,7 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 		if !closed {
 			for _, env := range envs {
 				if _, ok := e.peers[env.From]; !ok {
-					e.addPeerLocked(env.From, conn)
+					e.addPeerLocked(env.From, conn, "")
 				}
 			}
 		}
@@ -306,10 +339,23 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 }
 
 // Send implements Endpoint. The envelope is queued on the destination
-// peer's writer, which owns the connection's write side; callers must not
-// mutate env after Send returns. Connections are cached; a write error
-// tears the cached connection down so the next send re-dials (peer
-// restarts).
+// peer's writer, which owns the connection — dialing it included — so Send
+// itself never touches the network; callers must not mutate env after Send
+// returns. A failed dial or write tears the peer down, and the next Send
+// starts another (peer restarts).
+//
+// The caller may be a consensus lane with other peers to serve, so one
+// peer must not be able to park it. A full queue means the peer's writer is
+// 4096 envelopes behind. A writer that keeps up frees a slot within one
+// write, and waiting for that is the backpressure a bulk sender relies on.
+// What "keeps up" means is a rate, not one write: half a queue every
+// stallTimeout (p.moved), so a peer that reads a frame now and then is shed
+// like one that reads nothing. The sender that finds the queue full
+// stallTimeout after the writer last made that much progress marks the peer
+// stalled, and from then until the writer has caught up (the queue at most
+// half full after a write) a full queue drops the envelope at once, counted
+// in Drops like an envelope that met a full inbox: the slow peer gets what it
+// takes, and nobody waits for it.
 func (e *TCPEndpoint) Send(env *types.Envelope) error {
 	p, err := e.peer(env.To)
 	if err != nil {
@@ -318,58 +364,59 @@ func (e *TCPEndpoint) Send(env *types.Envelope) error {
 	select {
 	case p.out <- env:
 		return nil
-	case <-p.dead:
-		return fmt.Errorf("transport: send to %v: %w", env.To, ErrClosed)
+	default:
+	}
+	for {
+		moved := p.moved.Load()
+		if moved != 0 {
+			if wait := time.Until(time.Unix(0, moved).Add(stallTimeout)); wait > 0 {
+				t := time.NewTimer(wait)
+				select {
+				case p.out <- env:
+					t.Stop()
+					return nil
+				case <-p.dead:
+					t.Stop()
+					return fmt.Errorf("transport: send to %v: %w", env.To, p.err)
+				case <-t.C:
+					continue // the writer may have moved meanwhile
+				}
+			}
+			if !p.moved.CompareAndSwap(moved, 0) {
+				continue // it moved just now
+			}
+		}
+		e.drops.Add(1)
+		env.Release()
+		return nil
 	}
 }
 
-// peer returns the live peer for a destination, dialing a connection and
-// starting its writer on first use.
+// peer returns the path to a destination, starting one — a queue and a
+// writer that dials the destination's address — on first use.
 func (e *TCPEndpoint) peer(to types.NodeID) (*tcpPeer, error) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.mu.Unlock()
 		return nil, ErrClosed
 	}
 	if p, ok := e.peers[to]; ok {
-		e.mu.Unlock()
+		// An established peer wins, however it was established: dialed, or
+		// learned from the peer's own connection to us.
 		return p, nil
 	}
 	addr, ok := e.addrs[to]
-	e.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownNode, to)
 	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %v at %s: %w", to, addr, err)
-	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		conn.Close()
-		return nil, ErrClosed
-	}
-	if p, ok := e.peers[to]; ok {
-		// Lost a dial race (or the peer dialed us first); keep the
-		// established peer.
-		e.mu.Unlock()
-		conn.Close()
-		return p, nil
-	}
-	p := e.addPeerLocked(to, conn)
-	// Connections are full duplex: the peer may reply over this very
-	// connection (it learns the return path from our frames), so every
-	// dialed connection gets a reader too.
-	e.readWg.Add(1)
-	go e.readLoop(conn)
-	e.mu.Unlock()
-	return p, nil
+	return e.addPeerLocked(to, nil, addr), nil
 }
 
-// addPeerLocked registers a connection as the path to a peer and starts
-// its writer goroutine. Callers hold e.mu and have checked !e.closed.
-func (e *TCPEndpoint) addPeerLocked(to types.NodeID, conn net.Conn) *tcpPeer {
+// addPeerLocked registers the path to a peer and starts its writer, over
+// conn when the connection already exists (learned from inbound traffic)
+// and over one the writer dials to addr otherwise. Callers hold e.mu and
+// have checked !e.closed.
+func (e *TCPEndpoint) addPeerLocked(to types.NodeID, conn net.Conn, addr string) *tcpPeer {
 	depth := peerQueueCap
 	if to.IsClient() {
 		depth = clientQueueCap
@@ -377,20 +424,56 @@ func (e *TCPEndpoint) addPeerLocked(to types.NodeID, conn net.Conn) *tcpPeer {
 	p := &tcpPeer{
 		conn: conn,
 		out:  make(chan *types.Envelope, depth),
+		up:   make(chan struct{}),
 		dead: make(chan struct{}),
+		err:  ErrClosed, // unless dropPeer knows better
+	}
+	p.moved.Store(time.Now().UnixNano())
+	if conn != nil {
+		close(p.up)
 	}
 	e.peers[to] = p
 	e.writeWg.Add(1)
-	go e.writeLoop(to, p)
+	go e.writeLoop(to, p, addr)
 	return p
 }
 
-// writeLoop is a peer's writer: it drains the outbound queue, coalesces
-// what it finds into frames, and writes each frame with a single Write
-// call.
-func (e *TCPEndpoint) writeLoop(to types.NodeID, p *tcpPeer) {
+// connect dials the peer's address and makes the connection the peer's. A
+// dial that fails tears the peer down instead: what queued behind it is
+// released.
+func (e *TCPEndpoint) connect(to types.NodeID, p *tcpPeer, addr string) bool {
+	conn, err := e.dial(addr)
+	if err != nil {
+		e.dropPeer(to, p, fmt.Errorf("transport: dial %v at %s: %w", to, addr, err))
+		return false
+	}
+	e.mu.Lock()
+	p.conn = conn
+	if e.closed {
+		// Close is waiting for this writer: what queued behind the dial
+		// gets the same bounded final flush as everything else.
+		_ = conn.SetWriteDeadline(time.Now().Add(stallTimeout))
+	} else {
+		// Connections are full duplex: the peer may reply over this very
+		// connection (it learns the return path from our frames), so every
+		// dialed connection gets a reader too.
+		e.readWg.Add(1)
+		go e.readLoop(conn)
+	}
+	e.mu.Unlock()
+	close(p.up)
+	return true
+}
+
+// writeLoop is a peer's writer: it brings the connection up if the peer was
+// created without one, then drains the outbound queue, coalesces what it
+// finds into frames, and writes each frame with a single Write call.
+func (e *TCPEndpoint) writeLoop(to types.NodeID, p *tcpPeer, addr string) {
 	defer e.writeWg.Done()
 	defer close(p.dead)
+	if p.conn == nil && !e.connect(to, p, addr) {
+		return
+	}
 	var w types.Writer
 	batch := make([]*types.Envelope, 0, e.cfg.BatchMax)
 	var timer *time.Timer
@@ -461,10 +544,8 @@ func (e *TCPEndpoint) writeLoop(to types.NodeID, p *tcpPeer) {
 }
 
 // writeBatch encodes the batch as one frame and writes it with a single
-// Write call. On error the
-// peer is torn down and false is returned. Either way the writer is the
-// envelopes' final owner and releases them; envelopes still queued behind
-// a failed write are left for the garbage collector.
+// Write call. On error the peer is torn down and false is returned. Either
+// way the writer is the envelopes' final owner and releases them.
 func (e *TCPEndpoint) writeBatch(to types.NodeID, p *tcpPeer, w *types.Writer, batch []*types.Envelope) bool {
 	if len(batch) == 0 {
 		return true
@@ -476,8 +557,22 @@ func (e *TCPEndpoint) writeBatch(to types.NodeID, p *tcpPeer, w *types.Writer, b
 		env.Release()
 	}
 	if err != nil {
-		e.dropPeer(to, p)
+		e.drops.Add(uint64(len(batch)))
+		e.dropPeer(to, p, err)
 		return false
+	}
+	// Progress, as Send reads it: caught up clears a stall; half a queue
+	// written while still behind only says the writer keeps its pace, and
+	// leaves a stall (0) standing.
+	p.sent += len(batch)
+	if len(p.out) <= cap(p.out)/2 {
+		p.sent = 0
+		p.moved.Store(time.Now().UnixNano())
+	} else if p.sent >= cap(p.out)/2 {
+		p.sent = 0
+		if moved := p.moved.Load(); moved != 0 {
+			p.moved.CompareAndSwap(moved, time.Now().UnixNano())
+		}
 	}
 	return true
 }
@@ -506,14 +601,30 @@ func (e *TCPEndpoint) flushRemaining(to types.NodeID, p *tcpPeer, w *types.Write
 	}
 }
 
-// dropPeer tears a failed peer down: the next Send re-dials.
-func (e *TCPEndpoint) dropPeer(to types.NodeID, p *tcpPeer) {
+// dropPeer tears a failed peer down, from its writer: it leaves the peer
+// table, so the next Send starts another and re-dials; err is what senders
+// still waiting on it are told; and the envelopes queued behind the failure
+// went nowhere: they are released and counted in Drops (their Sends returned
+// nil long ago).
+func (e *TCPEndpoint) dropPeer(to types.NodeID, p *tcpPeer, err error) {
 	e.mu.Lock()
 	if e.peers[to] == p {
 		delete(e.peers, to)
 	}
 	e.mu.Unlock()
-	p.conn.Close()
+	if p.conn != nil {
+		p.conn.Close()
+	}
+	p.err = err
+	for {
+		select {
+		case env := <-p.out:
+			e.drops.Add(1)
+			env.Release()
+		default:
+			return
+		}
+	}
 }
 
 // Close implements Endpoint. Queued envelopes are flushed to their peers
@@ -526,8 +637,10 @@ func (e *TCPEndpoint) Close() {
 	}
 	e.closed = true
 	for _, p := range e.peers {
-		// Bound the final flush: a stalled peer cannot hold Close hostage.
-		_ = p.conn.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
+		if p.conn != nil {
+			// Bound the final flush: a stalled peer cannot hold Close hostage.
+			_ = p.conn.SetWriteDeadline(time.Now().Add(stallTimeout))
+		}
 	}
 	e.mu.Unlock()
 
@@ -536,7 +649,9 @@ func (e *TCPEndpoint) Close() {
 
 	e.mu.Lock()
 	for _, p := range e.peers {
-		p.conn.Close()
+		if p.conn != nil {
+			p.conn.Close()
+		}
 	}
 	for c := range e.accepted {
 		c.Close()

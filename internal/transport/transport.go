@@ -49,10 +49,11 @@ type Endpoint interface {
 	Inbox(i int) <-chan *types.Envelope
 	// Inboxes returns the number of inbound channels.
 	Inboxes() int
-	// Drops returns how many inbound envelopes were discarded because
-	// their inbox was full. Inbox enqueues are non-blocking — BFT
-	// protocols tolerate loss — but silent loss is undiagnosable, so
-	// every drop is counted.
+	// Drops returns how many envelopes this endpoint discarded: inbound
+	// ones whose inbox was full and, over TCP, outbound ones whose peer was
+	// stalled or went away with them queued. Neither enqueue blocks for
+	// long — BFT protocols tolerate loss — but silent loss is
+	// undiagnosable, so every drop is counted.
 	Drops() uint64
 	// Close detaches the endpoint and closes its inboxes.
 	Close()

@@ -11,11 +11,10 @@
 //     TCP, running the full Figure 6 pipeline — input-threads,
 //     batch-threads, worker lanes, the in-order execute stage (optionally
 //     fanned across write-set-partitioned shards), checkpoint-thread,
-//     output-threads — with real ED25519/RSA/AES-CMAC authentication,
-//     message buffers pooled on the receive and send side and signatures
-//     verified in batches (Section 4.8; how the fabric works, not
-//     options), an in-memory or disk-backed store, and a blockchain
-//     ledger.
+//     per-peer transport writers — with real ED25519/RSA/AES-CMAC
+//     authentication, message buffers pooled on the receive and send side
+//     (Section 4.8; how the fabric works, not an option), an in-memory or
+//     disk-backed store, and a blockchain ledger.
 //
 //   - A deterministic simulator: Simulate replays the paper's evaluation
 //     at full scale (32 replicas, 8 cores, 80K clients) by driving the
