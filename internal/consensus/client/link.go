@@ -66,7 +66,7 @@ func (l *Link) Retransmits() uint64 { return l.retransmits.Load() }
 // puts the client's signature over that digest on it. req must not change
 // afterwards.
 func (l *Link) Sign(req *types.ClientRequest) error {
-	sig, err := l.auth.SignDigest(types.ReplicaNode(0), req.Seal())
+	sig, err := l.auth.AppendSignDigest(nil, types.ReplicaNode(0), req.Seal())
 	if err != nil {
 		return err
 	}
@@ -157,20 +157,20 @@ func (l *Link) Transmit(to types.NodeID, msg types.Message) {
 	if len(body) > l.encHint {
 		l.encHint = len(body)
 	}
-	var sig []byte
+	env := types.AcquireEnvelope()
 	if msg.Type() != types.MsgClientRequest {
-		var err error
-		if sig, err = l.auth.Sign(to, body); err != nil {
+		auth, err := crypto.SignInto(l.auth, env, to, body)
+		if err != nil {
+			env.Release()
 			arena.Release()
 			return
 		}
+		env.Auth = auth
 	}
-	env := types.AcquireEnvelope()
 	env.From = types.ClientNode(l.id)
 	env.To = to
 	env.Type = msg.Type()
 	env.Body = body
-	env.Auth = sig
 	env.Attach(arena)
 	if err := l.ep.Send(env); err != nil {
 		env.Release() // the send went nowhere; retire the envelope here

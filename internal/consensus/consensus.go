@@ -89,7 +89,9 @@ func (Evidence) isAction()         {}
 type Engine interface {
 	// OnMessage applies a verified message from a peer. auth carries the
 	// authenticator bytes from the envelope so engines can retain commit
-	// certificates; it may be nil.
+	// certificates; it may be nil. auth, and a Prepare, Commit or
+	// Checkpoint msg, are lent for the call: the caller reuses them once it
+	// returns, so an engine that keeps one keeps a copy.
 	OnMessage(from types.NodeID, msg types.Message, auth []byte) []Action
 
 	// Propose assigns the next sequence number to a batch of client

@@ -30,6 +30,7 @@
 package pbft
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -100,7 +101,11 @@ type instance struct {
 type vote struct {
 	prepare, commit     types.Digest
 	prepared, committed bool
-	commitAuth          []byte
+	// commitAuth is a copy — the envelope's authenticator is borrowed for
+	// the step — held in authBuf whenever it fits, as every CMAC tag and
+	// ED25519 signature does, so keeping it allocates nothing.
+	commitAuth []byte
+	authBuf    [types.InlineAuthSize]byte
 }
 
 func newInstance(n int) *instance {
@@ -125,7 +130,10 @@ func (in *instance) recordPrepare(from types.ReplicaID, d types.Digest) {
 
 func (in *instance) recordCommit(from types.ReplicaID, d types.Digest, auth []byte) {
 	if v := &in.votes[from]; !v.committed {
-		v.commit, v.committed, v.commitAuth = d, true, auth
+		v.commit, v.committed = d, true
+		if len(auth) > 0 {
+			v.commitAuth = append(v.authBuf[:0], auth...)
+		}
 	}
 }
 
@@ -600,15 +608,16 @@ func (e *Engine) onCommit(from types.ReplicaID, m *types.Commit, auth []byte) []
 // keepOrDrop disposes of a per-sequence message the engine cannot step now:
 // one of a view above its own is kept for when it enters that view (within
 // the sender's share), anything else is dropped — an older view's, or the
-// current view's while this replica has voted to leave it. The caller holds
-// the control lock in either mode.
+// current view's while this replica has voted to leave it. A kept vote and
+// its authenticator are copies: both are borrowed for the step. The caller
+// holds the control lock in either mode.
 func (e *Engine) keepOrDrop(from types.ReplicaID, view types.View, msg types.Message, auth []byte) {
 	if view > e.view {
 		e.aheadMu.Lock()
 		kept := e.aheadFrom[from] < maxAhead
 		if kept {
 			e.aheadFrom[from]++
-			e.ahead = append(e.ahead, aheadMsg{from: from, view: view, msg: msg, auth: auth})
+			e.ahead = append(e.ahead, aheadMsg{from: from, view: view, msg: keptCopy(msg), auth: bytes.Clone(auth)})
 		}
 		e.aheadMu.Unlock()
 		if kept {
@@ -616,6 +625,20 @@ func (e *Engine) keepOrDrop(from types.ReplicaID, view types.View, msg types.Mes
 		}
 	}
 	e.stats.Dropped.Add(1)
+}
+
+// keptCopy returns a copy of a borrowed vote, and a pre-prepare — which
+// the engine owns, requests and all — as it is.
+func keptCopy(msg types.Message) types.Message {
+	switch m := msg.(type) {
+	case *types.Prepare:
+		c := *m
+		return &c
+	case *types.Commit:
+		c := *m
+		return &c
+	}
+	return msg
 }
 
 // replayAhead steps, in arrival order, what was kept for the view just
@@ -688,12 +711,27 @@ func (e *Engine) advance(seq types.SeqNum, in *instance) []consensus.Action {
 
 // commitProof assembles the block's commit certificate from the recorded
 // commit votes, in replica-id order — the order of the vote table (Section
-// 4.6: the 2f+1 commit signatures replace the previous-block hash).
+// 4.6: the 2f+1 commit signatures replace the previous-block hash). The
+// block outlives the instance, and a new view's revote clears the table
+// under a queued block, so the authenticators are copied out: into one
+// backing array for the whole certificate.
 func commitProof(in *instance) []types.CommitSig {
 	proof := make([]types.CommitSig, 0, in.commitCount())
+	size := 0
 	for id := range in.votes {
 		if v := &in.votes[id]; v.committed && v.commit == in.digest {
 			proof = append(proof, types.CommitSig{Replica: types.ReplicaID(id), Auth: v.commitAuth})
+			size += len(v.commitAuth)
+		}
+	}
+	if size == 0 {
+		return proof
+	}
+	auths := make([]byte, 0, size)
+	for i := range proof {
+		if a := proof[i].Auth; a != nil {
+			auths = append(auths, a...)
+			proof[i].Auth = auths[len(auths)-len(a) : len(auths) : len(auths)]
 		}
 	}
 	return proof

@@ -7,6 +7,8 @@ import (
 	crsa "crypto/rsa"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"sync"
 	"testing"
 
 	"resilientdb/internal/types"
@@ -151,8 +153,9 @@ func TestProposalAuthGolden(t *testing.T) {
 	}
 }
 
-// TestSignDigestIsSign: handing SignDigest the hash of a message is
-// signing the message — what lets a broadcast hash once for every receiver.
+// TestSignDigestIsSign: handing AppendSignDigest the hash of a message is
+// signing the message — what lets a broadcast hash once for every receiver
+// — and appending keeps what the buffer held.
 func TestSignDigestIsSign(t *testing.T) {
 	r0, r1 := types.ReplicaNode(0), types.ReplicaNode(1)
 	for name, cfg := range map[string]Config{
@@ -164,9 +167,14 @@ func TestSignDigestIsSign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := a.SignDigest(r1, Hash256(goldenBody))
+		got, err := a.AppendSignDigest(nil, r1, Hash256(goldenBody))
 		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s: SignDigest(Hash256(msg)) = %x (err %v), Sign(msg) = %x", name, got, err, want)
+			t.Fatalf("%s: AppendSignDigest(nil, Hash256(msg)) = %x (err %v), Sign(msg) = %x", name, got, err, want)
+		}
+		prefix := []byte("prefix")
+		got, err = a.AppendSignDigest(prefix, r1, Hash256(goldenBody))
+		if err != nil || !bytes.Equal(got, append(prefix, want...)) {
+			t.Fatalf("%s: AppendSignDigest(%q, Hash256(msg)) = %x (err %v)", name, prefix, got, err)
 		}
 	}
 }
@@ -210,5 +218,142 @@ func TestSignVerifyAllocCaps(t *testing.T) {
 				t.Fatalf("Sign allocates %.0f and Verify %.0f per call, want at most %.0f and 0", sign, verify, tt.sign)
 			}
 		})
+	}
+}
+
+// TestSignIntoEnvelopeAllocatesNothing: a CMAC tag written into the envelope
+// it travels in costs no allocation — once the tag a broadcast paid per
+// receiver and a reply per client — and SignInto takes that route for a
+// per-destination scheme. The tag is the one Sign returns.
+func TestSignIntoEnvelopeAllocatesNothing(t *testing.T) {
+	r0, r1 := types.ReplicaNode(0), types.ReplicaNode(1)
+	dir := testDirectory(t, Recommended())
+	a0, a1 := dir.NodeAuth(r0), dir.NodeAuth(r1)
+	want, err := a0.Sign(r1, goldenBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := types.AcquireEnvelope()
+	defer env.Release()
+	d := Hash256(goldenBody)
+	appended := testing.AllocsPerRun(200, func() {
+		if env.Auth, err = a0.AppendSignDigest(env.AuthBuffer(), r1, d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(env.Auth, want) || &env.Auth[0] != &env.AuthBuffer()[:1][0] {
+		t.Fatalf("tag %x, want %x in the envelope's own storage", env.Auth, want)
+	}
+	into := testing.AllocsPerRun(200, func() {
+		if env.Auth, err = SignInto(a0, env, r1, goldenBody); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := a1.Verify(r0, goldenBody, env.Auth); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("allocations per CMAC sign into an envelope: AppendSignDigest %.0f, SignInto %.0f", appended, into)
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random; steady-state reuse is nondeterministic")
+	}
+	if appended != 0 || into != 0 {
+		t.Fatalf("a CMAC sign into an envelope allocates %.0f (SignInto %.0f), want 0", appended, into)
+	}
+}
+
+// TestVerifyDigestAllocatesNothing: checking a client's ED25519 signature
+// over the digest its request carries costs no allocation — the client's
+// public key is the verifier's cached copy, not one copied out of the
+// private key per call — and neither does checking a peer's CMAC tag.
+func TestVerifyDigestAllocatesNothing(t *testing.T) {
+	r0, r1, client := types.ReplicaNode(0), types.ReplicaNode(1), types.ClientNode(7)
+	dir := testDirectory(t, Recommended())
+	replica := dir.NodeAuth(r0)
+	d := Hash256(goldenBody)
+	for _, src := range []types.NodeID{client, r1} {
+		sig, err := dir.NodeAuth(src).AppendSignDigest(nil, r0, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := replica.VerifyDigest(src, d, sig); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("allocations per VerifyDigest from %v: %.0f", src, allocs)
+		if raceEnabled {
+			continue // race-mode sync.Pool drops Puts at random
+		}
+		if allocs != 0 {
+			t.Fatalf("VerifyDigest from %v allocates %.0f, want 0", src, allocs)
+		}
+	}
+}
+
+// TestNodeAuthConcurrentPeers signs and verifies from many goroutines
+// against many peers at once, replicas and clients, so each peer's cached
+// keys are derived by whichever goroutine gets there first while others
+// read them: the cache's one write path, which CI runs under -race. Every
+// authentic authenticator verifies and every flipped one fails.
+func TestNodeAuthConcurrentPeers(t *testing.T) {
+	dir := testDirectory(t, Recommended())
+	self := types.ReplicaNode(0)
+	me := dir.NodeAuth(self)
+	var peers []types.NodeID
+	auths := make(map[types.NodeID]NodeAuthenticator)
+	for i := 1; i < 8; i++ {
+		peers = append(peers, types.ReplicaNode(types.ReplicaID(i)))
+	}
+	for i := 0; i < 16; i++ {
+		peers = append(peers, types.ClientNode(types.ClientID(i)))
+	}
+	for _, p := range peers {
+		auths[p] = dir.NodeAuth(p)
+	}
+	msg := goldenBody[:512]
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for i := range peers {
+					p := peers[(i+g*5)%len(peers)]
+					// The peer to us: a replica's MAC, a client's signature.
+					sig, err := auths[p].Sign(self, msg)
+					if err == nil {
+						err = me.Verify(p, msg, sig)
+					}
+					if err == nil {
+						err = me.VerifyDigest(p, Hash256(msg), sig)
+					}
+					// Us to the peer: a MAC either way.
+					var tag []byte
+					if err == nil {
+						tag, err = me.Sign(p, msg)
+					}
+					if err == nil {
+						err = auths[p].Verify(self, msg, tag)
+					}
+					if err == nil {
+						bad := bytes.Clone(sig)
+						bad[0] ^= 1
+						if me.Verify(p, msg, bad) == nil {
+							err = fmt.Errorf("a flipped authenticator from %v verified", p)
+						}
+					}
+					if err != nil {
+						errs <- fmt.Errorf("goroutine %d, peer %v: %w", g, p, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

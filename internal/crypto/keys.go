@@ -167,13 +167,27 @@ type BatchVerifier interface {
 type NodeAuthenticator interface {
 	Authenticator
 	BatchVerifier
-	// SignDigest is Sign for a caller that has already computed
-	// SHA-256(msg): a broadcast under a per-destination scheme hashes its
-	// body once, not once per receiver.
-	SignDigest(dst types.NodeID, digest types.Digest) ([]byte, error)
+	// AppendSignDigest appends to b the authenticator Sign would return for
+	// a message whose SHA-256 the caller already holds, and returns the
+	// extended slice. A broadcast under a per-destination scheme hashes its
+	// body once, not once per receiver, and writes each receiver's MAC into
+	// that receiver's envelope (Envelope.AuthBuffer) without allocating.
+	// With a nil b the result is a fresh slice, as Sign's is.
+	AppendSignDigest(b []byte, dst types.NodeID, digest types.Digest) ([]byte, error)
 	// VerifyDigest is Verify for a caller that already holds SHA-256(msg):
 	// a decoded client request carries the digest its signature covers.
 	VerifyDigest(src types.NodeID, digest types.Digest, auth []byte) error
+}
+
+// SignInto authenticates msg for dst as Sign does, and returns what
+// env.Auth is to be set to: a per-destination MAC is written into env's own
+// storage (Envelope.AuthBuffer) instead of a fresh slice; a signature,
+// which the scheme allocates anyway, is Sign's result.
+func SignInto(a NodeAuthenticator, env *types.Envelope, dst types.NodeID, msg []byte) ([]byte, error) {
+	if !a.PerDestination() {
+		return a.Sign(dst, msg)
+	}
+	return a.AppendSignDigest(env.AuthBuffer(), dst, Hash256(msg))
 }
 
 // NodeAuth returns the authenticator for one node: messages originated by
@@ -183,15 +197,57 @@ type NodeAuthenticator interface {
 // signature does not grow with the batch it covers (PBFT's authenticators
 // are MACs over a message digest for the same reason).
 func (d *Directory) NodeAuth(self types.NodeID) NodeAuthenticator {
-	return &nodeAuth{dir: d, self: self}
+	a := &nodeAuth{dir: d, self: self}
+	if a.Kind() == ED25519 {
+		a.edPriv = d.edKey(self)
+	}
+	return a
 }
 
 // nodeAuth hashes once and hands the digest to the scheme the message's
 // origin selects. The schemes are arms of a switch rather than values
 // behind an interface so that the digest stays on the caller's stack.
 type nodeAuth struct {
-	dir  *Directory
-	self types.NodeID
+	dir    *Directory
+	self   types.NodeID
+	edPriv ed25519.PrivateKey // this node's signing key under ED25519
+	// peers holds, per peer, the key material signing for it and verifying
+	// it take. The directory is shared by every node of a process — all
+	// replicas and clients of a benchmark cluster — behind one lock, and
+	// derived keys never change, so a node takes that lock once per peer
+	// and reads its own copy from then on: a sync.Map load takes no lock
+	// for a key that is in.
+	peers sync.Map // types.NodeID → *peerKeys
+}
+
+// peerKeys is one peer's entry in a nodeAuth's cache.
+type peerKeys struct {
+	mac *cmacState        // the pair's CMAC state, when either side MACs
+	pub ed25519.PublicKey // the peer's key, when it signs with ED25519
+}
+
+// keysFor returns peer's cached key material, deriving it on first use.
+func (a *nodeAuth) keysFor(peer types.NodeID) (*peerKeys, error) {
+	if k, ok := a.peers.Load(peer); ok {
+		return k.(*peerKeys), nil
+	}
+	k := new(peerKeys)
+	if a.Kind() == CMAC || a.schemeOf(peer) == CMAC {
+		s, err := a.dir.macState(a.self, peer)
+		if err != nil {
+			return nil, err
+		}
+		k.mac = s
+	}
+	if a.schemeOf(peer) == ED25519 {
+		pub, ok := a.dir.edKey(peer).Public().(ed25519.PublicKey)
+		if !ok {
+			return nil, ErrUnknownPeer
+		}
+		k.pub = pub
+	}
+	stored, _ := a.peers.LoadOrStore(peer, k)
+	return stored.(*peerKeys), nil
 }
 
 // schemeOf returns the scheme messages originated by node carry.
@@ -207,16 +263,16 @@ func (a *nodeAuth) Sign(dst types.NodeID, msg []byte) ([]byte, error) {
 	if a.Kind() == None {
 		return nil, nil // the measurement baseline pays for no hash either
 	}
-	return a.SignDigest(dst, Hash256(msg))
+	return a.AppendSignDigest(nil, dst, Hash256(msg))
 }
 
-// SignDigest implements NodeAuthenticator.
-func (a *nodeAuth) SignDigest(dst types.NodeID, digest types.Digest) ([]byte, error) {
+// AppendSignDigest implements NodeAuthenticator.
+func (a *nodeAuth) AppendSignDigest(b []byte, dst types.NodeID, digest types.Digest) ([]byte, error) {
 	switch a.Kind() {
 	case None:
-		return nil, nil
+		return b, nil
 	case ED25519:
-		return ed25519.Sign(a.dir.edKey(a.self), digest[:]), nil
+		return appendSig(b, ed25519.Sign(a.edPriv, digest[:])), nil
 	case RSA:
 		key, err := a.dir.rsaKey(a.self)
 		if err != nil {
@@ -226,15 +282,24 @@ func (a *nodeAuth) SignDigest(dst types.NodeID, digest types.Digest) ([]byte, er
 		if err != nil {
 			return nil, fmt.Errorf("crypto: rsa sign: %w", err)
 		}
-		return sig, nil
+		return appendSig(b, sig), nil
 	default: // CMAC; Config.Validate admits nothing else
-		s, err := a.dir.macState(a.self, dst)
+		k, err := a.keysFor(dst)
 		if err != nil {
 			return nil, err
 		}
-		tag := s.Sum(digest[:])
-		return tag[:], nil
+		tag := k.mac.Sum(digest[:])
+		return append(b, tag[:]...), nil
 	}
+}
+
+// appendSig appends a signature the scheme already allocated to b; with
+// nothing to append to, the signature itself is the result.
+func appendSig(b, sig []byte) []byte {
+	if b == nil {
+		return sig
+	}
+	return append(b, sig...)
 }
 
 // Verify implements Authenticator.
@@ -250,11 +315,11 @@ func (a *nodeAuth) VerifyDigest(src types.NodeID, digest types.Digest, auth []by
 	switch a.schemeOf(src) {
 	case None:
 	case ED25519:
-		pub, ok := a.dir.edKey(src).Public().(ed25519.PublicKey)
-		if !ok {
-			return ErrUnknownPeer
+		k, err := a.keysFor(src)
+		if err != nil {
+			return err
 		}
-		if !ed25519.Verify(pub, digest[:], auth) {
+		if !ed25519.Verify(k.pub, digest[:], auth) {
 			return fmt.Errorf("%w: ed25519 from %v", ErrBadSignature, src)
 		}
 	case RSA:
@@ -266,11 +331,11 @@ func (a *nodeAuth) VerifyDigest(src types.NodeID, digest types.Digest, auth []by
 			return fmt.Errorf("%w: rsa from %v", ErrBadSignature, src)
 		}
 	default: // CMAC
-		s, err := a.dir.macState(a.self, src)
+		k, err := a.keysFor(src)
 		if err != nil {
 			return err
 		}
-		if !s.Verify(digest[:], auth) {
+		if !k.mac.Verify(digest[:], auth) {
 			return fmt.Errorf("%w: cmac from %v", ErrBadSignature, src)
 		}
 	}

@@ -75,19 +75,32 @@ func (p *poisonBuffers) Stats() (hits, misses uint64) {
 type recycleCluster struct {
 	replicas []*Replica
 	client   transport.Endpoint
+	dir      *crypto.Directory
 	auth     crypto.Authenticator
 	bufs     *poisonBuffers
 }
 
 const recycleClient = types.ClientID(0)
 
+// recycleShape is what a test varies in a recycleCluster: block linkage,
+// checkpoint interval, and a wrapper around each replica's endpoint.
+type recycleShape struct {
+	ledger   ledger.Mode
+	interval uint64
+	wrap     func(id int, ep transport.Endpoint) transport.Endpoint
+}
+
 func newRecycleCluster(t *testing.T, tcp bool, execThreads int) *recycleCluster {
+	return newShapedRecycleCluster(t, tcp, execThreads, recycleShape{ledger: ledger.HashChain, interval: 4})
+}
+
+func newShapedRecycleCluster(t *testing.T, tcp bool, execThreads int, shape recycleShape) *recycleCluster {
 	t.Helper()
 	dir, err := crypto.NewDirectory(crypto.Recommended(), [32]byte{18})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &recycleCluster{bufs: &poisonBuffers{}, auth: dir.NodeAuth(types.ClientNode(recycleClient))}
+	c := &recycleCluster{dir: dir, bufs: &poisonBuffers{}, auth: dir.NodeAuth(types.ClientNode(recycleClient))}
 	eps := make([]transport.Endpoint, 4)
 	if tcp {
 		tcps := make([]*transport.TCPEndpoint, 5)
@@ -123,6 +136,9 @@ func newRecycleCluster(t *testing.T, tcp bool, execThreads int) *recycleCluster 
 		c.client = net.Endpoint(types.ClientNode(recycleClient), 3, 1<<10)
 	}
 	for i, ep := range eps {
+		if shape.wrap != nil {
+			ep = shape.wrap(i, ep)
+		}
 		st := store.NewMemStore(shardTestRecords)
 		preloadEven(t, st)
 		r, err := New(Config{
@@ -133,8 +149,8 @@ func newRecycleCluster(t *testing.T, tcp bool, execThreads int) *recycleCluster 
 			BatchThreads:       1, // one drain order, so send order is batch order
 			ExecuteThreads:     execThreads,
 			VerifyThreads:      2,
-			CheckpointInterval: 4,
-			LedgerMode:         ledger.HashChain,
+			CheckpointInterval: shape.interval,
+			LedgerMode:         shape.ledger,
 			Store:              st,
 			Directory:          dir,
 			Endpoint:           ep,
@@ -153,11 +169,10 @@ func newRecycleCluster(t *testing.T, tcp bool, execThreads int) *recycleCluster 
 	return c
 }
 
-// submit signs req and sends it to the primary the way the client link
-// does: marshalled into a pooled arena the envelope carries.
-func (c *recycleCluster) submit(t *testing.T, req *types.ClientRequest) {
+// submit signs req and sends it to primary the way the client link does:
+// marshalled into a pooled arena the envelope carries.
+func (c *recycleCluster) submit(t *testing.T, primary types.NodeID, req *types.ClientRequest) {
 	t.Helper()
-	primary := types.ReplicaNode(0)
 	sig, err := c.auth.Sign(primary, req.SigningBytes())
 	if err != nil {
 		t.Fatal(err)
@@ -187,6 +202,8 @@ func (c *recycleCluster) submit(t *testing.T, req *types.ClientRequest) {
 // instance. If either decode site failed to take that buffer out of its
 // pool, the request would turn to 0xDB under one of them, and the run
 // would stall on a bad signature or digest, or diverge from the model.
+// What is lent rather than pooled — an envelope's authenticator, a decoded
+// vote — is poisoned when given back, too.
 func TestRecycledBuffersNeverReachARequest(t *testing.T) {
 	for _, fabric := range []string{"tcp", "inproc"} {
 		for _, e := range []int{1, 4} {
@@ -203,6 +220,7 @@ func testRecycledBuffers(t *testing.T, tcp bool, execThreads int) {
 		window  = 3  // requests in flight per round, so batches carry 1-3
 		burst   = 4  // transactions per request
 	)
+	poisonLent(t)
 	c := newRecycleCluster(t, tcp, execThreads)
 	wl, err := workload.New(workload.Config{
 		Records:      shardTestRecords,
@@ -249,7 +267,7 @@ func testRecycledBuffers(t *testing.T, tcp bool, execThreads int) {
 		var order []uint64
 		for i := 0; i < window; i++ {
 			req := wl.NextRequest(recycleClient, next, burst)
-			c.submit(t, &req)
+			c.submit(t, types.ReplicaNode(0), &req)
 			sent[req.FirstSeq] = req
 			order = append(order, req.FirstSeq)
 			next += burst
@@ -363,6 +381,13 @@ func testRecycledBuffers(t *testing.T, tcp bool, execThreads int) {
 		t.Fatalf("no buffer was ever recycled (%d allocated): the run proved nothing", misses)
 	}
 	t.Logf("%d batches, %d stable checkpoints, buffers: %d recycled, %d allocated", lastSeq, c.replicas[0].Stats().Checkpoints, hits, misses)
+}
+
+// poisonLent has types poison what it lends — an envelope's authenticator
+// on release, a vote when it is given back — for the rest of the test.
+func poisonLent(t *testing.T) {
+	types.SetPoisonLent(true)
+	t.Cleanup(func() { types.SetPoisonLent(false) })
 }
 
 func (c *recycleCluster) authFailures() []uint64 {

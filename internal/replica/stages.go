@@ -196,7 +196,8 @@ func (r *Replica) readLoop() {
 // bodies are counted as DecodeFailures and dropped before they can cost a
 // worker lane anything. Proposals (PrePrepare, OrderedRequest, NewView)
 // decode as views into their frame, which DecodeEnvelope disowns; votes
-// decode as copies and their frames go back to the pool.
+// decode into recycled structs the lane gives back after its engine step,
+// and their frames go back to the pool.
 func (r *Replica) route(env *types.Envelope, verified bool) {
 	msg, err := types.DecodeEnvelope(env)
 	if err != nil {
@@ -457,16 +458,15 @@ func (r *Replica) laneLoop(lane int) {
 // the envelope (verified true) it is not checked again.
 func (r *Replica) processItem(item workItem) {
 	env := item.env
-	// The lane is the envelope's final owner. Both things that outlive
-	// this call are safe past the release: env.Auth is a copy
-	// (Envelope.decode copies it precisely because engines retain
-	// authenticators in commit certificates), and the decoded message is
-	// either a copy or a view into a frame route's DecodeEnvelope already
-	// took out of the pool.
+	// The lane is the envelope's final owner, and a vote's: the engine step
+	// below is the one they were decoded for. What outlives it is the
+	// engine's to copy — env.Auth and a vote are borrowed — or a view into
+	// a frame route's DecodeEnvelope already took out of the pool.
 	defer env.Release()
 	if !item.verified {
 		if err := r.verifyEnvelope(env); err != nil {
 			r.authFailures.Add(1)
+			types.ReleaseVote(item.msg)
 			return
 		}
 	}
@@ -488,6 +488,7 @@ func (r *Replica) processItem(item workItem) {
 		}
 	}
 	acts := r.engine.OnMessage(env.From, item.msg, env.Auth)
+	types.ReleaseVote(item.msg)
 	r.handleActions(acts)
 }
 
@@ -1094,12 +1095,13 @@ func (r *Replica) durableWaitLoop() {
 
 // broadcast signs msg for every other replica and sends it. Under a
 // digital-signature scheme the body is signed once and reused; under CMAC
-// it is hashed once and a fresh MAC of the digest is computed per
-// destination (the MAC-vector cost, now sixteen bytes of AES per receiver
-// whatever the body's size). The body is marshalled into a pooled buffer
-// whose arena every destination's envelope retains; the buffer returns to
-// the pool when the last envelope retires (the peer writer's write, an inbox
-// drop, or the receiving stage's release).
+// it is hashed once and a MAC of the digest is computed per destination
+// (the MAC-vector cost, sixteen bytes of AES per receiver whatever the
+// body's size), written into that destination's envelope. The body is
+// marshalled into a pooled buffer whose arena every destination's envelope
+// retains; the buffer returns to the pool when the last envelope retires
+// (the peer writer's write, an inbox drop, or the receiving stage's
+// release).
 func (r *Replica) broadcast(msg types.Message) {
 	body, arena := r.marshalOut(msg)
 	mt := msg.Type()
@@ -1122,22 +1124,17 @@ func (r *Replica) broadcast(msg types.Message) {
 		if dst == r.cfg.ID {
 			continue
 		}
-		auth := shared
+		env := r.envelope(types.ReplicaNode(dst), mt, body, arena)
+		env.Auth = shared
 		if perDst {
-			sig, err := r.auth.SignDigest(types.ReplicaNode(dst), digest)
+			auth, err := r.auth.AppendSignDigest(env.AuthBuffer(), env.To, digest)
 			if err != nil {
 				r.authFailures.Add(1)
+				env.Release()
 				continue
 			}
-			auth = sig
+			env.Auth = auth
 		}
-		env := types.AcquireEnvelope()
-		env.From = types.ReplicaNode(r.cfg.ID)
-		env.To = types.ReplicaNode(dst)
-		env.Type = mt
-		env.Body = body
-		env.Auth = auth
-		env.Attach(arena)
 		r.send(env)
 	}
 	// Drop the builder's reference: from here only the envelopes keep the
@@ -1148,21 +1145,28 @@ func (r *Replica) broadcast(msg types.Message) {
 // sendTo signs msg for a single destination and sends it.
 func (r *Replica) sendTo(to types.NodeID, msg types.Message) {
 	body, arena := r.marshalOut(msg)
-	sig, err := r.auth.Sign(to, types.AuthenticatedBytes(msg.Type(), body))
+	env := r.envelope(to, msg.Type(), body, arena)
+	arena.Release()
+	auth, err := crypto.SignInto(r.auth, env, to, types.AuthenticatedBytes(env.Type, body))
 	if err != nil {
 		r.authFailures.Add(1)
-		arena.Release()
+		env.Release()
 		return
 	}
+	env.Auth = auth
+	r.send(env)
+}
+
+// envelope addresses a pooled envelope from this replica to to, carrying
+// body and a reference on the arena behind it.
+func (r *Replica) envelope(to types.NodeID, mt types.MsgType, body []byte, arena *types.Arena) *types.Envelope {
 	env := types.AcquireEnvelope()
 	env.From = types.ReplicaNode(r.cfg.ID)
 	env.To = to
-	env.Type = msg.Type()
+	env.Type = mt
 	env.Body = body
-	env.Auth = sig
 	env.Attach(arena)
-	r.send(env)
-	arena.Release()
+	return env
 }
 
 // marshalOut encodes an outbound body into a pooled arena buffer. The

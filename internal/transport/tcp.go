@@ -99,11 +99,12 @@ func (c *TCPConfig) fill() {
 
 // tcpPeer is the path to one destination: an outbound queue and the writer
 // goroutine that owns the connection behind it for its whole life. The
-// writer dials (unless the connection was learned from inbound traffic),
-// then drains; routing every write (Send and Hello alike) through it
-// serializes frame writes — concurrent writes on a shared connection could
-// interleave partial frames and corrupt the stream — and is where outbound
-// batching happens. Nobody but the writer ever waits for the network.
+// writer dials (unless the connection was learned from the inbound traffic
+// of a node with no address), then drains; routing every write (Send and
+// Hello alike) through it serializes frame writes — concurrent writes on a
+// shared connection could interleave partial frames and corrupt the stream
+// — and is where outbound batching happens. Nobody but the writer ever
+// waits for the network.
 type tcpPeer struct {
 	out chan *types.Envelope
 	// conn is nil until the writer's dial returns; written and read under
@@ -289,23 +290,29 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	// One buffered reader per connection: a frame's prefix and body, and
 	// every small frame queued behind it, arrive in one read syscall. Bodies
 	// are still copied out into pooled buffers, so nothing outlives the
-	// buffer's next fill.
-	br := bufio.NewReaderSize(conn, readBufSize)
+	// buffer's next fill, and the frame reader decodes every frame into the
+	// one envelope slice it keeps.
+	frames := types.NewFrameReader(bufio.NewReaderSize(conn, readBufSize), e.frames)
 	for {
-		envs, err := types.ReadFramesPooled(br, e.frames)
+		envs, err := frames.Next()
 		if err != nil {
 			return
 		}
 		if len(envs) == 0 {
 			continue
 		}
-		// Learn return paths once per frame: replies to these peers can
-		// reuse the inbound connection, which is how replicas answer
-		// clients that have no listener of their own.
+		// Learn return paths once per frame, for nodes with no address to
+		// dial — clients, which is how replicas answer them. A node with an
+		// address is always dialed: nothing here is authenticated yet, and
+		// a learned path wins over a dial, so a connection claiming to be a
+		// replica would otherwise receive that replica's traffic.
 		e.mu.Lock()
 		closed := e.closed
 		if !closed {
 			for _, env := range envs {
+				if _, dialable := e.addrs[env.From]; dialable {
+					continue
+				}
 				if _, ok := e.peers[env.From]; !ok {
 					e.addPeerLocked(env.From, conn, "")
 				}
@@ -402,7 +409,7 @@ func (e *TCPEndpoint) peer(to types.NodeID) (*tcpPeer, error) {
 	}
 	if p, ok := e.peers[to]; ok {
 		// An established peer wins, however it was established: dialed, or
-		// learned from the peer's own connection to us.
+		// — for a node with no address — learned from its connection to us.
 		return p, nil
 	}
 	addr, ok := e.addrs[to]
@@ -454,9 +461,9 @@ func (e *TCPEndpoint) connect(to types.NodeID, p *tcpPeer, addr string) bool {
 		// gets the same bounded final flush as everything else.
 		_ = conn.SetWriteDeadline(time.Now().Add(stallTimeout))
 	} else {
-		// Connections are full duplex: the peer may reply over this very
-		// connection (it learns the return path from our frames), so every
-		// dialed connection gets a reader too.
+		// Connections are full duplex: a peer with no address of ours to
+		// dial replies over this very connection (it learns the return path
+		// from our frames), so every dialed connection gets a reader too.
 		e.readWg.Add(1)
 		go e.readLoop(conn)
 	}

@@ -196,15 +196,21 @@ func (p *poisonCounter) Put(b []byte) {
 }
 
 // TestTCPDialInWriter: the peer's writer owns the dial, so Send never waits
-// for one. An established peer wins — a destination that connected to us
-// first is answered over its connection and never dialed; the first Send to
-// a destination whose dial has not completed returns at once and its
-// envelope arrives when the dial does; a dial that fails releases what
-// queued behind it, counts it in Drops and removes the peer, and a later Send
-// dials again.
+// for one. An established peer wins — a destination with no address that
+// connected to us first is answered over its connection and never dialed;
+// the first Send to a destination whose dial has not completed returns at
+// once and its envelope arrives when the dial does; a dial that fails
+// releases what queued behind it, counts it in Drops and removes the peer,
+// and a later Send dials again.
 func TestTCPDialInWriter(t *testing.T) {
 	a, b := newTCPPair(t, TCPConfig{Inboxes: 1, Capacity: 64})
-	self, peer := types.ReplicaNode(0), types.ReplicaNode(1)
+	self, client := types.ReplicaNode(0), types.ClientNode(9)
+	c, err := NewTCPWithConfig(TCPConfig{Self: client, ListenAddr: "127.0.0.1:0", Inboxes: 1, Capacity: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	c.SetPeerAddr(self, a.Addr())
 	// Two more names for b's listener, so each part starts without a peer.
 	slow, flaky := types.ReplicaNode(2), types.ReplicaNode(3)
 	a.SetPeerAddr(slow, b.Addr())
@@ -250,13 +256,13 @@ func TestTCPDialInWriter(t *testing.T) {
 		}
 	}
 
-	// b connects first; a answers over b's connection.
-	if err := b.Send(env(peer, self, "from-b")); err != nil {
+	// The client connects first; a answers over its connection.
+	if err := c.Send(env(client, self, "from-c")); err != nil {
 		t.Fatal(err)
 	}
-	expect(a, "from-b")
-	send(peer, "over-b's-connection")
-	expect(b, "over-b's-connection")
+	expect(a, "from-c")
+	send(client, "over-c's-connection")
+	expect(c, "over-c's-connection")
 	if n := dials.Load(); n != 0 {
 		t.Fatalf("%d dials to a peer that was already connected", n)
 	}
@@ -293,5 +299,51 @@ func TestTCPDialInWriter(t *testing.T) {
 	expect(b, "again")
 	if n := dials.Load(); n != 3 {
 		t.Fatalf("%d dials, want 3: one held back, one failed, one after the failure", n)
+	}
+}
+
+// TestTCPForgedSenderLearnsNoPath: a connection that names itself a replica
+// in a frame does not become the path to that replica. Nothing is
+// authenticated at the transport, and a learned path wins over a dial, so
+// before this held, whatever reached replica 0's listener first as "replica
+// 2" received everything replica 0 sent replica 2 until that path failed.
+// Replica 0 knows replica 2's address: it reads the forged frame, and its
+// next Send to replica 2 dials replica 2.
+func TestTCPForgedSenderLearnsNoPath(t *testing.T) {
+	open := func(self types.NodeID) *TCPEndpoint {
+		e, err := NewTCPWithConfig(TCPConfig{Self: self, ListenAddr: "127.0.0.1:0", Inboxes: 1, Capacity: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
+		return e
+	}
+	r0, r2 := types.ReplicaNode(0), types.ReplicaNode(2)
+	a, b := open(r0), open(r2)
+	a.SetPeerAddr(r2, b.Addr())
+
+	raw, err := net.Dial("tcp", a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	var w types.Writer
+	types.AppendBatchFrame(&w, []*types.Envelope{env(r2, r0, "forged")})
+	if _, err := raw.Write(w.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvN(t, a, 1, 5*time.Second)[0]; string(got.Body) != "forged" {
+		t.Fatalf("received %q", got.Body)
+	}
+
+	if err := a.Send(env(r0, r2, "for-replica-2")); err != nil {
+		t.Fatal(err)
+	}
+	_ = raw.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+	if n, _ := raw.Read(make([]byte, 64)); n > 0 {
+		t.Fatalf("the connection that claimed to be %v received %d bytes sent to it", r2, n)
+	}
+	if got := recvN(t, b, 1, 5*time.Second)[0]; string(got.Body) != "for-replica-2" {
+		t.Fatalf("replica 2 received %q", got.Body)
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -127,7 +128,7 @@ func TestTCPZeroCopyRetainedDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		decoded = m.(*types.ClientRequest)
-		auth = e.Auth // decode copies Auth: engines retain it past release
+		auth = bytes.Clone(e.Auth) // Auth is lent with the envelope: a keeper copies it
 		e.Release()
 	case <-time.After(5 * time.Second):
 		t.Fatal("first envelope never arrived")

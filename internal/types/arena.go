@@ -10,6 +10,7 @@
 package types
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 )
@@ -142,9 +143,81 @@ func (e *Envelope) Release() {
 	}
 	if e.pooled {
 		*e = Envelope{}
+		if poisonLent.Load() {
+			e.auth = poisonAuth
+		}
 		envelopePool.Put(e)
 	}
 }
+
+// Prepare, Commit and Checkpoint are most of a replica's inbound traffic,
+// and each lives for the one engine step it is decoded for: DecodeEnvelope
+// decodes them into structs recycled here.
+var (
+	preparePool    = sync.Pool{New: func() any { return new(Prepare) }}
+	commitPool     = sync.Pool{New: func() any { return new(Commit) }}
+	checkpointPool = sync.Pool{New: func() any { return new(Checkpoint) }}
+)
+
+// acquireVote returns a recycled struct for a vote type, nil for any other.
+// Decoding a vote sets every field, so a recycled one needs no reset.
+func acquireVote(t MsgType) Message {
+	switch t {
+	case MsgPrepare:
+		return preparePool.Get().(*Prepare)
+	case MsgCommit:
+		return commitPool.Get().(*Commit)
+	case MsgCheckpoint:
+		return checkpointPool.Get().(*Checkpoint)
+	}
+	return nil
+}
+
+// ReleaseVote gives back a vote DecodeEnvelope decoded, once the step it
+// was decoded for is over; whoever keeps a vote past that step keeps a copy.
+// It ignores every other message: a proposal or a request outlives its step.
+func ReleaseVote(m Message) {
+	poison := poisonLent.Load()
+	switch v := m.(type) {
+	case *Prepare:
+		if poison {
+			*v = Prepare{View: poisonView, Seq: poisonSeq, Digest: poisonDigest, Replica: poisonReplica}
+		}
+		preparePool.Put(v)
+	case *Commit:
+		if poison {
+			*v = Commit{View: poisonView, Seq: poisonSeq, Digest: poisonDigest, Replica: poisonReplica}
+		}
+		commitPool.Put(v)
+	case *Checkpoint:
+		if poison {
+			*v = Checkpoint{Seq: poisonSeq, StateDigest: poisonDigest, Replica: poisonReplica}
+		}
+		checkpointPool.Put(v)
+	}
+}
+
+// poisonLent is the test hook behind SetPoisonLent.
+var poisonLent atomic.Bool
+
+// What lent memory reads once poisoned: 0xDB in every byte.
+const (
+	poisonView    = View(0xDBDBDBDBDBDBDBDB)
+	poisonSeq     = SeqNum(0xDBDBDBDBDBDBDBDB)
+	poisonReplica = ReplicaID(0xDBDB)
+)
+
+var (
+	poisonAuth   = [InlineAuthSize]byte(bytes.Repeat([]byte{0xDB}, InlineAuthSize))
+	poisonDigest = Digest(bytes.Repeat([]byte{0xDB}, len(Digest{})))
+)
+
+// SetPoisonLent switches on (or off) the overwriting of what is lent rather
+// than given: a pooled envelope's own authenticator storage on Release, a
+// vote's fields on ReleaseVote. It is a test hook — a keeper that forgot to
+// copy then reads 0xDB at once instead of, now and then, another message's
+// bytes — and costs one atomic load per release while off.
+func SetPoisonLent(on bool) { poisonLent.Store(on) }
 
 // writerPool recycles Writers for the encode paths that build a frame or
 // body, copy or write it out, and discard the scratch space.

@@ -78,11 +78,12 @@ func BenchmarkMarshalBodyArena(b *testing.B) {
 	}
 }
 
-// TestPooledFrameDecodeHalvesAllocs pins what zero-copy receive costs: a
+// TestPooledFrameDecodeHalvesAllocs pins what zero-copy receive costs
+// through ReadFramesPooled, which reads with a FrameReader of its own: a
 // 64-envelope frame decoded into pooled envelopes aliasing one pooled arena
-// allocates the envelope slice and one Auth copy per envelope — nothing per
-// Body, nothing for the frame buffer or the envelope structs. (The name
-// dates from a copying reader it was once compared against, at 2+ per
+// allocates that reader and the envelope slice it hands over — nothing per
+// Body or Auth, nothing for the frame buffer or the envelope structs. (The
+// name dates from a copying reader it was once compared against, at 2+ per
 // envelope; CI's Allocation gate selects the test by it.)
 func TestPooledFrameDecodeHalvesAllocs(t *testing.T) {
 	frame := benchFrame(t)
@@ -102,8 +103,49 @@ func TestPooledFrameDecodeHalvesAllocs(t *testing.T) {
 	if types.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts at random; steady-state reuse is nondeterministic")
 	}
-	if most := float64(64 + 4); pooled > most {
+	if most := float64(2); pooled > most {
 		t.Fatalf("pooled decode allocates %.0f per 64-envelope frame, want at most %.0f", pooled, most)
+	}
+}
+
+// TestFrameReaderVoteFrameAllocCap pins what a connection's reader pays for
+// a frame of 64 votes under CMAC links, the bulk of replica traffic, once
+// warm: at most one allocation per frame. The frame buffer, the arena, the
+// envelopes and their 16-byte tags are all recycled or held in place, and
+// the envelope slice is the reader's, refilled frame after frame.
+func TestFrameReaderVoteFrameAllocCap(t *testing.T) {
+	envs := make([]*types.Envelope, 64)
+	for i := range envs {
+		envs[i] = &types.Envelope{
+			From: types.ReplicaNode(1), To: types.ReplicaNode(0), Type: types.MsgPrepare,
+			Body: types.MarshalBody(&types.Prepare{View: 1, Seq: types.SeqNum(i + 1), Digest: types.Digest{byte(i)}, Replica: 1}),
+			Auth: bytes.Repeat([]byte{byte(i)}, 16),
+		}
+	}
+	var w types.Writer
+	types.AppendBatchFrame(&w, envs)
+	frame := w.Bytes()
+	var src bytes.Reader
+	frames := types.NewFrameReader(&src, new(pool.BytePool))
+	allocs := testing.AllocsPerRun(200, func() {
+		src.Reset(frame)
+		got, err := frames.Next()
+		if err != nil || len(got) != len(envs) {
+			t.Fatalf("%d envelopes, %v", len(got), err)
+		}
+		for i, e := range got {
+			if !bytes.Equal(e.Auth, envs[i].Auth) {
+				t.Fatalf("envelope %d: Auth %x, want %x", i, e.Auth, envs[i].Auth)
+			}
+			e.Release()
+		}
+	})
+	t.Logf("allocations per 64-vote frame: %.2f", allocs)
+	if types.RaceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random; steady-state reuse is nondeterministic")
+	}
+	if allocs > 1 {
+		t.Fatalf("a 64-vote frame costs %.2f allocations, want at most 1", allocs)
 	}
 }
 

@@ -94,28 +94,36 @@ func newMessage(t MsgType) (Message, error) {
 // stack one would cost an allocation per decoded message.
 var readerPool = sync.Pool{New: func() any { return new(Reader) }}
 
-// decodeBody is the one body decoder behind both entry points below.
+// decodeInto is the one body decoder behind both entry points below; the
+// message it fills is fresh (newMessage) or a recycled vote (acquireVote).
 // Decoding is canonical: a body it accepts re-encodes to the same bytes.
 // The body must therefore be consumed exactly — a decodable prefix with
 // trailing garbage is malformed, because accepting it would let two
 // distinct wire forms carry one message, and signatures cover the whole
 // body.
-func decodeBody(t MsgType, b []byte, alias bool) (Message, error) {
-	msg, err := newMessage(t)
-	if err != nil {
-		return nil, err
-	}
+func decodeInto(msg Message, b []byte, alias bool) error {
 	r := readerPool.Get().(*Reader)
 	*r = Reader{buf: b, alias: alias}
 	msg.unmarshal(r)
-	err = r.Err()
+	err := r.Err()
 	if err == nil && r.Remaining() != 0 {
 		err = fmt.Errorf("%d trailing bytes", r.Remaining())
 	}
 	*r = Reader{} // drop the input and the op slab before pooling
 	readerPool.Put(r)
 	if err != nil {
-		return nil, fmt.Errorf("decoding %s body: %w", t, err)
+		return fmt.Errorf("decoding %s body: %w", msg.Type(), err)
+	}
+	return nil
+}
+
+func decodeBody(t MsgType, b []byte, alias bool) (Message, error) {
+	msg, err := newMessage(t)
+	if err != nil {
+		return nil, err
+	}
+	if err := decodeInto(msg, b, alias); err != nil {
+		return nil, err
 	}
 	return msg, nil
 }
@@ -138,16 +146,25 @@ func bearsRequests(t MsgType) bool {
 }
 
 // DecodeEnvelope decodes e.Body into a message that stays valid after e
-// is released, for as long as the caller keeps it. Request-bearing bodies
-// (ClientRequest, PrePrepare, OrderedRequest, NewView) are decoded as
-// views into Body and, in the same call, the arena behind Body is
-// disowned: its buffer now belongs to the garbage collector and no
-// Release will recycle it under the message. Every other type — the
-// fixed-size votes, whose frames are most of the traffic — is decoded in
-// copy mode and its frame keeps returning to the pool. A decode failure
+// is released. Request-bearing bodies (ClientRequest, PrePrepare,
+// OrderedRequest, NewView) are decoded as views into Body and, in the same
+// call, the arena behind Body is disowned: its buffer now belongs to the
+// garbage collector and no Release will recycle it under the message.
+// Every other type is decoded in copy mode and its frame keeps returning
+// to the pool. The fixed-size votes (Prepare, Commit, Checkpoint), whose
+// frames are most of the traffic, are decoded into recycled structs: the
+// caller gives one back with ReleaseVote when the step it was decoded for
+// is over, or keeps it and forfeits only its reuse. A decode failure
 // leaves the arena untouched. This is the only decoder that builds views,
 // so an aliased message over a recyclable buffer cannot be built at all.
 func DecodeEnvelope(e *Envelope) (Message, error) {
+	if vote := acquireVote(e.Type); vote != nil {
+		if err := decodeInto(vote, e.Body, false); err != nil {
+			ReleaseVote(vote)
+			return nil, err
+		}
+		return vote, nil
+	}
 	alias := bearsRequests(e.Type)
 	msg, err := decodeBody(e.Type, e.Body, alias)
 	if err == nil && alias {
@@ -188,18 +205,32 @@ type Envelope struct {
 	To   NodeID
 	Type MsgType
 	Body []byte
+	// Auth is borrowed, like Body: a decoded envelope's, and a MAC a
+	// sender wrote into AuthBuffer, live in the envelope itself and are
+	// overwritten once it is released. Whoever keeps an authenticator past
+	// the envelope's release copies it.
 	Auth []byte
 
 	// arena, when non-nil, owns the pooled buffer Body aliases; pooled
 	// marks envelopes that return to the envelope pool on Release. Auth
-	// never aliases an arena — consensus engines retain authenticators in
-	// commit certificates past any frame's lifetime, and sixteen bytes are
-	// no reason to pin a frame, so decode always copies it. Envelopes are
-	// single-owner values: whoever holds one either passes it on or
-	// releases it, exactly once.
+	// never aliases an arena: decode copies it into auth, which holds every
+	// CMAC tag and ED25519 signature (a longer one goes to the heap).
+	// Envelopes are single-owner values: whoever holds one either passes it
+	// on or releases it, exactly once.
 	arena  *Arena
 	pooled bool
+	auth   [InlineAuthSize]byte
 }
+
+// InlineAuthSize is the authenticator an envelope holds without
+// allocating: an ED25519 signature, four CMAC tags' worth.
+const InlineAuthSize = 64
+
+// AuthBuffer returns the envelope's own authenticator storage, empty, for a
+// signer to append into: env.Auth, err = a.AppendSignDigest(env.AuthBuffer(),
+// to, digest) costs no allocation for any authenticator up to
+// InlineAuthSize bytes.
+func (e *Envelope) AuthBuffer() []byte { return e.auth[:0] }
 
 // minEnvelopeSize is the smallest envelope wire form: from, to, type, and
 // two empty blobs. It validates frame counts against forged headers.
@@ -220,14 +251,15 @@ func (e *Envelope) encode(w *Writer) {
 }
 
 // decode parses the envelope wire form from r in place. Body aliases r's
-// input; Auth is always copied because engines retain it in commit
-// certificates beyond the frame's lifetime.
+// input; Auth is copied into the envelope's own storage, where a sender
+// writes its MAC too, so an authenticator lives exactly as long as its
+// envelope whichever side made it.
 func (e *Envelope) decode(r *Reader) {
 	e.From = NodeID(r.U32())
 	e.To = NodeID(r.U32())
 	e.Type = MsgType(r.U8())
 	e.Body = r.Blob()
-	e.Auth = r.CopyBlob()
+	e.Auth = r.appendBlob(e.auth[:0])
 }
 
 // AppendBatchFrame appends the frame carrying every envelope in envs: a
@@ -252,9 +284,10 @@ const maxFrameLen = 1 << 28
 
 // readFrameLen reads a frame's length prefix. A buffered reader — what the
 // transport reads every connection through — lends the four bytes where
-// they lie; from any other reader they pass through a local that the
-// interface call sends to the heap.
-func readFrameLen(r io.Reader) (uint32, error) {
+// they lie; from any other reader they pass through the frame reader's
+// scratch.
+func (f *FrameReader) readFrameLen() (uint32, error) {
+	r := f.src
 	if br, ok := r.(*bufio.Reader); ok {
 		p, err := br.Peek(4)
 		if err != nil {
@@ -267,29 +300,43 @@ func readFrameLen(r io.Reader) (uint32, error) {
 		_, err = br.Discard(4)
 		return n, err
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	if _, err := io.ReadFull(r, f.lenBuf[:]); err != nil {
 		return 0, err
 	}
-	return binary.BigEndian.Uint32(lenBuf[:]), nil
+	return binary.BigEndian.Uint32(f.lenBuf[:]), nil
 }
 
-// ReadFramesPooled reads one frame from r and returns the envelopes it
-// carries, decoded in place: envelope structs come from the envelope pool
-// and each Body aliases the frame buffer. With a non-nil bufs the buffer is
-// borrowed from it and each envelope holds a reference on the frame's
-// arena; the caller owns the returned envelopes and must Release every one
-// exactly once, and the buffer returns to bufs when the last reference
-// drops — unless a DecodeEnvelope on one of them found a request-bearing
-// body and disowned the frame, in which case the garbage collector frees
-// it once the decoded requests are gone. With a nil bufs the buffer is
-// allocated and belongs to the garbage collector from the start, so a
-// caller that never releases forfeits only the envelope structs' reuse.
-// Auth is copied regardless (engines retain it in commit certificates),
-// and messages decoded from Body with DecodeBody are copies, so otherwise
-// only Body itself is lifetime-bound.
-func ReadFramesPooled(r io.Reader, bufs FrameBuffers) ([]*Envelope, error) {
-	n, err := readFrameLen(r)
+// FrameReader reads frames off one stream — a connection — and decodes
+// each in place: envelope structs come from the envelope pool, each Body
+// aliases the frame buffer and each Auth is copied into its envelope. With
+// a non-nil bufs the buffer is borrowed from it and each envelope holds a
+// reference on the frame's arena; the buffer returns to bufs when the last
+// reference drops — unless a DecodeEnvelope on one of the envelopes found a
+// request-bearing body and disowned the frame, in which case the garbage
+// collector frees it once the decoded requests are gone. With a nil bufs
+// the buffer is allocated and belongs to the garbage collector from the
+// start, so a caller that never releases forfeits only the envelope
+// structs' reuse. A FrameReader is one goroutine's.
+type FrameReader struct {
+	src    io.Reader
+	bufs   FrameBuffers
+	envs   []*Envelope // refilled by every Next
+	rd     Reader
+	lenBuf [4]byte
+}
+
+// NewFrameReader returns a FrameReader over src borrowing from bufs.
+func NewFrameReader(src io.Reader, bufs FrameBuffers) *FrameReader {
+	return &FrameReader{src: src, bufs: bufs}
+}
+
+// Next reads one frame and returns the envelopes it carries. The envelopes
+// are the caller's, each to be released exactly once; the slice holding
+// them is the reader's, valid until the next call, which refills it.
+func (f *FrameReader) Next() ([]*Envelope, error) {
+	clear(f.envs) // hold no envelope the caller has passed on
+	envs := f.envs[:0]
+	n, err := f.readFrameLen()
 	if err != nil {
 		return nil, err // io.EOF propagates untouched for clean shutdown
 	}
@@ -298,19 +345,22 @@ func ReadFramesPooled(r io.Reader, bufs FrameBuffers) ([]*Envelope, error) {
 	}
 	var body []byte
 	var arena *Arena // stays nil without a recycler; every use is nil-safe
-	if bufs != nil {
-		body = bufs.Get(int(n))[:n]
-		arena = NewArena(body, bufs) // the reader's reference
+	if f.bufs != nil {
+		body = f.bufs.Get(int(n))[:n]
+		arena = NewArena(body, f.bufs) // the reader's reference
 	} else {
 		body = make([]byte, n)
 	}
-	if _, err := io.ReadFull(r, body); err != nil {
+	if _, err := io.ReadFull(f.src, body); err != nil {
 		arena.Release()
 		return nil, fmt.Errorf("reading frame body: %w", err)
 	}
-	rd := NewAliasReader(body)
+	rd := &f.rd
+	*rd = Reader{buf: body, alias: true}
 	count := rd.count(minEnvelopeSize)
-	envs := make([]*Envelope, 0, count)
+	if cap(envs) < count {
+		envs = make([]*Envelope, 0, count)
+	}
 	for i := 0; i < count; i++ {
 		e := AcquireEnvelope()
 		e.decode(rd)
@@ -321,6 +371,8 @@ func ReadFramesPooled(r io.Reader, bufs FrameBuffers) ([]*Envelope, error) {
 	if err == nil && rd.Remaining() != 0 {
 		err = fmt.Errorf("%d trailing bytes", rd.Remaining())
 	}
+	*rd = Reader{} // the frame is the envelopes' now
+	f.envs = envs
 	if err != nil {
 		for _, e := range envs {
 			e.Release()
@@ -330,4 +382,11 @@ func ReadFramesPooled(r io.Reader, bufs FrameBuffers) ([]*Envelope, error) {
 	}
 	arena.Release() // hand over to the envelopes' references
 	return envs, nil
+}
+
+// ReadFramesPooled reads one frame from r through a FrameReader of its
+// own, so the returned slice, as well as the envelopes in it, is the
+// caller's.
+func ReadFramesPooled(r io.Reader, bufs FrameBuffers) ([]*Envelope, error) {
+	return NewFrameReader(r, bufs).Next()
 }

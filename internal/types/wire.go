@@ -163,10 +163,20 @@ func (r *Reader) Blob() []byte {
 }
 
 // CopyBlob reads a blob and always copies it, even in alias mode. It is
-// for fields that are retained past the frame's lifetime — envelope
-// authenticators stored in commit certificates, for one.
+// for fields that are retained past the frame's lifetime — read results
+// handed to clients, for one.
 func (r *Reader) CopyBlob() []byte {
 	return r.blob(false)
+}
+
+// appendBlob reads a blob and appends a copy of it to dst, whatever the
+// mode: an envelope's authenticator goes into the envelope's own storage.
+func (r *Reader) appendBlob(dst []byte) []byte {
+	b := r.blob(true)
+	if r.err != nil {
+		return nil
+	}
+	return append(dst, b...)
 }
 
 func (r *Reader) blob(alias bool) []byte {
