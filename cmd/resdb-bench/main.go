@@ -24,13 +24,13 @@
 // the disk store twice: one log behind nothing but the blocking Put, every
 // record waiting out its own fsync (the Section 5.7 off-memory contrast),
 // and sharded with group commit and cross-batch execution pipelining —
-// reporting throughput, fsync counts, and fsync-stall time. -store-shards,
-// -store-sync, and -exec-pipeline-depth tune the sharded rows.
+// reporting throughput, fsync counts, and fsync-stall time. -store-sync
+// and -exec-pipeline-depth tune the sharded rows.
 //
 // The compaction experiment measures the sharded store's log garbage
-// collection: an overwrite-heavy Zipfian history, then shard-log bytes
-// and reopen (recovery) time before and after compaction rewrites each
-// log to live records only. -store-compact-ratio and
+// collection: an overwrite-heavy Zipfian history, then log bytes and
+// reopen (recovery) time before and after compaction rewrites the log to
+// live records only. -store-compact-ratio and
 // -store-compact-min-bytes set the thresholds the checkpoint-driven
 // trigger uses (they also apply to diskpipe's disk rows).
 //
@@ -74,10 +74,9 @@ func run() int {
 	outPath := flag.String("out", "", "also write results to this file")
 	workerThreads := flag.Int("worker-threads", 4, "workerscale: largest worker-lane count in the sweep")
 	execShards := flag.Int("execute-shards", 4, "execshards: largest execution-shard count in the sweep")
-	storeShards := flag.Int("store-shards", 0, "diskpipe: append logs for the sharded-gc rows (0 = one log; the sharded-gc-elogs row always has one per execution shard)")
 	storeSync := flag.Bool("store-sync", bench.DiskTuning.Sync, "diskpipe: make the disk rows durable (everything appended during one fsync shares the next on the sharded rows, every Put waits for its own on the serial row; -store-sync=false disables fsync, isolating the blocking-API cost)")
 	execDepth := flag.Int("exec-pipeline-depth", bench.DiskTuning.Depth, "diskpipe: cross-batch execution pipelining depth for the sharded-store row")
-	compactRatio := flag.Float64("store-compact-ratio", 0, "compaction/diskpipe: garbage ratio past which a shard log is compacted (0 = store default 0.5, negative disables)")
+	compactRatio := flag.Float64("store-compact-ratio", 0, "compaction/diskpipe: garbage ratio past which the log is compacted (0 = store default 0.5, negative disables)")
 	compactMin := flag.Int64("store-compact-min-bytes", 0, "compaction/diskpipe: log size floor for threshold-driven compaction (0 = store default 1 MiB, negative removes the floor)")
 	chaosSpec := flag.String("chaos", "", "faults: ambient link fault layered under every scenario, drop=P,dup=P,corrupt=P,delay=D,reorder=D,seed=N (empty = fault-free between injections)")
 	flag.Parse()
@@ -94,7 +93,6 @@ func run() int {
 	if *execShards >= 1 {
 		bench.ExecTuning.MaxShards = *execShards
 	}
-	bench.DiskTuning.Shards = *storeShards
 	bench.DiskTuning.Sync = *storeSync
 	if *execDepth >= 1 {
 		bench.DiskTuning.Depth = *execDepth

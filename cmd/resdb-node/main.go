@@ -52,25 +52,22 @@
 //     to, recovered to its longest valid prefix after a crash.
 //   - -store-dir D: root directory for the sharded backend (default
 //     resdb-data/replica-<id>).
-//   - -store-shards S: append logs for the sharded backend; 0 (default)
-//     keeps the count -store-dir was created with, else one — a committed
-//     batch then waits for one fsync whatever -execute-shards is.
 //   - -store-sync: durability. Off (default) never fsyncs; on, the
 //     sharded backend group-commits: writes are visible once appended, no
-//     response leaves before a covering fsync, and a shard's committer
+//     response leaves before a covering fsync, and the log's committer
 //     fsyncs whenever there is something to cover — what is appended
 //     during one fsync shares the next.
 //   - -store-compact-ratio R: checkpoint-driven log compaction for the
-//     sharded backend. When a stable checkpoint fires, any shard log whose
-//     garbage fraction (dead bytes / total bytes) reaches R is rewritten
-//     to live records only. 0 (default) uses the built-in 0.5; negative
+//     sharded backend. When a stable checkpoint fires and the log's
+//     garbage fraction (dead bytes / total bytes) has reached R, the log
+//     is rewritten to live records only. 0 (default) uses the built-in 0.5; negative
 //     disables compaction (logs grow with history).
 //   - -store-compact-min-bytes B: log size below which compaction never
 //     rewrites (rewriting a tiny log cannot pay for its stall). 0
 //     (default) uses the built-in 1 MiB; negative removes the floor.
 //   - -store-read-index: keep every key's latest value in an in-memory
 //     index over the sharded backend, so Get — and with it the locally
-//     served read path — never touches a shard log or lock. 0 (default)
+//     served read path — never touches the log or its lock. 0 (default)
 //     keeps it on; -1 disables it (reads go back through the log, the
 //     Section 5.7 blocking contrast). Ignored by the mem backend.
 //   - -pprof-addr ADDR: serve net/http/pprof on ADDR (e.g.
@@ -131,13 +128,12 @@ func run() int {
 	batchThreads := flag.Int("batch-threads", 0, "batch-threads B (0 = default 2, -1 folds batching into the worker lanes)")
 	execShards := flag.Int("execute-shards", 0, "execution shards E (0 = default single execute-thread, -1 folds execution into the worker lanes, E > 1 = parallel write-set-partitioned shards)")
 	execDepth := flag.Int("exec-pipeline-depth", 1, "cross-batch execution pipelining depth P (1 = strict per-batch barrier; P > 1 overlaps up to P batches across the execution shards)")
-	storeBackend := flag.String("store-backend", "mem", "record store: mem | sharded (durable, group-commit, one log per shard)")
+	storeBackend := flag.String("store-backend", "mem", "record store: mem | sharded (durable, group-commit, one append log)")
 	storeDir := flag.String("store-dir", "", "root directory for the sharded store (default resdb-data/replica-<id>)")
-	storeShards := flag.Int("store-shards", 0, "append logs for the sharded store backend (0 = the count -store-dir was created with, else 1)")
 	storeSync := flag.Bool("store-sync", false, "make the sharded store durable: group-commit fsyncs, no response before one covers its writes (off = page cache only)")
-	storeCompactRatio := flag.Float64("store-compact-ratio", 0, "garbage ratio (dead/total log bytes) past which a stable checkpoint compacts a shard log (0 = default 0.5, negative disables compaction)")
+	storeCompactRatio := flag.Float64("store-compact-ratio", 0, "garbage ratio (dead/total log bytes) past which a stable checkpoint compacts the log (0 = default 0.5, negative disables compaction)")
 	storeCompactMin := flag.Int64("store-compact-min-bytes", 0, "log size below which checkpoint-driven compaction never rewrites (0 = default 1 MiB, negative removes the floor)")
-	storeReadIndex := flag.Int("store-read-index", 0, "in-memory read index over the sharded store so local reads never touch a shard log or lock (0 = default on, -1 disables)")
+	storeReadIndex := flag.Int("store-read-index", 0, "in-memory read index over the sharded store so local reads never touch the log or its lock (0 = default on, -1 disables)")
 	verifyThreads := flag.Int("verify-threads", 0, "client-signature verification workers; input-threads verify peer envelopes (0 = default 2, -1 verifies both inline on the worker lanes and batch-threads)")
 	workerThreads := flag.Int("worker-threads", 1, "parallel consensus worker lanes (1 = the paper's single worker-thread)")
 	chaosSpec := flag.String("chaos", "", "fault-injection spec for this replica's outbound traffic: drop=P,dup=P,corrupt=P,delay=D,reorder=D,byz=mode@replica,seed=N (empty disables; see internal/chaos)")
@@ -183,7 +179,6 @@ func run() int {
 	storeCfg := store.BackendConfig{
 		Backend:         *storeBackend,
 		Dir:             *storeDir,
-		Shards:          *storeShards,
 		CompactRatio:    *storeCompactRatio,
 		CompactMinBytes: *storeCompactMin,
 		ReadIndex:       *storeReadIndex >= 0,

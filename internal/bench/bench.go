@@ -149,8 +149,8 @@ func All() []Experiment {
 		{ID: "execshards", Title: "Execution shards: throughput and per-shard busy time vs ExecuteThreads (real pipeline)",
 			Paper: "the paper caps execution at one thread (data conflicts, Section 6); write-set partitioning lifts the cap — E shards split a Zipfian write load deterministically, shown by the per-shard busy table", Run: execshards},
 		{ID: "diskpipe", Title: "Durable storage pipeline: MemStore vs the disk store behind a serial blocking Put vs sharded with group commit (real pipeline)",
-			Paper: "naive off-memory storage cuts throughput ~94% (Section 5.7); sharding the log per execution shard and group-committing the fsync narrows that gap — the fsync-stall column shows the amortization", Run: diskpipe},
-		{ID: "compaction", Title: "Checkpoint-driven log compaction: shard-log bytes and reopen time before/after (sharded store)",
+			Paper: "naive off-memory storage cuts throughput ~94% (Section 5.7); one append log every execution shard writes to and a group-committed fsync narrow that gap — the fsync-stall column shows the amortization", Run: diskpipe},
+		{ID: "compaction", Title: "Checkpoint-driven log compaction: log bytes and reopen time before/after (sharded store)",
 			Paper: "a stable checkpoint licenses discarding old state (Section 4.7), and off-memory storage only stays viable if its costs stay bounded (Section 5.7) — compaction rewrites live records so log size and restart replay track live data, not history", Run: compaction},
 		{ID: "readmix", Title: "Read path: consensus-ordered vs locally-served reads under YCSB mixes (real pipeline)",
 			Paper: "the paper orders every operation through consensus; serving read-only requests from a replica's last-executed snapshot skips the three-phase round — the seq-used column shows local reads consuming no sequence numbers", Run: readmix},

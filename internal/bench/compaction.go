@@ -10,8 +10,8 @@ import (
 	"resilientdb/internal/workload"
 )
 
-// compaction measures the storage follow-up to diskpipe: append-only
-// shard logs grow with *history*, not live data, and reopening replays
+// compaction measures the storage follow-up to diskpipe: an append-only
+// log grows with *history*, not live data, and reopening replays
 // that whole history — the unbounded-garbage problem the paper's
 // checkpoint protocol exists to solve (Section 4.7 licenses discarding
 // old state once a checkpoint is stable; Section 5.7's off-memory store
@@ -23,10 +23,10 @@ import (
 //
 //   - pre-compaction: log bytes ≈ full history, reopen replays all of it
 //     (every record CRC-verified);
-//   - post-compaction: after Compact() rewrites each shard's live
-//     records (temp + fsync + rename, crash-safe), log bytes ≈ live
-//     data and reopen replays only that;
-//   - the live-data floor the compacted logs are compared against.
+//   - post-compaction: after Compact() rewrites the live records (temp +
+//     fsync + rename, crash-safe), log bytes ≈ live data and reopen
+//     replays only that;
+//   - the live-data floor the compacted log is compared against.
 //
 // The bytes ratio is the headline: post-compaction log size must track
 // live data, not history, and the reopen time must shrink with it.
@@ -35,7 +35,9 @@ func compaction(s Scale) (Outcome, error) {
 		records   = 2048
 		valueSize = 256
 		opsPerTxn = 8
-		shards    = 4
+		// partitions is E for the write history: each batch reaches the
+		// store the way four execute shards apply it.
+		partitions = 4
 	)
 	batches := 400 // ~51K writes over 2K keys: ~25x overwrite factor
 	if s == ScalePaper {
@@ -61,7 +63,6 @@ func compaction(s Scale) (Outcome, error) {
 	}
 
 	opts := store.ShardedDiskOptions{
-		Shards: shards,
 		// The forced Compact below bypasses these thresholds by design
 		// (the experiment measures the rewrite itself); they are carried
 		// so the store is configured exactly as a -store-compact-* tuned
@@ -75,15 +76,15 @@ func compaction(s Scale) (Outcome, error) {
 	}
 
 	// Write the history exactly as the execute stage does: each batch's
-	// write-set partitioned by the canonical shard hash, one PutMany per
+	// write-set partitioned by the execute stage's hash, one PutMany per
 	// partition.
 	writes := 0
 	for b := 0; b < batches; b++ {
-		parts := make([][]store.KV, shards)
+		parts := make([][]store.KV, partitions)
 		req := wl.NextRequest(1, uint64(b*perBatch+1), perBatch)
 		for i := range req.Txns {
 			for _, op := range req.Txns[i].Ops {
-				sh := workload.ShardOf(op.Key, shards)
+				sh := workload.ShardOf(op.Key, partitions)
 				parts[sh] = append(parts[sh], store.KV{Key: op.Key, Value: op.Value})
 			}
 		}
@@ -112,7 +113,7 @@ func compaction(s Scale) (Outcome, error) {
 		return Outcome{}, err
 	}
 
-	// The trigger under test: rewrite every shard's live records.
+	// The trigger under test: rewrite the live records.
 	if err := st.Compact(); err != nil {
 		st.Close()
 		return Outcome{}, err
@@ -133,13 +134,13 @@ func compaction(s Scale) (Outcome, error) {
 	postLive := st.Len()
 	st.Close()
 
-	// The floor compacted logs are measured against: live records at the
-	// v2 record overhead (16-byte header + value), plus one 8-byte file
-	// header per shard.
-	liveBytes := int64(live)*(16+valueSize) + int64(shards)*8
+	// The floor the compacted log is measured against: live records at the
+	// v2 record overhead (16-byte header + value), plus the 8-byte file
+	// header.
+	liveBytes := int64(live)*(16+valueSize) + 8
 
 	tab := Table{
-		Title:   fmt.Sprintf("Checkpoint-driven log compaction (sharded store, %d shards, %d writes over %d keys)", shards, writes, records),
+		Title:   fmt.Sprintf("Checkpoint-driven log compaction (sharded store, %d writes over %d keys)", writes, records),
 		Columns: []string{"state", "log bytes", "reopen", "records"},
 	}
 	tab.AddRow("pre-compaction", fmt.Sprintf("%d", preBytes), ms(preReopen), fmt.Sprintf("%d", live))
@@ -161,7 +162,7 @@ func compaction(s Scale) (Outcome, error) {
 	return Outcome{Tables: []Table{tab}, Metrics: metrics}, nil
 }
 
-// logBytes sums the shard log sizes under dir.
+// logBytes sums the log sizes under dir.
 func logBytes(dir string) (int64, error) {
 	logs, err := filepath.Glob(filepath.Join(dir, "shard-*.log"))
 	if err != nil {

@@ -17,9 +17,6 @@ import (
 // line: the diskpipe experiment compares the store backends under these
 // settings.
 var DiskTuning = struct {
-	// Shards is the append-log count of the sharded-gc and sharded-gc-rmix
-	// rows; 0 is the store's default, one log.
-	Shards int
 	// Sync makes the disk-backed rows durable: the sharded rows share an
 	// fsync across everything appended during the one before, the serial
 	// row waits for one per Put. Off isolates the blocking-API cost.
@@ -57,12 +54,6 @@ const diskpipeExecShards = 4
 //     amortizing the fsync across every write since the last one, and
 //     cross-batch execution pipelining keeping the shards fed across batch
 //     barriers.
-//   - sharded-gc-elogs: the same with one log per execution shard, asked
-//     for by count (each worker's partition lands in a private log). It is
-//     the contrast that keeps the multi-log code: a batch here waits for
-//     the slowest of E committers. A host whose device overlaps flushes
-//     can argue for Shards > 1 from this pair of rows; a host where the
-//     row never wins is the argument for deleting it.
 //   - sharded-gc-rmix: sharded-gc under half reads ordered through
 //     consensus. A read needs the writes before it appended, not durable,
 //     so it must cost no fsync of its own.
@@ -70,12 +61,10 @@ const diskpipeExecShards = 4
 // The fsync columns are the mechanism made visible: serial fsync stalls
 // the execute stage once per record; the shard workers append and move on,
 // the wait for a covering fsync happens off them at retirement, and the
-// batches that append during one fsync share the next. On one log a batch
-// is one group's worth of appends, so batches/fsync above 1 is consecutive
-// batches landing in one group; on E logs every batch dirties all E, and
-// the same reading starts at 1/E. On a few-core machine these counts, not
-// wall-clock throughput, are the quantity to watch (cf. the
-// workerscale/execshards guidance).
+// batches that append during one fsync share the next: batches/fsync above
+// 1 is consecutive batches landing in one group. On a few-core machine
+// these counts, not wall-clock throughput, are the quantity to watch (cf.
+// the workerscale/execshards guidance).
 func diskpipe(s Scale) (Outcome, error) {
 	window := 600 * time.Millisecond
 	clients := 64
@@ -85,10 +74,9 @@ func diskpipe(s Scale) (Outcome, error) {
 	}
 	rows := []diskRow{
 		{name: "mem", backend: "mem", depth: 1},
-		{name: "disk-serial", backend: "sharded", shards: 1, bare: true, sync: DiskTuning.Sync, depth: 1},
-		{name: "sharded-gc", backend: "sharded", shards: DiskTuning.Shards, sync: DiskTuning.Sync, depth: DiskTuning.Depth},
-		{name: "sharded-gc-elogs", backend: "sharded", shards: diskpipeExecShards, sync: DiskTuning.Sync, depth: DiskTuning.Depth},
-		{name: "sharded-gc-rmix", backend: "sharded", shards: DiskTuning.Shards, sync: DiskTuning.Sync, depth: DiskTuning.Depth, readFrac: 0.5},
+		{name: "disk-serial", backend: "sharded", bare: true, sync: DiskTuning.Sync, depth: 1},
+		{name: "sharded-gc", backend: "sharded", sync: DiskTuning.Sync, depth: DiskTuning.Depth},
+		{name: "sharded-gc-rmix", backend: "sharded", sync: DiskTuning.Sync, depth: DiskTuning.Depth, readFrac: 0.5},
 	}
 
 	tab := Table{
@@ -157,7 +145,6 @@ func diskpipe(s Scale) (Outcome, error) {
 type diskRow struct {
 	name     string
 	backend  string
-	shards   int
 	bare     bool
 	sync     bool
 	depth    int
@@ -187,7 +174,6 @@ func runDiskLoad(row diskRow, execShards, clients int, window time.Duration) (cl
 		ExecuteThreads:       execShards,
 		ExecPipelineDepth:    row.depth,
 		StoreBackend:         row.backend,
-		StoreShards:          row.shards,
 		StoreSync:            row.sync,
 		StoreCompactRatio:    DiskTuning.CompactRatio,
 		StoreCompactMinBytes: DiskTuning.CompactMinBytes,

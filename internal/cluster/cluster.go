@@ -81,15 +81,12 @@ type Options struct {
 	// StoreDir is the root directory for disk-backed stores; each replica
 	// gets a replica-<id> subdirectory. Empty means a fresh temp dir.
 	StoreDir string
-	// StoreShards is the sharded backend's log count; 0 means the count
-	// StoreDir was created with, else one log whatever ExecuteThreads is.
-	StoreShards int
 	// StoreSync makes the sharded backend durable: appends are visible at
 	// once, responses wait for a covering group-commit fsync. Off (the
 	// default), writes reach the page cache only.
 	StoreSync bool
 	// StoreCompactRatio is the sharded backend's garbage-ratio compaction
-	// threshold (dead bytes / total log bytes, checked per shard log when
+	// threshold (dead bytes / total log bytes, checked against the log when
 	// a stable checkpoint fires the replica's compaction trigger). 0
 	// means the default (store.DefaultCompactRatio); negative disables
 	// checkpoint-driven compaction.
@@ -288,7 +285,6 @@ func (c *Cluster) buildStore(id types.ReplicaID) (store.Store, error) {
 	cfg := store.BackendConfig{
 		Backend:         o.StoreBackend,
 		Dir:             dir,
-		Shards:          o.StoreShards,
 		CompactRatio:    o.StoreCompactRatio,
 		CompactMinBytes: o.StoreCompactMinBytes,
 		MemSizeHint:     int(o.Workload.Records),

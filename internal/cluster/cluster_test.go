@@ -47,8 +47,8 @@ func TestClusterRejectsDiskBackend(t *testing.T) {
 	opts := smallOpts()
 	opts.StoreBackend = "disk"
 	_, err := New(opts)
-	if err == nil || !strings.Contains(err.Error(), "sharded -store-shards 1") {
-		t.Fatalf("New with the disk backend = %v, want an error naming sharded -store-shards 1", err)
+	if err == nil || !strings.Contains(err.Error(), `"disk" backend use sharded`) {
+		t.Fatalf("New with the disk backend = %v, want an error naming sharded", err)
 	}
 }
 

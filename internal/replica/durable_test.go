@@ -72,11 +72,11 @@ func TestDurableAtRetire(t *testing.T) {
 }
 
 func testDurableAtRetire(t *testing.T, e int) {
-	// Keys are picked per shard of two in both rows; at E=1 (one store
-	// shard, one partition) the split is merely two keys.
+	// Keys are picked per shard of two in both rows; at E=1 (one
+	// partition) the split is merely two keys.
 	const shards = 2
 	disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
-		Shards: e, SyncLinger: 100 * time.Microsecond, ReadIndex: true,
+		SyncLinger: 100 * time.Microsecond, ReadIndex: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -144,7 +144,7 @@ func digestRecords(t *testing.T, get func(uint64) ([]byte, error)) types.Digest 
 // partitioned execution: the same committed batches produce byte-identical
 // ledger digests and store state under E=1 (serial) and E=4 (sharded),
 // and under a Zipfian write load every shard does work; so does the disk
-// store at every layout of diskLayouts.
+// store at every E of diskShards.
 func TestExecShardDeterminism(t *testing.T) {
 	const batches = 32
 	acts := shardTestBatches(t, batches)
@@ -182,15 +182,15 @@ func TestExecShardDeterminism(t *testing.T) {
 	}
 
 	// The same over the durable store behind the strict per-batch barrier
-	// (depth 1), its E workers appending to one log and to a log each.
-	for _, l := range diskLayouts {
-		t.Run(fmt.Sprintf("E=%d/logs=%d", l.e, l.logs), func(t *testing.T) {
-			disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{Shards: l.logs, SyncLinger: 1})
+	// (depth 1), its E workers appending to its one log.
+	for _, e := range diskShards {
+		t.Run(fmt.Sprintf("E=%d/logs=1", e), func(t *testing.T) {
+			disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{SyncLinger: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer disk.Close()
-			r := newExecReplica(t, l.e, 1, disk)
+			r := newExecReplica(t, e, 1, disk)
 			for _, act := range acts {
 				r.execIn.Offer(uint64(act.Seq), execItem{act: act})
 			}
@@ -206,14 +206,11 @@ func TestExecShardDeterminism(t *testing.T) {
 }
 
 // checkGroupCommit asserts the pipelined run fsynced and spent less than one
-// fsync per partition applied (E per batch) — which a shard worker that waits
-// out its own fsync on a log of its own, or a coordinator that sits in batch
-// k's barrier with k+1 unstaged, can never do: the appends of the batches in
-// flight must land during one fsync and share the next. On one log sibling
-// partitions share an fsync whoever waits, so there the count that pins the
-// layout is TestFsyncsPerBatch's; fewer fsyncs than batches happens on one log
-// but is not promised — a committer that starts between two workers' appends
-// splits a batch over two (32–51 fsyncs for these 32 batches under -race).
+// fsync per partition applied (E per batch). Sibling partitions share an
+// fsync whoever waits, so the count that pins the one log is
+// TestFsyncsPerBatch's; fewer fsyncs than batches happens but is not
+// promised — a committer that starts between two workers' appends splits a
+// batch over two (32–51 fsyncs for these 32 batches under -race).
 func checkGroupCommit(t *testing.T, fsyncs uint64, batches, e int) {
 	t.Helper()
 	if fsyncs == 0 {
@@ -238,15 +235,14 @@ func preloadEven(t *testing.T, st store.Store) {
 	}
 }
 
-// diskLayouts are the shapes the determinism tests run the durable store
-// at: E execution shards appending to the store's one log (the default),
-// and to a log each, which only an explicit count gives.
-var diskLayouts = []struct{ e, logs int }{{2, 1}, {2, 2}, {4, 1}, {4, 4}}
+// diskShards are the execution shard counts the determinism tests run over
+// the durable store at, every shard appending to its one log.
+var diskShards = []int{2, 4}
 
 // TestExecPipelineDeterminism is the acceptance check for cross-batch
 // pipelined execution over the durable store: E execution shards with
 // pipeline depth 3 appending their partitions to the group-commit disk
-// store — one log, or a log per shard — must produce ledger and checkpoint
+// store's one log must produce ledger and checkpoint
 // digests and store contents byte-identical to E=1 serial execution over a
 // MemStore, and so to each other. Per-shard FIFO ordering (the conflict
 // mechanism) plus in-order retirement is what makes this hold.
@@ -265,17 +261,14 @@ func TestExecPipelineDeterminism(t *testing.T) {
 		t.Fatalf("serial replica reports depth %d, want 1", ss.ExecPipelineDepth)
 	}
 
-	for _, l := range diskLayouts {
-		t.Run(fmt.Sprintf("E=%d/logs=%d", l.e, l.logs), func(t *testing.T) {
-			disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
-				Shards:     l.logs,
-				SyncLinger: 1,
-			})
+	for _, e := range diskShards {
+		t.Run(fmt.Sprintf("E=%d/logs=1", e), func(t *testing.T) {
+			disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{SyncLinger: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer disk.Close()
-			pipelined := newExecReplica(t, l.e, 3, disk)
+			pipelined := newExecReplica(t, e, 3, disk)
 
 			// Feed the pipelined replica in two halves with a full log
 			// compaction between them, while execution is live: a mid-run
@@ -313,7 +306,7 @@ func TestExecPipelineDeterminism(t *testing.T) {
 			if ps.ExecPipelineDepth != 3 {
 				t.Fatalf("pipelined replica reports depth %d, want 3", ps.ExecPipelineDepth)
 			}
-			checkGroupCommit(t, ps.StoreFsyncs, batches, l.e)
+			checkGroupCommit(t, ps.StoreFsyncs, batches, e)
 			if got, want := storeDigest(t, pipelined.Store()), storeDigest(t, serial.Store()); got != want {
 				t.Fatalf("store state diverged: pipelined sharded disk %x vs serial mem %x", got[:8], want[:8])
 			}

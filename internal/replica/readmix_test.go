@@ -303,8 +303,8 @@ func TestLocalReadStalenessBound(t *testing.T) {
 
 // TestReadMixDeterminism is the acceptance check for conflict-ordered
 // read–write execution: a mixed Zipfian workload run under E execution
-// shards with pipeline depth 3 over the group-commit disk store — one log,
-// or a log per shard (diskLayouts) — must produce ledger digests,
+// shards (diskShards) with pipeline depth 3 over the group-commit disk
+// store must produce ledger digests,
 // checkpoint chains, store state, AND per-request read results
 // byte-identical to E=1 serial execution over a MemStore, and so to each
 // other. The per-shard FIFO plus write-flush-before-read is what makes a
@@ -331,10 +331,9 @@ func TestReadMixDeterminism(t *testing.T) {
 	// the model's; below, between the execution modes.
 	serialResp := checkAgainstModel(t, acts, true, serial, serialEPs)
 
-	for _, l := range diskLayouts {
-		t.Run(fmt.Sprintf("E=%d/logs=%d", l.e, l.logs), func(t *testing.T) {
+	for _, e := range diskShards {
+		t.Run(fmt.Sprintf("E=%d/logs=1", e), func(t *testing.T) {
 			disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
-				Shards:     l.logs,
 				SyncLinger: 1,
 				ReadIndex:  true,
 			})
@@ -344,7 +343,7 @@ func TestReadMixDeterminism(t *testing.T) {
 			defer disk.Close()
 			preloadEven(t, disk)
 			preloadFsyncs := disk.SyncStats().Fsyncs
-			pipelined, pipelinedEPs := newReadMixReplica(t, l.e, 3, clients, disk)
+			pipelined, pipelinedEPs := newReadMixReplica(t, e, 3, clients, disk)
 			for _, act := range acts {
 				pipelined.execIn.Offer(uint64(act.Seq), execItem{act: act})
 			}
@@ -363,7 +362,7 @@ func TestReadMixDeterminism(t *testing.T) {
 			if ss.ReadsExecuted != ps.ReadsExecuted {
 				t.Fatalf("reads executed diverged: serial %d vs pipelined %d", ss.ReadsExecuted, ps.ReadsExecuted)
 			}
-			checkGroupCommit(t, ps.StoreFsyncs-preloadFsyncs, batches, l.e)
+			checkGroupCommit(t, ps.StoreFsyncs-preloadFsyncs, batches, e)
 			if got, want := storeDigest(t, pipelined.Store()), storeDigest(t, serial.Store()); got != want {
 				t.Fatalf("store state diverged: pipelined %x vs serial %x", got[:8], want[:8])
 			}

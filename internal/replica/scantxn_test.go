@@ -128,7 +128,6 @@ func TestScanDeterminism(t *testing.T) {
 	serial, serialEPs := newReadMixReplica(t, 1, 1, clients+1, mem)
 
 	disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
-		Shards:     4,
 		SyncLinger: 1,
 		ReadIndex:  true,
 	})

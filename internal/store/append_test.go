@@ -1,7 +1,7 @@
 package store
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -34,14 +34,14 @@ func (h *heldFsync) sync(f *os.File) error {
 	return f.Sync()
 }
 
-// openHeld opens a durable one-shard store whose committer is parked inside
+// openHeld opens a durable store whose committer is parked inside
 // the fsync for one append to primeKey, which is how it stays until the
 // test calls letGo: whatever the test appends meanwhile is visible and not
 // durable, and forms the next group.
 func openHeld(t *testing.T, dir string, readIndex bool) (*ShardedDiskStore, *heldFsync) {
 	t.Helper()
 	h := newHeldFsync()
-	s, err := openShardedDisk(dir, ShardedDiskOptions{Shards: 1, SyncLinger: 1, ReadIndex: readIndex}, h.sync)
+	s, err := openShardedDisk(dir, ShardedDiskOptions{SyncLinger: 1, ReadIndex: readIndex}, h.sync)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,34 +94,44 @@ func streamPuts(t *testing.T, s Store, writers uint64, d time.Duration) (wait fu
 	}
 }
 
-// keyInShard returns the first key at or after from that ShardOf maps to
-// shard.
-func keyInShard(from uint64, shard, shards int) uint64 {
-	for k := from; ; k++ {
-		if ShardOf(k, shards) == shard {
-			return k
-		}
-	}
-}
-
-// awaitCompactor returns once a compaction is waiting for the shard's
-// in-flight fsync to end.
-func awaitCompactor(sh *diskLogShard) {
+// awaitCompactor returns once a compaction is waiting for the in-flight
+// fsync to end.
+func awaitCompactor(s *ShardedDiskStore) {
 	for waiting := 0; waiting == 0; time.Sleep(time.Millisecond) {
-		sh.mu.Lock()
-		waiting = sh.compactors
-		sh.mu.Unlock()
+		s.mu.Lock()
+		waiting = s.compactors
+		s.mu.Unlock()
 	}
 }
 
-// progress reads a shard's group-commit counters.
-func (sh *diskLogShard) progress() (synced, appended uint64) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.synced, sh.appended
+// progress reads the group-commit counters.
+func (s *ShardedDiskStore) progress() (synced, appended uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.synced, s.appended
 }
 
-// TestAppendVisibleThenDurable is the Appender contract on one shard: an
+// goSticky appends kvs and closes the log under the same lock hold, so the
+// committer's fsync for them fails and the store goes sticky. The writes are
+// visible, as an Append's are, and never durable.
+func goSticky(t *testing.T, s *ShardedDiskStore, kvs []KV) Ticket {
+	t.Helper()
+	s.mu.Lock()
+	ticket, fresh, err := s.appendLocked(kvs)
+	if err == nil {
+		err = s.f.Close()
+	}
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh {
+		s.ordered.insertMany(kvs)
+	}
+	return ticket
+}
+
+// TestAppendVisibleThenDurable is the Appender contract: an
 // append is readable by Get and Scan the moment it returns, with and
 // without the read index, while no fsync has completed yet; N appends that
 // land during one fsync and one wait on the last ticket cost exactly one
@@ -186,77 +196,43 @@ func TestAppendVisibleThenDurable(t *testing.T) {
 }
 
 // TestAppendTicketCoversPrev: the ticket Append returns covers everything
-// prev covered, also when prev sits on another shard and when the
-// partition itself spans shards — the cases a caller holding only its last
-// ticket cannot see. Whatever such a ticket does not cover by position is
-// durable before Append returns.
+// prev covered, so a caller threading its last ticket through a chain of
+// appends made while no fsync could complete waits once, on the last one,
+// and finds every append of the chain synced; an Append of nothing returns
+// prev itself.
 func TestAppendTicketCoversPrev(t *testing.T) {
-	s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 2, SyncLinger: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	k0, k1 := keyInShard(0, 0, 2), keyInShard(0, 1, 2)
-	t0, err := s.Append([]KV{{Key: k0, Value: []byte("zero")}}, Ticket{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, err := s.Append([]KV{{Key: k1, Value: []byte("one")}}, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t1.shard == t0.shard {
-		t.Fatalf("tickets %+v and %+v on one shard: the keys were not split", t0, t1)
-	}
-	if synced, _ := s.shards[t0.shard].progress(); synced < t0.seq {
-		t.Fatal("Append moved the ticket to another shard without waiting out prev")
-	}
-	// A partition over both shards, chained onto t1.
-	mixed := []KV{
-		{Key: keyInShard(k0+1, 0, 2), Value: []byte("m0")},
-		{Key: keyInShard(k1+1, 1, 2), Value: []byte("m1")},
-		{Key: keyInShard(k0+100, 0, 2), Value: []byte("m2")},
-	}
-	t2, err := s.Append(mixed, t1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WaitDurable(t2); err != nil {
-		t.Fatal(err)
-	}
-	for i, sh := range s.shards {
-		if synced, appended := sh.progress(); synced != appended {
-			t.Fatalf("shard %d: synced %d of %d appends after waiting on the last ticket", i, synced, appended)
+	s, held := openHeld(t, t.TempDir(), false)
+	var ticket Ticket
+	for k := uint64(0); k < 4; k++ {
+		prev := ticket
+		var err error
+		if ticket, err = s.Append([]KV{{Key: k, Value: []byte("v")}}, prev); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.Append(nil, ticket); err != nil || got != ticket {
+			t.Fatalf("Append(nil, %+v) = (%+v,%v), want prev back", ticket, got, err)
 		}
 	}
-	for _, kv := range mixed {
-		if v, err := s.Get(kv.Key); err != nil || !bytes.Equal(v, kv.Value) {
-			t.Fatalf("Get(%d) = (%q,%v), want %q", kv.Key, v, err, kv.Value)
-		}
+	held.letGo()
+	if err := s.WaitDurable(ticket); err != nil {
+		t.Fatal(err)
+	}
+	if synced, appended := s.progress(); synced != appended {
+		t.Fatalf("synced %d of %d appends after waiting on the last ticket of the chain", synced, appended)
 	}
 }
 
 // TestAppendStickySyncError: a failed fsync surfaces through the wait that
-// needed it and, sticky, through every later append and wait — the shard
+// needed it and, sticky, through every later append and wait — the store
 // refuses to pretend, and says why in the log once, not per refusal.
 func TestAppendStickySyncError(t *testing.T) {
 	logs := captureLogs(t)
-	s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 1, SyncLinger: time.Millisecond})
+	s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{SyncLinger: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sh := s.shards[0]
-	// Closing the log under the shard lock right after the append makes the
-	// committer's fsync fail.
-	sh.mu.Lock()
-	if _, err := sh.appendLocked([]KV{{Key: 1, Value: []byte("doomed")}}); err != nil {
-		t.Fatal(err)
-	}
-	sh.f.Close()
-	sh.arm()
-	sh.mu.Unlock()
-	ticket := Ticket{shard: 0, seq: 1}
+	ticket := goSticky(t, s, []KV{{Key: 1, Value: []byte("doomed")}})
 	err = s.WaitDurable(ticket)
 	if err == nil || !strings.Contains(err.Error(), "fsync") {
 		t.Fatalf("WaitDurable after a failed fsync = %v", err)
@@ -270,52 +246,45 @@ func TestAppendStickySyncError(t *testing.T) {
 	if got := s.SyncStats().Fsyncs; got != 0 {
 		t.Fatalf("failed fsyncs counted as durable: %d", got)
 	}
-	if out := logs.String(); strings.Count(out, "level=ERROR") != 1 || !strings.Contains(out, "shard=0") || !strings.Contains(out, sh.path) {
-		t.Fatalf("a shard going sticky, then refusing twice, logged:\n%s", out)
+	if out := logs.String(); strings.Count(out, "level=ERROR") != 1 || !strings.Contains(out, s.path) {
+		t.Fatalf("the store going sticky, then refusing twice, logged:\n%s", out)
 	}
 }
 
-// TestAppendErrorLeavesGetAndScanAgreeing: when a partition spans shards and
-// a later shard refuses it (a sticky fsync error), the groups that did land
-// are readable by Get, so Scan must see their keys too — not only after a
-// restart rebuilds the ordered sidecar.
+// TestAppendErrorLeavesGetAndScanAgreeing: Get and Scan see the same writes
+// around a failed fsync. The write whose fsync failed was appended, so both
+// see it; an Append the sticky store refuses leaves nothing, so neither
+// does — not only after a restart rebuilds the ordered sidecar. The read
+// index answers Get, as the log file is closed under the store.
 func TestAppendErrorLeavesGetAndScanAgreeing(t *testing.T) {
 	captureLogs(t)
-	s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 2, SyncLinger: 1})
+	s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{SyncLinger: 1, ReadIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// Shard 1 goes sticky the way TestAppendStickySyncError's does.
-	doomed := keyInShard(0, 1, 2)
-	sh := s.shards[1]
-	sh.mu.Lock()
-	if _, err := sh.appendLocked([]KV{{Key: doomed, Value: []byte("doomed")}}); err != nil {
-		t.Fatal(err)
+	const doomed, refused = 1, 2
+	if err := s.WaitDurable(goSticky(t, s, []KV{{Key: doomed, Value: []byte("doomed")}})); err == nil {
+		t.Fatal("WaitDurable on a closed log succeeded")
 	}
-	sh.f.Close()
-	sh.arm()
-	sh.mu.Unlock()
-	if err := s.WaitDurable(Ticket{shard: 1, seq: 1}); err == nil {
-		t.Fatal("WaitDurable on a shard whose log is closed succeeded")
+	if _, err := s.Append([]KV{{Key: refused, Value: []byte("refused")}}, Ticket{}); err == nil {
+		t.Fatal("Append to a sticky store succeeded")
 	}
-
-	landed, refused := keyInShard(doomed+1, 0, 2), keyInShard(doomed+1, 1, 2)
-	if _, err := s.Append([]KV{{Key: landed, Value: []byte("landed")}, {Key: refused, Value: []byte("refused")}}, Ticket{}); err == nil {
-		t.Fatal("Append over a healthy and a sticky shard succeeded")
+	if v, err := s.Get(doomed); err != nil || string(v) != "doomed" {
+		t.Fatalf("Get(%d), appended before the failed fsync = (%q,%v)", doomed, v, err)
 	}
-	if v, err := s.Get(landed); err != nil || string(v) != "landed" {
-		t.Fatalf("Get(%d) on the healthy shard = (%q,%v)", landed, v, err)
+	if _, err := s.Get(refused); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get(%d), refused = %v, want ErrNotFound", refused, err)
 	}
 	var scanned []uint64
-	if err := s.Scan(landed, landed, func(k uint64, _ []byte) bool {
+	if err := s.Scan(0, 10, func(k uint64, _ []byte) bool {
 		scanned = append(scanned, k)
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(scanned) != 1 {
-		t.Fatalf("Scan over key %d, which Get returns, visited %v", landed, scanned)
+	if len(scanned) != 1 || scanned[0] != doomed {
+		t.Fatalf("Scan visited %v, Get returns key %d alone", scanned, doomed)
 	}
 }
 
@@ -331,7 +300,6 @@ func TestAppendWaitersReleasedByCloseAndCompact(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s, held := openHeld(t, dir, false)
-			sh := s.shards[0]
 			ticket, err := s.Append([]KV{{Key: 9, Value: []byte("nine")}}, Ticket{})
 			if err != nil {
 				t.Fatal(err)
@@ -349,7 +317,7 @@ func TestAppendWaitersReleasedByCloseAndCompact(t *testing.T) {
 				<-s.stop
 			} else {
 				go func() { released <- s.Compact() }()
-				awaitCompactor(sh)
+				awaitCompactor(s)
 			}
 			held.letGo()
 			if err := <-released; err != nil {
@@ -367,7 +335,7 @@ func TestAppendWaitersReleasedByCloseAndCompact(t *testing.T) {
 				t.Fatalf("Fsyncs = %d, want the held one and the one covering sync", got)
 			}
 			if name == "compact" {
-				if synced, appended := sh.progress(); synced != appended || len(held.entered) != 0 {
+				if synced, appended := s.progress(); synced != appended || len(held.entered) != 0 {
 					t.Fatalf("synced %d of %d appends, %d more committer fsyncs: the rewrite was not the covering commit", synced, appended, len(held.entered))
 				}
 			}
@@ -385,11 +353,11 @@ func TestAppendWaitersReleasedByCloseAndCompact(t *testing.T) {
 }
 
 // TestLonePutSyncsAtOnce: nothing stands between a lone write and its
-// fsync, neither on a fresh shard nor on one that synced a moment ago — each
+// fsync, neither on a fresh log nor on one that synced a moment ago — each
 // Put returns after exactly one fsync, whatever the magnitude of SyncLinger.
 func TestLonePutSyncsAtOnce(t *testing.T) {
 	const fsyncTakes = 5 * time.Millisecond
-	s, err := openShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 1, SyncLinger: time.Hour}, slowFsync(fsyncTakes))
+	s, err := openShardedDisk(t.TempDir(), ShardedDiskOptions{SyncLinger: time.Hour}, slowFsync(fsyncTakes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +377,7 @@ func TestLonePutSyncsAtOnce(t *testing.T) {
 }
 
 // TestGroupCommitFormsItsOwnGroups is natural group commit under load: with
-// an fsync that takes 5 ms and 8 writers on one shard, the writers that
+// an fsync that takes 5 ms and 8 writers, the writers that
 // append during one fsync share the next, so durable puts outnumber fsyncs;
 // no fsync starts with nothing to cover; and while a waiter is parked the
 // committer goes from one fsync straight into the next — the gap between
@@ -429,7 +397,7 @@ func TestGroupCommitFormsItsOwnGroups(t *testing.T) {
 	var gaps []time.Duration
 	slow := func(f *os.File) error {
 		start := time.Now()
-		synced, target := s.shards[0].progress()
+		synced, target := s.progress()
 		if target == synced {
 			empty++
 		}
@@ -440,12 +408,12 @@ func TestGroupCommitFormsItsOwnGroups(t *testing.T) {
 		// Every writer is a Put, append then wait: an append this fsync
 		// does not cover has a waiter parked behind the next.
 		lastEnd = time.Time{}
-		if _, appended := s.shards[0].progress(); appended > target {
+		if _, appended := s.progress(); appended > target {
 			lastEnd = time.Now()
 		}
 		return err
 	}
-	s, err := openShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 1, SyncLinger: time.Hour}, slow)
+	s, err := openShardedDisk(t.TempDir(), ShardedDiskOptions{SyncLinger: time.Hour}, slow)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,18 +7,14 @@ import (
 
 // BackendConfig selects and parameterizes a record store. resdb-node and
 // the in-process cluster both build their stores through OpenBackend so
-// backend semantics — the fsync mapping, the log-count rule, the on-disk
-// layout — cannot drift between deployment styles.
+// backend semantics — the fsync mapping, the on-disk layout — cannot drift
+// between deployment styles.
 type BackendConfig struct {
 	// Backend is "mem" (default) or "sharded" (the durable group-commit
 	// store).
 	Backend string
 	// Dir is the sharded backend's directory (ignored by mem).
 	Dir string
-	// Shards is the sharded backend's append-log count; 0 means the count
-	// the directory was created with, else one: however many execution
-	// shards append, a committed batch waits for one fsync.
-	Shards int
 	// ExecShards is ignored — a store's layout must not follow
 	// -execute-shards. The name stays until the benchmark that sets it can
 	// be changed.
@@ -28,7 +24,7 @@ type BackendConfig struct {
 	// ShardedDiskOptions.SyncLinger).
 	SyncLinger time.Duration
 	// CompactRatio is the sharded backend's garbage-ratio compaction
-	// threshold (dead bytes / total log bytes, checked per shard log when
+	// threshold (dead bytes / total log bytes, checked against the log when
 	// the replica's stable-checkpoint trigger fires). 0 means the default
 	// (store.DefaultCompactRatio); negative disables threshold-driven
 	// compaction.
@@ -57,15 +53,15 @@ func OpenBackend(cfg BackendConfig) (Store, error) {
 		return NewMemStore(hint), nil
 	case "sharded":
 		return OpenShardedDisk(cfg.Dir, ShardedDiskOptions{
-			Shards:          cfg.Shards,
 			SyncLinger:      cfg.SyncLinger,
 			CompactRatio:    cfg.CompactRatio,
 			CompactMinBytes: cfg.CompactMinBytes,
 			ReadIndex:       cfg.ReadIndex,
 		})
 	default:
-		// "disk", the serial single-log backend, is gone: one shard of the
-		// sharded store holds the same data behind the same blocking Put.
-		return nil, fmt.Errorf("store: unknown backend %q (want mem|sharded; for the former serial \"disk\" backend use sharded -store-shards 1)", cfg.Backend)
+		// "disk", the serial single-log backend, is gone: the sharded store
+		// holds the same data in the same one log behind the same blocking
+		// Put.
+		return nil, fmt.Errorf("store: unknown backend %q (want mem|sharded; for the former serial \"disk\" backend use sharded)", cfg.Backend)
 	}
 }

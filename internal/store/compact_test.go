@@ -14,23 +14,19 @@ import (
 	"time"
 )
 
-// shardLogSizes returns the bytes of header and records in every shard log
-// of s. The files themselves are larger while the store is open, by the zeros
-// written ahead of the appends, and never by more than one chunk a shard:
-// that is checked here against the file on disk.
-func shardLogSizes(t *testing.T, s *ShardedDiskStore) int64 {
+// logSize returns the bytes of header and records in the log of s. The
+// file itself is larger while the store is open, by the zeros written ahead
+// of the appends, and never by more than one chunk: that is checked here
+// against the file on disk.
+func logSize(t *testing.T, s *ShardedDiskStore) int64 {
 	t.Helper()
-	var total int64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		off, alloc := sh.off, sh.alloc
-		sh.mu.Unlock()
-		if size := fileSize(t, sh.path); size != alloc || alloc < off || alloc > off+logChunk {
-			t.Fatalf("%s is %d bytes on disk: the shard has records up to %d and zeros up to %d", sh.path, size, off, alloc)
-		}
-		total += off
+	s.mu.Lock()
+	off, alloc := s.off, s.alloc
+	s.mu.Unlock()
+	if size := fileSize(t, s.path); size != alloc || alloc < off || alloc > off+logChunk {
+		t.Fatalf("%s is %d bytes on disk: the log has records up to %d and zeros up to %d", s.path, size, off, alloc)
 	}
-	return total
+	return off
 }
 
 // writeOverwriteHistory writes versions rounds of the keys [0, keys), so
@@ -61,43 +57,43 @@ func checkFinalHistory(t *testing.T, s Store, keys uint64, versions int) {
 }
 
 // TestShardedDiskCompactionBoundsLog: after an overwrite-heavy history,
-// Compact must shrink the logs to ≈ live data, keep every live value
-// readable, survive a reopen (the compacted logs are v2, CRC-verified),
+// Compact must shrink the log to ≈ live data, keep every live value
+// readable, survive a reopen (the compacted log is v2, CRC-verified),
 // and report its work through CompactStats.
 func TestShardedDiskCompactionBoundsLog(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenShardedDisk(dir, ShardedDiskOptions{Shards: 4})
+	s, err := OpenShardedDisk(dir, ShardedDiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const keys, versions = 128, 10
 	writeOverwriteHistory(t, s, keys, versions)
-	pre := shardLogSizes(t, s)
+	pre := logSize(t, s)
 
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	post := shardLogSizes(t, s)
+	post := logSize(t, s)
 	if post >= pre/2 {
-		t.Fatalf("compaction barely shrank the logs: %d -> %d bytes (%d versions of history)", pre, post, versions)
+		t.Fatalf("compaction barely shrank the log: %d -> %d bytes (%d versions of history)", pre, post, versions)
 	}
 	checkFinalHistory(t, s, keys, versions)
 
 	cs := s.CompactStats()
-	if cs.Compactions != 4 {
-		t.Fatalf("Compactions = %d, want 4 (one per shard)", cs.Compactions)
+	if cs.Compactions != 1 {
+		t.Fatalf("Compactions = %d, want 1", cs.Compactions)
 	}
 	if cs.Failures != 0 {
 		t.Fatalf("Failures = %d, want 0", cs.Failures)
 	}
 	if cs.ReclaimedBytes == 0 || int64(cs.ReclaimedBytes) < pre-post-64 {
-		t.Fatalf("ReclaimedBytes = %d, logs shrank by %d", cs.ReclaimedBytes, pre-post)
+		t.Fatalf("ReclaimedBytes = %d, the log shrank by %d", cs.ReclaimedBytes, pre-post)
 	}
 	if cs.StallNS == 0 {
 		t.Fatal("StallNS = 0: compaction stall time not recorded")
 	}
 
-	// Writes after compaction land in the new logs; everything must
+	// Writes after compaction land in the new log; everything must
 	// survive a restart.
 	if err := s.Put(keys, []byte("after-compact")); err != nil {
 		t.Fatal(err)
@@ -127,11 +123,11 @@ func checkFinalHistoryLenient(t *testing.T, s Store, keys uint64, versions int) 
 }
 
 // TestShardedDiskMaybeCompactThresholds: the garbage-ratio trigger must
-// skip clean or under-floor logs, fire past the threshold, and stay off
+// skip a clean or under-floor log, fire past the threshold, and stay off
 // when disabled.
 func TestShardedDiskMaybeCompactThresholds(t *testing.T) {
 	t.Run("floor", func(t *testing.T) {
-		s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 2, CompactRatio: 0.1, CompactMinBytes: 1 << 30})
+		s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{CompactRatio: 0.1, CompactMinBytes: 1 << 30})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +139,7 @@ func TestShardedDiskMaybeCompactThresholds(t *testing.T) {
 		}
 	})
 	t.Run("ratio", func(t *testing.T) {
-		s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 2, CompactRatio: 0.5, CompactMinBytes: -1})
+		s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{CompactRatio: 0.5, CompactMinBytes: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,11 +149,11 @@ func TestShardedDiskMaybeCompactThresholds(t *testing.T) {
 		if n, err := s.MaybeCompact(); err != nil || n != 0 {
 			t.Fatalf("MaybeCompact with no garbage = (%d,%v), want (0,nil)", n, err)
 		}
-		// Four versions: 75% garbage, both shards must fire.
+		// Four versions: 75% garbage, the log must be rewritten.
 		writeOverwriteHistory(t, s, 64, 4)
 		n, err := s.MaybeCompact()
-		if err != nil || n != 2 {
-			t.Fatalf("MaybeCompact past the ratio = (%d,%v), want (2,nil)", n, err)
+		if err != nil || n != 1 {
+			t.Fatalf("MaybeCompact past the ratio = (%d,%v), want (1,nil)", n, err)
 		}
 		checkFinalHistory(t, s, 64, 4)
 		// Immediately after compacting there is no garbage again.
@@ -166,7 +162,7 @@ func TestShardedDiskMaybeCompactThresholds(t *testing.T) {
 		}
 	})
 	t.Run("disabled", func(t *testing.T) {
-		s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 2, CompactRatio: -1, CompactMinBytes: -1})
+		s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{CompactRatio: -1, CompactMinBytes: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,27 +174,26 @@ func TestShardedDiskMaybeCompactThresholds(t *testing.T) {
 	})
 }
 
-// TestDiskStoreCompaction: at one shard — the serial store's shape — as at
-// four, MaybeCompact honors the thresholds and bounds every log, and the
-// compacted logs recover.
+// TestDiskStoreCompaction: MaybeCompact honors the thresholds and bounds
+// the log, and the compacted log recovers.
 func TestDiskStoreCompaction(t *testing.T) {
 	forEachShardCount(t, func(t *testing.T, shards int) {
 		dir := t.TempDir()
 		s := openSharded(t, dir, ShardedDiskOptions{Shards: shards, CompactRatio: 0.5, CompactMinBytes: -1})
 		const keys, versions = 100, 8
 		writeOverwriteHistory(t, s, keys, versions)
-		pre := shardLogSizes(t, s)
+		pre := logSize(t, s)
 
 		n, err := s.MaybeCompact()
-		if err != nil || n != shards {
-			t.Fatalf("MaybeCompact = (%d,%v), want (%d,nil)", n, err, shards)
+		if err != nil || n != 1 {
+			t.Fatalf("MaybeCompact = (%d,%v), want (1,nil)", n, err)
 		}
-		if post := shardLogSizes(t, s); post >= pre/2 {
-			t.Fatalf("compaction barely shrank the logs: %d -> %d", pre, post)
+		if post := logSize(t, s); post >= pre/2 {
+			t.Fatalf("compaction barely shrank the log: %d -> %d", pre, post)
 		}
 		checkFinalHistory(t, s, keys, versions)
 		cs := s.CompactStats()
-		if cs.Compactions != uint64(shards) || cs.ReclaimedBytes == 0 {
+		if cs.Compactions != 1 || cs.ReclaimedBytes == 0 {
 			t.Fatalf("CompactStats = %+v", cs)
 		}
 		if err := s.Close(); err != nil {
@@ -231,10 +226,9 @@ func TestV2MidLogCorruptionDetected(t *testing.T) {
 func testMidLogCorruption(t *testing.T, shards int, flip int64, firstRecord bool) {
 	dir := t.TempDir()
 	s := openSharded(t, dir, ShardedDiskOptions{Shards: shards})
-	// Three records with distinct keys in one log, and a fourth key of the
-	// same log for the post-repair write: 9-byte values at offsets
-	// 8 (header), 8+25, 8+50.
-	same := keysOnShardOf(0, shards, 4)
+	// Three records with distinct keys, and a fourth key for the
+	// post-repair write: 9-byte values at offsets 8 (header), 8+25, 8+50.
+	same := []uint64{0, 1, 2, 3}
 	value := func(k uint64) string { return fmt.Sprintf("value-%03d", k%1000) }
 	for _, k := range same[:3] {
 		if err := s.Put(k, []byte(value(k))); err != nil {
@@ -246,7 +240,7 @@ func testMidLogCorruption(t *testing.T, shards int, flip int64, firstRecord bool
 	}
 
 	// Flip one byte mid-log (not in the tail record).
-	f, err := os.OpenFile(shardLog(dir, same[0], shards), os.O_RDWR, 0)
+	f, err := os.OpenFile(logPath(dir), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,72 +294,6 @@ func testMidLogCorruption(t *testing.T, shards int, flip int64, firstRecord bool
 	}
 }
 
-// TestShardedDiskV2MidLogCorruption is the sharded analogue: corruption
-// in one shard's log must not disturb the other shards.
-func TestShardedDiskV2MidLogCorruption(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenShardedDisk(dir, ShardedDiskOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const records = 64
-	for k := uint64(0); k < records; k++ {
-		if err := s.Put(k, []byte(fmt.Sprintf("v-%d", k))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The last key shard 2 owns: its record is in shard 2's tail region,
-	// so corrupting an early shard-2 record must drop it too (prefix), but
-	// leave every other shard whole.
-	var shard2 []uint64
-	for k := uint64(0); k < records; k++ {
-		if ShardOf(k, 4) == 2 {
-			shard2 = append(shard2, k)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Flip a byte in shard 2's first record's value.
-	path := filepath.Join(dir, "shard-002.log")
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b [1]byte
-	off := int64(8 + 16) // first record's first value byte
-	if _, err := f.ReadAt(b[:], off); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0x01
-	if _, err := f.WriteAt(b[:], off); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
-	if err != nil {
-		t.Fatalf("recovery after shard corruption: %v", err)
-	}
-	defer s2.Close()
-	if got, want := s2.Len(), records-len(shard2); got != want {
-		t.Fatalf("Len = %d, want %d (shard 2 truncated at its first record)", got, want)
-	}
-	for k := uint64(0); k < records; k++ {
-		v, err := s2.Get(k)
-		if ShardOf(k, 4) == 2 {
-			if !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Get(%d) on the corrupted shard = (%q,%v), want ErrNotFound", k, v, err)
-			}
-			continue
-		}
-		if err != nil || string(v) != fmt.Sprintf("v-%d", k) {
-			t.Fatalf("Get(%d) on a healthy shard = (%q,%v)", k, v, err)
-		}
-	}
-}
-
 // TestCorruptLogHeaderIsAnErrorNotARepair: one flipped bit in a log's magic
 // header must fail the open with an error naming the file, and leave the
 // file byte for byte as it was — the records behind a rotted header are
@@ -376,7 +304,7 @@ func TestCorruptLogHeaderIsAnErrorNotARepair(t *testing.T) {
 	forEachShardCount(t, func(t *testing.T, shards int) {
 		dir := t.TempDir()
 		s := openSharded(t, dir, ShardedDiskOptions{Shards: shards})
-		same := keysOnShardOf(1, shards, 3)
+		same := []uint64{1, 2, 3}
 		for _, k := range same {
 			if err := s.Put(k, []byte(fmt.Sprintf("v-%d", k))); err != nil {
 				t.Fatal(err)
@@ -385,7 +313,7 @@ func TestCorruptLogHeaderIsAnErrorNotARepair(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		path := shardLog(dir, same[0], shards)
+		path := logPath(dir)
 		healthy, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -499,7 +427,7 @@ func testCompactionCrashMatrix(t *testing.T, shards int) {
 	})
 	t.Run("fsynced-before-rename", func(t *testing.T) {
 		dir, want := setup(t)
-		// The crash left a complete, valid rewrite of shard 0 that was
+		// The crash left a complete, valid rewrite of the log that was
 		// never renamed: it must be ignored (the original log is still
 		// authoritative) and removed.
 		src, err := os.Open(filepath.Join(dir, "shard-000.log"))
@@ -528,8 +456,8 @@ func testCompactionCrashMatrix(t *testing.T, shards int) {
 	})
 	t.Run("after-rename", func(t *testing.T) {
 		dir, want := setup(t)
-		// A completed compaction of every shard (the rename landed); the
-		// compacted logs are the authoritative state.
+		// A completed compaction (the rename landed); the compacted log is
+		// the authoritative state.
 		s, err := OpenShardedDisk(dir, ShardedDiskOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -538,7 +466,7 @@ func testCompactionCrashMatrix(t *testing.T, shards int) {
 			t.Fatal(err)
 		}
 		// Crash immediately after: no clean Close of the new logs.
-		// (Simulated by just not writing anything further; the logs are
+		// (Simulated by just not writing anything further; the log is
 		// already fsynced by the rewrite.)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
@@ -560,7 +488,7 @@ func captureLogs(t *testing.T) *bytes.Buffer {
 }
 
 // TestCompactionValueSources: the rewrite takes values from the read index
-// when the shard has one and from a sequential pass over the old log when
+// when the store has one and from a sequential pass over the old log when
 // it does not, and either way every key reads back byte for byte what it
 // read before — from the swapped log, and from a cold reopen that verifies
 // every record's checksum. The history has overwrites that grow and shrink,
@@ -569,7 +497,7 @@ func TestCompactionValueSources(t *testing.T) {
 	for _, readIndex := range []bool{true, false} {
 		t.Run(fmt.Sprintf("readindex=%v", readIndex), func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := OpenShardedDisk(dir, ShardedDiskOptions{Shards: 2, ReadIndex: readIndex})
+			s, err := OpenShardedDisk(dir, ShardedDiskOptions{ReadIndex: readIndex})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -602,23 +530,20 @@ func TestCompactionValueSources(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			pre := shardLogSizes(t, s)
+			pre := logSize(t, s)
 			if err := s.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			closed := make(map[string]int64) // what each file must be once the store is closed
-			for _, sh := range s.shards {
-				if sh.live != sh.total || sh.off != sh.total+int64(len(logMagic)) {
-					t.Fatalf("compacted shard: live %d, total %d, append offset %d", sh.live, sh.total, sh.off)
-				}
-				// The rewrite padded the new log to its next chunk boundary.
-				if sh.alloc%logChunk != 0 || sh.alloc < sh.off || sh.alloc-sh.off >= logChunk {
-					t.Fatalf("compacted shard: records end at %d, the file at %d", sh.off, sh.alloc)
-				}
-				closed[sh.path] = sh.off
+			if s.live != s.total || s.off != s.total+int64(len(logMagic)) {
+				t.Fatalf("compacted log: live %d, total %d, append offset %d", s.live, s.total, s.off)
 			}
-			if post := shardLogSizes(t, s); post >= pre {
-				t.Fatalf("logs went from %d to %d bytes of records", pre, post)
+			// The rewrite padded the new log to its next chunk boundary.
+			if s.alloc%logChunk != 0 || s.alloc < s.off || s.alloc-s.off >= logChunk {
+				t.Fatalf("compacted log: records end at %d, the file at %d", s.off, s.alloc)
+			}
+			closed := s.off // what the file must be once the store is closed
+			if post := logSize(t, s); post >= pre {
+				t.Fatalf("the log went from %d to %d bytes of records", pre, post)
 			}
 			check := func(s *ShardedDiskStore, when string) {
 				t.Helper()
@@ -635,10 +560,8 @@ func TestCompactionValueSources(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			for path, want := range closed {
-				if got := fileSize(t, path); got != want {
-					t.Fatalf("%s is %d bytes after Close, want its %d bytes of records", path, got, want)
-				}
+			if got := fileSize(t, s.path); got != closed {
+				t.Fatalf("%s is %d bytes after Close, want its %d bytes of records", s.path, got, closed)
 			}
 			s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
 			if err != nil {
@@ -650,13 +573,13 @@ func TestCompactionValueSources(t *testing.T) {
 	}
 }
 
-// TestCompactionNotStarvedByBusyShard: a saturated shard is inside an
-// fsync nearly always, and a rewrite cannot swap the log under one — so the
+// TestCompactionNotStarvedByBusyShard: a saturated log is inside an fsync
+// nearly always, and a rewrite cannot swap the log under one — so the
 // committer starts no fsync while a rewrite waits, and the rewrite gets in
 // after the one in flight instead of after the load.
 func TestCompactionNotStarvedByBusyShard(t *testing.T) {
 	const stream = 500 * time.Millisecond
-	s, err := openShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 1, SyncLinger: 1}, slowFsync(5*time.Millisecond))
+	s, err := openShardedDisk(t.TempDir(), ShardedDiskOptions{SyncLinger: 1}, slowFsync(5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,21 +591,20 @@ func TestCompactionNotStarvedByBusyShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	if took := time.Since(c0); took > stream/2 {
-		t.Fatalf("Compact took %v on a shard with 8 durable writers: it waited for the load to stop", took)
+		t.Fatalf("Compact took %v on a log with 8 durable writers: it waited for the load to stop", took)
 	}
 	wait()
 }
 
 // TestFailedCompactionSaysSoOnce: a rewrite that cannot happen (its
-// directory is gone) is counted, logged once with the shard and its path,
-// and leaves the store on its old log, usable. The committer stood back for
-// the rewrite while it waited for the shard; the waiter parked meanwhile
-// must get its fsync from the committer after all.
+// directory is gone) is counted, logged once with the log's path, and
+// leaves the store on its old log, usable. The committer stood back for the
+// rewrite while it waited for the lock; the waiter parked meanwhile must
+// get its fsync from the committer after all.
 func TestFailedCompactionSaysSoOnce(t *testing.T) {
 	logs := captureLogs(t)
 	dir := t.TempDir()
 	s, held := openHeld(t, dir, false)
-	sh := s.shards[0]
 	ticket, err := s.Append([]KV{{Key: 9, Value: []byte("nine")}}, Ticket{})
 	if err != nil {
 		t.Fatal(err)
@@ -694,7 +616,7 @@ func TestFailedCompactionSaysSoOnce(t *testing.T) {
 	}
 	compacted := make(chan error, 1)
 	go func() { compacted <- s.Compact() }()
-	awaitCompactor(sh)
+	awaitCompactor(s)
 	held.letGo()
 	if err := <-compacted; err == nil {
 		t.Fatal("Compact succeeded with its directory gone")
@@ -711,7 +633,7 @@ func TestFailedCompactionSaysSoOnce(t *testing.T) {
 		t.Fatalf("CompactStats = %+v, want one failure and nothing else", cs)
 	}
 	out := logs.String()
-	if strings.Count(out, "level=ERROR") != 1 || !strings.Contains(out, "shard=0") || !strings.Contains(out, sh.path) {
+	if strings.Count(out, "level=ERROR") != 1 || !strings.Contains(out, s.path) {
 		t.Fatalf("one failed compaction logged:\n%s", out)
 	}
 	if v, err := s.Get(9); err != nil || string(v) != "nine" {
@@ -724,7 +646,7 @@ func TestFailedCompactionSaysSoOnce(t *testing.T) {
 // covers them) and keep every acknowledged write across a restart.
 func TestShardedDiskCompactDuringGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenShardedDisk(dir, ShardedDiskOptions{Shards: 2, SyncLinger: 200 * time.Microsecond})
+	s, err := OpenShardedDisk(dir, ShardedDiskOptions{SyncLinger: 200 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -791,7 +713,7 @@ func TestShardedDiskCompactDuringGroupCommit(t *testing.T) {
 func TestShardedDiskConcurrentGetPutCompactClose(t *testing.T) {
 	for name, durable := range map[string]time.Duration{"nosync": 0, "groupcommit": 1} {
 		t.Run(name, func(t *testing.T) {
-			s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 4, SyncLinger: durable})
+			s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{SyncLinger: durable})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,7 +16,7 @@ import (
 
 // TestZipfianStoreDeterminism is the store half of the execution
 // determinism contract: a randomized Zipfian write history, partitioned
-// by the canonical shard hash and applied with concurrent per-partition
+// by the execute stage's hash and applied with concurrent per-partition
 // PutMany calls, must leave MemStore and the sharded group-commit disk
 // store in byte-identical final state — same live keys, same bytes —
 // regardless of how the concurrent partitions interleave.
@@ -25,7 +25,9 @@ func TestZipfianStoreDeterminism(t *testing.T) {
 		records = 2048
 		batches = 40
 		perB    = 64
-		shards  = 4
+		// partitions is E: each batch reaches the stores the way four
+		// execute shards apply it.
+		partitions = 4
 	)
 	wl, err := workload.New(workload.Config{
 		Records:      records,
@@ -40,10 +42,7 @@ func TestZipfianStoreDeterminism(t *testing.T) {
 
 	mem := store.NewMemStore(records)
 	defer mem.Close()
-	disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
-		Shards:     shards,
-		SyncLinger: 50 * time.Microsecond,
-	})
+	disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{SyncLinger: 50 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +60,11 @@ func TestZipfianStoreDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		parts := make([][]store.KV, shards)
+		parts := make([][]store.KV, partitions)
 		req := wl.NextRequest(1, uint64(b*perB+1), perB)
 		for i := range req.Txns {
 			for _, op := range req.Txns[i].Ops {
-				sh := workload.ShardOf(op.Key, shards)
+				sh := workload.ShardOf(op.Key, partitions)
 				parts[sh] = append(parts[sh], store.KV{Key: op.Key, Value: op.Value})
 			}
 		}

@@ -11,7 +11,7 @@ import (
 	"path/filepath"
 )
 
-// Log format. A shard log is an 8-byte magic header, then records carrying
+// Log format. A log is an 8-byte magic header, then records carrying
 // a CRC-32C over the record's key, length and value:
 //
 //	"RDBLOG2\n" ([8]byte magic)
@@ -29,7 +29,7 @@ const recHdr = 16 // [key 8][vlen 4][crc 4]
 // a whole chunk of zeros is written there first, and one fsync in a few
 // hundred covers a size change. Written zeros, not fallocate: an unwritten
 // extent is converted through the journal again when data lands in it.
-// Compaction pays for up to one chunk under the shard lock at every swap,
+// Compaction pays for up to one chunk under the log's lock at every swap,
 // which is what keeps the constant small.
 //
 // The invariant: every byte in [off, alloc) is a zero this process wrote
@@ -117,7 +117,7 @@ func shouldCompact(live, total int64, ratio float64, minBytes int64) bool {
 }
 
 // logState is everything recovery (or compaction) learns about one log;
-// each shard embeds it as its per-log bookkeeping, so appends maintain it
+// the store embeds it as its log bookkeeping, so appends maintain it
 // through account and a compaction swap replaces it wholesale.
 type logState struct {
 	index map[uint64]recordRef
@@ -289,17 +289,16 @@ func recoverLog(f *os.File) (st logState, torn int64, err error) {
 // rewriteLiveRecords is the compaction rewrite: every record still
 // reachable through old.index is written to a fresh log that atomically
 // replaces logPath. The values come from memory when the caller has them
-// (the shard's read index) and otherwise from one sequential pass over src
+// (the store's read index) and otherwise from one sequential pass over src
 // in large reads, which keeps the records the index still points at and
 // copies them as they lie, checksum included — never one read per record:
-// the shard's writers are stalled for as long as this takes. The
-// crash-safety ladder is the persistShardMeta discipline — temp file,
-// fsync, rename, directory fsync — so the original log stays the
-// authoritative copy until the rename lands, and a crash at any point
-// leaves either the old log or the complete new one, never a mix. The temp
-// file is removed on every failure path, including a failed fsync. On
-// success the returned file handle is the renamed log, zero-padded to its
-// next chunk boundary (see logChunk).
+// the store's writers are stalled for as long as this takes. The
+// crash-safety ladder — temp file, fsync, rename, directory fsync — keeps
+// the original log the authoritative copy until the rename lands, so a
+// crash at any point leaves either the old log or the complete new one,
+// never a mix. The temp file is removed on every failure path, including a
+// failed fsync. On success the returned file handle is the renamed log,
+// zero-padded to its next chunk boundary (see logChunk).
 func rewriteLiveRecords(src *os.File, old logState, values map[uint64][]byte, logPath string) (*os.File, logState, error) {
 	dir := filepath.Dir(logPath)
 	tmp, err := os.CreateTemp(dir, compactTmpPattern)

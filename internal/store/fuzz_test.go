@@ -65,14 +65,14 @@ func validPrefix(log []byte) int {
 	return at
 }
 
-// FuzzLogRecovery hands arbitrary bytes to log recovery as a shard log.
+// FuzzLogRecovery hands arbitrary bytes to log recovery as the store's log.
 // The open must either refuse the file and leave it exactly as it was, or
 // keep its valid prefix: what the first open recovered must be what every
 // later open recovers, and the log must take appends.
 func FuzzLogRecovery(f *testing.F) {
 	// A healthy log of three records, one overwritten, as the valid seed.
 	seedDir := f.TempDir()
-	s, err := store.OpenShardedDisk(seedDir, store.ShardedDiskOptions{Shards: 1})
+	s, err := store.OpenShardedDisk(seedDir, store.ShardedDiskOptions{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -125,16 +125,11 @@ func TestLogRecoveryAtAChunkBoundary(t *testing.T) {
 func checkLogRecovery(t *testing.T, data []byte) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "shard-000.log")
-	s, err := store.OpenShardedDisk(dir, store.ShardedDiskOptions{Shards: 1}) // lays out SHARDS
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	s, err = store.OpenShardedDisk(dir, store.ShardedDiskOptions{})
+	s, err := store.OpenShardedDisk(dir, store.ShardedDiskOptions{})
 	if err != nil {
 		if !strings.Contains(err.Error(), path) {
 			t.Fatalf("error does not name the log: %v", err)

@@ -42,7 +42,7 @@ func overwriteStores(t *testing.T) map[string]Store {
 	t.Helper()
 	return map[string]Store{
 		"mem":        NewMemStore(64),
-		"read-index": openSharded(t, t.TempDir(), ShardedDiskOptions{Shards: 2, ReadIndex: true}),
+		"read-index": openSharded(t, t.TempDir(), ShardedDiskOptions{ReadIndex: true}),
 	}
 }
 
@@ -169,8 +169,8 @@ func TestOverwriteLengths(t *testing.T) {
 // TestMemStoreOverwriteAllocatesNothing is the allocation gate for the
 // write path of a loaded table: a PutMany of same-sized values over keys
 // that exist costs no allocation, in the memory store, in the disk store's
-// read index, and in the durable disk store's Append of a partition that
-// lands in one shard (records are encoded into the shard's own buffer).
+// read index, and in the durable disk store's Append (records are encoded
+// into the store's own buffer).
 // Inserting the keys in the first place is not held to that: it allocates
 // the values and reaches the ordered sidecar.
 func TestMemStoreOverwriteAllocatesNothing(t *testing.T) {
@@ -213,7 +213,7 @@ func TestMemStoreOverwriteAllocatesNothing(t *testing.T) {
 		ri.putMany(kvs)
 	})
 
-	disk, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{Shards: 1, SyncLinger: 1, ReadIndex: true})
+	disk, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{SyncLinger: 1, ReadIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,8 @@ func fileSize(t *testing.T, path string) int64 {
 	return fi.Size()
 }
 
-// TestPreExtendLogGrowsByChunks pins the pre-extension invariant on one
-// shard: a log never grows by an append, only by whole chunks of zeros
+// TestPreExtendLogGrowsByChunks pins the pre-extension invariant: a log
+// never grows by an append, only by whole chunks of zeros
 // written ahead of one, so between two appends inside a chunk the file's size
 // does not change; every byte in [off, alloc) is zero; a record that
 // straddles a chunk boundary, one that ends exactly on it and one larger than
@@ -37,8 +37,7 @@ func TestPreExtendLogGrowsByChunks(t *testing.T) {
 
 	logs := captureLogs(t)
 	dir := t.TempDir()
-	s := openSharded(t, dir, ShardedDiskOptions{Shards: 1, SyncLinger: 1, CompactRatio: -1})
-	sh := s.shards[0]
+	s := openSharded(t, dir, ShardedDiskOptions{SyncLinger: 1, CompactRatio: -1})
 	want := make(map[uint64][]byte)
 	put := func(key uint64, n int) {
 		t.Helper()
@@ -51,55 +50,55 @@ func TestPreExtendLogGrowsByChunks(t *testing.T) {
 	// tailIsZeros checks the invariant against the file itself.
 	tailIsZeros := func() {
 		t.Helper()
-		if got := fileSize(t, sh.path); got != sh.alloc {
-			t.Fatalf("file is %d bytes, the shard has extended it to %d", got, sh.alloc)
+		if got := fileSize(t, s.path); got != s.alloc {
+			t.Fatalf("file is %d bytes, the store has extended it to %d", got, s.alloc)
 		}
-		tail := make([]byte, sh.alloc-sh.off)
-		if _, err := sh.f.ReadAt(tail, sh.off); err != nil {
+		tail := make([]byte, s.alloc-s.off)
+		if _, err := s.f.ReadAt(tail, s.off); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(tail, make([]byte, len(tail))) {
-			t.Fatalf("[%d, %d) is not all zeros", sh.off, sh.alloc)
+			t.Fatalf("[%d, %d) is not all zeros", s.off, s.alloc)
 		}
 	}
 
-	if sh.alloc != sh.off || fileSize(t, sh.path) != int64(len(logMagic)) {
-		t.Fatalf("a new log is %d bytes with alloc %d: nothing is extended before the first append", fileSize(t, sh.path), sh.alloc)
+	if s.alloc != s.off || fileSize(t, s.path) != int64(len(logMagic)) {
+		t.Fatalf("a new log is %d bytes with alloc %d: nothing is extended before the first append", fileSize(t, s.path), s.alloc)
 	}
 	put(1, 100)
-	first := fileSize(t, sh.path)
+	first := fileSize(t, s.path)
 	if first != int64(len(logMagic))+logChunk {
 		t.Fatalf("after the first append the file is %d bytes, want the header and one chunk", first)
 	}
 	put(2, 100)
-	if got := fileSize(t, sh.path); got != first {
+	if got := fileSize(t, s.path); got != first {
 		t.Fatalf("an append inside the chunk moved the file's size from %d to %d", first, got)
 	}
 	tailIsZeros()
 
 	// Fill the chunk to 1000 bytes short of its end, then straddle it.
-	put(3, int(sh.alloc-sh.off)-recHdr-1000)
-	if got := fileSize(t, sh.path); got != first {
+	put(3, int(s.alloc-s.off)-recHdr-1000)
+	if got := fileSize(t, s.path); got != first {
 		t.Fatalf("an append ending inside the chunk moved the file's size from %d to %d", first, got)
 	}
 	put(4, 5000)
-	if got := fileSize(t, sh.path); got != first+logChunk || sh.off <= first {
-		t.Fatalf("a record across the boundary at %d left the file at %d bytes and the log at %d, want one more chunk", first, got, sh.off)
+	if got := fileSize(t, s.path); got != first+logChunk || s.off <= first {
+		t.Fatalf("a record across the boundary at %d left the file at %d bytes and the log at %d, want one more chunk", first, got, s.off)
 	}
 	tailIsZeros()
 	// End exactly on the boundary: nothing grows until the next append.
-	put(5, int(sh.alloc-sh.off)-recHdr)
-	if sh.off != sh.alloc || fileSize(t, sh.path) != first+logChunk {
-		t.Fatalf("a record ending on the boundary: log at %d, file at %d bytes, alloc %d", sh.off, fileSize(t, sh.path), sh.alloc)
+	put(5, int(s.alloc-s.off)-recHdr)
+	if s.off != s.alloc || fileSize(t, s.path) != first+logChunk {
+		t.Fatalf("a record ending on the boundary: log at %d, file at %d bytes, alloc %d", s.off, fileSize(t, s.path), s.alloc)
 	}
 	put(6, 0)
-	if got := fileSize(t, sh.path); got != first+2*logChunk {
+	if got := fileSize(t, s.path); got != first+2*logChunk {
 		t.Fatalf("the append after the boundary left the file at %d bytes, want %d", got, first+2*logChunk)
 	}
 	// Larger than a chunk: as many chunks as it takes, no more.
 	put(7, logChunk+logChunk/2)
-	if sh.alloc < sh.off || sh.alloc-sh.off >= logChunk {
-		t.Fatalf("after a record larger than a chunk: log at %d, alloc %d", sh.off, sh.alloc)
+	if s.alloc < s.off || s.alloc-s.off >= logChunk {
+		t.Fatalf("after a record larger than a chunk: log at %d, alloc %d", s.off, s.alloc)
 	}
 	tailIsZeros()
 
@@ -117,24 +116,24 @@ func TestPreExtendLogGrowsByChunks(t *testing.T) {
 	check(s, "open")
 
 	// An unclean stop: the file as it is now, zero tail and all.
-	records := sh.off
-	unclean, err := os.ReadFile(sh.path)
+	records := s.off
+	unclean, err := os.ReadFile(s.path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := fileSize(t, sh.path); got != records {
+	if got := fileSize(t, s.path); got != records {
 		t.Fatalf("a closed log is %d bytes, want exactly its %d bytes of records", got, records)
 	}
-	if err := os.WriteFile(sh.path, unclean, 0o644); err != nil {
+	if err := os.WriteFile(s.path, unclean, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2 := openSharded(t, dir, ShardedDiskOptions{SyncLinger: 1})
 	defer s2.Close()
-	if sh2 := s2.shards[0]; sh2.off != records || sh2.alloc != records || fileSize(t, sh2.path) != records {
-		t.Fatalf("recovered from a zero tail: log at %d, alloc %d, file %d bytes, want %d for all three", sh2.off, sh2.alloc, fileSize(t, sh2.path), records)
+	if s2.off != records || s2.alloc != records || fileSize(t, s2.path) != records {
+		t.Fatalf("recovered from a zero tail: log at %d, alloc %d, file %d bytes, want %d for all three", s2.off, s2.alloc, fileSize(t, s2.path), records)
 	}
 	check(s2, "recovered")
 	if out := logs.String(); out != "" {
@@ -185,14 +184,14 @@ func powerLoss(rng *rand.Rand, synced, current []byte) []byte {
 }
 
 // TestPowerLossModel is the store against "everything written after the last
-// completed fsync may or may not be there, page by page", log by log, at one
-// log and at four. Each cycle opens the logs the previous crash left, writes acknowledged partitions (PutMany
+// completed fsync may or may not be there, page by page". Each cycle opens
+// the log the previous crash left, writes acknowledged partitions (PutMany
 // returned, or WaitDurable did) and unacknowledged ones (Append alone) with
 // values sized so that records straddle chunk boundaries, and then loses
 // power — every other cycle between a chunk's zero write and the record it
 // was written for. After the crash every acknowledged write must read back
 // with its last acknowledged value or one written after it, nothing that was
-// never written may surface, and the logs must take the next cycle's appends
+// never written may surface, and the log must take the next cycle's appends
 // and recover them in turn.
 func TestPowerLossModel(t *testing.T) {
 	captureLogs(t) // torn tails are the point here; the warning has its own test
@@ -249,13 +248,11 @@ func testPowerLossModel(t *testing.T, shards int) {
 					}
 					history[k], acked[k] = [][]byte{v}, true
 				}
-				for _, sh := range s.shards {
-					recovered, err := os.ReadFile(sh.path) // the recovered log is the disk's state
-					if err != nil {
-						t.Fatal(err)
-					}
-					si.set(sh.path, recovered)
+				recovered, err := os.ReadFile(s.path) // the recovered log is the disk's state
+				if err != nil {
+					t.Fatal(err)
 				}
+				si.set(s.path, recovered)
 
 				write := func(wait bool) {
 					var kvs []KV
@@ -264,19 +261,13 @@ func testPowerLossModel(t *testing.T, shards int) {
 						rng.Read(v)
 						kvs = append(kvs, KV{Key: uint64(rng.Intn(keys)), Value: v})
 					}
-					type mark struct{ off, alloc int64 }
-					before := make([]mark, len(s.shards))
-					for i, sh := range s.shards {
-						before[i] = mark{sh.off, sh.alloc}
-					}
+					off, alloc := s.off, s.alloc
 					ticket, err := s.Append(kvs, Ticket{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					for i, sh := range s.shards {
-						if before[i].off < before[i].alloc && before[i].alloc < sh.off {
-							straddles++
-						}
+					if off < alloc && alloc < s.off {
+						straddles++
 					}
 					if wait {
 						if err := s.WaitDurable(ticket); err != nil {
@@ -298,39 +289,33 @@ func testPowerLossModel(t *testing.T, shards int) {
 				}
 				if cycle%2 == 1 {
 					// The zero write of the next extension, and no record.
-					sh := s.shards[rng.Intn(shards)]
-					sh.mu.Lock()
-					err := sh.extend(sh.f, sh.alloc+1)
-					sh.mu.Unlock()
+					s.mu.Lock()
+					err := s.extend(s.f, s.alloc+1)
+					s.mu.Unlock()
 					if err != nil {
 						t.Fatal(err)
 					}
 					zeroCrashes++
 				}
 
-				// Power loss. Wait out an fsync in flight first, so that a
+				// Power loss. Wait out an fsync in flight first, so that the
 				// log's image and its file are read at one moment.
-				left := make([][]byte, shards)
-				for i, sh := range s.shards {
-					sh.mu.Lock()
-					for sh.syncing {
-						sh.cond.Wait()
-					}
-					current, err := os.ReadFile(sh.path)
-					si.mu.Lock()
-					synced := si.img[sh.path]
-					si.mu.Unlock()
-					sh.mu.Unlock()
-					if err != nil {
-						t.Fatal(err)
-					}
-					left[i] = powerLoss(rng, synced, current)
+				s.mu.Lock()
+				for s.syncing {
+					s.cond.Wait()
 				}
+				current, err := os.ReadFile(s.path)
+				si.mu.Lock()
+				synced := si.img[s.path]
+				si.mu.Unlock()
+				s.mu.Unlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+				left := powerLoss(rng, synced, current)
 				s.Close()
-				for i, sh := range s.shards {
-					if err := os.WriteFile(sh.path, left[i], 0o644); err != nil {
-						t.Fatal(err)
-					}
+				if err := os.WriteFile(s.path, left, 0o644); err != nil {
+					t.Fatal(err)
 				}
 			}
 			if straddles == 0 || zeroCrashes == 0 {
@@ -341,33 +326,33 @@ func testPowerLossModel(t *testing.T, shards int) {
 }
 
 // TestPreExtendRecoveryWarnsOnceOnATornTail: a tail that is not zeros is a
-// torn or rotted record, and recovery says which shard lost how many bytes
+// torn or rotted record, and recovery says which log lost how many bytes
 // where — once.
 func TestPreExtendRecoveryWarnsOnceOnATornTail(t *testing.T) {
 	logs := captureLogs(t)
 	dir := t.TempDir()
-	s := openSharded(t, dir, ShardedDiskOptions{Shards: 2})
-	k := keyInShard(0, 1, 2)
+	s := openSharded(t, dir, ShardedDiskOptions{})
+	const k = 1
 	if err := s.Put(k, []byte("kept")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	valid := fileSize(t, shardLog(dir, k, 2))
+	valid := fileSize(t, logPath(dir))
 	// Zeros, as pre-extension leaves them, and then a record's worth of
 	// garbage behind them: still a clean end, the scan never gets that far.
-	appendRaw(t, dir, k, 2, append(make([]byte, 64), 0xAB, 0xCD))
-	s = openSharded(t, dir, ShardedDiskOptions{Shards: 2}) // by count: adopting two logs is said, and is not this test's business
+	appendRaw(t, dir, append(make([]byte, 64), 0xAB, 0xCD))
+	s = openSharded(t, dir, ShardedDiskOptions{})
 	s.Close()
 	if out := logs.String(); out != "" {
 		t.Fatalf("a tail that starts with zeros is a clean end, and recovery said:\n%s", out)
 	}
-	appendRaw(t, dir, k, 2, []byte{0, 0, 0, 0, 0, 0, 0, 9, 0, 0}) // half a header
-	s = openSharded(t, dir, ShardedDiskOptions{Shards: 2})
+	appendRaw(t, dir, []byte{0, 0, 0, 0, 0, 0, 0, 9, 0, 0}) // half a header
+	s = openSharded(t, dir, ShardedDiskOptions{})
 	defer s.Close()
 	out := logs.String()
-	for _, attr := range []string{"level=WARN", "shard=1", fmt.Sprintf("offset=%d", valid), "dropped=10"} {
+	for _, attr := range []string{"level=WARN", "path=" + logPath(dir), fmt.Sprintf("offset=%d", valid), "dropped=10"} {
 		if strings.Count(out, attr) != 1 {
 			t.Fatalf("recovery of one torn tail logged (want %q once):\n%s", attr, out)
 		}

@@ -3,8 +3,8 @@ package store
 import "sync"
 
 // readIndex is an in-memory map of each key's latest applied value,
-// maintained alongside a shard's append log. With it enabled, Get is
-// answered entirely from memory — no log-file read, no shard lock — so
+// maintained alongside the append log. With it enabled, Get is
+// answered entirely from memory — no log-file read, no log lock — so
 // the locally-served read path never stalls behind writers,
 // group commits, or compaction rewrites. Writers update the index after
 // appending, so it always reflects the applied (not necessarily yet

@@ -9,21 +9,10 @@ import (
 	"time"
 )
 
-// openIndexed builds the disk backend with the read index enabled, through
-// OpenBackend like a deployment does.
+// openIndexed opens the disk backend with the read index enabled.
 func openIndexed(t *testing.T, shards int, dir string, durable time.Duration) Store {
 	t.Helper()
-	st, err := OpenBackend(BackendConfig{
-		Backend:    "sharded",
-		Dir:        dir,
-		Shards:     shards,
-		SyncLinger: durable,
-		ReadIndex:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return openSharded(t, dir, ShardedDiskOptions{Shards: shards, SyncLinger: durable, ReadIndex: true})
 }
 
 // TestReadIndexCorrectness: with the index on, Get returns the latest

@@ -9,9 +9,10 @@ import (
 )
 
 // scanBackends builds one instance of each Scanner-capable backend for a
-// subtest run. The disk backend runs at one shard and at four, with the
-// read index enabled (the replica deployment shape); the four-shard store
-// is durable, so scans race real fsync scheduling.
+// subtest run. The disk backend runs with the read index enabled (the
+// replica deployment shape), once without fsync and once durable, so scans
+// race real fsync scheduling; the Shards values it is opened with are
+// ignored (see shardCounts).
 func scanBackends(t *testing.T) map[string]Store {
 	t.Helper()
 	return map[string]Store{

@@ -7,19 +7,18 @@
 // records in memory because at most f replicas fail. ShardedDiskStore is
 // the off-memory side, and the middle the paper did not build: a durable
 // store engineered like every other pipeline stage — one append log that
-// every execution shard writes to (several, partitioned by the same ShardOf
-// hash the execute stage uses, only when asked for) and group-commit
-// fsync, so durability stops being the serialized tail of the pipeline. Reached through nothing but the blocking Store interface (one
-// shard, every Put waiting out its own fsync) it is the paper's naive
-// off-memory store — the role SQLite plays there; the diskpipe bench runs
-// it both ways to quantify how much of the penalty the engineering wins
-// back.
+// every execution shard writes to, and group-commit fsync, so durability
+// stops being the serialized tail of the pipeline. Reached through nothing
+// but the blocking Store interface (every Put waiting out its own fsync)
+// it is the paper's naive off-memory store — the role SQLite plays there;
+// the diskpipe bench runs it both ways to quantify how much of the penalty
+// the engineering wins back.
 //
-// Shard logs stay bounded: records carry a CRC-32C (recovery keeps the
-// longest valid prefix) and superseded values are garbage-collected by Compactor, which the replica
-// triggers from its stable-checkpoint path — the paper's Section 4.7
-// license to discard old state. The compaction bench measures log bytes
-// and reopen time before/after.
+// The log stays bounded: records carry a CRC-32C (recovery keeps the
+// longest valid prefix) and superseded values are garbage-collected by
+// Compactor, which the replica triggers from its stable-checkpoint path —
+// the paper's Section 4.7 license to discard old state. The compaction
+// bench measures log bytes and reopen time before/after.
 package store
 
 import (
@@ -88,13 +87,11 @@ type Appender interface {
 	WaitDurable(t Ticket) error
 }
 
-// Ticket names a position in one store shard's append stream. It is
+// Ticket names a position in a store's append stream. It is
 // prefix-covering: an fsync that covers a ticket covers every earlier
-// append to that shard. The zero Ticket covers nothing and is always
-// durable.
+// append. The zero Ticket covers nothing and is always durable.
 type Ticket struct {
-	shard int
-	seq   uint64
+	seq uint64
 }
 
 // SyncStats reports a durable store's group-commit behaviour: how many
@@ -132,8 +129,7 @@ type CompactStats struct {
 	// (superseded record versions).
 	ReclaimedBytes uint64
 	// StallNS is the cumulative time writers were blocked behind a log
-	// rewrite (per-shard for the sharded store, so concurrent shard
-	// rewrites sum).
+	// rewrite.
 	StallNS uint64
 }
 
@@ -184,27 +180,6 @@ var (
 	_ Scanner     = (*MemStore)(nil)
 	_ Scanner     = (*ShardedDiskStore)(nil)
 )
-
-// shardMix is the multiplicative hash spreading record keys across
-// shards. It must be a fixed constant — every replica must agree on the
-// partition, and a replica must agree with itself across restarts — and
-// it is shared by the execution layer (workload.ShardOf delegates here)
-// so that with equal shard counts each execution shard streams its whole
-// partition to exactly one store shard.
-const shardMix = 0x9E3779B97F4A7C15
-
-// ShardOf maps a record key to one of shards partitions. It is the
-// canonical write-set partition hash: the execute stage partitions batch
-// write-sets with it and ShardedDiskStore picks append logs with it. The
-// hash decorrelates the shard from the Zipfian popularity scramble and
-// from MemStore's internal shard hash, so hot keys spread across shards
-// instead of clustering on one.
-func ShardOf(key uint64, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	return int(((key * shardMix) >> 32) % uint64(shards))
-}
 
 // memShards splits the key space to keep lock contention negligible even
 // with several execution threads.

@@ -11,8 +11,10 @@ import (
 	"testing"
 )
 
-// shardCounts are the shapes every single-log test of the disk backend
-// runs at: one shard, which is what the serial store was, and four.
+// shardCounts are the ShardedDiskOptions.Shards values the disk backend's
+// tests open it with. The option is ignored, so every run is on the one
+// log; the runs at four pin that a caller passing a count (the benchmark's
+// store probe passes two) gets the same store.
 var shardCounts = []int{1, 4}
 
 // forEachShardCount runs test once per entry of shardCounts, as a subtest.
@@ -32,20 +34,12 @@ func openSharded(t testing.TB, dir string, opts ShardedDiskOptions) *ShardedDisk
 	return s
 }
 
-// shardLog is the path of the log that owns key in a store of shards logs.
-func shardLog(dir string, key uint64, shards int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%03d.log", ShardOf(key, shards)))
-}
+// logName is the file name of a store's one log.
+const logName = "shard-000.log"
 
-// keysOnShardOf returns the first n keys living in the same log as key.
-func keysOnShardOf(key uint64, shards, n int) []uint64 {
-	var keys []uint64
-	for k := key; len(keys) < n; k++ {
-		if ShardOf(k, shards) == ShardOf(key, shards) {
-			keys = append(keys, k)
-		}
-	}
-	return keys
+// logPath is the path of the log of the store under dir.
+func logPath(dir string) string {
+	return filepath.Join(dir, logName)
 }
 
 // stores builds one of each Store implementation for shared conformance
@@ -230,8 +224,8 @@ func TestMemStorePutManyConcurrentPartitions(t *testing.T) {
 // for it must say what replaces it.
 func TestOpenBackendRejectsDisk(t *testing.T) {
 	_, err := OpenBackend(BackendConfig{Backend: "disk", Dir: t.TempDir()})
-	if err == nil || !strings.Contains(err.Error(), "sharded -store-shards 1") {
-		t.Fatalf("OpenBackend(disk) = %v, want an error naming sharded -store-shards 1", err)
+	if err == nil || !strings.Contains(err.Error(), `"disk" backend use sharded`) {
+		t.Fatalf("OpenBackend(disk) = %v, want an error naming sharded", err)
 	}
 }
 
@@ -268,11 +262,11 @@ func TestDiskStoreRecovery(t *testing.T) {
 	})
 }
 
-// appendRaw appends raw bytes to the log owning key, as a crash mid-write
-// would leave them.
-func appendRaw(t *testing.T, dir string, key uint64, shards int, raw []byte) {
+// appendRaw appends raw bytes to the log, as a crash mid-write would leave
+// them.
+func appendRaw(t *testing.T, dir string, raw []byte) {
 	t.Helper()
-	f, err := os.OpenFile(shardLog(dir, key, shards), os.O_APPEND|os.O_WRONLY, 0)
+	f, err := os.OpenFile(logPath(dir), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,12 +288,12 @@ func TestDiskStoreTornWriteRecovery(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		intact, err := os.Stat(shardLog(dir, 1, shards))
+		intact, err := os.Stat(logPath(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Simulate a torn write: append half a record header.
-		appendRaw(t, dir, 1, shards, []byte{0, 0, 0, 0, 0, 0, 0, 9, 0, 0})
+		appendRaw(t, dir, []byte{0, 0, 0, 0, 0, 0, 0, 9, 0, 0})
 
 		s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
 		if err != nil {
@@ -308,7 +302,7 @@ func TestDiskStoreTornWriteRecovery(t *testing.T) {
 		defer s2.Close()
 		// Open itself cuts the torn header off: the log on disk is its valid
 		// prefix before anything is appended to it.
-		if fi, err := os.Stat(shardLog(dir, 1, shards)); err != nil || fi.Size() != intact.Size() {
+		if fi, err := os.Stat(logPath(dir)); err != nil || fi.Size() != intact.Size() {
 			t.Fatalf("log is %d bytes after recovery (err %v), want the %d-byte valid prefix", fi.Size(), err, intact.Size())
 		}
 		if s2.Len() != 1 {
@@ -318,9 +312,8 @@ func TestDiskStoreTornWriteRecovery(t *testing.T) {
 		if err != nil || string(v) != "complete" {
 			t.Fatalf("Get(1) = (%q,%v)", v, err)
 		}
-		// The store must be writable again after truncating the torn tail,
-		// in the log that was torn.
-		after := keysOnShardOf(1, shards, 2)[1]
+		// The store must be writable again after truncating the torn tail.
+		const after = 2
 		if err := s2.Put(after, []byte("after")); err != nil {
 			t.Fatal(err)
 		}
@@ -339,9 +332,7 @@ func TestDiskStoreTornValueRecovery(t *testing.T) {
 	forEachShardCount(t, func(t *testing.T, shards int) {
 		dir := t.TempDir()
 		s := openSharded(t, dir, ShardedDiskOptions{Shards: shards})
-		// Three keys of one log: the torn record and the post-repair write
-		// land where the intact versions live.
-		same := keysOnShardOf(1, shards, 3)
+		same := []uint64{1, 2, 3}
 		if err := s.Put(same[0], []byte("one-v1")); err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +346,7 @@ func TestDiskStoreTornValueRecovery(t *testing.T) {
 		hdr := make([]byte, recHdr)
 		hdr[7] = 1    // key 1, big-endian
 		hdr[11] = 100 // value length 100
-		appendRaw(t, dir, 1, shards, append(hdr, bytes.Repeat([]byte{0xAB}, 20)...))
+		appendRaw(t, dir, append(hdr, bytes.Repeat([]byte{0xAB}, 20)...))
 
 		s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
 		if err != nil {
@@ -408,18 +399,14 @@ func BenchmarkMemStorePut(b *testing.B) {
 }
 
 func BenchmarkDiskStorePut(b *testing.B) {
-	for _, shards := range shardCounts {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			s := openSharded(b, b.TempDir(), ShardedDiskOptions{Shards: shards})
-			defer s.Close()
-			val := bytes.Repeat([]byte{0x11}, 100)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Put(uint64(i%600000), val); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s := openSharded(b, b.TempDir(), ShardedDiskOptions{})
+	defer s.Close()
+	val := bytes.Repeat([]byte{0x11}, 100)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Put(uint64(i%600000), val); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -441,22 +428,18 @@ func BenchmarkMemStoreGet(b *testing.B) {
 }
 
 func BenchmarkDiskStoreGet(b *testing.B) {
-	for _, shards := range shardCounts {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			s := openSharded(b, b.TempDir(), ShardedDiskOptions{Shards: shards})
-			defer s.Close()
-			val := bytes.Repeat([]byte{0x11}, 100)
-			for i := uint64(0); i < 1000; i++ {
-				if err := s.Put(i, val); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Get(uint64(i % 1000)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s := openSharded(b, b.TempDir(), ShardedDiskOptions{})
+	defer s.Close()
+	val := bytes.Repeat([]byte{0x11}, 100)
+	for i := uint64(0); i < 1000; i++ {
+		if err := s.Put(i, val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Get(uint64(i % 1000)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

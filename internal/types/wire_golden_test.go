@@ -197,7 +197,7 @@ func TestGoldenFrame(t *testing.T) {
 
 func TestGoldenLogRecord(t *testing.T) {
 	dir := t.TempDir()
-	s, err := store.OpenShardedDisk(dir, store.ShardedDiskOptions{Shards: 1})
+	s, err := store.OpenShardedDisk(dir, store.ShardedDiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -352,15 +352,21 @@ func InitTable(st store.Store, cfg Config) error {
 // apply in batch order, so the final state is byte-identical to serial
 // execution regardless of E.
 
-// ShardOf maps a record key to one of shards execution shards. It
-// delegates to store.ShardOf — the canonical partition hash — so the
-// execute stage and a durable store opened with several logs place keys by
-// the same function: with equal counts an execution shard's partition lands
-// in exactly one log (with the default single log it always does). The hash decorrelates the shard from the
-// Zipfian popularity scramble and from MemStore's internal shard hash, so
-// hot keys spread across execution shards instead of clustering on one.
+// shardMix is the multiplicative hash spreading record keys across
+// execution shards. It must be a fixed constant: every replica must agree
+// on the partition, and a replica must agree with itself across restarts.
+const shardMix = 0x9E3779B97F4A7C15
+
+// ShardOf maps a record key to one of shards execution shards: the
+// write-set partition hash the execute stage partitions batches with. The
+// hash decorrelates the shard from the Zipfian popularity scramble and from
+// MemStore's internal shard hash, so hot keys spread across execution
+// shards instead of clustering on one.
 func ShardOf(key uint64, shards int) int {
-	return store.ShardOf(key, shards)
+	if shards <= 1 {
+		return 0
+	}
+	return int(((key * shardMix) >> 32) % uint64(shards))
 }
 
 // WriteSet returns the keys txn writes, in operation order — the
