@@ -57,13 +57,14 @@ func (sf *StoreFaults) before() error {
 // WrapStore wraps st with sf's write-fault injection. The wrapper
 // preserves the inner store's optional capabilities exactly — the replica
 // type-asserts store.Batcher, store.Appender, store.SyncStatser,
-// store.Compactor, and store.Scanner, so a wrapped ShardedDiskStore must
-// still advertise all of them (without Appender its execute shards would
-// quietly run the blocking PutMany fallback and the disk scenarios would
-// test a path deployments do not take) and a wrapped MemStore must not
-// grow SyncStats it cannot honestly report. Both backends implement
-// Scanner, so each typed variant requires it; a capability combination
-// with no matching backend falls back to the capability-free core.
+// store.Compactor, store.Scanner and store.ValueAppender, so a wrapped
+// ShardedDiskStore must still advertise all of them (without Appender its
+// execute shards would quietly run the blocking PutMany fallback and the
+// disk scenarios would test a path deployments do not take) and a wrapped
+// MemStore must not grow SyncStats it cannot honestly report. Both backends
+// implement Scanner and ValueAppender, so each typed variant requires them;
+// a capability combination with no matching backend falls back to the
+// capability-free core.
 // Its signature (modulo the receiver) matches cluster.Options.StoreWrapper.
 func (sf *StoreFaults) WrapStore(st store.Store) store.Store {
 	base := faultStore{inner: st, sf: sf}
@@ -72,11 +73,12 @@ func (sf *StoreFaults) WrapStore(st store.Store) store.Store {
 	c, isC := st.(store.Compactor)
 	sc, isSc := st.(store.Scanner)
 	a, isA := st.(store.Appender)
+	va, isVa := st.(store.ValueAppender)
 	switch {
-	case isB && isA && isS && isC && isSc: // ShardedDiskStore
-		return &faultStoreBSC{faultStore: base, b: b, a: a, s: s, c: c, sc: sc}
-	case isB && isSc: // MemStore
-		return &faultStoreB{faultStore: base, b: b, sc: sc}
+	case isB && isA && isS && isC && isSc && isVa: // ShardedDiskStore
+		return &faultStoreBSC{faultStore: base, b: b, a: a, s: s, c: c, sc: sc, ValueAppender: va}
+	case isB && isSc && isVa: // MemStore
+		return &faultStoreB{faultStore: base, b: b, sc: sc, ValueAppender: va}
 	default:
 		return &faultStore{inner: st, sf: sf}
 	}
@@ -111,6 +113,7 @@ type faultStoreB struct {
 	faultStore
 	b  store.Batcher
 	sc store.Scanner
+	store.ValueAppender
 }
 
 func (f *faultStoreB) PutMany(kvs []store.KV) error { return f.putMany(f.b, kvs) }
@@ -125,6 +128,7 @@ type faultStoreBSC struct {
 	s  store.SyncStatser
 	c  store.Compactor
 	sc store.Scanner
+	store.ValueAppender
 }
 
 func (f *faultStoreBSC) PutMany(kvs []store.KV) error { return f.putMany(f.b, kvs) }
@@ -150,12 +154,14 @@ func (f *faultStoreBSC) Scan(start, end uint64, fn func(uint64, []byte) bool) er
 
 // Compile-time capability checks: the wrappers must mirror the backends.
 var (
-	_ store.Store       = (*faultStore)(nil)
-	_ store.Batcher     = (*faultStoreB)(nil)
-	_ store.Scanner     = (*faultStoreB)(nil)
-	_ store.Batcher     = (*faultStoreBSC)(nil)
-	_ store.Appender    = (*faultStoreBSC)(nil)
-	_ store.SyncStatser = (*faultStoreBSC)(nil)
-	_ store.Compactor   = (*faultStoreBSC)(nil)
-	_ store.Scanner     = (*faultStoreBSC)(nil)
+	_ store.Store         = (*faultStore)(nil)
+	_ store.Batcher       = (*faultStoreB)(nil)
+	_ store.Scanner       = (*faultStoreB)(nil)
+	_ store.ValueAppender = (*faultStoreB)(nil)
+	_ store.Batcher       = (*faultStoreBSC)(nil)
+	_ store.Appender      = (*faultStoreBSC)(nil)
+	_ store.SyncStatser   = (*faultStoreBSC)(nil)
+	_ store.Compactor     = (*faultStoreBSC)(nil)
+	_ store.Scanner       = (*faultStoreBSC)(nil)
+	_ store.ValueAppender = (*faultStoreBSC)(nil)
 )

@@ -156,6 +156,146 @@ func TestAllocsPerCommittedBatch(t *testing.T) {
 	}
 }
 
+// TestAllocsPerReadBatch counts what committing a batch allocates in
+// mixed-disk's shape — four replicas in process, each on the durable disk
+// store with its read index, E=2 at depth 2, CMAC links, ED25519 clients
+// sending 8 transactions of 4 ops a request, half of the ops reads and 5 %
+// scans of up to 20 keys — clients included, and attributes every
+// allocation to the function of this module that made it, like
+// TestAllocsPerCommittedBatch. A read's value is appended into its
+// partition's arena, a scan row into its row slab, a fragment merge carves
+// from the same slab, and a client decodes a result list into one slab: the
+// cap is a little above what is left, about 115 per batch on a 2-core host,
+// where copying every value at the store and again at the client took 587.
+func TestAllocsPerReadBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random; steady-state reuse is nondeterministic")
+	}
+	const (
+		burst   = 8
+		clients = 2
+		warm    = 200 // batches before counting
+		counted = 500 // batches counted
+		records = 20_000
+		most    = 150 // allocations per committed batch, everything included
+	)
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+
+	dir, err := crypto.NewDirectory(crypto.Recommended(), [32]byte{36})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := transport.NewInproc()
+	value := make([]byte, 100)
+	var replicas []*Replica
+	for i := 0; i < 4; i++ {
+		disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{SyncLinger: 1, ReadIndex: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { disk.Close() })
+		kvs := make([]store.KV, 0, 1024)
+		for k := uint64(0); k < records; k++ {
+			kvs = append(kvs, store.KV{Key: k, Value: value})
+			if len(kvs) == cap(kvs) || k == records-1 {
+				if err := disk.PutMany(kvs); err != nil {
+					t.Fatal(err)
+				}
+				kvs = kvs[:0]
+			}
+		}
+		id := types.ReplicaID(i)
+		r, err := New(Config{
+			ID: id, N: 4, Protocol: PBFT,
+			BatchSize: 32, BatchThreads: 2, ExecuteThreads: 2, ExecPipelineDepth: 2, VerifyThreads: 2, WorkerThreads: 1,
+			CheckpointInterval: 25, Store: disk,
+			Directory: dir, Endpoint: net.Endpoint(types.ReplicaNode(id), 3, 1<<13), VerifyClientSigs: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Start()
+		t.Cleanup(r.Stop) // registered after the store's Close, so it runs first
+		replicas = append(replicas, r)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for c := 0; c < clients; c++ {
+		id := types.ClientID(1000 + c)
+		link, err := client.NewLink(id, 4, client.PBFT, dir, net.Endpoint(types.ClientNode(id), 1, 1<<10), 500*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl, err := workload.New(workload.Config{
+			Records: records, OpsPerTxn: 4, ValueSize: 100, Distribution: workload.Zipf, Seed: 36,
+			ReadFraction: 0.5, ScanFraction: 0.05, ScanLength: 20,
+		}, int64(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := uint64(1); ; seq += burst {
+				req := wl.NextRequest(id, seq, burst)
+				if err := link.Sign(&req); err != nil {
+					t.Error(err)
+					return
+				}
+				link.Submit(req)
+				if link.Await(stop) == nil {
+					return
+				}
+			}
+		}()
+	}
+	stats := func() Stats { return replicas[0].Stats() }
+	reach := func(n uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(60 * time.Second); stats().BatchesExecuted < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d batches executed", stats().BatchesExecuted, n)
+			}
+		}
+	}
+
+	reach(warm)
+	var before, after runtime.MemStats
+	runtime.GC()
+	sites0 := allocSites()
+	runtime.ReadMemStats(&before)
+	s0 := stats()
+	reach(s0.BatchesExecuted + counted)
+	runtime.ReadMemStats(&after)
+	s1 := stats()
+	runtime.GC()
+	sites1 := allocSites()
+	batches := float64(s1.BatchesExecuted - s0.BatchesExecuted)
+	perBatch := float64(after.Mallocs-before.Mallocs) / batches
+
+	for i, r := range replicas {
+		if s := r.Stats(); s.AuthFailures != 0 || s.DecodeFailures != 0 || s.StoreWriteFailures != 0 {
+			t.Fatalf("replica %d: %d auth, %d decode, %d store failures", i, s.AuthFailures, s.DecodeFailures, s.StoreWriteFailures)
+		}
+	}
+	if s1.ReadsExecuted == s0.ReadsExecuted {
+		t.Fatal("no reads executed while counting")
+	}
+	txns := float64(s1.TxnsExecuted - s0.TxnsExecuted)
+	t.Logf("%.1f allocations per committed batch of %.1f transactions and %.1f reads (%.2f per transaction), over %.0f batches",
+		perBatch, txns/batches, float64(s1.ReadsExecuted-s0.ReadsExecuted)/batches, perBatch*batches/txns, batches)
+	logAllocSites(t, sites0, sites1, batches)
+	if perBatch > most {
+		t.Fatalf("%.1f allocations per committed batch, cap %d", perBatch, most)
+	}
+}
+
 // allocSites returns the heap profile's cumulative allocation counts by the
 // innermost function of this module on each allocating stack. The profile
 // is as of the last completed garbage collection.

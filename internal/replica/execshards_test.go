@@ -332,7 +332,7 @@ func TestExecShardDiskStoreFallback(t *testing.T) {
 		// The embedding promotes only store.Store's methods, so no optional
 		// capability shows through.
 		r := newExecReplica(t, e, 1, struct{ store.Store }{mem})
-		if r.execAppend != nil || r.execBatch != nil || r.scanner != nil {
+		if r.execAppend != nil || r.execBatch != nil || r.scanner != nil || r.values != nil {
 			t.Fatalf("E=%d: the bare store leaked a capability", e)
 		}
 		for _, act := range acts {

@@ -88,10 +88,10 @@ func (m *execModel) execute(act consensus.Execute, into map[respFingerprint]stri
 }
 
 // checkAgainstModel runs the batch history through the model and requires
-// the serial (E=1) replica's store contents and every response it sent —
-// result digest, read values, every scan row — to equal the model's. It
-// returns the responses collected from eps, for the caller's own checks.
-func checkAgainstModel(t *testing.T, acts []consensus.Execute, preload bool, serial *Replica, eps []transport.Endpoint) map[respFingerprint]string {
+// the replica's store contents and every response it sent — result digest,
+// read values, every scan row — to equal the model's. It returns the
+// responses collected from eps, for the caller's own checks.
+func checkAgainstModel(t *testing.T, acts []consensus.Execute, preload bool, r *Replica, eps []transport.Endpoint) map[respFingerprint]string {
 	t.Helper()
 	m := newExecModel()
 	if preload {
@@ -101,17 +101,17 @@ func checkAgainstModel(t *testing.T, acts []consensus.Execute, preload bool, ser
 	for _, act := range acts {
 		m.execute(act, want)
 	}
-	if got, want := storeDigest(t, serial.Store()), digestRecords(t, m.get); got != want {
-		t.Fatalf("E=1 store state diverged from the model: %x vs %x", got[:8], want[:8])
+	if got, want := storeDigest(t, r.Store()), digestRecords(t, m.get); got != want {
+		t.Fatalf("E=%d store state diverged from the model: %x vs %x", r.cfg.ExecuteThreads, got[:8], want[:8])
 	}
 	got := collectResponses(t, eps, len(want))
 	for key, w := range want {
 		g, ok := got[key]
 		if !ok {
-			t.Fatalf("E=1 replica never answered %+v", key)
+			t.Fatalf("E=%d replica never answered %+v", r.cfg.ExecuteThreads, key)
 		}
 		if g != w {
-			t.Fatalf("response %+v diverged from the model:\nE=1:   %s\nmodel: %s", key, g, w)
+			t.Fatalf("response %+v diverged from the model:\nE=%d:   %s\nmodel: %s", key, r.cfg.ExecuteThreads, g, w)
 		}
 	}
 	return got

@@ -442,9 +442,10 @@ type execItem struct {
 // batch's partitions at its batch position. A write carries the value to
 // apply; a read carries the slot in the batch's read-result buffer where its
 // result lands. A scan carries its range bounds and where its rows go: with
-// one partition the whole result into its slot, with several a pointer to
-// this partition's fragment — the sorted rows of its own key partition inside
-// [key, end] — which the coordinator merges at retirement.
+// one partition the whole result into its slot, with several slot indexes
+// the batch's frags, where this partition's fragment — the sorted rows of
+// its own key partition inside [key, end] — waits for the coordinator's
+// merge at retirement.
 type shardOp struct {
 	key   uint64
 	value []byte
@@ -453,8 +454,77 @@ type shardOp struct {
 	scan  bool
 	end   uint64
 	limit uint32
-	frag  *[]types.ScanRow
 }
+
+// partition is one execute partition of an in-flight batch: its ops in
+// batch order, and the memory its reads are answered in. Every value a read
+// or scan of the partition returns is carved from vals, the value arena,
+// and every scan row from rows, the row slab (the fragment merge carves
+// from partition 0's); keys is a scan's key-chunk scratch. They are lent to
+// the batch's read results until retirement has encoded every response, and
+// keep their capacity from batch to batch, so steady-state reads allocate
+// nothing. A buffer that grows leaves the results carved before it on the
+// old array, which nothing writes again.
+type partition struct {
+	ops  []shardOp
+	vals []byte
+	rows []types.ScanRow
+	keys []uint64
+}
+
+// carve returns the bytes appended to p.vals since at, clipped so an append
+// to them cannot run into the next value.
+func (p *partition) carve(at int) []byte {
+	return p.vals[at:len(p.vals):len(p.vals)]
+}
+
+// keep copies v into the value arena and returns the copy.
+func (p *partition) keep(v []byte) []byte {
+	at := len(p.vals)
+	p.vals = append(p.vals, v...)
+	return p.carve(at)
+}
+
+// carveRows returns the rows appended to p.rows since first, clipped; nil
+// for none.
+func (p *partition) carveRows(first int) []types.ScanRow {
+	if len(p.rows) == first {
+		return nil
+	}
+	return p.rows[first:len(p.rows):len(p.rows)]
+}
+
+// reset empties the partition for its next batch or reply, keeping every
+// buffer's capacity. With poisonRecycled on, what the last one lent is
+// overwritten with 0xDB first.
+func (p *partition) reset() {
+	if poisonRecycled.Load() {
+		vals := p.vals[:cap(p.vals)]
+		for i := range vals {
+			vals[i] = poisonByte
+		}
+		rows := p.rows[:cap(p.rows)]
+		for i := range rows {
+			rows[i] = types.ScanRow{Key: poisonKey, Value: poisonValue}
+		}
+	}
+	p.ops, p.vals, p.rows = p.ops[:0], p.vals[:0], p.rows[:0]
+}
+
+// poisonRecycled is a test hook: with it on, a partition's value arena and
+// row slab are overwritten with 0xDB as they are recycled, so a read result
+// kept past its batch's retirement reads poison at once instead of, now
+// and then, a later batch's values. It costs one atomic load per recycle
+// while off.
+var poisonRecycled atomic.Bool
+
+// What a recycled arena and row slab read once poisoned.
+const (
+	poisonByte = 0xDB
+	poisonKey  = 0xDBDBDBDBDBDBDBDB
+)
+
+var poisonValue = []byte{poisonByte}
 
 // readRange is one request's contiguous span of the batch's read-result
 // buffer; slots are assigned in (request, transaction, op) order, so each
@@ -465,15 +535,16 @@ type readRange struct {
 
 // pendingScan is one scan op of an in-flight batch fanned out over several
 // partitions: each computes the sorted fragment of its own key partition
-// and the coordinator merges the disjoint fragments into the batch's
-// read-result slot at retirement. limit is the row cap after the merge;
-// capping each fragment at limit too is lossless — a row a shard drops has
-// ≥ limit smaller same-shard rows ahead of it, so it cannot be among the
-// lowest limit rows overall.
+// into the batch's frags, one per partition from index frags on, and the
+// coordinator merges the disjoint fragments into the batch's read-result
+// slot at retirement. limit is the row cap after the merge; capping each
+// fragment at limit too is lossless — a row a shard drops has ≥ limit
+// smaller same-shard rows ahead of it, so it cannot be among the lowest
+// limit rows overall.
 type pendingScan struct {
 	slot  int
 	limit uint32
-	frags [][]types.ScanRow
+	frags int
 }
 
 // durableWait is what a shard worker leaves with the replica's durable
@@ -487,29 +558,44 @@ type durableWait struct {
 
 // inflightExec is one committed batch mid-pipeline: staged into partitions,
 // its barrier not yet waited out. parts holds each partition's ops in batch
-// order; the set belongs to the batch until retirement recycles it (via
-// partsFree), and taking a partition off the barrier is a worker's last
-// touch of the batch, so the buffers are never rebuilt while a worker still
-// reads them. A batch applied inline is born with the shared, already
-// lowered barrier; a fanned-out one gets its own, pending counts the
-// partitions still executing or awaiting durability, and whoever takes it to
-// zero closes done. The coordinator retires batches strictly in sequence
-// order.
+// order and the memory its reads are answered in. The whole struct, buffers
+// and all, belongs to the batch until retirement has answered every client,
+// and is then recycled (via execFree) for a later batch; taking a partition
+// off the barrier is a worker's last touch of the batch, so the buffers are
+// never rebuilt while a worker still reads them. A batch applied inline is
+// born with the shared, already lowered barrier; a fanned-out one gets its
+// own, pending counts the partitions still executing or awaiting
+// durability, and whoever takes it to zero closes done. The coordinator
+// retires batches strictly in sequence order.
 type inflightExec struct {
 	act      consensus.Execute
 	txnCount uint32
 	pending  atomic.Int32
 	done     chan struct{}
-	parts    [][]shardOp
+	parts    []partition
 	// reads is the slot-indexed read-result buffer the partitions fill —
 	// each only the slots its own ops carry, so workers never race on an
 	// element; readRanges maps each request in the batch to its span. Both
-	// stay nil for write-only batches, so the write path allocates nothing
-	// for them. scans lists the fanned-out scan slots, filled by the
-	// coordinator's fragment merge at retirement.
+	// stay empty for write-only batches. scans lists the fanned-out scan
+	// slots, filled by the coordinator's fragment merge at retirement from
+	// frags, where each partition leaves its fragment of each.
 	reads      []types.ReadResult
 	readRanges []readRange
 	scans      []pendingScan
+	frags      [][]types.ScanRow
+}
+
+// recycle empties a retired batch and gives it back to execFree. It must
+// not run before retirement has encoded the batch's last response: the
+// read results those carry are lent from the batch's partitions.
+func (r *Replica) recycle(b *inflightExec) {
+	for i := range b.parts {
+		b.parts[i].reset()
+	}
+	clear(b.reads)
+	b.act, b.txnCount = consensus.Execute{}, 0
+	b.reads, b.readRanges, b.scans, b.frags = b.reads[:0], b.readRanges[:0], b.scans[:0], b.frags[:0]
+	r.execFree <- b
 }
 
 // Replica is a runnable pipelined replica.
@@ -556,9 +642,12 @@ type Replica struct {
 
 	ledger *ledger.Ledger
 	store  store.Store
-	// scanner is the store's ordered view (nil when the store does not
-	// implement store.Scanner); scan ops against a scan-less store return
-	// empty rows and count a store failure.
+	// values reads the store into the execute stage's arenas (nil when the
+	// store does not implement store.ValueAppender, which is then read
+	// through Get and scanner). scanner is the store's ordered view (nil when
+	// the store does not implement store.Scanner); scan ops against a store
+	// with neither return empty rows and count a store failure.
+	values  store.ValueAppender
 	scanner store.Scanner
 
 	// Execute stage. Every committed batch is staged into partitions: one,
@@ -566,15 +655,15 @@ type Replica struct {
 	// execShards workers each own one hash partition of the key space and
 	// the coordinating execute-thread fans the batch out over shardQs.
 	// execDepth is the cross-batch pipelining depth (1 = strict per-batch
-	// barrier); partsFree recycles execDepth sets of partition buffers, so
-	// a batch's buffers are only reused after it retired. execBatch caches
-	// the blocking batched apply path (PutMany) for stores that offer no
-	// Appender (execAppend).
+	// barrier); execFree recycles execDepth in-flight batches, buffers and
+	// all, so a batch's buffers are only reused after it retired. execBatch
+	// caches the blocking batched apply path (PutMany) for stores that offer
+	// no Appender (execAppend).
 	execShards int
 	execDepth  int
 	shardQs    []chan *inflightExec
 	shardWg    sync.WaitGroup
-	partsFree  chan [][]shardOp
+	execFree   chan *inflightExec
 	execBatch  store.Batcher
 
 	// Store compaction (nil for stores without logs, e.g. MemStore): a
@@ -794,9 +883,9 @@ func New(cfg Config) (*Replica, error) {
 		}
 		r.shardBusyNS = make([]atomic.Uint64, r.execShards)
 	}
-	r.partsFree = make(chan [][]shardOp, r.execDepth)
+	r.execFree = make(chan *inflightExec, r.execDepth)
 	for i := 0; i < r.execDepth; i++ {
-		r.partsFree <- make([][]shardOp, parts)
+		r.execFree <- &inflightExec{parts: make([]partition, parts)}
 	}
 	if a, ok := st.(store.Appender); ok {
 		r.execAppend = a
@@ -814,6 +903,9 @@ func New(cfg Config) (*Replica, error) {
 	}
 	if sc, ok := st.(store.Scanner); ok {
 		r.scanner = sc
+	}
+	if va, ok := st.(store.ValueAppender); ok {
+		r.values = va
 	}
 	r.inlinePending = make(map[uint64]consensus.Execute)
 	r.inlineNext = uint64(startSeq) + 1

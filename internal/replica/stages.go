@@ -2,7 +2,7 @@ package replica
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"time"
 
 	"resilientdb/internal/consensus"
@@ -161,9 +161,12 @@ func (r *Replica) admit(env *types.Envelope) {
 // types.ReadRequest). A request whose MinSeq this replica has not yet
 // retired is refused — the reply carries the stamped Seq but no results —
 // and the client falls back to the quorum path, which is how the
-// staleness bound on local reads is enforced.
+// staleness bound on local reads is enforced. Each worker answers into one
+// arena of its own, lent to a reply until sendTo has encoded it.
 func (r *Replica) readLoop() {
 	defer r.readWg.Done()
+	var p partition
+	var results []types.ReadResult
 	for req := range r.readQ {
 		last := r.lastRetired.Load()
 		reply := &types.ReadReply{
@@ -173,18 +176,20 @@ func (r *Replica) readLoop() {
 			Replica:   r.cfg.ID,
 		}
 		if last >= uint64(req.MinSeq) {
-			reply.Results = make([]types.ReadResult, 0, len(req.Keys)+len(req.Scans))
+			results = results[:0]
 			for _, key := range req.Keys {
-				reply.Results = append(reply.Results, r.readKey(key))
+				results = append(results, r.readKey(&p, key))
 			}
 			for i := range req.Scans {
 				sc := &req.Scans[i]
-				reply.Results = append(reply.Results,
-					types.ReadResult{Scan: true, Rows: r.scanRows(sc.Key, sc.EndKey, sc.Limit, -1)})
+				results = append(results,
+					types.ReadResult{Scan: true, Rows: r.scanRows(&p, sc.Key, sc.EndKey, sc.Limit, -1)})
 			}
+			reply.Results = results
 		}
 		r.localReads.Add(1)
 		r.sendTo(types.ClientNode(req.Client), reply)
+		p.reset()
 	}
 }
 
@@ -710,11 +715,9 @@ var loweredBarrier = func() chan struct{} {
 // barrier it was born with; several are handed to the shard workers, who
 // lower the batch's own. Either way the caller waits on done and retires.
 func (r *Replica) stageBatch(act consensus.Execute) *inflightExec {
-	b := &inflightExec{act: act, done: loweredBarrier, parts: <-r.partsFree}
+	b := <-r.execFree
+	b.act, b.done = act, loweredBarrier
 	n := len(b.parts)
-	for i := range b.parts {
-		b.parts[i] = b.parts[i][:0]
-	}
 	nextSlot := 0
 	// Only the stager mutates lastExec; the lock is taken once per batch so
 	// DedupSnapshot (the restart-bootstrap export) sees a consistent table.
@@ -733,26 +736,27 @@ func (r *Replica) stageBatch(act consensus.Execute) *inflightExec {
 				op := &txn.Ops[k]
 				switch op.Kind {
 				case types.OpRead:
-					sh := workload.ShardOf(op.Key, n)
-					b.parts[sh] = append(b.parts[sh], shardOp{key: op.Key, slot: nextSlot, read: true})
+					p := &b.parts[workload.ShardOf(op.Key, n)]
+					p.ops = append(p.ops, shardOp{key: op.Key, slot: nextSlot, read: true})
 					nextSlot++
 				case types.OpScan:
 					so := shardOp{key: op.Key, end: op.EndKey, limit: op.Limit, slot: nextSlot, scan: true}
 					if n == 1 {
-						b.parts[0] = append(b.parts[0], so)
+						b.parts[0].ops = append(b.parts[0].ops, so)
 					} else {
-						frags := make([][]types.ScanRow, n)
+						first := len(b.frags)
 						for sh := range b.parts {
-							so.frag = &frags[sh]
-							b.parts[sh] = append(b.parts[sh], so)
+							so.slot = first + sh
+							b.frags = append(b.frags, nil)
+							b.parts[sh].ops = append(b.parts[sh].ops, so)
 						}
-						b.scans = append(b.scans, pendingScan{slot: nextSlot, limit: op.Limit, frags: frags})
+						b.scans = append(b.scans, pendingScan{slot: nextSlot, limit: op.Limit, frags: first})
 					}
 					nextSlot++
 				default:
 					// YCSB-style write application (Section 5.1).
-					sh := workload.ShardOf(op.Key, n)
-					b.parts[sh] = append(b.parts[sh], shardOp{key: op.Key, value: op.Value})
+					p := &b.parts[workload.ShardOf(op.Key, n)]
+					p.ops = append(p.ops, shardOp{key: op.Key, value: op.Value})
 				}
 			}
 			if txn.ClientSeq > last {
@@ -762,20 +766,20 @@ func (r *Replica) stageBatch(act consensus.Execute) *inflightExec {
 		r.lastExec[req.Client] = last
 		if nextSlot > start {
 			// A request without reads keeps the zero range.
-			if b.readRanges == nil {
-				b.readRanges = make([]readRange, len(act.Requests))
+			if len(b.readRanges) == 0 {
+				b.readRanges = slices.Grow(b.readRanges, len(act.Requests))[:len(act.Requests)]
+				clear(b.readRanges)
 			}
 			b.readRanges[i] = readRange{start: start, n: nextSlot - start}
 		}
 	}
 	r.dedupMu.Unlock()
-	if nextSlot > 0 {
-		// Allocated before any partition runs: they fill disjoint slots.
-		b.reads = make([]types.ReadResult, nextSlot)
-	}
+	// Sized before any partition runs: they fill disjoint slots, every one
+	// of them.
+	b.reads = slices.Grow(b.reads, nextSlot)[:nextSlot]
 	if n == 1 {
 		var ticket store.Ticket
-		r.inlineScratch, ticket = r.applyPartition(0, b.parts[0], b.reads, r.inlineScratch)
+		r.inlineScratch, ticket = r.applyPartition(b, 0, r.inlineScratch)
 		r.awaitDurable(ticket)
 		return b
 	}
@@ -784,7 +788,7 @@ func (r *Replica) stageBatch(act consensus.Execute) *inflightExec {
 	// partition is handed out, however fast the first worker finishes.
 	b.pending.Store(1)
 	for sh := range b.parts {
-		if len(b.parts[sh]) == 0 {
+		if len(b.parts[sh].ops) == 0 {
 			continue
 		}
 		b.pending.Add(1)
@@ -811,14 +815,17 @@ func (b *inflightExec) partDone() {
 // through the shard queue's FIFO (one key always maps to one shard) —
 // appended is enough for that, durable is not needed, because the result
 // leaves the replica only at in-order retirement. Each read's result lands
-// in its assigned slot of the batch's shared result buffer. It returns the
-// emptied scratch for reuse and the ticket covering every write it
-// appended (zero when the store has no visible/durable split): the caller
-// decides who waits for it.
-func (r *Replica) applyPartition(shard int, ops []shardOp, reads []types.ReadResult, scratch []store.KV) ([]store.KV, store.Ticket) {
+// in its assigned slot of the batch's shared result buffer, and a fanned-out
+// scan's fragment in its own of the batch's frags, their bytes in the
+// partition's arenas. It returns the emptied scratch for reuse and the
+// ticket covering every write it appended (zero when the store has no
+// visible/durable split): the caller decides who waits for it.
+func (r *Replica) applyPartition(b *inflightExec, shard int, scratch []store.KV) ([]store.KV, store.Ticket) {
 	var ticket store.Ticket
-	for i := range ops {
-		op := &ops[i]
+	p := &b.parts[shard]
+	fanned := len(b.parts) > 1
+	for i := range p.ops {
+		op := &p.ops[i]
 		if !op.read && !op.scan {
 			scratch = append(scratch, store.KV{Key: op.key, Value: op.value})
 			continue
@@ -827,11 +834,11 @@ func (r *Replica) applyPartition(shard int, ops []shardOp, reads []types.ReadRes
 		scratch = scratch[:0]
 		switch {
 		case op.read:
-			reads[op.slot] = r.readKey(op.key)
-		case op.frag != nil:
-			*op.frag = r.scanRows(op.key, op.end, op.limit, shard)
+			b.reads[op.slot] = r.readKey(p, op.key)
+		case fanned:
+			b.frags[op.slot] = r.scanRows(p, op.key, op.end, op.limit, shard)
 		default:
-			reads[op.slot] = types.ReadResult{Scan: true, Rows: r.scanRows(op.key, op.end, op.limit, -1)}
+			b.reads[op.slot] = types.ReadResult{Scan: true, Rows: r.scanRows(p, op.key, op.end, op.limit, -1)}
 		}
 	}
 	ticket = r.flushWrites(scratch, ticket)
@@ -884,10 +891,20 @@ func (r *Replica) awaitDurable(t store.Ticket) {
 }
 
 // readKey answers one read against the store's current (last-applied)
-// state. A missing key is a normal outcome; any other store error is the
-// read-side analogue of a lost write and is counted loudly.
-func (r *Replica) readKey(key uint64) types.ReadResult {
-	v, err := r.store.Get(key)
+// state, the value appended into p's arena (a store without
+// store.ValueAppender hands Get's own copy). A missing key is a normal
+// outcome; any other store error is the read-side analogue of a lost write
+// and is counted loudly.
+func (r *Replica) readKey(p *partition, key uint64) types.ReadResult {
+	var v []byte
+	var err error
+	if r.values != nil {
+		at := len(p.vals)
+		p.vals, err = r.values.AppendValue(p.vals, key)
+		v = p.carve(at)
+	} else {
+		v, err = r.store.Get(key)
+	}
 	switch {
 	case err == nil:
 		return types.ReadResult{Found: true, Value: v}
@@ -900,58 +917,105 @@ func (r *Replica) readKey(key uint64) types.ReadResult {
 }
 
 // scanRows answers one scan against the store's current state: the
-// ascending rows of [start, end], truncated to limit. With shard ≥ 0 only
-// the keys that execution shard owns are kept (still capped at limit, which
-// is lossless — see pendingScan): filtering to the shard's own partition is
-// what makes a fragment a pure function of the shard's serially ordered
-// write prefix even while other shards are mid-batch, since a key's writes
-// only ever come from its owning shard. An inverted range or zero limit
-// returns no rows (well-formed per types.Op); a store without an ordered
-// view, or a failing one, returns no rows and counts a store failure. Rows
-// grow incrementally, so a hostile limit cannot drive an allocation.
-func (r *Replica) scanRows(start, end uint64, limit uint32, shard int) []types.ScanRow {
+// ascending rows of [start, end], truncated to limit, carved from p's row
+// slab with their values in p's arena. With shard ≥ 0 only the keys that
+// execution shard owns are kept (still capped at limit, which is lossless —
+// see pendingScan): filtering to the shard's own partition is what makes a
+// fragment a pure function of the shard's serially ordered write prefix even
+// while other shards are mid-batch, since a key's writes only ever come from
+// its owning shard. Through store.ValueAppender a shard resolves only the
+// keys it owns; a store without it is scanned whole and its lent values
+// copied. An inverted range or zero limit returns no rows (well-formed per
+// types.Op); a store without an ordered view, or a failing one, returns the
+// rows read so far and counts a store failure. Rows grow incrementally, so
+// a hostile limit cannot drive an allocation.
+func (r *Replica) scanRows(p *partition, start, end uint64, limit uint32, shard int) []types.ScanRow {
 	if limit == 0 || start > end {
 		return nil
 	}
-	if r.scanner == nil {
-		r.storeFailures.Add(1)
-		return nil
-	}
-	var rows []types.ScanRow
-	err := r.scanner.Scan(start, end, func(k uint64, v []byte) bool {
-		if shard >= 0 && workload.ShardOf(k, r.execShards) != shard {
-			return true
+	first := len(p.rows)
+	switch {
+	case r.values != nil:
+		r.scanOwned(p, start, end, limit, shard)
+	case r.scanner != nil:
+		err := r.scanner.Scan(start, end, func(k uint64, v []byte) bool {
+			if shard >= 0 && workload.ShardOf(k, r.execShards) != shard {
+				return true
+			}
+			p.rows = append(p.rows, types.ScanRow{Key: k, Value: p.keep(v)})
+			return uint32(len(p.rows)-first) < limit
+		})
+		if err != nil {
+			r.storeFailures.Add(1)
 		}
-		rows = append(rows, types.ScanRow{Key: k, Value: v})
-		return uint32(len(rows)) < limit
-	})
-	if err != nil {
+	default:
 		r.storeFailures.Add(1)
 	}
-	return rows
+	return p.carveRows(first)
 }
 
-// mergeScanFrags merges per-shard scan fragments into the final row set:
-// fragments are each ascending and their key sets disjoint (one key, one
-// shard), so sorting the concatenation by key is a deterministic merge,
-// truncated to the scan's limit.
-func mergeScanFrags(frags [][]types.ScanRow, limit uint32) []types.ScanRow {
-	total := 0
-	for _, f := range frags {
-		total += len(f)
+// scanChunk is how many keys scanOwned lists from the store at a time.
+const scanChunk = 128
+
+// scanOwned appends to p's row slab, ascending, the rows of [start, end]
+// whose keys shard owns (every key for shard < 0), until limit rows: keys
+// come from the store a chunk at a time, and only the kept ones are
+// resolved, straight into p's arena.
+func (r *Replica) scanOwned(p *partition, start, end uint64, limit uint32, shard int) {
+	if p.keys == nil {
+		p.keys = make([]uint64, 0, scanChunk)
 	}
-	if total == 0 {
-		return nil
+	first := len(p.rows)
+	for cur := start; ; {
+		keys := r.values.AppendKeys(p.keys[:0], cur, end)
+		if len(keys) == 0 {
+			return
+		}
+		for _, k := range keys {
+			if shard >= 0 && workload.ShardOf(k, r.execShards) != shard {
+				continue
+			}
+			at := len(p.vals)
+			var err error
+			if p.vals, err = r.values.AppendValue(p.vals, k); err != nil {
+				if errors.Is(err, store.ErrNotFound) {
+					continue
+				}
+				r.storeFailures.Add(1)
+				return
+			}
+			p.rows = append(p.rows, types.ScanRow{Key: k, Value: p.carve(at)})
+			if uint32(len(p.rows)-first) >= limit {
+				return
+			}
+		}
+		last := keys[len(keys)-1]
+		if last >= end || last == ^uint64(0) {
+			return
+		}
+		cur = last + 1
 	}
-	merged := make([]types.ScanRow, 0, total)
-	for _, f := range frags {
-		merged = append(merged, f...)
+}
+
+// mergeScanFrags appends to dst the rows of a fanned-out scan, ascending
+// and cut at limit. Each fragment is ascending and their key sets are
+// disjoint (one key, one shard), so taking the smallest head each time is
+// the merge, and it is deterministic. It consumes frags.
+func mergeScanFrags(dst []types.ScanRow, frags [][]types.ScanRow, limit uint32) []types.ScanRow {
+	for n := uint32(0); n < limit; n++ {
+		lo := -1
+		for i := range frags {
+			if len(frags[i]) > 0 && (lo < 0 || frags[i][0].Key < frags[lo][0].Key) {
+				lo = i
+			}
+		}
+		if lo < 0 {
+			break
+		}
+		dst = append(dst, frags[lo][0])
+		frags[lo] = frags[lo][1:]
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Key < merged[j].Key })
-	if uint32(len(merged)) > limit {
-		merged = merged[:limit]
-	}
-	return merged
+	return dst
 }
 
 // retireBatch completes one staged batch in sequence order, once its
@@ -964,14 +1028,18 @@ func mergeScanFrags(frags [][]types.ScanRow, limit uint32) []types.ScanRow {
 // appended-not-yet-durable writes, but their results leave only here.
 func (r *Replica) retireBatch(b *inflightExec) {
 	defer r.execPending.Add(-1)
-	// The partitions are applied; recycle their buffers.
-	r.partsFree <- b.parts
-	b.parts = nil
+	// The batch's read results are lent from its partitions until the last
+	// response below is encoded; only then may its buffers serve another.
+	defer r.recycle(b)
 	// The barrier passed, so every shard's scan fragments are final; merge
-	// them into their result slots before responses are built.
+	// them into their result slots, carved from partition 0's row slab,
+	// before responses are built.
+	p, n := &b.parts[0], len(b.parts)
 	for i := range b.scans {
 		ps := &b.scans[i]
-		b.reads[ps.slot] = types.ReadResult{Scan: true, Rows: mergeScanFrags(ps.frags, ps.limit)}
+		first := len(p.rows)
+		p.rows = mergeScanFrags(p.rows, b.frags[ps.frags:ps.frags+n], ps.limit)
+		b.reads[ps.slot] = types.ReadResult{Scan: true, Rows: p.carveRows(first)}
 	}
 	act := b.act
 
@@ -999,7 +1067,7 @@ func (r *Replica) retireBatch(b *inflightExec) {
 	for i := range act.Requests {
 		req := &act.Requests[i]
 		var reads []types.ReadResult
-		if b.readRanges != nil {
+		if len(b.readRanges) > 0 {
 			if rr := b.readRanges[i]; rr.n > 0 {
 				reads = b.reads[rr.start : rr.start+rr.n]
 			}
@@ -1059,7 +1127,7 @@ func (r *Replica) execShardLoop(shard int) {
 	for b := range r.shardQs[shard] {
 		var ticket store.Ticket
 		t0 := time.Now()
-		scratch, ticket = r.applyPartition(shard, b.parts[shard], b.reads, scratch)
+		scratch, ticket = r.applyPartition(b, shard, scratch)
 		if d := time.Since(t0); d > 0 {
 			r.shardBusyNS[shard].Add(uint64(d))
 		}

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -369,50 +370,60 @@ func (s *ShardedDiskStore) WaitDurable(t Ticket) error {
 	}
 }
 
-// Get implements Store. With the read index enabled the value comes from
-// memory without touching the log file or its lock. Otherwise the value
-// bytes are read back from the log: the record reference and file handle
-// are snapshotted under the lock but the ReadAt syscall runs outside it, so
-// one disk read never stalls the writers or the group committer. If
-// compaction (or Close) retires the snapshotted handle mid-read the read
-// fails with fs.ErrClosed and is retried against the fresh handle; a closed
-// store surfaces as ErrClosed at the top of the retry.
-func (s *ShardedDiskStore) Get(key uint64) ([]byte, error) {
+// AppendValue implements ValueAppender. With the read index enabled the
+// value comes from memory without touching the log file or its lock.
+// Otherwise the value bytes are read back from the log into dst's tail: the
+// record reference and file handle are snapshotted under the lock but the
+// ReadAt syscall runs outside it, so one disk read never stalls the writers
+// or the group committer. If compaction (or Close) retires the snapshotted
+// handle mid-read the read fails with fs.ErrClosed and is retried against
+// the fresh handle; a closed store surfaces as ErrClosed at the top of the
+// retry.
+func (s *ShardedDiskStore) AppendValue(dst []byte, key uint64) ([]byte, error) {
 	if s.ri != nil {
-		if v, ok := s.ri.get(key); ok {
-			return v, nil
+		if out, ok := s.ri.appendValue(dst, key); ok {
+			return out, nil
 		}
-		return nil, fmt.Errorf("%w: %d", ErrNotFound, key)
+		return dst, fmt.Errorf("%w: %d", ErrNotFound, key)
 	}
 	for {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			return nil, ErrClosed
+			return dst, ErrClosed
 		}
 		ref, ok := s.index[key]
 		f := s.f
 		s.mu.Unlock()
 		if !ok {
-			return nil, fmt.Errorf("%w: %d", ErrNotFound, key)
+			return dst, fmt.Errorf("%w: %d", ErrNotFound, key)
 		}
-		out := make([]byte, ref.length)
-		if _, err := f.ReadAt(out, ref.off); err != nil {
+		out := slices.Grow(dst, int(ref.length))[:len(dst)+int(ref.length)]
+		if _, err := f.ReadAt(out[len(dst):], ref.off); err != nil {
 			if errors.Is(err, fs.ErrClosed) {
 				continue // the handle was swapped or the store closed; re-snapshot
 			}
-			return nil, fmt.Errorf("store: reading record: %w", err)
+			return dst, fmt.Errorf("store: reading record: %w", err)
 		}
 		return out, nil
 	}
 }
 
-// Scan implements Scanner. Keys come from the ordered sidecar in bounded
-// chunks and values from Get, so each row is one log read (or a read-index
-// hit) and a scan never stalls the writers or the group committer for
-// longer than a point read would.
+// AppendKeys implements ValueAppender from the ordered sidecar.
+func (s *ShardedDiskStore) AppendKeys(dst []uint64, start, end uint64) []uint64 {
+	return s.ordered.chunk(start, end, dst)
+}
+
+// Get implements Store through AppendValue.
+func (s *ShardedDiskStore) Get(key uint64) ([]byte, error) {
+	return getVia(s, key)
+}
+
+// Scan implements Scanner through the ordered sidecar and AppendValue, so
+// each row is one log read (or a read-index hit) and a scan never stalls
+// the writers or the group committer for longer than a point read would.
 func (s *ShardedDiskStore) Scan(start, end uint64, fn func(key uint64, value []byte) bool) error {
-	return scanVia(s.ordered, s.Get, start, end, fn)
+	return scanVia(s.ordered, s, start, end, fn)
 }
 
 // Len implements Store.

@@ -8,10 +8,10 @@ import (
 
 // Scanner is an optional Store capability: an ordered view over the live
 // keys, the storage half of the general-transaction refactor (range scans
-// travel the same execute pipeline as reads). All three backends implement
-// it through an insert-only ordered key sidecar — the fabric has no
-// deletes, so the sidecar only ever grows, which keeps it a sorted set
-// maintained outside the stores' own locks.
+// travel the same execute pipeline as reads). Both backends implement it
+// through an insert-only ordered key sidecar — the fabric has no deletes,
+// so the sidecar only ever grows, which keeps it a sorted set maintained
+// outside the stores' own locks.
 //
 // The consistency contract is snapshot-per-key, not a range snapshot: a
 // Scan runs concurrently with Put/PutMany/Compact, every key present
@@ -26,8 +26,9 @@ import (
 type Scanner interface {
 	// Scan visits every live record with start <= key <= end in ascending
 	// key order, calling fn for each until fn returns false or the range
-	// is exhausted. The value slice is owned by the callee after fn
-	// returns (stores pass copies).
+	// is exhausted. The value slice is lent to fn for that one call: the
+	// backends read every row into one buffer the scan reuses, so fn
+	// copies whatever it keeps.
 	Scan(start, end uint64, fn func(key uint64, value []byte) bool) error
 }
 
@@ -188,18 +189,19 @@ func (o *orderedKeys) chunk(start, end uint64, out []uint64) []uint64 {
 
 // scanVia drives one Scan over an ordered sidecar: keys are gathered in
 // bounded chunks under the sidecar's read lock, then each is resolved
-// through get with no sidecar lock held. Never holding the sidecar lock
-// across a store lock is what makes Scan deadlock-free against writers,
-// which take store locks first and the sidecar lock second. A key the
-// store cannot resolve yet (an insert racing ahead of the sidecar's
-// bookkeeping cannot happen — stores insert into the sidecar last — but a
-// fault-injecting wrapper may refuse) is skipped, not fatal; other get
-// errors abort the scan.
-func scanVia(o *orderedKeys, get func(uint64) ([]byte, error), start, end uint64, fn func(uint64, []byte) bool) error {
+// through va with no sidecar lock held, into one buffer the scan reuses and
+// lends to fn. Never holding the sidecar lock across a store lock is what
+// makes Scan deadlock-free against writers, which take store locks first
+// and the sidecar lock second. A key the store cannot resolve yet (an
+// insert racing ahead of the sidecar's bookkeeping cannot happen — stores
+// insert into the sidecar last — but a fault-injecting wrapper may refuse)
+// is skipped, not fatal; other errors abort the scan.
+func scanVia(o *orderedKeys, va ValueAppender, start, end uint64, fn func(uint64, []byte) bool) error {
 	if start > end {
 		return nil
 	}
 	var arr [128]uint64
+	var val []byte
 	cur := start
 	for {
 		keys := o.chunk(cur, end, arr[:0])
@@ -207,14 +209,14 @@ func scanVia(o *orderedKeys, get func(uint64) ([]byte, error), start, end uint64
 			return nil
 		}
 		for _, k := range keys {
-			v, err := get(k)
-			if err != nil {
+			var err error
+			if val, err = va.AppendValue(val[:0], k); err != nil {
 				if errors.Is(err, ErrNotFound) {
 					continue
 				}
 				return err
 			}
-			if !fn(k, v) {
+			if !fn(k, val[:len(val):len(val)]) {
 				return nil
 			}
 		}

@@ -24,24 +24,22 @@ func newReadIndex(hint int) *readIndex {
 	return &readIndex{m: make(map[uint64][]byte, hint)}
 }
 
-// get returns a copy of the latest value for key, so callers can hold the
-// result while writers keep updating the index.
-func (ri *readIndex) get(key uint64) ([]byte, bool) {
+// appendValue appends the latest value for key to dst, under the read lock
+// a writer overwriting that value in place must wait for, so callers can
+// hold the result while writers keep updating the index.
+func (ri *readIndex) appendValue(dst []byte, key uint64) ([]byte, bool) {
 	ri.mu.RLock()
 	v, ok := ri.m[key]
-	if !ok {
-		ri.mu.RUnlock()
-		return nil, false
+	if ok {
+		dst = append(dst, v...)
 	}
-	out := make([]byte, len(v))
-	copy(out, v)
 	ri.mu.RUnlock()
-	return out, true
+	return dst, ok
 }
 
 // putMany stores a batch under one lock acquisition, in place where a
-// value fits the slice its key already holds (see overwrite; get copies
-// out under the same lock). Callers may recycle their buffers.
+// value fits the slice its key already holds (see overwrite; appendValue
+// copies out under the same lock). Callers may recycle their buffers.
 func (ri *readIndex) putMany(kvs []KV) {
 	ri.mu.Lock()
 	for i := range kvs {

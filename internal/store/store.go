@@ -87,6 +87,37 @@ type Appender interface {
 	WaitDurable(t Ticket) error
 }
 
+// ValueAppender is an optional Store capability: reads into memory the
+// caller owns. AppendValue copies a key's value onto the end of the
+// caller's buffer, so a caller that keeps one buffer per batch — the execute
+// stage's value arena — reads without allocating; AppendKeys lists the live
+// keys of a range, so a caller that wants only some of them — an execution
+// shard, the keys of its own partition — resolves only those. MemStore and
+// ShardedDiskStore implement it and build Get and Scan on it, so each has
+// one read path. A store without it is read through Get and Scan.
+type ValueAppender interface {
+	// AppendValue appends the value stored under key to dst and returns the
+	// extended slice. The appended bytes are a copy: later writes to key
+	// leave them alone. On any error, ErrNotFound for a missing key among
+	// them, it returns dst unchanged.
+	AppendValue(dst []byte, key uint64) ([]byte, error)
+	// AppendKeys appends the live keys in [start, end] to dst, ascending,
+	// until the range is exhausted or dst is full (len == cap); a caller
+	// that filled it goes on from the last key + 1. dst must have room for
+	// at least one key. Keys follow Scan's consistency contract.
+	AppendKeys(dst []uint64, start, end uint64) []uint64
+}
+
+// getVia is Get built on AppendValue: a value the caller owns, empty but
+// not nil for an empty record.
+func getVia(va ValueAppender, key uint64) ([]byte, error) {
+	v, err := va.AppendValue(nil, key)
+	if err == nil && v == nil {
+		v = []byte{}
+	}
+	return v, err
+}
+
 // Ticket names a position in a store's append stream. It is
 // prefix-covering: an fsync that covers a ticket covers every earlier
 // append. The zero Ticket covers nothing and is always durable.
@@ -150,19 +181,18 @@ func (c *compactCounters) stats() CompactStats {
 	}
 }
 
-// Compactor is an optional Store capability: log-structured stores whose
-// logs accumulate superseded values implement it so the replica can drive
+// Compactor is an optional Store capability: a log-structured store whose
+// log accumulates superseded values implements it so the replica can drive
 // garbage collection from its stable-checkpoint path (the paper's §4.7
 // moment: a stable checkpoint licenses discarding old state). MemStore
 // overwrites in place and has nothing to compact.
 type Compactor interface {
-	// MaybeCompact rewrites every log that clears the store's configured
-	// size floor and garbage-ratio threshold; it returns how many logs
-	// were rewritten. A failed rewrite leaves that log authoritative and
-	// is reported in CompactStats.Failures.
+	// MaybeCompact rewrites the log if it clears the store's configured
+	// size floor and garbage-ratio threshold; it returns 1 if it did, else
+	// 0. A failed rewrite leaves the log authoritative and is reported in
+	// CompactStats.Failures.
 	MaybeCompact() (int, error)
-	// Compact rewrites every log unconditionally, keeping only live
-	// records.
+	// Compact rewrites the log unconditionally, keeping only live records.
 	Compact() error
 	// CompactStats reports the compaction counters.
 	CompactStats() CompactStats
@@ -170,15 +200,17 @@ type Compactor interface {
 
 // Compile-time interface compliance checks.
 var (
-	_ Store       = (*MemStore)(nil)
-	_ Store       = (*ShardedDiskStore)(nil)
-	_ Batcher     = (*MemStore)(nil)
-	_ Batcher     = (*ShardedDiskStore)(nil)
-	_ Appender    = (*ShardedDiskStore)(nil)
-	_ SyncStatser = (*ShardedDiskStore)(nil)
-	_ Compactor   = (*ShardedDiskStore)(nil)
-	_ Scanner     = (*MemStore)(nil)
-	_ Scanner     = (*ShardedDiskStore)(nil)
+	_ Store         = (*MemStore)(nil)
+	_ Store         = (*ShardedDiskStore)(nil)
+	_ Batcher       = (*MemStore)(nil)
+	_ Batcher       = (*ShardedDiskStore)(nil)
+	_ Appender      = (*ShardedDiskStore)(nil)
+	_ SyncStatser   = (*ShardedDiskStore)(nil)
+	_ Compactor     = (*ShardedDiskStore)(nil)
+	_ Scanner       = (*MemStore)(nil)
+	_ Scanner       = (*ShardedDiskStore)(nil)
+	_ ValueAppender = (*MemStore)(nil)
+	_ ValueAppender = (*ShardedDiskStore)(nil)
 )
 
 // memShards splits the key space to keep lock contention negligible even
@@ -221,8 +253,9 @@ func (s *MemStore) shard(key uint64) *memShard {
 // already there. A value that fits the slice its key already holds is
 // copied into it, so steady-state writes allocate nothing; only a new key,
 // or a value that outgrew its slice, allocates. The caller holds the write
-// lock that guards m, and every reader of m copies a value out before it
-// releases the read lock, so no reader sees a slice while it changes.
+// lock that guards m, and every reader of m appends a value to its own
+// buffer before it releases the read lock, so no reader sees a slice while
+// it changes.
 func overwrite(m map[uint64][]byte, key uint64, value []byte) bool {
 	old, ok := m[key]
 	if ok && cap(old) >= len(value) {
@@ -287,31 +320,42 @@ func (s *MemStore) PutMany(kvs []KV) error {
 	return nil
 }
 
-// Get implements Store. The copy is taken under the shard lock: a writer
-// may overwrite the stored slice in place the moment the lock is released.
-func (s *MemStore) Get(key uint64) ([]byte, error) {
+// AppendValue implements ValueAppender. The copy is taken under the shard
+// lock: a writer may overwrite the stored slice in place the moment the
+// lock is released.
+func (s *MemStore) AppendValue(dst []byte, key uint64) ([]byte, error) {
 	s.mu.RLock()
 	if s.dead {
 		s.mu.RUnlock()
-		return nil, ErrClosed
+		return dst, ErrClosed
 	}
 	s.mu.RUnlock()
 	sh := s.shard(key)
 	sh.mu.RLock()
 	v, ok := sh.m[key]
-	if !ok {
-		sh.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %d", ErrNotFound, key)
+	if ok {
+		dst = append(dst, v...)
 	}
-	cp := make([]byte, len(v))
-	copy(cp, v)
 	sh.mu.RUnlock()
-	return cp, nil
+	if !ok {
+		return dst, fmt.Errorf("%w: %d", ErrNotFound, key)
+	}
+	return dst, nil
 }
 
-// Scan implements Scanner. Keys come from the ordered sidecar in bounded
-// chunks and values from Get, so a scan never holds the sidecar lock
-// across a shard lock (see scanVia for the contract).
+// AppendKeys implements ValueAppender from the ordered sidecar.
+func (s *MemStore) AppendKeys(dst []uint64, start, end uint64) []uint64 {
+	return s.ordered.chunk(start, end, dst)
+}
+
+// Get implements Store through AppendValue.
+func (s *MemStore) Get(key uint64) ([]byte, error) {
+	return getVia(s, key)
+}
+
+// Scan implements Scanner through AppendKeys' sidecar and AppendValue, so a
+// scan never holds the sidecar lock across a shard lock (see scanVia for
+// the contract).
 func (s *MemStore) Scan(start, end uint64, fn func(key uint64, value []byte) bool) error {
 	s.mu.RLock()
 	if s.dead {
@@ -319,7 +363,7 @@ func (s *MemStore) Scan(start, end uint64, fn func(key uint64, value []byte) boo
 		return ErrClosed
 	}
 	s.mu.RUnlock()
-	return scanVia(&s.ordered, s.Get, start, end, fn)
+	return scanVia(&s.ordered, s, start, end, fn)
 }
 
 // Len implements Store.

@@ -233,13 +233,15 @@ func TestRequestDecodeAllocCaps(t *testing.T) {
 	}
 }
 
-// TestHostileCountsBuyNoMemory: a forged transaction or op count fails
-// with ErrOversized, and a count that is just plausible for the bytes that
-// follow it allocates in proportion to those bytes — the op slab is sized
-// from the transaction count but never beyond the ops the unread bytes
-// could encode.
+// TestHostileCountsBuyNoMemory: a forged transaction, op, result or scan
+// row count fails with ErrOversized, and a count that is just plausible for
+// the bytes that follow it allocates in proportion to those bytes — the op
+// slab is sized from the transaction count but never beyond the ops the
+// unread bytes could encode, and a result list is measured against the
+// bytes present before its slabs are allocated, so a truncated one
+// allocates none.
 func TestHostileCountsBuyNoMemory(t *testing.T) {
-	header := func(txns, nops uint32) *types.Writer {
+	request := func(txns, nops uint32) *types.Writer {
 		var w types.Writer
 		w.U32(1)    // client
 		w.U64(1)    // first seq
@@ -249,24 +251,62 @@ func TestHostileCountsBuyNoMemory(t *testing.T) {
 		w.U32(nops) // op count
 		return &w
 	}
+	// response and readReply write a body up to its result count; rows, if
+	// any, makes the first result a scan claiming that many rows.
+	results := func(w *types.Writer, count, rows uint32) *types.Writer {
+		w.U32(count)
+		if rows > 0 {
+			w.U8(2) // scan marker
+			w.U32(rows)
+		}
+		return w
+	}
+	response := func(count, rows uint32) *types.Writer {
+		var w types.Writer
+		w.U64(1)                  // view
+		w.U64(1)                  // seq
+		w.U32(1)                  // client
+		w.U64(1)                  // client seq
+		w.Bytes32(types.Digest{}) // result
+		w.U16(1)                  // replica
+		return results(&w, count, rows)
+	}
+	readReply := func(count, rows uint32) *types.Writer {
+		var w types.Writer
+		w.U32(1) // client
+		w.U64(1) // client seq
+		w.U64(1) // seq
+		w.U16(1) // replica
+		return results(&w, count, rows)
+	}
+	// Zero filler is a run of 5-byte not-found results or 12-byte empty
+	// scan rows, so a count one past what it holds is plausible and the
+	// list is cut short by a single element.
+	const zeros = 1 << 14
 	for _, row := range []struct {
-		name       string
-		txns, nops uint32
-		filler     int
-		oversized  bool
+		name      string
+		mt        types.MsgType
+		w         *types.Writer
+		fill      byte
+		filler    int
+		oversized bool
 	}{
-		{"forged txn count", 1 << 30, 1, 1 << 10, true},
-		{"forged op count", 1, 1 << 30, 1 << 10, true},
-		{"forged op count, high bit set", 1, 1<<30 | 1<<31, 1 << 10, true},
-		{"plausible counts, truncated body", 1 << 10, 1 << 10, 1 << 14, false},
+		{"forged txn count", types.MsgClientRequest, request(1<<30, 1), 0xFF, 1 << 10, true},
+		{"forged op count", types.MsgClientRequest, request(1, 1<<30), 0xFF, 1 << 10, true},
+		{"forged op count, high bit set", types.MsgClientRequest, request(1, 1<<30|1<<31), 0xFF, 1 << 10, true},
+		{"plausible counts, truncated body", types.MsgClientRequest, request(1<<10, 1<<10), 0xFF, 1 << 14, false},
+		{"response: forged result count", types.MsgClientResponse, response(1<<30, 0), 0xFF, 1 << 10, true},
+		{"response: forged row count", types.MsgClientResponse, response(1, 1<<30), 0xFF, 1 << 10, true},
+		{"response: plausible result count, truncated list", types.MsgClientResponse, response(zeros/5+1, 0), 0, zeros, false},
+		{"read reply: forged result count", types.MsgReadReply, readReply(1<<31, 0), 0xFF, 1 << 10, true},
+		{"read reply: plausible row count, truncated list", types.MsgReadReply, readReply(1, zeros/12+1), 0, zeros, false},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			w := header(row.txns, row.nops)
-			body := append(w.Bytes(), bytes.Repeat([]byte{0xFF}, row.filler)...)
+			body := append(row.w.Bytes(), bytes.Repeat([]byte{row.fill}, row.filler)...)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, err := types.DecodeBody(types.MsgClientRequest, body)
-			_, aerr := types.DecodeEnvelope(&types.Envelope{Type: types.MsgClientRequest, Body: body})
+			_, err := types.DecodeBody(row.mt, body)
+			_, aerr := types.DecodeEnvelope(&types.Envelope{Type: row.mt, Body: body})
 			runtime.ReadMemStats(&after)
 			if err == nil || aerr == nil {
 				t.Fatal("hostile body decoded")
@@ -275,10 +315,54 @@ func TestHostileCountsBuyNoMemory(t *testing.T) {
 				t.Fatalf("want ErrOversized, got %v / %v", err, aerr)
 			}
 			// Two decodes; a Transaction is 4 and an Op 4.7 times its
-			// smallest wire form.
+			// smallest wire form (a ReadResult would be 12.8, were a
+			// truncated list's allocated).
 			if spent, most := after.TotalAlloc-before.TotalAlloc, uint64(2*10*len(body)+4096); spent > most {
 				t.Fatalf("decoding a %d-byte hostile body allocated %d bytes, want at most %d", len(body), spent, most)
 			}
 		})
+	}
+}
+
+// TestReadResultsDecodeOneSlab pins what decoding a response costs: the
+// message, its result list, one slab for every value and one for every scan
+// row, however many values it carries: 20 non-empty values and two non-empty
+// scans here, which cost 22 allocations more when each was copied on its
+// own. Values never alias the frame: it is overwritten after the decode and
+// the results must re-encode to what it held.
+func TestReadResultsDecodeOneSlab(t *testing.T) {
+	resp := &types.ClientResponse{Seq: 1, Client: 1, ClientSeq: 1}
+	for i := 0; i < 16; i++ {
+		resp.ReadResults = append(resp.ReadResults, types.ReadResult{Found: i%4 != 0, Value: bytes.Repeat([]byte{byte(i)}, 100*(i%4))})
+	}
+	for s := 0; s < 2; s++ {
+		rows := make([]types.ScanRow, 4)
+		for j := range rows {
+			rows[j] = types.ScanRow{Key: uint64(10*s + j), Value: bytes.Repeat([]byte{byte(j)}, 100)}
+		}
+		resp.ReadResults = append(resp.ReadResults, types.ReadResult{Scan: true, Rows: rows}, types.ReadResult{Scan: true})
+	}
+	body := types.MarshalBody(resp)
+	frame := append([]byte(nil), body...)
+	msg, err := types.DecodeEnvelope(&types.Envelope{Type: types.MsgClientResponse, Body: frame})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(frame)
+	got := msg.(*types.ClientResponse)
+	if !bytes.Equal(types.MarshalBody(got), body) {
+		t.Fatal("decoded results changed with the frame, or do not re-encode to it")
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := types.DecodeBody(types.MsgClientResponse, body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations per decoded 20-result response: %.0f", allocs)
+	if types.RaceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random; the pooled Reader is nondeterministic")
+	}
+	if allocs > 4 {
+		t.Fatalf("decoding a response allocates %.0f, want at most 4 (message, results, value slab, row slab)", allocs)
 	}
 }

@@ -524,34 +524,66 @@ func (w *Writer) ReadResults(results []ReadResult) {
 }
 
 // ReadResults reads a result list written by Writer.ReadResults; an empty
-// list decodes as nil. Values are copied whatever the reader's mode:
-// results are handed to clients and sessions, which outlive any frame.
+// list decodes as nil. Values are copied whatever the reader's mode —
+// results are handed to clients and sessions, which outlive any frame — and
+// copied once: a first pass measures the list, checking every count and
+// length against the bytes present before anything is allocated, then
+// every value is carved from one slab of exactly their total size, every
+// scan row from one row slab, so a list costs at most three allocations
+// however many values it carries.
 func (r *Reader) ReadResults() []ReadResult {
 	n := r.count(5) // marker + u32 length prefix or row count
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	results := make([]ReadResult, n)
-	for i := range results {
-		res := &results[i]
-		switch marker := r.U8(); marker {
+	m := Reader{buf: r.buf, off: r.off, alias: true}
+	size, rows := 0, 0
+	for i := 0; i < n && m.err == nil; i++ {
+		switch marker := m.U8(); marker {
 		case 0, 1:
-			res.Found = marker == 1
-			res.Value = r.CopyBlob()
+			size += len(m.Blob())
 		case scanMarker:
-			res.Scan = true
-			rows := r.count(12) // u64 key + u32 length prefix per row
-			if r.err != nil || rows == 0 {
-				continue
-			}
-			res.Rows = make([]ScanRow, rows)
-			for j := range res.Rows {
-				res.Rows[j].Key = r.U64()
-				res.Rows[j].Value = r.CopyBlob()
+			k := m.count(12) // u64 key + u32 length prefix per row
+			rows += k
+			for j := 0; j < k && m.err == nil; j++ {
+				m.U64()
+				size += len(m.Blob())
 			}
 		default:
-			r.fail(fmt.Errorf("unknown read marker %d", marker))
-			return nil
+			m.fail(fmt.Errorf("unknown read marker %d", marker))
+		}
+	}
+	if m.err != nil {
+		r.fail(m.err)
+		return nil
+	}
+	results := make([]ReadResult, n)
+	slab := make([]byte, 0, size)
+	value := func() []byte {
+		at := len(slab)
+		slab = append(slab, r.blob(true)...)
+		return slab[at:len(slab):len(slab)]
+	}
+	var rowSlab []ScanRow
+	if rows > 0 {
+		rowSlab = make([]ScanRow, rows)
+	}
+	for i := range results {
+		res := &results[i]
+		if marker := r.U8(); marker != scanMarker {
+			res.Found = marker == 1
+			res.Value = value()
+			continue
+		}
+		res.Scan = true
+		k := r.count(12)
+		if k == 0 {
+			continue
+		}
+		res.Rows, rowSlab = rowSlab[:k:k], rowSlab[k:]
+		for j := range res.Rows {
+			res.Rows[j].Key = r.U64()
+			res.Rows[j].Value = value()
 		}
 	}
 	return results

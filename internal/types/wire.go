@@ -78,8 +78,8 @@ func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 
 // NewAliasReader returns a Reader in alias mode: Blob returns subslices
 // of b instead of copies, so nothing decoded through it may outlive b.
-// Fields that must survive the input buffer use CopyBlob regardless of
-// mode.
+// Fields that must survive the input buffer are copied regardless of mode
+// (ReadResults).
 func NewAliasReader(b []byte) *Reader { return &Reader{buf: b, alias: true} }
 
 // Err returns the first decoding error, if any.
@@ -160,13 +160,6 @@ func (r *Reader) Bytes32() Digest {
 // must not outlive it.
 func (r *Reader) Blob() []byte {
 	return r.blob(r.alias)
-}
-
-// CopyBlob reads a blob and always copies it, even in alias mode. It is
-// for fields that are retained past the frame's lifetime — read results
-// handed to clients, for one.
-func (r *Reader) CopyBlob() []byte {
-	return r.blob(false)
 }
 
 // appendBlob reads a blob and appends a copy of it to dst, whatever the
