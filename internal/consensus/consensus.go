@@ -2,12 +2,22 @@
 // protocol in the fabric.
 //
 // An Engine is a pure, deterministic state machine: verified messages go
-// in, Actions come out. Engines never touch the network, the clock,
+// in, outputs come out. Engines never touch the network, the clock,
 // threads, or cryptography — those belong to the drivers. The same engine
 // code is driven by the real pipelined replica runtime
 // (internal/replica) and by the discrete-event simulator (internal/sim),
 // which is what lets the simulator's paper-scale experiments measure the
 // behaviour of the very protocol implementation the runnable system uses.
+//
+// An engine step appends its outputs, in emission order, to an Out the
+// driver passes in: a tagged list whose entries carry a Send, Broadcast,
+// Execute, CheckpointStable, ViewChanged or Evidence by value. Each
+// goroutine that steps an engine owns its Out, handles what a step appended
+// and resets it before the next step, so a step boxes nothing into an
+// interface and allocates no slice of its own. The Prepare, Commit and
+// Checkpoint an engine broadcasts come from the vote pools in types and are
+// lent to the driver: it gives each back with types.ReleaseVote once it has
+// encoded it, or keeps it and never gives it back.
 package consensus
 
 import (
@@ -17,9 +27,10 @@ import (
 	"resilientdb/internal/types"
 )
 
-// Action is one output of an engine step. Drivers interpret actions:
-// the runtime maps Send/Broadcast onto the transport and Execute onto the
-// execution layer; the simulator maps them onto cost-modelled events.
+// Action is one output of the client engine's steps, and the common type
+// of an Out entry's payloads. Drivers interpret them: the runtime maps
+// Send/Broadcast onto the transport and Execute onto the execution layer;
+// the simulator maps them onto cost-modelled events.
 type Action interface{ isAction() }
 
 // Send delivers a message to a single node.
@@ -67,6 +78,79 @@ type Evidence struct {
 	Detail  string
 }
 
+// Kind names the payload an Output carries.
+type Kind uint8
+
+const (
+	KindSend Kind = iota + 1
+	KindBroadcast
+	KindExecute
+	KindCheckpointStable
+	KindViewChanged
+	KindEvidence
+)
+
+// Output is one entry of an Out: Kind names the one payload field set.
+type Output struct {
+	Kind             Kind
+	Send             Send
+	Broadcast        Broadcast
+	Execute          Execute
+	CheckpointStable CheckpointStable
+	ViewChanged      ViewChanged
+	Evidence         Evidence
+}
+
+// Out is the outputs of engine steps in emission order. The goroutine that
+// steps an engine owns the Out it passes in: it reads Outputs once the step
+// returns and calls Reset before the next step. The zero value is empty and
+// ready; after the first few steps its entries are reused, not allocated.
+type Out struct {
+	list []Output
+}
+
+// Outputs returns the entries appended since the last Reset, in emission
+// order. The slice is the Out's own and valid until Reset.
+func (o *Out) Outputs() []Output { return o.list }
+
+// Reset empties the Out for the next step. It zeroes the entries it drops,
+// so no message or batch stays reachable from the buffer.
+func (o *Out) Reset() {
+	clear(o.list)
+	o.list = o.list[:0]
+}
+
+func (o *Out) add(k Kind) *Output {
+	o.list = append(o.list, Output{Kind: k})
+	return &o.list[len(o.list)-1]
+}
+
+// Send appends a Send of msg to to.
+func (o *Out) Send(to types.NodeID, msg types.Message) {
+	o.add(KindSend).Send = Send{To: to, Msg: msg}
+}
+
+// Broadcast appends a Broadcast of msg.
+func (o *Out) Broadcast(msg types.Message) { o.add(KindBroadcast).Broadcast = Broadcast{Msg: msg} }
+
+// Execute appends the release of a batch for execution.
+func (o *Out) Execute(x Execute) { o.add(KindExecute).Execute = x }
+
+// CheckpointStable appends the report of a stable checkpoint at seq.
+func (o *Out) CheckpointStable(seq types.SeqNum) {
+	o.add(KindCheckpointStable).CheckpointStable = CheckpointStable{Seq: seq}
+}
+
+// ViewChanged appends the report that the engine entered view.
+func (o *Out) ViewChanged(view types.View) {
+	o.add(KindViewChanged).ViewChanged = ViewChanged{View: view}
+}
+
+// Evidence appends a report of byzantine behaviour by culprit.
+func (o *Out) Evidence(culprit types.ReplicaID, detail string) {
+	o.add(KindEvidence).Evidence = Evidence{Culprit: culprit, Detail: detail}
+}
+
 func (Send) isAction()             {}
 func (Broadcast) isAction()        {}
 func (Execute) isAction()          {}
@@ -87,30 +171,32 @@ func (Evidence) isAction()         {}
 // any goroutine at any time, without external locking: implementations
 // back them with atomics so observability never contends with consensus.
 type Engine interface {
-	// OnMessage applies a verified message from a peer. auth carries the
-	// authenticator bytes from the envelope so engines can retain commit
-	// certificates; it may be nil. auth, and a Prepare, Commit or
-	// Checkpoint msg, are lent for the call: the caller reuses them once it
-	// returns, so an engine that keeps one keeps a copy.
-	OnMessage(from types.NodeID, msg types.Message, auth []byte) []Action
+	// OnMessage applies a verified message from a peer and appends what it
+	// does to out. auth carries the authenticator bytes from the envelope so
+	// engines can retain commit certificates; it may be nil. auth, and a
+	// Prepare, Commit or Checkpoint msg, are lent for the call: the caller
+	// reuses them once it returns, so an engine that keeps one keeps a copy.
+	OnMessage(from types.NodeID, msg types.Message, auth []byte, out *Out)
 
 	// Propose assigns the next sequence number to a batch of client
-	// requests and starts consensus on it. Only the current primary may
-	// propose; other replicas receive a nil result.
-	Propose(reqs []types.ClientRequest) []Action
+	// requests, starts consensus on it and appends what it does to out.
+	// Only the current primary may propose: an engine that refuses (not
+	// primary, mid view change, window full) appends nothing and reports
+	// false, and the caller retries later.
+	Propose(reqs []types.ClientRequest, out *Out) bool
 
 	// OnExecuted tells the engine the execution layer finished the batch
 	// at seq and reports the resulting state digest, which feeds
-	// checkpoint generation.
-	OnExecuted(seq types.SeqNum, stateDigest types.Digest) []Action
+	// checkpoint generation; what it does is appended to out.
+	OnExecuted(seq types.SeqNum, stateDigest types.Digest, out *Out)
 
 	// OnViewTimeout signals that progress stalled in view (the driver's
-	// view timer fired); the engine may start a view change. The driver
-	// names the view it watched because the engine may have left it since
-	// — a time-out takes a lock the view change holds — and a time-out
-	// about an older view says nothing about this one: the engine ignores
-	// it.
-	OnViewTimeout(view types.View) []Action
+	// view timer fired); the engine may start a view change, appending
+	// what it does to out. The driver names the view it watched because
+	// the engine may have left it since — a time-out takes a lock the view
+	// change holds — and a time-out about an older view says nothing about
+	// this one: the engine ignores it.
+	OnViewTimeout(view types.View, out *Out)
 
 	// View returns the engine's current view.
 	View() types.View
@@ -164,28 +250,28 @@ type serialEngine struct {
 	inner Engine
 }
 
-func (s *serialEngine) OnMessage(from types.NodeID, msg types.Message, auth []byte) []Action {
+func (s *serialEngine) OnMessage(from types.NodeID, msg types.Message, auth []byte, out *Out) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.inner.OnMessage(from, msg, auth)
+	s.inner.OnMessage(from, msg, auth, out)
 }
 
-func (s *serialEngine) Propose(reqs []types.ClientRequest) []Action {
+func (s *serialEngine) Propose(reqs []types.ClientRequest, out *Out) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.inner.Propose(reqs)
+	return s.inner.Propose(reqs, out)
 }
 
-func (s *serialEngine) OnExecuted(seq types.SeqNum, stateDigest types.Digest) []Action {
+func (s *serialEngine) OnExecuted(seq types.SeqNum, stateDigest types.Digest, out *Out) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.inner.OnExecuted(seq, stateDigest)
+	s.inner.OnExecuted(seq, stateDigest, out)
 }
 
-func (s *serialEngine) OnViewTimeout(view types.View) []Action {
+func (s *serialEngine) OnViewTimeout(view types.View, out *Out) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.inner.OnViewTimeout(view)
+	s.inner.OnViewTimeout(view, out)
 }
 
 func (s *serialEngine) LastProposed() types.SeqNum {

@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"reflect"
 	"testing"
 
 	"resilientdb/internal/types"
@@ -74,5 +75,51 @@ func TestActionTypesSealed(t *testing.T) {
 	}
 	if len(actions) != 6 {
 		t.Fatalf("action set changed: %d", len(actions))
+	}
+}
+
+// TestOutKeepsOrderAndResetDropsPayloads: entries come back in the order
+// they were appended, Reset zeroes them so the buffer keeps no message or
+// batch reachable, and once the buffer has grown a step appends without
+// allocating.
+func TestOutKeepsOrderAndResetDropsPayloads(t *testing.T) {
+	var out Out
+	vote := &types.Prepare{Seq: 1}
+	reqs := []types.ClientRequest{{Client: 1}}
+	out.Broadcast(vote)
+	out.Execute(Execute{Seq: 1, Requests: reqs})
+	out.Send(types.ClientNode(9), vote)
+	out.CheckpointStable(1)
+	out.ViewChanged(2)
+	out.Evidence(3, "equivocation")
+	var kinds []Kind
+	for _, o := range out.Outputs() {
+		kinds = append(kinds, o.Kind)
+	}
+	want := []Kind{KindBroadcast, KindExecute, KindSend, KindCheckpointStable, KindViewChanged, KindEvidence}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("kinds %v, want %v", kinds, want)
+	}
+	if o := out.Outputs()[1]; o.Execute.Seq != 1 || &o.Execute.Requests[0] != &reqs[0] {
+		t.Fatalf("the Execute entry does not carry its batch: %+v", o.Execute)
+	}
+	used := out.list
+	out.Reset()
+	if len(out.Outputs()) != 0 {
+		t.Fatalf("%d entries after Reset", len(out.Outputs()))
+	}
+	for i := range used {
+		if !reflect.DeepEqual(used[i], Output{}) {
+			t.Fatalf("entry %d still holds %+v after Reset", i, used[i])
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		out.Broadcast(vote)
+		out.Execute(Execute{Seq: 2, Requests: reqs})
+		out.CheckpointStable(2)
+		out.Reset()
+	})
+	if allocs != 0 {
+		t.Fatalf("a step into a grown Out allocates %.0f, want 0", allocs)
 	}
 }

@@ -6,7 +6,8 @@
 //
 // The harness is itself a miniature deterministic simulator; the safety
 // tests in the pbft and zyzzyva packages use it to check agreement under
-// arbitrary delivery interleavings.
+// arbitrary delivery interleavings. It keeps the votes engines lend it (a
+// broadcast vote is delivered to every peer) and never gives them back.
 package enginetest
 
 import (
@@ -55,6 +56,12 @@ type Cluster struct {
 	execPending []map[types.SeqNum]consensus.Execute
 	execNext    []types.SeqNum
 	stateDigest []types.Digest
+
+	// outs holds one Out per nesting level of engine steps: handling an
+	// Execute steps OnExecuted while the outputs of the step that released
+	// the batch are still being handled.
+	outs  []*consensus.Out
+	depth int
 }
 
 // NewCluster wraps the given engines (index = replica ID).
@@ -83,8 +90,9 @@ func (c *Cluster) Propose(rep types.ReplicaID, reqs []types.ClientRequest) {
 	if c.Down[rep] {
 		return
 	}
-	acts := c.Engines[rep].Propose(reqs)
-	c.handleActions(rep, acts)
+	out := c.out()
+	c.Engines[rep].Propose(reqs, out)
+	c.handle(rep, out)
 }
 
 // Timeout fires the view timer at replica rep.
@@ -92,7 +100,9 @@ func (c *Cluster) Timeout(rep types.ReplicaID) {
 	if c.Down[rep] {
 		return
 	}
-	c.handleActions(rep, c.Engines[rep].OnViewTimeout(c.Engines[rep].View()))
+	out := c.out()
+	c.Engines[rep].OnViewTimeout(c.Engines[rep].View(), out)
+	c.handle(rep, out)
 }
 
 // Pending returns the number of undelivered messages.
@@ -118,8 +128,9 @@ func (c *Cluster) Step() bool {
 		if c.Down[rep] {
 			continue
 		}
-		acts := c.Engines[rep].OnMessage(d.From, d.Msg, nil)
-		c.handleActions(rep, acts)
+		out := c.out()
+		c.Engines[rep].OnMessage(d.From, d.Msg, nil, out)
+		c.handle(rep, out)
 		return true
 	}
 	return false
@@ -134,11 +145,24 @@ func (c *Cluster) Run(maxSteps int) {
 	}
 }
 
-func (c *Cluster) handleActions(rep types.ReplicaID, acts []consensus.Action) {
+// out returns the Out for a step at the current nesting level.
+func (c *Cluster) out() *consensus.Out {
+	for len(c.outs) <= c.depth {
+		c.outs = append(c.outs, new(consensus.Out))
+	}
+	return c.outs[c.depth]
+}
+
+// handle processes what a step of rep's engine appended to out, in order,
+// and resets out.
+func (c *Cluster) handle(rep types.ReplicaID, out *consensus.Out) {
+	c.depth++
 	from := types.ReplicaNode(rep)
-	for _, a := range acts {
-		switch act := a.(type) {
-		case consensus.Broadcast:
+	outs := out.Outputs()
+	for i := range outs {
+		o := &outs[i]
+		switch o.Kind {
+		case consensus.KindBroadcast:
 			if c.Down[rep] {
 				continue
 			}
@@ -146,23 +170,25 @@ func (c *Cluster) handleActions(rep types.ReplicaID, acts []consensus.Action) {
 				if types.ReplicaID(r) == rep {
 					continue
 				}
-				c.queue = append(c.queue, Delivery{From: from, To: types.ReplicaNode(types.ReplicaID(r)), Msg: act.Msg})
+				c.queue = append(c.queue, Delivery{From: from, To: types.ReplicaNode(types.ReplicaID(r)), Msg: o.Broadcast.Msg})
 			}
-		case consensus.Send:
+		case consensus.KindSend:
 			if c.Down[rep] {
 				continue
 			}
-			c.queue = append(c.queue, Delivery{From: from, To: act.To, Msg: act.Msg})
-		case consensus.Execute:
-			c.execute(rep, act)
-		case consensus.CheckpointStable:
-			c.StableCheckpoints[rep] = act.Seq
-		case consensus.Evidence:
-			c.Evidence[rep] = append(c.Evidence[rep], act)
-		case consensus.ViewChanged:
+			c.queue = append(c.queue, Delivery{From: from, To: o.Send.To, Msg: o.Send.Msg})
+		case consensus.KindExecute:
+			c.execute(rep, o.Execute)
+		case consensus.KindCheckpointStable:
+			c.StableCheckpoints[rep] = o.CheckpointStable.Seq
+		case consensus.KindEvidence:
+			c.Evidence[rep] = append(c.Evidence[rep], o.Evidence)
+		case consensus.KindViewChanged:
 			// informational
 		}
 	}
+	out.Reset()
+	c.depth--
 }
 
 // execute plays the execution layer: batches released out of order are
@@ -179,9 +205,33 @@ func (c *Cluster) execute(rep types.ReplicaID, e consensus.Execute) {
 		c.Executed[rep] = append(c.Executed[rep], next)
 		c.stateDigest[rep] = crypto.HashChain(c.stateDigest[rep], next.Digest)
 		c.execNext[rep]++
-		acts := c.Engines[rep].OnExecuted(next.Seq, c.stateDigest[rep])
-		c.handleActions(rep, acts)
+		out := c.out()
+		c.Engines[rep].OnExecuted(next.Seq, c.stateDigest[rep], out)
+		c.handle(rep, out)
 	}
+}
+
+// Actions returns what out holds as Actions, in emission order, for tests
+// that step an engine directly.
+func Actions(out *consensus.Out) []consensus.Action {
+	var acts []consensus.Action
+	for _, o := range out.Outputs() {
+		switch o.Kind {
+		case consensus.KindSend:
+			acts = append(acts, o.Send)
+		case consensus.KindBroadcast:
+			acts = append(acts, o.Broadcast)
+		case consensus.KindExecute:
+			acts = append(acts, o.Execute)
+		case consensus.KindCheckpointStable:
+			acts = append(acts, o.CheckpointStable)
+		case consensus.KindViewChanged:
+			acts = append(acts, o.ViewChanged)
+		case consensus.KindEvidence:
+			acts = append(acts, o.Evidence)
+		}
+	}
+	return acts
 }
 
 // ExecutedDigests returns the ordered batch digests executed by rep.

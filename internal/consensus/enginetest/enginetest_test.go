@@ -7,30 +7,30 @@ import (
 	"resilientdb/internal/types"
 )
 
-// fakeEngine records calls and emits scripted actions so the harness
+// fakeEngine records calls and emits scripted outputs so the harness
 // itself can be tested.
 type fakeEngine struct {
 	id       types.ReplicaID
 	n        int
 	received []types.Message
-	onMsg    func(from types.NodeID, msg types.Message) []consensus.Action
+	onMsg    func(from types.NodeID, msg types.Message, out *consensus.Out)
 }
 
-func (f *fakeEngine) OnMessage(from types.NodeID, msg types.Message, _ []byte) []consensus.Action {
+func (f *fakeEngine) OnMessage(from types.NodeID, msg types.Message, _ []byte, out *consensus.Out) {
 	f.received = append(f.received, msg)
 	if f.onMsg != nil {
-		return f.onMsg(from, msg)
+		f.onMsg(from, msg, out)
 	}
-	return nil
 }
-func (f *fakeEngine) Propose(reqs []types.ClientRequest) []consensus.Action {
-	return []consensus.Action{consensus.Broadcast{Msg: &types.PrePrepare{Seq: 1, Requests: reqs}}}
+func (f *fakeEngine) Propose(reqs []types.ClientRequest, out *consensus.Out) bool {
+	out.Broadcast(&types.PrePrepare{Seq: 1, Requests: reqs})
+	return true
 }
-func (f *fakeEngine) OnExecuted(types.SeqNum, types.Digest) []consensus.Action { return nil }
-func (f *fakeEngine) OnViewTimeout(types.View) []consensus.Action              { return nil }
-func (f *fakeEngine) View() types.View                                         { return 0 }
-func (f *fakeEngine) IsPrimary() bool                                          { return f.id == 0 }
-func (f *fakeEngine) Stats() consensus.EngineStats                             { return consensus.EngineStats{} }
+func (f *fakeEngine) OnExecuted(types.SeqNum, types.Digest, *consensus.Out) {}
+func (f *fakeEngine) OnViewTimeout(types.View, *consensus.Out)              {}
+func (f *fakeEngine) View() types.View                                      { return 0 }
+func (f *fakeEngine) IsPrimary() bool                                       { return f.id == 0 }
+func (f *fakeEngine) Stats() consensus.EngineStats                          { return consensus.EngineStats{} }
 
 func fakes(n int) ([]consensus.Engine, []*fakeEngine) {
 	engines := make([]consensus.Engine, n)
@@ -67,7 +67,9 @@ func TestDownReplicaIsolated(t *testing.T) {
 		t.Fatal("downed replica received traffic")
 	}
 	// A downed replica's own sends are also dropped.
-	c.handleActions(2, []consensus.Action{consensus.Broadcast{Msg: &types.Prepare{Seq: 1}}})
+	var out consensus.Out
+	out.Broadcast(&types.Prepare{Seq: 1})
+	c.handle(2, &out)
 	if c.Pending() != 0 {
 		t.Fatal("downed replica's broadcast entered the network")
 	}
@@ -77,11 +79,14 @@ func TestExecutionLayerReorders(t *testing.T) {
 	engines, _ := fakes(4)
 	c := NewCluster(engines)
 	// Release executions out of order; the harness must deliver in order.
-	c.handleActions(1, []consensus.Action{consensus.Execute{Seq: 2, Digest: types.Digest{2}}})
+	var out consensus.Out
+	out.Execute(consensus.Execute{Seq: 2, Digest: types.Digest{2}})
+	c.handle(1, &out)
 	if len(c.Executed[1]) != 0 {
 		t.Fatal("executed seq 2 before seq 1")
 	}
-	c.handleActions(1, []consensus.Action{consensus.Execute{Seq: 1, Digest: types.Digest{1}}})
+	out.Execute(consensus.Execute{Seq: 1, Digest: types.Digest{1}})
+	c.handle(1, &out)
 	if len(c.Executed[1]) != 2 {
 		t.Fatalf("executed %d batches, want 2", len(c.Executed[1]))
 	}
@@ -93,10 +98,9 @@ func TestExecutionLayerReorders(t *testing.T) {
 func TestClientDeliveriesCaptured(t *testing.T) {
 	engines, _ := fakes(4)
 	c := NewCluster(engines)
-	c.handleActions(3, []consensus.Action{consensus.Send{
-		To:  types.ClientNode(9),
-		Msg: &types.ClientResponse{Client: 9, ClientSeq: 1},
-	}})
+	var out consensus.Out
+	out.Send(types.ClientNode(9), &types.ClientResponse{Client: 9, ClientSeq: 1})
+	c.handle(3, &out)
 	c.Run(100)
 	if len(c.ToClients) != 1 || c.ToClients[0].To != types.ClientNode(9) {
 		t.Fatalf("client delivery not captured: %+v", c.ToClients)
@@ -105,8 +109,8 @@ func TestClientDeliveriesCaptured(t *testing.T) {
 
 func TestEvidenceCaptured(t *testing.T) {
 	engines, raw := fakes(4)
-	raw[1].onMsg = func(types.NodeID, types.Message) []consensus.Action {
-		return []consensus.Action{consensus.Evidence{Culprit: 0, Detail: "equivocation"}}
+	raw[1].onMsg = func(_ types.NodeID, _ types.Message, out *consensus.Out) {
+		out.Evidence(0, "equivocation")
 	}
 	c := NewCluster(engines)
 	c.Propose(0, []types.ClientRequest{MakeRequest(1, 1)})

@@ -112,6 +112,14 @@ func newInstance(n int) *instance {
 	return &instance{votes: make([]vote, n)}
 }
 
+// reset returns a pruned instance to the state newInstance gives it,
+// keeping only its vote table's memory: no vote, digest or flag carries
+// over, and the batch it held is no longer reachable from it.
+func (in *instance) reset() {
+	clear(in.votes)
+	*in = instance{votes: in.votes}
+}
+
 // revote clears an instance's votes so they can be collected again in a
 // newer view; whether it was released stays.
 func (in *instance) revote() {
@@ -164,23 +172,50 @@ func (in *instance) commitCount() int {
 // two lanes stepping different sequence numbers under 2%.
 const numStripes = 64 // must be a power of two
 
-// stripe owns the instances whose sequence number hashes to it. The stripe
-// lock only ever nests inside the control lock (in either mode), and no
-// two stripe locks are ever held at once.
+// maxFree bounds a stripe's free list. A checkpoint prunes Δ instances and
+// the next Δ sequence numbers open as many again: 16 a stripe recycles all
+// of them for Δ up to 1024 batches, and keeps at most 1024 idle instances.
+const maxFree = 16
+
+// stripe owns the instances whose sequence number hashes to it, and the
+// pruned ones it keeps for reuse. The stripe lock only ever nests inside
+// the control lock (in either mode), and no two stripe locks are ever held
+// at once.
 type stripe struct {
 	mu        sync.Mutex
 	instances map[types.SeqNum]*instance
+	free      []*instance
 }
 
-// inst returns the instance for seq, creating it if needed. The caller
-// holds the stripe lock.
+// inst returns the instance for seq, opening it if needed — on a recycled
+// instance when the free list has one. The caller holds the stripe lock.
 func (s *stripe) inst(seq types.SeqNum, n int) *instance {
 	in, ok := s.instances[seq]
 	if !ok {
-		in = newInstance(n)
+		if k := len(s.free) - 1; k >= 0 {
+			in = s.free[k]
+			s.free[k] = nil
+			s.free = s.free[:k]
+		} else {
+			in = newInstance(n)
+		}
 		s.instances[seq] = in
 	}
 	return in
+}
+
+// recycle resets a pruned instance onto the free list, unless the list is
+// full; hook, when set, sees the instance first. The caller holds the
+// control write lock, which excludes every step, and the stripe lock.
+func (s *stripe) recycle(in *instance, hook func(*instance)) {
+	if len(s.free) == maxFree {
+		return
+	}
+	if hook != nil {
+		hook(in)
+	}
+	in.reset()
+	s.free = append(s.free, in)
 }
 
 // ckptStripes shards the checkpoint vote table. Checkpoints are generated
@@ -326,6 +361,10 @@ type Engine struct {
 	// stats are atomic so Stats() never takes a lock (observability must
 	// not contend with consensus).
 	stats consensus.AtomicEngineStats
+
+	// recycleHook is a test hook run on every pruned instance before its
+	// reset: tests fill it with garbage, so a field the reset misses shows.
+	recycleHook func(*instance)
 }
 
 var _ consensus.ConcurrentStepper = (*Engine)(nil)
@@ -423,8 +462,8 @@ func (e *Engine) stripeFor(seq types.SeqNum) *stripe {
 }
 
 // Propose implements consensus.Engine. It assigns the next sequence number
-// to the batch and broadcasts the pre-prepare. A nil return with no side
-// effects means the engine refused (not primary, mid view change, or
+// to the batch and broadcasts the pre-prepare. A false return with nothing
+// appended means the engine refused (not primary, mid view change, or
 // window full) and the caller should retry later.
 //
 // This is the fast path off the control write lock: when view and
@@ -434,18 +473,18 @@ func (e *Engine) stripeFor(seq types.SeqNum) *stripe {
 // every in-flight instance step the way a write-lock acquisition would.
 // View changes and watermark advances still exclude proposals entirely
 // (they hold the write lock while mutating nextSeq).
-func (e *Engine) Propose(reqs []types.ClientRequest) []consensus.Action {
+func (e *Engine) Propose(reqs []types.ClientRequest, out *consensus.Out) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if !e.isPrimaryLocked() {
-		return nil
+		return false
 	}
 	var seq types.SeqNum
 	for {
 		cur := e.nextSeq.Load()
 		seq = types.SeqNum(cur + 1)
 		if !e.inWindow(seq) {
-			return nil
+			return false
 		}
 		if e.nextSeq.CompareAndSwap(cur, cur+1) {
 			break // reserved; no return path below abandons the number
@@ -467,69 +506,65 @@ func (e *Engine) Propose(reqs []types.ClientRequest) []consensus.Action {
 	in.havePP = true
 	in.requests = reqs
 	s.mu.Unlock()
-	return []consensus.Action{consensus.Broadcast{Msg: pp}}
+	out.Broadcast(pp)
+	return true
 }
 
 // OnMessage implements consensus.Engine. Per-sequence traffic
 // (pre-prepare, prepare, commit) steps under the read lock so independent
 // instances proceed in parallel; checkpoint and view-change traffic
 // mutates the control core and steps exclusively.
-func (e *Engine) OnMessage(from types.NodeID, msg types.Message, auth []byte) []consensus.Action {
+func (e *Engine) OnMessage(from types.NodeID, msg types.Message, auth []byte, out *consensus.Out) {
 	if !from.IsReplica() || int(from.Replica()) >= e.cfg.N {
 		// Not one of the n replicas: it has no slot in any vote table.
 		e.stats.Dropped.Add(1)
-		return nil
+		return
 	}
 	rep := from.Replica()
 	switch m := msg.(type) {
 	case *types.PrePrepare:
 		e.mu.RLock()
 		defer e.mu.RUnlock()
-		return e.onPrePrepare(rep, m)
+		e.onPrePrepare(rep, m, out)
 	case *types.Prepare:
 		e.mu.RLock()
 		defer e.mu.RUnlock()
-		return e.onPrepare(rep, m)
+		e.onPrepare(rep, m, out)
 	case *types.Commit:
 		e.mu.RLock()
 		defer e.mu.RUnlock()
-		return e.onCommit(rep, m, auth)
+		e.onCommit(rep, m, auth, out)
 	case *types.Checkpoint:
-		return e.onCheckpoint(rep, m)
+		e.onCheckpoint(rep, m, out)
 	case *types.ViewChange:
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		return e.onViewChange(rep, m)
+		e.onViewChange(rep, m, out)
 	case *types.NewView:
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		return e.onNewView(rep, m)
+		e.onNewView(rep, m, out)
 	default:
 		e.stats.Dropped.Add(1)
-		return nil
 	}
 }
 
 // onPrePrepare runs with the control lock held in at least read mode (the
 // new-view path re-enters it under the write lock).
-func (e *Engine) onPrePrepare(from types.ReplicaID, m *types.PrePrepare) []consensus.Action {
+func (e *Engine) onPrePrepare(from types.ReplicaID, m *types.PrePrepare, out *consensus.Out) {
 	if m.View != e.view || e.inViewChange || !e.inWindow(m.Seq) {
 		e.keepOrDrop(from, m.View, m, nil)
-		return nil
+		return
 	}
 	if from != consensus.PrimaryOf(e.view, e.cfg.N) {
 		e.stats.Dropped.Add(1)
-		return []consensus.Action{consensus.Evidence{
-			Culprit: from,
-			Detail:  fmt.Sprintf("pre-prepare for view %d from non-primary %d", m.View, from),
-		}}
+		out.Evidence(from, fmt.Sprintf("pre-prepare for view %d from non-primary %d", m.View, from))
+		return
 	}
 	if e.cfg.VerifyDigests && len(m.Requests) > 0 && types.BatchDigest(m.Requests) != m.Digest {
 		e.stats.Dropped.Add(1)
-		return []consensus.Action{consensus.Evidence{
-			Culprit: from,
-			Detail:  fmt.Sprintf("pre-prepare digest mismatch at seq %d", m.Seq),
-		}}
+		out.Evidence(from, fmt.Sprintf("pre-prepare digest mismatch at seq %d", m.Seq))
+		return
 	}
 
 	s := e.stripeFor(m.Seq)
@@ -540,14 +575,12 @@ func (e *Engine) onPrePrepare(from types.ReplicaID, m *types.PrePrepare) []conse
 		if in.digest != m.Digest {
 			// The primary proposed two different batches for one sequence
 			// number: equivocation.
-			return []consensus.Action{consensus.Evidence{
-				Culprit: from,
-				Detail:  fmt.Sprintf("equivocating pre-prepares at seq %d", m.Seq),
-			}}
+			out.Evidence(from, fmt.Sprintf("equivocating pre-prepares at seq %d", m.Seq))
+			return
 		}
 		if in.view >= m.View {
 			e.stats.Dropped.Add(1) // duplicate
-			return nil
+			return
 		}
 		// A new view's primary re-proposed a batch this replica already
 		// released in an older view: run the vote again in the new view,
@@ -561,48 +594,48 @@ func (e *Engine) onPrePrepare(from types.ReplicaID, m *types.PrePrepare) []conse
 	in.isNull = m.Digest == types.Digest{} && len(m.Requests) == 0
 	in.requests = m.Requests
 
-	var acts []consensus.Action
 	if e.cfg.ID != consensus.PrimaryOf(e.view, e.cfg.N) {
 		// Backups vote; the primary's pre-prepare stands as its prepare.
-		p := &types.Prepare{View: m.View, Seq: m.Seq, Digest: m.Digest, Replica: e.cfg.ID}
+		p := types.AcquireVote(types.MsgPrepare).(*types.Prepare)
+		*p = types.Prepare{View: m.View, Seq: m.Seq, Digest: m.Digest, Replica: e.cfg.ID}
 		in.recordPrepare(e.cfg.ID, m.Digest)
-		acts = append(acts, consensus.Broadcast{Msg: p})
+		out.Broadcast(p)
 	}
-	return append(acts, e.advance(m.Seq, in)...)
+	e.advance(m.Seq, in, out)
 }
 
-func (e *Engine) onPrepare(from types.ReplicaID, m *types.Prepare) []consensus.Action {
+func (e *Engine) onPrepare(from types.ReplicaID, m *types.Prepare, out *consensus.Out) {
 	if m.View != e.view || e.inViewChange || !e.inWindow(m.Seq) {
 		e.keepOrDrop(from, m.View, m, nil)
-		return nil
+		return
 	}
 	if m.Replica != from {
 		e.stats.Dropped.Add(1)
-		return nil
+		return
 	}
 	s := e.stripeFor(m.Seq)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	in := s.inst(m.Seq, e.cfg.N)
 	in.recordPrepare(from, m.Digest)
-	return e.advance(m.Seq, in)
+	e.advance(m.Seq, in, out)
 }
 
-func (e *Engine) onCommit(from types.ReplicaID, m *types.Commit, auth []byte) []consensus.Action {
+func (e *Engine) onCommit(from types.ReplicaID, m *types.Commit, auth []byte, out *consensus.Out) {
 	if m.View != e.view || e.inViewChange || !e.inWindow(m.Seq) {
 		e.keepOrDrop(from, m.View, m, auth)
-		return nil
+		return
 	}
 	if m.Replica != from {
 		e.stats.Dropped.Add(1)
-		return nil
+		return
 	}
 	s := e.stripeFor(m.Seq)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	in := s.inst(m.Seq, e.cfg.N)
 	in.recordCommit(from, m.Digest, auth)
-	return e.advance(m.Seq, in)
+	e.advance(m.Seq, in, out)
 }
 
 // keepOrDrop disposes of a per-sequence message the engine cannot step now:
@@ -645,7 +678,7 @@ func keptCopy(msg types.Message) types.Message {
 // entered, and forgets what was kept for views below it. It runs under the
 // write lock, so nothing is being kept meanwhile: a message of this view is
 // either in here or arrives to find the view entered.
-func (e *Engine) replayAhead() []consensus.Action {
+func (e *Engine) replayAhead(out *consensus.Out) {
 	e.aheadMu.Lock()
 	var due []aheadMsg
 	later := e.ahead[:0]
@@ -663,42 +696,40 @@ func (e *Engine) replayAhead() []consensus.Action {
 	e.ahead = later
 	e.aheadMu.Unlock()
 
-	var acts []consensus.Action
 	for _, a := range due {
 		switch m := a.msg.(type) {
 		case *types.PrePrepare:
-			acts = append(acts, e.onPrePrepare(a.from, m)...)
+			e.onPrePrepare(a.from, m, out)
 		case *types.Prepare:
-			acts = append(acts, e.onPrepare(a.from, m)...)
+			e.onPrepare(a.from, m, out)
 		case *types.Commit:
-			acts = append(acts, e.onCommit(a.from, m, a.auth)...)
+			e.onCommit(a.from, m, a.auth, out)
 		}
 	}
-	return acts
 }
 
 // advance fires the prepared→commit and committed→execute transitions of
 // an instance whenever new state makes them possible. The caller holds the
 // instance's stripe lock.
-func (e *Engine) advance(seq types.SeqNum, in *instance) []consensus.Action {
-	var acts []consensus.Action
+func (e *Engine) advance(seq types.SeqNum, in *instance, out *consensus.Out) {
 	if !in.havePP {
-		return nil
+		return
 	}
 	// Prepared: pre-prepare plus 2f prepares matching its digest.
 	if !in.sentCommit && in.prepareCount() >= consensus.Quorum2f(e.cfg.N) {
 		in.sentCommit = true
-		c := &types.Commit{View: in.view, Seq: seq, Digest: in.digest, Replica: e.cfg.ID}
+		c := types.AcquireVote(types.MsgCommit).(*types.Commit)
+		*c = types.Commit{View: in.view, Seq: seq, Digest: in.digest, Replica: e.cfg.ID}
 		// Record our own commit vote.
 		in.recordCommit(e.cfg.ID, in.digest, nil)
-		acts = append(acts, consensus.Broadcast{Msg: c})
+		out.Broadcast(c)
 	}
 	// Committed: 2f+1 commits matching the pre-prepare digest.
 	if in.sentCommit && !in.released && in.commitCount() >= consensus.Quorum2f1(e.cfg.N) {
 		in.committed = true
 		in.released = true
 		e.stats.Executed.Add(1)
-		acts = append(acts, consensus.Execute{
+		out.Execute(consensus.Execute{
 			Seq:      seq,
 			View:     in.view,
 			Digest:   in.digest,
@@ -706,7 +737,6 @@ func (e *Engine) advance(seq types.SeqNum, in *instance) []consensus.Action {
 			Proof:    commitProof(in),
 		})
 	}
-	return acts
 }
 
 // commitProof assembles the block's commit certificate from the recorded
@@ -739,28 +769,30 @@ func commitProof(in *instance) []types.CommitSig {
 
 // OnExecuted implements consensus.Engine: after every Δ-th batch the
 // replica broadcasts a checkpoint carrying its state digest.
-func (e *Engine) OnExecuted(seq types.SeqNum, stateDigest types.Digest) []consensus.Action {
+func (e *Engine) OnExecuted(seq types.SeqNum, stateDigest types.Digest, out *consensus.Out) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if seq > e.executedSeq {
 		e.executedSeq = seq
 	}
 	if uint64(seq)%e.cfg.CheckpointInterval != 0 {
-		return e.advanceLowWater()
+		e.advanceLowWater(out)
+		return
 	}
-	cp := &types.Checkpoint{Seq: seq, StateDigest: stateDigest, Replica: e.cfg.ID}
-	acts := e.recordCheckpoint(e.cfg.ID, cp)
-	return append([]consensus.Action{consensus.Broadcast{Msg: cp}}, acts...)
+	cp := types.AcquireVote(types.MsgCheckpoint).(*types.Checkpoint)
+	*cp = types.Checkpoint{Seq: seq, StateDigest: stateDigest, Replica: e.cfg.ID}
+	out.Broadcast(cp)
+	e.recordCheckpoint(e.cfg.ID, cp, out)
 }
 
 // onCheckpoint takes the locks itself: the common case — a vote that does
 // not complete a quorum — records under the control read lock plus a vote
 // stripe, fully concurrent with instance stepping and proposals. Only a
 // quorum-completing vote escalates to the write lock.
-func (e *Engine) onCheckpoint(from types.ReplicaID, m *types.Checkpoint) []consensus.Action {
+func (e *Engine) onCheckpoint(from types.ReplicaID, m *types.Checkpoint, out *consensus.Out) {
 	if m.Replica != from {
 		e.stats.Dropped.Add(1)
-		return nil
+		return
 	}
 	e.mu.RLock()
 	stale := m.Seq <= e.lowWater
@@ -770,53 +802,54 @@ func (e *Engine) onCheckpoint(from types.ReplicaID, m *types.Checkpoint) []conse
 	}
 	e.mu.RUnlock()
 	if stale || !quorum {
-		return nil // already stable, or not yet a quorum
+		return // already stable, or not yet a quorum
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	// Re-recording under the write lock is idempotent; a concurrent
 	// stabilization of the same (or a newer) checkpoint makes the advance
 	// below a no-op.
-	return e.recordCheckpoint(from, m)
+	e.recordCheckpoint(from, m, out)
 }
 
 // recordCheckpoint runs under the write lock: record the vote and, on
 // quorum, advance the low watermark. OnExecuted (which already holds the
 // write lock for executedSeq) calls it directly for the local vote.
-func (e *Engine) recordCheckpoint(from types.ReplicaID, m *types.Checkpoint) []consensus.Action {
+func (e *Engine) recordCheckpoint(from types.ReplicaID, m *types.Checkpoint, out *consensus.Out) {
 	if m.Seq <= e.lowWater {
-		return nil // already stable
+		return // already stable
 	}
 	if e.ckpts.record(m.Seq, m.StateDigest, from) < consensus.Quorum2f1(e.cfg.N) {
-		return nil
+		return
 	}
 	if m.Seq > e.quorumStable {
 		e.quorumStable = m.Seq
 	}
-	return e.advanceLowWater()
+	e.advanceLowWater(out)
 }
 
 // advanceLowWater moves the low watermark to the newest quorum-stable
 // checkpoint this replica has itself executed, and garbage collects
-// everything at or below it (Section 4.7). The caller holds the write
-// lock.
-func (e *Engine) advanceLowWater() []consensus.Action {
+// everything at or below it (Section 4.7): pruned instances go back to
+// their stripe's free list. The caller holds the write lock.
+func (e *Engine) advanceLowWater(out *consensus.Out) {
 	target := e.quorumStable
 	if executedCk := types.SeqNum(uint64(e.executedSeq) / e.cfg.CheckpointInterval * e.cfg.CheckpointInterval); executedCk < target {
 		// Quantize to checkpoint boundaries: never past local execution.
 		target = executedCk
 	}
 	if target <= e.lowWater {
-		return nil
+		return
 	}
 	e.lowWater = target
 	e.stats.Checkpoints.Add(1)
 	for i := range e.stripes {
 		s := &e.stripes[i]
 		s.mu.Lock()
-		for seq := range s.instances {
+		for seq, in := range s.instances {
 			if seq <= target {
 				delete(s.instances, seq)
+				s.recycle(in, e.recycleHook)
 			}
 		}
 		s.mu.Unlock()
@@ -826,7 +859,7 @@ func (e *Engine) advanceLowWater() []consensus.Action {
 		// A lagging former primary must not re-propose old numbers.
 		e.nextSeq.Store(uint64(target))
 	}
-	return []consensus.Action{consensus.CheckpointStable{Seq: target}}
+	out.CheckpointStable(target)
 }
 
 // ---- View change ----
@@ -836,21 +869,21 @@ func (e *Engine) advanceLowWater() []consensus.Action {
 // replica has left while the call waited for the lock. Acting on that one
 // would vote the replica out of a view it has only just entered, alone, and
 // a lone voter is never followed.
-func (e *Engine) OnViewTimeout(view types.View) []consensus.Action {
+func (e *Engine) OnViewTimeout(view types.View, out *consensus.Out) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if view != e.view {
-		return nil
+		return
 	}
 	target := e.view + 1
 	if e.votedView >= target {
 		target = e.votedView + 1
 	}
-	return e.startViewChange(target)
+	e.startViewChange(target, out)
 }
 
 // startViewChange runs under the write lock.
-func (e *Engine) startViewChange(target types.View) []consensus.Action {
+func (e *Engine) startViewChange(target types.View, out *consensus.Out) {
 	e.inViewChange = true
 	e.votedView = target
 	e.refreshMirrors() // a primary mid view change stops leading
@@ -860,8 +893,8 @@ func (e *Engine) startViewChange(target types.View) []consensus.Action {
 		Prepared:  e.preparedProofs(),
 		Replica:   e.cfg.ID,
 	}
-	acts := []consensus.Action{consensus.Broadcast{Msg: vc}}
-	return append(acts, e.recordViewChange(e.cfg.ID, vc)...)
+	out.Broadcast(vc)
+	e.recordViewChange(e.cfg.ID, vc, out)
 }
 
 // preparedProofs collects, for every instance prepared beyond the stable
@@ -892,16 +925,16 @@ func (e *Engine) preparedProofs() []types.PreparedProof {
 	return proofs
 }
 
-func (e *Engine) onViewChange(from types.ReplicaID, m *types.ViewChange) []consensus.Action {
+func (e *Engine) onViewChange(from types.ReplicaID, m *types.ViewChange, out *consensus.Out) {
 	if m.Replica != from || m.NewView <= e.view {
 		e.stats.Dropped.Add(1)
-		return nil
+		return
 	}
-	return e.recordViewChange(from, m)
+	e.recordViewChange(from, m, out)
 }
 
 // recordViewChange runs under the write lock.
-func (e *Engine) recordViewChange(from types.ReplicaID, m *types.ViewChange) []consensus.Action {
+func (e *Engine) recordViewChange(from types.ReplicaID, m *types.ViewChange, out *consensus.Out) {
 	votes, ok := e.viewChanges[m.NewView]
 	if !ok {
 		votes = make(map[types.ReplicaID]*types.ViewChange)
@@ -909,24 +942,23 @@ func (e *Engine) recordViewChange(from types.ReplicaID, m *types.ViewChange) []c
 	}
 	votes[from] = m
 
-	var acts []consensus.Action
 	// An honest replica that sees f+1 votes for a higher view joins the
 	// view change even without its own timeout (standard PBFT liveness).
 	if !e.inViewChange && len(votes) > e.f && m.NewView > e.votedView {
-		acts = append(acts, e.startViewChange(m.NewView)...)
+		e.startViewChange(m.NewView, out)
 		votes = e.viewChanges[m.NewView]
 	}
 	if consensus.PrimaryOf(m.NewView, e.cfg.N) != e.cfg.ID {
-		return acts
+		return
 	}
 	if len(votes) < consensus.Quorum2f1(e.cfg.N) || e.view >= m.NewView {
-		return acts
+		return
 	}
 	// This replica leads the new view: build and broadcast the NewView.
 	nv := e.buildNewView(m.NewView, votes)
-	acts = append(acts, consensus.Broadcast{Msg: nv})
-	acts = append(acts, e.enterNewView(nv)...)
-	return append(acts, e.replayAhead()...)
+	out.Broadcast(nv)
+	e.enterNewView(nv, out)
+	e.replayAhead(out)
 }
 
 // buildNewView assembles the proof of the view change plus re-proposals
@@ -983,40 +1015,38 @@ func (e *Engine) buildNewView(v types.View, votes map[types.ReplicaID]*types.Vie
 	return &types.NewView{View: v, ViewChanges: vcs, PrePrepares: pps}
 }
 
-func (e *Engine) onNewView(from types.ReplicaID, m *types.NewView) []consensus.Action {
+func (e *Engine) onNewView(from types.ReplicaID, m *types.NewView, out *consensus.Out) {
 	if m.View <= e.view || from != consensus.PrimaryOf(m.View, e.cfg.N) {
 		e.stats.Dropped.Add(1)
-		return nil
+		return
 	}
 	if len(m.ViewChanges) < consensus.Quorum2f1(e.cfg.N) {
 		e.stats.Dropped.Add(1)
-		return []consensus.Action{consensus.Evidence{
-			Culprit: from,
-			Detail:  fmt.Sprintf("new-view for %d with %d < quorum view-changes", m.View, len(m.ViewChanges)),
-		}}
+		out.Evidence(from, fmt.Sprintf("new-view for %d with %d < quorum view-changes", m.View, len(m.ViewChanges)))
+		return
 	}
 	seen := make(map[types.ReplicaID]bool)
 	for i := range m.ViewChanges {
 		vc := &m.ViewChanges[i]
 		if vc.NewView != m.View || seen[vc.Replica] {
 			e.stats.Dropped.Add(1)
-			return nil
+			return
 		}
 		seen[vc.Replica] = true
 	}
-	acts := e.enterNewView(m)
+	e.enterNewView(m, out)
 	// Backups re-run the prepare phase for every re-proposed batch.
 	for i := range m.PrePrepares {
 		pp := m.PrePrepares[i]
-		acts = append(acts, e.onPrePrepare(from, &pp)...)
+		e.onPrePrepare(from, &pp, out)
 	}
-	return append(acts, e.replayAhead()...)
+	e.replayAhead(out)
 }
 
 // enterNewView installs the new view and resets per-view state. The new
 // primary also installs its own re-proposals. It runs under the write
 // lock.
-func (e *Engine) enterNewView(nv *types.NewView) []consensus.Action {
+func (e *Engine) enterNewView(nv *types.NewView, out *consensus.Out) {
 	e.view = nv.View
 	e.inViewChange = false
 	e.stats.ViewChanges.Add(1)
@@ -1033,7 +1063,7 @@ func (e *Engine) enterNewView(nv *types.NewView) []consensus.Action {
 	}
 	delete(e.viewChanges, nv.View)
 
-	acts := []consensus.Action{consensus.ViewChanged{View: nv.View}}
+	out.ViewChanged(nv.View)
 	if consensus.PrimaryOf(nv.View, e.cfg.N) == e.cfg.ID {
 		maxSeq := e.lowWater
 		for i := range nv.PrePrepares {
@@ -1060,5 +1090,4 @@ func (e *Engine) enterNewView(nv *types.NewView) []consensus.Action {
 		}
 	}
 	e.refreshMirrors()
-	return acts
 }

@@ -45,14 +45,14 @@ func TestConcurrentStepping(t *testing.T) {
 
 	// The primary proposes k batches; capture the pre-prepares.
 	pps := make([]*types.PrePrepare, 0, k)
+	var out consensus.Out
 	for i := 0; i < k; i++ {
 		req := types.ClientRequest{Client: 1, FirstSeq: uint64(i + 1)}
-		acts := primary.Propose([]types.ClientRequest{req})
-		if len(acts) != 1 {
-			t.Fatalf("propose %d: got %d actions", i, len(acts))
+		if !primary.Propose([]types.ClientRequest{req}, &out) || len(out.Outputs()) != 1 {
+			t.Fatalf("propose %d: got %d outputs", i, len(out.Outputs()))
 		}
-		pp := acts[0].(consensus.Broadcast).Msg.(*types.PrePrepare)
-		pps = append(pps, pp)
+		pps = append(pps, out.Outputs()[0].Broadcast.Msg.(*types.PrePrepare))
+		out.Reset()
 	}
 
 	// Quorum-stable checkpoints need matching votes from 2f+1 replicas;
@@ -74,6 +74,7 @@ func TestConcurrentStepping(t *testing.T) {
 		defer execWg.Done()
 		pending := make(map[types.SeqNum]consensus.Execute)
 		next := types.SeqNum(1)
+		var out consensus.Out // the execute goroutine's own
 		for ex := range execC {
 			if _, dup := executed[ex.Seq]; dup {
 				t.Errorf("seq %d released twice", ex.Seq)
@@ -87,13 +88,14 @@ func TestConcurrentStepping(t *testing.T) {
 					break
 				}
 				delete(pending, next)
-				backup.OnExecuted(cur.Seq, ckDigest)
+				backup.OnExecuted(cur.Seq, ckDigest, &out)
 				if uint64(cur.Seq)%16 == 0 {
 					for _, rep := range []types.ReplicaID{2, 3} {
 						cp := &types.Checkpoint{Seq: cur.Seq, StateDigest: ckDigest, Replica: rep}
-						backup.OnMessage(types.ReplicaNode(rep), cp, nil)
+						backup.OnMessage(types.ReplicaNode(rep), cp, nil, &out)
 					}
 				}
+				out.Reset()
 				next++
 			}
 		}
@@ -104,24 +106,25 @@ func TestConcurrentStepping(t *testing.T) {
 		wg.Add(1)
 		go func(lane int) {
 			defer wg.Done()
+			var out consensus.Out // the lane's own, like a replica's
 			for i := lane; i < k; i += lanes {
 				pp := pps[i]
 				seq := pp.Seq
-				var acts []consensus.Action
-				acts = append(acts, backup.OnMessage(types.ReplicaNode(0), pp, nil)...)
+				backup.OnMessage(types.ReplicaNode(0), pp, nil, &out)
 				for _, rep := range []types.ReplicaID{2, 3} {
 					p := &types.Prepare{View: pp.View, Seq: seq, Digest: pp.Digest, Replica: rep}
-					acts = append(acts, backup.OnMessage(types.ReplicaNode(rep), p, nil)...)
+					backup.OnMessage(types.ReplicaNode(rep), p, nil, &out)
 				}
 				for _, rep := range []types.ReplicaID{0, 2, 3} {
 					c := &types.Commit{View: pp.View, Seq: seq, Digest: pp.Digest, Replica: rep}
-					acts = append(acts, backup.OnMessage(types.ReplicaNode(rep), c, nil)...)
+					backup.OnMessage(types.ReplicaNode(rep), c, nil, &out)
 				}
-				for _, a := range acts {
-					if ex, ok := a.(consensus.Execute); ok {
-						execC <- ex
+				for _, o := range out.Outputs() {
+					if o.Kind == consensus.KindExecute {
+						execC <- o.Execute
 					}
 				}
+				out.Reset()
 			}
 		}(lane)
 	}
@@ -178,8 +181,10 @@ func TestConcurrentCheckpointVotes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var out consensus.Out
 		for s := 1; s <= ckpts*interval; s++ {
-			e.OnExecuted(types.SeqNum(s), digest)
+			e.OnExecuted(types.SeqNum(s), digest, &out)
+			out.Reset()
 		}
 	}()
 	// Peer votes: one goroutine per replica, each voting on every
@@ -189,9 +194,11 @@ func TestConcurrentCheckpointVotes(t *testing.T) {
 		wg.Add(1)
 		go func(rep types.ReplicaID) {
 			defer wg.Done()
+			var out consensus.Out
 			for c := 1; c <= ckpts; c++ {
 				cp := &types.Checkpoint{Seq: types.SeqNum(c * interval), StateDigest: digest, Replica: rep}
-				e.OnMessage(types.ReplicaNode(rep), cp, nil)
+				e.OnMessage(types.ReplicaNode(rep), cp, nil, &out)
+				out.Reset()
 			}
 		}(rep)
 	}
@@ -200,9 +207,11 @@ func TestConcurrentCheckpointVotes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var out consensus.Out
 		for s := 1; s <= 200; s++ {
 			p := &types.Prepare{View: 0, Seq: types.SeqNum(s), Digest: types.Digest{1}, Replica: 2}
-			e.OnMessage(types.ReplicaNode(2), p, nil)
+			e.OnMessage(types.ReplicaNode(2), p, nil, &out)
+			out.Reset()
 		}
 	}()
 	wg.Wait()
@@ -215,7 +224,7 @@ func TestConcurrentCheckpointVotes(t *testing.T) {
 	}
 	// The vote table must be pruned behind the watermark: a late stale
 	// vote must neither resurrect state nor advance anything.
-	if acts := e.OnMessage(types.ReplicaNode(0), &types.Checkpoint{Seq: interval, StateDigest: digest, Replica: 0}, nil); len(acts) != 0 {
+	if acts := onMessage(e, types.ReplicaNode(0), &types.Checkpoint{Seq: interval, StateDigest: digest, Replica: 0}, nil); len(acts) != 0 {
 		t.Fatalf("stale checkpoint vote produced %d actions", len(acts))
 	}
 }
@@ -241,14 +250,15 @@ func TestConcurrentProposeFastPath(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
+			var out consensus.Out
 			for i := 0; i < perP; i++ {
 				req := types.ClientRequest{Client: types.ClientID(p), FirstSeq: uint64(i + 1)}
-				acts := e.Propose([]types.ClientRequest{req})
-				if len(acts) != 1 {
-					t.Errorf("proposer %d: got %d actions", p, len(acts))
+				if !e.Propose([]types.ClientRequest{req}, &out) || len(out.Outputs()) != 1 {
+					t.Errorf("proposer %d: got %d outputs", p, len(out.Outputs()))
 					return
 				}
-				pp := acts[0].(consensus.Broadcast).Msg.(*types.PrePrepare)
+				pp := out.Outputs()[0].Broadcast.Msg.(*types.PrePrepare)
+				out.Reset()
 				mu.Lock()
 				if _, dup := seen[pp.Seq]; dup {
 					t.Errorf("sequence %d assigned twice", pp.Seq)
@@ -263,9 +273,11 @@ func TestConcurrentProposeFastPath(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var out consensus.Out
 		for s := 1; s <= proposers*perP; s++ {
 			p := &types.Prepare{View: 0, Seq: types.SeqNum(s), Digest: types.Digest{9}, Replica: 2}
-			e.OnMessage(types.ReplicaNode(2), p, nil)
+			e.OnMessage(types.ReplicaNode(2), p, nil, &out)
+			out.Reset()
 		}
 	}()
 	wg.Wait()
@@ -302,9 +314,11 @@ func TestConcurrentViewChange(t *testing.T) {
 		wg.Add(1)
 		go func(lane int) {
 			defer wg.Done()
+			var out consensus.Out
 			for s := 1 + lane; s <= 200; s += 4 {
 				p := &types.Prepare{View: 0, Seq: types.SeqNum(s), Digest: types.Digest{1}, Replica: 2}
-				e.OnMessage(types.ReplicaNode(2), p, nil)
+				e.OnMessage(types.ReplicaNode(2), p, nil, &out)
+				out.Reset()
 			}
 		}(lane)
 	}
@@ -312,10 +326,11 @@ func TestConcurrentViewChange(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		e.OnViewTimeout(0)
+		var out consensus.Out
+		e.OnViewTimeout(0, &out)
 		for _, rep := range []types.ReplicaID{0, 2, 3} {
 			vc := &types.ViewChange{NewView: 1, Replica: rep}
-			e.OnMessage(types.ReplicaNode(rep), vc, nil)
+			e.OnMessage(types.ReplicaNode(rep), vc, nil, &out)
 		}
 	}()
 	wg.Wait()

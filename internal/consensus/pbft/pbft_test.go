@@ -27,6 +27,14 @@ func newCluster(t testing.TB, n int, cfg func(*Config)) *enginetest.Cluster {
 	return enginetest.NewCluster(engines)
 }
 
+// onMessage steps e with one message into a fresh Out and returns what it
+// emitted.
+func onMessage(e *Engine, from types.NodeID, msg types.Message, auth []byte) []consensus.Action {
+	var out consensus.Out
+	e.OnMessage(from, msg, auth, &out)
+	return enginetest.Actions(&out)
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{ID: 0, N: 3}); err == nil {
 		t.Fatal("accepted n=3")
@@ -48,7 +56,8 @@ func TestNewValidation(t *testing.T) {
 
 func TestOnlyPrimaryProposes(t *testing.T) {
 	c := newCluster(t, 4, nil)
-	if acts := c.Engines[1].Propose([]types.ClientRequest{enginetest.MakeRequest(1, 1)}); acts != nil {
+	var out consensus.Out
+	if c.Engines[1].Propose([]types.ClientRequest{enginetest.MakeRequest(1, 1)}, &out) || len(out.Outputs()) != 0 {
 		t.Fatal("backup proposed")
 	}
 }
@@ -241,8 +250,8 @@ func TestEquivocatingPrimaryDetected(t *testing.T) {
 	pp1 := &types.PrePrepare{View: 0, Seq: 1, Digest: types.BatchDigest([]types.ClientRequest{r1}), Requests: []types.ClientRequest{r1}}
 	pp2 := &types.PrePrepare{View: 0, Seq: 1, Digest: types.BatchDigest([]types.ClientRequest{r2}), Requests: []types.ClientRequest{r2}}
 
-	backup.OnMessage(types.ReplicaNode(0), pp1, nil)
-	acts := backup.OnMessage(types.ReplicaNode(0), pp2, nil)
+	onMessage(backup, types.ReplicaNode(0), pp1, nil)
+	acts := onMessage(backup, types.ReplicaNode(0), pp2, nil)
 	var found bool
 	for _, a := range acts {
 		if ev, ok := a.(consensus.Evidence); ok && ev.Culprit == 0 {
@@ -261,7 +270,7 @@ func TestRejectsForgedDigest(t *testing.T) {
 	}
 	req := enginetest.MakeRequest(1, 1)
 	pp := &types.PrePrepare{View: 0, Seq: 1, Digest: types.Digest{0xBA, 0xD0}, Requests: []types.ClientRequest{req}}
-	acts := backup.OnMessage(types.ReplicaNode(0), pp, nil)
+	acts := onMessage(backup, types.ReplicaNode(0), pp, nil)
 	for _, a := range acts {
 		if _, ok := a.(consensus.Broadcast); ok {
 			t.Fatal("backup prepared a forged-digest pre-prepare")
@@ -276,7 +285,7 @@ func TestRejectsPrePrepareFromNonPrimary(t *testing.T) {
 	}
 	req := enginetest.MakeRequest(1, 1)
 	pp := &types.PrePrepare{View: 0, Seq: 1, Digest: types.BatchDigest([]types.ClientRequest{req}), Requests: []types.ClientRequest{req}}
-	acts := backup.OnMessage(types.ReplicaNode(2), pp, nil) // 2 is not primary of view 0
+	acts := onMessage(backup, types.ReplicaNode(2), pp, nil) // 2 is not primary of view 0
 	for _, a := range acts {
 		if _, ok := a.(consensus.Broadcast); ok {
 			t.Fatal("accepted pre-prepare from non-primary")
@@ -290,12 +299,12 @@ func TestDuplicateVotesDoNotDoubleCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := enginetest.MakeRequest(1, 1)
-	e.Propose([]types.ClientRequest{req})
+	e.Propose([]types.ClientRequest{req}, new(consensus.Out))
 	d := types.BatchDigest([]types.ClientRequest{req})
 	// One backup repeats its prepare; quorum (2f = 2 distinct) must not fire.
 	p := &types.Prepare{View: 0, Seq: 1, Digest: d, Replica: 1}
 	for i := 0; i < 5; i++ {
-		acts := e.OnMessage(types.ReplicaNode(1), p, nil)
+		acts := onMessage(e, types.ReplicaNode(1), p, nil)
 		for _, a := range acts {
 			if b, ok := a.(consensus.Broadcast); ok {
 				if _, isCommit := b.Msg.(*types.Commit); isCommit {
@@ -306,7 +315,7 @@ func TestDuplicateVotesDoNotDoubleCount(t *testing.T) {
 	}
 	// A second distinct backup completes the quorum.
 	p2 := &types.Prepare{View: 0, Seq: 1, Digest: d, Replica: 2}
-	acts := e.OnMessage(types.ReplicaNode(2), p2, nil)
+	acts := onMessage(e, types.ReplicaNode(2), p2, nil)
 	committed := false
 	for _, a := range acts {
 		if b, ok := a.(consensus.Broadcast); ok {
@@ -326,7 +335,7 @@ func TestStaleViewMessagesDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &types.Prepare{View: 2, Seq: 1, Digest: types.Digest{1}, Replica: 2}
-	e.OnMessage(types.ReplicaNode(2), p, nil)
+	onMessage(e, types.ReplicaNode(2), p, nil)
 	if e.Stats().Dropped != 1 {
 		t.Fatal("older-view prepare was not dropped")
 	}
@@ -341,14 +350,14 @@ func TestVotesAheadOfTheViewAreBoundedPerSender(t *testing.T) {
 	}
 	for i := 0; i < maxAhead+10; i++ {
 		p := &types.Prepare{View: 7, Seq: types.SeqNum(i + 1), Digest: types.Digest{1}, Replica: 2}
-		if acts := e.OnMessage(types.ReplicaNode(2), p, nil); acts != nil {
+		if acts := onMessage(e, types.ReplicaNode(2), p, nil); len(acts) != 0 {
 			t.Fatalf("a view-7 prepare stepped a view-0 engine: %v", acts)
 		}
 	}
 	if got := e.Stats().Dropped; got != 10 {
 		t.Fatalf("dropped %d of %d votes ahead of the view, want the 10 past the sender's share", got, maxAhead+10)
 	}
-	e.OnMessage(types.ReplicaNode(3), &types.Commit{View: 7, Seq: 1, Digest: types.Digest{1}, Replica: 3}, nil)
+	onMessage(e, types.ReplicaNode(3), &types.Commit{View: 7, Seq: 1, Digest: types.Digest{1}, Replica: 3}, nil)
 	if got := e.Stats().Dropped; got != 10 {
 		t.Fatal("one sender's full share cost another sender its vote")
 	}
@@ -509,10 +518,11 @@ func TestStaleViewTimeoutIgnored(t *testing.T) {
 	if e.View() != 1 {
 		t.Fatalf("replica 3 in view %d, want 1", e.View())
 	}
-	if acts := e.OnViewTimeout(0); acts != nil {
-		t.Fatalf("a time-out about view 0 moved a replica in view 1: %v", acts)
+	var out consensus.Out
+	if e.OnViewTimeout(0, &out); len(out.Outputs()) != 0 {
+		t.Fatalf("a time-out about view 0 moved a replica in view 1: %v", enginetest.Actions(&out))
 	}
-	if acts := e.OnViewTimeout(1); len(acts) == 0 {
+	if e.OnViewTimeout(1, &out); len(out.Outputs()) == 0 {
 		t.Fatal("a time-out about the current view started no view change")
 	}
 }
@@ -526,7 +536,7 @@ func TestNewViewRejectedWithoutQuorum(t *testing.T) {
 		View:        1,
 		ViewChanges: []types.ViewChange{{NewView: 1, Replica: 1}}, // only 1 < 2f+1
 	}
-	e.OnMessage(types.ReplicaNode(1), nv, nil)
+	onMessage(e, types.ReplicaNode(1), nv, nil)
 	if e.View() != 0 {
 		t.Fatal("adopted new view without quorum proof")
 	}

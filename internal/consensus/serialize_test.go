@@ -13,16 +13,13 @@ type countEngine struct {
 	steps int
 }
 
-func (c *countEngine) OnMessage(types.NodeID, types.Message, []byte) []Action {
-	c.steps++
-	return nil
-}
-func (c *countEngine) Propose([]types.ClientRequest) []Action         { c.steps++; return nil }
-func (c *countEngine) OnExecuted(types.SeqNum, types.Digest) []Action { c.steps++; return nil }
-func (c *countEngine) OnViewTimeout(types.View) []Action              { c.steps++; return nil }
-func (c *countEngine) View() types.View                               { return 7 }
-func (c *countEngine) IsPrimary() bool                                { return true }
-func (c *countEngine) Stats() EngineStats                             { return EngineStats{Proposed: 9} }
+func (c *countEngine) OnMessage(types.NodeID, types.Message, []byte, *Out) { c.steps++ }
+func (c *countEngine) Propose([]types.ClientRequest, *Out) bool            { c.steps++; return false }
+func (c *countEngine) OnExecuted(types.SeqNum, types.Digest, *Out)         { c.steps++ }
+func (c *countEngine) OnViewTimeout(types.View, *Out)                      { c.steps++ }
+func (c *countEngine) View() types.View                                    { return 7 }
+func (c *countEngine) IsPrimary() bool                                     { return true }
+func (c *countEngine) Stats() EngineStats                                  { return EngineStats{Proposed: 9} }
 
 // concurrentEngine marks itself safe for concurrent stepping.
 type concurrentEngine struct{ countEngine }
@@ -51,11 +48,12 @@ func TestSerializeWrapsAndSerializes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var out Out
 			for j := 0; j < per; j++ {
-				e.OnMessage(types.ReplicaNode(2), &types.Prepare{}, nil)
-				e.Propose(nil)
-				e.OnExecuted(1, types.Digest{})
-				e.OnViewTimeout(7)
+				e.OnMessage(types.ReplicaNode(2), &types.Prepare{}, nil, &out)
+				e.Propose(nil, &out)
+				e.OnExecuted(1, types.Digest{}, &out)
+				e.OnViewTimeout(7, &out)
 			}
 		}()
 	}

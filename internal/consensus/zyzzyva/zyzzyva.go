@@ -130,12 +130,12 @@ func (e *Engine) PendingHoles() int { return len(e.pending) }
 // Propose implements consensus.Engine. The primary assigns the next
 // sequence number, extends the history chain, and broadcasts the ordered
 // request; it also speculatively executes its own share immediately.
-func (e *Engine) Propose(reqs []types.ClientRequest) []consensus.Action {
+func (e *Engine) Propose(reqs []types.ClientRequest, out *consensus.Out) bool {
 	if !e.IsPrimary() {
-		return nil
+		return false
 	}
 	if uint64(e.nextSeq+1) > uint64(e.lowWater)+e.cfg.MaxSpeculationDepth {
-		return nil
+		return false
 	}
 	seq := e.nextSeq + 1
 	e.nextSeq = seq
@@ -148,8 +148,9 @@ func (e *Engine) Propose(reqs []types.ClientRequest) []consensus.Action {
 		History:  crypto.HashChain(e.historyAt(seq-1), digest),
 		Requests: reqs,
 	}
-	acts := []consensus.Action{consensus.Broadcast{Msg: or}}
-	return append(acts, e.accept(or)...)
+	out.Broadcast(or)
+	e.accept(or, out)
+	return true
 }
 
 func (e *Engine) historyAt(seq types.SeqNum) types.Digest {
@@ -166,46 +167,45 @@ func (e *Engine) historyAt(seq types.SeqNum) types.Digest {
 }
 
 // OnMessage implements consensus.Engine.
-func (e *Engine) OnMessage(from types.NodeID, msg types.Message, _ []byte) []consensus.Action {
+func (e *Engine) OnMessage(from types.NodeID, msg types.Message, _ []byte, out *consensus.Out) {
 	switch m := msg.(type) {
 	case *types.OrderedRequest:
 		if !from.IsReplica() || from.Replica() != consensus.PrimaryOf(e.view, e.cfg.N) {
 			e.stats.Dropped.Add(1)
-			return nil
+			return
 		}
-		return e.onOrderedRequest(m)
+		e.onOrderedRequest(m, out)
 	case *types.CommitCert:
-		return e.onCommitCert(m)
+		e.onCommitCert(m, out)
 	case *types.Checkpoint:
 		if !from.IsReplica() {
 			e.stats.Dropped.Add(1)
-			return nil
+			return
 		}
-		return e.recordCheckpoint(from.Replica(), m)
+		e.recordCheckpoint(from.Replica(), m, out)
 	default:
 		e.stats.Dropped.Add(1)
-		return nil
 	}
 }
 
 // onOrderedRequest accepts the request if it is next in the history;
 // out-of-order arrivals are buffered until the hole fills.
-func (e *Engine) onOrderedRequest(m *types.OrderedRequest) []consensus.Action {
+func (e *Engine) onOrderedRequest(m *types.OrderedRequest, out *consensus.Out) {
 	if m.View != e.view || m.Seq <= e.lowWater {
 		e.stats.Dropped.Add(1)
-		return nil
+		return
 	}
 	if uint64(m.Seq) > uint64(e.lowWater)+e.cfg.MaxSpeculationDepth {
 		e.stats.Dropped.Add(1)
-		return nil
+		return
 	}
 	if m.Seq != e.nextExec+1 {
 		if _, dup := e.pending[m.Seq]; !dup && m.Seq > e.nextExec {
 			e.pending[m.Seq] = m
 		}
-		return nil
+		return
 	}
-	acts := e.accept(m)
+	e.accept(m, out)
 	// Drain any buffered successors the hole was blocking.
 	for {
 		next, ok := e.pending[e.nextExec+1]
@@ -213,81 +213,77 @@ func (e *Engine) onOrderedRequest(m *types.OrderedRequest) []consensus.Action {
 			break
 		}
 		delete(e.pending, next.Seq)
-		acts = append(acts, e.accept(next)...)
+		e.accept(next, out)
 	}
-	return acts
 }
 
 // accept extends the local history with the batch and releases it for
 // speculative execution. A history mismatch means the primary equivocated
 // or reordered; the engine refuses and surfaces evidence.
-func (e *Engine) accept(m *types.OrderedRequest) []consensus.Action {
+func (e *Engine) accept(m *types.OrderedRequest, out *consensus.Out) {
 	want := crypto.HashChain(e.historyAt(m.Seq-1), m.Digest)
 	if m.History != want {
 		e.stats.Dropped.Add(1)
-		return []consensus.Action{consensus.Evidence{
-			Culprit: consensus.PrimaryOf(e.view, e.cfg.N),
-			Detail:  fmt.Sprintf("history divergence at seq %d", m.Seq),
-		}}
+		out.Evidence(consensus.PrimaryOf(e.view, e.cfg.N), fmt.Sprintf("history divergence at seq %d", m.Seq))
+		return
 	}
 	e.history = m.History
 	e.nextExec = m.Seq
 	e.histories[m.Seq] = m.History
 	e.stats.Executed.Add(1)
-	return []consensus.Action{consensus.Execute{
+	out.Execute(consensus.Execute{
 		Seq:         m.Seq,
 		View:        m.View,
 		Digest:      m.Digest,
 		History:     m.History,
 		Requests:    m.Requests,
 		Speculative: true,
-	}}
+	})
 }
 
 // onCommitCert answers the client's slow-path commit certificate: if the
 // certificate matches the local history, acknowledge with a LocalCommit.
-func (e *Engine) onCommitCert(m *types.CommitCert) []consensus.Action {
+func (e *Engine) onCommitCert(m *types.CommitCert, out *consensus.Out) {
 	h, ok := e.histories[m.Seq]
 	if !ok {
 		// Either already checkpointed away (safe to acknowledge: the
 		// checkpoint proves 2f+1 replicas agreed) or not yet executed.
 		if m.Seq > e.lowWater {
 			e.stats.Dropped.Add(1)
-			return nil
+			return
 		}
 		h = m.History
 	}
 	if h != m.History {
 		e.stats.Dropped.Add(1)
-		return nil
+		return
 	}
-	return []consensus.Action{consensus.Send{
-		To: types.ClientNode(m.Client),
-		Msg: &types.LocalCommit{
-			View:      m.View,
-			Seq:       m.Seq,
-			History:   m.History,
-			Client:    m.Client,
-			ClientSeq: m.ClientSeq,
-			Replica:   e.cfg.ID,
-		},
-	}}
+	out.Send(types.ClientNode(m.Client), &types.LocalCommit{
+		View:      m.View,
+		Seq:       m.Seq,
+		History:   m.History,
+		Client:    m.Client,
+		ClientSeq: m.ClientSeq,
+		Replica:   e.cfg.ID,
+	})
 }
 
 // OnExecuted implements consensus.Engine; Zyzzyva checkpoints exactly like
 // PBFT so speculative state becomes stable and garbage collectable.
-func (e *Engine) OnExecuted(seq types.SeqNum, stateDigest types.Digest) []consensus.Action {
+func (e *Engine) OnExecuted(seq types.SeqNum, stateDigest types.Digest, out *consensus.Out) {
 	if uint64(seq)%e.cfg.CheckpointInterval != 0 {
-		return e.advanceLowWater()
+		e.advanceLowWater(out)
+		return
 	}
-	cp := &types.Checkpoint{Seq: seq, StateDigest: stateDigest, Replica: e.cfg.ID}
-	acts := e.recordCheckpoint(e.cfg.ID, cp)
-	return append([]consensus.Action{consensus.Broadcast{Msg: cp}}, acts...)
+	cp := types.AcquireVote(types.MsgCheckpoint).(*types.Checkpoint)
+	*cp = types.Checkpoint{Seq: seq, StateDigest: stateDigest, Replica: e.cfg.ID}
+	out.Broadcast(cp)
+	e.recordCheckpoint(e.cfg.ID, cp, out)
 }
 
-func (e *Engine) recordCheckpoint(from types.ReplicaID, m *types.Checkpoint) []consensus.Action {
+func (e *Engine) recordCheckpoint(from types.ReplicaID, m *types.Checkpoint, out *consensus.Out) {
 	if m.Seq <= e.lowWater {
-		return nil
+		return
 	}
 	bySeq, ok := e.checkpoints[m.Seq]
 	if !ok {
@@ -301,25 +297,25 @@ func (e *Engine) recordCheckpoint(from types.ReplicaID, m *types.Checkpoint) []c
 	}
 	voters[from] = true
 	if len(voters) < consensus.Quorum2f1(e.cfg.N) {
-		return nil
+		return
 	}
 	if m.Seq > e.quorumStable {
 		e.quorumStable = m.Seq
 	}
-	return e.advanceLowWater()
+	e.advanceLowWater(out)
 }
 
 // advanceLowWater garbage collects up to the newest quorum-stable
 // checkpoint this replica has itself executed past.
-func (e *Engine) advanceLowWater() []consensus.Action {
+func (e *Engine) advanceLowWater(out *consensus.Out) {
 	target := e.quorumStable
 	if e.nextExec < target {
 		// Never garbage collect past local speculative execution: a
 		// lagging replica keeps its state until it catches up.
-		return nil
+		return
 	}
 	if target <= e.lowWater {
-		return nil
+		return
 	}
 	e.lowWater = target
 	e.stats.Checkpoints.Add(1)
@@ -338,12 +334,11 @@ func (e *Engine) advanceLowWater() []consensus.Action {
 			delete(e.pending, seq)
 		}
 	}
-	return []consensus.Action{consensus.CheckpointStable{Seq: target}}
+	out.CheckpointStable(target)
 }
 
 // OnViewTimeout implements consensus.Engine. Zyzzyva's view change is out
 // of scope (see the package comment); the engine only counts the stall.
-func (e *Engine) OnViewTimeout(types.View) []consensus.Action {
+func (e *Engine) OnViewTimeout(types.View, *consensus.Out) {
 	e.stats.Dropped.Add(1)
-	return nil
 }

@@ -117,6 +117,14 @@ func TestFillHoleBuffering(t *testing.T) {
 	}
 }
 
+// onMessage steps e with one message into a fresh Out and returns what it
+// emitted.
+func onMessage(e *Engine, from types.NodeID, msg types.Message) []consensus.Action {
+	var out consensus.Out
+	e.OnMessage(from, msg, nil, &out)
+	return enginetest.Actions(&out)
+}
+
 func TestDivergentHistoryRejected(t *testing.T) {
 	e, err := New(Config{ID: 1, N: 4})
 	if err != nil {
@@ -130,7 +138,7 @@ func TestDivergentHistoryRejected(t *testing.T) {
 		History:  types.Digest{0xBA, 0xD0},
 		Requests: []types.ClientRequest{req},
 	}
-	acts := e.OnMessage(types.ReplicaNode(0), or, nil)
+	acts := onMessage(e, types.ReplicaNode(0), or)
 	var evidence bool
 	for _, a := range acts {
 		switch a.(type) {
@@ -157,7 +165,7 @@ func TestOrderedRequestFromNonPrimaryDropped(t *testing.T) {
 		History:  crypto.HashChain(types.Digest{}, d),
 		Requests: []types.ClientRequest{req},
 	}
-	acts := e.OnMessage(types.ReplicaNode(2), or, nil)
+	acts := onMessage(e, types.ReplicaNode(2), or)
 	if len(acts) != 0 {
 		t.Fatal("accepted ordered request from non-primary")
 	}
@@ -175,7 +183,7 @@ func TestCommitCertAnswered(t *testing.T) {
 		History:  e.History(),
 		Replicas: []types.ReplicaID{0, 1, 2},
 	}
-	acts := e.OnMessage(types.ClientNode(7), cert, nil)
+	acts := onMessage(e, types.ClientNode(7), cert)
 	var lc *types.LocalCommit
 	for _, a := range acts {
 		if s, ok := a.(consensus.Send); ok {
@@ -204,7 +212,7 @@ func TestCommitCertWrongHistoryIgnored(t *testing.T) {
 		Client: 7, ClientSeq: 3, View: 0, Seq: 1,
 		History: types.Digest{0xFF},
 	}
-	if acts := e.OnMessage(types.ClientNode(7), cert, nil); len(acts) != 0 {
+	if acts := onMessage(e, types.ClientNode(7), cert); len(acts) != 0 {
 		t.Fatal("acknowledged a forged commit cert")
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"resilientdb/internal/consensus"
+	"resilientdb/internal/consensus/pbft"
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/ledger"
 	"resilientdb/internal/transport"
@@ -62,27 +64,33 @@ func (h *holdNewViews) relay(in <-chan *types.Envelope, out chan<- *types.Envelo
 func (h *holdNewViews) Inbox(i int) <-chan *types.Envelope { return h.inboxes[i] }
 
 // TestLentAuthAndVotesSurviveViewChange pins who copies what the pipeline
-// lends. An envelope's authenticator lives in the envelope and a decoded
-// vote in a recycled struct, and both are poisoned the moment they are
-// given back; an engine that keeps one without copying reads 0xDB. Four
+// lends. An envelope's authenticator lives in the envelope, a decoded vote
+// in a recycled struct, and so does every Prepare, Commit and Checkpoint an
+// engine emits until broadcast has encoded it; all are poisoned the moment
+// they are given back, so an engine that keeps one without copying, or a
+// replica that encodes its own vote after giving it back, reads 0xDB. Four
 // replicas with commit-certificate blocks run rounds in view 0, are forced
 // into view 1 — with replica 3's NewView held back until the others have
 // committed more batches in view 1, so replica 3 keeps their pre-prepares,
 // prepares and commits and replays them when it enters the view — and run
 // on. Every ledger must validate, every commit certificate entry must be
 // the authenticator its sender computed, and ledgers and stores must agree,
-// with no auth or decode failure anywhere.
+// with no auth or decode failure anywhere. The run goes twice: once with no
+// checkpoint, so every block's certificate is checked, and once with one
+// every fourth batch, where every replica's watermark must reach the last
+// checkpoint its ledger holds — a poisoned Checkpoint never makes a quorum.
 func TestLentAuthAndVotesSurviveViewChange(t *testing.T) {
 	for _, fabric := range []string{"tcp", "inproc"} {
 		for _, e := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/E=%d", fabric, e), func(t *testing.T) {
-				testLentAcrossViewChange(t, fabric == "tcp", e)
+				testLentAcrossViewChange(t, fabric == "tcp", e, 1<<20)
+				testLentAcrossViewChange(t, fabric == "tcp", e, 4)
 			})
 		}
 	}
 }
 
-func testLentAcrossViewChange(t *testing.T, tcp bool, execThreads int) {
+func testLentAcrossViewChange(t *testing.T, tcp bool, execThreads int, interval uint64) {
 	const (
 		rounds = 3 // closed-loop rounds per phase
 		window = 3 // requests in flight per round
@@ -92,7 +100,7 @@ func testLentAcrossViewChange(t *testing.T, tcp bool, execThreads int) {
 	var held *holdNewViews
 	c := newShapedRecycleCluster(t, tcp, execThreads, recycleShape{
 		ledger:   ledger.CommitCertificate,
-		interval: 1 << 20, // no stable checkpoint prunes a block whose certificate is checked
+		interval: interval,
 		wrap: func(id int, ep transport.Endpoint) transport.Endpoint {
 			if id != 3 {
 				return ep
@@ -183,7 +191,9 @@ func testLentAcrossViewChange(t *testing.T, tcp bool, execThreads int) {
 	// Everyone times out of view 0; replica 1 leads view 1, and replica 3
 	// will not hear of it until released.
 	for _, r := range c.replicas {
-		r.handleActions(r.engine.OnViewTimeout(0))
+		var out consensus.Out
+		r.engine.OnViewTimeout(0, &out)
+		r.handleActions(&out)
 	}
 	waitFor(t, func() bool {
 		return c.replicas[0].engine.View() == 1 && c.replicas[1].engine.View() == 1 && c.replicas[2].engine.View() == 1
@@ -233,7 +243,18 @@ func testLentAcrossViewChange(t *testing.T, tcp bool, execThreads int) {
 		}
 		entries += checkCommitProofs(t, c.dir, types.ReplicaID(i), r.Ledger())
 	}
-	t.Logf("%d blocks per replica, %d commit certificate entries verified", c.replicas[0].Ledger().Height(), entries)
+	// The last checkpoint every replica executed must become stable at all
+	// four: each needs the Checkpoints of at least two peers, as encoded.
+	last := types.SeqNum(c.replicas[0].Ledger().Height() / interval * interval)
+	waitFor(t, func() bool {
+		for _, r := range c.replicas {
+			if r.engine.(*pbft.Engine).LowWatermark() != last {
+				return false
+			}
+		}
+		return true
+	}, fmt.Sprintf("a checkpoint at %d never became stable everywhere", last))
+	t.Logf("%d blocks per replica, %d commit certificate entries verified, watermark %d", c.replicas[0].Ledger().Height(), entries, last)
 }
 
 // checkCommitProofs verifies replica id's retained commit certificates
@@ -293,9 +314,10 @@ func TestVoteAdmitToEngineAllocatesNothing(t *testing.T) {
 		body, tag []byte
 	}
 	var votes []wire
+	var out consensus.Out
 	for seq := types.SeqNum(1); seq <= runs+1; seq++ { // AllocsPerRun warms up once
 		d := types.Digest{byte(seq), byte(seq >> 8)}
-		r.engine.OnMessage(opener, &types.Prepare{Seq: seq, Digest: d, Replica: 3}, nil)
+		r.engine.OnMessage(opener, &types.Prepare{Seq: seq, Digest: d, Replica: 3}, nil, &out)
 		for _, m := range []types.Message{
 			&types.Prepare{Seq: seq, Digest: d, Replica: 2},
 			&types.Commit{Seq: seq, Digest: d, Replica: 2},
@@ -315,7 +337,7 @@ func TestVoteAdmitToEngineAllocatesNothing(t *testing.T) {
 			env.From, env.To, env.Type, env.Body = peer, self, v.mt, v.body
 			env.Auth = append(env.AuthBuffer(), v.tag...)
 			r.admit(env)
-			r.processItem(<-r.workQs[0])
+			r.processItem(<-r.workQs[0], &out)
 		}
 		next += 2
 	})

@@ -34,7 +34,7 @@ type fifoRecorder struct {
 	steps atomic.Uint64
 }
 
-func (e *fifoRecorder) OnMessage(from types.NodeID, msg types.Message, _ []byte) []consensus.Action {
+func (e *fifoRecorder) OnMessage(from types.NodeID, msg types.Message, _ []byte, _ *consensus.Out) {
 	m := msg.(*types.Prepare)
 	cell := &e.last[from.Replica()][uint64(m.Seq)%e.lanes]
 	if m.Seq <= *cell {
@@ -42,7 +42,6 @@ func (e *fifoRecorder) OnMessage(from types.NodeID, msg types.Message, _ []byte)
 	}
 	*cell = m.Seq
 	e.steps.Add(1)
-	return nil
 }
 
 // TestSenderFIFO: per-sender order survives the input stage with nothing but

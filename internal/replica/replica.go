@@ -767,11 +767,13 @@ type Replica struct {
 	// so no shard worker ever waits for a disk. inlineScratch is the
 	// write buffer of the inline apply, reused batch after batch (one
 	// stager at a time: the execute-thread, or a worker lane under
-	// inlineMu).
+	// inlineMu), and retireOut takes the engine's OnExecuted outputs (one
+	// retirer at a time, the same way).
 	execAppend    store.Appender
 	durableQ      chan durableWait
 	durableWg     sync.WaitGroup
 	inlineScratch []store.KV
+	retireOut     consensus.Out
 }
 
 // New creates a replica; call Start to launch the pipeline.

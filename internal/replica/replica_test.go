@@ -121,7 +121,9 @@ func TestNewViewRestartsWatchdog(t *testing.T) {
 	}
 	r.pendingHint.Store(true)
 	r.lastProgress.Store(time.Now().Add(-2 * cfg.ViewTimeout).UnixNano())
-	r.handleActions([]consensus.Action{consensus.ViewChanged{View: 1}})
+	var out consensus.Out
+	out.ViewChanged(1)
+	r.handleActions(&out)
 	if idle := time.Since(time.Unix(0, r.lastProgress.Load())); idle >= cfg.ViewTimeout {
 		t.Fatalf("a replica that just entered view 1 counts %v without progress against it, time-out %v", idle, cfg.ViewTimeout)
 	}

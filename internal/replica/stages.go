@@ -287,6 +287,7 @@ func (r *Replica) isPrimaryHint() bool {
 // a full watermark window is not counted.
 func (r *Replica) batchLoop() {
 	defer r.stage1Wg.Done()
+	var out consensus.Out
 	for {
 		first, ok := r.batchQ.Pop()
 		if !ok {
@@ -303,15 +304,16 @@ func (r *Replica) batchLoop() {
 			reqs = append(reqs, *next)
 			txns += len(next.Txns)
 		}
-		parked := r.propose(reqs)
+		parked := r.propose(reqs, &out)
 		r.addBusy(StageBatch, time.Since(t0)-parked)
 	}
 }
 
-// propose verifies client signatures and drives the engine's Propose,
-// retrying while the watermark window is full. It returns how long it sat
-// parked in awaitProgress, which is waiting, not work.
-func (r *Replica) propose(reqs []types.ClientRequest) (parked time.Duration) {
+// propose verifies client signatures and drives the engine's Propose into
+// out, the calling goroutine's own, retrying while the watermark window is
+// full. It returns how long it sat parked in awaitProgress, which is
+// waiting, not work.
+func (r *Replica) propose(reqs []types.ClientRequest, out *consensus.Out) (parked time.Duration) {
 	if len(reqs) == 0 {
 		return
 	}
@@ -339,12 +341,11 @@ func (r *Replica) propose(reqs []types.ClientRequest) (parked time.Duration) {
 		if !r.engine.IsPrimary() {
 			return parked // lost the primary role; clients will retransmit
 		}
-		acts := r.engine.Propose(reqs)
-		if acts != nil {
+		if r.engine.Propose(reqs, out) {
 			if r.cfg.DisableOutOfOrder {
 				r.inflight.Add(1)
 			}
-			r.handleActions(acts)
+			r.handleActions(out)
 			return parked
 		}
 		// Watermark window full (or the primary role was lost between the
@@ -427,17 +428,18 @@ func (r *Replica) workerLoop() {
 	defer r.stage1Wg.Done()
 	var pend []types.ClientRequest
 	pendTxns := 0
+	var out consensus.Out
 	for item := range r.workQs[0] {
 		t0 := time.Now()
 		if item.req != nil {
 			pend = append(pend, *item.req)
 			pendTxns += len(item.req.Txns)
 		} else {
-			r.processItem(item)
+			r.processItem(item, &out)
 		}
 		var parked time.Duration
 		if len(pend) > 0 && (pendTxns >= r.cfg.BatchSize || len(r.workQs[0]) == 0) {
-			parked = r.propose(pend)
+			parked = r.propose(pend, &out)
 			pend, pendTxns = nil, 0
 		}
 		r.addLaneBusy(0, time.Since(t0)-parked)
@@ -449,9 +451,10 @@ func (r *Replica) workerLoop() {
 // sequence-carrying traffic ever lands on these lanes.
 func (r *Replica) laneLoop(lane int) {
 	defer r.stage1Wg.Done()
+	var out consensus.Out
 	for item := range r.workQs[lane] {
 		t0 := time.Now()
-		r.processItem(item)
+		r.processItem(item, &out)
 		r.addLaneBusy(lane, time.Since(t0))
 	}
 }
@@ -460,8 +463,9 @@ func (r *Replica) laneLoop(lane int) {
 // input stage already decoded it). With VerifyThreads == 0 signature
 // verification happens here, on the worker lane, exactly where the paper
 // assigns it (Section 4.3); when the input-thread already authenticated
-// the envelope (verified true) it is not checked again.
-func (r *Replica) processItem(item workItem) {
+// the envelope (verified true) it is not checked again. The engine step
+// writes into out, the calling goroutine's own.
+func (r *Replica) processItem(item workItem, out *consensus.Out) {
 	env := item.env
 	// The lane is the envelope's final owner, and a vote's: the engine step
 	// below is the one they were decoded for. What outlives it is the
@@ -492,18 +496,19 @@ func (r *Replica) processItem(item workItem) {
 			return
 		}
 	}
-	acts := r.engine.OnMessage(env.From, item.msg, env.Auth)
+	r.engine.OnMessage(env.From, item.msg, env.Auth, out)
 	types.ReleaseVote(item.msg)
-	r.handleActions(acts)
+	r.handleActions(out)
 }
 
 // ---- Checkpoint stage (Section 4.7) ----
 
 func (r *Replica) checkpointLoop() {
 	defer r.stage1Wg.Done()
+	var out consensus.Out
 	for item := range r.ckptQ {
 		t0 := time.Now()
-		r.processItem(item)
+		r.processItem(item, &out)
 		r.addBusy(StageCheckpoint, time.Since(t0))
 	}
 }
@@ -542,25 +547,30 @@ func (r *Replica) compactLoop() {
 
 // ---- Action dispatch ----
 
-// handleActions interprets engine outputs. It may be called from any
-// lane, the checkpoint-thread, the execute-thread, or the watchdog; every
-// path it touches is safe for concurrent use.
-func (r *Replica) handleActions(acts []consensus.Action) {
-	for _, a := range acts {
-		switch act := a.(type) {
-		case consensus.Broadcast:
-			r.broadcast(act.Msg)
-		case consensus.Send:
-			r.sendTo(act.To, act.Msg)
-		case consensus.Execute:
+// handleActions interprets the outputs of the engine step just taken, in
+// order, and resets out. It may be called from any lane, the
+// checkpoint-thread, a batch-thread, the execute-thread, or the watchdog,
+// each with its own Out; every path it touches is safe for concurrent use.
+// A vote the engine broadcast is lent: it goes back to its pool once
+// broadcast has encoded it.
+func (r *Replica) handleActions(out *consensus.Out) {
+	outs := out.Outputs()
+	for i := range outs {
+		switch o := &outs[i]; o.Kind {
+		case consensus.KindBroadcast:
+			r.broadcast(o.Broadcast.Msg)
+			types.ReleaseVote(o.Broadcast.Msg)
+		case consensus.KindSend:
+			r.sendTo(o.Send.To, o.Send.Msg)
+		case consensus.KindExecute:
 			r.execPending.Add(1)
 			if r.cfg.ExecuteThreads > 0 {
-				r.execIn.Offer(uint64(act.Seq), execItem{act: act})
+				r.execIn.Offer(uint64(o.Execute.Seq), execItem{act: o.Execute})
 			} else {
-				r.inlineExecute(act)
+				r.inlineExecute(o.Execute)
 			}
-		case consensus.CheckpointStable:
-			r.ledger.Prune(uint64(act.Seq))
+		case consensus.KindCheckpointStable:
+			r.ledger.Prune(uint64(o.CheckpointStable.Seq))
 			// A stable checkpoint is the paper's license to discard old
 			// state (§4.7): the same moment the ledger prunes, the durable
 			// store may drop superseded record versions. Nudge the
@@ -569,8 +579,9 @@ func (r *Replica) handleActions(acts []consensus.Action) {
 			// A stable checkpoint advances the watermark window; wake any
 			// batch-thread parked on a full window.
 			r.signalProgress()
-		case consensus.ViewChanged:
-			r.notPrimary.Store(consensus.PrimaryOf(act.View, r.cfg.N) != r.cfg.ID)
+		case consensus.KindViewChanged:
+			view := o.ViewChanged.View
+			r.notPrimary.Store(consensus.PrimaryOf(view, r.cfg.N) != r.cfg.ID)
 			// The watchdog's timer restarts with the view (PBFT's rule): the
 			// new primary gets a whole ViewTimeout to show progress. Without
 			// this a replica that joined the view change on f+1 votes, not
@@ -578,11 +589,12 @@ func (r *Replica) handleActions(acts []consensus.Action) {
 			// its next tick, a moment after it entered, votes it out of the
 			// new view alone, and a lone voter is never followed.
 			r.lastProgress.Store(time.Now().UnixNano())
-			r.watchedView.Store(uint64(act.View))
-		case consensus.Evidence:
+			r.watchedView.Store(uint64(view))
+		case consensus.KindEvidence:
 			r.evidence.Add(1)
 		}
 	}
+	out.Reset()
 }
 
 // inlineExecute serializes in-order execution on the calling thread for 0E
@@ -1049,8 +1061,8 @@ func (r *Replica) retireBatch(b *inflightExec) {
 		return
 	}
 
-	ckActs := r.engine.OnExecuted(act.Seq, r.ledger.StateDigest())
-	r.handleActions(ckActs)
+	r.engine.OnExecuted(act.Seq, r.ledger.StateDigest(), &r.retireOut)
+	r.handleActions(&r.retireOut)
 
 	// The batch is applied and appended: this sequence number is now the
 	// snapshot position locally served reads report.
@@ -1275,6 +1287,7 @@ func (r *Replica) watchdogLoop() {
 	defer r.watchWg.Done()
 	tick := time.NewTicker(r.cfg.ViewTimeout / 2)
 	defer tick.Stop()
+	var out consensus.Out
 	for {
 		select {
 		case <-r.stop:
@@ -1290,8 +1303,8 @@ func (r *Replica) watchdogLoop() {
 			if idle < r.cfg.ViewTimeout {
 				continue
 			}
-			acts := r.engine.OnViewTimeout(view)
-			r.handleActions(acts)
+			r.engine.OnViewTimeout(view, &out)
+			r.handleActions(&out)
 			r.lastProgress.Store(time.Now().UnixNano()) // back off
 		}
 	}

@@ -19,12 +19,12 @@ type proposalCounter struct {
 	proposals atomic.Uint64
 }
 
-func (e *proposalCounter) OnMessage(from types.NodeID, msg types.Message, auth []byte) []consensus.Action {
+func (e *proposalCounter) OnMessage(from types.NodeID, msg types.Message, auth []byte, out *consensus.Out) {
 	switch msg.(type) {
 	case *types.PrePrepare, *types.OrderedRequest:
 		e.proposals.Add(1)
 	}
-	return e.Engine.OnMessage(from, msg, auth)
+	e.Engine.OnMessage(from, msg, auth, out)
 }
 
 // signedBatch is n client requests signed with the benchmark driver's
@@ -252,9 +252,8 @@ type stepCounter struct {
 	steps atomic.Uint64
 }
 
-func (e *stepCounter) OnMessage(types.NodeID, types.Message, []byte) []consensus.Action {
+func (e *stepCounter) OnMessage(types.NodeID, types.Message, []byte, *consensus.Out) {
 	e.steps.Add(1)
-	return nil
 }
 
 // TestAuthBeforeDecode: nothing unauthenticated reaches a lane, and with

@@ -14,6 +14,13 @@ type simReplica struct {
 	engine consensus.Engine
 	down   bool
 
+	// engineOut takes every engine step's outputs: the event loop runs one
+	// callback at a time and handleActions only schedules jobs, so no step
+	// begins while another's outputs are being handled. The votes engines
+	// lend through it are kept, not given back: a broadcast vote travels to
+	// every peer by pointer.
+	engineOut consensus.Out
+
 	inputC *Thread
 	inputR []*Thread
 	batch  []*Thread
@@ -185,39 +192,41 @@ func (sr *simReplica) dispatchBatch(reqs []types.ClientRequest) {
 // propose drives engine.Propose, retrying when the watermark window is
 // full.
 func (sr *simReplica) propose(t *Thread, reqs []types.ClientRequest) {
-	acts := sr.engine.Propose(reqs)
-	if acts == nil {
+	if !sr.engine.Propose(reqs, &sr.engineOut) {
 		if sr.engine.IsPrimary() {
 			sr.r.sim.After(100*Microsecond, func() { sr.propose(t, reqs) })
 		}
 		return
 	}
-	sr.handleActions(t, acts)
+	sr.handleActions(t)
 }
 
 // applyEngine feeds a verified message to the engine on thread t.
 func (sr *simReplica) applyEngine(t *Thread, from types.NodeID, msg types.Message) {
-	acts := sr.engine.OnMessage(from, msg, nil)
-	sr.handleActions(t, acts)
+	sr.engine.OnMessage(from, msg, nil, &sr.engineOut)
+	sr.handleActions(t)
 }
 
-// handleActions interprets engine outputs. Signing is billed as a
-// follow-up job on the producing thread (the paper assigns message
-// creation and signing to the thread that generates the message).
-func (sr *simReplica) handleActions(t *Thread, acts []consensus.Action) {
-	for _, a := range acts {
-		switch act := a.(type) {
-		case consensus.Broadcast:
-			sr.signAndBroadcast(t, act.Msg)
-		case consensus.Send:
-			sr.signAndSend(t, act.To, act.Msg)
-		case consensus.Execute:
-			sr.enqueueExecute(act)
-		case consensus.CheckpointStable, consensus.ViewChanged, consensus.Evidence:
+// handleActions interprets the outputs of the step just taken and resets
+// sr.engineOut. Signing is billed as a follow-up job on the producing
+// thread (the paper assigns message creation and signing to the thread that
+// generates the message).
+func (sr *simReplica) handleActions(t *Thread) {
+	outs := sr.engineOut.Outputs()
+	for i := range outs {
+		switch o := &outs[i]; o.Kind {
+		case consensus.KindBroadcast:
+			sr.signAndBroadcast(t, o.Broadcast.Msg)
+		case consensus.KindSend:
+			sr.signAndSend(t, o.Send.To, o.Send.Msg)
+		case consensus.KindExecute:
+			sr.enqueueExecute(o.Execute)
+		case consensus.KindCheckpointStable, consensus.KindViewChanged, consensus.KindEvidence:
 			// Pruning is free; view changes and evidence do not occur in
 			// the simulated fault-free and crash-only scenarios.
 		}
 	}
+	sr.engineOut.Reset()
 }
 
 func (sr *simReplica) msgSize(msg types.Message) int {
@@ -305,8 +314,8 @@ func (sr *simReplica) runExecute(act consensus.Execute) {
 // tell the engine (checkpoints), and answer every client in the batch.
 func (sr *simReplica) finishExecute(t *Thread, act consensus.Execute) {
 	sr.stateDig = hashChain(sr.stateDig, act.Digest)
-	acts := sr.engine.OnExecuted(act.Seq, sr.stateDig)
-	sr.handleActions(t, acts)
+	sr.engine.OnExecuted(act.Seq, sr.stateDig, &sr.engineOut)
+	sr.handleActions(t)
 
 	// One signing job covers the batch's responses (one authenticator
 	// per response message).

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"time"
 )
 
 // small returns a fast-running base configuration for tests.
@@ -129,6 +130,30 @@ func TestSimDeterminism(t *testing.T) {
 	b := mustRun(t, small(PBFT))
 	if a.ThroughputTxns != b.ThroughputTxns || a.Events != b.Events || a.MeanLatency != b.MeanLatency {
 		t.Fatalf("nondeterministic: %v/%v events %d/%d", a.ThroughputTxns, b.ThroughputTxns, a.Events, b.Events)
+	}
+}
+
+// TestSimGolden pins the simulator's results for the small configurations
+// to the last event: engines write their outputs into a buffer the driver
+// reuses, and any change to what they emit, or in which order, moves these
+// numbers.
+func TestSimGolden(t *testing.T) {
+	golden := []struct {
+		p      Protocol
+		events uint64
+		tput   float64
+		lat    time.Duration
+		slow   uint64
+	}{
+		{PBFT, 415536, 172866.6666666667, 8674259, 0},
+		{Zyzzyva, 386534, 173333.33333333334, 8675427, 0},
+	}
+	for _, g := range golden {
+		res := mustRun(t, small(g.p))
+		if res.Events != g.events || res.ThroughputTxns != g.tput || res.MeanLatency != g.lat || res.SlowPath != g.slow {
+			t.Errorf("%v: events %d, throughput %v, mean latency %d ns, slow path %d; want %d, %v, %d ns, %d",
+				g.p, res.Events, res.ThroughputTxns, int64(res.MeanLatency), res.SlowPath, g.events, g.tput, int64(g.lat), g.slow)
+		}
 	}
 }
 

@@ -150,18 +150,21 @@ func (e *Envelope) Release() {
 	}
 }
 
-// Prepare, Commit and Checkpoint are most of a replica's inbound traffic,
-// and each lives for the one engine step it is decoded for: DecodeEnvelope
-// decodes them into structs recycled here.
+// Prepare, Commit and Checkpoint are most of a replica's traffic, inbound
+// and outbound, and each lives for one engine step or one encode:
+// DecodeEnvelope decodes them into structs recycled here, and engines build
+// the ones they emit in them.
 var (
 	preparePool    = sync.Pool{New: func() any { return new(Prepare) }}
 	commitPool     = sync.Pool{New: func() any { return new(Commit) }}
 	checkpointPool = sync.Pool{New: func() any { return new(Checkpoint) }}
 )
 
-// acquireVote returns a recycled struct for a vote type, nil for any other.
-// Decoding a vote sets every field, so a recycled one needs no reset.
-func acquireVote(t MsgType) Message {
+// AcquireVote returns a recycled struct for a vote type — *Prepare, *Commit
+// or *Checkpoint — and nil for any other. Its fields hold whatever its last
+// user left: whoever acquires one sets every field. A vote an engine emits
+// is lent to the driver, which gives it back with ReleaseVote once encoded.
+func AcquireVote(t MsgType) Message {
 	switch t {
 	case MsgPrepare:
 		return preparePool.Get().(*Prepare)
@@ -174,8 +177,9 @@ func acquireVote(t MsgType) Message {
 }
 
 // ReleaseVote gives back a vote DecodeEnvelope decoded, once the step it
-// was decoded for is over; whoever keeps a vote past that step keeps a copy.
-// It ignores every other message: a proposal or a request outlives its step.
+// was decoded for is over, or one an engine emitted, once it is encoded;
+// whoever keeps a vote past that point keeps a copy. It ignores every
+// other message: a proposal or a request outlives its step.
 func ReleaseVote(m Message) {
 	poison := poisonLent.Load()
 	switch v := m.(type) {

@@ -95,7 +95,7 @@ func newMessage(t MsgType) (Message, error) {
 var readerPool = sync.Pool{New: func() any { return new(Reader) }}
 
 // decodeInto is the one body decoder behind both entry points below; the
-// message it fills is fresh (newMessage) or a recycled vote (acquireVote).
+// message it fills is fresh (newMessage) or a recycled vote (AcquireVote).
 // Decoding is canonical: a body it accepts re-encodes to the same bytes.
 // The body must therefore be consumed exactly — a decodable prefix with
 // trailing garbage is malformed, because accepting it would let two
@@ -158,7 +158,7 @@ func bearsRequests(t MsgType) bool {
 // leaves the arena untouched. This is the only decoder that builds views,
 // so an aliased message over a recyclable buffer cannot be built at all.
 func DecodeEnvelope(e *Envelope) (Message, error) {
-	if vote := acquireVote(e.Type); vote != nil {
+	if vote := AcquireVote(e.Type); vote != nil {
 		if err := decodeInto(vote, e.Body, false); err != nil {
 			ReleaseVote(vote)
 			return nil, err
