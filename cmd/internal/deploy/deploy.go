@@ -1,9 +1,9 @@
 // Package deploy is the preamble resdb-node, resdb-client and
 // resdb-gateway share: the flags that describe a TCP deployment (who the
-// replicas are, which protocol they run, the seed their keys derive from,
-// how the transport batches) registered once, and the pieces every binary
-// builds from them — the address map, the key directory, and a TCP
-// endpoint for a replica or for a client identity.
+// replicas are, the seed their keys derive from, how the transport
+// batches) registered once, and the pieces every binary builds from them
+// — the address map, the key directory, and a TCP endpoint for a replica
+// or for a client identity.
 package deploy
 
 import (
@@ -12,9 +12,7 @@ import (
 	"strings"
 	"time"
 
-	clientengine "resilientdb/internal/consensus/client"
 	"resilientdb/internal/crypto"
-	"resilientdb/internal/replica"
 	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
 )
@@ -26,7 +24,6 @@ type Flags struct {
 	Seed int64
 
 	n           int
-	protocol    string
 	members     string // comma-separated replica addresses, index = id
 	membersFlag string
 	netBatch    int
@@ -46,7 +43,6 @@ func Register(fs *flag.FlagSet, isReplica bool) *Flags {
 		f.membersFlag = "replicas"
 		fs.StringVar(&f.members, "replicas", "", "comma-separated replica addresses, index = id")
 	}
-	fs.StringVar(&f.protocol, "protocol", "pbft", "pbft | zyzzyva")
 	fs.Int64Var(&f.Seed, "seed", 1, "shared key-derivation seed (the same on every node, client and gateway)")
 	fs.IntVar(&f.netBatch, "net-batch", transport.DefaultBatchMax, "max envelopes per TCP batch frame (1 disables transport batching)")
 	fs.DurationVar(&f.netLinger, "net-linger", 0, "how long a partial TCP batch waits for more envelopes before flushing (0 flushes when the queue drains)")
@@ -56,10 +52,6 @@ func Register(fs *flag.FlagSet, isReplica bool) *Flags {
 // Deployment is what the flags resolve to.
 type Deployment struct {
 	N int
-	// ReplicaProtocol and ClientProtocol are -protocol in the two forms
-	// the replica and the client engine take.
-	ReplicaProtocol replica.Protocol
-	ClientProtocol  clientengine.Protocol
 	// Addrs maps every replica to its dialable address.
 	Addrs map[types.NodeID]string
 	// Directory is the key material derived from -seed.
@@ -73,14 +65,6 @@ type Deployment struct {
 // error.
 func (f *Flags) Resolve() (*Deployment, error) {
 	d := &Deployment{N: f.n, batchMax: f.netBatch, linger: f.netLinger}
-	switch f.protocol {
-	case "pbft":
-		d.ReplicaProtocol, d.ClientProtocol = replica.PBFT, clientengine.PBFT
-	case "zyzzyva":
-		d.ReplicaProtocol, d.ClientProtocol = replica.Zyzzyva, clientengine.Zyzzyva
-	default:
-		return nil, fmt.Errorf("unknown protocol %q (want pbft|zyzzyva)", f.protocol)
-	}
 	list := strings.Split(f.members, ",")
 	if len(list) != f.n {
 		return nil, fmt.Errorf("-%s must list exactly %d addresses", f.membersFlag, f.n)

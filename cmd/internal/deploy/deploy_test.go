@@ -13,12 +13,18 @@ import (
 	"resilientdb/internal/types"
 )
 
-func parse(t *testing.T, isReplica bool, args ...string) *Flags {
-	t.Helper()
+// parseArgs registers the shared flags on a fresh flag set and parses args.
+func parseArgs(isReplica bool, args ...string) (*Flags, error) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	f := Register(fs, isReplica)
-	if err := fs.Parse(args); err != nil {
+	return f, fs.Parse(args)
+}
+
+func parse(t *testing.T, isReplica bool, args ...string) *Flags {
+	t.Helper()
+	f, err := parseArgs(isReplica, args...)
+	if err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
 	return f
@@ -26,27 +32,33 @@ func parse(t *testing.T, isReplica bool, args ...string) *Flags {
 
 func TestResolve(t *testing.T) {
 	const four = "127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003"
+	// A deployment runs PBFT: -protocol is no flag at all, so naming any
+	// protocol, on a replica or a client, is a usage error.
+	const noProtocolFlag = "flag provided but not defined: -protocol"
 	tests := []struct {
 		name      string
 		isReplica bool
 		args      []string
-		wantProto string
 		wantErr   string
 	}{
-		{name: "replica defaults", isReplica: true, args: []string{"-peers", four}, wantProto: "pbft"},
-		{name: "client zyzzyva", args: []string{"-replicas", four, "-protocol", "zyzzyva"}, wantProto: "zyzzyva"},
-		{name: "whitespace in the list", args: []string{"-replicas", " 127.0.0.1:7000, 127.0.0.1:7001 ,127.0.0.1:7002,\t127.0.0.1:7003"}, wantProto: "pbft"},
-		{name: "unknown protocol", args: []string{"-replicas", four, "-protocol", "raft"}, wantErr: `unknown protocol "raft"`},
+		{name: "replica defaults", isReplica: true, args: []string{"-peers", four}},
+		{name: "client zyzzyva", args: []string{"-replicas", four, "-protocol", "zyzzyva"}, wantErr: noProtocolFlag},
+		{name: "whitespace in the list", args: []string{"-replicas", " 127.0.0.1:7000, 127.0.0.1:7001 ,127.0.0.1:7002,\t127.0.0.1:7003"}},
+		{name: "unknown protocol", isReplica: true, args: []string{"-peers", four, "-protocol", "pbft"}, wantErr: noProtocolFlag},
 		{name: "too few peers", isReplica: true, args: []string{"-peers", "127.0.0.1:7000,127.0.0.1:7001"}, wantErr: "-peers must list exactly 4"},
 		{name: "too many replicas", args: []string{"-n", "4", "-replicas", four + ",127.0.0.1:7004"}, wantErr: "-replicas must list exactly 4"},
 		{name: "empty list", args: nil, wantErr: "-replicas must list exactly 4"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			d, err := parse(t, tt.isReplica, tt.args...).Resolve()
+			f, err := parseArgs(tt.isReplica, tt.args...)
+			var d *Deployment
+			if err == nil {
+				d, err = f.Resolve()
+			}
 			if tt.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
-					t.Fatalf("Resolve() = %v, want error containing %q", err, tt.wantErr)
+					t.Fatalf("parse and Resolve() = %v, want error containing %q", err, tt.wantErr)
 				}
 				return
 			}
@@ -61,9 +73,6 @@ func TestResolve(t *testing.T) {
 				if got := d.Addrs[types.ReplicaNode(types.ReplicaID(i))]; got != want {
 					t.Fatalf("replica %d address = %q, want %q", i, got, want)
 				}
-			}
-			if d.ReplicaProtocol.String() != tt.wantProto || d.ClientProtocol.String() != tt.wantProto {
-				t.Fatalf("protocols = %v / %v, want %s", d.ReplicaProtocol, d.ClientProtocol, tt.wantProto)
 			}
 		})
 	}

@@ -109,7 +109,6 @@ func run() int {
 		cl, err := cluster.NewClient(cluster.ClientConfig{
 			ID:        types.ClientID(i),
 			N:         d.N,
-			Protocol:  d.ClientProtocol,
 			Burst:     *burst,
 			Timeout:   *timeout,
 			Directory: d.Directory,
@@ -131,7 +130,7 @@ func run() int {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	var txns, reads, scansN, writes, local, stale, fast, slow, retx uint64
+	var txns, reads, scansN, writes, local, stale, retx uint64
 	var latSum time.Duration
 	var latN uint64
 	var p99, readP50, readP95, scanP50, scanP95, writeP50, writeP95 time.Duration
@@ -143,8 +142,6 @@ func run() int {
 		writes += s.WriteTxns
 		local += s.LocalReads
 		stale += s.StaleFallbacks
-		fast += s.FastPath
-		slow += s.SlowPath
 		retx += s.Retransmits
 		h := cl.Latency()
 		latSum += time.Duration(uint64(h.Mean()) * h.Count())
@@ -181,8 +178,8 @@ func run() int {
 	if latN > 0 {
 		mean = latSum / time.Duration(latN)
 	}
-	fmt.Printf("txns=%d tput=%.0f txn/s mean=%s p99=%s fast=%d slow=%d retx=%d\n",
-		txns, stats.Throughput(txns, elapsed), mean, p99, fast, slow, retx)
+	fmt.Printf("txns=%d tput=%.0f txn/s mean=%s p99=%s retx=%d\n",
+		txns, stats.Throughput(txns, elapsed), mean, p99, retx)
 	if reads > 0 || scansN > 0 {
 		fmt.Printf("reads=%d (p50=%s p95=%s)", reads, readP50, readP95)
 		if scansN > 0 {

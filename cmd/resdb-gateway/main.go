@@ -78,7 +78,6 @@ func run() int {
 
 	cfg := gateway.Config{
 		N:         d.N,
-		Protocol:  d.ClientProtocol,
 		Directory: d.Directory,
 		Endpoint: func(id types.ClientID) (transport.Endpoint, error) {
 			ep, err := d.ClientEndpoint(id)
@@ -142,7 +141,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		}
 	}()
-	fmt.Printf("gateway (%s, %d replicas) listening on %s\n", d.ClientProtocol, d.N, ln.Addr())
+	fmt.Printf("gateway (%d replicas) listening on %s\n", d.N, ln.Addr())
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

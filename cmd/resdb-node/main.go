@@ -3,8 +3,8 @@
 // Every node of a deployment is started with the same -n, -seed, and
 // -peers list; key material is derived deterministically from the seed
 // (see internal/crypto), standing in for out-of-band provisioning. Those
-// flags, -protocol and the -net-* pair are shared with resdb-client and
-// resdb-gateway and registered by cmd/internal/deploy.
+// flags and the -net-* pair are shared with resdb-client and resdb-gateway
+// and registered by cmd/internal/deploy. A node runs PBFT.
 //
 // Inbound TCP frames are always decoded in place from pooled buffers,
 // outbound bodies always marshal into pooled arenas, and verify workers
@@ -33,8 +33,7 @@
 //     paper's baseline assignment).
 //   - -worker-threads W: step the consensus engine on W parallel worker
 //     lanes routed by sequence number (control traffic stays on lane 0);
-//     1 restores the paper's single worker-thread. Zyzzyva always runs a
-//     single lane (its speculative history is inherently ordered).
+//     1 restores the paper's single worker-thread.
 //   - -execute-shards E: apply committed batches on E parallel execution
 //     shards, each owning a hash partition of the key space (write-set
 //     partitioning keeps parallel execution deterministic; in-order batch
@@ -196,7 +195,6 @@ func run() int {
 	rep, err := replica.New(replica.Config{
 		ID:                types.ReplicaID(*id),
 		N:                 d.N,
-		Protocol:          d.ReplicaProtocol,
 		BatchSize:         *batch,
 		BatchThreads:      knob(*batchThreads, 2),
 		ExecuteThreads:    execThreads,
@@ -214,7 +212,7 @@ func run() int {
 		return 1
 	}
 	rep.Start()
-	fmt.Printf("replica %d/%d (%s) listening on %s\n", *id, d.N, d.ReplicaProtocol, ep.Addr())
+	fmt.Printf("replica %d/%d listening on %s\n", *id, d.N, ep.Addr())
 
 	profiling := *pprofAddr != ""
 	if profiling {

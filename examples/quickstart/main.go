@@ -21,7 +21,6 @@ func main() {
 	c, err := resilientdb.NewCluster(resilientdb.ClusterOptions{
 		N:         4,
 		Clients:   8,
-		Protocol:  resilientdb.PBFT,
 		BatchSize: 16,
 		Crypto:    resilientdb.RecommendedCrypto(),
 		Workload:  wl,

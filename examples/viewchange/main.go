@@ -22,7 +22,6 @@ func main() {
 	c, err := resilientdb.NewCluster(resilientdb.ClusterOptions{
 		N:             4,
 		Clients:       4,
-		Protocol:      resilientdb.PBFT,
 		BatchSize:     8,
 		Workload:      wl,
 		ClientTimeout: 100 * time.Millisecond,

@@ -23,13 +23,10 @@ type ClientConfig struct {
 	// ID identifies the client; N is the replica count.
 	ID types.ClientID
 	N  int
-	// Protocol selects the quorum rules (PBFT or Zyzzyva).
-	Protocol clientengine.Protocol
 	// Burst is the number of transactions per request (client-side
 	// batching, Section 4.2).
 	Burst int
-	// Timeout is the retransmission / slow-path trigger delay. The paper
-	// keeps it short for Zyzzyva failure experiments (Section 5.10).
+	// Timeout is the retransmission delay.
 	Timeout time.Duration
 	// Directory provides key material; Endpoint attaches the network;
 	// Workload generates transactions.
@@ -50,8 +47,6 @@ type ClientConfig struct {
 type ClientStats struct {
 	TxnsCompleted uint64
 	Requests      uint64
-	FastPath      uint64
-	SlowPath      uint64
 	Retransmits   uint64
 	// ReadTxns, ScanTxns, and WriteTxns split TxnsCompleted by request
 	// kind — write beats scan beats read: a request carrying any write
@@ -114,7 +109,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	default:
 		return nil, fmt.Errorf("cluster: client %d unknown read mode %q (want quorum|local)", cfg.ID, cfg.ReadMode)
 	}
-	link, err := clientengine.NewLink(cfg.ID, cfg.N, cfg.Protocol, cfg.Directory, cfg.Endpoint, cfg.Timeout)
+	link, err := clientengine.NewLink(cfg.ID, cfg.N, cfg.Directory, cfg.Endpoint, cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -145,12 +140,9 @@ func (c *Client) WriteLatency() *stats.Histogram { return c.writeLat }
 
 // Stats returns a snapshot of the client's counters.
 func (c *Client) Stats() ClientStats {
-	es := c.link.Stats()
 	return ClientStats{
 		TxnsCompleted:  c.txns,
 		Requests:       c.requests,
-		FastPath:       es.FastPath,
-		SlowPath:       es.SlowPath,
 		Retransmits:    c.link.Retransmits() + c.localRetx,
 		ReadTxns:       c.readTxns,
 		ScanTxns:       c.scanTxns,

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	clientengine "resilientdb/internal/consensus/client"
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/ledger"
 	"resilientdb/internal/replica"
@@ -25,8 +24,6 @@ type Options struct {
 	// closed-loop clients.
 	N       int
 	Clients int
-	// Protocol selects PBFT or Zyzzyva for replicas and clients alike.
-	Protocol replica.Protocol
 	// Burst is transactions per client request; BatchSize transactions
 	// per consensus batch.
 	Burst     int
@@ -52,8 +49,7 @@ type Options struct {
 	ExecPipelineDepth int
 	// WorkerThreads is W, the number of parallel worker lanes stepping
 	// the consensus engine (default 1, the paper's baseline; see
-	// replica.Config.WorkerThreads). Zyzzyva replicas always run a
-	// single lane regardless of this knob.
+	// replica.Config.WorkerThreads).
 	WorkerThreads int
 	// Crypto selects the signature configuration (default: the paper's
 	// recommended CMAC + ED25519 combination).
@@ -125,9 +121,6 @@ func (o *Options) fill() error {
 	if o.Clients < 1 {
 		o.Clients = 4
 	}
-	if o.Protocol == 0 {
-		o.Protocol = replica.PBFT
-	}
 	if o.Burst < 1 {
 		o.Burst = 1
 	}
@@ -196,8 +189,6 @@ type Result struct {
 	MeanLat    time.Duration
 	P50Lat     time.Duration
 	P99Lat     time.Duration
-	FastPath   uint64
-	SlowPath   uint64
 	Retransmit uint64
 	// Read/scan/write split, classified write over scan over read:
 	// ReadTxns counts transactions from point-read-only requests (however
@@ -225,8 +216,8 @@ type Result struct {
 
 // String renders a compact one-line summary.
 func (r Result) String() string {
-	s := fmt.Sprintf("txns=%d tput=%.0f txn/s mean=%s p50=%s p99=%s fast=%d slow=%d retx=%d",
-		r.Txns, r.Throughput, r.MeanLat, r.P50Lat, r.P99Lat, r.FastPath, r.SlowPath, r.Retransmit)
+	s := fmt.Sprintf("txns=%d tput=%.0f txn/s mean=%s p50=%s p99=%s retx=%d",
+		r.Txns, r.Throughput, r.MeanLat, r.P50Lat, r.P99Lat, r.Retransmit)
 	if r.ReadTxns > 0 || r.ScanTxns > 0 {
 		s += fmt.Sprintf(" reads=%d(p50=%s p95=%s)", r.ReadTxns, r.ReadP50Lat, r.ReadP95Lat)
 		if r.ScanTxns > 0 {
@@ -336,7 +327,6 @@ func (c *Cluster) buildReplica(id types.ReplicaID, st store.Store, boot *replica
 	return replica.New(replica.Config{
 		ID:                 id,
 		N:                  opts.N,
-		Protocol:           opts.Protocol,
 		BatchSize:          opts.BatchSize,
 		BatchThreads:       opts.BatchThreads,
 		ExecuteThreads:     opts.ExecuteThreads,
@@ -405,10 +395,6 @@ func New(opts Options) (*Cluster, error) {
 		c.replicas = append(c.replicas, rep)
 	}
 
-	proto := clientengine.PBFT
-	if opts.Protocol == replica.Zyzzyva {
-		proto = clientengine.Zyzzyva
-	}
 	for i := 0; i < opts.Clients; i++ {
 		id := types.ClientID(i)
 		wl, err := workload.New(opts.Workload, int64(i)+opts.Seed)
@@ -419,7 +405,6 @@ func New(opts Options) (*Cluster, error) {
 		cl, err := NewClient(ClientConfig{
 			ID:        id,
 			N:         opts.N,
-			Protocol:  proto,
 			Burst:     opts.Burst,
 			Timeout:   opts.ClientTimeout,
 			Directory: dir,
@@ -617,8 +602,6 @@ func (c *Cluster) Run(ctx context.Context, d time.Duration) Result {
 	for i, cl := range c.clients {
 		s := cl.Stats()
 		res.Txns += s.TxnsCompleted - before[i].TxnsCompleted
-		res.FastPath += s.FastPath - before[i].FastPath
-		res.SlowPath += s.SlowPath - before[i].SlowPath
 		res.Retransmit += s.Retransmits - before[i].Retransmits
 		res.ReadTxns += s.ReadTxns - before[i].ReadTxns
 		res.ScanTxns += s.ScanTxns - before[i].ScanTxns

@@ -9,6 +9,8 @@ import (
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/ledger"
 	"resilientdb/internal/replica"
+	"resilientdb/internal/transport"
+	"resilientdb/internal/types"
 	"resilientdb/internal/workload"
 )
 
@@ -73,25 +75,56 @@ func TestPBFTClusterEndToEnd(t *testing.T) {
 	if len(blk.CommitProof) < 3 {
 		t.Fatalf("block carries %d commit sigs, want ≥ 3", len(blk.CommitProof))
 	}
-	// Client-side results were all fast path (no failures injected).
-	if res.SlowPath != 0 {
-		t.Fatalf("unexpected slow-path completions: %s", res)
-	}
 }
 
+// TestZyzzyvaClusterEndToEnd keeps its name from when a cluster could run
+// Zyzzyva; it now pins that a cluster cannot. The primary's own, authentic
+// OrderedRequest (Zyzzyva's proposal) is refused by every backup before it
+// is authenticated or decoded, counted as malformed and answered by no one,
+// and the cluster keeps committing.
 func TestZyzzyvaClusterEndToEnd(t *testing.T) {
 	opts := smallOpts()
-	opts.Protocol = replica.Zyzzyva
-	c, res := runCluster(t, opts, 1500*time.Millisecond)
+	var primary transport.Endpoint
+	opts.EndpointWrapper = func(id types.ReplicaID, ep transport.Endpoint, _ *crypto.Directory) transport.Endpoint {
+		if id == 0 {
+			primary = ep
+		}
+		return ep
+	}
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	t.Cleanup(c.Stop)
+	dir := c.Directory()
+	victim := c.AttachClient(900, 0)
+	defer victim.Close()
+
+	reqs := []types.ClientRequest{signedRequest(t, dir, 900)}
+	digest := types.BatchDigest(reqs)
+	or := &types.OrderedRequest{View: 0, Seq: 1, Digest: digest, History: crypto.HashChain(types.Digest{}, digest), Requests: reqs}
+	body := types.MarshalBody(or)
+	for i := 1; i < opts.N; i++ {
+		to := types.ReplicaNode(types.ReplicaID(i))
+		tag, err := dir.NodeAuth(types.ReplicaNode(0)).Sign(to, types.AuthenticatedBytes(or.Type(), body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := primary.Send(&types.Envelope{From: types.ReplicaNode(0), To: to, Type: or.Type(), Body: body, Auth: tag}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitRefused(t, c, 1, 1, 2, 3)
+
+	res := c.Run(context.Background(), time.Second)
 	if res.Txns == 0 {
 		t.Fatalf("no transactions completed: %s", res)
-	}
-	if res.FastPath == 0 {
-		t.Fatalf("fault-free Zyzzyva never used the fast path: %s", res)
 	}
 	if err := c.VerifyLedgers(nil); err != nil {
 		t.Fatal(err)
 	}
+	expectNoReply(t, victim)
 }
 
 func TestPBFTSurvivesBackupCrash(t *testing.T) {
@@ -113,10 +146,14 @@ func TestPBFTSurvivesBackupCrash(t *testing.T) {
 	}
 }
 
+// TestZyzzyvaBackupCrashForcesSlowPath keeps its name from when a crashed
+// backup pushed Zyzzyva clients onto the commit-certificate slow path; it
+// now pins that a replica serves no such path. A client's CommitCert, sent
+// while one backup is down, is refused on the client inbox without a
+// signature check, forged or not, counted as malformed and answered by no
+// one, and the three live replicas keep committing.
 func TestZyzzyvaBackupCrashForcesSlowPath(t *testing.T) {
 	opts := smallOpts()
-	opts.Protocol = replica.Zyzzyva
-	opts.ClientTimeout = 100 * time.Millisecond // "wait for only a little time"
 	c, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -124,15 +161,77 @@ func TestZyzzyvaBackupCrashForcesSlowPath(t *testing.T) {
 	c.Start()
 	t.Cleanup(c.Stop)
 	c.Crash(3)
-	res := c.Run(context.Background(), 1500*time.Millisecond)
+	dir := c.Directory()
+	const id = 900
+	ep := c.AttachClient(id, 0)
+	defer ep.Close()
+
+	cert := &types.CommitCert{Client: id, ClientSeq: 1, View: 0, Seq: 1, Replicas: []types.ReplicaID{0, 1, 2}}
+	body := types.MarshalBody(cert)
+	for i := 0; i < opts.N; i++ {
+		to := types.ReplicaNode(types.ReplicaID(i))
+		tag, err := dir.NodeAuth(types.ClientNode(id)).Sign(to, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forged := append([]byte(nil), tag...)
+		forged[0] ^= 0xFF
+		for _, auth := range [][]byte{tag, forged} {
+			if err := ep.Send(&types.Envelope{From: types.ClientNode(id), To: to, Type: cert.Type(), Body: body, Auth: auth}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	awaitRefused(t, c, 2, 0, 1, 2)
+
+	res := c.Run(context.Background(), time.Second)
 	if res.Txns == 0 {
-		t.Fatalf("Zyzzyva completed nothing via slow path: %s", res)
+		t.Fatalf("no progress with one backup down: %s", res)
 	}
-	if res.SlowPath == 0 {
-		t.Fatalf("one crashed backup should force the slow path: %s", res)
+	if err := c.VerifyLedgers(func(i int) bool { return i != 3 }); err != nil {
+		t.Fatal(err)
 	}
-	if res.FastPath != 0 {
-		t.Fatalf("fast path impossible with a crashed replica: %s", res)
+	expectNoReply(t, ep)
+}
+
+// signedRequest is a one-write request from client id, signed as a client
+// signs it.
+func signedRequest(t *testing.T, dir *crypto.Directory, id types.ClientID) types.ClientRequest {
+	t.Helper()
+	req := types.ClientRequest{Client: id, FirstSeq: 1, Txns: []types.Transaction{
+		{Client: id, ClientSeq: 1, Ops: []types.Op{{Key: 1, Value: []byte("v")}}},
+	}}
+	sig, err := dir.NodeAuth(types.ClientNode(id)).Sign(types.ReplicaNode(0), req.SigningBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Sig = sig
+	return req
+}
+
+// awaitRefused waits until each named replica has counted want malformed
+// envelopes, and checks none was counted as an authentication failure: a
+// refused type is dropped before its authenticator is looked at.
+func awaitRefused(t *testing.T, c *Cluster, want uint64, replicas ...int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, i := range replicas {
+		for c.Replica(i).Stats().DecodeFailures < want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if s := c.Replica(i).Stats(); s.DecodeFailures != want || s.AuthFailures != 0 {
+			t.Fatalf("replica %d: decode failures %d, auth failures %d; want %d, 0", i, s.DecodeFailures, s.AuthFailures, want)
+		}
+	}
+}
+
+// expectNoReply fails if anything reached the client endpoint ep.
+func expectNoReply(t *testing.T, ep transport.Endpoint) {
+	t.Helper()
+	select {
+	case env := <-ep.Inbox(0):
+		t.Fatalf("a refused message drew a %v from %v", env.Type, env.From)
+	default:
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	clientengine "resilientdb/internal/consensus/client"
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/replica"
 	"resilientdb/internal/transport"
@@ -99,7 +98,6 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 		cl, err := NewClient(ClientConfig{
 			ID:        types.ClientID(i),
 			N:         n,
-			Protocol:  clientengine.PBFT,
 			Timeout:   400 * time.Millisecond,
 			Directory: dir,
 			Endpoint:  cep,

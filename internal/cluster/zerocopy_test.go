@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	clientengine "resilientdb/internal/consensus/client"
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/ledger"
 	"resilientdb/internal/replica"
@@ -134,7 +133,6 @@ func TestTCPClusterZeroCopyEndToEnd(t *testing.T) {
 		cl, err := NewClient(ClientConfig{
 			ID:        types.ClientID(i),
 			N:         n,
-			Protocol:  clientengine.PBFT,
 			Timeout:   400 * time.Millisecond,
 			Directory: dir,
 			Endpoint:  cep,

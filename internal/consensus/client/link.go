@@ -34,11 +34,11 @@ type Link struct {
 	retransmits atomic.Uint64
 }
 
-// NewLink creates the engine for client id and attaches it to ep, which
-// the Link reads (inbox 0) but does not close. timeout is the
-// retransmission / slow-path trigger delay.
-func NewLink(id types.ClientID, n int, protocol Protocol, dir *crypto.Directory, ep transport.Endpoint, timeout time.Duration) (*Link, error) {
-	eng, err := New(id, n, protocol)
+// NewLink creates the PBFT engine for client id and attaches it to ep,
+// which the Link reads (inbox 0) but does not close. timeout is the
+// retransmission delay.
+func NewLink(id types.ClientID, n int, dir *crypto.Directory, ep transport.Endpoint, timeout time.Duration) (*Link, error) {
+	eng, err := New(id, n, PBFT)
 	if err != nil {
 		return nil, err
 	}
@@ -55,11 +55,7 @@ func NewLink(id types.ClientID, n int, protocol Protocol, dir *crypto.Directory,
 	}, nil
 }
 
-// Stats returns the engine's counters.
-func (l *Link) Stats() Stats { return l.engine.Stats() }
-
-// Retransmits counts the timeouts Await answered with a retransmission
-// (or, for Zyzzyva, the commit-certificate phase).
+// Retransmits counts the timeouts Await answered with a retransmission.
 func (l *Link) Retransmits() uint64 { return l.retransmits.Load() }
 
 // Sign seals req — the one pass this process makes over its bytes — and
@@ -148,8 +144,8 @@ func (l *Link) dispatch(acts []consensus.Action) {
 // envelope — the request's own Sig, which the primary's batch stage
 // checks before proposing, is what authenticates it — so a second
 // signature over the same bytes would be paid for by every request and
-// read by no one. Read requests and commit certificates carry no
-// signature of their own and are verified by envelope.
+// read by no one. Read requests carry no signature of their own and are
+// verified by envelope.
 func (l *Link) Transmit(to types.NodeID, msg types.Message) {
 	// The high-water-mark hint keeps marshals in the right capacity class
 	// so steady-state encodes borrow instead of growing.

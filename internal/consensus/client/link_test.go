@@ -23,7 +23,7 @@ func TestTransmitSignsWhatReplicasVerify(t *testing.T) {
 	defer replica.Close()
 	ep := net.Endpoint(types.ClientNode(9), 1, 8)
 	defer ep.Close()
-	link, err := NewLink(9, 4, PBFT, dir, ep, time.Second)
+	link, err := NewLink(9, 4, dir, ep, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@
 package consensus
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"resilientdb/internal/types"
@@ -47,8 +46,9 @@ type Broadcast struct {
 }
 
 // Execute hands an ordered batch to the execution layer. For PBFT the
-// batch carries its 2f+1 commit certificate; for Zyzzyva the batch is
-// Speculative and carries the history digest the response must embed.
+// batch carries its 2f+1 commit certificate; for Zyzzyva (run by the
+// simulator only) the batch is Speculative and carries the history digest
+// the response must embed.
 type Execute struct {
 	Seq         types.SeqNum
 	View        types.View
@@ -160,12 +160,11 @@ func (Evidence) isAction()         {}
 
 // Engine is a replica-side consensus state machine.
 //
-// Stepping methods (OnMessage, Propose, OnExecuted, OnViewTimeout) are by
-// default not safe for concurrent use: exactly one goroutine (the
-// worker-thread) or one simulator event at a time may step them. Engines
-// that additionally implement ConcurrentStepper may be stepped from many
-// worker lanes at once. Drivers that cannot know which kind they hold wrap
-// the engine with Serialize.
+// Whether stepping methods (OnMessage, Propose, OnExecuted, OnViewTimeout)
+// are safe for concurrent use is the engine's own contract: the PBFT engine
+// stripes its instances and may be stepped from many worker lanes at once;
+// the Zyzzyva engine, stepped only by the simulator, takes one step at a
+// time.
 //
 // The read-only observers View, IsPrimary, and Stats are safe to call from
 // any goroutine at any time, without external locking: implementations
@@ -206,85 +205,6 @@ type Engine interface {
 
 	// Stats returns engine counters for observability.
 	Stats() EngineStats
-}
-
-// ConcurrentStepper marks engines whose stepping methods are safe for
-// concurrent use by multiple worker lanes (Sections 4.4–4.5: independent
-// consensus instances may be processed out of order and in parallel).
-//
-// The contract: steps touching different sequence numbers may run fully in
-// parallel; steps touching the same sequence number and all control-plane
-// transitions (view changes, checkpoint garbage collection) are serialized
-// internally by the engine. Drivers remain responsible for routing traffic
-// sensibly — the replica runtime keys its worker lanes by sequence number
-// so one instance's messages stay on one lane.
-//
-// Engines with inherently ordered state do not implement this interface:
-// Zyzzyva's speculative history chain h_k = H(h_{k-1} || d_k) forces
-// sequential acceptance, so its engine is driven through Serialize on a
-// single lane regardless of the configured lane count.
-type ConcurrentStepper interface {
-	Engine
-
-	// ConcurrentStepping is a marker method documenting the contract
-	// above; it has no runtime behaviour.
-	ConcurrentStepping()
-}
-
-// Serialize returns an Engine that is safe to step from multiple
-// goroutines. Engines implementing ConcurrentStepper are returned as-is;
-// anything else is wrapped so that stepping methods run under a mutex.
-// The observers (View, IsPrimary, Stats) pass through without locking —
-// the Engine contract already requires them to be concurrency-safe.
-func Serialize(e Engine) Engine {
-	if _, ok := e.(ConcurrentStepper); ok {
-		return e
-	}
-	return &serialEngine{inner: e}
-}
-
-// serialEngine adapts a single-threaded engine to concurrent drivers by
-// serializing every stepping method behind one mutex.
-type serialEngine struct {
-	mu    sync.Mutex
-	inner Engine
-}
-
-func (s *serialEngine) OnMessage(from types.NodeID, msg types.Message, auth []byte, out *Out) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inner.OnMessage(from, msg, auth, out)
-}
-
-func (s *serialEngine) Propose(reqs []types.ClientRequest, out *Out) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inner.Propose(reqs, out)
-}
-
-func (s *serialEngine) OnExecuted(seq types.SeqNum, stateDigest types.Digest, out *Out) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inner.OnExecuted(seq, stateDigest, out)
-}
-
-func (s *serialEngine) OnViewTimeout(view types.View, out *Out) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inner.OnViewTimeout(view, out)
-}
-
-func (s *serialEngine) LastProposed() types.SeqNum {
-	if ph, ok := s.inner.(ProposalHeader); ok {
-		return ph.LastProposed()
-	}
-	return 0
-}
-
-func (s *serialEngine) View() types.View { return s.inner.View() }
-func (s *serialEngine) IsPrimary() bool  { return s.inner.IsPrimary() }
-func (s *serialEngine) Stats() EngineStats {
-	return s.inner.Stats()
 }
 
 // ProposalHeader is implemented by engines that can report the highest

@@ -13,8 +13,7 @@
 //
 // # Concurrency
 //
-// The engine implements consensus.ConcurrentStepper: independent
-// instances may be stepped from many worker lanes at once. Internally the
+// Independent instances may be stepped from many worker lanes at once. Internally the
 // state splits into a small single-lock control core — view, watermarks,
 // view-change state — plus two lock-striped side tables: the per-sequence
 // instance table and the checkpoint vote table. Per-sequence message
@@ -367,8 +366,6 @@ type Engine struct {
 	recycleHook func(*instance)
 }
 
-var _ consensus.ConcurrentStepper = (*Engine)(nil)
-
 // New creates a PBFT engine.
 func New(cfg Config) (*Engine, error) {
 	cfg.fill()
@@ -400,9 +397,6 @@ func New(cfg Config) (*Engine, error) {
 	e.primaryA.Store(consensus.PrimaryOf(cfg.StartView, cfg.N) == cfg.ID)
 	return e, nil
 }
-
-// ConcurrentStepping implements consensus.ConcurrentStepper.
-func (e *Engine) ConcurrentStepping() {}
 
 // View implements consensus.Engine; it is lock-free.
 func (e *Engine) View() types.View { return types.View(e.viewA.Load()) }

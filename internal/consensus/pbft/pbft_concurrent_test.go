@@ -8,21 +8,6 @@ import (
 	"resilientdb/internal/types"
 )
 
-// TestImplementsConcurrentStepper pins the engine's concurrency contract:
-// the replica runtime keys its worker-lane fan-out on this interface.
-func TestImplementsConcurrentStepper(t *testing.T) {
-	e, err := New(Config{ID: 0, N: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := interface{}(e).(consensus.ConcurrentStepper); !ok {
-		t.Fatal("pbft.Engine must implement consensus.ConcurrentStepper")
-	}
-	if consensus.Serialize(e) != consensus.Engine(e) {
-		t.Fatal("Serialize must return a concurrent-steppable engine unwrapped")
-	}
-}
-
 // TestConcurrentStepping drives a backup engine from many goroutines at
 // once — each owning a disjoint set of sequence numbers, exactly like the
 // replica's worker lanes — while checkpoint traffic and OnExecuted

@@ -52,13 +52,10 @@ func (c *Config) fill() {
 // Engine is a Zyzzyva replica state machine.
 //
 // Unlike PBFT, the engine's stepping methods are NOT safe for concurrent
-// use and it deliberately does not implement
-// consensus.ConcurrentStepper: the speculative history chain
-// h_k = H(h_{k-1} || d_k) makes every acceptance depend on its
-// predecessor, so there are no independent instances to stripe. Drivers
-// with parallel worker lanes must route all Zyzzyva traffic through one
-// lane behind consensus.Serialize — the replica runtime does exactly
-// that, and the enginetest harnesses exercise the engine single-stepped.
+// use: the speculative history chain h_k = H(h_{k-1} || d_k) makes every
+// acceptance depend on its predecessor, so there are no independent
+// instances to stripe. Its one driver, the simulator, steps it one event
+// at a time, as do the enginetest harnesses.
 // The observers View, IsPrimary (the view never changes; the Zyzzyva
 // view-change machinery is out of scope) and Stats (atomic counters) are
 // safe from any goroutine.

@@ -8,26 +8,9 @@ import (
 	"resilientdb/internal/types"
 )
 
-// TestNotConcurrentStepper pins the single-lane contract: Zyzzyva's
-// history chain is inherently ordered, so the engine must NOT advertise
-// concurrent stepping — the replica runtime keys its lane fan-out on
-// exactly this check and would otherwise race the history hash.
-func TestNotConcurrentStepper(t *testing.T) {
-	e, err := New(Config{ID: 0, N: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := interface{}(e).(consensus.ConcurrentStepper); ok {
-		t.Fatal("zyzzyva.Engine must not implement ConcurrentStepper (speculative history is ordered)")
-	}
-	if consensus.Serialize(e) == consensus.Engine(e) {
-		t.Fatal("Serialize must wrap the zyzzyva engine")
-	}
-}
-
 // TestSerializedEngineDrivesCluster runs the standard enginetest flow with
-// every engine behind consensus.Serialize — the exact shape the replica
-// runtime uses — and checks histories still converge.
+// each engine stepped one event at a time — the shape its one driver, the
+// simulator, uses — and checks histories converge over 20 batches.
 func TestSerializedEngineDrivesCluster(t *testing.T) {
 	n := 4
 	engines := make([]consensus.Engine, n)
@@ -38,7 +21,7 @@ func TestSerializedEngineDrivesCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 		raw[i] = e
-		engines[i] = consensus.Serialize(e)
+		engines[i] = e
 	}
 	c := enginetest.NewCluster(engines)
 	for s := uint64(1); s <= 20; s++ {
@@ -47,7 +30,7 @@ func TestSerializedEngineDrivesCluster(t *testing.T) {
 	c.Run(10000)
 	for i := 1; i < n; i++ {
 		if raw[i].History() != raw[0].History() {
-			t.Fatalf("replica %d history diverged behind Serialize", i)
+			t.Fatalf("replica %d history diverged", i)
 		}
 	}
 	if len(c.Executed[0]) != 20 {

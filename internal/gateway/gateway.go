@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	clientengine "resilientdb/internal/consensus/client"
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/pool"
 	"resilientdb/internal/transport"
@@ -55,9 +54,8 @@ const DefaultBaseClient types.ClientID = 1 << 20
 
 // Config parameterizes a Gateway.
 type Config struct {
-	// N is the replica count; Protocol the client-side quorum rules.
-	N        int
-	Protocol clientengine.Protocol
+	// N is the replica count.
+	N int
 	// Directory provides key material for the gateway identities.
 	Directory *crypto.Directory
 	// Endpoint attaches one upstream worker to the replica fabric. It is
@@ -112,9 +110,6 @@ func (c *Config) fill() error {
 	}
 	if c.Directory == nil || c.Endpoint == nil {
 		return errors.New("gateway: missing directory or endpoint factory")
-	}
-	if c.Protocol == 0 {
-		c.Protocol = clientengine.PBFT
 	}
 	if c.BaseClient == 0 {
 		c.BaseClient = DefaultBaseClient

@@ -32,7 +32,7 @@ func newUpstream(gw *Gateway, id types.ClientID) (*upstream, error) {
 	if err != nil {
 		return nil, err
 	}
-	link, err := clientengine.NewLink(id, gw.cfg.N, gw.cfg.Protocol, gw.cfg.Directory, ep, gw.cfg.Timeout)
+	link, err := clientengine.NewLink(id, gw.cfg.N, gw.cfg.Directory, ep, gw.cfg.Timeout)
 	if err != nil {
 		ep.Close()
 		return nil, err

@@ -100,7 +100,7 @@ func TestAllocsPerCommittedBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		link, err := client.NewLink(id, 4, client.PBFT, dir, ep, 500*time.Millisecond)
+		link, err := client.NewLink(id, 4, dir, ep, 500*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestAllocsPerReadBatch(t *testing.T) {
 	}()
 	for c := 0; c < clients; c++ {
 		id := types.ClientID(1000 + c)
-		link, err := client.NewLink(id, 4, client.PBFT, dir, net.Endpoint(types.ClientNode(id), 1, 1<<10), 500*time.Millisecond)
+		link, err := client.NewLink(id, 4, dir, net.Endpoint(types.ClientNode(id), 1, 1<<10), 500*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,8 +67,8 @@ func TestSenderFIFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.lanes != lanes {
-		t.Fatalf("%d lanes, want %d", r.lanes, lanes)
+	if r.WorkerLanes() != lanes {
+		t.Fatalf("%d lanes, want %d", r.WorkerLanes(), lanes)
 	}
 	engine := &fifoRecorder{Engine: r.engine, t: t, lanes: lanes}
 	r.engine = engine

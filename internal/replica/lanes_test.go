@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"strings"
 	"testing"
 
 	"resilientdb/internal/types"
@@ -39,19 +40,18 @@ func TestPBFTGetsRequestedLanes(t *testing.T) {
 	}
 }
 
-// TestZyzzyvaForcedSingleLane pins the documented contract: Zyzzyva's
-// speculative history is inherently ordered, so the replica must run it
-// on one lane no matter what W the operator asks for.
+// TestZyzzyvaForcedSingleLane keeps its name from when a Zyzzyva replica
+// ran one lane whatever W asked for. No replica runs Zyzzyva now: a
+// config naming it (Protocol 2) is refused, at any lane count, with the
+// error pointing at the simulator, where Zyzzyva lives.
 func TestZyzzyvaForcedSingleLane(t *testing.T) {
-	cfg := validConfig(t)
-	cfg.Protocol = Zyzzyva
-	cfg.WorkerThreads = 8
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.WorkerLanes() != 1 {
-		t.Fatalf("zyzzyva lanes = %d, want 1", r.WorkerLanes())
+	for _, w := range []int{1, 8} {
+		cfg := validConfig(t)
+		cfg.Protocol = 2
+		cfg.WorkerThreads = w
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "internal/sim") {
+			t.Fatalf("W=%d: New with Zyzzyva's protocol value = %v, want a refusal naming internal/sim", w, err)
+		}
 	}
 }
 
@@ -78,7 +78,6 @@ func TestLaneRouting(t *testing.T) {
 	for _, m := range []types.Message{
 		&types.ViewChange{NewView: 3},
 		&types.NewView{View: 3},
-		&types.CommitCert{Seq: 9},
 	} {
 		if got := r.laneOf(m); got != 0 {
 			t.Fatalf("%T routed to lane %d, want control lane 0", m, got)

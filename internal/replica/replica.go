@@ -53,7 +53,6 @@ import (
 
 	"resilientdb/internal/consensus"
 	"resilientdb/internal/consensus/pbft"
-	"resilientdb/internal/consensus/zyzzyva"
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/ledger"
 	"resilientdb/internal/pool"
@@ -63,33 +62,19 @@ import (
 	"resilientdb/internal/types"
 )
 
-// Protocol selects the consensus engine.
+// Protocol names the consensus engine. A replica runs PBFT only; the
+// speculative baseline the paper compares against runs in internal/sim.
 type Protocol int
 
-// Supported protocols.
-const (
-	PBFT Protocol = iota + 1
-	Zyzzyva
-)
-
-// String implements fmt.Stringer.
-func (p Protocol) String() string {
-	switch p {
-	case PBFT:
-		return "pbft"
-	case Zyzzyva:
-		return "zyzzyva"
-	default:
-		return "invalid"
-	}
-}
+// PBFT is the one protocol a replica runs.
+const PBFT Protocol = 1
 
 // Config parameterizes a replica.
 type Config struct {
 	// ID is this replica's identifier; N the cluster size (n ≥ 3f+1).
 	ID types.ReplicaID
 	N  int
-	// Protocol selects PBFT or Zyzzyva.
+	// Protocol is PBFT or zero, which means PBFT; anything else is refused.
 	Protocol Protocol
 	// BatchSize caps the transactions aggregated per consensus batch (the
 	// paper's default is 100, Section 5.1): the batch stage proposes what
@@ -131,10 +116,7 @@ type Config struct {
 	// (pre-prepares, prepares, commits) are routed to lane seq mod W so
 	// independent instances step in parallel on the lock-striped engine;
 	// control traffic — client requests in 0B mode, view changes,
-	// new-views, commit certificates — stays on lane 0 to preserve its
-	// ordering. Engines that are not safe for concurrent stepping
-	// (Zyzzyva's speculative history is inherently ordered) are
-	// serialized behind a single lane regardless of W.
+	// new-views — stays on lane 0 to preserve its ordering.
 	WorkerThreads int
 	// VerifyThreads is V. With V > 0 an input-thread authenticates every
 	// peer envelope it dequeues, before decoding it, so a worker lane only
@@ -168,8 +150,7 @@ type Config struct {
 	// when client work stalls; zero disables it.
 	ViewTimeout time.Duration
 	// Bootstrap seeds a restarting replica mid-stream instead of booting
-	// from genesis; nil is the fresh-boot default. PBFT only: Zyzzyva's
-	// speculative history chain cannot be joined mid-stream.
+	// from genesis; nil is the fresh-boot default.
 	Bootstrap *Bootstrap
 }
 
@@ -202,10 +183,8 @@ func (c *Config) fill() error {
 	if int(c.ID) >= c.N {
 		return fmt.Errorf("replica: id %d out of range for n=%d", c.ID, c.N)
 	}
-	switch c.Protocol {
-	case PBFT, Zyzzyva:
-	default:
-		return fmt.Errorf("replica: invalid protocol %d", c.Protocol)
+	if c.Protocol != 0 && c.Protocol != PBFT {
+		return fmt.Errorf("replica: protocol %d is not served: a replica runs PBFT only (Zyzzyva runs in internal/sim)", c.Protocol)
 	}
 	if c.ExecuteThreads < 0 {
 		return fmt.Errorf("replica: negative ExecuteThreads (0 folds execution into the worker, 1 is the serial execute-thread, E > 1 runs E write-set-partitioned execution shards)")
@@ -249,7 +228,7 @@ func (c *Config) fill() error {
 const (
 	// watermarkWindow bounds out-of-order pipelining depth: how many
 	// sequence numbers consensus may run ahead of the last stable
-	// checkpoint (and Zyzzyva's speculation depth).
+	// checkpoint.
 	watermarkWindow = 4096
 	// cacheLine is the padding unit fencing Replica's hot counters.
 	cacheLine = 64
@@ -333,9 +312,7 @@ type Stats struct {
 	// the sending stages spend inside Endpoint.Send (it is part of their
 	// own busy time too: there are no output-threads).
 	BusyNS [stageCount]uint64
-	// WorkerLanes is the number of worker lanes actually running (1 for
-	// engines that require serialized stepping, regardless of the
-	// configured WorkerThreads).
+	// WorkerLanes is the number of worker lanes running (WorkerThreads).
 	WorkerLanes int
 	// WorkerLaneBusyNS is cumulative busy time per worker lane; with
 	// WorkerThreads > 1 it shows how consensus stepping spreads across
@@ -409,8 +386,8 @@ type Stats struct {
 	OutQueueCap     int
 	// BusyGauge folds the gauges above into the 0 (idle) .. 255 (a queue
 	// is full) saturation scalar replicas piggyback on client responses
-	// (ClientResponse.Busy / SpecResponse.Busy): the fill fraction of the
-	// fullest queue, scaled. Stats recomputes it live.
+	// (ClientResponse.Busy): the fill fraction of the fullest queue,
+	// scaled. Stats recomputes it live.
 	BusyGauge uint8
 	// Evidence counts byzantine-behaviour observations (e.g. a primary
 	// equivocating two digests for one sequence) and pipeline invariant
@@ -629,16 +606,11 @@ type Replica struct {
 	_ [cacheLine]byte
 
 	cfg Config
-	// engine is safe for concurrent stepping: either a natively
-	// concurrent engine (consensus.ConcurrentStepper, e.g. the
-	// lock-striped PBFT engine) or a single-threaded engine behind
-	// consensus.Serialize. The replica never takes a lock of its own
-	// around engine calls.
+	// engine is the lock-striped PBFT engine, safe for concurrent
+	// stepping: the replica never takes a lock of its own around engine
+	// calls.
 	engine consensus.Engine
-	// lanes is the number of worker lanes actually running: WorkerThreads
-	// for concurrent-steppable engines, 1 otherwise.
-	lanes int
-	auth  crypto.NodeAuthenticator
+	auth   crypto.NodeAuthenticator
 
 	ledger *ledger.Ledger
 	store  store.Store
@@ -788,9 +760,6 @@ func New(cfg Config) (*Replica, error) {
 	var startSeq types.SeqNum
 	var startView types.View
 	if cfg.Bootstrap != nil {
-		if cfg.Protocol != PBFT {
-			return nil, fmt.Errorf("replica: bootstrap restart is only supported for PBFT, not %v", cfg.Protocol)
-		}
 		if len(cfg.Bootstrap.Blocks) == 0 {
 			return nil, errors.New("replica: bootstrap requires a non-empty block snapshot")
 		}
@@ -798,43 +767,20 @@ func New(cfg Config) (*Replica, error) {
 		startSeq = head.Seq
 		startView = cfg.Bootstrap.View
 	}
-	var engine consensus.Engine
-	var err error
-	switch cfg.Protocol {
-	case PBFT:
-		engine, err = pbft.New(pbft.Config{
-			ID:                 cfg.ID,
-			N:                  cfg.N,
-			CheckpointInterval: cfg.CheckpointInterval,
-			WatermarkWindow:    watermarkWindow,
-			StartView:          startView,
-			StartSeq:           startSeq,
-		})
-	case Zyzzyva:
-		engine, err = zyzzyva.New(zyzzyva.Config{
-			ID:                  cfg.ID,
-			N:                   cfg.N,
-			CheckpointInterval:  cfg.CheckpointInterval,
-			MaxSpeculationDepth: watermarkWindow,
-		})
-	}
+	engine, err := pbft.New(pbft.Config{
+		ID:                 cfg.ID,
+		N:                  cfg.N,
+		CheckpointInterval: cfg.CheckpointInterval,
+		WatermarkWindow:    watermarkWindow,
+		StartView:          startView,
+		StartSeq:           startSeq,
+	})
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Protocol == Zyzzyva && cfg.LedgerMode == ledger.CommitCertificate {
-		// Speculative execution has no commit certificate at block-creation
-		// time; Zyzzyva chains blocks by hash.
-		cfg.LedgerMode = ledger.HashChain
 	}
 	st := cfg.Store
 	if st == nil {
 		st = store.NewMemStore(1 << 16)
-	}
-	// Engines that cannot step concurrently (no ConcurrentStepper) are
-	// serialized and driven by a single lane regardless of WorkerThreads.
-	lanes := cfg.WorkerThreads
-	if _, ok := engine.(consensus.ConcurrentStepper); !ok {
-		lanes = 1
 	}
 	var ldg *ledger.Ledger
 	if cfg.Bootstrap != nil {
@@ -848,8 +794,7 @@ func New(cfg Config) (*Replica, error) {
 	}
 	r := &Replica{
 		cfg:        cfg,
-		engine:     consensus.Serialize(engine),
-		lanes:      lanes,
+		engine:     engine,
 		auth:       cfg.Directory.NodeAuth(types.ReplicaNode(cfg.ID)),
 		ledger:     ldg,
 		store:      st,
@@ -863,11 +808,11 @@ func New(cfg Config) (*Replica, error) {
 		readQ:      make(chan *types.ReadRequest, 1<<10),
 		encBufs:    new(pool.BytePool),
 	}
-	r.workQs = make([]chan workItem, lanes)
+	r.workQs = make([]chan workItem, cfg.WorkerThreads)
 	for i := range r.workQs {
 		r.workQs[i] = make(chan workItem, 1<<13)
 	}
-	r.laneBusyNS = make([]atomic.Uint64, lanes)
+	r.laneBusyNS = make([]atomic.Uint64, cfg.WorkerThreads)
 	r.execDepth = 1
 	parts := 1
 	if cfg.ExecuteThreads > 1 {
@@ -944,8 +889,8 @@ func (r *Replica) IsPrimary() bool {
 	return r.engine.IsPrimary()
 }
 
-// WorkerLanes returns the number of worker lanes actually running.
-func (r *Replica) WorkerLanes() int { return r.lanes }
+// WorkerLanes returns the number of worker lanes running.
+func (r *Replica) WorkerLanes() int { return r.cfg.WorkerThreads }
 
 // ProposalHead returns the highest sequence number the consensus engine
 // has proposed or adopted, or 0 if the engine does not expose it.
@@ -976,12 +921,12 @@ func (r *Replica) Stats() Stats {
 		Checkpoints:     es.Checkpoints,
 		View:            r.engine.View(),
 		LedgerHeight:    r.ledger.Height(),
-		WorkerLanes:     r.lanes,
+		WorkerLanes:     r.cfg.WorkerThreads,
 	}
 	for i := range s.BusyNS {
 		s.BusyNS[i] = r.busyNS[i].Load()
 	}
-	s.WorkerLaneBusyNS = make([]uint64, r.lanes)
+	s.WorkerLaneBusyNS = make([]uint64, r.cfg.WorkerThreads)
 	for i := range s.WorkerLaneBusyNS {
 		s.WorkerLaneBusyNS[i] = r.laneBusyNS[i].Load()
 	}
@@ -1133,7 +1078,7 @@ func (r *Replica) Start() {
 	// parallel on the lock-striped engine.
 	r.stage1Wg.Add(1)
 	go r.workerLoop()
-	for lane := 1; lane < r.lanes; lane++ {
+	for lane := 1; lane < r.cfg.WorkerThreads; lane++ {
 		r.stage1Wg.Add(1)
 		go r.laneLoop(lane)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"resilientdb/internal/consensus"
 	"resilientdb/internal/crypto"
+	"resilientdb/internal/ledger"
 	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
 )
@@ -36,7 +37,8 @@ func TestConfigValidation(t *testing.T) {
 		{"valid", func(c *Config) {}, ""},
 		{"too few replicas", func(c *Config) { c.N = 3 }, "n ≥ 4"},
 		{"id out of range", func(c *Config) { c.ID = 9 }, "out of range"},
-		{"bad protocol", func(c *Config) { c.Protocol = 0 }, "protocol"},
+		{"zero protocol is PBFT", func(c *Config) { c.Protocol = 0 }, ""},
+		{"bad protocol", func(c *Config) { c.Protocol = 7 }, "protocol 7"},
 		{"sharded execute accepted", func(c *Config) { c.ExecuteThreads = 4 }, ""},
 		{"negative execute threads", func(c *Config) { c.ExecuteThreads = -1 }, "ExecuteThreads"},
 		{"negative batch threads", func(c *Config) { c.BatchThreads = -1 }, "BatchThreads"},
@@ -77,17 +79,27 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
+// TestZyzzyvaForcesHashChainLedger keeps its name from when a Zyzzyva
+// replica overrode LedgerMode. No protocol does now: the mode is honoured
+// as given, and zero means the commit certificate.
 func TestZyzzyvaForcesHashChainLedger(t *testing.T) {
-	cfg := validConfig(t)
-	cfg.Protocol = Zyzzyva
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Speculative execution has no commit certificate at block-creation
-	// time, so Zyzzyva must chain blocks by hash.
-	if got := r.Ledger().Mode().String(); got != "hash-chain" {
-		t.Fatalf("ledger mode = %s", got)
+	for _, tc := range []struct {
+		mode ledger.Mode
+		want ledger.Mode
+	}{
+		{0, ledger.CommitCertificate},
+		{ledger.CommitCertificate, ledger.CommitCertificate},
+		{ledger.HashChain, ledger.HashChain},
+	} {
+		cfg := validConfig(t)
+		cfg.LedgerMode = tc.mode
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Ledger().Mode(); got != tc.want {
+			t.Fatalf("LedgerMode %d: ledger mode = %v, want %v", tc.mode, got, tc.want)
+		}
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 
 // ---- Input stage (Section 4.1) ----
 
-// inputClientLoop services inbox 0: client requests, locally served reads
-// and, for Zyzzyva, client commit certificates. Client request signatures
-// stay with the batch stage, which verifies them batch-wise (Section 4.3).
+// inputClientLoop services inbox 0: client requests and locally served
+// reads. Client request signatures stay with the batch stage, which
+// verifies them batch-wise (Section 4.3).
 func (r *Replica) inputClientLoop(inbox <-chan *types.Envelope) {
 	defer r.inputWg.Done()
 	for env := range inbox {
@@ -28,8 +28,6 @@ func (r *Replica) inputClientLoop(inbox <-chan *types.Envelope) {
 			r.handleClientRequest(env)
 		case types.MsgReadRequest:
 			r.handleReadRequest(env)
-		case types.MsgCommitCert:
-			r.admit(env)
 		default:
 			// An unexpected type on the client inbox is malformed traffic,
 			// not an authentication failure.
@@ -129,7 +127,9 @@ func (r *Replica) inputReplicaLoop(inbox <-chan *types.Envelope) {
 }
 
 // admit takes one peer envelope from the inbox to the stage that owns it.
-// With VerifyThreads > 0 the input-thread checks the authenticator itself,
+// A type the PBFT engine does not read is refused first, before it costs an
+// authenticator check or a decode, and counted as malformed. With
+// VerifyThreads > 0 the input-thread checks the authenticator itself,
 // here, before anything is decoded: the check is a hash of a short header
 // and one MAC (or one signature verify), the thread already holds the
 // envelope, and handing it to another goroutine for that would cost more
@@ -140,6 +140,14 @@ func (r *Replica) inputReplicaLoop(inbox <-chan *types.Envelope) {
 // the input stage, but the decoder is bounds-checked and O(body bytes) — the
 // same order as the MAC check the envelope must pay anyway.
 func (r *Replica) admit(env *types.Envelope) {
+	switch env.Type {
+	case types.MsgPrePrepare, types.MsgPrepare, types.MsgCommit,
+		types.MsgCheckpoint, types.MsgViewChange, types.MsgNewView:
+	default:
+		r.decodeFailures.Add(1)
+		env.Release()
+		return
+	}
 	verified := r.cfg.VerifyThreads > 0
 	if verified {
 		if err := r.verifyEnvelope(env); err != nil {
@@ -199,8 +207,7 @@ func (r *Replica) readLoop() {
 // traffic to lane 0. Decoding here — on the input stage, off the worker
 // lanes — is what makes sequence-based routing possible at all; malformed
 // bodies are counted as DecodeFailures and dropped before they can cost a
-// worker lane anything. Proposals (PrePrepare, OrderedRequest, NewView)
-// decode as views into their frame, which DecodeEnvelope disowns; votes
+// worker lane anything. Proposals (PrePrepare, NewView) decode as views into their frame, which DecodeEnvelope disowns; votes
 // decode into recycled structs the lane gives back after its engine step,
 // and their frames go back to the pool.
 func (r *Replica) route(env *types.Envelope, verified bool) {
@@ -227,9 +234,8 @@ func (r *Replica) route(env *types.Envelope, verified bool) {
 // consensus instances of the current view spread across lanes by sequence
 // number; everything else stays on lane 0:
 //
-//   - messages without a natural instance — view changes, new-views,
-//     Zyzzyva commit certificates — so control traffic keeps a single
-//     ordered lane;
+//   - messages without a natural instance — view changes, new-views — so
+//     control traffic keeps a single ordered lane;
 //   - messages for a view other than the engine's current one. A NewView
 //     routes to lane 0, and the new primary's first pre-prepares of view
 //     v+1 follow it from the same inbox; sending them to a seq lane
@@ -239,7 +245,8 @@ func (r *Replica) route(env *types.Envelope, verified bool) {
 //     the per-sender FIFO through the view transition (the engine's view
 //     read is an atomic, so this check is free).
 func (r *Replica) laneOf(msg types.Message) int {
-	if r.lanes == 1 {
+	lanes := r.cfg.WorkerThreads
+	if lanes == 1 {
 		return 0
 	}
 	var view types.View
@@ -251,16 +258,13 @@ func (r *Replica) laneOf(msg types.Message) int {
 		view, seq = m.View, m.Seq
 	case *types.Commit:
 		view, seq = m.View, m.Seq
-	case *types.OrderedRequest:
-		// Unreachable in practice: Zyzzyva engines run a single lane.
-		view, seq = m.View, m.Seq
 	default:
 		return 0
 	}
 	if view != r.engine.View() {
 		return 0
 	}
-	return int(uint64(seq) % uint64(r.lanes))
+	return int(uint64(seq) % uint64(lanes))
 }
 
 // verifyEnvelope checks an inbound envelope's authenticator over the bytes
@@ -484,17 +488,9 @@ func (r *Replica) processItem(item workItem, out *consensus.Out) {
 	// batch included — is what authenticates the requests behind it. It
 	// folds the digests decode already computed; no request byte is read
 	// again.
-	switch m := item.msg.(type) {
-	case *types.PrePrepare:
-		if types.BatchDigest(m.Requests) != m.Digest {
-			r.authFailures.Add(1)
-			return
-		}
-	case *types.OrderedRequest:
-		if types.BatchDigest(m.Requests) != m.Digest {
-			r.authFailures.Add(1)
-			return
-		}
+	if m, ok := item.msg.(*types.PrePrepare); ok && types.BatchDigest(m.Requests) != m.Digest {
+		r.authFailures.Add(1)
+		return
 	}
 	r.engine.OnMessage(env.From, item.msg, env.Auth, out)
 	types.ReleaseVote(item.msg)
@@ -1084,34 +1080,16 @@ func (r *Replica) retireBatch(b *inflightExec) {
 				reads = b.reads[rr.start : rr.start+rr.n]
 			}
 		}
-		result := types.ResponseDigest(act.Seq, req.Client, req.FirstSeq, reads)
-		var resp types.Message
-		if act.Speculative {
-			resp = &types.SpecResponse{
-				View:        act.View,
-				Seq:         act.Seq,
-				Digest:      act.Digest,
-				History:     act.History,
-				Client:      req.Client,
-				ClientSeq:   req.FirstSeq,
-				Result:      result,
-				Replica:     r.cfg.ID,
-				ReadResults: reads,
-				Busy:        busy,
-			}
-		} else {
-			resp = &types.ClientResponse{
-				View:        act.View,
-				Seq:         act.Seq,
-				Client:      req.Client,
-				ClientSeq:   req.FirstSeq,
-				Result:      result,
-				Replica:     r.cfg.ID,
-				ReadResults: reads,
-				Busy:        busy,
-			}
-		}
-		r.sendTo(types.ClientNode(req.Client), resp)
+		r.sendTo(types.ClientNode(req.Client), &types.ClientResponse{
+			View:        act.View,
+			Seq:         act.Seq,
+			Client:      req.Client,
+			ClientSeq:   req.FirstSeq,
+			Result:      types.ResponseDigest(act.Seq, req.Client, req.FirstSeq, reads),
+			Replica:     r.cfg.ID,
+			ReadResults: reads,
+			Busy:        busy,
+		})
 	}
 
 	if n := len(b.reads); n > 0 {

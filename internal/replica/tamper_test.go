@@ -49,18 +49,21 @@ func signedBatch(t *testing.T, dir *crypto.Directory, n int) []types.ClientReque
 
 // TestTamperedProposalNeverReachesEngine: a proposal's authenticator covers
 // its header only, so the digest check is what authenticates the requests
-// behind it. For an authenticated PrePrepare and OrderedRequest, verified on
-// the input-thread and on the worker lane: flipping any single byte of
-// the body — header, count, any request field, any signature byte —
-// appending a request, dropping one, dropping all, or appending trailing
-// bytes, under the original authenticator, never reaches the engine and is
-// counted as an auth or decode failure. If the coverage of the
-// authenticator, the request digest or the batch digest shrinks, some byte
-// here gets through.
+// behind it. For an authenticated PrePrepare, verified on the input-thread
+// and on the worker lane: flipping any single byte of the body — header,
+// count, any request field, any signature byte — appending a request,
+// dropping one, dropping all, or appending trailing bytes, under the
+// original authenticator, never reaches the engine and is counted as an
+// auth or decode failure. If the coverage of the authenticator, the
+// request digest or the batch digest shrinks, some byte here gets through.
+//
+// The zyzzyva rows send Zyzzyva's proposal, an OrderedRequest, authentic
+// in every byte: a PBFT replica refuses it before authenticating or
+// decoding it, and counts it as malformed.
 func TestTamperedProposalNeverReachesEngine(t *testing.T) {
-	for _, proto := range []Protocol{PBFT, Zyzzyva} {
+	for _, proto := range []string{"pbft", "zyzzyva"} {
 		for _, verifyThreads := range []int{0, 2} {
-			t.Run(fmt.Sprintf("%v/verify-threads-%d", proto, verifyThreads), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/verify-threads-%d", proto, verifyThreads), func(t *testing.T) {
 				dir, err := crypto.NewDirectory(crypto.Recommended(), [32]byte{22})
 				if err != nil {
 					t.Fatal(err)
@@ -68,7 +71,7 @@ func TestTamperedProposalNeverReachesEngine(t *testing.T) {
 				net := transport.NewInproc()
 				primary, backup := types.ReplicaNode(0), types.ReplicaNode(1)
 				r, err := New(Config{
-					ID: 1, N: 4, Protocol: proto, VerifyThreads: verifyThreads,
+					ID: 1, N: 4, VerifyThreads: verifyThreads,
 					Directory: dir, Endpoint: net.Endpoint(backup, 3, 1<<12),
 				})
 				if err != nil {
@@ -80,29 +83,53 @@ func TestTamperedProposalNeverReachesEngine(t *testing.T) {
 				defer r.Stop()
 				sender := net.Endpoint(primary, 1, 16)
 				defer sender.Close()
-
-				reqs := signedBatch(t, dir, 2)
-				extra := signedBatch(t, dir, 3)[2]
-				build := func(seq types.SeqNum, digest types.Digest, reqs []types.ClientRequest) (types.MsgType, []byte) {
-					if proto == Zyzzyva {
-						m := &types.OrderedRequest{View: 0, Seq: seq, Digest: digest, History: crypto.HashChain(types.Digest{}, digest), Requests: reqs}
-						return m.Type(), types.MarshalBody(m)
-					}
-					m := &types.PrePrepare{View: 0, Seq: seq, Digest: digest, Requests: reqs}
-					return m.Type(), types.MarshalBody(m)
-				}
-				digest := types.BatchDigest(reqs)
-				mt, body := build(1, digest, reqs)
-				tag, err := dir.NodeAuth(primary).Sign(backup, types.AuthenticatedBytes(mt, body))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sent := uint64(0)
-				send := func(body []byte) {
+				send := func(m types.Message, body []byte, tag []byte) {
 					t.Helper()
-					if err := sender.Send(&types.Envelope{From: primary, To: backup, Type: mt, Body: body, Auth: tag}); err != nil {
+					if err := sender.Send(&types.Envelope{From: primary, To: backup, Type: m.Type(), Body: body, Auth: tag}); err != nil {
 						t.Fatal(err)
 					}
+				}
+				sign := func(m types.Message, body []byte) []byte {
+					t.Helper()
+					tag, err := dir.NodeAuth(primary).Sign(backup, types.AuthenticatedBytes(m.Type(), body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return tag
+				}
+
+				reqs := signedBatch(t, dir, 2)
+				digest := types.BatchDigest(reqs)
+				if proto == "zyzzyva" {
+					or := &types.OrderedRequest{View: 0, Seq: 1, Digest: digest, History: crypto.HashChain(types.Digest{}, digest), Requests: reqs}
+					body := types.MarshalBody(or)
+					send(or, body, sign(or, body))
+					// A PrePrepare from the same sender queues behind it: once
+					// the engine has it, the OrderedRequest was handled.
+					pp := &types.PrePrepare{View: 0, Seq: 1, Digest: digest, Requests: reqs}
+					body = types.MarshalBody(pp)
+					send(pp, body, sign(pp, body))
+					waitFor(t, func() bool { return engine.proposals.Load() >= 1 }, "the authentic PrePrepare never reached the engine")
+					if got := engine.proposals.Load(); got != 1 {
+						t.Fatalf("%d proposals reached the engine, want only the PrePrepare", got)
+					}
+					if s := r.Stats(); s.DecodeFailures != 1 || s.AuthFailures != 0 {
+						t.Fatalf("decode failures %d, auth failures %d; want the OrderedRequest refused unauthenticated: 1, 0", s.DecodeFailures, s.AuthFailures)
+					}
+					return
+				}
+
+				extra := signedBatch(t, dir, 3)[2]
+				build := func(reqs []types.ClientRequest) []byte {
+					return types.MarshalBody(&types.PrePrepare{View: 0, Seq: 1, Digest: digest, Requests: reqs})
+				}
+				pp := &types.PrePrepare{}
+				body := build(reqs)
+				tag := sign(pp, body)
+				sent := uint64(0)
+				sendTampered := func(body []byte) {
+					t.Helper()
+					send(pp, body, tag)
 					sent++
 				}
 
@@ -112,15 +139,12 @@ func TestTamperedProposalNeverReachesEngine(t *testing.T) {
 				for i := range body {
 					flipped := append([]byte(nil), body...)
 					flipped[i] ^= 0x01
-					send(flipped)
+					sendTampered(flipped)
 				}
-				_, appended := build(1, digest, append(append([]types.ClientRequest(nil), reqs...), extra))
-				_, dropped := build(1, digest, reqs[:1])
-				_, emptied := build(1, digest, nil)
-				send(appended)
-				send(dropped)
-				send(emptied)
-				send(append(append([]byte(nil), body...), 0))
+				sendTampered(build(append(append([]types.ClientRequest(nil), reqs...), extra)))
+				sendTampered(build(reqs[:1]))
+				sendTampered(build(nil))
+				sendTampered(append(append([]byte(nil), body...), 0))
 				tampered := sent
 
 				waitFor(t, func() bool {
@@ -138,7 +162,7 @@ func TestTamperedProposalNeverReachesEngine(t *testing.T) {
 				}
 
 				// The untouched proposal, last: it alone gets through.
-				send(append([]byte(nil), body...))
+				send(pp, append([]byte(nil), body...), tag)
 				waitFor(t, func() bool { return engine.proposals.Load() == 1 }, "the authentic proposal never reached the engine")
 				if s := r.Stats(); s.AuthFailures+s.DecodeFailures != tampered {
 					t.Fatalf("the authentic proposal was counted as a failure: %+v", s)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"resilientdb/internal/cluster"
-	"resilientdb/internal/replica"
 	"resilientdb/internal/workload"
 )
 
@@ -105,40 +104,5 @@ func TestWorkerLanesStress(t *testing.T) {
 	}
 	if busy < 2 {
 		t.Fatalf("only %d of 4 lanes recorded busy time: %v", busy, s.WorkerLaneBusyNS)
-	}
-}
-
-// TestZyzzyvaIgnoresWorkerThreads runs Zyzzyva with W=4 requested: the
-// replicas must fall back to one lane (ordered speculative history) and
-// the cluster must stay correct.
-func TestZyzzyvaIgnoresWorkerThreads(t *testing.T) {
-	wl := workload.Default()
-	wl.Records = 1000
-	wl.ValueSize = 16
-	c, err := cluster.New(cluster.Options{
-		N:             4,
-		Clients:       4,
-		BatchSize:     8,
-		WorkerThreads: 4,
-		Protocol:      replica.Zyzzyva,
-		Workload:      wl,
-		Seed:          5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	t.Cleanup(c.Stop)
-	res := c.Run(context.Background(), 800*time.Millisecond)
-	if res.Txns == 0 {
-		t.Fatalf("zyzzyva made no progress: %s", res)
-	}
-	for i := 0; i < 4; i++ {
-		if lanes := c.Replica(i).Stats().WorkerLanes; lanes != 1 {
-			t.Fatalf("zyzzyva replica %d runs %d lanes, want 1", i, lanes)
-		}
-	}
-	if err := c.VerifyLedgers(nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -136,25 +136,44 @@ func TestSimDeterminism(t *testing.T) {
 // TestSimGolden pins the simulator's results for the small configurations
 // to the last event: engines write their outputs into a buffer the driver
 // reuses, and any change to what they emit, or in which order, moves these
-// numbers.
+// numbers. The failed rows are Figure 17's: one crashed backup, under
+// TestZyzzyvaFailureForcesSlowPath's client timeout and windows.
 func TestSimGolden(t *testing.T) {
 	golden := []struct {
 		p      Protocol
+		failed bool
 		events uint64
 		tput   float64
 		lat    time.Duration
 		slow   uint64
 	}{
-		{PBFT, 415536, 172866.6666666667, 8674259, 0},
-		{Zyzzyva, 386534, 173333.33333333334, 8675427, 0},
+		{PBFT, false, 415536, 172866.6666666667, 8674259, 0},
+		{Zyzzyva, false, 386534, 173333.33333333334, 8675427, 0},
+		{PBFT, true, 733109, 173600, 8654859, 0},
+		{Zyzzyva, true, 253917, 24348, 69682685, 6087},
 	}
 	for _, g := range golden {
-		res := mustRun(t, small(g.p))
+		cfg := small(g.p)
+		if g.failed {
+			cfg = oneFailedBackup(g.p)
+		}
+		res := mustRun(t, cfg)
 		if res.Events != g.events || res.ThroughputTxns != g.tput || res.MeanLatency != g.lat || res.SlowPath != g.slow {
-			t.Errorf("%v: events %d, throughput %v, mean latency %d ns, slow path %d; want %d, %v, %d ns, %d",
-				g.p, res.Events, res.ThroughputTxns, int64(res.MeanLatency), res.SlowPath, g.events, g.tput, int64(g.lat), g.slow)
+			t.Errorf("%v (failed backup %v): events %d, throughput %v, mean latency %d ns, slow path %d; want %d, %v, %d ns, %d",
+				g.p, g.failed, res.Events, res.ThroughputTxns, int64(res.MeanLatency), res.SlowPath, g.events, g.tput, int64(g.lat), g.slow)
 		}
 	}
+}
+
+// oneFailedBackup is small(p) with one crashed backup and a client timeout
+// short enough for Zyzzyva's slow path to complete inside the window.
+func oneFailedBackup(p Protocol) Config {
+	cfg := small(p)
+	cfg.FailedBackups = 1
+	cfg.ClientTimeout = 60 * Millisecond
+	cfg.Warmup = 150 * Millisecond
+	cfg.Measure = 250 * Millisecond
+	return cfg
 }
 
 func TestZyzzyvaFaultFreeIsFastPath(t *testing.T) {
@@ -168,12 +187,7 @@ func TestZyzzyvaFaultFreeIsFastPath(t *testing.T) {
 }
 
 func TestZyzzyvaFailureForcesSlowPath(t *testing.T) {
-	cfg := small(Zyzzyva)
-	cfg.FailedBackups = 1
-	cfg.ClientTimeout = 60 * Millisecond
-	cfg.Warmup = 150 * Millisecond
-	cfg.Measure = 250 * Millisecond
-	res := mustRun(t, cfg)
+	res := mustRun(t, oneFailedBackup(Zyzzyva))
 	if res.SlowPath == 0 {
 		t.Fatalf("no slow-path completions under failure: %+v", res)
 	}

@@ -9,8 +9,10 @@ import (
 // buffer can never masquerade as a valid message.
 type MsgType uint8
 
-// Message type tags. PBFT uses ClientRequest through ClientResponse;
-// Zyzzyva adds OrderedRequest through LocalCommit.
+// Message type tags. PBFT uses ClientRequest through ClientResponse, and
+// the local read path ReadRequest and ReadReply. OrderedRequest through
+// LocalCommit are Zyzzyva's: only the simulator (internal/sim) sends them,
+// and a replica refuses them unread.
 const (
 	MsgClientRequest MsgType = iota + 1
 	MsgPrePrepare
@@ -659,7 +661,7 @@ func (m *ClientResponse) unmarshal(r *Reader) {
 	m.Busy = r.U8()
 }
 
-// ---- Zyzzyva messages ----
+// ---- Zyzzyva messages (sent by the simulator only) ----
 
 // OrderedRequest is Zyzzyva's counterpart of the pre-prepare: the primary
 // assigns (view, seq) and extends the history hash chain

@@ -6,9 +6,8 @@
 //
 // The package exposes three layers:
 //
-//   - A runnable fabric: NewCluster builds an n-replica deployment (PBFT
-//     or Zyzzyva) with closed-loop YCSB clients, either in-process or over
-//     TCP, running the full Figure 6 pipeline — input-threads,
+//   - A runnable fabric: NewCluster builds an n-replica PBFT deployment
+//     with closed-loop YCSB clients, either in-process or over TCP, running the full Figure 6 pipeline — input-threads,
 //     batch-threads, worker lanes, the in-order execute stage (optionally
 //     fanned across write-set-partitioned shards), checkpoint-thread,
 //     per-peer transport writers — with real ED25519/RSA/AES-CMAC
@@ -18,7 +17,9 @@
 //
 //   - A deterministic simulator: Simulate replays the paper's evaluation
 //     at full scale (32 replicas, 8 cores, 80K clients) by driving the
-//     very same consensus engines under a calibrated cost model.
+//     very same consensus engines under a calibrated cost model. It also
+//     runs Zyzzyva, the single-phase speculative baseline the paper
+//     measures PBFT against, which the runnable fabric does not deploy.
 //
 //   - The experiment suite: Experiments and RunExperiment regenerate
 //     every table and figure of the paper's Section 5, plus the sweeps
@@ -36,26 +37,12 @@ import (
 	"resilientdb/internal/cluster"
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/ledger"
-	"resilientdb/internal/replica"
 	"resilientdb/internal/sim"
 	"resilientdb/internal/types"
 	"resilientdb/internal/workload"
 )
 
 // ---- Runnable fabric ----
-
-// Protocol selects the consensus protocol for a cluster.
-type Protocol = replica.Protocol
-
-// Protocols.
-const (
-	// PBFT is the classical three-phase protocol (Castro & Liskov) the
-	// paper's well-crafted system is built around.
-	PBFT = replica.PBFT
-	// Zyzzyva is the single-phase speculative protocol used as the
-	// fast-but-fragile baseline.
-	Zyzzyva = replica.Zyzzyva
-)
 
 // ClusterOptions configures a cluster; zero values select the paper's
 // standard configuration (batch 100, 2 batch-threads, 1 execute-thread,

@@ -19,7 +19,6 @@ func TestPublicAPIClusterLifecycle(t *testing.T) {
 	c, err := resilientdb.NewCluster(resilientdb.ClusterOptions{
 		N:         4,
 		Clients:   4,
-		Protocol:  resilientdb.PBFT,
 		BatchSize: 8,
 		Crypto:    resilientdb.RecommendedCrypto(),
 		Workload:  wl,
