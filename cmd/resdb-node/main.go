@@ -12,11 +12,12 @@
 // pools" in docs/ARCHITECTURE.md) — these are how the node works, not
 // knobs.
 //
-// The hot-path knobs. The foldable-stage flags (-batch-threads,
-// -verify-threads, -execute-shards) follow the cluster-wide convention:
-// 0 = the paper's default, -1 = explicitly disabled (fold the stage into
-// the worker lanes). -worker-threads is a plain lane count — there is
-// always at least one worker lane, so it has no disabled form:
+// The hot-path knobs. The pipeline-shape flags (-batch, -batch-threads,
+// -verify-threads, -worker-threads, -execute-shards, -exec-pipeline-depth)
+// are handed to replica.Config as given, so they follow its convention:
+// 0 = the paper's standard 2B1E replica, and for the foldable stages
+// (-batch-threads, -verify-threads, -execute-shards) -1 folds the stage
+// into the worker lanes:
 //
 //   - -net-batch N: coalesce up to N outbound envelopes per peer into one
 //     TCP batch frame (one write syscall for the batch); 1 restores
@@ -24,27 +25,27 @@
 //   - -net-linger D: hold a partial batch up to D waiting for more
 //     envelopes; 0 (default) flushes as soon as the outbound queue
 //     drains, so idle connections pay no latency.
+//   - -batch N: transactions per consensus batch (0 = 100).
 //   - -batch-threads B: assemble and propose batches on B batch-threads
-//     at the primary; -1 folds batch assembly into worker lane 0 (the
-//     paper's 0B configuration).
+//     at the primary (0 = 2); -1 folds batch assembly into worker lane 0
+//     (the paper's 0B configuration).
 //   - -verify-threads V: input-threads authenticate peer envelopes before
-//     decoding them and V pool workers check a batch's client signatures;
-//     -1 verifies inline on the worker lanes and batch-threads (the
-//     paper's baseline assignment).
+//     decoding them and V pool workers check a batch's client signatures
+//     (0 = 2); -1 verifies inline on the worker lanes and batch-threads
+//     (the paper's baseline assignment).
 //   - -worker-threads W: step the consensus engine on W parallel worker
 //     lanes routed by sequence number (control traffic stays on lane 0);
-//     1 restores the paper's single worker-thread.
+//     0 is the paper's single worker-thread.
 //   - -execute-shards E: apply committed batches on E parallel execution
 //     shards, each owning a hash partition of the key space (write-set
 //     partitioning keeps parallel execution deterministic; in-order batch
-//     retirement preserves batch order). 0 (default) runs the paper's
-//     single execute-thread; -1 folds execution into the worker lanes
-//     (0E).
+//     retirement preserves batch order). 0 runs the paper's single
+//     execute-thread; -1 folds execution into the worker lanes (0E).
 //   - -exec-pipeline-depth P: with E > 1, let up to P committed batches
 //     be in flight across the execution shards at once (cross-batch
 //     pipelining; per-shard FIFO keeps conflicting key partitions in
-//     batch order, and ledger appends stay strictly sequential). 1
-//     (default) is the strict per-batch barrier.
+//     batch order, and ledger appends stay strictly sequential). 0 is
+//     the strict per-batch barrier.
 //   - -store-backend mem|sharded: the record store. mem (default) is the
 //     paper's recommended in-memory table; sharded is the durable
 //     group-commit store — an append log every execution shard writes
@@ -106,27 +107,14 @@ func main() {
 	os.Exit(run())
 }
 
-// knob maps the cluster-wide flag convention (0 = default, -1 =
-// explicitly disabled) onto the raw thread/shard count replica.Config
-// takes (where 0 folds the stage into the worker).
-func knob(v, def int) int {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
-}
-
 func run() int {
 	dep := deploy.Register(flag.CommandLine, true)
 	id := flag.Int("id", 0, "replica identifier (0..n-1)")
 	listen := flag.String("listen", "127.0.0.1:7000", "listen address")
-	batch := flag.Int("batch", 100, "transactions per consensus batch")
+	batch := flag.Int("batch", 0, "transactions per consensus batch (0 = default 100)")
 	batchThreads := flag.Int("batch-threads", 0, "batch-threads B (0 = default 2, -1 folds batching into the worker lanes)")
 	execShards := flag.Int("execute-shards", 0, "execution shards E (0 = default single execute-thread, -1 folds execution into the worker lanes, E > 1 = parallel write-set-partitioned shards)")
-	execDepth := flag.Int("exec-pipeline-depth", 1, "cross-batch execution pipelining depth P (1 = strict per-batch barrier; P > 1 overlaps up to P batches across the execution shards)")
+	execDepth := flag.Int("exec-pipeline-depth", 0, "cross-batch execution pipelining depth P (0 = default 1, the strict per-batch barrier; P > 1 overlaps up to P batches across the execution shards)")
 	storeBackend := flag.String("store-backend", "mem", "record store: mem | sharded (durable, group-commit, one append log)")
 	storeDir := flag.String("store-dir", "", "root directory for the sharded store (default resdb-data/replica-<id>)")
 	storeSync := flag.Bool("store-sync", false, "make the sharded store durable: group-commit fsyncs, no response before one covers its writes (off = page cache only)")
@@ -134,7 +122,7 @@ func run() int {
 	storeCompactMin := flag.Int64("store-compact-min-bytes", 0, "log size below which checkpoint-driven compaction never rewrites (0 = default 1 MiB, negative removes the floor)")
 	storeReadIndex := flag.Int("store-read-index", 0, "in-memory read index over the sharded store so local reads never touch the log or its lock (0 = default on, -1 disables)")
 	verifyThreads := flag.Int("verify-threads", 0, "client-signature verification workers; input-threads verify peer envelopes (0 = default 2, -1 verifies both inline on the worker lanes and batch-threads)")
-	workerThreads := flag.Int("worker-threads", 1, "parallel consensus worker lanes (1 = the paper's single worker-thread)")
+	workerThreads := flag.Int("worker-threads", 0, "parallel consensus worker lanes (0 = default 1, the paper's single worker-thread)")
 	chaosSpec := flag.String("chaos", "", "fault-injection spec for this replica's outbound traffic: drop=P,dup=P,corrupt=P,delay=D,reorder=D,byz=mode@replica,seed=N (empty disables; see internal/chaos)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address and report heap/GC deltas in the stats tick (empty disables)")
 	statsEvery := flag.Duration("stats", 5*time.Second, "stats print interval")
@@ -169,7 +157,6 @@ func run() int {
 		repEP = spec.Fabric().WrapEndpoint(types.ReplicaID(*id), repEP, d.Directory)
 	}
 
-	execThreads := knob(*execShards, 1)
 	if *storeDir == "" {
 		*storeDir = filepath.Join("resdb-data", fmt.Sprintf("replica-%d", *id))
 	}
@@ -196,10 +183,10 @@ func run() int {
 		ID:                types.ReplicaID(*id),
 		N:                 d.N,
 		BatchSize:         *batch,
-		BatchThreads:      knob(*batchThreads, 2),
-		ExecuteThreads:    execThreads,
+		BatchThreads:      *batchThreads,
+		ExecuteThreads:    *execShards,
 		ExecPipelineDepth: *execDepth,
-		VerifyThreads:     knob(*verifyThreads, 2),
+		VerifyThreads:     *verifyThreads,
 		WorkerThreads:     *workerThreads,
 		Store:             st,
 		Directory:         d.Directory,

@@ -173,11 +173,9 @@ func TestShapeDiskPipe(t *testing.T) {
 	// batch's partition — under a read mix too, since a read waits for the
 	// writes before it to be appended, not durable. A worker that waited
 	// out its own fsync could at best reach exactly one fsync per batch.
-	if DiskTuning.Depth >= 2 {
-		for _, row := range []string{"sharded_gc", "sharded_gc_rmix"} {
-			if got := out.Metrics["diskpipe_batches_per_fsync_"+row]; got <= 1 {
-				t.Fatalf("%s at depth %d: %.2f fsyncs per batch, want fewer than one", row, DiskTuning.Depth, 1/got)
-			}
+	for _, row := range []string{"sharded_gc", "sharded_gc_rmix"} {
+		if got := out.Metrics["diskpipe_batches_per_fsync_"+row]; got <= 1 {
+			t.Fatalf("%s at depth %d: %.2f fsyncs per batch, want fewer than one", row, diskpipeDepth, 1/got)
 		}
 	}
 }

@@ -62,14 +62,9 @@ func compaction(s Scale) (Outcome, error) {
 		return Outcome{}, err
 	}
 
-	opts := store.ShardedDiskOptions{
-		// The forced Compact below bypasses these thresholds by design
-		// (the experiment measures the rewrite itself); they are carried
-		// so the store is configured exactly as a -store-compact-* tuned
-		// deployment would be.
-		CompactRatio:    DiskTuning.CompactRatio,
-		CompactMinBytes: DiskTuning.CompactMinBytes,
-	}
+	// The store's default compaction thresholds: the forced Compact below
+	// bypasses them by design (the experiment measures the rewrite itself).
+	var opts store.ShardedDiskOptions
 	st, err := store.OpenShardedDisk(dir, opts)
 	if err != nil {
 		return Outcome{}, err

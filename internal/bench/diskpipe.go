@@ -13,29 +13,14 @@ import (
 	"resilientdb/internal/workload"
 )
 
-// DiskTuning exposes the durable-storage knobs to the resdb-bench command
-// line: the diskpipe experiment compares the store backends under these
-// settings.
-var DiskTuning = struct {
-	// Sync makes the disk-backed rows durable: the sharded rows share an
-	// fsync across everything appended during the one before, the serial
-	// row waits for one per Put. Off isolates the blocking-API cost.
-	Sync bool
-	// Depth is the cross-batch execution pipelining depth for the
-	// sharded-store row.
-	Depth int
-	// CompactRatio and CompactMinBytes are handed to the disk store as
-	// its checkpoint-driven compaction thresholds (0 = store defaults).
-	// They shape diskpipe's disk rows (whose replicas MaybeCompact on
-	// stable checkpoints); the compaction experiment's forced Compact
-	// ignores thresholds by design.
-	CompactRatio    float64
-	CompactMinBytes int64
-}{Sync: true, Depth: 4}
-
-// diskpipeExecShards is E for every diskpipe row, so the storage backend
-// is the only axis that moves.
-const diskpipeExecShards = 4
+const (
+	// diskpipeExecShards is E for every diskpipe row, so the storage
+	// backend is the only axis that moves.
+	diskpipeExecShards = 4
+	// diskpipeDepth is the cross-batch execution pipelining depth of the
+	// sharded-store rows.
+	diskpipeDepth = 4
+)
 
 // diskpipe measures the durable storage pipeline on the real replica
 // stack (in-process transport, E = 4 execution shards throughout, so the
@@ -74,9 +59,9 @@ func diskpipe(s Scale) (Outcome, error) {
 	}
 	rows := []diskRow{
 		{name: "mem", backend: "mem", depth: 1},
-		{name: "disk-serial", backend: "sharded", bare: true, sync: DiskTuning.Sync, depth: 1},
-		{name: "sharded-gc", backend: "sharded", sync: DiskTuning.Sync, depth: DiskTuning.Depth},
-		{name: "sharded-gc-rmix", backend: "sharded", sync: DiskTuning.Sync, depth: DiskTuning.Depth, readFrac: 0.5},
+		{name: "disk-serial", backend: "sharded", bare: true, depth: 1},
+		{name: "sharded-gc", backend: "sharded", depth: diskpipeDepth},
+		{name: "sharded-gc-rmix", backend: "sharded", depth: diskpipeDepth, readFrac: 0.5},
 	}
 
 	tab := Table{
@@ -146,7 +131,6 @@ type diskRow struct {
 	name     string
 	backend  string
 	bare     bool
-	sync     bool
 	depth    int
 	readFrac float64
 }
@@ -167,19 +151,17 @@ func runDiskLoad(row diskRow, execShards, clients int, window time.Duration) (cl
 	wl.OpsPerTxn = 8
 	wl.ValueSize = 256
 	opts := cluster.Options{
-		N:                    4,
-		Clients:              clients,
-		Burst:                4,
-		BatchSize:            20,
-		ExecuteThreads:       execShards,
-		ExecPipelineDepth:    row.depth,
-		StoreBackend:         row.backend,
-		StoreSync:            row.sync,
-		StoreCompactRatio:    DiskTuning.CompactRatio,
-		StoreCompactMinBytes: DiskTuning.CompactMinBytes,
-		Workload:             wl,
-		CheckpointInterval:   25,
-		Seed:                 13,
+		N:                  4,
+		Clients:            clients,
+		Burst:              4,
+		BatchSize:          20,
+		ExecuteThreads:     execShards,
+		ExecPipelineDepth:  row.depth,
+		StoreBackend:       row.backend,
+		StoreSync:          row.backend == "sharded",
+		Workload:           wl,
+		CheckpointInterval: 25,
+		Seed:               13,
 	}
 	if row.bare {
 		opts.StoreWrapper = func(_ types.ReplicaID, st store.Store) store.Store {

@@ -11,14 +11,6 @@ import (
 	"resilientdb/internal/workload"
 )
 
-// ExecTuning exposes the execution-shard knob to the resdb-bench command
-// line (-execute-shards): the execshards experiment sweeps E from 1 up to
-// this many shards in powers of two.
-var ExecTuning = struct {
-	// MaxShards is the largest shard count in the sweep.
-	MaxShards int
-}{MaxShards: 4}
-
 // execshards measures how the execute stage behaves as committed batches
 // are fanned out across E write-set-partitioned shard workers. Like
 // workerscale it runs the real replica pipeline (in-process transport):
@@ -38,10 +30,7 @@ func execshards(s Scale) (Outcome, error) {
 		window = 2 * time.Second
 		clients = 192
 	}
-	sweep := []int{1}
-	for e := 2; e <= ExecTuning.MaxShards; e *= 2 {
-		sweep = append(sweep, e)
-	}
+	sweep := []int{1, 2, 4}
 
 	tab := Table{
 		Title: "Execution-shard scaling (PBFT, real pipeline, write-set partitioning)",

@@ -12,14 +12,6 @@ import (
 	"resilientdb/internal/workload"
 )
 
-// WorkerTuning exposes the worker-lane knob to the resdb-bench command
-// line (-worker-threads): the workerscale experiment sweeps W from 1 up
-// to this many lanes in powers of two.
-var WorkerTuning = struct {
-	// MaxThreads is the largest lane count in the sweep.
-	MaxThreads int
-}{MaxThreads: 4}
-
 // workerscale measures how consensus throughput scales with the number of
 // worker lanes stepping the lock-striped PBFT engine. Unlike the figure
 // experiments it runs the real replica pipeline (in-process transport),
@@ -37,10 +29,7 @@ func workerscale(s Scale) (Outcome, error) {
 		window = 2 * time.Second
 		clients = 256
 	}
-	sweep := []int{1}
-	for w := 2; w <= WorkerTuning.MaxThreads; w *= 2 {
-		sweep = append(sweep, w)
-	}
+	sweep := []int{1, 2, 4}
 
 	tab := Table{
 		Title: "Worker-lane scaling (PBFT, real pipeline, in-process transport)",

@@ -28,39 +28,25 @@ type Options struct {
 	// per consensus batch.
 	Burst     int
 	BatchSize int
-	// Thread counts; see replica.Config. Defaults follow the paper's
-	// standard configuration: 2 batch-threads, 1 execute-thread, and
-	// VerifyThreads 2 (input-threads authenticate what they dequeue, two
-	// pool workers check client signatures); the 2 replica input-threads
-	// are fixed, and there are no output-threads (senders call the
-	// endpoint themselves). Pass -1 to request the folded 0B / 0E /
-	// inline-verify configurations explicitly.
-	// ExecuteThreads is E, the execution shard count: values above 1 run
-	// the execute stage as E write-set-partitioned shard workers behind
-	// the in-order coordinator (deterministic — see
-	// replica.Config.ExecuteThreads).
-	BatchThreads   int
-	ExecuteThreads int
-	VerifyThreads  int
-	// ExecPipelineDepth is the execute stage's cross-batch pipelining
-	// depth (default 1, the strict per-batch barrier; see
-	// replica.Config.ExecPipelineDepth). Only meaningful with
-	// ExecuteThreads > 1.
+	// The pipeline shape, passed to every replica as given:
+	// replica.Config documents each field, its default (zero is the
+	// paper's standard 2B1E) and its folded form (-1 for B, E and V).
+	BatchThreads      int
+	ExecuteThreads    int
+	VerifyThreads     int
 	ExecPipelineDepth int
-	// WorkerThreads is W, the number of parallel worker lanes stepping
-	// the consensus engine (default 1, the paper's baseline; see
-	// replica.Config.WorkerThreads).
-	WorkerThreads int
+	WorkerThreads     int
 	// Crypto selects the signature configuration (default: the paper's
 	// recommended CMAC + ED25519 combination).
 	Crypto crypto.Config
 	// Workload configures the YCSB generator.
 	Workload workload.Config
-	// ClientTimeout is the client retransmission delay; ViewTimeout the
-	// replica progress watchdog (0 disables view changes).
+	// ClientTimeout is the client retransmission delay (0 = NewClient's
+	// default); ViewTimeout the replica progress watchdog (0 disables view
+	// changes).
 	ClientTimeout time.Duration
 	ViewTimeout   time.Duration
-	// CheckpointInterval is Δ in batches.
+	// CheckpointInterval is Δ in batches (see replica.Config).
 	CheckpointInterval uint64
 	// LedgerMode selects block linkage.
 	LedgerMode ledger.Mode
@@ -121,36 +107,6 @@ func (o *Options) fill() error {
 	if o.Clients < 1 {
 		o.Clients = 4
 	}
-	if o.Burst < 1 {
-		o.Burst = 1
-	}
-	if o.BatchSize < 1 {
-		o.BatchSize = 100
-	}
-	if o.BatchThreads == 0 {
-		o.BatchThreads = 2
-	}
-	if o.BatchThreads < 0 {
-		o.BatchThreads = 0 // explicit 0B request
-	}
-	if o.ExecuteThreads == 0 {
-		o.ExecuteThreads = 1
-	}
-	if o.ExecuteThreads < 0 {
-		o.ExecuteThreads = 0 // explicit 0E request
-	}
-	if o.VerifyThreads == 0 {
-		o.VerifyThreads = 2
-	}
-	if o.VerifyThreads < 0 {
-		o.VerifyThreads = 0 // explicit inline-verify request
-	}
-	if o.WorkerThreads < 1 {
-		o.WorkerThreads = 1 // single worker lane, the paper's baseline
-	}
-	if o.ExecPipelineDepth < 1 {
-		o.ExecPipelineDepth = 1 // strict per-batch barrier, the baseline
-	}
 	if o.StoreBackend == "" {
 		o.StoreBackend = "mem"
 	}
@@ -166,12 +122,6 @@ func (o *Options) fill() error {
 	}
 	if o.Workload.Records == 0 {
 		o.Workload = workload.Default()
-	}
-	if o.ClientTimeout <= 0 {
-		o.ClientTimeout = 500 * time.Millisecond
-	}
-	if o.CheckpointInterval == 0 {
-		o.CheckpointInterval = 100
 	}
 	return nil
 }

@@ -72,8 +72,7 @@ func TestAllocsPerCommittedBatch(t *testing.T) {
 			ep.SetPeerAddr(node, addr)
 		}
 		r, err := New(Config{
-			ID: types.ReplicaID(i), N: 4, Protocol: PBFT,
-			BatchSize: burst, BatchThreads: 2, ExecuteThreads: 1, VerifyThreads: 2, WorkerThreads: 1,
+			ID: types.ReplicaID(i), N: 4, Protocol: PBFT, BatchSize: burst,
 			CheckpointInterval: 25, Store: store.NewMemStore(records),
 			Directory: dir, Endpoint: ep, VerifyClientSigs: true,
 		})
@@ -213,7 +212,7 @@ func TestAllocsPerReadBatch(t *testing.T) {
 		id := types.ReplicaID(i)
 		r, err := New(Config{
 			ID: id, N: 4, Protocol: PBFT,
-			BatchSize: 32, BatchThreads: 2, ExecuteThreads: 2, ExecPipelineDepth: 2, VerifyThreads: 2, WorkerThreads: 1,
+			BatchSize: 32, ExecuteThreads: 2, ExecPipelineDepth: 2,
 			CheckpointInterval: 25, Store: disk,
 			Directory: dir, Endpoint: net.Endpoint(types.ReplicaNode(id), 3, 1<<13), VerifyClientSigs: true,
 		})

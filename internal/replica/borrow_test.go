@@ -302,7 +302,7 @@ func TestVoteAdmitToEngineAllocatesNothing(t *testing.T) {
 	}
 	self, peer, opener := types.ReplicaNode(1), types.ReplicaNode(2), types.ReplicaNode(3)
 	r, err := New(Config{
-		ID: 1, N: 4, Protocol: PBFT, VerifyThreads: 2,
+		ID: 1, N: 4, Protocol: PBFT,
 		Directory: dir, Endpoint: transport.NewInproc().Endpoint(self, 3, 16),
 	})
 	if err != nil {

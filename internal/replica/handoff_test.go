@@ -61,7 +61,7 @@ func TestSenderFIFO(t *testing.T) {
 	// Two senders share an inbox: it must hold both streams, because the
 	// in-process fabric drops what meets a full inbox.
 	r, err := New(Config{
-		ID: 0, N: 4, Protocol: PBFT, VerifyThreads: 2, WorkerThreads: lanes,
+		ID: 0, N: 4, WorkerThreads: lanes,
 		Directory: dir, Endpoint: net.Endpoint(to, 3, 2*perSender),
 	})
 	if err != nil {
@@ -148,8 +148,7 @@ func TestStopWhileSending(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		ep, peerEP, clientEP := endpoints(round%5 == 0)
 		r, err := New(Config{
-			ID: 1, N: 4, Protocol: PBFT, BatchThreads: 2, ExecuteThreads: 1, VerifyThreads: 2,
-			ViewTimeout: 200 * time.Microsecond, Directory: dir, Endpoint: ep,
+			ID: 1, N: 4, ViewTimeout: 200 * time.Microsecond, Directory: dir, Endpoint: ep,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -251,9 +250,10 @@ func TestGoroutineCensus(t *testing.T) {
 		want map[string]int
 	}{
 		{
-			// cluster.Options' defaults, and the benchmark's TCP replicas.
+			// Only the required fields: the paper's standard 2B1E replica
+			// with V=2, what cluster, resdb-node and the benchmark's TCP
+			// replicas run.
 			name: "default",
-			cfg:  Config{BatchThreads: 2, ExecuteThreads: 1, VerifyThreads: 2, WorkerThreads: 1},
 			want: map[string]int{
 				"replica.(*Replica).inputClientLoop":  1,
 				"replica.(*Replica).inputReplicaLoop": 2,
@@ -291,6 +291,7 @@ func TestGoroutineCensus(t *testing.T) {
 		{
 			// The paper's folded configuration: 0B 0E, inline verification.
 			name: "0B 0E 0V",
+			cfg:  Config{BatchThreads: -1, ExecuteThreads: -1, VerifyThreads: -1},
 			want: map[string]int{
 				"replica.(*Replica).inputClientLoop":  1,
 				"replica.(*Replica).inputReplicaLoop": 2,

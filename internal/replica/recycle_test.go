@@ -148,7 +148,6 @@ func newShapedRecycleCluster(t *testing.T, tcp bool, execThreads int, shape recy
 			BatchSize:          64,
 			BatchThreads:       1, // one drain order, so send order is batch order
 			ExecuteThreads:     execThreads,
-			VerifyThreads:      2,
 			CheckpointInterval: shape.interval,
 			LedgerMode:         shape.ledger,
 			Store:              st,

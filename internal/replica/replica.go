@@ -34,9 +34,10 @@
 // writers are the paper's output-threads (Section 4.1). A message changes
 // goroutine only where there is work on the other side.
 //
-// Setting BatchThreads or ExecuteThreads to zero folds that stage into the
-// worker-thread, reproducing the paper's 0B/0E configurations
-// (Section 5.2); message and transaction buffers come from object pools
+// A zero Config shape is the paper's standard 2B1E replica; setting
+// BatchThreads, ExecuteThreads or VerifyThreads to -1 folds that stage into
+// the worker lanes, reproducing the paper's 0B/0E configurations
+// (Section 5.2). Message and transaction buffers come from object pools
 // (Section 4.8). The paper stopped at one execute-thread because arbitrary
 // multi-threaded execution causes data conflicts; this replica goes
 // further by exploiting that the workload's write-sets are known up front
@@ -69,7 +70,11 @@ type Protocol int
 // PBFT is the one protocol a replica runs.
 const PBFT Protocol = 1
 
-// Config parameterizes a replica.
+// Config parameterizes a replica. Beyond ID, N, Directory and Endpoint
+// every field may be left zero: the pipeline-shape fields then take the
+// paper's standard configuration (Section 5.2), B=2, E=1, V=2, W=1, depth 1,
+// batches of 100, a checkpoint every 100 batches. For B, E and V, -1 folds
+// the stage (the paper's 0B/0E, and inline verification).
 type Config struct {
 	// ID is this replica's identifier; N the cluster size (n ≥ 3f+1).
 	ID types.ReplicaID
@@ -80,14 +85,15 @@ type Config struct {
 	// paper's default is 100, Section 5.1): the batch stage proposes what
 	// is queued, up to this many, and never waits for more.
 	BatchSize int
-	// BatchThreads is B: 0 folds batching into the worker-thread.
+	// BatchThreads is B, the batch-threads at the primary (default 2); -1
+	// folds batching into worker lane 0 (the paper's 0B).
 	BatchThreads int
-	// ExecuteThreads is E, the number of execution shards: 0 folds
-	// execution into the worker-thread (the paper's 0E); 1 dedicates a
-	// single serial execute-thread (the paper's 1E baseline). With E > 1
-	// the execute stage keeps its single in-order coordinator but
-	// hash-partitions each committed batch's write-set by key across E
-	// shard workers that apply their partitions to the store concurrently.
+	// ExecuteThreads is E, the number of execution shards (default 1, a
+	// single serial execute-thread: the paper's 1E); -1 folds execution
+	// into the worker lanes (the paper's 0E). With E > 1 the execute stage
+	// keeps its single in-order coordinator but hash-partitions each
+	// committed batch's write-set by key across E shard workers that apply
+	// their partitions to the store concurrently.
 	// Batches retire strictly in order (by default behind a per-batch
 	// barrier; see ExecPipelineDepth), and because one key always maps to
 	// the same shard and each shard applies its writes in batch order,
@@ -118,14 +124,15 @@ type Config struct {
 	// control traffic — client requests in 0B mode, view changes,
 	// new-views — stays on lane 0 to preserve its ordering.
 	WorkerThreads int
-	// VerifyThreads is V. With V > 0 an input-thread authenticates every
-	// peer envelope it dequeues, before decoding it, so a worker lane only
-	// ever sees authenticated messages and an unauthenticated peer buys no
-	// parsing; the inboxes are the parallelism, whatever the scheme. V also
-	// sizes the crypto.VerifyPool that fans a batch's client signatures
-	// out, the one check that has a fan-out. 0 verifies peer envelopes on
-	// the worker lane and client signatures on the batch-thread, the
-	// paper's baseline assignment (Section 4.3), kept for the ablations.
+	// VerifyThreads is V (default 2). With V > 0 an input-thread
+	// authenticates every peer envelope it dequeues, before decoding it, so
+	// a worker lane only ever sees authenticated messages and an
+	// unauthenticated peer buys no parsing; the inboxes are the parallelism,
+	// whatever the scheme. V also sizes the crypto.VerifyPool that fans a
+	// batch's client signatures out, the one check that has a fan-out. -1
+	// verifies peer envelopes on the worker lane and client signatures on
+	// the batch-thread, the paper's baseline assignment (Section 4.3), kept
+	// for the ablations.
 	VerifyThreads int
 	// CheckpointInterval is Δ in batches; the paper checkpoints once per
 	// 10K transactions, i.e. every 100 batches of 100 (Section 5.1).
@@ -139,8 +146,8 @@ type Config struct {
 	Directory *crypto.Directory
 	Endpoint  transport.Endpoint
 	// VerifyClientSigs makes batch-threads verify client request
-	// signatures before batching (on by default at the primary via
-	// NewDefault; forged requests are rejected).
+	// signatures before batching, rejecting forged requests. Off unless
+	// set; every deployment (cluster, resdb-node) sets it.
 	VerifyClientSigs bool
 	// DisableOutOfOrder serializes consensus instances: the primary
 	// proposes batch k+1 only after batch k executed. It exists as the
@@ -186,29 +193,31 @@ func (c *Config) fill() error {
 	if c.Protocol != 0 && c.Protocol != PBFT {
 		return fmt.Errorf("replica: protocol %d is not served: a replica runs PBFT only (Zyzzyva runs in internal/sim)", c.Protocol)
 	}
-	if c.ExecuteThreads < 0 {
-		return fmt.Errorf("replica: negative ExecuteThreads (0 folds execution into the worker, 1 is the serial execute-thread, E > 1 runs E write-set-partitioned execution shards)")
-	}
-	if c.BatchThreads < 0 {
-		return fmt.Errorf("replica: negative BatchThreads")
-	}
-	if c.ExecPipelineDepth < 0 {
-		return fmt.Errorf("replica: negative ExecPipelineDepth (1 is the strict per-batch barrier, P > 1 pipelines up to P batches across the execution shards)")
-	}
-	if c.ExecPipelineDepth == 0 {
-		c.ExecPipelineDepth = 1
-	}
-	if c.VerifyThreads < 0 {
-		return fmt.Errorf("replica: negative VerifyThreads")
-	}
-	if c.WorkerThreads < 0 {
-		return fmt.Errorf("replica: negative WorkerThreads")
-	}
-	if c.WorkerThreads == 0 {
-		c.WorkerThreads = 1
-	}
-	if c.BatchSize < 1 {
-		c.BatchSize = 100
+	// The pipeline shape. Zero is the paper's standard; -1 folds B, E or V
+	// and is kept as given (every stage check is > 0, > 1 or a < n loop), so
+	// fill is idempotent.
+	for _, f := range []struct {
+		name     string
+		v        *int
+		def      int
+		foldable bool
+	}{
+		{"BatchThreads", &c.BatchThreads, 2, true},
+		{"ExecuteThreads", &c.ExecuteThreads, 1, true},
+		{"VerifyThreads", &c.VerifyThreads, 2, true},
+		{"WorkerThreads", &c.WorkerThreads, 1, false},
+		{"ExecPipelineDepth", &c.ExecPipelineDepth, 1, false},
+		{"BatchSize", &c.BatchSize, 100, false},
+	} {
+		switch {
+		case *f.v == 0:
+			*f.v = f.def
+		case *f.v == -1 && f.foldable:
+		case *f.v < 0 && f.foldable:
+			return fmt.Errorf("replica: %s %d (0 = default %d, -1 folds the stage)", f.name, *f.v, f.def)
+		case *f.v < 0:
+			return fmt.Errorf("replica: negative %s (0 = default %d)", f.name, f.def)
+		}
 	}
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 100
@@ -668,7 +677,7 @@ type Replica struct {
 	readWg sync.WaitGroup
 
 	// verifyPool fans a batch's client signatures out over VerifyThreads
-	// workers (nil when VerifyThreads == 0).
+	// workers (nil when VerifyThreads is -1).
 	verifyPool *crypto.VerifyPool
 
 	// encBufs backs the outbound encode path (Section 4.8 buffer-pool
@@ -709,10 +718,9 @@ type Replica struct {
 	// invariant violations.
 	evidence atomic.Uint64
 
-	// Inline (0E) execution reorder state, guarded by inlineMu.
-	inlineMu      sync.Mutex
-	inlinePending map[uint64]consensus.Execute
-	inlineNext    uint64
+	// inlineMu admits one worker lane at a time to drain execIn in the 0E
+	// configuration.
+	inlineMu sync.Mutex
 
 	// inflight tracks unexecuted proposed batches for the
 	// DisableOutOfOrder ablation.
@@ -854,8 +862,6 @@ func New(cfg Config) (*Replica, error) {
 	if va, ok := st.(store.ValueAppender); ok {
 		r.values = va
 	}
-	r.inlinePending = make(map[uint64]consensus.Execute)
-	r.inlineNext = uint64(startSeq) + 1
 	if cfg.Bootstrap != nil {
 		r.lastRetired.Store(uint64(startSeq))
 		for c, seq := range cfg.Bootstrap.LastExec {

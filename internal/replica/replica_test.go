@@ -40,8 +40,14 @@ func TestConfigValidation(t *testing.T) {
 		{"zero protocol is PBFT", func(c *Config) { c.Protocol = 0 }, ""},
 		{"bad protocol", func(c *Config) { c.Protocol = 7 }, "protocol 7"},
 		{"sharded execute accepted", func(c *Config) { c.ExecuteThreads = 4 }, ""},
-		{"negative execute threads", func(c *Config) { c.ExecuteThreads = -1 }, "ExecuteThreads"},
-		{"negative batch threads", func(c *Config) { c.BatchThreads = -1 }, "BatchThreads"},
+		{"folded execute accepted", func(c *Config) { c.ExecuteThreads = -1 }, ""},
+		{"folded batch accepted", func(c *Config) { c.BatchThreads = -1 }, ""},
+		{"folded verify accepted", func(c *Config) { c.VerifyThreads = -1 }, ""},
+		{"negative execute threads", func(c *Config) { c.ExecuteThreads = -2 }, "ExecuteThreads"},
+		{"negative batch threads", func(c *Config) { c.BatchThreads = -2 }, "BatchThreads"},
+		{"negative verify threads", func(c *Config) { c.VerifyThreads = -2 }, "VerifyThreads"},
+		{"negative pipeline depth", func(c *Config) { c.ExecPipelineDepth = -1 }, "ExecPipelineDepth"},
+		{"negative batch size", func(c *Config) { c.BatchSize = -1 }, "BatchSize"},
 		{"missing directory", func(c *Config) { c.Directory = nil }, "Directory"},
 		{"missing endpoint", func(c *Config) { c.Endpoint = nil }, "Endpoint"},
 	}
@@ -63,19 +69,42 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestDefaultsApplied: a Config with only its required fields is the
+// paper's standard replica (Section 5.2), and filling it again changes
+// nothing, a folded stage included.
 func TestDefaultsApplied(t *testing.T) {
 	r, err := New(validConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.cfg.BatchSize != 100 {
-		t.Fatalf("defaults not applied: %+v", r.cfg)
-	}
-	if r.cfg.CheckpointInterval != 100 {
-		t.Fatalf("checkpoint default = %d", r.cfg.CheckpointInterval)
+	for _, f := range []struct {
+		name      string
+		got, want int
+	}{
+		{"BatchThreads", r.cfg.BatchThreads, 2},
+		{"ExecuteThreads", r.cfg.ExecuteThreads, 1},
+		{"VerifyThreads", r.cfg.VerifyThreads, 2},
+		{"WorkerThreads", r.cfg.WorkerThreads, 1},
+		{"ExecPipelineDepth", r.cfg.ExecPipelineDepth, 1},
+		{"BatchSize", r.cfg.BatchSize, 100},
+		{"CheckpointInterval", int(r.cfg.CheckpointInterval), 100},
+	} {
+		if f.got != f.want {
+			t.Errorf("default %s = %d, want %d", f.name, f.got, f.want)
+		}
 	}
 	if !r.IsPrimary() {
 		t.Fatal("replica 0 should lead view 0")
+	}
+
+	folded := r.cfg
+	folded.BatchThreads, folded.ExecuteThreads, folded.VerifyThreads = -1, -1, -1
+	again := folded
+	if err := again.fill(); err != nil {
+		t.Fatal(err)
+	}
+	if again != folded {
+		t.Fatalf("fill is not idempotent:\n%+v\n%+v", folded, again)
 	}
 }
 

@@ -134,7 +134,7 @@ func (r *Replica) inputReplicaLoop(inbox <-chan *types.Envelope) {
 // and one MAC (or one signature verify), the thread already holds the
 // envelope, and handing it to another goroutine for that would cost more
 // than the check and order nothing — the inbox is FIFO and so is this
-// thread. With VerifyThreads == 0 the check stays with the worker lane (the
+// thread. With VerifyThreads -1 the check stays with the worker lane (the
 // paper's cost assignment, kept for the ablations) and the envelope is
 // decoded unauthenticated; that gives unverified peers pre-auth parsing on
 // the input stage, but the decoder is bounds-checked and O(body bytes) — the
@@ -367,7 +367,7 @@ func (r *Replica) propose(reqs []types.ClientRequest, out *consensus.Out) (parke
 // and the batch digest. With a verify pool available the checks fan out
 // across its workers — submitted in order, awaited in order — so one RSA
 // verify on the batch-thread no longer serializes the whole batch; without
-// a pool (VerifyThreads <= 0) the checks run inline, which is the paper's
+// a pool (VerifyThreads -1) the checks run inline, which is the paper's
 // cost assignment for the 0V ablation.
 func (r *Replica) verifyClientSigs(reqs []types.ClientRequest) []types.ClientRequest {
 	if r.verifyPool == nil || len(reqs) == 1 {
@@ -464,7 +464,7 @@ func (r *Replica) laneLoop(lane int) {
 }
 
 // processItem authenticates and applies one decoded peer message (the
-// input stage already decoded it). With VerifyThreads == 0 signature
+// input stage already decoded it). With VerifyThreads -1 signature
 // verification happens here, on the worker lane, exactly where the paper
 // assigns it (Section 4.3); when the input-thread already authenticated
 // the envelope (verified true) it is not checked again. The engine step
@@ -560,10 +560,9 @@ func (r *Replica) handleActions(out *consensus.Out) {
 			r.sendTo(o.Send.To, o.Send.Msg)
 		case consensus.KindExecute:
 			r.execPending.Add(1)
-			if r.cfg.ExecuteThreads > 0 {
-				r.execIn.Offer(uint64(o.Execute.Seq), execItem{act: o.Execute})
-			} else {
-				r.inlineExecute(o.Execute)
+			r.execIn.Offer(uint64(o.Execute.Seq), execItem{act: o.Execute})
+			if r.cfg.ExecuteThreads < 0 {
+				r.inlineExecute()
 			}
 		case consensus.KindCheckpointStable:
 			r.ledger.Prune(uint64(o.CheckpointStable.Seq))
@@ -593,22 +592,22 @@ func (r *Replica) handleActions(out *consensus.Out) {
 	out.Reset()
 }
 
-// inlineExecute serializes in-order execution on the calling thread for 0E
-// configurations: batches parked in a reorder map are drained strictly by
-// sequence number under the execution lock.
-func (r *Replica) inlineExecute(act consensus.Execute) {
+// inlineExecute is the 0E execute stage: the lane that just offered a batch
+// to the in-order queue drains every batch ready there, in sequence order,
+// on its own thread, one lane at a time. Polling against an already-closed
+// channel never blocks: a batch whose predecessor has not committed stays
+// queued for the lane that offers the predecessor, and whoever offers last
+// drains after its offer, so nothing is left behind.
+func (r *Replica) inlineExecute() {
 	r.inlineMu.Lock()
 	defer r.inlineMu.Unlock()
-	r.inlinePending[uint64(act.Seq)] = act
 	for {
-		next, ok := r.inlinePending[r.inlineNext]
-		if !ok {
+		_, item, woke := r.execIn.NextOr(loweredBarrier)
+		if woke != queue.WokeItem {
 			return
 		}
-		delete(r.inlinePending, r.inlineNext)
-		r.inlineNext++
 		t0 := time.Now()
-		r.executeBatch(next)
+		r.executeBatch(item.act)
 		// In 0E mode execution time is the worker's burden.
 		r.addBusy(StageWorker, time.Since(t0))
 	}

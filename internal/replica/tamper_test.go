@@ -47,6 +47,14 @@ func signedBatch(t *testing.T, dir *crypto.Directory, n int) []types.ClientReque
 	return reqs
 }
 
+// verifyRows are the two verification placements the tamper tests run
+// under: inline on the worker lane (V folded; the row keeps the name it had
+// when 0 meant the fold) and on the input-threads with a V = 2 pool.
+var verifyRows = []struct {
+	name    string
+	threads int
+}{{"0", -1}, {"2", 2}}
+
 // TestTamperedProposalNeverReachesEngine: a proposal's authenticator covers
 // its header only, so the digest check is what authenticates the requests
 // behind it. For an authenticated PrePrepare, verified on the input-thread
@@ -62,8 +70,8 @@ func signedBatch(t *testing.T, dir *crypto.Directory, n int) []types.ClientReque
 // decoding it, and counts it as malformed.
 func TestTamperedProposalNeverReachesEngine(t *testing.T) {
 	for _, proto := range []string{"pbft", "zyzzyva"} {
-		for _, verifyThreads := range []int{0, 2} {
-			t.Run(fmt.Sprintf("%s/verify-threads-%d", proto, verifyThreads), func(t *testing.T) {
+		for _, v := range verifyRows {
+			t.Run(fmt.Sprintf("%s/verify-threads-%s", proto, v.name), func(t *testing.T) {
 				dir, err := crypto.NewDirectory(crypto.Recommended(), [32]byte{22})
 				if err != nil {
 					t.Fatal(err)
@@ -71,7 +79,7 @@ func TestTamperedProposalNeverReachesEngine(t *testing.T) {
 				net := transport.NewInproc()
 				primary, backup := types.ReplicaNode(0), types.ReplicaNode(1)
 				r, err := New(Config{
-					ID: 1, N: 4, VerifyThreads: verifyThreads,
+					ID: 1, N: 4, VerifyThreads: v.threads,
 					Directory: dir, Endpoint: net.Endpoint(backup, 3, 1<<12),
 				})
 				if err != nil {
@@ -186,7 +194,7 @@ func TestDriverSignedRequestVerifiesAfterDecode(t *testing.T) {
 	}
 	net := transport.NewInproc()
 	r, err := New(Config{
-		ID: 0, N: 4, Protocol: PBFT, VerifyThreads: 2, VerifyClientSigs: true,
+		ID: 0, N: 4, VerifyClientSigs: true,
 		Directory: dir, Endpoint: net.Endpoint(types.ReplicaNode(0), 3, 64),
 	})
 	if err != nil {
@@ -287,16 +295,16 @@ func (e *stepCounter) OnMessage(types.NodeID, types.Message, []byte, *consensus.
 // failure and no engine step; a good authenticator on a malformed body
 // counts one decode failure; and a bad authenticator on a malformed body is
 // an auth failure when the input-thread verifies (it never reached the
-// decoder) and a decode failure at V = 0, where the check waits on the lane
-// behind the decode.
+// decoder) and a decode failure with V folded, where the check waits on the
+// lane behind the decode.
 func TestAuthBeforeDecode(t *testing.T) {
 	schemes := []struct {
 		name string
 		cfg  crypto.Config
 	}{{"cmac-links", crypto.Recommended()}, {"ed25519-links", crypto.AllED25519()}}
 	for _, scheme := range schemes {
-		for _, v := range []int{0, 2} {
-			t.Run(fmt.Sprintf("%s/verify-threads-%d", scheme.name, v), func(t *testing.T) {
+		for _, v := range verifyRows {
+			t.Run(fmt.Sprintf("%s/verify-threads-%s", scheme.name, v.name), func(t *testing.T) {
 				dir, err := crypto.NewDirectory(scheme.cfg, [32]byte{30})
 				if err != nil {
 					t.Fatal(err)
@@ -304,7 +312,7 @@ func TestAuthBeforeDecode(t *testing.T) {
 				net := transport.NewInproc()
 				from, to := types.ReplicaNode(2), types.ReplicaNode(1)
 				r, err := New(Config{
-					ID: 1, N: 4, Protocol: PBFT, VerifyThreads: v,
+					ID: 1, N: 4, VerifyThreads: v.threads,
 					Directory: dir, Endpoint: net.Endpoint(to, 3, 64),
 				})
 				if err != nil {
@@ -356,7 +364,7 @@ func TestAuthBeforeDecode(t *testing.T) {
 				deliver("flipped authenticator, well-formed body", vote, flip(sign(vote)))
 				want.decode++
 				deliver("good authenticator, malformed body", malformed, sign(malformed))
-				if v > 0 {
+				if v.threads > 0 {
 					want.auth++
 				} else {
 					want.decode++

@@ -10,7 +10,7 @@ import (
 )
 
 // TestVerifyStageRejectsForgedEnvelopes runs a replica whose input-threads
-// verify (V > 0) and checks that forged peer traffic dies there — counted
+// verify (the default V = 2) and checks that forged peer traffic dies there — counted
 // as an auth failure, never reaching the worker — while genuinely
 // authenticated traffic passes.
 func TestVerifyStageRejectsForgedEnvelopes(t *testing.T) {
@@ -21,12 +21,11 @@ func TestVerifyStageRejectsForgedEnvelopes(t *testing.T) {
 	net := transport.NewInproc()
 	ep := net.Endpoint(types.ReplicaNode(0), 3, 64)
 	r, err := New(Config{
-		ID:            0,
-		N:             4,
-		Protocol:      PBFT,
-		VerifyThreads: 2,
-		Directory:     dir,
-		Endpoint:      ep,
+		ID:        0,
+		N:         4,
+		Protocol:  PBFT,
+		Directory: dir,
+		Endpoint:  ep,
 	})
 	if err != nil {
 		t.Fatal(err)

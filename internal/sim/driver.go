@@ -130,17 +130,12 @@ func (c *Config) fill() error {
 	if c.Cores == 0 {
 		c.Cores = 8
 	}
-	switch {
-	case c.BatchThreads == 0:
+	// -1 folds a stage and is kept as given, as replica.Config keeps it.
+	if c.BatchThreads == 0 {
 		c.BatchThreads = 2
-	case c.BatchThreads < 0:
-		c.BatchThreads = 0
 	}
-	switch {
-	case c.ExecuteThreads == 0:
+	if c.ExecuteThreads == 0 {
 		c.ExecuteThreads = 1
-	case c.ExecuteThreads < 0:
-		c.ExecuteThreads = 0
 	}
 	if c.OutputThreads == 0 {
 		c.OutputThreads = 2
