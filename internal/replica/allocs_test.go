@@ -25,11 +25,12 @@ import (
 // that made it. The benchmark's allocs_per_txn adds its own load generators
 // and cannot say which layer a count belongs to; this test logs
 // the split. The cap is a little above what is left now that votes, their
-// authenticators, MAC tags and frame slices are lent, not allocated, and a
+// authenticators, MAC tags and frame slices are lent, not allocated, a
 // consensus step writes into its goroutine's reused Out, opens instances
-// off a free list and lends the votes it emits: 66 per batch on a 2-core
-// host, where the path that allocated votes took 204 and the engine that
-// returned fresh action slices 105.
+// off a free list and lends the votes it emits, and the store carves new
+// keys' values from pages: 53 per batch on a 2-core host, where the path
+// that allocated votes took 204, the engine that returned fresh action
+// slices 105 and the store that allocated each new key's value 65.
 func TestAllocsPerCommittedBatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts at random; steady-state reuse is nondeterministic")
@@ -40,7 +41,7 @@ func TestAllocsPerCommittedBatch(t *testing.T) {
 		warm    = 200 // batches before counting
 		counted = 500 // batches counted
 		records = 10_000
-		most    = 75 // allocations per committed batch, everything included
+		most    = 60 // allocations per committed batch, everything included
 	)
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1 // every allocation attributed, not a sample

@@ -489,9 +489,9 @@ func (s *ShardedDiskStore) compactLocked() error {
 		return ErrClosed
 	}
 	t0 := time.Now()
-	var values map[uint64][]byte
+	var values *table
 	if s.ri != nil {
-		values = s.ri.m // appends, its only writers, hold s.mu as we do
+		values = &s.ri.t // appends, its only writers, hold s.mu as we do
 	}
 	newF, st, err := rewriteLiveRecords(s.f, s.logState, values, s.path)
 	if err != nil {

@@ -299,7 +299,7 @@ func recoverLog(f *os.File) (st logState, torn int64, err error) {
 // never a mix. The temp file is removed on every failure path, including a
 // failed fsync. On success the returned file handle is the renamed log,
 // zero-padded to its next chunk boundary (see logChunk).
-func rewriteLiveRecords(src *os.File, old logState, values map[uint64][]byte, logPath string) (*os.File, logState, error) {
+func rewriteLiveRecords(src *os.File, old logState, values *table, logPath string) (*os.File, logState, error) {
 	dir := filepath.Dir(logPath)
 	tmp, err := os.CreateTemp(dir, compactTmpPattern)
 	if err != nil {
@@ -319,7 +319,7 @@ func rewriteLiveRecords(src *os.File, old logState, values map[uint64][]byte, lo
 	var hdr [recHdr]byte
 	if values != nil {
 		for key := range old.index {
-			val := values[key]
+			val, _ := values.get(key)
 			w.Write(putRecordHeader(hdr[:], key, val)) // a failed write is sticky: Flush reports it
 			w.Write(val)
 			st.account(key, st.off+recHdr, uint32(len(val)))

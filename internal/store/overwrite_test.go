@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -126,28 +127,31 @@ func TestOverwriteConcurrentReadersNeverSeeTornValues(t *testing.T) {
 }
 
 // TestOverwriteLengths walks one key through equal-length, shrinking and
-// growing overwrites (a shrink keeps the slice, a later grow inside its
-// capacity reuses it, a grow beyond it replaces it) and checks after each
-// that Get returns exactly the new value, that a value handed out earlier
-// did not change under its holder, and that Scan still finds the key once.
+// growing overwrites (a small shrink keeps the slot, a later grow inside it
+// reuses it, a grow beyond it or a shrink below half of it moves the value,
+// one longer than a page to a page of its own, an empty one out of the
+// pages) and checks after each that Get returns exactly the new value, empty
+// but not nil for an empty one, that a value handed out earlier did not
+// change under its holder, and that Scan still finds the key once.
 func TestOverwriteLengths(t *testing.T) {
 	for name, s := range overwriteStores(t) {
 		t.Run(name, func(t *testing.T) {
 			defer s.Close()
 			var held [][]byte
 			var want []string
-			for _, val := range []string{"first-value", "equal-bytes", "tiny", "", "midsize", "first-value", "grown past every earlier capacity"} {
+			page := strings.Repeat("p", pageSize+1)
+			for _, val := range []string{"first-value", "equal-bytes", "tiny", "", "midsize", "first-value", "grown past every earlier capacity", page, page[:pageSize], "", "after a page"} {
 				if err := s.Put(7, []byte(val)); err != nil {
 					t.Fatal(err)
 				}
 				got, err := s.Get(7)
-				if err != nil || string(got) != val {
-					t.Fatalf("Get after Put(%q) = (%q,%v)", val, got, err)
+				if err != nil || string(got) != val || got == nil {
+					t.Fatalf("Get after Put(%.40q) = (%.40q,%v)", val, got, err)
 				}
 				held, want = append(held, got), append(want, val)
 				for i := range held {
 					if string(held[i]) != want[i] {
-						t.Fatalf("value %q, handed out earlier, reads %q after Put(%q)", want[i], held[i], val)
+						t.Fatalf("value %.40q, handed out earlier, reads %.40q after Put(%.40q)", want[i], held[i], val)
 					}
 				}
 			}
@@ -155,7 +159,7 @@ func TestOverwriteLengths(t *testing.T) {
 			err := s.(Scanner).Scan(0, 100, func(k uint64, v []byte) bool {
 				rows++
 				if k != 7 || string(v) != want[len(want)-1] {
-					t.Errorf("Scan row (%d,%q)", k, v)
+					t.Errorf("Scan row (%d,%.40q)", k, v)
 				}
 				return true
 			})
@@ -171,8 +175,9 @@ func TestOverwriteLengths(t *testing.T) {
 // that exist costs no allocation, in the memory store, in the disk store's
 // read index, and in the durable disk store's Append (records are encoded
 // into the store's own buffer).
-// Inserting the keys in the first place is not held to that: it allocates
-// the values and reaches the ordered sidecar.
+// Inserting keys into a table sized for them allocates only the pages their
+// values fill (and the page list when it grows); in MemStore a partition
+// with a new key also reaches the ordered sidecar, which is not held to it.
 func TestMemStoreOverwriteAllocatesNothing(t *testing.T) {
 	const records, burst = 4096, 32
 	val := make([]byte, 100)
@@ -234,5 +239,23 @@ func TestMemStoreOverwriteAllocatesNothing(t *testing.T) {
 	t.Logf("allocations per %d-record overwrite: MemStore.PutMany %.0f, readIndex.putMany %.0f, ShardedDiskStore.Append %.0f", burst, memAllocs, riAllocs, diskAllocs)
 	if memAllocs != 0 || riAllocs != 0 || diskAllocs != 0 {
 		t.Fatalf("overwriting %d records allocates %.0f (MemStore), %.0f (readIndex) and %.0f (disk Append), want 0 each", burst, memAllocs, riAllocs, diskAllocs)
+	}
+
+	tab := newTable(2 * records)
+	next, filled := uint64(0), 0
+	freshAllocs := testing.AllocsPerRun(1, func() { // one warm-up round, one counted
+		pages, listCap := len(tab.pages), cap(tab.pages)
+		for j := 0; j < records; j++ {
+			tab.put(next, val)
+			next++
+		}
+		filled = len(tab.pages) - pages
+		if cap(tab.pages) != listCap {
+			filled++
+		}
+	})
+	t.Logf("inserting %d fresh keys allocates %.0f, filling %d pages and list growths", records, freshAllocs, filled)
+	if int(freshAllocs) > filled {
+		t.Fatalf("inserting %d fresh keys into a table sized for them allocates %.0f, more than the %d pages (and list growth) it filled", records, freshAllocs, filled)
 	}
 }

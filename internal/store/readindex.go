@@ -2,7 +2,7 @@ package store
 
 import "sync"
 
-// readIndex is an in-memory map of each key's latest applied value,
+// readIndex is an in-memory table of each key's latest applied value,
 // maintained alongside the append log. With it enabled, Get is
 // answered entirely from memory — no log-file read, no log lock — so
 // the locally-served read path never stalls behind writers,
@@ -17,11 +17,11 @@ import "sync"
 // replica deployments.
 type readIndex struct {
 	mu sync.RWMutex
-	m  map[uint64][]byte
+	t  table
 }
 
 func newReadIndex(hint int) *readIndex {
-	return &readIndex{m: make(map[uint64][]byte, hint)}
+	return &readIndex{t: newTable(hint)}
 }
 
 // appendValue appends the latest value for key to dst, under the read lock
@@ -29,7 +29,7 @@ func newReadIndex(hint int) *readIndex {
 // hold the result while writers keep updating the index.
 func (ri *readIndex) appendValue(dst []byte, key uint64) ([]byte, bool) {
 	ri.mu.RLock()
-	v, ok := ri.m[key]
+	v, ok := ri.t.get(key)
 	if ok {
 		dst = append(dst, v...)
 	}
@@ -38,29 +38,28 @@ func (ri *readIndex) appendValue(dst []byte, key uint64) ([]byte, bool) {
 }
 
 // putMany stores a batch under one lock acquisition, in place where a
-// value fits the slice its key already holds (see overwrite; appendValue
-// copies out under the same lock). Callers may recycle their buffers.
+// value fits its key's slot (see table; appendValue copies out under the
+// same lock). Callers may recycle their buffers.
 func (ri *readIndex) putMany(kvs []KV) {
 	ri.mu.Lock()
 	for i := range kvs {
-		overwrite(ri.m, kvs[i].Key, kvs[i].Value)
+		ri.t.put(kvs[i].Key, kvs[i].Value)
 	}
 	ri.mu.Unlock()
 }
 
 // loadReadIndex eagerly populates a fresh index from a just-recovered
-// log: every live record's value is read back once at open, after which
-// no Get ever touches the file again.
+// log: every live record's value is read back once at open, straight into
+// its slot, after which no Get ever touches the file again.
 func loadReadIndex(f interface {
 	ReadAt(p []byte, off int64) (int, error)
 }, index map[uint64]recordRef) (*readIndex, error) {
 	ri := newReadIndex(len(index))
 	for k, ref := range index {
-		v := make([]byte, ref.length)
+		v, _ := ri.t.set(k, int(ref.length))
 		if _, err := f.ReadAt(v, ref.off); err != nil {
 			return nil, err
 		}
-		ri.m[k] = v
 	}
 	return ri, nil
 }

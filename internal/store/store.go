@@ -4,7 +4,14 @@
 // Two implementations mirror the two sides of the Section 5.7 experiment.
 // MemStore keeps records in an in-memory key-value structure: the paper's
 // conclusion (Section 6, "Memory Storage") is that replicas can keep
-// records in memory because at most f replicas fail. ShardedDiskStore is
+// records in memory because at most f replicas fail. Its shards, like the
+// disk store's read index, are record tables (table.go) that hold values
+// in 64 KiB pages under an index with no pointers in it, so what the
+// garbage collector pays for them does not grow with the record count. A
+// value that fits its slot is overwritten in place, one that does not
+// moves and leaves its slot to a free list of its size class; a table
+// whose free lists outgrow its live bytes repacks into new pages. Readers
+// copy a value out under the lock writers take. ShardedDiskStore is
 // the off-memory side, and the middle the paper did not build: a durable
 // store engineered like every other pipeline stage — one append log that
 // every execution shard writes to, and group-commit fsync, so durability
@@ -219,7 +226,7 @@ const memShards = 64
 
 type memShard struct {
 	mu sync.RWMutex
-	m  map[uint64][]byte
+	t  table
 }
 
 // MemStore is the in-memory key-value record table.
@@ -229,8 +236,8 @@ type MemStore struct {
 	dead   bool
 	mu     sync.RWMutex // guards dead
 	// ordered is the sorted key sidecar behind Scan. Writers insert into
-	// their map shard first and the sidecar second, so the sidecar is
-	// always a subset of the maps and scanned keys resolve.
+	// their shard's table first and the sidecar second, so the sidecar is
+	// always a subset of the tables and scanned keys resolve.
 	ordered orderedKeys
 }
 
@@ -239,7 +246,7 @@ func NewMemStore(sizeHint int) *MemStore {
 	s := &MemStore{}
 	per := sizeHint/memShards + 1
 	for i := range s.shards {
-		s.shards[i].m = make(map[uint64][]byte, per)
+		s.shards[i].t = newTable(per)
 	}
 	return s
 }
@@ -249,33 +256,10 @@ func (s *MemStore) shard(key uint64) *memShard {
 	return &s.shards[(key*0x9E3779B97F4A7C15)>>58%memShards]
 }
 
-// overwrite stores value under key in m and reports whether the key was
-// already there. A value that fits the slice its key already holds is
-// copied into it, so steady-state writes allocate nothing; only a new key,
-// or a value that outgrew its slice, allocates. The caller holds the write
-// lock that guards m, and every reader of m appends a value to its own
-// buffer before it releases the read lock, so no reader sees a slice while
-// it changes.
-func overwrite(m map[uint64][]byte, key uint64, value []byte) bool {
-	old, ok := m[key]
-	if ok && cap(old) >= len(value) {
-		if len(old) != len(value) {
-			old = old[:len(value)]
-			m[key] = old // the length lives in the map's copy of the header
-		}
-		copy(old, value)
-		return true
-	}
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	m[key] = cp
-	return ok
-}
-
-// put is overwrite under the shard's write lock.
+// put stores value under the shard's write lock (see table).
 func (sh *memShard) put(key uint64, value []byte) bool {
 	sh.mu.Lock()
-	existed := overwrite(sh.m, key, value)
+	existed := sh.t.put(key, value)
 	sh.mu.Unlock()
 	return existed
 }
@@ -299,8 +283,8 @@ func (s *MemStore) Put(key uint64, value []byte) error {
 // are safe — the per-shard locks serialize same-shard collisions — and
 // with key-disjoint partitions the final contents are independent of how
 // callers interleave. The ordered sidecar hears only of partitions that
-// brought a new key: the map lookup already knows an overwrite's key is in
-// it.
+// brought a new key: the table lookup already knows an overwrite's key is
+// in it.
 func (s *MemStore) PutMany(kvs []KV) error {
 	s.mu.RLock()
 	if s.dead {
@@ -321,8 +305,8 @@ func (s *MemStore) PutMany(kvs []KV) error {
 }
 
 // AppendValue implements ValueAppender. The copy is taken under the shard
-// lock: a writer may overwrite the stored slice in place the moment the
-// lock is released.
+// lock: a writer may overwrite the value in its page the moment the lock is
+// released.
 func (s *MemStore) AppendValue(dst []byte, key uint64) ([]byte, error) {
 	s.mu.RLock()
 	if s.dead {
@@ -332,7 +316,7 @@ func (s *MemStore) AppendValue(dst []byte, key uint64) ([]byte, error) {
 	s.mu.RUnlock()
 	sh := s.shard(key)
 	sh.mu.RLock()
-	v, ok := sh.m[key]
+	v, ok := sh.t.get(key)
 	if ok {
 		dst = append(dst, v...)
 	}
@@ -371,7 +355,7 @@ func (s *MemStore) Len() int {
 	n := 0
 	for i := range s.shards {
 		s.shards[i].mu.RLock()
-		n += len(s.shards[i].m)
+		n += len(s.shards[i].t.index)
 		s.shards[i].mu.RUnlock()
 	}
 	return n
