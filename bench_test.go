@@ -173,7 +173,7 @@ func BenchmarkAblationDecoupledExecution(b *testing.B) {
 // The workload is identical across configs — only the framing differs —
 // so the two benchmarks below compare the batched send path against the
 // per-envelope baseline at equal client load.
-func benchTCPTransport(b *testing.B, batchMax int, linger time.Duration) {
+func benchTCPTransport(b *testing.B, batchMax int) {
 	b.Helper()
 	rx, err := transport.NewTCPWithConfig(transport.TCPConfig{Self: types.ReplicaNode(1), ListenAddr: "127.0.0.1:0", Inboxes: 1, Capacity: 1 << 15})
 	if err != nil {
@@ -186,7 +186,6 @@ func benchTCPTransport(b *testing.B, batchMax int, linger time.Duration) {
 		Inboxes:    1,
 		Capacity:   16,
 		BatchMax:   batchMax,
-		Linger:     linger,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -238,12 +237,12 @@ func benchTCPTransport(b *testing.B, batchMax int, linger time.Duration) {
 // peer's writer coalesces queued envelopes into multi-envelope frames,
 // one write syscall per batch.
 func BenchmarkTCPTransportBatched(b *testing.B) {
-	benchTCPTransport(b, transport.DefaultBatchMax, 0)
+	benchTCPTransport(b, transport.DefaultBatchMax)
 }
 
 // BenchmarkTCPTransportUnbatched measures the per-envelope baseline: one
 // frame and one write syscall per envelope, the transport's pre-batching
 // behavior.
 func BenchmarkTCPTransportUnbatched(b *testing.B) {
-	benchTCPTransport(b, 1, 0)
+	benchTCPTransport(b, 1)
 }

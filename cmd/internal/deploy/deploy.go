@@ -1,16 +1,14 @@
 // Package deploy is the preamble resdb-node, resdb-client and
 // resdb-gateway share: the flags that describe a TCP deployment (who the
-// replicas are, the seed their keys derive from, how the transport
-// batches) registered once, and the pieces every binary builds from them
-// — the address map, the key directory, and a TCP endpoint for a replica
-// or for a client identity.
+// replicas are and the seed their keys derive from) registered once, and
+// the pieces every binary builds from them — the address map, the key
+// directory, and a TCP endpoint for a replica or for a client identity.
 package deploy
 
 import (
 	"flag"
 	"fmt"
 	"strings"
-	"time"
 
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/transport"
@@ -26,8 +24,6 @@ type Flags struct {
 	n           int
 	members     string // comma-separated replica addresses, index = id
 	membersFlag string
-	netBatch    int
-	netLinger   time.Duration
 }
 
 // Register adds the shared deployment flags to fs. A replica names the
@@ -44,8 +40,6 @@ func Register(fs *flag.FlagSet, isReplica bool) *Flags {
 		fs.StringVar(&f.members, "replicas", "", "comma-separated replica addresses, index = id")
 	}
 	fs.Int64Var(&f.Seed, "seed", 1, "shared key-derivation seed (the same on every node, client and gateway)")
-	fs.IntVar(&f.netBatch, "net-batch", transport.DefaultBatchMax, "max envelopes per TCP batch frame (1 disables transport batching)")
-	fs.DurationVar(&f.netLinger, "net-linger", 0, "how long a partial TCP batch waits for more envelopes before flushing (0 flushes when the queue drains)")
 	return f
 }
 
@@ -56,15 +50,12 @@ type Deployment struct {
 	Addrs map[types.NodeID]string
 	// Directory is the key material derived from -seed.
 	Directory *crypto.Directory
-
-	batchMax int
-	linger   time.Duration
 }
 
 // Resolve validates the parsed flags; every error it returns is a usage
 // error.
 func (f *Flags) Resolve() (*Deployment, error) {
-	d := &Deployment{N: f.n, batchMax: f.netBatch, linger: f.netLinger}
+	d := &Deployment{N: f.n}
 	list := strings.Split(f.members, ",")
 	if len(list) != f.n {
 		return nil, fmt.Errorf("-%s must list exactly %d addresses", f.membersFlag, f.n)
@@ -111,8 +102,6 @@ func (d *Deployment) endpoint(self types.NodeID, listen string, inboxes, capacit
 		Addrs:      d.Addrs,
 		Inboxes:    inboxes,
 		Capacity:   capacity,
-		BatchMax:   d.batchMax,
-		Linger:     d.linger,
 		ZeroCopy:   true,
 	})
 }

@@ -48,6 +48,10 @@ func TestResolve(t *testing.T) {
 		{name: "too few peers", isReplica: true, args: []string{"-peers", "127.0.0.1:7000,127.0.0.1:7001"}, wantErr: "-peers must list exactly 4"},
 		{name: "too many replicas", args: []string{"-n", "4", "-replicas", four + ",127.0.0.1:7004"}, wantErr: "-replicas must list exactly 4"},
 		{name: "empty list", args: nil, wantErr: "-replicas must list exactly 4"},
+		// A peer's writer sends what is queued as one frame: there is no
+		// transport batching to tune.
+		{name: "net-batch", isReplica: true, args: []string{"-peers", four, "-net-batch", "1"}, wantErr: "flag provided but not defined: -net-batch"},
+		{name: "net-linger", args: []string{"-replicas", four, "-net-linger", "1ms"}, wantErr: "flag provided but not defined: -net-linger"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -17,11 +17,13 @@
 // consensus to the session load generator: -sessions lightweight
 // closed-loop sessions (0 = default 1024) are multiplexed over -clients
 // TCP connections to a resdb-gateway front door, which signs and batches
-// on their behalf. -gw-batch caps the submits coalesced per session
-// frame (0 = default 64, -1 disables coalescing) and -gw-linger bounds
-// how long a non-full frame waits (0 = default 100µs, negative flushes
-// immediately); -timeout is the per-session retry interval, which the
-// gateway's dedup window makes idempotent.
+// on their behalf. Each connection's writer puts whatever submits are
+// queued, up to 64, in one frame and sends it; -timeout is the
+// per-session retry interval, which the gateway's dedup window makes
+// idempotent.
+//
+// Both modes seed their workload from -seed: direct client i draws from
+// -seed + i, as cluster.New's clients do.
 package main
 
 import (
@@ -30,7 +32,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sync"
 	"time"
 
 	"resilientdb/cmd/internal/deploy"
@@ -58,8 +59,6 @@ func run() int {
 	readMode := flag.String("read-mode", "quorum", "how write-free requests (reads and scans) travel: quorum (ordered through consensus) | local (served by one replica from its last-executed snapshot under the client's staleness bound)")
 	gatewayAddr := flag.String("gateway", "", "gateway front-door address: run the session load generator against it instead of direct per-client consensus (empty = direct mode)")
 	sessions := flag.Int("sessions", 0, "simulated closed-loop sessions in gateway mode (0 = default 1024)")
-	gwBatch := flag.Int("gw-batch", 0, "submits coalesced per session frame in gateway mode (0 = default 64, -1 disables coalescing)")
-	gwLinger := flag.Duration("gw-linger", 0, "how long a non-full session frame waits for more submits (0 = default 100µs, negative flushes immediately)")
 	flag.Parse()
 
 	wcfg := workload.Default()
@@ -73,8 +72,6 @@ func run() int {
 			addr:     *gatewayAddr,
 			sessions: *sessions,
 			conns:    *clients,
-			batch:    *gwBatch,
-			linger:   *gwLinger,
 			retry:    *timeout,
 			duration: *duration,
 			seed:     dep.Seed,
@@ -88,14 +85,9 @@ func run() int {
 		return 2
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *duration)
-	defer cancel()
-
-	var wg sync.WaitGroup
 	cls := make([]*cluster.Client, *clients)
-	start := time.Now()
-	for i := 0; i < *clients; i++ {
-		wl, err := workload.New(wcfg, int64(i))
+	for i := range cls {
+		wl, err := workload.New(wcfg, dep.Seed+int64(i))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -106,7 +98,7 @@ func run() int {
 			return 1
 		}
 		defer ep.Close()
-		cl, err := cluster.NewClient(cluster.ClientConfig{
+		cls[i], err = cluster.NewClient(cluster.ClientConfig{
 			ID:        types.ClientID(i),
 			N:         d.N,
 			Burst:     *burst,
@@ -120,82 +112,15 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		cls[i] = cl
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl.Run(ctx)
-		}()
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	var txns, reads, scansN, writes, local, stale, retx uint64
-	var latSum time.Duration
-	var latN uint64
-	var p99, readP50, readP95, scanP50, scanP95, writeP50, writeP95 time.Duration
-	for _, cl := range cls {
-		s := cl.Stats()
-		txns += s.TxnsCompleted
-		reads += s.ReadTxns
-		scansN += s.ScanTxns
-		writes += s.WriteTxns
-		local += s.LocalReads
-		stale += s.StaleFallbacks
-		retx += s.Retransmits
-		h := cl.Latency()
-		latSum += time.Duration(uint64(h.Mean()) * h.Count())
-		latN += h.Count()
-		if v := h.Percentile(99); v > p99 {
-			p99 = v
-		}
-		if rh := cl.ReadLatency(); rh.Count() > 0 {
-			if v := rh.Percentile(50); v > readP50 {
-				readP50 = v
-			}
-			if v := rh.Percentile(95); v > readP95 {
-				readP95 = v
-			}
-		}
-		if sh := cl.ScanLatency(); sh.Count() > 0 {
-			if v := sh.Percentile(50); v > scanP50 {
-				scanP50 = v
-			}
-			if v := sh.Percentile(95); v > scanP95 {
-				scanP95 = v
-			}
-		}
-		if wh := cl.WriteLatency(); wh.Count() > 0 {
-			if v := wh.Percentile(50); v > writeP50 {
-				writeP50 = v
-			}
-			if v := wh.Percentile(95); v > writeP95 {
-				writeP95 = v
-			}
-		}
-	}
-	mean := time.Duration(0)
-	if latN > 0 {
-		mean = latSum / time.Duration(latN)
-	}
-	fmt.Printf("txns=%d tput=%.0f txn/s mean=%s p99=%s retx=%d\n",
-		txns, stats.Throughput(txns, elapsed), mean, p99, retx)
-	if reads > 0 || scansN > 0 {
-		fmt.Printf("reads=%d (p50=%s p95=%s)", reads, readP50, readP95)
-		if scansN > 0 {
-			fmt.Printf(" scans=%d (p50=%s p95=%s)", scansN, scanP50, scanP95)
-		}
-		fmt.Printf(" local=%d stale=%d writes=%d (p50=%s p95=%s)\n",
-			local, stale, writes, writeP50, writeP95)
-	}
+	fmt.Println(cluster.RunClients(context.Background(), cls, *duration))
 	return 0
 }
 
 type sessionConfig struct {
 	addr            string
 	sessions, conns int
-	batch           int
-	linger, retry   time.Duration
+	retry           time.Duration
 	duration        time.Duration
 	seed            int64
 	workload        workload.Config
@@ -209,25 +134,14 @@ func runSessions(sc sessionConfig) int {
 	if sc.sessions == 0 {
 		sc.sessions = 1 << 10
 	}
-	cfg := gateway.LoadConfig{
+	load, err := gateway.NewLoad(gateway.LoadConfig{
 		Sessions:     sc.sessions,
 		Conns:        sc.conns,
 		Dial:         func() (net.Conn, error) { return net.Dial("tcp", sc.addr) },
 		Workload:     sc.workload,
 		Seed:         sc.seed,
 		RetryTimeout: sc.retry,
-	}
-	if sc.batch < 0 {
-		cfg.SubmitBatch = 1
-	} else {
-		cfg.SubmitBatch = sc.batch
-	}
-	if sc.linger < 0 {
-		cfg.SubmitLinger = time.Nanosecond
-	} else {
-		cfg.SubmitLinger = sc.linger
-	}
-	load, err := gateway.NewLoad(cfg)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -12,8 +12,8 @@
 //     replica-facing connection footprint (0 = default 4).
 //   - -gw-batch B: transactions coalesced per consensus request (0 =
 //     default 128, -1 disables coalescing — one transaction per request).
-//   - -gw-linger D: how long a non-full batch waits for more sessions'
-//     transactions (0 = default 200µs, negative flushes immediately).
+//     An upstream takes what is queued, up to B, and submits it; it never
+//     waits for a fuller batch.
 //   - -gw-queue Q: admission queue capacity between the front door and
 //     the upstream workers; a full queue answers StatusBusy (0 = default
 //     16384).
@@ -60,7 +60,6 @@ func run() int {
 	listen := flag.String("listen", "127.0.0.1:9000", "session listen address")
 	upstreams := flag.Int("upstreams", 0, "replica-facing consensus workers (0 = default 4)")
 	gwBatch := flag.Int("gw-batch", 0, "transactions coalesced per consensus request (0 = default 128, -1 disables coalescing)")
-	gwLinger := flag.Duration("gw-linger", 0, "how long a non-full batch waits for more transactions (0 = default 200µs, negative flushes immediately)")
 	gwQueue := flag.Int("gw-queue", 0, "admission queue capacity; a full queue answers busy (0 = default 16384)")
 	gwBusy := flag.Int("gw-busy", 0, "replica busy-gauge admission threshold 1..255 (0 = default 230, -1 pushes back only at full saturation)")
 	gwBusyDecay := flag.Duration("gw-busy-decay", 0, "staleness after which a saturated gauge stops pushing back (0 = default 4×timeout, negative never expires)")
@@ -94,11 +93,6 @@ func run() int {
 		cfg.Batch = 1
 	} else {
 		cfg.Batch = *gwBatch
-	}
-	if *gwLinger < 0 {
-		cfg.Linger = time.Nanosecond
-	} else {
-		cfg.Linger = *gwLinger
 	}
 	switch {
 	case *gwBusy < 0:

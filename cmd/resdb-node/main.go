@@ -3,14 +3,15 @@
 // Every node of a deployment is started with the same -n, -seed, and
 // -peers list; key material is derived deterministically from the seed
 // (see internal/crypto), standing in for out-of-band provisioning. Those
-// flags and the -net-* pair are shared with resdb-client and resdb-gateway
-// and registered by cmd/internal/deploy. A node runs PBFT.
+// flags are shared with resdb-client and resdb-gateway and registered by
+// cmd/internal/deploy. A node runs PBFT.
 //
 // Inbound TCP frames are always decoded in place from pooled buffers,
-// outbound bodies always marshal into pooled arenas, and verify workers
-// always drain their queue in batches (Section 4.8; see "Memory & buffer
-// pools" in docs/ARCHITECTURE.md) — these are how the node works, not
-// knobs.
+// outbound bodies always marshal into pooled arenas, each peer's writer
+// sends what is queued, up to 64 envelopes, as one frame, and verify
+// workers always drain their queue in batches (Section 4.8; see "Memory &
+// buffer pools" in docs/ARCHITECTURE.md) — these are how the node works,
+// not knobs.
 //
 // The hot-path knobs. The pipeline-shape flags (-batch, -batch-threads,
 // -verify-threads, -worker-threads, -execute-shards, -exec-pipeline-depth)
@@ -19,12 +20,6 @@
 // (-batch-threads, -verify-threads, -execute-shards) -1 folds the stage
 // into the worker lanes:
 //
-//   - -net-batch N: coalesce up to N outbound envelopes per peer into one
-//     TCP batch frame (one write syscall for the batch); 1 restores
-//     per-envelope frames.
-//   - -net-linger D: hold a partial batch up to D waiting for more
-//     envelopes; 0 (default) flushes as soon as the outbound queue
-//     drains, so idle connections pay no latency.
 //   - -batch N: transactions per consensus batch (0 = 100).
 //   - -batch-threads B: assemble and propose batches on B batch-threads
 //     at the primary (0 = 2); -1 folds batch assembly into worker lane 0

@@ -253,9 +253,6 @@ func (c *Cluster) closeOwnedStores() {
 	}
 }
 
-// buildReplica constructs (and wraps) one replica around an inner store
-// and fabric endpoint; boot is nil for a fresh genesis boot. New and
-// Restart share it so a restarted replica is configured identically.
 // buildEndpoint registers a fresh inbox for the replica on the in-process
 // network, applying the chaos wrapper if one is configured. Registration
 // is the moment the replica starts receiving: callers that need to replay
@@ -269,6 +266,9 @@ func (c *Cluster) buildEndpoint(id types.ReplicaID) transport.Endpoint {
 	return ep
 }
 
+// buildReplica constructs (and wraps) one replica around an inner store
+// and fabric endpoint; boot is nil for a fresh genesis boot. New and
+// Restart share it so a restarted replica is configured identically.
 func (c *Cluster) buildReplica(id types.ReplicaID, st store.Store, boot *replica.Bootstrap, ep transport.Endpoint) (*replica.Replica, error) {
 	opts := &c.opts
 	if opts.StoreWrapper != nil {
@@ -526,19 +526,26 @@ func (c *Cluster) Restart(i int) error {
 	return nil
 }
 
-// Run drives all clients for the given duration and aggregates results.
-// Counters are reported as deltas for this run, so successive Run calls
-// (e.g. before and after a crash) are directly comparable.
+// Run drives all clients for the given duration and aggregates results
+// (see RunClients).
 func (c *Cluster) Run(ctx context.Context, d time.Duration) Result {
-	before := make([]ClientStats, len(c.clients))
-	for i, cl := range c.clients {
+	return RunClients(ctx, c.clients, d)
+}
+
+// RunClients drives clients for d (or until ctx ends) and aggregates their
+// results. Counters are reported as deltas for this run, so successive
+// calls over the same clients (e.g. before and after a crash) are directly
+// comparable; latencies are the clients' whole histograms.
+func RunClients(ctx context.Context, clients []*Client, d time.Duration) Result {
+	before := make([]ClientStats, len(clients))
+	for i, cl := range clients {
 		before[i] = cl.Stats()
 	}
 	runCtx, cancel := context.WithTimeout(ctx, d)
 	defer cancel()
 	var wg sync.WaitGroup
 	start := time.Now()
-	for _, cl := range c.clients {
+	for _, cl := range clients {
 		wg.Add(1)
 		go func(cl *Client) {
 			defer wg.Done()
@@ -549,7 +556,7 @@ func (c *Cluster) Run(ctx context.Context, d time.Duration) Result {
 	elapsed := time.Since(start)
 
 	res := Result{Duration: elapsed}
-	for i, cl := range c.clients {
+	for i, cl := range clients {
 		s := cl.Stats()
 		res.Txns += s.TxnsCompleted - before[i].TxnsCompleted
 		res.Retransmit += s.Retransmits - before[i].Retransmits
@@ -560,17 +567,17 @@ func (c *Cluster) Run(ctx context.Context, d time.Duration) Result {
 		res.StaleFallbacks += s.StaleFallbacks - before[i].StaleFallbacks
 	}
 	res.Throughput = stats.Throughput(res.Txns, elapsed)
-	res.MeanLat, res.P50Lat, res.P99Lat = c.aggregateLatency()
-	res.ReadP50Lat, res.ReadP95Lat, res.ReadP99Lat = c.aggregateSplit(func(cl *Client) *stats.Histogram { return cl.ReadLatency() })
-	res.ScanP50Lat, res.ScanP95Lat, res.ScanP99Lat = c.aggregateSplit(func(cl *Client) *stats.Histogram { return cl.ScanLatency() })
-	res.WriteP50Lat, res.WriteP95Lat, res.WriteP99Lat = c.aggregateSplit(func(cl *Client) *stats.Histogram { return cl.WriteLatency() })
+	res.MeanLat, res.P50Lat, res.P99Lat = aggregateLatency(clients)
+	res.ReadP50Lat, res.ReadP95Lat, res.ReadP99Lat = aggregateSplit(clients, (*Client).ReadLatency)
+	res.ScanP50Lat, res.ScanP95Lat, res.ScanP99Lat = aggregateSplit(clients, (*Client).ScanLatency)
+	res.WriteP50Lat, res.WriteP95Lat, res.WriteP99Lat = aggregateSplit(clients, (*Client).WriteLatency)
 	return res
 }
 
 // aggregateSplit reports the worst per-client P50/P95/P99 of one latency
 // split, mirroring aggregateLatency's conservative max-across-clients.
-func (c *Cluster) aggregateSplit(h func(*Client) *stats.Histogram) (p50, p95, p99 time.Duration) {
-	for _, cl := range c.clients {
+func aggregateSplit(clients []*Client, h func(*Client) *stats.Histogram) (p50, p95, p99 time.Duration) {
+	for _, cl := range clients {
 		hist := h(cl)
 		if hist.Count() == 0 {
 			continue
@@ -588,11 +595,11 @@ func (c *Cluster) aggregateSplit(h func(*Client) *stats.Histogram) (p50, p95, p9
 	return p50, p95, p99
 }
 
-func (c *Cluster) aggregateLatency() (mean, p50, p99 time.Duration) {
+func aggregateLatency(clients []*Client) (mean, p50, p99 time.Duration) {
 	var total uint64
 	var weighted uint64
 	maxP50, maxP99 := time.Duration(0), time.Duration(0)
-	for _, cl := range c.clients {
+	for _, cl := range clients {
 		h := cl.Latency()
 		n := h.Count()
 		if n == 0 {

@@ -69,10 +69,9 @@ type Config struct {
 	// session count — is the gateway's replica-facing connection budget.
 	Upstreams int
 	// Batch caps the transactions coalesced into one consensus request
-	// (default 128); Linger is how long a non-full batch waits for more
-	// (default 200µs).
-	Batch  int
-	Linger time.Duration
+	// (default 128). An upstream takes what is queued up to Batch and
+	// goes; it never waits for a fuller batch.
+	Batch int
 	// Timeout is the upstream retransmission delay (default 500ms).
 	Timeout time.Duration
 	// QueueCap bounds the admission queue between the front door and the
@@ -99,9 +98,6 @@ type Config struct {
 	// reconnects after a network blip keeps its dedup window until the
 	// idle deadline.
 	SessionIdle time.Duration
-	// ReplyBatch caps reply messages coalesced per outbound session frame
-	// (default 64).
-	ReplyBatch int
 }
 
 func (c *Config) fill() error {
@@ -120,9 +116,6 @@ func (c *Config) fill() error {
 	if c.Batch <= 0 {
 		c.Batch = 128
 	}
-	if c.Linger <= 0 {
-		c.Linger = 200 * time.Microsecond
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 500 * time.Millisecond
 	}
@@ -140,9 +133,6 @@ func (c *Config) fill() error {
 	}
 	if c.SessionIdle <= 0 {
 		c.SessionIdle = 5 * time.Minute
-	}
-	if c.ReplyBatch <= 0 {
-		c.ReplyBatch = 64
 	}
 	return nil
 }
@@ -736,8 +726,8 @@ func (gc *gwConn) deliver(replies []Reply) {
 }
 
 // writeLoop drains the backlog a whole slice at a time (it and the
-// deliverers swap two buffers), writes it as frames of at most ReplyBatch
-// replies, and flushes when nothing more is waiting.
+// deliverers swap two buffers), writes it as frames of at most
+// maxFrameMessages replies, and flushes when nothing more is waiting.
 func (gc *gwConn) writeLoop() {
 	defer gc.close()
 	bw := bufio.NewWriterSize(gc.c, 1<<16)
@@ -764,7 +754,7 @@ func (gc *gwConn) writeLoop() {
 		gc.mu.Unlock()
 		gc.room.Broadcast()
 		for off := 0; off < len(batch); {
-			frame := batch[off:min(off+gc.gw.cfg.ReplyBatch, len(batch))]
+			frame := batch[off:min(off+maxFrameMessages, len(batch))]
 			w.Reset()
 			for i := range frame {
 				appendReply(w, &frame[i])

@@ -318,7 +318,6 @@ func newTestGateway(t *testing.T, c *cluster.Cluster, mod func(*Config)) *Gatewa
 		},
 		Upstreams: 2,
 		Batch:     16,
-		Linger:    time.Millisecond,
 		Timeout:   150 * time.Millisecond,
 	}
 	if mod != nil {
@@ -894,4 +893,56 @@ func TestGatewayLoadGenerator(t *testing.T) {
 		t.Fatalf("ledger check: %v", err)
 	}
 	t.Logf("load: %d txns over 50 sessions / 2 conns (busy=%d retries=%d)", st.Completed, st.BusyReplies, st.Retries)
+}
+
+// TestEdgeBatchesFill is the edge's analogue of the replica's
+// TestBatchesFillUnderLoad. An upstream takes what is queued and never
+// waits for more, yet with many closed-loop sessions behind one upstream
+// the queue refills while each request is in flight, so requests carry
+// many transactions each. The run stops after a fixed amount of work, not
+// a fixed time, so a slow host changes how long it takes, not the ratio.
+func TestEdgeBatchesFill(t *testing.T) {
+	const sessions, batch, requests = 256, 64, 40
+	c := newTestCluster(t)
+	g := newTestGateway(t, c, func(cfg *Config) {
+		cfg.Upstreams = 1
+		cfg.Batch = batch
+	})
+	wl := workload.Default()
+	wl.Records = 256
+	wl.ValueSize = 16
+	load, err := NewLoad(LoadConfig{
+		Sessions: sessions,
+		Conns:    2,
+		Dial: func() (net.Conn, error) {
+			client, server := net.Pipe()
+			g.ServeConn(server)
+			return client, nil
+		},
+		Workload: wl,
+		Seed:     7,
+	})
+	if err != nil {
+		t.Fatalf("building load: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- load.Run(ctx) }()
+	deadline := time.Now().Add(30 * time.Second)
+	for g.Stats().Requests < requests && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("load run: %v", err)
+	}
+	st := g.Stats()
+	if st.Requests < requests {
+		t.Fatalf("only %d upstream requests in 30 s: %+v", st.Requests, st)
+	}
+	per := float64(st.Completed) / float64(st.Requests)
+	t.Logf("%d sessions, one upstream, batch %d: %.1f transactions per upstream request (%d requests)", sessions, batch, per, st.Requests)
+	if per < batch/2 {
+		t.Fatalf("%.1f transactions per upstream request, want at least %d", per, batch/2)
+	}
 }

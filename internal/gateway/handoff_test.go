@@ -311,3 +311,62 @@ func TestGatewaySlowReaderStallsOnlyItself(t *testing.T) {
 	}
 	stuck.deliver([]Reply{{Session: 1, Nonce: 1}}) // to a closed connection: dropped, not blocked
 }
+
+// TestEdgeCollectTakesLonePending: an upstream takes what is queued and
+// goes. A lone submit on an idle gateway comes back from collect in a
+// batch of one without parking: nothing would wake a parked collect, since
+// no timer is armed and admission leaves a wake-up token only for an
+// upstream already parked. With the queue empty, collect parks until an
+// admission wakes it, and returns nil once the gateway closes.
+func TestEdgeCollectTakesLonePending(t *testing.T) {
+	g := newBareGateway(t, func(cfg *Config) { cfg.Batch = 64 })
+	server, client := net.Pipe()
+	defer client.Close()
+	gc := newConn(g, server)
+	admit := func(session uint64) {
+		t.Helper()
+		frame := frameBytes(t, 1, func(w *types.Writer) {
+			appendSubmit(w, &Submit{Session: session, Nonce: 1, Ops: writeOp(session, "v")})
+		})
+		f, err := readSessionFrame(bytes.NewReader(frame), gc.bufs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc.admit(f.Submits, f.Arena)
+		f.Arena.Release()
+	}
+	waitParked := func() {
+		t.Helper()
+		for parked := 0; parked == 0; {
+			time.Sleep(time.Millisecond)
+			g.sessMu.Lock()
+			parked = g.parked
+			g.sessMu.Unlock()
+		}
+	}
+	u := &upstream{gw: g}
+
+	admit(1)
+	batch := u.collect()
+	if len(batch) != 1 || batch[0].session != 1 {
+		t.Fatalf("collect took %d pendings, want session 1's lone submit", len(batch))
+	}
+	finish(g, batch, 1)
+
+	got := make(chan []*pending)
+	go func() { got <- u.collect() }()
+	waitParked()
+	admit(2)
+	batch = <-got
+	if len(batch) != 1 || batch[0].session != 2 {
+		t.Fatalf("woken collect took %d pendings, want session 2's submit", len(batch))
+	}
+	finish(g, batch, 2)
+
+	go func() { got <- u.collect() }()
+	waitParked()
+	g.Close()
+	if batch := <-got; batch != nil {
+		t.Fatalf("collect on a closed gateway returned %d pendings, want nil", len(batch))
+	}
+}

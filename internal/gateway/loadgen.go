@@ -31,11 +31,6 @@ type LoadConfig struct {
 	// salts it per connection.
 	Workload workload.Config
 	Seed     int64
-	// SubmitBatch caps submits coalesced per outbound frame (default 64);
-	// SubmitLinger is how long a non-full frame waits for more (default
-	// 100µs).
-	SubmitBatch  int
-	SubmitLinger time.Duration
 	// RetryTimeout is how long a session waits for a reply before
 	// retrying with the same nonce (default 1s). Retries are safe by the
 	// gateway's dedup contract.
@@ -54,12 +49,6 @@ func (c *LoadConfig) fill() error {
 	}
 	if c.Conns > c.Sessions {
 		c.Conns = c.Sessions
-	}
-	if c.SubmitBatch <= 0 {
-		c.SubmitBatch = 64
-	}
-	if c.SubmitLinger <= 0 {
-		c.SubmitLinger = 100 * time.Microsecond
 	}
 	if c.RetryTimeout <= 0 {
 		c.RetryTimeout = time.Second
@@ -215,14 +204,13 @@ func (lc *loadConn) nextOps(sess, nonce uint64) []types.Op {
 	return txn.Ops
 }
 
-// writeLoop drains sendQ, coalescing submits into shared frames.
+// writeLoop drains sendQ, coalescing whatever it holds, up to
+// maxFrameMessages, into one frame, and flushes when sendQ is empty.
 func (lc *loadConn) writeLoop() {
 	defer lc.close()
 	bw := bufio.NewWriterSize(lc.c, 1<<16)
 	w := types.GetWriter()
 	defer types.PutWriter(w)
-	linger := time.NewTimer(lc.l.cfg.SubmitLinger)
-	defer linger.Stop()
 	for {
 		var first int
 		select {
@@ -233,16 +221,13 @@ func (lc *loadConn) writeLoop() {
 		w.Reset()
 		count := 0
 		lc.marshalSubmit(w, first, &count)
-		resetTimer(linger, lc.l.cfg.SubmitLinger)
 	coalesce:
-		for count < lc.l.cfg.SubmitBatch {
+		for count < maxFrameMessages {
 			select {
 			case i := <-lc.sendQ:
 				lc.marshalSubmit(w, i, &count)
-			case <-linger.C:
+			default:
 				break coalesce
-			case <-lc.done:
-				return
 			}
 		}
 		if count == 0 {

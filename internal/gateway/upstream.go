@@ -45,10 +45,8 @@ func newUpstream(gw *Gateway, id types.ClientID) (*upstream, error) {
 // outcome back per session.
 func (u *upstream) run() {
 	defer u.ep.Close()
-	linger := time.NewTimer(u.gw.cfg.Linger)
-	defer linger.Stop()
 	for {
-		batch := u.collect(linger)
+		batch := u.collect()
 		if batch == nil {
 			return
 		}
@@ -56,56 +54,34 @@ func (u *upstream) run() {
 	}
 }
 
-// collect takes up to cfg.Batch pendings from the admission queue in one
-// critical section. It parks while the queue is empty; once it holds a
-// non-full batch it waits up to cfg.Linger for more, looking again each
-// time a frame is admitted. It returns nil on shutdown with nothing in
-// hand.
-func (u *upstream) collect(linger *time.Timer) []*pending {
+// collect takes what is queued, up to cfg.Batch pendings, in one critical
+// section and goes: it parks only while the admission queue is empty, and
+// never waits for a fuller batch. Load fills batches by itself, because
+// every upstream is a closed loop and the queue refills while its request
+// is in flight. It returns nil on shutdown; Close retires what is admitted
+// after that.
+func (u *upstream) collect() []*pending {
 	gw := u.gw
-	batch := u.batch[:0]
-	var lingerC <-chan time.Time // nil (never fires) until the first pending is in hand
-	parked, expired := false, false
-	for {
-		gw.sessMu.Lock()
-		if parked {
-			gw.parked--
-		}
-		batch = gw.popLocked(batch, gw.cfg.Batch-len(batch))
-		parked = len(batch) < gw.cfg.Batch && !expired
-		if parked {
-			gw.parked++
-		} else if gw.qLen > 0 {
-			// A push wakes one upstream; pass the token on when this one
-			// leaves work behind for another.
-			gw.wakeParkedLocked()
-		}
+	gw.sessMu.Lock()
+	for gw.qLen == 0 {
+		gw.parked++
 		gw.sessMu.Unlock()
-		if !parked {
-			break
-		}
-		if len(batch) > 0 && lingerC == nil {
-			resetTimer(linger, gw.cfg.Linger)
-			lingerC = linger.C
-		}
-		// Whatever ends the wait, the queue is looked at once more: a
-		// frame admitted while the timer fired still makes this batch.
 		select {
 		case <-gw.wake:
-		case <-lingerC:
-			expired = true
 		case <-gw.stop:
-			// Shutdown mid-collect: still flush what we hold — the arenas
-			// must retire and sessions deserve their replies if the request
-			// can complete. submit() bails out on its own stop check.
-			expired = true
+			return nil
 		}
+		gw.sessMu.Lock()
+		gw.parked--
 	}
-	u.batch = batch
-	if len(batch) == 0 {
-		return nil
+	u.batch = gw.popLocked(u.batch[:0], gw.cfg.Batch)
+	if gw.qLen > 0 {
+		// A push wakes one upstream; pass the token on when this one
+		// leaves work behind for another.
+		gw.wakeParkedLocked()
 	}
-	return batch
+	gw.sessMu.Unlock()
+	return u.batch
 }
 
 // submit drives one coalesced request through consensus and fans the
@@ -221,15 +197,4 @@ func (u *upstream) abandon(batch []*pending) {
 	for _, p := range batch {
 		p.arena.Release()
 	}
-}
-
-// resetTimer arms timer for d, draining a stale fire first.
-func resetTimer(timer *time.Timer, d time.Duration) {
-	if !timer.Stop() {
-		select {
-		case <-timer.C:
-		default:
-		}
-	}
-	timer.Reset(d)
 }

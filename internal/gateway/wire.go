@@ -100,6 +100,12 @@ type Reply struct {
 	Reads   []types.ReadResult
 }
 
+// maxFrameMessages caps the messages a writer puts in one session frame:
+// the gateway's replies and the load generator's submits alike. A writer
+// takes what is queued, up to this cap, and writes; it never waits for a
+// fuller frame. Readers accept any count the frame's length supports.
+const maxFrameMessages = 64
+
 // maxSessionFrame bounds one session frame; a malformed or hostile length
 // prefix must not make the gateway allocate unbounded memory.
 const maxSessionFrame = 1 << 24

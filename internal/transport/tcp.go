@@ -63,14 +63,10 @@ type TCPConfig struct {
 	// BatchMax is the maximum number of envelopes coalesced into one
 	// frame. 0 means DefaultBatchMax; 1 disables batching (every envelope
 	// travels in its own frame, still serialized through the peer's
-	// writer goroutine).
+	// writer goroutine). A writer takes what is queued, up to BatchMax,
+	// and writes: under load frames fill because the queue outpaces the
+	// writer, and an idle connection pays no added latency.
 	BatchMax int
-	// Linger is how long a writer waits for more envelopes before
-	// flushing a partial batch. 0 flushes as soon as the outbound queue
-	// is momentarily empty: under load batches still fill (the queue
-	// outpaces the writer), while an idle connection pays no added
-	// latency. Positive values trade latency for fuller batches.
-	Linger time.Duration
 	// ZeroCopy gives the receive path a frame-buffer pool (Section 4.8
 	// buffer-pool management). Decoded envelopes alias the frame they
 	// arrived in either way; with ZeroCopy the frame's buffer comes from a
@@ -483,12 +479,6 @@ func (e *TCPEndpoint) writeLoop(to types.NodeID, p *tcpPeer, addr string) {
 	}
 	var w types.Writer
 	batch := make([]*types.Envelope, 0, e.cfg.BatchMax)
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
 	for {
 		select {
 		case env := <-p.out:
@@ -498,53 +488,18 @@ func (e *TCPEndpoint) writeLoop(to types.NodeID, p *tcpPeer, addr string) {
 			return
 		}
 		size := batch[0].EncodedSize()
-
-		// Collect more envelopes: greedily while the queue is non-empty,
-		// and — with a positive Linger — by waiting out the linger window
-		// for a fuller batch.
-		var lingerC <-chan time.Time
-		if e.cfg.Linger > 0 && e.cfg.BatchMax > 1 {
-			if timer == nil {
-				timer = time.NewTimer(e.cfg.Linger)
-			} else {
-				timer.Reset(e.cfg.Linger)
-			}
-			lingerC = timer.C
-		}
-		stopping := false
+		// Take whatever else is queued, up to a full frame, and write.
 	collect:
 		for len(batch) < e.cfg.BatchMax && size < batchBytes {
-			if lingerC != nil {
-				select {
-				case env := <-p.out:
-					batch = append(batch, env)
-					size += env.EncodedSize()
-				case <-lingerC:
-					lingerC = nil
-					break collect
-				case <-e.stopW:
-					stopping = true
-					break collect
-				}
-			} else {
-				select {
-				case env := <-p.out:
-					batch = append(batch, env)
-					size += env.EncodedSize()
-				default:
-					break collect
-				}
+			select {
+			case env := <-p.out:
+				batch = append(batch, env)
+				size += env.EncodedSize()
+			default:
+				break collect
 			}
 		}
-		if lingerC != nil && !timer.Stop() {
-			<-timer.C // already fired: drain so the next Reset is safe
-		}
 		if !e.writeBatch(to, p, &w, batch) {
-			return
-		}
-		batch = batch[:0]
-		if stopping {
-			e.flushRemaining(to, p, &w)
 			return
 		}
 	}
@@ -585,7 +540,7 @@ func (e *TCPEndpoint) writeBatch(to types.NodeID, p *tcpPeer, w *types.Writer, b
 }
 
 // flushRemaining drains whatever is still queued at shutdown and writes it
-// out, so a lingering partial batch is not lost on Close.
+// out, so what was sent before Close is not lost.
 func (e *TCPEndpoint) flushRemaining(to types.NodeID, p *tcpPeer, w *types.Writer) {
 	batch := make([]*types.Envelope, 0, e.cfg.BatchMax)
 	for {

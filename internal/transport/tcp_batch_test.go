@@ -2,7 +2,9 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,36 +47,76 @@ func recvN(t *testing.T, ep *TCPEndpoint, n int, timeout time.Duration) []*types
 	return got
 }
 
-// TestTCPBatchedDeliveryOrdered drives the batched path hard enough that
-// multi-envelope frames form, and checks nothing is lost or reordered.
+// holdDial makes ep's dials wait until release is called. Whatever is sent
+// meanwhile queues behind the dial, so the writer finds it all waiting:
+// the way to form full multi-envelope frames without timing.
+func holdDial(ep *TCPEndpoint) (release func()) {
+	gate := make(chan struct{})
+	dial := ep.dial
+	ep.dial = func(addr string) (net.Conn, error) {
+		<-gate
+		return dial(addr)
+	}
+	return func() { close(gate) }
+}
+
+// frameCounter is a receiver's FrameBuffers that counts the frames read:
+// the reader borrows one buffer per frame.
+type frameCounter struct{ gets atomic.Int64 }
+
+func (c *frameCounter) Get(n int) []byte { c.gets.Add(1); return make([]byte, 0, n) }
+func (c *frameCounter) Put([]byte)       {}
+
+// TestTCPBatchedDeliveryOrdered queues 125 frames' worth of envelopes
+// behind a held dial: the writer takes what is queued, so they must arrive
+// in exactly 125 full frames, none lost or reordered.
 func TestTCPBatchedDeliveryOrdered(t *testing.T) {
-	a, b := newTCPPair(t, TCPConfig{Inboxes: 1, Capacity: 1 << 14, BatchMax: 16, Linger: 200 * time.Microsecond})
-	const n = 2000
-	go func() {
-		for i := 0; i < n; i++ {
-			_ = a.Send(env(types.ReplicaNode(0), types.ReplicaNode(1), fmt.Sprintf("m%05d", i)))
+	const n, batchMax = 2000, 16
+	a, b := newTCPPair(t, TCPConfig{Inboxes: 1, Capacity: 1 << 14, BatchMax: batchMax})
+	frames := new(frameCounter)
+	b.SetFrameBuffers(frames)
+	release := holdDial(a)
+	for i := 0; i < n; i++ {
+		if err := a.Send(env(types.ReplicaNode(0), types.ReplicaNode(1), fmt.Sprintf("m%05d", i))); err != nil {
+			t.Fatal(err)
 		}
-	}()
+	}
+	release()
 	got := recvN(t, b, n, 5*time.Second)
 	for i, e := range got {
 		if want := fmt.Sprintf("m%05d", i); string(e.Body) != want {
 			t.Fatalf("envelope %d = %q, want %q", i, e.Body, want)
 		}
 	}
+	if got, want := frames.gets.Load(), int64(n/batchMax); got != want {
+		t.Fatalf("%d envelopes arrived in %d frames, want %d full frames", n, got, want)
+	}
 }
 
-// TestTCPFlushOnClose queues envelopes into a writer configured with a
-// linger far longer than the test, then closes the sender: the lingering
-// partial batch must be flushed, not dropped.
+// TestTCPFlushOnClose queues envelopes behind a dial that completes only
+// once Close has begun: what was queued must be flushed, not dropped.
 func TestTCPFlushOnClose(t *testing.T) {
-	a, b := newTCPPair(t, TCPConfig{Inboxes: 1, Capacity: 1 << 10, BatchMax: 1024, Linger: time.Minute})
+	a, b := newTCPPair(t, TCPConfig{Inboxes: 1, Capacity: 1 << 10, BatchMax: 1024})
+	release := holdDial(a)
 	const n = 3
 	for i := 0; i < n; i++ {
 		if err := a.Send(env(types.ReplicaNode(0), types.ReplicaNode(1), fmt.Sprintf("f%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	a.Close()
+	closed := make(chan struct{})
+	go func() {
+		a.Close()
+		close(closed)
+	}()
+	for closing := false; !closing; {
+		time.Sleep(time.Millisecond)
+		a.mu.Lock()
+		closing = a.closed
+		a.mu.Unlock()
+	}
+	release()
+	<-closed
 	got := recvN(t, b, n, 5*time.Second)
 	for i, e := range got {
 		if want := fmt.Sprintf("f%d", i); string(e.Body) != want {

@@ -43,14 +43,18 @@ func newZeroCopyPair(t *testing.T, cfg TCPConfig) (a, b *TCPEndpoint) {
 // while later frames reuse the pooled buffers. Run under -race this
 // exercises the arena handoff between the read loop and the consumer.
 func TestTCPZeroCopyBlast(t *testing.T) {
-	a, b := newZeroCopyPair(t, TCPConfig{Inboxes: 1, Capacity: 1 << 14, BatchMax: 16, Linger: 200 * time.Microsecond})
-	const n = 4000
+	const n, batchMax = 4000, 16
+	a, b := newZeroCopyPair(t, TCPConfig{Inboxes: 1, Capacity: 1 << 14, BatchMax: batchMax})
 	filler := strings.Repeat("z", 200)
-	go func() {
-		for i := 0; i < n; i++ {
-			_ = a.Send(env(types.ReplicaNode(0), types.ReplicaNode(1), fmt.Sprintf("m%05d-%s", i, filler)))
+	// Everything queues behind the held dial, so it travels in full
+	// 16-envelope frames, each one arena shared by its envelopes.
+	release := holdDial(a)
+	for i := 0; i < n; i++ {
+		if err := a.Send(env(types.ReplicaNode(0), types.ReplicaNode(1), fmt.Sprintf("m%05d-%s", i, filler))); err != nil {
+			t.Fatal(err)
 		}
-	}()
+	}
+	release()
 
 	bodies := make([]string, 0, n)
 	deadline := time.After(10 * time.Second)
@@ -70,8 +74,8 @@ func TestTCPZeroCopyBlast(t *testing.T) {
 			t.Fatalf("envelope %d = %q, want %q", i, got[:16], want[:16])
 		}
 	}
-	if hits, misses := b.FramePoolStats(); hits+misses == 0 {
-		t.Fatal("frame pool untouched; zero-copy decode is not engaged")
+	if hits, misses := b.FramePoolStats(); hits+misses != n/batchMax {
+		t.Fatalf("%d envelopes arrived in %d pooled frames, want %d full frames", n, hits+misses, n/batchMax)
 	}
 
 	// Reuse phase: one frame in flight at a time, each released before the
@@ -101,8 +105,12 @@ func TestTCPZeroCopyBlast(t *testing.T) {
 // TestTCPZeroCopyRetainedDecode checks the property the replica pipeline
 // depends on: a message copy-decoded from a pooled envelope survives the
 // envelope's release and any amount of later traffic reusing the arena.
+// The request shares its frame with seven others queued behind a held
+// dial, so its buffer recycles only once all eight are released.
 func TestTCPZeroCopyRetainedDecode(t *testing.T) {
-	a, b := newZeroCopyPair(t, TCPConfig{Inboxes: 1, Capacity: 1 << 12, BatchMax: 8, Linger: 200 * time.Microsecond})
+	const batchMax = 8
+	a, b := newZeroCopyPair(t, TCPConfig{Inboxes: 1, Capacity: 1 << 12, BatchMax: batchMax})
+	release := holdDial(a)
 
 	payload := strings.Repeat("retained-payload-", 16)
 	first := &types.ClientRequest{
@@ -118,6 +126,12 @@ func TestTCPZeroCopyRetainedDecode(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	for i := 1; i < batchMax; i++ {
+		if err := a.Send(env(types.ReplicaNode(0), types.ReplicaNode(1), strings.Repeat("y", 300))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release()
 
 	var decoded *types.ClientRequest
 	var auth []byte
@@ -132,6 +146,17 @@ func TestTCPZeroCopyRetainedDecode(t *testing.T) {
 		e.Release()
 	case <-time.After(5 * time.Second):
 		t.Fatal("first envelope never arrived")
+	}
+	for i := 1; i < batchMax; i++ {
+		select {
+		case e := <-b.Inbox(0):
+			e.Release()
+		case <-time.After(5 * time.Second):
+			t.Fatalf("frame-mate %d never arrived", i)
+		}
+	}
+	if hits, misses := b.FramePoolStats(); hits+misses != 1 {
+		t.Fatalf("%d envelopes arrived in %d frames, want 1", batchMax, hits+misses)
 	}
 
 	// Churn the arena pool with enough traffic to recycle the first frame's

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"resilientdb/internal/types"
 )
@@ -15,7 +14,7 @@ import (
 func benchTCPBlast(b *testing.B, zeroCopy bool) {
 	a, err := NewTCPWithConfig(TCPConfig{
 		Self: types.ReplicaNode(0), ListenAddr: "127.0.0.1:0",
-		Inboxes: 1, Capacity: 1 << 14, BatchMax: 16, Linger: 100 * time.Microsecond,
+		Inboxes: 1, Capacity: 1 << 14, BatchMax: 16,
 	})
 	if err != nil {
 		b.Fatal(err)
