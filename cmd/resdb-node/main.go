@@ -60,11 +60,6 @@
 //   - -store-compact-min-bytes B: log size below which compaction never
 //     rewrites (rewriting a tiny log cannot pay for its stall). 0
 //     (default) uses the built-in 1 MiB; negative removes the floor.
-//   - -store-read-index: keep every key's latest value in an in-memory
-//     index over the sharded backend, so Get — and with it the locally
-//     served read path — never touches the log or its lock. 0 (default)
-//     keeps it on; -1 disables it (reads go back through the log, the
-//     Section 5.7 blocking contrast). Ignored by the mem backend.
 //   - -pprof-addr ADDR: serve net/http/pprof on ADDR (e.g.
 //     127.0.0.1:6060) and add heap/GC deltas to the stats tick; empty
 //     (default) disables profiling entirely.
@@ -115,7 +110,6 @@ func run() int {
 	storeSync := flag.Bool("store-sync", false, "make the sharded store durable: group-commit fsyncs, no response before one covers its writes (off = page cache only)")
 	storeCompactRatio := flag.Float64("store-compact-ratio", 0, "garbage ratio (dead/total log bytes) past which a stable checkpoint compacts the log (0 = default 0.5, negative disables compaction)")
 	storeCompactMin := flag.Int64("store-compact-min-bytes", 0, "log size below which checkpoint-driven compaction never rewrites (0 = default 1 MiB, negative removes the floor)")
-	storeReadIndex := flag.Int("store-read-index", 0, "in-memory read index over the sharded store so local reads never touch the log or its lock (0 = default on, -1 disables)")
 	verifyThreads := flag.Int("verify-threads", 0, "client-signature verification workers; input-threads verify peer envelopes (0 = default 2, -1 verifies both inline on the worker lanes and batch-threads)")
 	workerThreads := flag.Int("worker-threads", 0, "parallel consensus worker lanes (0 = default 1, the paper's single worker-thread)")
 	chaosSpec := flag.String("chaos", "", "fault-injection spec for this replica's outbound traffic: drop=P,dup=P,corrupt=P,delay=D,reorder=D,byz=mode@replica,seed=N (empty disables; see internal/chaos)")
@@ -162,7 +156,6 @@ func run() int {
 		Dir:             *storeDir,
 		CompactRatio:    *storeCompactRatio,
 		CompactMinBytes: *storeCompactMin,
-		ReadIndex:       *storeReadIndex >= 0,
 	}
 	if *storeSync {
 		storeCfg.SyncLinger = 1 // > 0 = durable; the magnitude is ignored
@@ -222,8 +215,8 @@ func run() int {
 		case <-stop:
 			rep.Stop()
 			s := rep.Stats()
-			fmt.Printf("final: txns=%d batches=%d reads=%d localreads=%d height=%d view=%d drops=%d fsyncs=%d fsync-stall=%s compactions=%d reclaimed=%dB\n",
-				s.TxnsExecuted, s.BatchesExecuted, s.ReadsExecuted, s.LocalReads,
+			fmt.Printf("final: txns=%d batches=%d reads=%d localreads=%d localreaddrops=%d height=%d view=%d drops=%d fsyncs=%d fsync-stall=%s compactions=%d reclaimed=%dB\n",
+				s.TxnsExecuted, s.BatchesExecuted, s.ReadsExecuted, s.LocalReads, s.LocalReadDrops,
 				s.LedgerHeight, s.View, s.NetDrops,
 				s.StoreFsyncs, time.Duration(s.StoreFsyncStallNS),
 				s.StoreCompactions, s.StoreCompactReclaimedBytes)
@@ -235,9 +228,9 @@ func run() int {
 			return 0
 		case <-tick.C:
 			s := rep.Stats()
-			line := fmt.Sprintf("txns=%d (+%d) height=%d view=%d in=%d out=%d authfail=%d drops=%d compactions=%d",
+			line := fmt.Sprintf("txns=%d (+%d) height=%d view=%d in=%d out=%d authfail=%d drops=%d localreaddrops=%d compactions=%d",
 				s.TxnsExecuted, s.TxnsExecuted-last, s.LedgerHeight, s.View,
-				s.MsgsIn, s.MsgsOut, s.AuthFailures, s.NetDrops, s.StoreCompactions)
+				s.MsgsIn, s.MsgsOut, s.AuthFailures, s.NetDrops, s.LocalReadDrops, s.StoreCompactions)
 			if profiling {
 				// Heap and GC deltas since the previous tick: together with
 				// the pool counters these are the live view of what the

@@ -229,7 +229,6 @@ func (c *Cluster) buildStore(id types.ReplicaID) (store.Store, error) {
 		CompactRatio:    o.StoreCompactRatio,
 		CompactMinBytes: o.StoreCompactMinBytes,
 		MemSizeHint:     int(o.Workload.Records),
-		ReadIndex:       true,
 	}
 	if o.StoreSync {
 		cfg.SyncLinger = 1 // > 0 = durable; the magnitude is ignored

@@ -46,10 +46,10 @@ import (
 	"resilientdb/internal/types"
 )
 
-// DefaultBaseClient is the first gateway upstream identity. It sits far
-// above any direct load-generator client so the two id spaces never
-// collide; crypto.Directory derives keys for any id lazily, so gateway
-// identities need no registration.
+// DefaultBaseClient is the first gateway upstream identity: upstream i is
+// DefaultBaseClient+i. It sits far above any direct load-generator client
+// so the two id spaces never collide; crypto.Directory derives keys for any
+// id lazily, so gateway identities need no registration.
 const DefaultBaseClient types.ClientID = 1 << 20
 
 // Config parameterizes a Gateway.
@@ -61,9 +61,6 @@ type Config struct {
 	// Endpoint attaches one upstream worker to the replica fabric. It is
 	// called once per upstream with that worker's client identity.
 	Endpoint func(id types.ClientID) (transport.Endpoint, error)
-	// BaseClient is the first upstream identity (default
-	// DefaultBaseClient); upstream i uses BaseClient+i.
-	BaseClient types.ClientID
 	// Upstreams is the number of replica-facing consensus workers, each a
 	// closed loop with one request in flight (default 4). This — not the
 	// session count — is the gateway's replica-facing connection budget.
@@ -106,9 +103,6 @@ func (c *Config) fill() error {
 	}
 	if c.Directory == nil || c.Endpoint == nil {
 		return errors.New("gateway: missing directory or endpoint factory")
-	}
-	if c.BaseClient == 0 {
-		c.BaseClient = DefaultBaseClient
 	}
 	if c.Upstreams <= 0 {
 		c.Upstreams = 4
@@ -231,7 +225,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := newGateway(cfg)
 	for i := 0; i < cfg.Upstreams; i++ {
-		u, err := newUpstream(g, cfg.BaseClient+types.ClientID(i))
+		u, err := newUpstream(g, DefaultBaseClient+types.ClientID(i))
 		if err != nil {
 			g.Close()
 			return nil, err

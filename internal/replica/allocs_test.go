@@ -161,7 +161,7 @@ func TestAllocsPerCommittedBatch(t *testing.T) {
 
 // TestAllocsPerReadBatch counts what committing a batch allocates in
 // mixed-disk's shape — four replicas in process, each on the durable disk
-// store with its read index, E=2 at depth 2, CMAC links, ED25519 clients
+// store, E=2 at depth 2, CMAC links, ED25519 clients
 // sending 8 transactions of 4 ops a request, half of the ops reads and 5 %
 // scans of up to 20 keys — clients included, and attributes every
 // allocation to the function of this module that made it, like
@@ -195,7 +195,7 @@ func TestAllocsPerReadBatch(t *testing.T) {
 	value := make([]byte, 100)
 	var replicas []*Replica
 	for i := 0; i < 4; i++ {
-		disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{SyncLinger: 1, ReadIndex: true})
+		disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{SyncLinger: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,7 +76,7 @@ func testDurableAtRetire(t *testing.T, e int) {
 	// partition) the split is merely two keys.
 	const shards = 2
 	disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
-		SyncLinger: 100 * time.Microsecond, ReadIndex: true,
+		SyncLinger: 100 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func testDurableAtRetire(t *testing.T, e int) {
 func TestFsyncsPerBatch(t *testing.T) {
 	const e, batches = 2, 200
 	st, err := store.OpenBackend(store.BackendConfig{
-		Backend: "sharded", Dir: t.TempDir(), ExecShards: e, SyncLinger: 1, ReadIndex: true,
+		Backend: "sharded", Dir: t.TempDir(), ExecShards: e, SyncLinger: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

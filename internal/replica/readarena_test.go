@@ -139,7 +139,7 @@ func TestPoisonedReadArenas(t *testing.T) {
 			t.Run(fmt.Sprintf("E=%d/%s", e, backend), func(t *testing.T) {
 				var st store.Store = store.NewMemStore(shardTestRecords)
 				if backend == "disk" {
-					disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{SyncLinger: 1, ReadIndex: true})
+					disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{SyncLinger: 1})
 					if err != nil {
 						t.Fatal(err)
 					}

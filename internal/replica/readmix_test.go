@@ -356,10 +356,7 @@ func TestReadMixDeterminism(t *testing.T) {
 
 	for _, e := range append([]int{-1}, diskShards...) {
 		t.Run(fmt.Sprintf("E=%d/logs=1", e), func(t *testing.T) {
-			disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
-				SyncLinger: 1,
-				ReadIndex:  true,
-			})
+			disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{SyncLinger: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -127,10 +127,7 @@ func TestScanDeterminism(t *testing.T) {
 	preloadEven(t, mem)
 	serial, serialEPs := newReadMixReplica(t, 1, 1, clients+1, mem)
 
-	disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{
-		SyncLinger: 1,
-		ReadIndex:  true,
-	})
+	disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{SyncLinger: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,11 +161,10 @@ func (r *Replica) admit(env *types.Envelope) {
 
 // readLoop is one worker of the read lane: it answers locally served
 // ReadRequests (point keys and scans) from the last-executed state, off
-// the input loop, so store reads — a locked disk read per key with the
-// read index disabled — are paid here instead of head-of-line blocking
-// all client traffic. lastRetired is loaded before the keys are read and
-// applied writes never roll back, so the stamped Seq is a valid per-key
-// freshness lower bound (there is no cross-key snapshot; see
+// the input loop, so store reads are paid here instead of head-of-line
+// blocking all client traffic. lastRetired is loaded before the keys are
+// read and applied writes never roll back, so the stamped Seq is a valid
+// per-key freshness lower bound (there is no cross-key snapshot; see
 // types.ReadRequest). A request whose MinSeq this replica has not yet
 // retired is refused — the reply carries the stamped Seq but no results —
 // and the client falls back to the quorum path, which is how the

@@ -38,10 +38,10 @@ func (h *heldFsync) sync(f *os.File) error {
 // the fsync for one append to primeKey, which is how it stays until the
 // test calls letGo: whatever the test appends meanwhile is visible and not
 // durable, and forms the next group.
-func openHeld(t *testing.T, dir string, readIndex bool) (*ShardedDiskStore, *heldFsync) {
+func openHeld(t *testing.T, dir string) (*ShardedDiskStore, *heldFsync) {
 	t.Helper()
 	h := newHeldFsync()
-	s, err := openShardedDisk(dir, ShardedDiskOptions{SyncLinger: 1, ReadIndex: readIndex}, h.sync)
+	s, err := openShardedDisk(dir, ShardedDiskOptions{SyncLinger: 1}, h.sync)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func (s *ShardedDiskStore) progress() (synced, appended uint64) {
 func goSticky(t *testing.T, s *ShardedDiskStore, kvs []KV) Ticket {
 	t.Helper()
 	s.mu.Lock()
-	ticket, fresh, err := s.appendLocked(kvs)
+	ticket, err := s.appendLocked(kvs)
 	if err == nil {
 		err = s.f.Close()
 	}
@@ -125,73 +125,65 @@ func goSticky(t *testing.T, s *ShardedDiskStore, kvs []KV) Ticket {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh {
-		s.ordered.insertMany(kvs)
-	}
 	return ticket
 }
 
-// TestAppendVisibleThenDurable is the Appender contract: an
-// append is readable by Get and Scan the moment it returns, with and
-// without the read index, while no fsync has completed yet; N appends that
-// land during one fsync and one wait on the last ticket cost exactly one
-// more; and every earlier ticket is then covered, so waiting on it neither
-// blocks nor syncs.
+// TestAppendVisibleThenDurable is the Appender contract: an append is
+// readable by Get and Scan the moment it returns, while no fsync has
+// completed yet; N appends that land during one fsync and one wait on the
+// last ticket cost exactly one more; and every earlier ticket is then
+// covered, so waiting on it neither blocks nor syncs.
 func TestAppendVisibleThenDurable(t *testing.T) {
-	for _, readIndex := range []bool{false, true} {
-		t.Run(fmt.Sprintf("readindex=%v", readIndex), func(t *testing.T) {
-			s, held := openHeld(t, t.TempDir(), readIndex)
-			const n = 5
-			var tickets []Ticket
-			var ticket Ticket
-			var err error
-			for i := uint64(0); i < n; i++ {
-				kvs := []KV{
-					{Key: 2 * i, Value: []byte(fmt.Sprintf("a-%d", i))},
-					{Key: 2*i + 1, Value: []byte(fmt.Sprintf("b-%d", i))},
-				}
-				if ticket, err = s.Append(kvs, ticket); err != nil {
-					t.Fatal(err)
-				}
-				tickets = append(tickets, ticket)
-				if v, err := s.Get(2 * i); err != nil || string(v) != fmt.Sprintf("a-%d", i) {
-					t.Fatalf("Get(%d) right after Append = (%q,%v)", 2*i, v, err)
-				}
-			}
-			var rows []string
-			if err := s.Scan(0, 2*n, func(k uint64, v []byte) bool {
-				rows = append(rows, fmt.Sprintf("%d=%s", k, v))
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if len(rows) != 2*n || rows[0] != "0=a-0" || rows[2*n-1] != fmt.Sprintf("%d=b-%d", 2*n-1, n-1) {
-				t.Fatalf("Scan over appended, unsynced writes = %v", rows)
-			}
-			if got := s.SyncStats().Fsyncs; got != 0 {
-				t.Fatalf("%d fsyncs completed while the committer was held in its first", got)
-			}
+	s, held := openHeld(t, t.TempDir())
+	const n = 5
+	var tickets []Ticket
+	var ticket Ticket
+	var err error
+	for i := uint64(0); i < n; i++ {
+		kvs := []KV{
+			{Key: 2 * i, Value: []byte(fmt.Sprintf("a-%d", i))},
+			{Key: 2*i + 1, Value: []byte(fmt.Sprintf("b-%d", i))},
+		}
+		if ticket, err = s.Append(kvs, ticket); err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, ticket)
+		if v, err := s.Get(2 * i); err != nil || string(v) != fmt.Sprintf("a-%d", i) {
+			t.Fatalf("Get(%d) right after Append = (%q,%v)", 2*i, v, err)
+		}
+	}
+	var rows []string
+	if err := s.Scan(0, 2*n, func(k uint64, v []byte) bool {
+		rows = append(rows, fmt.Sprintf("%d=%s", k, v))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2*n || rows[0] != "0=a-0" || rows[2*n-1] != fmt.Sprintf("%d=b-%d", 2*n-1, n-1) {
+		t.Fatalf("Scan over appended, unsynced writes = %v", rows)
+	}
+	if got := s.SyncStats().Fsyncs; got != 0 {
+		t.Fatalf("%d fsyncs completed while the committer was held in its first", got)
+	}
 
-			held.letGo()
-			if err := s.WaitDurable(ticket); err != nil {
-				t.Fatal(err)
-			}
-			after := s.SyncStats()
-			if after.Fsyncs != 2 {
-				t.Fatalf("%d appends during one fsync and one wait cost %d fsyncs, want the held one and exactly 1 more", n, after.Fsyncs)
-			}
-			for i, earlier := range tickets {
-				if err := s.WaitDurable(earlier); err != nil {
-					t.Fatalf("ticket %d: %v", i, err)
-				}
-			}
-			if again := s.SyncStats(); again != after {
-				t.Fatalf("waiting on covered tickets moved the sync stats: %+v then %+v", after, again)
-			}
-			if err := s.WaitDurable(Ticket{}); err != nil {
-				t.Fatalf("zero ticket: %v", err)
-			}
-		})
+	held.letGo()
+	if err := s.WaitDurable(ticket); err != nil {
+		t.Fatal(err)
+	}
+	after := s.SyncStats()
+	if after.Fsyncs != 2 {
+		t.Fatalf("%d appends during one fsync and one wait cost %d fsyncs, want the held one and exactly 1 more", n, after.Fsyncs)
+	}
+	for i, earlier := range tickets {
+		if err := s.WaitDurable(earlier); err != nil {
+			t.Fatalf("ticket %d: %v", i, err)
+		}
+	}
+	if again := s.SyncStats(); again != after {
+		t.Fatalf("waiting on covered tickets moved the sync stats: %+v then %+v", after, again)
+	}
+	if err := s.WaitDurable(Ticket{}); err != nil {
+		t.Fatalf("zero ticket: %v", err)
 	}
 }
 
@@ -201,7 +193,7 @@ func TestAppendVisibleThenDurable(t *testing.T) {
 // and finds every append of the chain synced; an Append of nothing returns
 // prev itself.
 func TestAppendTicketCoversPrev(t *testing.T) {
-	s, held := openHeld(t, t.TempDir(), false)
+	s, held := openHeld(t, t.TempDir())
 	var ticket Ticket
 	for k := uint64(0); k < 4; k++ {
 		prev := ticket
@@ -254,11 +246,11 @@ func TestAppendStickySyncError(t *testing.T) {
 // TestAppendErrorLeavesGetAndScanAgreeing: Get and Scan see the same writes
 // around a failed fsync. The write whose fsync failed was appended, so both
 // see it; an Append the sticky store refuses leaves nothing, so neither
-// does — not only after a restart rebuilds the ordered sidecar. The read
-// index answers Get, as the log file is closed under the store.
+// does — not only after a restart rebuilds the table. Neither reads the
+// log file, which is closed under the store.
 func TestAppendErrorLeavesGetAndScanAgreeing(t *testing.T) {
 	captureLogs(t)
-	s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{SyncLinger: 1, ReadIndex: true})
+	s, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{SyncLinger: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +291,7 @@ func TestAppendWaitersReleasedByCloseAndCompact(t *testing.T) {
 	for _, name := range []string{"close", "compact"} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, held := openHeld(t, dir, false)
+			s, held := openHeld(t, dir)
 			ticket, err := s.Append([]KV{{Key: 9, Value: []byte("nine")}}, Ticket{})
 			if err != nil {
 				t.Fatal(err)

@@ -35,10 +35,9 @@ type BackendConfig struct {
 	CompactMinBytes int64
 	// MemSizeHint sizes the in-memory store (0 means 1<<16 records).
 	MemSizeHint int
-	// ReadIndex gives the sharded backend an in-memory read index so Get —
-	// and with it the locally-served read path — never touches a log file
-	// or shard lock. Ignored by mem (already memory-resident). Replica
-	// deployments enable it by default via the -store-read-index knob.
+	// ReadIndex is ignored: the sharded backend reads every value from
+	// memory. The name stays until the benchmark that sets it can be
+	// changed.
 	ReadIndex bool
 }
 
@@ -56,7 +55,6 @@ func OpenBackend(cfg BackendConfig) (Store, error) {
 			SyncLinger:      cfg.SyncLinger,
 			CompactRatio:    cfg.CompactRatio,
 			CompactMinBytes: cfg.CompactMinBytes,
-			ReadIndex:       cfg.ReadIndex,
 		})
 	default:
 		// "disk", the serial single-log backend, is gone: the sharded store

@@ -434,15 +434,15 @@ func testCompactionCrashMatrix(t *testing.T, shards int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, _, err := recoverLog(src)
+		m := NewMemStore(0)
+		if _, _, err := recoverLog(src, m); err != nil {
+			t.Fatal(err)
+		}
+		tmp, lState, err := rewriteLiveRecords(&m.t, filepath.Join(dir, "shard-000.log.ignored"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tmp, lState, err := rewriteLiveRecords(src, st, nil, filepath.Join(dir, "shard-000.log.ignored"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lState.live == 0 {
+		if lState.total == 0 {
 			t.Fatal("rewrite produced no live records")
 		}
 		tmp.Close()
@@ -487,90 +487,86 @@ func captureLogs(t *testing.T) *bytes.Buffer {
 	return &buf
 }
 
-// TestCompactionValueSources: the rewrite takes values from the read index
-// when the store has one and from a sequential pass over the old log when
-// it does not, and either way every key reads back byte for byte what it
-// read before — from the swapped log, and from a cold reopen that verifies
-// every record's checksum. The history has overwrites that grow and shrink,
-// empty values, and one value larger than the pass's read buffer.
+// TestCompactionValueSources: the rewrite takes every value from the table,
+// the byte count it keeps says exactly how long the rewritten log is, and
+// every key reads back byte for byte what it read before — from the swapped
+// log, and from a cold reopen that verifies every record's checksum. The
+// history has overwrites that grow and shrink, empty values, and one value
+// larger than a page, which the table keeps in an allocation of its own.
 func TestCompactionValueSources(t *testing.T) {
-	for _, readIndex := range []bool{true, false} {
-		t.Run(fmt.Sprintf("readindex=%v", readIndex), func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := OpenShardedDisk(dir, ShardedDiskOptions{ReadIndex: readIndex})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const keys = 200
-			rng := rand.New(rand.NewSource(7))
-			for round := 0; round < 4; round++ {
-				var kvs []KV
-				for k := uint64(0); k < keys; k++ {
-					if round > 0 && rng.Intn(3) == 0 {
-						continue // this key's live record stays in an earlier round
-					}
-					v := make([]byte, rng.Intn(300))
-					rng.Read(v)
-					kvs = append(kvs, KV{Key: k, Value: v})
-				}
-				if err := s.PutMany(kvs); err != nil {
-					t.Fatal(err)
-				}
-			}
-			big := make([]byte, 300<<10)
-			rng.Read(big)
-			for _, kv := range []KV{{Key: keys, Value: big}, {Key: keys + 1, Value: nil}, {Key: 3, Value: []byte("last write wins")}} {
-				if err := s.Put(kv.Key, kv.Value); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want := make(map[uint64][]byte)
-			for k := uint64(0); k < keys+2; k++ {
-				if want[k], err = s.Get(k); err != nil {
-					t.Fatal(err)
-				}
-			}
-			pre := logSize(t, s)
-			if err := s.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			if s.live != s.total || s.off != s.total+int64(len(logMagic)) {
-				t.Fatalf("compacted log: live %d, total %d, append offset %d", s.live, s.total, s.off)
-			}
-			// The rewrite padded the new log to its next chunk boundary.
-			if s.alloc%logChunk != 0 || s.alloc < s.off || s.alloc-s.off >= logChunk {
-				t.Fatalf("compacted log: records end at %d, the file at %d", s.off, s.alloc)
-			}
-			closed := s.off // what the file must be once the store is closed
-			if post := logSize(t, s); post >= pre {
-				t.Fatalf("the log went from %d to %d bytes of records", pre, post)
-			}
-			check := func(s *ShardedDiskStore, when string) {
-				t.Helper()
-				if s.Len() != len(want) {
-					t.Fatalf("%s: Len = %d, want %d", when, s.Len(), len(want))
-				}
-				for k, w := range want {
-					if v, err := s.Get(k); err != nil || !bytes.Equal(v, w) {
-						t.Fatalf("%s: Get(%d) = (%d bytes, %v), want the %d bytes it held before", when, k, len(v), err, len(w))
-					}
-				}
-			}
-			check(s, "after the swap")
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got := fileSize(t, s.path); got != closed {
-				t.Fatalf("%s is %d bytes after Close, want its %d bytes of records", s.path, got, closed)
-			}
-			s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			check(s2, "reopened")
-		})
+	dir := t.TempDir()
+	s, err := OpenShardedDisk(dir, ShardedDiskOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	const keys = 200
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 4; round++ {
+		var kvs []KV
+		for k := uint64(0); k < keys; k++ {
+			if round > 0 && rng.Intn(3) == 0 {
+				continue // this key's live record stays in an earlier round
+			}
+			v := make([]byte, rng.Intn(300))
+			rng.Read(v)
+			kvs = append(kvs, KV{Key: k, Value: v})
+		}
+		if err := s.PutMany(kvs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	big := make([]byte, 300<<10)
+	rng.Read(big)
+	for _, kv := range []KV{{Key: keys, Value: big}, {Key: keys + 1, Value: nil}, {Key: 3, Value: []byte("last write wins")}} {
+		if err := s.Put(kv.Key, kv.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make(map[uint64][]byte)
+	for k := uint64(0); k < keys+2; k++ {
+		if want[k], err = s.Get(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pre := logSize(t, s)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if live := liveBytes(&s.t); live != s.total || s.off != s.total+int64(len(logMagic)) {
+		t.Fatalf("compacted log: live %d, total %d, append offset %d", live, s.total, s.off)
+	}
+	// The rewrite padded the new log to its next chunk boundary.
+	if s.alloc%logChunk != 0 || s.alloc < s.off || s.alloc-s.off >= logChunk {
+		t.Fatalf("compacted log: records end at %d, the file at %d", s.off, s.alloc)
+	}
+	closed := s.off // what the file must be once the store is closed
+	if post := logSize(t, s); post >= pre {
+		t.Fatalf("the log went from %d to %d bytes of records", pre, post)
+	}
+	check := func(s *ShardedDiskStore, when string) {
+		t.Helper()
+		if s.Len() != len(want) {
+			t.Fatalf("%s: Len = %d, want %d", when, s.Len(), len(want))
+		}
+		for k, w := range want {
+			if v, err := s.Get(k); err != nil || !bytes.Equal(v, w) {
+				t.Fatalf("%s: Get(%d) = (%d bytes, %v), want the %d bytes it held before", when, k, len(v), err, len(w))
+			}
+		}
+	}
+	check(s, "after the swap")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSize(t, s.path); got != closed {
+		t.Fatalf("%s is %d bytes after Close, want its %d bytes of records", s.path, got, closed)
+	}
+	s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	check(s2, "reopened")
 }
 
 // TestCompactionNotStarvedByBusyShard: a saturated log is inside an fsync
@@ -604,7 +600,7 @@ func TestCompactionNotStarvedByBusyShard(t *testing.T) {
 func TestFailedCompactionSaysSoOnce(t *testing.T) {
 	logs := captureLogs(t)
 	dir := t.TempDir()
-	s, held := openHeld(t, dir, false)
+	s, held := openHeld(t, dir)
 	ticket, err := s.Append([]KV{{Key: 9, Value: []byte("nine")}}, Ticket{})
 	if err != nil {
 		t.Fatal(err)

@@ -9,16 +9,18 @@ import (
 	"time"
 )
 
-// openIndexed opens the disk backend with the read index enabled.
+// The read index these tests are named for is the disk store's table: its
+// reads never touch the log.
+
+// openIndexed opens the disk backend.
 func openIndexed(t *testing.T, shards int, dir string, durable time.Duration) Store {
 	t.Helper()
-	return openSharded(t, dir, ShardedDiskOptions{Shards: shards, SyncLinger: durable, ReadIndex: true})
+	return openSharded(t, dir, ShardedDiskOptions{Shards: shards, SyncLinger: durable})
 }
 
-// TestReadIndexCorrectness: with the index on, Get returns the latest
-// applied value across overwrites, survives compaction (which moves
-// records but changes no values), and a reopen repopulates the index from
-// the recovered log.
+// TestReadIndexCorrectness: Get returns the latest applied value across
+// overwrites, survives compaction (which rewrites the log but changes no
+// values), and a reopen refills the table from the recovered log.
 func TestReadIndexCorrectness(t *testing.T) {
 	forEachShardCount(t, func(t *testing.T, shards int) {
 		dir := t.TempDir()
@@ -68,7 +70,7 @@ func TestReadIndexCorrectness(t *testing.T) {
 }
 
 // TestReadIndexGetCopies: a caller mutating a returned value must not
-// poison the index.
+// poison the table.
 func TestReadIndexGetCopies(t *testing.T) {
 	st := openIndexed(t, 4, t.TempDir(), 0)
 	defer st.Close()
@@ -91,7 +93,7 @@ func TestReadIndexGetCopies(t *testing.T) {
 
 // TestReadIndexConcurrentReads is the local-read race check: reader
 // goroutines hammer Get — the path the consensus-bypassing read path uses —
-// while writers overwrite the same keys and compactions rewrite the logs
+// while writers overwrite the same keys and compactions rewrite the log
 // underneath. Run under -race (CI does); correctness here means every read
 // observes some applied value, never a torn or stale-beyond-applied one.
 func TestReadIndexConcurrentReads(t *testing.T) {
@@ -155,6 +157,33 @@ func TestReadIndexConcurrentReads(t *testing.T) {
 		default:
 		}
 	})
+}
+
+// TestClosedDiskStoreRefusesReads: a closed disk store, opened through
+// OpenBackend as every deployment opens it, answers Get, AppendValue and Scan with
+// ErrClosed, not with the values it held.
+func TestClosedDiskStoreRefusesReads(t *testing.T) {
+	st, err := OpenBackend(BackendConfig{Backend: "sharded", Dir: t.TempDir(), SyncLinger: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(1, []byte("held")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := st.Get(1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Get after Close = (%q,%v), want ErrClosed", v, err)
+	}
+	if v, err := st.(ValueAppender).AppendValue(nil, 1); !errors.Is(err, ErrClosed) || v != nil {
+		t.Fatalf("AppendValue after Close = (%q,%v), want ErrClosed", v, err)
+	}
+	rows := 0
+	err = st.(Scanner).Scan(0, 10, func(uint64, []byte) bool { rows++; return true })
+	if !errors.Is(err, ErrClosed) || rows != 0 {
+		t.Fatalf("Scan after Close = %v after %d rows, want ErrClosed and none", err, rows)
+	}
 }
 
 // versionValue builds a value whose first 8 bytes identify the key and the

@@ -1,23 +1,23 @@
 package store
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// ShardedDiskStore is the pipelined off-memory store: one append log and
-// durability provided by group commit. It exists to show what the paper's
-// Section 5.7 off-memory penalty costs once the storage layer is given the
-// same treatment as every other stage — batch the expensive syscall, and
-// keep whoever appends from waiting for it:
+// ShardedDiskStore is the pipelined off-memory store: a MemStore, the append
+// log it is rebuilt from, and durability provided by group commit. Every
+// read — Get, AppendValue, AppendKeys, Scan, Len — is the embedded
+// MemStore's and never touches the log; the store adds the writes, which
+// land in the log and then the table, and the log's upkeep. It exists to
+// show what the paper's Section 5.7 off-memory penalty costs once the
+// storage layer is given the same treatment as every other stage — batch
+// the expensive syscall, and keep whoever appends from waiting for it:
 //
 //   - The unit of durability is the committed batch, and a batch touches
 //     every execution shard's partition. So the execute stage's shard workers
@@ -33,18 +33,23 @@ import (
 //     goroutine never waits for the disk. Put and PutMany are the
 //     synchronous form, append then wait.
 //
-// The log is a CRC-32C-per-record log (see format.go): on open a torn tail
-// or any record failing its CRC ends the valid prefix. It is grown ahead of
-// its appends by chunks of zeros (logChunk), so that a group-commit fsync
+// The log is a CRC-32C-per-record log (see format.go): on open every record
+// of its valid prefix is put into the table in log order, and a torn tail or
+// any record failing its CRC ends the prefix. It is grown ahead of its
+// appends by chunks of zeros (logChunk), so that a group-commit fsync
 // flushes data and not a change of file size; Close trims them.
 //
 // The log is append-only, so superseded values accumulate until Compact
 // (or the threshold-driven MaybeCompact, which the replica fires on stable
-// checkpoints) rewrites its live records to a fresh one: temp file + fsync
-// + rename + directory fsync, crash-safe at every point, after which log
+// checkpoints) rewrites the table to a fresh one: temp file + fsync +
+// rename + directory fsync, crash-safe at every point, after which log
 // size tracks live data instead of history and restart replays only the
 // compacted log.
 type ShardedDiskStore struct {
+	// MemStore holds every key's latest value. After open its one writer
+	// is appendLocked, under mu, so a holder of mu reads the table unlocked.
+	*MemStore
+
 	durable bool
 	// fsync is (*os.File).Sync everywhere but in tests, which slow it down
 	// or hold it to see how the committer groups.
@@ -57,12 +62,6 @@ type ShardedDiskStore struct {
 	wg      sync.WaitGroup
 	closing sync.Once
 
-	// ordered is the sorted key sidecar behind Scan, seeded from the
-	// recovered index at open. Put/PutMany insert into it only after their
-	// appends return (mu not held), so scans and writers never hold the
-	// sidecar and mu at once.
-	ordered *orderedKeys
-
 	// fsync and compaction accounting (atomic: SyncStats/CompactStats
 	// must not take mu).
 	fsyncs  atomic.Uint64
@@ -73,8 +72,8 @@ type ShardedDiskStore struct {
 	cond *sync.Cond // signalled when synced advances, a sync/compaction finishes, or the store closes
 	f    *os.File
 	path string
-	// logState is the log bookkeeping (index, append offset, live/total
-	// bytes), guarded by mu.
+	// logState is the log bookkeeping (append offset, total bytes), guarded
+	// by mu.
 	logState
 
 	// Group commit: appended counts append operations, synced the prefix
@@ -97,12 +96,6 @@ type ShardedDiskStore struct {
 	// enc is the append encode buffer, reused because appendLocked runs
 	// under mu and its write is synchronous.
 	enc []byte
-
-	// ri, when non-nil, answers Get from memory without touching the log
-	// file or mu (see readindex.go). Appends update it under mu; compaction
-	// leaves it untouched, since rewriting the log changes record positions
-	// but no values.
-	ri *readIndex
 }
 
 // ShardedDiskOptions configures a ShardedDiskStore.
@@ -125,10 +118,9 @@ type ShardedDiskOptions struct {
 	// rewrites. 0 means the default (DefaultCompactMinBytes); negative
 	// removes the floor.
 	CompactMinBytes int64
-	// ReadIndex keeps every key's latest value in memory, so Get never
-	// reads the log or takes its lock. Off by default — the Section 5.7
-	// contrast is the blocking storage API — and enabled by OpenBackend for
-	// replica deployments serving local reads.
+	// ReadIndex is ignored: every value is in memory and no read touches
+	// the log. The name stays until the benchmark that sets it can be
+	// changed.
 	ReadIndex bool
 }
 
@@ -162,7 +154,8 @@ func openShardedDisk(dir string, opts ShardedDiskOptions, fsync func(*os.File) e
 	// A crash mid-compaction leaves a temp rewrite behind; it is garbage
 	// until renamed, so clear strays before recovering the real log.
 	removeCompactTemps(dir)
-	f, st, torn, err := openLog(path)
+	m := NewMemStore(0)
+	f, st, torn, err := openLog(path, m)
 	if err != nil {
 		return nil, fmt.Errorf("store: recovering log: %w", err)
 	}
@@ -170,22 +163,11 @@ func openShardedDisk(dir string, opts ShardedDiskOptions, fsync func(*os.File) e
 		slog.Warn("store: recovery cut a torn or corrupt tail off the log", "path", path, "offset", st.off, "dropped", torn)
 	}
 	s := &ShardedDiskStore{
-		durable: opts.SyncLinger > 0, fsync: fsync, stop: make(chan struct{}),
+		MemStore: m, durable: opts.SyncLinger > 0, fsync: fsync, stop: make(chan struct{}),
 		f: f, path: path, logState: st, dirtyC: make(chan struct{}, 1),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.compactRatio, s.compactMin = resolveCompactKnobs(opts.CompactRatio, opts.CompactMinBytes)
-	if opts.ReadIndex {
-		if s.ri, err = loadReadIndex(f, st.index); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: loading read index: %w", err)
-		}
-	}
-	keys := make([]uint64, 0, len(st.index))
-	for k := range st.index {
-		keys = append(keys, k)
-	}
-	s.ordered = newOrderedKeys(keys)
 	if s.durable {
 		s.wg.Add(1)
 		go s.commitLoop()
@@ -201,44 +183,36 @@ func (s *ShardedDiskStore) arm() {
 	}
 }
 
-// appendLocked writes the records to the log in order, updates the index
-// and byte accounting and, in group commit mode, arms the committer; the
-// caller holds s.mu. One contiguous buffer means one write syscall per call
-// regardless of record count. It returns the records' ticket — the append
-// counter in group commit mode, the zero Ticket when the store never
-// fsyncs — and whether any record's key was new.
-func (s *ShardedDiskStore) appendLocked(kvs []KV) (t Ticket, fresh bool, err error) {
+// appendLocked writes the records to the log in order, then puts them into
+// the table and, in group commit mode, arms the committer; the caller holds
+// s.mu. One contiguous buffer means one write syscall per call regardless
+// of record count. It returns the records' ticket — the append counter in
+// group commit mode, the zero Ticket when the store never fsyncs.
+func (s *ShardedDiskStore) appendLocked(kvs []KV) (Ticket, error) {
 	if s.closed {
-		return Ticket{}, false, ErrClosed
+		return Ticket{}, ErrClosed
 	}
 	if s.syncErr != nil {
-		return Ticket{}, false, s.syncErr
+		return Ticket{}, s.syncErr
 	}
 	buf := encodeRecords(s.enc, kvs)
 	s.enc = buf
 	if err := s.extend(s.f, s.off+int64(len(buf))); err != nil {
-		return Ticket{}, false, fmt.Errorf("store: extending log: %w", err)
+		return Ticket{}, fmt.Errorf("store: extending log: %w", err)
 	}
 	if _, err := s.f.WriteAt(buf, s.off); err != nil {
-		return Ticket{}, false, fmt.Errorf("store: appending records: %w", err)
-	}
-	at := int64(0)
-	for i := range kvs {
-		if !s.account(kvs[i].Key, s.off+at+recHdr, uint32(len(kvs[i].Value))) {
-			fresh = true
-		}
-		at += recHdr + int64(len(kvs[i].Value))
+		return Ticket{}, fmt.Errorf("store: appending records: %w", err)
 	}
 	s.off += int64(len(buf))
+	s.total += int64(len(buf))
 	s.appended++
-	if s.ri != nil {
-		s.ri.putMany(kvs)
-	}
+	// The table refuses only once closed, and Close marks it under s.mu.
+	_ = s.MemStore.PutMany(kvs)
 	if !s.durable {
-		return Ticket{}, fresh, nil
+		return Ticket{}, nil
 	}
 	s.arm()
-	return Ticket{seq: s.appended}, fresh, nil
+	return Ticket{seq: s.appended}, nil
 }
 
 // commitLoop is the group committer. It keeps no clock: woken by a dirty
@@ -320,24 +294,18 @@ func (s *ShardedDiskStore) PutMany(kvs []KV) error {
 }
 
 // Append implements Appender: the writes are appended with a single write
-// syscall, after which they are in the index, the read index and the
-// ordered sidecar — visible to Get and Scan — and the committer is armed.
-// The sidecar hears only of partitions that brought a new key: the index
-// lookup already knows an overwrite's key is in it. Nothing here waits for
-// a disk, and the new ticket covers prev: tickets count appends to the one
-// log.
+// syscall, after which they are in the table — visible to Get and Scan —
+// and the committer is armed. Nothing here waits for a disk, and the new
+// ticket covers prev: tickets count appends to the one log.
 func (s *ShardedDiskStore) Append(kvs []KV, prev Ticket) (Ticket, error) {
 	if len(kvs) == 0 {
 		return prev, nil
 	}
 	s.mu.Lock()
-	t, fresh, err := s.appendLocked(kvs)
+	t, err := s.appendLocked(kvs)
 	s.mu.Unlock()
 	if err != nil {
 		return prev, err
-	}
-	if fresh {
-		s.ordered.insertMany(kvs)
 	}
 	return t, nil
 }
@@ -370,69 +338,6 @@ func (s *ShardedDiskStore) WaitDurable(t Ticket) error {
 	}
 }
 
-// AppendValue implements ValueAppender. With the read index enabled the
-// value comes from memory without touching the log file or its lock.
-// Otherwise the value bytes are read back from the log into dst's tail: the
-// record reference and file handle are snapshotted under the lock but the
-// ReadAt syscall runs outside it, so one disk read never stalls the writers
-// or the group committer. If compaction (or Close) retires the snapshotted
-// handle mid-read the read fails with fs.ErrClosed and is retried against
-// the fresh handle; a closed store surfaces as ErrClosed at the top of the
-// retry.
-func (s *ShardedDiskStore) AppendValue(dst []byte, key uint64) ([]byte, error) {
-	if s.ri != nil {
-		if out, ok := s.ri.appendValue(dst, key); ok {
-			return out, nil
-		}
-		return dst, fmt.Errorf("%w: %d", ErrNotFound, key)
-	}
-	for {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return dst, ErrClosed
-		}
-		ref, ok := s.index[key]
-		f := s.f
-		s.mu.Unlock()
-		if !ok {
-			return dst, fmt.Errorf("%w: %d", ErrNotFound, key)
-		}
-		out := slices.Grow(dst, int(ref.length))[:len(dst)+int(ref.length)]
-		if _, err := f.ReadAt(out[len(dst):], ref.off); err != nil {
-			if errors.Is(err, fs.ErrClosed) {
-				continue // the handle was swapped or the store closed; re-snapshot
-			}
-			return dst, fmt.Errorf("store: reading record: %w", err)
-		}
-		return out, nil
-	}
-}
-
-// AppendKeys implements ValueAppender from the ordered sidecar.
-func (s *ShardedDiskStore) AppendKeys(dst []uint64, start, end uint64) []uint64 {
-	return s.ordered.chunk(start, end, dst)
-}
-
-// Get implements Store through AppendValue.
-func (s *ShardedDiskStore) Get(key uint64) ([]byte, error) {
-	return getVia(s, key)
-}
-
-// Scan implements Scanner through the ordered sidecar and AppendValue, so
-// each row is one log read (or a read-index hit) and a scan never stalls
-// the writers or the group committer for longer than a point read would.
-func (s *ShardedDiskStore) Scan(start, end uint64, fn func(key uint64, value []byte) bool) error {
-	return scanVia(s.ordered, s, start, end, fn)
-}
-
-// Len implements Store.
-func (s *ShardedDiskStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
-}
-
 // SyncStats implements SyncStatser.
 func (s *ShardedDiskStore) SyncStats() SyncStats {
 	return SyncStats{Fsyncs: s.fsyncs.Load(), FsyncStallNS: s.stallNS.Load()}
@@ -452,7 +357,7 @@ func (s *ShardedDiskStore) MaybeCompact() (int, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	if !shouldCompact(s.live, s.total, s.compactRatio, s.compactMin) {
+	if !shouldCompact(liveBytes(&s.t), s.total, s.compactRatio, s.compactMin) {
 		return 0, nil
 	}
 	if err := s.compactLocked(); err != nil {
@@ -469,8 +374,8 @@ func (s *ShardedDiskStore) Compact() error {
 	return s.compactLocked()
 }
 
-// compactLocked rewrites the live records to a fresh log; the caller holds
-// s.mu (writers stall for the duration, which is what CompactStats.StallNS
+// compactLocked rewrites the table to a fresh log; the caller holds s.mu
+// (writers stall for the duration, which is what CompactStats.StallNS
 // measures). Because the rewrite fsyncs every live record before the
 // rename, a completed compaction is also a covering group commit: callers
 // parked in WaitDurable are released, since the latest version of every
@@ -489,11 +394,7 @@ func (s *ShardedDiskStore) compactLocked() error {
 		return ErrClosed
 	}
 	t0 := time.Now()
-	var values *table
-	if s.ri != nil {
-		values = &s.ri.t // appends, its only writers, hold s.mu as we do
-	}
-	newF, st, err := rewriteLiveRecords(s.f, s.logState, values, s.path)
+	newF, st, err := rewriteLiveRecords(&s.t, s.path)
 	if err != nil {
 		s.cstats.failures.Add(1)
 		slog.Error("store: compaction failed, the store stays on its old log", "path", s.path, "err", err)
@@ -543,6 +444,7 @@ func (s *ShardedDiskStore) Close() error {
 			}
 		}
 		s.closed = true
+		s.MemStore.Close()
 		if cerr := s.f.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("store: closing log: %w", cerr)
 		}

@@ -43,12 +43,6 @@ const logChunk = 256 << 10
 
 var zeroChunk [logChunk]byte
 
-// recordRef locates one record's value bytes inside its log.
-type recordRef struct {
-	off    int64
-	length uint32
-}
-
 // logMagic opens every log. A file long enough to hold it that starts with
 // anything else is not a log this store wrote — or is one whose header rotted
 // — and opening it is an error, never a repair.
@@ -116,15 +110,20 @@ func shouldCompact(live, total int64, ratio float64, minBytes int64) bool {
 	return garbage > 0 && float64(garbage) >= ratio*float64(total)
 }
 
-// logState is everything recovery (or compaction) learns about one log;
-// the store embeds it as its log bookkeeping, so appends maintain it
-// through account and a compaction swap replaces it wholesale.
+// logState is where a log's records end; the store embeds it as its log
+// bookkeeping, appends advance it, and a compaction swap replaces it
+// wholesale. Which records are live is the table's to say (see liveBytes).
 type logState struct {
-	index map[uint64]recordRef
 	off   int64 // append offset
 	alloc int64 // end of the zeros written ahead of off (see logChunk); >= off
-	live  int64 // bytes of records still reachable through the index
 	total int64 // bytes of all records (excluding the file header)
+}
+
+// liveBytes is what the latest record of every key in t takes in a log: a
+// rewrite from t is exactly this long, and a log holding more holds
+// superseded records.
+func liveBytes(t *table) int64 {
+	return int64(len(t.index))*recHdr + int64(t.bytes)
 }
 
 // extend grows f by whole chunks of zeros until it owns every byte below end.
@@ -136,21 +135,6 @@ func (st *logState) extend(f *os.File, end int64) error {
 		st.alloc += logChunk
 	}
 	return nil
-}
-
-// account updates the live/total byte counters and the index for one
-// appended record, subtracting the record the key previously pointed at,
-// and reports whether there was one.
-func (st *logState) account(key uint64, valueOff int64, vlen uint32) bool {
-	rec := recHdr + int64(vlen)
-	st.total += rec
-	old, existed := st.index[key]
-	if existed {
-		st.live -= recHdr + int64(old.length)
-	}
-	st.live += rec
-	st.index[key] = recordRef{off: valueOff, length: vlen}
-	return existed
 }
 
 // encodeRecords packs kvs into one contiguous buffer of log records (one
@@ -174,8 +158,8 @@ func encodeRecords(buf []byte, kvs []KV) []byte {
 	return buf
 }
 
-// openLog opens (or creates) the record log at path and recovers it: the
-// returned handle and state are ready for appends.
+// openLog opens (or creates) the record log at path and recovers it into m:
+// the returned handle and state are ready for appends.
 //
 //   - a log (magic header) verifies every record's CRC-32C and keeps the
 //     longest valid prefix — a torn tail or a flipped byte anywhere
@@ -186,26 +170,27 @@ func encodeRecords(buf []byte, kvs []KV) []byte {
 //   - any other file is an error, and is left exactly as it was found.
 //
 // torn is how many bytes were cut off behind a tail that was not zeros.
-func openLog(path string) (f *os.File, st logState, torn int64, err error) {
+func openLog(path string, m *MemStore) (f *os.File, st logState, torn int64, err error) {
 	f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, logState{}, 0, fmt.Errorf("opening log: %w", err)
 	}
-	if st, torn, err = recoverLog(f); err != nil {
+	if st, torn, err = recoverLog(f, m); err != nil {
 		f.Close()
 		return nil, logState{}, 0, fmt.Errorf("%s: %w", path, err)
 	}
 	return f, st, torn, nil
 }
 
-// recoverLog scans an open record log, rebuilding the key index and the
-// live/total byte accounting, and cuts the file to its valid prefix, so
-// alloc == off on return and the first append extends the log again. A tail
-// that starts with a zero header is what pre-extension leaves and is a clean
-// end; any other tail is a torn or rotted record, and torn reports how many
-// bytes went with it.
-func recoverLog(f *os.File) (st logState, torn int64, err error) {
-	st = logState{index: make(map[uint64]recordRef), off: int64(len(logMagic))}
+// recoverLog scans an open record log, putting every record that verifies
+// into m as it goes — a later record of a key overwrites an earlier one, as
+// the append did — and cuts the file to its valid prefix, so alloc == off on
+// return and the first append extends the log again. A tail that starts
+// with a zero header is what pre-extension leaves and is a clean end; any
+// other tail is a torn or rotted record, and torn reports how many bytes
+// went with it.
+func recoverLog(f *os.File, m *MemStore) (st logState, torn int64, err error) {
+	st = logState{off: int64(len(logMagic))}
 	fi, err := f.Stat()
 	if err != nil {
 		return st, 0, fmt.Errorf("stat log: %w", err)
@@ -279,27 +264,27 @@ func recoverLog(f *os.File) (st logState, torn int64, err error) {
 			}
 			break
 		}
-		st.account(key, st.off+recHdr, vlen)
+		if err := m.Put(key, val); err != nil {
+			return st, 0, err
+		}
 		st.off += recHdr + int64(vlen)
+		st.total += recHdr + int64(vlen)
 	}
 	st.alloc = st.off
 	return st, torn, nil
 }
 
-// rewriteLiveRecords is the compaction rewrite: every record still
-// reachable through old.index is written to a fresh log that atomically
-// replaces logPath. The values come from memory when the caller has them
-// (the store's read index) and otherwise from one sequential pass over src
-// in large reads, which keeps the records the index still points at and
-// copies them as they lie, checksum included — never one read per record:
-// the store's writers are stalled for as long as this takes. The
-// crash-safety ladder — temp file, fsync, rename, directory fsync — keeps
-// the original log the authoritative copy until the rename lands, so a
-// crash at any point leaves either the old log or the complete new one,
-// never a mix. The temp file is removed on every failure path, including a
-// failed fsync. On success the returned file handle is the renamed log,
-// zero-padded to its next chunk boundary (see logChunk).
-func rewriteLiveRecords(src *os.File, old logState, values *table, logPath string) (*os.File, logState, error) {
+// rewriteLiveRecords is the compaction rewrite: the value of every key in
+// values is written to a fresh log that atomically replaces logPath, from
+// memory and in one sequential write stream — the store's writers are
+// stalled for as long as this takes. The crash-safety ladder — temp file,
+// fsync, rename, directory fsync — keeps the original log the authoritative
+// copy until the rename lands, so a crash at any point leaves either the
+// old log or the complete new one, never a mix. The temp file is removed on
+// every failure path, including a failed fsync. On success the returned
+// file handle is the renamed log, zero-padded to its next chunk boundary
+// (see logChunk).
+func rewriteLiveRecords(values *table, logPath string) (*os.File, logState, error) {
 	dir := filepath.Dir(logPath)
 	tmp, err := os.CreateTemp(dir, compactTmpPattern)
 	if err != nil {
@@ -314,39 +299,14 @@ func rewriteLiveRecords(src *os.File, old logState, values *table, logPath strin
 	if _, err := w.Write(logMagic[:]); err != nil {
 		return fail(err)
 	}
-	st := logState{index: make(map[uint64]recordRef, len(old.index))}
-	st.off = int64(len(logMagic))
 	var hdr [recHdr]byte
-	if values != nil {
-		for key := range old.index {
-			val, _ := values.get(key)
-			w.Write(putRecordHeader(hdr[:], key, val)) // a failed write is sticky: Flush reports it
-			w.Write(val)
-			st.account(key, st.off+recHdr, uint32(len(val)))
-			st.off += recHdr + int64(len(val))
-		}
-	} else {
-		at := int64(len(logMagic))
-		r := bufio.NewReaderSize(io.NewSectionReader(src, at, old.off-at), 1<<18)
-		for at < old.off {
-			if _, err := io.ReadFull(r, hdr[:]); err != nil {
-				return fail(fmt.Errorf("reading record at %d: %w", at, err))
-			}
-			key, vlen := binary.BigEndian.Uint64(hdr[:8]), binary.BigEndian.Uint32(hdr[8:12])
-			if old.index[key].off == at+recHdr {
-				w.Write(hdr[:])
-				_, err = io.CopyN(w, r, int64(vlen))
-				st.account(key, st.off+recHdr, vlen)
-				st.off += recHdr + int64(vlen)
-			} else {
-				_, err = r.Discard(int(vlen))
-			}
-			if err != nil {
-				return fail(fmt.Errorf("reading record at %d: %w", at, err))
-			}
-			at += recHdr + int64(vlen)
-		}
+	for key := range values.index {
+		val, _ := values.get(key)
+		w.Write(putRecordHeader(hdr[:], key, val)) // a failed write is sticky: Flush reports it
+		w.Write(val)
 	}
+	st := logState{total: liveBytes(values)}
+	st.off = int64(len(logMagic)) + st.total
 	// Pad to the next chunk boundary so the appends that follow the swap find
 	// the log already grown, and the growth rides on the fsync below.
 	st.alloc = (st.off + logChunk - 1) / logChunk * logChunk

@@ -1,17 +1,16 @@
 package store
 
 import (
-	"errors"
 	"sort"
 	"sync"
 )
 
 // Scanner is an optional Store capability: an ordered view over the live
 // keys, the storage half of the general-transaction refactor (range scans
-// travel the same execute pipeline as reads). Both backends implement it
-// through an insert-only ordered key sidecar — the fabric has no deletes,
-// so the sidecar only ever grows, which keeps it a sorted set maintained
-// outside the stores' own locks.
+// travel the same execute pipeline as reads). MemStore implements it, and
+// the disk store through the MemStore it embeds, with an insert-only
+// ordered key sidecar — the fabric has no deletes, so the sidecar only ever
+// grows, which keeps it a sorted set maintained outside the table's lock.
 //
 // The consistency contract is snapshot-per-key, not a range snapshot: a
 // Scan runs concurrently with Put/PutMany/Compact, every key present
@@ -26,9 +25,9 @@ import (
 type Scanner interface {
 	// Scan visits every live record with start <= key <= end in ascending
 	// key order, calling fn for each until fn returns false or the range
-	// is exhausted. The value slice is lent to fn for that one call: the
-	// backends read every row into one buffer the scan reuses, so fn
-	// copies whatever it keeps.
+	// is exhausted. The value slice is lent to fn for that one call: every
+	// row is read into one buffer the scan reuses, so fn copies whatever it
+	// keeps.
 	Scan(start, end uint64, fn func(key uint64, value []byte) bool) error
 }
 
@@ -45,41 +44,6 @@ const orderedBlockMax = 512
 type orderedKeys struct {
 	mu     sync.RWMutex
 	blocks [][]uint64
-	n      int
-}
-
-// newOrderedKeys builds a sidecar from an existing key set (disk backends
-// seed it from their recovered indexes at open). keys may arrive in any
-// order and is not retained.
-func newOrderedKeys(keys []uint64) *orderedKeys {
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	o := &orderedKeys{}
-	for len(keys) > 0 {
-		nb := len(keys)
-		if nb > orderedBlockMax {
-			nb = orderedBlockMax
-		}
-		block := make([]uint64, nb)
-		copy(block, keys[:nb])
-		o.blocks = append(o.blocks, block)
-		o.n += nb
-		keys = keys[nb:]
-	}
-	return o
-}
-
-// insert adds k to the set; present keys (the overwrite-dominated common
-// case) return under the read lock alone.
-func (o *orderedKeys) insert(k uint64) {
-	o.mu.RLock()
-	found := o.containsLocked(k)
-	o.mu.RUnlock()
-	if found {
-		return
-	}
-	o.mu.Lock()
-	o.insertLocked(k)
-	o.mu.Unlock()
 }
 
 // insertMany adds every key of kvs with one read-locked membership pass;
@@ -126,7 +90,6 @@ func (o *orderedKeys) blockFor(k uint64) int {
 func (o *orderedKeys) insertLocked(k uint64) {
 	if len(o.blocks) == 0 {
 		o.blocks = append(o.blocks, []uint64{k})
-		o.n++
 		return
 	}
 	bi := o.blockFor(k)
@@ -138,7 +101,6 @@ func (o *orderedKeys) insertLocked(k uint64) {
 	b = append(b, 0)
 	copy(b[pos+1:], b[pos:])
 	b[pos] = k
-	o.n++
 	if len(b) <= orderedBlockMax {
 		o.blocks[bi] = b
 		return
@@ -154,16 +116,9 @@ func (o *orderedKeys) insertLocked(k uint64) {
 	o.blocks[bi+1] = right
 }
 
-// size returns the number of keys in the set.
-func (o *orderedKeys) size() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.n
-}
-
 // chunk appends to out (up to its capacity) the keys in [start, end],
 // ascending, and returns the extended slice. Bounded chunks are what let
-// scanVia release the sidecar lock before touching store locks.
+// Scan release the sidecar lock before it takes the table's.
 func (o *orderedKeys) chunk(start, end uint64, out []uint64) []uint64 {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
@@ -185,45 +140,4 @@ func (o *orderedKeys) chunk(start, end uint64, out []uint64) []uint64 {
 		}
 	}
 	return out
-}
-
-// scanVia drives one Scan over an ordered sidecar: keys are gathered in
-// bounded chunks under the sidecar's read lock, then each is resolved
-// through va with no sidecar lock held, into one buffer the scan reuses and
-// lends to fn. Never holding the sidecar lock across a store lock is what
-// makes Scan deadlock-free against writers, which take store locks first
-// and the sidecar lock second. A key the store cannot resolve yet (an
-// insert racing ahead of the sidecar's bookkeeping cannot happen — stores
-// insert into the sidecar last — but a fault-injecting wrapper may refuse)
-// is skipped, not fatal; other errors abort the scan.
-func scanVia(o *orderedKeys, va ValueAppender, start, end uint64, fn func(uint64, []byte) bool) error {
-	if start > end {
-		return nil
-	}
-	var arr [128]uint64
-	var val []byte
-	cur := start
-	for {
-		keys := o.chunk(cur, end, arr[:0])
-		if len(keys) == 0 {
-			return nil
-		}
-		for _, k := range keys {
-			var err error
-			if val, err = va.AppendValue(val[:0], k); err != nil {
-				if errors.Is(err, ErrNotFound) {
-					continue
-				}
-				return err
-			}
-			if !fn(k, val[:len(val):len(val)]) {
-				return nil
-			}
-		}
-		last := keys[len(keys)-1]
-		if last >= end || last == ^uint64(0) {
-			return nil
-		}
-		cur = last + 1
-	}
 }

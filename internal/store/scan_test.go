@@ -9,16 +9,15 @@ import (
 )
 
 // scanBackends builds one instance of each Scanner-capable backend for a
-// subtest run. The disk backend runs with the read index enabled (the
-// replica deployment shape), once without fsync and once durable, so scans
-// race real fsync scheduling; the Shards values it is opened with are
-// ignored (see shardCounts).
+// subtest run. The disk backend runs once without fsync and once durable,
+// so scans race real fsync scheduling; the Shards values it is opened with
+// are ignored (see shardCounts).
 func scanBackends(t *testing.T) map[string]Store {
 	t.Helper()
 	return map[string]Store{
 		"mem":       NewMemStore(64),
-		"sharded-1": openSharded(t, t.TempDir(), ShardedDiskOptions{Shards: 1, ReadIndex: true}),
-		"sharded-4": openSharded(t, t.TempDir(), ShardedDiskOptions{Shards: 4, SyncLinger: 200 * time.Microsecond, ReadIndex: true}),
+		"sharded-1": openSharded(t, t.TempDir(), ShardedDiskOptions{Shards: 1}),
+		"sharded-4": openSharded(t, t.TempDir(), ShardedDiskOptions{Shards: 4, SyncLinger: 200 * time.Microsecond}),
 	}
 }
 
@@ -27,7 +26,7 @@ func TestScanOrderAndBounds(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			defer st.Close()
 			// Insert out of order, with overwrites, spanning several sidecar
-			// chunks (the scanVia chunk size is 128).
+			// chunks (Scan reads the sidecar 128 keys at a time).
 			const n = 400
 			perm := rand.New(rand.NewSource(7)).Perm(n)
 			for _, i := range perm {
@@ -105,39 +104,33 @@ func TestScanOrderAndBounds(t *testing.T) {
 	}
 }
 
-// TestScanAfterReopen checks the disk backend seeds its ordered sidecar
-// from the recovered indexes, so scans work on a freshly reopened store —
-// reading values back through the log or through the read index.
+// TestScanAfterReopen checks the disk backend rebuilds its ordered sidecar
+// with its table from the recovered log, so scans work on a freshly
+// reopened store.
 func TestScanAfterReopen(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		for _, readIndex := range []bool{false, true} {
-			t.Run(fmt.Sprintf("shards-%d/readindex-%v", shards, readIndex), func(t *testing.T) {
-				dir := t.TempDir()
-				st := openSharded(t, dir, ShardedDiskOptions{Shards: shards})
-				for k := uint64(0); k < 100; k++ {
-					if err := st.Put(k, []byte{byte(k)}); err != nil {
-						t.Fatalf("Put: %v", err)
-					}
-				}
-				st.Close()
-
-				st = openSharded(t, dir, ShardedDiskOptions{ReadIndex: readIndex})
-				defer st.Close()
-				next := uint64(10)
-				if err := st.Scan(10, 19, func(k uint64, v []byte) bool {
-					if k != next || len(v) != 1 || v[0] != byte(k) {
-						t.Errorf("row (%d,%v), want (%d,[%d])", k, v, next, byte(next))
-					}
-					next++
-					return true
-				}); err != nil {
-					t.Fatalf("reopen Scan: %v", err)
-				}
-				if next != 20 {
-					t.Fatalf("reopen scan visited %d keys, want 10", next-10)
-				}
-			})
+	dir := t.TempDir()
+	st := openSharded(t, dir, ShardedDiskOptions{})
+	for k := uint64(0); k < 100; k++ {
+		if err := st.Put(k, []byte{byte(k)}); err != nil {
+			t.Fatalf("Put: %v", err)
 		}
+	}
+	st.Close()
+
+	st = openSharded(t, dir, ShardedDiskOptions{})
+	defer st.Close()
+	next := uint64(10)
+	if err := st.Scan(10, 19, func(k uint64, v []byte) bool {
+		if k != next || len(v) != 1 || v[0] != byte(k) {
+			t.Errorf("row (%d,%v), want (%d,[%d])", k, v, next, byte(next))
+		}
+		next++
+		return true
+	}); err != nil {
+		t.Fatalf("reopen Scan: %v", err)
+	}
+	if next != 20 {
+		t.Fatalf("reopen scan visited %d keys, want 10", next-10)
 	}
 }
 
@@ -236,37 +229,25 @@ func TestScanConcurrentWithWrites(t *testing.T) {
 	}
 }
 
-// TestOrderedKeysBlocks exercises the sidecar's block split and seeding
-// paths directly across several thousand keys.
+// TestOrderedKeysBlocks exercises the sidecar's block split path directly
+// across several thousand keys.
 func TestOrderedKeysBlocks(t *testing.T) {
 	o := &orderedKeys{}
 	rnd := rand.New(rand.NewSource(3))
 	perm := rnd.Perm(5000)
 	for _, k := range perm {
-		o.insert(uint64(k * 2))
+		o.insertMany([]KV{{Key: uint64(k * 2)}})
 	}
 	for _, k := range perm[:500] { // duplicates are no-ops
-		o.insert(uint64(k * 2))
+		o.insertMany([]KV{{Key: uint64(k * 2)}})
 	}
-	if o.size() != 5000 {
-		t.Fatalf("size = %d, want 5000", o.size())
+	got := o.chunk(0, ^uint64(0), make([]uint64, 0, 6000))
+	if len(got) != 5000 {
+		t.Fatalf("chunk returned %d keys, want 5000", len(got))
 	}
-	seeded := newOrderedKeys(func() []uint64 {
-		keys := make([]uint64, 5000)
-		for i, k := range perm {
-			keys[i] = uint64(k * 2)
-		}
-		return keys
-	}())
-	for _, o := range []*orderedKeys{o, seeded} {
-		got := o.chunk(0, ^uint64(0), make([]uint64, 0, 6000))
-		if len(got) != 5000 {
-			t.Fatalf("chunk returned %d keys, want 5000", len(got))
-		}
-		for i := range got {
-			if got[i] != uint64(i*2) {
-				t.Fatalf("key %d = %d, want %d", i, got[i], i*2)
-			}
+	for i := range got {
+		if got[i] != uint64(i*2) {
+			t.Fatalf("key %d = %d, want %d", i, got[i], i*2)
 		}
 	}
 }

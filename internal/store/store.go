@@ -4,22 +4,23 @@
 // Two implementations mirror the two sides of the Section 5.7 experiment.
 // MemStore keeps records in an in-memory key-value structure: the paper's
 // conclusion (Section 6, "Memory Storage") is that replicas can keep
-// records in memory because at most f replicas fail. Its shards, like the
-// disk store's read index, are record tables (table.go) that hold values
-// in 64 KiB pages under an index with no pointers in it, so what the
-// garbage collector pays for them does not grow with the record count. A
-// value that fits its slot is overwritten in place, one that does not
-// moves and leaves its slot to a free list of its size class; a table
-// whose free lists outgrow its live bytes repacks into new pages. Readers
-// copy a value out under the lock writers take. ShardedDiskStore is
-// the off-memory side, and the middle the paper did not build: a durable
-// store engineered like every other pipeline stage — one append log that
-// every execution shard writes to, and group-commit fsync, so durability
-// stops being the serialized tail of the pipeline. Reached through nothing
-// but the blocking Store interface (every Put waiting out its own fsync)
-// it is the paper's naive off-memory store — the role SQLite plays there;
-// the diskpipe bench runs it both ways to quantify how much of the penalty
-// the engineering wins back.
+// records in memory because at most f replicas fail. It is one record
+// table (table.go) that holds values in 64 KiB pages under an index with
+// no pointers in it, so what the garbage collector pays for it does not
+// grow with the record count. A value that fits its slot is overwritten in
+// place, one that does not moves and leaves its slot to a free list of its
+// size class; a table whose free lists outgrow its live bytes repacks into
+// new pages. Readers copy a value out under the lock writers take.
+// ShardedDiskStore is the off-memory side, and the middle the paper did
+// not build: a MemStore plus the append log it is rebuilt from, the split
+// of an append-only ledger and a current-state store. Reads never touch the
+// log; writes land in the log and then the table, and are made durable by
+// group-commit fsync, so durability stops being the serialized tail of the
+// pipeline. Reached through nothing but the blocking Store interface
+// (every Put waiting out its own fsync) it is the paper's naive
+// off-memory store — the role SQLite plays there; the diskpipe bench runs
+// it both ways to quantify how much of the penalty the engineering wins
+// back.
 //
 // The log stays bounded: records carry a CRC-32C (recovery keeps the
 // longest valid prefix) and superseded values are garbage-collected by
@@ -99,9 +100,10 @@ type Appender interface {
 // caller's buffer, so a caller that keeps one buffer per batch — the execute
 // stage's value arena — reads without allocating; AppendKeys lists the live
 // keys of a range, so a caller that wants only some of them — an execution
-// shard, the keys of its own partition — resolves only those. MemStore and
-// ShardedDiskStore implement it and build Get and Scan on it, so each has
-// one read path. A store without it is read through Get and Scan.
+// shard, the keys of its own partition — resolves only those. MemStore
+// implements it and builds Get and Scan on it, so it has one read path,
+// which ShardedDiskStore reads through too. A store without it is read
+// through Get and Scan.
 type ValueAppender interface {
 	// AppendValue appends the value stored under key to dst and returns the
 	// extended slice. The appended bytes are a copy: later writes to key
@@ -113,16 +115,6 @@ type ValueAppender interface {
 	// that filled it goes on from the last key + 1. dst must have room for
 	// at least one key. Keys follow Scan's consistency contract.
 	AppendKeys(dst []uint64, start, end uint64) []uint64
-}
-
-// getVia is Get built on AppendValue: a value the caller owns, empty but
-// not nil for an empty record.
-func getVia(va ValueAppender, key uint64) ([]byte, error) {
-	v, err := va.AppendValue(nil, key)
-	if err == nil && v == nil {
-		v = []byte{}
-	}
-	return v, err
 }
 
 // Ticket names a position in a store's append stream. It is
@@ -220,107 +212,68 @@ var (
 	_ ValueAppender = (*ShardedDiskStore)(nil)
 )
 
-// memShards splits the key space to keep lock contention negligible even
-// with several execution threads.
-const memShards = 64
-
-type memShard struct {
-	mu sync.RWMutex
-	t  table
-}
-
-// MemStore is the in-memory key-value record table.
+// MemStore is the in-memory key-value record table: one table under one
+// lock, beside the ordered key sidecar behind Scan. Execution shards
+// applying key-disjoint partitions take the lock in turn; each holds it for
+// the copies of one partition.
 type MemStore struct {
-	shards [memShards]memShard
-	closed sync.Once
-	dead   bool
-	mu     sync.RWMutex // guards dead
+	mu   sync.RWMutex // guards t and dead
+	t    table
+	dead bool
 	// ordered is the sorted key sidecar behind Scan. Writers insert into
-	// their shard's table first and the sidecar second, so the sidecar is
-	// always a subset of the tables and scanned keys resolve.
+	// the table first and the sidecar second, so the sidecar is always a
+	// subset of the table and scanned keys resolve.
 	ordered orderedKeys
 }
 
 // NewMemStore returns an empty in-memory store sized for sizeHint records.
 func NewMemStore(sizeHint int) *MemStore {
-	s := &MemStore{}
-	per := sizeHint/memShards + 1
-	for i := range s.shards {
-		s.shards[i].t = newTable(per)
-	}
-	return s
-}
-
-func (s *MemStore) shard(key uint64) *memShard {
-	// Spread sequential keys across shards.
-	return &s.shards[(key*0x9E3779B97F4A7C15)>>58%memShards]
-}
-
-// put stores value under the shard's write lock (see table).
-func (sh *memShard) put(key uint64, value []byte) bool {
-	sh.mu.Lock()
-	existed := sh.t.put(key, value)
-	sh.mu.Unlock()
-	return existed
+	return &MemStore{t: newTable(sizeHint)}
 }
 
 // Put implements Store.
 func (s *MemStore) Put(key uint64, value []byte) error {
-	s.mu.RLock()
-	if s.dead {
-		s.mu.RUnlock()
-		return ErrClosed
-	}
-	s.mu.RUnlock()
-	if !s.shard(key).put(key, value) {
-		s.ordered.insert(key)
-	}
-	return nil
+	return s.PutMany([]KV{{Key: key, Value: value}})
 }
 
-// PutMany implements Batcher: it pays the closed-store check once for the
-// whole partition, then applies the writes in order. Concurrent callers
-// are safe — the per-shard locks serialize same-shard collisions — and
-// with key-disjoint partitions the final contents are independent of how
-// callers interleave. The ordered sidecar hears only of partitions that
-// brought a new key: the table lookup already knows an overwrite's key is
-// in it.
+// PutMany implements Batcher: it pays the closed-store check and the lock
+// once for the whole partition, then applies the writes in order. With
+// key-disjoint partitions the final contents are independent of how
+// concurrent callers interleave. The ordered sidecar hears only of
+// partitions that brought a new key: the table lookup already knows an
+// overwrite's key is in it.
 func (s *MemStore) PutMany(kvs []KV) error {
-	s.mu.RLock()
+	s.mu.Lock()
 	if s.dead {
-		s.mu.RUnlock()
+		s.mu.Unlock()
 		return ErrClosed
 	}
-	s.mu.RUnlock()
 	fresh := false
 	for i := range kvs {
-		if !s.shard(kvs[i].Key).put(kvs[i].Key, kvs[i].Value) {
+		if !s.t.put(kvs[i].Key, kvs[i].Value) {
 			fresh = true
 		}
 	}
+	s.mu.Unlock()
 	if fresh {
 		s.ordered.insertMany(kvs)
 	}
 	return nil
 }
 
-// AppendValue implements ValueAppender. The copy is taken under the shard
-// lock: a writer may overwrite the value in its page the moment the lock is
-// released.
+// AppendValue implements ValueAppender. The copy is taken under the lock:
+// a writer may overwrite the value in its page the moment it is released.
 func (s *MemStore) AppendValue(dst []byte, key uint64) ([]byte, error) {
 	s.mu.RLock()
 	if s.dead {
 		s.mu.RUnlock()
 		return dst, ErrClosed
 	}
-	s.mu.RUnlock()
-	sh := s.shard(key)
-	sh.mu.RLock()
-	v, ok := sh.t.get(key)
+	v, ok := s.t.get(key)
 	if ok {
 		dst = append(dst, v...)
 	}
-	sh.mu.RUnlock()
+	s.mu.RUnlock()
 	if !ok {
 		return dst, fmt.Errorf("%w: %d", ErrNotFound, key)
 	}
@@ -332,33 +285,63 @@ func (s *MemStore) AppendKeys(dst []uint64, start, end uint64) []uint64 {
 	return s.ordered.chunk(start, end, dst)
 }
 
-// Get implements Store through AppendValue.
+// Get implements Store through AppendValue: a value the caller owns, empty
+// but not nil for an empty record.
 func (s *MemStore) Get(key uint64) ([]byte, error) {
-	return getVia(s, key)
+	v, err := s.AppendValue(nil, key)
+	if err == nil && v == nil {
+		v = []byte{}
+	}
+	return v, err
 }
 
-// Scan implements Scanner through AppendKeys' sidecar and AppendValue, so a
-// scan never holds the sidecar lock across a shard lock (see scanVia for
-// the contract).
+// Scan implements Scanner: keys are gathered from the ordered sidecar in
+// bounded chunks under its read lock, then each is resolved through
+// AppendValue with no sidecar lock held, into one buffer the scan reuses
+// and lends to fn. Never holding the sidecar lock across the table's is
+// what makes Scan deadlock-free against writers, which take the table's
+// lock first and the sidecar's after it; and since they insert into the
+// sidecar last, every key a scan finds resolves.
 func (s *MemStore) Scan(start, end uint64, fn func(key uint64, value []byte) bool) error {
 	s.mu.RLock()
-	if s.dead {
-		s.mu.RUnlock()
+	dead := s.dead
+	s.mu.RUnlock()
+	if dead {
 		return ErrClosed
 	}
-	s.mu.RUnlock()
-	return scanVia(&s.ordered, s, start, end, fn)
+	if start > end {
+		return nil
+	}
+	var arr [128]uint64
+	var val []byte
+	cur := start
+	for {
+		keys := s.ordered.chunk(cur, end, arr[:0])
+		if len(keys) == 0 {
+			return nil
+		}
+		for _, k := range keys {
+			var err error
+			if val, err = s.AppendValue(val[:0], k); err != nil {
+				return err
+			}
+			if !fn(k, val[:len(val):len(val)]) {
+				return nil
+			}
+		}
+		last := keys[len(keys)-1]
+		if last >= end || last == ^uint64(0) {
+			return nil
+		}
+		cur = last + 1
+	}
 }
 
 // Len implements Store.
 func (s *MemStore) Len() int {
-	n := 0
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		n += len(s.shards[i].t.index)
-		s.shards[i].mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.t.index)
 }
 
 // Close implements Store.

@@ -2,11 +2,11 @@ package store
 
 import "encoding/binary"
 
-// The record tables (MemStore's shards, the disk store's read index) keep
-// their values in pages and their index pointer-free, so a table costs the
-// garbage collector nothing per record: the index is a map of plain structs
-// and the pages are byte slices, neither of which the collector scans, and
-// a new key allocates only when it fills a page.
+// The record table (MemStore's, and so the disk store's) keeps its values
+// in pages and its index pointer-free, so a table costs the garbage
+// collector nothing per record: the index is a map of plain structs and the
+// pages are byte slices, neither of which the collector scans, and a new
+// key allocates only when it fills a page.
 const (
 	// pageSize is the size of the pages small values are carved from.
 	pageSize = 64 << 10
@@ -51,6 +51,9 @@ type table struct {
 	// held is the bytes of the page slots keys hold, and freed those on the
 	// free lists.
 	held, freed int
+	// bytes is the length of every key's value, together: with a record
+	// header per key, what a log rewritten from the table holds.
+	bytes int
 }
 
 func newTable(hint int) table {
@@ -82,6 +85,7 @@ func (t *table) put(key uint64, value []byte) bool {
 // the bytes live, not each key's longest value.
 func (t *table) set(key uint64, n int) ([]byte, bool) {
 	e, ok := t.index[key]
+	t.bytes += n - int(e.length)
 	switch {
 	case !ok || uint32(n) > e.capacity || uint32(n) < e.capacity/2:
 		if ok {

@@ -16,17 +16,23 @@ func (t *table) pageBytes() int {
 	return n
 }
 
-// checkTable compares every key of model with t.
+// checkTable compares every key of model with t, and the byte count t keeps
+// with the model's values.
 func checkTable(t *testing.T, tab *table, model map[uint64][]byte) {
 	t.Helper()
 	if len(tab.index) != len(model) {
 		t.Fatalf("table holds %d keys, want %d", len(tab.index), len(model))
 	}
+	total := 0
 	for k, want := range model {
 		got, ok := tab.get(k)
 		if !ok || !bytes.Equal(got, want) {
 			t.Fatalf("get(%d) = (%d bytes, %v), want %d bytes", k, len(got), ok, len(want))
 		}
+		total += len(want)
+	}
+	if tab.bytes != total {
+		t.Fatalf("table counts %d value bytes, its values hold %d", tab.bytes, total)
 	}
 }
 
