@@ -40,8 +40,15 @@ func (h *heldFsync) sync(f *os.File) error {
 // durable, and forms the next group.
 func openHeld(t *testing.T, dir string) (*ShardedDiskStore, *heldFsync) {
 	t.Helper()
+	return openHeldWith(t, dir, ShardedDiskOptions{})
+}
+
+// openHeldWith is openHeld with the caller's options; SyncLinger is set to 1.
+func openHeldWith(t *testing.T, dir string, opts ShardedDiskOptions) (*ShardedDiskStore, *heldFsync) {
+	t.Helper()
 	h := newHeldFsync()
-	s, err := openShardedDisk(dir, ShardedDiskOptions{SyncLinger: 1}, h.sync)
+	opts.SyncLinger = 1
+	s, err := openShardedDisk(dir, opts, h.sync)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,58 +139,64 @@ func goSticky(t *testing.T, s *ShardedDiskStore, kvs []KV) Ticket {
 // readable by Get and Scan the moment it returns, while no fsync has
 // completed yet; N appends that land during one fsync and one wait on the
 // last ticket cost exactly one more; and every earlier ticket is then
-// covered, so waiting on it neither blocks nor syncs.
+// covered, so waiting on it neither blocks nor syncs. The rows open the
+// store with each setting of the ignored ReadIndex option, which callers
+// still set, and must behave the same.
 func TestAppendVisibleThenDurable(t *testing.T) {
-	s, held := openHeld(t, t.TempDir())
-	const n = 5
-	var tickets []Ticket
-	var ticket Ticket
-	var err error
-	for i := uint64(0); i < n; i++ {
-		kvs := []KV{
-			{Key: 2 * i, Value: []byte(fmt.Sprintf("a-%d", i))},
-			{Key: 2*i + 1, Value: []byte(fmt.Sprintf("b-%d", i))},
-		}
-		if ticket, err = s.Append(kvs, ticket); err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, ticket)
-		if v, err := s.Get(2 * i); err != nil || string(v) != fmt.Sprintf("a-%d", i) {
-			t.Fatalf("Get(%d) right after Append = (%q,%v)", 2*i, v, err)
-		}
-	}
-	var rows []string
-	if err := s.Scan(0, 2*n, func(k uint64, v []byte) bool {
-		rows = append(rows, fmt.Sprintf("%d=%s", k, v))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2*n || rows[0] != "0=a-0" || rows[2*n-1] != fmt.Sprintf("%d=b-%d", 2*n-1, n-1) {
-		t.Fatalf("Scan over appended, unsynced writes = %v", rows)
-	}
-	if got := s.SyncStats().Fsyncs; got != 0 {
-		t.Fatalf("%d fsyncs completed while the committer was held in its first", got)
-	}
+	for _, readIndex := range []bool{false, true} {
+		t.Run(fmt.Sprintf("readindex=%v", readIndex), func(t *testing.T) {
+			s, held := openHeldWith(t, t.TempDir(), ShardedDiskOptions{ReadIndex: readIndex})
+			const n = 5
+			var tickets []Ticket
+			var ticket Ticket
+			var err error
+			for i := uint64(0); i < n; i++ {
+				kvs := []KV{
+					{Key: 2 * i, Value: []byte(fmt.Sprintf("a-%d", i))},
+					{Key: 2*i + 1, Value: []byte(fmt.Sprintf("b-%d", i))},
+				}
+				if ticket, err = s.Append(kvs, ticket); err != nil {
+					t.Fatal(err)
+				}
+				tickets = append(tickets, ticket)
+				if v, err := s.Get(2 * i); err != nil || string(v) != fmt.Sprintf("a-%d", i) {
+					t.Fatalf("Get(%d) right after Append = (%q,%v)", 2*i, v, err)
+				}
+			}
+			var rows []string
+			if err := s.Scan(0, 2*n, func(k uint64, v []byte) bool {
+				rows = append(rows, fmt.Sprintf("%d=%s", k, v))
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != 2*n || rows[0] != "0=a-0" || rows[2*n-1] != fmt.Sprintf("%d=b-%d", 2*n-1, n-1) {
+				t.Fatalf("Scan over appended, unsynced writes = %v", rows)
+			}
+			if got := s.SyncStats().Fsyncs; got != 0 {
+				t.Fatalf("%d fsyncs completed while the committer was held in its first", got)
+			}
 
-	held.letGo()
-	if err := s.WaitDurable(ticket); err != nil {
-		t.Fatal(err)
-	}
-	after := s.SyncStats()
-	if after.Fsyncs != 2 {
-		t.Fatalf("%d appends during one fsync and one wait cost %d fsyncs, want the held one and exactly 1 more", n, after.Fsyncs)
-	}
-	for i, earlier := range tickets {
-		if err := s.WaitDurable(earlier); err != nil {
-			t.Fatalf("ticket %d: %v", i, err)
-		}
-	}
-	if again := s.SyncStats(); again != after {
-		t.Fatalf("waiting on covered tickets moved the sync stats: %+v then %+v", after, again)
-	}
-	if err := s.WaitDurable(Ticket{}); err != nil {
-		t.Fatalf("zero ticket: %v", err)
+			held.letGo()
+			if err := s.WaitDurable(ticket); err != nil {
+				t.Fatal(err)
+			}
+			after := s.SyncStats()
+			if after.Fsyncs != 2 {
+				t.Fatalf("%d appends during one fsync and one wait cost %d fsyncs, want the held one and exactly 1 more", n, after.Fsyncs)
+			}
+			for i, earlier := range tickets {
+				if err := s.WaitDurable(earlier); err != nil {
+					t.Fatalf("ticket %d: %v", i, err)
+				}
+			}
+			if again := s.SyncStats(); again != after {
+				t.Fatalf("waiting on covered tickets moved the sync stats: %+v then %+v", after, again)
+			}
+			if err := s.WaitDurable(Ticket{}); err != nil {
+				t.Fatalf("zero ticket: %v", err)
+			}
+		})
 	}
 }
 

@@ -494,79 +494,83 @@ func captureLogs(t *testing.T) *bytes.Buffer {
 // history has overwrites that grow and shrink, empty values, and one value
 // larger than a page, which the table keeps in an allocation of its own.
 func TestCompactionValueSources(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenShardedDisk(dir, ShardedDiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const keys = 200
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 4; round++ {
-		var kvs []KV
-		for k := uint64(0); k < keys; k++ {
-			if round > 0 && rng.Intn(3) == 0 {
-				continue // this key's live record stays in an earlier round
+	// The row is named for the ReadIndex setting it opens the store with;
+	// the option is ignored, and callers still set it.
+	t.Run("readindex=true", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := OpenShardedDisk(dir, ShardedDiskOptions{ReadIndex: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const keys = 200
+		rng := rand.New(rand.NewSource(7))
+		for round := 0; round < 4; round++ {
+			var kvs []KV
+			for k := uint64(0); k < keys; k++ {
+				if round > 0 && rng.Intn(3) == 0 {
+					continue // this key's live record stays in an earlier round
+				}
+				v := make([]byte, rng.Intn(300))
+				rng.Read(v)
+				kvs = append(kvs, KV{Key: k, Value: v})
 			}
-			v := make([]byte, rng.Intn(300))
-			rng.Read(v)
-			kvs = append(kvs, KV{Key: k, Value: v})
-		}
-		if err := s.PutMany(kvs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	big := make([]byte, 300<<10)
-	rng.Read(big)
-	for _, kv := range []KV{{Key: keys, Value: big}, {Key: keys + 1, Value: nil}, {Key: 3, Value: []byte("last write wins")}} {
-		if err := s.Put(kv.Key, kv.Value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := make(map[uint64][]byte)
-	for k := uint64(0); k < keys+2; k++ {
-		if want[k], err = s.Get(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pre := logSize(t, s)
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if live := liveBytes(&s.t); live != s.total || s.off != s.total+int64(len(logMagic)) {
-		t.Fatalf("compacted log: live %d, total %d, append offset %d", live, s.total, s.off)
-	}
-	// The rewrite padded the new log to its next chunk boundary.
-	if s.alloc%logChunk != 0 || s.alloc < s.off || s.alloc-s.off >= logChunk {
-		t.Fatalf("compacted log: records end at %d, the file at %d", s.off, s.alloc)
-	}
-	closed := s.off // what the file must be once the store is closed
-	if post := logSize(t, s); post >= pre {
-		t.Fatalf("the log went from %d to %d bytes of records", pre, post)
-	}
-	check := func(s *ShardedDiskStore, when string) {
-		t.Helper()
-		if s.Len() != len(want) {
-			t.Fatalf("%s: Len = %d, want %d", when, s.Len(), len(want))
-		}
-		for k, w := range want {
-			if v, err := s.Get(k); err != nil || !bytes.Equal(v, w) {
-				t.Fatalf("%s: Get(%d) = (%d bytes, %v), want the %d bytes it held before", when, k, len(v), err, len(w))
+			if err := s.PutMany(kvs); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
-	check(s, "after the swap")
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := fileSize(t, s.path); got != closed {
-		t.Fatalf("%s is %d bytes after Close, want its %d bytes of records", s.path, got, closed)
-	}
-	s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	check(s2, "reopened")
+		big := make([]byte, 300<<10)
+		rng.Read(big)
+		for _, kv := range []KV{{Key: keys, Value: big}, {Key: keys + 1, Value: nil}, {Key: 3, Value: []byte("last write wins")}} {
+			if err := s.Put(kv.Key, kv.Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := make(map[uint64][]byte)
+		for k := uint64(0); k < keys+2; k++ {
+			if want[k], err = s.Get(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pre := logSize(t, s)
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if live := liveBytes(&s.t); live != s.total || s.off != s.total+int64(len(logMagic)) {
+			t.Fatalf("compacted log: live %d, total %d, append offset %d", live, s.total, s.off)
+		}
+		// The rewrite padded the new log to its next chunk boundary.
+		if s.alloc%logChunk != 0 || s.alloc < s.off || s.alloc-s.off >= logChunk {
+			t.Fatalf("compacted log: records end at %d, the file at %d", s.off, s.alloc)
+		}
+		closed := s.off // what the file must be once the store is closed
+		if post := logSize(t, s); post >= pre {
+			t.Fatalf("the log went from %d to %d bytes of records", pre, post)
+		}
+		check := func(s *ShardedDiskStore, when string) {
+			t.Helper()
+			if s.Len() != len(want) {
+				t.Fatalf("%s: Len = %d, want %d", when, s.Len(), len(want))
+			}
+			for k, w := range want {
+				if v, err := s.Get(k); err != nil || !bytes.Equal(v, w) {
+					t.Fatalf("%s: Get(%d) = (%d bytes, %v), want the %d bytes it held before", when, k, len(v), err, len(w))
+				}
+			}
+		}
+		check(s, "after the swap")
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fileSize(t, s.path); got != closed {
+			t.Fatalf("%s is %d bytes after Close, want its %d bytes of records", s.path, got, closed)
+		}
+		s2, err := OpenShardedDisk(dir, ShardedDiskOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		check(s2, "reopened")
+	})
 }
 
 // TestCompactionNotStarvedByBusyShard: a saturated log is inside an fsync

@@ -106,31 +106,39 @@ func TestScanOrderAndBounds(t *testing.T) {
 
 // TestScanAfterReopen checks the disk backend rebuilds its ordered sidecar
 // with its table from the recovered log, so scans work on a freshly
-// reopened store.
+// reopened store. The rows open it with the ignored Shards and ReadIndex
+// options that callers still set, and must behave the same.
 func TestScanAfterReopen(t *testing.T) {
-	dir := t.TempDir()
-	st := openSharded(t, dir, ShardedDiskOptions{})
-	for k := uint64(0); k < 100; k++ {
-		if err := st.Put(k, []byte{byte(k)}); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	st.Close()
+	for _, shards := range []int{1, 3} {
+		for _, readIndex := range []bool{false, true} {
+			opts := ShardedDiskOptions{Shards: shards, ReadIndex: readIndex}
+			t.Run(fmt.Sprintf("shards-%d/readindex-%v", shards, readIndex), func(t *testing.T) {
+				dir := t.TempDir()
+				st := openSharded(t, dir, opts)
+				for k := uint64(0); k < 100; k++ {
+					if err := st.Put(k, []byte{byte(k)}); err != nil {
+						t.Fatalf("Put: %v", err)
+					}
+				}
+				st.Close()
 
-	st = openSharded(t, dir, ShardedDiskOptions{})
-	defer st.Close()
-	next := uint64(10)
-	if err := st.Scan(10, 19, func(k uint64, v []byte) bool {
-		if k != next || len(v) != 1 || v[0] != byte(k) {
-			t.Errorf("row (%d,%v), want (%d,[%d])", k, v, next, byte(next))
+				st = openSharded(t, dir, opts)
+				defer st.Close()
+				next := uint64(10)
+				if err := st.Scan(10, 19, func(k uint64, v []byte) bool {
+					if k != next || len(v) != 1 || v[0] != byte(k) {
+						t.Errorf("row (%d,%v), want (%d,[%d])", k, v, next, byte(next))
+					}
+					next++
+					return true
+				}); err != nil {
+					t.Fatalf("reopen Scan: %v", err)
+				}
+				if next != 20 {
+					t.Fatalf("reopen scan visited %d keys, want 10", next-10)
+				}
+			})
 		}
-		next++
-		return true
-	}); err != nil {
-		t.Fatalf("reopen Scan: %v", err)
-	}
-	if next != 20 {
-		t.Fatalf("reopen scan visited %d keys, want 10", next-10)
 	}
 }
 
