@@ -215,11 +215,11 @@ func run() int {
 		case <-stop:
 			rep.Stop()
 			s := rep.Stats()
-			fmt.Printf("final: txns=%d batches=%d reads=%d localreads=%d localreaddrops=%d height=%d view=%d drops=%d fsyncs=%d fsync-stall=%s compactions=%d reclaimed=%dB\n",
+			fmt.Printf("final: txns=%d batches=%d reads=%d localreads=%d localreaddrops=%d height=%d view=%d drops=%d fsyncs=%d fsync-stall=%s compactions=%d reclaimed=%dB %s\n",
 				s.TxnsExecuted, s.BatchesExecuted, s.ReadsExecuted, s.LocalReads, s.LocalReadDrops,
 				s.LedgerHeight, s.View, s.NetDrops,
 				s.StoreFsyncs, time.Duration(s.StoreFsyncStallNS),
-				s.StoreCompactions, s.StoreCompactReclaimedBytes)
+				s.StoreCompactions, s.StoreCompactReclaimedBytes, checkpointSigs(s))
 			if profiling {
 				hits, misses := ep.FramePoolStats()
 				fmt.Printf("final-mem: framepool-hits=%d framepool-misses=%d encpool-hits=%d encpool-misses=%d\n",
@@ -228,9 +228,9 @@ func run() int {
 			return 0
 		case <-tick.C:
 			s := rep.Stats()
-			line := fmt.Sprintf("txns=%d (+%d) height=%d view=%d in=%d out=%d authfail=%d drops=%d localreaddrops=%d compactions=%d",
+			line := fmt.Sprintf("txns=%d (+%d) height=%d view=%d in=%d out=%d authfail=%d drops=%d localreaddrops=%d compactions=%d %s",
 				s.TxnsExecuted, s.TxnsExecuted-last, s.LedgerHeight, s.View,
-				s.MsgsIn, s.MsgsOut, s.AuthFailures, s.NetDrops, s.LocalReadDrops, s.StoreCompactions)
+				s.MsgsIn, s.MsgsOut, s.AuthFailures, s.NetDrops, s.LocalReadDrops, s.StoreCompactions, checkpointSigs(s))
 			if profiling {
 				// Heap and GC deltas since the previous tick: together with
 				// the pool counters these are the live view of what the
@@ -253,4 +253,18 @@ func run() int {
 			last = s.TxnsExecuted
 		}
 	}
+}
+
+// checkpointSigs renders what checkpoint certificates cost this replica:
+// the ED25519 signatures it made and verified per 1,000 executed
+// transactions, and the peer votes whose signature failed.
+func checkpointSigs(s replica.Stats) string {
+	perK := func(n uint64) float64 {
+		if s.TxnsExecuted == 0 {
+			return 0
+		}
+		return float64(n) * 1000 / float64(s.TxnsExecuted)
+	}
+	return fmt.Sprintf("ckptsign/ktxn=%.3f ckptverify/ktxn=%.3f ckptreject=%d",
+		perK(s.CheckpointSigs), perK(s.CheckpointVerifies), s.CheckpointRejects)
 }

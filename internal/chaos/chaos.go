@@ -17,9 +17,11 @@
 //     PrePrepares for one sequence, either split across backups to stall
 //     the instance or doubled to every backup to trip the evidence
 //     counter), a silent primary (dropped PrePrepares force the
-//     watchdog's view change), and a read-forging responder (mutated
+//     watchdog's view change), a read-forging responder (mutated
 //     ReadResults under an unchanged Result digest, exercising the
-//     client's ResponseDigest recomputation defense).
+//     client's ResponseDigest recomputation defense), and a replica that
+//     signs its checkpoint votes with the wrong key (the votes must not
+//     count, and checkpoints must still certify from the honest ones).
 //   - StoreFaults: write stalls and injected write errors behind the
 //     store.Store interface, with capability-preserving wrappers so a
 //     wrapped ShardedDiskStore still advertises Batcher/SyncStatser/
@@ -90,6 +92,11 @@ const (
 	// while keeping the original Result digest, exercising the client's
 	// defense of recomputing ResponseDigest over the carried reads.
 	ByzForgeReads
+	// ByzWrongCheckpointKey signs every outbound Checkpoint vote with a
+	// client's ED25519 key instead of the replica's own; the envelope's
+	// authenticator stays valid. Honest replicas must drop each vote as
+	// Evidence, and checkpoints still certify from the other 2f+1.
+	ByzWrongCheckpointKey
 )
 
 // Stats are the fabric's cumulative injection counters.
@@ -102,6 +109,7 @@ type Stats struct {
 	Equivocations  uint64
 	MutedPP        uint64
 	ForgedReads    uint64
+	WrongKeyVotes  uint64
 }
 
 // Fabric holds the live fault configuration and implements the
@@ -125,6 +133,7 @@ type Fabric struct {
 	equivocations  atomic.Uint64
 	mutedPP        atomic.Uint64
 	forgedReads    atomic.Uint64
+	wrongKeyVotes  atomic.Uint64
 
 	// wg tracks in-flight delayed deliveries so Drain can wait for them
 	// before a test tears the cluster down.
@@ -225,6 +234,7 @@ func (f *Fabric) Stats() Stats {
 		Equivocations:  f.equivocations.Load(),
 		MutedPP:        f.mutedPP.Load(),
 		ForgedReads:    f.forgedReads.Load(),
+		WrongKeyVotes:  f.wrongKeyVotes.Load(),
 	}
 }
 
@@ -298,6 +308,7 @@ func (f *Fabric) WrapEndpoint(id types.ReplicaID, inner transport.Endpoint, dir 
 		Endpoint: inner,
 		id:       id,
 		auth:     dir.NodeAuth(types.ReplicaNode(id)),
+		dir:      dir,
 		f:        f,
 	}
 }
@@ -309,6 +320,7 @@ type endpoint struct {
 	transport.Endpoint
 	id   types.ReplicaID
 	auth crypto.Authenticator
+	dir  *crypto.Directory
 	f    *Fabric
 }
 
@@ -353,6 +365,14 @@ func (e *endpoint) Send(env *types.Envelope) error {
 		if env.Type == types.MsgClientResponse && env.To.IsClient() {
 			if v := e.forgedResponse(env); v != nil {
 				f.forgedReads.Add(1)
+				env.Release()
+				return e.shapedSend(v, true)
+			}
+		}
+	case ByzWrongCheckpointKey:
+		if env.Type == types.MsgCheckpoint {
+			if v := e.wrongKeyCheckpoint(env); v != nil {
+				f.wrongKeyVotes.Add(1)
 				env.Release()
 				return e.shapedSend(v, true)
 			}
@@ -478,6 +498,19 @@ func (e *endpoint) forgedResponse(env *types.Envelope) *types.Envelope {
 		rr.Value = []byte{0xAB}
 	}
 	return e.reSigned(env, cr)
+}
+
+// wrongKeyCheckpoint re-signs a checkpoint vote's (seq, digest) with the
+// key of the client numbered like this replica, and the envelope with the
+// replica's own link key. Returns nil when the body does not decode.
+func (e *endpoint) wrongKeyCheckpoint(env *types.Envelope) *types.Envelope {
+	msg, err := types.DecodeBody(types.MsgCheckpoint, env.Body)
+	if err != nil {
+		return nil
+	}
+	cp := msg.(*types.Checkpoint)
+	cp.Sig = e.dir.SignCheckpoint(types.ClientNode(types.ClientID(e.id)), cp.Seq, cp.StateDigest)
+	return e.reSigned(env, cp)
 }
 
 // corrupted replaces the body with undecodable garbage re-signed by the

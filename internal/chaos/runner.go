@@ -88,6 +88,10 @@ type Expect struct {
 	// response (the client-side defense is then what the safety
 	// invariants certify).
 	ForgedReads bool
+	// Certifies requires every live replica to hold a newer checkpoint
+	// certificate at the end than when the fault began: checkpoints kept
+	// becoming stable, and certified, through it.
+	Certifies bool
 }
 
 // Tuning sizes the runner's windows and workload; zero values take the
@@ -163,7 +167,7 @@ func (r *Report) violate(format string, args ...any) {
 	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 }
 
-// DefaultMatrix is the full fault matrix: eight fault classes, each under
+// DefaultMatrix is the full fault matrix: ten fault classes, each under
 // live Zipfian load. View-change scenarios run two consensus worker lanes
 // so multi-lane engines get view-change coverage too.
 func DefaultMatrix() []Scenario {
@@ -207,6 +211,11 @@ func DefaultMatrix() []Scenario {
 			Name: "read-forgery", Class: "read-forgery", Target: 2,
 			Behavior: ByzForgeReads, ReadFraction: 0.5,
 			Expect: Expect{ForgedReads: true},
+		},
+		{
+			Name: "wrong-checkpoint-key", Class: "checkpoint-forgery", Target: 1,
+			Behavior: ByzWrongCheckpointKey,
+			Expect:   Expect{Evidence: true, SameView: true, Certifies: true},
 		},
 		{
 			Name: "compaction-crash", Class: "compaction-crash", Target: 3,
@@ -316,6 +325,10 @@ func RunScenario(sc Scenario, tn Tuning) (*Report, error) {
 	}
 
 	// Inject, then run the fault window under load.
+	certAtFault := make([]types.SeqNum, 4)
+	for i := range certAtFault {
+		certAtFault[i] = c.Replica(i).Ledger().Certificate().Seq
+	}
 	if sc.Behavior != ByzNone {
 		fab.SetByzantine(types.ReplicaID(sc.Target), sc.Behavior)
 	}
@@ -440,6 +453,13 @@ func RunScenario(sc Scenario, tn Tuning) (*Report, error) {
 	}
 	if sc.Expect.ForgedReads && rep.Injected.ForgedReads == 0 {
 		rep.violate("expected forged read responses, fabric forged none")
+	}
+	if sc.Expect.Certifies {
+		for i := 0; i < 4; i++ {
+			if seq := c.Replica(i).Ledger().Certificate().Seq; c.Live(i) && seq <= certAtFault[i] {
+				rep.violate("replica %d's newest certificate is at %d, where it was when the fault began", i, seq)
+			}
+		}
 	}
 	return rep, nil
 }

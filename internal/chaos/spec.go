@@ -95,8 +95,10 @@ func parseBehavior(mode string) (Behavior, error) {
 		return ByzEquivocateBoth, nil
 	case "forge-reads":
 		return ByzForgeReads, nil
+	case "wrong-checkpoint-key":
+		return ByzWrongCheckpointKey, nil
 	default:
-		return ByzNone, fmt.Errorf("unknown behavior %q (want mute|equivocate-split|equivocate-both|forge-reads)", mode)
+		return ByzNone, fmt.Errorf("unknown behavior %q (want mute|equivocate-split|equivocate-both|forge-reads|wrong-checkpoint-key)", mode)
 	}
 }
 

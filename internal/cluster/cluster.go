@@ -510,7 +510,7 @@ func (c *Cluster) Restart(i int) error {
 	// (Executions landing between the two calls are below the bootstrap
 	// head on both sides, so neither replica will replay them.)
 	boot := &replica.Bootstrap{LastExec: peer.DedupSnapshot()}
-	boot.Blocks = peer.Ledger().Blocks()
+	boot.Blocks, boot.Certificate = peer.Ledger().Tail()
 	boot.View = peer.Stats().View
 
 	rep, err := c.buildReplica(id, st, boot, ep)
@@ -693,16 +693,26 @@ func (c *Cluster) WaitForQuiesce(timeout time.Duration, live func(int) bool) boo
 	}
 }
 
-// VerifyLedgers validates every replica's chain and checks pairwise
-// agreement on common prefixes. live filters replicas (nil means all).
+// VerifyLedgers validates every replica's chain — its newest checkpoint
+// certificate checked against the node keys — and checks pairwise
+// agreement on common prefixes and on the digest of any checkpoint two
+// replicas both hold a certificate for. live filters replicas (nil means
+// all).
 func (c *Cluster) VerifyLedgers(live func(int) bool) error {
 	var ref *replica.Replica
+	certs := make(map[types.SeqNum]types.Digest)
 	for i, r := range c.replicas {
 		if live != nil && !live(i) {
 			continue
 		}
 		if err := r.Ledger().Validate(); err != nil {
 			return fmt.Errorf("replica %d ledger invalid: %w", i, err)
+		}
+		if cert := r.Ledger().Certificate(); cert.Seq != 0 {
+			if d, ok := certs[cert.Seq]; ok && d != cert.Digest {
+				return fmt.Errorf("replica %d holds a certificate for a different checkpoint digest at %d", i, cert.Seq)
+			}
+			certs[cert.Seq] = cert.Digest
 		}
 		if ref == nil {
 			ref = r

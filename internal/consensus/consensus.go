@@ -45,25 +45,30 @@ type Broadcast struct {
 	Msg types.Message
 }
 
-// Execute hands an ordered batch to the execution layer. For PBFT the
-// batch carries its 2f+1 commit certificate; for Zyzzyva (run by the
-// simulator only) the batch is Speculative and carries the history digest
-// the response must embed.
+// Execute hands an ordered batch to the execution layer. For Zyzzyva (run
+// by the simulator only) the batch is Speculative and carries the history
+// digest the response must embed. A batch carries no proof of its own: the
+// next stable checkpoint's certificate covers it.
 type Execute struct {
 	Seq         types.SeqNum
 	View        types.View
 	Digest      types.Digest
 	History     types.Digest // Zyzzyva history hash; zero for PBFT
 	Requests    []types.ClientRequest
-	Proof       []types.CommitSig
 	Speculative bool
 }
 
 // CheckpointStable reports that a checkpoint gathered its 2f+1 quorum:
 // everything up to and including Seq may be garbage collected
-// (Section 4.7).
+// (Section 4.7). When the engine holds the quorum's votes for Seq, Digest
+// is the checkpoint digest they agree on and Cert their signatures, in
+// replica-id order: the stable checkpoint's certificate. A replica whose
+// low watermark reaches a checkpoint it saw no quorum for — a newer one
+// did — reports it with an empty Cert. Cert is the receiver's to keep.
 type CheckpointStable struct {
-	Seq types.SeqNum
+	Seq    types.SeqNum
+	Digest types.Digest
+	Cert   []types.CheckpointSig
 }
 
 // ViewChanged reports that the engine entered a new view.
@@ -136,9 +141,10 @@ func (o *Out) Broadcast(msg types.Message) { o.add(KindBroadcast).Broadcast = Br
 // Execute appends the release of a batch for execution.
 func (o *Out) Execute(x Execute) { o.add(KindExecute).Execute = x }
 
-// CheckpointStable appends the report of a stable checkpoint at seq.
-func (o *Out) CheckpointStable(seq types.SeqNum) {
-	o.add(KindCheckpointStable).CheckpointStable = CheckpointStable{Seq: seq}
+// CheckpointStable appends the report of a stable checkpoint at seq, with
+// its certificate when the engine holds one.
+func (o *Out) CheckpointStable(seq types.SeqNum, digest types.Digest, cert []types.CheckpointSig) {
+	o.add(KindCheckpointStable).CheckpointStable = CheckpointStable{Seq: seq, Digest: digest, Cert: cert}
 }
 
 // ViewChanged appends the report that the engine entered view.
@@ -171,11 +177,10 @@ func (Evidence) isAction()         {}
 // back them with atomics so observability never contends with consensus.
 type Engine interface {
 	// OnMessage applies a verified message from a peer and appends what it
-	// does to out. auth carries the authenticator bytes from the envelope so
-	// engines can retain commit certificates; it may be nil. auth, and a
-	// Prepare, Commit or Checkpoint msg, are lent for the call: the caller
-	// reuses them once it returns, so an engine that keeps one keeps a copy.
-	OnMessage(from types.NodeID, msg types.Message, auth []byte, out *Out)
+	// does to out. A Prepare, Commit or Checkpoint msg is lent for the call:
+	// the caller reuses it once it returns, so an engine that keeps one
+	// keeps a copy.
+	OnMessage(from types.NodeID, msg types.Message, out *Out)
 
 	// Propose assigns the next sequence number to a batch of client
 	// requests, starts consensus on it and appends what it does to out.
@@ -185,9 +190,12 @@ type Engine interface {
 	Propose(reqs []types.ClientRequest, out *Out) bool
 
 	// OnExecuted tells the engine the execution layer finished the batch
-	// at seq and reports the resulting state digest, which feeds
-	// checkpoint generation; what it does is appended to out.
-	OnExecuted(seq types.SeqNum, stateDigest types.Digest, out *Out)
+	// at seq; what it does is appended to out. At a checkpoint boundary
+	// stateDigest is the checkpoint digest and sig this replica's signature
+	// over (seq, stateDigest), which the engine carries as opaque bytes in
+	// its vote; elsewhere both are ignored. A driver that checks no
+	// signature passes a zero sig.
+	OnExecuted(seq types.SeqNum, stateDigest types.Digest, sig types.Signature, out *Out)
 
 	// OnViewTimeout signals that progress stalled in view (the driver's
 	// view timer fired); the engine may start a view change, appending
@@ -213,6 +221,18 @@ type Engine interface {
 // has provably not been pre-prepared yet.
 type ProposalHeader interface {
 	LastProposed() types.SeqNum
+}
+
+// CheckpointCounter is implemented by engines that can say whether a
+// peer's checkpoint vote would still count. Drivers check a vote's
+// signature only when it would: once a checkpoint has its 2f+1 votes the
+// rest are dropped unchecked, so a checkpoint costs each replica 2f
+// verifications when its own vote is in first, not n-1.
+type CheckpointCounter interface {
+	// CountsCheckpoint reports whether from's vote for the checkpoint at
+	// seq would be recorded: seq is above the low watermark, has no quorum
+	// yet, and holds no vote from from.
+	CountsCheckpoint(from types.ReplicaID, seq types.SeqNum) bool
 }
 
 // EngineStats exposes engine counters for tests and monitoring.

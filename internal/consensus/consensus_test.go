@@ -89,7 +89,7 @@ func TestOutKeepsOrderAndResetDropsPayloads(t *testing.T) {
 	out.Broadcast(vote)
 	out.Execute(Execute{Seq: 1, Requests: reqs})
 	out.Send(types.ClientNode(9), vote)
-	out.CheckpointStable(1)
+	out.CheckpointStable(1, types.Digest{}, nil)
 	out.ViewChanged(2)
 	out.Evidence(3, "equivocation")
 	var kinds []Kind
@@ -116,7 +116,7 @@ func TestOutKeepsOrderAndResetDropsPayloads(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		out.Broadcast(vote)
 		out.Execute(Execute{Seq: 2, Requests: reqs})
-		out.CheckpointStable(2)
+		out.CheckpointStable(2, types.Digest{}, nil)
 		out.Reset()
 	})
 	if allocs != 0 {

@@ -129,7 +129,7 @@ func (c *Cluster) Step() bool {
 			continue
 		}
 		out := c.out()
-		c.Engines[rep].OnMessage(d.From, d.Msg, nil, out)
+		c.Engines[rep].OnMessage(d.From, d.Msg, out)
 		c.handle(rep, out)
 		return true
 	}
@@ -206,7 +206,7 @@ func (c *Cluster) execute(rep types.ReplicaID, e consensus.Execute) {
 		c.stateDigest[rep] = crypto.HashChain(c.stateDigest[rep], next.Digest)
 		c.execNext[rep]++
 		out := c.out()
-		c.Engines[rep].OnExecuted(next.Seq, c.stateDigest[rep], out)
+		c.Engines[rep].OnExecuted(next.Seq, c.stateDigest[rep], types.Signature{}, out)
 		c.handle(rep, out)
 	}
 }

@@ -16,7 +16,7 @@ type fakeEngine struct {
 	onMsg    func(from types.NodeID, msg types.Message, out *consensus.Out)
 }
 
-func (f *fakeEngine) OnMessage(from types.NodeID, msg types.Message, _ []byte, out *consensus.Out) {
+func (f *fakeEngine) OnMessage(from types.NodeID, msg types.Message, out *consensus.Out) {
 	f.received = append(f.received, msg)
 	if f.onMsg != nil {
 		f.onMsg(from, msg, out)
@@ -26,11 +26,11 @@ func (f *fakeEngine) Propose(reqs []types.ClientRequest, out *consensus.Out) boo
 	out.Broadcast(&types.PrePrepare{Seq: 1, Requests: reqs})
 	return true
 }
-func (f *fakeEngine) OnExecuted(types.SeqNum, types.Digest, *consensus.Out) {}
-func (f *fakeEngine) OnViewTimeout(types.View, *consensus.Out)              {}
-func (f *fakeEngine) View() types.View                                      { return 0 }
-func (f *fakeEngine) IsPrimary() bool                                       { return f.id == 0 }
-func (f *fakeEngine) Stats() consensus.EngineStats                          { return consensus.EngineStats{} }
+func (f *fakeEngine) OnExecuted(types.SeqNum, types.Digest, types.Signature, *consensus.Out) {}
+func (f *fakeEngine) OnViewTimeout(types.View, *consensus.Out)                               {}
+func (f *fakeEngine) View() types.View                                                       { return 0 }
+func (f *fakeEngine) IsPrimary() bool                                                        { return f.id == 0 }
+func (f *fakeEngine) Stats() consensus.EngineStats                                           { return consensus.EngineStats{} }
 
 func fakes(n int) ([]consensus.Engine, []*fakeEngine) {
 	engines := make([]consensus.Engine, n)

@@ -15,21 +15,20 @@
 //
 // Independent instances may be stepped from many worker lanes at once. Internally the
 // state splits into a small single-lock control core — view, watermarks,
-// view-change state — plus two lock-striped side tables: the per-sequence
-// instance table and the checkpoint vote table. Per-sequence message
-// steps (pre-prepare, prepare, commit) take the control lock in read mode
-// plus one stripe lock, so steps for different sequence numbers run fully
-// in parallel; checkpoint votes record under the read lock too, escalating
-// to the write lock only when a vote completes a quorum; proposals run
-// entirely under the read lock, reserving sequence numbers by CAS (the
-// Propose fast path). Control transitions (checkpoint stabilization, view
-// changes) take the control lock in write mode, which excludes every
-// in-flight step. Observers (View, IsPrimary, Stats) read atomic mirrors
+// view-change state — plus two side tables under their own locks: the
+// lock-striped per-sequence instance table and the checkpoint vote table.
+// Per-sequence message steps (pre-prepare, prepare, commit) take the
+// control lock in read mode plus one stripe lock, so steps for different
+// sequence numbers run fully in parallel; checkpoint votes record under the
+// read lock too, escalating to the write lock only when a vote completes a
+// quorum; proposals run entirely under the read lock, reserving sequence
+// numbers by CAS (the Propose fast path). Control transitions (checkpoint
+// stabilization, view changes) take the control lock in write mode, which
+// excludes every in-flight step. Observers (View, IsPrimary, Stats) read atomic mirrors
 // and never contend with consensus.
 package pbft
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -90,21 +89,15 @@ type instance struct {
 }
 
 // vote is one replica's slot in an instance's vote table: the digest it
-// prepared, the digest it committed, and the authenticator its commit
-// arrived under. A replica gets one prepare and one commit per (view,
-// seq) — PBFT's own rule — and the first of each is the one kept, so a
-// replica that votes two digests is counted once. The digest is recorded
-// with the vote rather than checked against the instance's because votes
-// routinely arrive before the pre-prepare that names the authoritative
-// digest; they count once it does.
+// prepared and the digest it committed. A replica gets one prepare and one
+// commit per (view, seq) — PBFT's own rule — and the first of each is the
+// one kept, so a replica that votes two digests is counted once. The digest
+// is recorded with the vote rather than checked against the instance's
+// because votes routinely arrive before the pre-prepare that names the
+// authoritative digest; they count once it does.
 type vote struct {
 	prepare, commit     types.Digest
 	prepared, committed bool
-	// commitAuth is a copy — the envelope's authenticator is borrowed for
-	// the step — held in authBuf whenever it fits, as every CMAC tag and
-	// ED25519 signature does, so keeping it allocates nothing.
-	commitAuth []byte
-	authBuf    [types.InlineAuthSize]byte
 }
 
 func newInstance(n int) *instance {
@@ -135,12 +128,9 @@ func (in *instance) recordPrepare(from types.ReplicaID, d types.Digest) {
 	}
 }
 
-func (in *instance) recordCommit(from types.ReplicaID, d types.Digest, auth []byte) {
+func (in *instance) recordCommit(from types.ReplicaID, d types.Digest) {
 	if v := &in.votes[from]; !v.committed {
 		v.commit, v.committed = d, true
-		if len(auth) > 0 {
-			v.commitAuth = append(v.authBuf[:0], auth...)
-		}
 	}
 }
 
@@ -217,64 +207,104 @@ func (s *stripe) recycle(in *instance, hook func(*instance)) {
 	s.free = append(s.free, in)
 }
 
-// ckptStripes shards the checkpoint vote table. Checkpoints are generated
-// every Δ batches, so few sequence numbers are ever live at once; a small
-// stripe count removes cross-checkpoint contention without bloat.
-const ckptStripes = 8 // must be a power of two
+// ckptVote is one replica's checkpoint vote: the digest it signed and its
+// signature, which the engine keeps as opaque bytes.
+type ckptVote struct {
+	digest types.Digest
+	sig    types.Signature
+	voted  bool
+}
 
-// ckptTable is the checkpoint vote table (seq → digest → voters), striped
-// by sequence number under its own locks so vote recording runs off the
-// engine's control RWMutex. Lock order: a ckptTable stripe lock only ever
-// nests inside the control lock (in either mode) and is never held
-// together with an instance stripe lock.
+// ckptSlot is the vote table of one checkpoint: one vote per replica,
+// indexed by replica id, the first of each kept. Once one digest has 2f+1
+// of them, quorum is set and digest is that one.
+type ckptSlot struct {
+	votes  []ckptVote
+	quorum bool
+	digest types.Digest
+}
+
+// ckptTable is the checkpoint vote table, a slot per live checkpoint
+// sequence number under its own lock, so vote recording runs off the
+// engine's control RWMutex. Slots pruned at a stable checkpoint go on a
+// free list and serve later checkpoints: recording a vote allocates
+// nothing. Lock order: the table lock only ever nests inside the control
+// lock (in either mode) and is never held together with a stripe lock.
 type ckptTable struct {
-	stripes [ckptStripes]struct {
-		mu    sync.Mutex
-		votes map[types.SeqNum]map[types.Digest]map[types.ReplicaID]bool
-	}
-}
-
-func (c *ckptTable) stripeFor(seq types.SeqNum) *struct {
+	n, q  int // replicas, and the votes a quorum needs
 	mu    sync.Mutex
-	votes map[types.SeqNum]map[types.Digest]map[types.ReplicaID]bool
-} {
-	return &c.stripes[uint64(seq)&(ckptStripes-1)]
+	slots map[types.SeqNum]*ckptSlot
+	free  []*ckptSlot
 }
 
-// record adds one checkpoint vote and returns the resulting voter count
-// for (seq, digest). Duplicate votes are idempotent.
-func (c *ckptTable) record(seq types.SeqNum, digest types.Digest, from types.ReplicaID) int {
-	s := c.stripeFor(seq)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.votes == nil {
-		s.votes = make(map[types.SeqNum]map[types.Digest]map[types.ReplicaID]bool)
-	}
-	bySeq, ok := s.votes[seq]
+// record keeps from's vote for the checkpoint at seq, unless from already
+// voted there, and reports whether digest has a quorum of votes there.
+func (c *ckptTable) record(seq types.SeqNum, from types.ReplicaID, digest types.Digest, sig *types.Signature) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.slots[seq]
 	if !ok {
-		bySeq = make(map[types.Digest]map[types.ReplicaID]bool)
-		s.votes[seq] = bySeq
-	}
-	voters, ok := bySeq[digest]
-	if !ok {
-		voters = make(map[types.ReplicaID]bool)
-		bySeq[digest] = voters
-	}
-	voters[from] = true
-	return len(voters)
-}
-
-// prune garbage-collects votes at or below target.
-func (c *ckptTable) prune(target types.SeqNum) {
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		for seq := range s.votes {
-			if seq <= target {
-				delete(s.votes, seq)
-			}
+		if k := len(c.free) - 1; k >= 0 {
+			s, c.free = c.free[k], c.free[:k]
+		} else {
+			s = &ckptSlot{votes: make([]ckptVote, c.n)}
 		}
-		s.mu.Unlock()
+		c.slots[seq] = s
+	}
+	if v := &s.votes[from]; !v.voted {
+		*v = ckptVote{digest: digest, sig: *sig, voted: true}
+	}
+	count := 0
+	for i := range s.votes {
+		if s.votes[i].voted && s.votes[i].digest == digest {
+			count++
+		}
+	}
+	if count >= c.q && !s.quorum {
+		s.quorum, s.digest = true, digest
+	}
+	return count >= c.q
+}
+
+// counts reports whether from's vote for seq would still be recorded and
+// could still matter: seq has no quorum yet and no vote from from.
+func (c *ckptTable) counts(seq types.SeqNum, from types.ReplicaID) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.slots[seq]
+	return !ok || !s.quorum && !s.votes[from].voted
+}
+
+// certificate returns the digest 2f+1 votes at seq agree on and their
+// signatures in replica-id order, or a zero digest and nil when seq has no
+// quorum. The signatures are copied out: the slot is recycled at prune.
+func (c *ckptTable) certificate(seq types.SeqNum) (types.Digest, []types.CheckpointSig) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.slots[seq]
+	if !ok || !s.quorum {
+		return types.Digest{}, nil
+	}
+	cert := make([]types.CheckpointSig, 0, c.q)
+	for i := range s.votes {
+		if v := &s.votes[i]; v.voted && v.digest == s.digest {
+			cert = append(cert, types.CheckpointSig{Replica: types.ReplicaID(i), Sig: v.sig})
+		}
+	}
+	return s.digest, cert
+}
+
+// prune recycles the slots at or below target.
+func (c *ckptTable) prune(target types.SeqNum) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for seq, s := range c.slots {
+		if seq <= target {
+			delete(c.slots, seq)
+			clear(s.votes)
+			*s = ckptSlot{votes: s.votes}
+			c.free = append(c.free, s)
+		}
 	}
 }
 
@@ -289,7 +319,6 @@ type aheadMsg struct {
 	from types.ReplicaID
 	view types.View
 	msg  types.Message
-	auth []byte
 }
 
 // Engine is a PBFT replica state machine, safe for concurrent stepping of
@@ -323,11 +352,11 @@ type Engine struct {
 	executedSeq  types.SeqNum
 	quorumStable types.SeqNum
 
-	// Checkpoint votes live in their own lock-striped table so that
-	// recording a vote — the common case: most checkpoint messages do not
-	// complete a quorum — runs under the control *read* lock, concurrent
-	// with instance stepping. Only a vote that completes a quorum
-	// escalates to the write lock to advance the watermark.
+	// Checkpoint votes live in their own table so that recording a vote —
+	// the common case: most checkpoint messages do not complete a quorum —
+	// runs under the control *read* lock, concurrent with instance
+	// stepping. Only a vote that completes a quorum escalates to the write
+	// lock to advance the watermark.
 	ckpts ckptTable
 
 	// View change state.
@@ -378,6 +407,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:         cfg,
 		f:           consensus.MaxFaults(cfg.N),
+		ckpts:       ckptTable{n: cfg.N, q: consensus.Quorum2f1(cfg.N), slots: make(map[types.SeqNum]*ckptSlot)},
 		viewChanges: make(map[types.View]map[types.ReplicaID]*types.ViewChange),
 		aheadFrom:   make([]int, cfg.N),
 	}
@@ -424,6 +454,16 @@ func (e *Engine) Stats() consensus.EngineStats { return e.stats.Snapshot() }
 // number this engine has proposed (primary) or adopted from view-change
 // and checkpoint sync. It is lock-free.
 func (e *Engine) LastProposed() types.SeqNum { return types.SeqNum(e.nextSeq.Load()) }
+
+// CountsCheckpoint implements consensus.CheckpointCounter.
+func (e *Engine) CountsCheckpoint(from types.ReplicaID, seq types.SeqNum) bool {
+	if int(from) >= e.cfg.N {
+		return false
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return seq > e.lowWater && e.ckpts.counts(seq, from)
+}
 
 // LowWatermark returns the last stable checkpoint sequence number.
 func (e *Engine) LowWatermark() types.SeqNum {
@@ -508,7 +548,7 @@ func (e *Engine) Propose(reqs []types.ClientRequest, out *consensus.Out) bool {
 // (pre-prepare, prepare, commit) steps under the read lock so independent
 // instances proceed in parallel; checkpoint and view-change traffic
 // mutates the control core and steps exclusively.
-func (e *Engine) OnMessage(from types.NodeID, msg types.Message, auth []byte, out *consensus.Out) {
+func (e *Engine) OnMessage(from types.NodeID, msg types.Message, out *consensus.Out) {
 	if !from.IsReplica() || int(from.Replica()) >= e.cfg.N {
 		// Not one of the n replicas: it has no slot in any vote table.
 		e.stats.Dropped.Add(1)
@@ -527,7 +567,7 @@ func (e *Engine) OnMessage(from types.NodeID, msg types.Message, auth []byte, ou
 	case *types.Commit:
 		e.mu.RLock()
 		defer e.mu.RUnlock()
-		e.onCommit(rep, m, auth, out)
+		e.onCommit(rep, m, out)
 	case *types.Checkpoint:
 		e.onCheckpoint(rep, m, out)
 	case *types.ViewChange:
@@ -547,7 +587,7 @@ func (e *Engine) OnMessage(from types.NodeID, msg types.Message, auth []byte, ou
 // new-view path re-enters it under the write lock).
 func (e *Engine) onPrePrepare(from types.ReplicaID, m *types.PrePrepare, out *consensus.Out) {
 	if m.View != e.view || e.inViewChange || !e.inWindow(m.Seq) {
-		e.keepOrDrop(from, m.View, m, nil)
+		e.keepOrDrop(from, m.View, m)
 		return
 	}
 	if from != consensus.PrimaryOf(e.view, e.cfg.N) {
@@ -600,7 +640,7 @@ func (e *Engine) onPrePrepare(from types.ReplicaID, m *types.PrePrepare, out *co
 
 func (e *Engine) onPrepare(from types.ReplicaID, m *types.Prepare, out *consensus.Out) {
 	if m.View != e.view || e.inViewChange || !e.inWindow(m.Seq) {
-		e.keepOrDrop(from, m.View, m, nil)
+		e.keepOrDrop(from, m.View, m)
 		return
 	}
 	if m.Replica != from {
@@ -615,9 +655,9 @@ func (e *Engine) onPrepare(from types.ReplicaID, m *types.Prepare, out *consensu
 	e.advance(m.Seq, in, out)
 }
 
-func (e *Engine) onCommit(from types.ReplicaID, m *types.Commit, auth []byte, out *consensus.Out) {
+func (e *Engine) onCommit(from types.ReplicaID, m *types.Commit, out *consensus.Out) {
 	if m.View != e.view || e.inViewChange || !e.inWindow(m.Seq) {
-		e.keepOrDrop(from, m.View, m, auth)
+		e.keepOrDrop(from, m.View, m)
 		return
 	}
 	if m.Replica != from {
@@ -628,23 +668,23 @@ func (e *Engine) onCommit(from types.ReplicaID, m *types.Commit, auth []byte, ou
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	in := s.inst(m.Seq, e.cfg.N)
-	in.recordCommit(from, m.Digest, auth)
+	in.recordCommit(from, m.Digest)
 	e.advance(m.Seq, in, out)
 }
 
 // keepOrDrop disposes of a per-sequence message the engine cannot step now:
 // one of a view above its own is kept for when it enters that view (within
 // the sender's share), anything else is dropped — an older view's, or the
-// current view's while this replica has voted to leave it. A kept vote and
-// its authenticator are copies: both are borrowed for the step. The caller
-// holds the control lock in either mode.
-func (e *Engine) keepOrDrop(from types.ReplicaID, view types.View, msg types.Message, auth []byte) {
+// current view's while this replica has voted to leave it. A kept vote is a
+// copy: it is borrowed for the step. The caller holds the control lock in
+// either mode.
+func (e *Engine) keepOrDrop(from types.ReplicaID, view types.View, msg types.Message) {
 	if view > e.view {
 		e.aheadMu.Lock()
 		kept := e.aheadFrom[from] < maxAhead
 		if kept {
 			e.aheadFrom[from]++
-			e.ahead = append(e.ahead, aheadMsg{from: from, view: view, msg: keptCopy(msg), auth: bytes.Clone(auth)})
+			e.ahead = append(e.ahead, aheadMsg{from: from, view: view, msg: keptCopy(msg)})
 		}
 		e.aheadMu.Unlock()
 		if kept {
@@ -697,7 +737,7 @@ func (e *Engine) replayAhead(out *consensus.Out) {
 		case *types.Prepare:
 			e.onPrepare(a.from, m, out)
 		case *types.Commit:
-			e.onCommit(a.from, m, a.auth, out)
+			e.onCommit(a.from, m, out)
 		}
 	}
 }
@@ -715,7 +755,7 @@ func (e *Engine) advance(seq types.SeqNum, in *instance, out *consensus.Out) {
 		c := types.AcquireVote(types.MsgCommit).(*types.Commit)
 		*c = types.Commit{View: in.view, Seq: seq, Digest: in.digest, Replica: e.cfg.ID}
 		// Record our own commit vote.
-		in.recordCommit(e.cfg.ID, in.digest, nil)
+		in.recordCommit(e.cfg.ID, in.digest)
 		out.Broadcast(c)
 	}
 	// Committed: 2f+1 commits matching the pre-prepare digest.
@@ -728,42 +768,14 @@ func (e *Engine) advance(seq types.SeqNum, in *instance, out *consensus.Out) {
 			View:     in.view,
 			Digest:   in.digest,
 			Requests: in.requests,
-			Proof:    commitProof(in),
 		})
 	}
 }
 
-// commitProof assembles the block's commit certificate from the recorded
-// commit votes, in replica-id order — the order of the vote table (Section
-// 4.6: the 2f+1 commit signatures replace the previous-block hash). The
-// block outlives the instance, and a new view's revote clears the table
-// under a queued block, so the authenticators are copied out: into one
-// backing array for the whole certificate.
-func commitProof(in *instance) []types.CommitSig {
-	proof := make([]types.CommitSig, 0, in.commitCount())
-	size := 0
-	for id := range in.votes {
-		if v := &in.votes[id]; v.committed && v.commit == in.digest {
-			proof = append(proof, types.CommitSig{Replica: types.ReplicaID(id), Auth: v.commitAuth})
-			size += len(v.commitAuth)
-		}
-	}
-	if size == 0 {
-		return proof
-	}
-	auths := make([]byte, 0, size)
-	for i := range proof {
-		if a := proof[i].Auth; a != nil {
-			auths = append(auths, a...)
-			proof[i].Auth = auths[len(auths)-len(a) : len(auths) : len(auths)]
-		}
-	}
-	return proof
-}
-
 // OnExecuted implements consensus.Engine: after every Δ-th batch the
-// replica broadcasts a checkpoint carrying its state digest.
-func (e *Engine) OnExecuted(seq types.SeqNum, stateDigest types.Digest, out *consensus.Out) {
+// replica broadcasts a checkpoint carrying its checkpoint digest and its
+// signature over both.
+func (e *Engine) OnExecuted(seq types.SeqNum, stateDigest types.Digest, sig types.Signature, out *consensus.Out) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if seq > e.executedSeq {
@@ -774,14 +786,14 @@ func (e *Engine) OnExecuted(seq types.SeqNum, stateDigest types.Digest, out *con
 		return
 	}
 	cp := types.AcquireVote(types.MsgCheckpoint).(*types.Checkpoint)
-	*cp = types.Checkpoint{Seq: seq, StateDigest: stateDigest, Replica: e.cfg.ID}
+	*cp = types.Checkpoint{Seq: seq, StateDigest: stateDigest, Replica: e.cfg.ID, Sig: sig}
 	out.Broadcast(cp)
 	e.recordCheckpoint(e.cfg.ID, cp, out)
 }
 
 // onCheckpoint takes the locks itself: the common case — a vote that does
-// not complete a quorum — records under the control read lock plus a vote
-// stripe, fully concurrent with instance stepping and proposals. Only a
+// not complete a quorum — records under the control read lock plus the vote
+// table's, fully concurrent with instance stepping and proposals. Only a
 // quorum-completing vote escalates to the write lock.
 func (e *Engine) onCheckpoint(from types.ReplicaID, m *types.Checkpoint, out *consensus.Out) {
 	if m.Replica != from {
@@ -792,7 +804,7 @@ func (e *Engine) onCheckpoint(from types.ReplicaID, m *types.Checkpoint, out *co
 	stale := m.Seq <= e.lowWater
 	quorum := false
 	if !stale {
-		quorum = e.ckpts.record(m.Seq, m.StateDigest, from) >= consensus.Quorum2f1(e.cfg.N)
+		quorum = e.ckpts.record(m.Seq, from, m.StateDigest, &m.Sig)
 	}
 	e.mu.RUnlock()
 	if stale || !quorum {
@@ -813,7 +825,7 @@ func (e *Engine) recordCheckpoint(from types.ReplicaID, m *types.Checkpoint, out
 	if m.Seq <= e.lowWater {
 		return // already stable
 	}
-	if e.ckpts.record(m.Seq, m.StateDigest, from) < consensus.Quorum2f1(e.cfg.N) {
+	if !e.ckpts.record(m.Seq, from, m.StateDigest, &m.Sig) {
 		return
 	}
 	if m.Seq > e.quorumStable {
@@ -823,9 +835,10 @@ func (e *Engine) recordCheckpoint(from types.ReplicaID, m *types.Checkpoint, out
 }
 
 // advanceLowWater moves the low watermark to the newest quorum-stable
-// checkpoint this replica has itself executed, and garbage collects
-// everything at or below it (Section 4.7): pruned instances go back to
-// their stripe's free list. The caller holds the write lock.
+// checkpoint this replica has itself executed, reports it with its
+// certificate, and garbage collects everything at or below it (Section
+// 4.7): pruned instances and checkpoint slots go back to their free lists.
+// The caller holds the write lock.
 func (e *Engine) advanceLowWater(out *consensus.Out) {
 	target := e.quorumStable
 	if executedCk := types.SeqNum(uint64(e.executedSeq) / e.cfg.CheckpointInterval * e.cfg.CheckpointInterval); executedCk < target {
@@ -848,12 +861,13 @@ func (e *Engine) advanceLowWater(out *consensus.Out) {
 		}
 		s.mu.Unlock()
 	}
+	digest, cert := e.ckpts.certificate(target)
 	e.ckpts.prune(target)
 	if types.SeqNum(e.nextSeq.Load()) < target {
 		// A lagging former primary must not re-propose old numbers.
 		e.nextSeq.Store(uint64(target))
 	}
-	out.CheckpointStable(target)
+	out.CheckpointStable(target, digest, cert)
 }
 
 // ---- View change ----

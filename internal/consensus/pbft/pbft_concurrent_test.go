@@ -73,11 +73,11 @@ func TestConcurrentStepping(t *testing.T) {
 					break
 				}
 				delete(pending, next)
-				backup.OnExecuted(cur.Seq, ckDigest, &out)
+				backup.OnExecuted(cur.Seq, ckDigest, types.Signature{}, &out)
 				if uint64(cur.Seq)%16 == 0 {
 					for _, rep := range []types.ReplicaID{2, 3} {
 						cp := &types.Checkpoint{Seq: cur.Seq, StateDigest: ckDigest, Replica: rep}
-						backup.OnMessage(types.ReplicaNode(rep), cp, nil, &out)
+						backup.OnMessage(types.ReplicaNode(rep), cp, &out)
 					}
 				}
 				out.Reset()
@@ -95,14 +95,14 @@ func TestConcurrentStepping(t *testing.T) {
 			for i := lane; i < k; i += lanes {
 				pp := pps[i]
 				seq := pp.Seq
-				backup.OnMessage(types.ReplicaNode(0), pp, nil, &out)
+				backup.OnMessage(types.ReplicaNode(0), pp, &out)
 				for _, rep := range []types.ReplicaID{2, 3} {
 					p := &types.Prepare{View: pp.View, Seq: seq, Digest: pp.Digest, Replica: rep}
-					backup.OnMessage(types.ReplicaNode(rep), p, nil, &out)
+					backup.OnMessage(types.ReplicaNode(rep), p, &out)
 				}
 				for _, rep := range []types.ReplicaID{0, 2, 3} {
 					c := &types.Commit{View: pp.View, Seq: seq, Digest: pp.Digest, Replica: rep}
-					backup.OnMessage(types.ReplicaNode(rep), c, nil, &out)
+					backup.OnMessage(types.ReplicaNode(rep), c, &out)
 				}
 				for _, o := range out.Outputs() {
 					if o.Kind == consensus.KindExecute {
@@ -168,7 +168,7 @@ func TestConcurrentCheckpointVotes(t *testing.T) {
 		defer wg.Done()
 		var out consensus.Out
 		for s := 1; s <= ckpts*interval; s++ {
-			e.OnExecuted(types.SeqNum(s), digest, &out)
+			e.OnExecuted(types.SeqNum(s), digest, types.Signature{}, &out)
 			out.Reset()
 		}
 	}()
@@ -182,7 +182,7 @@ func TestConcurrentCheckpointVotes(t *testing.T) {
 			var out consensus.Out
 			for c := 1; c <= ckpts; c++ {
 				cp := &types.Checkpoint{Seq: types.SeqNum(c * interval), StateDigest: digest, Replica: rep}
-				e.OnMessage(types.ReplicaNode(rep), cp, nil, &out)
+				e.OnMessage(types.ReplicaNode(rep), cp, &out)
 				out.Reset()
 			}
 		}(rep)
@@ -195,7 +195,7 @@ func TestConcurrentCheckpointVotes(t *testing.T) {
 		var out consensus.Out
 		for s := 1; s <= 200; s++ {
 			p := &types.Prepare{View: 0, Seq: types.SeqNum(s), Digest: types.Digest{1}, Replica: 2}
-			e.OnMessage(types.ReplicaNode(2), p, nil, &out)
+			e.OnMessage(types.ReplicaNode(2), p, &out)
 			out.Reset()
 		}
 	}()
@@ -209,7 +209,7 @@ func TestConcurrentCheckpointVotes(t *testing.T) {
 	}
 	// The vote table must be pruned behind the watermark: a late stale
 	// vote must neither resurrect state nor advance anything.
-	if acts := onMessage(e, types.ReplicaNode(0), &types.Checkpoint{Seq: interval, StateDigest: digest, Replica: 0}, nil); len(acts) != 0 {
+	if acts := onMessage(e, types.ReplicaNode(0), &types.Checkpoint{Seq: interval, StateDigest: digest, Replica: 0}); len(acts) != 0 {
 		t.Fatalf("stale checkpoint vote produced %d actions", len(acts))
 	}
 }
@@ -261,7 +261,7 @@ func TestConcurrentProposeFastPath(t *testing.T) {
 		var out consensus.Out
 		for s := 1; s <= proposers*perP; s++ {
 			p := &types.Prepare{View: 0, Seq: types.SeqNum(s), Digest: types.Digest{9}, Replica: 2}
-			e.OnMessage(types.ReplicaNode(2), p, nil, &out)
+			e.OnMessage(types.ReplicaNode(2), p, &out)
 			out.Reset()
 		}
 	}()
@@ -302,7 +302,7 @@ func TestConcurrentViewChange(t *testing.T) {
 			var out consensus.Out
 			for s := 1 + lane; s <= 200; s += 4 {
 				p := &types.Prepare{View: 0, Seq: types.SeqNum(s), Digest: types.Digest{1}, Replica: 2}
-				e.OnMessage(types.ReplicaNode(2), p, nil, &out)
+				e.OnMessage(types.ReplicaNode(2), p, &out)
 				out.Reset()
 			}
 		}(lane)
@@ -315,7 +315,7 @@ func TestConcurrentViewChange(t *testing.T) {
 		e.OnViewTimeout(0, &out)
 		for _, rep := range []types.ReplicaID{0, 2, 3} {
 			vc := &types.ViewChange{NewView: 1, Replica: rep}
-			e.OnMessage(types.ReplicaNode(rep), vc, nil, &out)
+			e.OnMessage(types.ReplicaNode(rep), vc, &out)
 		}
 	}()
 	wg.Wait()

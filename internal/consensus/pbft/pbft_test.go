@@ -29,9 +29,9 @@ func newCluster(t testing.TB, n int, cfg func(*Config)) *enginetest.Cluster {
 
 // onMessage steps e with one message into a fresh Out and returns what it
 // emitted.
-func onMessage(e *Engine, from types.NodeID, msg types.Message, auth []byte) []consensus.Action {
+func onMessage(e *Engine, from types.NodeID, msg types.Message) []consensus.Action {
 	var out consensus.Out
-	e.OnMessage(from, msg, auth, &out)
+	e.OnMessage(from, msg, &out)
 	return enginetest.Actions(&out)
 }
 
@@ -75,9 +75,6 @@ func TestSingleBatchConsensus(t *testing.T) {
 			t.Fatalf("replica %d executed %d batches (digest match=%v)", r, len(got), len(got) == 1 && got[0] == want)
 		}
 		ex := c.Executed[types.ReplicaID(r)][0]
-		if len(ex.Proof) < consensus.Quorum2f1(4) {
-			t.Fatalf("replica %d proof has %d signatures", r, len(ex.Proof))
-		}
 		if ex.Seq != 1 {
 			t.Fatalf("replica %d executed seq %d", r, ex.Seq)
 		}
@@ -250,8 +247,8 @@ func TestEquivocatingPrimaryDetected(t *testing.T) {
 	pp1 := &types.PrePrepare{View: 0, Seq: 1, Digest: types.BatchDigest([]types.ClientRequest{r1}), Requests: []types.ClientRequest{r1}}
 	pp2 := &types.PrePrepare{View: 0, Seq: 1, Digest: types.BatchDigest([]types.ClientRequest{r2}), Requests: []types.ClientRequest{r2}}
 
-	onMessage(backup, types.ReplicaNode(0), pp1, nil)
-	acts := onMessage(backup, types.ReplicaNode(0), pp2, nil)
+	onMessage(backup, types.ReplicaNode(0), pp1)
+	acts := onMessage(backup, types.ReplicaNode(0), pp2)
 	var found bool
 	for _, a := range acts {
 		if ev, ok := a.(consensus.Evidence); ok && ev.Culprit == 0 {
@@ -270,7 +267,7 @@ func TestRejectsForgedDigest(t *testing.T) {
 	}
 	req := enginetest.MakeRequest(1, 1)
 	pp := &types.PrePrepare{View: 0, Seq: 1, Digest: types.Digest{0xBA, 0xD0}, Requests: []types.ClientRequest{req}}
-	acts := onMessage(backup, types.ReplicaNode(0), pp, nil)
+	acts := onMessage(backup, types.ReplicaNode(0), pp)
 	for _, a := range acts {
 		if _, ok := a.(consensus.Broadcast); ok {
 			t.Fatal("backup prepared a forged-digest pre-prepare")
@@ -285,7 +282,7 @@ func TestRejectsPrePrepareFromNonPrimary(t *testing.T) {
 	}
 	req := enginetest.MakeRequest(1, 1)
 	pp := &types.PrePrepare{View: 0, Seq: 1, Digest: types.BatchDigest([]types.ClientRequest{req}), Requests: []types.ClientRequest{req}}
-	acts := onMessage(backup, types.ReplicaNode(2), pp, nil) // 2 is not primary of view 0
+	acts := onMessage(backup, types.ReplicaNode(2), pp) // 2 is not primary of view 0
 	for _, a := range acts {
 		if _, ok := a.(consensus.Broadcast); ok {
 			t.Fatal("accepted pre-prepare from non-primary")
@@ -304,7 +301,7 @@ func TestDuplicateVotesDoNotDoubleCount(t *testing.T) {
 	// One backup repeats its prepare; quorum (2f = 2 distinct) must not fire.
 	p := &types.Prepare{View: 0, Seq: 1, Digest: d, Replica: 1}
 	for i := 0; i < 5; i++ {
-		acts := onMessage(e, types.ReplicaNode(1), p, nil)
+		acts := onMessage(e, types.ReplicaNode(1), p)
 		for _, a := range acts {
 			if b, ok := a.(consensus.Broadcast); ok {
 				if _, isCommit := b.Msg.(*types.Commit); isCommit {
@@ -315,7 +312,7 @@ func TestDuplicateVotesDoNotDoubleCount(t *testing.T) {
 	}
 	// A second distinct backup completes the quorum.
 	p2 := &types.Prepare{View: 0, Seq: 1, Digest: d, Replica: 2}
-	acts := onMessage(e, types.ReplicaNode(2), p2, nil)
+	acts := onMessage(e, types.ReplicaNode(2), p2)
 	committed := false
 	for _, a := range acts {
 		if b, ok := a.(consensus.Broadcast); ok {
@@ -335,7 +332,7 @@ func TestStaleViewMessagesDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &types.Prepare{View: 2, Seq: 1, Digest: types.Digest{1}, Replica: 2}
-	onMessage(e, types.ReplicaNode(2), p, nil)
+	onMessage(e, types.ReplicaNode(2), p)
 	if e.Stats().Dropped != 1 {
 		t.Fatal("older-view prepare was not dropped")
 	}
@@ -350,14 +347,14 @@ func TestVotesAheadOfTheViewAreBoundedPerSender(t *testing.T) {
 	}
 	for i := 0; i < maxAhead+10; i++ {
 		p := &types.Prepare{View: 7, Seq: types.SeqNum(i + 1), Digest: types.Digest{1}, Replica: 2}
-		if acts := onMessage(e, types.ReplicaNode(2), p, nil); len(acts) != 0 {
+		if acts := onMessage(e, types.ReplicaNode(2), p); len(acts) != 0 {
 			t.Fatalf("a view-7 prepare stepped a view-0 engine: %v", acts)
 		}
 	}
 	if got := e.Stats().Dropped; got != 10 {
 		t.Fatalf("dropped %d of %d votes ahead of the view, want the 10 past the sender's share", got, maxAhead+10)
 	}
-	onMessage(e, types.ReplicaNode(3), &types.Commit{View: 7, Seq: 1, Digest: types.Digest{1}, Replica: 3}, nil)
+	onMessage(e, types.ReplicaNode(3), &types.Commit{View: 7, Seq: 1, Digest: types.Digest{1}, Replica: 3})
 	if got := e.Stats().Dropped; got != 10 {
 		t.Fatal("one sender's full share cost another sender its vote")
 	}
@@ -536,7 +533,7 @@ func TestNewViewRejectedWithoutQuorum(t *testing.T) {
 		View:        1,
 		ViewChanges: []types.ViewChange{{NewView: 1, Replica: 1}}, // only 1 < 2f+1
 	}
-	onMessage(e, types.ReplicaNode(1), nv, nil)
+	onMessage(e, types.ReplicaNode(1), nv)
 	if e.View() != 0 {
 		t.Fatal("adopted new view without quorum proof")
 	}

@@ -164,7 +164,7 @@ func (e *Engine) historyAt(seq types.SeqNum) types.Digest {
 }
 
 // OnMessage implements consensus.Engine.
-func (e *Engine) OnMessage(from types.NodeID, msg types.Message, _ []byte, out *consensus.Out) {
+func (e *Engine) OnMessage(from types.NodeID, msg types.Message, out *consensus.Out) {
 	switch m := msg.(type) {
 	case *types.OrderedRequest:
 		if !from.IsReplica() || from.Replica() != consensus.PrimaryOf(e.view, e.cfg.N) {
@@ -267,7 +267,7 @@ func (e *Engine) onCommitCert(m *types.CommitCert, out *consensus.Out) {
 
 // OnExecuted implements consensus.Engine; Zyzzyva checkpoints exactly like
 // PBFT so speculative state becomes stable and garbage collectable.
-func (e *Engine) OnExecuted(seq types.SeqNum, stateDigest types.Digest, out *consensus.Out) {
+func (e *Engine) OnExecuted(seq types.SeqNum, stateDigest types.Digest, _ types.Signature, out *consensus.Out) {
 	if uint64(seq)%e.cfg.CheckpointInterval != 0 {
 		e.advanceLowWater(out)
 		return
@@ -331,7 +331,7 @@ func (e *Engine) advanceLowWater(out *consensus.Out) {
 			delete(e.pending, seq)
 		}
 	}
-	out.CheckpointStable(target)
+	out.CheckpointStable(target, types.Digest{}, nil)
 }
 
 // OnViewTimeout implements consensus.Engine. Zyzzyva's view change is out

@@ -121,7 +121,7 @@ func TestFillHoleBuffering(t *testing.T) {
 // emitted.
 func onMessage(e *Engine, from types.NodeID, msg types.Message) []consensus.Action {
 	var out consensus.Out
-	e.OnMessage(from, msg, nil, &out)
+	e.OnMessage(from, msg, &out)
 	return enginetest.Actions(&out)
 }
 

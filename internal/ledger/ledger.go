@@ -5,11 +5,18 @@
 //
 // Two linkage modes implement the Section 4.6 "Block Generation" insight:
 // traditional hash-chain linkage computes H(B_{i-1}) on the critical path,
-// while commit-certificate linkage instead embeds the 2f+1 commit
-// authenticators that already prove the order, avoiding the extra hash.
+// while commit-certificate linkage leaves the block unlinked and lets a
+// certificate prove the order instead. That certificate is the stable
+// checkpoint's, in both modes: every Δ blocks the replica closes a
+// checkpoint window with the digest D_S = H(D_{S-Δ} ‖ S ‖ the header hashes
+// of blocks S-Δ+1..S) (ChainDigest), 2f+1 replicas sign (S, D_S) with their
+// ED25519 node keys, and the ledger keeps the newest such certificate with
+// D_{S-Δ} and the Δ headers it covers — anyone holding the node keys can
+// check it. Blocks above S are committed, not yet certified.
 package ledger
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -24,8 +31,9 @@ type Mode int
 const (
 	// HashChain embeds H(B_{i-1}) in every block (Section 2.2).
 	HashChain Mode = iota + 1
-	// CommitCertificate embeds the 2f+1 commit signatures collected during
-	// consensus instead of hashing the previous block (Section 4.6).
+	// CommitCertificate links no block to its predecessor: the stable
+	// checkpoint's signed certificate proves the order instead (Section
+	// 4.6).
 	CommitCertificate
 )
 
@@ -41,32 +49,112 @@ func (m Mode) String() string {
 	}
 }
 
-// Errors reported by Append and Validate.
+// Errors reported by Append, Checkpoint, Certify and Validate.
 var (
-	ErrGap           = errors.New("ledger: non-consecutive height")
-	ErrBrokenChain   = errors.New("ledger: hash chain broken")
-	ErrMissingProof  = errors.New("ledger: commit certificate below quorum")
-	ErrPruned        = errors.New("ledger: block pruned")
-	ErrBadGenesis    = errors.New("ledger: corrupt genesis block")
-	errUnknownHeight = errors.New("ledger: unknown height")
+	ErrGap            = errors.New("ledger: non-consecutive height")
+	ErrBrokenChain    = errors.New("ledger: hash chain broken")
+	ErrBadCertificate = errors.New("ledger: checkpoint certificate does not verify")
+	ErrPruned         = errors.New("ledger: block pruned")
+	errUnknownHeight  = errors.New("ledger: unknown height")
 )
 
+// Verifier checks one replica's signature over a checkpoint vote;
+// crypto.CheckpointKeys is the one deployments use.
+type Verifier interface {
+	VerifyCheckpoint(r types.ReplicaID, seq types.SeqNum, digest types.Digest, sig *types.Signature) error
+}
+
+// Certificate is a stable checkpoint's proof: Sigs are 2f+1 replicas'
+// signatures, in ascending replica-id order, over (Seq, Digest), and Digest
+// is ChainDigest(Prev, Seq, the headers of the blocks since the previous
+// checkpoint). The zero Certificate is none.
+type Certificate struct {
+	Seq    types.SeqNum
+	Prev   types.Digest // D_{S-Δ}: the previous checkpoint's digest
+	Digest types.Digest // D_S
+	Sigs   []types.CheckpointSig
+}
+
+// ChainDigest is the checkpoint digest that closes the window of headers
+// after the checkpoint whose digest is prev: H(prev ‖ seq ‖ H(header)...).
+// Chained through every window since genesis (whose digest is zero), it
+// commits to every block header below seq, whichever linkage mode the
+// blocks use.
+func ChainDigest(prev types.Digest, seq types.SeqNum, headers []types.Block) types.Digest {
+	w := types.GetWriter()
+	w.Bytes32(prev)
+	w.U64(uint64(seq))
+	for i := range headers {
+		w.Bytes32(headers[i].Hash())
+	}
+	d := sha256.Sum256(w.Bytes())
+	types.PutWriter(w)
+	return d
+}
+
+// Verify checks the certificate against the headers it covers: they run
+// contiguously up to Seq, they and Prev fold to Digest, and at least quorum
+// distinct replicas, listed in ascending order, signed (Seq, Digest) under
+// keys. One signature that fails rejects the whole certificate.
+func (c *Certificate) Verify(headers []types.Block, quorum int, keys Verifier) error {
+	if len(headers) == 0 || headers[len(headers)-1].Height != uint64(c.Seq) {
+		return fmt.Errorf("%w: its headers do not end at seq %d", ErrBadCertificate, c.Seq)
+	}
+	for i := 1; i < len(headers); i++ {
+		if headers[i].Height != headers[i-1].Height+1 {
+			return fmt.Errorf("%w: header %d follows %d", ErrBadCertificate, headers[i].Height, headers[i-1].Height)
+		}
+	}
+	if ChainDigest(c.Prev, c.Seq, headers) != c.Digest {
+		return fmt.Errorf("%w: digest at seq %d does not cover its headers", ErrBadCertificate, c.Seq)
+	}
+	if len(c.Sigs) < quorum {
+		return fmt.Errorf("%w: %d signatures at seq %d, quorum %d", ErrBadCertificate, len(c.Sigs), c.Seq, quorum)
+	}
+	if keys == nil {
+		return fmt.Errorf("%w: no keys to check seq %d against", ErrBadCertificate, c.Seq)
+	}
+	for i := range c.Sigs {
+		s := &c.Sigs[i]
+		if i > 0 && s.Replica <= c.Sigs[i-1].Replica {
+			return fmt.Errorf("%w: signer %d listed after %d at seq %d", ErrBadCertificate, s.Replica, c.Sigs[i-1].Replica, c.Seq)
+		}
+		if err := keys.VerifyCheckpoint(s.Replica, c.Seq, c.Digest, &s.Sig); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadCertificate, err)
+		}
+	}
+	return nil
+}
+
+// mark is a checkpoint digest this ledger computed.
+type mark struct {
+	seq    types.SeqNum
+	digest types.Digest
+}
+
 // Ledger is one replica's copy of the blockchain. It is safe for
-// concurrent use; in the pipeline only the execute-thread appends, while
-// the checkpoint-thread reads and prunes.
+// concurrent use; in the pipeline only the execute-thread appends and
+// closes checkpoints, while the checkpoint-thread certifies and prunes.
 type Ledger struct {
 	mode   Mode
-	quorum int // commit signatures required in CommitCertificate mode
+	quorum int // signatures a certificate needs (2f+1)
 
 	mu     sync.RWMutex
 	blocks []types.Block // blocks[i] has Height = base+i
 	base   uint64        // height of blocks[0]
+	keys   Verifier
+	// marks are the checkpoint digests this ledger holds, oldest first.
+	// marks[0] is where the uncertified blocks begin: genesis (seq 0, a
+	// zero digest) or the checkpoint before the newest certificate's. Then
+	// come the certified checkpoint and every one closed since.
+	marks []mark
+	cert  Certificate
 }
 
 // New creates a Ledger seeded with the genesis block. primarySeed is the
 // dummy data stored in the genesis block, conventionally the hash of the
-// first primary's identifier H(P). quorum is the commit-certificate size
-// to enforce (2f+1); it is ignored in HashChain mode.
+// first primary's identifier H(P). quorum is the certificate size to
+// enforce (2f+1).
 func New(mode Mode, primarySeed types.Digest, quorum int) *Ledger {
 	genesis := types.Block{
 		Height: 0,
@@ -78,16 +166,19 @@ func New(mode Mode, primarySeed types.Digest, quorum int) *Ledger {
 		mode:   mode,
 		quorum: quorum,
 		blocks: []types.Block{genesis},
+		marks:  []mark{{}},
 	}
 }
 
-// NewFromBlocks creates a Ledger resuming from a snapshot of retained
-// blocks, as returned by Blocks() on a live replica. It is the restart
-// path: a recovering replica seeds its chain from a peer's retained tail
-// (the stable checkpoint licenses everything before it, exactly as a
-// pruned ledger would) and appends from the snapshot head onward. The
-// snapshot must be non-empty and contiguous; it is copied, not aliased.
-func NewFromBlocks(mode Mode, blocks []types.Block, quorum int) (*Ledger, error) {
+// Resume creates a Ledger that continues a peer's chain from the snapshot
+// its Tail returned: the blocks from the first one the certificate covers
+// (or from genesis or height 1, with no certificate) up to the peer's
+// head. It is the restart path. Validate checks the certificate against
+// the blocks it covers and the keys UseKeys gives; the caller does that
+// before it trusts the ledger. Checkpoints the peer closed above the
+// certificate are not carried: the caller closes them again with
+// Checkpoint. The blocks are copied, not aliased.
+func Resume(mode Mode, blocks []types.Block, cert Certificate, quorum int) (*Ledger, error) {
 	if len(blocks) == 0 {
 		return nil, errors.New("ledger: empty block snapshot")
 	}
@@ -96,14 +187,28 @@ func NewFromBlocks(mode Mode, blocks []types.Block, quorum int) (*Ledger, error)
 			return nil, fmt.Errorf("%w: snapshot height %d follows %d", ErrGap, blocks[i].Height, blocks[i-1].Height)
 		}
 	}
-	own := make([]types.Block, len(blocks))
-	copy(own, blocks)
-	return &Ledger{
-		mode:   mode,
-		quorum: quorum,
-		blocks: own,
-		base:   own[0].Height,
-	}, nil
+	l := &Ledger{mode: mode, quorum: quorum, base: blocks[0].Height, marks: []mark{{}}}
+	if cert.Seq != 0 {
+		head := blocks[len(blocks)-1].Height
+		if l.base == 0 || uint64(cert.Seq) < l.base || uint64(cert.Seq) > head {
+			return nil, fmt.Errorf("%w: seq %d outside the snapshot's heights %d..%d", ErrBadCertificate, cert.Seq, l.base, head)
+		}
+		l.marks = []mark{{types.SeqNum(l.base - 1), cert.Prev}, {cert.Seq, cert.Digest}}
+		l.cert = cert
+	} else if l.base > 1 {
+		return nil, fmt.Errorf("%w: an uncertified snapshot must start at genesis, not at %d", ErrPruned, l.base)
+	}
+	l.blocks = make([]types.Block, len(blocks))
+	copy(l.blocks, blocks)
+	return l, nil
+}
+
+// UseKeys gives the ledger the keys Validate checks its certificate
+// against.
+func (l *Ledger) UseKeys(keys Verifier) {
+	l.mu.Lock()
+	l.keys = keys
+	l.mu.Unlock()
 }
 
 // Mode returns the linkage mode.
@@ -125,9 +230,10 @@ func (l *Ledger) Height() uint64 {
 
 // Append creates, links, and appends the block for an executed batch and
 // returns it. Blocks must be appended in execution order: seq must be
-// exactly one above the current head's height. In CommitCertificate mode
-// the proof must carry at least quorum signatures.
-func (l *Ledger) Append(seq types.SeqNum, view types.View, digest types.Digest, proof []types.CommitSig, txnCount uint32) (types.Block, error) {
+// exactly one above the current head's height. proof is ignored: a block
+// carries no proof of its own, the next stable checkpoint's certificate
+// covers it.
+func (l *Ledger) Append(seq types.SeqNum, view types.View, digest types.Digest, _ []types.CommitSig, txnCount uint32) (types.Block, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	head := l.blocks[len(l.blocks)-1]
@@ -141,17 +247,94 @@ func (l *Ledger) Append(seq types.SeqNum, view types.View, digest types.Digest, 
 		Digest:   digest,
 		TxnCount: txnCount,
 	}
-	switch l.mode {
-	case HashChain:
+	if l.mode == HashChain {
 		b.PrevHash = head.Hash()
-	case CommitCertificate:
-		if len(proof) < l.quorum {
-			return types.Block{}, fmt.Errorf("%w: %d < %d", ErrMissingProof, len(proof), l.quorum)
-		}
-		b.CommitProof = proof
 	}
 	l.blocks = append(l.blocks, b)
 	return b, nil
+}
+
+// Checkpoint closes the checkpoint window that ends at block seq and
+// returns its digest: ChainDigest over the previous checkpoint's digest and
+// the headers since. Closing one already closed returns the digest it got.
+func (l *Ledger) Checkpoint(seq types.SeqNum) (types.Digest, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	last := l.marks[len(l.marks)-1]
+	if seq <= last.seq {
+		for _, m := range l.marks {
+			if m.seq == seq {
+				return m.digest, nil
+			}
+		}
+		return types.Digest{}, fmt.Errorf("ledger: checkpoint %d is behind the newest, %d", seq, last.seq)
+	}
+	from := uint64(last.seq) + 1
+	if from < l.base {
+		return types.Digest{}, fmt.Errorf("%w: height %d opens checkpoint window %d", ErrPruned, from, seq)
+	}
+	if head := l.base + uint64(len(l.blocks)) - 1; uint64(seq) > head {
+		return types.Digest{}, fmt.Errorf("%w: checkpoint %d above head %d", errUnknownHeight, seq, head)
+	}
+	d := ChainDigest(last.digest, seq, l.blocks[from-l.base:uint64(seq)-l.base+1])
+	l.marks = append(l.marks, mark{seq, d})
+	return d, nil
+}
+
+// Certify installs a stable checkpoint's certificate: the quorum's
+// signatures over (seq, digest), for a checkpoint this ledger closed with
+// that same digest. The ledger keeps it, with the previous checkpoint's
+// digest, as its newest certificate; Prune may then drop the blocks before
+// the window it covers. sigs must be in ascending replica order and are
+// kept, not copied. Their signatures are not checked here — the caller
+// checked each vote as it arrived — but by Validate. A certificate at or
+// below the newest is ignored.
+func (l *Ledger) Certify(seq types.SeqNum, digest types.Digest, sigs []types.CheckpointSig) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if seq <= l.cert.Seq {
+		return nil
+	}
+	i := 1
+	for i < len(l.marks) && l.marks[i].seq != seq {
+		i++
+	}
+	if i == len(l.marks) {
+		return fmt.Errorf("%w: this ledger closed no checkpoint at %d", ErrBadCertificate, seq)
+	}
+	if l.marks[i].digest != digest {
+		// Formatted by value: slicing digest here would move it to the heap
+		// on every call.
+		return fmt.Errorf("%w: the quorum signed %x at %d, this ledger closed %x", ErrBadCertificate, digest, seq, l.marks[i].digest)
+	}
+	if len(sigs) < l.quorum {
+		return fmt.Errorf("%w: %d signatures at %d, quorum %d", ErrBadCertificate, len(sigs), seq, l.quorum)
+	}
+	l.cert = Certificate{Seq: seq, Prev: l.marks[i-1].digest, Digest: digest, Sigs: sigs}
+	l.marks = append(l.marks[:0], l.marks[i-1:]...)
+	return nil
+}
+
+// Certificate returns the newest certificate, or the zero Certificate.
+func (l *Ledger) Certificate() Certificate {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.cert
+}
+
+// Tail returns what Resume continues a chain from: copies of the blocks
+// from the first one the newest certificate covers up to the head, and
+// that certificate.
+func (l *Ledger) Tail() ([]types.Block, Certificate) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	from := uint64(l.marks[0].seq) + 1
+	if l.cert.Seq == 0 || from < l.base {
+		from = l.base
+	}
+	out := make([]types.Block, len(l.blocks)-int(from-l.base))
+	copy(out, l.blocks[from-l.base:])
+	return out, l.cert
 }
 
 // Get returns the block at the given height.
@@ -209,14 +392,18 @@ func (l *Ledger) BlocksSince(after uint64) []types.Block {
 }
 
 // Prune discards all blocks with height strictly below keepFrom, the
-// garbage collection a stable checkpoint enables (Section 4.7). The head
-// block is always retained.
+// garbage collection a stable checkpoint enables (Section 4.7), but never
+// one the newest certificate covers or one above it: after a certificate at
+// S, Prune(S) keeps blocks from S-Δ+1, and before any, it keeps every block
+// above genesis. The head is always kept.
 func (l *Ledger) Prune(keepFrom uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	headHeight := l.base + uint64(len(l.blocks)) - 1
-	if keepFrom > headHeight {
-		keepFrom = headHeight
+	if first := uint64(l.marks[0].seq) + 1; keepFrom > first {
+		keepFrom = first
+	}
+	if head := l.base + uint64(len(l.blocks)) - 1; keepFrom > head {
+		keepFrom = head
 	}
 	if keepFrom <= l.base {
 		return
@@ -228,17 +415,11 @@ func (l *Ledger) Prune(keepFrom uint64) {
 	l.base = keepFrom
 }
 
-// StateDigest summarizes the chain head for checkpoint messages: replicas
-// that executed the same prefix produce the same digest.
-func (l *Ledger) StateDigest() types.Digest {
-	h := l.Head()
-	return h.Hash()
-}
-
 // Validate walks the retained chain and checks every link: consecutive
-// heights, intact hash chain (HashChain mode), and quorum-sized commit
-// certificates (CommitCertificate mode). The genesis block is exempt from
-// proof checks when it is still retained.
+// heights and, in HashChain mode, an intact hash chain. It then checks the
+// newest certificate against the headers it covers and the keys UseKeys
+// gave (Certificate.Verify). Blocks above it are committed, not yet
+// certified: their heights are all it checks.
 func (l *Ledger) Validate() error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -247,25 +428,18 @@ func (l *Ledger) Validate() error {
 		if cur.Height != prev.Height+1 {
 			return fmt.Errorf("%w: %d follows %d", ErrGap, cur.Height, prev.Height)
 		}
-		switch l.mode {
-		case HashChain:
-			if cur.PrevHash != prev.Hash() {
-				return fmt.Errorf("%w: at height %d", ErrBrokenChain, cur.Height)
-			}
-		case CommitCertificate:
-			if len(cur.CommitProof) < l.quorum {
-				return fmt.Errorf("%w: at height %d", ErrMissingProof, cur.Height)
-			}
-			seen := make(map[types.ReplicaID]bool, len(cur.CommitProof))
-			for _, sig := range cur.CommitProof {
-				if seen[sig.Replica] {
-					return fmt.Errorf("%w: duplicate signer %d at height %d", ErrMissingProof, sig.Replica, cur.Height)
-				}
-				seen[sig.Replica] = true
-			}
+		if l.mode == HashChain && cur.PrevHash != prev.Hash() {
+			return fmt.Errorf("%w: at height %d", ErrBrokenChain, cur.Height)
 		}
 	}
-	return nil
+	if l.cert.Seq == 0 {
+		return nil
+	}
+	from := uint64(l.marks[0].seq) + 1
+	if from < l.base {
+		return fmt.Errorf("%w: height %d, covered by the certificate at %d", ErrPruned, from, l.cert.Seq)
+	}
+	return l.cert.Verify(l.blocks[from-l.base:uint64(l.cert.Seq)-l.base+1], l.quorum, l.keys)
 }
 
 // VerifyChainEquality reports whether two ledgers agree on every height

@@ -34,7 +34,7 @@ type fifoRecorder struct {
 	steps atomic.Uint64
 }
 
-func (e *fifoRecorder) OnMessage(from types.NodeID, msg types.Message, _ []byte, _ *consensus.Out) {
+func (e *fifoRecorder) OnMessage(from types.NodeID, msg types.Message, _ *consensus.Out) {
 	m := msg.(*types.Prepare)
 	cell := &e.last[from.Replica()][uint64(m.Seq)%e.lanes]
 	if m.Seq <= *cell {

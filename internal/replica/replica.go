@@ -162,17 +162,19 @@ type Config struct {
 }
 
 // Bootstrap is the state a recovering replica resumes from: a snapshot of
-// a live peer's retained ledger tail (the stable checkpoint licenses
-// everything before it), the cluster's current view, and the per-client
-// dedup positions at the snapshot head. The replica's durable store
-// carries the record state itself — reopened shard logs replay to the
-// state the snapshot head attests — so Bootstrap carries only the
-// consensus-side state that lives in memory.
+// a live peer's ledger tail and its newest certificate (the stable
+// checkpoint licenses everything before it), the cluster's current view,
+// and the per-client dedup positions at the snapshot head. The replica's
+// durable store carries the record state itself — reopened shard logs
+// replay to the state the snapshot head attests — so Bootstrap carries only
+// the consensus-side state that lives in memory.
 type Bootstrap struct {
-	// Blocks is the peer's retained chain tail (ledger.Blocks()); the
-	// last block anchors the engine's watermarks and the execution
-	// cursor.
-	Blocks []types.Block
+	// Blocks and Certificate are the peer's ledger.Tail(): the blocks from
+	// the first one its newest certificate covers, and that certificate,
+	// which the recovering replica's chain continues from. The last block
+	// anchors the engine's watermarks and the execution cursor.
+	Blocks      []types.Block
+	Certificate ledger.Certificate
 	// View is the cluster's current view; the engine boots into it so the
 	// recovering replica accepts current-view traffic immediately.
 	View types.View
@@ -399,10 +401,17 @@ type Stats struct {
 	// scaled. Stats recomputes it live.
 	BusyGauge uint8
 	// Evidence counts byzantine-behaviour observations (e.g. a primary
-	// equivocating two digests for one sequence) and pipeline invariant
-	// violations. Any nonzero value on an honest replica means a peer
-	// misbehaved in a provable way.
+	// equivocating two digests for one sequence, a checkpoint vote whose
+	// signature fails) and pipeline invariant violations. Any nonzero value
+	// on an honest replica means a peer misbehaved in a provable way.
 	Evidence uint64
+	// CheckpointSigs counts the checkpoint votes this replica signed,
+	// CheckpointVerifies the peers' votes whose signature it checked (only
+	// while their checkpoint lacked a quorum) and CheckpointRejects those
+	// that failed, each also counted as Evidence.
+	CheckpointSigs     uint64
+	CheckpointVerifies uint64
+	CheckpointRejects  uint64
 }
 
 // workItem is the union flowing into the worker lanes: either a decoded
@@ -607,6 +616,9 @@ type Replica struct {
 	msgsOut        atomic.Uint64
 	authFailures   atomic.Uint64
 	decodeFailures atomic.Uint64
+	ckptSigs       atomic.Uint64
+	ckptVerifies   atomic.Uint64
+	ckptRejects    atomic.Uint64
 	storeFailures  atomic.Uint64
 	busyNS         [stageCount]atomic.Uint64
 	laneBusyNS     []atomic.Uint64
@@ -620,6 +632,10 @@ type Replica struct {
 	// calls.
 	engine consensus.Engine
 	auth   crypto.NodeAuthenticator
+	// ckptKeys checks the peers' checkpoint votes; counter, when the engine
+	// has one, says which of them would still count.
+	ckptKeys *crypto.CheckpointKeys
+	counter  consensus.CheckpointCounter
 
 	ledger *ledger.Ledger
 	store  store.Store
@@ -790,20 +806,16 @@ func New(cfg Config) (*Replica, error) {
 	if st == nil {
 		st = store.NewMemStore(1 << 16)
 	}
-	var ldg *ledger.Ledger
-	if cfg.Bootstrap != nil {
-		ldg, err = ledger.NewFromBlocks(cfg.LedgerMode, cfg.Bootstrap.Blocks, consensus.Quorum2f1(cfg.N))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		genesis := crypto.Hash256([]byte(fmt.Sprintf("genesis-primary-%d", consensus.PrimaryOf(0, cfg.N))))
-		ldg = ledger.New(cfg.LedgerMode, genesis, consensus.Quorum2f1(cfg.N))
+	ckptKeys := cfg.Directory.CheckpointKeys(cfg.N)
+	ldg, err := openLedger(&cfg, ckptKeys)
+	if err != nil {
+		return nil, err
 	}
 	r := &Replica{
 		cfg:        cfg,
 		engine:     engine,
 		auth:       cfg.Directory.NodeAuth(types.ReplicaNode(cfg.ID)),
+		ckptKeys:   ckptKeys,
 		ledger:     ldg,
 		store:      st,
 		batchQ:     queue.NewMPMC[*types.ClientRequest](1 << 14),
@@ -868,10 +880,40 @@ func New(cfg Config) (*Replica, error) {
 			r.lastExec[c] = seq
 		}
 	}
+	r.counter, _ = r.engine.(consensus.CheckpointCounter)
 	r.notPrimary.Store(!engine.IsPrimary())
 	r.lastProgress.Store(time.Now().UnixNano())
 	r.watchedView.Store(uint64(engine.View()))
 	return r, nil
+}
+
+// openLedger starts the replica's chain at genesis or, on a bootstrap,
+// from the peer's tail and certificate: it closes again every checkpoint
+// the peer closed above its certificate and checks that certificate
+// against the node keys before the replica trusts it.
+func openLedger(cfg *Config, keys *crypto.CheckpointKeys) (*ledger.Ledger, error) {
+	q := consensus.Quorum2f1(cfg.N)
+	if cfg.Bootstrap == nil {
+		genesis := crypto.Hash256([]byte(fmt.Sprintf("genesis-primary-%d", consensus.PrimaryOf(0, cfg.N))))
+		l := ledger.New(cfg.LedgerMode, genesis, q)
+		l.UseKeys(keys)
+		return l, nil
+	}
+	boot := cfg.Bootstrap
+	l, err := ledger.Resume(cfg.LedgerMode, boot.Blocks, boot.Certificate, q)
+	if err != nil {
+		return nil, err
+	}
+	l.UseKeys(keys)
+	if err := l.Validate(); err != nil {
+		return nil, fmt.Errorf("replica: bootstrap: %w", err)
+	}
+	for ck := uint64(boot.Certificate.Seq) + cfg.CheckpointInterval; ck <= l.Height(); ck += cfg.CheckpointInterval {
+		if _, err := l.Checkpoint(types.SeqNum(ck)); err != nil {
+			return nil, fmt.Errorf("replica: bootstrap: %w", err)
+		}
+	}
+	return l, nil
 }
 
 // Ledger exposes the replica's blockchain for inspection.
@@ -957,6 +999,9 @@ func (r *Replica) Stats() Stats {
 	}
 	s.EncodePoolHits, s.EncodePoolMisses = r.encBufs.Stats()
 	s.Evidence = r.evidence.Load()
+	s.CheckpointSigs = r.ckptSigs.Load()
+	s.CheckpointVerifies = r.ckptVerifies.Load()
+	s.CheckpointRejects = r.ckptRejects.Load()
 	r.queueGauges(&s)
 	return s
 }

@@ -487,16 +487,46 @@ func (r *Replica) processItem(item workItem, out *consensus.Out) {
 	// batch included — is what authenticates the requests behind it. It
 	// folds the digests decode already computed; no request byte is read
 	// again.
-	if m, ok := item.msg.(*types.PrePrepare); ok && types.BatchDigest(m.Requests) != m.Digest {
-		r.authFailures.Add(1)
-		return
+	switch m := item.msg.(type) {
+	case *types.PrePrepare:
+		if types.BatchDigest(m.Requests) != m.Digest {
+			r.authFailures.Add(1)
+			return
+		}
+	case *types.Checkpoint:
+		if !r.admitCheckpoint(env.From, m) {
+			types.ReleaseVote(m)
+			return
+		}
 	}
-	r.engine.OnMessage(env.From, item.msg, env.Auth, out)
+	r.engine.OnMessage(env.From, item.msg, out)
 	types.ReleaseVote(item.msg)
 	r.handleActions(out)
 }
 
 // ---- Checkpoint stage (Section 4.7) ----
+
+// admitCheckpoint checks a peer's checkpoint vote before the engine records
+// it: its signature must be the sender's over (seq, digest), because the
+// vote may become part of a certificate others check. A vote the engine
+// would not count — its checkpoint has a quorum, or the sender voted
+// already — is dropped unchecked; one whose signature fails is dropped as
+// Evidence. A sender that is not a replica is left to the engine to refuse.
+func (r *Replica) admitCheckpoint(from types.NodeID, m *types.Checkpoint) bool {
+	if !from.IsReplica() {
+		return true
+	}
+	if r.counter != nil && !r.counter.CountsCheckpoint(from.Replica(), m.Seq) {
+		return false
+	}
+	r.ckptVerifies.Add(1)
+	if err := r.ckptKeys.VerifyCheckpoint(from.Replica(), m.Seq, m.StateDigest, &m.Sig); err != nil {
+		r.ckptRejects.Add(1)
+		r.evidence.Add(1)
+		return false
+	}
+	return true
+}
 
 func (r *Replica) checkpointLoop() {
 	defer r.stage1Wg.Done()
@@ -564,6 +594,13 @@ func (r *Replica) handleActions(out *consensus.Out) {
 				r.inlineExecute()
 			}
 		case consensus.KindCheckpointStable:
+			if cs := &o.CheckpointStable; len(cs.Cert) > 0 {
+				if err := r.ledger.Certify(cs.Seq, cs.Digest, cs.Cert); err != nil {
+					// The quorum certified a digest this replica's own
+					// chain does not reach: its ledger has diverged.
+					r.evidence.Add(1)
+				}
+			}
 			r.ledger.Prune(uint64(o.CheckpointStable.Seq))
 			// A stable checkpoint is the paper's license to discard old
 			// state (§4.7): the same moment the ledger prunes, the durable
@@ -1049,13 +1086,26 @@ func (r *Replica) retireBatch(b *inflightExec) {
 	}
 	act := b.act
 
-	if _, err := r.ledger.Append(act.Seq, act.View, act.Digest, act.Proof, b.txnCount); err != nil {
+	if _, err := r.ledger.Append(act.Seq, act.View, act.Digest, nil, b.txnCount); err != nil {
 		// An append gap is a fatal pipeline bug; surface loudly in stats.
 		r.evidence.Add(1)
 		return
 	}
 
-	r.engine.OnExecuted(act.Seq, r.ledger.StateDigest(), &r.retireOut)
+	// At a checkpoint boundary the ledger closes the window and this
+	// replica signs its vote, here on the execute-thread, once per Δ
+	// batches.
+	var digest types.Digest
+	var sig types.Signature
+	if uint64(act.Seq)%r.cfg.CheckpointInterval == 0 {
+		var err error
+		if digest, err = r.ledger.Checkpoint(act.Seq); err != nil {
+			r.evidence.Add(1)
+		}
+		sig = r.cfg.Directory.SignCheckpoint(types.ReplicaNode(r.cfg.ID), act.Seq, digest)
+		r.ckptSigs.Add(1)
+	}
+	r.engine.OnExecuted(act.Seq, digest, sig, &r.retireOut)
 	r.handleActions(&r.retireOut)
 
 	// The batch is applied and appended: this sequence number is now the

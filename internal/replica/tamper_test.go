@@ -19,12 +19,12 @@ type proposalCounter struct {
 	proposals atomic.Uint64
 }
 
-func (e *proposalCounter) OnMessage(from types.NodeID, msg types.Message, auth []byte, out *consensus.Out) {
+func (e *proposalCounter) OnMessage(from types.NodeID, msg types.Message, out *consensus.Out) {
 	switch msg.(type) {
 	case *types.PrePrepare, *types.OrderedRequest:
 		e.proposals.Add(1)
 	}
-	e.Engine.OnMessage(from, msg, auth, out)
+	e.Engine.OnMessage(from, msg, out)
 }
 
 // signedBatch is n client requests signed with the benchmark driver's
@@ -284,7 +284,7 @@ type stepCounter struct {
 	steps atomic.Uint64
 }
 
-func (e *stepCounter) OnMessage(types.NodeID, types.Message, []byte, *consensus.Out) {
+func (e *stepCounter) OnMessage(types.NodeID, types.Message, *consensus.Out) {
 	e.steps.Add(1)
 }
 

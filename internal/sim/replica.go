@@ -203,7 +203,7 @@ func (sr *simReplica) propose(t *Thread, reqs []types.ClientRequest) {
 
 // applyEngine feeds a verified message to the engine on thread t.
 func (sr *simReplica) applyEngine(t *Thread, from types.NodeID, msg types.Message) {
-	sr.engine.OnMessage(from, msg, nil, &sr.engineOut)
+	sr.engine.OnMessage(from, msg, &sr.engineOut)
 	sr.handleActions(t)
 }
 
@@ -314,7 +314,7 @@ func (sr *simReplica) runExecute(act consensus.Execute) {
 // tell the engine (checkpoints), and answer every client in the batch.
 func (sr *simReplica) finishExecute(t *Thread, act consensus.Execute) {
 	sr.stateDig = hashChain(sr.stateDig, act.Digest)
-	sr.engine.OnExecuted(act.Seq, sr.stateDig, &sr.engineOut)
+	sr.engine.OnExecuted(act.Seq, sr.stateDig, types.Signature{}, &sr.engineOut)
 	sr.handleActions(t)
 
 	// One signing job covers the batch's responses (one authenticator

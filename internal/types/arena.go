@@ -195,7 +195,7 @@ func ReleaseVote(m Message) {
 		commitPool.Put(v)
 	case *Checkpoint:
 		if poison {
-			*v = Checkpoint{Seq: poisonSeq, StateDigest: poisonDigest, Replica: poisonReplica}
+			*v = Checkpoint{Seq: poisonSeq, StateDigest: poisonDigest, Replica: poisonReplica, Sig: Signature(poisonAuth)}
 		}
 		checkpointPool.Put(v)
 	}

@@ -279,9 +279,16 @@ func TestHostileCountsBuyNoMemory(t *testing.T) {
 		w.U16(1) // replica
 		return results(&w, count, rows)
 	}
-	// Zero filler is a run of 5-byte not-found results or 12-byte empty
-	// scan rows, so a count one past what it holds is plausible and the
-	// list is cut short by a single element.
+	viewChange := func(checkpoints uint32) *types.Writer {
+		var w types.Writer
+		w.U64(1)           // new view
+		w.U64(1)           // stable seq
+		w.U32(checkpoints) // state proof count
+		return &w
+	}
+	// Zero filler is a run of 5-byte not-found results, 12-byte empty
+	// scan rows or 106-byte signed checkpoints, so a count one past what it
+	// holds is plausible and the list is cut short by a single element.
 	const zeros = 1 << 14
 	for _, row := range []struct {
 		name      string
@@ -300,6 +307,8 @@ func TestHostileCountsBuyNoMemory(t *testing.T) {
 		{"response: plausible result count, truncated list", types.MsgClientResponse, response(zeros/5+1, 0), 0, zeros, false},
 		{"read reply: forged result count", types.MsgReadReply, readReply(1<<31, 0), 0xFF, 1 << 10, true},
 		{"read reply: plausible row count, truncated list", types.MsgReadReply, readReply(1, zeros/12+1), 0, zeros, false},
+		{"view change: forged checkpoint count", types.MsgViewChange, viewChange(1 << 30), 0xFF, 1 << 10, true},
+		{"view change: plausible checkpoint count, truncated list", types.MsgViewChange, viewChange(zeros/106 + 1), 0, zeros, false},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			body := append(row.w.Bytes(), bytes.Repeat([]byte{row.fill}, row.filler)...)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"resilientdb/internal/chaos"
+	"resilientdb/internal/crypto"
 	"resilientdb/internal/pool"
 	"resilientdb/internal/types"
 )
@@ -214,6 +215,15 @@ func FuzzDecodeBody(f *testing.F) {
 	for _, seed := range requestBodyCorpus() {
 		f.Add(uint8(seed.kind), seed.body)
 	}
+	// A signed checkpoint vote, alone and as a view change's state proof.
+	dir, err := crypto.NewDirectory(crypto.Recommended(), [32]byte{43})
+	if err != nil {
+		f.Fatal(err)
+	}
+	cp := types.Checkpoint{Seq: 100, StateDigest: types.Digest{0xC0}, Replica: 2}
+	cp.Sig = dir.SignCheckpoint(types.ReplicaNode(2), cp.Seq, cp.StateDigest)
+	f.Add(uint8(types.MsgCheckpoint), types.MarshalBody(&cp))
+	f.Add(uint8(types.MsgViewChange), types.MarshalBody(&types.ViewChange{NewView: 1, StableSeq: 100, StateProof: []types.Checkpoint{cp}, Replica: 2}))
 	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
 		mt := types.MsgType(kind)
 		input := append([]byte(nil), body...)

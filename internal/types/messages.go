@@ -317,11 +317,15 @@ func (m *Commit) unmarshal(r *Reader) {
 
 // Checkpoint is broadcast after every Δ executed batches (Section 4.7).
 // 2f+1 matching checkpoints make sequence numbers ≤ Seq stable, allowing
-// old requests, messages, and blocks to be garbage collected.
+// old requests, messages, and blocks to be garbage collected. Sig is the
+// sender's ED25519 node-key signature over (Seq, StateDigest): 2f+1 of them
+// are the stable checkpoint's certificate, which anyone holding the node
+// keys can check, not only the replica that collected them.
 type Checkpoint struct {
 	Seq         SeqNum
 	StateDigest Digest
 	Replica     ReplicaID
+	Sig         Signature
 }
 
 // Type implements Message.
@@ -331,13 +335,21 @@ func (m *Checkpoint) marshal(w *Writer) {
 	w.U64(uint64(m.Seq))
 	w.Bytes32(m.StateDigest)
 	w.U16(uint16(m.Replica))
+	w.buf = append(w.buf, m.Sig[:]...)
 }
 
 func (m *Checkpoint) unmarshal(r *Reader) {
 	m.Seq = SeqNum(r.U64())
 	m.StateDigest = r.Bytes32()
 	m.Replica = ReplicaID(r.U16())
+	if b := r.take(len(m.Sig)); b != nil {
+		copy(m.Sig[:], b)
+	}
 }
+
+// checkpointSize is a Checkpoint's encoded size: seq, digest, replica and
+// signature.
+const checkpointSize = 8 + 32 + 2 + len(Signature{})
 
 // ---- View change ----
 
@@ -406,7 +418,7 @@ func (m *ViewChange) marshal(w *Writer) {
 func (m *ViewChange) unmarshal(r *Reader) {
 	m.NewView = View(r.U64())
 	m.StableSeq = SeqNum(r.U64())
-	n := r.count(42)
+	n := r.count(checkpointSize)
 	if r.Err() != nil {
 		return
 	}

@@ -4,8 +4,9 @@
 //
 // The type system mirrors Section 2.2 and Section 4.8 of the paper: every
 // message inherits from a common base (here: the Message interface), client
-// transactions are first-class objects, and blocks carry either a hash-chain
-// link or a commit certificate (Section 4.6, "Block Generation").
+// transactions are first-class objects, and blocks carry a hash-chain link
+// or nothing, leaving the proof to a stable checkpoint's signed certificate
+// (Section 4.6, "Block Generation").
 package types
 
 import (
@@ -185,30 +186,44 @@ func (r *ClientRequest) Seal() Digest {
 	return r.d
 }
 
-// CommitSig is one replica's vote retained inside a block's commit
-// certificate (Section 4.6): the 2f+1 commit authenticators stand in for
-// the hash of the previous block.
+// CommitSig is what blocks carried before a stable checkpoint's signed
+// certificate replaced the per-block commit proof. Nothing in this module
+// produces or reads one: ledger.Append still takes a list of them, and
+// ignores it, for callers written against that signature.
 type CommitSig struct {
 	Replica ReplicaID
 	Auth    []byte
 }
 
+// Signature is an ED25519 signature, held inline so a vote that carries
+// one allocates nothing for it.
+type Signature [64]byte
+
+// CheckpointSig is one replica's signed checkpoint vote inside a stable
+// checkpoint's certificate.
+type CheckpointSig struct {
+	Replica ReplicaID
+	Sig     Signature
+}
+
 // Block is one element of the immutable ledger, B_i = {k, d, v, link}
-// (Section 2.2). Exactly one of PrevHash (hash-chain mode) or CommitProof
-// (commit-certificate mode) establishes the link to the chain prefix;
-// both may be present when both modes are enabled.
+// (Section 2.2). In hash-chain mode PrevHash links it to its predecessor;
+// in commit-certificate mode (Section 4.6) nothing in the block does: the
+// next stable checkpoint's certificate signs a digest over its header
+// (ledger.ChainDigest), and until then the block is committed, not yet
+// certified.
 type Block struct {
-	Height      uint64 // position in the chain; genesis is height 0
-	Seq         SeqNum // consensus sequence number k (0 for genesis)
-	View        View   // identifier v of the primary that ordered the batch
-	Digest      Digest // digest d of the batch of client requests
-	PrevHash    Digest // H(B_{i-1}) in hash-chain mode
-	CommitProof []CommitSig
-	TxnCount    uint32
+	Height   uint64 // position in the chain; genesis is height 0
+	Seq      SeqNum // consensus sequence number k (0 for genesis)
+	View     View   // identifier v of the primary that ordered the batch
+	Digest   Digest // digest d of the batch of client requests
+	PrevHash Digest // H(B_{i-1}) in hash-chain mode
+	TxnCount uint32
 }
 
 // Hash returns the SHA-256 hash of the block's header fields. It is the
-// value embedded as PrevHash by the successor block in hash-chain mode.
+// value embedded as PrevHash by the successor block in hash-chain mode, and
+// what a checkpoint digest folds per block.
 func (b *Block) Hash() Digest {
 	var buf [8 + 8 + 8 + 32 + 32 + 4]byte
 	binary.BigEndian.PutUint64(buf[0:], b.Height)

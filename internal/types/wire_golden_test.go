@@ -35,6 +35,7 @@ var (
 
 const (
 	zeros31 = "00000000000000000000000000000000000000000000000000000000000000"
+	zeros62 = zeros31 + zeros31
 	d1hex   = "d1" + zeros31 + " "
 	d2hex   = "d2" + zeros31 + " "
 	view1   = "0000000000000001 "
@@ -69,7 +70,8 @@ func goldenReadList() []types.ReadResult {
 func TestGoldenMessageBodies(t *testing.T) {
 	prepare := types.Prepare{View: 1, Seq: 2, Digest: d1, Replica: 3}
 	const prepareHex = view1 + seq2 + d1hex + "0003 "
-	checkpoint := types.Checkpoint{Seq: 2, StateDigest: d1, Replica: 3}
+	checkpoint := types.Checkpoint{Seq: 2, StateDigest: d1, Replica: 3, Sig: types.Signature{0: 0x51, 63: 0x5E}}
+	const checkpointHex = seq2 + d1hex + "0003 " + "51" + zeros62 + "5e"
 	bareRequest := types.ClientRequest{Client: 1, FirstSeq: 2, Sig: []byte("s")}
 	const bareRequestHex = "00000001 " + seq2 + "00000000 " + "00000001 73 "
 
@@ -89,12 +91,12 @@ func TestGoldenMessageBodies(t *testing.T) {
 			view1 + seq2 + d1hex + "00000001 " + bareRequestHex},
 		{"Prepare", &prepare, prepareHex},
 		{"Commit", &types.Commit{View: 1, Seq: 2, Digest: d1, Replica: 3}, prepareHex},
-		{"Checkpoint", &checkpoint, seq2 + d1hex + "0003"},
+		{"Checkpoint", &checkpoint, checkpointHex},
 		{"ViewChange", &types.ViewChange{NewView: 1, StableSeq: 2, Replica: 3,
 			StateProof: []types.Checkpoint{checkpoint},
 			Prepared:   []types.PreparedProof{{View: 1, Seq: 2, Digest: d1, Prepares: []types.Prepare{prepare}}}},
 			view1 + seq2 + // new view, stable seq
-				"00000001 " + seq2 + d1hex + "0003 " + // state proof: one checkpoint
+				"00000001 " + checkpointHex + // state proof: one checkpoint
 				"00000001 " + view1 + seq2 + d1hex + "00000001 " + prepareHex + // one prepared proof of one prepare
 				"0003"}, // replica
 		{"NewView", &types.NewView{View: 1,
