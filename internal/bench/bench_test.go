@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"resilientdb/internal/store"
 )
 
 func TestAllExperimentsRegistered(t *testing.T) {
@@ -178,6 +180,44 @@ func TestShapeDiskPipe(t *testing.T) {
 			t.Fatalf("%s at depth %d: %.2f fsyncs per batch, want fewer than one", row, diskpipeDepth, 1/got)
 		}
 	}
+}
+
+// TestSerialStorePutsEachRecord: the disk-serial row's store, run as the
+// replica runs it (through store.AsBackend), gets one write call per record:
+// an append of a partition is that many Puts and no PutMany.
+func TestSerialStorePutsEachRecord(t *testing.T) {
+	inner := &writeCounter{Store: store.NewMemStore(16)}
+	b := store.AsBackend(serialStore{inner})
+	kvs := make([]store.KV, 5)
+	for i := range kvs {
+		kvs[i] = store.KV{Key: uint64(i), Value: []byte{byte(i)}}
+	}
+	if _, err := b.Append(kvs, store.Ticket{}); err != nil {
+		t.Fatal(err)
+	}
+	if inner.puts != len(kvs) || inner.putManys != 0 {
+		t.Fatalf("an append of %d records made %d Put and %d PutMany calls, want %d and 0",
+			len(kvs), inner.puts, inner.putManys, len(kvs))
+	}
+	if inner.Len() != len(kvs) {
+		t.Fatalf("store holds %d records, want %d", inner.Len(), len(kvs))
+	}
+}
+
+// writeCounter counts the write calls that reach its store.
+type writeCounter struct {
+	store.Store
+	puts, putManys int
+}
+
+func (w *writeCounter) Put(key uint64, value []byte) error {
+	w.puts++
+	return w.Store.Put(key, value)
+}
+
+func (w *writeCounter) PutMany(kvs []store.KV) error {
+	w.putManys++
+	return w.Store.PutMany(kvs)
 }
 
 // TestShapeCompaction checks the compaction invariants rather than exact

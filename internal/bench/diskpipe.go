@@ -30,10 +30,9 @@ const (
 //     Storage") — the ceiling.
 //   - disk-serial: the Section 5.7 off-memory contrast — the same disk
 //     store with one log, reached through nothing but the blocking
-//     store.Store interface (its batching and append/durable-split
-//     capabilities hidden), so every record is its own Put and waits out
-//     its own append and fsync: the naive durable store whose cost the
-//     paper measures at ~94% of throughput.
+//     store.Store interface (serialStore), so every record is its own Put
+//     and waits out its own append and fsync: the naive durable store whose
+//     cost the paper measures at ~94% of throughput.
 //   - sharded-gc: the refactored store as deployed — one append log that
 //     all E shard workers write their partitions to, group commit
 //     amortizing the fsync across every write since the last one, and
@@ -59,7 +58,7 @@ func diskpipe(s Scale) (Outcome, error) {
 	}
 	rows := []diskRow{
 		{name: "mem", backend: "mem", depth: 1},
-		{name: "disk-serial", backend: "sharded", bare: true, depth: 1},
+		{name: "disk-serial", backend: "sharded", serial: true, depth: 1},
 		{name: "sharded-gc", backend: "sharded", depth: diskpipeDepth},
 		{name: "sharded-gc-rmix", backend: "sharded", depth: diskpipeDepth, readFrac: 0.5},
 	}
@@ -124,13 +123,12 @@ func diskpipe(s Scale) (Outcome, error) {
 	return Outcome{Tables: []Table{tab}, Metrics: metrics}, nil
 }
 
-// diskRow is one store configuration of the diskpipe experiment. bare
-// hides every optional capability of the store from the replica, leaving
-// the blocking store.Store interface.
+// diskRow is one store configuration of the diskpipe experiment. serial
+// hands the replica the store as a serialStore.
 type diskRow struct {
 	name     string
 	backend  string
-	bare     bool
+	serial   bool
 	depth    int
 	readFrac float64
 }
@@ -140,7 +138,7 @@ type diskRow struct {
 // reads ordered through consensus — and returns the client-side result
 // plus a backup replica's stats (execution and storage run at every
 // replica; the backup isolates them from the primary's batching work). A
-// bare row's fsync counters are read from the store itself, which the
+// serial row's fsync counters are read from the store itself, which the
 // replica cannot see through the wrapper.
 func runDiskLoad(row diskRow, execShards, clients int, window time.Duration) (cluster.Result, replica.Stats, error) {
 	wl := workload.Default()
@@ -163,9 +161,9 @@ func runDiskLoad(row diskRow, execShards, clients int, window time.Duration) (cl
 		CheckpointInterval: 25,
 		Seed:               13,
 	}
-	if row.bare {
+	if row.serial {
 		opts.StoreWrapper = func(_ types.ReplicaID, st store.Store) store.Store {
-			return struct{ store.Store }{st}
+			return serialStore{st}
 		}
 	}
 	c, err := cluster.New(opts)
@@ -176,9 +174,23 @@ func runDiskLoad(row diskRow, execShards, clients int, window time.Duration) (cl
 	defer c.Stop()
 	res := c.Run(context.Background(), window)
 	backup := c.Replica(1).Stats()
-	if row.bare {
+	if row.serial {
 		sy := c.Store(1).(store.SyncStatser).SyncStats()
 		backup.StoreFsyncs, backup.StoreFsyncStallNS = sy.Fsyncs, sy.FsyncStallNS
 	}
 	return res, backup, nil
+}
+
+// serialStore is the Section 5.7 blocking store: it shows the replica only
+// the store.Store interface, and its PutMany is one Put per record, so every
+// record waits out its own append and fsync.
+type serialStore struct{ store.Store }
+
+func (s serialStore) PutMany(kvs []store.KV) error {
+	for _, kv := range kvs {
+		if err := s.Put(kv.Key, kv.Value); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -22,10 +22,10 @@
 //     client's ResponseDigest recomputation defense), and a replica that
 //     signs its checkpoint votes with the wrong key (the votes must not
 //     count, and checkpoints must still certify from the honest ones).
-//   - StoreFaults: write stalls and injected write errors behind the
-//     store.Store interface, with capability-preserving wrappers so a
-//     wrapped ShardedDiskStore still advertises Batcher/SyncStatser/
-//     Compactor to the replica.
+//   - StoreFaults: write stalls and injected write errors on every write
+//     call of a store.Backend (Put, PutMany and Append), in one wrapper
+//     that a wrapped ShardedDiskStore extends with its log's SyncStatser
+//     and Compactor.
 //
 // Everything is deterministic given the Fabric seed, modulo goroutine
 // scheduling: probabilistic decisions share one seeded PRNG.

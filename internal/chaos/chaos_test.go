@@ -242,74 +242,89 @@ func TestStoreFaultsFailEveryCounted(t *testing.T) {
 	}
 }
 
-// TestStoreFaultsCapabilities checks the wrapper preserves exactly the
-// optional interfaces each backend implements — the replica type-asserts
-// them, so a lost capability silently degrades the pipeline and a gained
-// one lies about durability stats.
+// TestStoreFaultsCapabilities checks what the wrapper shows the replica:
+// both wrapped backends are a store.Backend, so the replica appends to them
+// as it would without the wrapper; only the wrapped disk store reports
+// SyncStats and compacts, a wrapped MemStore has no log to report on. On
+// both, every write call — Put, PutMany and Append — takes the injected
+// stall and error.
 func TestStoreFaultsCapabilities(t *testing.T) {
-	sf := NewStoreFaults()
-
-	mem := sf.WrapStore(store.NewMemStore(16))
-	if _, ok := mem.(store.Batcher); !ok {
-		t.Error("wrapped MemStore lost Batcher")
-	}
-	if _, ok := mem.(store.SyncStatser); ok {
-		t.Error("wrapped MemStore gained SyncStatser")
-	}
-	if _, ok := mem.(store.Appender); ok {
-		t.Error("wrapped MemStore gained Appender")
-	}
-
-	inner, err := store.OpenBackend(store.BackendConfig{Backend: "sharded", Dir: t.TempDir(), SyncLinger: time.Millisecond})
+	disk, err := store.OpenBackend(store.BackendConfig{Backend: "sharded", Dir: t.TempDir(), SyncLinger: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped := sf.WrapStore(inner)
-	if _, ok := wrapped.(store.SyncStatser); !ok {
-		t.Error("wrapped sharded store lost SyncStatser")
-	}
-	if _, ok := wrapped.(store.Compactor); !ok {
-		t.Error("wrapped sharded store lost Compactor")
-	}
-	if _, ok := wrapped.(store.Batcher); !ok {
-		t.Error("wrapped sharded store lost Batcher")
-	}
-	if _, ok := wrapped.(store.Scanner); !ok {
-		t.Error("wrapped sharded store lost Scanner")
-	}
-	ap, ok := wrapped.(store.Appender)
-	if !ok {
-		t.Fatal("wrapped sharded store lost Appender")
-	}
-	// The faults land on the append, where the write happens: every second
-	// one is lost and says so, the others are delayed by the stall, visible
-	// on return and durable once waited for.
-	sf.SetFailEvery(2)
-	sf.SetWriteStall(time.Millisecond)
-	var ticket store.Ticket
-	for i := 0; i < 4; i++ {
-		t0 := time.Now()
-		next, err := ap.Append([]store.KV{{Key: uint64(i), Value: []byte{byte(i)}}}, ticket)
-		if d := time.Since(t0); d < time.Millisecond {
-			t.Errorf("append %d returned after %v, before the injected stall", i, d)
-		}
-		if failed := i%2 == 1; failed != errors.Is(err, ErrInjectedWrite) || failed != (next == ticket) {
-			t.Errorf("append %d: err = %v, ticket moved = %v", i, err, next != ticket)
-		}
-		ticket = next
-	}
-	sf.SetFailEvery(0)
-	sf.SetWriteStall(0)
-	if err := ap.WaitDurable(ticket); err != nil {
-		t.Errorf("wait through the wrapper: %v", err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := wrapped.Get(uint64(i)); (err == nil) != (i%2 == 0) {
-			t.Errorf("key %d after every-second append failed: %v", i, err)
-		}
-	}
-	if err := wrapped.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+	for _, row := range []struct {
+		name  string
+		inner store.Store
+		log   bool
+	}{
+		{"mem", store.NewMemStore(16), false},
+		{"sharded", disk, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			sf := NewStoreFaults()
+			wrapped := sf.WrapStore(row.inner)
+			b, ok := wrapped.(store.Backend)
+			if !ok {
+				t.Fatal("the wrapped store is not a store.Backend")
+			}
+			if _, ok := wrapped.(store.SyncStatser); ok != row.log {
+				t.Errorf("wrapped store has SyncStatser = %v, want %v", ok, row.log)
+			}
+			if _, ok := wrapped.(store.Compactor); ok != row.log {
+				t.Errorf("wrapped store has Compactor = %v, want %v", ok, row.log)
+			}
+			// Every second write call is lost and says so; every one is
+			// delayed by the stall.
+			sf.SetFailEvery(2)
+			sf.SetWriteStall(time.Millisecond)
+			var ticket store.Ticket
+			writes := []struct {
+				name string
+				call func(k uint64) error
+			}{
+				{"Put", func(k uint64) error { return b.Put(k, []byte{byte(k)}) }},
+				{"PutMany", func(k uint64) error { return b.PutMany([]store.KV{{Key: k, Value: []byte{byte(k)}}}) }},
+				{"Append", func(k uint64) error {
+					next, err := b.Append([]store.KV{{Key: k, Value: []byte{byte(k)}}}, ticket)
+					if err != nil && next != ticket {
+						t.Errorf("a failed Append moved the ticket")
+					}
+					ticket = next
+					return err
+				}},
+			}
+			k := uint64(0)
+			for _, w := range writes {
+				for i := 0; i < 2; i++ {
+					t0 := time.Now()
+					err := w.call(k)
+					if d := time.Since(t0); d < time.Millisecond {
+						t.Errorf("%s %d returned after %v, before the injected stall", w.name, i, d)
+					}
+					if failed := i == 1; failed != errors.Is(err, ErrInjectedWrite) {
+						t.Errorf("%s %d: err = %v", w.name, i, err)
+					}
+					k++
+				}
+			}
+			sf.SetFailEvery(0)
+			sf.SetWriteStall(0)
+			if err := b.WaitDurable(ticket); err != nil {
+				t.Errorf("wait through the wrapper: %v", err)
+			}
+			for i := uint64(0); i < k; i++ {
+				if _, err := b.Get(i); (err == nil) != (i%2 == 0) {
+					t.Errorf("key %d after every-second write failed: %v", i, err)
+				}
+			}
+			if got := sf.InjectedErrors.Load(); got != uint64(len(writes)) {
+				t.Errorf("InjectedErrors = %d, want %d", got, len(writes))
+			}
+			if err := wrapped.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+		})
 	}
 }
 

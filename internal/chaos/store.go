@@ -54,114 +54,66 @@ func (sf *StoreFaults) before() error {
 	return nil
 }
 
-// WrapStore wraps st with sf's write-fault injection. The wrapper
-// preserves the inner store's optional capabilities exactly — the replica
-// type-asserts store.Batcher, store.Appender, store.SyncStatser,
-// store.Compactor, store.Scanner and store.ValueAppender, so a wrapped
-// ShardedDiskStore must still advertise all of them (without Appender its
-// execute shards would quietly run the blocking PutMany fallback and the
-// disk scenarios would test a path deployments do not take) and a wrapped
-// MemStore must not grow SyncStats it cannot honestly report. Both backends
-// implement Scanner and ValueAppender, so each typed variant requires them;
-// a capability combination with no matching backend falls back to the
-// capability-free core.
-// Its signature (modulo the receiver) matches cluster.Options.StoreWrapper.
+// WrapStore wraps st with sf's write-fault injection. The wrapper is a
+// store.Backend, so the replica runs the same write path through it as
+// without it: a wrapped store is appended to, the ticket waited for where
+// the replica waits. A wrapped disk store keeps its log's SyncStatser and
+// Compactor, and a wrapped MemStore does not grow SyncStats it cannot
+// honestly report. Its signature (modulo the receiver) matches
+// cluster.Options.StoreWrapper.
 func (sf *StoreFaults) WrapStore(st store.Store) store.Store {
-	base := faultStore{inner: st, sf: sf}
-	b, isB := st.(store.Batcher)
+	f := &faultStore{Backend: store.AsBackend(st), sf: sf}
 	s, isS := st.(store.SyncStatser)
 	c, isC := st.(store.Compactor)
-	sc, isSc := st.(store.Scanner)
-	a, isA := st.(store.Appender)
-	va, isVa := st.(store.ValueAppender)
-	switch {
-	case isB && isA && isS && isC && isSc && isVa: // ShardedDiskStore
-		return &faultStoreBSC{faultStore: base, b: b, a: a, s: s, c: c, sc: sc, ValueAppender: va}
-	case isB && isSc && isVa: // MemStore
-		return &faultStoreB{faultStore: base, b: b, sc: sc, ValueAppender: va}
-	default:
-		return &faultStore{inner: st, sf: sf}
+	if isS && isC {
+		return &faultLog{faultStore: f, SyncStatser: s, Compactor: c}
 	}
+	return f
 }
 
-// faultStore is the capability-free core wrapper; reads pass through
-// untouched (the harness targets the write/durability path).
+// faultStore injects the faults on every write call; reads and the durable
+// wait pass through untouched (the harness targets the write path, and the
+// fsync is the real one).
 type faultStore struct {
-	inner store.Store
-	sf    *StoreFaults
+	store.Backend
+	sf *StoreFaults
 }
 
 func (f *faultStore) Put(key uint64, value []byte) error {
 	if err := f.sf.before(); err != nil {
 		return err
 	}
-	return f.inner.Put(key, value)
+	return f.Backend.Put(key, value)
 }
 
-func (f *faultStore) Get(key uint64) ([]byte, error) { return f.inner.Get(key) }
-func (f *faultStore) Len() int                       { return f.inner.Len() }
-func (f *faultStore) Close() error                   { return f.inner.Close() }
-
-func (f *faultStore) putMany(b store.Batcher, kvs []store.KV) error {
+func (f *faultStore) PutMany(kvs []store.KV) error {
 	if err := f.sf.before(); err != nil {
 		return err
 	}
-	return b.PutMany(kvs)
+	return f.Backend.PutMany(kvs)
 }
-
-type faultStoreB struct {
-	faultStore
-	b  store.Batcher
-	sc store.Scanner
-	store.ValueAppender
-}
-
-func (f *faultStoreB) PutMany(kvs []store.KV) error { return f.putMany(f.b, kvs) }
-func (f *faultStoreB) Scan(start, end uint64, fn func(uint64, []byte) bool) error {
-	return f.sc.Scan(start, end, fn)
-}
-
-type faultStoreBSC struct {
-	faultStore
-	b  store.Batcher
-	a  store.Appender
-	s  store.SyncStatser
-	c  store.Compactor
-	sc store.Scanner
-	store.ValueAppender
-}
-
-func (f *faultStoreBSC) PutMany(kvs []store.KV) error { return f.putMany(f.b, kvs) }
 
 // Append takes the write faults where the write happens: a stalled disk
 // delays the append and with it the ticket, an injected error loses the
-// partition. WaitDurable passes through — the fsync is the real one.
-func (f *faultStoreBSC) Append(kvs []store.KV, prev store.Ticket) (store.Ticket, error) {
+// partition.
+func (f *faultStore) Append(kvs []store.KV, prev store.Ticket) (store.Ticket, error) {
 	if err := f.sf.before(); err != nil {
 		return prev, err
 	}
-	return f.a.Append(kvs, prev)
-}
-func (f *faultStoreBSC) WaitDurable(t store.Ticket) error { return f.a.WaitDurable(t) }
-
-func (f *faultStoreBSC) SyncStats() store.SyncStats       { return f.s.SyncStats() }
-func (f *faultStoreBSC) MaybeCompact() (int, error)       { return f.c.MaybeCompact() }
-func (f *faultStoreBSC) Compact() error                   { return f.c.Compact() }
-func (f *faultStoreBSC) CompactStats() store.CompactStats { return f.c.CompactStats() }
-func (f *faultStoreBSC) Scan(start, end uint64, fn func(uint64, []byte) bool) error {
-	return f.sc.Scan(start, end, fn)
+	return f.Backend.Append(kvs, prev)
 }
 
-// Compile-time capability checks: the wrappers must mirror the backends.
+// faultLog is a wrapped disk store: a faultStore plus the log's accounting
+// and compaction, which pass through.
+type faultLog struct {
+	*faultStore
+	store.SyncStatser
+	store.Compactor
+}
+
 var (
-	_ store.Store         = (*faultStore)(nil)
-	_ store.Batcher       = (*faultStoreB)(nil)
-	_ store.Scanner       = (*faultStoreB)(nil)
-	_ store.ValueAppender = (*faultStoreB)(nil)
-	_ store.Batcher       = (*faultStoreBSC)(nil)
-	_ store.Appender      = (*faultStoreBSC)(nil)
-	_ store.SyncStatser   = (*faultStoreBSC)(nil)
-	_ store.Compactor     = (*faultStoreBSC)(nil)
-	_ store.Scanner       = (*faultStoreBSC)(nil)
-	_ store.ValueAppender = (*faultStoreBSC)(nil)
+	_ store.Backend     = (*faultStore)(nil)
+	_ store.Backend     = (*faultLog)(nil)
+	_ store.SyncStatser = (*faultLog)(nil)
+	_ store.Compactor   = (*faultLog)(nil)
 )

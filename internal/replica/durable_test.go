@@ -84,8 +84,8 @@ func testDurableAtRetire(t *testing.T, e int) {
 	defer disk.Close()
 	gated := &gatedStore{ShardedDiskStore: disk, gate: make(chan struct{})}
 	r, eps := newReadMixReplica(t, e, 2, 1, gated)
-	if r.execAppend == nil {
-		t.Fatal("the replica did not pick up the store's Appender: the test would exercise the PutMany fallback")
+	if r.store != store.Backend(gated) {
+		t.Fatalf("the replica runs %T, not the gated store: the test would exercise an adapter's blocking PutMany", r.store)
 	}
 	inbox := eps[0].Inbox(0)
 

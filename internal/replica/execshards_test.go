@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,7 +238,7 @@ func preloadEven(t *testing.T, st store.Store) {
 	for k := uint64(0); k < shardTestRecords; k += 2 {
 		kvs = append(kvs, store.KV{Key: k, Value: []byte{byte(k), byte(k >> 8)}})
 	}
-	if err := st.(store.Batcher).PutMany(kvs); err != nil {
+	if err := st.PutMany(kvs); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -321,39 +322,75 @@ func TestExecPipelineDeterminism(t *testing.T) {
 	}
 }
 
-// TestExecShardDiskStoreFallback: a bare store.Store — no Batcher, no
-// Appender, the interface's minimum — must still execute correctly through
-// the per-op Put fallback, at E=4 through the shard workers and at E=1
-// inline, and end byte-identical to the batched path.
+// TestExecShardDiskStoreFallback: a store that implements only store.Store —
+// the shape of a wrapper that hides every Backend method, such as the
+// benchmark's traced store — runs behind store.AsBackend's blocking calls.
+// A write, read and scan history, at E=1 inline and at E=4 through the shard
+// workers, must end byte-identical to a MemStore replica's: store, ledger
+// and every response. A store whose Scan fails costs one StoreWriteFailures
+// per failed call.
 func TestExecShardDiskStoreFallback(t *testing.T) {
-	const batches = 4
-	acts := shardTestBatches(t, batches)
-	batched := newShardReplica(t, 1)
-	for _, act := range acts {
-		batched.execIn.Offer(uint64(act.Seq), execItem{act: act})
-	}
-	waitBatches(t, batched, batches)
-
-	for _, e := range []int{1, 4} {
-		mem := store.NewMemStore(shardTestRecords)
-		// The embedding promotes only store.Store's methods, so no optional
-		// capability shows through.
-		r := newExecReplica(t, e, 1, struct{ store.Store }{mem})
-		if r.execAppend != nil || r.execBatch != nil || r.scanner != nil || r.values != nil {
-			t.Fatalf("E=%d: the bare store leaked a capability", e)
-		}
+	const batches = 8
+	const clients = 4
+	acts := scanTxnBatches(t, batches)
+	run := func(e int, st store.Store) (*Replica, []transport.Endpoint) {
+		t.Helper()
+		preloadEven(t, st)
+		r, eps := newReadMixReplica(t, e, 1, clients+1, st)
 		for _, act := range acts {
 			r.execIn.Offer(uint64(act.Seq), execItem{act: act})
 		}
 		waitBatches(t, r, batches)
-		if got, want := storeDigest(t, mem), storeDigest(t, batched.Store()); got != want {
-			t.Fatalf("E=%d: per-op fallback state diverged from the batched path: %x vs %x", e, got[:8], want[:8])
-		}
-		if got, want := headDigest(r.Ledger()), headDigest(batched.Ledger()); got != want {
-			t.Fatalf("E=%d: ledger diverged: %x vs %x", e, got[:8], want[:8])
-		}
-		if got := r.Stats().StoreWriteFailures; got != 0 {
-			t.Fatalf("E=%d: %d store failures on a healthy run", e, got)
-		}
+		return r, eps
 	}
+	ref, refEPs := run(1, store.NewMemStore(shardTestRecords))
+	refResp := checkAgainstModel(t, acts, true, ref, refEPs)
+
+	for _, e := range []int{1, 4} {
+		t.Run(fmt.Sprintf("E=%d", e), func(t *testing.T) {
+			// The embedding promotes only store.Store's methods.
+			bare := struct{ store.Store }{store.NewMemStore(shardTestRecords)}
+			r, eps := run(e, bare)
+			resp := checkAgainstModel(t, acts, true, r, eps)
+			if len(resp) != len(refResp) {
+				t.Fatalf("%d responses, MemStore gave %d", len(resp), len(refResp))
+			}
+			for key, want := range refResp {
+				if got := resp[key]; got != want {
+					t.Fatalf("response %+v diverged from MemStore's:\nbare:     %s\nMemStore: %s", key, got, want)
+				}
+			}
+			if got, want := headDigest(r.Ledger()), headDigest(ref.Ledger()); got != want {
+				t.Fatalf("ledger diverged: %x vs %x", got[:8], want[:8])
+			}
+			if got := r.Stats().StoreWriteFailures; got != 0 {
+				t.Fatalf("%d store failures on a healthy run", got)
+			}
+		})
+	}
+
+	t.Run("failing scan", func(t *testing.T) {
+		st := &failingScanStore{Store: store.NewMemStore(shardTestRecords)}
+		r, _ := run(4, st)
+		calls := st.calls.Load()
+		if calls == 0 {
+			t.Fatal("the history reached no Scan")
+		}
+		if got := r.Stats().StoreWriteFailures; got != uint64(calls) {
+			t.Fatalf("StoreWriteFailures = %d after %d failed Scan calls", got, calls)
+		}
+	})
+}
+
+// failingScanStore is a bare store.Store whose every Scan fails.
+type failingScanStore struct {
+	store.Store
+	calls atomic.Int64
+}
+
+var errScanFailed = errors.New("failing scan store: scan refused")
+
+func (f *failingScanStore) Scan(uint64, uint64, func(uint64, []byte) bool) error {
+	f.calls.Add(1)
+	return errScanFailed
 }

@@ -140,7 +140,9 @@ type Config struct {
 	// LedgerMode selects block linkage (default CommitCertificate,
 	// Section 4.6).
 	LedgerMode ledger.Mode
-	// Store is the record table; nil means a fresh in-memory store.
+	// Store is the record table; nil means a fresh in-memory store. A
+	// store that is not a store.Backend runs behind store.AsBackend's
+	// blocking calls.
 	Store store.Store
 	// Directory provides key material; Endpoint attaches the network.
 	Directory *crypto.Directory
@@ -352,11 +354,11 @@ type Stats struct {
 	StoreFsyncStallNS uint64
 	// StoreWriteFailures counts failed store calls of the execute stage,
 	// one per call at every E: a write flush the store rejected (one
-	// Append or PutMany, however many writes it carried; one Put on a bare
-	// store.Store), a durable wait that failed (full disk, failed fsync,
-	// closed store), or a read or scan the store could not answer. Any
-	// nonzero value means store state may have diverged from the ledger —
-	// the durable-store analogue of the evidence counter.
+	// Append, however many writes it carried), a durable wait that failed
+	// (full disk, failed fsync, closed store), or a read or key listing the
+	// store could not answer. Any nonzero value means store state may have
+	// diverged from the ledger — the durable-store analogue of the evidence
+	// counter.
 	StoreWriteFailures uint64
 	// StoreCompactions, StoreCompactFailures, StoreCompactReclaimedBytes,
 	// and StoreCompactStallNS surface the durable store's log-compaction
@@ -471,13 +473,6 @@ type partition struct {
 // to them cannot run into the next value.
 func (p *partition) carve(at int) []byte {
 	return p.vals[at:len(p.vals):len(p.vals)]
-}
-
-// keep copies v into the value arena and returns the copy.
-func (p *partition) keep(v []byte) []byte {
-	at := len(p.vals)
-	p.vals = append(p.vals, v...)
-	return p.carve(at)
 }
 
 // carveRows returns the rows appended to p.rows since first, clipped; nil
@@ -638,14 +633,12 @@ type Replica struct {
 	counter  consensus.CheckpointCounter
 
 	ledger *ledger.Ledger
-	store  store.Store
-	// values reads the store into the execute stage's arenas (nil when the
-	// store does not implement store.ValueAppender, which is then read
-	// through Get and scanner). scanner is the store's ordered view (nil when
-	// the store does not implement store.Scanner); scan ops against a store
-	// with neither return empty rows and count a store failure.
-	values  store.ValueAppender
-	scanner store.Scanner
+	// store is the record table the execute stage writes with Append and
+	// reads into its arenas: cfg.Store through store.AsBackend.
+	store store.Backend
+	// syncStats is the store's fsync accounting (nil for stores without a
+	// log, e.g. MemStore).
+	syncStats store.SyncStatser
 
 	// Execute stage. Every committed batch is staged into partitions: one,
 	// applied inline by whoever staged it, unless ExecuteThreads > 1, when
@@ -653,15 +646,12 @@ type Replica struct {
 	// the coordinating execute-thread fans the batch out over shardQs.
 	// execDepth is the cross-batch pipelining depth (1 = strict per-batch
 	// barrier); execFree recycles execDepth in-flight batches, buffers and
-	// all, so a batch's buffers are only reused after it retired. execBatch
-	// caches the blocking batched apply path (PutMany) for stores that offer
-	// no Appender (execAppend).
+	// all, so a batch's buffers are only reused after it retired.
 	execShards int
 	execDepth  int
 	shardQs    []chan *inflightExec
 	shardWg    sync.WaitGroup
 	execFree   chan *inflightExec
-	execBatch  store.Batcher
 
 	// Store compaction (nil for stores without logs, e.g. MemStore): a
 	// stable checkpoint signals compactC (capacity one, non-blocking) and
@@ -756,8 +746,7 @@ type Replica struct {
 	execWg   sync.WaitGroup
 	watchWg  sync.WaitGroup
 
-	// execAppend is the store's visible/durable split, when it has one:
-	// partitions are appended through it (visible at once) and the wait
+	// Partitions are appended to the store (visible at once) and the wait
 	// for the fsync happens before retirement — inline for a batch applied
 	// inline, by the one durable waiter on durableQ for a fanned-out one,
 	// so no shard worker ever waits for a disk. inlineScratch is the
@@ -765,7 +754,6 @@ type Replica struct {
 	// stager at a time: the execute-thread, or a worker lane under
 	// inlineMu), and retireOut takes the engine's OnExecuted outputs (one
 	// retirer at a time, the same way).
-	execAppend    store.Appender
 	durableQ      chan durableWait
 	durableWg     sync.WaitGroup
 	inlineScratch []store.KV
@@ -817,7 +805,7 @@ func New(cfg Config) (*Replica, error) {
 		auth:       cfg.Directory.NodeAuth(types.ReplicaNode(cfg.ID)),
 		ckptKeys:   ckptKeys,
 		ledger:     ldg,
-		store:      st,
+		store:      store.AsBackend(st),
 		batchQ:     queue.NewMPMC[*types.ClientRequest](1 << 14),
 		ckptQ:      make(chan workItem, 1<<10),
 		execIn:     queue.NewInOrder[execItem](watermarkWindow*2, uint64(startSeq)+1),
@@ -849,30 +837,18 @@ func New(cfg Config) (*Replica, error) {
 			r.shardQs[i] = make(chan *inflightExec, r.execDepth)
 		}
 		r.shardBusyNS = make([]atomic.Uint64, r.execShards)
+		// One entry per partition of every in-flight batch, what the shard
+		// queues feeding it hold together.
+		r.durableQ = make(chan durableWait, r.execDepth*r.execShards)
 	}
 	r.execFree = make(chan *inflightExec, r.execDepth)
 	for i := 0; i < r.execDepth; i++ {
 		r.execFree <- &inflightExec{parts: make([]partition, parts)}
 	}
-	if a, ok := st.(store.Appender); ok {
-		r.execAppend = a
-		if r.execShards > 0 {
-			// One entry per partition of every in-flight batch, what the
-			// shard queues feeding it hold together.
-			r.durableQ = make(chan durableWait, r.execDepth*r.execShards)
-		}
-	} else if b, ok := st.(store.Batcher); ok {
-		r.execBatch = b
-	}
+	r.syncStats, _ = st.(store.SyncStatser)
 	if comp, ok := st.(store.Compactor); ok {
 		r.compactor = comp
 		r.compactC = make(chan struct{}, 1)
-	}
-	if sc, ok := st.(store.Scanner); ok {
-		r.scanner = sc
-	}
-	if va, ok := st.(store.ValueAppender); ok {
-		r.values = va
 	}
 	if cfg.Bootstrap != nil {
 		r.lastRetired.Store(uint64(startSeq))
@@ -985,8 +961,8 @@ func (r *Replica) Stats() Stats {
 	}
 	s.ExecPipelineDepth = r.execDepth
 	s.StoreWriteFailures = r.storeFailures.Load()
-	if ss, ok := r.store.(store.SyncStatser); ok {
-		sy := ss.SyncStats()
+	if r.syncStats != nil {
+		sy := r.syncStats.SyncStats()
 		s.StoreFsyncs = sy.Fsyncs
 		s.StoreFsyncStallNS = sy.FsyncStallNS
 	}

@@ -861,8 +861,8 @@ func (b *inflightExec) partDone() {
 // in its assigned slot of the batch's shared result buffer, and a fanned-out
 // scan's fragment in its own of the batch's frags, their bytes in the
 // partition's arenas. It returns the emptied scratch for reuse and the
-// ticket covering every write it appended (zero when the store has no
-// visible/durable split): the caller decides who waits for it.
+// ticket covering every write it appended (zero when the store has no disk
+// to wait for): the caller decides who waits for it.
 func (r *Replica) applyPartition(b *inflightExec, shard int, scratch []store.KV) ([]store.KV, store.Ticket) {
 	var ticket store.Ticket
 	p := &b.parts[shard]
@@ -888,33 +888,17 @@ func (r *Replica) applyPartition(b *inflightExec, shard int, scratch []store.KV)
 	return scratch[:0], ticket
 }
 
-// flushWrites applies a partition's accumulated writes with the widest
-// write call the store offers. Against a store.Appender the call makes them
-// visible and returns a ticket — threaded through prev so one ticket always
-// covers the whole partition — and nobody has waited for a disk yet.
-// Against a plain store.Batcher the call blocks until the writes are
-// applied (and, for a durable store behind a wrapper that hides Appender,
-// durable). A bare store.Store — the interface's minimum — gets one
-// blocking Put per write. Lost writes diverge store state from the ledger,
-// so every failed store call is counted loudly (StoreWriteFailures)
+// flushWrites appends a partition's accumulated writes to the store in
+// one call, which makes them visible and returns a ticket — threaded
+// through prev so one ticket always covers the whole partition — and nobody
+// has waited for a disk yet. Lost writes diverge store state from the
+// ledger, so every failed store call is counted loudly (StoreWriteFailures)
 // instead of swallowed.
 func (r *Replica) flushWrites(kvs []store.KV, prev store.Ticket) store.Ticket {
 	if len(kvs) == 0 {
 		return prev
 	}
-	var err error
-	switch {
-	case r.execAppend != nil:
-		prev, err = r.execAppend.Append(kvs, prev)
-	case r.execBatch != nil:
-		err = r.execBatch.PutMany(kvs)
-	default:
-		for i := range kvs {
-			if err := r.store.Put(kvs[i].Key, kvs[i].Value); err != nil {
-				r.storeFailures.Add(1)
-			}
-		}
-	}
+	prev, err := r.store.Append(kvs, prev)
 	if err != nil {
 		r.storeFailures.Add(1)
 	}
@@ -928,29 +912,22 @@ func (r *Replica) awaitDurable(t store.Ticket) {
 	if t == (store.Ticket{}) {
 		return
 	}
-	if err := r.execAppend.WaitDurable(t); err != nil {
+	if err := r.store.WaitDurable(t); err != nil {
 		r.storeFailures.Add(1)
 	}
 }
 
 // readKey answers one read against the store's current (last-applied)
-// state, the value appended into p's arena (a store without
-// store.ValueAppender hands Get's own copy). A missing key is a normal
+// state, the value appended into p's arena. A missing key is a normal
 // outcome; any other store error is the read-side analogue of a lost write
 // and is counted loudly.
 func (r *Replica) readKey(p *partition, key uint64) types.ReadResult {
-	var v []byte
+	at := len(p.vals)
 	var err error
-	if r.values != nil {
-		at := len(p.vals)
-		p.vals, err = r.values.AppendValue(p.vals, key)
-		v = p.carve(at)
-	} else {
-		v, err = r.store.Get(key)
-	}
+	p.vals, err = r.store.AppendValue(p.vals, key)
 	switch {
 	case err == nil:
-		return types.ReadResult{Found: true, Value: v}
+		return types.ReadResult{Found: true, Value: p.carve(at)}
 	case errors.Is(err, store.ErrNotFound):
 		return types.ReadResult{}
 	default:
@@ -966,34 +943,16 @@ func (r *Replica) readKey(p *partition, key uint64) types.ReadResult {
 // see pendingScan): filtering to the shard's own partition is what makes a
 // fragment a pure function of the shard's serially ordered write prefix even
 // while other shards are mid-batch, since a key's writes only ever come from
-// its owning shard. Through store.ValueAppender a shard resolves only the
-// keys it owns; a store without it is scanned whole and its lent values
-// copied. An inverted range or zero limit returns no rows (well-formed per
-// types.Op); a store without an ordered view, or a failing one, returns the
-// rows read so far and counts a store failure. Rows grow incrementally, so
-// a hostile limit cannot drive an allocation.
+// its owning shard. A shard resolves only the keys it owns. An inverted
+// range or zero limit returns no rows (well-formed per types.Op); a failing
+// store returns the rows read so far and counts a store failure. Rows grow
+// incrementally, so a hostile limit cannot drive an allocation.
 func (r *Replica) scanRows(p *partition, start, end uint64, limit uint32, shard int) []types.ScanRow {
 	if limit == 0 || start > end {
 		return nil
 	}
 	first := len(p.rows)
-	switch {
-	case r.values != nil:
-		r.scanOwned(p, start, end, limit, shard)
-	case r.scanner != nil:
-		err := r.scanner.Scan(start, end, func(k uint64, v []byte) bool {
-			if shard >= 0 && workload.ShardOf(k, r.execShards) != shard {
-				return true
-			}
-			p.rows = append(p.rows, types.ScanRow{Key: k, Value: p.keep(v)})
-			return uint32(len(p.rows)-first) < limit
-		})
-		if err != nil {
-			r.storeFailures.Add(1)
-		}
-	default:
-		r.storeFailures.Add(1)
-	}
+	r.scanOwned(p, start, end, limit, shard)
 	return p.carveRows(first)
 }
 
@@ -1010,7 +969,11 @@ func (r *Replica) scanOwned(p *partition, start, end uint64, limit uint32, shard
 	}
 	first := len(p.rows)
 	for cur := start; ; {
-		keys := r.values.AppendKeys(p.keys[:0], cur, end)
+		keys, err := r.store.AppendKeys(p.keys[:0], cur, end)
+		if err != nil {
+			r.storeFailures.Add(1)
+			return
+		}
 		if len(keys) == 0 {
 			return
 		}
@@ -1019,8 +982,7 @@ func (r *Replica) scanOwned(p *partition, start, end uint64, limit uint32, shard
 				continue
 			}
 			at := len(p.vals)
-			var err error
-			if p.vals, err = r.values.AppendValue(p.vals, k); err != nil {
+			if p.vals, err = r.store.AppendValue(p.vals, k); err != nil {
 				if errors.Is(err, store.ErrNotFound) {
 					continue
 				}
@@ -1157,8 +1119,8 @@ func (r *Replica) retireBatch(b *inflightExec) {
 // each fanned-out batch in batch order and never waits for a disk. A
 // partition that appended writes leaves their ticket with the replica's
 // durable waiter, which takes it off the batch barrier once an fsync covers
-// it; one that did not (a store without the visible/durable split, or no
-// writes) comes off the barrier here.
+// it; one whose ticket is zero (no writes, or a store with no disk to wait
+// for) comes off the barrier here.
 func (r *Replica) execShardLoop(shard int) {
 	defer r.shardWg.Done()
 	var scratch []store.KV

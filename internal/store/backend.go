@@ -41,8 +41,54 @@ type BackendConfig struct {
 	ReadIndex bool
 }
 
+// Backend is the data contract the execute stage runs against: a Store
+// whose writes are appended (Appender) and whose reads land in the caller's
+// memory (ValueAppender). MemStore and ShardedDiskStore are Backends.
+type Backend interface {
+	Store
+	Appender
+	ValueAppender
+}
+
+// AsBackend returns st as a Backend: st itself when it is one, and
+// otherwise st behind its blocking calls — Append is PutMany, so a durable
+// store behind it is waited for at every append, AppendValue copies out of
+// Get, and AppendKeys lists keys through Scan. It is the one place that
+// asks a store what it implements of the data path.
+func AsBackend(st Store) Backend {
+	if b, ok := st.(Backend); ok {
+		return b
+	}
+	return blocking{st}
+}
+
+// blocking is a Store put behind the Backend contract by AsBackend.
+type blocking struct{ Store }
+
+func (b blocking) Append(kvs []KV, prev Ticket) (Ticket, error) {
+	return prev, b.PutMany(kvs)
+}
+
+func (blocking) WaitDurable(Ticket) error { return nil }
+
+func (b blocking) AppendValue(dst []byte, key uint64) ([]byte, error) {
+	v, err := b.Get(key)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, v...), nil
+}
+
+func (b blocking) AppendKeys(dst []uint64, start, end uint64) ([]uint64, error) {
+	err := b.Scan(start, end, func(k uint64, _ []byte) bool {
+		dst = append(dst, k)
+		return len(dst) < cap(dst)
+	})
+	return dst, err
+}
+
 // OpenBackend builds the record store cfg describes.
-func OpenBackend(cfg BackendConfig) (Store, error) {
+func OpenBackend(cfg BackendConfig) (Backend, error) {
 	switch cfg.Backend {
 	case "", "mem":
 		hint := cfg.MemSizeHint

@@ -159,30 +159,41 @@ func TestReadIndexConcurrentReads(t *testing.T) {
 	})
 }
 
-// TestClosedDiskStoreRefusesReads: a closed disk store, opened through
-// OpenBackend as every deployment opens it, answers Get, AppendValue and Scan with
-// ErrClosed, not with the values it held.
+// TestClosedDiskStoreRefusesReads: a closed store, the disk store opened
+// through OpenBackend as every deployment opens it and the MemStore beside
+// it, answers Get, AppendValue, AppendKeys and Scan with ErrClosed, not with
+// the records it held, and refuses an Append.
 func TestClosedDiskStoreRefusesReads(t *testing.T) {
-	st, err := OpenBackend(BackendConfig{Backend: "sharded", Dir: t.TempDir(), SyncLinger: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(1, []byte("held")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := st.Get(1); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Get after Close = (%q,%v), want ErrClosed", v, err)
-	}
-	if v, err := st.(ValueAppender).AppendValue(nil, 1); !errors.Is(err, ErrClosed) || v != nil {
-		t.Fatalf("AppendValue after Close = (%q,%v), want ErrClosed", v, err)
-	}
-	rows := 0
-	err = st.(Scanner).Scan(0, 10, func(uint64, []byte) bool { rows++; return true })
-	if !errors.Is(err, ErrClosed) || rows != 0 {
-		t.Fatalf("Scan after Close = %v after %d rows, want ErrClosed and none", err, rows)
+	for _, backend := range []string{"sharded", "mem"} {
+		t.Run(backend, func(t *testing.T) {
+			st, err := OpenBackend(BackendConfig{Backend: backend, Dir: t.TempDir(), SyncLinger: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put(1, []byte("held")); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if v, err := st.Get(1); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Get after Close = (%q,%v), want ErrClosed", v, err)
+			}
+			if v, err := st.AppendValue(nil, 1); !errors.Is(err, ErrClosed) || v != nil {
+				t.Fatalf("AppendValue after Close = (%q,%v), want ErrClosed", v, err)
+			}
+			if keys, err := st.AppendKeys(make([]uint64, 0, 4), 0, 10); !errors.Is(err, ErrClosed) || len(keys) != 0 {
+				t.Fatalf("AppendKeys after Close = (%v,%v), want ErrClosed and no keys", keys, err)
+			}
+			rows := 0
+			err = st.Scan(0, 10, func(uint64, []byte) bool { rows++; return true })
+			if !errors.Is(err, ErrClosed) || rows != 0 {
+				t.Fatalf("Scan after Close = %v after %d rows, want ErrClosed and none", err, rows)
+			}
+			if _, err := st.Append([]KV{{Key: 2, Value: []byte("late")}}, Ticket{}); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Append after Close = %v, want ErrClosed", err)
+			}
+		})
 	}
 }
 

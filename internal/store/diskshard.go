@@ -282,9 +282,8 @@ func (s *ShardedDiskStore) Put(key uint64, value []byte) error {
 }
 
 // PutMany implements Batcher as Append followed by WaitDurable: the
-// synchronous form, for callers (table preload, tests, the execute stage
-// behind a wrapper that hides Appender) that want the write durable on
-// return.
+// synchronous form, for callers (table preload, tests, a store behind
+// AsBackend's blocking calls) that want the write durable on return.
 func (s *ShardedDiskStore) PutMany(kvs []KV) error {
 	t, err := s.Append(kvs, Ticket{})
 	if err != nil {

@@ -5,12 +5,12 @@ import (
 	"sync"
 )
 
-// Scanner is an optional Store capability: an ordered view over the live
-// keys, the storage half of the general-transaction refactor (range scans
-// travel the same execute pipeline as reads). MemStore implements it, and
-// the disk store through the MemStore it embeds, with an insert-only
-// ordered key sidecar — the fabric has no deletes, so the sidecar only ever
-// grows, which keeps it a sorted set maintained outside the table's lock.
+// Scanner is the Store's ordered view over the live keys, the storage half
+// of the general-transaction refactor (range scans travel the same execute
+// pipeline as reads). MemStore implements it, and the disk store through
+// the MemStore it embeds, with an insert-only ordered key sidecar — the
+// fabric has no deletes, so the sidecar only ever grows, which keeps it a
+// sorted set maintained outside the table's lock.
 //
 // The consistency contract is snapshot-per-key, not a range snapshot: a
 // Scan runs concurrently with Put/PutMany/Compact, every key present

@@ -1,8 +1,10 @@
 // Package store is the storage layer of the fabric (paper Figure 5): the
 // record tables the execution layer reads and writes.
 //
-// Two implementations mirror the two sides of the Section 5.7 experiment.
-// MemStore keeps records in an in-memory key-value structure: the paper's
+// Both implementations are a Backend, the one contract the execute stage
+// runs against: a write is an Append that returns a ticket to wait on, a
+// read lands in memory the caller owns. They mirror the two sides of the
+// Section 5.7 experiment. MemStore keeps records in an in-memory key-value structure: the paper's
 // conclusion (Section 6, "Memory Storage") is that replicas can keep
 // records in memory because at most f replicas fail. It is one record
 // table (table.go) that holds values in 64 KiB pages under an index with
@@ -17,7 +19,7 @@
 // log; writes land in the log and then the table, and are made durable by
 // group-commit fsync, so durability stops being the serialized tail of the
 // pipeline. Reached through nothing but the blocking Store interface
-// (every Put waiting out its own fsync) it is the paper's naive
+// (AsBackend, every Put waiting out its own fsync) it is the paper's naive
 // off-memory store — the role SQLite plays there; the diskpipe bench runs
 // it both ways to quantify how much of the penalty the engineering wins
 // back.
@@ -42,7 +44,9 @@ var ErrNotFound = errors.New("store: key not found")
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("store: closed")
 
-// Store is the record table interface used by the execute-thread.
+// Store is the blocking record table interface: every call returns once
+// its work is done, a write once it is durable. Backend is what the execute
+// stage runs; AsBackend puts any Store behind it.
 type Store interface {
 	// Put stores value under key, overwriting any previous value.
 	Put(key uint64, value []byte) error
@@ -52,6 +56,8 @@ type Store interface {
 	Len() int
 	// Close releases resources. Operations after Close fail with ErrClosed.
 	Close() error
+	Batcher
+	Scanner
 }
 
 // KV is one write in a batch handed to a Batcher.
@@ -60,29 +66,24 @@ type KV struct {
 	Value []byte
 }
 
-// Batcher is an optional Store capability: PutMany applies a whole write
+// Batcher is the Store's batched write: PutMany applies a whole write
 // partition with a single liveness check instead of one per Put. Execution
-// shard workers apply their key partitions through it concurrently —
-// callers must guarantee the partitions are key-disjoint, which is what
-// makes the result order-independent across callers. MemStore and
-// ShardedDiskStore implement it (the sharded store additionally writes a
-// partition to its append log with one write syscall; its
-// PutMany is Append followed by WaitDurable, so it returns only once a
-// completed fsync covers the partition). A store that offers neither this
-// nor Appender is applied one blocking Put at a time.
+// shard workers apply their key partitions concurrently — callers must
+// guarantee the partitions are key-disjoint, which is what makes the result
+// order-independent across callers.
 type Batcher interface {
 	// PutMany applies every write in kvs in order. Distinct concurrent
 	// calls must cover disjoint key sets.
 	PutMany(kvs []KV) error
 }
 
-// Appender is an optional Store capability beside Batcher that splits
-// visible from durable, so the goroutine applying writes never waits for a
-// disk: Append makes a partition visible to Get and Scan at once and hands
-// back a Ticket; WaitDurable, called by whoever must not act before the
-// writes are safe, blocks until a completed fsync covers the ticket. Only
-// ShardedDiskStore implements it. The same key-disjointness rule as
-// Batcher applies to concurrent Append callers.
+// Appender is Backend's write, which splits visible from durable so the
+// goroutine applying writes never waits for a disk: Append makes a
+// partition visible to Get and Scan at once and hands back a Ticket;
+// WaitDurable, called by whoever must not act before the writes are safe,
+// blocks until a completed fsync covers the ticket. MemStore has no disk:
+// its Append is PutMany and its tickets are always durable. The same
+// key-disjointness rule as Batcher applies to concurrent Append callers.
 type Appender interface {
 	// Append applies every write in kvs in order and returns a ticket that
 	// covers them and everything prev covered, so a caller threading its
@@ -95,15 +96,13 @@ type Appender interface {
 	WaitDurable(t Ticket) error
 }
 
-// ValueAppender is an optional Store capability: reads into memory the
-// caller owns. AppendValue copies a key's value onto the end of the
-// caller's buffer, so a caller that keeps one buffer per batch — the execute
-// stage's value arena — reads without allocating; AppendKeys lists the live
-// keys of a range, so a caller that wants only some of them — an execution
-// shard, the keys of its own partition — resolves only those. MemStore
-// implements it and builds Get and Scan on it, so it has one read path,
-// which ShardedDiskStore reads through too. A store without it is read
-// through Get and Scan.
+// ValueAppender is Backend's read, into memory the caller owns.
+// AppendValue copies a key's value onto the end of the caller's buffer, so a
+// caller that keeps one buffer per batch — the execute stage's value arena —
+// reads without allocating; AppendKeys lists the live keys of a range, so a
+// caller that wants only some of them — an execution shard, the keys of its
+// own partition — resolves only those. MemStore builds Get and Scan on it,
+// so it has one read path, which ShardedDiskStore reads through too.
 type ValueAppender interface {
 	// AppendValue appends the value stored under key to dst and returns the
 	// extended slice. The appended bytes are a copy: later writes to key
@@ -114,7 +113,7 @@ type ValueAppender interface {
 	// until the range is exhausted or dst is full (len == cap); a caller
 	// that filled it goes on from the last key + 1. dst must have room for
 	// at least one key. Keys follow Scan's consistency contract.
-	AppendKeys(dst []uint64, start, end uint64) []uint64
+	AppendKeys(dst []uint64, start, end uint64) ([]uint64, error)
 }
 
 // Ticket names a position in a store's append stream. It is
@@ -199,17 +198,10 @@ type Compactor interface {
 
 // Compile-time interface compliance checks.
 var (
-	_ Store         = (*MemStore)(nil)
-	_ Store         = (*ShardedDiskStore)(nil)
-	_ Batcher       = (*MemStore)(nil)
-	_ Batcher       = (*ShardedDiskStore)(nil)
-	_ Appender      = (*ShardedDiskStore)(nil)
-	_ SyncStatser   = (*ShardedDiskStore)(nil)
-	_ Compactor     = (*ShardedDiskStore)(nil)
-	_ Scanner       = (*MemStore)(nil)
-	_ Scanner       = (*ShardedDiskStore)(nil)
-	_ ValueAppender = (*MemStore)(nil)
-	_ ValueAppender = (*ShardedDiskStore)(nil)
+	_ Backend     = (*MemStore)(nil)
+	_ Backend     = (*ShardedDiskStore)(nil)
+	_ SyncStatser = (*ShardedDiskStore)(nil)
+	_ Compactor   = (*ShardedDiskStore)(nil)
 )
 
 // MemStore is the in-memory key-value record table: one table under one
@@ -281,9 +273,21 @@ func (s *MemStore) AppendValue(dst []byte, key uint64) ([]byte, error) {
 }
 
 // AppendKeys implements ValueAppender from the ordered sidecar.
-func (s *MemStore) AppendKeys(dst []uint64, start, end uint64) []uint64 {
-	return s.ordered.chunk(start, end, dst)
+func (s *MemStore) AppendKeys(dst []uint64, start, end uint64) ([]uint64, error) {
+	if s.isDead() {
+		return dst, ErrClosed
+	}
+	return s.ordered.chunk(start, end, dst), nil
 }
+
+// Append implements Appender as PutMany: the writes are durable, for what a
+// memory store's durability is worth, as soon as they are visible.
+func (s *MemStore) Append(kvs []KV, prev Ticket) (Ticket, error) {
+	return prev, s.PutMany(kvs)
+}
+
+// WaitDurable implements Appender: every MemStore ticket is durable.
+func (s *MemStore) WaitDurable(Ticket) error { return nil }
 
 // Get implements Store through AppendValue: a value the caller owns, empty
 // but not nil for an empty record.
@@ -303,10 +307,7 @@ func (s *MemStore) Get(key uint64) ([]byte, error) {
 // lock first and the sidecar's after it; and since they insert into the
 // sidecar last, every key a scan finds resolves.
 func (s *MemStore) Scan(start, end uint64, fn func(key uint64, value []byte) bool) error {
-	s.mu.RLock()
-	dead := s.dead
-	s.mu.RUnlock()
-	if dead {
+	if s.isDead() {
 		return ErrClosed
 	}
 	if start > end {
@@ -342,6 +343,13 @@ func (s *MemStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.t.index)
+}
+
+// isDead reports whether Close has run.
+func (s *MemStore) isDead() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.dead
 }
 
 // Close implements Store.

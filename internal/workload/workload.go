@@ -326,16 +326,25 @@ func (w *Workload) NextRequest(client types.ClientID, clientSeq uint64, txns int
 	}
 }
 
+// initChunk is how many records InitTable writes per PutMany.
+const initChunk = 1024
+
 // InitTable preloads st with the active record set so every replica starts
-// from an identical copy of the table (Section 5.1).
+// from an identical copy of the table (Section 5.1). It writes initChunk
+// records per call: on the disk store each call waits for a group commit.
 func InitTable(st store.Store, cfg Config) error {
 	val := make([]byte, cfg.ValueSize)
 	for i := range val {
 		val[i] = byte(i)
 	}
+	kvs := make([]store.KV, 0, initChunk)
 	for k := uint64(0); k < cfg.Records; k++ {
-		if err := st.Put(k, val); err != nil {
-			return fmt.Errorf("workload: preloading record %d: %w", k, err)
+		kvs = append(kvs, store.KV{Key: k, Value: val})
+		if len(kvs) == initChunk || k == cfg.Records-1 {
+			if err := st.PutMany(kvs); err != nil {
+				return fmt.Errorf("workload: preloading records %d-%d: %w", kvs[0].Key, k, err)
+			}
+			kvs = kvs[:0]
 		}
 	}
 	return nil

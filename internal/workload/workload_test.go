@@ -274,28 +274,47 @@ func TestReadStreamUnchangedByScanKnob(t *testing.T) {
 	}
 }
 
+// TestInitTable: the preload fills every record with one PutMany per
+// initChunk records and no Put, which on the disk store would wait out a
+// group commit each.
 func TestInitTable(t *testing.T) {
 	cfg := Default()
-	cfg.Records = 1000
+	cfg.Records = 2*initChunk + 500
 	st := NewCountingStore()
 	if err := InitTable(st, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if st.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000", st.Len())
+	if st.Len() != int(cfg.Records) {
+		t.Fatalf("Len = %d, want %d", st.Len(), cfg.Records)
 	}
-	v, err := st.Get(999)
+	v, err := st.Get(cfg.Records - 1)
 	if err != nil || len(v) != cfg.ValueSize {
-		t.Fatalf("Get(999) = (%d bytes, %v)", len(v), err)
+		t.Fatalf("Get(%d) = (%d bytes, %v)", cfg.Records-1, len(v), err)
+	}
+	if st.puts != 0 || st.putManys != 3 {
+		t.Fatalf("preload made %d Put and %d PutMany calls, want 0 and 3", st.puts, st.putManys)
 	}
 }
 
-// CountingStore wraps MemStore for test observability.
-type CountingStore struct{ *store.MemStore }
+// CountingStore wraps MemStore and counts its write calls.
+type CountingStore struct {
+	*store.MemStore
+	puts, putManys int
+}
 
 // NewCountingStore returns an empty CountingStore.
 func NewCountingStore() *CountingStore {
 	return &CountingStore{MemStore: store.NewMemStore(0)}
+}
+
+func (c *CountingStore) Put(key uint64, value []byte) error {
+	c.puts++
+	return c.MemStore.Put(key, value)
+}
+
+func (c *CountingStore) PutMany(kvs []store.KV) error {
+	c.putManys++
+	return c.MemStore.PutMany(kvs)
 }
 
 func TestUniformCoverage(t *testing.T) {
