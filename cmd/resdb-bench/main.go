@@ -9,12 +9,7 @@
 // Scale "small" (default) shrinks populations so the full suite finishes
 // in minutes; "paper" uses the paper's populations (80K clients).
 //
-// The workerscale experiment runs the real replica pipeline and sweeps
-// the consensus worker lanes over 1, 2 and 4, reporting throughput and
-// per-lane busy time (the runtime analogue of Figure 9's thread-saturation
-// measurement).
-//
-// The execshards experiment also runs the real pipeline: it sweeps the
+// The execshards experiment runs the real replica pipeline: it sweeps the
 // execution shards over 1, 2 and 4 under an execution-heavy Zipfian write
 // load, reporting throughput plus the per-shard busy split (the evidence
 // that write-set partitioning spreads the last serialized pipeline stage).

@@ -14,28 +14,25 @@
 // not knobs.
 //
 // The hot-path knobs. The pipeline-shape flags (-batch, -batch-threads,
-// -verify-threads, -worker-threads, -execute-shards, -exec-pipeline-depth)
-// are handed to replica.Config as given, so they follow its convention:
-// 0 = the paper's standard 2B1E replica, and for the foldable stages
-// (-batch-threads, -verify-threads, -execute-shards) -1 folds the stage
-// into the worker lanes:
+// -verify-threads, -execute-shards, -exec-pipeline-depth) are handed to
+// replica.Config as given, so they follow its convention: 0 = the paper's
+// standard 2B1E replica, and for the foldable stages (-batch-threads,
+// -verify-threads, -execute-shards) -1 folds the stage into the one
+// worker-thread:
 //
 //   - -batch N: transactions per consensus batch (0 = 100).
 //   - -batch-threads B: assemble and propose batches on B batch-threads
-//     at the primary (0 = 2); -1 folds batch assembly into worker lane 0
-//     (the paper's 0B configuration).
+//     at the primary (0 = 2); -1 folds batch assembly into the
+//     worker-thread (the paper's 0B configuration).
 //   - -verify-threads V: input-threads authenticate peer envelopes before
 //     decoding them and V pool workers check a batch's client signatures
-//     (0 = 2); -1 verifies inline on the worker lanes and batch-threads
+//     (0 = 2); -1 verifies inline on the worker-thread and batch-threads
 //     (the paper's baseline assignment).
-//   - -worker-threads W: step the consensus engine on W parallel worker
-//     lanes routed by sequence number (control traffic stays on lane 0);
-//     0 is the paper's single worker-thread.
 //   - -execute-shards E: apply committed batches on E parallel execution
 //     shards, each owning a hash partition of the key space (write-set
 //     partitioning keeps parallel execution deterministic; in-order batch
 //     retirement preserves batch order). 0 runs the paper's single
-//     execute-thread; -1 folds execution into the worker lanes (0E).
+//     execute-thread; -1 folds execution into the worker-thread (0E).
 //   - -exec-pipeline-depth P: with E > 1, let up to P committed batches
 //     be in flight across the execution shards at once (cross-batch
 //     pipelining; per-shard FIFO keeps conflicting key partitions in
@@ -102,16 +99,15 @@ func run() int {
 	id := flag.Int("id", 0, "replica identifier (0..n-1)")
 	listen := flag.String("listen", "127.0.0.1:7000", "listen address")
 	batch := flag.Int("batch", 0, "transactions per consensus batch (0 = default 100)")
-	batchThreads := flag.Int("batch-threads", 0, "batch-threads B (0 = default 2, -1 folds batching into the worker lanes)")
-	execShards := flag.Int("execute-shards", 0, "execution shards E (0 = default single execute-thread, -1 folds execution into the worker lanes, E > 1 = parallel write-set-partitioned shards)")
+	batchThreads := flag.Int("batch-threads", 0, "batch-threads B (0 = default 2, -1 folds batching into the worker-thread)")
+	execShards := flag.Int("execute-shards", 0, "execution shards E (0 = default single execute-thread, -1 folds execution into the worker-thread, E > 1 = parallel write-set-partitioned shards)")
 	execDepth := flag.Int("exec-pipeline-depth", 0, "cross-batch execution pipelining depth P (0 = default 1, the strict per-batch barrier; P > 1 overlaps up to P batches across the execution shards)")
 	storeBackend := flag.String("store-backend", "mem", "record store: mem | sharded (durable, group-commit, one append log)")
 	storeDir := flag.String("store-dir", "", "root directory for the sharded store (default resdb-data/replica-<id>)")
 	storeSync := flag.Bool("store-sync", false, "make the sharded store durable: group-commit fsyncs, no response before one covers its writes (off = page cache only)")
 	storeCompactRatio := flag.Float64("store-compact-ratio", 0, "garbage ratio (dead/total log bytes) past which a stable checkpoint compacts the log (0 = default 0.5, negative disables compaction)")
 	storeCompactMin := flag.Int64("store-compact-min-bytes", 0, "log size below which checkpoint-driven compaction never rewrites (0 = default 1 MiB, negative removes the floor)")
-	verifyThreads := flag.Int("verify-threads", 0, "client-signature verification workers; input-threads verify peer envelopes (0 = default 2, -1 verifies both inline on the worker lanes and batch-threads)")
-	workerThreads := flag.Int("worker-threads", 0, "parallel consensus worker lanes (0 = default 1, the paper's single worker-thread)")
+	verifyThreads := flag.Int("verify-threads", 0, "client-signature verification workers; input-threads verify peer envelopes (0 = default 2, -1 verifies both inline on the worker-thread and batch-threads)")
 	chaosSpec := flag.String("chaos", "", "fault-injection spec for this replica's outbound traffic: drop=P,dup=P,corrupt=P,delay=D,reorder=D,byz=mode@replica,seed=N (empty disables; see internal/chaos)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address and report heap/GC deltas in the stats tick (empty disables)")
 	statsEvery := flag.Duration("stats", 5*time.Second, "stats print interval")
@@ -175,7 +171,6 @@ func run() int {
 		ExecuteThreads:    *execShards,
 		ExecPipelineDepth: *execDepth,
 		VerifyThreads:     *verifyThreads,
-		WorkerThreads:     *workerThreads,
 		Store:             st,
 		Directory:         d.Directory,
 		Endpoint:          repEP,

@@ -144,8 +144,6 @@ func All() []Experiment {
 			Paper: "out-of-order processing is worth ~60% throughput (Section 4.5)", Run: ablationOOO},
 		{ID: "ablation-exec", Title: "Ablation: decoupled execution (1E) vs worker-executed (0E)",
 			Paper: "decoupling execution from ordering is worth ~9.5% (Section 3)", Run: ablationExec},
-		{ID: "workerscale", Title: "Worker lanes: throughput and per-lane busy time vs WorkerThreads (real pipeline)",
-			Paper: "the single worker-thread saturates at the backups (Figure 9); lock-striped instances let W lanes split consensus stepping so the worker stops being the lone saturated stage", Run: workerscale},
 		{ID: "execshards", Title: "Execution shards: throughput and per-shard busy time vs ExecuteThreads (real pipeline)",
 			Paper: "the paper caps execution at one thread (data conflicts, Section 6); write-set partitioning lifts the cap — E shards split a Zipfian write load deterministically, shown by the per-shard busy table", Run: execshards},
 		{ID: "diskpipe", Title: "Durable storage pipeline: MemStore vs the disk store behind a serial blocking Put vs sharded with group commit (real pipeline)",

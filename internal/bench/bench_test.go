@@ -11,7 +11,7 @@ import (
 func TestAllExperimentsRegistered(t *testing.T) {
 	want := []string{"fig1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
 		"fig13", "fig14", "fig15", "fig16", "fig17", "ablation-ooo", "ablation-exec",
-		"workerscale", "execshards", "diskpipe", "compaction", "readmix",
+		"execshards", "diskpipe", "compaction", "readmix",
 		"scans", "faults"}
 	all := All()
 	if len(all) != len(want) {
@@ -75,35 +75,6 @@ func TestShapeFig16Cores(t *testing.T) {
 	}
 	if out.Metrics["core_scaling_x"] < 3 {
 		t.Fatalf("core scaling = %.1fx, want ≥3x", out.Metrics["core_scaling_x"])
-	}
-}
-
-// TestShapeWorkerScale checks the workerscale invariant rather than exact
-// numbers (they are hardware-dependent): fanning the worker into four
-// lanes must either spread the per-lane load — the busiest lane's busy
-// share drops — or convert the headroom into throughput, and it must
-// never collapse throughput.
-func TestShapeWorkerScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run in -short mode")
-	}
-	out, err := workerscale(ScaleSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1 := out.Metrics["workerscale_tput_w1"]
-	t4 := out.Metrics["workerscale_tput_w4"]
-	s1 := out.Metrics["workerscale_worker_share_w1"]
-	s4 := out.Metrics["workerscale_worker_share_w4"]
-	if t1 <= 0 || t4 <= 0 {
-		t.Fatalf("no throughput recorded: w1=%.0f w4=%.0f", t1, t4)
-	}
-	if t4 < 0.5*t1 {
-		t.Fatalf("W=4 collapsed throughput: %.0f vs %.0f at W=1", t4, t1)
-	}
-	if !(s4 < 0.9*s1 || t4 > 1.3*t1) {
-		t.Fatalf("W=4 neither spread the worker load (share %.3f vs %.3f) nor scaled throughput (%.0f vs %.0f)",
-			s4, s1, t4, t1)
 	}
 }
 

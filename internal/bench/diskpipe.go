@@ -48,7 +48,7 @@ const (
 // batches that append during one fsync share the next: batches/fsync above
 // 1 is consecutive batches landing in one group. On a few-core machine
 // these counts, not wall-clock throughput, are the quantity to watch (cf.
-// the workerscale/execshards guidance).
+// the execshards guidance).
 func diskpipe(s Scale) (Outcome, error) {
 	window := 600 * time.Millisecond
 	clients := 64

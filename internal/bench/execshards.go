@@ -12,17 +12,16 @@ import (
 )
 
 // execshards measures how the execute stage behaves as committed batches
-// are fanned out across E write-set-partitioned shard workers. Like
-// workerscale it runs the real replica pipeline (in-process transport):
-// the quantity under test — the coordinator/shard split of the execute
-// stage — only exists in the runnable system.
+// are fanned out across E write-set-partitioned shard workers. It runs the
+// real replica pipeline (in-process transport): the quantity under test —
+// the coordinator/shard split of the execute stage — only exists in the
+// runnable system.
 //
-// After PR 2 parallelized consensus stepping, execution is the last
-// serialized pipeline stage ("What Blocks My Blockchain's Throughput?"
-// finds execution dominates once ordering scales). The per-shard busy
-// table is the evidence that the write-set partition spreads a skewed
-// (Zipfian) load across all shards; on a few-core machine the busy-time
-// split, not wall-clock throughput, is the quantity that scales.
+// Execution is a serialized pipeline stage ("What Blocks My Blockchain's
+// Throughput?" finds execution dominates once ordering scales). The
+// per-shard busy table is the evidence that the write-set partition spreads
+// a skewed (Zipfian) load across all shards; on a few-core machine the
+// busy-time split, not wall-clock throughput, is the quantity that scales.
 func execshards(s Scale) (Outcome, error) {
 	window := 600 * time.Millisecond
 	clients := 64

@@ -39,9 +39,6 @@ type Scenario struct {
 	// write-only default); ReadMode overrides the cluster read mode.
 	ReadFraction float64
 	ReadMode     string
-	// WorkerThreads overrides the consensus worker-lane count (0 = 1);
-	// view-change scenarios run it at 2 to cover multi-lane view changes.
-	WorkerThreads int
 	// ViewTimeout overrides the progress watchdog (0 = the harness
 	// default, generous enough that only real wedges trip it).
 	ViewTimeout time.Duration
@@ -168,8 +165,7 @@ func (r *Report) violate(format string, args ...any) {
 }
 
 // DefaultMatrix is the full fault matrix: ten fault classes, each under
-// live Zipfian load. View-change scenarios run two consensus worker lanes
-// so multi-lane engines get view-change coverage too.
+// live Zipfian load.
 func DefaultMatrix() []Scenario {
 	return []Scenario{
 		{
@@ -179,12 +175,12 @@ func DefaultMatrix() []Scenario {
 		},
 		{
 			Name: "equivocation-split", Class: "equivocation", Target: 0,
-			Behavior: ByzEquivocateSplit, WorkerThreads: 2, ViewTimeout: 250 * time.Millisecond,
+			Behavior: ByzEquivocateSplit, ViewTimeout: 250 * time.Millisecond,
 			Expect: Expect{ViewChange: true},
 		},
 		{
 			Name: "silent-primary", Class: "primary-silence", Target: 0,
-			Behavior: ByzMutePrimary, WorkerThreads: 2, ViewTimeout: 250 * time.Millisecond,
+			Behavior: ByzMutePrimary, ViewTimeout: 250 * time.Millisecond,
 			Expect: Expect{ViewChange: true},
 		},
 		{
@@ -275,7 +271,6 @@ func RunScenario(sc Scenario, tn Tuning) (*Report, error) {
 		ReadMode:           sc.ReadMode,
 		Seed:               tn.Seed,
 		PreloadTable:       true,
-		WorkerThreads:      sc.WorkerThreads,
 		StoreBackend:       sc.Backend,
 		EndpointWrapper:    fab.WrapEndpoint,
 		StoreWrapper: func(id types.ReplicaID, st store.Store) store.Store {

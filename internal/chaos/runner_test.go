@@ -51,16 +51,12 @@ func runScenario(t *testing.T, sc Scenario) *Report {
 	return rep
 }
 
-// TestViewChangeUnderSilentPrimaryMultiWorker covers the PBFT view change
-// with two consensus worker lanes under a primary that is alive but sends
-// no PrePrepares: the watchdog must rotate the view and liveness must
-// come back, with ledgers equal across replicas afterwards.
-func TestViewChangeUnderSilentPrimaryMultiWorker(t *testing.T) {
-	sc := scenarioByName(t, "silent-primary")
-	if sc.WorkerThreads < 2 {
-		t.Fatalf("scenario runs %d worker lanes, want > 1", sc.WorkerThreads)
-	}
-	rep := runScenario(t, sc)
+// TestViewChangeUnderSilentPrimary covers the PBFT view change under a
+// primary that is alive but sends no PrePrepares: the watchdog must rotate
+// the view and liveness must come back, with ledgers equal across replicas
+// afterwards.
+func TestViewChangeUnderSilentPrimary(t *testing.T) {
+	rep := runScenario(t, scenarioByName(t, "silent-primary"))
 	if rep.FinalView == 0 {
 		t.Error("silent primary never forced a view change")
 	}
@@ -69,15 +65,11 @@ func TestViewChangeUnderSilentPrimaryMultiWorker(t *testing.T) {
 	}
 }
 
-// TestViewChangeUnderEquivocatingPrimaryMultiWorker covers the same
-// multi-lane view change under a split-equivocating primary: no digest
-// reaches a quorum, the instance stalls, and the view change recovers it.
-func TestViewChangeUnderEquivocatingPrimaryMultiWorker(t *testing.T) {
-	sc := scenarioByName(t, "equivocation-split")
-	if sc.WorkerThreads < 2 {
-		t.Fatalf("scenario runs %d worker lanes, want > 1", sc.WorkerThreads)
-	}
-	rep := runScenario(t, sc)
+// TestViewChangeUnderEquivocatingPrimary covers the same view change under
+// a split-equivocating primary: no digest reaches a quorum, the instance
+// stalls, and the view change recovers it.
+func TestViewChangeUnderEquivocatingPrimary(t *testing.T) {
+	rep := runScenario(t, scenarioByName(t, "equivocation-split"))
 	if rep.FinalView == 0 {
 		t.Error("equivocating primary never forced a view change")
 	}

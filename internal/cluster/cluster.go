@@ -35,7 +35,6 @@ type Options struct {
 	ExecuteThreads    int
 	VerifyThreads     int
 	ExecPipelineDepth int
-	WorkerThreads     int
 	// Crypto selects the signature configuration (default: the paper's
 	// recommended CMAC + ED25519 combination).
 	Crypto crypto.Config
@@ -280,7 +279,6 @@ func (c *Cluster) buildReplica(id types.ReplicaID, st store.Store, boot *replica
 		BatchThreads:       opts.BatchThreads,
 		ExecuteThreads:     opts.ExecuteThreads,
 		VerifyThreads:      opts.VerifyThreads,
-		WorkerThreads:      opts.WorkerThreads,
 		ExecPipelineDepth:  opts.ExecPipelineDepth,
 		CheckpointInterval: opts.CheckpointInterval,
 		LedgerMode:         opts.LedgerMode,

@@ -168,9 +168,9 @@ func (Evidence) isAction()         {}
 //
 // Whether stepping methods (OnMessage, Propose, OnExecuted, OnViewTimeout)
 // are safe for concurrent use is the engine's own contract: the PBFT engine
-// stripes its instances and may be stepped from many worker lanes at once;
-// the Zyzzyva engine, stepped only by the simulator, takes one step at a
-// time.
+// takes one lock per step, so the replica's worker-, batch-, execute- and
+// checkpoint-threads may step it at once; the Zyzzyva engine, stepped only
+// by the simulator, takes one step at a time.
 //
 // The read-only observers View, IsPrimary, and Stats are safe to call from
 // any goroutine at any time, without external locking: implementations

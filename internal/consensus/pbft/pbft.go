@@ -13,19 +13,12 @@
 //
 // # Concurrency
 //
-// Independent instances may be stepped from many worker lanes at once. Internally the
-// state splits into a small single-lock control core — view, watermarks,
-// view-change state — plus two side tables under their own locks: the
-// lock-striped per-sequence instance table and the checkpoint vote table.
-// Per-sequence message steps (pre-prepare, prepare, commit) take the
-// control lock in read mode plus one stripe lock, so steps for different
-// sequence numbers run fully in parallel; checkpoint votes record under the
-// read lock too, escalating to the write lock only when a vote completes a
-// quorum; proposals run entirely under the read lock, reserving sequence
-// numbers by CAS (the Propose fast path). Control transitions (checkpoint
-// stabilization, view changes) take the control lock in write mode, which
-// excludes every in-flight step. Observers (View, IsPrimary, Stats) read atomic mirrors
-// and never contend with consensus.
+// The replica steps the engine from one worker-thread, as in the paper
+// (Figures 5–6); its batch-threads propose, its execute-thread reports
+// executed batches and its checkpoint-thread records checkpoint votes
+// alongside. Every entry point takes the engine's one mutex, so the engine
+// sees its inputs in one total order. Observers (View, IsPrimary, Stats, LastProposed) read atomic
+// mirrors and never contend with consensus.
 package pbft
 
 import (
@@ -119,9 +112,8 @@ func (in *instance) revote() {
 	in.sentCommit = false
 }
 
-// recordPrepare and recordCommit keep from's first vote; the caller holds
-// the instance's stripe lock, and OnMessage has turned away any from that
-// is not one of the n replicas.
+// recordPrepare and recordCommit keep from's first vote; OnMessage has
+// turned away any from that is not one of the n replicas.
 func (in *instance) recordPrepare(from types.ReplicaID, d types.Digest) {
 	if v := &in.votes[from]; !v.prepared {
 		v.prepare, v.prepared = d, true
@@ -156,56 +148,10 @@ func (in *instance) commitCount() int {
 	return n
 }
 
-// numStripes shards the instance table; with a watermark window of 4096
-// open instances, 64 stripes keep the expected lock collision rate between
-// two lanes stepping different sequence numbers under 2%.
-const numStripes = 64 // must be a power of two
-
-// maxFree bounds a stripe's free list. A checkpoint prunes Δ instances and
-// the next Δ sequence numbers open as many again: 16 a stripe recycles all
-// of them for Δ up to 1024 batches, and keeps at most 1024 idle instances.
-const maxFree = 16
-
-// stripe owns the instances whose sequence number hashes to it, and the
-// pruned ones it keeps for reuse. The stripe lock only ever nests inside
-// the control lock (in either mode), and no two stripe locks are ever held
-// at once.
-type stripe struct {
-	mu        sync.Mutex
-	instances map[types.SeqNum]*instance
-	free      []*instance
-}
-
-// inst returns the instance for seq, opening it if needed — on a recycled
-// instance when the free list has one. The caller holds the stripe lock.
-func (s *stripe) inst(seq types.SeqNum, n int) *instance {
-	in, ok := s.instances[seq]
-	if !ok {
-		if k := len(s.free) - 1; k >= 0 {
-			in = s.free[k]
-			s.free[k] = nil
-			s.free = s.free[:k]
-		} else {
-			in = newInstance(n)
-		}
-		s.instances[seq] = in
-	}
-	return in
-}
-
-// recycle resets a pruned instance onto the free list, unless the list is
-// full; hook, when set, sees the instance first. The caller holds the
-// control write lock, which excludes every step, and the stripe lock.
-func (s *stripe) recycle(in *instance, hook func(*instance)) {
-	if len(s.free) == maxFree {
-		return
-	}
-	if hook != nil {
-		hook(in)
-	}
-	in.reset()
-	s.free = append(s.free, in)
-}
+// maxFree bounds the instance free list. A checkpoint prunes Δ instances
+// and the next Δ sequence numbers open as many again: 1024 recycles all of
+// them for Δ up to 1024 batches.
+const maxFree = 1024
 
 // ckptVote is one replica's checkpoint vote: the digest it signed and its
 // signature, which the engine keeps as opaque bytes.
@@ -225,14 +171,10 @@ type ckptSlot struct {
 }
 
 // ckptTable is the checkpoint vote table, a slot per live checkpoint
-// sequence number under its own lock, so vote recording runs off the
-// engine's control RWMutex. Slots pruned at a stable checkpoint go on a
-// free list and serve later checkpoints: recording a vote allocates
-// nothing. Lock order: the table lock only ever nests inside the control
-// lock (in either mode) and is never held together with a stripe lock.
+// sequence number. Slots pruned at a stable checkpoint go on a free list
+// and serve later checkpoints: recording a vote allocates nothing.
 type ckptTable struct {
 	n, q  int // replicas, and the votes a quorum needs
-	mu    sync.Mutex
 	slots map[types.SeqNum]*ckptSlot
 	free  []*ckptSlot
 }
@@ -240,8 +182,6 @@ type ckptTable struct {
 // record keeps from's vote for the checkpoint at seq, unless from already
 // voted there, and reports whether digest has a quorum of votes there.
 func (c *ckptTable) record(seq types.SeqNum, from types.ReplicaID, digest types.Digest, sig *types.Signature) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	s, ok := c.slots[seq]
 	if !ok {
 		if k := len(c.free) - 1; k >= 0 {
@@ -269,8 +209,6 @@ func (c *ckptTable) record(seq types.SeqNum, from types.ReplicaID, digest types.
 // counts reports whether from's vote for seq would still be recorded and
 // could still matter: seq has no quorum yet and no vote from from.
 func (c *ckptTable) counts(seq types.SeqNum, from types.ReplicaID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	s, ok := c.slots[seq]
 	return !ok || !s.quorum && !s.votes[from].voted
 }
@@ -279,8 +217,6 @@ func (c *ckptTable) counts(seq types.SeqNum, from types.ReplicaID) bool {
 // signatures in replica-id order, or a zero digest and nil when seq has no
 // quorum. The signatures are copied out: the slot is recycled at prune.
 func (c *ckptTable) certificate(seq types.SeqNum) (types.Digest, []types.CheckpointSig) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	s, ok := c.slots[seq]
 	if !ok || !s.quorum {
 		return types.Digest{}, nil
@@ -296,8 +232,6 @@ func (c *ckptTable) certificate(seq types.SeqNum) (types.Digest, []types.Checkpo
 
 // prune recycles the slots at or below target.
 func (c *ckptTable) prune(target types.SeqNum) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for seq, s := range c.slots {
 		if seq <= target {
 			delete(c.slots, seq)
@@ -321,26 +255,18 @@ type aheadMsg struct {
 	msg  types.Message
 }
 
-// Engine is a PBFT replica state machine, safe for concurrent stepping of
-// independent instances; see the package comment for the locking design.
+// Engine is a PBFT replica state machine, safe for concurrent use; see the
+// package comment.
 type Engine struct {
 	cfg Config
 	f   int
 
-	// mu is the control lock. Per-sequence steps hold it in read mode and
-	// additionally lock the stripe owning their sequence number; control
-	// transitions hold it in write mode, excluding every in-flight step.
-	// Everything from here to `stripes` is control-core state: written
-	// only under mu (write), readable under either mode.
-	mu   sync.RWMutex
+	// mu guards everything below up to the observer mirrors.
+	mu   sync.Mutex
 	view types.View
 
-	// nextSeq is the last proposed sequence number (primary). Unlike the
-	// rest of the control core it is an atomic: the Propose fast path
-	// reserves sequence numbers by CAS under the *read* lock, so
-	// batch-threads proposing concurrently never serialize on the control
-	// write lock. View transitions and watermark advances store it under
-	// the write lock, which excludes every CAS-ing reader.
+	// nextSeq is the last proposed sequence number (primary). It is written
+	// under mu and is an atomic only so that LastProposed reads it lock-free.
 	nextSeq  atomic.Uint64
 	lowWater types.SeqNum // last locally-adopted stable checkpoint
 
@@ -352,11 +278,7 @@ type Engine struct {
 	executedSeq  types.SeqNum
 	quorumStable types.SeqNum
 
-	// Checkpoint votes live in their own table so that recording a vote —
-	// the common case: most checkpoint messages do not complete a quorum —
-	// runs under the control *read* lock, concurrent with instance
-	// stepping. Only a vote that completes a quorum escalates to the write
-	// lock to advance the watermark.
+	// ckpts holds the checkpoint votes.
 	ckpts ckptTable
 
 	// View change state.
@@ -368,21 +290,21 @@ type Engine struct {
 	// in arrival order, and aheadFrom how much of it each sender holds. A
 	// backup votes in the new view the moment it has the NewView, and
 	// nothing orders its votes behind the new primary's NewView on the way
-	// to a third replica (different senders, different inboxes, different
-	// lanes): without this, a replica whose NewView arrives last drops its
-	// peers' prepares and commits for the re-proposed batches, nobody sends
-	// them again, and it never executes past the view change. enterNewView's
-	// callers replay what was kept for the view entered. Its own lock, taken
-	// under the control lock in either mode and never with a stripe lock.
-	aheadMu   sync.Mutex
+	// to a third replica (different senders, different inboxes): without
+	// this, a replica whose NewView arrives last drops its peers' prepares
+	// and commits for the re-proposed batches, nobody sends them again, and
+	// it never executes past the view change. enterNewView's callers replay
+	// what was kept for the view entered.
 	ahead     []aheadMsg
 	aheadFrom []int
 
-	// stripes is the lock-striped per-sequence instance table.
-	stripes [numStripes]stripe
+	// instances is the per-sequence instance table; free holds pruned
+	// instances for reuse, at most maxFree of them.
+	instances map[types.SeqNum]*instance
+	free      []*instance
 
-	// Lock-free observer mirrors, refreshed under the write lock whenever
-	// the canonical fields change.
+	// Lock-free observer mirrors, refreshed under mu whenever the canonical
+	// fields change.
 	viewA    atomic.Uint64
 	primaryA atomic.Bool
 
@@ -410,9 +332,7 @@ func New(cfg Config) (*Engine, error) {
 		ckpts:       ckptTable{n: cfg.N, q: consensus.Quorum2f1(cfg.N), slots: make(map[types.SeqNum]*ckptSlot)},
 		viewChanges: make(map[types.View]map[types.ReplicaID]*types.ViewChange),
 		aheadFrom:   make([]int, cfg.N),
-	}
-	for i := range e.stripes {
-		e.stripes[i].instances = make(map[types.SeqNum]*instance)
+		instances:   make(map[types.SeqNum]*instance),
 	}
 	// Mid-stream boot (recovery): StartSeq acts as the locally adopted
 	// stable checkpoint, so the watermark window opens above it and the
@@ -441,7 +361,7 @@ func (e *Engine) isPrimaryLocked() bool {
 }
 
 // refreshMirrors republishes the lock-free observer mirrors; the caller
-// holds the write lock.
+// holds mu.
 func (e *Engine) refreshMirrors() {
 	e.viewA.Store(uint64(e.view))
 	e.primaryA.Store(e.isPrimaryLocked())
@@ -460,94 +380,86 @@ func (e *Engine) CountsCheckpoint(from types.ReplicaID, seq types.SeqNum) bool {
 	if int(from) >= e.cfg.N {
 		return false
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return seq > e.lowWater && e.ckpts.counts(seq, from)
 }
 
 // LowWatermark returns the last stable checkpoint sequence number.
 func (e *Engine) LowWatermark() types.SeqNum {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.lowWater
 }
 
 // OpenInstances returns the number of live consensus instances; tests use
 // it to verify checkpoint garbage collection.
 func (e *Engine) OpenInstances() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	n := 0
-	for i := range e.stripes {
-		s := &e.stripes[i]
-		s.mu.Lock()
-		n += len(s.instances)
-		s.mu.Unlock()
-	}
-	return n
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.instances)
 }
 
 func (e *Engine) inWindow(seq types.SeqNum) bool {
 	return seq > e.lowWater && uint64(seq) <= uint64(e.lowWater)+e.cfg.WatermarkWindow
 }
 
-func (e *Engine) stripeFor(seq types.SeqNum) *stripe {
-	return &e.stripes[uint64(seq)&(numStripes-1)]
+// inst returns the instance for seq, opening it if needed — on a recycled
+// instance when the free list has one.
+func (e *Engine) inst(seq types.SeqNum) *instance {
+	in, ok := e.instances[seq]
+	if !ok {
+		if k := len(e.free) - 1; k >= 0 {
+			in = e.free[k]
+			e.free[k] = nil
+			e.free = e.free[:k]
+		} else {
+			in = newInstance(e.cfg.N)
+		}
+		e.instances[seq] = in
+	}
+	return in
+}
+
+// recycle resets a pruned instance onto the free list, unless the list is
+// full; recycleHook, when set, sees the instance first.
+func (e *Engine) recycle(in *instance) {
+	if len(e.free) == maxFree {
+		return
+	}
+	if e.recycleHook != nil {
+		e.recycleHook(in)
+	}
+	in.reset()
+	e.free = append(e.free, in)
 }
 
 // Propose implements consensus.Engine. It assigns the next sequence number
 // to the batch and broadcasts the pre-prepare. A false return with nothing
 // appended means the engine refused (not primary, mid view change, or
-// window full) and the caller should retry later.
-//
-// This is the fast path off the control write lock: when view and
-// watermark state are unchanged — the steady state — the whole proposal
-// runs under the read lock, reserving the sequence number by CAS, so
-// concurrent batch-threads neither serialize on each other nor stall
-// every in-flight instance step the way a write-lock acquisition would.
-// View changes and watermark advances still exclude proposals entirely
-// (they hold the write lock while mutating nextSeq).
+// window full) and the caller should retry later. The batch digest is
+// computed before the lock is taken, so batch-threads hash in parallel.
 func (e *Engine) Propose(reqs []types.ClientRequest, out *consensus.Out) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if !e.isPrimaryLocked() {
+	digest := types.BatchDigest(reqs)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	seq := types.SeqNum(e.nextSeq.Load() + 1)
+	if !e.isPrimaryLocked() || !e.inWindow(seq) {
 		return false
 	}
-	var seq types.SeqNum
-	for {
-		cur := e.nextSeq.Load()
-		seq = types.SeqNum(cur + 1)
-		if !e.inWindow(seq) {
-			return false
-		}
-		if e.nextSeq.CompareAndSwap(cur, cur+1) {
-			break // reserved; no return path below abandons the number
-		}
-	}
+	e.nextSeq.Store(uint64(seq))
 	e.stats.Proposed.Add(1)
 
-	pp := &types.PrePrepare{
-		View:     e.view,
-		Seq:      seq,
-		Digest:   types.BatchDigest(reqs),
-		Requests: reqs,
-	}
-	s := e.stripeFor(seq)
-	s.mu.Lock()
-	in := s.inst(seq, e.cfg.N)
+	in := e.inst(seq)
 	in.view = e.view
-	in.digest = pp.Digest
+	in.digest = digest
 	in.havePP = true
 	in.requests = reqs
-	s.mu.Unlock()
-	out.Broadcast(pp)
+	out.Broadcast(&types.PrePrepare{View: e.view, Seq: seq, Digest: digest, Requests: reqs})
 	return true
 }
 
-// OnMessage implements consensus.Engine. Per-sequence traffic
-// (pre-prepare, prepare, commit) steps under the read lock so independent
-// instances proceed in parallel; checkpoint and view-change traffic
-// mutates the control core and steps exclusively.
+// OnMessage implements consensus.Engine.
 func (e *Engine) OnMessage(from types.NodeID, msg types.Message, out *consensus.Out) {
 	if !from.IsReplica() || int(from.Replica()) >= e.cfg.N {
 		// Not one of the n replicas: it has no slot in any vote table.
@@ -555,36 +467,32 @@ func (e *Engine) OnMessage(from types.NodeID, msg types.Message, out *consensus.
 		return
 	}
 	rep := from.Replica()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	switch m := msg.(type) {
 	case *types.PrePrepare:
-		e.mu.RLock()
-		defer e.mu.RUnlock()
 		e.onPrePrepare(rep, m, out)
 	case *types.Prepare:
-		e.mu.RLock()
-		defer e.mu.RUnlock()
 		e.onPrepare(rep, m, out)
 	case *types.Commit:
-		e.mu.RLock()
-		defer e.mu.RUnlock()
 		e.onCommit(rep, m, out)
 	case *types.Checkpoint:
-		e.onCheckpoint(rep, m, out)
+		if m.Replica != rep {
+			e.stats.Dropped.Add(1)
+			return
+		}
+		e.recordCheckpoint(rep, m, out)
 	case *types.ViewChange:
-		e.mu.Lock()
-		defer e.mu.Unlock()
 		e.onViewChange(rep, m, out)
 	case *types.NewView:
-		e.mu.Lock()
-		defer e.mu.Unlock()
 		e.onNewView(rep, m, out)
 	default:
 		e.stats.Dropped.Add(1)
 	}
 }
 
-// onPrePrepare runs with the control lock held in at least read mode (the
-// new-view path re-enters it under the write lock).
+// The step functions below, and everything they call, run under mu.
+
 func (e *Engine) onPrePrepare(from types.ReplicaID, m *types.PrePrepare, out *consensus.Out) {
 	if m.View != e.view || e.inViewChange || !e.inWindow(m.Seq) {
 		e.keepOrDrop(from, m.View, m)
@@ -601,10 +509,7 @@ func (e *Engine) onPrePrepare(from types.ReplicaID, m *types.PrePrepare, out *co
 		return
 	}
 
-	s := e.stripeFor(m.Seq)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	in := s.inst(m.Seq, e.cfg.N)
+	in := e.inst(m.Seq)
 	if in.havePP {
 		if in.digest != m.Digest {
 			// The primary proposed two different batches for one sequence
@@ -647,10 +552,7 @@ func (e *Engine) onPrepare(from types.ReplicaID, m *types.Prepare, out *consensu
 		e.stats.Dropped.Add(1)
 		return
 	}
-	s := e.stripeFor(m.Seq)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	in := s.inst(m.Seq, e.cfg.N)
+	in := e.inst(m.Seq)
 	in.recordPrepare(from, m.Digest)
 	e.advance(m.Seq, in, out)
 }
@@ -664,10 +566,7 @@ func (e *Engine) onCommit(from types.ReplicaID, m *types.Commit, out *consensus.
 		e.stats.Dropped.Add(1)
 		return
 	}
-	s := e.stripeFor(m.Seq)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	in := s.inst(m.Seq, e.cfg.N)
+	in := e.inst(m.Seq)
 	in.recordCommit(from, m.Digest)
 	e.advance(m.Seq, in, out)
 }
@@ -676,20 +575,12 @@ func (e *Engine) onCommit(from types.ReplicaID, m *types.Commit, out *consensus.
 // one of a view above its own is kept for when it enters that view (within
 // the sender's share), anything else is dropped — an older view's, or the
 // current view's while this replica has voted to leave it. A kept vote is a
-// copy: it is borrowed for the step. The caller holds the control lock in
-// either mode.
+// copy: it is borrowed for the step.
 func (e *Engine) keepOrDrop(from types.ReplicaID, view types.View, msg types.Message) {
-	if view > e.view {
-		e.aheadMu.Lock()
-		kept := e.aheadFrom[from] < maxAhead
-		if kept {
-			e.aheadFrom[from]++
-			e.ahead = append(e.ahead, aheadMsg{from: from, view: view, msg: keptCopy(msg)})
-		}
-		e.aheadMu.Unlock()
-		if kept {
-			return
-		}
+	if view > e.view && e.aheadFrom[from] < maxAhead {
+		e.aheadFrom[from]++
+		e.ahead = append(e.ahead, aheadMsg{from: from, view: view, msg: keptCopy(msg)})
+		return
 	}
 	e.stats.Dropped.Add(1)
 }
@@ -709,11 +600,10 @@ func keptCopy(msg types.Message) types.Message {
 }
 
 // replayAhead steps, in arrival order, what was kept for the view just
-// entered, and forgets what was kept for views below it. It runs under the
-// write lock, so nothing is being kept meanwhile: a message of this view is
-// either in here or arrives to find the view entered.
+// entered, and forgets what was kept for views below it. Nothing is being
+// kept meanwhile: a message of this view is either in here or arrives to
+// find the view entered.
 func (e *Engine) replayAhead(out *consensus.Out) {
-	e.aheadMu.Lock()
 	var due []aheadMsg
 	later := e.ahead[:0]
 	for _, a := range e.ahead {
@@ -728,7 +618,6 @@ func (e *Engine) replayAhead(out *consensus.Out) {
 	}
 	clear(e.ahead[len(later):])
 	e.ahead = later
-	e.aheadMu.Unlock()
 
 	for _, a := range due {
 		switch m := a.msg.(type) {
@@ -743,8 +632,7 @@ func (e *Engine) replayAhead(out *consensus.Out) {
 }
 
 // advance fires the prepared→commit and committed→execute transitions of
-// an instance whenever new state makes them possible. The caller holds the
-// instance's stripe lock.
+// an instance whenever new state makes them possible.
 func (e *Engine) advance(seq types.SeqNum, in *instance, out *consensus.Out) {
 	if !in.havePP {
 		return
@@ -791,36 +679,8 @@ func (e *Engine) OnExecuted(seq types.SeqNum, stateDigest types.Digest, sig type
 	e.recordCheckpoint(e.cfg.ID, cp, out)
 }
 
-// onCheckpoint takes the locks itself: the common case — a vote that does
-// not complete a quorum — records under the control read lock plus the vote
-// table's, fully concurrent with instance stepping and proposals. Only a
-// quorum-completing vote escalates to the write lock.
-func (e *Engine) onCheckpoint(from types.ReplicaID, m *types.Checkpoint, out *consensus.Out) {
-	if m.Replica != from {
-		e.stats.Dropped.Add(1)
-		return
-	}
-	e.mu.RLock()
-	stale := m.Seq <= e.lowWater
-	quorum := false
-	if !stale {
-		quorum = e.ckpts.record(m.Seq, from, m.StateDigest, &m.Sig)
-	}
-	e.mu.RUnlock()
-	if stale || !quorum {
-		return // already stable, or not yet a quorum
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// Re-recording under the write lock is idempotent; a concurrent
-	// stabilization of the same (or a newer) checkpoint makes the advance
-	// below a no-op.
-	e.recordCheckpoint(from, m, out)
-}
-
-// recordCheckpoint runs under the write lock: record the vote and, on
-// quorum, advance the low watermark. OnExecuted (which already holds the
-// write lock for executedSeq) calls it directly for the local vote.
+// recordCheckpoint records a checkpoint vote — a peer's, or the local one
+// OnExecuted makes — and, on quorum, advances the low watermark.
 func (e *Engine) recordCheckpoint(from types.ReplicaID, m *types.Checkpoint, out *consensus.Out) {
 	if m.Seq <= e.lowWater {
 		return // already stable
@@ -838,7 +698,6 @@ func (e *Engine) recordCheckpoint(from types.ReplicaID, m *types.Checkpoint, out
 // checkpoint this replica has itself executed, reports it with its
 // certificate, and garbage collects everything at or below it (Section
 // 4.7): pruned instances and checkpoint slots go back to their free lists.
-// The caller holds the write lock.
 func (e *Engine) advanceLowWater(out *consensus.Out) {
 	target := e.quorumStable
 	if executedCk := types.SeqNum(uint64(e.executedSeq) / e.cfg.CheckpointInterval * e.cfg.CheckpointInterval); executedCk < target {
@@ -850,16 +709,11 @@ func (e *Engine) advanceLowWater(out *consensus.Out) {
 	}
 	e.lowWater = target
 	e.stats.Checkpoints.Add(1)
-	for i := range e.stripes {
-		s := &e.stripes[i]
-		s.mu.Lock()
-		for seq, in := range s.instances {
-			if seq <= target {
-				delete(s.instances, seq)
-				s.recycle(in, e.recycleHook)
-			}
+	for seq, in := range e.instances {
+		if seq <= target {
+			delete(e.instances, seq)
+			e.recycle(in)
 		}
-		s.mu.Unlock()
 	}
 	digest, cert := e.ckpts.certificate(target)
 	e.ckpts.prune(target)
@@ -890,7 +744,6 @@ func (e *Engine) OnViewTimeout(view types.View, out *consensus.Out) {
 	e.startViewChange(target, out)
 }
 
-// startViewChange runs under the write lock.
 func (e *Engine) startViewChange(target types.View, out *consensus.Out) {
 	e.inViewChange = true
 	e.votedView = target
@@ -906,28 +759,22 @@ func (e *Engine) startViewChange(target types.View, out *consensus.Out) {
 }
 
 // preparedProofs collects, for every instance prepared beyond the stable
-// checkpoint, the pre-prepare metadata and its 2f prepare votes. It runs
-// under the write lock.
+// checkpoint, the pre-prepare metadata and its 2f prepare votes.
 func (e *Engine) preparedProofs() []types.PreparedProof {
 	var proofs []types.PreparedProof
-	for i := range e.stripes {
-		s := &e.stripes[i]
-		s.mu.Lock()
-		for seq, in := range s.instances {
-			if !in.havePP || in.prepareCount() < consensus.Quorum2f(e.cfg.N) {
-				continue
-			}
-			var votes []types.Prepare
-			for id := range in.votes {
-				if v := &in.votes[id]; v.prepared && v.prepare == in.digest {
-					votes = append(votes, types.Prepare{View: in.view, Seq: seq, Digest: in.digest, Replica: types.ReplicaID(id)})
-				}
-			}
-			proofs = append(proofs, types.PreparedProof{
-				View: in.view, Seq: seq, Digest: in.digest, Prepares: votes,
-			})
+	for seq, in := range e.instances {
+		if !in.havePP || in.prepareCount() < consensus.Quorum2f(e.cfg.N) {
+			continue
 		}
-		s.mu.Unlock()
+		var votes []types.Prepare
+		for id := range in.votes {
+			if v := &in.votes[id]; v.prepared && v.prepare == in.digest {
+				votes = append(votes, types.Prepare{View: in.view, Seq: seq, Digest: in.digest, Replica: types.ReplicaID(id)})
+			}
+		}
+		proofs = append(proofs, types.PreparedProof{
+			View: in.view, Seq: seq, Digest: in.digest, Prepares: votes,
+		})
 	}
 	sort.Slice(proofs, func(i, j int) bool { return proofs[i].Seq < proofs[j].Seq })
 	return proofs
@@ -941,7 +788,6 @@ func (e *Engine) onViewChange(from types.ReplicaID, m *types.ViewChange, out *co
 	e.recordViewChange(from, m, out)
 }
 
-// recordViewChange runs under the write lock.
 func (e *Engine) recordViewChange(from types.ReplicaID, m *types.ViewChange, out *consensus.Out) {
 	votes, ok := e.viewChanges[m.NewView]
 	if !ok {
@@ -971,8 +817,7 @@ func (e *Engine) recordViewChange(from types.ReplicaID, m *types.ViewChange, out
 
 // buildNewView assembles the proof of the view change plus re-proposals
 // for every batch that prepared anywhere beyond the stable checkpoint.
-// Gaps are filled with null requests so sequence numbers stay dense. It
-// runs under the write lock.
+// Gaps are filled with null requests so sequence numbers stay dense.
 func (e *Engine) buildNewView(v types.View, votes map[types.ReplicaID]*types.ViewChange) *types.NewView {
 	var vcs []types.ViewChange
 	maxStable := types.SeqNum(0)
@@ -1011,12 +856,9 @@ func (e *Engine) buildNewView(v types.View, votes map[types.ReplicaID]*types.Vie
 			pp.Digest = c.digest
 			// Attach the payload when this replica has it cached so
 			// backups missing the original pre-prepare can still execute.
-			s := e.stripeFor(seq)
-			s.mu.Lock()
-			if in, ok := s.instances[seq]; ok && in.havePP && in.digest == c.digest {
+			if in, ok := e.instances[seq]; ok && in.havePP && in.digest == c.digest {
 				pp.Requests = in.requests
 			}
-			s.mu.Unlock()
 		}
 		pps = append(pps, pp)
 	}
@@ -1052,22 +894,16 @@ func (e *Engine) onNewView(from types.ReplicaID, m *types.NewView, out *consensu
 }
 
 // enterNewView installs the new view and resets per-view state. The new
-// primary also installs its own re-proposals. It runs under the write
-// lock.
+// primary also installs its own re-proposals.
 func (e *Engine) enterNewView(nv *types.NewView, out *consensus.Out) {
 	e.view = nv.View
 	e.inViewChange = false
 	e.stats.ViewChanges.Add(1)
 	// Instances from older views are superseded by the re-proposals.
-	for i := range e.stripes {
-		s := &e.stripes[i]
-		s.mu.Lock()
-		for seq, in := range s.instances {
-			if in.view < nv.View && !in.released {
-				delete(s.instances, seq)
-			}
+	for seq, in := range e.instances {
+		if in.view < nv.View && !in.released {
+			delete(e.instances, seq)
 		}
-		s.mu.Unlock()
 	}
 	delete(e.viewChanges, nv.View)
 
@@ -1079,16 +915,13 @@ func (e *Engine) enterNewView(nv *types.NewView, out *consensus.Out) {
 			if pp.Seq > maxSeq {
 				maxSeq = pp.Seq
 			}
-			s := e.stripeFor(pp.Seq)
-			s.mu.Lock()
-			in := s.inst(pp.Seq, e.cfg.N)
+			in := e.inst(pp.Seq)
 			in.revote()
 			in.view = nv.View
 			in.digest = pp.Digest
 			in.havePP = true
 			in.isNull = pp.Digest == types.Digest{}
 			in.requests = pp.Requests
-			s.mu.Unlock()
 		}
 		if types.SeqNum(e.nextSeq.Load()) < maxSeq {
 			e.nextSeq.Store(uint64(maxSeq))

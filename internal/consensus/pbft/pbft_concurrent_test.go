@@ -9,10 +9,10 @@ import (
 )
 
 // TestConcurrentStepping drives a backup engine from many goroutines at
-// once — each owning a disjoint set of sequence numbers, exactly like the
-// replica's worker lanes — while checkpoint traffic and OnExecuted
-// notifications run concurrently. Under -race this exercises the control
-// core / stripe-lock split; functionally it checks that every instance
+// once — each owning a disjoint set of sequence numbers — while checkpoint
+// traffic and OnExecuted notifications run concurrently, as the replica's
+// worker-, execute- and checkpoint-threads do. Under -race this exercises
+// the engine's one lock; functionally it checks that every instance
 // commits exactly once with the digest the primary proposed.
 func TestConcurrentStepping(t *testing.T) {
 	const (
@@ -46,11 +46,11 @@ func TestConcurrentStepping(t *testing.T) {
 	ckDigest := types.Digest{42}
 
 	// The execution layer: instances commit out of order across the
-	// lanes, but OnExecuted must be reported in sequence order (that is
-	// the replica's execute-thread contract — out-of-order reports would
-	// let a checkpoint garbage-collect instances that never ran). It runs
-	// concurrently with the stepping lanes, so the write-locked
-	// checkpoint paths race against the read-locked per-instance paths.
+	// goroutines, but OnExecuted must be reported in sequence order (that
+	// is the replica's execute-thread contract — out-of-order reports
+	// would let a checkpoint garbage-collect instances that never ran). It
+	// runs concurrently with the stepping goroutines, so the checkpoint
+	// paths interleave with the per-instance steps.
 	executed := make(map[types.SeqNum]types.Digest)
 	execC := make(chan consensus.Execute, k)
 	var execWg sync.WaitGroup
@@ -91,7 +91,7 @@ func TestConcurrentStepping(t *testing.T) {
 		wg.Add(1)
 		go func(lane int) {
 			defer wg.Done()
-			var out consensus.Out // the lane's own, like a replica's
+			var out consensus.Out // the goroutine's own, like a replica thread's
 			for i := lane; i < k; i += lanes {
 				pp := pps[i]
 				seq := pp.Seq
@@ -142,14 +142,12 @@ func TestConcurrentStepping(t *testing.T) {
 	}
 }
 
-// TestConcurrentCheckpointVotes hammers the striped checkpoint vote table
-// from many goroutines at once — every replica's votes for many
-// checkpoint sequences, interleaved with local OnExecuted reports and
-// prepare-step read-lock traffic. Under -race this exercises the
-// read-locked vote-recording fast path against the write-locked
-// stabilization escalation; functionally the low watermark must reach the
-// newest fully-voted checkpoint and the vote table must be pruned behind
-// it.
+// TestConcurrentCheckpointVotes hammers the checkpoint vote table from
+// many goroutines at once — every replica's votes for many checkpoint
+// sequences, interleaved with local OnExecuted reports and prepare steps.
+// Under -race this exercises vote recording and stabilization against
+// instance stepping; functionally the low watermark must reach the newest
+// fully-voted checkpoint and the vote table must be pruned behind it.
 func TestConcurrentCheckpointVotes(t *testing.T) {
 	const (
 		interval = 4
@@ -187,8 +185,8 @@ func TestConcurrentCheckpointVotes(t *testing.T) {
 			}
 		}(rep)
 	}
-	// Read-lock chatter: prepare steps for unrelated sequence numbers keep
-	// the control read lock hot while votes record and escalate.
+	// Chatter: prepare steps for unrelated sequence numbers keep the lock
+	// busy while votes record and stabilize.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -215,10 +213,10 @@ func TestConcurrentCheckpointVotes(t *testing.T) {
 }
 
 // TestConcurrentProposeFastPath drives Propose from several goroutines at
-// once — the multi-batch-thread primary — racing prepare/commit stepping
-// and checkpoint stabilization. The CAS fast path must hand out dense,
+// once — the multi-batch-thread primary, each hashing its batch before it
+// takes the lock — racing prepare stepping. Propose must hand out dense,
 // unique sequence numbers with no gaps (a reserved number is always
-// proposed) and no write-lock serialization.
+// proposed).
 func TestConcurrentProposeFastPath(t *testing.T) {
 	const (
 		proposers = 4
@@ -254,7 +252,7 @@ func TestConcurrentProposeFastPath(t *testing.T) {
 		}(p)
 	}
 	// Concurrent stepping on the same engine: prepares for already-created
-	// instances race the proposers' stripe writes.
+	// instances race the proposers' instance writes.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -270,7 +268,7 @@ func TestConcurrentProposeFastPath(t *testing.T) {
 	if len(seen) != proposers*perP {
 		t.Fatalf("assigned %d distinct sequence numbers, want %d", len(seen), proposers*perP)
 	}
-	// Dense: exactly 1..proposers*perP, no holes from abandoned CAS wins.
+	// Dense: exactly 1..proposers*perP, no holes.
 	for s := 1; s <= proposers*perP; s++ {
 		if _, ok := seen[types.SeqNum(s)]; !ok {
 			t.Fatalf("sequence %d never proposed (hole)", s)
@@ -284,8 +282,8 @@ func TestConcurrentProposeFastPath(t *testing.T) {
 // TestConcurrentViewChange races a view change against in-flight prepare
 // traffic: stale-view messages may land before or after the transition,
 // but the engine must end in the new view with a consistent primary
-// mirror, and under -race the write-locked view-change path must be clean
-// against read-locked stepping.
+// mirror, and under -race the view-change path must be clean against
+// concurrent stepping.
 func TestConcurrentViewChange(t *testing.T) {
 	// Replica 1 is the primary of view 1: once it collects 2f+1
 	// view-change votes it builds the NewView itself and enters the view.

@@ -293,16 +293,14 @@ func TestInstanceAllocationCap(t *testing.T) {
 }
 
 // TestRecycledInstancesCarryNothingOver: an instance pruned at a checkpoint
-// is opened again for a later sequence number of its stripe, and nothing
-// of its first life counts in its second. Sequence numbers 1..Δ get full
-// prepare and commit tables for one batch and a stable checkpoint prunes
-// them onto the free lists (Δ is the stripe count, so Δ+k lands in k's
-// stripe). Δ+1..2Δ then propose the same batch — the same digest, the same
-// view — and get f prepares and 2f commits each: nothing may commit or
+// is opened again for a later sequence number, and nothing of its first
+// life counts in its second. Sequence numbers 1..Δ get full prepare and
+// commit tables for one batch and a stable checkpoint prunes them onto the
+// free list. Δ+1..2Δ then propose the same batch — the same digest, the
+// same view — and get f prepares and 2f commits each: nothing may commit or
 // execute. One more prepare each then completes them, once. The poisoned
-// run fills every pruned
-// instance with garbage before its reset, so a field the reset misses
-// shows whatever the previous instance held.
+// run fills every pruned instance with garbage before its reset, so a field
+// the reset misses shows whatever the previous instance held.
 func TestRecycledInstancesCarryNothingOver(t *testing.T) {
 	for _, poison := range []bool{false, true} {
 		t.Run(fmt.Sprintf("poisoned=%v", poison), func(t *testing.T) {
@@ -312,7 +310,7 @@ func TestRecycledInstancesCarryNothingOver(t *testing.T) {
 }
 
 func testRecycledInstances(t *testing.T, poison bool) {
-	const delta = numStripes
+	const delta = 64
 	e, err := New(Config{ID: 0, N: 4, CheckpointInterval: delta})
 	if err != nil {
 		t.Fatal(err)
@@ -348,13 +346,7 @@ func testRecycledInstances(t *testing.T, poison bool) {
 		}
 		e.OnMessage(types.ReplicaNode(from), msg, &out)
 	}
-	free := func() int {
-		n := 0
-		for i := range e.stripes {
-			n += len(e.stripes[i].free)
-		}
-		return n
-	}
+	free := func() int { return len(e.free) }
 
 	for seq := types.SeqNum(1); seq <= delta; seq++ {
 		if !e.Propose(reqs, &out) {
@@ -391,7 +383,7 @@ func testRecycledInstances(t *testing.T, poison bool) {
 		}
 	}
 	if free() != 0 {
-		t.Fatalf("%d pruned instances left on the free lists: the second Δ did not reuse them", free())
+		t.Fatalf("%d pruned instances left on the free list: the second Δ did not reuse them", free())
 	}
 	for seq := types.SeqNum(delta + 1); seq <= 2*delta; seq++ {
 		vote(seq, 2, true)

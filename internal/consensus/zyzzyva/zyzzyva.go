@@ -53,9 +53,9 @@ func (c *Config) fill() {
 //
 // Unlike PBFT, the engine's stepping methods are NOT safe for concurrent
 // use: the speculative history chain h_k = H(h_{k-1} || d_k) makes every
-// acceptance depend on its predecessor, so there are no independent
-// instances to stripe. Its one driver, the simulator, steps it one event
-// at a time, as do the enginetest harnesses.
+// acceptance depend on its predecessor, and the engine takes no lock. Its
+// one driver, the simulator, steps it one event at a time, as do the
+// enginetest harnesses.
 // The observers View, IsPrimary (the view never changes; the Zyzzyva
 // view-change machinery is out of scope) and Stats (atomic counters) are
 // safe from any goroutine.

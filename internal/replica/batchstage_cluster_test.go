@@ -47,7 +47,7 @@ func burstOneCluster(t *testing.T, clients, batchThreads int) *cluster.Cluster {
 // stragglers only adds its wait to every request. 200 sequential requests
 // finish inside 300 ms — under a 2 ms linger they could not finish in less
 // than 400; without it they need about 20, and about 150 under -race — with
-// batch-threads and with batching folded into lane 0 (0B).
+// batch-threads and with batching folded into the worker-thread (0B).
 func TestIdlePrimaryProposesLoneRequestAtOnce(t *testing.T) {
 	for _, row := range []struct {
 		name         string

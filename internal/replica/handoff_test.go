@@ -23,22 +23,21 @@ import (
 // stage list is now that they are gone.
 
 // fifoRecorder stands in for the engine: it checks that each sender's votes
-// arrive on each lane in the order they were sent.
+// arrive in the order they were sent.
 type fifoRecorder struct {
 	consensus.Engine
-	t     *testing.T
-	lanes uint64
-	// last[sender][lane] is the last sequence number seen; a cell is only
-	// ever touched by its lane's goroutine.
-	last  [4][4]types.SeqNum
+	t *testing.T
+	// last[sender] is the last sequence number seen; only the worker-thread
+	// touches it.
+	last  [4]types.SeqNum
 	steps atomic.Uint64
 }
 
 func (e *fifoRecorder) OnMessage(from types.NodeID, msg types.Message, _ *consensus.Out) {
 	m := msg.(*types.Prepare)
-	cell := &e.last[from.Replica()][uint64(m.Seq)%e.lanes]
+	cell := &e.last[from.Replica()]
 	if m.Seq <= *cell {
-		e.t.Errorf("sender %v: seq %d reached its lane after seq %d", from, m.Seq, *cell)
+		e.t.Errorf("sender %v: seq %d reached the engine after seq %d", from, m.Seq, *cell)
 	}
 	*cell = m.Seq
 	e.steps.Add(1)
@@ -47,11 +46,10 @@ func (e *fifoRecorder) OnMessage(from types.NodeID, msg types.Message, _ *consen
 // TestSenderFIFO: per-sender order survives the input stage with nothing but
 // the inbox and the input-thread keeping it. Three senders each send 20 000
 // votes with rising sequence numbers, concurrently, into a replica with two
-// replica inboxes and W = 4 lanes; every vote reaches OnMessage, and on each
-// lane each sender's votes arrive in the order sent (across lanes there is
-// no order to keep: instances are independent, which is what lanes are for).
+// replica inboxes; every vote reaches OnMessage, and each sender's votes
+// reach the one worker-thread in the order sent.
 func TestSenderFIFO(t *testing.T) {
-	const perSender, lanes = 20000, 4
+	const perSender = 20000
 	dir, err := crypto.NewDirectory(crypto.Recommended(), [32]byte{31})
 	if err != nil {
 		t.Fatal(err)
@@ -61,16 +59,13 @@ func TestSenderFIFO(t *testing.T) {
 	// Two senders share an inbox: it must hold both streams, because the
 	// in-process fabric drops what meets a full inbox.
 	r, err := New(Config{
-		ID: 0, N: 4, WorkerThreads: lanes,
+		ID: 0, N: 4,
 		Directory: dir, Endpoint: net.Endpoint(to, 3, 2*perSender),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.WorkerLanes() != lanes {
-		t.Fatalf("%d lanes, want %d", r.WorkerLanes(), lanes)
-	}
-	engine := &fifoRecorder{Engine: r.engine, t: t, lanes: lanes}
+	engine := &fifoRecorder{Engine: r.engine, t: t}
 	r.engine = engine
 	r.Start()
 	defer r.Stop()
@@ -108,7 +103,7 @@ func TestSenderFIFO(t *testing.T) {
 // TestStopWhileSending races Stop against everything that sends without
 // being asked to by an inbound message: the watchdog's view-change votes,
 // late retransmissions (sendTo and broadcast from goroutines of the test's
-// own, as the execute stage and the lanes call them), and the read lane's
+// own, as the execute stage and the worker-thread call them), and the read lane's
 // replies. Senders hand envelopes straight to the endpoint, so there is no
 // queue of the replica's to close under them: the closed endpoint refuses
 // the send. No panic, no send on a closed channel (the race detector and the
@@ -240,7 +235,7 @@ func goroutineCensus() map[string]int {
 // list and nothing else. Every goroutine here is a stage with work of its
 // own; one that only moves a message from a channel to a channel shows up as
 // an unexpected entry, by name. (Before the input-threads verified and the
-// lanes sent, the default row had five more: two outputLoop and three
+// stepping threads sent, the default row had five more: two outputLoop and three
 // verifyForwardLoop.)
 func TestGoroutineCensus(t *testing.T) {
 	rows := []struct {
@@ -266,8 +261,9 @@ func TestGoroutineCensus(t *testing.T) {
 			},
 		},
 		{
-			// Everything optional on: lanes, execute shards over a durable
-			// store (its waiter and compactor), the watchdog.
+			// Everything optional on: execute shards over a durable store
+			// (its waiter and compactor), the watchdog. WorkerThreads is
+			// ignored: four asked for still start one workerLoop.
 			name: "W=4 E=2 disk watchdog",
 			cfg: Config{BatchThreads: 3, ExecuteThreads: 2, ExecPipelineDepth: 2, VerifyThreads: 4, WorkerThreads: 4,
 				ViewTimeout: time.Hour},
@@ -278,7 +274,6 @@ func TestGoroutineCensus(t *testing.T) {
 				"replica.(*Replica).readLoop":         2,
 				"replica.(*Replica).batchLoop":        3,
 				"replica.(*Replica).workerLoop":       1,
-				"replica.(*Replica).laneLoop":         3,
 				"replica.(*Replica).checkpointLoop":   1,
 				"replica.(*Replica).executeLoop":      1,
 				"replica.(*Replica).execShardLoop":    2,

@@ -302,19 +302,20 @@ func TestLocalReadStalenessBound(t *testing.T) {
 	}
 }
 
-// commitOnLanes hands committed batches to r's execute stage the way four
-// worker lanes do: batch seq commits on lane seq mod 4, each lane calling
-// handleActions on its own goroutine. Batches reach the in-order queue out
-// of order, and at 0E the lanes race to execute from it.
-func commitOnLanes(r *Replica, acts []consensus.Execute) {
-	const lanes = 4
+// commitConcurrently hands committed batches to r's execute stage from four
+// goroutines, batch seq on goroutine seq mod 4, each calling handleActions
+// on its own. Batches reach the in-order queue out of order and from more
+// than one thread (the worker-thread and the watchdog both step the engine),
+// and at 0E the goroutines race to execute from it.
+func commitConcurrently(r *Replica, acts []consensus.Execute) {
+	const threads = 4
 	var wg sync.WaitGroup
-	for lane := 0; lane < lanes; lane++ {
+	for g := 0; g < threads; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var out consensus.Out
-			for i := lane; i < len(acts); i += lanes {
+			for i := g; i < len(acts); i += threads {
 				out.Execute(acts[i])
 				r.handleActions(&out)
 			}
@@ -326,7 +327,7 @@ func commitOnLanes(r *Replica, acts []consensus.Execute) {
 // TestReadMixDeterminism is the acceptance check for conflict-ordered
 // read–write execution: a mixed Zipfian workload run under E execution
 // shards (diskShards) with pipeline depth 3, and with execution folded into
-// the committing lane (E=-1, the paper's 0E), over the group-commit disk
+// the committing thread (E=-1, the paper's 0E), over the group-commit disk
 // store must produce ledger digests, checkpoint chains, store state, AND
 // per-request read results byte-identical to E=1 serial execution over a
 // MemStore, and so to each other. The per-shard FIFO plus
@@ -364,7 +365,7 @@ func TestReadMixDeterminism(t *testing.T) {
 			preloadEven(t, disk)
 			preloadFsyncs := disk.SyncStats().Fsyncs
 			pipelined, pipelinedEPs := newReadMixReplica(t, e, 3, clients, disk)
-			commitOnLanes(pipelined, acts)
+			commitConcurrently(pipelined, acts)
 			waitBatches(t, pipelined, batches)
 
 			if got, want := headDigest(pipelined.Ledger()), headDigest(serial.Ledger()); got != want {

@@ -12,11 +12,9 @@
 //     from a shared lock-free queue, verifying client signatures, building
 //     batches with a single digest, signing and proposing them
 //     (Section 4.3);
-//   - WorkerThreads worker lanes driving the consensus engine over
-//     prepare/commit traffic (Sections 4.3–4.4): lane 0 owns control
-//     traffic, further lanes step independent consensus instances in
-//     parallel, routed by sequence number (Section 4.5's out-of-order
-//     processing, now multi-threaded);
+//   - one worker-thread driving the consensus engine over every
+//     pre-prepare, prepare, commit and view-change message
+//     (Sections 4.3–4.4);
 //   - an execute stage draining the in-order execution queue (txn % QC
 //     slots, Section 4.6) along one route at every E: the coordinating
 //     execute-thread hash-partitions each committed batch's typed ops,
@@ -36,7 +34,7 @@
 //
 // A zero Config shape is the paper's standard 2B1E replica; setting
 // BatchThreads, ExecuteThreads or VerifyThreads to -1 folds that stage into
-// the worker lanes, reproducing the paper's 0B/0E configurations
+// the worker-thread, reproducing the paper's 0B/0E configurations
 // (Section 5.2). Message and transaction buffers come from object pools
 // (Section 4.8). The paper stopped at one execute-thread because arbitrary
 // multi-threaded execution causes data conflicts; this replica goes
@@ -72,7 +70,7 @@ const PBFT Protocol = 1
 
 // Config parameterizes a replica. Beyond ID, N, Directory and Endpoint
 // every field may be left zero: the pipeline-shape fields then take the
-// paper's standard configuration (Section 5.2), B=2, E=1, V=2, W=1, depth 1,
+// paper's standard configuration (Section 5.2), B=2, E=1, V=2, depth 1,
 // batches of 100, a checkpoint every 100 batches. For B, E and V, -1 folds
 // the stage (the paper's 0B/0E, and inline verification).
 type Config struct {
@@ -86,11 +84,11 @@ type Config struct {
 	// is queued, up to this many, and never waits for more.
 	BatchSize int
 	// BatchThreads is B, the batch-threads at the primary (default 2); -1
-	// folds batching into worker lane 0 (the paper's 0B).
+	// folds batching into the worker-thread (the paper's 0B).
 	BatchThreads int
 	// ExecuteThreads is E, the number of execution shards (default 1, a
 	// single serial execute-thread: the paper's 1E); -1 folds execution
-	// into the worker lanes (the paper's 0E). With E > 1 the execute stage
+	// into the worker-thread (the paper's 0E). With E > 1 the execute stage
 	// keeps its single in-order coordinator but hash-partitions each
 	// committed batch's write-set by key across E shard workers that apply
 	// their partitions to the store concurrently.
@@ -116,21 +114,16 @@ type Config struct {
 	// responses are still emitted strictly in sequence order at retire
 	// time, so the result remains byte-identical to serial execution.
 	ExecPipelineDepth int
-	// WorkerThreads is W: the number of parallel worker lanes stepping
-	// the consensus engine (default 1, the paper's baseline single
-	// worker-thread). With W > 1, sequence-carrying consensus messages
-	// (pre-prepares, prepares, commits) are routed to lane seq mod W so
-	// independent instances step in parallel on the lock-striped engine;
-	// control traffic — client requests in 0B mode, view changes,
-	// new-views — stays on lane 0 to preserve its ordering.
+	// WorkerThreads is ignored: a replica runs one worker-thread, as the
+	// paper's does. The field stays for callers that still set it.
 	WorkerThreads int
 	// VerifyThreads is V (default 2). With V > 0 an input-thread
 	// authenticates every peer envelope it dequeues, before decoding it, so
-	// a worker lane only ever sees authenticated messages and an
+	// the worker-thread only ever sees authenticated messages and an
 	// unauthenticated peer buys no parsing; the inboxes are the parallelism,
 	// whatever the scheme. V also sizes the crypto.VerifyPool that fans a
 	// batch's client signatures out, the one check that has a fan-out. -1
-	// verifies peer envelopes on the worker lane and client signatures on
+	// verifies peer envelopes on the worker-thread and client signatures on
 	// the batch-thread, the paper's baseline assignment (Section 4.3), kept
 	// for the ablations.
 	VerifyThreads int
@@ -209,7 +202,6 @@ func (c *Config) fill() error {
 		{"BatchThreads", &c.BatchThreads, 2, true},
 		{"ExecuteThreads", &c.ExecuteThreads, 1, true},
 		{"VerifyThreads", &c.VerifyThreads, 2, true},
-		{"WorkerThreads", &c.WorkerThreads, 1, false},
 		{"ExecPipelineDepth", &c.ExecPipelineDepth, 1, false},
 		{"BatchSize", &c.BatchSize, 100, false},
 	} {
@@ -320,22 +312,15 @@ type Stats struct {
 	// the Figure 9 saturation measurement. Busy means working: the batch
 	// entry is assembling, verifying and proposing, not time parked on an
 	// empty queue or a full watermark window, as the execute entry leaves
-	// out time parked on a barrier. The worker entry aggregates all lanes;
-	// WorkerLaneBusyNS has the per-lane split. The output entry is the time
+	// out time parked on a barrier. The output entry is the time
 	// the sending stages spend inside Endpoint.Send (it is part of their
 	// own busy time too: there are no output-threads).
 	BusyNS [stageCount]uint64
-	// WorkerLanes is the number of worker lanes running (WorkerThreads).
-	WorkerLanes int
-	// WorkerLaneBusyNS is cumulative busy time per worker lane; with
-	// WorkerThreads > 1 it shows how consensus stepping spreads across
-	// lanes (the Figure 9 saturation measurement, per lane).
-	WorkerLaneBusyNS []uint64
 	// ExecShards is the number of execution shard workers actually
 	// running (0 when execution is serial, i.e. ExecuteThreads ≤ 1).
 	ExecShards int
 	// ExecShardBusyNS is cumulative store-apply busy time per execution
-	// shard, mirroring WorkerLaneBusyNS: with ExecuteThreads > 1 it shows
+	// shard: with ExecuteThreads > 1 it shows
 	// how the write-set partitions spread across shards. The execute
 	// entry of BusyNS is the coordinator's own work per batch (staging and
 	// retiring, plus the apply itself when one partition runs inline; time
@@ -382,7 +367,7 @@ type Stats struct {
 	// pipeline queue is, taken when Stats is called. NetDrops only shows
 	// saturation after the damage; these show it while it builds, which
 	// is what the gateway's admission controller steers on. Input is the
-	// fullest endpoint inbox, Work the fullest worker lane; ExecBacklog
+	// fullest endpoint inbox, Work the worker-thread's queue; ExecBacklog
 	// counts batches decided by consensus but not yet retired (bounded by
 	// the watermark window, reported as ExecWindow). OutQueueDepth and
 	// OutQueueCap are always 0: the replica keeps no output queue (the
@@ -416,11 +401,10 @@ type Stats struct {
 	CheckpointRejects  uint64
 }
 
-// workItem is the union flowing into the worker lanes: either a decoded
+// workItem is the union flowing into the worker-thread: either a decoded
 // peer message or (in 0B mode) a client request to batch. The input stage
-// decodes the envelope body before routing — decoding is what makes
-// sequence-based lane routing possible, and it takes that cost off the
-// worker lanes — so msg is always non-nil when env is. verified records
+// decodes the envelope body before routing — that cost stays off the
+// worker-thread — so msg is always non-nil when env is. verified records
 // that the input-thread already checked the envelope's authenticator, so
 // the worker must not spend time re-checking it.
 type workItem struct {
@@ -616,15 +600,14 @@ type Replica struct {
 	ckptRejects    atomic.Uint64
 	storeFailures  atomic.Uint64
 	busyNS         [stageCount]atomic.Uint64
-	laneBusyNS     []atomic.Uint64
 	shardBusyNS    []atomic.Uint64
 
 	_ [cacheLine]byte
 
 	cfg Config
-	// engine is the lock-striped PBFT engine, safe for concurrent
-	// stepping: the replica never takes a lock of its own around engine
-	// calls.
+	// engine is the PBFT engine. It takes its own lock, so the stages that
+	// step it (worker, batch, execute, checkpoint, watchdog) take none of
+	// theirs around engine calls.
 	engine consensus.Engine
 	auth   crypto.NodeAuthenticator
 	// ckptKeys checks the peers' checkpoint votes; counter, when the engine
@@ -656,15 +639,14 @@ type Replica struct {
 	// Store compaction (nil for stores without logs, e.g. MemStore): a
 	// stable checkpoint signals compactC (capacity one, non-blocking) and
 	// a single compactor goroutine runs the store's threshold check, so
-	// log rewrites never run on a consensus lane and never pile up.
+	// log rewrites never run on the worker-thread and never pile up.
 	compactor store.Compactor
 	compactC  chan struct{}
 	compactWg sync.WaitGroup
 
 	batchQ *queue.MPMC[*types.ClientRequest]
-	// workQs are the worker lanes. Sequence-carrying consensus messages
-	// go to lane seq mod lanes; control traffic stays on lane 0.
-	workQs []chan workItem
+	// workQ feeds the worker-thread.
+	workQ  chan workItem
 	ckptQ  chan workItem
 	execIn *queue.InOrder[execItem]
 
@@ -724,8 +706,8 @@ type Replica struct {
 	// invariant violations.
 	evidence atomic.Uint64
 
-	// inlineMu admits one worker lane at a time to drain execIn in the 0E
-	// configuration.
+	// inlineMu admits one stepping thread at a time to drain execIn in the
+	// 0E configuration.
 	inlineMu sync.Mutex
 
 	// inflight tracks unexecuted proposed batches for the
@@ -751,7 +733,7 @@ type Replica struct {
 	// inline, by the one durable waiter on durableQ for a fanned-out one,
 	// so no shard worker ever waits for a disk. inlineScratch is the
 	// write buffer of the inline apply, reused batch after batch (one
-	// stager at a time: the execute-thread, or a worker lane under
+	// stager at a time: the execute-thread, or a stepping thread under
 	// inlineMu), and retireOut takes the engine's OnExecuted outputs (one
 	// retirer at a time, the same way).
 	durableQ      chan durableWait
@@ -807,6 +789,7 @@ func New(cfg Config) (*Replica, error) {
 		ledger:     ldg,
 		store:      store.AsBackend(st),
 		batchQ:     queue.NewMPMC[*types.ClientRequest](1 << 14),
+		workQ:      make(chan workItem, 1<<13),
 		ckptQ:      make(chan workItem, 1<<10),
 		execIn:     queue.NewInOrder[execItem](watermarkWindow*2, uint64(startSeq)+1),
 		execWindow: watermarkWindow,
@@ -816,11 +799,6 @@ func New(cfg Config) (*Replica, error) {
 		readQ:      make(chan *types.ReadRequest, 1<<10),
 		encBufs:    new(pool.BytePool),
 	}
-	r.workQs = make([]chan workItem, cfg.WorkerThreads)
-	for i := range r.workQs {
-		r.workQs[i] = make(chan workItem, 1<<13)
-	}
-	r.laneBusyNS = make([]atomic.Uint64, cfg.WorkerThreads)
 	r.execDepth = 1
 	parts := 1
 	if cfg.ExecuteThreads > 1 {
@@ -913,9 +891,6 @@ func (r *Replica) IsPrimary() bool {
 	return r.engine.IsPrimary()
 }
 
-// WorkerLanes returns the number of worker lanes running.
-func (r *Replica) WorkerLanes() int { return r.cfg.WorkerThreads }
-
 // ProposalHead returns the highest sequence number the consensus engine
 // has proposed or adopted, or 0 if the engine does not expose it.
 func (r *Replica) ProposalHead() types.SeqNum {
@@ -945,14 +920,9 @@ func (r *Replica) Stats() Stats {
 		Checkpoints:     es.Checkpoints,
 		View:            r.engine.View(),
 		LedgerHeight:    r.ledger.Height(),
-		WorkerLanes:     r.cfg.WorkerThreads,
 	}
 	for i := range s.BusyNS {
 		s.BusyNS[i] = r.busyNS[i].Load()
-	}
-	s.WorkerLaneBusyNS = make([]uint64, r.cfg.WorkerThreads)
-	for i := range s.WorkerLaneBusyNS {
-		s.WorkerLaneBusyNS[i] = r.laneBusyNS[i].Load()
 	}
 	s.ExecShards = r.execShards
 	s.ExecShardBusyNS = make([]uint64, r.execShards)
@@ -998,12 +968,8 @@ func (r *Replica) queueGauges(s *Stats) {
 	}
 	s.BatchQueueDepth = r.batchQ.Len()
 	s.BatchQueueCap = r.batchQ.Cap()
-	for i := range r.workQs {
-		if n := len(r.workQs[i]); n > s.WorkQueueDepth {
-			s.WorkQueueDepth = n
-		}
-		s.WorkQueueCap = cap(r.workQs[i])
-	}
+	s.WorkQueueDepth = len(r.workQ)
+	s.WorkQueueCap = cap(r.workQ)
 	s.ExecBacklog = int(r.execPending.Load())
 	s.ExecWindow = r.execWindow
 	s.BusyGauge = r.busyGauge()
@@ -1037,9 +1003,7 @@ func (r *Replica) busyGauge() uint8 {
 		sat(len(ch), cap(ch))
 	}
 	sat(r.batchQ.Len(), r.batchQ.Cap())
-	for i := range r.workQs {
-		sat(len(r.workQs[i]), cap(r.workQs[i]))
-	}
+	sat(len(r.workQ), cap(r.workQ))
 	sat(int(r.execPending.Load()), r.execWindow)
 	return uint8(g)
 }
@@ -1062,15 +1026,6 @@ func (r *Replica) DedupSnapshot() map[types.ClientID]uint64 {
 func (r *Replica) addBusy(stage Stage, d time.Duration) {
 	if d > 0 {
 		r.busyNS[stage].Add(uint64(d))
-	}
-}
-
-// addLaneBusy attributes worker time both to the aggregate worker stage
-// and to the lane that spent it.
-func (r *Replica) addLaneBusy(lane int, d time.Duration) {
-	if d > 0 {
-		r.busyNS[StageWorker].Add(uint64(d))
-		r.laneBusyNS[lane].Add(uint64(d))
 	}
 }
 
@@ -1100,15 +1055,8 @@ func (r *Replica) Start() {
 		r.stage1Wg.Add(1)
 		go r.batchLoop()
 	}
-	// Worker lanes: lane 0 carries control traffic (and 0B batch
-	// assembly); the rest step sequence-routed consensus messages in
-	// parallel on the lock-striped engine.
 	r.stage1Wg.Add(1)
 	go r.workerLoop()
-	for lane := 1; lane < r.cfg.WorkerThreads; lane++ {
-		r.stage1Wg.Add(1)
-		go r.laneLoop(lane)
-	}
 	r.stage1Wg.Add(1)
 	go r.checkpointLoop()
 
@@ -1152,9 +1100,7 @@ func (r *Replica) Stop() {
 		r.readWg.Wait()
 
 		r.batchQ.Close()
-		for _, q := range r.workQs {
-			close(q)
-		}
+		close(r.workQ)
 		close(r.ckptQ)
 		r.stage1Wg.Wait()
 

@@ -84,7 +84,6 @@ func TestDefaultsApplied(t *testing.T) {
 		{"BatchThreads", r.cfg.BatchThreads, 2},
 		{"ExecuteThreads", r.cfg.ExecuteThreads, 1},
 		{"VerifyThreads", r.cfg.VerifyThreads, 2},
-		{"WorkerThreads", r.cfg.WorkerThreads, 1},
 		{"ExecPipelineDepth", r.cfg.ExecPipelineDepth, 1},
 		{"BatchSize", r.cfg.BatchSize, 100},
 		{"CheckpointInterval", int(r.cfg.CheckpointInterval), 100},
@@ -105,6 +104,17 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if again != folded {
 		t.Fatalf("fill is not idempotent:\n%+v\n%+v", folded, again)
+	}
+}
+
+// TestZyzzyvaProtocolRefused: no replica runs Zyzzyva. A config naming it
+// (Protocol 2) is refused, with the error pointing at the simulator, where
+// Zyzzyva lives.
+func TestZyzzyvaProtocolRefused(t *testing.T) {
+	cfg := validConfig(t)
+	cfg.Protocol = 2
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "internal/sim") {
+		t.Fatalf("New with Zyzzyva's protocol value = %v, want a refusal naming internal/sim", err)
 	}
 }
 
@@ -182,5 +192,50 @@ func TestStageStringNames(t *testing.T) {
 		if stage.String() != name {
 			t.Fatalf("Stage(%d).String() = %q, want %q", stage, stage.String(), name)
 		}
+	}
+}
+
+// TestDecodeFailuresSplitFromAuthFailures pins the stats split: malformed
+// bodies must land in DecodeFailures, not AuthFailures, so garbage
+// traffic cannot mask a real forgery signal.
+func TestDecodeFailuresSplitFromAuthFailures(t *testing.T) {
+	r, err := New(validConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A Prepare body must be 8+8+32+2 bytes; 3 bytes cannot decode.
+	r.route(&types.Envelope{
+		From: types.ReplicaNode(1),
+		To:   types.ReplicaNode(0),
+		Type: types.MsgPrepare,
+		Body: []byte{1, 2, 3},
+	}, false)
+	s := r.Stats()
+	if s.DecodeFailures != 1 {
+		t.Fatalf("DecodeFailures = %d, want 1", s.DecodeFailures)
+	}
+	if s.AuthFailures != 0 {
+		t.Fatalf("AuthFailures = %d, want 0 (decode garbage must not count as auth)", s.AuthFailures)
+	}
+}
+
+// TestSendAfterStopDoesNotPanic: a producer that outlives Stop (the
+// watchdog, a late execution) must drop its envelope cleanly — the closed
+// endpoint refuses it. TestStopWhileSending races the two.
+func TestSendAfterStopDoesNotPanic(t *testing.T) {
+	r, err := New(validConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	r.Stop()
+	before := r.Stats().MsgsOut
+	r.send(&types.Envelope{
+		From: types.ReplicaNode(0),
+		To:   types.ReplicaNode(1),
+		Type: types.MsgPrepare,
+	})
+	if got := r.Stats().MsgsOut; got != before {
+		t.Fatalf("MsgsOut grew from %d to %d after Stop", before, got)
 	}
 }

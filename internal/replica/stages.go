@@ -59,9 +59,9 @@ func (r *Replica) handleClientRequest(env *types.Envelope) {
 		if r.cfg.BatchThreads > 0 {
 			r.batchQ.Push(req)
 		} else {
-			// 0B mode: batch assembly lives on lane 0.
+			// 0B mode: batch assembly lives on the worker-thread.
 			select {
-			case r.workQs[0] <- workItem{req: req}:
+			case r.workQ <- workItem{req: req}:
 			case <-r.stop:
 			}
 		}
@@ -76,7 +76,7 @@ func (r *Replica) handleClientRequest(env *types.Envelope) {
 // consensus-bypassing read path): the client asked this one replica for
 // current values. The input stage authenticates and decodes, then hands
 // the request to the dedicated read lane — a local read never touches a
-// consensus lane and never consumes a sequence number, and a slow
+// worker-thread and never consumes a sequence number, and a slow
 // (disk-bound) multi-key read never head-of-line blocks the client inbox
 // behind its store reads. The envelope retires here on every path: the
 // read lane only sees the decoded (copied) request.
@@ -134,7 +134,7 @@ func (r *Replica) inputReplicaLoop(inbox <-chan *types.Envelope) {
 // and one MAC (or one signature verify), the thread already holds the
 // envelope, and handing it to another goroutine for that would cost more
 // than the check and order nothing — the inbox is FIFO and so is this
-// thread. With VerifyThreads -1 the check stays with the worker lane (the
+// thread. With VerifyThreads -1 the check stays with the worker-thread (the
 // paper's cost assignment, kept for the ablations) and the envelope is
 // decoded unauthenticated; that gives unverified peers pre-auth parsing on
 // the input stage, but the decoder is bounds-checked and O(body bytes) — the
@@ -201,13 +201,12 @@ func (r *Replica) readLoop() {
 }
 
 // route decodes an envelope and hands it to the stage that owns it:
-// checkpoint traffic to the checkpoint-thread, sequence-carrying consensus
-// messages to the worker lane owning their sequence number, and control
-// traffic to lane 0. Decoding here — on the input stage, off the worker
-// lanes — is what makes sequence-based routing possible at all; malformed
-// bodies are counted as DecodeFailures and dropped before they can cost a
-// worker lane anything. Proposals (PrePrepare, NewView) decode as views into their frame, which DecodeEnvelope disowns; votes
-// decode into recycled structs the lane gives back after its engine step,
+// checkpoint traffic to the checkpoint-thread, everything else to the
+// worker-thread. Decoding here, on the input stage, keeps that cost off the
+// worker-thread; malformed bodies are counted as DecodeFailures and dropped
+// before they can cost it anything. Proposals (PrePrepare, NewView) decode
+// as views into their frame, which DecodeEnvelope disowns; votes decode
+// into recycled structs the worker-thread gives back after its engine step,
 // and their frames go back to the pool.
 func (r *Replica) route(env *types.Envelope, verified bool) {
 	msg, err := types.DecodeEnvelope(env)
@@ -216,54 +215,17 @@ func (r *Replica) route(env *types.Envelope, verified bool) {
 		env.Release()
 		return
 	}
-	q := r.workQs[r.laneOf(msg)]
+	q := r.workQ
 	if env.Type == types.MsgCheckpoint {
 		q = r.ckptQ
 	}
 	select {
 	case q <- workItem{env: env, msg: msg, verified: verified}:
-		// Ownership moves to the worker lane, which releases the envelope
-		// after processing it.
+		// Ownership moves to the consuming thread, which releases the
+		// envelope after processing it.
 	case <-r.stop:
 		env.Release()
 	}
-}
-
-// laneOf returns the worker lane for a decoded message. Independent
-// consensus instances of the current view spread across lanes by sequence
-// number; everything else stays on lane 0:
-//
-//   - messages without a natural instance — view changes, new-views — so
-//     control traffic keeps a single ordered lane;
-//   - messages for a view other than the engine's current one. A NewView
-//     routes to lane 0, and the new primary's first pre-prepares of view
-//     v+1 follow it from the same inbox; sending them to a seq lane
-//     would let them overtake the NewView still queued on lane 0 and be
-//     dropped as wrong-view — a permanent hole, since pre-prepares are
-//     not retransmitted. Pinning other-view traffic to lane 0 preserves
-//     the per-sender FIFO through the view transition (the engine's view
-//     read is an atomic, so this check is free).
-func (r *Replica) laneOf(msg types.Message) int {
-	lanes := r.cfg.WorkerThreads
-	if lanes == 1 {
-		return 0
-	}
-	var view types.View
-	var seq types.SeqNum
-	switch m := msg.(type) {
-	case *types.PrePrepare:
-		view, seq = m.View, m.Seq
-	case *types.Prepare:
-		view, seq = m.View, m.Seq
-	case *types.Commit:
-		view, seq = m.View, m.Seq
-	default:
-		return 0
-	}
-	if view != r.engine.View() {
-		return 0
-	}
-	return int(uint64(seq) % uint64(lanes))
 }
 
 // verifyEnvelope checks an inbound envelope's authenticator over the bytes
@@ -423,16 +385,16 @@ func (r *Replica) signalProgress() {
 
 // ---- Worker stage (Sections 4.3–4.4) ----
 
-// workerLoop is lane 0: it drives the consensus engine over control and
-// lane-0 consensus traffic and (in 0B mode) also assembles batches, by the
-// batch stage's rule: a pending batch is proposed when it is full or when
-// the lane's queue drains, never on a timer.
+// workerLoop is the worker-thread: it drives the consensus engine over
+// every peer message but checkpoints and (in 0B mode) also assembles
+// batches, by the batch stage's rule: a pending batch is proposed when it
+// is full or when the queue drains, never on a timer.
 func (r *Replica) workerLoop() {
 	defer r.stage1Wg.Done()
 	var pend []types.ClientRequest
 	pendTxns := 0
 	var out consensus.Out
-	for item := range r.workQs[0] {
+	for item := range r.workQ {
 		t0 := time.Now()
 		if item.req != nil {
 			pend = append(pend, *item.req)
@@ -441,36 +403,23 @@ func (r *Replica) workerLoop() {
 			r.processItem(item, &out)
 		}
 		var parked time.Duration
-		if len(pend) > 0 && (pendTxns >= r.cfg.BatchSize || len(r.workQs[0]) == 0) {
+		if len(pend) > 0 && (pendTxns >= r.cfg.BatchSize || len(r.workQ) == 0) {
 			parked = r.propose(pend, &out)
 			pend, pendTxns = nil, 0
 		}
-		r.addLaneBusy(0, time.Since(t0)-parked)
-	}
-}
-
-// laneLoop is one worker lane beyond lane 0: it steps the engine over the
-// consensus messages whose sequence numbers route here. Only
-// sequence-carrying traffic ever lands on these lanes.
-func (r *Replica) laneLoop(lane int) {
-	defer r.stage1Wg.Done()
-	var out consensus.Out
-	for item := range r.workQs[lane] {
-		t0 := time.Now()
-		r.processItem(item, &out)
-		r.addLaneBusy(lane, time.Since(t0))
+		r.addBusy(StageWorker, time.Since(t0)-parked)
 	}
 }
 
 // processItem authenticates and applies one decoded peer message (the
 // input stage already decoded it). With VerifyThreads -1 signature
-// verification happens here, on the worker lane, exactly where the paper
+// verification happens here, on the worker-thread, exactly where the paper
 // assigns it (Section 4.3); when the input-thread already authenticated
 // the envelope (verified true) it is not checked again. The engine step
 // writes into out, the calling goroutine's own.
 func (r *Replica) processItem(item workItem, out *consensus.Out) {
 	env := item.env
-	// The lane is the envelope's final owner, and a vote's: the engine step
+	// The caller is the envelope's final owner, and a vote's: the engine step
 	// below is the one they were decoded for. What outlives it is the
 	// engine's to copy — env.Auth and a vote are borrowed — or a view into
 	// a frame route's DecodeEnvelope already took out of the pool.
@@ -555,7 +504,7 @@ func (r *Replica) signalCompact() {
 // compactLoop is the replica's single compactor thread: stable
 // checkpoints wake it and it runs the store's threshold-driven
 // MaybeCompact, so a log rewrite stalls (at most) one shard's writers but
-// never a consensus lane or the checkpoint-thread. Errors are not fatal —
+// never the worker-thread or the checkpoint-thread. Errors are not fatal —
 // a failed rewrite leaves the old log authoritative — and surface through
 // Stats.StoreCompactFailures.
 func (r *Replica) compactLoop() {
@@ -573,7 +522,7 @@ func (r *Replica) compactLoop() {
 // ---- Action dispatch ----
 
 // handleActions interprets the outputs of the engine step just taken, in
-// order, and resets out. It may be called from any lane, the
+// order, and resets out. It may be called from the worker-thread, the
 // checkpoint-thread, a batch-thread, the execute-thread, or the watchdog,
 // each with its own Out; every path it touches is safe for concurrent use.
 // A vote the engine broadcast is lent: it goes back to its pool once
@@ -628,11 +577,11 @@ func (r *Replica) handleActions(out *consensus.Out) {
 	out.Reset()
 }
 
-// inlineExecute is the 0E execute stage: the lane that just offered a batch
-// to the in-order queue drains every batch ready there, in sequence order,
-// on its own thread, one lane at a time. Polling against an already-closed
-// channel never blocks: a batch whose predecessor has not committed stays
-// queued for the lane that offers the predecessor, and whoever offers last
+// inlineExecute is the 0E execute stage: the thread that just offered a
+// batch to the in-order queue drains every batch ready there, in sequence
+// order, one thread at a time. Polling against an already-closed channel
+// never blocks: a batch whose predecessor has not committed stays queued
+// for the thread that offers the predecessor, and whoever offers last
 // drains after its offer, so nothing is left behind.
 func (r *Replica) inlineExecute() {
 	r.inlineMu.Lock()

@@ -48,7 +48,7 @@ func signedBatch(t *testing.T, dir *crypto.Directory, n int) []types.ClientReque
 }
 
 // verifyRows are the two verification placements the tamper tests run
-// under: inline on the worker lane (V folded; the row keeps the name it had
+// under: inline on the worker-thread (V folded; the row keeps the name it had
 // when 0 meant the fold) and on the input-threads with a V = 2 pool.
 var verifyRows = []struct {
 	name    string
@@ -58,7 +58,7 @@ var verifyRows = []struct {
 // TestTamperedProposalNeverReachesEngine: a proposal's authenticator covers
 // its header only, so the digest check is what authenticates the requests
 // behind it. For an authenticated PrePrepare, verified on the input-thread
-// and on the worker lane: flipping any single byte of the body — header,
+// and on the worker-thread: flipping any single byte of the body — header,
 // count, any request field, any signature byte — appending a request,
 // dropping one, dropping all, or appending trailing bytes, under the
 // original authenticator, never reaches the engine and is counted as an
@@ -288,7 +288,7 @@ func (e *stepCounter) OnMessage(types.NodeID, types.Message, *consensus.Out) {
 	e.steps.Add(1)
 }
 
-// TestAuthBeforeDecode: nothing unauthenticated reaches a lane, and with
+// TestAuthBeforeDecode: nothing unauthenticated reaches the engine, and with
 // input-thread verification nothing unauthenticated is parsed. Over inline
 // verification and V = 2, MAC links and signature links: a flipped
 // authenticator on a well-formed vote counts one auth failure, no decode
@@ -296,7 +296,7 @@ func (e *stepCounter) OnMessage(types.NodeID, types.Message, *consensus.Out) {
 // counts one decode failure; and a bad authenticator on a malformed body is
 // an auth failure when the input-thread verifies (it never reached the
 // decoder) and a decode failure with V folded, where the check waits on the
-// lane behind the decode.
+// worker-thread behind the decode.
 func TestAuthBeforeDecode(t *testing.T) {
 	schemes := []struct {
 		name string

@@ -1,7 +1,7 @@
-// Stress coverage for the worker-lane fan-out. This lives in an external
-// test package so it can drive full clusters (package cluster imports
-// package replica) while still running under this package's -race CI
-// matrix — the acceptance gate for the lock-striped engine.
+// Stress coverage for the engine under every thread that steps it. This
+// lives in an external test package so it can drive full clusters (package
+// cluster imports package replica) while still running under this
+// package's -race CI matrix.
 package replica_test
 
 import (
@@ -13,12 +13,14 @@ import (
 	"resilientdb/internal/workload"
 )
 
-// TestWorkerLanesStress drives a 4-replica PBFT cluster with W=4 worker
-// lanes through the full gauntlet: batched proposals, out-of-order
-// commits across lanes, checkpoint rounds (interval 4), and a mid-load
-// view change after the primary crashes. Ledger heights must converge
-// across the surviving replicas and every chain must validate. Run under
-// -race this is the acceptance test for concurrent engine stepping.
+// TestWorkerLanesStress keeps its name from when a replica ran several
+// worker lanes. It drives a 4-replica PBFT cluster through the full
+// gauntlet: batched proposals, out-of-order commits, checkpoint rounds
+// (interval 4), and a mid-load view change after the primary crashes.
+// Ledger heights must converge across the surviving replicas and every
+// chain must validate. Run under -race this is the acceptance test for
+// concurrent engine stepping: batch-, worker-, execute- and
+// checkpoint-threads all step the engine through its one lock.
 func TestWorkerLanesStress(t *testing.T) {
 	wl := workload.Default()
 	wl.Records = 1000
@@ -27,7 +29,6 @@ func TestWorkerLanesStress(t *testing.T) {
 		N:                  4,
 		Clients:            8,
 		BatchSize:          8,
-		WorkerThreads:      4,
 		CheckpointInterval: 4,
 		Workload:           wl,
 		ViewTimeout:        150 * time.Millisecond,
@@ -41,14 +42,14 @@ func TestWorkerLanesStress(t *testing.T) {
 	c.Start()
 	t.Cleanup(c.Stop)
 
-	// Phase 1: load under primary 0 with all four lanes stepping.
+	// Phase 1: load under primary 0.
 	res1 := c.Run(context.Background(), 800*time.Millisecond)
 	if res1.Txns == 0 {
-		t.Fatalf("no progress with W=4 lanes: %s", res1)
+		t.Fatalf("no progress under primary 0: %s", res1)
 	}
 
 	// Phase 2: crash the primary mid-load; the watchdogs must drive a
-	// view change while lanes keep draining in-flight instances.
+	// view change while the backups keep draining in-flight instances.
 	c.Crash(0)
 	res2 := c.Run(context.Background(), 2500*time.Millisecond)
 	if res2.Txns == 0 {
@@ -87,22 +88,5 @@ func TestWorkerLanesStress(t *testing.T) {
 	}
 	if !ck {
 		t.Fatal("no replica completed a checkpoint round")
-	}
-
-	// Lanes must actually have shared the work: a backup's busy time may
-	// concentrate when load is light, but the stats must report all four
-	// lanes and at least two of them must have stepped the engine.
-	s := c.Replica(1).Stats()
-	if s.WorkerLanes != 4 || len(s.WorkerLaneBusyNS) != 4 {
-		t.Fatalf("backup reports %d lanes (%d busy entries), want 4", s.WorkerLanes, len(s.WorkerLaneBusyNS))
-	}
-	busy := 0
-	for _, ns := range s.WorkerLaneBusyNS {
-		if ns > 0 {
-			busy++
-		}
-	}
-	if busy < 2 {
-		t.Fatalf("only %d of 4 lanes recorded busy time: %v", busy, s.WorkerLaneBusyNS)
 	}
 }

@@ -8,7 +8,7 @@
 //
 //   - A runnable fabric: NewCluster builds an n-replica PBFT deployment
 //     with closed-loop YCSB clients, either in-process or over TCP, running the full Figure 6 pipeline — input-threads,
-//     batch-threads, worker lanes, the in-order execute stage (optionally
+//     batch-threads, the worker-thread, the in-order execute stage (optionally
 //     fanned across write-set-partitioned shards), checkpoint-thread,
 //     per-peer transport writers — with real ED25519/RSA/AES-CMAC
 //     authentication, message buffers pooled on the receive and send side
