@@ -2,7 +2,8 @@
 // resdb-gateway share: the flags that describe a TCP deployment (who the
 // replicas are and the seed their keys derive from) registered once, and
 // the pieces every binary builds from them — the address map, the key
-// directory, and a TCP endpoint for a replica or for a client identity.
+// directory, and a TCP endpoint for a replica or for a client identity —
+// plus the renderer that turns each binary's flags into its knob table.
 package deploy
 
 import (
@@ -31,7 +32,7 @@ type Flags struct {
 // same list -replicas.
 func Register(fs *flag.FlagSet, isReplica bool) *Flags {
 	f := &Flags{}
-	fs.IntVar(&f.n, "n", 4, "number of replicas")
+	fs.IntVar(&f.n, "n", 4, "number of replicas, n ≥ 3f+1")
 	if isReplica {
 		f.membersFlag = "peers"
 		fs.StringVar(&f.members, "peers", "", "comma-separated replica addresses, index = id")
@@ -102,6 +103,5 @@ func (d *Deployment) endpoint(self types.NodeID, listen string, inboxes, capacit
 		Addrs:      d.Addrs,
 		Inboxes:    inboxes,
 		Capacity:   capacity,
-		ZeroCopy:   true,
 	})
 }

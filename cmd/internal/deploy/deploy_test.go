@@ -121,3 +121,16 @@ func TestSeedMatchesCluster(t *testing.T) {
 		}
 	}
 }
+
+// TestKnobTable pins the rendering the binaries' knob tests compare: rows
+// in name order, an empty default as a dash, and a pipe in a usage string
+// escaped so that it stays inside its cell.
+func TestKnobTable(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.Int("b", 2, "two")
+	fs.String("a", "", "x | y")
+	want := "| Flag | Default | Meaning |\n|---|---|---|\n| `-a` | — | x \\| y |\n| `-b` | 2 | two |\n"
+	if got := KnobTable(fs); got != want {
+		t.Fatalf("KnobTable:\n%s\nwant:\n%s", got, want)
+	}
+}

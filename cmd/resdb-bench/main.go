@@ -6,9 +6,6 @@
 //	resdb-bench -experiment fig10
 //	resdb-bench -experiment all -scale paper -out results.txt
 //
-// Scale "small" (default) shrinks populations so the full suite finishes
-// in minutes; "paper" uses the paper's populations (80K clients).
-//
 // The execshards experiment runs the real replica pipeline: it sweeps the
 // execution shards over 1, 2 and 4 under an execution-heavy Zipfian write
 // load, reporting throughput plus the per-shard busy split (the evidence
@@ -34,12 +31,10 @@
 // numbers.
 //
 // The faults experiment runs the chaos scenario matrix (internal/chaos)
-// and reports per-scenario degraded throughput and recovery time; -chaos
-// layers an ambient link fault under every scenario so the matrix can be
-// rerun on an already-degraded network.
+// and reports per-scenario degraded throughput and recovery time.
 //
-// Every experiment's shape is fixed in internal/bench; -chaos, which takes
-// the fault spec resdb-node's -chaos takes, is the one tuning flag.
+// Every experiment's shape is fixed in internal/bench; the flags pick what
+// runs, and each is described by its usage string (resdb-bench -h).
 //
 // End-to-end throughput, latency, allocations per transaction and the
 // per-layer account (transport, codec, crypto, pools, gateway) are not
@@ -61,16 +56,32 @@ func main() {
 	os.Exit(run())
 }
 
+// benchFlags is what resdb-bench's command line sets.
+type benchFlags struct {
+	list       bool
+	experiment string
+	scale      string
+	out        string
+	chaos      string
+}
+
+// register adds resdb-bench's flags to fs.
+func register(fs *flag.FlagSet) *benchFlags {
+	f := &benchFlags{}
+	fs.BoolVar(&f.list, "list", false, "list experiments and exit")
+	fs.StringVar(&f.experiment, "experiment", "all", "experiment id (e.g. fig10) or all")
+	fs.StringVar(&f.scale, "scale", "small", "small (populations shrunk so the suite finishes in minutes) | paper (the paper's populations)")
+	fs.StringVar(&f.out, "out", "", "also write results to this file")
+	fs.StringVar(&f.chaos, "chaos", "", "faults: ambient link fault layered under every scenario, drop=P,dup=P,corrupt=P,delay=D,reorder=D,seed=N, resdb-node's syntax without byz (empty = fault-free between injections)")
+	return f
+}
+
 func run() int {
-	list := flag.Bool("list", false, "list experiments and exit")
-	experiment := flag.String("experiment", "all", "experiment id (e.g. fig10) or 'all'")
-	scaleName := flag.String("scale", "small", "small | paper")
-	outPath := flag.String("out", "", "also write results to this file")
-	chaosSpec := flag.String("chaos", "", "faults: ambient link fault layered under every scenario, drop=P,dup=P,corrupt=P,delay=D,reorder=D,seed=N (empty = fault-free between injections)")
+	f := register(flag.CommandLine)
 	flag.Parse()
 
-	if *chaosSpec != "" {
-		spec, err := chaos.ParseSpec(*chaosSpec)
+	if f.chaos != "" {
+		spec, err := chaos.ParseSpec(f.chaos)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
@@ -79,7 +90,7 @@ func run() int {
 		bench.ChaosTuning.Seed = spec.Seed
 	}
 
-	if *list {
+	if f.list {
 		for _, e := range bench.All() {
 			fmt.Printf("%-14s %s\n               paper: %s\n", e.ID, e.Title, e.Paper)
 		}
@@ -87,18 +98,18 @@ func run() int {
 	}
 
 	scale := bench.ScaleSmall
-	switch *scaleName {
+	switch f.scale {
 	case "small":
 	case "paper":
 		scale = bench.ScalePaper
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q (want small|paper)\n", *scaleName)
+		fmt.Fprintf(os.Stderr, "unknown scale %q (want small|paper)\n", f.scale)
 		return 2
 	}
 
 	var w io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
+	if f.out != "" {
+		f, err := os.Create(f.out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -108,12 +119,12 @@ func run() int {
 	}
 
 	var targets []bench.Experiment
-	if *experiment == "all" {
+	if f.experiment == "all" {
 		targets = bench.All()
 	} else {
-		e, ok := bench.ByID(*experiment)
+		e, ok := bench.ByID(f.experiment)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", *experiment)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", f.experiment)
 			return 2
 		}
 		targets = []bench.Experiment{e}

@@ -3,26 +3,15 @@
 // YCSB transactions and waiting for the protocol's response quorum, then
 // reports throughput and latency.
 //
-// The workload mix is controlled by -read-fraction and -scan-fraction
-// (explicit shares in [0,1]) or -workload (YCSB presets: a = 50% reads,
-// b = 95%, c = read-only, e = 95% scans); the default stays write-only.
-// -scan-length caps the rows per range scan (the YCSB-E span).
-// -read-mode picks how write-free requests — point reads and scans
-// alike — travel: quorum (default) orders them through consensus, local
-// sends them to a single replica answered from its last-executed
-// snapshot without a consensus round, subject to the client's MinSeq
-// staleness bound (refused requests fall back to quorum).
-//
 // With -gateway ADDR the binary switches from direct per-client
 // consensus to the session load generator: -sessions lightweight
-// closed-loop sessions (0 = default 1024) are multiplexed over -clients
-// TCP connections to a resdb-gateway front door, which signs and batches
-// on their behalf. Each connection's writer puts whatever submits are
-// queued, up to 64, in one frame and sends it; -timeout is the
-// per-session retry interval, which the gateway's dedup window makes
-// idempotent.
+// closed-loop sessions are multiplexed over -clients TCP connections to a
+// resdb-gateway front door, which signs and batches on their behalf.
 //
-// Both modes seed their workload from -seed: direct client i draws from
+// Every flag is described by its usage string (resdb-client -h); the
+// workload flags bind straight into workload.Config, whose conventions
+// they follow. docs/ARCHITECTURE.md's knob reference prints them. Both
+// modes seed their workload from -seed: direct client i draws from
 // -seed + i, as cluster.New's clients do.
 package main
 
@@ -46,48 +35,61 @@ func main() {
 	os.Exit(run())
 }
 
+// clientFlags is what resdb-client's command line sets. The workload flags
+// bind into the workload.Config that owns their defaults.
+type clientFlags struct {
+	dep      *deploy.Flags
+	clients  int
+	burst    int
+	duration time.Duration
+	timeout  time.Duration
+	workload workload.Config
+	readMode string
+	gateway  string
+	sessions int
+}
+
+// register adds resdb-client's flags to fs.
+func register(fs *flag.FlagSet) *clientFlags {
+	f := &clientFlags{dep: deploy.Register(fs, false), workload: workload.Default()}
+	fs.IntVar(&f.clients, "clients", 16, "closed-loop clients; in gateway mode, connections to the gateway")
+	fs.IntVar(&f.burst, "burst", 1, "transactions per request (client-side batching)")
+	fs.DurationVar(&f.duration, "duration", 10*time.Second, "run length")
+	fs.DurationVar(&f.timeout, "timeout", 500*time.Millisecond, "retransmission timeout; in gateway mode, the per-session retry interval, which the gateway's dedup window makes idempotent")
+	fs.Float64Var(&f.workload.ReadFraction, "read-fraction", f.workload.ReadFraction, "fraction of read-only transactions in [0,1] (0 = write-only, -1 disables reads)")
+	fs.Float64Var(&f.workload.ScanFraction, "scan-fraction", f.workload.ScanFraction, "fraction of range-scan transactions in [0,1] (0 = none, -1 disables scans); with -read-fraction at most 1")
+	fs.IntVar(&f.workload.ScanLength, "scan-length", f.workload.ScanLength, "most rows per range scan, each covering 1..length keys drawn uniformly, the YCSB-E shape (0 = 100)")
+	fs.StringVar(&f.workload.Preset, "workload", f.workload.Preset, "YCSB preset: a (50% reads) | b (95%) | c (read-only) | e (95% scans); excludes -read-fraction and -scan-fraction")
+	fs.StringVar(&f.readMode, "read-mode", "quorum", "how write-free requests (reads and scans) travel: quorum (ordered through consensus) | local (served by one replica from its last-executed state under the client's staleness bound; a refusal falls back to quorum)")
+	fs.StringVar(&f.gateway, "gateway", "", "gateway front-door address: run the session load generator against it instead of direct per-client consensus (empty = direct mode)")
+	fs.IntVar(&f.sessions, "sessions", 1024, "closed-loop sessions in gateway mode, multiplexed over the -clients connections")
+	return f
+}
+
 func run() int {
-	dep := deploy.Register(flag.CommandLine, false)
-	clients := flag.Int("clients", 16, "number of closed-loop clients")
-	burst := flag.Int("burst", 1, "transactions per request")
-	duration := flag.Duration("duration", 10*time.Second, "run duration")
-	timeout := flag.Duration("timeout", 500*time.Millisecond, "client retransmission timeout")
-	readFraction := flag.Float64("read-fraction", 0, "fraction of read-only transactions in [0,1] (0 = write-only default, -1 explicitly disables reads)")
-	scanFraction := flag.Float64("scan-fraction", 0, "fraction of range-scan transactions in [0,1] (0 = none default, -1 explicitly disables scans)")
-	scanLength := flag.Int("scan-length", 0, "max rows per range scan (0 = default 100)")
-	preset := flag.String("workload", "", "YCSB workload preset: a (50% reads) | b (95%) | c (read-only) | e (95% scans); empty keeps -read-fraction/-scan-fraction")
-	readMode := flag.String("read-mode", "quorum", "how write-free requests (reads and scans) travel: quorum (ordered through consensus) | local (served by one replica from its last-executed snapshot under the client's staleness bound)")
-	gatewayAddr := flag.String("gateway", "", "gateway front-door address: run the session load generator against it instead of direct per-client consensus (empty = direct mode)")
-	sessions := flag.Int("sessions", 0, "simulated closed-loop sessions in gateway mode (0 = default 1024)")
+	f := register(flag.CommandLine)
 	flag.Parse()
 
-	wcfg := workload.Default()
-	wcfg.ReadFraction = *readFraction
-	wcfg.ScanFraction = *scanFraction
-	wcfg.ScanLength = *scanLength
-	wcfg.Preset = *preset
-
-	if *gatewayAddr != "" {
-		return runSessions(sessionConfig{
-			addr:     *gatewayAddr,
-			sessions: *sessions,
-			conns:    *clients,
-			retry:    *timeout,
-			duration: *duration,
-			seed:     dep.Seed,
-			workload: wcfg,
-		})
+	if f.gateway != "" {
+		return runSessions(gateway.LoadConfig{
+			Sessions:     f.sessions,
+			Conns:        f.clients,
+			Dial:         func() (net.Conn, error) { return net.Dial("tcp", f.gateway) },
+			Workload:     f.workload,
+			Seed:         f.dep.Seed,
+			RetryTimeout: f.timeout,
+		}, f.duration)
 	}
 
-	d, err := dep.Resolve()
+	d, err := f.dep.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 
-	cls := make([]*cluster.Client, *clients)
+	cls := make([]*cluster.Client, f.clients)
 	for i := range cls {
-		wl, err := workload.New(wcfg, dep.Seed+int64(i))
+		wl, err := workload.New(f.workload, f.dep.Seed+int64(i))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -101,52 +103,32 @@ func run() int {
 		cls[i], err = cluster.NewClient(cluster.ClientConfig{
 			ID:        types.ClientID(i),
 			N:         d.N,
-			Burst:     *burst,
-			Timeout:   *timeout,
+			Burst:     f.burst,
+			Timeout:   f.timeout,
 			Directory: d.Directory,
 			Endpoint:  ep,
 			Workload:  wl,
-			ReadMode:  *readMode,
+			ReadMode:  f.readMode,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 	}
-	fmt.Println(cluster.RunClients(context.Background(), cls, *duration))
+	fmt.Println(cluster.RunClients(context.Background(), cls, f.duration))
 	return 0
 }
 
-type sessionConfig struct {
-	addr            string
-	sessions, conns int
-	retry           time.Duration
-	duration        time.Duration
-	seed            int64
-	workload        workload.Config
-}
-
 // runSessions is gateway mode: instead of one consensus engine per
-// client, the -sessions population is multiplexed over -clients TCP
-// connections to the gateway front door, which batches, signs, and
-// submits on the sessions' behalf.
-func runSessions(sc sessionConfig) int {
-	if sc.sessions == 0 {
-		sc.sessions = 1 << 10
-	}
-	load, err := gateway.NewLoad(gateway.LoadConfig{
-		Sessions:     sc.sessions,
-		Conns:        sc.conns,
-		Dial:         func() (net.Conn, error) { return net.Dial("tcp", sc.addr) },
-		Workload:     sc.workload,
-		Seed:         sc.seed,
-		RetryTimeout: sc.retry,
-	})
+// client, the sessions are multiplexed over the connections to the gateway
+// front door, which batches, signs, and submits on their behalf.
+func runSessions(lc gateway.LoadConfig, duration time.Duration) int {
+	load, err := gateway.NewLoad(lc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), sc.duration)
+	ctx, cancel := context.WithTimeout(context.Background(), duration)
 	defer cancel()
 	start := time.Now()
 	if err := load.Run(ctx); err != nil {
@@ -157,7 +139,7 @@ func runSessions(sc sessionConfig) int {
 	s := load.Stats()
 	h := load.Latency()
 	fmt.Printf("sessions=%d conns=%d txns=%d tput=%.0f txn/s p50=%s p95=%s p99=%s busy=%d retries=%d rejected=%d\n",
-		sc.sessions, sc.conns, s.Completed, stats.Throughput(s.Completed, elapsed),
+		lc.Sessions, lc.Conns, s.Completed, stats.Throughput(s.Completed, elapsed),
 		h.Percentile(50), h.Percentile(95), h.Percentile(99),
 		s.BusyReplies, s.Retries, s.Rejected)
 	return 0

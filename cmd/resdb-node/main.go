@@ -13,53 +13,11 @@
 // buffer pools" in docs/ARCHITECTURE.md) — these are how the node works,
 // not knobs.
 //
-// The hot-path knobs. The pipeline-shape flags (-batch, -batch-threads,
-// -verify-threads, -execute-shards, -exec-pipeline-depth) are handed to
-// replica.Config as given, so they follow its convention: 0 = the paper's
-// standard 2B1E replica, and for the foldable stages (-batch-threads,
-// -verify-threads, -execute-shards) -1 folds the stage into the one
-// worker-thread:
-//
-//   - -batch N: transactions per consensus batch (0 = 100).
-//   - -batch-threads B: assemble and propose batches on B batch-threads
-//     at the primary (0 = 2); -1 folds batch assembly into the
-//     worker-thread (the paper's 0B configuration).
-//   - -verify-threads V: input-threads authenticate peer envelopes before
-//     decoding them and V pool workers check a batch's client signatures
-//     (0 = 2); -1 verifies inline on the worker-thread and batch-threads
-//     (the paper's baseline assignment).
-//   - -execute-shards E: apply committed batches on E parallel execution
-//     shards, each owning a hash partition of the key space (write-set
-//     partitioning keeps parallel execution deterministic; in-order batch
-//     retirement preserves batch order). 0 runs the paper's single
-//     execute-thread; -1 folds execution into the worker-thread (0E).
-//   - -exec-pipeline-depth P: with E > 1, let up to P committed batches
-//     be in flight across the execution shards at once (cross-batch
-//     pipelining; per-shard FIFO keeps conflicting key partitions in
-//     batch order, and ledger appends stay strictly sequential). 0 is
-//     the strict per-batch barrier.
-//   - -store-backend mem|sharded: the record store. mem (default) is the
-//     paper's recommended in-memory table; sharded is the durable
-//     group-commit store — an append log every execution shard writes
-//     to, recovered to its longest valid prefix after a crash.
-//   - -store-dir D: root directory for the sharded backend (default
-//     resdb-data/replica-<id>).
-//   - -store-sync: durability. Off (default) never fsyncs; on, the
-//     sharded backend group-commits: writes are visible once appended, no
-//     response leaves before a covering fsync, and the log's committer
-//     fsyncs whenever there is something to cover — what is appended
-//     during one fsync shares the next.
-//   - -store-compact-ratio R: checkpoint-driven log compaction for the
-//     sharded backend. When a stable checkpoint fires and the log's
-//     garbage fraction (dead bytes / total bytes) has reached R, the log
-//     is rewritten to live records only. 0 (default) uses the built-in 0.5; negative
-//     disables compaction (logs grow with history).
-//   - -store-compact-min-bytes B: log size below which compaction never
-//     rewrites (rewriting a tiny log cannot pay for its stall). 0
-//     (default) uses the built-in 1 MiB; negative removes the floor.
-//   - -pprof-addr ADDR: serve net/http/pprof on ADDR (e.g.
-//     127.0.0.1:6060) and add heap/GC deltas to the stats tick; empty
-//     (default) disables profiling entirely.
+// Every flag is described by its usage string (resdb-node -h); the
+// pipeline-shape and store flags bind straight into replica.Config and
+// store.BackendConfig, so they follow those types' conventions: 0 is the
+// paper's standard 2B1E replica and -1 folds a stage into the
+// worker-thread. docs/ARCHITECTURE.md's knob reference prints them.
 //
 // Example 4-replica deployment on one machine:
 //
@@ -94,23 +52,43 @@ func main() {
 	os.Exit(run())
 }
 
+// nodeFlags is what resdb-node's command line sets. The pipeline-shape and
+// store flags bind into the configs that own their defaults.
+type nodeFlags struct {
+	dep       *deploy.Flags
+	id        int
+	listen    string
+	rep       replica.Config
+	store     store.BackendConfig
+	storeSync bool
+	chaos     string
+	pprofAddr string
+	stats     time.Duration
+}
+
+// register adds resdb-node's flags to fs.
+func register(fs *flag.FlagSet) *nodeFlags {
+	f := &nodeFlags{dep: deploy.Register(fs, true)}
+	fs.IntVar(&f.id, "id", 0, "replica identifier (0..n-1)")
+	fs.StringVar(&f.listen, "listen", "127.0.0.1:7000", "TCP listen address")
+	fs.IntVar(&f.rep.BatchSize, "batch", f.rep.BatchSize, "most transactions per consensus batch (0 = 100); a batch-thread proposes what is queued and never waits for more")
+	fs.IntVar(&f.rep.BatchThreads, "batch-threads", f.rep.BatchThreads, "batch-threads B at the primary (0 = 2); -1 folds batching into the worker-thread (the paper's 0B)")
+	fs.IntVar(&f.rep.ExecuteThreads, "execute-shards", f.rep.ExecuteThreads, "execution shards E (0 = 1, the paper's execute-thread); -1 folds execution into the worker-thread (0E); E > 1 partitions each batch's write-set across E shards, retired in batch order (deterministic)")
+	fs.IntVar(&f.rep.ExecPipelineDepth, "exec-pipeline-depth", f.rep.ExecPipelineDepth, "committed batches in flight across the execution shards at once when E > 1 (0 = 1, the per-batch barrier); per-shard FIFO keeps each key partition in batch order")
+	fs.IntVar(&f.rep.VerifyThreads, "verify-threads", f.rep.VerifyThreads, "V workers check a batch's client signatures while input-threads authenticate peer envelopes before decoding them (0 = 2); -1 verifies both inline on the worker-thread and batch-threads (the paper's baseline)")
+	fs.StringVar(&f.store.Backend, "store-backend", f.store.Backend, "record store: mem, the in-memory table (empty = mem) | sharded, a MemStore plus one CRC-checked append log that every execution shard writes to, recovered to its longest valid prefix")
+	fs.StringVar(&f.store.Dir, "store-dir", f.store.Dir, "directory of the sharded store (empty = resdb-data/replica-N for -id N)")
+	fs.BoolVar(&f.storeSync, "store-sync", false, "make the sharded store durable: the log's committer fsyncs whenever something appended is not yet covered, and no response leaves before its fsync (off = page cache only)")
+	fs.Float64Var(&f.store.CompactRatio, "store-compact-ratio", f.store.CompactRatio, "garbage ratio (dead/total log bytes) at which a stable checkpoint rewrites the log to its live records (0 = 0.5, negative disables compaction)")
+	fs.Int64Var(&f.store.CompactMinBytes, "store-compact-min-bytes", f.store.CompactMinBytes, "log size below which compaction never rewrites (0 = 1 MiB, negative removes the floor)")
+	fs.StringVar(&f.chaos, "chaos", "", "fault-injection spec for this replica's outbound traffic: drop=P,dup=P,corrupt=P,delay=D,reorder=D,byz=mode@replica,seed=N (empty disables; see internal/chaos)")
+	fs.StringVar(&f.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address and add heap, GC, pool and queue figures to the stats tick (empty disables)")
+	fs.DurationVar(&f.stats, "stats", 5*time.Second, "stats print interval")
+	return f
+}
+
 func run() int {
-	dep := deploy.Register(flag.CommandLine, true)
-	id := flag.Int("id", 0, "replica identifier (0..n-1)")
-	listen := flag.String("listen", "127.0.0.1:7000", "listen address")
-	batch := flag.Int("batch", 0, "transactions per consensus batch (0 = default 100)")
-	batchThreads := flag.Int("batch-threads", 0, "batch-threads B (0 = default 2, -1 folds batching into the worker-thread)")
-	execShards := flag.Int("execute-shards", 0, "execution shards E (0 = default single execute-thread, -1 folds execution into the worker-thread, E > 1 = parallel write-set-partitioned shards)")
-	execDepth := flag.Int("exec-pipeline-depth", 0, "cross-batch execution pipelining depth P (0 = default 1, the strict per-batch barrier; P > 1 overlaps up to P batches across the execution shards)")
-	storeBackend := flag.String("store-backend", "mem", "record store: mem | sharded (durable, group-commit, one append log)")
-	storeDir := flag.String("store-dir", "", "root directory for the sharded store (default resdb-data/replica-<id>)")
-	storeSync := flag.Bool("store-sync", false, "make the sharded store durable: group-commit fsyncs, no response before one covers its writes (off = page cache only)")
-	storeCompactRatio := flag.Float64("store-compact-ratio", 0, "garbage ratio (dead/total log bytes) past which a stable checkpoint compacts the log (0 = default 0.5, negative disables compaction)")
-	storeCompactMin := flag.Int64("store-compact-min-bytes", 0, "log size below which checkpoint-driven compaction never rewrites (0 = default 1 MiB, negative removes the floor)")
-	verifyThreads := flag.Int("verify-threads", 0, "client-signature verification workers; input-threads verify peer envelopes (0 = default 2, -1 verifies both inline on the worker-thread and batch-threads)")
-	chaosSpec := flag.String("chaos", "", "fault-injection spec for this replica's outbound traffic: drop=P,dup=P,corrupt=P,delay=D,reorder=D,byz=mode@replica,seed=N (empty disables; see internal/chaos)")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address and report heap/GC deltas in the stats tick (empty disables)")
-	statsEvery := flag.Duration("stats", 5*time.Second, "stats print interval")
+	f := register(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() > 0 {
 		// -store-sync took a duration once; as a switch it would leave "2ms"
@@ -119,86 +97,72 @@ func run() int {
 		return 2
 	}
 
-	d, err := dep.Resolve()
+	d, err := f.dep.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	ep, err := d.ReplicaEndpoint(types.ReplicaID(*id), *listen)
+	id := types.ReplicaID(f.id)
+	ep, err := d.ReplicaEndpoint(id, f.listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 
 	// The chaos fabric wraps only the endpoint handed to the replica, so
-	// ep stays typed *transport.TCP for Addr and the frame-pool stats.
+	// ep stays typed *transport.TCPEndpoint for Addr and the frame-pool stats.
 	repEP := transport.Endpoint(ep)
-	if *chaosSpec != "" {
-		spec, err := chaos.ParseSpec(*chaosSpec)
+	if f.chaos != "" {
+		spec, err := chaos.ParseSpec(f.chaos)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-		repEP = spec.Fabric().WrapEndpoint(types.ReplicaID(*id), repEP, d.Directory)
+		repEP = spec.Fabric().WrapEndpoint(id, repEP, d.Directory)
 	}
 
-	if *storeDir == "" {
-		*storeDir = filepath.Join("resdb-data", fmt.Sprintf("replica-%d", *id))
+	if f.store.Dir == "" {
+		f.store.Dir = filepath.Join("resdb-data", fmt.Sprintf("replica-%d", f.id))
+	}
+	if f.storeSync {
+		f.store.SyncLinger = 1 // > 0 = durable; the magnitude is ignored
 	}
 	// The same constructor the in-process cluster uses, so backend
 	// semantics cannot drift between deployments.
-	storeCfg := store.BackendConfig{
-		Backend:         *storeBackend,
-		Dir:             *storeDir,
-		CompactRatio:    *storeCompactRatio,
-		CompactMinBytes: *storeCompactMin,
-	}
-	if *storeSync {
-		storeCfg.SyncLinger = 1 // > 0 = durable; the magnitude is ignored
-	}
-	st, err := store.OpenBackend(storeCfg)
+	st, err := store.OpenBackend(f.store)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	defer st.Close()
 
-	rep, err := replica.New(replica.Config{
-		ID:                types.ReplicaID(*id),
-		N:                 d.N,
-		BatchSize:         *batch,
-		BatchThreads:      *batchThreads,
-		ExecuteThreads:    *execShards,
-		ExecPipelineDepth: *execDepth,
-		VerifyThreads:     *verifyThreads,
-		Store:             st,
-		Directory:         d.Directory,
-		Endpoint:          repEP,
-		VerifyClientSigs:  true,
-		ViewTimeout:       2 * time.Second,
-	})
+	f.rep.ID, f.rep.N = id, d.N
+	f.rep.Store, f.rep.Directory, f.rep.Endpoint = st, d.Directory, repEP
+	f.rep.VerifyClientSigs = true
+	f.rep.ViewTimeout = 2 * time.Second
+	rep, err := replica.New(f.rep)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	rep.Start()
-	fmt.Printf("replica %d/%d listening on %s\n", *id, d.N, ep.Addr())
+	fmt.Printf("replica %d/%d listening on %s\n", id, d.N, ep.Addr())
 
-	profiling := *pprofAddr != ""
+	profiling := f.pprofAddr != ""
 	if profiling {
 		// DefaultServeMux carries the net/http/pprof handlers via the
 		// blank import; nothing else registers on it.
 		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+			if err := http.ListenAndServe(f.pprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "pprof server: %v\n", err)
 			}
 		}()
-		fmt.Printf("pprof on http://%s/debug/pprof/\n", *pprofAddr)
+		fmt.Printf("pprof on http://%s/debug/pprof/\n", f.pprofAddr)
 	}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	tick := time.NewTicker(*statsEvery)
+	tick := time.NewTicker(f.stats)
 	defer tick.Stop()
 	var last uint64
 	var lastMem runtime.MemStats

@@ -62,7 +62,6 @@ func TestTCPClusterZeroCopyEndToEnd(t *testing.T) {
 			ListenAddr: "127.0.0.1:0",
 			Inboxes:    inboxes,
 			Capacity:   capacity,
-			ZeroCopy:   true,
 		})
 		if err != nil {
 			t.Fatal(err)

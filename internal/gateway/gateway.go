@@ -66,8 +66,9 @@ type Config struct {
 	// session count — is the gateway's replica-facing connection budget.
 	Upstreams int
 	// Batch caps the transactions coalesced into one consensus request
-	// (default 128). An upstream takes what is queued up to Batch and
-	// goes; it never waits for a fuller batch.
+	// (default 128; 1 sends one transaction per request; negative is
+	// refused). An upstream takes what is queued up to Batch and goes; it
+	// never waits for a fuller batch.
 	Batch int
 	// Timeout is the upstream retransmission delay (default 500ms).
 	Timeout time.Duration
@@ -107,7 +108,10 @@ func (c *Config) fill() error {
 	if c.Upstreams <= 0 {
 		c.Upstreams = 4
 	}
-	if c.Batch <= 0 {
+	if c.Batch < 0 {
+		return fmt.Errorf("gateway: Batch %d < 0 (1 sends one transaction per request)", c.Batch)
+	}
+	if c.Batch == 0 {
 		c.Batch = 128
 	}
 	if c.Timeout <= 0 {

@@ -946,3 +946,40 @@ func TestEdgeBatchesFill(t *testing.T) {
 		t.Fatalf("%.1f transactions per upstream request, want at least %d", per, batch/2)
 	}
 }
+
+// TestGatewayBatchOfOne pins Batch = 1 as the way to send one transaction
+// per consensus request: a frame of eight submits behind one upstream
+// becomes eight requests, where the default batch takes the frame, admitted
+// under one lock, as one. A negative Batch is refused, not read as the
+// default.
+func TestGatewayBatchOfOne(t *testing.T) {
+	const submits = 8
+	if _, err := New(Config{N: 4, Directory: newTestCluster(t).Directory(), Batch: -1,
+		Endpoint: func(types.ClientID) (transport.Endpoint, error) { return nil, errors.New("unused") },
+	}); err == nil {
+		t.Fatal("New accepted Batch -1")
+	}
+	for _, tt := range []struct{ batch, requests int }{{1, submits}, {0, 1}} {
+		t.Run(fmt.Sprintf("batch=%d", tt.batch), func(t *testing.T) {
+			c := newTestCluster(t)
+			g := newTestGateway(t, c, func(cfg *Config) {
+				cfg.Upstreams = 1
+				cfg.Batch = tt.batch
+			})
+			ts := dialSession(t, g)
+			subs := make([]Submit, submits)
+			for s := range subs {
+				subs[s] = Submit{Session: uint64(s), Nonce: 1, Ops: writeOp(uint64(s), "v")}
+			}
+			ts.send(subs...)
+			for _, r := range ts.recv(submits, 5*time.Second) {
+				if r.Status != StatusOK {
+					t.Fatalf("session %d: status %v, want ok", r.Session, r.Status)
+				}
+			}
+			if st := g.Stats(); st.Requests != uint64(tt.requests) {
+				t.Fatalf("%d submits made %d upstream requests, want %d", submits, st.Requests, tt.requests)
+			}
+		})
+	}
+}

@@ -57,7 +57,7 @@ func TestAllocsPerCommittedBatch(t *testing.T) {
 	}
 	open := func(self types.NodeID, inboxes, capacity int) *transport.TCPEndpoint {
 		ep, err := transport.NewTCPWithConfig(transport.TCPConfig{
-			Self: self, ListenAddr: "127.0.0.1:0", Inboxes: inboxes, Capacity: capacity, ZeroCopy: true,
+			Self: self, ListenAddr: "127.0.0.1:0", Inboxes: inboxes, Capacity: capacity,
 		})
 		if err != nil {
 			t.Fatal(err)

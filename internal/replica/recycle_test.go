@@ -110,7 +110,7 @@ func newShapedRecycleCluster(t *testing.T, tcp bool, execThreads int, shape recy
 				self = types.ReplicaNode(types.ReplicaID(i))
 			}
 			ep, err := transport.NewTCPWithConfig(transport.TCPConfig{
-				Self: self, ListenAddr: "127.0.0.1:0", Inboxes: 3, Capacity: 1 << 10, ZeroCopy: true,
+				Self: self, ListenAddr: "127.0.0.1:0", Inboxes: 3, Capacity: 1 << 10,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -67,14 +67,11 @@ type TCPConfig struct {
 	// and writes: under load frames fill because the queue outpaces the
 	// writer, and an idle connection pays no added latency.
 	BatchMax int
-	// ZeroCopy gives the receive path a frame-buffer pool (Section 4.8
-	// buffer-pool management). Decoded envelopes alias the frame they
-	// arrived in either way; with ZeroCopy the frame's buffer comes from a
-	// per-endpoint pool and returns to it when every consumer has called
-	// Release on its envelope, without it every frame is allocated and
-	// left to the garbage collector. Consumers that never Release only
-	// forfeit reuse, so the pool is safe with release-unaware receivers,
-	// just not profitable.
+	// ZeroCopy is ignored: every endpoint borrows inbound frames from its
+	// own pool (Section 4.8 buffer-pool management), and a frame's buffer
+	// returns to it when every consumer has called Release on its
+	// envelope. Consumers that never Release only forfeit reuse. The name
+	// stays until the benchmark that sets it can be changed.
 	ZeroCopy bool
 }
 
@@ -132,7 +129,7 @@ type TCPEndpoint struct {
 	ln      net.Listener
 	inboxes []chan *types.Envelope
 	drops   atomic.Uint64
-	frames  types.FrameBuffers // inbound frame recycler; nil unless ZeroCopy
+	frames  types.FrameBuffers // inbound frame recycler (see SetFrameBuffers)
 	// dial is net.DialTimeout everywhere but in tests, which hold it back
 	// or fail it.
 	dial func(addr string) (net.Conn, error)
@@ -165,12 +162,10 @@ func NewTCPWithConfig(cfg TCPConfig) (*TCPEndpoint, error) {
 		peers:    make(map[types.NodeID]*tcpPeer),
 		accepted: make(map[net.Conn]bool),
 		stopW:    make(chan struct{}),
+		frames:   new(pool.BytePool),
 		dial: func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, stallTimeout)
 		},
-	}
-	if cfg.ZeroCopy {
-		e.frames = new(pool.BytePool)
 	}
 	for k, v := range cfg.Addrs {
 		e.addrs[k] = v
@@ -237,7 +232,8 @@ func (e *TCPEndpoint) Inboxes() int { return len(e.inboxes) }
 func (e *TCPEndpoint) Drops() uint64 { return e.drops.Load() }
 
 // FramePoolStats returns the inbound frame pool's cumulative hit and miss
-// counts. Both are zero when ZeroCopy is off.
+// counts. Both are zero once SetFrameBuffers has replaced the pool with a
+// recycler of another type.
 func (e *TCPEndpoint) FramePoolStats() (hits, misses uint64) {
 	if p, ok := e.frames.(*pool.BytePool); ok {
 		return p.Stats()
@@ -248,7 +244,8 @@ func (e *TCPEndpoint) FramePoolStats() (hits, misses uint64) {
 // SetFrameBuffers replaces the recycler inbound frames are borrowed from.
 // It exists so a test can substitute one that poisons every returned
 // buffer, which turns a use-after-recycle anywhere downstream into wrong
-// bytes instead of a rare flake. Call it before any peer connects.
+// bytes instead of a rare flake; nil allocates every frame, the no-pool
+// baseline. Call it before any peer connects.
 func (e *TCPEndpoint) SetFrameBuffers(bufs types.FrameBuffers) {
 	e.mu.Lock() // the accept loop takes mu before it starts a reader
 	e.frames = bufs

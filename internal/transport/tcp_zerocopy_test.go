@@ -26,7 +26,6 @@ func newZeroCopyPair(t *testing.T, cfg TCPConfig) (a, b *TCPEndpoint) {
 		ListenAddr: "127.0.0.1:0",
 		Inboxes:    1,
 		Capacity:   1 << 14,
-		ZeroCopy:   true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,11 +7,11 @@ import (
 	"resilientdb/internal/types"
 )
 
-// benchTCPBlast drives n envelopes through a localhost TCP pair built
-// with cfg applied to the receiver, draining and releasing on the
-// benchmark goroutine. It is the transport-level half of the zero-copy
+// benchTCPBlast drives n envelopes through a localhost TCP pair, draining
+// and releasing on the benchmark goroutine; without pool the receiver
+// allocates every frame. It is the transport-level half of the zero-copy
 // allocation comparison (run with -benchmem).
-func benchTCPBlast(b *testing.B, zeroCopy bool) {
+func benchTCPBlast(b *testing.B, pool bool) {
 	a, err := NewTCPWithConfig(TCPConfig{
 		Self: types.ReplicaNode(0), ListenAddr: "127.0.0.1:0",
 		Inboxes: 1, Capacity: 1 << 14, BatchMax: 16,
@@ -22,12 +22,15 @@ func benchTCPBlast(b *testing.B, zeroCopy bool) {
 	defer a.Close()
 	recv, err := NewTCPWithConfig(TCPConfig{
 		Self: types.ReplicaNode(1), ListenAddr: "127.0.0.1:0",
-		Inboxes: 1, Capacity: 1 << 14, ZeroCopy: zeroCopy,
+		Inboxes: 1, Capacity: 1 << 14,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer recv.Close()
+	if !pool {
+		recv.SetFrameBuffers(nil)
+	}
 	a.SetPeerAddr(types.ReplicaNode(1), recv.Addr())
 
 	body := []byte(fmt.Sprintf("%0200d", 0))
