@@ -138,7 +138,6 @@ func run() int {
 
 	f.rep.ID, f.rep.N = id, d.N
 	f.rep.Store, f.rep.Directory, f.rep.Endpoint = st, d.Directory, repEP
-	f.rep.VerifyClientSigs = true
 	f.rep.ViewTimeout = 2 * time.Second
 	rep, err := replica.New(f.rep)
 	if err != nil {

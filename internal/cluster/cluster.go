@@ -285,7 +285,6 @@ func (c *Cluster) buildReplica(id types.ReplicaID, st store.Store, boot *replica
 		Store:              st,
 		Directory:          c.dir,
 		Endpoint:           ep,
-		VerifyClientSigs:   true,
 		DisableOutOfOrder:  opts.DisableOutOfOrder,
 		ViewTimeout:        opts.ViewTimeout,
 		Bootstrap:          boot,

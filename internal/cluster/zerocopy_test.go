@@ -84,16 +84,15 @@ func TestTCPClusterZeroCopyEndToEnd(t *testing.T) {
 	reps := make([]*replica.Replica, n)
 	for i := 0; i < n; i++ {
 		rep, err := replica.New(replica.Config{
-			ID:               types.ReplicaID(i),
-			N:                n,
-			Protocol:         replica.PBFT,
-			BatchSize:        8,
-			BatchThreads:     2,
-			ExecuteThreads:   1,
-			VerifyThreads:    2,
-			Directory:        dir,
-			Endpoint:         eps[i],
-			VerifyClientSigs: true,
+			ID:             types.ReplicaID(i),
+			N:              n,
+			Protocol:       replica.PBFT,
+			BatchSize:      8,
+			BatchThreads:   2,
+			ExecuteThreads: 1,
+			VerifyThreads:  2,
+			Directory:      dir,
+			Endpoint:       eps[i],
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -10,19 +10,31 @@ import (
 // Instead of a scan-and-recheck loop or an expensive hash map, the paper
 // associates a large set of QC logical queues with the execute-thread; the
 // producer deposits the notice for sequence s into slot s mod QC, and the
-// consumer blocks on exactly the slot of the next in-order sequence. Each
-// slot is a one-deep channel, so the space cost matches a single queue of
-// QC entries while the consumer never inspects out-of-order work.
+// consumer waits on exactly the slot of the next in-order sequence. The
+// slots are one ring of QC values under one lock, and the consumer has one
+// wake channel, which a producer rings only when it fills the slot the
+// consumer waits on: the space cost is a single queue of QC entries, made
+// in one allocation, and the consumer never inspects out-of-order work.
 //
 // QC must exceed the maximum number of in-flight sequence numbers
 // (2 × clients × requests-per-client in the paper's sizing) so that
 // sequence s+QC can never be offered before s was consumed.
 type InOrder[T any] struct {
-	slots []chan T
-	next  uint64
 	mu    sync.Mutex
-	done  chan struct{}
-	once  sync.Once
+	slots []inOrderSlot[T]
+	next  uint64
+	// wake (capacity 1) tells the consumer the slot it waits on was filled,
+	// or the buffer closed; a token left over from an earlier fill makes it
+	// look again and wait again.
+	wake chan struct{}
+	// freed wakes producers waiting for a slot the consumer has not emptied.
+	freed  sync.Cond
+	closed bool
+}
+
+type inOrderSlot[T any] struct {
+	v    T
+	full bool
 }
 
 // NewInOrder returns an InOrder buffer with qc slots that starts
@@ -31,27 +43,40 @@ func NewInOrder[T any](qc int, start uint64) *InOrder[T] {
 	if qc < 1 {
 		qc = 1
 	}
-	s := &InOrder[T]{
-		slots: make([]chan T, qc),
+	o := &InOrder[T]{
+		slots: make([]inOrderSlot[T], qc),
 		next:  start,
-		done:  make(chan struct{}),
+		wake:  make(chan struct{}, 1),
 	}
-	for i := range s.slots {
-		s.slots[i] = make(chan T, 1)
-	}
-	return s
+	o.freed.L = &o.mu
+	return o
 }
 
 // Offer deposits the item for sequence seq. It blocks only if sequence
 // seq-QC has not been consumed yet, which a correctly sized buffer makes
 // impossible. It reports false if the buffer was closed.
 func (o *InOrder[T]) Offer(seq uint64, v T) bool {
-	slot := o.slots[seq%uint64(len(o.slots))]
-	select {
-	case slot <- v:
-		return true
-	case <-o.done:
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	s := &o.slots[seq%uint64(len(o.slots))]
+	for s.full && !o.closed {
+		o.freed.Wait()
+	}
+	if o.closed {
 		return false
+	}
+	s.v, s.full = v, true
+	if seq == o.next {
+		o.ring()
+	}
+	return true
+}
+
+// ring leaves a wake token for the consumer, unless one is already there.
+func (o *InOrder[T]) ring() {
+	select {
+	case o.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -84,31 +109,29 @@ const (
 // when the barrier falls, and blocking on neither while the other is ready.
 // Like Next it is for a single consumer.
 func (o *InOrder[T]) NextOr(alt <-chan struct{}) (uint64, T, Woke) {
-	o.mu.Lock()
-	seq := o.next
-	slot := o.slots[seq%uint64(len(o.slots))]
-	o.mu.Unlock()
-	var v T
-	select {
-	case v = <-slot:
-	default:
+	var zero T
+	for {
+		o.mu.Lock()
+		seq := o.next
+		if s := &o.slots[seq%uint64(len(o.slots))]; s.full {
+			v := s.v
+			s.v, s.full = zero, false
+			o.next = seq + 1
+			o.freed.Broadcast()
+			o.mu.Unlock()
+			return seq, v, WokeItem
+		}
+		closed := o.closed
+		o.mu.Unlock()
+		if closed {
+			return 0, zero, WokeClosed
+		}
 		select {
-		case v = <-slot:
+		case <-o.wake:
 		case <-alt:
-			return 0, v, WokeAlt
-		case <-o.done:
-			// Drain race: an Offer may have landed just before Close.
-			select {
-			case v = <-slot:
-			default:
-				return 0, v, WokeClosed
-			}
+			return 0, zero, WokeAlt
 		}
 	}
-	o.mu.Lock()
-	o.next = seq + 1
-	o.mu.Unlock()
-	return seq, v, WokeItem
 }
 
 // NextSeq returns the sequence number Next will deliver.
@@ -119,7 +142,13 @@ func (o *InOrder[T]) NextSeq() uint64 {
 }
 
 // Close releases blocked producers and consumers.
-func (o *InOrder[T]) Close() { o.once.Do(func() { close(o.done) }) }
+func (o *InOrder[T]) Close() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.closed = true
+	o.freed.Broadcast()
+	o.ring()
+}
 
 // MapReorder is the hash-map alternative the paper rejects ("collision
 // resistant hash functions are expensive to compute"): a mutex-protected

@@ -441,6 +441,107 @@ func TestInOrderStartOffset(t *testing.T) {
 	}
 }
 
+// TestInOrderIsOneRing: an InOrder of the replica's size is a handful of
+// allocations, the ring among them, not one (or more) per slot.
+func TestInOrderIsOneRing(t *testing.T) {
+	type item struct {
+		p    *int
+		seq  uint64
+		body [96]byte
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		NewInOrder[item](8192, 0).Close()
+	})
+	t.Logf("NewInOrder(8192) allocates %.0f times", allocs)
+	if allocs > 4 {
+		t.Fatalf("NewInOrder(8192) allocates %.0f times, want at most 4", allocs)
+	}
+}
+
+// TestInOrderCycleAllocatesNothing: the execute-thread's steady cycle, an
+// Offer out of order, one in order and the two in-order NextOr calls that
+// take them, allocates nothing.
+func TestInOrderCycleAllocatesNothing(t *testing.T) {
+	type item struct {
+		p   *int
+		seq uint64
+	}
+	o := NewInOrder[item](64, 0)
+	defer o.Close()
+	ready := make(chan struct{})
+	close(ready)
+	seq := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		o.Offer(seq+1, item{seq: seq + 1})
+		o.Offer(seq, item{seq: seq})
+		for i := 0; i < 2; i++ {
+			if got, v, w := o.NextOr(ready); w != WokeItem || got != seq || v.seq != seq {
+				t.Fatalf("NextOr = (%d,%d,%v), want (%d,%d,WokeItem)", got, v.seq, w, seq, seq)
+			}
+			seq++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("an Offer/NextOr cycle allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestInOrderLappingOfferBlocks: an Offer for the slot of a sequence not yet
+// consumed waits until the consumer takes that sequence, and then lands;
+// Close releases an Offer so parked, reporting false, and a NextOr parked on
+// an empty slot, reporting WokeClosed.
+func TestInOrderLappingOfferBlocks(t *testing.T) {
+	o := NewInOrder[int](2, 0)
+	o.Offer(0, 0)
+	o.Offer(1, 1)
+	offered := make(chan bool, 1)
+	go func() { offered <- o.Offer(2, 2) }() // slot 0 still holds sequence 0
+	select {
+	case ok := <-offered:
+		t.Fatalf("Offer(2) into the slot of unconsumed sequence 0 returned %v", ok)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if seq, v, ok := o.Next(); !ok || seq != 0 || v != 0 {
+		t.Fatalf("Next = (%d,%d,%v), want (0,0,true)", seq, v, ok)
+	}
+	if ok := <-offered; !ok {
+		t.Fatal("Offer(2) reports false once its slot was consumed")
+	}
+	for want := 1; want <= 2; want++ {
+		if seq, v, ok := o.Next(); !ok || seq != uint64(want) || v != want {
+			t.Fatalf("Next = (%d,%d,%v), want (%d,%d,true)", seq, v, ok, want, want)
+		}
+	}
+
+	// Sequence 3 waits in slot 1, so an Offer of 5 laps it; slot 0, where
+	// the consumer waits for sequence 4, is empty.
+	o.Offer(3, 3)
+	if seq, _, _ := o.Next(); seq != 3 {
+		t.Fatalf("Next = %d, want 3", seq)
+	}
+	o.Offer(5, 5)
+	go func() { offered <- o.Offer(7, 7) }()
+	woke := make(chan Woke, 1)
+	go func() {
+		_, _, w := o.NextOr(nil)
+		woke <- w
+	}()
+	select {
+	case ok := <-offered:
+		t.Fatalf("Offer(7) into the slot of unconsumed sequence 5 returned %v", ok)
+	case w := <-woke:
+		t.Fatalf("NextOr returned %v with sequence 4 not offered", w)
+	case <-time.After(20 * time.Millisecond):
+	}
+	o.Close()
+	if ok := <-offered; ok {
+		t.Fatal("Close left a lapping Offer reporting true")
+	}
+	if w := <-woke; w != WokeClosed {
+		t.Fatalf("Close woke the parked NextOr with %v, want WokeClosed", w)
+	}
+}
+
 func TestMapReorderMatchesInOrder(t *testing.T) {
 	const n = 100
 	m := NewMapReorder[int](0)

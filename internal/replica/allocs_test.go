@@ -80,7 +80,7 @@ func TestAllocsPerCommittedBatch(t *testing.T) {
 		r, err := New(Config{
 			ID: types.ReplicaID(i), N: 4, Protocol: PBFT, BatchSize: burst,
 			CheckpointInterval: 25, Store: store.NewMemStore(records),
-			Directory: dir, Endpoint: ep, VerifyClientSigs: true,
+			Directory: dir, Endpoint: ep,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -221,7 +221,7 @@ func TestAllocsPerReadBatch(t *testing.T) {
 			ID: id, N: 4, Protocol: PBFT,
 			BatchSize: 32, ExecuteThreads: 2, ExecPipelineDepth: 2,
 			CheckpointInterval: 25, Store: disk,
-			Directory: dir, Endpoint: net.Endpoint(types.ReplicaNode(id), 3, 1<<13), VerifyClientSigs: true,
+			Directory: dir, Endpoint: net.Endpoint(types.ReplicaNode(id), 3, 1<<13),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -41,6 +41,7 @@ func TestBatchStageDrainsThenProposes(t *testing.T) {
 				for j := range req.Txns {
 					req.Txns[j] = types.Transaction{Client: req.Client, ClientSeq: uint64(1 + j)}
 				}
+				signRequest(t, dir, req)
 				r.batchQ.Push(req)
 			}
 			r.Start()

@@ -153,7 +153,6 @@ func newShapedRecycleCluster(t *testing.T, tcp bool, execThreads int, shape recy
 			Store:              st,
 			Directory:          dir,
 			Endpoint:           ep,
-			VerifyClientSigs:   true,
 		})
 		if err != nil {
 			t.Fatal(err)

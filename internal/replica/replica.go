@@ -140,9 +140,9 @@ type Config struct {
 	// Directory provides key material; Endpoint attaches the network.
 	Directory *crypto.Directory
 	Endpoint  transport.Endpoint
-	// VerifyClientSigs makes batch-threads verify client request
-	// signatures before batching, rejecting forged requests. Off unless
-	// set; every deployment (cluster, resdb-node) sets it.
+	// VerifyClientSigs is ignored: the primary's batch-threads always
+	// verify client request signatures before batching, rejecting forged
+	// requests.
 	VerifyClientSigs bool
 	// DisableOutOfOrder serializes consensus instances: the primary
 	// proposes batch k+1 only after batch k executed. It exists as the

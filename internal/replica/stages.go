@@ -282,11 +282,8 @@ func (r *Replica) propose(reqs []types.ClientRequest, out *consensus.Out) (parke
 	if len(reqs) == 0 {
 		return
 	}
-	if r.cfg.VerifyClientSigs {
-		reqs = r.verifyClientSigs(reqs)
-		if len(reqs) == 0 {
-			return
-		}
+	if reqs = r.verifyClientSigs(reqs); len(reqs) == 0 {
+		return
 	}
 	park := func() bool {
 		t0 := time.Now()

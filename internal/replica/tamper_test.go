@@ -27,8 +27,18 @@ func (e *proposalCounter) OnMessage(from types.NodeID, msg types.Message, out *c
 	e.Engine.OnMessage(from, msg, out)
 }
 
-// signedBatch is n client requests signed with the benchmark driver's
-// exact call: auth.Sign(ReplicaNode(0), req.SigningBytes()).
+// signRequest signs req as its client, with the benchmark driver's exact
+// call: auth.Sign(ReplicaNode(0), req.SigningBytes()).
+func signRequest(t *testing.T, dir *crypto.Directory, req *types.ClientRequest) {
+	t.Helper()
+	sig, err := dir.NodeAuth(types.ClientNode(req.Client)).Sign(types.ReplicaNode(0), req.SigningBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Sig = sig
+}
+
+// signedBatch is n client requests, each signed by signRequest.
 func signedBatch(t *testing.T, dir *crypto.Directory, n int) []types.ClientRequest {
 	t.Helper()
 	reqs := make([]types.ClientRequest, n)
@@ -38,13 +48,51 @@ func signedBatch(t *testing.T, dir *crypto.Directory, n int) []types.ClientReque
 			{Client: id, ClientSeq: 1, Ops: []types.Op{{Key: uint64(i), Value: []byte("value")}}},
 			{Client: id, ClientSeq: 2, Ops: []types.Op{{Kind: types.OpRead, Key: 3}}, Payload: []byte{0xAB}},
 		}}
-		sig, err := dir.NodeAuth(types.ClientNode(id)).Sign(types.ReplicaNode(0), reqs[i].SigningBytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		reqs[i].Sig = sig
+		signRequest(t, dir, &reqs[i])
 	}
 	return reqs
+}
+
+// TestForgedRequestDroppedByDefault: a replica built from a Config that
+// says nothing about client signatures checks them. Of two queued requests,
+// the one signed with another client's key is dropped before the proposal
+// and counted in AuthFailures, and the authentic one is proposed.
+func TestForgedRequestDroppedByDefault(t *testing.T) {
+	dir, err := crypto.NewDirectory(crypto.Recommended(), [32]byte{24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := transport.NewInproc()
+	backup := net.Endpoint(types.ReplicaNode(1), 1, 64)
+	r, err := New(Config{
+		ID: 0, N: 4, BatchThreads: 1,
+		Directory: dir, Endpoint: net.Endpoint(types.ReplicaNode(0), 3, 64),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := signedBatch(t, dir, 2)
+	forged, err := dir.NodeAuth(types.ClientNode(reqs[0].Client)).Sign(types.ReplicaNode(0), reqs[1].SigningBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs[1].Sig = forged
+	r.batchQ.Push(&reqs[1])
+	r.batchQ.Push(&reqs[0])
+	r.Start()
+	t.Cleanup(r.Stop)
+
+	pp := nextPrePrepare(t, backup)
+	if len(pp.Requests) != 1 || pp.Requests[0].Client != reqs[0].Client {
+		clients := make([]types.ClientID, len(pp.Requests))
+		for i := range pp.Requests {
+			clients[i] = pp.Requests[i].Client
+		}
+		t.Fatalf("the proposal carries clients %v, want only the authentic %d", clients, reqs[0].Client)
+	}
+	if got := r.Stats().AuthFailures; got != 1 {
+		t.Fatalf("%d auth failures, want the forged request's 1", got)
+	}
 }
 
 // verifyRows are the two verification placements the tamper tests run
@@ -194,7 +242,7 @@ func TestDriverSignedRequestVerifiesAfterDecode(t *testing.T) {
 	}
 	net := transport.NewInproc()
 	r, err := New(Config{
-		ID: 0, N: 4, VerifyClientSigs: true,
+		ID: 0, N: 4,
 		Directory: dir, Endpoint: net.Endpoint(types.ReplicaNode(0), 3, 64),
 	})
 	if err != nil {
@@ -234,11 +282,7 @@ func TestDriverSignedRequestVerifiesAfterDecode(t *testing.T) {
 
 	signed := signedBatch(t, dir, 3)
 	signed[0].Txns[0].Payload = bytes.Repeat([]byte{0xC3}, 32<<10) // a request-sized buffer would show
-	sig, err := dir.NodeAuth(types.ClientNode(signed[0].Client)).Sign(types.ReplicaNode(0), signed[0].SigningBytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	signed[0].Sig = sig
+	signRequest(t, dir, &signed[0])
 
 	if kept := r.verifyClientSigs(decode(signed[:1])); len(kept) != 1 {
 		t.Fatal("inline: a driver-signed request failed verification after decode")

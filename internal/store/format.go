@@ -123,7 +123,7 @@ type logState struct {
 // rewrite from t is exactly this long, and a log holding more holds
 // superseded records.
 func liveBytes(t *table) int64 {
-	return int64(len(t.index))*recHdr + int64(t.bytes)
+	return int64(t.index.len())*recHdr + int64(t.bytes)
 }
 
 // extend grows f by whole chunks of zeros until it owns every byte below end.
@@ -300,11 +300,11 @@ func rewriteLiveRecords(values *table, logPath string) (*os.File, logState, erro
 		return fail(err)
 	}
 	var hdr [recHdr]byte
-	for key := range values.index {
+	values.index.each(func(key uint64, _ *entry) {
 		val, _ := values.get(key)
 		w.Write(putRecordHeader(hdr[:], key, val)) // a failed write is sticky: Flush reports it
 		w.Write(val)
-	}
+	})
 	st := logState{total: liveBytes(values)}
 	st.off = int64(len(logMagic)) + st.total
 	// Pad to the next chunk boundary so the appends that follow the swap find

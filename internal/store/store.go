@@ -229,7 +229,8 @@ func (s *MemStore) Put(key uint64, value []byte) error {
 }
 
 // PutMany implements Batcher: it pays the closed-store check and the lock
-// once for the whole partition, then applies the writes in order. With
+// once for the whole partition, then applies the writes in order, having
+// read every key's home slot before it writes any (table.putMany). With
 // key-disjoint partitions the final contents are independent of how
 // concurrent callers interleave. The ordered sidecar hears only of
 // partitions that brought a new key: the table lookup already knows an
@@ -240,12 +241,7 @@ func (s *MemStore) PutMany(kvs []KV) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	fresh := false
-	for i := range kvs {
-		if !s.t.put(kvs[i].Key, kvs[i].Value) {
-			fresh = true
-		}
-	}
+	fresh := s.t.putMany(kvs)
 	s.mu.Unlock()
 	if fresh {
 		s.ordered.insertMany(kvs)
@@ -342,7 +338,7 @@ func (s *MemStore) Scan(start, end uint64, fn func(key uint64, value []byte) boo
 func (s *MemStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.t.index)
+	return s.t.index.len()
 }
 
 // isDead reports whether Close has run.

@@ -4,9 +4,10 @@ import "encoding/binary"
 
 // The record table (MemStore's, and so the disk store's) keeps its values
 // in pages and its index pointer-free, so a table costs the garbage
-// collector nothing per record: the index is a map of plain structs and the
-// pages are byte slices, neither of which the collector scans, and a new
-// key allocates only when it fills a page.
+// collector nothing per record: the index is an array of plain structs
+// (index.go) and the pages are byte slices, neither of which the collector
+// scans, and a new key allocates only when it fills a page or the index
+// doubles.
 const (
 	// pageSize is the size of the pages small values are carved from.
 	pageSize = 64 << 10
@@ -38,7 +39,7 @@ type entry struct {
 // into new pages and drops the old ones, so the pages stay within a small
 // factor of the bytes live.
 type table struct {
-	index map[uint64]entry
+	index index
 	pages [][]byte
 	// cur is the page small values are carved from, and room how much of it
 	// is still uncarved, at its end.
@@ -57,13 +58,13 @@ type table struct {
 }
 
 func newTable(hint int) table {
-	return table{index: make(map[uint64]entry, hint)}
+	return table{index: newIndex(hint)}
 }
 
 // get returns the value stored under key, lent: it aliases the page, so the
 // caller copies what it keeps before it releases the owner's lock.
 func (t *table) get(key uint64) ([]byte, bool) {
-	e, ok := t.index[key]
+	e, ok := t.index.find(key)
 	if !ok || e.length == 0 {
 		return nil, ok
 	}
@@ -77,6 +78,20 @@ func (t *table) put(key uint64, value []byte) bool {
 	return existed
 }
 
+// putMany stores every write of kvs in order and reports whether any key
+// was new. It first reads every key's home slot (index.warm), so that the
+// cache misses of a partition's lookups overlap instead of each waiting
+// behind the write before it, and then puts the writes one by one.
+func (t *table) putMany(kvs []KV) (fresh bool) {
+	t.index.warm(kvs)
+	for i := range kvs {
+		if !t.put(kvs[i].Key, kvs[i].Value) {
+			fresh = true
+		}
+	}
+	return fresh
+}
+
 // set makes key's value n bytes long and returns them for the caller to
 // fill, and whether key was already there. A value that fits the key's slot
 // — no longer than it and at least half as long — stays in it, and its
@@ -84,7 +99,11 @@ func (t *table) put(key uint64, value []byte) bool {
 // a slot is never more than twice what it holds and the bytes kept follow
 // the bytes live, not each key's longest value.
 func (t *table) set(key uint64, n int) ([]byte, bool) {
-	e, ok := t.index[key]
+	p, ok := t.index.find(key)
+	var e entry
+	if ok {
+		e = *p
+	}
 	t.bytes += n - int(e.length)
 	switch {
 	case !ok || uint32(n) > e.capacity || uint32(n) < e.capacity/2:
@@ -92,14 +111,19 @@ func (t *table) set(key uint64, n int) ([]byte, bool) {
 			t.release(e)
 		}
 		e = t.alloc(uint32(n))
-		t.index[key] = e
+		if ok {
+			*p = e
+		} else {
+			t.index.insert(key, e)
+		}
 		if t.freed > t.held && t.freed >= pageSize {
 			t.repack()
-			e = t.index[key]
+			p, _ = t.index.find(key)
+			e = *p
 		}
 	case uint32(n) != e.length:
 		e.length = uint32(n)
-		t.index[key] = e
+		p.length = e.length
 	}
 	if n == 0 {
 		return nil, ok
@@ -155,7 +179,11 @@ func (t *table) release(e entry) {
 func (t *table) push(e entry) {
 	c := e.capacity / classStep
 	if int(c) >= len(t.free) {
-		t.free = append(t.free, make([]uint64, int(c)+1-len(t.free))...)
+		// One allocation, built with the race detector too, where
+		// append(t.free, make(...)...) makes two.
+		free := make([]uint64, int(c)+1)
+		copy(free, t.free)
+		t.free = free
 	}
 	binary.LittleEndian.PutUint64(t.pages[e.page][e.off:], t.free[c])
 	t.free[c] = (uint64(e.page)<<32 | uint64(e.off)) + 1
@@ -171,19 +199,17 @@ func (t *table) repack() {
 	old := t.pages
 	t.pages, t.free, t.spare = nil, nil, nil
 	t.cur, t.room, t.held, t.freed = 0, 0, 0, 0
-	for k, e := range t.index {
+	t.index.each(func(_ uint64, e *entry) {
 		switch {
 		case e.capacity == 0:
-			continue
 		case e.capacity > largeValue:
 			e.page = t.addPage(old[e.page])
 		default:
 			src := old[e.page][e.off : e.off+e.length]
-			e = t.alloc(e.length)
+			*e = t.alloc(e.length)
 			copy(t.pages[e.page][e.off:], src)
 		}
-		t.index[k] = e
-	}
+	})
 }
 
 // addPage stores p in a spare page slot, or a new one, and returns its

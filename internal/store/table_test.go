@@ -16,12 +16,20 @@ func (t *table) pageBytes() int {
 	return n
 }
 
+// entry returns key's entry, or the zero entry for a key t does not hold.
+func (t *table) entry(key uint64) entry {
+	if e, ok := t.index.find(key); ok {
+		return *e
+	}
+	return entry{}
+}
+
 // checkTable compares every key of model with t, and the byte count t keeps
 // with the model's values.
 func checkTable(t *testing.T, tab *table, model map[uint64][]byte) {
 	t.Helper()
-	if len(tab.index) != len(model) {
-		t.Fatalf("table holds %d keys, want %d", len(tab.index), len(model))
+	if tab.index.len() != len(model) {
+		t.Fatalf("table holds %d keys, want %d", tab.index.len(), len(model))
 	}
 	total := 0
 	for k, want := range model {
@@ -44,13 +52,13 @@ func TestTableReusesFreedSlots(t *testing.T) {
 	t.Run("next-of-class", func(t *testing.T) {
 		tab := newTable(0)
 		tab.put(1, make([]byte, 10))
-		freed := tab.index[1]
+		freed := tab.entry(1)
 		tab.put(1, make([]byte, 100)) // outgrows its slot and moves
-		if tab.index[1].off == freed.off {
+		if tab.entry(1).off == freed.off {
 			t.Fatalf("a value that outgrew its slot stayed at offset %d", freed.off)
 		}
 		tab.put(2, bytes.Repeat([]byte{2}, 13)) // a new key of the freed slot's class
-		if got := tab.index[2]; got.page != freed.page || got.off != freed.off {
+		if got := tab.entry(2); got.page != freed.page || got.off != freed.off {
 			t.Fatalf("the next value of the freed class went to %+v, want the freed slot %+v", got, freed)
 		}
 		checkTable(t, &tab, map[uint64][]byte{1: make([]byte, 100), 2: bytes.Repeat([]byte{2}, 13)})
@@ -174,16 +182,19 @@ func hasPointers(typ reflect.Type) bool {
 }
 
 // TestTableHoldsNoPointers keeps the record tables out of the garbage
-// collector's work: it fails if the index's key or entry, or a page's
-// element, becomes a type that holds a pointer (a slice put back into the
-// index, say), which would make every collection trace every record again.
+// collector's work: it fails if an index slot (its key or its entry), or a
+// page's element, becomes a type that holds a pointer (a slice put into the
+// entry, say), which would make every collection trace every record again.
 func TestTableHoldsNoPointers(t *testing.T) {
 	var tab table
-	index, pages := reflect.TypeOf(tab.index), reflect.TypeOf(tab.pages)
-	for _, typ := range []reflect.Type{index.Key(), index.Elem(), pages.Elem().Elem()} {
+	slots, pages := reflect.TypeOf(tab.index.slots), reflect.TypeOf(tab.pages)
+	for _, typ := range []reflect.Type{slots.Elem(), pages.Elem().Elem()} {
 		if hasPointers(typ) {
 			t.Errorf("table holds %v, a type with pointers", typ)
 		}
+	}
+	if size := slots.Elem().Size(); size > 24 {
+		t.Errorf("an index slot is %d bytes, more than a key and its entry's 24", size)
 	}
 	if !hasPointers(reflect.TypeOf([]byte(nil))) || !hasPointers(reflect.TypeOf(struct{ p *int }{})) {
 		t.Fatal("hasPointers misses a pointer")
