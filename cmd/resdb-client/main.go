@@ -8,11 +8,14 @@
 // closed-loop sessions are multiplexed over -clients TCP connections to a
 // resdb-gateway front door, which signs and batches on their behalf.
 //
+// Both modes run the one closed-loop generator (internal/loadgen) and
+// print one line, its Result; gateway mode adds the busy and rejected
+// counts. Both seed their workload by its one rule: client i, or gateway
+// connection i, draws from -seed + i.
+//
 // Every flag is described by its usage string (resdb-client -h); the
 // workload flags bind straight into workload.Config, whose conventions
-// they follow. docs/ARCHITECTURE.md's knob reference prints them. Both
-// modes seed their workload from -seed: direct client i draws from
-// -seed + i, as cluster.New's clients do.
+// they follow. docs/ARCHITECTURE.md's knob reference prints them.
 package main
 
 import (
@@ -24,9 +27,8 @@ import (
 	"time"
 
 	"resilientdb/cmd/internal/deploy"
-	"resilientdb/internal/cluster"
 	"resilientdb/internal/gateway"
-	"resilientdb/internal/stats"
+	"resilientdb/internal/loadgen"
 	"resilientdb/internal/types"
 	"resilientdb/internal/workload"
 )
@@ -71,14 +73,30 @@ func run() int {
 	flag.Parse()
 
 	if f.gateway != "" {
-		return runSessions(gateway.LoadConfig{
+		// Gateway mode: the sessions are multiplexed over the connections
+		// to the gateway front door, which batches, signs, and submits on
+		// their behalf.
+		load, err := gateway.NewLoad(gateway.LoadConfig{
 			Sessions:     f.sessions,
 			Conns:        f.clients,
 			Dial:         func() (net.Conn, error) { return net.Dial("tcp", f.gateway) },
 			Workload:     f.workload,
 			Seed:         f.dep.Seed,
 			RetryTimeout: f.timeout,
-		}, f.duration)
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), f.duration)
+		defer cancel()
+		if err := load.Run(ctx); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		s := load.Stats()
+		fmt.Printf("%s busy=%d rejected=%d\n", load.Result(), s.BusyReplies, s.Rejected)
+		return 0
 	}
 
 	d, err := f.dep.Resolve()
@@ -87,60 +105,27 @@ func run() int {
 		return 2
 	}
 
-	cls := make([]*cluster.Client, f.clients)
-	for i := range cls {
-		wl, err := workload.New(f.workload, f.dep.Seed+int64(i))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
+	load := loadgen.New(loadgen.Config{Workload: f.workload, Seed: f.dep.Seed, Burst: f.burst})
+	for i := 0; i < f.clients; i++ {
 		ep, err := d.ClientEndpoint(types.ClientID(i))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 		defer ep.Close()
-		cls[i], err = cluster.NewClient(cluster.ClientConfig{
-			ID:        types.ClientID(i),
+		if err := load.AddDirect(loadgen.DirectConfig{
 			N:         d.N,
-			Burst:     f.burst,
 			Timeout:   f.timeout,
 			Directory: d.Directory,
 			Endpoint:  ep,
-			Workload:  wl,
 			ReadMode:  f.readMode,
-		})
-		if err != nil {
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 	}
-	fmt.Println(cluster.RunClients(context.Background(), cls, f.duration))
-	return 0
-}
-
-// runSessions is gateway mode: instead of one consensus engine per
-// client, the sessions are multiplexed over the connections to the gateway
-// front door, which batches, signs, and submits on their behalf.
-func runSessions(lc gateway.LoadConfig, duration time.Duration) int {
-	load, err := gateway.NewLoad(lc)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), duration)
+	ctx, cancel := context.WithTimeout(context.Background(), f.duration)
 	defer cancel()
-	start := time.Now()
-	if err := load.Run(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	elapsed := time.Since(start)
-	s := load.Stats()
-	h := load.Latency()
-	fmt.Printf("sessions=%d conns=%d txns=%d tput=%.0f txn/s p50=%s p95=%s p99=%s busy=%d retries=%d rejected=%d\n",
-		lc.Sessions, lc.Conns, s.Completed, stats.Throughput(s.Completed, elapsed),
-		h.Percentile(50), h.Percentile(95), h.Percentile(99),
-		s.BusyReplies, s.Retries, s.Rejected)
+	fmt.Println(load.Run(ctx))
 	return 0
 }

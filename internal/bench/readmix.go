@@ -28,8 +28,7 @@ import (
 //
 // On a few-core machine the latency percentiles are scheduler-noisy
 // (dozens of runnable closed-loop clients share the cores, so the
-// max-across-clients percentile picks up run-queue wait, not server
-// time); the local, seq-used, and throughput columns are the quantities
+// percentiles pick up run-queue wait, not server time); the local, seq-used, and throughput columns are the quantities
 // to watch there (cf. the diskpipe guidance).
 func readmix(s Scale) (Outcome, error) {
 	warmup := 300 * time.Millisecond

@@ -1,3 +1,7 @@
+// Package cluster wires replicas and clients into a runnable deployment:
+// the single-process test-bed used by the examples, the integration tests,
+// and the real-runtime experiments. Its clients are direct carriers of the
+// closed-loop generator (internal/loadgen), one per client identity.
 package cluster
 
 import (
@@ -10,8 +14,8 @@ import (
 
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/ledger"
+	"resilientdb/internal/loadgen"
 	"resilientdb/internal/replica"
-	"resilientdb/internal/stats"
 	"resilientdb/internal/store"
 	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
@@ -40,7 +44,7 @@ type Options struct {
 	Crypto crypto.Config
 	// Workload configures the YCSB generator.
 	Workload workload.Config
-	// ClientTimeout is the client retransmission delay (0 = NewClient's
+	// ClientTimeout is the client retransmission delay (0 = loadgen's
 	// default); ViewTimeout the replica progress watchdog (0 disables view
 	// changes).
 	ClientTimeout time.Duration
@@ -76,11 +80,8 @@ type Options struct {
 	// compaction never rewrites. 0 means the default
 	// (store.DefaultCompactMinBytes); negative removes the floor.
 	StoreCompactMinBytes int64
-	// ReadMode selects how clients issue read-only requests: "quorum"
-	// (default) orders them through consensus; "local" sends them to a
-	// single replica, answered from its last-executed state without a
-	// consensus round (per-key freshness only — see types.ReadRequest for
-	// the exact semantics).
+	// ReadMode is every client's loadgen.DirectConfig.ReadMode: "quorum"
+	// (default) or "local".
 	ReadMode string
 	// Seed makes key material and workloads reproducible.
 	Seed int64
@@ -109,13 +110,6 @@ func (o *Options) fill() error {
 	if o.StoreBackend == "" {
 		o.StoreBackend = "mem"
 	}
-	switch o.ReadMode {
-	case "":
-		o.ReadMode = "quorum"
-	case "quorum", "local":
-	default:
-		return fmt.Errorf("cluster: unknown read mode %q (want quorum|local)", o.ReadMode)
-	}
 	if o.Crypto.ReplicaScheme == 0 {
 		o.Crypto = crypto.Recommended()
 	}
@@ -130,53 +124,8 @@ func (o *Options) fill() error {
 // (Section 4.1).
 const replicaInboxes = 3
 
-// Result summarizes a load run.
-type Result struct {
-	Duration   time.Duration
-	Txns       uint64
-	Throughput float64 // transactions per second (client-side completions)
-	MeanLat    time.Duration
-	P50Lat     time.Duration
-	P99Lat     time.Duration
-	Retransmit uint64
-	// Read/scan/write split, classified write over scan over read:
-	// ReadTxns counts transactions from point-read-only requests (however
-	// they traveled), ScanTxns those from write-free requests carrying a
-	// range scan, WriteTxns the rest; the per-kind percentiles come from
-	// separate histograms. LocalReads counts the write-free requests
-	// served by the consensus-bypassing local path and StaleFallbacks the
-	// ones every replica refused under the staleness bound, re-run through
-	// quorum.
-	ReadTxns       uint64
-	ScanTxns       uint64
-	WriteTxns      uint64
-	LocalReads     uint64
-	StaleFallbacks uint64
-	ReadP50Lat     time.Duration
-	ReadP95Lat     time.Duration
-	ReadP99Lat     time.Duration
-	ScanP50Lat     time.Duration
-	ScanP95Lat     time.Duration
-	ScanP99Lat     time.Duration
-	WriteP50Lat    time.Duration
-	WriteP95Lat    time.Duration
-	WriteP99Lat    time.Duration
-}
-
-// String renders a compact one-line summary.
-func (r Result) String() string {
-	s := fmt.Sprintf("txns=%d tput=%.0f txn/s mean=%s p50=%s p99=%s retx=%d",
-		r.Txns, r.Throughput, r.MeanLat, r.P50Lat, r.P99Lat, r.Retransmit)
-	if r.ReadTxns > 0 || r.ScanTxns > 0 {
-		s += fmt.Sprintf(" reads=%d(p50=%s p95=%s)", r.ReadTxns, r.ReadP50Lat, r.ReadP95Lat)
-		if r.ScanTxns > 0 {
-			s += fmt.Sprintf(" scans=%d(p50=%s p95=%s)", r.ScanTxns, r.ScanP50Lat, r.ScanP95Lat)
-		}
-		s += fmt.Sprintf(" local=%d stale=%d writes=%d(p50=%s p95=%s)",
-			r.LocalReads, r.StaleFallbacks, r.WriteTxns, r.WriteP50Lat, r.WriteP95Lat)
-	}
-	return s
-}
+// Result summarizes a load run (see loadgen.Result).
+type Result = loadgen.Result
 
 // Cluster is a runnable single-process deployment.
 type Cluster struct {
@@ -184,7 +133,9 @@ type Cluster struct {
 	net      *transport.Inproc
 	dir      *crypto.Directory
 	replicas []*replica.Replica
-	clients  []*Client
+	// load is the closed-loop generator; client i is its carrier i,
+	// attached on clientEP[i].
+	load     *loadgen.Generator
 	clientEP []transport.Endpoint
 
 	// stores holds each replica's inner (pre-wrapper) record store;
@@ -341,28 +292,19 @@ func New(opts Options) (*Cluster, error) {
 		c.replicas = append(c.replicas, rep)
 	}
 
+	c.load = loadgen.New(loadgen.Config{Workload: opts.Workload, Seed: opts.Seed, Burst: opts.Burst})
 	for i := 0; i < opts.Clients; i++ {
-		id := types.ClientID(i)
-		wl, err := workload.New(opts.Workload, int64(i)+opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		ep := c.net.Endpoint(types.ClientNode(id), 1, 1<<10)
-		cl, err := NewClient(ClientConfig{
-			ID:        id,
+		ep := c.net.Endpoint(types.ClientNode(types.ClientID(i)), 1, 1<<10)
+		c.clientEP = append(c.clientEP, ep)
+		if err := c.load.AddDirect(loadgen.DirectConfig{
 			N:         opts.N,
-			Burst:     opts.Burst,
 			Timeout:   opts.ClientTimeout,
 			Directory: dir,
 			Endpoint:  ep,
-			Workload:  wl,
 			ReadMode:  opts.ReadMode,
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, err
 		}
-		c.clients = append(c.clients, cl)
-		c.clientEP = append(c.clientEP, ep)
 	}
 	built = true
 	return c, nil
@@ -377,9 +319,6 @@ func (c *Cluster) Start() {
 
 // Replica returns the i-th replica.
 func (c *Cluster) Replica(i int) *replica.Replica { return c.replicas[i] }
-
-// Clients returns the client runtimes.
-func (c *Cluster) Clients() []*Client { return c.clients }
 
 // Store returns the i-th replica's inner record store (before any
 // StoreWrapper), for invariant checks that compare replica state.
@@ -522,98 +461,13 @@ func (c *Cluster) Restart(i int) error {
 	return nil
 }
 
-// Run drives all clients for the given duration and aggregates results
-// (see RunClients).
+// Run drives every client for d (or until ctx ends). Counters are deltas
+// for this run, so successive calls (e.g. before and after a crash) are
+// directly comparable; latencies cover every run so far.
 func (c *Cluster) Run(ctx context.Context, d time.Duration) Result {
-	return RunClients(ctx, c.clients, d)
-}
-
-// RunClients drives clients for d (or until ctx ends) and aggregates their
-// results. Counters are reported as deltas for this run, so successive
-// calls over the same clients (e.g. before and after a crash) are directly
-// comparable; latencies are the clients' whole histograms.
-func RunClients(ctx context.Context, clients []*Client, d time.Duration) Result {
-	before := make([]ClientStats, len(clients))
-	for i, cl := range clients {
-		before[i] = cl.Stats()
-	}
-	runCtx, cancel := context.WithTimeout(ctx, d)
+	ctx, cancel := context.WithTimeout(ctx, d)
 	defer cancel()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for _, cl := range clients {
-		wg.Add(1)
-		go func(cl *Client) {
-			defer wg.Done()
-			cl.Run(runCtx)
-		}(cl)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	res := Result{Duration: elapsed}
-	for i, cl := range clients {
-		s := cl.Stats()
-		res.Txns += s.TxnsCompleted - before[i].TxnsCompleted
-		res.Retransmit += s.Retransmits - before[i].Retransmits
-		res.ReadTxns += s.ReadTxns - before[i].ReadTxns
-		res.ScanTxns += s.ScanTxns - before[i].ScanTxns
-		res.WriteTxns += s.WriteTxns - before[i].WriteTxns
-		res.LocalReads += s.LocalReads - before[i].LocalReads
-		res.StaleFallbacks += s.StaleFallbacks - before[i].StaleFallbacks
-	}
-	res.Throughput = stats.Throughput(res.Txns, elapsed)
-	res.MeanLat, res.P50Lat, res.P99Lat = aggregateLatency(clients)
-	res.ReadP50Lat, res.ReadP95Lat, res.ReadP99Lat = aggregateSplit(clients, (*Client).ReadLatency)
-	res.ScanP50Lat, res.ScanP95Lat, res.ScanP99Lat = aggregateSplit(clients, (*Client).ScanLatency)
-	res.WriteP50Lat, res.WriteP95Lat, res.WriteP99Lat = aggregateSplit(clients, (*Client).WriteLatency)
-	return res
-}
-
-// aggregateSplit reports the worst per-client P50/P95/P99 of one latency
-// split, mirroring aggregateLatency's conservative max-across-clients.
-func aggregateSplit(clients []*Client, h func(*Client) *stats.Histogram) (p50, p95, p99 time.Duration) {
-	for _, cl := range clients {
-		hist := h(cl)
-		if hist.Count() == 0 {
-			continue
-		}
-		if v := hist.Percentile(50); v > p50 {
-			p50 = v
-		}
-		if v := hist.Percentile(95); v > p95 {
-			p95 = v
-		}
-		if v := hist.Percentile(99); v > p99 {
-			p99 = v
-		}
-	}
-	return p50, p95, p99
-}
-
-func aggregateLatency(clients []*Client) (mean, p50, p99 time.Duration) {
-	var total uint64
-	var weighted uint64
-	maxP50, maxP99 := time.Duration(0), time.Duration(0)
-	for _, cl := range clients {
-		h := cl.Latency()
-		n := h.Count()
-		if n == 0 {
-			continue
-		}
-		total += n
-		weighted += uint64(h.Mean()) * n
-		if v := h.Percentile(50); v > maxP50 {
-			maxP50 = v
-		}
-		if v := h.Percentile(99); v > maxP99 {
-			maxP99 = v
-		}
-	}
-	if total == 0 {
-		return 0, 0, 0
-	}
-	return time.Duration(weighted / total), maxP50, maxP99
+	return c.load.Run(ctx)
 }
 
 // WaitForHeight blocks until every live replica's ledger reaches height h

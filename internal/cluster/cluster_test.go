@@ -527,6 +527,72 @@ func TestDisableOutOfOrderStillCorrect(t *testing.T) {
 	}
 }
 
+// TestLoadStatsWhileRunning reads the clients' Stats and Latency while
+// Run drives them, as the benchmark's slice marks do; run under -race.
+func TestLoadStatsWhileRunning(t *testing.T) {
+	opts := smallOpts()
+	opts.Workload.ReadFraction = 0.5
+	opts.ReadMode = "local"
+	opts.PreloadTable = true
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	t.Cleanup(c.Stop)
+	resc := make(chan Result, 1)
+	go func() { resc <- c.Run(context.Background(), time.Second) }()
+	var last uint64
+	for polling := true; polling; {
+		select {
+		case res := <-resc:
+			if res.Txns == 0 || res.LocalReads == 0 {
+				t.Fatalf("run completed nothing locally: %s", res)
+			}
+			if n := c.load.Latency().Count(); n != res.Txns {
+				t.Fatalf("%d latencies for %d one-transaction requests", n, res.Txns)
+			}
+			polling = false
+		default:
+			s, h := c.load.Stats(), c.load.Latency()
+			if s.Completed < last || h.Percentile(99) < h.Percentile(50) {
+				t.Fatalf("stats went back or percentiles crossed: %+v, %d latencies", s, h.Count())
+			}
+			last = s.Completed
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+}
+
+// TestSecondRunExecutes: a client's sequence carries over from one Run to
+// the next. A second run that started again at sequence 1 would have its
+// transactions ordered and answered but skipped by every replica's dedup
+// until it passed the first run's sequences.
+func TestSecondRunExecutes(t *testing.T) {
+	c, err := New(smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	t.Cleanup(c.Stop)
+	var last map[types.ClientID]uint64
+	for run, d := range []time.Duration{600 * time.Millisecond, 300 * time.Millisecond} {
+		if res := c.Run(context.Background(), d); res.Txns == 0 {
+			t.Fatalf("run %d completed nothing: %s", run, res)
+		}
+		if !c.WaitForQuiesce(5*time.Second, nil) {
+			t.Fatal("cluster did not settle")
+		}
+		executed := c.Replica(0).DedupSnapshot()
+		for id, seq := range last {
+			if executed[id] <= seq {
+				t.Fatalf("run %d: client %d's last executed sequence %d → %d", run, id, seq, executed[id])
+			}
+		}
+		last = executed
+	}
+}
+
 // TestClusterReadMixThroughConsensus: with a 50% read fraction in the
 // default quorum read mode, reads order through consensus like writes —
 // every replica executes them, clients complete them against a response

@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/ledger"
+	"resilientdb/internal/loadgen"
 	"resilientdb/internal/replica"
 	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
@@ -111,13 +111,8 @@ func TestTCPClusterZeroCopyEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 1500*time.Millisecond)
 	defer cancel()
 
-	var wg sync.WaitGroup
-	clients := make([]*Client, 2)
-	for i := range clients {
-		wl, err := workload.New(wlCfg, int64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
+	load := loadgen.New(loadgen.Config{Workload: wlCfg})
+	for i := 0; i < 2; i++ {
 		cep := newEP(types.ClientNode(types.ClientID(i)), 1, 1<<10)
 		defer cep.Close()
 		for node, addr := range addrs {
@@ -128,30 +123,16 @@ func TestTCPClusterZeroCopyEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cl, err := NewClient(ClientConfig{
-			ID:        types.ClientID(i),
+		if err := load.AddDirect(loadgen.DirectConfig{
 			N:         n,
 			Timeout:   400 * time.Millisecond,
 			Directory: dir,
 			Endpoint:  cep,
-			Workload:  wl,
-		})
-		if err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
-		clients[i] = cl
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl.Run(ctx)
-		}()
 	}
-	wg.Wait()
-
-	var txns uint64
-	for _, cl := range clients {
-		txns += cl.Stats().TxnsCompleted
-	}
+	txns := load.Run(ctx).Txns
 	if txns == 0 {
 		t.Fatal("no transactions completed over zero-copy TCP")
 	}

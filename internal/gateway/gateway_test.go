@@ -895,6 +895,53 @@ func TestGatewayLoadGenerator(t *testing.T) {
 	t.Logf("load: %d txns over 50 sessions / 2 conns (busy=%d retries=%d)", st.Completed, st.BusyReplies, st.Retries)
 }
 
+// TestLoadStatsWhileRunning reads the session load's Stats and Latency
+// while the connections' readers complete sessions, as the benchmark's
+// slice marks do; run under -race. Each OK ack is one transaction and one
+// latency, recorded once.
+func TestLoadStatsWhileRunning(t *testing.T) {
+	c := newTestCluster(t)
+	g := newTestGateway(t, c, nil)
+	wl := workload.Default()
+	wl.Records = 256
+	wl.ValueSize = 16
+	load, err := NewLoad(LoadConfig{
+		Sessions: 32,
+		Conns:    2,
+		Dial: func() (net.Conn, error) {
+			client, server := net.Pipe()
+			g.ServeConn(server)
+			return client, nil
+		},
+		Workload: wl,
+		Seed:     7,
+	})
+	if err != nil {
+		t.Fatalf("building load: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- load.Run(ctx) }()
+	var last uint64
+	for deadline := time.Now().Add(20 * time.Second); last < 200 && time.Now().Before(deadline); {
+		s, h := load.Stats(), load.Latency()
+		if s.Completed < last || h.Percentile(99) < h.Percentile(50) {
+			t.Errorf("stats went back or percentiles crossed: %+v, %d latencies", s, h.Count())
+			break
+		}
+		last = s.Completed
+		time.Sleep(100 * time.Microsecond)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("load run: %v", err)
+	}
+	st := load.Stats()
+	if st.Completed < 200 || load.Latency().Count() != st.Completed || st.WriteTxns != st.Completed {
+		t.Fatalf("after the run: %+v, %d latencies; want at least 200 writes, one latency each", st, load.Latency().Count())
+	}
+}
+
 // TestEdgeBatchesFill is the edge's analogue of the replica's
 // TestBatchesFillUnderLoad. An upstream takes what is queued and never
 // waits for more, yet with many closed-loop sessions behind one upstream

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"resilientdb/internal/loadgen"
 	"resilientdb/internal/pool"
 	"resilientdb/internal/stats"
 	"resilientdb/internal/types"
@@ -27,8 +27,8 @@ type LoadConfig struct {
 	Conns    int
 	// Dial opens one gateway connection.
 	Dial func() (net.Conn, error)
-	// Workload configures the per-session transaction generator; Seed
-	// salts it per connection.
+	// Workload configures the sessions' transaction generator; connection
+	// i's sessions draw from Seed+i.
 	Workload workload.Config
 	Seed     int64
 	// RetryTimeout is how long a session waits for a reply before
@@ -59,27 +59,17 @@ func (c *LoadConfig) fill() error {
 	return nil
 }
 
-// LoadStats is a snapshot of the load generator's counters.
-type LoadStats struct {
-	// Completed counts transactions acknowledged StatusOK; Rejected the
-	// StatusRejected acks (evicted dedup entries — executed, reply lost).
-	Completed uint64
-	Rejected  uint64
-	// BusyReplies counts StatusBusy pushbacks; Retries the same-nonce
-	// retransmissions after RetryTimeout.
-	BusyReplies uint64
-	Retries     uint64
-}
+// LoadStats is a snapshot of the load's counters: Completed counts
+// StatusOK transactions, Retries the same-nonce retries after RetryTimeout.
+type LoadStats = loadgen.Stats
 
-// Load drives LoadConfig.Sessions simulated sessions against a gateway.
+// Load drives LoadConfig.Sessions simulated sessions against a gateway:
+// a loadgen.Generator whose carriers are the connections.
 type Load struct {
-	cfg LoadConfig
-	lat *stats.Histogram
-
-	completed atomic.Uint64
-	rejected  atomic.Uint64
-	busy      atomic.Uint64
-	retries   atomic.Uint64
+	cfg   LoadConfig
+	gen   *loadgen.Generator
+	conns []*loadConn
+	last  loadgen.Result
 }
 
 // NewLoad builds a load generator.
@@ -87,44 +77,61 @@ func NewLoad(cfg LoadConfig) (*Load, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	return &Load{cfg: cfg, lat: &stats.Histogram{}}, nil
+	l := &Load{cfg: cfg, gen: loadgen.New(loadgen.Config{Workload: cfg.Workload, Seed: cfg.Seed})}
+	per, extra := cfg.Sessions/cfg.Conns, cfg.Sessions%cfg.Conns
+	for i := 0; i < cfg.Conns; i++ {
+		count := per
+		if i < extra {
+			count++
+		}
+		lc := &loadConn{retry: cfg.RetryTimeout}
+		if _, err := l.gen.Add(count, lc); err != nil {
+			return nil, err
+		}
+		l.conns = append(l.conns, lc)
+	}
+	return l, nil
 }
 
-// Latency exposes the end-to-end submit→ack histogram (OK acks only).
-func (l *Load) Latency() *stats.Histogram { return l.lat }
+// Latency merges the connections' submit→ack histograms (OK acks only).
+func (l *Load) Latency() *stats.Histogram { return l.gen.Latency() }
 
 // Stats returns a snapshot of the counters.
-func (l *Load) Stats() LoadStats {
-	return LoadStats{
-		Completed:   l.completed.Load(),
-		Rejected:    l.rejected.Load(),
-		BusyReplies: l.busy.Load(),
-		Retries:     l.retries.Load(),
+func (l *Load) Stats() LoadStats { return l.gen.Stats() }
+
+// Result summarizes the last Run.
+func (l *Load) Result() loadgen.Result { return l.last }
+
+// Run dials the connections and drives the sessions over them until ctx
+// ends, tearing the connections down on exit.
+func (l *Load) Run(ctx context.Context) error {
+	for i, lc := range l.conns {
+		c, err := l.cfg.Dial()
+		if err != nil {
+			for _, dialed := range l.conns[:i] {
+				dialed.c.Close()
+			}
+			return fmt.Errorf("gateway: load dial: %w", err)
+		}
+		lc.c = c
 	}
+	l.last = l.gen.Run(ctx)
+	return nil
 }
 
-// loadSession is one simulated closed-loop session: a few dozen bytes of
-// state, no goroutine, no connection.
-type loadSession struct {
-	nonce  uint64
-	ops    []types.Op
-	start  time.Time // first send of the current nonce; zero = not sent yet
-	queued bool      // an entry for this session sits in sendQ
-	done   bool      // stop resubmitting (shutdown)
-}
-
-// loadConn is one shared gateway connection carrying a contiguous slice
-// of the session space.
+// loadConn carries one carrier's sessions over one gateway connection,
+// dialed by Load.Run: a writer coalescing queued submits into frames, a
+// reader completing sessions, and a sweeper retrying the unanswered. mu
+// guards the sessions and the carrier's draw; sendQ holds session indexes
+// and never blocks (a session is queued at most once, marked Queued).
 type loadConn struct {
-	l        *Load
-	c        net.Conn
-	base     uint64 // global id of sessions[0]
-	sessions []loadSession
-	mu       sync.Mutex
-	sendQ    chan int // session index within this conn; never blocks (queued flag)
-	wl       *workload.Workload
-	done     chan struct{}
-	once     sync.Once
+	retry   time.Duration
+	c       net.Conn
+	carrier *loadgen.Carrier
+	mu      sync.Mutex
+	sendQ   chan int
+	done    chan struct{}
+	once    *sync.Once
 }
 
 func (lc *loadConn) close() {
@@ -134,74 +141,29 @@ func (lc *loadConn) close() {
 	})
 }
 
-// Run drives the sessions until ctx ends. It dials the connections,
-// multiplexes the sessions over them, and tears everything down on exit.
-func (l *Load) Run(ctx context.Context) error {
-	per := l.cfg.Sessions / l.cfg.Conns
-	extra := l.cfg.Sessions % l.cfg.Conns
-	conns := make([]*loadConn, 0, l.cfg.Conns)
-	defer func() {
-		for _, lc := range conns {
-			lc.close()
-		}
-	}()
-	base := uint64(0)
-	for i := 0; i < l.cfg.Conns; i++ {
-		count := per
-		if i < extra {
-			count++
-		}
-		c, err := l.cfg.Dial()
-		if err != nil {
-			return fmt.Errorf("gateway: load dial: %w", err)
-		}
-		wl, err := workload.New(l.cfg.Workload, l.cfg.Seed+int64(i)+1)
-		if err != nil {
-			c.Close()
-			return err
-		}
-		lc := &loadConn{
-			l:        l,
-			c:        c,
-			base:     base,
-			sessions: make([]loadSession, count),
-			sendQ:    make(chan int, count+1),
-			wl:       wl,
-			done:     make(chan struct{}),
-		}
-		base += uint64(count)
-		conns = append(conns, lc)
+// Carry queues every session's request in flight, runs the connection's
+// writer, reader and sweeper until ctx ends, and closes the connection.
+func (lc *loadConn) Carry(ctx context.Context, c *loadgen.Carrier) {
+	lc.carrier = c
+	lc.sendQ = make(chan int, len(c.Sessions)+1)
+	lc.done = make(chan struct{})
+	lc.once = new(sync.Once)
+	lc.mu.Lock()
+	for i := range c.Sessions {
+		s := &c.Sessions[i]
+		s.Start = time.Time{} // a new connection: the clock starts at its first send
+		s.Queued = true
+		lc.sendQ <- i
 	}
+	lc.mu.Unlock()
 	var wg sync.WaitGroup
-	for _, lc := range conns {
-		// Seed every session's first transaction, then start the pumps.
-		lc.mu.Lock()
-		for i := range lc.sessions {
-			s := &lc.sessions[i]
-			s.nonce = 1
-			s.ops = lc.nextOps(uint64(i), s.nonce)
-			s.queued = true
-			lc.sendQ <- i
-		}
-		lc.mu.Unlock()
-		wg.Add(3)
-		go func(lc *loadConn) { defer wg.Done(); lc.writeLoop() }(lc)
-		go func(lc *loadConn) { defer wg.Done(); lc.readLoop() }(lc)
-		go func(lc *loadConn) { defer wg.Done(); lc.sweepLoop() }(lc)
-	}
+	wg.Add(3)
+	go func() { defer wg.Done(); lc.writeLoop() }()
+	go func() { defer wg.Done(); lc.readLoop() }()
+	go func() { defer wg.Done(); lc.sweepLoop() }()
 	<-ctx.Done()
-	for _, lc := range conns {
-		lc.close()
-	}
+	lc.close()
 	wg.Wait()
-	return nil
-}
-
-// nextOps draws one transaction's operations from the shared per-conn
-// generator. Callers hold lc.mu (the generator is not thread-safe).
-func (lc *loadConn) nextOps(sess, nonce uint64) []types.Op {
-	txn := lc.wl.NextTransaction(types.ClientID(lc.base+sess), nonce)
-	return txn.Ops
 }
 
 // writeLoop drains sendQ, coalescing whatever it holds, up to
@@ -219,19 +181,17 @@ func (lc *loadConn) writeLoop() {
 			return
 		}
 		w.Reset()
-		count := 0
-		lc.marshalSubmit(w, first, &count)
+		lc.marshalSubmit(w, first)
+		count := 1
 	coalesce:
 		for count < maxFrameMessages {
 			select {
 			case i := <-lc.sendQ:
-				lc.marshalSubmit(w, i, &count)
+				lc.marshalSubmit(w, i)
+				count++
 			default:
 				break coalesce
 			}
-		}
-		if count == 0 {
-			continue
 		}
 		if err := writeSessionFrame(bw, count, w.Bytes()); err != nil {
 			return
@@ -244,23 +204,18 @@ func (lc *loadConn) writeLoop() {
 	}
 }
 
-// marshalSubmit appends session i's current submit to the frame under
-// construction, stamping its first-send time.
-func (lc *loadConn) marshalSubmit(w *types.Writer, i int, count *int) {
+// marshalSubmit appends session i's request in flight to the frame under
+// construction, starting its clock at its first send.
+func (lc *loadConn) marshalSubmit(w *types.Writer, i int) {
 	lc.mu.Lock()
-	s := &lc.sessions[i]
-	s.queued = false
-	if s.done {
-		lc.mu.Unlock()
-		return
+	s := &lc.carrier.Sessions[i]
+	s.Queued = false
+	if s.Start.IsZero() {
+		lc.carrier.Begin(s)
 	}
-	sub := Submit{Session: lc.base + uint64(i), Nonce: s.nonce, Ops: s.ops}
-	if s.start.IsZero() {
-		s.start = time.Now()
-	}
+	sub := Submit{Session: uint64(s.ID), Nonce: s.Seq, Ops: s.Req.Txns[0].Ops}
 	lc.mu.Unlock()
 	appendSubmit(w, &sub)
-	*count++
 }
 
 // readLoop consumes replies, advancing each acknowledged session to its
@@ -282,34 +237,27 @@ func (lc *loadConn) readLoop() {
 }
 
 func (lc *loadConn) handleReply(r *Reply) {
-	idx := r.Session - lc.base
-	if idx >= uint64(len(lc.sessions)) {
+	c := lc.carrier
+	idx := r.Session - uint64(c.Sessions[0].ID)
+	if idx >= uint64(len(c.Sessions)) {
 		return
 	}
-	l := lc.l
 	lc.mu.Lock()
-	s := &lc.sessions[idx]
-	if r.Nonce != s.nonce || s.done {
+	s := &c.Sessions[idx]
+	if r.Nonce != s.Seq {
 		lc.mu.Unlock()
 		return // stale: a late reply for a nonce the session moved past
 	}
 	switch r.Status {
 	case StatusOK, StatusRejected:
-		elapsed := time.Since(s.start)
-		s.nonce++
-		s.ops = lc.nextOps(idx, s.nonce)
-		s.start = time.Time{}
-		enqueue := !s.queued
-		if enqueue {
-			s.queued = true
+		ack := loadgen.Acked
+		if r.Status == StatusRejected {
+			ack = loadgen.Rejected
 		}
+		c.Complete(s, ack)
+		enqueue := !s.Queued
+		s.Queued = true
 		lc.mu.Unlock()
-		if r.Status == StatusOK {
-			l.completed.Add(1)
-			l.lat.Record(elapsed)
-		} else {
-			l.rejected.Add(1)
-		}
 		if enqueue {
 			select {
 			case lc.sendQ <- int(idx):
@@ -320,18 +268,18 @@ func (lc *loadConn) handleReply(r *Reply) {
 		// Leave the nonce in flight; the sweeper retries it after the
 		// timeout, pacing the session off the overloaded gateway.
 		lc.mu.Unlock()
-		l.busy.Add(1)
+		c.Busy()
 	default:
 		lc.mu.Unlock()
 	}
 }
 
 // sweepLoop retries sessions whose submit has been unanswered (lost,
-// pushed back busy, or raced a gateway restart) for RetryTimeout. The
+// pushed back busy, or raced a gateway restart) for the retry timeout. The
 // retry reuses the same nonce and ops — the gateway's dedup makes the
 // retransmission idempotent.
 func (lc *loadConn) sweepLoop() {
-	interval := lc.l.cfg.RetryTimeout / 2
+	interval := lc.retry / 2
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
 	}
@@ -346,19 +294,19 @@ func (lc *loadConn) sweepLoop() {
 		now := time.Now()
 		var resend []int
 		lc.mu.Lock()
-		for i := range lc.sessions {
-			s := &lc.sessions[i]
-			if s.done || s.queued || s.start.IsZero() {
+		for i := range lc.carrier.Sessions {
+			s := &lc.carrier.Sessions[i]
+			if s.Queued || s.Start.IsZero() {
 				continue
 			}
-			if now.Sub(s.start) >= lc.l.cfg.RetryTimeout {
-				s.queued = true
+			if now.Sub(s.Start) >= lc.retry {
+				s.Queued = true
 				resend = append(resend, i)
 			}
 		}
 		lc.mu.Unlock()
 		for _, i := range resend {
-			lc.l.retries.Add(1)
+			lc.carrier.Retried(1)
 			select {
 			case lc.sendQ <- i:
 			case <-lc.done:

@@ -47,6 +47,25 @@ func bucketOf(ns uint64) int {
 	return b
 }
 
+// Merge adds o's observations to h. o may be recording meanwhile: its
+// count is read before its buckets (Record fills the bucket first), so the
+// merged buckets always hold at least the merged count.
+func (h *Histogram) Merge(o *Histogram) {
+	h.count.Add(o.count.Load())
+	h.sum.Add(o.sum.Load())
+	for i := range o.buckets {
+		if n := o.buckets[i].Load(); n > 0 {
+			h.buckets[i].Add(n)
+		}
+	}
+	for m := o.max.Load(); ; {
+		cur := h.max.Load()
+		if m <= cur || h.max.CompareAndSwap(cur, m) {
+			break
+		}
+	}
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 

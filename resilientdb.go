@@ -55,9 +55,6 @@ type Cluster = cluster.Cluster
 // Result summarizes a load run against a cluster.
 type Result = cluster.Result
 
-// Client is one closed-loop load-generating client.
-type Client = cluster.Client
-
 // NewCluster builds a single-process cluster. Call Start, then Run.
 func NewCluster(opts ClusterOptions) (*Cluster, error) { return cluster.New(opts) }
 
