@@ -401,177 +401,6 @@ type Stats struct {
 	CheckpointRejects  uint64
 }
 
-// workItem is the union flowing into the worker-thread: either a decoded
-// peer message or (in 0B mode) a client request to batch. The input stage
-// decodes the envelope body before routing — that cost stays off the
-// worker-thread — so msg is always non-nil when env is. verified records
-// that the input-thread already checked the envelope's authenticator, so
-// the worker must not spend time re-checking it.
-type workItem struct {
-	env      *types.Envelope
-	msg      types.Message
-	req      *types.ClientRequest
-	verified bool
-}
-
-// execItem carries one committed batch into the execution stage.
-type execItem struct {
-	act consensus.Execute
-}
-
-// shardOp is one typed operation of a committed batch, routed to one of the
-// batch's partitions at its batch position. A write carries the value to
-// apply; a read carries the slot in the batch's read-result buffer where its
-// result lands. A scan carries its range bounds and where its rows go: with
-// one partition the whole result into its slot, with several slot indexes
-// the batch's frags, where this partition's fragment — the sorted rows of
-// its own key partition inside [key, end] — waits for the coordinator's
-// merge at retirement.
-type shardOp struct {
-	key   uint64
-	value []byte
-	slot  int
-	read  bool
-	scan  bool
-	end   uint64
-	limit uint32
-}
-
-// partition is one execute partition of an in-flight batch: its ops in
-// batch order, and the memory its reads are answered in. Every value a read
-// or scan of the partition returns is carved from vals, the value arena,
-// and every scan row from rows, the row slab (the fragment merge carves
-// from partition 0's); keys is a scan's key-chunk scratch. They are lent to
-// the batch's read results until retirement has encoded every response, and
-// keep their capacity from batch to batch, so steady-state reads allocate
-// nothing. A buffer that grows leaves the results carved before it on the
-// old array, which nothing writes again.
-type partition struct {
-	ops  []shardOp
-	vals []byte
-	rows []types.ScanRow
-	keys []uint64
-}
-
-// carve returns the bytes appended to p.vals since at, clipped so an append
-// to them cannot run into the next value.
-func (p *partition) carve(at int) []byte {
-	return p.vals[at:len(p.vals):len(p.vals)]
-}
-
-// carveRows returns the rows appended to p.rows since first, clipped; nil
-// for none.
-func (p *partition) carveRows(first int) []types.ScanRow {
-	if len(p.rows) == first {
-		return nil
-	}
-	return p.rows[first:len(p.rows):len(p.rows)]
-}
-
-// reset empties the partition for its next batch or reply, keeping every
-// buffer's capacity. With poisonRecycled on, what the last one lent is
-// overwritten with 0xDB first.
-func (p *partition) reset() {
-	if poisonRecycled.Load() {
-		vals := p.vals[:cap(p.vals)]
-		for i := range vals {
-			vals[i] = poisonByte
-		}
-		rows := p.rows[:cap(p.rows)]
-		for i := range rows {
-			rows[i] = types.ScanRow{Key: poisonKey, Value: poisonValue}
-		}
-	}
-	p.ops, p.vals, p.rows = p.ops[:0], p.vals[:0], p.rows[:0]
-}
-
-// poisonRecycled is a test hook: with it on, a partition's value arena and
-// row slab are overwritten with 0xDB as they are recycled, so a read result
-// kept past its batch's retirement reads poison at once instead of, now
-// and then, a later batch's values. It costs one atomic load per recycle
-// while off.
-var poisonRecycled atomic.Bool
-
-// What a recycled arena and row slab read once poisoned.
-const (
-	poisonByte = 0xDB
-	poisonKey  = 0xDBDBDBDBDBDBDBDB
-)
-
-var poisonValue = []byte{poisonByte}
-
-// readRange is one request's contiguous span of the batch's read-result
-// buffer; slots are assigned in (request, transaction, op) order, so each
-// request's reads are adjacent.
-type readRange struct {
-	start, n int
-}
-
-// pendingScan is one scan op of an in-flight batch fanned out over several
-// partitions: each computes the sorted fragment of its own key partition
-// into the batch's frags, one per partition from index frags on, and the
-// coordinator merges the disjoint fragments into the batch's read-result
-// slot at retirement. limit is the row cap after the merge; capping each
-// fragment at limit too is lossless — a row a shard drops has ≥ limit
-// smaller same-shard rows ahead of it, so it cannot be among the lowest
-// limit rows overall.
-type pendingScan struct {
-	slot  int
-	limit uint32
-	frags int
-}
-
-// durableWait is what a shard worker leaves with the replica's durable
-// waiter when a finished partition's writes are appended but not yet
-// covered by an fsync: the ticket covering them and the batch whose
-// barrier they hold up.
-type durableWait struct {
-	ticket store.Ticket
-	batch  *inflightExec
-}
-
-// inflightExec is one committed batch mid-pipeline: staged into partitions,
-// its barrier not yet waited out. parts holds each partition's ops in batch
-// order and the memory its reads are answered in. The whole struct, buffers
-// and all, belongs to the batch until retirement has answered every client,
-// and is then recycled (via execFree) for a later batch; taking a partition
-// off the barrier is a worker's last touch of the batch, so the buffers are
-// never rebuilt while a worker still reads them. A batch applied inline is
-// born with the shared, already lowered barrier; a fanned-out one gets its
-// own, pending counts the partitions still executing or awaiting
-// durability, and whoever takes it to zero closes done. The coordinator
-// retires batches strictly in sequence order.
-type inflightExec struct {
-	act      consensus.Execute
-	txnCount uint32
-	pending  atomic.Int32
-	done     chan struct{}
-	parts    []partition
-	// reads is the slot-indexed read-result buffer the partitions fill —
-	// each only the slots its own ops carry, so workers never race on an
-	// element; readRanges maps each request in the batch to its span. Both
-	// stay empty for write-only batches. scans lists the fanned-out scan
-	// slots, filled by the coordinator's fragment merge at retirement from
-	// frags, where each partition leaves its fragment of each.
-	reads      []types.ReadResult
-	readRanges []readRange
-	scans      []pendingScan
-	frags      [][]types.ScanRow
-}
-
-// recycle empties a retired batch and gives it back to execFree. It must
-// not run before retirement has encoded the batch's last response: the
-// read results those carry are lent from the batch's partitions.
-func (r *Replica) recycle(b *inflightExec) {
-	for i := range b.parts {
-		b.parts[i].reset()
-	}
-	clear(b.reads)
-	b.act, b.txnCount = consensus.Execute{}, 0
-	b.reads, b.readRanges, b.scans, b.frags = b.reads[:0], b.readRanges[:0], b.scans[:0], b.frags[:0]
-	r.execFree <- b
-}
-
 // Replica is a runnable pipelined replica.
 type Replica struct {
 	// The hot counters, written by every stage on every message or batch,
@@ -1006,21 +835,6 @@ func (r *Replica) busyGauge() uint8 {
 	sat(len(r.workQ), cap(r.workQ))
 	sat(int(r.execPending.Load()), r.execWindow)
 	return uint8(g)
-}
-
-// DedupSnapshot copies the execution-side dedup table: the last executed
-// client sequence per client. A restarting replica seeds Bootstrap.LastExec
-// from a live peer's snapshot so a retransmitted, already-acknowledged
-// request is skipped on both — re-executing it would diverge store state
-// from the ledger.
-func (r *Replica) DedupSnapshot() map[types.ClientID]uint64 {
-	r.dedupMu.Lock()
-	defer r.dedupMu.Unlock()
-	out := make(map[types.ClientID]uint64, len(r.lastExec))
-	for c, seq := range r.lastExec {
-		out[c] = seq
-	}
-	return out
 }
 
 func (r *Replica) addBusy(stage Stage, d time.Duration) {
