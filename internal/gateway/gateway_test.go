@@ -942,6 +942,48 @@ func TestLoadStatsWhileRunning(t *testing.T) {
 	}
 }
 
+// TestLoadRetriesOncePerTimeout: a session whose gateway never answers is
+// retried once per RetryTimeout, timed from its latest send, not re-sent at
+// every sweep once its first timeout has passed. Over 1 s at a 100 ms
+// timeout that is at most 10 retries (a sweep every 50 ms re-sent it 19
+// times when every retry was timed from the first send).
+func TestLoadRetriesOncePerTimeout(t *testing.T) {
+	load, err := NewLoad(LoadConfig{
+		Sessions: 1,
+		Conns:    1,
+		Dial: func() (net.Conn, error) {
+			client, server := net.Pipe()
+			go func() {
+				// A gateway that reads every frame and answers none.
+				buf := make([]byte, 4096)
+				for {
+					if _, err := server.Read(buf); err != nil {
+						return
+					}
+				}
+			}()
+			return client, nil
+		},
+		RetryTimeout: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("building load: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := load.Run(ctx); err != nil {
+		t.Fatalf("load run: %v", err)
+	}
+	st := load.Stats()
+	t.Logf("one unanswered session over 1 s at a 100 ms timeout: %d retries", st.Retries)
+	if st.Retries == 0 || st.Retries > 10 {
+		t.Fatalf("%d retries of one unanswered session in 1 s at a 100 ms timeout, want 1..10", st.Retries)
+	}
+	if st.Completed != 0 {
+		t.Fatalf("%d completions from a gateway that never answers", st.Completed)
+	}
+}
+
 // TestEdgeBatchesFill is the edge's analogue of the replica's
 // TestBatchesFillUnderLoad. An upstream takes what is queued and never
 // waits for more, yet with many closed-loop sessions behind one upstream

@@ -122,13 +122,17 @@ func (l *Load) Run(ctx context.Context) error {
 // loadConn carries one carrier's sessions over one gateway connection,
 // dialed by Load.Run: a writer coalescing queued submits into frames, a
 // reader completing sessions, and a sweeper retrying the unanswered. mu
-// guards the sessions and the carrier's draw; sendQ holds session indexes
-// and never blocks (a session is queued at most once, marked Queued).
+// guards the sessions, sent and the carrier's draw; sendQ holds session
+// indexes and never blocks (a session is queued at most once, marked
+// Queued). sent is when each session's request was last written, its
+// first send or its latest retry: the sweeper times a retry from it, while
+// the session's Start, and so its latency, stays at the first send.
 type loadConn struct {
 	retry   time.Duration
 	c       net.Conn
 	carrier *loadgen.Carrier
 	mu      sync.Mutex
+	sent    []time.Time
 	sendQ   chan int
 	done    chan struct{}
 	once    *sync.Once
@@ -149,6 +153,7 @@ func (lc *loadConn) Carry(ctx context.Context, c *loadgen.Carrier) {
 	lc.done = make(chan struct{})
 	lc.once = new(sync.Once)
 	lc.mu.Lock()
+	lc.sent = make([]time.Time, len(c.Sessions))
 	for i := range c.Sessions {
 		s := &c.Sessions[i]
 		s.Start = time.Time{} // a new connection: the clock starts at its first send
@@ -205,7 +210,8 @@ func (lc *loadConn) writeLoop() {
 }
 
 // marshalSubmit appends session i's request in flight to the frame under
-// construction, starting its clock at its first send.
+// construction, starting its clock at its first send and its retry timer at
+// every send.
 func (lc *loadConn) marshalSubmit(w *types.Writer, i int) {
 	lc.mu.Lock()
 	s := &lc.carrier.Sessions[i]
@@ -213,6 +219,7 @@ func (lc *loadConn) marshalSubmit(w *types.Writer, i int) {
 	if s.Start.IsZero() {
 		lc.carrier.Begin(s)
 	}
+	lc.sent[i] = time.Now()
 	sub := Submit{Session: uint64(s.ID), Nonce: s.Seq, Ops: s.Req.Txns[0].Ops}
 	lc.mu.Unlock()
 	appendSubmit(w, &sub)
@@ -274,10 +281,10 @@ func (lc *loadConn) handleReply(r *Reply) {
 	}
 }
 
-// sweepLoop retries sessions whose submit has been unanswered (lost,
-// pushed back busy, or raced a gateway restart) for the retry timeout. The
-// retry reuses the same nonce and ops — the gateway's dedup makes the
-// retransmission idempotent.
+// sweepLoop retries sessions whose latest send has been unanswered (lost,
+// pushed back busy, or raced a gateway restart) for the retry timeout, so an
+// unanswered session is retried once per timeout. The retry reuses the same
+// nonce and ops — the gateway's dedup makes the retransmission idempotent.
 func (lc *loadConn) sweepLoop() {
 	interval := lc.retry / 2
 	if interval < 10*time.Millisecond {
@@ -296,10 +303,10 @@ func (lc *loadConn) sweepLoop() {
 		lc.mu.Lock()
 		for i := range lc.carrier.Sessions {
 			s := &lc.carrier.Sessions[i]
-			if s.Queued || s.Start.IsZero() {
+			if s.Queued || lc.sent[i].IsZero() {
 				continue
 			}
-			if now.Sub(s.Start) >= lc.retry {
+			if now.Sub(lc.sent[i]) >= lc.retry {
 				s.Queued = true
 				resend = append(resend, i)
 			}

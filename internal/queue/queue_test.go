@@ -4,161 +4,129 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-func queues(capacity int) map[string]Queue[int] {
-	return map[string]Queue[int]{
-		"mpmc":  NewMPMC[int](capacity),
-		"mutex": NewMutexQueue[int](capacity),
-		"chan":  NewChanQueue[int](capacity),
-	}
-}
-
 func TestQueueFIFOSingleThreaded(t *testing.T) {
-	for name, q := range queues(8) {
-		t.Run(name, func(t *testing.T) {
-			for i := 0; i < 5; i++ {
-				if !q.TryPush(i) {
-					t.Fatalf("TryPush(%d) failed on empty-ish queue", i)
-				}
-			}
-			if q.Len() != 5 {
-				t.Fatalf("Len = %d, want 5", q.Len())
-			}
-			for i := 0; i < 5; i++ {
-				v, ok := q.TryPop()
-				if !ok || v != i {
-					t.Fatalf("TryPop = (%d,%v), want (%d,true)", v, ok, i)
-				}
-			}
-			if _, ok := q.TryPop(); ok {
-				t.Fatal("TryPop succeeded on empty queue")
-			}
-		})
+	q := NewHandoff[int]("fifo", 8)
+	for i := 0; i < 5; i++ {
+		if !q.TryPush(i) {
+			t.Fatalf("TryPush(%d) failed on empty-ish queue", i)
+		}
+	}
+	if q.Name() != "fifo" || q.Len() != 5 || q.Cap() != 8 {
+		t.Fatalf("Name, Len, Cap = %q, %d, %d, want fifo, 5, 8", q.Name(), q.Len(), q.Cap())
+	}
+	for i := 0; i < 5; i++ {
+		if v := <-q.C(); v != i {
+			t.Fatalf("received %d, want %d", v, i)
+		}
+	}
+	select {
+	case v := <-q.C():
+		t.Fatalf("received %d from an empty queue", v)
+	default:
 	}
 }
 
 func TestQueueFullBehaviour(t *testing.T) {
-	for name, q := range queues(2) {
-		t.Run(name, func(t *testing.T) {
-			if !q.TryPush(1) || !q.TryPush(2) {
-				t.Fatal("fill failed")
-			}
-			if q.TryPush(3) {
-				t.Fatal("TryPush succeeded on full queue")
-			}
-			v, ok := q.Pop()
-			if !ok || v != 1 {
-				t.Fatalf("Pop = (%d,%v)", v, ok)
-			}
-			if !q.TryPush(3) {
-				t.Fatal("TryPush failed after Pop freed space")
-			}
-		})
+	q := NewHandoff[int]("full", 2)
+	if !q.TryPush(1) || !q.TryPush(2) {
+		t.Fatal("fill failed")
+	}
+	if q.TryPush(3) {
+		t.Fatal("TryPush succeeded on full queue")
+	}
+	if v := <-q.C(); v != 1 {
+		t.Fatalf("received %d, want 1", v)
+	}
+	if !q.TryPush(3) {
+		t.Fatal("TryPush failed after a receive freed space")
 	}
 }
 
 func TestQueueCloseDrains(t *testing.T) {
-	for name, q := range queues(8) {
-		t.Run(name, func(t *testing.T) {
-			q.TryPush(1)
-			q.TryPush(2)
-			q.Close()
-			if v, ok := q.Pop(); !ok || v != 1 {
-				t.Fatalf("Pop after close = (%d,%v), want (1,true)", v, ok)
-			}
-			if v, ok := q.Pop(); !ok || v != 2 {
-				t.Fatalf("Pop after close = (%d,%v), want (2,true)", v, ok)
-			}
-			if _, ok := q.Pop(); ok {
-				t.Fatal("Pop returned item after drain+close")
-			}
-			if q.TryPush(9) {
-				t.Fatal("TryPush succeeded after Close")
-			}
-		})
+	q := NewHandoff[int]("drain", 8)
+	q.TryPush(1)
+	q.TryPush(2)
+	q.Close()
+	var got []int
+	for v := range q.C() {
+		got = append(got, v)
+	}
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("drained %v after Close, want [1 2]", got)
 	}
 }
 
 func TestQueueCloseUnblocksPop(t *testing.T) {
-	for name, q := range queues(4) {
-		t.Run(name, func(t *testing.T) {
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				if _, ok := q.Pop(); ok {
-					t.Error("Pop returned ok on closed empty queue")
-				}
-			}()
-			q.Close()
-			<-done
-		})
-	}
+	q := NewHandoff[int]("unblock", 4)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, ok := <-q.C(); ok {
+			t.Error("receive returned ok on closed empty queue")
+		}
+	}()
+	q.Close()
+	<-done
 }
 
 // TestQueueConcurrentMultiset checks that under heavy concurrency every
-// pushed value is popped exactly once (no loss, no duplication).
+// pushed value is received exactly once (no loss, no duplication).
 func TestQueueConcurrentMultiset(t *testing.T) {
 	const producers, consumers, perProducer = 4, 4, 2000
-	for name, q := range queues(64) {
-		t.Run(name, func(t *testing.T) {
-			var wg sync.WaitGroup
-			results := make(chan int, producers*perProducer)
-			for c := 0; c < consumers; c++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						v, ok := q.Pop()
-						if !ok {
-							return
-						}
-						results <- v
-					}
-				}()
+	q := NewHandoff[int]("multiset", 64)
+	var wg sync.WaitGroup
+	results := make(chan int, producers*perProducer)
+	for c := 0; c < consumers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := range q.C() {
+				results <- v
 			}
-			var pwg sync.WaitGroup
-			for p := 0; p < producers; p++ {
-				pwg.Add(1)
-				go func(p int) {
-					defer pwg.Done()
-					for i := 0; i < perProducer; i++ {
-						if !q.Push(p*perProducer + i) {
-							t.Errorf("Push failed mid-run")
-							return
-						}
-					}
-				}(p)
-			}
-			pwg.Wait()
-			q.Close()
-			wg.Wait()
-			close(results)
-
-			got := make([]int, 0, producers*perProducer)
-			for v := range results {
-				got = append(got, v)
-			}
-			if len(got) != producers*perProducer {
-				t.Fatalf("popped %d values, want %d", len(got), producers*perProducer)
-			}
-			sort.Ints(got)
-			for i, v := range got {
-				if v != i {
-					t.Fatalf("multiset mismatch at %d: %d", i, v)
+		}()
+	}
+	var pwg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		pwg.Add(1)
+		go func(p int) {
+			defer pwg.Done()
+			for i := 0; i < perProducer; i++ {
+				if !q.Push(p*perProducer+i, nil) {
+					t.Errorf("Push failed mid-run")
+					return
 				}
 			}
-		})
+		}(p)
+	}
+	pwg.Wait()
+	q.Close()
+	wg.Wait()
+	close(results)
+
+	got := make([]int, 0, producers*perProducer)
+	for v := range results {
+		got = append(got, v)
+	}
+	if len(got) != producers*perProducer {
+		t.Fatalf("received %d values, want %d", len(got), producers*perProducer)
+	}
+	sort.Ints(got)
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("multiset mismatch at %d: %d", i, v)
+		}
 	}
 }
 
-// TestMPMCPerProducerOrder verifies FIFO per producer under concurrency.
-func TestMPMCPerProducerOrder(t *testing.T) {
-	q := NewMPMC[[2]int](32)
+// TestHandoffPerProducerOrder: each producer's items come out in the order
+// it pushed them, however the producers interleave.
+func TestHandoffPerProducerOrder(t *testing.T) {
+	q := NewHandoff[[2]int]("order", 32)
 	const producers, perProducer = 3, 3000
 	var pwg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -166,18 +134,14 @@ func TestMPMCPerProducerOrder(t *testing.T) {
 		go func(p int) {
 			defer pwg.Done()
 			for i := 0; i < perProducer; i++ {
-				q.Push([2]int{p, i})
+				q.Push([2]int{p, i}, nil)
 			}
 		}(p)
 	}
 	go func() { pwg.Wait(); q.Close() }()
 
 	last := map[int]int{0: -1, 1: -1, 2: -1}
-	for {
-		v, ok := q.Pop()
-		if !ok {
-			break
-		}
+	for v := range q.C() {
 		if v[1] <= last[v[0]] {
 			t.Fatalf("producer %d out of order: %d after %d", v[0], v[1], last[v[0]])
 		}
@@ -190,101 +154,58 @@ func TestMPMCPerProducerOrder(t *testing.T) {
 	}
 }
 
-func TestPopWokenByPush(t *testing.T) {
-	q := NewMPMC[int](8)
-	done := make(chan int, 1)
-	go func() {
-		v, ok := q.Pop()
-		if !ok {
-			done <- -1
-			return
-		}
-		done <- v
-	}()
-	time.Sleep(10 * time.Millisecond) // let the consumer park
-	q.Push(7)
+// TestHandoffPushGivesUpOnStop: a Push waiting on a full queue returns
+// false once its stop channel closes, and the queue keeps what it held.
+func TestHandoffPushGivesUpOnStop(t *testing.T) {
+	q := NewHandoff[int]("stop", 1)
+	stop := make(chan struct{})
+	if !q.Push(1, stop) {
+		t.Fatal("Push into an empty queue reported false")
+	}
+	pushed := make(chan bool, 1)
+	go func() { pushed <- q.Push(2, stop) }()
 	select {
-	case v := <-done:
-		if v != 7 {
-			t.Fatalf("parked consumer got %d, want 7", v)
+	case ok := <-pushed:
+		t.Fatalf("Push into a full queue returned %v before stop", ok)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(stop)
+	select {
+	case ok := <-pushed:
+		if ok {
+			t.Fatal("Push gave up on stop but reported true")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("push never woke the parked consumer")
+		t.Fatal("a Push blocked on a full queue ignored stop")
+	}
+	if q.Len() != 1 || <-q.C() != 1 {
+		t.Fatal("the queue lost what it held when a Push gave up")
 	}
 }
 
-func TestCloseWakesAllParkedConsumers(t *testing.T) {
-	q := NewMPMC[int](8)
-	const waiters = 6
-	var wg sync.WaitGroup
-	var woke atomic.Int32
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, ok := q.Pop(); !ok {
-				woke.Add(1)
-			}
-		}()
+// TestHandoffAllocatesNothing: a stage boundary's steady cycle, a value
+// pushed and received, allocates nothing. The item has the replica's
+// workItem shape: pointers, an interface and a flag.
+func TestHandoffAllocatesNothing(t *testing.T) {
+	type workItem struct {
+		env      *int
+		msg      interface{ String() string }
+		req      *int
+		verified bool
 	}
-	time.Sleep(20 * time.Millisecond) // let everyone park
-	q.Close()
-	doneC := make(chan struct{})
-	go func() { wg.Wait(); close(doneC) }()
-	select {
-	case <-doneC:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close left consumers parked (wake cascade broken)")
-	}
-	if got := woke.Load(); got != waiters {
-		t.Fatalf("%d of %d consumers observed the close", got, waiters)
-	}
-}
-
-// TestPopConcurrentHandoff hammers parked consumers with bursty producers:
-// every pushed item must come out exactly once even though the single wake
-// token is shared by all waiters.
-func TestPopConcurrentHandoff(t *testing.T) {
-	q := NewMPMC[uint32](64)
-	const producers, consumers, perProducer = 4, 4, 2000
-	var got sync.Map
-	var received atomic.Int64
-	var prod, cons sync.WaitGroup
-
-	for c := 0; c < consumers; c++ {
-		cons.Add(1)
-		go func() {
-			defer cons.Done()
-			for {
-				v, ok := q.Pop()
-				if !ok {
-					return // closed and drained
-				}
-				if _, dup := got.LoadOrStore(v, true); dup {
-					t.Errorf("value %d delivered twice", v)
-					return
-				}
-				received.Add(1)
-			}
-		}()
-	}
-	for p := 0; p < producers; p++ {
-		prod.Add(1)
-		go func(p int) {
-			defer prod.Done()
-			for i := 0; i < perProducer; i++ {
-				q.Push(uint32(p*perProducer + i))
-				if i%64 == 0 {
-					time.Sleep(time.Microsecond) // force park/wake cycles
-				}
-			}
-		}(p)
-	}
-	prod.Wait()
-	q.Close()
-	cons.Wait()
-	if received.Load() != producers*perProducer {
-		t.Fatalf("received %d of %d items", received.Load(), producers*perProducer)
+	q := NewHandoff[workItem]("work", 64)
+	stop := make(chan struct{})
+	env := new(int)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if !q.Push(workItem{env: env, verified: true}, stop) || !q.TryPush(workItem{req: env}) {
+			t.Fatal("push into a queue with room failed")
+		}
+		for i := 0; i < 2; i++ {
+			<-q.C()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a push and receive cycle allocates %.0f times, want 0", allocs)
 	}
 }
 
@@ -562,34 +483,6 @@ func TestMapReorderMatchesInOrder(t *testing.T) {
 		t.Fatal("MapReorder.Next ok after close")
 	}
 }
-
-// ---- Ablation benchmarks: queue implementations under the batch-thread
-// workload shape (1 producer input-thread, B consumer batch-threads). ----
-
-func benchQueue(b *testing.B, q Queue[int], consumers int) {
-	var wg sync.WaitGroup
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if _, ok := q.Pop(); !ok {
-					return
-				}
-			}
-		}()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Push(i)
-	}
-	q.Close()
-	wg.Wait()
-}
-
-func BenchmarkQueueMPMC(b *testing.B)  { benchQueue(b, NewMPMC[int](1024), 2) }
-func BenchmarkQueueMutex(b *testing.B) { benchQueue(b, NewMutexQueue[int](1024), 2) }
-func BenchmarkQueueChan(b *testing.B)  { benchQueue(b, NewChanQueue[int](1024), 2) }
 
 func BenchmarkInOrderOfferNext(b *testing.B) {
 	o := NewInOrder[int](1024, 0)

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"runtime"
 	"time"
 
 	"resilientdb/internal/consensus"
@@ -10,33 +11,65 @@ import (
 
 // ---- Batch stage (Section 4.3) ----
 
-// batchLoop is one batch-thread: it parks on the shared lock-free queue for
-// the first request of a batch, takes whatever else is already queued up to
-// BatchSize transactions, verifies client signatures, and proposes. It
-// never waits for stragglers: while propose verifies and steps the engine
-// the queue builds, and the next drain takes it, so load fills batches by
-// itself and an idle primary proposes a lone request at once. Busy time is
-// assembling, verifying and proposing; time parked on the empty queue or on
-// a full watermark window is not counted.
+// batchLoop is one batch-thread: it parks on the shared queue for the first
+// request of a batch, takes whatever else is already queued up to BatchSize
+// transactions, verifies client signatures, and proposes. It never waits for
+// stragglers: while propose verifies and steps the engine the queue builds,
+// and the next drain takes it, so load fills batches by itself and an idle
+// primary proposes a lone request at once. Busy time is assembling,
+// verifying and proposing; time parked on the empty queue or on a full
+// watermark window is not counted.
+//
+// Only the batch-thread holding batchTurn waits on the queue and drains it;
+// it gives the turn up before it proposes. With every batch-thread parked
+// on the queue at once, a burst's requests went one to each (a send hands
+// its value to a parked receiver), and burst-1 clients got batches of one
+// or two transactions and half the throughput. Before it parks, the holder
+// polls the empty queue a few times, yielding in between, as the lock-free
+// ring's consumer did: under load the next requests arrive within those
+// yields and queue up behind one another, where a parked holder is handed
+// the first alone and proposes it before the rest are queued. An idle
+// primary's yields return at once.
 func (r *Replica) batchLoop() {
 	defer r.stage1Wg.Done()
 	var out consensus.Out
+	in := r.batchQ.C()
 	for {
-		first, ok := r.batchQ.Pop()
+		<-r.batchTurn
+		var first *types.ClientRequest
+		ok, got := false, false
+		for spin := 0; spin < 8 && !got; spin++ {
+			select {
+			case first, ok = <-in:
+				got = true
+			default:
+				runtime.Gosched()
+			}
+		}
+		if !got {
+			first, ok = <-in
+		}
 		if !ok {
+			r.batchTurn <- struct{}{}
 			return
 		}
 		t0 := time.Now()
 		reqs := []types.ClientRequest{*first}
 		txns := len(first.Txns)
+	drain:
 		for txns < r.cfg.BatchSize {
-			next, ok := r.batchQ.TryPop()
-			if !ok {
-				break // queue drained: propose what we have
+			select {
+			case next, ok := <-in:
+				if !ok {
+					break drain
+				}
+				reqs = append(reqs, *next)
+				txns += len(next.Txns)
+			default:
+				break drain // queue drained: propose what we have
 			}
-			reqs = append(reqs, *next)
-			txns += len(next.Txns)
 		}
+		r.batchTurn <- struct{}{}
 		parked := r.propose(reqs, &out)
 		r.addBusy(StageBatch, time.Since(t0)-parked)
 	}

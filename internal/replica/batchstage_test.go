@@ -42,7 +42,7 @@ func TestBatchStageDrainsThenProposes(t *testing.T) {
 					req.Txns[j] = types.Transaction{Client: req.Client, ClientSeq: uint64(1 + j)}
 				}
 				signRequest(t, dir, req)
-				r.batchQ.Push(req)
+				r.batchQ.Push(req, nil)
 			}
 			r.Start()
 			t.Cleanup(r.Stop)

@@ -319,12 +319,12 @@ func TestVoteAdmitToEngineAllocatesNothing(t *testing.T) {
 			env.From, env.To, env.Type, env.Body = peer, self, v.mt, v.body
 			env.Auth = append(env.AuthBuffer(), v.tag...)
 			r.admit(env)
-			r.processItem(<-r.workQ, &out)
+			r.processItem(<-r.workQ.C(), &out)
 		}
 		next += 2
 	})
 	s, es := r.Stats(), r.engine.Stats()
-	if s.AuthFailures != 0 || s.DecodeFailures != 0 || es.Dropped != 0 || es.Executed != 0 || len(r.workQ) != 0 {
+	if s.AuthFailures != 0 || s.DecodeFailures != 0 || es.Dropped != 0 || es.Executed != 0 || r.workQ.Len() != 0 {
 		t.Fatalf("%d auth and %d decode failures, %d votes dropped, %d batches executed: the votes were not recorded as intended",
 			s.AuthFailures, s.DecodeFailures, es.Dropped, es.Executed)
 	}

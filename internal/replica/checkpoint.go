@@ -34,7 +34,7 @@ func (r *Replica) admitCheckpoint(from types.NodeID, m *types.Checkpoint) bool {
 func (r *Replica) checkpointLoop() {
 	defer r.stage1Wg.Done()
 	var out consensus.Out
-	for item := range r.ckptQ {
+	for item := range r.ckptQ.C() {
 		t0 := time.Now()
 		r.processItem(item, &out)
 		r.addBusy(StageCheckpoint, time.Since(t0))

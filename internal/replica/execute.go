@@ -393,7 +393,7 @@ func (r *Replica) stageBatch(act consensus.Execute) *inflightExec {
 			continue
 		}
 		b.pending.Add(1)
-		r.shardQs[sh] <- b
+		r.shardQs[sh].Push(b, nil)
 	}
 	b.partDone()
 	return b
@@ -682,7 +682,7 @@ func (r *Replica) retireBatch(b *inflightExec) {
 func (r *Replica) execShardLoop(shard int) {
 	defer r.shardWg.Done()
 	var scratch []store.KV
-	for b := range r.shardQs[shard] {
+	for b := range r.shardQs[shard].C() {
 		var ticket store.Ticket
 		t0 := time.Now()
 		scratch, ticket = r.applyPartition(b, shard, scratch)
@@ -693,7 +693,7 @@ func (r *Replica) execShardLoop(shard int) {
 			b.partDone()
 			continue
 		}
-		r.durableQ <- durableWait{ticket: ticket, batch: b}
+		r.durableQ.Push(durableWait{ticket: ticket, batch: b}, nil)
 	}
 }
 
@@ -704,7 +704,7 @@ func (r *Replica) execShardLoop(shard int) {
 // queued behind it are usually covered by the same one.
 func (r *Replica) durableWaitLoop() {
 	defer r.durableWg.Done()
-	for w := range r.durableQ {
+	for w := range r.durableQ.C() {
 		r.awaitDurable(w.ticket)
 		w.batch.partDone()
 	}

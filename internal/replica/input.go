@@ -50,13 +50,10 @@ func (r *Replica) handleClientRequest(env *types.Envelope) {
 	}
 	if r.isPrimaryHint() {
 		if r.cfg.BatchThreads > 0 {
-			r.batchQ.Push(req)
+			r.batchQ.Push(req, r.stop)
 		} else {
 			// 0B mode: batch assembly lives on the worker-thread.
-			select {
-			case r.workQ <- workItem{req: req}:
-			case <-r.stop:
-			}
+			r.workQ.Push(workItem{req: req}, r.stop)
 		}
 	} else {
 		// A client that resorts to contacting backups signals a
@@ -98,9 +95,7 @@ func (r *Replica) handleReadRequest(env *types.Envelope) {
 		r.authFailures.Add(1)
 		return
 	}
-	select {
-	case r.readQ <- req:
-	default:
+	if !r.readQ.TryPush(req) {
 		// The read lane is saturated: drop rather than block
 		// consensus-bound traffic behind it. The client times out
 		// and rotates to another replica.
@@ -167,7 +162,7 @@ func (r *Replica) readLoop() {
 	defer r.readWg.Done()
 	var p partition
 	var results []types.ReadResult
-	for req := range r.readQ {
+	for req := range r.readQ.C() {
 		last := r.lastRetired.Load()
 		reply := &types.ReadReply{
 			Client:    req.Client,
@@ -212,11 +207,9 @@ func (r *Replica) route(env *types.Envelope, verified bool) {
 	if env.Type == types.MsgCheckpoint {
 		q = r.ckptQ
 	}
-	select {
-	case q <- workItem{env: env, msg: msg, verified: verified}:
-		// Ownership moves to the consuming thread, which releases the
-		// envelope after processing it.
-	case <-r.stop:
+	// Ownership moves to the consuming thread, which releases the envelope
+	// after processing it.
+	if !q.Push(workItem{env: env, msg: msg, verified: verified}, r.stop) {
 		env.Release()
 	}
 }

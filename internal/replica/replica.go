@@ -9,7 +9,7 @@
 //     authenticates the envelope it dequeued, then decodes it and routes it
 //     to the stage that owns it;
 //   - at the primary, BatchThreads batch-threads pulling client requests
-//     from a shared lock-free queue, verifying client signatures, building
+//     from one shared queue, verifying client signatures, building
 //     batches with a single digest, signing and proposing them
 //     (Section 4.3);
 //   - one worker-thread driving the consensus engine over every
@@ -363,11 +363,12 @@ type Stats struct {
 	EncodePoolHits   uint64
 	EncodePoolMisses uint64
 	VerifyBatched    uint64
-	// Queue-depth gauges: a live snapshot of how full each bounded
-	// pipeline queue is, taken when Stats is called. NetDrops only shows
-	// saturation after the damage; these show it while it builds, which
-	// is what the gateway's admission controller steers on. Input is the
-	// fullest endpoint inbox, Work the worker-thread's queue; ExecBacklog
+	// Queue-depth gauges: a live snapshot of the replica's stage table, how
+	// full the queue in front of each stage is, taken when Stats is called.
+	// NetDrops only shows saturation after the damage; these show it while
+	// it builds, which is what the gateway's admission controller steers
+	// on. Input is the fullest endpoint inbox, Work the worker-thread's
+	// queue; ExecBacklog
 	// counts batches decided by consensus but not yet retired (bounded by
 	// the watermark window, reported as ExecWindow). OutQueueDepth and
 	// OutQueueCap are always 0: the replica keeps no output queue (the
@@ -382,10 +383,10 @@ type Stats struct {
 	ExecWindow      int
 	OutQueueDepth   int
 	OutQueueCap     int
-	// BusyGauge folds the gauges above into the 0 (idle) .. 255 (a queue
-	// is full) saturation scalar replicas piggyback on client responses
-	// (ClientResponse.Busy): the fill fraction of the fullest queue,
-	// scaled. Stats recomputes it live.
+	// BusyGauge folds the stage table (the gauges above and the checkpoint
+	// queue) into the 0 (idle) .. 255 (a queue is full) saturation scalar
+	// replicas piggyback on client responses (ClientResponse.Busy): the
+	// fill fraction of the fullest queue, scaled. Stats recomputes it live.
 	BusyGauge uint8
 	// Evidence counts byzantine-behaviour observations (e.g. a primary
 	// equivocating two digests for one sequence, a checkpoint vote whose
@@ -461,7 +462,7 @@ type Replica struct {
 	// all, so a batch's buffers are only reused after it retired.
 	execShards int
 	execDepth  int
-	shardQs    []chan *inflightExec
+	shardQs    []*queue.Handoff[*inflightExec]
 	shardWg    sync.WaitGroup
 	execFree   chan *inflightExec
 
@@ -473,11 +474,17 @@ type Replica struct {
 	compactC  chan struct{}
 	compactWg sync.WaitGroup
 
-	batchQ *queue.MPMC[*types.ClientRequest]
-	// workQ feeds the worker-thread.
-	workQ  chan workItem
-	ckptQ  chan workItem
-	execIn *queue.InOrder[execItem]
+	// The stage boundaries: batchQ is the primary's common queue in front
+	// of the batch-threads (Section 4.3), workQ feeds the worker-thread and
+	// ckptQ the checkpoint-thread. execIn is no FIFO: it hands committed
+	// batches to execution in sequence order.
+	batchQ *queue.Handoff[*types.ClientRequest]
+	// batchTurn holds one token: the batch-thread holding it is the one
+	// waiting on batchQ and draining it (batchLoop says why).
+	batchTurn chan struct{}
+	workQ     *queue.Handoff[workItem]
+	ckptQ     *queue.Handoff[workItem]
+	execIn    *queue.InOrder[execItem]
 
 	// progressC wakes batch-threads parked on a full watermark window (or
 	// the DisableOutOfOrder gate); it is signalled on every executed
@@ -490,7 +497,7 @@ type Replica struct {
 	// reads never head-of-line block the client inbox. A full queue drops
 	// the request (localReadDrops) instead of backpressuring consensus
 	// traffic.
-	readQ  chan *types.ReadRequest
+	readQ  *queue.Handoff[*types.ReadRequest]
 	readWg sync.WaitGroup
 
 	// verifyPool fans a batch's client signatures out over VerifyThreads
@@ -565,7 +572,7 @@ type Replica struct {
 	// stager at a time: the execute-thread, or a stepping thread under
 	// inlineMu), and retireOut takes the engine's OnExecuted outputs (one
 	// retirer at a time, the same way).
-	durableQ      chan durableWait
+	durableQ      *queue.Handoff[durableWait]
 	durableWg     sync.WaitGroup
 	inlineScratch []store.KV
 	retireOut     consensus.Out
@@ -610,6 +617,10 @@ func New(cfg Config) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The stage queues only bound memory: a full batchQ, workQ or ckptQ
+	// holds its input-thread, whose inbox then fills and drops (NetDrops),
+	// and a full readQ sheds (LocalReadDrops). Their depth lets a burst
+	// wait for its stage instead of being dropped at an inbox.
 	r := &Replica{
 		cfg:        cfg,
 		engine:     engine,
@@ -617,15 +628,16 @@ func New(cfg Config) (*Replica, error) {
 		ckptKeys:   ckptKeys,
 		ledger:     ldg,
 		store:      store.AsBackend(st),
-		batchQ:     queue.NewMPMC[*types.ClientRequest](1 << 14),
-		workQ:      make(chan workItem, 1<<13),
-		ckptQ:      make(chan workItem, 1<<10),
+		batchQ:     queue.NewHandoff[*types.ClientRequest]("batch", 1<<14),
+		workQ:      queue.NewHandoff[workItem]("work", 1<<13),
+		ckptQ:      queue.NewHandoff[workItem]("checkpoint", 1<<10),
 		execIn:     queue.NewInOrder[execItem](watermarkWindow*2, uint64(startSeq)+1),
 		execWindow: watermarkWindow,
 		lastExec:   make(map[types.ClientID]uint64),
 		stop:       make(chan struct{}),
 		progressC:  make(chan struct{}, 1),
-		readQ:      make(chan *types.ReadRequest, 1<<10),
+		batchTurn:  make(chan struct{}, 1),
+		readQ:      queue.NewHandoff[*types.ReadRequest]("read", 1<<10),
 		encBufs:    new(pool.BytePool),
 	}
 	r.execDepth = 1
@@ -639,15 +651,16 @@ func New(cfg Config) (*Replica, error) {
 		// A shard can hold one outstanding job per in-flight batch; sizing
 		// the queue to the depth keeps the coordinator from blocking on
 		// fan-out (blocking would only be backpressure, not a bug).
-		r.shardQs = make([]chan *inflightExec, r.execShards)
+		r.shardQs = make([]*queue.Handoff[*inflightExec], r.execShards)
 		for i := range r.shardQs {
-			r.shardQs[i] = make(chan *inflightExec, r.execDepth)
+			r.shardQs[i] = queue.NewHandoff[*inflightExec](fmt.Sprintf("exec-shard-%d", i), r.execDepth)
 		}
 		r.shardBusyNS = make([]atomic.Uint64, r.execShards)
 		// One entry per partition of every in-flight batch, what the shard
 		// queues feeding it hold together.
-		r.durableQ = make(chan durableWait, r.execDepth*r.execShards)
+		r.durableQ = queue.NewHandoff[durableWait]("durable", r.execDepth*r.execShards)
 	}
+	r.batchTurn <- struct{}{}
 	r.execFree = make(chan *inflightExec, r.execDepth)
 	for i := 0; i < r.execDepth; i++ {
 		r.execFree <- &inflightExec{parts: make([]partition, parts)}
@@ -781,59 +794,73 @@ func (r *Replica) Stats() Stats {
 	return s
 }
 
-// queueGauges snapshots every bounded pipeline queue into the stats
-// record. Channel len/cap reads and the ring's atomic cursors are
-// lock-free, so this is safe from any goroutine while the pipeline runs.
-func (r *Replica) queueGauges(s *Stats) {
+// queueFill is how full the queue in front of one stage is: depth of cap.
+type queueFill struct{ depth, cap int }
+
+// stageTable is the replica's stage table: how full the queue in front of
+// each stage is, indexed by stage in pipeline order. Output has no queue (a
+// sender hands its envelopes to the endpoint) and reads 0 of 0.
+type stageTable [stageCount]queueFill
+
+// stages reads the stage table; it is the one place the replica reads its
+// queue depths. Input is the fullest endpoint inbox, batch batchQ, worker
+// workQ, execute the batches decided by consensus but not yet retired
+// against the watermark window that bounds them, checkpoint ckptQ. The read
+// lane sheds rather than fills (LocalReadDrops), and the shard and durable
+// queues inside the execute stage hold at most the batches its backlog
+// counts. Channel lengths and atomics are all it reads, so it is safe from
+// any goroutine while the pipeline runs.
+func (r *Replica) stages() (t stageTable) {
 	ep := r.cfg.Endpoint
 	for i := 0; i < ep.Inboxes(); i++ {
-		ch := ep.Inbox(i)
-		if n := len(ch); n > s.InputQueueDepth {
-			s.InputQueueDepth = n
-		}
-		if c := cap(ch); c > s.InputQueueCap {
-			s.InputQueueCap = c
+		in := ep.Inbox(i)
+		if f := (queueFill{len(in), cap(in)}); i == 0 || f.saturation() > t[StageInput].saturation() {
+			t[StageInput] = f
 		}
 	}
-	s.BatchQueueDepth = r.batchQ.Len()
-	s.BatchQueueCap = r.batchQ.Cap()
-	s.WorkQueueDepth = len(r.workQ)
-	s.WorkQueueCap = cap(r.workQ)
-	s.ExecBacklog = int(r.execPending.Load())
-	s.ExecWindow = r.execWindow
-	s.BusyGauge = r.busyGauge()
+	t[StageBatch] = queueFill{r.batchQ.Len(), r.batchQ.Cap()}
+	t[StageWorker] = queueFill{r.workQ.Len(), r.workQ.Cap()}
+	t[StageExecute] = queueFill{int(r.execPending.Load()), r.execWindow}
+	t[StageCheckpoint] = queueFill{r.ckptQ.Len(), r.ckptQ.Cap()}
+	return t
 }
 
-// busyGauge compresses the pipeline's queue occupancy into the 0..255
-// saturation scalar piggybacked on every client response: the fill
-// fraction of the fullest bounded queue, scaled. 0 is idle; 255 means
-// some queue is full and the next arrival on it would be dropped. It is
-// recomputed once per retired batch (and on Stats), never per
-// transaction, and reads only channel lengths and atomics. Nothing on the
-// sending side is in it: the replica's own output queues read empty on
-// every workload (p95 fill 0.0004) until they were removed, and a peer
-// writer's backlog is one slow peer's, not this replica's load.
-func (r *Replica) busyGauge() uint8 {
+// saturation scales a fill to 0 (empty) .. 255 (full); a stage without a
+// queue reads 0.
+func (f queueFill) saturation() int {
+	if f.cap <= 0 {
+		return 0
+	}
+	return min(f.depth, f.cap) * 255 / f.cap
+}
+
+// queueGauges fills the stats record's named queue gauges from the stage
+// table.
+func (r *Replica) queueGauges(s *Stats) {
+	t := r.stages()
+	s.InputQueueDepth, s.InputQueueCap = t[StageInput].depth, t[StageInput].cap
+	s.BatchQueueDepth, s.BatchQueueCap = t[StageBatch].depth, t[StageBatch].cap
+	s.WorkQueueDepth, s.WorkQueueCap = t[StageWorker].depth, t[StageWorker].cap
+	s.ExecBacklog, s.ExecWindow = t[StageExecute].depth, t[StageExecute].cap
+	s.BusyGauge = t.busiest()
+}
+
+// busyGauge is the 0..255 saturation scalar piggybacked on every client
+// response, read from a fresh stage table. It is recomputed once per
+// retired batch (and on Stats), never per transaction.
+func (r *Replica) busyGauge() uint8 { return r.stages().busiest() }
+
+// busiest is the saturation of the fullest queue in the table: 0 is idle,
+// 255 means some queue is full and the next arrival on it would wait or be
+// dropped. Nothing on the sending side is in it: the replica's own output
+// queues read empty on every workload (p95 fill 0.0004) until they were
+// removed, and a peer writer's backlog is one slow peer's, not this
+// replica's load.
+func (t stageTable) busiest() uint8 {
 	g := 0
-	sat := func(n, c int) {
-		if c <= 0 {
-			return
-		}
-		if n > c {
-			n = c
-		}
-		if s := n * 255 / c; s > g {
-			g = s
-		}
+	for _, f := range t {
+		g = max(g, f.saturation())
 	}
-	ep := r.cfg.Endpoint
-	for i := 0; i < ep.Inboxes(); i++ {
-		ch := ep.Inbox(i)
-		sat(len(ch), cap(ch))
-	}
-	sat(r.batchQ.Len(), r.batchQ.Cap())
-	sat(len(r.workQ), cap(r.workQ))
-	sat(int(r.execPending.Load()), r.execWindow)
 	return uint8(g)
 }
 
@@ -910,12 +937,12 @@ func (r *Replica) Stop() {
 		r.inputWg.Wait()
 
 		// The input loops were the read lane's only producers.
-		close(r.readQ)
+		r.readQ.Close()
 		r.readWg.Wait()
 
 		r.batchQ.Close()
-		close(r.workQ)
-		close(r.ckptQ)
+		r.workQ.Close()
+		r.ckptQ.Close()
 		r.stage1Wg.Wait()
 
 		// Batch-threads fan client-signature checks through the verify
@@ -929,12 +956,12 @@ func (r *Replica) Stop() {
 
 		// The coordinator is gone, so no shard job can be in flight.
 		for _, q := range r.shardQs {
-			close(q)
+			q.Close()
 		}
 		r.shardWg.Wait()
 		// The shard workers were the durable waiter's only producers.
 		if r.durableQ != nil {
-			close(r.durableQ)
+			r.durableQ.Close()
 		}
 		r.durableWg.Wait()
 		r.compactWg.Wait()

@@ -77,8 +77,8 @@ func TestForgedRequestDroppedByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs[1].Sig = forged
-	r.batchQ.Push(&reqs[1])
-	r.batchQ.Push(&reqs[0])
+	r.batchQ.Push(&reqs[1], nil)
+	r.batchQ.Push(&reqs[0], nil)
 	r.Start()
 	t.Cleanup(r.Stop)
 

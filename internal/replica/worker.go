@@ -31,7 +31,7 @@ func (r *Replica) workerLoop() {
 	var pend []types.ClientRequest
 	pendTxns := 0
 	var out consensus.Out
-	for item := range r.workQ {
+	for item := range r.workQ.C() {
 		t0 := time.Now()
 		if item.req != nil {
 			pend = append(pend, *item.req)
@@ -40,7 +40,7 @@ func (r *Replica) workerLoop() {
 			r.processItem(item, &out)
 		}
 		var parked time.Duration
-		if len(pend) > 0 && (pendTxns >= r.cfg.BatchSize || len(r.workQ) == 0) {
+		if len(pend) > 0 && (pendTxns >= r.cfg.BatchSize || r.workQ.Len() == 0) {
 			parked = r.propose(pend, &out)
 			pend, pendTxns = nil, 0
 		}

@@ -177,7 +177,7 @@ func (sr *simReplica) dispatchBatch(reqs []types.ClientRequest) {
 	if len(sr.batch) > 0 {
 		t = sr.batch[sr.rrBatch%len(sr.batch)]
 		sr.rrBatch++
-		// Prefer an idle batch-thread, approximating the shared lock-free
+		// Prefer an idle batch-thread, approximating the one shared
 		// queue where any free thread consumes the next batch.
 		for _, cand := range sr.batch {
 			if cand.QueueLen() == 0 && !cand.running {
