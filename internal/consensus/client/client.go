@@ -153,14 +153,26 @@ func (e *Engine) Primary() types.ReplicaID {
 
 // Submit starts a new request and returns the send action. The request
 // must already carry the client's signature. Submitting while a request
-// is in flight abandons the previous one.
+// is in flight abandons the previous one. The engine keeps one request's
+// state and its tables, emptied for each new request.
 func (e *Engine) Submit(req types.ClientRequest) []consensus.Action {
-	e.cur = &inflight{
+	if e.cur == nil {
+		e.cur = &inflight{
+			votes:        make(map[voteKey]map[types.ReplicaID]bool),
+			localCommits: make(map[types.ReplicaID]bool),
+			busyBy:       make(map[types.ReplicaID]uint8),
+		}
+	}
+	c := e.cur
+	clear(c.votes)
+	clear(c.localCommits)
+	clear(c.busyBy)
+	*c = inflight{
 		req:          req,
 		clientSeq:    req.FirstSeq,
-		votes:        make(map[voteKey]map[types.ReplicaID]bool),
-		localCommits: make(map[types.ReplicaID]bool),
-		busyBy:       make(map[types.ReplicaID]uint8),
+		votes:        c.votes,
+		localCommits: c.localCommits,
+		busyBy:       c.busyBy,
 	}
 	return []consensus.Action{consensus.Send{
 		To:  types.ReplicaNode(e.Primary()),

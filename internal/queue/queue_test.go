@@ -9,118 +9,130 @@ import (
 	"time"
 )
 
+// The TestQueue* tests check Handoff in a subtest named for what backs it,
+// a buffered channel: "chan", the name these cases have always had.
 func TestQueueFIFOSingleThreaded(t *testing.T) {
-	q := NewHandoff[int]("fifo", 8)
-	for i := 0; i < 5; i++ {
-		if !q.TryPush(i) {
-			t.Fatalf("TryPush(%d) failed on empty-ish queue", i)
+	t.Run("chan", func(t *testing.T) {
+		q := NewHandoff[int]("fifo", 8)
+		for i := 0; i < 5; i++ {
+			if !q.TryPush(i) {
+				t.Fatalf("TryPush(%d) failed on empty-ish queue", i)
+			}
 		}
-	}
-	if q.Name() != "fifo" || q.Len() != 5 || q.Cap() != 8 {
-		t.Fatalf("Name, Len, Cap = %q, %d, %d, want fifo, 5, 8", q.Name(), q.Len(), q.Cap())
-	}
-	for i := 0; i < 5; i++ {
-		if v := <-q.C(); v != i {
-			t.Fatalf("received %d, want %d", v, i)
+		if q.Name() != "fifo" || q.Len() != 5 || q.Cap() != 8 {
+			t.Fatalf("Name, Len, Cap = %q, %d, %d, want fifo, 5, 8", q.Name(), q.Len(), q.Cap())
 		}
-	}
-	select {
-	case v := <-q.C():
-		t.Fatalf("received %d from an empty queue", v)
-	default:
-	}
+		for i := 0; i < 5; i++ {
+			if v := <-q.C(); v != i {
+				t.Fatalf("received %d, want %d", v, i)
+			}
+		}
+		select {
+		case v := <-q.C():
+			t.Fatalf("received %d from an empty queue", v)
+		default:
+		}
+	})
 }
 
 func TestQueueFullBehaviour(t *testing.T) {
-	q := NewHandoff[int]("full", 2)
-	if !q.TryPush(1) || !q.TryPush(2) {
-		t.Fatal("fill failed")
-	}
-	if q.TryPush(3) {
-		t.Fatal("TryPush succeeded on full queue")
-	}
-	if v := <-q.C(); v != 1 {
-		t.Fatalf("received %d, want 1", v)
-	}
-	if !q.TryPush(3) {
-		t.Fatal("TryPush failed after a receive freed space")
-	}
+	t.Run("chan", func(t *testing.T) {
+		q := NewHandoff[int]("full", 2)
+		if !q.TryPush(1) || !q.TryPush(2) {
+			t.Fatal("fill failed")
+		}
+		if q.TryPush(3) {
+			t.Fatal("TryPush succeeded on full queue")
+		}
+		if v := <-q.C(); v != 1 {
+			t.Fatalf("received %d, want 1", v)
+		}
+		if !q.TryPush(3) {
+			t.Fatal("TryPush failed after a receive freed space")
+		}
+	})
 }
 
 func TestQueueCloseDrains(t *testing.T) {
-	q := NewHandoff[int]("drain", 8)
-	q.TryPush(1)
-	q.TryPush(2)
-	q.Close()
-	var got []int
-	for v := range q.C() {
-		got = append(got, v)
-	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("drained %v after Close, want [1 2]", got)
-	}
+	t.Run("chan", func(t *testing.T) {
+		q := NewHandoff[int]("drain", 8)
+		q.TryPush(1)
+		q.TryPush(2)
+		q.Close()
+		var got []int
+		for v := range q.C() {
+			got = append(got, v)
+		}
+		if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+			t.Fatalf("drained %v after Close, want [1 2]", got)
+		}
+	})
 }
 
 func TestQueueCloseUnblocksPop(t *testing.T) {
-	q := NewHandoff[int]("unblock", 4)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, ok := <-q.C(); ok {
-			t.Error("receive returned ok on closed empty queue")
-		}
-	}()
-	q.Close()
-	<-done
+	t.Run("chan", func(t *testing.T) {
+		q := NewHandoff[int]("unblock", 4)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if _, ok := <-q.C(); ok {
+				t.Error("receive returned ok on closed empty queue")
+			}
+		}()
+		q.Close()
+		<-done
+	})
 }
 
 // TestQueueConcurrentMultiset checks that under heavy concurrency every
 // pushed value is received exactly once (no loss, no duplication).
 func TestQueueConcurrentMultiset(t *testing.T) {
-	const producers, consumers, perProducer = 4, 4, 2000
-	q := NewHandoff[int]("multiset", 64)
-	var wg sync.WaitGroup
-	results := make(chan int, producers*perProducer)
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for v := range q.C() {
-				results <- v
-			}
-		}()
-	}
-	var pwg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		pwg.Add(1)
-		go func(p int) {
-			defer pwg.Done()
-			for i := 0; i < perProducer; i++ {
-				if !q.Push(p*perProducer+i, nil) {
-					t.Errorf("Push failed mid-run")
-					return
+	t.Run("chan", func(t *testing.T) {
+		const producers, consumers, perProducer = 4, 4, 2000
+		q := NewHandoff[int]("multiset", 64)
+		var wg sync.WaitGroup
+		results := make(chan int, producers*perProducer)
+		for c := 0; c < consumers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for v := range q.C() {
+					results <- v
 				}
-			}
-		}(p)
-	}
-	pwg.Wait()
-	q.Close()
-	wg.Wait()
-	close(results)
-
-	got := make([]int, 0, producers*perProducer)
-	for v := range results {
-		got = append(got, v)
-	}
-	if len(got) != producers*perProducer {
-		t.Fatalf("received %d values, want %d", len(got), producers*perProducer)
-	}
-	sort.Ints(got)
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("multiset mismatch at %d: %d", i, v)
+			}()
 		}
-	}
+		var pwg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			pwg.Add(1)
+			go func(p int) {
+				defer pwg.Done()
+				for i := 0; i < perProducer; i++ {
+					if !q.Push(p*perProducer+i, nil) {
+						t.Errorf("Push failed mid-run")
+						return
+					}
+				}
+			}(p)
+		}
+		pwg.Wait()
+		q.Close()
+		wg.Wait()
+		close(results)
+
+		got := make([]int, 0, producers*perProducer)
+		for v := range results {
+			got = append(got, v)
+		}
+		if len(got) != producers*perProducer {
+			t.Fatalf("received %d values, want %d", len(got), producers*perProducer)
+		}
+		sort.Ints(got)
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("multiset mismatch at %d: %d", i, v)
+			}
+		}
+	})
 }
 
 // TestHandoffPerProducerOrder: each producer's items come out in the order

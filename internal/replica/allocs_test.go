@@ -29,8 +29,10 @@ import (
 // consensus step writes into its goroutine's reused Out, opens instances
 // off a free list and lends the votes it emits, the store carves new keys'
 // values from pages, and a block carries no commit proof (a stable
-// checkpoint's signed certificate, one per 25 batches, proves it): 44 per
-// batch on a 2-core host, where the path that allocated votes took 204, the
+// checkpoint's signed certificate, one per 25 batches, proves it), and a
+// replica marshals its client responses from one reused value and a client
+// reuses its vote tables from request to request: 37 per batch on a 2-core
+// host, 44 before those two, where the path that allocated votes took 204, the
 // engine that returned fresh action slices 105, the store that allocated
 // each new key's value 65 and the path that still copied 2f+1 commit MACs
 // into every block 53.
@@ -172,12 +174,15 @@ func TestAllocsPerCommittedBatch(t *testing.T) {
 // allocation to the function of this module that made it, like
 // TestAllocsPerCommittedBatch. A read's value is appended into its
 // partition's arena, a scan row into its row slab, a fragment merge carves
-// from the same slab, a client decodes a result list into one slab, and the
-// engine allocates only the pre-prepare: the cap is a little above what is
-// left, about 68 per batch on a 2-core host, where copying every value at
-// the store and again at the client took 587, the engine that returned
-// fresh action slices 118 and the engine that still copied a commit proof
-// into every block 77.
+// from the same slab, a client decodes a result list into one slab, the
+// engine allocates only the pre-prepare, and client responses and vote
+// tables are reused: about 61 per batch on a 2-core host, where copying
+// every value at the store and again at the client took 587, the engine
+// that returned fresh action slices 118, the engine that still copied a
+// commit proof into every block 77 and the path that allocated each client
+// response and vote table 68. The count grows with the transactions in a
+// batch, and CPU contention fills batches fuller: beside four busy loops it
+// read up to 66, and up to 76 before responses and vote tables were reused.
 func TestAllocsPerReadBatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts at random; steady-state reuse is nondeterministic")

@@ -638,8 +638,10 @@ func (r *Replica) retireBatch(b *inflightExec) {
 	// — and stamped on every response so gateways see replica load on
 	// traffic they already receive. It is advisory: outside Result and
 	// outside the client's vote key, so replicas under different load
-	// still form a quorum.
+	// still form a quorum. sendTo marshals the response before it
+	// returns, so one reused response serves every request.
 	busy := r.busyGauge()
+	resp := &r.retireResp
 	for i := range act.Requests {
 		req := &act.Requests[i]
 		var reads []types.ReadResult
@@ -648,7 +650,7 @@ func (r *Replica) retireBatch(b *inflightExec) {
 				reads = b.reads[rr.start : rr.start+rr.n]
 			}
 		}
-		r.sendTo(types.ClientNode(req.Client), &types.ClientResponse{
+		*resp = types.ClientResponse{
 			View:        act.View,
 			Seq:         act.Seq,
 			Client:      req.Client,
@@ -657,8 +659,10 @@ func (r *Replica) retireBatch(b *inflightExec) {
 			Replica:     r.cfg.ID,
 			ReadResults: reads,
 			Busy:        busy,
-		})
+		}
+		r.sendTo(types.ClientNode(req.Client), resp)
 	}
+	*resp = types.ClientResponse{} // let go of the batch's read results
 
 	if n := len(b.reads); n > 0 {
 		r.readsExecuted.Add(uint64(n))

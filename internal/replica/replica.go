@@ -570,12 +570,14 @@ type Replica struct {
 	// so no shard worker ever waits for a disk. inlineScratch is the
 	// write buffer of the inline apply, reused batch after batch (one
 	// stager at a time: the execute-thread, or a stepping thread under
-	// inlineMu), and retireOut takes the engine's OnExecuted outputs (one
-	// retirer at a time, the same way).
+	// inlineMu), and retireOut takes the engine's OnExecuted outputs and
+	// retireResp each client response while it is marshalled (one retirer
+	// at a time, the same way).
 	durableQ      *queue.Handoff[durableWait]
 	durableWg     sync.WaitGroup
 	inlineScratch []store.KV
 	retireOut     consensus.Out
+	retireResp    types.ClientResponse
 }
 
 // New creates a replica; call Start to launch the pipeline.
