@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"resilientdb/internal/loadgen"
 	"strings"
 	"testing"
 	"time"
@@ -587,6 +588,59 @@ func TestSecondRunExecutes(t *testing.T) {
 		for id, seq := range last {
 			if executed[id] <= seq {
 				t.Fatalf("run %d: client %d's last executed sequence %d → %d", run, id, seq, executed[id])
+			}
+		}
+		last = executed
+	}
+}
+
+// TestSecondGeneratorExecutes: a generator that follows another under the
+// same client identities — a second resdb-client process against one
+// cluster — gets its writes executed. Its sessions start past every
+// sequence the first one used; had they started where the first one's did,
+// every replica's dedup would skip its transactions as duplicates, answer
+// them, and execute nothing.
+func TestSecondGeneratorExecutes(t *testing.T) {
+	opts := smallOpts()
+	opts.Clients = 2
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	t.Cleanup(c.Stop)
+	var last map[types.ClientID]uint64
+	for gen := 0; gen < 2; gen++ {
+		g := loadgen.New(loadgen.Config{Workload: opts.Workload, Seed: opts.Seed + int64(gen)})
+		for i := 0; i < opts.Clients; i++ {
+			ep := c.AttachClient(types.ClientID(i), 0)
+			t.Cleanup(ep.Close)
+			if err := g.AddDirect(loadgen.DirectConfig{N: opts.N, Timeout: opts.ClientTimeout, Directory: c.Directory(), Endpoint: ep}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The second generator stops long before it could pass the first's
+		// sequences on its own.
+		want := []uint64{400, 20}[gen]
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		go func() {
+			for ctx.Err() == nil && g.Stats().Completed < want {
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+		}()
+		res := g.Run(ctx)
+		cancel()
+		if res.Txns < want {
+			t.Fatalf("generator %d completed %d of %d transactions: %s", gen, res.Txns, want, res)
+		}
+		if !c.WaitForQuiesce(5*time.Second, nil) {
+			t.Fatal("cluster did not settle")
+		}
+		executed := c.Replica(0).DedupSnapshot()
+		for id := types.ClientID(0); id < types.ClientID(opts.Clients); id++ {
+			if executed[id] <= last[id] {
+				t.Fatalf("generator %d: client %d's last executed sequence stayed at %d: its writes were skipped as duplicates", gen, id, last[id])
 			}
 		}
 		last = executed

@@ -16,8 +16,19 @@
 // and resets it before the next step, so a step boxes nothing into an
 // interface and allocates no slice of its own. The Prepare, Commit and
 // Checkpoint an engine broadcasts come from the vote pools in types and are
-// lent to the driver: it gives each back with types.ReleaseVote once it has
-// encoded it, or keeps it and never gives it back.
+// lent to the driver: it gives each back with types.ReleaseMessage once it
+// has encoded it, or keeps it and never gives it back.
+//
+// Requests are counted, not copied: a driver that decodes proposals in
+// place hands the engine requests whose memory goes back to its pools once
+// the last holder drops its reference (types.RetainRequests and
+// types.ReleaseRequests). The PBFT engine holds every batch it logs until a
+// stable checkpoint prunes it. An Execute carries a reference of its own,
+// taken under the engine's lock when it is emitted, which the driver
+// releases once the batch has retired (or at once, if it drops the
+// Execute). Requests built in memory have no hold: a driver that only ever
+// hands an engine those, as the simulator and enginetest do, may ignore the
+// references.
 package consensus
 
 import (
@@ -177,16 +188,18 @@ func (Evidence) isAction()         {}
 // back them with atomics so observability never contends with consensus.
 type Engine interface {
 	// OnMessage applies a verified message from a peer and appends what it
-	// does to out. A Prepare, Commit or Checkpoint msg is lent for the call:
-	// the caller reuses it once it returns, so an engine that keeps one
-	// keeps a copy.
+	// does to out. The message is lent for the call: the caller reuses a
+	// Prepare, Commit or Checkpoint once it returns, so an engine that keeps
+	// one keeps a copy, and releases a proposal, so an engine that keeps
+	// its requests takes a reference on them.
 	OnMessage(from types.NodeID, msg types.Message, out *Out)
 
 	// Propose assigns the next sequence number to a batch of client
 	// requests, starts consensus on it and appends what it does to out.
 	// Only the current primary may propose: an engine that refuses (not
 	// primary, mid view change, window full) appends nothing and reports
-	// false, and the caller retries later.
+	// false, and the caller retries later. The requests are lent as
+	// OnMessage's are.
 	Propose(reqs []types.ClientRequest, out *Out) bool
 
 	// OnExecuted tells the engine the execution layer finished the batch
@@ -213,6 +226,11 @@ type Engine interface {
 
 	// Stats returns engine counters for observability.
 	Stats() EngineStats
+
+	// Close releases every reference the engine holds on requests it
+	// logged. The engine must not be stepped again: a driver calls it once
+	// every thread that steps the engine has returned.
+	Close()
 }
 
 // ProposalHeader is implemented by engines that can report the highest

@@ -31,6 +31,7 @@ func (f *fakeEngine) OnViewTimeout(types.View, *consensus.Out)                  
 func (f *fakeEngine) View() types.View                                                       { return 0 }
 func (f *fakeEngine) IsPrimary() bool                                                        { return f.id == 0 }
 func (f *fakeEngine) Stats() consensus.EngineStats                                           { return consensus.EngineStats{} }
+func (f *fakeEngine) Close()                                                                 {}
 
 func fakes(n int) ([]consensus.Engine, []*fakeEngine) {
 	engines := make([]consensus.Engine, n)

@@ -68,7 +68,9 @@ func (c *Config) fill() {
 	}
 }
 
-// instance is the per-sequence-number consensus state.
+// instance is the per-sequence-number consensus state. Its requests are
+// held (types.RetainRequests) from the moment they are installed until the
+// instance is pruned, superseded or the engine closes.
 type instance struct {
 	view       types.View
 	digest     types.Digest
@@ -97,9 +99,18 @@ func newInstance(n int) *instance {
 	return &instance{votes: make([]vote, n)}
 }
 
+// setRequests installs reqs as the instance's batch: it takes a reference
+// on them and drops the one it held on the batch they replace.
+func (in *instance) setRequests(reqs []types.ClientRequest) {
+	types.RetainRequests(reqs)
+	types.ReleaseRequests(in.requests)
+	in.requests = reqs
+}
+
 // reset returns a pruned instance to the state newInstance gives it,
 // keeping only its vote table's memory: no vote, digest or flag carries
-// over, and the batch it held is no longer reachable from it.
+// over, and the batch it held is no longer reachable from it. The caller
+// has released that batch.
 func (in *instance) reset() {
 	clear(in.votes)
 	*in = instance{votes: in.votes}
@@ -421,9 +432,11 @@ func (e *Engine) inst(seq types.SeqNum) *instance {
 	return in
 }
 
-// recycle resets a pruned instance onto the free list, unless the list is
-// full; recycleHook, when set, sees the instance first.
+// recycle releases a pruned instance's batch and resets the instance onto
+// the free list, unless the list is full; recycleHook, when set, sees the
+// instance first.
 func (e *Engine) recycle(in *instance) {
+	types.ReleaseRequests(in.requests)
 	if len(e.free) == maxFree {
 		return
 	}
@@ -438,7 +451,9 @@ func (e *Engine) recycle(in *instance) {
 // to the batch and broadcasts the pre-prepare. A false return with nothing
 // appended means the engine refused (not primary, mid view change, or
 // window full) and the caller should retry later. The batch digest is
-// computed before the lock is taken, so batch-threads hash in parallel.
+// computed before the lock is taken, so batch-threads hash in parallel. An
+// accepted batch is held until its instance is pruned; the caller keeps its
+// own reference until the broadcast is encoded.
 func (e *Engine) Propose(reqs []types.ClientRequest, out *consensus.Out) bool {
 	digest := types.BatchDigest(reqs)
 	e.mu.Lock()
@@ -454,7 +469,7 @@ func (e *Engine) Propose(reqs []types.ClientRequest, out *consensus.Out) bool {
 	in.view = e.view
 	in.digest = digest
 	in.havePP = true
-	in.requests = reqs
+	in.setRequests(reqs)
 	out.Broadcast(&types.PrePrepare{View: e.view, Seq: seq, Digest: digest, Requests: reqs})
 	return true
 }
@@ -531,7 +546,7 @@ func (e *Engine) onPrePrepare(from types.ReplicaID, m *types.PrePrepare, out *co
 	in.digest = m.Digest
 	in.havePP = true
 	in.isNull = m.Digest == types.Digest{} && len(m.Requests) == 0
-	in.requests = m.Requests
+	in.setRequests(m.Requests)
 
 	if e.cfg.ID != consensus.PrimaryOf(e.view, e.cfg.N) {
 		// Backups vote; the primary's pre-prepare stands as its prepare.
@@ -574,8 +589,8 @@ func (e *Engine) onCommit(from types.ReplicaID, m *types.Commit, out *consensus.
 // keepOrDrop disposes of a per-sequence message the engine cannot step now:
 // one of a view above its own is kept for when it enters that view (within
 // the sender's share), anything else is dropped — an older view's, or the
-// current view's while this replica has voted to leave it. A kept vote is a
-// copy: it is borrowed for the step.
+// current view's while this replica has voted to leave it. What is kept is
+// a copy: the message is borrowed for the step.
 func (e *Engine) keepOrDrop(from types.ReplicaID, view types.View, msg types.Message) {
 	if view > e.view && e.aheadFrom[from] < maxAhead {
 		e.aheadFrom[from]++
@@ -585,8 +600,8 @@ func (e *Engine) keepOrDrop(from types.ReplicaID, view types.View, msg types.Mes
 	e.stats.Dropped.Add(1)
 }
 
-// keptCopy returns a copy of a borrowed vote, and a pre-prepare — which
-// the engine owns, requests and all — as it is.
+// keptCopy returns a copy of a borrowed vote or pre-prepare; a pre-prepare's
+// requests are not copied but held, until replayAhead steps or forgets it.
 func keptCopy(msg types.Message) types.Message {
 	switch m := msg.(type) {
 	case *types.Prepare:
@@ -595,8 +610,19 @@ func keptCopy(msg types.Message) types.Message {
 	case *types.Commit:
 		c := *m
 		return &c
+	case *types.PrePrepare:
+		c := types.PrePrepare{View: m.View, Seq: m.Seq, Digest: m.Digest, Requests: m.Requests}
+		types.RetainRequests(c.Requests)
+		return &c
 	}
 	return msg
+}
+
+// forget releases what a kept message holds.
+func forget(msg types.Message) {
+	if pp, ok := msg.(*types.PrePrepare); ok {
+		types.ReleaseRequests(pp.Requests)
+	}
 }
 
 // replayAhead steps, in arrival order, what was kept for the view just
@@ -614,6 +640,8 @@ func (e *Engine) replayAhead(out *consensus.Out) {
 		e.aheadFrom[a.from]--
 		if a.view == e.view {
 			due = append(due, a)
+		} else {
+			forget(a.msg)
 		}
 	}
 	clear(e.ahead[len(later):])
@@ -628,6 +656,7 @@ func (e *Engine) replayAhead(out *consensus.Out) {
 		case *types.Commit:
 			e.onCommit(a.from, m, out)
 		}
+		forget(a.msg)
 	}
 }
 
@@ -651,6 +680,10 @@ func (e *Engine) advance(seq types.SeqNum, in *instance, out *consensus.Out) {
 		in.committed = true
 		in.released = true
 		e.stats.Executed.Add(1)
+		// The Execute carries a reference of its own, taken under the lock
+		// so that no other step can prune the instance before it is taken:
+		// the driver releases it when the batch retires.
+		types.RetainRequests(in.requests)
 		out.Execute(consensus.Execute{
 			Seq:      seq,
 			View:     in.view,
@@ -856,8 +889,10 @@ func (e *Engine) buildNewView(v types.View, votes map[types.ReplicaID]*types.Vie
 			pp.Digest = c.digest
 			// Attach the payload when this replica has it cached so
 			// backups missing the original pre-prepare can still execute.
+			// It is a copy: the NewView is encoded after the lock is let go,
+			// when a checkpoint may already have pruned the instance.
 			if in, ok := e.instances[seq]; ok && in.havePP && in.digest == c.digest {
-				pp.Requests = in.requests
+				pp.Requests = types.CloneRequests(in.requests)
 			}
 		}
 		pps = append(pps, pp)
@@ -903,6 +938,7 @@ func (e *Engine) enterNewView(nv *types.NewView, out *consensus.Out) {
 	for seq, in := range e.instances {
 		if in.view < nv.View && !in.released {
 			delete(e.instances, seq)
+			e.recycle(in)
 		}
 	}
 	delete(e.viewChanges, nv.View)
@@ -921,7 +957,7 @@ func (e *Engine) enterNewView(nv *types.NewView, out *consensus.Out) {
 			in.digest = pp.Digest
 			in.havePP = true
 			in.isNull = pp.Digest == types.Digest{}
-			in.requests = pp.Requests
+			in.setRequests(pp.Requests)
 		}
 		if types.SeqNum(e.nextSeq.Load()) < maxSeq {
 			e.nextSeq.Store(uint64(maxSeq))
@@ -931,4 +967,22 @@ func (e *Engine) enterNewView(nv *types.NewView, out *consensus.Out) {
 		}
 	}
 	e.refreshMirrors()
+}
+
+// Close implements consensus.Engine: it releases every batch the engine
+// holds, its instances' and the pre-prepares it kept for a view it had not
+// entered. The references its Executes carried are the driver's.
+func (e *Engine) Close() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for seq, in := range e.instances {
+		delete(e.instances, seq)
+		types.ReleaseRequests(in.requests)
+	}
+	for _, a := range e.ahead {
+		forget(a.msg)
+	}
+	clear(e.ahead)
+	e.ahead = e.ahead[:0]
+	clear(e.aheadFrom)
 }

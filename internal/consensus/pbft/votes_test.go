@@ -251,7 +251,7 @@ func TestInstanceAllocationCap(t *testing.T) {
 		for i := range outs {
 			switch o := &outs[i]; o.Kind {
 			case consensus.KindBroadcast:
-				types.ReleaseVote(o.Broadcast.Msg)
+				types.ReleaseMessage(o.Broadcast.Msg)
 			case consensus.KindExecute:
 				released++
 			case consensus.KindCheckpointStable:

@@ -228,6 +228,7 @@ func (e *Engine) accept(m *types.OrderedRequest, out *consensus.Out) {
 	e.nextExec = m.Seq
 	e.histories[m.Seq] = m.History
 	e.stats.Executed.Add(1)
+	types.RetainRequests(m.Requests) // the Execute's, released by the driver
 	out.Execute(consensus.Execute{
 		Seq:         m.Seq,
 		View:        m.View,
@@ -339,3 +340,7 @@ func (e *Engine) advanceLowWater(out *consensus.Out) {
 func (e *Engine) OnViewTimeout(types.View, *consensus.Out) {
 	e.stats.Dropped.Add(1)
 }
+
+// Close implements consensus.Engine. The engine takes no reference on what
+// it logs: only the simulator steps it, with requests built in memory.
+func (e *Engine) Close() {}

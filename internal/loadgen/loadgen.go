@@ -76,7 +76,8 @@ type Stats struct {
 // Session is one closed-loop client identity; its Transport serializes
 // access to it. ID is its client identity or gateway session number, Req
 // the request in flight at sequence (nonce) Seq, Start when Req was begun
-// (zero before), and Queued a Transport's mark for a queued session.
+// (zero before), and Queued a Transport's mark for a queued session. A
+// session's first sequence is its generator's start (see New).
 type Session struct {
 	ID     types.ClientID
 	Seq    uint64
@@ -113,14 +114,22 @@ type Generator struct {
 	cfg      Config
 	carriers []*Carrier
 	sessions int
+	first    uint64 // every session's first sequence
 }
 
-// New returns a generator with no carriers.
+// New returns a generator with no carriers. Its sessions start at the wall
+// clock in nanoseconds: client identities are session numbers, so another
+// generator — another resdb-client process, or one run before this in the
+// same process — used the same identities, and replicas skip a sequence at
+// or below the last they executed for an identity as a duplicate. A
+// session spends a sequence per transaction and takes far longer than a
+// nanosecond per transaction, so no earlier generator can have reached
+// this one's start.
 func New(cfg Config) *Generator {
 	if cfg.Burst < 1 {
 		cfg.Burst = 1
 	}
-	return &Generator{cfg: cfg}
+	return &Generator{cfg: cfg, first: uint64(time.Now().UnixNano())}
 }
 
 // Add appends a carrier of n sessions carried by t, numbered after the
@@ -138,7 +147,7 @@ func (g *Generator) Add(n int, t Transport) (*Carrier, error) {
 	for i := range c.Sessions {
 		s := &c.Sessions[i]
 		s.ID = types.ClientID(g.sessions + i)
-		s.Seq = 1
+		s.Seq = g.first
 		c.draw(s)
 	}
 	g.carriers = append(g.carriers, c)

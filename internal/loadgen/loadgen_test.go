@@ -179,12 +179,13 @@ func TestSessionsContinueAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := c.Sessions[0].Seq
 	for run := 1; run <= 2; run++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		g.Run(ctx)
 		s := &c.Sessions[0]
-		if want := uint64(1 + 4*3*run); s.Seq != want || s.Req.FirstSeq != want {
+		if want := first + uint64(4*3*run); s.Seq != want || s.Req.FirstSeq != want {
 			t.Fatalf("after run %d: seq %d, request at %d; want %d", run, s.Seq, s.Req.FirstSeq, want)
 		}
 		if s.Req.Client != types.ClientID(0) || len(s.Req.Txns) != 4 {

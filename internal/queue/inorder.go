@@ -150,6 +150,22 @@ func (o *InOrder[T]) Close() {
 	o.ring()
 }
 
+// Drain empties a closed buffer, handing each item still waiting for its
+// turn — offered while an earlier sequence number never was — to f, in
+// slot order. It is for the owner's shutdown, once the consumer has
+// returned, so what the items hold can be given back.
+func (o *InOrder[T]) Drain(f func(v T)) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	var zero T
+	for i := range o.slots {
+		if s := &o.slots[i]; s.full {
+			f(s.v)
+			s.v, s.full = zero, false
+		}
+	}
+}
+
 // MapReorder is the hash-map alternative the paper rejects ("collision
 // resistant hash functions are expensive to compute"): a mutex-protected
 // map keyed by sequence number with a condition variable. It is kept as

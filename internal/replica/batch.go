@@ -30,9 +30,14 @@ import (
 // yields and queue up behind one another, where a parked holder is handed
 // the first alone and proposes it before the rest are queued. An idle
 // primary's yields return at once.
+//
+// A batch is drained as the decoded requests themselves, into a slice the
+// thread reuses; propose copies the survivors of the signature check into a
+// pooled Batch.
 func (r *Replica) batchLoop() {
 	defer r.stage1Wg.Done()
 	var out consensus.Out
+	var reqs []*types.ClientRequest
 	in := r.batchQ.C()
 	for {
 		<-r.batchTurn
@@ -54,7 +59,7 @@ func (r *Replica) batchLoop() {
 			return
 		}
 		t0 := time.Now()
-		reqs := []types.ClientRequest{*first}
+		reqs = append(reqs[:0], first)
 		txns := len(first.Txns)
 	drain:
 		for txns < r.cfg.BatchSize {
@@ -63,7 +68,7 @@ func (r *Replica) batchLoop() {
 				if !ok {
 					break drain
 				}
-				reqs = append(reqs, *next)
+				reqs = append(reqs, next)
 				txns += len(next.Txns)
 			default:
 				break drain // queue drained: propose what we have
@@ -71,21 +76,31 @@ func (r *Replica) batchLoop() {
 		}
 		r.batchTurn <- struct{}{}
 		parked := r.propose(reqs, &out)
+		clear(reqs)
 		r.addBusy(StageBatch, time.Since(t0)-parked)
 	}
 }
 
-// propose verifies client signatures and drives the engine's Propose into
-// out, the calling goroutine's own, retrying while the watermark window is
-// full. It returns how long it sat parked in awaitProgress, which is
+// propose verifies client signatures, moves the survivors into a pooled
+// Batch and drives the engine's Propose into out, the calling goroutine's
+// own, retrying while the watermark window is full. The batch takes over
+// each request's reference; the engine and the execute stage take their
+// own, and the caller's goes once the pre-prepare is encoded or the batch
+// is given up. It returns how long it sat parked in awaitProgress, which is
 // waiting, not work.
-func (r *Replica) propose(reqs []types.ClientRequest, out *consensus.Out) (parked time.Duration) {
+func (r *Replica) propose(reqs []*types.ClientRequest, out *consensus.Out) (parked time.Duration) {
 	if len(reqs) == 0 {
 		return
 	}
 	if reqs = r.verifyClientSigs(reqs); len(reqs) == 0 {
 		return
 	}
+	b := types.AcquireBatch()
+	for _, req := range reqs {
+		b.Add(req)
+	}
+	defer b.Release()
+	batch := b.Requests()
 	park := func() bool {
 		t0 := time.Now()
 		ok := r.awaitProgress()
@@ -104,7 +119,7 @@ func (r *Replica) propose(reqs []types.ClientRequest, out *consensus.Out) (parke
 		if !r.engine.IsPrimary() {
 			return parked // lost the primary role; clients will retransmit
 		}
-		if r.engine.Propose(reqs, out) {
+		if r.engine.Propose(batch, out) {
 			if r.cfg.DisableOutOfOrder {
 				r.inflight.Add(1)
 			}
@@ -121,36 +136,36 @@ func (r *Replica) propose(reqs []types.ClientRequest, out *consensus.Out) (parke
 
 // verifyClientSigs checks every request's client signature — over the
 // digest the request already carries, so nothing is marshalled or hashed
-// here — and returns the survivors in order. Only the primary runs it: a
+// here — and returns the survivors in order, in reqs' array; a refused
+// request is released at once. Only the primary runs it: a
 // backup takes the requests of a proposal on the primary's authenticator
 // and the batch digest. With a verify pool available the checks fan out
 // across its workers — submitted in order, awaited in order — so one RSA
 // verify on the batch-thread no longer serializes the whole batch; without
 // a pool (VerifyThreads -1) the checks run inline, which is the paper's
 // cost assignment for the 0V ablation.
-func (r *Replica) verifyClientSigs(reqs []types.ClientRequest) []types.ClientRequest {
+func (r *Replica) verifyClientSigs(reqs []*types.ClientRequest) []*types.ClientRequest {
+	kept := reqs[:0]
+	keep := func(req *types.ClientRequest, err error) {
+		if err != nil {
+			r.authFailures.Add(1)
+			types.ReleaseMessage(req)
+			return
+		}
+		kept = append(kept, req)
+	}
 	if r.verifyPool == nil || len(reqs) == 1 {
-		kept := reqs[:0]
-		for i := range reqs {
-			if err := r.auth.VerifyDigest(types.ClientNode(reqs[i].Client), reqs[i].Digest(), reqs[i].Sig); err != nil {
-				r.authFailures.Add(1)
-				continue
-			}
-			kept = append(kept, reqs[i])
+		for _, req := range reqs {
+			keep(req, r.auth.VerifyDigest(types.ClientNode(req.Client), req.Digest(), req.Sig))
 		}
 		return kept
 	}
 	pending := make([]*crypto.Pending, len(reqs))
-	for i := range reqs {
-		pending[i] = r.verifyPool.SubmitDigestPooled(types.ClientNode(reqs[i].Client), reqs[i].Digest(), reqs[i].Sig)
+	for i, req := range reqs {
+		pending[i] = r.verifyPool.SubmitDigestPooled(types.ClientNode(req.Client), req.Digest(), req.Sig)
 	}
-	kept := reqs[:0]
-	for i := range reqs {
-		if err := pending[i].Await(); err != nil {
-			r.authFailures.Add(1)
-			continue
-		}
-		kept = append(kept, reqs[i])
+	for i, req := range reqs {
+		keep(req, pending[i].Await())
 	}
 	return kept
 }

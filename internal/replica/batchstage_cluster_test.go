@@ -5,6 +5,7 @@ package replica_test
 import (
 	"context"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -77,23 +78,36 @@ func TestIdlePrimaryProposesLoneRequestAtOnce(t *testing.T) {
 // itself rather than by a timer: nothing waits for a batch to fill, yet
 // batches grow with offered load, because whatever arrives while one
 // proposal is verified and stepped through the engine is the next drain.
+// Each client count's mean batch is the median of three 500 ms runs on one
+// cluster: a single run's mean moves with whatever else the host ran
+// meanwhile, and one run at 64 clients once read below the 16-client run
+// before it ([2.7 7.8 7.6 16.5]).
 func TestBatchesFillUnderLoad(t *testing.T) {
+	const runs = 3
 	var means []float64
 	for _, clients := range []int{4, 16, 64, 256} {
 		t.Run(fmt.Sprintf("clients=%d", clients), func(t *testing.T) {
 			c := burstOneCluster(t, clients, 2)
-			res := c.Run(context.Background(), 500*time.Millisecond)
-			s := c.Replica(0).Stats()
-			if s.BatchesExecuted == 0 {
-				t.Fatalf("no batch executed: %s", res)
+			var per []float64
+			for i := 0; i < runs; i++ {
+				before := c.Replica(0).Stats()
+				res := c.Run(context.Background(), 500*time.Millisecond)
+				after := c.Replica(0).Stats()
+				batches := after.BatchesExecuted - before.BatchesExecuted
+				if batches == 0 {
+					t.Fatalf("no batch executed: %s", res)
+				}
+				per = append(per, float64(after.TxnsExecuted-before.TxnsExecuted)/float64(batches))
 			}
-			means = append(means, float64(s.TxnsExecuted)/float64(s.BatchesExecuted))
+			sort.Float64s(per)
+			t.Logf("mean transactions per batch, run by run, sorted: %.1f", per)
+			means = append(means, per[runs/2])
 		})
 	}
 	if t.Failed() {
 		return
 	}
-	t.Logf("mean transactions per batch at 4/16/64/256 clients: %.1f", means)
+	t.Logf("median mean transactions per batch at 4/16/64/256 clients: %.1f", means)
 	for i := 1; i < len(means); i++ {
 		if means[i] < means[i-1] {
 			t.Fatalf("mean transactions per batch fell as load rose: %.1f", means)

@@ -92,7 +92,7 @@ func TestLentAuthAndVotesSurviveViewChange(t *testing.T) {
 	}
 }
 
-func testLentAcrossViewChange(t *testing.T, tcp bool, execThreads int, interval uint64) {
+func testLentAcrossViewChange(t *testing.T, tcp bool, execThreads int, interval uint64) *recycleCluster {
 	const (
 		rounds = 3 // closed-loop rounds per phase
 		window = 3 // requests in flight per round
@@ -266,6 +266,7 @@ func testLentAcrossViewChange(t *testing.T, tcp bool, execThreads int, interval 
 		}
 	}
 	t.Logf("%d blocks per replica, watermark %d", c.replicas[0].Ledger().Height(), last)
+	return c
 }
 
 // TestVoteAdmitToEngineAllocatesNothing: a Prepare and a Commit that

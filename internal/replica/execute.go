@@ -158,10 +158,13 @@ type inflightExec struct {
 	frags      [][]types.ScanRow
 }
 
-// recycle empties a retired batch and gives it back to execFree. It must
-// not run before retirement has encoded the batch's last response: the
-// read results those carry are lent from the batch's partitions.
+// recycle empties a retired batch, drops the execute stage's reference on
+// its requests and gives it back to execFree. It must not run before
+// retirement has encoded the batch's last response: the read results those
+// carry are lent from the batch's partitions, and the responses name the
+// requests' clients.
 func (r *Replica) recycle(b *inflightExec) {
+	types.ReleaseRequests(b.act.Requests)
 	for i := range b.parts {
 		b.parts[i].reset()
 	}

@@ -33,32 +33,33 @@ func (r *Replica) inputClientLoop(inbox <-chan *types.Envelope) {
 
 // handleClientRequest decodes one client request off the client inbox and
 // hands it to the batch stage. The request's payloads, values and
-// signature are views into the frame it arrived in; DecodeEnvelope took
-// that frame out of its pool in the same call, so the envelope still
-// retires here whatever the outcome, and the request is not copied again
-// until a store persists it.
+// signature are views into the frame it arrived in, which the request
+// holds a reference on of its own, so the envelope retires here whatever
+// the outcome and the request is not copied again until a store persists
+// it. The decoder's reference travels with the request; a request no stage
+// takes is released here, at once.
 func (r *Replica) handleClientRequest(env *types.Envelope) {
-	defer env.Release()
 	msg, err := types.DecodeEnvelope(env)
+	env.Release()
 	if err != nil {
 		r.decodeFailures.Add(1)
 		return
 	}
-	req, ok := msg.(*types.ClientRequest)
-	if !ok {
-		return
-	}
-	if r.isPrimaryHint() {
-		if r.cfg.BatchThreads > 0 {
-			r.batchQ.Push(req, r.stop)
-		} else {
-			// 0B mode: batch assembly lives on the worker-thread.
-			r.workQ.Push(workItem{req: req}, r.stop)
-		}
-	} else {
+	req := msg.(*types.ClientRequest)
+	taken := false
+	switch {
+	case !r.isPrimaryHint():
 		// A client that resorts to contacting backups signals a
 		// stalled primary; remember it for the watchdog.
 		r.pendingHint.Store(true)
+	case r.cfg.BatchThreads > 0:
+		taken = r.batchQ.Push(req, r.stop)
+	default:
+		// 0B mode: batch assembly lives on the worker-thread.
+		taken = r.workQ.Push(workItem{req: req}, r.stop)
+	}
+	if !taken {
+		types.ReleaseMessage(req)
 	}
 }
 
@@ -193,9 +194,9 @@ func (r *Replica) readLoop() {
 // worker-thread. Decoding here, on the input stage, keeps that cost off the
 // worker-thread; malformed bodies are counted as DecodeFailures and dropped
 // before they can cost it anything. Proposals (PrePrepare, NewView) decode
-// as views into their frame, which DecodeEnvelope disowns; votes decode
-// into recycled structs the worker-thread gives back after its engine step,
-// and their frames go back to the pool.
+// as views into their frame, holding it until their last holder lets go;
+// votes decode into recycled structs. The consuming thread gives either
+// back after its engine step.
 func (r *Replica) route(env *types.Envelope, verified bool) {
 	msg, err := types.DecodeEnvelope(env)
 	if err != nil {
@@ -208,8 +209,9 @@ func (r *Replica) route(env *types.Envelope, verified bool) {
 		q = r.ckptQ
 	}
 	// Ownership moves to the consuming thread, which releases the envelope
-	// after processing it.
+	// and the message after processing them.
 	if !q.Push(workItem{env: env, msg: msg, verified: verified}, r.stop) {
+		types.ReleaseMessage(msg)
 		env.Release()
 	}
 }

@@ -511,9 +511,9 @@ type Replica struct {
 	// receiver) retires the last one. encHint tracks the largest body
 	// seen, so marshals borrow from the right capacity class up front
 	// instead of growing out of an undersized buffer on every large batch.
-	// A proposal's buffer does not come back when a receiver on the
-	// in-process fabric decoded it in place (types.DecodeEnvelope disowns
-	// it). The interface is so the recycling-safety test can poison.
+	// On the in-process fabric a receiver that decoded a proposal in place
+	// holds its buffer until the proposal's last holder there lets go. The
+	// interface is so the recycling-safety test can poison.
 	encBufs interface {
 		types.FrameBuffers
 		Stats() (hits, misses uint64)
@@ -968,5 +968,11 @@ func (r *Replica) Stop() {
 		r.durableWg.Wait()
 		r.compactWg.Wait()
 		r.watchWg.Wait()
+
+		// Nothing steps the engine or executes any more: give back the
+		// batches committed behind one that never was, and everything the
+		// engine logged.
+		r.execIn.Drain(func(it execItem) { types.ReleaseRequests(it.act.Requests) })
+		r.engine.Close()
 	})
 }

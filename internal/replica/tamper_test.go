@@ -253,7 +253,7 @@ func TestDriverSignedRequestVerifiesAfterDecode(t *testing.T) {
 
 	// decode sends each request through the wire: envelope, frame, pooled
 	// frame reader, in-place decode.
-	decode := func(reqs []types.ClientRequest) []types.ClientRequest {
+	decode := func(reqs []types.ClientRequest) []*types.ClientRequest {
 		t.Helper()
 		envs := make([]*types.Envelope, len(reqs))
 		for i := range reqs {
@@ -268,13 +268,13 @@ func TestDriverSignedRequestVerifiesAfterDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make([]types.ClientRequest, len(got))
+		out := make([]*types.ClientRequest, len(got))
 		for i, env := range got {
 			msg, err := types.DecodeEnvelope(env)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[i] = *msg.(*types.ClientRequest)
+			out[i] = msg.(*types.ClientRequest)
 			env.Release()
 		}
 		return out

@@ -12,7 +12,9 @@ import (
 // decodes the envelope body before routing — that cost stays off the
 // worker-thread — so msg is always non-nil when env is. verified records
 // that the input-thread already checked the envelope's authenticator, so
-// the worker must not spend time re-checking it.
+// the worker must not spend time re-checking it. The item carries the
+// envelope and the decoder's reference on msg or req, which its consumer
+// releases.
 type workItem struct {
 	env      *types.Envelope
 	msg      types.Message
@@ -28,13 +30,13 @@ type workItem struct {
 // is full or when the queue drains, never on a timer.
 func (r *Replica) workerLoop() {
 	defer r.stage1Wg.Done()
-	var pend []types.ClientRequest
+	var pend []*types.ClientRequest
 	pendTxns := 0
 	var out consensus.Out
 	for item := range r.workQ.C() {
 		t0 := time.Now()
 		if item.req != nil {
-			pend = append(pend, *item.req)
+			pend = append(pend, item.req)
 			pendTxns += len(item.req.Txns)
 		} else {
 			r.processItem(item, &out)
@@ -42,7 +44,8 @@ func (r *Replica) workerLoop() {
 		var parked time.Duration
 		if len(pend) > 0 && (pendTxns >= r.cfg.BatchSize || r.workQ.Len() == 0) {
 			parked = r.propose(pend, &out)
-			pend, pendTxns = nil, 0
+			clear(pend)
+			pend, pendTxns = pend[:0], 0
 		}
 		r.addBusy(StageWorker, time.Since(t0)-parked)
 	}
@@ -56,15 +59,16 @@ func (r *Replica) workerLoop() {
 // writes into out, the calling goroutine's own.
 func (r *Replica) processItem(item workItem, out *consensus.Out) {
 	env := item.env
-	// The caller is the envelope's final owner, and a vote's: the engine step
-	// below is the one they were decoded for. What outlives it is the
-	// engine's to copy — env.Auth and a vote are borrowed — or a view into
-	// a frame route's DecodeEnvelope already took out of the pool.
+	// The caller is the envelope's final owner, and the message's decoder's:
+	// the engine step below is the one they were decoded for. What outlives
+	// it is the engine's to copy — env.Auth and a vote are borrowed — or, for
+	// a proposal's requests, to take a reference on. Every refusal below
+	// releases at once.
 	defer env.Release()
+	defer types.ReleaseMessage(item.msg)
 	if !item.verified {
 		if err := r.verifyEnvelope(env); err != nil {
 			r.authFailures.Add(1)
-			types.ReleaseVote(item.msg)
 			return
 		}
 	}
@@ -81,12 +85,10 @@ func (r *Replica) processItem(item workItem, out *consensus.Out) {
 		}
 	case *types.Checkpoint:
 		if !r.admitCheckpoint(env.From, m) {
-			types.ReleaseVote(m)
 			return
 		}
 	}
 	r.engine.OnMessage(env.From, item.msg, out)
-	types.ReleaseVote(item.msg)
 	r.handleActions(out)
 }
 
@@ -104,12 +106,18 @@ func (r *Replica) handleActions(out *consensus.Out) {
 		switch o := &outs[i]; o.Kind {
 		case consensus.KindBroadcast:
 			r.broadcast(o.Broadcast.Msg)
-			types.ReleaseVote(o.Broadcast.Msg)
+			types.ReleaseMessage(o.Broadcast.Msg)
 		case consensus.KindSend:
 			r.sendTo(o.Send.To, o.Send.Msg)
 		case consensus.KindExecute:
+			// The Execute carries the engine's reference for the execute
+			// stage, which holds the batch until it retires; the engine's
+			// own lasts until a checkpoint prunes it, which may come first.
 			r.execPending.Add(1)
-			r.execIn.Offer(uint64(o.Execute.Seq), execItem{act: o.Execute})
+			if !r.execIn.Offer(uint64(o.Execute.Seq), execItem{act: o.Execute}) {
+				types.ReleaseRequests(o.Execute.Requests)
+				r.execPending.Add(-1)
+			}
 			if r.cfg.ExecuteThreads < 0 {
 				r.inlineExecute()
 			}

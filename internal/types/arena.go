@@ -2,10 +2,11 @@
 // paper's Section 4.8 applied to the receive path. A frame read from the
 // network borrows its buffer from a pool; every envelope decoded out of
 // the frame holds a reference on the shared arena, and the buffer returns
-// to the pool when the last pipeline stage releases its envelope. Frames
-// that carried client requests are the exception: the replica decodes
-// those as views into the frame (DecodeEnvelope) and the frame is
-// disowned — the request is never copied until a store persists it.
+// to the pool when the last pipeline stage releases its envelope. A message
+// that carries client requests is decoded as views into the frame
+// (DecodeEnvelope) and keeps a reference of its own on the arena until its
+// last holder lets go (hold.go) — the request is never copied until a
+// store persists it.
 
 package types
 
@@ -30,17 +31,11 @@ type FrameBuffers interface {
 // Release drops one and returns the buffer to its FrameBuffers when the
 // count reaches zero. After that point any slice aliasing the buffer may
 // be overwritten by a future borrower, so a reference must outlive every
-// alias — or, for aliases with no bounded lifetime, the arena is disowned
-// and the buffer never goes back.
+// alias: a view with no bounded lifetime is copied instead.
 type Arena struct {
 	buf  []byte
 	bufs FrameBuffers
 	refs atomic.Int32
-	// disowned is set by whichever reference holder decoded a long-lived
-	// view into buf. Envelopes of one frame retire on different goroutines,
-	// hence the atomic; the final Release reads it after the count hits
-	// zero, which orders it after every holder's write.
-	disowned atomic.Bool
 }
 
 // arenaPool recycles Arena structs themselves: one is born and retired
@@ -66,24 +61,10 @@ func (a *Arena) Retain() {
 	a.refs.Add(1)
 }
 
-// disown hands the buffer to the garbage collector: the final Release
-// still recycles the Arena struct but no longer Puts the buffer, so
-// slices aliasing it stay valid for as long as anything references them.
-// It is the deliberate form of a missed release, for views that outlive
-// every pipeline stage (a request logged by a consensus engine, then
-// parked in the execute queue past the checkpoint that pruned it — there
-// is no last stage to drop a reference at). The caller must hold a
-// reference. Nil arenas are no-ops.
-func (a *Arena) disown() {
-	if a != nil {
-		a.disowned.Store(true)
-	}
-}
-
-// Release drops one reference. The last one recycles the Arena struct and,
-// unless the arena was disowned, returns the buffer to its FrameBuffers.
-// Releasing more times than retained corrupts the pool; missing a release
-// only leaks the buffer to the garbage collector. Nil arenas are no-ops.
+// Release drops one reference. The last one recycles the Arena struct and
+// returns the buffer to its FrameBuffers. Releasing more times than
+// retained corrupts the pool; missing a release only leaks the buffer to
+// the garbage collector. Nil arenas are no-ops.
 func (a *Arena) Release() {
 	if a == nil {
 		return
@@ -92,9 +73,6 @@ func (a *Arena) Release() {
 		return
 	}
 	buf, bufs := a.buf, a.bufs
-	if a.disowned.Swap(false) {
-		bufs = nil
-	}
 	a.buf, a.bufs = nil, nil
 	arenaPool.Put(a)
 	if bufs != nil && buf != nil {
@@ -163,7 +141,8 @@ var (
 // AcquireVote returns a recycled struct for a vote type — *Prepare, *Commit
 // or *Checkpoint — and nil for any other. Its fields hold whatever its last
 // user left: whoever acquires one sets every field. A vote an engine emits
-// is lent to the driver, which gives it back with ReleaseVote once encoded.
+// is lent to the driver, which gives it back with ReleaseMessage once
+// encoded.
 func AcquireVote(t MsgType) Message {
 	switch t {
 	case MsgPrepare:
@@ -176,11 +155,11 @@ func AcquireVote(t MsgType) Message {
 	return nil
 }
 
-// ReleaseVote gives back a vote DecodeEnvelope decoded, once the step it
+// releaseVote gives back a vote DecodeEnvelope decoded, once the step it
 // was decoded for is over, or one an engine emitted, once it is encoded;
 // whoever keeps a vote past that point keeps a copy. It ignores every
-// other message: a proposal or a request outlives its step.
-func ReleaseVote(m Message) {
+// other message: a decoded proposal goes back with ReleaseMessage.
+func releaseVote(m Message) {
 	poison := poisonLent.Load()
 	switch v := m.(type) {
 	case *Prepare:
@@ -218,7 +197,9 @@ var (
 
 // SetPoisonLent switches on (or off) the overwriting of what is lent rather
 // than given: a pooled envelope's own authenticator storage on Release, a
-// vote's fields on ReleaseVote. It is a test hook — a keeper that forgot to
+// vote's fields on releaseVote, a decoded proposal's message and its
+// request, transaction and op arrays on their last release. It is a test
+// hook — a keeper that forgot to
 // copy then reads 0xDB at once instead of, now and then, another message's
 // bytes — and costs one atomic load per release while off.
 func SetPoisonLent(on bool) { poisonLent.Store(on) }

@@ -204,13 +204,22 @@ func BenchmarkRequestDecodeAlias(b *testing.B) {
 }
 
 // TestRequestDecodeAllocCaps pins what decoding a request costs. In place,
-// as the replica does it: the message, its transactions and one op slab,
-// whatever the transaction count. In copy mode: those plus one copy per
-// value and the signature. An allocation per transaction put back on either
-// path (32 here) breaks its cap.
+// as the replica does it, and released as the replica releases it: nothing,
+// the message, its transactions and its ops all coming back from the hold
+// pool. In place but never released: the hold, its transactions and one op
+// slab, whatever the transaction count. In copy mode: those plus one copy
+// per value and the signature. An allocation per transaction put back on
+// any path (32 here) breaks its cap.
 func TestRequestDecodeAllocCaps(t *testing.T) {
 	body := benchRequestBody()
 	env := &types.Envelope{From: types.ClientNode(1), To: types.ReplicaNode(0), Type: types.MsgClientRequest, Body: body}
+	recycled := testing.AllocsPerRun(200, func() {
+		msg, err := types.DecodeEnvelope(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		types.ReleaseMessage(msg)
+	})
 	alias := testing.AllocsPerRun(200, func() {
 		if _, err := types.DecodeEnvelope(env); err != nil {
 			t.Fatal(err)
@@ -221,9 +230,12 @@ func TestRequestDecodeAllocCaps(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("allocations per 32-transaction request: in place %.0f, copy mode %.0f", alias, copied)
+	t.Logf("allocations per 32-transaction request: in place and released %.0f, in place %.0f, copy mode %.0f", recycled, alias, copied)
 	if types.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts at random; the pooled Reader is nondeterministic")
+	}
+	if recycled > 0 {
+		t.Fatalf("in-place decode released after use allocates %.0f per request, want 0", recycled)
 	}
 	if alias > 6 {
 		t.Fatalf("in-place decode allocates %.0f per request, want at most 6", alias)

@@ -83,8 +83,9 @@ func recycleFrame(t *testing.T, bufs FrameBuffers, envs ...*Envelope) []*Envelop
 // contract: after every envelope from a pooled frame is released, what was
 // decoded from it and the copied Auth bytes must be unaffected — by copy
 // (DecodeBody: the frame is poisoned and recycled under the message) or by
-// taking the frame out of the pool (DecodeEnvelope on a request: the
-// message is a view, and no release may recycle what it looks at).
+// the message's own reference on the frame (DecodeEnvelope on a request:
+// the message is a view, and the frame goes back only once the message is
+// released too).
 func TestPooledDecodeCopiesSurviveRecycle(t *testing.T) {
 	payload := strings.Repeat("req-payload-", 32)
 	req := &ClientRequest{
@@ -104,7 +105,7 @@ func TestPooledDecodeCopiesSurviveRecycle(t *testing.T) {
 	for _, mode := range []struct {
 		name     string
 		decode   func(*Envelope) (Message, error)
-		recycled bool // does the frame go back to the pool?
+		recycled bool // does the frame go back with the envelopes?
 	}{
 		{"DecodeBody", func(e *Envelope) (Message, error) { return DecodeBody(e.Type, e.Body) }, true},
 		{"DecodeEnvelope", DecodeEnvelope, false},
@@ -132,7 +133,7 @@ func TestPooledDecodeCopiesSurviveRecycle(t *testing.T) {
 			}
 			want := 0
 			if !mode.recycled {
-				want = 1 // disowned: the collector frees it, the pool never sees it
+				want = 1 // the decoded request still holds it
 			}
 			if got := bufs.outstanding(); got != want {
 				t.Fatalf("%d frame buffers never returned to the pool, want %d", got, want)
@@ -161,14 +162,18 @@ func TestPooledDecodeCopiesSurviveRecycle(t *testing.T) {
 			if !bytes.Equal(auth, []byte("auth-two")) {
 				t.Fatalf("kept authenticator %q, want %q", auth, "auth-two")
 			}
+			ReleaseMessage(msg)
+			if got := bufs.outstanding(); got != 0 {
+				t.Fatalf("%d frame buffers outstanding once the request was released too", got)
+			}
 		})
 	}
 }
 
 // TestDecodeEnvelopeKeepsVoteFramesPooled is the converse: a frame that
 // carried only votes still goes back to its pool after DecodeEnvelope, and
-// so does a request frame whose body failed to decode — disowning is for
-// frames something decoded now looks into, nothing else.
+// so does a request frame whose body failed to decode: a frame stays out
+// of its pool only while something decoded from it holds it.
 func TestDecodeEnvelopeKeepsVoteFramesPooled(t *testing.T) {
 	vote := func(m Message) *Envelope {
 		return &Envelope{From: ReplicaNode(1), To: ReplicaNode(0), Type: m.Type(), Body: MarshalBody(m), Auth: []byte("mac")}
@@ -201,8 +206,8 @@ func TestDecodeEnvelopeKeepsVoteFramesPooled(t *testing.T) {
 
 // TestDecodeEnvelopeSharesBuffer pins down the difference between the two
 // decode modes: a request DecodeEnvelope decoded observes buffer mutation,
-// a DecodeBody copy does not. This is why DecodeEnvelope settles the
-// buffer's lifetime in the same call.
+// a DecodeBody copy does not. This is why a request DecodeEnvelope decoded
+// holds a reference on the buffer of its own.
 func TestDecodeEnvelopeSharesBuffer(t *testing.T) {
 	req := &ClientRequest{
 		Client: 1, FirstSeq: 1,

@@ -95,15 +95,18 @@ func newMessage(t MsgType) (Message, error) {
 var readerPool = sync.Pool{New: func() any { return new(Reader) }}
 
 // decodeInto is the one body decoder behind both entry points below; the
-// message it fills is fresh (newMessage) or a recycled vote (AcquireVote).
-// Decoding is canonical: a body it accepts re-encodes to the same bytes.
-// The body must therefore be consumed exactly — a decodable prefix with
-// trailing garbage is malformed, because accepting it would let two
-// distinct wire forms carry one message, and signatures cover the whole
-// body.
-func decodeInto(msg Message, b []byte, alias bool) error {
+// message it fills is fresh (newMessage), a recycled vote (AcquireVote) or
+// a hold's. With a hold it decodes in place: byte fields are views into b,
+// and the message's requests, transactions and ops are carved from the
+// hold's arrays; without one every byte field is a copy. Decoding is
+// canonical: a body it accepts
+// re-encodes to the same bytes. The body must therefore be consumed
+// exactly — a decodable prefix with trailing garbage is malformed, because
+// accepting it would let two distinct wire forms carry one message, and
+// signatures cover the whole body.
+func decodeInto(msg Message, b []byte, h *hold) error {
 	r := readerPool.Get().(*Reader)
-	*r = Reader{buf: b, alias: alias}
+	*r = Reader{buf: b, alias: h != nil, hold: h}
 	msg.unmarshal(r)
 	err := r.Err()
 	if err == nil && r.Remaining() != 0 {
@@ -117,60 +120,64 @@ func decodeInto(msg Message, b []byte, alias bool) error {
 	return nil
 }
 
-func decodeBody(t MsgType, b []byte, alias bool) (Message, error) {
+// DecodeBody parses an untagged body encoding for a known message type.
+// Every byte-slice field of the result is a copy, safe to retain.
+func DecodeBody(t MsgType, b []byte) (Message, error) {
 	msg, err := newMessage(t)
 	if err != nil {
 		return nil, err
 	}
-	if err := decodeInto(msg, b, alias); err != nil {
+	if err := decodeInto(msg, b, nil); err != nil {
 		return nil, err
 	}
 	return msg, nil
 }
 
-// DecodeBody parses an untagged body encoding for a known message type.
-// Every byte-slice field of the result is a copy, safe to retain.
-func DecodeBody(t MsgType, b []byte) (Message, error) {
-	return decodeBody(t, b, false)
-}
-
-// bearsRequests reports whether a message type carries client requests:
-// the bodies whose decoded form a consensus engine logs until the next
-// stable checkpoint, and the only ones large enough for the copy to matter.
-func bearsRequests(t MsgType) bool {
-	switch t {
-	case MsgClientRequest, MsgPrePrepare, MsgOrderedRequest, MsgNewView:
-		return true
-	}
-	return false
-}
-
 // DecodeEnvelope decodes e.Body into a message that stays valid after e
 // is released. Request-bearing bodies (ClientRequest, PrePrepare,
-// OrderedRequest, NewView) are decoded as views into Body and, in the same
-// call, the arena behind Body is disowned: its buffer now belongs to the
-// garbage collector and no Release will recycle it under the message.
-// Every other type is decoded in copy mode and its frame keeps returning
-// to the pool. The fixed-size votes (Prepare, Commit, Checkpoint), whose
-// frames are most of the traffic, are decoded into recycled structs: the
-// caller gives one back with ReleaseVote when the step it was decoded for
-// is over, or keeps it and forfeits only its reuse. A decode failure
-// leaves the arena untouched. This is the only decoder that builds views,
-// so an aliased message over a recyclable buffer cannot be built at all.
+// OrderedRequest, NewView) are decoded in place: their payloads, values
+// and signatures are views into Body, and the message gets a hold (see
+// hold.go) that keeps a reference on the arena behind Body and owns the
+// message and its arrays, all recycled. The caller gives the decoder's
+// reference back with ReleaseMessage once the step it decoded for is over;
+// a keeper of the requests takes its own with RetainRequests. The
+// fixed-size votes (Prepare, Commit, Checkpoint), whose frames are most of
+// the traffic, are decoded into recycled structs the caller gives back the
+// same way. Every other type is decoded by copy. A decode failure leaves
+// the arena as it was. This is the only decoder that builds views, so a
+// view no reference keeps valid cannot be built at all.
 func DecodeEnvelope(e *Envelope) (Message, error) {
 	if vote := AcquireVote(e.Type); vote != nil {
-		if err := decodeInto(vote, e.Body, false); err != nil {
-			ReleaseVote(vote)
+		if err := decodeInto(vote, e.Body, nil); err != nil {
+			releaseVote(vote)
 			return nil, err
 		}
 		return vote, nil
 	}
-	alias := bearsRequests(e.Type)
-	msg, err := decodeBody(e.Type, e.Body, alias)
-	if err == nil && alias {
-		e.arena.disown()
+	var msg Message
+	var h *hold
+	switch e.Type {
+	case MsgClientRequest:
+		h = acquireHold(requestHolds, e.arena)
+		msg = &h.cr
+	case MsgPrePrepare:
+		h = acquireHold(proposalHolds, e.arena)
+		h.pp.hold = h
+		msg = &h.pp
+	case MsgOrderedRequest:
+		h = acquireHold(proposalHolds, e.arena)
+		msg = &OrderedRequest{hold: h}
+	case MsgNewView:
+		h = acquireHold(proposalHolds, e.arena)
+		msg = &NewView{hold: h}
+	default:
+		return DecodeBody(e.Type, e.Body)
 	}
-	return msg, err
+	if err := decodeInto(msg, e.Body, h); err != nil {
+		h.release()
+		return nil, err
+	}
+	return msg, nil
 }
 
 // AuthenticatedBytes returns the part of a body of type t that the
@@ -311,9 +318,9 @@ func (f *FrameReader) readFrameLen() (uint32, error) {
 // aliases the frame buffer and each Auth is copied into its envelope. With
 // a non-nil bufs the buffer is borrowed from it and each envelope holds a
 // reference on the frame's arena; the buffer returns to bufs when the last
-// reference drops — unless a DecodeEnvelope on one of the envelopes found a
-// request-bearing body and disowned the frame, in which case the garbage
-// collector frees it once the decoded requests are gone. With a nil bufs
+// reference drops — the envelopes', and those of whatever DecodeEnvelope
+// decoded in place from them, which last until the requests' last holder
+// lets go. With a nil bufs
 // the buffer is allocated and belongs to the garbage collector from the
 // start, so a caller that never releases forfeits only the envelope
 // structs' reuse. A FrameReader is one goroutine's.

@@ -192,7 +192,8 @@ func (r *ClientRequest) unmarshal(rd *Reader) {
 	if rd.Err() != nil {
 		return
 	}
-	r.Txns = make([]Transaction, n)
+	r.Txns = rd.transactions(n)
+	r.hold = rd.hold
 	rd.wantOps(n)
 	for i := 0; i < n; i++ {
 		unmarshalTxn(rd, &r.Txns[i])
@@ -217,6 +218,8 @@ type PrePrepare struct {
 	Seq      SeqNum
 	Digest   Digest
 	Requests []ClientRequest
+
+	hold *hold // set when decoded in place; see DecodeEnvelope
 }
 
 // Type implements Message.
@@ -240,7 +243,7 @@ func (m *PrePrepare) unmarshal(r *Reader) {
 	if r.Err() != nil {
 		return
 	}
-	m.Requests = make([]ClientRequest, n)
+	m.Requests = r.requests(n)
 	for i := 0; i < n; i++ {
 		m.Requests[i].unmarshal(r)
 	}
@@ -444,6 +447,8 @@ type NewView struct {
 	View        View
 	ViewChanges []ViewChange
 	PrePrepares []PrePrepare
+
+	hold *hold // set when decoded in place; see DecodeEnvelope
 }
 
 // Type implements Message.
@@ -684,6 +689,8 @@ type OrderedRequest struct {
 	Digest   Digest
 	History  Digest
 	Requests []ClientRequest
+
+	hold *hold // set when decoded in place; see DecodeEnvelope
 }
 
 // Type implements Message.
@@ -709,7 +716,7 @@ func (m *OrderedRequest) unmarshal(r *Reader) {
 	if r.Err() != nil {
 		return
 	}
-	m.Requests = make([]ClientRequest, n)
+	m.Requests = r.requests(n)
 	for i := 0; i < n; i++ {
 		m.Requests[i].unmarshal(r)
 	}

@@ -130,6 +130,10 @@ func (t *Transaction) Size() int {
 // signature checks and BatchDigest read it. A request that carries d
 // (decoded or sealed) must not have Client, FirstSeq or Txns changed
 // afterwards; copies of the struct carry d with them.
+//
+// A request decoded in place (DecodeEnvelope) also carries the hold that
+// keeps its views valid, and so do the copies a Batch makes: see
+// RetainRequests.
 type ClientRequest struct {
 	Client   ClientID
 	FirstSeq uint64
@@ -137,7 +141,8 @@ type ClientRequest struct {
 	Sig      []byte
 
 	d      Digest
-	hashed bool // d is set
+	hashed bool  // d is set
+	hold   *hold // the memory the request lives in; nil if built or copied
 }
 
 // Size returns the encoded size of the request in bytes.

@@ -71,6 +71,10 @@ type Reader struct {
 	// one: a request of 32 one-op transactions costs one []Op, not 32.
 	opSlab []Op
 	opNext int
+	// hold, when set, is the hold of the message being decoded in place:
+	// its requests, transactions and ops are carved from the hold's arrays
+	// instead, and its requests carry the hold.
+	hold *hold
 }
 
 // NewReader returns a Reader over b. The Reader does not copy b.
@@ -217,6 +221,9 @@ func (r *Reader) carveOps(n int) []Op {
 	if n == 0 {
 		return []Op{}
 	}
+	if r.hold != nil {
+		return carve(&r.hold.ops, n, min(r.opNext, r.Remaining()/minOpSize+1))
+	}
 	if n > len(r.opSlab) {
 		size := r.opNext
 		if most := r.Remaining()/minOpSize + 1; size > most {
@@ -231,6 +238,24 @@ func (r *Reader) carveOps(n int) []Op {
 	out := r.opSlab[:n:n]
 	r.opSlab = r.opSlab[n:]
 	return out
+}
+
+// transactions returns n zeroed Transactions for one request: carved from
+// the hold's array when decoding in place, allocated otherwise. The caller
+// has checked n against the bytes remaining.
+func (r *Reader) transactions(n int) []Transaction {
+	if r.hold != nil {
+		return carve(&r.hold.txns, n, n)
+	}
+	return make([]Transaction, n)
+}
+
+// requests returns n zeroed ClientRequests for one proposal, the same way.
+func (r *Reader) requests(n int) []ClientRequest {
+	if r.hold != nil {
+		return carve(&r.hold.reqs, n, n)
+	}
+	return make([]ClientRequest, n)
 }
 
 // count reads a u32 element count, validating it against a minimum element
