@@ -10,6 +10,7 @@ import (
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/ledger"
 	"resilientdb/internal/replica"
+	"resilientdb/internal/store"
 	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
 	"resilientdb/internal/workload"
@@ -34,14 +35,29 @@ func smallOpts() Options {
 
 func runCluster(t *testing.T, opts Options, d time.Duration) (*Cluster, Result) {
 	t.Helper()
+	c := startCluster(t, opts)
+	res := c.Run(context.Background(), d)
+	return c, res
+}
+
+// startCluster builds and starts a cluster that stops when the test ends,
+// and then checks that Stop gave back the memory outside the Go heap its
+// stores' record tables held.
+func startCluster(t *testing.T, opts Options) *Cluster {
+	t.Helper()
+	mapped := store.MappedBytes()
 	c, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
-	t.Cleanup(c.Stop)
-	res := c.Run(context.Background(), d)
-	return c, res
+	t.Cleanup(func() {
+		c.Stop()
+		if got := store.MappedBytes() - mapped; got > 0 {
+			t.Errorf("%d mapped bytes still held after Stop", got)
+		}
+	})
+	return c
 }
 
 // TestClusterRejectsDiskBackend: the serial "disk" backend is gone; asking
@@ -91,12 +107,7 @@ func TestZyzzyvaClusterEndToEnd(t *testing.T) {
 		}
 		return ep
 	}
-	c, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	t.Cleanup(c.Stop)
+	c := startCluster(t, opts)
 	dir := c.Directory()
 	victim := c.AttachClient(900, 0)
 	defer victim.Close()
@@ -129,12 +140,7 @@ func TestZyzzyvaClusterEndToEnd(t *testing.T) {
 
 func TestPBFTSurvivesBackupCrash(t *testing.T) {
 	opts := smallOpts()
-	c, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	t.Cleanup(c.Stop)
+	c := startCluster(t, opts)
 	c.Crash(3) // crash one backup before any load
 	res := c.Run(context.Background(), 1500*time.Millisecond)
 	if res.Txns == 0 {
@@ -154,12 +160,7 @@ func TestPBFTSurvivesBackupCrash(t *testing.T) {
 // one, and the three live replicas keep committing.
 func TestZyzzyvaBackupCrashForcesSlowPath(t *testing.T) {
 	opts := smallOpts()
-	c, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	t.Cleanup(c.Stop)
+	c := startCluster(t, opts)
 	c.Crash(3)
 	dir := c.Directory()
 	const id = 900
@@ -445,12 +446,7 @@ func TestViewChangeAfterPrimaryCrash(t *testing.T) {
 	opts.Clients = 4
 	opts.ViewTimeout = 150 * time.Millisecond
 	opts.ClientTimeout = 100 * time.Millisecond
-	c, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	t.Cleanup(c.Stop)
+	c := startCluster(t, opts)
 
 	// Warm up under primary 0.
 	res1 := c.Run(context.Background(), 600*time.Millisecond)
@@ -535,12 +531,7 @@ func TestLoadStatsWhileRunning(t *testing.T) {
 	opts.Workload.ReadFraction = 0.5
 	opts.ReadMode = "local"
 	opts.PreloadTable = true
-	c, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	t.Cleanup(c.Stop)
+	c := startCluster(t, opts)
 	resc := make(chan Result, 1)
 	go func() { resc <- c.Run(context.Background(), time.Second) }()
 	var last uint64
@@ -570,12 +561,7 @@ func TestLoadStatsWhileRunning(t *testing.T) {
 // transactions ordered and answered but skipped by every replica's dedup
 // until it passed the first run's sequences.
 func TestSecondRunExecutes(t *testing.T) {
-	c, err := New(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	t.Cleanup(c.Stop)
+	c := startCluster(t, smallOpts())
 	var last map[types.ClientID]uint64
 	for run, d := range []time.Duration{600 * time.Millisecond, 300 * time.Millisecond} {
 		if res := c.Run(context.Background(), d); res.Txns == 0 {
@@ -603,12 +589,7 @@ func TestSecondRunExecutes(t *testing.T) {
 func TestSecondGeneratorExecutes(t *testing.T) {
 	opts := smallOpts()
 	opts.Clients = 2
-	c, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	t.Cleanup(c.Stop)
+	c := startCluster(t, opts)
 	var last map[types.ClientID]uint64
 	for gen := 0; gen < 2; gen++ {
 		g := loadgen.New(loadgen.Config{Workload: opts.Workload, Seed: opts.Seed + int64(gen)})
@@ -787,12 +768,7 @@ func TestClusterCrashRecoverCatchUp(t *testing.T) {
 	opts.StoreBackend = "sharded"
 	opts.StoreDir = t.TempDir()
 	opts.CheckpointInterval = 16
-	c, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	t.Cleanup(c.Stop)
+	c := startCluster(t, opts)
 	ctx := context.Background()
 
 	if res := c.Run(ctx, 500*time.Millisecond); res.Txns == 0 {

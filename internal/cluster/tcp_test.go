@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/loadgen"
 	"resilientdb/internal/replica"
+	"resilientdb/internal/store"
 	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
 	"resilientdb/internal/workload"
@@ -43,6 +45,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 		}
 	}
 
+	mapped := store.MappedBytes()
 	reps := make([]*replica.Replica, n)
 	for i := 0; i < n; i++ {
 		rep, err := replica.New(replica.Config{
@@ -62,11 +65,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 		reps[i] = rep
 		rep.Start()
 	}
-	defer func() {
-		for _, r := range reps {
-			r.Stop()
-		}
-	}()
+	defer stopAndCollect(t, reps, mapped)
 
 	wlCfg := workload.Default()
 	wlCfg.Records = 500
@@ -107,5 +106,23 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 		if reps[i].Ledger().Height() == 0 && reps[0].Ledger().Height() > 0 {
 			t.Fatalf("replica %d never appended a block", i)
 		}
+	}
+}
+
+// stopAndCollect stops every replica and lets go of it, then collects until
+// the record tables of the stores replica.New made for them, which nobody
+// closes, have given their memory outside the Go heap back.
+func stopAndCollect(t *testing.T, reps []*replica.Replica, mapped int64) {
+	t.Helper()
+	for i, r := range reps {
+		r.Stop()
+		reps[i] = nil
+	}
+	for deadline := time.Now().Add(10 * time.Second); store.MappedBytes() > mapped; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("%d mapped bytes still held 10 s after every replica stopped", store.MappedBytes()-mapped)
+			return
+		}
+		runtime.GC()
 	}
 }

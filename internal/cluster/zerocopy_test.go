@@ -9,6 +9,7 @@ import (
 	"resilientdb/internal/ledger"
 	"resilientdb/internal/loadgen"
 	"resilientdb/internal/replica"
+	"resilientdb/internal/store"
 	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
 	"resilientdb/internal/workload"
@@ -81,6 +82,7 @@ func TestTCPClusterZeroCopyEndToEnd(t *testing.T) {
 		}
 	}
 
+	mapped := store.MappedBytes()
 	reps := make([]*replica.Replica, n)
 	for i := 0; i < n; i++ {
 		rep, err := replica.New(replica.Config{
@@ -100,11 +102,7 @@ func TestTCPClusterZeroCopyEndToEnd(t *testing.T) {
 		reps[i] = rep
 		rep.Start()
 	}
-	defer func() {
-		for _, r := range reps {
-			r.Stop()
-		}
-	}()
+	defer stopAndCollect(t, reps, mapped)
 
 	wlCfg := workload.Default()
 	wlCfg.Records = 500

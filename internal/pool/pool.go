@@ -13,22 +13,38 @@ import (
 // of the receive path, where message sizes vary with batch size and
 // payload (Sections 5.3 and 5.5). Hit/miss counters let the node stats
 // tick and the benchmark observe reuse.
+//
+// Each class is a free list bounded by bytes and by count (classBytes,
+// classBufs), holding the slices themselves: a Put stores a slice header, not a box around one, so
+// a steady Get/Put cycle allocates nothing, and the stock survives garbage
+// collections, which a sync.Pool's does not. The zero value is ready to
+// use.
 type BytePool struct {
-	pools [numClasses]sync.Pool
-	// boxes recycles the *[]byte headers the class pools store, so a
-	// steady-state Get/Put cycle allocates nothing at all — without it
-	// every Put would heap-allocate a fresh header for its slice.
-	boxes sync.Pool
+	classes [numClasses]freeList
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
+}
+
+// freeList is one class's stock.
+type freeList struct {
+	mu   sync.Mutex
+	bufs [][]byte
 }
 
 const (
 	minClassBits = 8  // 256 B
 	maxClassBits = 24 // 16 MiB
 	numClasses   = maxClassBits - minClassBits + 1
+	// classBytes is the most stock one class keeps, and classBufs the
+	// most buffers: 256 of up to 16 KiB, 64 of 64 KiB, and one of any class
+	// larger than classBytes.
+	classBytes = 4 << 20
+	classBufs  = 256
 )
+
+// keep is how many buffers class c keeps.
+func keep(c int) int { return min(max(classBytes>>(c+minClassBits), 1), classBufs) }
 
 // classFor returns the bucket index for a capacity, or -1 if out of range.
 func classFor(n int) int {
@@ -55,15 +71,17 @@ func (b *BytePool) Get(n int) []byte {
 		b.misses.Add(1)
 		return make([]byte, 0, n)
 	}
-	if v := b.pools[c].Get(); v != nil {
-		if p, ok := v.(*[]byte); ok && cap(*p) >= n {
-			s := *p
-			*p = nil
-			b.boxes.Put(p)
-			b.hits.Add(1)
-			return s[:0]
-		}
+	l := &b.classes[c]
+	l.mu.Lock()
+	if k := len(l.bufs); k > 0 {
+		s := l.bufs[k-1]
+		l.bufs[k-1] = nil
+		l.bufs = l.bufs[:k-1]
+		l.mu.Unlock()
+		b.hits.Add(1)
+		return s[:0]
 	}
+	l.mu.Unlock()
 	b.misses.Add(1)
 	return make([]byte, 0, 1<<(c+minClassBits))
 }
@@ -74,36 +92,25 @@ func (b *BytePool) Stats() (hits, misses uint64) {
 	return b.hits.Load(), b.misses.Load()
 }
 
-// Put recycles a slice obtained from Get.
+// Put recycles a slice obtained from Get. A slice its class has no room
+// for is left to the collector.
 func (b *BytePool) Put(s []byte) {
-	c := classFor(cap(s))
-	if c < 0 {
+	if cap(s) < 1<<minClassBits || cap(s) > 1<<maxClassBits {
 		return
 	}
-	// Only recycle slices that exactly fit their class so Get's capacity
-	// promise holds.
-	if cap(s) != 1<<(c+minClassBits) {
-		if cap(s) < 1<<minClassBits {
-			return
-		}
-		// Find the class the capacity fully covers.
-		c = -1
-		for bits := maxClassBits; bits >= minClassBits; bits-- {
-			if cap(s) >= 1<<bits {
-				c = bits - minClassBits
-				break
-			}
-		}
-		if c < 0 {
-			return
-		}
+	// The class the capacity fully covers, so Get's capacity promise holds.
+	c := maxClassBits - minClassBits
+	for cap(s) < 1<<(c+minClassBits) {
+		c--
 	}
-	var p *[]byte
-	if v := b.boxes.Get(); v != nil {
-		p = v.(*[]byte)
-	} else {
-		p = new([]byte)
+	l := &b.classes[c]
+	l.mu.Lock()
+	if l.bufs == nil {
+		// The class's one allocation: every later Put stores into it.
+		l.bufs = make([][]byte, 0, keep(c))
 	}
-	*p = s[:0]
-	b.pools[c].Put(p)
+	if len(l.bufs) < cap(l.bufs) {
+		l.bufs = append(l.bufs, s[:0])
+	}
+	l.mu.Unlock()
 }

@@ -85,14 +85,14 @@ func TestLentAuthAndVotesSurviveViewChange(t *testing.T) {
 	for _, fabric := range []string{"tcp", "inproc"} {
 		for _, e := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/E=%d", fabric, e), func(t *testing.T) {
-				testLentAcrossViewChange(t, fabric == "tcp", e, 1<<20)
-				testLentAcrossViewChange(t, fabric == "tcp", e, 4)
+				testLentAcrossViewChange(t, fabric == "tcp", e, 1<<20, false)
+				testLentAcrossViewChange(t, fabric == "tcp", e, 4, false)
 			})
 		}
 	}
 }
 
-func testLentAcrossViewChange(t *testing.T, tcp bool, execThreads int, interval uint64) *recycleCluster {
+func testLentAcrossViewChange(t *testing.T, tcp bool, execThreads int, interval uint64, disk bool) *recycleCluster {
 	const (
 		rounds = 3 // closed-loop rounds per phase
 		window = 3 // requests in flight per round
@@ -103,6 +103,7 @@ func testLentAcrossViewChange(t *testing.T, tcp bool, execThreads int, interval 
 	c := newShapedRecycleCluster(t, tcp, execThreads, recycleShape{
 		ledger:   ledger.CommitCertificate,
 		interval: interval,
+		disk:     disk,
 		wrap: func(id int, ep transport.Endpoint) transport.Endpoint {
 			if id != 3 {
 				return ep

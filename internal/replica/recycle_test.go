@@ -74,6 +74,7 @@ func (p *poisonBuffers) Stats() (hits, misses uint64) {
 // comes from one poisonBuffers.
 type recycleCluster struct {
 	replicas []*Replica
+	stores   []store.Store
 	client   transport.Endpoint
 	dir      *crypto.Directory
 	auth     crypto.Authenticator
@@ -83,11 +84,15 @@ type recycleCluster struct {
 const recycleClient = types.ClientID(0)
 
 // recycleShape is what a test varies in a recycleCluster: block linkage,
-// checkpoint interval, and a wrapper around each replica's endpoint.
+// checkpoint interval, a wrapper around each replica's endpoint, and the
+// store.
 type recycleShape struct {
 	ledger   ledger.Mode
 	interval uint64
 	wrap     func(id int, ep transport.Endpoint) transport.Endpoint
+	// disk puts each replica on a sharded disk store that compacts its log
+	// at every stable checkpoint, in place of a MemStore.
+	disk bool
 }
 
 func newRecycleCluster(t *testing.T, tcp bool, execThreads int) *recycleCluster {
@@ -139,7 +144,19 @@ func newShapedRecycleCluster(t *testing.T, tcp bool, execThreads int, shape recy
 		if shape.wrap != nil {
 			ep = shape.wrap(i, ep)
 		}
-		st := store.NewMemStore(shardTestRecords)
+		var st store.Store
+		if shape.disk {
+			// Every stable checkpoint compacts the log.
+			disk, err := store.OpenShardedDisk(t.TempDir(), store.ShardedDiskOptions{CompactRatio: 1e-9, CompactMinBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st = disk
+		} else {
+			st = store.NewMemStore(shardTestRecords)
+		}
+		t.Cleanup(func() { st.Close() }) // after the replica's Stop
+		c.stores = append(c.stores, st)
 		preloadEven(t, st)
 		r, err := New(Config{
 			ID:                 types.ReplicaID(i),

@@ -438,7 +438,7 @@ func testCompactionCrashMatrix(t *testing.T, shards int) {
 		if _, _, err := recoverLog(src, m); err != nil {
 			t.Fatal(err)
 		}
-		tmp, lState, err := rewriteLiveRecords(&m.t, filepath.Join(dir, "shard-000.log.ignored"))
+		tmp, lState, err := rewriteLiveRecords(m.t, filepath.Join(dir, "shard-000.log.ignored"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,7 +535,7 @@ func TestCompactionValueSources(t *testing.T) {
 		if err := s.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		if live := liveBytes(&s.t); live != s.total || s.off != s.total+int64(len(logMagic)) {
+		if live := liveBytes(s.t); live != s.total || s.off != s.total+int64(len(logMagic)) {
 			t.Fatalf("compacted log: live %d, total %d, append offset %d", live, s.total, s.off)
 		}
 		// The rewrite padded the new log to its next chunk boundary.

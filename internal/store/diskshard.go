@@ -356,7 +356,7 @@ func (s *ShardedDiskStore) MaybeCompact() (int, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	if !shouldCompact(liveBytes(&s.t), s.total, s.compactRatio, s.compactMin) {
+	if !shouldCompact(liveBytes(s.t), s.total, s.compactRatio, s.compactMin) {
 		return 0, nil
 	}
 	if err := s.compactLocked(); err != nil {
@@ -393,7 +393,7 @@ func (s *ShardedDiskStore) compactLocked() error {
 		return ErrClosed
 	}
 	t0 := time.Now()
-	newF, st, err := rewriteLiveRecords(&s.t, s.path)
+	newF, st, err := rewriteLiveRecords(s.t, s.path)
 	if err != nil {
 		s.cstats.failures.Add(1)
 		slog.Error("store: compaction failed, the store stays on its old log", "path", s.path, "err", err)

@@ -4,8 +4,9 @@ import "math/rand/v2"
 
 // slot is one key of the index beside its entry: 24 bytes and no pointers,
 // so a lookup that finds its key finds its entry in the same read, and the
-// collector never scans the index. A slot whose key is 0 is empty; key 0
-// itself is held apart, in index.zero.
+// slot array can live in table memory the collector does not see
+// (mapped.go). A slot whose key is 0 is empty; key 0 itself is held apart,
+// in index.zero.
 type slot struct {
 	key uint64
 	e   entry
@@ -48,7 +49,7 @@ func newIndex(hint int) index {
 		for size/8*7 < hint {
 			size *= 2
 		}
-		x.slots, x.mask = make([]slot, size), uint64(size-1)
+		x.slots, x.mask = mapSlots(size), uint64(size-1)
 	}
 	return x
 }
@@ -124,16 +125,17 @@ func (x *index) insert(key uint64, e entry) {
 	x.place(slot{key: key, e: e})
 }
 
-// grow rehashes the keys into twice the slots.
+// grow rehashes the keys into twice the slots and gives the old ones back.
 func (x *index) grow() {
 	old := x.slots
 	size := max(2*len(old), minSlots)
-	x.slots, x.mask = make([]slot, size), uint64(size-1)
+	x.slots, x.mask = mapSlots(size), uint64(size-1)
 	for i := range old {
 		if old[i].key != 0 {
 			x.place(old[i])
 		}
 	}
+	unmapSlots(old)
 }
 
 // place puts s into the first slot from its home that is empty or holds a

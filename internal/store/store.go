@@ -8,8 +8,9 @@
 // conclusion (Section 6, "Memory Storage") is that replicas can keep
 // records in memory because at most f replicas fail. It is one record
 // table (table.go) that holds values in 64 KiB pages under an index with
-// no pointers in it, so what the garbage collector pays for it does not
-// grow with the record count. A value that fits its slot is overwritten in
+// no pointers in it, both in memory outside the Go heap (mapped.go), so the
+// table is not counted in the collector's heap goal and is never scanned,
+// however many records it holds. A value that fits its slot is overwritten in
 // place, one that does not moves and leaves its slot to a free list of its
 // size class; a table whose free lists outgrow its live bytes repacks into
 // new pages. Readers copy a value out under the lock writers take.
@@ -34,6 +35,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -209,9 +211,13 @@ var (
 // applying key-disjoint partitions take the lock in turn; each holds it for
 // the copies of one partition.
 type MemStore struct {
-	mu   sync.RWMutex // guards t and dead
-	t    table
-	dead bool
+	mu sync.RWMutex // guards t and dead
+	// t is allocated apart from the store, so that the cleanup that gives
+	// its memory back when nobody closed the store does not keep the store
+	// reachable.
+	t       *table
+	dead    bool
+	cleanup runtime.Cleanup
 	// ordered is the sorted key sidecar behind Scan. Writers insert into
 	// the table first and the sidecar second, so the sidecar is always a
 	// subset of the table and scanned keys resolve.
@@ -219,8 +225,13 @@ type MemStore struct {
 }
 
 // NewMemStore returns an empty in-memory store sized for sizeHint records.
+// Close gives its table's memory back; so does the collector, once nothing
+// reaches a store that was never closed.
 func NewMemStore(sizeHint int) *MemStore {
-	return &MemStore{t: newTable(sizeHint)}
+	t := newTable(sizeHint)
+	s := &MemStore{t: &t}
+	s.cleanup = runtime.AddCleanup(s, (*table).unmap, s.t)
+	return s
 }
 
 // Put implements Store.
@@ -348,10 +359,16 @@ func (s *MemStore) isDead() bool {
 	return s.dead
 }
 
-// Close implements Store.
+// Close implements Store. It gives the table's memory back under the write
+// lock, so no reader is copying out of it, and every later call fails with
+// ErrClosed before it would touch it.
 func (s *MemStore) Close() error {
 	s.mu.Lock()
-	s.dead = true
+	if !s.dead {
+		s.dead = true
+		s.cleanup.Stop()
+		s.t.unmap()
+	}
 	s.mu.Unlock()
 	return nil
 }

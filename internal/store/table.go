@@ -3,11 +3,11 @@ package store
 import "encoding/binary"
 
 // The record table (MemStore's, and so the disk store's) keeps its values
-// in pages and its index pointer-free, so a table costs the garbage
-// collector nothing per record: the index is an array of plain structs
-// (index.go) and the pages are byte slices, neither of which the collector
-// scans, and a new key allocates only when it fills a page or the index
-// doubles.
+// in pages and its index pointer-free, in table memory outside the Go heap
+// (mapped.go), so a table is not counted in the collector's heap goal and
+// is never scanned: the index is an array of plain structs (index.go), the
+// pages are bytes, and a new key takes memory only when it fills a page or
+// the index doubles.
 const (
 	// pageSize is the size of the pages small values are carved from.
 	pageSize = 64 << 10
@@ -138,7 +138,7 @@ func (t *table) alloc(n uint32) entry {
 		return entry{}
 	}
 	if n > largeValue {
-		return entry{page: t.addPage(make([]byte, n)), length: n, capacity: n}
+		return entry{page: t.addPage(mapBytes(int(n), false)), length: n, capacity: n}
 	}
 	size := (n + classStep - 1) / classStep * classStep
 	if c := size / classStep; int(c) < len(t.free) && t.free[c] != 0 {
@@ -154,7 +154,7 @@ func (t *table) alloc(n uint32) entry {
 			// The current page's uncarved end is a free slot like any other.
 			t.push(entry{page: t.cur, off: pageSize - t.room, capacity: t.room})
 		}
-		t.cur, t.room = t.addPage(make([]byte, pageSize)), pageSize
+		t.cur, t.room = t.addPage(mapBytes(pageSize, false)), pageSize
 	}
 	e := entry{page: t.cur, off: pageSize - t.room, length: n, capacity: size}
 	t.room -= size
@@ -167,6 +167,7 @@ func (t *table) release(e entry) {
 	switch {
 	case e.capacity == 0:
 	case e.capacity > largeValue:
+		unmapBytes(t.pages[e.page])
 		t.pages[e.page] = nil
 		t.spare = append(t.spare, e.page)
 	default:
@@ -191,10 +192,10 @@ func (t *table) push(e entry) {
 }
 
 // repack copies every small value into new pages, in fresh slots of its
-// class, keeps each large value's allocation, and drops the old pages with
-// everything on the free lists. It copies the bytes live and runs only once
-// more bytes than that have been freed since it last ran, so its cost is
-// bounded by the writes that freed them.
+// class, keeps each large value's allocation, and gives back the old pages
+// with everything on the free lists. It copies the bytes live and runs only
+// once more bytes than that have been freed since it last ran, so its cost
+// is bounded by the writes that freed them.
 func (t *table) repack() {
 	old := t.pages
 	t.pages, t.free, t.spare = nil, nil, nil
@@ -203,13 +204,28 @@ func (t *table) repack() {
 		switch {
 		case e.capacity == 0:
 		case e.capacity > largeValue:
-			e.page = t.addPage(old[e.page])
+			p := old[e.page]
+			old[e.page] = nil
+			e.page = t.addPage(p)
 		default:
 			src := old[e.page][e.off : e.off+e.length]
 			*e = t.alloc(e.length)
 			copy(t.pages[e.page][e.off:], src)
 		}
 	})
+	for _, p := range old {
+		unmapBytes(p)
+	}
+}
+
+// unmap gives back every page and the index, and leaves t empty. Nothing
+// may read t's values after it: their memory is the next table's.
+func (t *table) unmap() {
+	for _, p := range t.pages {
+		unmapBytes(p)
+	}
+	unmapSlots(t.index.slots)
+	*t = table{}
 }
 
 // addPage stores p in a spare page slot, or a new one, and returns its
