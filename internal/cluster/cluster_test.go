@@ -95,9 +95,9 @@ func TestPBFTClusterEndToEnd(t *testing.T) {
 
 // TestZyzzyvaClusterEndToEnd keeps its name from when a cluster could run
 // Zyzzyva; it now pins that a cluster cannot. The primary's own, authentic
-// OrderedRequest (Zyzzyva's proposal) is refused by every backup before it
-// is authenticated or decoded, counted as malformed and answered by no one,
-// and the cluster keeps committing.
+// proposal under type 9 (the reserved id of Zyzzyva's proposal) is refused
+// by every backup before it is authenticated or decoded, counted as
+// malformed and answered by no one, and the cluster keeps committing.
 func TestZyzzyvaClusterEndToEnd(t *testing.T) {
 	opts := smallOpts()
 	var primary transport.Endpoint
@@ -113,16 +113,14 @@ func TestZyzzyvaClusterEndToEnd(t *testing.T) {
 	defer victim.Close()
 
 	reqs := []types.ClientRequest{signedRequest(t, dir, 900)}
-	digest := types.BatchDigest(reqs)
-	or := &types.OrderedRequest{View: 0, Seq: 1, Digest: digest, History: crypto.HashChain(types.Digest{}, digest), Requests: reqs}
-	body := types.MarshalBody(or)
+	body := types.MarshalBody(&types.PrePrepare{View: 0, Seq: 1, Digest: types.BatchDigest(reqs), Requests: reqs})
 	for i := 1; i < opts.N; i++ {
 		to := types.ReplicaNode(types.ReplicaID(i))
-		tag, err := dir.NodeAuth(types.ReplicaNode(0)).Sign(to, types.AuthenticatedBytes(or.Type(), body))
+		tag, err := dir.NodeAuth(types.ReplicaNode(0)).Sign(to, types.AuthenticatedBytes(9, body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := primary.Send(&types.Envelope{From: types.ReplicaNode(0), To: to, Type: or.Type(), Body: body, Auth: tag}); err != nil {
+		if err := primary.Send(&types.Envelope{From: types.ReplicaNode(0), To: to, Type: 9, Body: body, Auth: tag}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,10 +152,11 @@ func TestPBFTSurvivesBackupCrash(t *testing.T) {
 
 // TestZyzzyvaBackupCrashForcesSlowPath keeps its name from when a crashed
 // backup pushed Zyzzyva clients onto the commit-certificate slow path; it
-// now pins that a replica serves no such path. A client's CommitCert, sent
-// while one backup is down, is refused on the client inbox without a
-// signature check, forged or not, counted as malformed and answered by no
-// one, and the three live replicas keep committing.
+// now pins that a replica serves no such path. A client's frame under type
+// 11 (the reserved id of Zyzzyva's commit certificate), sent while one
+// backup is down, is refused on the client inbox without a signature check,
+// forged or not, counted as malformed and answered by no one, and the three
+// live replicas keep committing.
 func TestZyzzyvaBackupCrashForcesSlowPath(t *testing.T) {
 	opts := smallOpts()
 	c := startCluster(t, opts)
@@ -167,8 +166,7 @@ func TestZyzzyvaBackupCrashForcesSlowPath(t *testing.T) {
 	ep := c.AttachClient(id, 0)
 	defer ep.Close()
 
-	cert := &types.CommitCert{Client: id, ClientSeq: 1, View: 0, Seq: 1, Replicas: []types.ReplicaID{0, 1, 2}}
-	body := types.MarshalBody(cert)
+	body := types.MarshalBody(&types.ReadRequest{Client: id, ClientSeq: 1})
 	for i := 0; i < opts.N; i++ {
 		to := types.ReplicaNode(types.ReplicaID(i))
 		tag, err := dir.NodeAuth(types.ClientNode(id)).Sign(to, body)
@@ -178,7 +176,7 @@ func TestZyzzyvaBackupCrashForcesSlowPath(t *testing.T) {
 		forged := append([]byte(nil), tag...)
 		forged[0] ^= 0xFF
 		for _, auth := range [][]byte{tag, forged} {
-			if err := ep.Send(&types.Envelope{From: types.ClientNode(id), To: to, Type: cert.Type(), Body: body, Auth: auth}); err != nil {
+			if err := ep.Send(&types.Envelope{From: types.ClientNode(id), To: to, Type: 11, Body: body, Auth: auth}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -15,8 +15,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(1, 2, PBFT); err == nil {
 		t.Fatal("accepted n=2")
 	}
-	if _, err := New(1, 4, Protocol(0)); err == nil {
-		t.Fatal("accepted invalid protocol")
+	for _, p := range []Protocol{0, 2} {
+		if _, err := New(1, 4, p); err == nil {
+			t.Fatalf("accepted protocol %d", p)
+		}
 	}
 }
 
@@ -61,7 +63,7 @@ func TestPBFTQuorumFPlusOne(t *testing.T) {
 	if out == nil {
 		t.Fatal("did not complete at f+1 matching responses")
 	}
-	if out.Result != result || out.ClientSeq != 5 || !out.FastPath {
+	if out.Result != result || out.ClientSeq != 5 {
 		t.Fatalf("bad outcome: %+v", out)
 	}
 	if e.Busy() {
@@ -119,117 +121,6 @@ func TestPBFTTimeoutRetransmitsToAll(t *testing.T) {
 	}
 }
 
-func specResp(rep types.ReplicaID, client types.ClientID, cseq uint64, history types.Digest) *types.SpecResponse {
-	return &types.SpecResponse{
-		View: 0, Seq: 1, Digest: types.Digest{9}, History: history,
-		Client: client, ClientSeq: cseq,
-		Result: types.ResponseDigest(1, client, cseq, nil), Replica: rep,
-	}
-}
-
-func TestZyzzyvaFastPathNeedsAll(t *testing.T) {
-	e, err := New(2, 4, Zyzzyva)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Submit(req(2, 9))
-	h := types.Digest{3}
-	for rep := 0; rep < 3; rep++ {
-		out, _ := e.OnMessage(types.ReplicaNode(types.ReplicaID(rep)), specResp(types.ReplicaID(rep), 2, 9, h))
-		if out != nil {
-			t.Fatalf("completed with only %d/4 responses", rep+1)
-		}
-	}
-	out, _ := e.OnMessage(types.ReplicaNode(3), specResp(3, 2, 9, h))
-	if out == nil {
-		t.Fatal("did not complete with all 3f+1 responses")
-	}
-	if !out.FastPath {
-		t.Fatal("completion not marked fast path")
-	}
-	if s := e.Stats(); s.FastPath != 1 || s.SlowPath != 0 {
-		t.Fatalf("Stats = %+v", s)
-	}
-}
-
-func TestZyzzyvaSlowPathCommitCert(t *testing.T) {
-	e, err := New(2, 4, Zyzzyva) // 2f+1 = 3
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Submit(req(2, 9))
-	h := types.Digest{3}
-	// Only 3 of 4 replicas respond (one crashed): no fast path.
-	for rep := 0; rep < 3; rep++ {
-		e.OnMessage(types.ReplicaNode(types.ReplicaID(rep)), specResp(types.ReplicaID(rep), 2, 9, h))
-	}
-	// Timeout: client escalates to the commit-certificate phase.
-	acts := e.OnTimeout()
-	if len(acts) != 1 {
-		t.Fatalf("timeout produced %d actions", len(acts))
-	}
-	bc, ok := acts[0].(consensus.Broadcast)
-	if !ok {
-		t.Fatalf("timeout action = %T, want Broadcast", acts[0])
-	}
-	cert, ok := bc.Msg.(*types.CommitCert)
-	if !ok {
-		t.Fatalf("broadcast message = %T, want CommitCert", bc.Msg)
-	}
-	if cert.History != h || len(cert.Replicas) != 3 {
-		t.Fatalf("bad cert: %+v", cert)
-	}
-	// 2f+1 local commits complete the request as slow path.
-	for rep := 0; rep < 2; rep++ {
-		lc := &types.LocalCommit{View: 0, Seq: 1, History: h, Client: 2, ClientSeq: 9, Replica: types.ReplicaID(rep)}
-		if out, _ := e.OnMessage(types.ReplicaNode(types.ReplicaID(rep)), lc); out != nil {
-			t.Fatalf("completed with %d local commits", rep+1)
-		}
-	}
-	lc := &types.LocalCommit{View: 0, Seq: 1, History: h, Client: 2, ClientSeq: 9, Replica: 2}
-	out, _ := e.OnMessage(types.ReplicaNode(2), lc)
-	if out == nil {
-		t.Fatal("slow path did not complete at 2f+1 local commits")
-	}
-	if out.FastPath {
-		t.Fatal("slow-path completion marked fast")
-	}
-	if s := e.Stats(); s.SlowPath != 1 {
-		t.Fatalf("Stats = %+v", s)
-	}
-}
-
-func TestZyzzyvaTimeoutWithoutQuorumRetransmits(t *testing.T) {
-	e, err := New(2, 4, Zyzzyva)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Submit(req(2, 9))
-	h := types.Digest{3}
-	// Only 2 responses: below the 2f+1 commit-cert threshold.
-	for rep := 0; rep < 2; rep++ {
-		e.OnMessage(types.ReplicaNode(types.ReplicaID(rep)), specResp(types.ReplicaID(rep), 2, 9, h))
-	}
-	acts := e.OnTimeout()
-	if len(acts) != 4 {
-		t.Fatalf("expected retransmission to 4 replicas, got %d actions", len(acts))
-	}
-}
-
-func TestZyzzyvaMismatchedHistoriesSplitVotes(t *testing.T) {
-	e, err := New(2, 4, Zyzzyva)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Submit(req(2, 9))
-	for rep := 0; rep < 4; rep++ {
-		h := types.Digest{byte(rep)} // every replica reports a different history
-		if out, _ := e.OnMessage(types.ReplicaNode(types.ReplicaID(rep)), specResp(types.ReplicaID(rep), 2, 9, h)); out != nil {
-			t.Fatal("completed on divergent histories")
-		}
-	}
-}
-
 // TestPBFTForgedReadResultsRejected: votes are keyed on Result alone, so a
 // Byzantine replica could copy the correct result digest from honest
 // replicas and attach forged, stripped, or re-sequenced read values as the
@@ -269,43 +160,6 @@ func TestPBFTForgedReadResultsRejected(t *testing.T) {
 		t.Fatal("honest f+1-th response did not complete")
 	}
 	if len(out.ReadResults) != 2 || string(out.ReadResults[0].Value) != "honest" {
-		t.Fatalf("outcome carries wrong read results: %+v", out.ReadResults)
-	}
-}
-
-// TestZyzzyvaForgedReadResultsRejected: the same payload check guards
-// Zyzzyva's fast path (the forgery would be the 3f+1-th response) and the
-// specReads recorded for the slow path.
-func TestZyzzyvaForgedReadResultsRejected(t *testing.T) {
-	e, err := New(2, 4, Zyzzyva)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Submit(req(2, 9))
-	h := types.Digest{3}
-	reads := []types.ReadResult{{Found: true, Value: []byte("honest")}}
-	result := types.ResponseDigest(1, 2, 9, reads)
-	honest := func(rep types.ReplicaID) *types.SpecResponse {
-		return &types.SpecResponse{
-			View: 0, Seq: 1, Digest: types.Digest{9}, History: h,
-			Client: 2, ClientSeq: 9, Result: result, Replica: rep, ReadResults: reads,
-		}
-	}
-	for rep := 0; rep < 3; rep++ {
-		if out, _ := e.OnMessage(types.ReplicaNode(types.ReplicaID(rep)), honest(types.ReplicaID(rep))); out != nil {
-			t.Fatalf("completed with %d/4 responses", rep+1)
-		}
-	}
-	forged := honest(3)
-	forged.ReadResults = []types.ReadResult{{Found: true, Value: []byte("forged")}}
-	if out, _ := e.OnMessage(types.ReplicaNode(3), forged); out != nil {
-		t.Fatal("forged 3f+1-th response completed the fast path")
-	}
-	out, _ := e.OnMessage(types.ReplicaNode(3), honest(3))
-	if out == nil {
-		t.Fatal("honest 3f+1-th response did not complete")
-	}
-	if len(out.ReadResults) != 1 || string(out.ReadResults[0].Value) != "honest" {
 		t.Fatalf("outcome carries wrong read results: %+v", out.ReadResults)
 	}
 }

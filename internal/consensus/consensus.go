@@ -1,5 +1,6 @@
-// Package consensus defines the engine abstraction shared by every BFT
-// protocol in the fabric.
+// Package consensus defines the engine abstraction of the fabric's BFT
+// protocol, PBFT (internal/consensus/pbft), and of its client
+// (internal/consensus/client).
 //
 // An Engine is a pure, deterministic state machine: verified messages go
 // in, outputs come out. Engines never touch the network, the clock,
@@ -56,17 +57,13 @@ type Broadcast struct {
 	Msg types.Message
 }
 
-// Execute hands an ordered batch to the execution layer. For Zyzzyva (run
-// by the simulator only) the batch is Speculative and carries the history
-// digest the response must embed. A batch carries no proof of its own: the
-// next stable checkpoint's certificate covers it.
+// Execute hands a committed batch to the execution layer. A batch carries
+// no proof of its own: the next stable checkpoint's certificate covers it.
 type Execute struct {
-	Seq         types.SeqNum
-	View        types.View
-	Digest      types.Digest
-	History     types.Digest // Zyzzyva history hash; zero for PBFT
-	Requests    []types.ClientRequest
-	Speculative bool
+	Seq      types.SeqNum
+	View     types.View
+	Digest   types.Digest
+	Requests []types.ClientRequest
 }
 
 // CheckpointStable reports that a checkpoint gathered its 2f+1 quorum:
@@ -180,8 +177,8 @@ func (Evidence) isAction()         {}
 // Whether stepping methods (OnMessage, Propose, OnExecuted, OnViewTimeout)
 // are safe for concurrent use is the engine's own contract: the PBFT engine
 // takes one lock per step, so the replica's worker-, batch-, execute- and
-// checkpoint-threads may step it at once; the Zyzzyva engine, stepped only
-// by the simulator, takes one step at a time.
+// checkpoint-threads may step it at once. PBFT is the one implementation
+// outside tests.
 //
 // The read-only observers View, IsPrimary, and Stats are safe to call from
 // any goroutine at any time, without external locking: implementations

@@ -4,9 +4,9 @@
 // faults by dropping traffic to and from downed replicas, and plays the
 // execution layer so checkpoints flow.
 //
-// The harness is itself a miniature deterministic simulator; the safety
-// tests in the pbft and zyzzyva packages use it to check agreement under
-// arbitrary delivery interleavings. It keeps the votes engines lend it (a
+// The harness is itself a miniature deterministic simulator; the pbft
+// package's safety tests use it to check agreement under arbitrary
+// delivery interleavings. It keeps the votes engines lend it (a
 // broadcast vote is delivered to every peer) and never gives them back.
 package enginetest
 

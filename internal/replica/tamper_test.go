@@ -20,8 +20,7 @@ type proposalCounter struct {
 }
 
 func (e *proposalCounter) OnMessage(from types.NodeID, msg types.Message, out *consensus.Out) {
-	switch msg.(type) {
-	case *types.PrePrepare, *types.OrderedRequest:
+	if _, ok := msg.(*types.PrePrepare); ok {
 		e.proposals.Add(1)
 	}
 	e.Engine.OnMessage(from, msg, out)
@@ -113,9 +112,9 @@ var verifyRows = []struct {
 // auth or decode failure. If the coverage of the authenticator, the
 // request digest or the batch digest shrinks, some byte here gets through.
 //
-// The zyzzyva rows send Zyzzyva's proposal, an OrderedRequest, authentic
-// in every byte: a PBFT replica refuses it before authenticating or
-// decoding it, and counts it as malformed.
+// The zyzzyva rows send a proposal under type 9, the id Zyzzyva's proposal
+// had and that stays reserved, authentic in every byte: a replica refuses it
+// before authenticating or decoding it, and counts it as malformed.
 func TestTamperedProposalNeverReachesEngine(t *testing.T) {
 	for _, proto := range []string{"pbft", "zyzzyva"} {
 		for _, v := range verifyRows {
@@ -139,15 +138,15 @@ func TestTamperedProposalNeverReachesEngine(t *testing.T) {
 				defer r.Stop()
 				sender := net.Endpoint(primary, 1, 16)
 				defer sender.Close()
-				send := func(m types.Message, body []byte, tag []byte) {
+				send := func(mt types.MsgType, body []byte, tag []byte) {
 					t.Helper()
-					if err := sender.Send(&types.Envelope{From: primary, To: backup, Type: m.Type(), Body: body, Auth: tag}); err != nil {
+					if err := sender.Send(&types.Envelope{From: primary, To: backup, Type: mt, Body: body, Auth: tag}); err != nil {
 						t.Fatal(err)
 					}
 				}
-				sign := func(m types.Message, body []byte) []byte {
+				sign := func(mt types.MsgType, body []byte) []byte {
 					t.Helper()
-					tag, err := dir.NodeAuth(primary).Sign(backup, types.AuthenticatedBytes(m.Type(), body))
+					tag, err := dir.NodeAuth(primary).Sign(backup, types.AuthenticatedBytes(mt, body))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -157,20 +156,17 @@ func TestTamperedProposalNeverReachesEngine(t *testing.T) {
 				reqs := signedBatch(t, dir, 2)
 				digest := types.BatchDigest(reqs)
 				if proto == "zyzzyva" {
-					or := &types.OrderedRequest{View: 0, Seq: 1, Digest: digest, History: crypto.HashChain(types.Digest{}, digest), Requests: reqs}
-					body := types.MarshalBody(or)
-					send(or, body, sign(or, body))
+					body := types.MarshalBody(&types.PrePrepare{View: 0, Seq: 1, Digest: digest, Requests: reqs})
+					send(9, body, sign(9, body))
 					// A PrePrepare from the same sender queues behind it: once
-					// the engine has it, the OrderedRequest was handled.
-					pp := &types.PrePrepare{View: 0, Seq: 1, Digest: digest, Requests: reqs}
-					body = types.MarshalBody(pp)
-					send(pp, body, sign(pp, body))
+					// the engine has it, the type-9 frame was handled.
+					send(types.MsgPrePrepare, body, sign(types.MsgPrePrepare, body))
 					waitFor(t, func() bool { return engine.proposals.Load() >= 1 }, "the authentic PrePrepare never reached the engine")
 					if got := engine.proposals.Load(); got != 1 {
 						t.Fatalf("%d proposals reached the engine, want only the PrePrepare", got)
 					}
 					if s := r.Stats(); s.DecodeFailures != 1 || s.AuthFailures != 0 {
-						t.Fatalf("decode failures %d, auth failures %d; want the OrderedRequest refused unauthenticated: 1, 0", s.DecodeFailures, s.AuthFailures)
+						t.Fatalf("decode failures %d, auth failures %d; want the type-9 frame refused unauthenticated: 1, 0", s.DecodeFailures, s.AuthFailures)
 					}
 					return
 				}
@@ -179,13 +175,12 @@ func TestTamperedProposalNeverReachesEngine(t *testing.T) {
 				build := func(reqs []types.ClientRequest) []byte {
 					return types.MarshalBody(&types.PrePrepare{View: 0, Seq: 1, Digest: digest, Requests: reqs})
 				}
-				pp := &types.PrePrepare{}
 				body := build(reqs)
-				tag := sign(pp, body)
+				tag := sign(types.MsgPrePrepare, body)
 				sent := uint64(0)
 				sendTampered := func(body []byte) {
 					t.Helper()
-					send(pp, body, tag)
+					send(types.MsgPrePrepare, body, tag)
 					sent++
 				}
 
@@ -218,7 +213,7 @@ func TestTamperedProposalNeverReachesEngine(t *testing.T) {
 				}
 
 				// The untouched proposal, last: it alone gets through.
-				send(pp, append([]byte(nil), body...), tag)
+				send(types.MsgPrePrepare, append([]byte(nil), body...), tag)
 				waitFor(t, func() bool { return engine.proposals.Load() == 1 }, "the authentic proposal never reached the engine")
 				if s := r.Stats(); s.AuthFailures+s.DecodeFailures != tampered {
 					t.Fatalf("the authentic proposal was counted as a failure: %+v", s)

@@ -7,13 +7,15 @@ import (
 )
 
 // simClient is one closed-loop client: it keeps a single request in
-// flight, driven by the same client engine as the runnable system.
+// flight, driven by the same client engine as the runnable system, or by
+// the Zyzzyva model's client rules (zyz; engine is nil then).
 // Client compute is free (the paper's client machines exist only to
 // generate load); their NICs still serialize outbound bytes.
 type simClient struct {
 	r       *run
 	id      types.ClientID
 	engine  *clientengine.Engine
+	zyz     *zyzzyvaClient
 	machine *Host
 
 	clientSeq uint64
@@ -27,10 +29,16 @@ func (c *simClient) submitNext() {
 	}
 	req := mkRequest(c.id, c.clientSeq, c.r.cfg.Burst)
 	c.start = c.r.sim.Now()
-	acts := c.engine.Submit(req)
+	var acts []consensus.Action
+	var zacts actions
+	if c.zyz != nil {
+		zacts = c.zyz.submit(req)
+	} else {
+		acts = c.engine.Submit(req)
+	}
 	// Bill the client's signature as a latency offset before the wire.
 	signDelay := c.r.costs.clientSign(c.r.cfg.Scheme)
-	c.r.sim.After(signDelay, func() { c.dispatch(acts) })
+	c.r.sim.After(signDelay, func() { c.dispatch(acts, zacts) })
 	c.armTimeout()
 }
 
@@ -40,30 +48,42 @@ func (c *simClient) armTimeout() {
 	c.r.sim.After(c.r.cfg.ClientTimeout, func() { c.onTimeout(g) })
 }
 
+// onTimeout fires while the request armed at generation g is still in
+// flight: a completion bumps the generation.
 func (c *simClient) onTimeout(g uint64) {
-	if g != c.gen || !c.engine.Busy() {
+	if g != c.gen {
 		return
 	}
-	c.dispatch(c.engine.OnTimeout())
+	if c.zyz != nil {
+		c.dispatch(nil, c.zyz.onTimeout())
+	} else {
+		c.dispatch(c.engine.OnTimeout(), nil)
+	}
 	c.armTimeout()
 }
 
-func (c *simClient) dispatch(acts []consensus.Action) {
+// dispatch transmits the PBFT client engine's sends (it emits nothing
+// else) and the Zyzzyva client's sends and broadcasts.
+func (c *simClient) dispatch(acts []consensus.Action, zacts actions) {
 	for _, a := range acts {
-		switch act := a.(type) {
-		case consensus.Send:
-			c.transmit(act.To, act.Msg)
-		case consensus.Broadcast:
-			for i := 0; i < c.r.cfg.Replicas; i++ {
-				c.transmit(types.ReplicaNode(types.ReplicaID(i)), act.Msg)
-			}
+		if s, ok := a.(consensus.Send); ok {
+			c.transmit(s.To, s.Msg)
+		}
+	}
+	for _, a := range zacts {
+		if a.kind != consensus.KindBroadcast {
+			c.transmit(a.to, a.msg)
+			continue
+		}
+		for i := 0; i < c.r.cfg.Replicas; i++ {
+			c.transmit(types.ReplicaNode(types.ReplicaID(i)), a.msg)
 		}
 	}
 }
 
-func (c *simClient) transmit(to types.NodeID, msg types.Message) {
+func (c *simClient) transmit(to types.NodeID, msg any) {
 	size := c.r.reqSize
-	if _, ok := msg.(*types.CommitCert); ok {
+	if _, ok := msg.(*commitCert); ok {
 		size = c.r.voteSize
 	}
 	from := types.ClientNode(c.id)
@@ -72,15 +92,20 @@ func (c *simClient) transmit(to types.NodeID, msg types.Message) {
 	})
 }
 
-// onMessage receives a replica response (free compute at the client).
-func (c *simClient) onMessage(from types.NodeID, msg types.Message) {
-	outcome, acts := c.engine.OnMessage(from, msg)
-	c.dispatch(acts)
-	if outcome == nil {
+// onMessage receives a replica response (free compute at the client). A
+// PBFT completion counts as a fast-path one.
+func (c *simClient) onMessage(from types.NodeID, msg any) {
+	fast := true
+	if c.zyz != nil {
+		var done bool
+		if done, fast = c.zyz.onMessage(from, msg); !done {
+			return
+		}
+	} else if outcome, _ := c.engine.OnMessage(from, msg.(types.Message)); outcome == nil {
 		return
 	}
 	c.gen++ // cancel the timer
-	c.r.recordCompletion(c.start, outcome.FastPath)
+	c.r.recordCompletion(c.start, fast)
 	c.clientSeq += uint64(c.r.cfg.Burst)
 	c.submitNext()
 }

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"resilientdb/internal/consensus"
 	clientengine "resilientdb/internal/consensus/client"
-	"resilientdb/internal/consensus/pbft"
-	"resilientdb/internal/consensus/zyzzyva"
 	"resilientdb/internal/crypto"
 	"resilientdb/internal/stats"
 	"resilientdb/internal/types"
@@ -299,20 +296,16 @@ func Run(cfg Config) (Result, error) {
 	for i := range machines {
 		machines[i] = NewHost(r.sim, 4, NewNIC(r.sim, costs.NICBandwidth))
 	}
-	proto := clientengine.PBFT
-	if cfg.Protocol == Zyzzyva {
-		proto = clientengine.Zyzzyva
-	}
 	for i := 0; i < cfg.Clients; i++ {
-		eng, err := clientengine.New(types.ClientID(i), cfg.Replicas, proto)
-		if err != nil {
-			return Result{}, err
-		}
-		sc := &simClient{
-			r:       r,
-			id:      types.ClientID(i),
-			engine:  eng,
-			machine: machines[i%len(machines)],
+		sc := &simClient{r: r, id: types.ClientID(i), machine: machines[i%len(machines)]}
+		if cfg.Protocol == Zyzzyva {
+			sc.zyz = newZyzzyvaClient(sc.id, cfg.Replicas)
+		} else {
+			eng, err := clientengine.New(sc.id, cfg.Replicas, clientengine.PBFT)
+			if err != nil {
+				return Result{}, err
+			}
+			sc.engine = eng
 		}
 		r.clients = append(r.clients, sc)
 	}
@@ -385,26 +378,6 @@ func (r *run) recordCompletion(start Time, fast bool) {
 		} else {
 			r.slow++
 		}
-	}
-}
-
-// newEngine builds the protocol engine for one simulated replica.
-func newEngine(cfg Config, id types.ReplicaID) (consensus.Engine, error) {
-	switch cfg.Protocol {
-	case Zyzzyva:
-		return zyzzyva.New(zyzzyva.Config{
-			ID:                  id,
-			N:                   cfg.Replicas,
-			CheckpointInterval:  cfg.CheckpointInterval,
-			MaxSpeculationDepth: 1 << 20,
-		})
-	default:
-		return pbft.New(pbft.Config{
-			ID:                 id,
-			N:                  cfg.Replicas,
-			CheckpointInterval: cfg.CheckpointInterval,
-			WatermarkWindow:    1 << 20,
-		})
 	}
 }
 

@@ -2,16 +2,20 @@ package sim
 
 import (
 	"resilientdb/internal/consensus"
+	"resilientdb/internal/consensus/pbft"
 	"resilientdb/internal/types"
 )
 
-// simReplica drives one consensus engine on a simulated host with the
-// Figure 6 thread layout.
+// simReplica drives one protocol engine on a simulated host with the
+// Figure 6 thread layout: the PBFT engine replicas run, or the model of
+// Zyzzyva (zyz; engine is nil then). The simulator runs no view change, so
+// replica 0 leads throughout.
 type simReplica struct {
 	r      *run
 	id     types.ReplicaID
 	host   *Host
 	engine consensus.Engine
+	zyz    *zyzzyvaReplica
 	down   bool
 
 	// engineOut takes every engine step's outputs: the event loop runs one
@@ -20,6 +24,8 @@ type simReplica struct {
 	// lend through it are kept, not given back: a broadcast vote travels to
 	// every peer by pointer.
 	engineOut consensus.Out
+	// zyzOut takes the Zyzzyva model's outputs the same way.
+	zyzOut actions
 
 	inputC *Thread
 	inputR []*Thread
@@ -47,18 +53,27 @@ type simReplica struct {
 }
 
 func newSimReplica(r *run, id types.ReplicaID) (*simReplica, error) {
-	engine, err := newEngine(r.cfg, id)
-	if err != nil {
-		return nil, err
-	}
 	host := NewHost(r.sim, r.cfg.Cores, NewNIC(r.sim, r.costs.NICBandwidth))
 	host.CtxSwitch = r.costs.CtxSwitch
 	sr := &simReplica{
 		r:       r,
 		id:      id,
 		host:    host,
-		engine:  engine,
 		execBuf: make(map[uint64]consensus.Execute),
+	}
+	if r.cfg.Protocol == Zyzzyva {
+		sr.zyz = newZyzzyvaReplica(id, r.cfg.Replicas, r.cfg.CheckpointInterval)
+	} else {
+		engine, err := pbft.New(pbft.Config{
+			ID:                 id,
+			N:                  r.cfg.Replicas,
+			CheckpointInterval: r.cfg.CheckpointInterval,
+			WatermarkWindow:    1 << 20,
+		})
+		if err != nil {
+			return nil, err
+		}
+		sr.engine = engine
 	}
 	sr.execNext = 1
 	sr.inputC = host.NewThread("input-client")
@@ -85,7 +100,7 @@ func threadName(base string, i int) string {
 
 // deliver is the NIC completion callback: the message lands on an
 // input-thread.
-func (sr *simReplica) deliver(from types.NodeID, msg types.Message, size int) {
+func (sr *simReplica) deliver(from types.NodeID, msg any, size int) {
 	if sr.down {
 		return
 	}
@@ -99,7 +114,7 @@ func (sr *simReplica) deliver(from types.NodeID, msg types.Message, size int) {
 
 // route runs at input-thread completion: classify and hand the message to
 // the right stage.
-func (sr *simReplica) route(from types.NodeID, msg types.Message) {
+func (sr *simReplica) route(from types.NodeID, msg any) {
 	switch m := msg.(type) {
 	case *types.ClientRequest:
 		sr.onClientRequest(m)
@@ -107,7 +122,7 @@ func (sr *simReplica) route(from types.NodeID, msg types.Message) {
 		sr.host.Submit(sr.ckpt, sr.r.costs.WorkerPerMsg+sr.r.costs.replicaVerify(sr.r.cfg.Scheme), func() {
 			sr.applyEngine(sr.ckpt, from, m)
 		})
-	case *types.CommitCert:
+	case *commitCert:
 		// Zyzzyva slow path: client-signed, verified on the worker.
 		sr.host.Submit(sr.worker, sr.r.costs.WorkerPerMsg+sr.r.costs.clientVerify(sr.r.cfg.Scheme), func() {
 			sr.applyEngine(sr.worker, from, m)
@@ -117,7 +132,7 @@ func (sr *simReplica) route(from types.NodeID, msg types.Message) {
 		// Proposals additionally pay the batch-digest hash at the worker
 		// (Section 4.4).
 		switch msg.(type) {
-		case *types.PrePrepare, *types.OrderedRequest:
+		case *types.PrePrepare, *orderedRequest:
 			cost += sr.r.costs.hash(sr.r.proposeSize)
 		}
 		sr.host.Submit(sr.worker, cost, func() {
@@ -130,7 +145,7 @@ func (sr *simReplica) route(from types.NodeID, msg types.Message) {
 // full, then dispatches batch assembly to a batch-thread (or the worker in
 // 0B mode).
 func (sr *simReplica) onClientRequest(req *types.ClientRequest) {
-	if !sr.engine.IsPrimary() {
+	if sr.id != 0 {
 		return // backups ignore direct client traffic (no view changes in sim)
 	}
 	sr.pendReqs = append(sr.pendReqs, *req)
@@ -192,25 +207,33 @@ func (sr *simReplica) dispatchBatch(reqs []types.ClientRequest) {
 // propose drives engine.Propose, retrying when the watermark window is
 // full.
 func (sr *simReplica) propose(t *Thread, reqs []types.ClientRequest) {
-	if !sr.engine.Propose(reqs, &sr.engineOut) {
-		if sr.engine.IsPrimary() {
-			sr.r.sim.After(100*Microsecond, func() { sr.propose(t, reqs) })
-		}
+	var ok bool
+	if sr.zyz != nil {
+		ok = sr.zyz.propose(reqs, &sr.zyzOut)
+	} else {
+		ok = sr.engine.Propose(reqs, &sr.engineOut)
+	}
+	if !ok {
+		sr.r.sim.After(100*Microsecond, func() { sr.propose(t, reqs) })
 		return
 	}
 	sr.handleActions(t)
 }
 
 // applyEngine feeds a verified message to the engine on thread t.
-func (sr *simReplica) applyEngine(t *Thread, from types.NodeID, msg types.Message) {
-	sr.engine.OnMessage(from, msg, &sr.engineOut)
+func (sr *simReplica) applyEngine(t *Thread, from types.NodeID, msg any) {
+	if sr.zyz != nil {
+		sr.zyz.onMessage(from, msg, &sr.zyzOut)
+	} else {
+		sr.engine.OnMessage(from, msg.(types.Message), &sr.engineOut)
+	}
 	sr.handleActions(t)
 }
 
 // handleActions interprets the outputs of the step just taken and resets
-// sr.engineOut. Signing is billed as a follow-up job on the producing
-// thread (the paper assigns message creation and signing to the thread that
-// generates the message).
+// sr.engineOut and sr.zyzOut. Signing is billed as a follow-up job on the
+// producing thread (the paper assigns message creation and signing to the
+// thread that generates the message).
 func (sr *simReplica) handleActions(t *Thread) {
 	outs := sr.engineOut.Outputs()
 	for i := range outs {
@@ -227,13 +250,25 @@ func (sr *simReplica) handleActions(t *Thread) {
 		}
 	}
 	sr.engineOut.Reset()
+	for _, a := range sr.zyzOut {
+		switch a.kind {
+		case consensus.KindBroadcast:
+			sr.signAndBroadcast(t, a.msg)
+		case consensus.KindSend:
+			sr.signAndSend(t, a.to, a.msg)
+		case consensus.KindExecute:
+			sr.enqueueExecute(a.exec)
+		}
+	}
+	clear(sr.zyzOut)
+	sr.zyzOut = sr.zyzOut[:0]
 }
 
-func (sr *simReplica) msgSize(msg types.Message) int {
+func (sr *simReplica) msgSize(msg any) int {
 	switch msg.(type) {
-	case *types.PrePrepare, *types.OrderedRequest:
+	case *types.PrePrepare, *orderedRequest:
 		return sr.r.proposeSize
-	case *types.ClientResponse, *types.SpecResponse, *types.LocalCommit:
+	case *types.ClientResponse, *specResponse, *localCommit:
 		return sr.r.respSize
 	default:
 		return sr.r.voteSize
@@ -243,7 +278,7 @@ func (sr *simReplica) msgSize(msg types.Message) int {
 // signAndBroadcast bills one signing job, then hands one envelope per
 // destination to the output-threads. Under MACs the signing job costs one
 // MAC per destination (the MAC-vector of Section 3).
-func (sr *simReplica) signAndBroadcast(t *Thread, msg types.Message) {
+func (sr *simReplica) signAndBroadcast(t *Thread, msg any) {
 	signCost, perDest := sr.r.costs.replicaSign(sr.r.cfg.Scheme)
 	targets := sr.r.cfg.Replicas - 1
 	cost := signCost
@@ -260,14 +295,14 @@ func (sr *simReplica) signAndBroadcast(t *Thread, msg types.Message) {
 	})
 }
 
-func (sr *simReplica) signAndSend(t *Thread, to types.NodeID, msg types.Message) {
+func (sr *simReplica) signAndSend(t *Thread, to types.NodeID, msg any) {
 	signCost, _ := sr.r.costs.replicaSign(sr.r.cfg.Scheme)
 	sr.host.Submit(t, signCost, func() { sr.transmit(to, msg) })
 }
 
 // transmit hands an envelope to an output-thread, which pays its handling
 // cost and serializes onto the NIC.
-func (sr *simReplica) transmit(to types.NodeID, msg types.Message) {
+func (sr *simReplica) transmit(to types.NodeID, msg any) {
 	out := sr.out[sr.rrOut%len(sr.out)]
 	sr.rrOut++
 	size := sr.msgSize(msg)
@@ -311,10 +346,17 @@ func (sr *simReplica) runExecute(act consensus.Execute) {
 }
 
 // finishExecute runs at execution completion: advance the state digest,
-// tell the engine (checkpoints), and answer every client in the batch.
+// tell the engine (checkpoints), and answer every client in the batch. The
+// state digest chains the executed batch digests in sequence order, as
+// Zyzzyva's history does, so it is the history a speculative reply carries.
 func (sr *simReplica) finishExecute(t *Thread, act consensus.Execute) {
 	sr.stateDig = hashChain(sr.stateDig, act.Digest)
-	sr.engine.OnExecuted(act.Seq, sr.stateDig, types.Signature{}, &sr.engineOut)
+	history := sr.stateDig
+	if sr.zyz != nil {
+		sr.zyz.onExecuted(act.Seq, sr.stateDig, &sr.zyzOut)
+	} else {
+		sr.engine.OnExecuted(act.Seq, sr.stateDig, types.Signature{}, &sr.engineOut)
+	}
 	sr.handleActions(t)
 
 	// One signing job covers the batch's responses (one authenticator
@@ -325,16 +367,15 @@ func (sr *simReplica) finishExecute(t *Thread, act consensus.Execute) {
 	sr.host.Submit(t, cost, func() {
 		for i := range reqs {
 			req := &reqs[i]
-			// The simulated workload is write-only, but the client engine
-			// verifies every response's payload against its Result digest,
-			// so the stamp must be the real one.
+			// The simulated workload is write-only, but the clients verify
+			// every response's payload against its result digest, so the
+			// stamp must be the real one.
 			result := types.ResponseDigest(act.Seq, req.Client, req.FirstSeq, nil)
-			var resp types.Message
-			if act.Speculative {
-				resp = &types.SpecResponse{
-					View: act.View, Seq: act.Seq, Digest: act.Digest,
-					History: act.History, Client: req.Client,
-					ClientSeq: req.FirstSeq, Result: result, Replica: sr.id,
+			var resp any
+			if sr.zyz != nil {
+				resp = &specResponse{
+					seq: act.Seq, history: history, client: req.Client,
+					clientSeq: req.FirstSeq, result: result,
 				}
 			} else {
 				resp = &types.ClientResponse{
@@ -346,14 +387,14 @@ func (sr *simReplica) finishExecute(t *Thread, act consensus.Execute) {
 		}
 	})
 
-	if sr.r.cfg.DisableOutOfOrder && sr.engine.IsPrimary() {
+	if sr.r.cfg.DisableOutOfOrder && sr.id == 0 {
 		sr.gateBusy = false
 		sr.pumpGate()
 	}
 }
 
 // deliverTo routes a transmitted message to its destination node.
-func (r *run) deliverTo(from, to types.NodeID, msg types.Message, size int) {
+func (r *run) deliverTo(from, to types.NodeID, msg any, size int) {
 	if to.IsReplica() {
 		r.replicas[int(to.Replica())].deliver(from, msg, size)
 		return

@@ -2,9 +2,10 @@
 // paper's evaluation at full scale — 4 to 32 replicas, 8 cores each, up to
 // 80K closed-loop clients — on a single laptop-class machine.
 //
-// The simulator drives the very same consensus engines
-// (internal/consensus/pbft, .../zyzzyva, .../client) as the runnable
-// replica pipeline; only the environment is modelled:
+// The simulator drives the very same PBFT engines (internal/consensus/pbft
+// and .../client) as the runnable replica pipeline; only the environment is
+// modelled. Zyzzyva, the baseline no replica runs, is a model of its own
+// here (zyzzyva.go), under the same environment:
 //
 //   - Hosts own a fixed number of cores; logical threads (input, batch,
 //     worker, execute, checkpoint, output — the Figure 6 pipeline) queue

@@ -72,14 +72,6 @@ func newMessage(t MsgType) (Message, error) {
 		return &NewView{}, nil
 	case MsgClientResponse:
 		return &ClientResponse{}, nil
-	case MsgOrderedRequest:
-		return &OrderedRequest{}, nil
-	case MsgSpecResponse:
-		return &SpecResponse{}, nil
-	case MsgCommitCert:
-		return &CommitCert{}, nil
-	case MsgLocalCommit:
-		return &LocalCommit{}, nil
 	case MsgReadRequest:
 		return &ReadRequest{}, nil
 	case MsgReadReply:
@@ -135,7 +127,7 @@ func DecodeBody(t MsgType, b []byte) (Message, error) {
 
 // DecodeEnvelope decodes e.Body into a message that stays valid after e
 // is released. Request-bearing bodies (ClientRequest, PrePrepare,
-// OrderedRequest, NewView) are decoded in place: their payloads, values
+// NewView) are decoded in place: their payloads, values
 // and signatures are views into Body, and the message gets a hold (see
 // hold.go) that keeps a reference on the arena behind Body and owns the
 // message and its arrays, all recycled. The caller gives the decoder's
@@ -164,9 +156,6 @@ func DecodeEnvelope(e *Envelope) (Message, error) {
 		h = acquireHold(proposalHolds, e.arena)
 		h.pp.hold = h
 		msg = &h.pp
-	case MsgOrderedRequest:
-		h = acquireHold(proposalHolds, e.arena)
-		msg = &OrderedRequest{hold: h}
 	case MsgNewView:
 		h = acquireHold(proposalHolds, e.arena)
 		msg = &NewView{hold: h}
@@ -182,8 +171,8 @@ func DecodeEnvelope(e *Envelope) (Message, error) {
 
 // AuthenticatedBytes returns the part of a body of type t that the
 // envelope's authenticator covers; every signer and verifier of replica
-// envelopes asks here. For a proposal (PrePrepare, OrderedRequest) that is
-// the fixed-size header — view, seq, batch digest (and history) — so the
+// envelopes asks here. For a proposal (a PrePrepare) that is the
+// fixed-size header — view, seq and batch digest — so the
 // cost of authenticating one does not grow with the batch it carries. The
 // requests behind the header are bound by the digest inside it: a receiver
 // must check BatchDigest(Requests) == Digest before acting on a proposal,
@@ -191,11 +180,8 @@ func DecodeEnvelope(e *Envelope) (Message, error) {
 // other body is covered whole.
 func AuthenticatedBytes(t MsgType, body []byte) []byte {
 	n := len(body)
-	switch t {
-	case MsgPrePrepare:
+	if t == MsgPrePrepare {
 		n = prePrepareHeaderSize
-	case MsgOrderedRequest:
-		n = orderedRequestHeaderSize
 	}
 	if n > len(body) {
 		return body // too short to decode; the decoder rejects it

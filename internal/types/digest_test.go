@@ -152,9 +152,7 @@ func TestAuthenticatedBytes(t *testing.T) {
 		want int
 	}{
 		{types.MsgPrePrepare, body, 8 + 8 + 32},
-		{types.MsgOrderedRequest, body, 8 + 8 + 32 + 32},
 		{types.MsgPrePrepare, body[:47], 47},
-		{types.MsgOrderedRequest, body[:79], 79},
 		{types.MsgPrepare, body, 200},
 		{types.MsgNewView, body, 200},
 		{types.MsgClientRequest, body, 200},

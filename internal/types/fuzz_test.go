@@ -133,8 +133,6 @@ func requestsOf(msg types.Message) []*types.ClientRequest {
 		out = append(out, m)
 	case *types.PrePrepare:
 		add(m.Requests)
-	case *types.OrderedRequest:
-		add(m.Requests)
 	case *types.NewView:
 		for i := range m.PrePrepares {
 			add(m.PrePrepares[i].Requests)
@@ -162,7 +160,8 @@ func appendEverywhere(msg types.Message) {
 }
 
 // requestBodyCorpus returns one well-formed body per request-bearing type,
-// each with several multi-op transactions so the op slab is shared.
+// each with several multi-op transactions so the op slab is shared, and a
+// proposal body under tag 9, a reserved id no decoder accepts.
 func requestBodyCorpus() []struct {
 	kind types.MsgType
 	body []byte
@@ -184,13 +183,14 @@ func requestBodyCorpus() []struct {
 	}{
 		{types.MsgClientRequest, types.MarshalBody(&reqs[0])},
 		{types.MsgPrePrepare, types.MarshalBody(&pp)},
-		{types.MsgOrderedRequest, types.MarshalBody(&types.OrderedRequest{View: 1, Seq: 2, Digest: pp.Digest, Requests: reqs})},
+		{9, types.MarshalBody(&pp)},
 		{types.MsgNewView, types.MarshalBody(&types.NewView{View: 2, PrePrepares: []types.PrePrepare{pp, pp}})},
 	}
 }
 
 // FuzzDecodeBody covers body decoding for every message type the wire
-// can carry, seeded with the chaos harness's malformed bodies. The two
+// can carry, and for the reserved ids 9–12 (refused whatever the body),
+// seeded with the chaos harness's malformed bodies. The two
 // decode modes (DecodeBody copies, DecodeEnvelope builds views for the
 // request-bearing types) must accept exactly the same bodies; decoding is
 // canonical, so a body that decodes must re-marshal to the very bytes it
@@ -200,9 +200,9 @@ func FuzzDecodeBody(f *testing.F) {
 	kinds := []types.MsgType{
 		types.MsgClientRequest, types.MsgClientResponse, types.MsgPrePrepare,
 		types.MsgPrepare, types.MsgCommit, types.MsgCheckpoint,
-		types.MsgViewChange, types.MsgNewView, types.MsgOrderedRequest,
-		types.MsgReadRequest, types.MsgReadReply, types.MsgSpecResponse,
-		types.MsgCommitCert, types.MsgLocalCommit,
+		types.MsgViewChange, types.MsgNewView, 9,
+		types.MsgReadRequest, types.MsgReadReply, 10,
+		11, 12,
 	}
 	for _, body := range chaos.MalformedBodies() {
 		for _, kind := range kinds {

@@ -269,8 +269,6 @@ func ReleaseMessage(m Message) {
 		v.hold.release()
 	case *NewView:
 		v.hold.release()
-	case *OrderedRequest:
-		v.hold.release()
 	default:
 		releaseVote(m)
 	}

@@ -10,9 +10,10 @@ import (
 type MsgType uint8
 
 // Message type tags. PBFT uses ClientRequest through ClientResponse, and
-// the local read path ReadRequest and ReadReply. OrderedRequest through
-// LocalCommit are Zyzzyva's: only the simulator (internal/sim) sends them,
-// and a replica refuses them unread.
+// the local read path ReadRequest and ReadReply. Tags 9–12 are reserved:
+// they were Zyzzyva's, whose messages the simulator (internal/sim) now
+// keeps unencoded, so no decoder knows them and a replica refuses them
+// unread. No new message takes them.
 const (
 	MsgClientRequest MsgType = iota + 1
 	MsgPrePrepare
@@ -22,10 +23,10 @@ const (
 	MsgViewChange
 	MsgNewView
 	MsgClientResponse
-	MsgOrderedRequest
-	MsgSpecResponse
-	MsgCommitCert
-	MsgLocalCommit
+	_ // 9–12 reserved
+	_
+	_
+	_
 	MsgReadRequest
 	MsgReadReply
 	msgTypeEnd // sentinel; keep last
@@ -50,14 +51,6 @@ func (t MsgType) String() string {
 		return "NewView"
 	case MsgClientResponse:
 		return "ClientResponse"
-	case MsgOrderedRequest:
-		return "OrderedRequest"
-	case MsgSpecResponse:
-		return "SpecResponse"
-	case MsgCommitCert:
-		return "CommitCert"
-	case MsgLocalCommit:
-		return "LocalCommit"
 	case MsgReadRequest:
 		return "ReadRequest"
 	case MsgReadReply:
@@ -86,10 +79,6 @@ var (
 	_ Message = (*ViewChange)(nil)
 	_ Message = (*NewView)(nil)
 	_ Message = (*ClientResponse)(nil)
-	_ Message = (*OrderedRequest)(nil)
-	_ Message = (*SpecResponse)(nil)
-	_ Message = (*CommitCert)(nil)
-	_ Message = (*LocalCommit)(nil)
 	_ Message = (*ReadRequest)(nil)
 	_ Message = (*ReadReply)(nil)
 )
@@ -633,9 +622,8 @@ func ResponseDigest(seq SeqNum, client ClientID, clientSeq uint64, reads []ReadR
 	return d
 }
 
-// ClientResponse is a replica's reply for one client request. PBFT clients
-// accept a result after f+1 matching responses; Zyzzyva's fast path needs
-// all 3f+1 (Section 2.1). ReadResults carries the values observed by the
+// ClientResponse is a replica's reply for one client request. Clients
+// accept a result after f+1 matching responses. ReadResults carries the values observed by the
 // request's read operations, in (transaction, op) order; Result covers
 // them (ResponseDigest), so matching responses attest the read values too.
 // Busy is the replica's queue-saturation gauge (0 idle .. 255 full) at
@@ -676,184 +664,6 @@ func (m *ClientResponse) unmarshal(r *Reader) {
 	m.Replica = ReplicaID(r.U16())
 	m.ReadResults = r.ReadResults()
 	m.Busy = r.U8()
-}
-
-// ---- Zyzzyva messages (sent by the simulator only) ----
-
-// OrderedRequest is Zyzzyva's counterpart of the pre-prepare: the primary
-// assigns (view, seq) and extends the history hash chain
-// h_k = H(h_{k-1} || d_k); backups execute speculatively on receipt.
-type OrderedRequest struct {
-	View     View
-	Seq      SeqNum
-	Digest   Digest
-	History  Digest
-	Requests []ClientRequest
-
-	hold *hold // set when decoded in place; see DecodeEnvelope
-}
-
-// Type implements Message.
-func (m *OrderedRequest) Type() MsgType { return MsgOrderedRequest }
-
-func (m *OrderedRequest) marshal(w *Writer) {
-	w.U64(uint64(m.View))
-	w.U64(uint64(m.Seq))
-	w.Bytes32(m.Digest)
-	w.Bytes32(m.History)
-	w.U32(uint32(len(m.Requests)))
-	for i := range m.Requests {
-		m.Requests[i].marshal(w)
-	}
-}
-
-func (m *OrderedRequest) unmarshal(r *Reader) {
-	m.View = View(r.U64())
-	m.Seq = SeqNum(r.U64())
-	m.Digest = r.Bytes32()
-	m.History = r.Bytes32()
-	n := r.count(20)
-	if r.Err() != nil {
-		return
-	}
-	m.Requests = r.requests(n)
-	for i := 0; i < n; i++ {
-		m.Requests[i].unmarshal(r)
-	}
-}
-
-// orderedRequestHeaderSize is the fixed-size prefix of an OrderedRequest
-// body: view, seq, digest and history.
-const orderedRequestHeaderSize = 8 + 8 + 32 + 32
-
-// Size returns the encoded size in bytes, used for bandwidth accounting.
-func (m *OrderedRequest) Size() int {
-	n := orderedRequestHeaderSize + 4
-	for i := range m.Requests {
-		n += m.Requests[i].Size()
-	}
-	return n
-}
-
-// SpecResponse is a replica's speculative reply to the client, binding the
-// result to the replica's history hash so the client can detect divergence.
-// ReadResults mirrors ClientResponse: read values in (txn, op) order,
-// attested by Result. Busy mirrors ClientResponse's advisory load gauge.
-type SpecResponse struct {
-	View        View
-	Seq         SeqNum
-	Digest      Digest
-	History     Digest
-	Client      ClientID
-	ClientSeq   uint64
-	Result      Digest
-	Replica     ReplicaID
-	ReadResults []ReadResult
-	Busy        uint8
-}
-
-// Type implements Message.
-func (m *SpecResponse) Type() MsgType { return MsgSpecResponse }
-
-func (m *SpecResponse) marshal(w *Writer) {
-	w.U64(uint64(m.View))
-	w.U64(uint64(m.Seq))
-	w.Bytes32(m.Digest)
-	w.Bytes32(m.History)
-	w.U32(uint32(m.Client))
-	w.U64(m.ClientSeq)
-	w.Bytes32(m.Result)
-	w.U16(uint16(m.Replica))
-	w.ReadResults(m.ReadResults)
-	w.U8(m.Busy)
-}
-
-func (m *SpecResponse) unmarshal(r *Reader) {
-	m.View = View(r.U64())
-	m.Seq = SeqNum(r.U64())
-	m.Digest = r.Bytes32()
-	m.History = r.Bytes32()
-	m.Client = ClientID(r.U32())
-	m.ClientSeq = r.U64()
-	m.Result = r.Bytes32()
-	m.Replica = ReplicaID(r.U16())
-	m.ReadResults = r.ReadResults()
-	m.Busy = r.U8()
-}
-
-// CommitCert is Zyzzyva's slow path: a client that gathered only 2f+1
-// matching speculative responses (but not all 3f+1) asks the replicas to
-// commit that history prefix durably.
-type CommitCert struct {
-	Client    ClientID
-	ClientSeq uint64
-	View      View
-	Seq       SeqNum
-	History   Digest
-	Replicas  []ReplicaID
-}
-
-// Type implements Message.
-func (m *CommitCert) Type() MsgType { return MsgCommitCert }
-
-func (m *CommitCert) marshal(w *Writer) {
-	w.U32(uint32(m.Client))
-	w.U64(m.ClientSeq)
-	w.U64(uint64(m.View))
-	w.U64(uint64(m.Seq))
-	w.Bytes32(m.History)
-	w.U32(uint32(len(m.Replicas)))
-	for _, rep := range m.Replicas {
-		w.U16(uint16(rep))
-	}
-}
-
-func (m *CommitCert) unmarshal(r *Reader) {
-	m.Client = ClientID(r.U32())
-	m.ClientSeq = r.U64()
-	m.View = View(r.U64())
-	m.Seq = SeqNum(r.U64())
-	m.History = r.Bytes32()
-	n := r.count(2)
-	if r.Err() != nil {
-		return
-	}
-	m.Replicas = make([]ReplicaID, n)
-	for i := 0; i < n; i++ {
-		m.Replicas[i] = ReplicaID(r.U16())
-	}
-}
-
-// LocalCommit acknowledges a CommitCert; the client completes the request
-// after 2f+1 local commits.
-type LocalCommit struct {
-	View      View
-	Seq       SeqNum
-	History   Digest
-	Client    ClientID
-	ClientSeq uint64
-	Replica   ReplicaID
-}
-
-// Type implements Message.
-func (m *LocalCommit) Type() MsgType { return MsgLocalCommit }
-
-func (m *LocalCommit) marshal(w *Writer) {
-	w.U64(uint64(m.View))
-	w.U64(uint64(m.Seq))
-	w.Bytes32(m.History)
-	w.U32(uint32(m.Client))
-	w.U64(m.ClientSeq)
-	w.U16(uint16(m.Replica))
-}
-
-func (m *LocalCommit) unmarshal(r *Reader) {
-	m.View = View(r.U64())
-	m.Seq = SeqNum(r.U64())
-	m.History = r.Bytes32()
-	m.Client = ClientID(r.U32())
-	m.ClientSeq = r.U64()
-	m.Replica = ReplicaID(r.U16())
 }
 
 // ---- Local read path ----

@@ -23,7 +23,7 @@ type ReplicaID uint16
 // replicas; see NodeID for the combined address space.
 type ClientID uint32
 
-// View is a PBFT/Zyzzyva view number. The primary of view v among n replicas
+// View is a PBFT view number. The primary of view v among n replicas
 // is replica v mod n.
 type View uint64
 

@@ -99,14 +99,8 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 			PrePrepares: []PrePrepare{{View: 4, Seq: 901, Digest: d2}},
 		},
 		&ClientResponse{View: 2, Seq: 10, Client: 3, ClientSeq: 44, Result: d1, Replica: 1},
-		&OrderedRequest{View: 0, Seq: 5, Digest: d1, History: d2, Requests: []ClientRequest{sampleRequest(3)}},
-		&SpecResponse{View: 0, Seq: 5, Digest: d1, History: d2, Client: 7, ClientSeq: 11, Result: d1, Replica: 2},
-		&CommitCert{Client: 7, ClientSeq: 11, View: 0, Seq: 5, History: d2, Replicas: []ReplicaID{0, 1, 2}},
-		&LocalCommit{View: 0, Seq: 5, History: d2, Client: 7, ClientSeq: 11, Replica: 3},
 		&ClientResponse{View: 2, Seq: 10, Client: 3, ClientSeq: 44, Result: d1, Replica: 1,
 			ReadResults: []ReadResult{{Found: true, Value: []byte("v")}, {Found: false}}},
-		&SpecResponse{View: 0, Seq: 5, Digest: d1, History: d2, Client: 7, ClientSeq: 11, Result: d1, Replica: 2,
-			ReadResults: []ReadResult{{Found: true, Value: []byte("spec")}}},
 		&ReadRequest{Client: 12, ClientSeq: 90, Keys: []uint64{3, 1 << 40, 7}},
 		&ReadReply{Client: 12, ClientSeq: 90, Seq: 501, Replica: 2,
 			Results: []ReadResult{{Found: true, Value: []byte("abc")}, {Found: false}}},
@@ -128,6 +122,30 @@ func normalize(m Message) []byte { return MarshalBody(m) }
 func TestDecodeRejectsUnknownType(t *testing.T) {
 	if _, err := DecodeBody(0xEE, []byte{1, 2, 3}); !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("DecodeBody of an unknown message type: %v, want ErrUnknownType", err)
+	}
+}
+
+// TestMsgTypeTags pins every tag's value on the wire: frames, logs and
+// signatures carry the numbers, so removing or inserting a message must not
+// shift them. Tags 9–12, once Zyzzyva's, stay reserved and refused.
+func TestMsgTypeTags(t *testing.T) {
+	for tag, want := range map[MsgType]uint8{
+		MsgClientRequest: 1, MsgPrePrepare: 2, MsgPrepare: 3, MsgCommit: 4,
+		MsgCheckpoint: 5, MsgViewChange: 6, MsgNewView: 7, MsgClientResponse: 8,
+		MsgReadRequest: 13, MsgReadReply: 14,
+	} {
+		if uint8(tag) != want {
+			t.Errorf("%v is tag %d, want %d", tag, uint8(tag), want)
+		}
+	}
+	body := MarshalBody(&PrePrepare{View: 1, Seq: 2, Requests: []ClientRequest{sampleRequest(1)}})
+	for tag := MsgType(9); tag <= 12; tag++ {
+		if _, err := DecodeBody(tag, body); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("DecodeBody of reserved tag %d: %v, want ErrUnknownType", tag, err)
+		}
+		if _, err := DecodeEnvelope(&Envelope{Type: tag, Body: body}); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("DecodeEnvelope of reserved tag %d: %v, want ErrUnknownType", tag, err)
+		}
 	}
 }
 
@@ -299,12 +317,6 @@ func TestRequestSizeMatchesEncoding(t *testing.T) {
 	if w.Len() != pp.Size() {
 		t.Fatalf("PrePrepare.Size() = %d, encoded = %d", pp.Size(), w.Len())
 	}
-	or := OrderedRequest{View: 1, Seq: 2, Digest: Digest{1}, History: Digest{2}, Requests: []ClientRequest{r}}
-	w.Reset()
-	or.marshal(&w)
-	if w.Len() != or.Size() {
-		t.Fatalf("OrderedRequest.Size() = %d, encoded = %d", or.Size(), w.Len())
-	}
 }
 
 // quickTxn generates a random transaction for property tests, mixing
@@ -393,7 +405,6 @@ func TestQuickRoundTripSmallMessages(t *testing.T) {
 			&Commit{View: View(view), Seq: SeqNum(seq), Digest: d, Replica: ReplicaID(rep)},
 			&Checkpoint{Seq: SeqNum(seq), StateDigest: d, Replica: ReplicaID(rep)},
 			&ClientResponse{View: View(view), Seq: SeqNum(seq), Client: 1, ClientSeq: seq, Result: d, Replica: ReplicaID(rep)},
-			&LocalCommit{View: View(view), Seq: SeqNum(seq), History: d, Client: 1, ClientSeq: seq, Replica: ReplicaID(rep)},
 		}
 		for _, m := range msgs {
 			b := MarshalBody(m)

@@ -28,16 +28,12 @@ func unhex(t *testing.T, s string) []byte {
 	return b
 }
 
-var (
-	d1 = types.Digest{0xd1}
-	d2 = types.Digest{0xd2}
-)
+var d1 = types.Digest{0xd1}
 
 const (
 	zeros31 = "00000000000000000000000000000000000000000000000000000000000000"
 	zeros62 = zeros31 + zeros31
 	d1hex   = "d1" + zeros31 + " "
-	d2hex   = "d2" + zeros31 + " "
 	view1   = "0000000000000001 "
 	seq2    = "0000000000000002 "
 	// Op list and read-result list shared by the messages below.
@@ -112,15 +108,6 @@ func TestGoldenMessageBodies(t *testing.T) {
 		{"ClientResponse/reads", &types.ClientResponse{View: 1, Seq: 2, Client: 3, ClientSeq: 4, Result: d1, Replica: 5,
 			ReadResults: goldenReadList(), Busy: 9},
 			view1 + seq2 + "00000003 0000000000000004 " + d1hex + "0005 " + goldenReads + "09"},
-		{"OrderedRequest", &types.OrderedRequest{View: 1, Seq: 2, Digest: d1, History: d2, Requests: []types.ClientRequest{bareRequest}},
-			view1 + seq2 + d1hex + d2hex + "00000001 " + bareRequestHex},
-		{"SpecResponse", &types.SpecResponse{View: 1, Seq: 2, Digest: d1, History: d2, Client: 3, ClientSeq: 4, Result: d1, Replica: 5,
-			ReadResults: goldenReadList(), Busy: 9},
-			view1 + seq2 + d1hex + d2hex + "00000003 0000000000000004 " + d1hex + "0005 " + goldenReads + "09"},
-		{"CommitCert", &types.CommitCert{Client: 3, ClientSeq: 4, View: 1, Seq: 2, History: d2, Replicas: []types.ReplicaID{0, 1}},
-			"00000003 0000000000000004 " + view1 + seq2 + d2hex + "00000002 0000 0001"},
-		{"LocalCommit", &types.LocalCommit{View: 1, Seq: 2, History: d2, Client: 3, ClientSeq: 4, Replica: 5},
-			view1 + seq2 + d2hex + "00000003 0000000000000004 0005"},
 		{"ReadRequest", &types.ReadRequest{Client: 1, ClientSeq: 2, Keys: []uint64{3}, MinSeq: 4,
 			Scans: []types.Op{{Kind: types.OpScan, Key: 5, EndKey: 6, Limit: 7}}},
 			"00000001 " + seq2 +

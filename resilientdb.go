@@ -17,8 +17,8 @@
 //
 //   - A deterministic simulator: Simulate replays the paper's evaluation
 //     at full scale (32 replicas, 8 cores, 80K clients) by driving the
-//     very same consensus engines under a calibrated cost model. It also
-//     runs Zyzzyva, the single-phase speculative baseline the paper
+//     very same PBFT engines under a calibrated cost model. It also
+//     models Zyzzyva, the single-phase speculative baseline the paper
 //     measures PBFT against, which the runnable fabric does not deploy.
 //
 //   - The experiment suite: Experiments and RunExperiment regenerate
