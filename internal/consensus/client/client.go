@@ -8,7 +8,7 @@ package client
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"resilientdb/internal/consensus"
 	"resilientdb/internal/types"
@@ -63,6 +63,11 @@ type Engine struct {
 
 	cur *inflight
 
+	// outcome and gauges are reused from request to request: an Outcome is
+	// valid until the engine's next Submit.
+	outcome Outcome
+	gauges  []int
+
 	stats Stats
 }
 
@@ -75,12 +80,22 @@ type Stats struct {
 type inflight struct {
 	req       types.ClientRequest
 	clientSeq uint64
-	// votes are keyed by result digest.
-	votes map[types.Digest]map[types.ReplicaID]bool
-	done  bool
-	// busyBy is each responding replica's highest saturation gauge; the
-	// Outcome reports the (f+1)-th highest so f liars cannot inflate it.
-	busyBy map[types.ReplicaID]uint8
+	done      bool
+	// slots holds each replica's latest valid response to this request,
+	// indexed by ReplicaID: n entries, reused from request to request. A
+	// replica's newer result replaces its older one, so one faulty replica
+	// holds one vote however many distinct results it sends, and a vote
+	// costs one pass over n slots.
+	slots []slot
+}
+
+// slot is one replica's standing in the current request: the result it
+// votes for and the highest saturation gauge it has reported. The Outcome
+// reports the (f+1)-th highest gauge so f liars cannot inflate it.
+type slot struct {
+	result types.Digest
+	voted  bool
+	busy   uint8
 }
 
 // New creates a client engine for PBFT, the only protocol it accepts.
@@ -115,20 +130,16 @@ func (e *Engine) Primary() types.ReplicaID {
 // state and its tables, emptied for each new request.
 func (e *Engine) Submit(req types.ClientRequest) []consensus.Action {
 	if e.cur == nil {
-		e.cur = &inflight{
-			votes:  make(map[types.Digest]map[types.ReplicaID]bool),
-			busyBy: make(map[types.ReplicaID]uint8),
-		}
+		e.cur = &inflight{slots: make([]slot, e.n)}
 	}
 	c := e.cur
-	clear(c.votes)
-	clear(c.busyBy)
+	clear(c.slots)
 	*c = inflight{
 		req:       req,
 		clientSeq: req.FirstSeq,
-		votes:     c.votes,
-		busyBy:    c.busyBy,
+		slots:     c.slots,
 	}
+	e.outcome = Outcome{}
 	return []consensus.Action{consensus.Send{
 		To:  types.ReplicaNode(e.Primary()),
 		Msg: &req,
@@ -136,8 +147,10 @@ func (e *Engine) Submit(req types.ClientRequest) []consensus.Action {
 }
 
 // OnMessage applies a replica response. When the request completes it
-// returns the Outcome; otherwise the Outcome is nil. A response prompts no
-// send, so the actions are always nil.
+// returns the Outcome, the engine's own and valid until the next Submit;
+// its ReadResults are msg's, valid as long as msg is. Otherwise the
+// Outcome is nil. A response prompts no send, so the actions are always
+// nil.
 func (e *Engine) OnMessage(from types.NodeID, msg types.Message) (*Outcome, []consensus.Action) {
 	if e.cur == nil || e.cur.done || !from.IsReplica() {
 		return nil, nil
@@ -158,43 +171,47 @@ func (e *Engine) OnMessage(from types.NodeID, msg types.Message) (*Outcome, []co
 		e.view = m.View
 	}
 	rep := from.Replica()
-	if m.Busy > e.cur.busyBy[rep] {
-		e.cur.busyBy[rep] = m.Busy
+	if int(rep) >= e.n {
+		return nil, nil
+	}
+	if s := &e.cur.slots[rep]; m.Busy > s.busy {
+		s.busy = m.Busy
 	}
 	if e.vote(m.Result, rep) < e.f+1 {
 		return nil, nil
 	}
 	e.cur.done = true
 	e.stats.Completed++
-	return &Outcome{ClientSeq: e.cur.clientSeq, Seq: m.Seq, Result: m.Result, ReadResults: m.ReadResults, Busy: e.robustBusy()}, nil
+	e.outcome = Outcome{ClientSeq: e.cur.clientSeq, Seq: m.Seq, Result: m.Result, ReadResults: m.ReadResults, Busy: e.robustBusy()}
+	return &e.outcome, nil
 }
 
+// vote records result k as rep's vote, replacing any earlier one, and
+// returns how many replicas now vote for k.
 func (e *Engine) vote(k types.Digest, rep types.ReplicaID) int {
-	voters, ok := e.cur.votes[k]
-	if !ok {
-		voters = make(map[types.ReplicaID]bool)
-		e.cur.votes[k] = voters
+	e.cur.slots[rep].result, e.cur.slots[rep].voted = k, true
+	n := 0
+	for i := range e.cur.slots {
+		if s := &e.cur.slots[i]; s.voted && s.result == k {
+			n++
+		}
 	}
-	voters[rep] = true
-	return len(voters)
+	return n
 }
 
 // robustBusy folds the per-replica saturation gauges into the Outcome's
-// advisory value: the (f+1)-th highest gauge across distinct responders.
-// The top f slots may all be Byzantine inflation, so the (f+1)-th is the
-// largest value at least one honest replica vouches for. A completion has
-// collected f+1 distinct responders; if somehow fewer exist, report 0
-// rather than a value no honest replica may back.
+// advisory value: the (f+1)-th highest gauge across the n replicas, a
+// replica that has not responded counting 0. The top f slots may all be
+// Byzantine inflation, so the (f+1)-th is the largest value at least one
+// honest replica vouches for.
 func (e *Engine) robustBusy() uint8 {
-	if len(e.cur.busyBy) <= e.f {
-		return 0
+	gauges := e.gauges[:0]
+	for i := range e.cur.slots {
+		gauges = append(gauges, int(e.cur.slots[i].busy))
 	}
-	gauges := make([]int, 0, len(e.cur.busyBy))
-	for _, g := range e.cur.busyBy {
-		gauges = append(gauges, int(g))
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(gauges)))
-	return uint8(gauges[e.f])
+	e.gauges = gauges
+	slices.Sort(gauges)
+	return uint8(gauges[len(gauges)-1-e.f])
 }
 
 // OnTimeout handles the client timer expiring before completion: it

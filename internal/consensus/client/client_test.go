@@ -294,3 +294,62 @@ func TestBusyGaugeReportsHonestSaturation(t *testing.T) {
 		t.Fatalf("Busy = %d, want 200", out.Busy)
 	}
 }
+
+// TestPBFTFloodOfDistinctResultsHoldsOneVote: a faulty replica can send
+// any number of distinct results that each hash correctly (ResponseDigest
+// covers Seq and ReadResults, both of which it chooses). It holds one
+// vote — its latest — so the flood neither grows the engine's table nor
+// slows later votes, and the request completes on f+1 honest votes.
+func TestPBFTFloodOfDistinctResultsHoldsOneVote(t *testing.T) {
+	e, err := New(3, 4, PBFT) // f=1, quorum 2
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Submit(req(3, 5))
+	const flood = 5000
+	forged := make([]*types.ClientResponse, flood)
+	for i := range forged {
+		seq := types.SeqNum(100 + i)
+		forged[i] = &types.ClientResponse{Seq: seq, Client: 3, ClientSeq: 5, Result: types.ResponseDigest(seq, 3, 5, nil), Replica: 2}
+	}
+	for _, m := range forged {
+		if out, _ := e.OnMessage(types.ReplicaNode(2), m); out != nil {
+			t.Fatal("one replica completed the request")
+		}
+	}
+	if len(e.cur.slots) != 4 {
+		t.Fatalf("a flood of %d results left %d vote slots, want one a replica", flood, len(e.cur.slots))
+	}
+	// The true result completes on f+1 honest votes and not before.
+	result := types.ResponseDigest(1, 3, 5, nil)
+	honest := func(rep types.ReplicaID) *types.ClientResponse {
+		return &types.ClientResponse{Seq: 1, Client: 3, ClientSeq: 5, Result: result, Replica: rep}
+	}
+	if out, _ := e.OnMessage(types.ReplicaNode(0), honest(0)); out != nil {
+		t.Fatal("completed on one honest vote")
+	}
+	out, _ := e.OnMessage(types.ReplicaNode(1), honest(1))
+	if out == nil || out.Result != result {
+		t.Fatalf("did not complete on f+1 honest votes: %+v", out)
+	}
+}
+
+// TestPBFTReplicaVoteIsItsLatest: a replica that changes its result
+// withdraws its vote for the earlier one.
+func TestPBFTReplicaVoteIsItsLatest(t *testing.T) {
+	e, err := New(3, 4, PBFT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Submit(req(3, 5))
+	a := &types.ClientResponse{Seq: 1, Client: 3, ClientSeq: 5, Result: types.ResponseDigest(1, 3, 5, nil)}
+	b := &types.ClientResponse{Seq: 2, Client: 3, ClientSeq: 5, Result: types.ResponseDigest(2, 3, 5, nil)}
+	e.OnMessage(types.ReplicaNode(2), a)
+	e.OnMessage(types.ReplicaNode(2), b) // replica 2 now votes b
+	if out, _ := e.OnMessage(types.ReplicaNode(0), a); out != nil {
+		t.Fatal("a withdrawn vote counted toward the quorum")
+	}
+	if out, _ := e.OnMessage(types.ReplicaNode(1), a); out == nil {
+		t.Fatal("did not complete on two standing votes")
+	}
+}

@@ -31,6 +31,9 @@ type Link struct {
 	encBufs pool.BytePool
 	encHint int // largest body marshalled so far
 
+	// resp is where every ClientResponse is decoded, lent for one step.
+	resp types.ResponseBuffer
+
 	retransmits atomic.Uint64
 }
 
@@ -112,11 +115,20 @@ func (l *Link) Await(stop <-chan struct{}) *Outcome {
 
 // Open authenticates and decodes one inbound envelope and retires it:
 // decode copies every field, so the envelope (and any frame arena behind
-// it) is released here. ok is false for a forged or malformed envelope.
+// it) is released here. A ClientResponse is decoded into the Link's own
+// message, lent until the next Open: a caller that keeps its read results
+// past the step copies them (the engine's Outcome carries them). ok is
+// false for a forged or malformed envelope.
 func (l *Link) Open(env *types.Envelope) (from types.NodeID, msg types.Message, ok bool) {
 	defer env.Release()
 	if err := l.auth.Verify(env.From, env.Body, env.Auth); err != nil {
 		return 0, nil, false
+	}
+	if env.Type == types.MsgClientResponse {
+		if err := l.resp.Decode(env.Body); err != nil {
+			return 0, nil, false
+		}
+		return env.From, &l.resp.Msg, true
 	}
 	msg, err := types.DecodeBody(env.Type, env.Body)
 	if err != nil {

@@ -396,9 +396,9 @@ func (g *Gateway) Close() {
 	g.sessionsLive.Add(-int64(len(g.sessions)))
 	g.sessions = make(map[uint64]*sessionState)
 	// Submits that raced the shutdown never reach an upstream; their
-	// arenas must retire.
+	// frames must retire.
 	for _, p := range g.popLocked(nil, g.qLen) {
-		p.arena.Release()
+		p.frame.release()
 	}
 	g.sessMu.Unlock()
 }
@@ -433,16 +433,16 @@ func (g *Gateway) admissionBusy() (uint8, bool) {
 }
 
 // pending is one admitted session transaction traveling toward consensus.
-// It retains a reference on its frame's arena (ops alias the frame
-// buffer) until the reply is delivered. A frame's pendings are carved from
-// one slab.
+// It lives in its frame's pending slab and holds a reference on the frame
+// (its ops are the frame's) until its reply is delivered: whoever releases
+// that reference must be done reading the pending first.
 type pending struct {
 	conn    *gwConn
 	session uint64
 	nonce   uint64
 	ops     []types.Op
 	reads   int // read ops, for slicing the batched read results
-	arena   *types.Arena
+	frame   *sessionFrame
 }
 
 // pushLocked appends admitted pendings to the admission queue and, when an
@@ -612,18 +612,19 @@ func (gc *gwConn) readLoop() {
 		if err != nil {
 			return
 		}
-		gc.admit(f.Submits, f.Arena)
-		f.Arena.Release() // drop the reader's reference
+		gc.admit(f)
+		f.release() // drop the reader's reference
 	}
 }
 
 // admit runs one frame's submits through dedup and admission in a single
 // critical section with a single clock reading: what is per transaction
 // here is a table lookup and a slot in the frame's pending slab. The
-// caller owns a reference on arena; every admitted pending retains its
-// own. Submits answered on the spot (duplicates, pushback) get their
-// replies in one delivery after the lock is dropped.
-func (gc *gwConn) admit(subs []Submit, arena *types.Arena) {
+// caller owns a reference on f; every admitted pending retains its own.
+// Submits answered on the spot (duplicates, pushback) get their replies in
+// one delivery after the lock is dropped.
+func (gc *gwConn) admit(f *sessionFrame) {
+	subs := f.Submits
 	if len(subs) == 0 {
 		return
 	}
@@ -633,7 +634,12 @@ func (gc *gwConn) admit(subs []Submit, arena *types.Arena) {
 	// the retry (same nonce) is a fresh admission attempt.
 	gauge, saturated := gw.admissionBusy()
 	now := time.Now().UnixNano()
-	slab := make([]pending, 0, len(subs))
+	if cap(f.pendings) < len(subs) {
+		f.pendings = make([]pending, 0, len(subs))
+	}
+	// The slab never grows past its capacity, so the queue's pointers
+	// into it stay put.
+	slab := f.pendings[:0]
 	var replies []Reply
 	var absorbed, replayed, rejected, pushedBack uint64
 
@@ -688,10 +694,11 @@ func (gc *gwConn) admit(subs []Submit, arena *types.Arena) {
 				reads++
 			}
 		}
-		arena.Retain() // the pending's reference, held before an upstream can see it
-		slab = append(slab, pending{conn: gc, session: s.Session, nonce: s.Nonce, ops: s.Ops, reads: reads, arena: arena})
+		f.retain() // the pending's reference, held before an upstream can see it
+		slab = append(slab, pending{conn: gc, session: s.Session, nonce: s.Nonce, ops: s.Ops, reads: reads, frame: f})
 		st.inflight = append(st.inflight, s.Nonce)
 	}
+	f.pendings = slab
 	gw.pushLocked(slab)
 	gw.sessMu.Unlock()
 
@@ -753,7 +760,7 @@ func (gc *gwConn) writeLoop() {
 		gc.room.Broadcast()
 		for off := 0; off < len(batch); {
 			frame := batch[off:min(off+maxFrameMessages, len(batch))]
-			w.Reset()
+			startSessionFrame(w)
 			for i := range frame {
 				appendReply(w, &frame[i])
 			}

@@ -58,14 +58,14 @@ func TestSessionWireRoundTrip(t *testing.T) {
 		appendReply(w, &reps[i])
 	}
 	var buf bytes.Buffer
-	if err := writeSessionFrame(&buf, len(subs)+len(reps), w.Bytes()); err != nil {
+	if err := writeSessionFrame(&buf, len(subs)+len(reps), framed(w.Bytes())); err != nil {
 		t.Fatalf("writing frame: %v", err)
 	}
 	f, err := readSessionFrame(&buf, new(pool.BytePool))
 	if err != nil {
 		t.Fatalf("reading frame: %v", err)
 	}
-	defer f.Arena.Release()
+	defer f.release()
 	if len(f.Submits) != len(subs) || len(f.Replies) != len(reps) {
 		t.Fatalf("got %d submits, %d replies; want %d, %d", len(f.Submits), len(f.Replies), len(subs), len(reps))
 	}
@@ -216,7 +216,7 @@ func TestSessionWireGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Arena.Release()
+	defer f.release()
 	if len(f.Submits) != 1 || len(f.Submits[0].Ops) != 2 || len(f.Replies) != 1 || len(f.Replies[0].Reads) != 2 {
 		t.Fatalf("golden session frame decodes to %+v", f)
 	}
@@ -233,7 +233,7 @@ func FuzzReadSessionFrame(f *testing.F) {
 	}
 	frame := func(count int, payload []byte) []byte {
 		var buf bytes.Buffer
-		_ = writeSessionFrame(&buf, count, payload) // a bytes.Buffer takes every write
+		_ = writeSessionFrame(&buf, count, framed(payload)) // a bytes.Buffer takes every write
 		return buf.Bytes()
 	}
 	for _, body := range chaos.MalformedBodies() {
@@ -252,7 +252,7 @@ func FuzzReadSessionFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		defer sf.Arena.Release()
+		defer sf.release()
 		// Submits and replies may interleave on the wire; re-encoding each
 		// kind in order reproduces the frame when it carried only one kind.
 		if len(sf.Submits) > 0 && len(sf.Replies) > 0 {
@@ -277,7 +277,7 @@ func frameBytes(t *testing.T, count int, build func(*types.Writer)) []byte {
 	defer types.PutWriter(w)
 	build(w)
 	var buf bytes.Buffer
-	if err := writeSessionFrame(&buf, count, w.Bytes()); err != nil {
+	if err := writeSessionFrame(&buf, count, framed(w.Bytes())); err != nil {
 		t.Fatalf("writing frame: %v", err)
 	}
 	return buf.Bytes()
@@ -358,7 +358,7 @@ func (ts *testSession) send(subs ...Submit) {
 		appendSubmit(w, &subs[i])
 	}
 	ts.c.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	if err := writeSessionFrame(ts.c, len(subs), w.Bytes()); err != nil {
+	if err := writeSessionFrame(ts.c, len(subs), framed(w.Bytes())); err != nil {
 		ts.t.Fatalf("sending frame: %v", err)
 	}
 }
@@ -375,7 +375,7 @@ func (ts *testSession) recv(n int, timeout time.Duration) []Reply {
 			ts.t.Fatalf("reading replies (have %d, want %d): %v", len(out), n, err)
 		}
 		out = append(out, f.Replies...)
-		f.Arena.Release()
+		f.release()
 	}
 	return out
 }
@@ -392,7 +392,7 @@ func (ts *testSession) tryRecv(n int, timeout time.Duration) []Reply {
 			return out
 		}
 		out = append(out, f.Replies...)
-		f.Arena.Release()
+		f.release()
 	}
 	return out
 }
@@ -1071,4 +1071,18 @@ func TestGatewayBatchOfOne(t *testing.T) {
 			}
 		})
 	}
+}
+
+// framed puts room for the frame header in front of payload, as
+// startSessionFrame does for a frame under construction.
+func framed(payload []byte) []byte {
+	return append(make([]byte, frameHeader), payload...)
+}
+
+// submitFrame is a frame from the pool holding subs, as if decoded; the
+// caller holds its one reference.
+func submitFrame(subs ...Submit) *sessionFrame {
+	f := acquireFrame()
+	f.Submits = append(f.Submits[:0], subs...)
+	return f
 }

@@ -185,7 +185,7 @@ func (lc *loadConn) writeLoop() {
 		case <-lc.done:
 			return
 		}
-		w.Reset()
+		startSessionFrame(w)
 		lc.marshalSubmit(w, first)
 		count := 1
 	coalesce:
@@ -239,7 +239,7 @@ func (lc *loadConn) readLoop() {
 		for i := range f.Replies {
 			lc.handleReply(&f.Replies[i])
 		}
-		f.Arena.Release()
+		f.release()
 	}
 }
 

@@ -21,9 +21,11 @@ type upstream struct {
 	ep   transport.Endpoint
 	seq  uint64 // next FirstSeq; gateway transactions number per-upstream
 
-	// batch and replies are the worker's scratch, reused across requests:
-	// exactly one is in flight.
+	// batch, txns and replies are the worker's scratch, reused across
+	// requests: exactly one is in flight, and replicas decode it from the
+	// link's encode buffer, not from txns.
 	batch   []*pending
+	txns    []types.Transaction
 	replies []Reply
 }
 
@@ -85,17 +87,19 @@ func (u *upstream) collect() []*pending {
 }
 
 // submit drives one coalesced request through consensus and fans the
-// outcome back. On shutdown the batch's arenas retire without replies.
+// outcome back. On shutdown the batch's frames retire without replies.
 func (u *upstream) submit(batch []*pending) {
 	gw := u.gw
-	txns := make([]types.Transaction, len(batch))
+	txns := u.txns[:0]
 	for i, p := range batch {
-		txns[i] = types.Transaction{
+		txns = append(txns, types.Transaction{
 			Client:    u.id,
 			ClientSeq: u.seq + uint64(i),
 			Ops:       p.ops,
-		}
+		})
 	}
+	u.txns = txns
+	defer clear(txns) // the scratch must not pin the frames' ops
 	req := types.ClientRequest{Client: u.id, FirstSeq: u.seq, Txns: txns}
 	if err := u.link.Sign(&req); err != nil {
 		u.abandon(batch)
@@ -128,6 +132,12 @@ func (u *upstream) submit(batch []*pending) {
 		gw.readMismatches.Add(1)
 		status = StatusRejected
 	}
+	// The outcome's results are lent until the link's next response, and
+	// a reply's Reads stay in the session's dedup ring: copy them once.
+	var reads []types.ReadResult
+	if status == StatusOK && totalReads > 0 {
+		reads = types.CloneReadResults(outcome.ReadResults)
+	}
 	replies := u.replies[:0]
 	off := 0
 	for i, p := range batch {
@@ -139,19 +149,19 @@ func (u *upstream) submit(batch []*pending) {
 			Busy:    outcome.Busy,
 		}
 		if status == StatusOK && p.reads > 0 {
-			r.Reads = outcome.ReadResults[off : off+p.reads]
+			r.Reads = reads[off : off+p.reads : off+p.reads]
 		}
 		off += p.reads
 		replies = append(replies, r)
 	}
 	u.complete(batch, replies)
-	clear(replies) // the scratch must not pin the outcome's read results
+	clear(replies) // the scratch must not pin the copied read results
 	u.replies = replies
 }
 
 // complete delivers a consensus outcome for a whole batch: under one lock
 // acquisition and one clock reading every session's dedup state advances
-// and caches its reply for retries; then the pendings' arena references
+// and caches its reply for retries; then the pendings' frame references
 // retire and each connection gets its replies — one delivery per run of
 // consecutive pendings from the same connection, and a frame's pendings
 // sit together in the queue, so a batch costs a handful of deliveries, not
@@ -173,7 +183,8 @@ func (u *upstream) complete(batch []*pending, replies []Reply) {
 		conn := batch[start].conn
 		end := start
 		for end < len(batch) && batch[end].conn == conn {
-			batch[end].arena.Release()
+			// The pending lives in its frame: read nothing of it after this.
+			batch[end].frame.release()
 			end++
 		}
 		conn.deliver(replies[start:end])
@@ -182,7 +193,7 @@ func (u *upstream) complete(batch []*pending, replies []Reply) {
 }
 
 // abandon retires a batch that can no longer complete (shutdown): the
-// arenas release and the sessions' in-flight marks clear so a
+// frames release and the sessions' in-flight marks clear so a
 // reconnecting session could resubmit. No reply is sent — the connection
 // is going away with the gateway.
 func (u *upstream) abandon(batch []*pending) {
@@ -195,6 +206,6 @@ func (u *upstream) abandon(batch []*pending) {
 	}
 	gw.sessMu.Unlock()
 	for _, p := range batch {
-		p.arena.Release()
+		p.frame.release()
 	}
 }

@@ -4,8 +4,9 @@
 // multiplexing pipe, not an identity. Framing follows the transport
 // layer's length-prefixed idiom, and inbound frames decode zero-copy out
 // of pooled buffers exactly like the replica receive path: a Submit's op
-// values alias the frame buffer through a reference-counted arena until
-// the gateway has folded them into a consensus request.
+// values alias the frame buffer, and a decoded frame is a reference-counted
+// pooled object that lives until the gateway has answered every submit it
+// admitted from it.
 //
 // Frame layout:
 //
@@ -32,8 +33,10 @@
 package gateway
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"resilientdb/internal/types"
 )
@@ -79,8 +82,8 @@ func (s Status) String() string {
 }
 
 // Submit is one session transaction entering the gateway. Ops may alias
-// the inbound frame buffer; the arena reference (held by the gateway's
-// pending record) keeps the buffer alive until the transaction has been
+// the inbound frame (sessionFrame); the frame reference held by the
+// gateway's pending record keeps it alive until the transaction has been
 // marshalled into a consensus request and answered.
 type Submit struct {
 	Session uint64
@@ -133,69 +136,185 @@ func appendReply(w *types.Writer, r *Reply) {
 	w.ReadResults(r.Reads)
 }
 
-// writeSessionFrame writes one frame carrying count messages already
-// marshalled into payload (the bytes after the two header words).
-func writeSessionFrame(w io.Writer, count int, payload []byte) error {
-	n := uint32(4 + len(payload))
-	hdr := [8]byte{
-		byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n),
-		byte(count >> 24), byte(count >> 16), byte(count >> 8), byte(count),
-	}
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("gateway: writing session frame: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
+// frameHeader is the two header words a frame under construction leaves
+// room for at the front of its Writer.
+const frameHeader = 8
+
+// startSessionFrame empties w and leaves room for the frame header.
+func startSessionFrame(w *types.Writer) {
+	w.Reset()
+	w.U64(0)
+}
+
+// writeSessionFrame fills in the header of frame — a frame built since
+// startSessionFrame, carrying count messages — and writes it as one slice.
+func writeSessionFrame(w io.Writer, count int, frame []byte) error {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	binary.BigEndian.PutUint32(frame[4:], uint32(count))
+	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("gateway: writing session frame: %w", err)
 	}
 	return nil
 }
 
-// sessionFrame is one decoded inbound frame. Submits' op values alias the
-// frame buffer; the caller must Release the arena once every submit in
-// the frame has been retired (the arena starts with one reference per
-// submit plus the caller's).
+// sessionFrame is one decoded inbound frame, a counted and pooled object:
+// it owns its body buffer, the Submits or Replies decoded from it, the
+// slab the Submits' ops are carved from (op values alias the body), and
+// the pendings admit carves for the submits it admits. The reader holds
+// the first reference and each admitted pending one more; the last release
+// (complete, abandon or Close for a pending) returns the body to its
+// buffers and the frame, every slice's capacity kept, to framePool, so a
+// frame's decode and admission allocate nothing once the pool is warm.
 type sessionFrame struct {
-	Submits []Submit
-	Replies []Reply
-	Arena   *types.Arena
+	refs atomic.Int32
+	hdr  [4]byte // the length prefix, read here so it need not escape
+	body []byte
+	bufs types.FrameBuffers
+
+	Submits  []Submit
+	Replies  []Reply
+	ops      []types.Op
+	pendings []pending
 }
 
-// readSessionFrame reads and decodes one frame from r, borrowing the
-// frame buffer from bufs. On success the returned frame's arena holds one
-// reference owned by the caller; Submit op values alias the buffer, Reply
-// values are copied (replies are few and small — the sessions side keeps
-// no arenas). An error means the stream is corrupt and the connection
-// must be closed; io.EOF propagates untouched for clean shutdown.
-func readSessionFrame(r io.Reader, bufs types.FrameBuffers) (sessionFrame, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return sessionFrame{}, err
+// framePoolCap bounds the free list of released frames. The frames alive
+// at once are the ones with admitted work, at most the admission queue's
+// worth, but a closed loop of 2,000 sessions on two connections holds
+// about 32 frames of 64 submits, and a release beyond the cap goes to the
+// collector.
+const framePoolCap = 256
+
+// maxPooledOps is the op slab a pooled frame may keep: 16 ops for each of
+// maxFrameMessages submits. A frame whose Submits, Replies or pendings
+// grew past maxFrameMessages, or whose op slab grew past this, is left to
+// the collector, so an oversized or hostile frame buys no resident memory.
+const maxPooledOps = 16 * maxFrameMessages
+
+var framePool = make(chan *sessionFrame, framePoolCap)
+
+// liveFrames counts the frames acquired and not yet released for the last
+// time: once a gateway and its connections have stopped, a count above
+// what it was before they started is a missed release.
+var liveFrames atomic.Int64
+
+// acquireFrame returns an empty frame with one reference, the caller's.
+func acquireFrame() *sessionFrame {
+	var f *sessionFrame
+	select {
+	case f = <-framePool:
+	default:
+		f = new(sessionFrame)
 	}
-	n := uint32(lenBuf[0])<<24 | uint32(lenBuf[1])<<16 | uint32(lenBuf[2])<<8 | uint32(lenBuf[3])
+	f.refs.Store(1)
+	liveFrames.Add(1)
+	return f
+}
+
+func (f *sessionFrame) retain() { f.refs.Add(1) }
+
+// release drops one reference. The last returns the body to its buffers,
+// empties the frame — or, with types.SetPoisonLent on, poisons its body and
+// every element it lent, so a holder that read on past its release sees
+// 0xDB — and pools it if its slices are within bounds.
+func (f *sessionFrame) release() {
+	if f.refs.Add(-1) != 0 {
+		return
+	}
+	liveFrames.Add(-1)
+	if types.PoisonLent() {
+		f.poison()
+	}
+	if f.bufs != nil {
+		f.bufs.Put(f.body)
+	}
+	f.body, f.bufs = nil, nil
+	clear(f.Submits)
+	clear(f.Replies)
+	clear(f.ops)
+	clear(f.pendings)
+	f.Submits, f.Replies, f.ops, f.pendings = f.Submits[:0], f.Replies[:0], f.ops[:0], f.pendings[:0]
+	if cap(f.Submits) > maxFrameMessages || cap(f.Replies) > maxFrameMessages ||
+		cap(f.pendings) > maxFrameMessages || cap(f.ops) > maxPooledOps {
+		return
+	}
+	select {
+	case framePool <- f:
+	default: // full: the collector takes it
+	}
+}
+
+// poisonKey is what a released frame's session ids, nonces and keys read.
+const poisonKey = 0xDBDBDBDBDBDBDBDB
+
+var (
+	poisonValue = []byte{0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB}
+	poisonOps   = []types.Op{{Key: poisonKey, Value: poisonValue}}
+)
+
+func (f *sessionFrame) poison() {
+	for i := range f.body {
+		f.body[i] = 0xDB
+	}
+	for i := range f.ops {
+		f.ops[i] = poisonOps[0]
+	}
+	for i := range f.Submits {
+		f.Submits[i] = Submit{Session: poisonKey, Nonce: poisonKey, Ops: poisonOps}
+	}
+	for i := range f.Replies {
+		f.Replies[i] = Reply{Session: poisonKey, Nonce: poisonKey, Seq: poisonKey}
+	}
+	for i := range f.pendings {
+		f.pendings[i] = pending{session: poisonKey, nonce: poisonKey, ops: poisonOps}
+	}
+}
+
+// readSessionFrame reads and decodes one frame from r into a frame from
+// framePool, borrowing the body buffer from bufs. On success the caller
+// holds the frame's one reference; Submit op values alias the body, Reply
+// read results are copied (the sessions side keeps no frames). An error
+// means the stream is corrupt and the connection must be closed; io.EOF
+// propagates untouched for clean shutdown.
+func readSessionFrame(r io.Reader, bufs types.FrameBuffers) (*sessionFrame, error) {
+	f := acquireFrame()
+	if _, err := io.ReadFull(r, f.hdr[:]); err != nil {
+		f.release()
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(f.hdr[:])
 	if n < 4 || n > maxSessionFrame {
-		return sessionFrame{}, fmt.Errorf("gateway: session frame of %d bytes", n)
+		f.release()
+		return nil, fmt.Errorf("gateway: session frame of %d bytes", n)
 	}
-	body := bufs.Get(int(n))[:n]
-	arena := types.NewArena(body, bufs)
-	if _, err := io.ReadFull(r, body); err != nil {
-		arena.Release()
-		return sessionFrame{}, fmt.Errorf("gateway: reading session frame: %w", err)
+	f.body, f.bufs = bufs.Get(int(n))[:n], bufs
+	if _, err := io.ReadFull(r, f.body); err != nil {
+		f.release()
+		return nil, fmt.Errorf("gateway: reading session frame: %w", err)
 	}
-	rd := types.NewAliasReader(body)
+	if err := f.decode(); err != nil {
+		f.release()
+		return nil, err
+	}
+	return f, nil
+}
+
+// decode parses the body into Submits and Replies.
+func (f *sessionFrame) decode() error {
+	rd := types.NewAliasReader(f.body)
 	count := int(rd.U32())
-	if count < 0 || count > int(n)/minSubmitSize+1 {
-		arena.Release()
-		return sessionFrame{}, fmt.Errorf("gateway: session frame count %d", count)
+	if count < 0 || count > len(f.body)/minSubmitSize+1 {
+		return fmt.Errorf("gateway: session frame count %d", count)
 	}
-	f := sessionFrame{Arena: arena}
 	for i := 0; i < count && rd.Err() == nil; i++ {
 		switch kind := rd.U8(); kind {
 		case kindSubmit:
 			var s Submit
 			s.Session = rd.U64()
 			s.Nonce = rd.U64()
-			s.Ops = rd.Ops() // values alias the frame buffer
-			if f.Submits == nil {
+			// The values alias the body; the ops come from the frame's
+			// slab, sized for the rest of the frame at one op a submit.
+			s.Ops = rd.OpsInto(&f.ops, count-i)
+			if len(f.Submits) == 0 && cap(f.Submits) < count-i {
 				// One slice for the frame: count was checked against the
 				// frame's length above.
 				f.Submits = make([]Submit, 0, count-i)
@@ -209,22 +328,19 @@ func readSessionFrame(r io.Reader, bufs types.FrameBuffers) (sessionFrame, error
 			rp.Seq = rd.U64()
 			rp.Busy = rd.U8()
 			rp.Reads = rd.ReadResults() // copies: replies outlive the frame
-			if f.Replies == nil {
+			if len(f.Replies) == 0 && cap(f.Replies) < count-i {
 				f.Replies = make([]Reply, 0, count-i)
 			}
 			f.Replies = append(f.Replies, rp)
 		default:
-			arena.Release()
-			return sessionFrame{}, fmt.Errorf("gateway: unknown session message kind %#x", kind)
+			return fmt.Errorf("gateway: unknown session message kind %#x", kind)
 		}
 	}
 	if err := rd.Err(); err != nil {
-		arena.Release()
-		return sessionFrame{}, fmt.Errorf("gateway: decoding session frame: %w", err)
+		return fmt.Errorf("gateway: decoding session frame: %w", err)
 	}
 	if rd.Remaining() != 0 {
-		arena.Release()
-		return sessionFrame{}, fmt.Errorf("gateway: session frame with %d trailing bytes", rd.Remaining())
+		return fmt.Errorf("gateway: session frame with %d trailing bytes", rd.Remaining())
 	}
-	return f, nil
+	return nil
 }

@@ -77,7 +77,9 @@ type Stats struct {
 // access to it. ID is its client identity or gateway session number, Req
 // the request in flight at sequence (nonce) Seq, Start when Req was begun
 // (zero before), and Queued a Transport's mark for a queued session. A
-// session's first sequence is its generator's start (see New).
+// session's first sequence is its generator's start (see New). Req's
+// transactions, ops and values live in the session's own arrays, which
+// every draw overwrites: Req is valid until the session's next Complete.
 type Session struct {
 	ID     types.ClientID
 	Seq    uint64
@@ -85,7 +87,9 @@ type Session struct {
 	kind   kind
 	Start  time.Time
 	Queued bool
-	txn    [1]types.Transaction // Req.Txns for a burst of one
+	txns   []types.Transaction
+	ops    []types.Op
+	slab   []byte
 }
 
 // Carrier is one Transport's share of the sessions, their workload stream,
@@ -144,10 +148,18 @@ func (g *Generator) Add(n int, t Transport) (*Carrier, error) {
 		return nil, err
 	}
 	c := &Carrier{Sessions: make([]Session, n), burst: g.cfg.Burst, wl: wl, t: t}
+	// Every session's storage is cut from three carrier-wide arrays.
+	burst, per, size := g.cfg.Burst, g.cfg.Workload.OpsPerTxn, wl.SlabSize(g.cfg.Burst)
+	txns := make([]types.Transaction, n*burst)
+	ops := make([]types.Op, n*burst*per)
+	slab := make([]byte, n*size)
 	for i := range c.Sessions {
 		s := &c.Sessions[i]
 		s.ID = types.ClientID(g.sessions + i)
 		s.Seq = g.first
+		s.txns = txns[i*burst : (i+1)*burst : (i+1)*burst]
+		s.ops = ops[i*burst*per : (i+1)*burst*per : (i+1)*burst*per]
+		s.slab = slab[i*size : (i+1)*size : (i+1)*size]
 		c.draw(s)
 	}
 	g.carriers = append(g.carriers, c)
@@ -245,16 +257,11 @@ func (c *Carrier) Busy() { c.busy.Add(1) }
 // Stale counts one local read every replica refused as stale.
 func (c *Carrier) Stale() { c.stale.Add(1) }
 
-// draw sets s's request to the next one at s.Seq. A burst of one is drawn
-// as one transaction into the session's own slot; a longer one is a
-// workload request.
+// draw sets s's request to the next one at s.Seq, filled into the
+// session's own arrays: a draw allocates nothing.
 func (c *Carrier) draw(s *Session) {
-	if c.burst == 1 {
-		s.txn[0] = c.wl.NextTransaction(s.ID, s.Seq)
-		s.Req = types.ClientRequest{Client: s.ID, FirstSeq: s.Seq, Txns: s.txn[:]}
-	} else {
-		s.Req = c.wl.NextRequest(s.ID, s.Seq, c.burst)
-	}
+	c.wl.Fill(s.ID, s.Seq, s.txns, s.ops, s.slab)
+	s.Req = types.ClientRequest{Client: s.ID, FirstSeq: s.Seq, Txns: s.txns}
 	s.kind = kindOf(&s.Req)
 }
 

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -83,9 +84,10 @@ func TestRunPercentilesMergeCarriers(t *testing.T) {
 }
 
 // TestCompleteAllocatesOnlyTheDraw: booking an answer and drawing the
-// session's next request allocates what the workload draw does and
-// nothing more (the draw itself is capped by TestNextRequestAllocations).
-// Carrier 0 draws from Seed, so a workload salted Seed replays its stream.
+// session's next request allocates nothing — the draw fills the session's
+// own arrays — for writes, a mixed stream and a burst of 8; and what it
+// draws is the workload's stream, byte for byte: carrier 0 draws from
+// Seed, so a workload salted Seed replays it.
 func TestCompleteAllocatesOnlyTheDraw(t *testing.T) {
 	mixed := testWorkload()
 	mixed.Preset = "a"
@@ -106,27 +108,29 @@ func TestCompleteAllocatesOnlyTheDraw(t *testing.T) {
 				c.Begin(s)
 				c.Complete(s, Acked)
 			})
+			if complete != 0 {
+				t.Fatalf("Complete and the next draw allocate %.2f per request, want 0", complete)
+			}
+			if got := c.txns[kindWrite].Load() + c.txns[kindRead].Load(); got != 501*uint64(tt.burst) {
+				t.Fatalf("%d transactions counted, want %d", got, 501*tt.burst)
+			}
 
+			// Add drew one request and AllocsPerRun ran Complete 501 times
+			// (once more than it counts): s.Req is the stream's 502nd.
 			wl, err := workload.New(tt.wl, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			id, seq := s.ID, uint64(1)
-			next := func() {
-				if tt.burst == 1 {
-					_ = wl.NextTransaction(id, seq)
-				} else {
-					_ = wl.NextRequest(id, seq, tt.burst)
-				}
+			seq := s.Req.FirstSeq - 501*uint64(tt.burst)
+			for i := 0; i < 502; i++ {
+				want := wl.NextRequest(s.ID, seq, tt.burst)
 				seq += uint64(tt.burst)
-			}
-			next() // the request Add drew
-			draw := testing.AllocsPerRun(500, next)
-			if complete > draw {
-				t.Fatalf("Complete allocates %.2f per request, the draw alone %.2f", complete, draw)
-			}
-			if got := c.txns[kindWrite].Load() + c.txns[kindRead].Load(); got != 501*uint64(tt.burst) {
-				t.Fatalf("%d transactions counted, want %d", got, 501*tt.burst)
+				if i < 501 {
+					continue
+				}
+				if got := types.MarshalBody(&s.Req); !bytes.Equal(got, types.MarshalBody(&want)) {
+					t.Fatalf("the session's request differs from the workload's stream:\n%x\n%x", got, types.MarshalBody(&want))
+				}
 			}
 		})
 	}

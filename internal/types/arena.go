@@ -204,6 +204,11 @@ var (
 // bytes — and costs one atomic load per release while off.
 func SetPoisonLent(on bool) { poisonLent.Store(on) }
 
+// PoisonLent reports whether SetPoisonLent is on, for the keepers of lent
+// memory outside this package (a gateway's session frames) to poison theirs
+// under the same switch.
+func PoisonLent() bool { return poisonLent.Load() }
+
 // writerPool recycles Writers for the encode paths that build a frame or
 // body, copy or write it out, and discard the scratch space.
 var writerPool = sync.Pool{New: func() any { return new(Writer) }}

@@ -201,6 +201,7 @@ var (
 	// nor races on the hold's next life to do so.
 	poisonRequest  = ClientRequest{Client: poisonClient, FirstSeq: uint64(poisonSeq), Txns: poisonTxns, Sig: poisonBytes, d: poisonDigest, hashed: true}
 	poisonRequests = []ClientRequest{poisonRequest}
+	poisonRows     = []ScanRow{{Key: poisonKey, Value: poisonBytes}}
 )
 
 // carve returns n zeroed elements from the unused tail of *slab, clipped to

@@ -126,7 +126,26 @@ func (r *Reader) Ops() []Op {
 	if r.err != nil {
 		return nil
 	}
-	ops := r.carveOps(n)
+	return r.fillOps(r.carveOps(n))
+}
+
+// OpsInto reads an op list like Ops, carving the ops from *slab: storage
+// the caller owns and reuses from message to message, as a hold owns its
+// arrays. A slab without room is replaced by one of twice its capacity, or
+// of the list's length or hint if more, where hint — how many ops the
+// caller expects the rest of its message to need — is clipped to what the
+// unread bytes could encode; what was carved from the old slab stays
+// where it is.
+func (r *Reader) OpsInto(slab *[]Op, hint int) []Op {
+	n := r.count(minOpSize)
+	if r.err != nil {
+		return nil
+	}
+	return r.fillOps(carve(slab, n, min(hint, r.Remaining()/minOpSize+1)))
+}
+
+// fillOps decodes len(ops) ops into ops.
+func (r *Reader) fillOps(ops []Op) []Op {
 	for i := range ops {
 		op := &ops[i]
 		op.Kind = OpKind(r.U8())
@@ -540,6 +559,21 @@ func (w *Writer) ReadResults(results []ReadResult) {
 // scan row from one row slab, so a list costs at most three allocations
 // however many values it carries.
 func (r *Reader) ReadResults() []ReadResult {
+	return r.readResults(nil)
+}
+
+// readStorage is where a reused message's read results live: the result
+// array, the value bytes and the scan rows, each kept at the capacity its
+// largest list needed.
+type readStorage struct {
+	results []ReadResult
+	slab    []byte
+	rows    []ScanRow
+}
+
+// readResults reads a result list into st's arrays, growing what is too
+// short, or into fresh ones when st is nil.
+func (r *Reader) readResults(st *readStorage) []ReadResult {
 	n := r.count(5) // marker + u32 length prefix or row count
 	if r.err != nil || n == 0 {
 		return nil
@@ -565,17 +599,27 @@ func (r *Reader) ReadResults() []ReadResult {
 		r.fail(m.err)
 		return nil
 	}
-	results := make([]ReadResult, n)
-	slab := make([]byte, 0, size)
+	if st == nil {
+		st = &readStorage{}
+	}
+	if cap(st.results) < n {
+		st.results = make([]ReadResult, n)
+	}
+	if cap(st.slab) < size {
+		st.slab = make([]byte, 0, size)
+	}
+	if cap(st.rows) < rows {
+		st.rows = make([]ScanRow, rows)
+	}
+	results := st.results[:n]
+	clear(results)
+	slab := st.slab[:0]
 	value := func() []byte {
 		at := len(slab)
 		slab = append(slab, r.blob(true)...)
 		return slab[at:len(slab):len(slab)]
 	}
-	var rowSlab []ScanRow
-	if rows > 0 {
-		rowSlab = make([]ScanRow, rows)
-	}
+	rowSlab := st.rows[:rows]
 	for i := range results {
 		res := &results[i]
 		if marker := r.U8(); marker != scanMarker {
@@ -595,6 +639,62 @@ func (r *Reader) ReadResults() []ReadResult {
 		}
 	}
 	return results
+}
+
+// CloneReadResults returns a copy of rs that owns all of its memory, in at
+// most three allocations: for a keeper of results that were lent.
+func CloneReadResults(rs []ReadResult) []ReadResult {
+	if len(rs) == 0 {
+		return nil
+	}
+	w := GetWriter()
+	w.ReadResults(rs)
+	r := Reader{buf: w.Bytes()}
+	out := r.ReadResults()
+	PutWriter(w)
+	return out
+}
+
+// ResponseBuffer is a ClientResponse decoded into storage its owner reuses:
+// the message and its read results are lent until the next Decode, which
+// overwrites them (or, with SetPoisonLent on, poisons them first). A client
+// link answers every response with one, so a response costs no allocation
+// once the storage has grown to the largest read list.
+type ResponseBuffer struct {
+	Msg ClientResponse
+	st  readStorage
+}
+
+// Decode parses a ClientResponse body into b.Msg, under DecodeBody's rules:
+// the body must be consumed exactly.
+func (b *ResponseBuffer) Decode(body []byte) error {
+	if poisonLent.Load() {
+		b.st.poison()
+	}
+	return decodeInto((*bufferedResponse)(b), body, nil)
+}
+
+// bufferedResponse is a ResponseBuffer as the Message decodeInto fills.
+type bufferedResponse ResponseBuffer
+
+func (m *bufferedResponse) Type() MsgType       { return MsgClientResponse }
+func (m *bufferedResponse) marshal(w *Writer)   { m.Msg.marshal(w) }
+func (m *bufferedResponse) unmarshal(r *Reader) { m.Msg.unmarshalInto(r, &m.st) }
+
+// poison overwrites everything the storage lent, to its capacity.
+func (st *readStorage) poison() {
+	results := st.results[:cap(st.results)]
+	for i := range results {
+		results[i] = ReadResult{Found: true, Value: poisonBytes, Scan: true, Rows: poisonRows}
+	}
+	rows := st.rows[:cap(st.rows)]
+	for i := range rows {
+		rows[i] = poisonRows[0]
+	}
+	slab := st.slab[:cap(st.slab)]
+	for i := range slab {
+		slab[i] = 0xDB
+	}
 }
 
 // ResponseDigest derives the deterministic execution result every correct
@@ -655,14 +755,18 @@ func (m *ClientResponse) marshal(w *Writer) {
 	w.U8(m.Busy)
 }
 
-func (m *ClientResponse) unmarshal(r *Reader) {
+func (m *ClientResponse) unmarshal(r *Reader) { m.unmarshalInto(r, nil) }
+
+// unmarshalInto decodes the response with its read results in st's
+// arrays, or in fresh ones when st is nil.
+func (m *ClientResponse) unmarshalInto(r *Reader, st *readStorage) {
 	m.View = View(r.U64())
 	m.Seq = SeqNum(r.U64())
 	m.Client = ClientID(r.U32())
 	m.ClientSeq = r.U64()
 	m.Result = r.Bytes32()
 	m.Replica = ReplicaID(r.U16())
-	m.ReadResults = r.ReadResults()
+	m.ReadResults = r.readResults(st)
 	m.Busy = r.U8()
 }
 

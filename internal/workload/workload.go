@@ -238,17 +238,62 @@ func (w *Workload) ScanFraction() float64 { return w.scanFrac }
 // identical to the pre-read workload: the mix coin is only flipped when
 // reads or scans are configured, so it perturbs no draws, and streams
 // with reads but no scans draw exactly as they did before scans existed.
+// It is Fill into a fresh op array; the value slab is sized for what the
+// transaction writes.
 func (w *Workload) NextTransaction(client types.ClientID, clientSeq uint64) types.Transaction {
-	txn, _ := w.buildTransaction(client, clientSeq, make([]types.Op, w.cfg.OpsPerTxn), nil)
-	return txn
+	var txn [1]types.Transaction
+	w.Fill(client, clientSeq, txn[:], make([]types.Op, w.cfg.OpsPerTxn), nil)
+	return txn[0]
+}
+
+// NextRequest builds a client request carrying a burst of txns transactions
+// starting at clientSeq (client-side batching, Section 4.2). The request is
+// unsigned; the client engine signs it. It is Fill into one transaction
+// list, one operation slab and one byte slab of SlabSize — three
+// allocations a request, not two a transaction and one more a value —
+// which a request that goes straight to the encoder gives back together.
+func (w *Workload) NextRequest(client types.ClientID, clientSeq uint64, txns int) types.ClientRequest {
+	if txns < 1 {
+		txns = 1
+	}
+	list := make([]types.Transaction, txns)
+	w.Fill(client, clientSeq, list, make([]types.Op, txns*w.cfg.OpsPerTxn), make([]byte, w.SlabSize(txns)))
+	return types.ClientRequest{
+		Client:   client,
+		FirstSeq: clientSeq,
+		Txns:     list,
+	}
+}
+
+// SlabSize is the byte slab Fill needs for txns transactions: sized for a
+// burst of writes, the most a burst can need.
+func (w *Workload) SlabSize(txns int) int {
+	perTxn := w.cfg.PayloadSize
+	if w.readFrac+w.scanFrac < 1 {
+		perTxn += w.cfg.OpsPerTxn * w.cfg.ValueSize
+	}
+	return txns * perTxn
+}
+
+// Fill draws the next len(txns) transactions, at clientSeq onwards, into
+// storage the caller owns: transaction i's Ops are OpsPerTxn elements of
+// ops (which holds len(txns)×OpsPerTxn) and its values and payload are cut
+// from slab, each clipped to its own length. A slab shorter than SlabSize
+// is topped up by an allocation for the transactions it cannot hold. The
+// draws, and so the stream's bytes, are the same whatever storage they
+// land in: NextTransaction and NextRequest are Fill into fresh arrays.
+func (w *Workload) Fill(client types.ClientID, clientSeq uint64, txns []types.Transaction, ops []types.Op, slab []byte) {
+	per := w.cfg.OpsPerTxn
+	for i := range txns {
+		txns[i], slab = w.buildTransaction(client, clientSeq+uint64(i), ops[i*per:(i+1)*per:(i+1)*per], slab)
+	}
 }
 
 // buildTransaction fills ops with the next transaction's operations and
 // cuts its value and payload bytes from the front of slab, each cut
 // clipped to its own length so that nothing appended to one value can
 // reach the next. It returns what is left of the slab; a slab too short
-// for this transaction (NextTransaction brings none) is replaced by one
-// that holds exactly it.
+// for this transaction is replaced by one that holds exactly it.
 func (w *Workload) buildTransaction(client types.ClientID, clientSeq uint64, ops []types.Op, slab []byte) (types.Transaction, []byte) {
 	readTxn, scanTxn := false, false
 	if w.readFrac > 0 || w.scanFrac > 0 {
@@ -295,35 +340,6 @@ func (w *Workload) buildTransaction(client types.ClientID, clientSeq uint64, ops
 		Ops:       ops,
 		Payload:   payload,
 	}, slab
-}
-
-// NextRequest builds a client request carrying a burst of txns transactions
-// starting at clientSeq (client-side batching, Section 4.2). The request is
-// unsigned; the client engine signs it. Its transactions are carved from
-// one operation slab and one byte slab — three allocations a request, not
-// two a transaction and one more a value — which a request that goes
-// straight to the encoder gives back together. The byte slab is sized for a
-// burst of writes, the most a burst can need.
-func (w *Workload) NextRequest(client types.ClientID, clientSeq uint64, txns int) types.ClientRequest {
-	if txns < 1 {
-		txns = 1
-	}
-	per := w.cfg.OpsPerTxn
-	list := make([]types.Transaction, txns)
-	ops := make([]types.Op, txns*per)
-	perTxn := w.cfg.PayloadSize
-	if w.readFrac+w.scanFrac < 1 {
-		perTxn += per * w.cfg.ValueSize
-	}
-	slab := make([]byte, txns*perTxn)
-	for i := range list {
-		list[i], slab = w.buildTransaction(client, clientSeq+uint64(i), ops[i*per:(i+1)*per:(i+1)*per], slab)
-	}
-	return types.ClientRequest{
-		Client:   client,
-		FirstSeq: clientSeq,
-		Txns:     list,
-	}
 }
 
 // initChunk is how many records InitTable writes per PutMany.
