@@ -136,11 +136,11 @@ func TestSourceHashOfHeadIgnoresDocuments(t *testing.T) {
 	if _, err := git("rev-parse", "HEAD"); err != nil {
 		t.Skip("not a git checkout")
 	}
-	diff, err := git("diff", "--name-only", "HEAD", "--", ".", ":(exclude)*.md", ":(exclude,top)BENCH_*.json")
+	diff, err := git("diff", "--name-only", "HEAD", "--", ":(top)", ":(exclude,top)*.md", ":(exclude,top)BENCH_*.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	untracked, err := git("ls-files", "--others", "--exclude-standard", "--", ".", ":(exclude)*.md", ":(exclude,top)BENCH_*.json")
+	untracked, err := git("ls-files", "--others", "--exclude-standard", "--", ":(top)", ":(exclude,top)*.md", ":(exclude,top)BENCH_*.json")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ type Options struct {
 	BatchSize int
 	// The pipeline shape, passed to every replica as given:
 	// replica.Config documents each field, its default (zero is the
-	// paper's standard 2B1E) and its folded form (-1 for B, E and V).
+	// paper's standard 2B1E) and its folded form (-1 for B and E).
 	BatchThreads      int
 	ExecuteThreads    int
 	VerifyThreads     int

@@ -139,11 +139,10 @@ func (r *Replica) propose(reqs []*types.ClientRequest, out *consensus.Out) (park
 // here — and returns the survivors in order, in reqs' array; a refused
 // request is released at once. Only the primary runs it: a
 // backup takes the requests of a proposal on the primary's authenticator
-// and the batch digest. With a verify pool available the checks fan out
-// across its workers — submitted in order, awaited in order — so one RSA
-// verify on the batch-thread no longer serializes the whole batch; without
-// a pool (VerifyThreads -1) the checks run inline, which is the paper's
-// cost assignment for the 0V ablation.
+// and the batch digest. The checks fan out across the verify pool's
+// workers — submitted in order, awaited in order — so one RSA verify on
+// the batch-thread does not serialize the whole batch; a lone request is
+// checked inline.
 func (r *Replica) verifyClientSigs(reqs []*types.ClientRequest) []*types.ClientRequest {
 	kept := reqs[:0]
 	keep := func(req *types.ClientRequest, err error) {
@@ -154,10 +153,9 @@ func (r *Replica) verifyClientSigs(reqs []*types.ClientRequest) []*types.ClientR
 		}
 		kept = append(kept, req)
 	}
-	if r.verifyPool == nil || len(reqs) == 1 {
-		for _, req := range reqs {
-			keep(req, r.auth.VerifyDigest(types.ClientNode(req.Client), req.Digest(), req.Sig))
-		}
+	if len(reqs) == 1 {
+		req := reqs[0]
+		keep(req, r.auth.VerifyDigest(types.ClientNode(req.Client), req.Digest(), req.Sig))
 		return kept
 	}
 	pending := make([]*crypto.Pending, len(reqs))

@@ -284,15 +284,17 @@ func TestGoroutineCensus(t *testing.T) {
 			},
 		},
 		{
-			// The paper's folded configuration: 0B 0E, inline verification.
-			name: "0B 0E 0V",
-			cfg:  Config{BatchThreads: -1, ExecuteThreads: -1, VerifyThreads: -1},
+			// The paper's folded configuration: 0B 0E, with the default
+			// V=2 pool.
+			name: "0B 0E",
+			cfg:  Config{BatchThreads: -1, ExecuteThreads: -1},
 			want: map[string]int{
 				"replica.(*Replica).inputClientLoop":  1,
 				"replica.(*Replica).inputReplicaLoop": 2,
 				"replica.(*Replica).readLoop":         2,
 				"replica.(*Replica).workerLoop":       1,
 				"replica.(*Replica).checkpointLoop":   1,
+				"crypto.(*VerifyPool).worker":         2,
 			},
 		},
 	}

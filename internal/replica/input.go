@@ -117,17 +117,12 @@ func (r *Replica) inputReplicaLoop(inbox <-chan *types.Envelope) {
 
 // admit takes one peer envelope from the inbox to the stage that owns it.
 // A type the PBFT engine does not read is refused first, before it costs an
-// authenticator check or a decode, and counted as malformed. With
-// VerifyThreads > 0 the input-thread checks the authenticator itself,
-// here, before anything is decoded: the check is a hash of a short header
-// and one MAC (or one signature verify), the thread already holds the
-// envelope, and handing it to another goroutine for that would cost more
-// than the check and order nothing — the inbox is FIFO and so is this
-// thread. With VerifyThreads -1 the check stays with the worker-thread (the
-// paper's cost assignment, kept for the ablations) and the envelope is
-// decoded unauthenticated; that gives unverified peers pre-auth parsing on
-// the input stage, but the decoder is bounds-checked and O(body bytes) — the
-// same order as the MAC check the envelope must pay anyway.
+// authenticator check or a decode, and counted as malformed. The
+// input-thread then checks the authenticator itself, here, before anything
+// is decoded: the check is a hash of a short header and one MAC (or one
+// signature verify), the thread already holds the envelope, and handing it
+// to another goroutine for that would cost more than the check and order
+// nothing — the inbox is FIFO and so is this thread.
 func (r *Replica) admit(env *types.Envelope) {
 	switch env.Type {
 	case types.MsgPrePrepare, types.MsgPrepare, types.MsgCommit,
@@ -137,15 +132,12 @@ func (r *Replica) admit(env *types.Envelope) {
 		env.Release()
 		return
 	}
-	verified := r.cfg.VerifyThreads > 0
-	if verified {
-		if err := r.verifyEnvelope(env); err != nil {
-			r.authFailures.Add(1)
-			env.Release()
-			return
-		}
+	if err := r.verifyEnvelope(env); err != nil {
+		r.authFailures.Add(1)
+		env.Release()
+		return
 	}
-	r.route(env, verified)
+	r.route(env)
 }
 
 // readLoop is one worker of the read lane: it answers locally served
@@ -189,15 +181,15 @@ func (r *Replica) readLoop() {
 	}
 }
 
-// route decodes an envelope and hands it to the stage that owns it:
-// checkpoint traffic to the checkpoint-thread, everything else to the
-// worker-thread. Decoding here, on the input stage, keeps that cost off the
+// route decodes an authenticated envelope and hands it to the stage that
+// owns it: checkpoint traffic to the checkpoint-thread, everything else to
+// the worker-thread. Decoding here, on the input stage, keeps that cost off the
 // worker-thread; malformed bodies are counted as DecodeFailures and dropped
 // before they can cost it anything. Proposals (PrePrepare, NewView) decode
 // as views into their frame, holding it until their last holder lets go;
 // votes decode into recycled structs. The consuming thread gives either
 // back after its engine step.
-func (r *Replica) route(env *types.Envelope, verified bool) {
+func (r *Replica) route(env *types.Envelope) {
 	msg, err := types.DecodeEnvelope(env)
 	if err != nil {
 		r.decodeFailures.Add(1)
@@ -210,7 +202,7 @@ func (r *Replica) route(env *types.Envelope, verified bool) {
 	}
 	// Ownership moves to the consuming thread, which releases the envelope
 	// and the message after processing them.
-	if !q.Push(workItem{env: env, msg: msg, verified: verified}, r.stop) {
+	if !q.Push(workItem{env: env, msg: msg}, r.stop) {
 		types.ReleaseMessage(msg)
 		env.Release()
 	}

@@ -33,8 +33,8 @@
 // goroutine only where there is work on the other side.
 //
 // A zero Config shape is the paper's standard 2B1E replica; setting
-// BatchThreads, ExecuteThreads or VerifyThreads to -1 folds that stage into
-// the worker-thread, reproducing the paper's 0B/0E configurations
+// BatchThreads or ExecuteThreads to -1 folds that stage into the
+// worker-thread, reproducing the paper's 0B/0E configurations
 // (Section 5.2). Message and transaction buffers come from object pools
 // (Section 4.8). The paper stopped at one execute-thread because arbitrary
 // multi-threaded execution causes data conflicts; this replica goes
@@ -71,8 +71,8 @@ const PBFT Protocol = 1
 // Config parameterizes a replica. Beyond ID, N, Directory and Endpoint
 // every field may be left zero: the pipeline-shape fields then take the
 // paper's standard configuration (Section 5.2), B=2, E=1, V=2, depth 1,
-// batches of 100, a checkpoint every 100 batches. For B, E and V, -1 folds
-// the stage (the paper's 0B/0E, and inline verification).
+// batches of 100, a checkpoint every 100 batches. For B and E, -1 folds
+// the stage (the paper's 0B/0E).
 type Config struct {
 	// ID is this replica's identifier; N the cluster size (n ≥ 3f+1).
 	ID types.ReplicaID
@@ -117,15 +117,13 @@ type Config struct {
 	// WorkerThreads is ignored: a replica runs one worker-thread, as the
 	// paper's does. The field stays for callers that still set it.
 	WorkerThreads int
-	// VerifyThreads is V (default 2). With V > 0 an input-thread
-	// authenticates every peer envelope it dequeues, before decoding it, so
-	// the worker-thread only ever sees authenticated messages and an
-	// unauthenticated peer buys no parsing; the inboxes are the parallelism,
-	// whatever the scheme. V also sizes the crypto.VerifyPool that fans a
-	// batch's client signatures out, the one check that has a fan-out. -1
-	// verifies peer envelopes on the worker-thread and client signatures on
-	// the batch-thread, the paper's baseline assignment (Section 4.3), kept
-	// for the ablations.
+	// VerifyThreads is V (default 2): the workers of the crypto.VerifyPool
+	// that fans a batch's client signatures out, the one check that has a
+	// fan-out. Peer envelopes are authenticated by the input-thread that
+	// dequeues them, before they are decoded, so the worker-thread only
+	// ever sees authenticated messages and an unauthenticated peer buys no
+	// parsing; the inboxes are the parallelism, whatever the scheme. V
+	// does not fold: -1 is refused.
 	VerifyThreads int
 	// CheckpointInterval is Δ in batches; the paper checkpoints once per
 	// 10K transactions, i.e. every 100 batches of 100 (Section 5.1).
@@ -190,7 +188,7 @@ func (c *Config) fill() error {
 	if c.Protocol != 0 && c.Protocol != PBFT {
 		return fmt.Errorf("replica: protocol %d is not served: a replica runs PBFT only (Zyzzyva runs in internal/sim)", c.Protocol)
 	}
-	// The pipeline shape. Zero is the paper's standard; -1 folds B, E or V
+	// The pipeline shape. Zero is the paper's standard; -1 folds B or E
 	// and is kept as given (every stage check is > 0, > 1 or a < n loop), so
 	// fill is idempotent.
 	for _, f := range []struct {
@@ -201,7 +199,7 @@ func (c *Config) fill() error {
 	}{
 		{"BatchThreads", &c.BatchThreads, 2, true},
 		{"ExecuteThreads", &c.ExecuteThreads, 1, true},
-		{"VerifyThreads", &c.VerifyThreads, 2, true},
+		{"VerifyThreads", &c.VerifyThreads, 2, false},
 		{"ExecPipelineDepth", &c.ExecPipelineDepth, 1, false},
 		{"BatchSize", &c.BatchSize, 100, false},
 	} {
@@ -501,7 +499,7 @@ type Replica struct {
 	readWg sync.WaitGroup
 
 	// verifyPool fans a batch's client signatures out over VerifyThreads
-	// workers (nil when VerifyThreads is -1).
+	// workers.
 	verifyPool *crypto.VerifyPool
 
 	// encBufs backs the outbound encode path (Section 4.8 buffer-pool
@@ -874,9 +872,7 @@ func (r *Replica) addBusy(stage Stage, d time.Duration) {
 
 // Start launches the pipeline goroutines.
 func (r *Replica) Start() {
-	if r.cfg.VerifyThreads > 0 {
-		r.verifyPool = crypto.NewVerifyPool(r.auth, r.cfg.VerifyThreads, r.cfg.VerifyThreads*64)
-	}
+	r.verifyPool = crypto.NewVerifyPool(r.auth, r.cfg.VerifyThreads, r.cfg.VerifyThreads*64)
 
 	// Input: client traffic on inbox 0, replica traffic on the rest.
 	r.inputWg.Add(1)
@@ -949,6 +945,7 @@ func (r *Replica) Stop() {
 
 		// Batch-threads fan client-signature checks through the verify
 		// pool, so it must outlive stage 1; close it only once they exit.
+		// It is nil only on a replica that never started.
 		if r.verifyPool != nil {
 			r.verifyPool.Close()
 		}

@@ -42,7 +42,7 @@ func TestConfigValidation(t *testing.T) {
 		{"sharded execute accepted", func(c *Config) { c.ExecuteThreads = 4 }, ""},
 		{"folded execute accepted", func(c *Config) { c.ExecuteThreads = -1 }, ""},
 		{"folded batch accepted", func(c *Config) { c.BatchThreads = -1 }, ""},
-		{"folded verify accepted", func(c *Config) { c.VerifyThreads = -1 }, ""},
+		{"folded verify refused", func(c *Config) { c.VerifyThreads = -1 }, "VerifyThreads"},
 		{"negative execute threads", func(c *Config) { c.ExecuteThreads = -2 }, "ExecuteThreads"},
 		{"negative batch threads", func(c *Config) { c.BatchThreads = -2 }, "BatchThreads"},
 		{"negative verify threads", func(c *Config) { c.VerifyThreads = -2 }, "VerifyThreads"},
@@ -97,7 +97,7 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 
 	folded := r.cfg
-	folded.BatchThreads, folded.ExecuteThreads, folded.VerifyThreads = -1, -1, -1
+	folded.BatchThreads, folded.ExecuteThreads = -1, -1
 	again := folded
 	if err := again.fill(); err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestDecodeFailuresSplitFromAuthFailures(t *testing.T) {
 		To:   types.ReplicaNode(0),
 		Type: types.MsgPrepare,
 		Body: []byte{1, 2, 3},
-	}, false)
+	})
 	s := r.Stats()
 	if s.DecodeFailures != 1 {
 		t.Fatalf("DecodeFailures = %d, want 1", s.DecodeFailures)

@@ -94,22 +94,20 @@ func TestForgedRequestDroppedByDefault(t *testing.T) {
 	}
 }
 
-// verifyRows are the two verification placements the tamper tests run
-// under: inline on the worker-thread (V folded; the row keeps the name it had
-// when 0 meant the fold) and on the input-threads with a V = 2 pool.
+// verifyRows are the verify pool sizes the tamper tests run under; peer
+// envelopes are authenticated on the input-threads whatever the size.
 var verifyRows = []struct {
 	name    string
 	threads int
-}{{"0", -1}, {"2", 2}}
+}{{"2", 2}}
 
 // TestTamperedProposalNeverReachesEngine: a proposal's authenticator covers
 // its header only, so the digest check is what authenticates the requests
-// behind it. For an authenticated PrePrepare, verified on the input-thread
-// and on the worker-thread: flipping any single byte of the body — header,
-// count, any request field, any signature byte — appending a request,
-// dropping one, dropping all, or appending trailing bytes, under the
-// original authenticator, never reaches the engine and is counted as an
-// auth or decode failure. If the coverage of the authenticator, the
+// behind it. For an authenticated PrePrepare: flipping any single byte of
+// the body — header, count, any request field, any signature byte —
+// appending a request, dropping one, dropping all, or appending trailing
+// bytes, under the original authenticator, never reaches the engine and is
+// counted as an auth or decode failure. If the coverage of the authenticator, the
 // request digest or the batch digest shrinks, some byte here gets through.
 //
 // The zyzzyva rows send a proposal under type 9, the id Zyzzyva's proposal
@@ -327,15 +325,12 @@ func (e *stepCounter) OnMessage(types.NodeID, types.Message, *consensus.Out) {
 	e.steps.Add(1)
 }
 
-// TestAuthBeforeDecode: nothing unauthenticated reaches the engine, and with
-// input-thread verification nothing unauthenticated is parsed. Over inline
-// verification and V = 2, MAC links and signature links: a flipped
-// authenticator on a well-formed vote counts one auth failure, no decode
-// failure and no engine step; a good authenticator on a malformed body
-// counts one decode failure; and a bad authenticator on a malformed body is
-// an auth failure when the input-thread verifies (it never reached the
-// decoder) and a decode failure with V folded, where the check waits on the
-// worker-thread behind the decode.
+// TestAuthBeforeDecode: nothing unauthenticated reaches the engine or the
+// decoder. Over MAC links and signature links: a flipped authenticator on a
+// well-formed vote counts one auth failure, no decode failure and no engine
+// step; a good authenticator on a malformed body counts one decode failure;
+// and a bad authenticator on a malformed body is an auth failure, since it
+// never reached the decoder.
 func TestAuthBeforeDecode(t *testing.T) {
 	schemes := []struct {
 		name string
@@ -403,11 +398,7 @@ func TestAuthBeforeDecode(t *testing.T) {
 				deliver("flipped authenticator, well-formed body", vote, flip(sign(vote)))
 				want.decode++
 				deliver("good authenticator, malformed body", malformed, sign(malformed))
-				if v.threads > 0 {
-					want.auth++
-				} else {
-					want.decode++
-				}
+				want.auth++
 				deliver("flipped authenticator, malformed body", malformed, flip(sign(malformed)))
 				want.steps++
 				deliver("good authenticator, well-formed body", vote, sign(vote))

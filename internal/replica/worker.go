@@ -7,19 +7,16 @@ import (
 	"resilientdb/internal/types"
 )
 
-// workItem is the union flowing into the worker-thread: either a decoded
-// peer message or (in 0B mode) a client request to batch. The input stage
-// decodes the envelope body before routing — that cost stays off the
-// worker-thread — so msg is always non-nil when env is. verified records
-// that the input-thread already checked the envelope's authenticator, so
-// the worker must not spend time re-checking it. The item carries the
-// envelope and the decoder's reference on msg or req, which its consumer
-// releases.
+// workItem is the union flowing into the worker-thread: either an
+// authenticated, decoded peer message or (in 0B mode) a client request to
+// batch. The input stage authenticates and decodes the envelope before
+// routing — that cost stays off the worker-thread — so msg is always
+// non-nil when env is. The item carries the envelope and the decoder's
+// reference on msg or req, which its consumer releases.
 type workItem struct {
-	env      *types.Envelope
-	msg      types.Message
-	req      *types.ClientRequest
-	verified bool
+	env *types.Envelope
+	msg types.Message
+	req *types.ClientRequest
 }
 
 // ---- Worker stage (Sections 4.3–4.4) ----
@@ -51,12 +48,8 @@ func (r *Replica) workerLoop() {
 	}
 }
 
-// processItem authenticates and applies one decoded peer message (the
-// input stage already decoded it). With VerifyThreads -1 signature
-// verification happens here, on the worker-thread, exactly where the paper
-// assigns it (Section 4.3); when the input-thread already authenticated
-// the envelope (verified true) it is not checked again. The engine step
-// writes into out, the calling goroutine's own.
+// processItem applies one peer message the input stage authenticated and
+// decoded. The engine step writes into out, the calling goroutine's own.
 func (r *Replica) processItem(item workItem, out *consensus.Out) {
 	env := item.env
 	// The caller is the envelope's final owner, and the message's decoder's:
@@ -66,12 +59,6 @@ func (r *Replica) processItem(item workItem, out *consensus.Out) {
 	// releases at once.
 	defer env.Release()
 	defer types.ReleaseMessage(item.msg)
-	if !item.verified {
-		if err := r.verifyEnvelope(env); err != nil {
-			r.authFailures.Add(1)
-			return
-		}
-	}
 	// A proposal's authenticator covers its header only
 	// (types.AuthenticatedBytes), so this check — unconditional, an empty
 	// batch included — is what authenticates the requests behind it. It
