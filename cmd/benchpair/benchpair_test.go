@@ -128,35 +128,72 @@ func checkSource(t *testing.T, path string, rep *Report) {
 
 // TestSourceHashOfHeadIgnoresDocuments: where the working tree's code is
 // HEAD's, documents aside, the two hash alike, so a report made from the
-// working tree matches the commit that checks it in.
+// working tree matches the commit that checks it in; a change to code, or
+// new untracked code, makes them differ. It works in a repository of its
+// own, so it holds whatever state this checkout is in.
 func TestSourceHashOfHeadIgnoresDocuments(t *testing.T) {
 	if _, err := exec.LookPath("git"); err != nil {
 		t.Skip("no git")
 	}
-	if _, err := git("rev-parse", "HEAD"); err != nil {
-		t.Skip("not a git checkout")
+	t.Chdir(t.TempDir())
+	write := func(path, body string) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	diff, err := git("diff", "--name-only", "HEAD", "--", ":(top)", ":(exclude,top)*.md", ":(exclude,top)BENCH_*.json")
-	if err != nil {
-		t.Fatal(err)
+	run := func(args ...string) {
+		t.Helper()
+		if _, err := git(args...); err != nil {
+			t.Fatal(err)
+		}
 	}
-	untracked, err := git("ls-files", "--others", "--exclude-standard", "--", ":(top)", ":(exclude,top)*.md", ":(exclude,top)BENCH_*.json")
-	if err != nil {
-		t.Fatal(err)
+	write("main.go", "package main\n")
+	write("README.md", "one\n")
+	write("BENCH_1.json", "{}\n")
+	write("docs/NOTES.md", "one\n")
+	run("init", "-q")
+	run("add", ".")
+	run("-c", "user.name=t", "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false", "commit", "-q", "-m", "seed")
+
+	hashes := func() (head, tree string) {
+		t.Helper()
+		head, err := sourceHash("HEAD")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err = sourceHash("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return head, tree
 	}
-	if diff != "" || untracked != "" {
-		t.Skip("the working tree's code differs from HEAD")
-	}
-	head, err := sourceHash("HEAD")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := sourceHash("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if head != tree || !sourceID.MatchString(head) {
+	if head, tree := hashes(); head != tree || !sourceID.MatchString(head) {
 		t.Fatalf("HEAD hashes to %s, its unchanged working tree to %s", head, tree)
+	}
+
+	write("README.md", "two\n")
+	write("BENCH_1.json", "{\"x\": 1}\n")
+	write("BENCH_2.json", "{}\n")
+	write("docs/NOTES.md", "two\n")
+	write("docs/NEW.md", "new\n")
+	if head, tree := hashes(); head != tree {
+		t.Fatalf("documents changed: HEAD hashes to %s, the working tree to %s", head, tree)
+	}
+
+	write("extra.go", "package main\n")
+	if head, tree := hashes(); head == tree {
+		t.Fatalf("untracked code did not change the working tree's hash %s", tree)
+	}
+	if err := os.Remove("extra.go"); err != nil {
+		t.Fatal(err)
+	}
+	write("main.go", "package main\n\nfunc main() {}\n")
+	if head, tree := hashes(); head == tree {
+		t.Fatalf("changed code did not change the working tree's hash %s", tree)
 	}
 }
 

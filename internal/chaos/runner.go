@@ -91,13 +91,16 @@ type Expect struct {
 	Certifies bool
 }
 
+// settleWait bounds the post-run wait for the live replicas' ledger
+// heights to converge.
+const settleWait = 3 * time.Second
+
 // Tuning sizes the runner's windows and workload; zero values take the
 // defaults below, sized for the small in-process cluster.
 type Tuning struct {
 	Warmup  time.Duration // baseline window
 	Fault   time.Duration // fault-active window
 	Recover time.Duration // post-heal window (bounds recovery time)
-	Settle  time.Duration // post-run convergence wait
 	Records uint64
 	Clients int
 	Seed    int64
@@ -116,9 +119,6 @@ func (t *Tuning) fill() {
 	}
 	if t.Recover <= 0 {
 		t.Recover = 1200 * time.Millisecond
-	}
-	if t.Settle <= 0 {
-		t.Settle = 3 * time.Second
 	}
 	if t.Records == 0 {
 		t.Records = 1024
@@ -405,7 +405,7 @@ func RunScenario(sc Scenario, tn Tuning) (*Report, error) {
 	// acknowledged write is committed on a quorum, so it is in every
 	// honest chain and applied to every settled store.
 	fab.Drain()
-	settled := settleHeights(c, tn.Settle)
+	settled := settleHeights(c, settleWait)
 	if err := c.VerifyLedgers(c.Live); err != nil {
 		rep.violate("ledger divergence: %v", err)
 	}
@@ -414,7 +414,7 @@ func RunScenario(sc Scenario, tn Tuning) (*Report, error) {
 			rep.Violations = append(rep.Violations, v)
 		}
 	} else {
-		rep.violate("ledger heights did not converge within %v (heights %v)", tn.Settle, liveHeights(c))
+		rep.violate("ledger heights did not converge within %v (heights %v)", settleWait, liveHeights(c))
 	}
 
 	// Collect counters and check the scenario's expectations.

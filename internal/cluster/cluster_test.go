@@ -727,7 +727,7 @@ func TestClusterScanMix(t *testing.T) {
 }
 
 // TestClusterLocalScans: in local read mode a write-free scan request
-// rides the consensus-bypassing ReadRequest path (Scans tail) like point
+// rides the consensus-bypassing ReadRequest path, in its op order, like point
 // reads do, while writes keep flowing through consensus.
 func TestClusterLocalScans(t *testing.T) {
 	opts := smallOpts()

@@ -62,6 +62,9 @@ type Engine struct {
 	view types.View // latest view observed from responses
 
 	cur *inflight
+	// sends holds one Send per replica, each carrying cur's request: Submit
+	// returns the primary's and OnTimeout all n, so neither allocates.
+	sends []consensus.Action
 
 	// outcome and gauges are reused from request to request: an Outcome is
 	// valid until the engine's next Submit.
@@ -127,10 +130,17 @@ func (e *Engine) Primary() types.ReplicaID {
 // Submit starts a new request and returns the send action. The request
 // must already carry the client's signature. Submitting while a request
 // is in flight abandons the previous one. The engine keeps one request's
-// state and its tables, emptied for each new request.
+// state and its tables, emptied for each new request. The actions Submit
+// and OnTimeout return are the engine's own, and so is the request their
+// Sends carry: a caller that keeps the message past the next Submit copies
+// it.
 func (e *Engine) Submit(req types.ClientRequest) []consensus.Action {
 	if e.cur == nil {
 		e.cur = &inflight{slots: make([]slot, e.n)}
+		e.sends = make([]consensus.Action, e.n)
+		for r := range e.sends {
+			e.sends[r] = consensus.Send{To: types.ReplicaNode(types.ReplicaID(r)), Msg: &e.cur.req}
+		}
 	}
 	c := e.cur
 	clear(c.slots)
@@ -140,10 +150,8 @@ func (e *Engine) Submit(req types.ClientRequest) []consensus.Action {
 		slots:     c.slots,
 	}
 	e.outcome = Outcome{}
-	return []consensus.Action{consensus.Send{
-		To:  types.ReplicaNode(e.Primary()),
-		Msg: &req,
-	}}
+	p := e.Primary()
+	return e.sends[p : p+1 : p+1]
 }
 
 // OnMessage applies a replica response. When the request completes it
@@ -223,10 +231,5 @@ func (e *Engine) OnTimeout() []consensus.Action {
 		return nil
 	}
 	e.stats.Retransmits++
-	acts := make([]consensus.Action, 0, e.n)
-	for r := 0; r < e.n; r++ {
-		req := e.cur.req
-		acts = append(acts, consensus.Send{To: types.ReplicaNode(types.ReplicaID(r)), Msg: &req})
-	}
-	return acts
+	return e.sends
 }

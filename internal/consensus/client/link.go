@@ -33,6 +33,8 @@ type Link struct {
 
 	// resp is where every ClientResponse is decoded, lent for one step.
 	resp types.ResponseBuffer
+	// sig is the storage Sign writes signatures into.
+	sig []byte
 
 	retransmits atomic.Uint64
 }
@@ -63,12 +65,15 @@ func (l *Link) Retransmits() uint64 { return l.retransmits.Load() }
 
 // Sign seals req — the one pass this process makes over its bytes — and
 // puts the client's signature over that digest on it. req must not change
-// afterwards.
+// afterwards. The signature lives in the Link's storage, which the next
+// Sign overwrites: a closed loop signs its next request only once the one
+// before is out of flight, and Transmit encodes the signature at once.
 func (l *Link) Sign(req *types.ClientRequest) error {
-	sig, err := l.auth.AppendSignDigest(nil, types.ReplicaNode(0), req.Seal())
+	sig, err := l.auth.AppendSignDigest(l.sig[:0], types.ReplicaNode(0), req.Seal())
 	if err != nil {
 		return err
 	}
+	l.sig = sig
 	req.Sig = sig
 	return nil
 }

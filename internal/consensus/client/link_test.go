@@ -57,7 +57,7 @@ func TestTransmitSignsWhatReplicasVerify(t *testing.T) {
 		t.Fatalf("the request's own signature does not verify at the replica: %v", err)
 	}
 
-	read := &types.ReadRequest{Client: 9, ClientSeq: 2, Keys: []uint64{1}}
+	read := &types.ReadRequest{Client: 9, ClientSeq: 2, Ops: []types.Op{{Kind: types.OpRead, Key: 1}}}
 	link.Transmit(types.ReplicaNode(0), read)
 	env = recv()
 	if env.Type != read.Type() {

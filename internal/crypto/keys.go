@@ -272,7 +272,9 @@ func (a *nodeAuth) AppendSignDigest(b []byte, dst types.NodeID, digest types.Dig
 	case None:
 		return b, nil
 	case ED25519:
-		return appendSig(b, ed25519.Sign(a.edPriv, digest[:])), nil
+		// Appended, never returned: ed25519.Sign's result then stays on
+		// the stack, and a caller that reuses b allocates nothing.
+		return append(b, ed25519.Sign(a.edPriv, digest[:])...), nil
 	case RSA:
 		key, err := a.dir.rsaKey(a.self)
 		if err != nil {
@@ -282,7 +284,10 @@ func (a *nodeAuth) AppendSignDigest(b []byte, dst types.NodeID, digest types.Dig
 		if err != nil {
 			return nil, fmt.Errorf("crypto: rsa sign: %w", err)
 		}
-		return appendSig(b, sig), nil
+		if b == nil {
+			return sig, nil
+		}
+		return append(b, sig...), nil
 	default: // CMAC; Config.Validate admits nothing else
 		k, err := a.keysFor(dst)
 		if err != nil {
@@ -291,15 +296,6 @@ func (a *nodeAuth) AppendSignDigest(b []byte, dst types.NodeID, digest types.Dig
 		tag := k.mac.Sum(digest[:])
 		return append(b, tag[:]...), nil
 	}
-}
-
-// appendSig appends a signature the scheme already allocated to b; with
-// nothing to append to, the signature itself is the result.
-func appendSig(b, sig []byte) []byte {
-	if b == nil {
-		return sig
-	}
-	return append(b, sig...)
 }
 
 // Verify implements Authenticator.

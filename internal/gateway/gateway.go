@@ -20,13 +20,13 @@
 //     raced the response. Dedup state is keyed gateway-wide (session ids
 //     are a gateway-global namespace), so it survives a session's
 //     connection dropping and reconnecting; idle sessions are evicted
-//     after SessionIdle.
+//     after sessionIdle.
 //   - End-to-end backpressure. Replicas stamp a queue-saturation gauge
 //     on every response (types.ClientResponse.Busy); the gateway's
 //     admission controller turns a saturated gauge or a full internal
 //     queue into an explicit StatusBusy pushback at the edge instead of
 //     letting overload surface as silent transport drops. A saturated
-//     gauge expires after BusyDecay without a fresh response, so a
+//     gauge expires after busyDecay without a fresh response, so a
 //     drained gateway probes its way out of saturation instead of
 //     wedging on the last overloaded reading.
 package gateway
@@ -72,30 +72,43 @@ type Config struct {
 	Batch int
 	// Timeout is the upstream retransmission delay (default 500ms).
 	Timeout time.Duration
-	// QueueCap bounds the admission queue between the front door and the
-	// upstream workers (default 1<<14). A full queue is an overload
-	// signal, answered with StatusBusy.
-	QueueCap int
-	// BusyThreshold is the replica gauge (0..255) at or above which new
-	// submits are pushed back (default 230 ≈ 90% saturation).
-	BusyThreshold uint8
-	// BusyDecay is how long a stored saturation gauge keeps pushing back
-	// without being refreshed by a consensus response before admission
-	// treats it as stale and admits again (default 4×Timeout). The gauge
+}
+
+// The gateway's admission, dedup and eviction bounds.
+const (
+	// queueCap bounds the admission queue between the front door and the
+	// upstream workers. A full queue is an overload signal, answered with
+	// StatusBusy.
+	queueCap = 1 << 14
+	// busyThreshold is the replica gauge (0..255) at or above which new
+	// submits are pushed back (≈ 90% saturation).
+	busyThreshold = 230
+	// busyDecayTimeouts is how many Timeouts a stored saturation gauge
+	// keeps pushing back without being refreshed by a consensus response
+	// before admission treats it as stale and admits again. The gauge
 	// only refreshes when an upstream request completes, so without decay
 	// a saturated reading taken just before the queue drained would wedge
 	// admission forever.
-	BusyDecay time.Duration
-	// DedupWindow is how many completed replies are cached per session
-	// for retry replay (default 8). A retry older than the window is
-	// answered StatusRejected — still never re-executed.
-	DedupWindow int
-	// SessionIdle is how long a session with nothing in flight may sit
-	// idle before its dedup state is evicted (default 5m). Session state
-	// lives in the gateway, not the connection, so a session that
-	// reconnects after a network blip keeps its dedup window until the
-	// idle deadline.
-	SessionIdle time.Duration
+	busyDecayTimeouts = 4
+	// dedupWindow is how many completed replies are cached per session
+	// for retry replay. A retry older than the window is answered
+	// StatusRejected — still never re-executed.
+	dedupWindow = 8
+	// sessionIdle is how long a session with nothing in flight may sit
+	// idle before its dedup state is evicted. Session state lives in the
+	// gateway, not the connection, so a session that reconnects after a
+	// network blip keeps its dedup window until the idle deadline.
+	sessionIdle = 5 * time.Minute
+)
+
+// limits are the bounds one gateway runs under: the constants above, with
+// busyDecay derived from Timeout. This package's tests shrink them through
+// newTuned.
+type limits struct {
+	busyThreshold uint8
+	busyDecay     time.Duration
+	dedupWindow   int
+	sessionIdle   time.Duration
 }
 
 func (c *Config) fill() error {
@@ -116,21 +129,6 @@ func (c *Config) fill() error {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 500 * time.Millisecond
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 1 << 14
-	}
-	if c.BusyThreshold == 0 {
-		c.BusyThreshold = 230
-	}
-	if c.BusyDecay <= 0 {
-		c.BusyDecay = 4 * c.Timeout
-	}
-	if c.DedupWindow <= 0 {
-		c.DedupWindow = 8
-	}
-	if c.SessionIdle <= 0 {
-		c.SessionIdle = 5 * time.Minute
 	}
 	return nil
 }
@@ -165,7 +163,7 @@ type Stats struct {
 	ReadMismatches uint64
 	// Conns is the number of session connections ever accepted; Sessions
 	// the session dedup states currently tracked (gateway-wide: they
-	// survive reconnects and are evicted after Config.SessionIdle).
+	// survive reconnects and are evicted after sessionIdle).
 	Conns    uint64
 	Sessions uint64
 	// Busy is the latest replica queue-saturation gauge observed on a
@@ -177,6 +175,7 @@ type Stats struct {
 // connections with Serve or ServeConn, stop with Close.
 type Gateway struct {
 	cfg Config
+	lim limits
 
 	upstreams []*upstream
 	busy      atomic.Uint32 // latest replica gauge
@@ -202,7 +201,7 @@ type Gateway struct {
 	// created it.
 	sessMu   sync.Mutex
 	sessions map[uint64]*sessionState
-	// queue is the admission queue, a ring of cfg.QueueCap slots: admitted
+	// queue is the admission queue, a ring of queueCap slots: admitted
 	// pendings wait here for an upstream. parked counts the upstreams
 	// waiting in collect for it to fill; a push that finds one leaves a
 	// token in wake.
@@ -223,11 +222,18 @@ type Gateway struct {
 }
 
 // New builds a gateway and starts its upstream workers.
-func New(cfg Config) (*Gateway, error) {
+func New(cfg Config) (*Gateway, error) { return newTuned(cfg, nil) }
+
+// newTuned is New with tune, when set, applied to the gateway's limits
+// before any worker reads them.
+func newTuned(cfg Config, tune func(*limits)) (*Gateway, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
 	g := newGateway(cfg)
+	if tune != nil {
+		tune(&g.lim)
+	}
 	for i := 0; i < cfg.Upstreams; i++ {
 		u, err := newUpstream(g, DefaultBaseClient+types.ClientID(i))
 		if err != nil {
@@ -253,9 +259,15 @@ func New(cfg Config) (*Gateway, error) {
 // worker running yet.
 func newGateway(cfg Config) *Gateway {
 	return &Gateway{
-		cfg:      cfg,
+		cfg: cfg,
+		lim: limits{
+			busyThreshold: busyThreshold,
+			busyDecay:     busyDecayTimeouts * cfg.Timeout,
+			dedupWindow:   dedupWindow,
+			sessionIdle:   sessionIdle,
+		},
 		sessions: make(map[uint64]*sessionState),
-		queue:    make([]*pending, cfg.QueueCap),
+		queue:    make([]*pending, queueCap),
 		wake:     make(chan struct{}, 1),
 		conns:    make(map[*gwConn]struct{}),
 		lns:      make(map[net.Listener]struct{}),
@@ -264,11 +276,11 @@ func newGateway(cfg Config) *Gateway {
 }
 
 // evictLoop retires session dedup state that has sat idle (nothing in
-// flight, no submit or completion) for SessionIdle — the bound that
+// flight, no submit or completion) for sessionIdle — the bound that
 // keeps a long-lived gateway's session table proportional to its live
 // population rather than to every session id ever seen.
 func (g *Gateway) evictLoop() {
-	interval := g.cfg.SessionIdle / 4
+	interval := g.lim.sessionIdle / 4
 	if interval < time.Second {
 		interval = time.Second
 	}
@@ -280,7 +292,7 @@ func (g *Gateway) evictLoop() {
 			return
 		case <-tick.C:
 		}
-		cutoff := time.Now().Add(-g.cfg.SessionIdle).UnixNano()
+		cutoff := time.Now().Add(-g.lim.sessionIdle).UnixNano()
 		g.sessMu.Lock()
 		for id, st := range g.sessions {
 			if len(st.inflight) == 0 && st.lastActive < cutoff {
@@ -412,17 +424,17 @@ func (g *Gateway) noteBusy(gauge uint8) {
 }
 
 // admissionBusy reports whether new work should be pushed back based on
-// the latest replica gauge. A saturated gauge older than BusyDecay is
+// the latest replica gauge. A saturated gauge older than busyDecay is
 // expired rather than obeyed: the gauge only refreshes when an upstream
 // request completes, and a saturated admission gate sends no upstream
 // requests — without the expiry, the last reading before the queue
 // drained would pin the gateway in StatusBusy forever.
 func (g *Gateway) admissionBusy() (uint8, bool) {
 	gauge := uint8(g.busy.Load())
-	if gauge < g.cfg.BusyThreshold {
+	if gauge < g.lim.busyThreshold {
 		return gauge, false
 	}
-	if time.Now().UnixNano()-g.busyAt.Load() > int64(g.cfg.BusyDecay) {
+	if time.Now().UnixNano()-g.busyAt.Load() > int64(g.lim.busyDecay) {
 		// Stale: clear so later admissions skip the timestamp check. A
 		// concurrent noteBusy may overwrite with a fresher reading — that
 		// ordering race is benign either way.
@@ -484,10 +496,10 @@ func (g *Gateway) wakeParkedLocked() {
 // completed high-water mark, and a fixed ring of cached replies. It lives
 // in the Gateway's session table (session ids are a gateway-global
 // namespace), so the retry contract holds across the session's connection
-// dropping and reconnecting; lastActive drives the SessionIdle eviction.
+// dropping and reconnecting; lastActive drives the sessionIdle eviction.
 type sessionState struct {
 	high uint64 // highest completed nonce (0 = none yet)
-	// cache holds the last ≤ DedupWindow completed replies. It is
+	// cache holds the last ≤ dedupWindow completed replies. It is
 	// allocated once at that capacity, fills by append, and from then on
 	// the oldest entry, at evict, is overwritten in place.
 	cache []Reply

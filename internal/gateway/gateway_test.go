@@ -310,6 +310,13 @@ func newTestCluster(t *testing.T) *cluster.Cluster {
 
 func newTestGateway(t *testing.T, c *cluster.Cluster, mod func(*Config)) *Gateway {
 	t.Helper()
+	return newTunedTestGateway(t, c, mod, nil)
+}
+
+// newTunedTestGateway is newTestGateway with tune, when set, applied to
+// the gateway's limits.
+func newTunedTestGateway(t *testing.T, c *cluster.Cluster, mod func(*Config), tune func(*limits)) *Gateway {
+	t.Helper()
 	cfg := Config{
 		N:         4,
 		Directory: c.Directory(),
@@ -323,7 +330,7 @@ func newTestGateway(t *testing.T, c *cluster.Cluster, mod func(*Config)) *Gatewa
 	if mod != nil {
 		mod(&cfg)
 	}
-	g, err := New(cfg)
+	g, err := newTuned(cfg, tune)
 	if err != nil {
 		t.Fatalf("building gateway: %v", err)
 	}
@@ -687,9 +694,9 @@ func TestGatewayDuplicateUnderTimeoutExecutesOnce(t *testing.T) {
 func TestGatewayBusyPushback(t *testing.T) {
 	const decay = 400 * time.Millisecond
 	c := newTestCluster(t)
-	g := newTestGateway(t, c, func(cfg *Config) {
-		cfg.BusyThreshold = 200
-		cfg.BusyDecay = decay
+	g := newTunedTestGateway(t, c, nil, func(l *limits) {
+		l.busyThreshold = 200
+		l.busyDecay = decay
 	})
 	ts := dialSession(t, g)
 
@@ -732,7 +739,7 @@ func TestGatewayBusyPushback(t *testing.T) {
 
 	// Pushback is not a wedge: a saturated gauge can only be refreshed by
 	// a completed upstream request, and a saturated admission gate sends
-	// none — so after BusyDecay with no fresh responses the gateway must
+	// none — so after busyDecay with no fresh responses the gateway must
 	// expire the stale reading on its own and admit again. No manual
 	// reset: this is the recovery path itself.
 	time.Sleep(decay + 100*time.Millisecond)
@@ -797,9 +804,7 @@ func TestGatewayNonceZeroRejected(t *testing.T) {
 
 func TestGatewaySessionIdleEviction(t *testing.T) {
 	c := newTestCluster(t)
-	g := newTestGateway(t, c, func(cfg *Config) {
-		cfg.SessionIdle = time.Second
-	})
+	g := newTunedTestGateway(t, c, nil, func(l *limits) { l.sessionIdle = time.Second })
 	ts := dialSession(t, g)
 
 	ts.send(Submit{Session: 3, Nonce: 1, Ops: writeOp(60, "v")})
@@ -821,9 +826,7 @@ func TestGatewaySessionIdleEviction(t *testing.T) {
 
 func TestGatewayDedupWindowEviction(t *testing.T) {
 	c := newTestCluster(t)
-	g := newTestGateway(t, c, func(cfg *Config) {
-		cfg.DedupWindow = 1
-	})
+	g := newTunedTestGateway(t, c, nil, func(l *limits) { l.dedupWindow = 1 })
 	ts := dialSession(t, g)
 
 	ts.send(Submit{Session: 1, Nonce: 1, Ops: writeOp(30, "a")})

@@ -68,7 +68,8 @@ func takeReplies(gc *gwConn) []Reply {
 // backlog keep their capacity).
 func TestGatewayAdmitAllocsPerFrame(t *testing.T) {
 	const submits, runs, window = 64, 50, 8
-	g := newBareGateway(t, func(cfg *Config) { cfg.DedupWindow = window })
+	g := newBareGateway(t, nil)
+	g.lim.dedupWindow = window
 	server, client := net.Pipe()
 	defer client.Close()
 	gc := newConn(g, server)
@@ -145,7 +146,8 @@ func TestGatewayAdmitAllocsPerFrame(t *testing.T) {
 // the wrap), and an in-flight nonce's duplicate is absorbed.
 func TestGatewayReplyRingWrapAround(t *testing.T) {
 	for _, window := range []int{1, 8} {
-		g := newBareGateway(t, func(cfg *Config) { cfg.DedupWindow = window })
+		g := newBareGateway(t, nil)
+		g.lim.dedupWindow = window
 		server, client := net.Pipe()
 		defer client.Close()
 		gc := newConn(g, server)

@@ -174,7 +174,7 @@ func (u *upstream) complete(batch []*pending, replies []Reply) {
 	gw.sessMu.Lock()
 	for i, p := range batch {
 		if st := gw.sessions[p.session]; st != nil {
-			st.complete(p.nonce, replies[i], now, gw.cfg.DedupWindow)
+			st.complete(p.nonce, replies[i], now, gw.lim.dedupWindow)
 		}
 	}
 	gw.sessMu.Unlock()

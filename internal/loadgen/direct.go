@@ -124,14 +124,9 @@ const (
 // results, and once every replica has refused it reports localStale.
 func (d *direct) localRead(ctx context.Context, c *Carrier, s *Session, timer *time.Timer) localReadStatus {
 	n := d.cfg.N
-	keys, scans := readOps(&s.Req)
-	msg := &types.ReadRequest{
-		Client:    s.ID,
-		ClientSeq: s.Seq,
-		Keys:      keys,
-		MinSeq:    types.SeqNum(d.maxSeq),
-		Scans:     scans,
-	}
+	// The session's op array is the request's ops in (transaction, op)
+	// order: Fill carves every transaction's ops from it in turn.
+	msg := &types.ReadRequest{Client: s.ID, ClientSeq: s.Seq, MinSeq: types.SeqNum(d.maxSeq), Ops: s.ops}
 	refusals := 0
 	// Spread clients across replicas so local reads scale with n instead
 	// of piling onto the primary.
@@ -157,7 +152,7 @@ func (d *direct) localRead(ctx context.Context, c *Carrier, s *Session, timer *t
 			if !ok || reply.Client != s.ID || reply.ClientSeq != s.Seq {
 				continue // stale consensus response or reply to an older read
 			}
-			if len(reply.Results) == 0 && len(keys)+len(scans) > 0 {
+			if len(reply.Results) == 0 && len(msg.Ops) > 0 {
 				// Staleness refusal: this replica's retired state trails
 				// MinSeq. Try the next replica; once every replica refused,
 				// hand the request back for the quorum path.
@@ -179,21 +174,4 @@ func (d *direct) localRead(ctx context.Context, c *Carrier, s *Session, timer *t
 			timer.Reset(d.cfg.Timeout)
 		}
 	}
-}
-
-// readOps flattens a write-free request into the ReadRequest shape: point
-// keys and scan descriptors, each in (transaction, op) order — the order
-// ReadReply results come back in (keys first, then scans).
-func readOps(req *types.ClientRequest) (keys []uint64, scans []types.Op) {
-	for i := range req.Txns {
-		for j := range req.Txns[i].Ops {
-			op := &req.Txns[i].Ops[j]
-			if op.Kind == types.OpScan {
-				scans = append(scans, types.Op{Kind: types.OpScan, Key: op.Key, EndKey: op.EndKey, Limit: op.Limit})
-				continue
-			}
-			keys = append(keys, op.Key)
-		}
-	}
-	return keys, scans
 }

@@ -87,7 +87,8 @@ func TestRunPercentilesMergeCarriers(t *testing.T) {
 // session's next request allocates nothing — the draw fills the session's
 // own arrays — for writes, a mixed stream and a burst of 8; and what it
 // draws is the workload's stream, byte for byte: carrier 0 draws from
-// Seed, so a workload salted Seed replays it.
+// Seed, so a workload salted Seed replays it. The session's op array is its
+// request's ops in (transaction, op) order: a local read sends it as is.
 func TestCompleteAllocatesOnlyTheDraw(t *testing.T) {
 	mixed := testWorkload()
 	mixed.Preset = "a"
@@ -131,6 +132,13 @@ func TestCompleteAllocatesOnlyTheDraw(t *testing.T) {
 				if got := types.MarshalBody(&s.Req); !bytes.Equal(got, types.MarshalBody(&want)) {
 					t.Fatalf("the session's request differs from the workload's stream:\n%x\n%x", got, types.MarshalBody(&want))
 				}
+			}
+			var ops []types.Op
+			for _, txn := range s.Req.Txns {
+				ops = append(ops, txn.Ops...)
+			}
+			if got, want := types.MarshalBody(&types.ReadRequest{Ops: s.ops}), types.MarshalBody(&types.ReadRequest{Ops: ops}); !bytes.Equal(got, want) {
+				t.Fatalf("the session's op array is not its request's op list:\n%x\n%x", got, want)
 			}
 		})
 	}

@@ -175,7 +175,7 @@ func TestStopWhileSending(t *testing.T) {
 		})
 		hammer(func(i uint64) { r.broadcast(&types.Prepare{View: 0, Seq: types.SeqNum(i)}) })
 		hammer(func(i uint64) {
-			body := types.MarshalBody(&types.ReadRequest{Client: 7, ClientSeq: i, Keys: []uint64{i}})
+			body := types.MarshalBody(&types.ReadRequest{Client: 7, ClientSeq: i, Ops: []types.Op{{Kind: types.OpRead, Key: i}}})
 			tag, err := clientAuth.Sign(self, types.AuthenticatedBytes(types.MsgReadRequest, body))
 			if err != nil {
 				t.Error(err)

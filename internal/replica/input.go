@@ -69,8 +69,9 @@ func (r *Replica) handleClientRequest(env *types.Envelope) {
 // the request to the dedicated read lane — a local read never touches a
 // worker-thread and never consumes a sequence number, and a slow
 // (disk-bound) multi-key read never head-of-line blocks the client inbox
-// behind its store reads. The envelope retires here on every path: the
-// read lane only sees the decoded (copied) request.
+// behind its store reads. A request carrying a write does not decode: it
+// counts as malformed and draws no reply. The envelope retires here on
+// every path: the read lane only sees the decoded (copied) request.
 func (r *Replica) handleReadRequest(env *types.Envelope) {
 	defer env.Release()
 	if err := r.verifyEnvelope(env); err != nil {
@@ -141,7 +142,8 @@ func (r *Replica) admit(env *types.Envelope) {
 }
 
 // readLoop is one worker of the read lane: it answers locally served
-// ReadRequests (point keys and scans) from the last-executed state, off
+// ReadRequests op by op, in the request's order and with the one-partition
+// apply's readKey and scanRows, from the last-executed state, off
 // the input loop, so store reads are paid here instead of head-of-line
 // blocking all client traffic. lastRetired is loaded before the keys are
 // read and applied writes never roll back, so the stamped Seq is a valid
@@ -165,13 +167,14 @@ func (r *Replica) readLoop() {
 		}
 		if last >= uint64(req.MinSeq) {
 			results = results[:0]
-			for _, key := range req.Keys {
-				results = append(results, r.readKey(&p, key))
-			}
-			for i := range req.Scans {
-				sc := &req.Scans[i]
+			for i := range req.Ops {
+				op := &req.Ops[i]
+				if op.Kind == types.OpRead {
+					results = append(results, r.readKey(&p, op.Key))
+					continue
+				}
 				results = append(results,
-					types.ReadResult{Scan: true, Rows: r.scanRows(&p, sc.Key, sc.EndKey, sc.Limit, -1)})
+					types.ReadResult{Scan: true, Rows: r.scanRows(&p, op.Key, op.EndKey, op.Limit, -1)})
 			}
 			reply.Results = results
 		}

@@ -171,60 +171,33 @@ func TestLocalReadClientBinding(t *testing.T) {
 	}
 	r, eps := newReadMixReplica(t, 1, 1, 2, mem)
 
-	send := func(from types.ClientID, req *types.ReadRequest) {
-		env := &types.Envelope{
-			From: types.ClientNode(from),
-			To:   types.ReplicaNode(1),
-			Type: types.MsgReadRequest,
-			Body: types.MarshalBody(req),
-		}
-		if err := eps[int(from)].Send(env); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	// Client 1 claims to be client 0; the replica must not answer.
-	send(1, &types.ReadRequest{Client: 0, ClientSeq: 9, Keys: []uint64{7}})
+	read7 := []types.Op{{Kind: types.OpRead, Key: 7}}
+	sendRead(t, eps[1], 1, &types.ReadRequest{Client: 0, ClientSeq: 9, Ops: read7})
 	// A well-formed request from the same sender is still served — the
 	// reply proves the read lane is alive and the forged request ahead of
 	// it in the inbox was discarded, not deferred.
-	send(1, &types.ReadRequest{Client: 1, ClientSeq: 10, Keys: []uint64{7}})
+	sendRead(t, eps[1], 1, &types.ReadRequest{Client: 1, ClientSeq: 10, Ops: read7})
 
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case env := <-eps[1].Inbox(0):
-			if env.Type != types.MsgReadReply {
-				continue
-			}
-			msg, err := types.DecodeBody(env.Type, env.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reply := msg.(*types.ReadReply)
-			if reply.ClientSeq != 10 {
-				t.Fatalf("reply answers ClientSeq %d, want 10", reply.ClientSeq)
-			}
-			if len(reply.Results) != 1 || !reply.Results[0].Found || string(reply.Results[0].Value) != "v7" {
-				t.Fatalf("bad read results: %+v", reply.Results)
-			}
-			s := r.Stats()
-			if s.AuthFailures == 0 {
-				t.Fatal("forged ReadRequest not counted as an auth failure")
-			}
-			if s.LocalReads != 1 {
-				t.Fatalf("LocalReads = %d, want 1 (the forged request must not be served)", s.LocalReads)
-			}
-			// The victim must have received nothing.
-			select {
-			case env := <-eps[0].Inbox(0):
-				t.Fatalf("victim client received %v", env.Type)
-			default:
-			}
-			return
-		case <-deadline:
-			t.Fatal("legitimate ReadRequest never answered")
-		}
+	reply := recvMsg(t, eps[1], types.MsgReadReply).(*types.ReadReply)
+	if reply.ClientSeq != 10 {
+		t.Fatalf("reply answers ClientSeq %d, want 10", reply.ClientSeq)
+	}
+	if len(reply.Results) != 1 || !reply.Results[0].Found || string(reply.Results[0].Value) != "v7" {
+		t.Fatalf("bad read results: %+v", reply.Results)
+	}
+	s := r.Stats()
+	if s.AuthFailures == 0 {
+		t.Fatal("forged ReadRequest not counted as an auth failure")
+	}
+	if s.LocalReads != 1 {
+		t.Fatalf("LocalReads = %d, want 1 (the forged request must not be served)", s.LocalReads)
+	}
+	// The victim must have received nothing.
+	select {
+	case env := <-eps[0].Inbox(0):
+		t.Fatalf("victim client received %v", env.Type)
+	default:
 	}
 }
 
@@ -242,40 +215,12 @@ func TestLocalReadStalenessBound(t *testing.T) {
 	_, eps := newReadMixReplica(t, 1, 1, 1, mem)
 
 	send := func(cseq uint64, minSeq types.SeqNum) {
-		req := &types.ReadRequest{
-			Client: 0, ClientSeq: cseq,
-			Keys:   []uint64{7},
-			MinSeq: minSeq,
-			Scans:  []types.Op{{Kind: types.OpScan, Key: 5, EndKey: 9, Limit: 3}},
-		}
-		env := &types.Envelope{
-			From: types.ClientNode(0),
-			To:   types.ReplicaNode(1),
-			Type: types.MsgReadRequest,
-			Body: types.MarshalBody(req),
-		}
-		if err := eps[0].Send(env); err != nil {
-			t.Fatal(err)
-		}
+		sendRead(t, eps[0], 0, &types.ReadRequest{
+			Client: 0, ClientSeq: cseq, MinSeq: minSeq,
+			Ops: []types.Op{{Kind: types.OpRead, Key: 7}, {Kind: types.OpScan, Key: 5, EndKey: 9, Limit: 3}},
+		})
 	}
-	recv := func() *types.ReadReply {
-		deadline := time.After(5 * time.Second)
-		for {
-			select {
-			case env := <-eps[0].Inbox(0):
-				if env.Type != types.MsgReadReply {
-					continue
-				}
-				msg, err := types.DecodeBody(env.Type, env.Body)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return msg.(*types.ReadReply)
-			case <-deadline:
-				t.Fatal("no ReadReply before timeout")
-			}
-		}
-	}
+	recv := func() *types.ReadReply { return recvMsg(t, eps[0], types.MsgReadReply).(*types.ReadReply) }
 
 	// Nothing retired yet: a bound of 3 must be refused with Seq 0.
 	send(1, 3)
@@ -409,5 +354,111 @@ func TestReadMixDeterminism(t *testing.T) {
 				t.Fatal("no response carried read results")
 			}
 		})
+	}
+}
+
+// recvMsg returns the next message of type typ on ep's client inbox,
+// decoded, skipping any other type.
+func recvMsg(t *testing.T, ep transport.Endpoint, typ types.MsgType) types.Message {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case env := <-ep.Inbox(0):
+			if env.Type != typ {
+				continue
+			}
+			msg, err := types.DecodeBody(env.Type, env.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return msg
+		case <-deadline:
+			t.Fatalf("no %v before timeout", typ)
+		}
+	}
+}
+
+// sendRead sends req to replica 1 from client from, on from's endpoint ep.
+func sendRead(t *testing.T, ep transport.Endpoint, from types.ClientID, req *types.ReadRequest) {
+	t.Helper()
+	env := &types.Envelope{
+		From: types.ClientNode(from),
+		To:   types.ReplicaNode(1),
+		Type: types.MsgReadRequest,
+		Body: types.MarshalBody(req),
+	}
+	if err := ep.Send(env); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLocalReadMatchesOrderedResults: a local read of a request that mixes
+// a scan transaction and a point-read transaction answers with the results
+// the ordered path's response carries, in the same (transaction, op) order:
+// the scan's rows first, then the point reads. Answering point reads before
+// scans would put the scan last.
+func TestLocalReadMatchesOrderedResults(t *testing.T) {
+	mem := store.NewMemStore(1 << 10)
+	for k := uint64(5); k < 10; k++ {
+		if err := mem.Put(k, []byte{byte(k)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, eps := newReadMixReplica(t, 1, 1, 1, mem)
+	req := types.ClientRequest{Client: 0, FirstSeq: 1, Txns: []types.Transaction{
+		{Client: 0, ClientSeq: 1, Ops: []types.Op{{Kind: types.OpScan, Key: 5, EndKey: 9, Limit: 3}}},
+		{Client: 0, ClientSeq: 2, Ops: []types.Op{{Kind: types.OpRead, Key: 8}, {Kind: types.OpRead, Key: 40}}},
+	}}
+	reqs := []types.ClientRequest{req}
+	commitConcurrently(r, []consensus.Execute{{Seq: 1, Digest: types.BatchDigest(reqs), Requests: reqs}})
+	ordered := recvMsg(t, eps[0], types.MsgClientResponse).(*types.ClientResponse)
+
+	var ops []types.Op
+	for _, txn := range req.Txns {
+		ops = append(ops, txn.Ops...)
+	}
+	sendRead(t, eps[0], 0, &types.ReadRequest{Client: 0, ClientSeq: 3, MinSeq: 1, Ops: ops})
+	local := recvMsg(t, eps[0], types.MsgReadReply).(*types.ReadReply)
+
+	if len(ordered.ReadResults) != 3 || !ordered.ReadResults[0].Scan {
+		t.Fatalf("ordered results: %s", renderResponse(types.Digest{}, ordered.ReadResults))
+	}
+	if got, want := renderResponse(types.Digest{}, local.Results), renderResponse(types.Digest{}, ordered.ReadResults); got != want {
+		t.Fatalf("local read answers\n  %s\nthe ordered path\n  %s", got, want)
+	}
+}
+
+// TestLocalReadRefusesWrites: a ReadRequest carrying a write is malformed.
+// It counts as one decode failure, draws no reply and writes nothing; the
+// next well-formed read is the first one answered.
+func TestLocalReadRefusesWrites(t *testing.T) {
+	mem := store.NewMemStore(1 << 10)
+	if err := mem.Put(7, []byte("v7")); err != nil {
+		t.Fatal(err)
+	}
+	r, eps := newReadMixReplica(t, 1, 1, 1, mem)
+	before := r.Stats().DecodeFailures
+
+	sendRead(t, eps[0], 0, &types.ReadRequest{Client: 0, ClientSeq: 1, Ops: []types.Op{
+		{Kind: types.OpRead, Key: 7}, {Kind: types.OpWrite, Key: 7, Value: []byte("w")}}})
+	sendRead(t, eps[0], 0, &types.ReadRequest{Client: 0, ClientSeq: 2, Ops: []types.Op{{Kind: types.OpRead, Key: 7}}})
+
+	reply := recvMsg(t, eps[0], types.MsgReadReply).(*types.ReadReply)
+	if reply.ClientSeq != 2 {
+		t.Fatalf("first reply answers ClientSeq %d, want 2: the write-carrying request was answered", reply.ClientSeq)
+	}
+	if len(reply.Results) != 1 || string(reply.Results[0].Value) != "v7" {
+		t.Fatalf("bad read results: %+v", reply.Results)
+	}
+	s := r.Stats()
+	if d := s.DecodeFailures - before; d != 1 {
+		t.Fatalf("DecodeFailures rose by %d, want 1", d)
+	}
+	if s.LocalReads != 1 {
+		t.Fatalf("LocalReads = %d, want 1", s.LocalReads)
+	}
+	if v, err := mem.Get(7); err != nil || string(v) != "v7" {
+		t.Fatalf("key 7 holds %q (%v), want v7", v, err)
 	}
 }

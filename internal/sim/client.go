@@ -67,7 +67,10 @@ func (c *simClient) onTimeout(g uint64) {
 func (c *simClient) dispatch(acts []consensus.Action, zacts actions) {
 	for _, a := range acts {
 		if s, ok := a.(consensus.Send); ok {
-			c.transmit(s.To, s.Msg)
+			// The engine lends its request in flight, and a message on the
+			// simulated network can outlive the engine's next Submit.
+			req := *s.Msg.(*types.ClientRequest)
+			c.transmit(s.To, &req)
 		}
 	}
 	for _, a := range zacts {

@@ -1,6 +1,6 @@
 package sim
 
-// CostModel assigns virtual processing durations to every pipeline step.
+// costModel assigns virtual processing durations to every pipeline step.
 //
 // The defaults come from microbenchmarks of this repository's real
 // implementations, measured on the development host (see EXPERIMENTS.md,
@@ -9,7 +9,7 @@ package sim
 // internal/queue benchmarks for codec and queueing overheads. Shapes in
 // the reproduced figures depend on the *relative* magnitudes (e.g. RSA
 // sign ≫ ED25519 sign ≫ CMAC), which are hardware-stable.
-type CostModel struct {
+type costModel struct {
 	// Digital signatures (ED25519).
 	SignED   Time
 	VerifyED Time
@@ -62,9 +62,9 @@ type CostModel struct {
 	LinkLatency  Time
 }
 
-// DefaultCosts returns the calibrated cost model.
-func DefaultCosts() CostModel {
-	return CostModel{
+// defaultCosts returns the calibrated cost model.
+func defaultCosts() costModel {
+	return costModel{
 		// crypto: BenchmarkCryptoED25519Sign ≈ 30µs, Verify ≈ 65µs;
 		// RSA-2048 sign ≈ 1.6ms, verify ≈ 45µs; CMAC (256B) ≈ 0.6µs.
 		SignED:          30 * Microsecond,
@@ -144,7 +144,7 @@ func (s Scheme) String() string {
 
 // replicaSign returns (cost, perDestination) for a replica signing one
 // message under the scheme.
-func (c *CostModel) replicaSign(s Scheme) (Time, bool) {
+func (c *costModel) replicaSign(s Scheme) (Time, bool) {
 	switch s {
 	case SchemeED25519:
 		return c.SignED, false
@@ -158,7 +158,7 @@ func (c *CostModel) replicaSign(s Scheme) (Time, bool) {
 }
 
 // replicaVerify returns the cost of verifying a replica's message.
-func (c *CostModel) replicaVerify(s Scheme) Time {
+func (c *costModel) replicaVerify(s Scheme) Time {
 	switch s {
 	case SchemeED25519:
 		return c.VerifyED
@@ -172,7 +172,7 @@ func (c *CostModel) replicaVerify(s Scheme) Time {
 }
 
 // clientSign returns the client request signing cost.
-func (c *CostModel) clientSign(s Scheme) Time {
+func (c *costModel) clientSign(s Scheme) Time {
 	switch s {
 	case SchemeED25519, SchemeCMAC:
 		return c.SignED
@@ -187,7 +187,7 @@ func (c *CostModel) clientSign(s Scheme) Time {
 // at the batch-threads. The recommended configuration amortizes via batch
 // verification; the DS-everywhere configurations pay the full per-message
 // price.
-func (c *CostModel) clientVerify(s Scheme) Time {
+func (c *costModel) clientVerify(s Scheme) Time {
 	switch s {
 	case SchemeED25519:
 		return c.VerifyED
@@ -201,6 +201,6 @@ func (c *CostModel) clientVerify(s Scheme) Time {
 }
 
 // hash returns the hashing cost for size bytes.
-func (c *CostModel) hash(size int) Time {
+func (c *costModel) hash(size int) Time {
 	return c.HashBase + Time(float64(size)*c.HashPerByte)
 }

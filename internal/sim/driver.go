@@ -54,6 +54,15 @@ const (
 	UpperBoundExec
 )
 
+// The simulated deployment's fixed shape: the paper's clients run on 4
+// machines (80K clients in its standard setup), and a replica has two
+// input-threads for replica traffic and two output-threads.
+const (
+	clientMachines      = 4
+	replicaInputThreads = 2
+	outputThreads       = 2
+)
+
 // Config parameterizes one simulated experiment.
 type Config struct {
 	Protocol Protocol
@@ -62,9 +71,8 @@ type Config struct {
 	Replicas      int
 	FailedBackups int
 	// Clients is the number of closed-loop clients, spread over
-	// ClientMachines machines (the paper: 80K clients on 4 machines).
-	Clients        int
-	ClientMachines int
+	// clientMachines machines.
+	Clients int
 	// Cores per replica machine (Section 5.9 varies 1..8).
 	Cores int
 	// Pipeline shape: BatchThreads/ExecuteThreads accept -1 for the
@@ -73,10 +81,8 @@ type Config struct {
 	// 1 (the runnable replica's write-set-partitioned execution shards)
 	// behave as 1E here — use the execshards bench experiment, which runs
 	// the real pipeline, to observe shard-parallel execution.
-	BatchThreads        int
-	ExecuteThreads      int
-	OutputThreads       int
-	ReplicaInputThreads int
+	BatchThreads   int
+	ExecuteThreads int
 	// Workload shape.
 	BatchSize   int
 	Burst       int
@@ -99,8 +105,6 @@ type Config struct {
 	// steady state in milliseconds).
 	Warmup  Time
 	Measure Time
-	// Costs overrides the calibrated cost model (nil = DefaultCosts).
-	Costs *CostModel
 	// Seed controls determinism.
 	Seed int64
 }
@@ -121,9 +125,6 @@ func (c *Config) fill() error {
 	if c.Clients == 0 {
 		c.Clients = 80_000
 	}
-	if c.ClientMachines == 0 {
-		c.ClientMachines = 4
-	}
 	if c.Cores == 0 {
 		c.Cores = 8
 	}
@@ -133,12 +134,6 @@ func (c *Config) fill() error {
 	}
 	if c.ExecuteThreads == 0 {
 		c.ExecuteThreads = 1
-	}
-	if c.OutputThreads == 0 {
-		c.OutputThreads = 2
-	}
-	if c.ReplicaInputThreads == 0 {
-		c.ReplicaInputThreads = 2
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 100
@@ -222,7 +217,7 @@ func (r Result) CumulativeBackup() float64 {
 
 type run struct {
 	cfg   Config
-	costs CostModel
+	costs costModel
 	sim   *Sim
 
 	replicas []*simReplica
@@ -260,10 +255,7 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.fill(); err != nil {
 		return Result{}, err
 	}
-	costs := DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
+	costs := defaultCosts()
 	r := &run{cfg: cfg, costs: costs, sim: NewSim(), latency: &stats.Histogram{}}
 
 	// Analytic wire sizes (bytes) for bandwidth accounting.
@@ -292,7 +284,7 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	// Build client machines and clients.
-	machines := make([]*Host, cfg.ClientMachines)
+	machines := make([]*Host, clientMachines)
 	for i := range machines {
 		machines[i] = NewHost(r.sim, 4, NewNIC(r.sim, costs.NICBandwidth))
 	}

@@ -77,7 +77,7 @@ func newSimReplica(r *run, id types.ReplicaID) (*simReplica, error) {
 	}
 	sr.execNext = 1
 	sr.inputC = host.NewThread("input-client")
-	for i := 0; i < r.cfg.ReplicaInputThreads; i++ {
+	for i := 0; i < replicaInputThreads; i++ {
 		sr.inputR = append(sr.inputR, host.NewThread("input-replica"))
 	}
 	for i := 0; i < r.cfg.BatchThreads; i++ {
@@ -88,7 +88,7 @@ func newSimReplica(r *run, id types.ReplicaID) (*simReplica, error) {
 		sr.exec = host.NewThread("execute")
 	}
 	sr.ckpt = host.NewThread("checkpoint")
-	for i := 0; i < r.cfg.OutputThreads; i++ {
+	for i := 0; i < outputThreads; i++ {
 		sr.out = append(sr.out, host.NewThread("output"))
 	}
 	return sr, nil

@@ -138,7 +138,7 @@ type Host struct {
 	threads   []*Thread
 	NIC       *NIC
 	// CtxSwitch is the per-job oversubscription penalty; see
-	// CostModel.CtxSwitch.
+	// costModel.CtxSwitch.
 	CtxSwitch Time
 }
 

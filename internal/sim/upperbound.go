@@ -10,7 +10,7 @@ func (r *run) runUpperBound() (Result, error) {
 	host.CtxSwitch = r.costs.CtxSwitch
 	workers := []*Thread{host.NewThread("worker-1"), host.NewThread("worker-2")}
 
-	machines := make([]*Host, cfg.ClientMachines)
+	machines := make([]*Host, clientMachines)
 	for i := range machines {
 		machines[i] = NewHost(r.sim, 4, NewNIC(r.sim, r.costs.NICBandwidth))
 	}

@@ -101,7 +101,8 @@ func scanBodyCorpus() []struct {
 			{Kind: types.OpScan, Key: 0, EndKey: ^uint64(0), Limit: ^uint32(0)},
 		}},
 	}}
-	readReq := &types.ReadRequest{Client: 1, ClientSeq: 3, Keys: []uint64{7}, MinSeq: 9, Scans: []types.Op{
+	readReq := &types.ReadRequest{Client: 1, ClientSeq: 3, MinSeq: 9, Ops: []types.Op{
+		{Kind: types.OpRead, Key: 7},
 		{Kind: types.OpScan, Key: 4, EndKey: 2, Limit: 0},
 	}}
 	resp := &types.ClientResponse{Seq: 1, Client: 1, ClientSeq: 1, ReadResults: []types.ReadResult{

@@ -2,6 +2,7 @@ package types
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 )
 
@@ -772,9 +773,18 @@ func (m *ClientResponse) unmarshalInto(r *Reader, st *readStorage) {
 
 // ---- Local read path ----
 
-// ReadRequest asks a single replica to answer point reads and range scans
-// from its last-executed state, bypassing consensus entirely (the
-// Fabric-style read path). The guarantee is per-key freshness, not a
+// errWriteInRead is returned for a ReadRequest carrying an op that is not a
+// read or a scan: the local read path never writes, so such a request is
+// malformed and gets no answer.
+var errWriteInRead = errors.New("types: read request carries a write")
+
+// ReadRequest asks a single replica to answer a write-free request's reads
+// and scans from its last-executed state, bypassing consensus entirely (the
+// Fabric-style read path). Ops is the request's ops in (transaction, op)
+// order, in the op-list encoding transactions use (Writer.Ops), so the
+// reply's results line up with the same request's ordered
+// ClientResponse.ReadResults; an op that is neither OpRead nor OpScan fails
+// the decode (errWriteInRead). The guarantee is per-key freshness, not a
 // snapshot: the read lane runs concurrently with the execute stage
 // applying later batches, so each key individually reflects at least every
 // batch retired up to the reply's Seq — possibly plus writes of a batch
@@ -790,15 +800,12 @@ func (m *ClientResponse) unmarshalInto(r *Reader, st *readStorage) {
 // MinSeq is the client's staleness bound: the replica answers only if its
 // last-retired sequence number is at least MinSeq, and otherwise returns a
 // reply with no results (its Seq stamp reporting how far it actually got)
-// so the client can fall back to the quorum path. Scans carries range
-// reads (Key/EndKey/Limit per entry; Kind is implied); their results
-// follow the Keys results in the reply, in request order.
+// so the client can fall back to the quorum path.
 type ReadRequest struct {
 	Client    ClientID
 	ClientSeq uint64
-	Keys      []uint64
 	MinSeq    SeqNum
-	Scans     []Op
+	Ops       []Op
 }
 
 // Type implements Message.
@@ -807,41 +814,20 @@ func (m *ReadRequest) Type() MsgType { return MsgReadRequest }
 func (m *ReadRequest) marshal(w *Writer) {
 	w.U32(uint32(m.Client))
 	w.U64(m.ClientSeq)
-	w.U32(uint32(len(m.Keys)))
-	for _, k := range m.Keys {
-		w.U64(k)
-	}
 	w.U64(uint64(m.MinSeq))
-	w.U32(uint32(len(m.Scans)))
-	for i := range m.Scans {
-		w.U64(m.Scans[i].Key)
-		w.U64(m.Scans[i].EndKey)
-		w.U32(m.Scans[i].Limit)
-	}
+	w.Ops(m.Ops)
 }
 
 func (m *ReadRequest) unmarshal(r *Reader) {
 	m.Client = ClientID(r.U32())
 	m.ClientSeq = r.U64()
-	n := r.count(8)
-	if r.Err() != nil {
-		return
-	}
-	m.Keys = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		m.Keys[i] = r.U64()
-	}
 	m.MinSeq = SeqNum(r.U64())
-	n = r.count(20)
-	if r.Err() != nil || n == 0 {
-		return
-	}
-	m.Scans = make([]Op, n)
-	for i := 0; i < n; i++ {
-		m.Scans[i].Kind = OpScan
-		m.Scans[i].Key = r.U64()
-		m.Scans[i].EndKey = r.U64()
-		m.Scans[i].Limit = r.U32()
+	m.Ops = r.Ops()
+	for i := range m.Ops {
+		if k := m.Ops[i].Kind; k != OpRead && k != OpScan {
+			r.fail(fmt.Errorf("%w: op %d has kind %d", errWriteInRead, i, k))
+			return
+		}
 	}
 }
 
@@ -851,9 +837,9 @@ func (m *ReadRequest) unmarshal(r *Reader) {
 // writes from later batches still being applied (see ReadRequest for the
 // full semantics). A client can bound its staleness with Seq but must not
 // treat the results as a cross-key snapshot. Results answers the request's
-// Keys first, then its Scans, each in request order; a reply with no
-// results to a request that asked for some is the staleness refusal
-// (lastRetired < MinSeq — Seq reports how far the replica actually got).
+// Ops, one result each, in op order; a reply with no results to a request
+// that asked for some is the staleness refusal (lastRetired < MinSeq — Seq
+// reports how far the replica actually got).
 type ReadReply struct {
 	Client    ClientID
 	ClientSeq uint64

@@ -101,7 +101,8 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		&ClientResponse{View: 2, Seq: 10, Client: 3, ClientSeq: 44, Result: d1, Replica: 1},
 		&ClientResponse{View: 2, Seq: 10, Client: 3, ClientSeq: 44, Result: d1, Replica: 1,
 			ReadResults: []ReadResult{{Found: true, Value: []byte("v")}, {Found: false}}},
-		&ReadRequest{Client: 12, ClientSeq: 90, Keys: []uint64{3, 1 << 40, 7}},
+		&ReadRequest{Client: 12, ClientSeq: 90, MinSeq: 3, Ops: []Op{
+			{Kind: OpRead, Key: 3}, {Kind: OpScan, Key: 1 << 40, EndKey: 1<<40 + 9, Limit: 4}, {Kind: OpRead, Key: 7}}},
 		&ReadReply{Client: 12, ClientSeq: 90, Seq: 501, Replica: 2,
 			Results: []ReadResult{{Found: true, Value: []byte("abc")}, {Found: false}}},
 	}
@@ -122,6 +123,18 @@ func normalize(m Message) []byte { return MarshalBody(m) }
 func TestDecodeRejectsUnknownType(t *testing.T) {
 	if _, err := DecodeBody(0xEE, []byte{1, 2, 3}); !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("DecodeBody of an unknown message type: %v, want ErrUnknownType", err)
+	}
+}
+
+// TestReadRequestRefusesWrites: a ReadRequest whose op list carries
+// anything but reads and scans does not decode, whatever the op's place.
+func TestReadRequestRefusesWrites(t *testing.T) {
+	for _, kind := range []OpKind{OpWrite, OpScan + 1} {
+		body := MarshalBody(&ReadRequest{Client: 1, ClientSeq: 2, Ops: []Op{
+			{Kind: OpRead, Key: 1}, {Kind: kind, Key: 2, Value: []byte("w")}}})
+		if _, err := DecodeBody(MsgReadRequest, body); !errors.Is(err, errWriteInRead) {
+			t.Fatalf("ReadRequest with an op of kind %d: %v, want errWriteInRead", kind, err)
+		}
 	}
 }
 

@@ -108,14 +108,14 @@ func TestGoldenMessageBodies(t *testing.T) {
 		{"ClientResponse/reads", &types.ClientResponse{View: 1, Seq: 2, Client: 3, ClientSeq: 4, Result: d1, Replica: 5,
 			ReadResults: goldenReadList(), Busy: 9},
 			view1 + seq2 + "00000003 0000000000000004 " + d1hex + "0005 " + goldenReads + "09"},
-		{"ReadRequest", &types.ReadRequest{Client: 1, ClientSeq: 2, Keys: []uint64{3}, MinSeq: 4,
-			Scans: []types.Op{{Kind: types.OpScan, Key: 5, EndKey: 6, Limit: 7}}},
-			"00000001 " + seq2 +
-				"00000001 0000000000000003 " + // one key
-				"0000000000000004 " + // min seq
-				"00000001 0000000000000005 0000000000000006 00000007"}, // one scan: key, end, limit
-		{"ReadRequest/keys only", &types.ReadRequest{Client: 1, ClientSeq: 2, Keys: []uint64{3}},
-			"00000001 " + seq2 + "00000001 0000000000000003 " + "0000000000000000 " + "00000000"},
+		{"ReadRequest", &types.ReadRequest{Client: 1, ClientSeq: 2, MinSeq: 4,
+			Ops: []types.Op{{Kind: types.OpScan, Key: 5, EndKey: 6, Limit: 7}, {Kind: types.OpRead, Key: 3}}},
+			"00000001 " + seq2 + "0000000000000004 " + // client, client seq, min seq
+				"00000002 " + // two ops, in request order
+				"02 0000000000000005 0000000000000006 00000007 00000000 " + // scan [5,6] limit 7
+				"01 0000000000000003 00000000"}, // read key 3
+		{"ReadRequest/keys only", &types.ReadRequest{Client: 1, ClientSeq: 2, Ops: []types.Op{{Kind: types.OpRead, Key: 3}}},
+			"00000001 " + seq2 + "0000000000000000 " + "00000001 01 0000000000000003 00000000"}, // one op: read key 3
 		{"ReadReply", &types.ReadReply{Client: 1, ClientSeq: 2, Seq: 3, Replica: 4, Results: goldenReadList()},
 			"00000001 " + seq2 + "0000000000000003 0004 " + goldenReads},
 	} {

@@ -40,6 +40,9 @@ func (d Distribution) String() string {
 	}
 }
 
+// zipfTheta is the YCSB Zipfian skew constant.
+const zipfTheta = 0.99
+
 // Config describes a YCSB workload.
 type Config struct {
 	// Records is the active record set size; the paper uses 600K.
@@ -52,10 +55,9 @@ type Config struct {
 	// PayloadSize adds opaque bytes to each transaction to inflate message
 	// size (Section 5.5).
 	PayloadSize int
-	// Distribution selects the key distribution; Zipf by default.
+	// Distribution selects the key distribution; Zipf by default, with
+	// the YCSB skew constant zipfTheta.
 	Distribution Distribution
-	// ZipfTheta is the Zipfian skew constant; 0 means the YCSB default 0.99.
-	ZipfTheta float64
 	// ReadFraction is the probability a transaction is read-only, per the
 	// YCSB mix convention. The knob convention applies: 0 keeps the default
 	// (write-only, the seed behaviour), -1 disables reads explicitly,
@@ -210,11 +212,7 @@ func New(cfg Config, salt int64) (*Workload, error) {
 	case Uniform:
 		gen = NewUniform(rnd, cfg.Records)
 	default:
-		theta := cfg.ZipfTheta
-		if theta == 0 {
-			theta = 0.99
-		}
-		gen = NewZipfian(rnd, cfg.Records, theta)
+		gen = NewZipfian(rnd, cfg.Records, zipfTheta)
 	}
 	return &Workload{
 		cfg: cfg, gen: gen, rnd: rnd, fill: byte(salt),
