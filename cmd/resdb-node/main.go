@@ -7,11 +7,10 @@
 // cmd/internal/deploy. A node runs PBFT.
 //
 // Inbound TCP frames are always decoded in place from pooled buffers,
-// outbound bodies always marshal into pooled arenas, each peer's writer
-// sends what is queued, up to 64 envelopes, as one frame, and verify
-// workers always drain their queue in batches (Section 4.8; see "Memory &
-// buffer pools" in docs/ARCHITECTURE.md) — these are how the node works,
-// not knobs.
+// outbound bodies always marshal into pooled arenas, and each peer's
+// writer sends what is queued, up to 64 envelopes, as one frame (Section
+// 4.8; see "Memory & buffer pools" in docs/ARCHITECTURE.md) — these are
+// how the node works, not knobs.
 //
 // Every flag is described by its usage string (resdb-node -h); the
 // pipeline-shape and store flags bind straight into replica.Config and
@@ -75,7 +74,6 @@ func register(fs *flag.FlagSet) *nodeFlags {
 	fs.IntVar(&f.rep.BatchThreads, "batch-threads", f.rep.BatchThreads, "batch-threads B at the primary (0 = 2); -1 folds batching into the worker-thread (the paper's 0B)")
 	fs.IntVar(&f.rep.ExecuteThreads, "execute-shards", f.rep.ExecuteThreads, "execution shards E (0 = 1, the paper's execute-thread); -1 folds execution into the worker-thread (0E); E > 1 partitions each batch's write-set across E shards, retired in batch order (deterministic)")
 	fs.IntVar(&f.rep.ExecPipelineDepth, "exec-pipeline-depth", f.rep.ExecPipelineDepth, "committed batches in flight across the execution shards at once when E > 1 (0 = 1, the per-batch barrier); per-shard FIFO keeps each key partition in batch order")
-	fs.IntVar(&f.rep.VerifyThreads, "verify-threads", f.rep.VerifyThreads, "V workers check a batch's client signatures while input-threads authenticate peer envelopes before decoding them (0 = 2)")
 	fs.StringVar(&f.store.Backend, "store-backend", f.store.Backend, "record store: mem, the in-memory table (empty = mem) | sharded, a MemStore plus one CRC-checked append log that every execution shard writes to, recovered to its longest valid prefix")
 	fs.StringVar(&f.store.Dir, "store-dir", f.store.Dir, "directory of the sharded store (empty = resdb-data/replica-N for -id N)")
 	fs.BoolVar(&f.storeSync, "store-sync", false, "make the sharded store durable: the log's committer fsyncs whenever something appended is not yet covered, and no response leaves before its fsync (off = page cache only)")

@@ -37,7 +37,6 @@ type Options struct {
 	// paper's standard 2B1E) and its folded form (-1 for B and E).
 	BatchThreads      int
 	ExecuteThreads    int
-	VerifyThreads     int
 	ExecPipelineDepth int
 	// Crypto selects the signature configuration (default: the paper's
 	// recommended CMAC + ED25519 combination).
@@ -229,7 +228,6 @@ func (c *Cluster) buildReplica(id types.ReplicaID, st store.Store, boot *replica
 		BatchSize:          opts.BatchSize,
 		BatchThreads:       opts.BatchThreads,
 		ExecuteThreads:     opts.ExecuteThreads,
-		VerifyThreads:      opts.VerifyThreads,
 		ExecPipelineDepth:  opts.ExecPipelineDepth,
 		CheckpointInterval: opts.CheckpointInterval,
 		LedgerMode:         opts.LedgerMode,

@@ -55,7 +55,6 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 			BatchSize:      8,
 			BatchThreads:   2,
 			ExecuteThreads: 1,
-			VerifyThreads:  2,
 			Directory:      dir,
 			Endpoint:       eps[i],
 		})

@@ -92,7 +92,6 @@ func TestTCPClusterZeroCopyEndToEnd(t *testing.T) {
 			BatchSize:      8,
 			BatchThreads:   2,
 			ExecuteThreads: 1,
-			VerifyThreads:  2,
 			Directory:      dir,
 			Endpoint:       eps[i],
 		})

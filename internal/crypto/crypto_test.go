@@ -315,3 +315,38 @@ func BenchmarkCryptoSHA256PerKB(b *testing.B) {
 		Hash256(buf)
 	}
 }
+
+// TestVerifyBatchDirect exercises the BatchVerifier implementations
+// themselves: an all-valid batch passes, and a single corrupted signature
+// rejects the whole batch.
+func TestVerifyBatchDirect(t *testing.T) {
+	dir := testDirectory(t, AllED25519())
+	signer := dir.NodeAuth(types.ReplicaNode(1))
+	verifier := dir.NodeAuth(types.ReplicaNode(0))
+	b, ok := verifier.(BatchVerifier)
+	if !ok {
+		t.Fatalf("%T does not implement BatchVerifier", verifier)
+	}
+
+	const n = 12
+	srcs := make([]types.NodeID, n)
+	msgs := make([][]byte, n)
+	auths := make([][]byte, n)
+	for i := range msgs {
+		srcs[i] = types.ReplicaNode(1)
+		msgs[i] = []byte{byte(i), 0xC3}
+		sig, err := signer.Sign(types.ReplicaNode(0), msgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		auths[i] = sig
+	}
+	if err := b.VerifyBatch(srcs, msgs, auths); err != nil {
+		t.Fatalf("all-valid batch rejected: %v", err)
+	}
+	auths[7] = append([]byte(nil), auths[7]...)
+	auths[7][3] ^= 0x40
+	if err := b.VerifyBatch(srcs, msgs, auths); err == nil {
+		t.Fatal("batch with a corrupted signature accepted")
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"resilientdb/internal/consensus"
-	"resilientdb/internal/crypto"
 	"resilientdb/internal/types"
 )
 
@@ -137,33 +136,19 @@ func (r *Replica) propose(reqs []*types.ClientRequest, out *consensus.Out) (park
 // verifyClientSigs checks every request's client signature — over the
 // digest the request already carries, so nothing is marshalled or hashed
 // here — and returns the survivors in order, in reqs' array; a refused
-// request is released at once. Only the primary runs it: a
-// backup takes the requests of a proposal on the primary's authenticator
-// and the batch digest. The checks fan out across the verify pool's
-// workers — submitted in order, awaited in order — so one RSA verify on
-// the batch-thread does not serialize the whole batch; a lone request is
-// checked inline.
+// request is released at once. Only the primary runs it, on the thread
+// that proposes: a batch-thread, so the B batch-threads are the check's
+// fan-out, or the worker-thread at 0B. A backup takes the requests of a
+// proposal on the primary's authenticator and the batch digest.
 func (r *Replica) verifyClientSigs(reqs []*types.ClientRequest) []*types.ClientRequest {
 	kept := reqs[:0]
-	keep := func(req *types.ClientRequest, err error) {
-		if err != nil {
+	for _, req := range reqs {
+		if err := r.auth.VerifyDigest(types.ClientNode(req.Client), req.Digest(), req.Sig); err != nil {
 			r.authFailures.Add(1)
 			types.ReleaseMessage(req)
-			return
+			continue
 		}
 		kept = append(kept, req)
-	}
-	if len(reqs) == 1 {
-		req := reqs[0]
-		keep(req, r.auth.VerifyDigest(types.ClientNode(req.Client), req.Digest(), req.Sig))
-		return kept
-	}
-	pending := make([]*crypto.Pending, len(reqs))
-	for i, req := range reqs {
-		pending[i] = r.verifyPool.SubmitDigestPooled(types.ClientNode(req.Client), req.Digest(), req.Sig)
-	}
-	for i, req := range reqs {
-		keep(req, pending[i].Await())
 	}
 	return kept
 }

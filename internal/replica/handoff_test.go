@@ -245,9 +245,9 @@ func TestGoroutineCensus(t *testing.T) {
 		want map[string]int
 	}{
 		{
-			// Only the required fields: the paper's standard 2B1E replica
-			// with V=2, what cluster, resdb-node and the benchmark's TCP
-			// replicas run.
+			// Only the required fields: the paper's standard 2B1E replica,
+			// what cluster, resdb-node and the benchmark's TCP replicas
+			// run.
 			name: "default",
 			want: map[string]int{
 				"replica.(*Replica).inputClientLoop":  1,
@@ -257,7 +257,6 @@ func TestGoroutineCensus(t *testing.T) {
 				"replica.(*Replica).workerLoop":       1,
 				"replica.(*Replica).checkpointLoop":   1,
 				"replica.(*Replica).executeLoop":      1,
-				"crypto.(*VerifyPool).worker":         2,
 			},
 		},
 		{
@@ -265,7 +264,7 @@ func TestGoroutineCensus(t *testing.T) {
 			// (its waiter and compactor), the watchdog. WorkerThreads is
 			// ignored: four asked for still start one workerLoop.
 			name: "W=4 E=2 disk watchdog",
-			cfg: Config{BatchThreads: 3, ExecuteThreads: 2, ExecPipelineDepth: 2, VerifyThreads: 4, WorkerThreads: 4,
+			cfg: Config{BatchThreads: 3, ExecuteThreads: 2, ExecPipelineDepth: 2, WorkerThreads: 4,
 				ViewTimeout: time.Hour},
 			disk: true,
 			want: map[string]int{
@@ -280,12 +279,10 @@ func TestGoroutineCensus(t *testing.T) {
 				"replica.(*Replica).durableWaitLoop":  1,
 				"replica.(*Replica).compactLoop":      1,
 				"replica.(*Replica).watchdogLoop":     1,
-				"crypto.(*VerifyPool).worker":         4,
 			},
 		},
 		{
-			// The paper's folded configuration: 0B 0E, with the default
-			// V=2 pool.
+			// The paper's folded configuration: 0B 0E.
 			name: "0B 0E",
 			cfg:  Config{BatchThreads: -1, ExecuteThreads: -1},
 			want: map[string]int{
@@ -294,7 +291,6 @@ func TestGoroutineCensus(t *testing.T) {
 				"replica.(*Replica).readLoop":         2,
 				"replica.(*Replica).workerLoop":       1,
 				"replica.(*Replica).checkpointLoop":   1,
-				"crypto.(*VerifyPool).worker":         2,
 			},
 		},
 	}

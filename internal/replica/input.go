@@ -157,9 +157,12 @@ func (r *Replica) readLoop() {
 	defer r.readWg.Done()
 	var p partition
 	var results []types.ReadResult
+	// sendTo encodes the reply before it returns, so one per thread serves
+	// every read; rebuilding it clears Results, which a refusal leaves nil.
+	var reply types.ReadReply
 	for req := range r.readQ.C() {
 		last := r.lastRetired.Load()
-		reply := &types.ReadReply{
+		reply = types.ReadReply{
 			Client:    req.Client,
 			ClientSeq: req.ClientSeq,
 			Seq:       types.SeqNum(last),
@@ -179,7 +182,7 @@ func (r *Replica) readLoop() {
 			reply.Results = results
 		}
 		r.localReads.Add(1)
-		r.sendTo(types.ClientNode(req.Client), reply)
+		r.sendTo(types.ClientNode(req.Client), &reply)
 		p.reset()
 	}
 }

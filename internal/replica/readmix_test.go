@@ -462,3 +462,48 @@ func TestLocalReadRefusesWrites(t *testing.T) {
 		t.Fatalf("key 7 holds %q (%v), want v7", v, err)
 	}
 }
+
+// TestLocalReadAllocs counts what one local read allocates at the replica,
+// from the client's envelope on its inbox to the reply on the client's: the
+// input-thread decodes the request (the request and its op list), and the
+// read-thread answers into a reply, a results slice and a value arena of
+// its own. A refused MinSeq, answered by the same read-threads, still
+// carries no results.
+func TestLocalReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random; steady-state reuse is nondeterministic")
+	}
+	mem := store.NewMemStore(1 << 10)
+	for k := uint64(7); k < 9; k++ {
+		if err := mem.Put(k, []byte{byte(k)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, eps := newReadMixReplica(t, 1, 1, 1, mem)
+	body := types.MarshalBody(&types.ReadRequest{Client: 0, ClientSeq: 1, Ops: []types.Op{
+		{Kind: types.OpRead, Key: 7}, {Kind: types.OpRead, Key: 8}}})
+	read := func() {
+		env := types.AcquireEnvelope()
+		env.From, env.To, env.Type, env.Body = types.ClientNode(0), types.ReplicaNode(1), types.MsgReadRequest, body
+		if err := eps[0].Send(env); err != nil {
+			t.Fatal(err)
+		}
+		(<-eps[0].Inbox(0)).Release()
+	}
+	allocs := testing.AllocsPerRun(200, read)
+	t.Logf("allocations per local read: %.2f", allocs)
+	if allocs > 2 {
+		t.Fatalf("a local read allocates %.2f, want at most 2", allocs)
+	}
+	if got := r.Stats().LocalReads; got != 201 {
+		t.Fatalf("LocalReads = %d, want 201", got)
+	}
+
+	for i := 0; i < 4; i++ {
+		sendRead(t, eps[0], 0, &types.ReadRequest{Client: 0, ClientSeq: 2, MinSeq: 1 << 40, Ops: []types.Op{{Kind: types.OpRead, Key: 7}}})
+		reply := recvMsg(t, eps[0], types.MsgReadReply).(*types.ReadReply)
+		if reply.ClientSeq != 2 || len(reply.Results) != 0 {
+			t.Fatalf("stale read %d answered ClientSeq %d with %d results, want 2 and none", i, reply.ClientSeq, len(reply.Results))
+		}
+	}
+}

@@ -70,7 +70,7 @@ const PBFT Protocol = 1
 
 // Config parameterizes a replica. Beyond ID, N, Directory and Endpoint
 // every field may be left zero: the pipeline-shape fields then take the
-// paper's standard configuration (Section 5.2), B=2, E=1, V=2, depth 1,
+// paper's standard configuration (Section 5.2), B=2, E=1, depth 1,
 // batches of 100, a checkpoint every 100 batches. For B and E, -1 folds
 // the stage (the paper's 0B/0E).
 type Config struct {
@@ -117,13 +117,10 @@ type Config struct {
 	// WorkerThreads is ignored: a replica runs one worker-thread, as the
 	// paper's does. The field stays for callers that still set it.
 	WorkerThreads int
-	// VerifyThreads is V (default 2): the workers of the crypto.VerifyPool
-	// that fans a batch's client signatures out, the one check that has a
-	// fan-out. Peer envelopes are authenticated by the input-thread that
-	// dequeues them, before they are decoded, so the worker-thread only
-	// ever sees authenticated messages and an unauthenticated peer buys no
-	// parsing; the inboxes are the parallelism, whatever the scheme. V
-	// does not fold: -1 is refused.
+	// VerifyThreads is ignored: the thread that proposes a batch checks its
+	// client signatures, and an input-thread authenticates each peer
+	// envelope it dequeues before decoding it. The field stays for callers
+	// that still set it.
 	VerifyThreads int
 	// CheckpointInterval is Δ in batches; the paper checkpoints once per
 	// 10K transactions, i.e. every 100 batches of 100 (Section 5.1).
@@ -199,7 +196,6 @@ func (c *Config) fill() error {
 	}{
 		{"BatchThreads", &c.BatchThreads, 2, true},
 		{"ExecuteThreads", &c.ExecuteThreads, 1, true},
-		{"VerifyThreads", &c.VerifyThreads, 2, false},
 		{"ExecPipelineDepth", &c.ExecPipelineDepth, 1, false},
 		{"BatchSize", &c.BatchSize, 100, false},
 	} {
@@ -497,10 +493,6 @@ type Replica struct {
 	// traffic.
 	readQ  *queue.Handoff[*types.ReadRequest]
 	readWg sync.WaitGroup
-
-	// verifyPool fans a batch's client signatures out over VerifyThreads
-	// workers.
-	verifyPool *crypto.VerifyPool
 
 	// encBufs backs the outbound encode path (Section 4.8 buffer-pool
 	// management on the send side): broadcast/sendTo bodies are marshaled
@@ -872,8 +864,6 @@ func (r *Replica) addBusy(stage Stage, d time.Duration) {
 
 // Start launches the pipeline goroutines.
 func (r *Replica) Start() {
-	r.verifyPool = crypto.NewVerifyPool(r.auth, r.cfg.VerifyThreads, r.cfg.VerifyThreads*64)
-
 	// Input: client traffic on inbox 0, replica traffic on the rest.
 	r.inputWg.Add(1)
 	go r.inputClientLoop(r.cfg.Endpoint.Inbox(0))
@@ -942,13 +932,6 @@ func (r *Replica) Stop() {
 		r.workQ.Close()
 		r.ckptQ.Close()
 		r.stage1Wg.Wait()
-
-		// Batch-threads fan client-signature checks through the verify
-		// pool, so it must outlive stage 1; close it only once they exit.
-		// It is nil only on a replica that never started.
-		if r.verifyPool != nil {
-			r.verifyPool.Close()
-		}
 
 		r.execIn.Close()
 		r.execWg.Wait()

@@ -42,10 +42,9 @@ func TestConfigValidation(t *testing.T) {
 		{"sharded execute accepted", func(c *Config) { c.ExecuteThreads = 4 }, ""},
 		{"folded execute accepted", func(c *Config) { c.ExecuteThreads = -1 }, ""},
 		{"folded batch accepted", func(c *Config) { c.BatchThreads = -1 }, ""},
-		{"folded verify refused", func(c *Config) { c.VerifyThreads = -1 }, "VerifyThreads"},
 		{"negative execute threads", func(c *Config) { c.ExecuteThreads = -2 }, "ExecuteThreads"},
 		{"negative batch threads", func(c *Config) { c.BatchThreads = -2 }, "BatchThreads"},
-		{"negative verify threads", func(c *Config) { c.VerifyThreads = -2 }, "VerifyThreads"},
+		{"verify threads ignored", func(c *Config) { c.VerifyThreads = -2 }, ""},
 		{"negative pipeline depth", func(c *Config) { c.ExecPipelineDepth = -1 }, "ExecPipelineDepth"},
 		{"negative batch size", func(c *Config) { c.BatchSize = -1 }, "BatchSize"},
 		{"missing directory", func(c *Config) { c.Directory = nil }, "Directory"},
@@ -83,7 +82,6 @@ func TestDefaultsApplied(t *testing.T) {
 	}{
 		{"BatchThreads", r.cfg.BatchThreads, 2},
 		{"ExecuteThreads", r.cfg.ExecuteThreads, 1},
-		{"VerifyThreads", r.cfg.VerifyThreads, 2},
 		{"ExecPipelineDepth", r.cfg.ExecPipelineDepth, 1},
 		{"BatchSize", r.cfg.BatchSize, 100},
 		{"CheckpointInterval", int(r.cfg.CheckpointInterval), 100},
@@ -118,10 +116,9 @@ func TestZyzzyvaProtocolRefused(t *testing.T) {
 	}
 }
 
-// TestZyzzyvaForcesHashChainLedger keeps its name from when a Zyzzyva
-// replica overrode LedgerMode. No protocol does now: the mode is honoured
-// as given, and zero means the commit certificate.
-func TestZyzzyvaForcesHashChainLedger(t *testing.T) {
+// TestLedgerModeHonoured: a replica's ledger links blocks the way its
+// Config's LedgerMode says, and zero means the commit certificate.
+func TestLedgerModeHonoured(t *testing.T) {
 	for _, tc := range []struct {
 		mode ledger.Mode
 		want ledger.Mode

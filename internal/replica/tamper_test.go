@@ -2,7 +2,6 @@ package replica
 
 import (
 	"bytes"
-	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -53,53 +52,63 @@ func signedBatch(t *testing.T, dir *crypto.Directory, n int) []types.ClientReque
 }
 
 // TestForgedRequestDroppedByDefault: a replica built from a Config that
-// says nothing about client signatures checks them. Of two queued requests,
-// the one signed with another client's key is dropped before the proposal
-// and counted in AuthFailures, and the authentic one is proposed.
+// says nothing about client signatures checks them, on the thread that
+// proposes: a batch-thread, or the worker-thread at 0B. Of two queued
+// requests, proposed as one batch, the one signed with another client's key
+// is dropped before the proposal and counted in AuthFailures, and the
+// authentic one is proposed.
 func TestForgedRequestDroppedByDefault(t *testing.T) {
-	dir, err := crypto.NewDirectory(crypto.Recommended(), [32]byte{24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := transport.NewInproc()
-	backup := net.Endpoint(types.ReplicaNode(1), 1, 64)
-	r, err := New(Config{
-		ID: 0, N: 4, BatchThreads: 1,
-		Directory: dir, Endpoint: net.Endpoint(types.ReplicaNode(0), 3, 64),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := signedBatch(t, dir, 2)
-	forged, err := dir.NodeAuth(types.ClientNode(reqs[0].Client)).Sign(types.ReplicaNode(0), reqs[1].SigningBytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs[1].Sig = forged
-	r.batchQ.Push(&reqs[1], nil)
-	r.batchQ.Push(&reqs[0], nil)
-	r.Start()
-	t.Cleanup(r.Stop)
+	for _, row := range []struct {
+		name         string
+		batchThreads int
+	}{{"2B", 2}, {"0B", -1}} {
+		t.Run(row.name, func(t *testing.T) {
+			dir, err := crypto.NewDirectory(crypto.Recommended(), [32]byte{24})
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := transport.NewInproc()
+			backup := net.Endpoint(types.ReplicaNode(1), 1, 64)
+			r, err := New(Config{
+				ID: 0, N: 4, BatchThreads: row.batchThreads,
+				Directory: dir, Endpoint: net.Endpoint(types.ReplicaNode(0), 3, 64),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs := signedBatch(t, dir, 2)
+			forged, err := dir.NodeAuth(types.ClientNode(reqs[0].Client)).Sign(types.ReplicaNode(0), reqs[1].SigningBytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs[1].Sig = forged
+			// Queued before Start, the pair is drained into one batch: by
+			// the first batch-thread to take the turn, or by the
+			// worker-thread, which proposes once its queue is empty.
+			for _, req := range []*types.ClientRequest{&reqs[1], &reqs[0]} {
+				if row.batchThreads > 0 {
+					r.batchQ.Push(req, nil)
+				} else {
+					r.workQ.Push(workItem{req: req}, nil)
+				}
+			}
+			r.Start()
+			t.Cleanup(r.Stop)
 
-	pp := nextPrePrepare(t, backup)
-	if len(pp.Requests) != 1 || pp.Requests[0].Client != reqs[0].Client {
-		clients := make([]types.ClientID, len(pp.Requests))
-		for i := range pp.Requests {
-			clients[i] = pp.Requests[i].Client
-		}
-		t.Fatalf("the proposal carries clients %v, want only the authentic %d", clients, reqs[0].Client)
-	}
-	if got := r.Stats().AuthFailures; got != 1 {
-		t.Fatalf("%d auth failures, want the forged request's 1", got)
+			pp := nextPrePrepare(t, backup)
+			if len(pp.Requests) != 1 || pp.Requests[0].Client != reqs[0].Client {
+				clients := make([]types.ClientID, len(pp.Requests))
+				for i := range pp.Requests {
+					clients[i] = pp.Requests[i].Client
+				}
+				t.Fatalf("the proposal carries clients %v, want only the authentic %d", clients, reqs[0].Client)
+			}
+			if got := r.Stats().AuthFailures; got != 1 {
+				t.Fatalf("%d auth failures, want the forged request's 1", got)
+			}
+		})
 	}
 }
-
-// verifyRows are the verify pool sizes the tamper tests run under; peer
-// envelopes are authenticated on the input-threads whatever the size.
-var verifyRows = []struct {
-	name    string
-	threads int
-}{{"2", 2}}
 
 // TestTamperedProposalNeverReachesEngine: a proposal's authenticator covers
 // its header only, so the digest check is what authenticates the requests
@@ -110,124 +119,122 @@ var verifyRows = []struct {
 // counted as an auth or decode failure. If the coverage of the authenticator, the
 // request digest or the batch digest shrinks, some byte here gets through.
 //
-// The zyzzyva rows send a proposal under type 9, the id Zyzzyva's proposal
+// The zyzzyva row sends a proposal under type 9, the id Zyzzyva's proposal
 // had and that stays reserved, authentic in every byte: a replica refuses it
 // before authenticating or decoding it, and counts it as malformed.
 func TestTamperedProposalNeverReachesEngine(t *testing.T) {
 	for _, proto := range []string{"pbft", "zyzzyva"} {
-		for _, v := range verifyRows {
-			t.Run(fmt.Sprintf("%s/verify-threads-%s", proto, v.name), func(t *testing.T) {
-				dir, err := crypto.NewDirectory(crypto.Recommended(), [32]byte{22})
-				if err != nil {
-					t.Fatal(err)
-				}
-				net := transport.NewInproc()
-				primary, backup := types.ReplicaNode(0), types.ReplicaNode(1)
-				r, err := New(Config{
-					ID: 1, N: 4, VerifyThreads: v.threads,
-					Directory: dir, Endpoint: net.Endpoint(backup, 3, 1<<12),
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				engine := &proposalCounter{Engine: r.engine}
-				r.engine = engine
-				r.Start()
-				defer r.Stop()
-				sender := net.Endpoint(primary, 1, 16)
-				defer sender.Close()
-				send := func(mt types.MsgType, body []byte, tag []byte) {
-					t.Helper()
-					if err := sender.Send(&types.Envelope{From: primary, To: backup, Type: mt, Body: body, Auth: tag}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				sign := func(mt types.MsgType, body []byte) []byte {
-					t.Helper()
-					tag, err := dir.NodeAuth(primary).Sign(backup, types.AuthenticatedBytes(mt, body))
-					if err != nil {
-						t.Fatal(err)
-					}
-					return tag
-				}
-
-				reqs := signedBatch(t, dir, 2)
-				digest := types.BatchDigest(reqs)
-				if proto == "zyzzyva" {
-					body := types.MarshalBody(&types.PrePrepare{View: 0, Seq: 1, Digest: digest, Requests: reqs})
-					send(9, body, sign(9, body))
-					// A PrePrepare from the same sender queues behind it: once
-					// the engine has it, the type-9 frame was handled.
-					send(types.MsgPrePrepare, body, sign(types.MsgPrePrepare, body))
-					waitFor(t, func() bool { return engine.proposals.Load() >= 1 }, "the authentic PrePrepare never reached the engine")
-					if got := engine.proposals.Load(); got != 1 {
-						t.Fatalf("%d proposals reached the engine, want only the PrePrepare", got)
-					}
-					if s := r.Stats(); s.DecodeFailures != 1 || s.AuthFailures != 0 {
-						t.Fatalf("decode failures %d, auth failures %d; want the type-9 frame refused unauthenticated: 1, 0", s.DecodeFailures, s.AuthFailures)
-					}
-					return
-				}
-
-				extra := signedBatch(t, dir, 3)[2]
-				build := func(reqs []types.ClientRequest) []byte {
-					return types.MarshalBody(&types.PrePrepare{View: 0, Seq: 1, Digest: digest, Requests: reqs})
-				}
-				body := build(reqs)
-				tag := sign(types.MsgPrePrepare, body)
-				sent := uint64(0)
-				sendTampered := func(body []byte) {
-					t.Helper()
-					send(types.MsgPrePrepare, body, tag)
-					sent++
-				}
-
-				// Every variant keeps the authenticated header, so the
-				// authenticator itself still verifies on all but the
-				// header flips.
-				for i := range body {
-					flipped := append([]byte(nil), body...)
-					flipped[i] ^= 0x01
-					sendTampered(flipped)
-				}
-				sendTampered(build(append(append([]types.ClientRequest(nil), reqs...), extra)))
-				sendTampered(build(reqs[:1]))
-				sendTampered(build(nil))
-				sendTampered(append(append([]byte(nil), body...), 0))
-				tampered := sent
-
-				waitFor(t, func() bool {
-					s := r.Stats()
-					return s.AuthFailures+s.DecodeFailures == tampered
-				}, "a tampered proposal was not counted")
-				if got := engine.proposals.Load(); got != 0 {
-					t.Fatalf("%d of %d tampered proposals reached the engine", got, tampered)
-				}
-				s := r.Stats()
-				t.Logf("%d-byte body: %d tampered proposals, %d auth failures, %d decode failures",
-					len(body), tampered, s.AuthFailures, s.DecodeFailures)
-				if s.AuthFailures == 0 || s.DecodeFailures == 0 {
-					t.Fatalf("auth failures %d, decode failures %d: both kinds of tampering must be counted", s.AuthFailures, s.DecodeFailures)
-				}
-
-				// The untouched proposal, last: it alone gets through.
-				send(types.MsgPrePrepare, append([]byte(nil), body...), tag)
-				waitFor(t, func() bool { return engine.proposals.Load() == 1 }, "the authentic proposal never reached the engine")
-				if s := r.Stats(); s.AuthFailures+s.DecodeFailures != tampered {
-					t.Fatalf("the authentic proposal was counted as a failure: %+v", s)
-				}
+		t.Run(proto, func(t *testing.T) {
+			dir, err := crypto.NewDirectory(crypto.Recommended(), [32]byte{22})
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := transport.NewInproc()
+			primary, backup := types.ReplicaNode(0), types.ReplicaNode(1)
+			r, err := New(Config{
+				ID: 1, N: 4,
+				Directory: dir, Endpoint: net.Endpoint(backup, 3, 1<<12),
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine := &proposalCounter{Engine: r.engine}
+			r.engine = engine
+			r.Start()
+			defer r.Stop()
+			sender := net.Endpoint(primary, 1, 16)
+			defer sender.Close()
+			send := func(mt types.MsgType, body []byte, tag []byte) {
+				t.Helper()
+				if err := sender.Send(&types.Envelope{From: primary, To: backup, Type: mt, Body: body, Auth: tag}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sign := func(mt types.MsgType, body []byte) []byte {
+				t.Helper()
+				tag, err := dir.NodeAuth(primary).Sign(backup, types.AuthenticatedBytes(mt, body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tag
+			}
+
+			reqs := signedBatch(t, dir, 2)
+			digest := types.BatchDigest(reqs)
+			if proto == "zyzzyva" {
+				body := types.MarshalBody(&types.PrePrepare{View: 0, Seq: 1, Digest: digest, Requests: reqs})
+				send(9, body, sign(9, body))
+				// A PrePrepare from the same sender queues behind it: once
+				// the engine has it, the type-9 frame was handled.
+				send(types.MsgPrePrepare, body, sign(types.MsgPrePrepare, body))
+				waitFor(t, func() bool { return engine.proposals.Load() >= 1 }, "the authentic PrePrepare never reached the engine")
+				if got := engine.proposals.Load(); got != 1 {
+					t.Fatalf("%d proposals reached the engine, want only the PrePrepare", got)
+				}
+				if s := r.Stats(); s.DecodeFailures != 1 || s.AuthFailures != 0 {
+					t.Fatalf("decode failures %d, auth failures %d; want the type-9 frame refused unauthenticated: 1, 0", s.DecodeFailures, s.AuthFailures)
+				}
+				return
+			}
+
+			extra := signedBatch(t, dir, 3)[2]
+			build := func(reqs []types.ClientRequest) []byte {
+				return types.MarshalBody(&types.PrePrepare{View: 0, Seq: 1, Digest: digest, Requests: reqs})
+			}
+			body := build(reqs)
+			tag := sign(types.MsgPrePrepare, body)
+			sent := uint64(0)
+			sendTampered := func(body []byte) {
+				t.Helper()
+				send(types.MsgPrePrepare, body, tag)
+				sent++
+			}
+
+			// Every variant keeps the authenticated header, so the
+			// authenticator itself still verifies on all but the
+			// header flips.
+			for i := range body {
+				flipped := append([]byte(nil), body...)
+				flipped[i] ^= 0x01
+				sendTampered(flipped)
+			}
+			sendTampered(build(append(append([]types.ClientRequest(nil), reqs...), extra)))
+			sendTampered(build(reqs[:1]))
+			sendTampered(build(nil))
+			sendTampered(append(append([]byte(nil), body...), 0))
+			tampered := sent
+
+			waitFor(t, func() bool {
+				s := r.Stats()
+				return s.AuthFailures+s.DecodeFailures == tampered
+			}, "a tampered proposal was not counted")
+			if got := engine.proposals.Load(); got != 0 {
+				t.Fatalf("%d of %d tampered proposals reached the engine", got, tampered)
+			}
+			s := r.Stats()
+			t.Logf("%d-byte body: %d tampered proposals, %d auth failures, %d decode failures",
+				len(body), tampered, s.AuthFailures, s.DecodeFailures)
+			if s.AuthFailures == 0 || s.DecodeFailures == 0 {
+				t.Fatalf("auth failures %d, decode failures %d: both kinds of tampering must be counted", s.AuthFailures, s.DecodeFailures)
+			}
+
+			// The untouched proposal, last: it alone gets through.
+			send(types.MsgPrePrepare, append([]byte(nil), body...), tag)
+			waitFor(t, func() bool { return engine.proposals.Load() == 1 }, "the authentic proposal never reached the engine")
+			if s := r.Stats(); s.AuthFailures+s.DecodeFailures != tampered {
+				t.Fatalf("the authentic proposal was counted as a failure: %+v", s)
+			}
+		})
 	}
 }
 
 // TestDriverSignedRequestVerifiesAfterDecode: a request signed the way the
 // benchmark's driver signs it — auth.Sign(ReplicaNode(0),
 // req.SigningBytes()) — passes verifyClientSigs after encode → frame →
-// DecodeEnvelope, on the inline route and through the verify pool, over
-// the digest decode computed; a flipped signature or payload byte fails
-// and is counted; and the inline check on a decoded request allocates
-// nothing — no signing bytes are rebuilt, whatever the request's size.
+// DecodeEnvelope, alone and in a batch, over the digest decode computed; a
+// flipped signature or payload byte fails and is counted; and the check on
+// a decoded batch allocates nothing — no signing bytes are rebuilt,
+// whatever the request's size.
 func TestDriverSignedRequestVerifiesAfterDecode(t *testing.T) {
 	dir, err := crypto.NewDirectory(crypto.Recommended(), [32]byte{23})
 	if err != nil {
@@ -278,10 +285,10 @@ func TestDriverSignedRequestVerifiesAfterDecode(t *testing.T) {
 	signRequest(t, dir, &signed[0])
 
 	if kept := r.verifyClientSigs(decode(signed[:1])); len(kept) != 1 {
-		t.Fatal("inline: a driver-signed request failed verification after decode")
+		t.Fatal("alone: a driver-signed request failed verification after decode")
 	}
 	if kept := r.verifyClientSigs(decode(signed)); len(kept) != 3 {
-		t.Fatalf("pool: %d of 3 driver-signed requests verified after decode", len(kept))
+		t.Fatalf("batch: %d of 3 driver-signed requests verified after decode", len(kept))
 	}
 	if got := r.Stats().AuthFailures; got != 0 {
 		t.Fatalf("%d auth failures on authentic requests", got)
@@ -291,24 +298,24 @@ func TestDriverSignedRequestVerifiesAfterDecode(t *testing.T) {
 	badSig[1].Sig = append([]byte(nil), badSig[1].Sig...)
 	badSig[1].Sig[5] ^= 1
 	if kept := r.verifyClientSigs(decode(badSig)); len(kept) != 2 || kept[0].Client != signed[0].Client || kept[1].Client != signed[2].Client {
-		t.Fatalf("pool: flipped signature byte: kept %d requests", len(kept))
+		t.Fatalf("batch: flipped signature byte: kept %d requests", len(kept))
 	}
 	badBody := append([]types.ClientRequest(nil), signed[:1]...)
 	badBody[0].FirstSeq++
 	if kept := r.verifyClientSigs(decode(badBody)); len(kept) != 0 {
-		t.Fatal("inline: a request changed after signing verified")
+		t.Fatal("alone: a request changed after signing verified")
 	}
 	if got := r.Stats().AuthFailures; got != 2 {
 		t.Fatalf("auth failures = %d, want 2", got)
 	}
 
-	one := decode(signed[:1])
+	batch := decode(signed)
 	allocs := testing.AllocsPerRun(100, func() {
-		if kept := r.verifyClientSigs(one); len(kept) != 1 {
+		if kept := r.verifyClientSigs(batch); len(kept) != 3 {
 			t.Fatal("verification failed")
 		}
 	})
-	t.Logf("allocations per inline verifyClientSigs of a decoded 32 KiB request: %.0f", allocs)
+	t.Logf("allocations per verifyClientSigs of a decoded batch with a 32 KiB request: %.0f", allocs)
 	if allocs > 0 {
 		t.Fatalf("verifyClientSigs on a decoded request allocates %.0f, want 0", allocs)
 	}
@@ -337,72 +344,70 @@ func TestAuthBeforeDecode(t *testing.T) {
 		cfg  crypto.Config
 	}{{"cmac-links", crypto.Recommended()}, {"ed25519-links", crypto.AllED25519()}}
 	for _, scheme := range schemes {
-		for _, v := range verifyRows {
-			t.Run(fmt.Sprintf("%s/verify-threads-%s", scheme.name, v.name), func(t *testing.T) {
-				dir, err := crypto.NewDirectory(scheme.cfg, [32]byte{30})
-				if err != nil {
-					t.Fatal(err)
-				}
-				net := transport.NewInproc()
-				from, to := types.ReplicaNode(2), types.ReplicaNode(1)
-				r, err := New(Config{
-					ID: 1, N: 4, VerifyThreads: v.threads,
-					Directory: dir, Endpoint: net.Endpoint(to, 3, 64),
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				engine := &stepCounter{Engine: r.engine}
-				r.engine = engine
-				r.Start()
-				defer r.Stop()
-				sender := net.Endpoint(from, 1, 16)
-				defer sender.Close()
-
-				sign := func(body []byte) []byte {
-					t.Helper()
-					tag, err := dir.NodeAuth(from).Sign(to, types.AuthenticatedBytes(types.MsgPrepare, body))
-					if err != nil {
-						t.Fatal(err)
-					}
-					return tag
-				}
-				flip := func(tag []byte) []byte {
-					bad := append([]byte(nil), tag...)
-					bad[0] ^= 0x80
-					return bad
-				}
-				// want is the counters after one more envelope.
-				var want struct{ in, auth, decode, steps uint64 }
-				deliver := func(what string, body, tag []byte) {
-					t.Helper()
-					if err := sender.Send(&types.Envelope{From: from, To: to, Type: types.MsgPrepare, Body: body, Auth: tag}); err != nil {
-						t.Fatal(err)
-					}
-					want.in++
-					waitFor(t, func() bool {
-						s := r.Stats()
-						return s.MsgsIn == want.in && s.AuthFailures+s.DecodeFailures+engine.steps.Load() == want.auth+want.decode+want.steps
-					}, what+": not accounted for")
-					s := r.Stats()
-					if s.AuthFailures != want.auth || s.DecodeFailures != want.decode || engine.steps.Load() != want.steps {
-						t.Fatalf("%s: auth failures %d, decode failures %d, engine steps %d; want %d, %d, %d",
-							what, s.AuthFailures, s.DecodeFailures, engine.steps.Load(), want.auth, want.decode, want.steps)
-					}
-				}
-
-				vote := types.MarshalBody(&types.Prepare{View: 0, Seq: 1})
-				malformed := vote[:len(vote)-1]
-
-				want.auth++
-				deliver("flipped authenticator, well-formed body", vote, flip(sign(vote)))
-				want.decode++
-				deliver("good authenticator, malformed body", malformed, sign(malformed))
-				want.auth++
-				deliver("flipped authenticator, malformed body", malformed, flip(sign(malformed)))
-				want.steps++
-				deliver("good authenticator, well-formed body", vote, sign(vote))
+		t.Run(scheme.name, func(t *testing.T) {
+			dir, err := crypto.NewDirectory(scheme.cfg, [32]byte{30})
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := transport.NewInproc()
+			from, to := types.ReplicaNode(2), types.ReplicaNode(1)
+			r, err := New(Config{
+				ID: 1, N: 4,
+				Directory: dir, Endpoint: net.Endpoint(to, 3, 64),
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine := &stepCounter{Engine: r.engine}
+			r.engine = engine
+			r.Start()
+			defer r.Stop()
+			sender := net.Endpoint(from, 1, 16)
+			defer sender.Close()
+
+			sign := func(body []byte) []byte {
+				t.Helper()
+				tag, err := dir.NodeAuth(from).Sign(to, types.AuthenticatedBytes(types.MsgPrepare, body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tag
+			}
+			flip := func(tag []byte) []byte {
+				bad := append([]byte(nil), tag...)
+				bad[0] ^= 0x80
+				return bad
+			}
+			// want is the counters after one more envelope.
+			var want struct{ in, auth, decode, steps uint64 }
+			deliver := func(what string, body, tag []byte) {
+				t.Helper()
+				if err := sender.Send(&types.Envelope{From: from, To: to, Type: types.MsgPrepare, Body: body, Auth: tag}); err != nil {
+					t.Fatal(err)
+				}
+				want.in++
+				waitFor(t, func() bool {
+					s := r.Stats()
+					return s.MsgsIn == want.in && s.AuthFailures+s.DecodeFailures+engine.steps.Load() == want.auth+want.decode+want.steps
+				}, what+": not accounted for")
+				s := r.Stats()
+				if s.AuthFailures != want.auth || s.DecodeFailures != want.decode || engine.steps.Load() != want.steps {
+					t.Fatalf("%s: auth failures %d, decode failures %d, engine steps %d; want %d, %d, %d",
+						what, s.AuthFailures, s.DecodeFailures, engine.steps.Load(), want.auth, want.decode, want.steps)
+				}
+			}
+
+			vote := types.MarshalBody(&types.Prepare{View: 0, Seq: 1})
+			malformed := vote[:len(vote)-1]
+
+			want.auth++
+			deliver("flipped authenticator, well-formed body", vote, flip(sign(vote)))
+			want.decode++
+			deliver("good authenticator, malformed body", malformed, sign(malformed))
+			want.auth++
+			deliver("flipped authenticator, malformed body", malformed, flip(sign(malformed)))
+			want.steps++
+			deliver("good authenticator, well-formed body", vote, sign(vote))
+		})
 	}
 }
