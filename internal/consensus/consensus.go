@@ -15,10 +15,10 @@
 // Execute, CheckpointStable, ViewChanged or Evidence by value. Each
 // goroutine that steps an engine owns its Out, handles what a step appended
 // and resets it before the next step, so a step boxes nothing into an
-// interface and allocates no slice of its own. The Prepare, Commit and
-// Checkpoint an engine broadcasts come from the vote pools in types and are
-// lent to the driver: it gives each back with types.ReleaseMessage once it
-// has encoded it, or keeps it and never gives it back.
+// interface and allocates no slice of its own. The PrePrepare, Prepare,
+// Commit and Checkpoint an engine broadcasts come from the pools in types
+// and are lent to the driver: it gives each back with types.ReleaseMessage
+// once it has encoded it, or keeps it and never gives it back.
 //
 // Requests are counted, not copied: a driver that decodes proposals in
 // place hands the engine requests whose memory goes back to its pools once

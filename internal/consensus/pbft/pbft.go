@@ -453,7 +453,8 @@ func (e *Engine) recycle(in *instance) {
 // window full) and the caller should retry later. The batch digest is
 // computed before the lock is taken, so batch-threads hash in parallel. An
 // accepted batch is held until its instance is pruned; the caller keeps its
-// own reference until the broadcast is encoded.
+// own reference until the broadcast is encoded. The pre-prepare broadcast
+// is lent, like the engine's votes.
 func (e *Engine) Propose(reqs []types.ClientRequest, out *consensus.Out) bool {
 	digest := types.BatchDigest(reqs)
 	e.mu.Lock()
@@ -470,7 +471,9 @@ func (e *Engine) Propose(reqs []types.ClientRequest, out *consensus.Out) bool {
 	in.digest = digest
 	in.havePP = true
 	in.setRequests(reqs)
-	out.Broadcast(&types.PrePrepare{View: e.view, Seq: seq, Digest: digest, Requests: reqs})
+	pp := types.AcquirePrePrepare()
+	pp.View, pp.Seq, pp.Digest, pp.Requests = e.view, seq, digest, reqs
+	out.Broadcast(pp)
 	return true
 }
 

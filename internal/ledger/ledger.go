@@ -352,7 +352,9 @@ func (l *Ledger) Get(height uint64) (types.Block, error) {
 }
 
 // Range calls fn for every retained block from height from upward, in
-// order, stopping early if fn returns false.
+// order, stopping early if fn returns false. It walks a snapshot of the
+// array without the lock: Append writes only past the snapshot's length,
+// and Prune never writes into the array.
 func (l *Ledger) Range(from uint64, fn func(types.Block) bool) {
 	l.mu.RLock()
 	snapshot := l.blocks
@@ -395,7 +397,11 @@ func (l *Ledger) BlocksSince(after uint64) []types.Block {
 // garbage collection a stable checkpoint enables (Section 4.7), but never
 // one the newest certificate covers or one above it: after a certificate at
 // S, Prune(S) keeps blocks from S-Δ+1, and before any, it keeps every block
-// above genesis. The head is always kept.
+// above genesis. The head is always kept. Pruning slices the array forward,
+// which a Range running on a snapshot of it does not see; once fewer than
+// two windows' worth of room (two times the blocks dropped) are left past
+// the head, the kept blocks move to a new array with room for eight, so
+// Append never regrows the array and one window in six allocates.
 func (l *Ledger) Prune(keepFrom uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -408,10 +414,12 @@ func (l *Ledger) Prune(keepFrom uint64) {
 	if keepFrom <= l.base {
 		return
 	}
-	drop := keepFrom - l.base
-	remaining := make([]types.Block, len(l.blocks)-int(drop))
-	copy(remaining, l.blocks[drop:])
-	l.blocks = remaining
+	drop := int(keepFrom - l.base)
+	kept := l.blocks[drop:]
+	if cap(kept)-len(kept) < 2*drop {
+		kept = append(make([]types.Block, 0, len(kept)+8*drop), kept...)
+	}
+	l.blocks = kept
 	l.base = keepFrom
 }
 

@@ -109,29 +109,45 @@ const (
 // when the barrier falls, and blocking on neither while the other is ready.
 // Like Next it is for a single consumer.
 func (o *InOrder[T]) NextOr(alt <-chan struct{}) (uint64, T, Woke) {
-	var zero T
 	for {
-		o.mu.Lock()
-		seq := o.next
-		if s := &o.slots[seq%uint64(len(o.slots))]; s.full {
-			v := s.v
-			s.v, s.full = zero, false
-			o.next = seq + 1
-			o.freed.Broadcast()
-			o.mu.Unlock()
+		seq, v, ok, closed := o.take()
+		if ok {
 			return seq, v, WokeItem
 		}
-		closed := o.closed
-		o.mu.Unlock()
 		if closed {
-			return 0, zero, WokeClosed
+			return 0, v, WokeClosed
 		}
 		select {
 		case <-o.wake:
 		case <-alt:
-			return 0, zero, WokeAlt
+			return 0, v, WokeAlt
 		}
 	}
+}
+
+// TryNext is Next without the wait: it returns the next in-order item if it
+// has been offered, and false at once otherwise, closed or not. The 0E
+// execute stage polls with it. Like Next it is for a single consumer.
+func (o *InOrder[T]) TryNext() (uint64, T, bool) {
+	seq, v, ok, _ := o.take()
+	return seq, v, ok
+}
+
+// take empties the next in-order slot if it is full, and reports whether it
+// was and whether the buffer is closed.
+func (o *InOrder[T]) take() (seq uint64, v T, ok, closed bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	seq = o.next
+	if s := &o.slots[seq%uint64(len(o.slots))]; s.full {
+		var zero T
+		v = s.v
+		s.v, s.full = zero, false
+		o.next = seq + 1
+		o.freed.Broadcast()
+		return seq, v, true, false
+	}
+	return 0, v, false, o.closed
 }
 
 // NextSeq returns the sequence number Next will deliver.

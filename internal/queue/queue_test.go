@@ -357,6 +357,30 @@ func TestInOrderNextOr(t *testing.T) {
 	}
 }
 
+// TestInOrderTryNext: TryNext delivers only the next in-order item and
+// never waits, before an Offer, with only a later sequence offered, and
+// after Close.
+func TestInOrderTryNext(t *testing.T) {
+	o := NewInOrder[int](4, 0)
+	if _, _, ok := o.TryNext(); ok {
+		t.Fatal("TryNext on empty delivered an item")
+	}
+	o.Offer(1, 10)
+	if _, _, ok := o.TryNext(); ok {
+		t.Fatal("TryNext delivered out-of-order seq 1")
+	}
+	o.Offer(0, 7)
+	for want := uint64(0); want < 2; want++ {
+		if seq, v, ok := o.TryNext(); !ok || seq != want || v != 7+3*int(want) {
+			t.Fatalf("TryNext = (%d,%d,%v), want seq %d", seq, v, ok, want)
+		}
+	}
+	o.Close()
+	if _, _, ok := o.TryNext(); ok {
+		t.Fatal("TryNext delivered an item after Close with empty slot")
+	}
+}
+
 func TestInOrderStartOffset(t *testing.T) {
 	o := NewInOrder[string](8, 100)
 	if o.NextSeq() != 100 {

@@ -65,10 +65,13 @@ func (h *holdNewViews) Inbox(i int) <-chan *types.Envelope { return h.inboxes[i]
 
 // TestLentAuthAndVotesSurviveViewChange pins who copies what the pipeline
 // lends. An envelope's authenticator lives in the envelope, a decoded vote
-// in a recycled struct, and so does every Prepare, Commit and Checkpoint an
-// engine emits until broadcast has encoded it; all are poisoned the moment
-// they are given back, so an engine that keeps a vote without copying, or
-// a replica that encodes its own vote after giving it back, reads 0xDB. (The
+// in a recycled struct, and so does every PrePrepare, Prepare, Commit and
+// Checkpoint an engine emits until broadcast has encoded it — the
+// pre-prepares of replica 0 in view 0 and of replica 1 in view 1 among
+// them; all are poisoned the moment they are given back, so an engine that
+// keeps a vote without copying, or a replica that encodes its own proposal
+// or vote after giving it back (a poisoned pre-prepare's digest matches no
+// batch, an auth failure at every backup), reads 0xDB. (The
 // engine keeps no authenticator: a stable checkpoint's signed votes are the
 // ledger's proof, not the commits' MACs.) Four replicas with
 // commit-certificate blocks run rounds in view 0, are forced into view 1 —

@@ -135,11 +135,14 @@ type durableWait struct {
 // and all, belongs to the batch until retirement has answered every client,
 // and is then recycled (via execFree) for a later batch; taking a partition
 // off the barrier is a worker's last touch of the batch, so the buffers are
-// never rebuilt while a worker still reads them. A batch applied inline is
-// born with the shared, already lowered barrier; a fanned-out one gets its
-// own, pending counts the partitions still executing or awaiting
-// durability, and whoever takes it to zero closes done. The coordinator
-// retires batches strictly in sequence order.
+// never rebuilt while a worker still reads them. The barrier is done, made
+// once with the struct and reused by every batch it carries: whoever lowers
+// it sends one token — the stager once it has applied a single partition
+// inline, or, for a fanned-out batch, whoever takes pending (the partitions
+// still executing or awaiting durability) to zero — and the coordinator
+// receives that token exactly once before it retires the batch, so the
+// buffer of one is always empty again when the struct is recycled. The
+// coordinator retires batches strictly in sequence order.
 type inflightExec struct {
 	act      consensus.Execute
 	txnCount uint32
@@ -199,8 +202,8 @@ func (r *Replica) inlineExecute() {
 	r.inlineMu.Lock()
 	defer r.inlineMu.Unlock()
 	for {
-		_, item, woke := r.execIn.NextOr(loweredBarrier)
-		if woke != queue.WokeItem {
+		_, item, ok := r.execIn.TryNext()
+		if !ok {
 			return
 		}
 		t0 := time.Now()
@@ -236,19 +239,23 @@ func (r *Replica) inlineExecute() {
 func (r *Replica) executeLoop() {
 	defer r.execWg.Done()
 	inflight := make([]*inflightExec, 0, r.execDepth)
-	retireOldest := func() {
+	// retireOldest retires the oldest batch in flight, first receiving its
+	// barrier's token unless the caller already has.
+	retireOldest := func(lowered bool) {
 		b := inflight[0]
 		n := copy(inflight, inflight[1:])
 		inflight[n] = nil
 		inflight = inflight[:n]
-		<-b.done
+		if !lowered {
+			<-b.done
+		}
 		t0 := time.Now()
 		r.retireBatch(b)
 		r.addBusy(StageExecute, time.Since(t0))
 	}
 	for {
 		if len(inflight) >= r.execDepth {
-			retireOldest()
+			retireOldest(false)
 			continue
 		}
 		var oldest <-chan struct{} // nil with nothing in flight: never ready
@@ -262,7 +269,8 @@ func (r *Replica) executeLoop() {
 		if woke == queue.WokeAlt {
 			// Retiring as soon as the barrier is down, rather than when the
 			// window fills, is what bounds response latency at depth > 1.
-			retireOldest()
+			// NextOr received the barrier's token.
+			retireOldest(true)
 			continue
 		}
 		t0 := time.Now()
@@ -272,7 +280,7 @@ func (r *Replica) executeLoop() {
 	// Shutdown: drain the in-flight window so every accepted batch still
 	// reaches the ledger and its clients.
 	for len(inflight) > 0 {
-		retireOldest()
+		retireOldest(false)
 	}
 }
 
@@ -283,16 +291,6 @@ func (r *Replica) executeBatch(act consensus.Execute) {
 	<-b.done
 	r.retireBatch(b)
 }
-
-// loweredBarrier is the barrier of every batch applied inline: closed once
-// and shared, so such a batch retires through the same wait as a fanned-out
-// one without allocating a channel. Never closed again: partDone only runs
-// for batches that own their barrier.
-var loweredBarrier = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
 
 // stageBatch runs the coordinator half of execution for one committed
 // batch: per-client dedup, then every op of every surviving transaction
@@ -315,12 +313,12 @@ var loweredBarrier = func() chan struct{} {
 //
 // Once staged, the batch is applied, and how is the one choice on the route,
 // read off the partition count: a single partition is applied, and waited
-// durable, right here by the stager, and the batch keeps the already lowered
-// barrier it was born with; several are handed to the shard workers, who
-// lower the batch's own. Either way the caller waits on done and retires.
+// durable, right here by the stager, which then lowers the barrier itself;
+// several are handed to the shard workers, who lower it with the last.
+// Either way the caller waits on done and retires.
 func (r *Replica) stageBatch(act consensus.Execute) *inflightExec {
 	b := <-r.execFree
-	b.act, b.done = act, loweredBarrier
+	b.act = act
 	n := len(b.parts)
 	nextSlot := 0
 	// Only the stager mutates lastExec; the lock is taken once per batch so
@@ -385,9 +383,9 @@ func (r *Replica) stageBatch(act consensus.Execute) *inflightExec {
 		var ticket store.Ticket
 		r.inlineScratch, ticket = r.applyPartition(b, 0, r.inlineScratch)
 		r.awaitDurable(ticket)
+		b.done <- struct{}{}
 		return b
 	}
-	b.done = make(chan struct{})
 	// The coordinator's own count keeps the barrier up until every
 	// partition is handed out, however fast the first worker finishes.
 	b.pending.Store(1)
@@ -406,7 +404,7 @@ func (r *Replica) stageBatch(act consensus.Execute) *inflightExec {
 // barrier with the last.
 func (b *inflightExec) partDone() {
 	if b.pending.Add(-1) == 0 {
-		close(b.done)
+		b.done <- struct{}{}
 	}
 }
 

@@ -71,22 +71,21 @@ func (r *Replica) handleClientRequest(env *types.Envelope) {
 // (disk-bound) multi-key read never head-of-line blocks the client inbox
 // behind its store reads. A request carrying a write does not decode: it
 // counts as malformed and draws no reply. The envelope retires here on
-// every path: the read lane only sees the decoded (copied) request.
+// every path: the request is decoded into a recycled struct that shares no
+// byte with the frame (its ops carry no values), and it goes back to its
+// pool here when no read-thread takes it, or after its reply otherwise.
 func (r *Replica) handleReadRequest(env *types.Envelope) {
 	defer env.Release()
 	if err := r.verifyEnvelope(env); err != nil {
 		r.authFailures.Add(1)
 		return
 	}
-	msg, err := types.DecodeBody(env.Type, env.Body)
+	msg, err := types.DecodeEnvelope(env)
 	if err != nil {
 		r.decodeFailures.Add(1)
 		return
 	}
-	req, ok := msg.(*types.ReadRequest)
-	if !ok {
-		return
-	}
+	req := msg.(*types.ReadRequest)
 	// Bind the claimed client to the authenticated sender, mirroring
 	// the signed-Client binding the ordered ClientRequest path
 	// enforces. The authenticated reply goes to req.Client and
@@ -95,6 +94,7 @@ func (r *Replica) handleReadRequest(env *types.Envelope) {
 	// in a victim's pending read.
 	if env.From != types.ClientNode(req.Client) {
 		r.authFailures.Add(1)
+		types.ReleaseMessage(req)
 		return
 	}
 	if !r.readQ.TryPush(req) {
@@ -102,6 +102,7 @@ func (r *Replica) handleReadRequest(env *types.Envelope) {
 		// consensus-bound traffic behind it. The client times out
 		// and rotates to another replica.
 		r.localReadDrops.Add(1)
+		types.ReleaseMessage(req)
 	}
 }
 
@@ -152,7 +153,8 @@ func (r *Replica) admit(env *types.Envelope) {
 // retired is refused — the reply carries the stamped Seq but no results —
 // and the client falls back to the quorum path, which is how the
 // staleness bound on local reads is enforced. Each worker answers into one
-// arena of its own, lent to a reply until sendTo has encoded it.
+// arena of its own, lent to a reply until sendTo has encoded it, and then
+// gives the request back to its pool.
 func (r *Replica) readLoop() {
 	defer r.readWg.Done()
 	var p partition
@@ -183,6 +185,7 @@ func (r *Replica) readLoop() {
 		}
 		r.localReads.Add(1)
 		r.sendTo(types.ClientNode(req.Client), &reply)
+		types.ReleaseMessage(req)
 		p.reset()
 	}
 }

@@ -453,7 +453,7 @@ type Replica struct {
 	// the coordinating execute-thread fans the batch out over shardQs.
 	// execDepth is the cross-batch pipelining depth (1 = strict per-batch
 	// barrier); execFree recycles execDepth in-flight batches, buffers and
-	// all, so a batch's buffers are only reused after it retired.
+	// barrier and all, so a batch's buffers are only reused after it retired.
 	execShards int
 	execDepth  int
 	shardQs    []*queue.Handoff[*inflightExec]
@@ -655,7 +655,7 @@ func New(cfg Config) (*Replica, error) {
 	r.batchTurn <- struct{}{}
 	r.execFree = make(chan *inflightExec, r.execDepth)
 	for i := 0; i < r.execDepth; i++ {
-		r.execFree <- &inflightExec{parts: make([]partition, parts)}
+		r.execFree <- &inflightExec{parts: make([]partition, parts), done: make(chan struct{}, 1)}
 	}
 	r.syncStats, _ = st.(store.SyncStatser)
 	if comp, ok := st.(store.Compactor); ok {

@@ -85,8 +85,8 @@ func (r *Replica) processItem(item workItem, out *consensus.Out) {
 // order, and resets out. It may be called from the worker-thread, the
 // checkpoint-thread, a batch-thread, the execute-thread, or the watchdog,
 // each with its own Out; every path it touches is safe for concurrent use.
-// A vote the engine broadcast is lent: it goes back to its pool once
-// broadcast has encoded it.
+// A vote or pre-prepare the engine broadcast is lent: it goes back to its
+// pool once broadcast has encoded it.
 func (r *Replica) handleActions(out *consensus.Out) {
 	outs := out.Outputs()
 	for i := range outs {

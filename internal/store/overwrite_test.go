@@ -287,3 +287,39 @@ func countAllocs(f func()) int {
 	runtime.ReadMemStats(&after)
 	return int(after.Mallocs - before.Mallocs)
 }
+
+// TestAppendValueMissAllocatesNothing: reading an absent key — what a
+// read or scan of the execute stage and of the local read lane does for
+// every key nobody wrote — costs no allocation, in the memory store and in
+// the disk store that embeds one. The miss is the bare ErrNotFound and
+// leaves the caller's buffer as it was.
+func TestAppendValueMissAllocatesNothing(t *testing.T) {
+	runtime.GC() // the first cycle's mark workers, outside the count
+	disk, err := OpenShardedDisk(t.TempDir(), ShardedDiskOptions{SyncLinger: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	for _, s := range []struct {
+		name string
+		st   interface {
+			Put(uint64, []byte) error
+			ValueAppender
+		}
+	}{{"MemStore", NewMemStore(64)}, {"ShardedDiskStore", disk}} {
+		if err := s.st.Put(7, []byte("v7")); err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, 0, 16)
+		var got []byte
+		allocs := testing.AllocsPerRun(200, func() {
+			got, err = s.st.AppendValue(dst, 8)
+		})
+		if err != ErrNotFound || len(got) != 0 {
+			t.Fatalf("%s: AppendValue(absent) = (%q, %v), want the buffer unchanged and ErrNotFound", s.name, got, err)
+		}
+		if allocs != 0 {
+			t.Fatalf("%s: a miss allocates %.0f, want 0", s.name, allocs)
+		}
+	}
+}

@@ -34,7 +34,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -274,7 +273,9 @@ func (s *MemStore) AppendValue(dst []byte, key uint64) ([]byte, error) {
 	}
 	s.mu.RUnlock()
 	if !ok {
-		return dst, fmt.Errorf("%w: %d", ErrNotFound, key)
+		// Bare, so a miss allocates nothing: both read paths take one per
+		// absent key.
+		return dst, ErrNotFound
 	}
 	return dst, nil
 }

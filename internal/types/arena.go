@@ -131,11 +131,16 @@ func (e *Envelope) Release() {
 // Prepare, Commit and Checkpoint are most of a replica's traffic, inbound
 // and outbound, and each lives for one engine step or one encode:
 // DecodeEnvelope decodes them into structs recycled here, and engines build
-// the ones they emit in them.
+// the ones they emit in them. So does a primary's engine with every
+// PrePrepare it proposes, which lives until broadcast has encoded it, and
+// DecodeEnvelope with a local read's ReadRequest, which lives until its
+// reply is encoded and keeps its op array from read to read.
 var (
-	preparePool    = sync.Pool{New: func() any { return new(Prepare) }}
-	commitPool     = sync.Pool{New: func() any { return new(Commit) }}
-	checkpointPool = sync.Pool{New: func() any { return new(Checkpoint) }}
+	preparePool     = sync.Pool{New: func() any { return new(Prepare) }}
+	commitPool      = sync.Pool{New: func() any { return new(Commit) }}
+	checkpointPool  = sync.Pool{New: func() any { return new(Checkpoint) }}
+	prePreparePool  = sync.Pool{New: func() any { return &PrePrepare{lent: true} }}
+	readRequestPool = sync.Pool{New: func() any { return new(ReadRequest) }}
 )
 
 // AcquireVote returns a recycled struct for a vote type — *Prepare, *Commit
@@ -155,11 +160,27 @@ func AcquireVote(t MsgType) Message {
 	return nil
 }
 
-// releaseVote gives back a vote DecodeEnvelope decoded, once the step it
-// was decoded for is over, or one an engine emitted, once it is encoded;
-// whoever keeps a vote past that point keeps a copy. It ignores every
-// other message: a decoded proposal goes back with ReleaseMessage.
-func releaseVote(m Message) {
+// AcquirePrePrepare returns a recycled PrePrepare for an engine to propose
+// in. Its fields hold whatever its last user left: the engine sets every
+// one. It is lent to the driver like an emitted vote, and given back with
+// ReleaseMessage once encoded; one never given back is simply not reused.
+func AcquirePrePrepare() *PrePrepare { return prePreparePool.Get().(*PrePrepare) }
+
+// acquireLent returns a recycled struct to decode a body of type t into — a
+// vote's or a ReadRequest's — and nil for any other type.
+func acquireLent(t MsgType) Message {
+	if t == MsgReadRequest {
+		return readRequestPool.Get().(*ReadRequest)
+	}
+	return AcquireVote(t)
+}
+
+// releaseLent gives back a vote or ReadRequest DecodeEnvelope decoded, once
+// the step it was decoded for is over, or a vote or lent PrePrepare an
+// engine emitted, once it is encoded; whoever keeps one past that point
+// keeps a copy. It ignores every other message: a decoded proposal goes
+// back with ReleaseMessage, which tells the two kinds of PrePrepare apart.
+func releaseLent(m Message) {
 	poison := poisonLent.Load()
 	switch v := m.(type) {
 	case *Prepare:
@@ -177,6 +198,21 @@ func releaseVote(m Message) {
 			*v = Checkpoint{Seq: poisonSeq, StateDigest: poisonDigest, Replica: poisonReplica, Sig: Signature(poisonAuth)}
 		}
 		checkpointPool.Put(v)
+	case *PrePrepare:
+		if poison {
+			*v = PrePrepare{View: poisonView, Seq: poisonSeq, Digest: poisonDigest, Requests: poisonRequests, lent: true}
+		} else {
+			*v = PrePrepare{lent: true} // let go of the batch's requests
+		}
+		prePreparePool.Put(v)
+	case *ReadRequest:
+		if poison {
+			for i := range v.ops {
+				v.ops[i] = poisonOps[0]
+			}
+			*v = ReadRequest{Client: poisonClient, ClientSeq: uint64(poisonSeq), MinSeq: poisonSeq, Ops: poisonOps, ops: v.ops}
+		}
+		readRequestPool.Put(v)
 	}
 }
 
@@ -197,7 +233,8 @@ var (
 
 // SetPoisonLent switches on (or off) the overwriting of what is lent rather
 // than given: a pooled envelope's own authenticator storage on Release, a
-// vote's fields on releaseVote, a decoded proposal's message and its
+// vote's, a proposed PrePrepare's and a ReadRequest's fields (and the
+// latter's op array) on releaseLent, a decoded proposal's message and its
 // request, transaction and op arrays on their last release. It is a test
 // hook — a keeper that forgot to
 // copy then reads 0xDB at once instead of, now and then, another message's

@@ -134,17 +134,18 @@ func DecodeBody(t MsgType, b []byte) (Message, error) {
 // reference back with ReleaseMessage once the step it decoded for is over;
 // a keeper of the requests takes its own with RetainRequests. The
 // fixed-size votes (Prepare, Commit, Checkpoint), whose frames are most of
-// the traffic, are decoded into recycled structs the caller gives back the
-// same way. Every other type is decoded by copy. A decode failure leaves
+// the traffic, and a local read's ReadRequest, whose ops carry no values,
+// are decoded into recycled structs the caller gives back the same way.
+// Every other type is decoded by copy. A decode failure leaves
 // the arena as it was. This is the only decoder that builds views, so a
 // view no reference keeps valid cannot be built at all.
 func DecodeEnvelope(e *Envelope) (Message, error) {
-	if vote := AcquireVote(e.Type); vote != nil {
-		if err := decodeInto(vote, e.Body, nil); err != nil {
-			releaseVote(vote)
+	if lent := acquireLent(e.Type); lent != nil {
+		if err := decodeInto(lent, e.Body, nil); err != nil {
+			releaseLent(lent)
 			return nil, err
 		}
-		return vote, nil
+		return lent, nil
 	}
 	var msg Message
 	var h *hold

@@ -256,22 +256,27 @@ func ReleaseRequests(reqs []ClientRequest) {
 }
 
 // ReleaseMessage gives back a message DecodeEnvelope returned, once the
-// step it was decoded for is over, or a vote an engine emitted, once it is
-// encoded: a vote goes back to its pool, a proposal drops the decoder's
+// step it was decoded for is over, or a vote or PrePrepare an engine
+// emitted, once it is encoded: a vote, a ReadRequest or a proposed
+// PrePrepare goes back to its pool, a decoded proposal drops the decoder's
 // reference on its hold.
 // Whoever kept the proposal's requests took references of their own. It
-// ignores every other message, and proposals that were not decoded in
-// place.
+// ignores every other message, and proposals that were neither lent nor
+// decoded in place.
 func ReleaseMessage(m Message) {
 	switch v := m.(type) {
 	case *ClientRequest:
 		v.hold.release()
 	case *PrePrepare:
-		v.hold.release()
+		if v.lent {
+			releaseLent(v)
+		} else {
+			v.hold.release()
+		}
 	case *NewView:
 		v.hold.release()
 	default:
-		releaseVote(m)
+		releaseLent(m)
 	}
 }
 

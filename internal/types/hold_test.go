@@ -203,3 +203,37 @@ func TestHoldPoolKeepsAtMostItsCap(t *testing.T) {
 		t.Fatal("acquire allocated while the pool had stock")
 	}
 }
+
+// TestReleaseMessageTellsPrePreparesApart: ReleaseMessage gives a lent
+// PrePrepare (an engine's proposal) back to its pool, poisoned under
+// SetPoisonLent and still lent; it drops a decoded one's hold, returning its
+// frame, without pooling the hold's struct; and it leaves a PrePrepare built
+// in memory alone.
+func TestReleaseMessageTellsPrePreparesApart(t *testing.T) {
+	SetPoisonLent(true)
+	defer SetPoisonLent(false)
+	reqs := []ClientRequest{holdRequest(3, 10)}
+
+	lent := AcquirePrePrepare()
+	lent.View, lent.Seq, lent.Digest, lent.Requests = 1, 9, BatchDigest(reqs), reqs
+	ReleaseMessage(lent)
+	if lent.Seq != poisonSeq || lent.Digest != poisonDigest || !lent.lent || lent.hold != nil {
+		t.Fatalf("a released lent PrePrepare reads seq %#x, lent %v: want poison, still lent", lent.Seq, lent.lent)
+	}
+
+	bufs := &stubBuffers{}
+	decoded := decodePrePrepare(t, bufs, reqs)
+	if decoded.lent {
+		t.Fatal("a decoded PrePrepare reads as lent")
+	}
+	ReleaseMessage(decoded)
+	if got := bufs.outstanding(); got != 0 {
+		t.Fatalf("%d frames outstanding after a decoded PrePrepare's release", got)
+	}
+
+	built := &PrePrepare{View: 1, Seq: 9, Requests: reqs}
+	ReleaseMessage(built)
+	if built.Seq != 9 || len(built.Requests) != 1 {
+		t.Fatal("releasing a PrePrepare built in memory changed it")
+	}
+}

@@ -229,6 +229,7 @@ type PrePrepare struct {
 	Requests []ClientRequest
 
 	hold *hold // set when decoded in place; see DecodeEnvelope
+	lent bool  // set on one AcquirePrePrepare lends, for its whole life
 }
 
 // Type implements Message.
@@ -806,6 +807,8 @@ type ReadRequest struct {
 	ClientSeq uint64
 	MinSeq    SeqNum
 	Ops       []Op
+
+	ops []Op // the slab Ops is decoded into, kept by a recycled struct
 }
 
 // Type implements Message.
@@ -822,7 +825,8 @@ func (m *ReadRequest) unmarshal(r *Reader) {
 	m.Client = ClientID(r.U32())
 	m.ClientSeq = r.U64()
 	m.MinSeq = SeqNum(r.U64())
-	m.Ops = r.Ops()
+	m.ops = m.ops[:0]
+	m.Ops = r.OpsInto(&m.ops, 0)
 	for i := range m.Ops {
 		if k := m.Ops[i].Kind; k != OpRead && k != OpScan {
 			r.fail(fmt.Errorf("%w: op %d has kind %d", errWriteInRead, i, k))
