@@ -49,7 +49,7 @@ func main() {
 	// proves the blocks it covers to anyone holding the node keys
 	// (Section 4.6).
 	led := c.Replica(0).Ledger()
-	fmt.Printf("\nreplica 0 chain height: %d (mode: %s)\n", led.Height(), led.Mode())
+	fmt.Printf("\nreplica 0 chain height: %d\n", led.Height())
 	blocks := led.Blocks()
 	from := len(blocks) - 3
 	if from < 0 {

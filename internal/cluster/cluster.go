@@ -50,8 +50,6 @@ type Options struct {
 	ViewTimeout   time.Duration
 	// CheckpointInterval is Δ in batches (see replica.Config).
 	CheckpointInterval uint64
-	// LedgerMode selects block linkage.
-	LedgerMode ledger.Mode
 	// DisableOutOfOrder serializes consensus (ablation).
 	DisableOutOfOrder bool
 	// StoreFactory builds each replica's record store; nil means the
@@ -230,7 +228,6 @@ func (c *Cluster) buildReplica(id types.ReplicaID, st store.Store, boot *replica
 		ExecuteThreads:     opts.ExecuteThreads,
 		ExecPipelineDepth:  opts.ExecPipelineDepth,
 		CheckpointInterval: opts.CheckpointInterval,
-		LedgerMode:         opts.LedgerMode,
 		Store:              st,
 		Directory:          c.dir,
 		Endpoint:           ep,

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"resilientdb/internal/crypto"
-	"resilientdb/internal/ledger"
 	"resilientdb/internal/replica"
 	"resilientdb/internal/store"
 	"resilientdb/internal/transport"
@@ -489,23 +488,6 @@ func TestReplicaStatsAccounting(t *testing.T) {
 		if s.BusyNS[st] == 0 {
 			t.Fatalf("stage %v recorded no busy time", st)
 		}
-	}
-}
-
-func TestLedgerModesAgree(t *testing.T) {
-	for _, mode := range []ledger.Mode{ledger.HashChain, ledger.CommitCertificate} {
-		t.Run(mode.String(), func(t *testing.T) {
-			opts := smallOpts()
-			opts.Clients = 4
-			opts.LedgerMode = mode
-			c, res := runCluster(t, opts, 800*time.Millisecond)
-			if res.Txns == 0 {
-				t.Fatal("no transactions")
-			}
-			if err := c.VerifyLedgers(nil); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"resilientdb/internal/consensus"
 	"resilientdb/internal/consensus/enginetest"
+	"resilientdb/internal/ledger"
 	"resilientdb/internal/types"
 )
 
@@ -452,12 +453,14 @@ func TestViewChangeRecoversPreparedBatch(t *testing.T) {
 	}
 }
 
-func TestViewChangeRevotesReleasedBatch(t *testing.T) {
-	// A batch commits and executes at three replicas while the fourth sees
-	// none of it; then the primary crashes. With exactly 2f+1 replicas left,
-	// the one behind can commit the re-proposed batch only if the two that
-	// already executed it vote for it again in the new view — and they must
-	// not execute it again.
+// revoteAcrossViewChange runs a batch to commit and execution at three
+// replicas while the fourth sees none of it, then crashes the primary. With
+// exactly 2f+1 replicas left, the one behind can commit the re-proposed batch
+// only if the two that already executed it vote for it again in the new
+// view — and they must not execute it again. The new primary then orders one
+// fresh batch. It returns the cluster and the first batch's digest.
+func revoteAcrossViewChange(t *testing.T) (*enginetest.Cluster, types.Digest) {
+	t.Helper()
 	c := newCluster(t, 4, nil)
 	req := enginetest.MakeRequest(1, 1)
 	c.Down[3] = true
@@ -475,7 +478,11 @@ func TestViewChangeRevotesReleasedBatch(t *testing.T) {
 	c.Run(1_000_000)
 	c.Propose(1, []types.ClientRequest{enginetest.MakeRequest(2, 1)})
 	c.Run(1_000_000)
-	want := types.BatchDigest([]types.ClientRequest{req})
+	return c, types.BatchDigest([]types.ClientRequest{req})
+}
+
+func TestViewChangeRevotesReleasedBatch(t *testing.T) {
+	c, want := revoteAcrossViewChange(t)
 	for r := 1; r < 4; r++ {
 		got := c.ExecutedDigests(types.ReplicaID(r))
 		if len(got) != 2 || got[0] != want {
@@ -484,6 +491,38 @@ func TestViewChangeRevotesReleasedBatch(t *testing.T) {
 		if n := c.Engines[r].Stats().Executed; n != 2 {
 			t.Fatalf("replica %d released %d batches for execution, want 2: a re-vote must not re-execute", r, n)
 		}
+	}
+}
+
+// TestRevotedBatchClosesOneCheckpointDigest: replicas that executed one
+// batch in different views — released in view 0 at three, in view 1 at the
+// one that was behind — append it to their ledgers and close the same
+// checkpoint digest. A digest that covered the view would split them for
+// good: every later digest chains this one, and a checkpoint stabilizes
+// only on 2f+1 matching digests.
+func TestRevotedBatchClosesOneCheckpointDigest(t *testing.T) {
+	c, _ := revoteAcrossViewChange(t)
+	views := make(map[types.View]bool)
+	var first types.Digest
+	for r := 0; r < 4; r++ {
+		ex := c.Executed[r][0]
+		views[ex.View] = true
+		l := ledger.New(ledger.CommitCertificate, types.Digest{}, 3)
+		if _, err := l.Append(ex.Seq, ex.View, ex.Digest, nil, uint32(len(ex.Requests))); err != nil {
+			t.Fatal(err)
+		}
+		d, err := l.Checkpoint(ex.Seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == 0 {
+			first = d
+		} else if d != first {
+			t.Fatalf("replica %d, which executed seq %d in view %d, closed checkpoint %x; replica 0 closed %x", r, ex.Seq, ex.View, d[:4], first[:4])
+		}
+	}
+	if len(views) != 2 {
+		t.Fatalf("the batch executed in views %v; the test needs it released in two", views)
 	}
 }
 

@@ -3,16 +3,16 @@
 // from a genesis block holding dummy data (the hash of the first primary's
 // identifier).
 //
-// Two linkage modes implement the Section 4.6 "Block Generation" insight:
-// traditional hash-chain linkage computes H(B_{i-1}) on the critical path,
-// while commit-certificate linkage leaves the block unlinked and lets a
-// certificate prove the order instead. That certificate is the stable
-// checkpoint's, in both modes: every Δ blocks the replica closes a
-// checkpoint window with the digest D_S = H(D_{S-Δ} ‖ S ‖ the header hashes
-// of blocks S-Δ+1..S) (ChainDigest), 2f+1 replicas sign (S, D_S) with their
-// ED25519 node keys, and the ledger keeps the newest such certificate with
-// D_{S-Δ} and the Δ headers it covers — anyone holding the node keys can
-// check it. Blocks above S are committed, not yet certified.
+// A block has one linkage, the Section 4.6 "Block Generation" insight: no
+// block holds its predecessor's hash, so nothing is hashed per block on the
+// critical path, and the stable checkpoint's certificate proves the order
+// instead. Every Δ blocks the replica closes a checkpoint window with the
+// digest D_S = H(D_{S-Δ} ‖ S ‖ the header hashes of blocks S-Δ+1..S)
+// (ChainDigest), 2f+1 replicas sign (S, D_S) with their ED25519 node keys,
+// and the ledger keeps the newest such certificate with D_{S-Δ} and the Δ
+// headers it covers — anyone holding the node keys can check it. A header
+// hash leaves out the view (types.Block.Hash). Blocks above S are
+// committed, not yet certified: nothing checks them but their heights.
 package ledger
 
 import (
@@ -24,35 +24,18 @@ import (
 	"resilientdb/internal/types"
 )
 
-// Mode selects how consecutive blocks are linked.
+// Mode is New's ignored first parameter, and CommitCertificate its one
+// value: a block has one linkage. Both stay for callers that still pass
+// them.
 type Mode int
 
-// Linkage modes.
-const (
-	// HashChain embeds H(B_{i-1}) in every block (Section 2.2).
-	HashChain Mode = iota + 1
-	// CommitCertificate links no block to its predecessor: the stable
-	// checkpoint's signed certificate proves the order instead (Section
-	// 4.6).
-	CommitCertificate
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case HashChain:
-		return "hash-chain"
-	case CommitCertificate:
-		return "commit-certificate"
-	default:
-		return "invalid"
-	}
-}
+// CommitCertificate links no block to its predecessor: the stable
+// checkpoint's signed certificate proves the order instead (Section 4.6).
+const CommitCertificate Mode = 1
 
 // Errors reported by Append, Checkpoint, Certify and Validate.
 var (
 	ErrGap            = errors.New("ledger: non-consecutive height")
-	ErrBrokenChain    = errors.New("ledger: hash chain broken")
 	ErrBadCertificate = errors.New("ledger: checkpoint certificate does not verify")
 	ErrPruned         = errors.New("ledger: block pruned")
 	errUnknownHeight  = errors.New("ledger: unknown height")
@@ -78,8 +61,7 @@ type Certificate struct {
 // ChainDigest is the checkpoint digest that closes the window of headers
 // after the checkpoint whose digest is prev: H(prev ‖ seq ‖ H(header)...).
 // Chained through every window since genesis (whose digest is zero), it
-// commits to every block header below seq, whichever linkage mode the
-// blocks use.
+// commits to every block header below seq.
 func ChainDigest(prev types.Digest, seq types.SeqNum, headers []types.Block) types.Digest {
 	w := types.GetWriter()
 	w.Bytes32(prev)
@@ -136,7 +118,6 @@ type mark struct {
 // concurrent use; in the pipeline only the execute-thread appends and
 // closes checkpoints, while the checkpoint-thread certifies and prunes.
 type Ledger struct {
-	mode   Mode
 	quorum int // signatures a certificate needs (2f+1)
 
 	mu     sync.RWMutex
@@ -154,8 +135,8 @@ type Ledger struct {
 // New creates a Ledger seeded with the genesis block. primarySeed is the
 // dummy data stored in the genesis block, conventionally the hash of the
 // first primary's identifier H(P). quorum is the certificate size to
-// enforce (2f+1).
-func New(mode Mode, primarySeed types.Digest, quorum int) *Ledger {
+// enforce (2f+1). The Mode is ignored.
+func New(_ Mode, primarySeed types.Digest, quorum int) *Ledger {
 	genesis := types.Block{
 		Height: 0,
 		Seq:    0,
@@ -163,7 +144,6 @@ func New(mode Mode, primarySeed types.Digest, quorum int) *Ledger {
 		Digest: primarySeed,
 	}
 	return &Ledger{
-		mode:   mode,
 		quorum: quorum,
 		blocks: []types.Block{genesis},
 		marks:  []mark{{}},
@@ -178,7 +158,7 @@ func New(mode Mode, primarySeed types.Digest, quorum int) *Ledger {
 // before it trusts the ledger. Checkpoints the peer closed above the
 // certificate are not carried: the caller closes them again with
 // Checkpoint. The blocks are copied, not aliased.
-func Resume(mode Mode, blocks []types.Block, cert Certificate, quorum int) (*Ledger, error) {
+func Resume(blocks []types.Block, cert Certificate, quorum int) (*Ledger, error) {
 	if len(blocks) == 0 {
 		return nil, errors.New("ledger: empty block snapshot")
 	}
@@ -187,7 +167,7 @@ func Resume(mode Mode, blocks []types.Block, cert Certificate, quorum int) (*Led
 			return nil, fmt.Errorf("%w: snapshot height %d follows %d", ErrGap, blocks[i].Height, blocks[i-1].Height)
 		}
 	}
-	l := &Ledger{mode: mode, quorum: quorum, base: blocks[0].Height, marks: []mark{{}}}
+	l := &Ledger{quorum: quorum, base: blocks[0].Height, marks: []mark{{}}}
 	if cert.Seq != 0 {
 		head := blocks[len(blocks)-1].Height
 		if l.base == 0 || uint64(cert.Seq) < l.base || uint64(cert.Seq) > head {
@@ -211,9 +191,6 @@ func (l *Ledger) UseKeys(keys Verifier) {
 	l.mu.Unlock()
 }
 
-// Mode returns the linkage mode.
-func (l *Ledger) Mode() Mode { return l.mode }
-
 // Head returns the most recently appended block.
 func (l *Ledger) Head() types.Block {
 	l.mu.RLock()
@@ -228,11 +205,10 @@ func (l *Ledger) Height() uint64 {
 	return l.base + uint64(len(l.blocks)) - 1
 }
 
-// Append creates, links, and appends the block for an executed batch and
-// returns it. Blocks must be appended in execution order: seq must be
-// exactly one above the current head's height. proof is ignored: a block
-// carries no proof of its own, the next stable checkpoint's certificate
-// covers it.
+// Append creates and appends the block for an executed batch and returns
+// it. Blocks must be appended in execution order: seq must be exactly one
+// above the current head's height. proof is ignored: a block carries no
+// proof of its own, the next stable checkpoint's certificate covers it.
 func (l *Ledger) Append(seq types.SeqNum, view types.View, digest types.Digest, _ []types.CommitSig, txnCount uint32) (types.Block, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -246,9 +222,6 @@ func (l *Ledger) Append(seq types.SeqNum, view types.View, digest types.Digest, 
 		View:     view,
 		Digest:   digest,
 		TxnCount: txnCount,
-	}
-	if l.mode == HashChain {
-		b.PrevHash = head.Hash()
 	}
 	l.blocks = append(l.blocks, b)
 	return b, nil
@@ -351,25 +324,6 @@ func (l *Ledger) Get(height uint64) (types.Block, error) {
 	return l.blocks[idx], nil
 }
 
-// Range calls fn for every retained block from height from upward, in
-// order, stopping early if fn returns false. It walks a snapshot of the
-// array without the lock: Append writes only past the snapshot's length,
-// and Prune never writes into the array.
-func (l *Ledger) Range(from uint64, fn func(types.Block) bool) {
-	l.mu.RLock()
-	snapshot := l.blocks
-	base := l.base
-	l.mu.RUnlock()
-	for i := range snapshot {
-		if base+uint64(i) < from {
-			continue
-		}
-		if !fn(snapshot[i]) {
-			return
-		}
-	}
-}
-
 // Blocks returns a copy of all retained blocks in order.
 func (l *Ledger) Blocks() []types.Block {
 	l.mu.RLock()
@@ -379,29 +333,15 @@ func (l *Ledger) Blocks() []types.Block {
 	return out
 }
 
-// BlocksSince returns copies of the retained blocks with height > after.
-// Checkpoint messages carry these to lagging replicas (Section 4.7).
-func (l *Ledger) BlocksSince(after uint64) []types.Block {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var out []types.Block
-	for i := range l.blocks {
-		if l.base+uint64(i) > after {
-			out = append(out, l.blocks[i])
-		}
-	}
-	return out
-}
-
 // Prune discards all blocks with height strictly below keepFrom, the
 // garbage collection a stable checkpoint enables (Section 4.7), but never
 // one the newest certificate covers or one above it: after a certificate at
 // S, Prune(S) keeps blocks from S-Δ+1, and before any, it keeps every block
-// above genesis. The head is always kept. Pruning slices the array forward,
-// which a Range running on a snapshot of it does not see; once fewer than
-// two windows' worth of room (two times the blocks dropped) are left past
-// the head, the kept blocks move to a new array with room for eight, so
-// Append never regrows the array and one window in six allocates.
+// above genesis. The head is always kept. Pruning slices the array
+// forward; once fewer than two windows' worth of room (two times the blocks
+// dropped) are left past the head, the kept blocks move to a new array with
+// room for eight, so Append never regrows the array and one window in six
+// allocates.
 func (l *Ledger) Prune(keepFrom uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -423,11 +363,11 @@ func (l *Ledger) Prune(keepFrom uint64) {
 	l.base = keepFrom
 }
 
-// Validate walks the retained chain and checks every link: consecutive
-// heights and, in HashChain mode, an intact hash chain. It then checks the
-// newest certificate against the headers it covers and the keys UseKeys
+// Validate checks that the retained blocks have consecutive heights, and
+// the newest certificate against the headers it covers and the keys UseKeys
 // gave (Certificate.Verify). Blocks above it are committed, not yet
-// certified: their heights are all it checks.
+// certified: their heights are all it checks, so an edit to one goes
+// unseen until a certificate covers it.
 func (l *Ledger) Validate() error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -435,9 +375,6 @@ func (l *Ledger) Validate() error {
 		prev, cur := &l.blocks[i-1], &l.blocks[i]
 		if cur.Height != prev.Height+1 {
 			return fmt.Errorf("%w: %d follows %d", ErrGap, cur.Height, prev.Height)
-		}
-		if l.mode == HashChain && cur.PrevHash != prev.Hash() {
-			return fmt.Errorf("%w: at height %d", ErrBrokenChain, cur.Height)
 		}
 	}
 	if l.cert.Seq == 0 {
@@ -451,8 +388,10 @@ func (l *Ledger) Validate() error {
 }
 
 // VerifyChainEquality reports whether two ledgers agree on every height
-// both retain: same batch digests, views, and transaction counts. It is
-// the cross-replica safety check used by integration tests.
+// both retain: same sequence numbers, batch digests and transaction counts.
+// Views are not compared: replicas may execute one batch in different
+// views (types.Block). It is the cross-replica safety check used by
+// integration tests.
 func VerifyChainEquality(a, b *Ledger) error {
 	ha, hb := a.Height(), b.Height()
 	limit := ha

@@ -40,13 +40,13 @@ const delta = 3
 
 // newCertified returns an empty ledger holding a four-replica deployment's
 // checkpoint keys, and the directory that signs for it.
-func newCertified(t *testing.T, mode Mode) (*Ledger, *crypto.Directory) {
+func newCertified(t *testing.T) (*Ledger, *crypto.Directory) {
 	t.Helper()
 	dir, err := crypto.NewDirectory(crypto.Recommended(), [32]byte{43})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := New(mode, genesisSeed(), 3)
+	l := New(CommitCertificate, genesisSeed(), 3)
 	l.UseKeys(dir.CheckpointKeys(4))
 	return l, dir
 }
@@ -77,7 +77,7 @@ func certifyEvery(t *testing.T, l *Ledger, dir *crypto.Directory, seq types.SeqN
 }
 
 func TestGenesis(t *testing.T) {
-	l := New(HashChain, genesisSeed(), 3)
+	l := New(CommitCertificate, genesisSeed(), 3)
 	head := l.Head()
 	if head.Height != 0 || head.Seq != 0 {
 		t.Fatalf("genesis = %+v", head)
@@ -90,33 +90,8 @@ func TestGenesis(t *testing.T) {
 	}
 }
 
-func TestAppendLinksHashChain(t *testing.T) {
-	l := New(HashChain, genesisSeed(), 3)
-	appendN(t, l, 5)
-	if l.Height() != 5 {
-		t.Fatalf("Height = %d, want 5", l.Height())
-	}
-	if err := l.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	// Each block's PrevHash equals the previous block's hash.
-	for h := uint64(1); h <= 5; h++ {
-		cur, err := l.Get(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev, err := l.Get(h - 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur.PrevHash != prev.Hash() {
-			t.Fatalf("link broken at height %d", h)
-		}
-	}
-}
-
 func TestAppendRejectsGaps(t *testing.T) {
-	l := New(HashChain, genesisSeed(), 3)
+	l := New(CommitCertificate, genesisSeed(), 3)
 	if _, err := l.Append(2, 0, types.Digest{1}, nil, 1); !errors.Is(err, ErrGap) {
 		t.Fatalf("gap append = %v, want ErrGap", err)
 	}
@@ -129,13 +104,9 @@ func TestAppendRejectsGaps(t *testing.T) {
 }
 
 func TestCommitCertificateMode(t *testing.T) {
-	l, dir := newCertified(t, CommitCertificate)
-	b, err := l.Append(1, 0, types.Digest{1}, nil, 1)
-	if err != nil {
+	l, dir := newCertified(t)
+	if _, err := l.Append(1, 0, types.Digest{1}, nil, 1); err != nil {
 		t.Fatalf("append without a proof: %v", err)
-	}
-	if b.PrevHash != (types.Digest{}) {
-		t.Fatal("CommitCertificate mode computed a prev hash")
 	}
 	appendRange(t, l, 2, delta)
 	if err := l.Validate(); err != nil {
@@ -162,20 +133,8 @@ func TestCommitCertificateMode(t *testing.T) {
 	}
 }
 
-func TestValidateDetectsTampering(t *testing.T) {
-	l := New(HashChain, genesisSeed(), 3)
-	appendN(t, l, 5)
-	// Tamper with a middle block's digest.
-	l.mu.Lock()
-	l.blocks[3].Digest[0] ^= 0xFF
-	l.mu.Unlock()
-	if err := l.Validate(); !errors.Is(err, ErrBrokenChain) {
-		t.Fatalf("Validate after tamper = %v, want ErrBrokenChain", err)
-	}
-}
-
 func TestValidateDetectsDuplicateSigners(t *testing.T) {
-	l, dir := newCertified(t, CommitCertificate)
+	l, dir := newCertified(t)
 	appendRange(t, l, 1, delta)
 	d, err := l.Checkpoint(delta)
 	if err != nil {
@@ -194,7 +153,7 @@ func TestValidateDetectsDuplicateSigners(t *testing.T) {
 // TestPrune: before a certificate nothing above genesis goes; after one
 // at S, pruning to S keeps the window the certificate covers, S-Δ+1 on.
 func TestPrune(t *testing.T) {
-	l, dir := newCertified(t, HashChain)
+	l, dir := newCertified(t)
 	appendRange(t, l, 1, 10)
 	l.Prune(7)
 	if _, err := l.Get(0); !errors.Is(err, ErrPruned) {
@@ -229,113 +188,10 @@ func TestPrune(t *testing.T) {
 	}
 }
 
-func TestBlocksSince(t *testing.T) {
-	l := New(HashChain, genesisSeed(), 3)
-	appendN(t, l, 5)
-	got := l.BlocksSince(3)
-	if len(got) != 2 || got[0].Height != 4 || got[1].Height != 5 {
-		t.Fatalf("BlocksSince(3) = %+v", got)
-	}
-	if got := l.BlocksSince(5); len(got) != 0 {
-		t.Fatalf("BlocksSince(5) = %d blocks", len(got))
-	}
-}
-
-func TestRange(t *testing.T) {
-	l := New(HashChain, genesisSeed(), 3)
-	appendN(t, l, 5)
-	var heights []uint64
-	l.Range(2, func(b types.Block) bool {
-		heights = append(heights, b.Height)
-		return b.Height < 4 // stop after 4
-	})
-	if len(heights) != 3 || heights[0] != 2 || heights[2] != 4 {
-		t.Fatalf("Range visited %v", heights)
-	}
-}
-
-// TestRangeBoundaries pins Range's edge behaviour: from 0 starts at the
-// genesis block, from beyond the head visits nothing, and after pruning to
-// a certificate a from inside the pruned prefix silently starts at the retained base
-// (pruned blocks are gone, not an error).
-func TestRangeBoundaries(t *testing.T) {
-	l, dir := newCertified(t, HashChain)
-	appendRange(t, l, 1, 6)
-
-	var heights []uint64
-	l.Range(0, func(b types.Block) bool {
-		heights = append(heights, b.Height)
-		return true
-	})
-	if len(heights) != 7 || heights[0] != 0 || heights[6] != 6 {
-		t.Fatalf("Range(0) visited %v, want genesis through head", heights)
-	}
-
-	visited := false
-	l.Range(7, func(types.Block) bool { visited = true; return true })
-	if visited {
-		t.Fatal("Range beyond the head visited a block")
-	}
-
-	certifyEvery(t, l, dir, 6)
-	l.Prune(6)
-	heights = nil
-	l.Range(1, func(b types.Block) bool {
-		heights = append(heights, b.Height)
-		return true
-	})
-	if len(heights) != 3 || heights[0] != 4 || heights[2] != 6 {
-		t.Fatalf("Range(1) after a certificate at 6 visited %v, want [4 5 6]", heights)
-	}
-
-	// Early stop on the very first retained block.
-	n := 0
-	l.Range(0, func(types.Block) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("Range visited %d blocks after fn returned false", n)
-	}
-}
-
-// TestBlocksSinceBoundaries pins BlocksSince's edges: after 0 returns the
-// whole retained chain minus genesis, after ≥ head returns nil, and a
-// lagging replica asking from inside the pruned prefix gets only the
-// retained suffix — the caller must detect the gap, BlocksSince does not.
-func TestBlocksSinceBoundaries(t *testing.T) {
-	l, dir := newCertified(t, HashChain)
-	appendRange(t, l, 1, 6)
-
-	got := l.BlocksSince(0)
-	if len(got) != 6 || got[0].Height != 1 || got[5].Height != 6 {
-		t.Fatalf("BlocksSince(0) = %d blocks [%v..], want 1..6", len(got), got[0].Height)
-	}
-	if got := l.BlocksSince(6); got != nil {
-		t.Fatalf("BlocksSince(head) = %+v, want nil", got)
-	}
-	if got := l.BlocksSince(99); got != nil {
-		t.Fatalf("BlocksSince beyond head = %+v, want nil", got)
-	}
-
-	certifyEvery(t, l, dir, 6)
-	l.Prune(6)
-	got = l.BlocksSince(1)
-	if len(got) != 3 || got[0].Height != 4 {
-		t.Fatalf("BlocksSince(1) after a certificate at 6 = %d blocks starting at %d, want 3 starting at 4",
-			len(got), got[0].Height)
-	}
-	// The boundary just below the base behaves like the base itself.
-	if got := l.BlocksSince(3); len(got) != 3 {
-		t.Fatalf("BlocksSince(base-1) = %d blocks, want 3", len(got))
-	}
-	if got := l.BlocksSince(4); len(got) != 2 || got[0].Height != 5 {
-		t.Fatalf("BlocksSince(base) = %+v, want [5 6]", got)
-	}
-}
-
 // TestCheckpointDigestCoversEveryHeader: a checkpoint digest changes with
-// any header it covers, in commit-certificate mode too, where no block
-// links to its predecessor and the head's hash says nothing about the
-// blocks below it; and it chains, so a header of an earlier window changes
-// every later digest.
+// any header it covers, though no block links to its predecessor and the
+// head's hash says nothing about the blocks below it; and it chains, so a
+// header of an earlier window changes every later digest.
 func TestCheckpointDigestCoversEveryHeader(t *testing.T) {
 	const s = 2 * delta
 	build := func(diverge uint64) *Ledger {
@@ -385,7 +241,7 @@ func TestCheckpointDigestCoversEveryHeader(t *testing.T) {
 func TestCertificateMutationsRejected(t *testing.T) {
 	const s = 2 * delta
 	fresh := func() (*Ledger, *crypto.Directory) {
-		l, dir := newCertified(t, CommitCertificate)
+		l, dir := newCertified(t)
 		appendRange(t, l, 1, s+delta)
 		certifyEvery(t, l, dir, s)
 		if _, err := l.Checkpoint(s + delta); err != nil {
@@ -456,7 +312,7 @@ func TestCertificateMutationsRejected(t *testing.T) {
 // checkpoint to the digest the peer closes; one resumed from a snapshot the
 // certificate does not cover fails Validate.
 func TestResumeContinuesTheCertifiedChain(t *testing.T) {
-	peer, dir := newCertified(t, CommitCertificate)
+	peer, dir := newCertified(t)
 	appendRange(t, peer, 1, 2*delta+1)
 	certifyEvery(t, peer, dir, delta)
 	blocks, cert := peer.Tail()
@@ -468,7 +324,7 @@ func TestResumeContinuesTheCertifiedChain(t *testing.T) {
 	if blocks[0].Height != delta+1 || cert.Seq != 2*delta {
 		t.Fatalf("Tail starts at %d with a certificate at %d, want %d and %d", blocks[0].Height, cert.Seq, delta+1, 2*delta)
 	}
-	l, err := Resume(CommitCertificate, blocks, cert, 3)
+	l, err := Resume(blocks, cert, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +342,7 @@ func TestResumeContinuesTheCertifiedChain(t *testing.T) {
 		t.Fatal("the resumed ledger closed a different checkpoint digest from its peer's")
 	}
 	blocks[1].Digest[0] ^= 1
-	bent, err := Resume(CommitCertificate, blocks, cert, 3)
+	bent, err := Resume(blocks, cert, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,8 +353,8 @@ func TestResumeContinuesTheCertifiedChain(t *testing.T) {
 }
 
 func TestVerifyChainEquality(t *testing.T) {
-	a := New(HashChain, genesisSeed(), 3)
-	b := New(HashChain, genesisSeed(), 3)
+	a := New(CommitCertificate, genesisSeed(), 3)
+	b := New(CommitCertificate, genesisSeed(), 3)
 	appendN(t, a, 5)
 	appendN(t, b, 3) // shorter but consistent prefix
 	if err := VerifyChainEquality(a, b); err != nil {
@@ -513,20 +369,9 @@ func TestVerifyChainEquality(t *testing.T) {
 	}
 }
 
-func BenchmarkLedgerAppendHashChain(b *testing.B) {
-	l := New(HashChain, genesisSeed(), 3)
-	d := crypto.Hash256([]byte("batch"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Append(types.SeqNum(i+1), 0, d, nil, 100); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLedgerAppendCommitCert vs BenchmarkLedgerAppendHashChain is the
-// Section 4.6 block-linkage ablation: leaving the proof to the checkpoint
-// certificate avoids hashing the previous block per append.
+// BenchmarkLedgerAppendCommitCert is the cost of one block on the critical
+// path: leaving the proof to the checkpoint certificate hashes nothing per
+// append (Section 4.6).
 func BenchmarkLedgerAppendCommitCert(b *testing.B) {
 	l := New(CommitCertificate, genesisSeed(), 3)
 	d := crypto.Hash256([]byte("batch"))

@@ -104,7 +104,6 @@ func testLentAcrossViewChange(t *testing.T, tcp bool, execThreads int, interval 
 	poisonLent(t)
 	var held *holdNewViews
 	c := newShapedRecycleCluster(t, tcp, execThreads, recycleShape{
-		ledger:   ledger.CommitCertificate,
 		interval: interval,
 		disk:     disk,
 		wrap: func(id int, ep transport.Endpoint) transport.Endpoint {

@@ -43,7 +43,6 @@ func newExecReplica(t *testing.T, execThreads, depth int, st store.Store) *Repli
 		ExecuteThreads:     execThreads,
 		ExecPipelineDepth:  depth,
 		CheckpointInterval: 8, // several checkpoints over a 32-batch run
-		LedgerMode:         ledger.HashChain,
 		Store:              st,
 		Directory:          dir,
 		Endpoint:           net.Endpoint(types.ReplicaNode(1), 3, 1<<10),
@@ -101,11 +100,11 @@ func shardTestBatches(t *testing.T, batches int) []consensus.Execute {
 	return acts
 }
 
-// headDigest is the hash of a ledger's head block: two replicas that
-// appended the same blocks agree on it.
-func headDigest(l *ledger.Ledger) types.Digest {
-	h := l.Head()
-	return h.Hash()
+// historyDigest folds every retained block header of a ledger: two
+// replicas that appended the same blocks agree on it, and a difference in
+// any block, not just the head, tells them apart.
+func historyDigest(l *ledger.Ledger) types.Digest {
+	return ledger.ChainDigest(types.Digest{}, types.SeqNum(l.Height()), l.Blocks())
 }
 
 func waitBatches(t *testing.T, r *Replica, want uint64) {
@@ -166,8 +165,8 @@ func TestExecShardDeterminism(t *testing.T) {
 	waitBatches(t, serial, batches)
 	waitBatches(t, sharded, batches)
 
-	if got, want := headDigest(sharded.Ledger()), headDigest(serial.Ledger()); got != want {
-		t.Fatalf("ledger head digest diverged: E=4 %x vs E=1 %x", got[:8], want[:8])
+	if got, want := historyDigest(sharded.Ledger()), historyDigest(serial.Ledger()); got != want {
+		t.Fatalf("ledger history diverged: E=4 %x vs E=1 %x", got[:8], want[:8])
 	}
 	ss, sh := serial.Stats(), sharded.Stats()
 	if ss.TxnsExecuted != sh.TxnsExecuted {
@@ -203,8 +202,8 @@ func TestExecShardDeterminism(t *testing.T) {
 				r.execIn.Offer(uint64(act.Seq), execItem{act: act})
 			}
 			waitBatches(t, r, batches)
-			if got, want := headDigest(r.Ledger()), headDigest(serial.Ledger()); got != want {
-				t.Fatalf("ledger head digest diverged: %x vs E=1 %x", got[:8], want[:8])
+			if got, want := historyDigest(r.Ledger()), historyDigest(serial.Ledger()); got != want {
+				t.Fatalf("ledger history diverged: %x vs E=1 %x", got[:8], want[:8])
 			}
 			if got, want := storeDigest(t, disk), storeDigest(t, serial.Store()); got != want {
 				t.Fatalf("store state diverged: %x vs E=1 %x", got[:8], want[:8])
@@ -297,13 +296,10 @@ func TestExecPipelineDeterminism(t *testing.T) {
 				t.Fatal("the sharded store never compacted mid-run")
 			}
 
-			if got, want := headDigest(pipelined.Ledger()), headDigest(serial.Ledger()); got != want {
-				t.Fatalf("ledger head digest diverged: pipelined %x vs serial %x", got[:8], want[:8])
+			if got, want := historyDigest(pipelined.Ledger()), historyDigest(serial.Ledger()); got != want {
+				t.Fatalf("ledger history diverged: pipelined %x vs serial %x", got[:8], want[:8])
 			}
-			// Checkpoint digests: with interval 8 both replicas reported
-			// executions at the same sequence boundaries; compare the full
-			// chains height by height so an out-of-order retirement cannot
-			// hide in the head digest.
+			// Height by height, so a divergence names its first height.
 			if err := ledger.VerifyChainEquality(serial.Ledger(), pipelined.Ledger()); err != nil {
 				t.Fatalf("chains diverged: %v", err)
 			}
@@ -360,7 +356,7 @@ func TestExecShardDiskStoreFallback(t *testing.T) {
 					t.Fatalf("response %+v diverged from MemStore's:\nbare:     %s\nMemStore: %s", key, got, want)
 				}
 			}
-			if got, want := headDigest(r.Ledger()), headDigest(ref.Ledger()); got != want {
+			if got, want := historyDigest(r.Ledger()), historyDigest(ref.Ledger()); got != want {
 				t.Fatalf("ledger diverged: %x vs %x", got[:8], want[:8])
 			}
 			if got := r.Stats().StoreWriteFailures; got != 0 {

@@ -83,11 +83,10 @@ type recycleCluster struct {
 
 const recycleClient = types.ClientID(0)
 
-// recycleShape is what a test varies in a recycleCluster: block linkage,
-// checkpoint interval, a wrapper around each replica's endpoint, and the
+// recycleShape is what a test varies in a recycleCluster: checkpoint
+// interval, a wrapper around each replica's endpoint, and the
 // store.
 type recycleShape struct {
-	ledger   ledger.Mode
 	interval uint64
 	wrap     func(id int, ep transport.Endpoint) transport.Endpoint
 	// disk puts each replica on a sharded disk store that compacts its log
@@ -96,7 +95,7 @@ type recycleShape struct {
 }
 
 func newRecycleCluster(t *testing.T, tcp bool, execThreads int) *recycleCluster {
-	return newShapedRecycleCluster(t, tcp, execThreads, recycleShape{ledger: ledger.HashChain, interval: 4})
+	return newShapedRecycleCluster(t, tcp, execThreads, recycleShape{interval: 4})
 }
 
 func newShapedRecycleCluster(t *testing.T, tcp bool, execThreads int, shape recycleShape) *recycleCluster {
@@ -166,7 +165,6 @@ func newShapedRecycleCluster(t *testing.T, tcp bool, execThreads int, shape recy
 			BatchThreads:       1, // one drain order, so send order is batch order
 			ExecuteThreads:     execThreads,
 			CheckpointInterval: shape.interval,
-			LedgerMode:         shape.ledger,
 			Store:              st,
 			Directory:          dir,
 			Endpoint:           ep,

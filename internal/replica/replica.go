@@ -125,9 +125,6 @@ type Config struct {
 	// CheckpointInterval is Δ in batches; the paper checkpoints once per
 	// 10K transactions, i.e. every 100 batches of 100 (Section 5.1).
 	CheckpointInterval uint64
-	// LedgerMode selects block linkage (default CommitCertificate,
-	// Section 4.6).
-	LedgerMode ledger.Mode
 	// Store is the record table; nil means a fresh in-memory store. A
 	// store that is not a store.Backend runs behind store.AsBackend's
 	// blocking calls.
@@ -211,9 +208,6 @@ func (c *Config) fill() error {
 	}
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 100
-	}
-	if c.LedgerMode == 0 {
-		c.LedgerMode = ledger.CommitCertificate
 	}
 	if c.Directory == nil {
 		return fmt.Errorf("replica: Directory is required")
@@ -683,12 +677,12 @@ func openLedger(cfg *Config, keys *crypto.CheckpointKeys) (*ledger.Ledger, error
 	q := consensus.Quorum2f1(cfg.N)
 	if cfg.Bootstrap == nil {
 		genesis := crypto.Hash256([]byte(fmt.Sprintf("genesis-primary-%d", consensus.PrimaryOf(0, cfg.N))))
-		l := ledger.New(cfg.LedgerMode, genesis, q)
+		l := ledger.New(ledger.CommitCertificate, genesis, q)
 		l.UseKeys(keys)
 		return l, nil
 	}
 	boot := cfg.Bootstrap
-	l, err := ledger.Resume(cfg.LedgerMode, boot.Blocks, boot.Certificate, q)
+	l, err := ledger.Resume(boot.Blocks, boot.Certificate, q)
 	if err != nil {
 		return nil, err
 	}

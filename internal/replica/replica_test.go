@@ -7,7 +7,6 @@ import (
 
 	"resilientdb/internal/consensus"
 	"resilientdb/internal/crypto"
-	"resilientdb/internal/ledger"
 	"resilientdb/internal/transport"
 	"resilientdb/internal/types"
 )
@@ -113,29 +112,6 @@ func TestZyzzyvaProtocolRefused(t *testing.T) {
 	cfg.Protocol = 2
 	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "internal/sim") {
 		t.Fatalf("New with Zyzzyva's protocol value = %v, want a refusal naming internal/sim", err)
-	}
-}
-
-// TestLedgerModeHonoured: a replica's ledger links blocks the way its
-// Config's LedgerMode says, and zero means the commit certificate.
-func TestLedgerModeHonoured(t *testing.T) {
-	for _, tc := range []struct {
-		mode ledger.Mode
-		want ledger.Mode
-	}{
-		{0, ledger.CommitCertificate},
-		{ledger.CommitCertificate, ledger.CommitCertificate},
-		{ledger.HashChain, ledger.HashChain},
-	} {
-		cfg := validConfig(t)
-		cfg.LedgerMode = tc.mode
-		r, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := r.Ledger().Mode(); got != tc.want {
-			t.Fatalf("LedgerMode %d: ledger mode = %v, want %v", tc.mode, got, tc.want)
-		}
 	}
 }
 

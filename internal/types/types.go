@@ -4,9 +4,9 @@
 //
 // The type system mirrors Section 2.2 and Section 4.8 of the paper: every
 // message inherits from a common base (here: the Message interface), client
-// transactions are first-class objects, and blocks carry a hash-chain link
-// or nothing, leaving the proof to a stable checkpoint's signed certificate
-// (Section 4.6, "Block Generation").
+// transactions are first-class objects, and blocks carry no link to their
+// predecessor, leaving the proof to a stable checkpoint's signed
+// certificate (Section 4.6, "Block Generation").
 package types
 
 import (
@@ -211,32 +211,34 @@ type CheckpointSig struct {
 	Sig     Signature
 }
 
-// Block is one element of the immutable ledger, B_i = {k, d, v, link}
-// (Section 2.2). In hash-chain mode PrevHash links it to its predecessor;
-// in commit-certificate mode (Section 4.6) nothing in the block does: the
-// next stable checkpoint's certificate signs a digest over its header
-// (ledger.ChainDigest), and until then the block is committed, not yet
-// certified.
+// Block is one element of the immutable ledger, B_i = {k, d, v} (Section
+// 2.2). A block has one linkage, and nothing in the block holds it: the next
+// stable checkpoint's certificate signs a digest over its header
+// (ledger.ChainDigest, Section 4.6), and until then the block is committed,
+// not yet certified.
 type Block struct {
-	Height   uint64 // position in the chain; genesis is height 0
-	Seq      SeqNum // consensus sequence number k (0 for genesis)
-	View     View   // identifier v of the primary that ordered the batch
+	Height uint64 // position in the chain; genesis is height 0
+	Seq    SeqNum // consensus sequence number k (0 for genesis)
+	// View is the view v of the primary whose proposal this replica
+	// executed. It is a local annotation, not certified: a batch committed
+	// across a view change executes in the old view at a replica that
+	// released it there and in the new view at one that commits it only
+	// when the new primary re-proposes it, so replicas that agree on the
+	// block disagree on its view.
+	View     View
 	Digest   Digest // digest d of the batch of client requests
-	PrevHash Digest // H(B_{i-1}) in hash-chain mode
 	TxnCount uint32
 }
 
-// Hash returns the SHA-256 hash of the block's header fields. It is the
-// value embedded as PrevHash by the successor block in hash-chain mode, and
-// what a checkpoint digest folds per block.
+// Hash returns the SHA-256 hash of the block's certified header fields:
+// Height, Seq, Digest and TxnCount, not View. A checkpoint digest folds it
+// per block.
 func (b *Block) Hash() Digest {
-	var buf [8 + 8 + 8 + 32 + 32 + 4]byte
+	var buf [8 + 8 + 32 + 4]byte
 	binary.BigEndian.PutUint64(buf[0:], b.Height)
 	binary.BigEndian.PutUint64(buf[8:], uint64(b.Seq))
-	binary.BigEndian.PutUint64(buf[16:], uint64(b.View))
-	copy(buf[24:], b.Digest[:])
-	copy(buf[56:], b.PrevHash[:])
-	binary.BigEndian.PutUint32(buf[88:], b.TxnCount)
+	copy(buf[16:], b.Digest[:])
+	binary.BigEndian.PutUint32(buf[48:], b.TxnCount)
 	return sha256.Sum256(buf[:])
 }
 

@@ -288,18 +288,29 @@ func TestBatchDigestProperties(t *testing.T) {
 	}
 }
 
+// TestBlockHashChanges: each certified header field changes a block's hash,
+// and the view does not — replicas may execute one batch in different views
+// and must still close the same checkpoint digest.
 func TestBlockHashChanges(t *testing.T) {
-	b := Block{Height: 5, Seq: 5, View: 1, Digest: Digest{1}, PrevHash: Digest{2}, TxnCount: 100}
-	h := b.Hash()
-	b2 := b
-	b2.TxnCount++
-	if b2.Hash() == h {
-		t.Fatal("Block.Hash ignores TxnCount")
-	}
-	b3 := b
-	b3.PrevHash = Digest{3}
-	if b3.Hash() == h {
-		t.Fatal("Block.Hash ignores PrevHash")
+	base := Block{Height: 5, Seq: 5, View: 1, Digest: Digest{1}, TxnCount: 100}
+	for _, tc := range []struct {
+		field   string
+		bend    func(*Block)
+		changes bool
+	}{
+		{"Height", func(b *Block) { b.Height++ }, true},
+		{"Seq", func(b *Block) { b.Seq++ }, true},
+		{"Digest", func(b *Block) { b.Digest[31] ^= 1 }, true},
+		{"TxnCount", func(b *Block) { b.TxnCount++ }, true},
+		{"View", func(b *Block) { b.View++ }, false},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			b := base
+			tc.bend(&b)
+			if changed := b.Hash() != base.Hash(); changed != tc.changes {
+				t.Fatalf("changing %s changed Block.Hash: %v, want %v", tc.field, changed, tc.changes)
+			}
+		})
 	}
 }
 

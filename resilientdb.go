@@ -36,7 +36,6 @@ import (
 	"resilientdb/internal/bench"
 	"resilientdb/internal/cluster"
 	"resilientdb/internal/crypto"
-	"resilientdb/internal/ledger"
 	"resilientdb/internal/sim"
 	"resilientdb/internal/types"
 	"resilientdb/internal/workload"
@@ -86,18 +85,6 @@ func AllRSA() CryptoConfig { return crypto.AllRSA() }
 func RecommendedCrypto() CryptoConfig { return crypto.Recommended() }
 
 // ---- Ledger ----
-
-// LedgerMode selects block linkage (Section 4.6).
-type LedgerMode = ledger.Mode
-
-// Ledger modes.
-const (
-	// HashChain links blocks by embedding H(B_{i-1}).
-	HashChain = ledger.HashChain
-	// CommitCertificate embeds the 2f+1 commit signatures instead of
-	// hashing the previous block on the critical path.
-	CommitCertificate = ledger.CommitCertificate
-)
 
 // Block is one element of the immutable ledger.
 type Block = types.Block
