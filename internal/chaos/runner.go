@@ -156,10 +156,6 @@ type Report struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
-// Passed reports whether the scenario met every invariant and
-// expectation.
-func (r *Report) Passed() bool { return len(r.Violations) == 0 }
-
 func (r *Report) violate(format string, args ...any) {
 	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 }
@@ -457,20 +453,6 @@ func RunScenario(sc Scenario, tn Tuning) (*Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// RunMatrix runs every scenario in order and returns one report each;
-// the error covers harness failures only.
-func RunMatrix(matrix []Scenario, tn Tuning) ([]*Report, error) {
-	reports := make([]*Report, 0, len(matrix))
-	for _, sc := range matrix {
-		r, err := RunScenario(sc, tn)
-		if err != nil {
-			return reports, fmt.Errorf("scenario %s: %w", sc.Name, err)
-		}
-		reports = append(reports, r)
-	}
-	return reports, nil
 }
 
 func liveHeights(c *cluster.Cluster) []uint64 {

@@ -32,11 +32,7 @@
 // references.
 package consensus
 
-import (
-	"sync/atomic"
-
-	"resilientdb/internal/types"
-)
+import "resilientdb/internal/types"
 
 // Action is one output of the client engine's steps, and the common type
 // of an Out entry's payloads. Drivers interpret them: the runtime maps
@@ -180,15 +176,18 @@ func (Evidence) isAction()         {}
 // checkpoint-threads may step it at once. PBFT is the one implementation
 // outside tests.
 //
-// The read-only observers View, IsPrimary, and Stats are safe to call from
-// any goroutine at any time, without external locking: implementations
-// back them with atomics so observability never contends with consensus.
+// The read-only observers View, IsPrimary, Stats and LastProposed are safe
+// to call from any goroutine at any time, without external locking:
+// implementations back them with atomics so observability never contends
+// with consensus. CountsCheckpoint is safe to call alongside the steps.
 type Engine interface {
 	// OnMessage applies a verified message from a peer and appends what it
-	// does to out. The message is lent for the call: the caller reuses a
-	// Prepare, Commit or Checkpoint once it returns, so an engine that keeps
-	// one keeps a copy, and releases a proposal, so an engine that keeps
-	// its requests takes a reference on them.
+	// does to out. Verified includes a PrePrepare's Digest: the driver has
+	// checked it against the batch's requests, and the engine trusts it.
+	// The message is lent for the call: the caller reuses a Prepare, Commit
+	// or Checkpoint once it returns, so an engine that keeps one keeps a
+	// copy, and releases a proposal, so an engine that keeps its requests
+	// takes a reference on them.
 	OnMessage(from types.NodeID, msg types.Message, out *Out)
 
 	// Propose assigns the next sequence number to a batch of client
@@ -224,30 +223,24 @@ type Engine interface {
 	// Stats returns engine counters for observability.
 	Stats() EngineStats
 
+	// LastProposed returns the highest sequence number the engine has
+	// proposed (primary) or adopted from a view change or a checkpoint.
+	// Drivers use it to bound the instances that may be in flight:
+	// everything above it has provably not been pre-prepared yet.
+	LastProposed() types.SeqNum
+
+	// CountsCheckpoint reports whether from's vote for the checkpoint at
+	// seq would be recorded: seq is above the low watermark, has no quorum
+	// yet, and holds no vote from from. Drivers check a vote's signature
+	// only when it would: once a checkpoint has its 2f+1 votes the rest
+	// are dropped unchecked, so a checkpoint costs each replica 2f
+	// verifications when its own vote is in first, not n-1.
+	CountsCheckpoint(from types.ReplicaID, seq types.SeqNum) bool
+
 	// Close releases every reference the engine holds on requests it
 	// logged. The engine must not be stepped again: a driver calls it once
 	// every thread that steps the engine has returned.
 	Close()
-}
-
-// ProposalHeader is implemented by engines that can report the highest
-// sequence number they have proposed or adopted. Drivers use it to bound
-// the set of instances that may be in flight: everything above the head
-// has provably not been pre-prepared yet.
-type ProposalHeader interface {
-	LastProposed() types.SeqNum
-}
-
-// CheckpointCounter is implemented by engines that can say whether a
-// peer's checkpoint vote would still count. Drivers check a vote's
-// signature only when it would: once a checkpoint has its 2f+1 votes the
-// rest are dropped unchecked, so a checkpoint costs each replica 2f
-// verifications when its own vote is in first, not n-1.
-type CheckpointCounter interface {
-	// CountsCheckpoint reports whether from's vote for the checkpoint at
-	// seq would be recorded: seq is above the low watermark, has no quorum
-	// yet, and holds no vote from from.
-	CountsCheckpoint(from types.ReplicaID, seq types.SeqNum) bool
 }
 
 // EngineStats exposes engine counters for tests and monitoring.
@@ -257,29 +250,6 @@ type EngineStats struct {
 	Checkpoints uint64 // stable checkpoints reached
 	ViewChanges uint64 // view changes completed
 	Dropped     uint64 // messages ignored (stale view, out of watermark…)
-}
-
-// AtomicEngineStats is the atomic counter set backing a lock-free
-// Engine.Stats implementation. Engines keep one and return Snapshot(), so
-// counters bumped mid-step are safe to read from any goroutine — the
-// Engine contract requires exactly that of Stats().
-type AtomicEngineStats struct {
-	Proposed    atomic.Uint64
-	Executed    atomic.Uint64
-	Checkpoints atomic.Uint64
-	ViewChanges atomic.Uint64
-	Dropped     atomic.Uint64
-}
-
-// Snapshot returns the counters as a plain EngineStats value.
-func (s *AtomicEngineStats) Snapshot() EngineStats {
-	return EngineStats{
-		Proposed:    s.Proposed.Load(),
-		Executed:    s.Executed.Load(),
-		Checkpoints: s.Checkpoints.Load(),
-		ViewChanges: s.ViewChanges.Load(),
-		Dropped:     s.Dropped.Load(),
-	}
 }
 
 // Quorum2f returns the prepare quorum: 2f when n = 3f+1, generalized to

@@ -32,6 +32,8 @@ func (f *fakeEngine) View() types.View                                          
 func (f *fakeEngine) IsPrimary() bool                                                        { return f.id == 0 }
 func (f *fakeEngine) Stats() consensus.EngineStats                                           { return consensus.EngineStats{} }
 func (f *fakeEngine) Close()                                                                 {}
+func (f *fakeEngine) LastProposed() types.SeqNum                                             { return 0 }
+func (f *fakeEngine) CountsCheckpoint(types.ReplicaID, types.SeqNum) bool                    { return true }
 
 func fakes(n int) ([]consensus.Engine, []*fakeEngine) {
 	engines := make([]consensus.Engine, n)

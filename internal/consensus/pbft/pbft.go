@@ -44,11 +44,6 @@ type Config struct {
 	// WatermarkWindow bounds how far consensus may run ahead of the last
 	// stable checkpoint (the out-of-order pipelining depth).
 	WatermarkWindow uint64
-	// VerifyDigests makes the engine recompute batch digests of incoming
-	// pre-prepares. Drivers that already verify digests (accounting the
-	// cost where it belongs, in the worker or batch threads) leave this
-	// off; adversarial tests switch it on.
-	VerifyDigests bool
 	// StartView and StartSeq boot the engine mid-stream: a recovering
 	// replica that seeded its state from a peer's stable tail joins the
 	// cluster's current view with its watermarks anchored at StartSeq —
@@ -321,7 +316,7 @@ type Engine struct {
 
 	// stats are atomic so Stats() never takes a lock (observability must
 	// not contend with consensus).
-	stats consensus.AtomicEngineStats
+	stats engineStats
 
 	// recycleHook is a test hook run on every pruned instance before its
 	// reset: tests fill it with garbage, so a field the reset misses shows.
@@ -378,15 +373,33 @@ func (e *Engine) refreshMirrors() {
 	e.primaryA.Store(e.isPrimaryLocked())
 }
 
-// Stats implements consensus.Engine; it is lock-free.
-func (e *Engine) Stats() consensus.EngineStats { return e.stats.Snapshot() }
+// engineStats is the engine's counters, one atomic each: a step bumps
+// them under mu, and Stats reads them without it.
+type engineStats struct {
+	Proposed    atomic.Uint64
+	Executed    atomic.Uint64
+	Checkpoints atomic.Uint64
+	ViewChanges atomic.Uint64
+	Dropped     atomic.Uint64
+}
 
-// LastProposed implements consensus.ProposalHeader: the highest sequence
-// number this engine has proposed (primary) or adopted from view-change
-// and checkpoint sync. It is lock-free.
+// Stats implements consensus.Engine; it is lock-free.
+func (e *Engine) Stats() consensus.EngineStats {
+	return consensus.EngineStats{
+		Proposed:    e.stats.Proposed.Load(),
+		Executed:    e.stats.Executed.Load(),
+		Checkpoints: e.stats.Checkpoints.Load(),
+		ViewChanges: e.stats.ViewChanges.Load(),
+		Dropped:     e.stats.Dropped.Load(),
+	}
+}
+
+// LastProposed implements consensus.Engine: the highest sequence number
+// this engine has proposed (primary) or adopted from view-change and
+// checkpoint sync. It is lock-free.
 func (e *Engine) LastProposed() types.SeqNum { return types.SeqNum(e.nextSeq.Load()) }
 
-// CountsCheckpoint implements consensus.CheckpointCounter.
+// CountsCheckpoint implements consensus.Engine.
 func (e *Engine) CountsCheckpoint(from types.ReplicaID, seq types.SeqNum) bool {
 	if int(from) >= e.cfg.N {
 		return false
@@ -519,11 +532,6 @@ func (e *Engine) onPrePrepare(from types.ReplicaID, m *types.PrePrepare, out *co
 	if from != consensus.PrimaryOf(e.view, e.cfg.N) {
 		e.stats.Dropped.Add(1)
 		out.Evidence(from, fmt.Sprintf("pre-prepare for view %d from non-primary %d", m.View, from))
-		return
-	}
-	if e.cfg.VerifyDigests && len(m.Requests) > 0 && types.BatchDigest(m.Requests) != m.Digest {
-		e.stats.Dropped.Add(1)
-		out.Evidence(from, fmt.Sprintf("pre-prepare digest mismatch at seq %d", m.Seq))
 		return
 	}
 

@@ -261,21 +261,6 @@ func TestEquivocatingPrimaryDetected(t *testing.T) {
 	}
 }
 
-func TestRejectsForgedDigest(t *testing.T) {
-	backup, err := New(Config{ID: 1, N: 4, VerifyDigests: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := enginetest.MakeRequest(1, 1)
-	pp := &types.PrePrepare{View: 0, Seq: 1, Digest: types.Digest{0xBA, 0xD0}, Requests: []types.ClientRequest{req}}
-	acts := onMessage(backup, types.ReplicaNode(0), pp)
-	for _, a := range acts {
-		if _, ok := a.(consensus.Broadcast); ok {
-			t.Fatal("backup prepared a forged-digest pre-prepare")
-		}
-	}
-}
-
 func TestRejectsPrePrepareFromNonPrimary(t *testing.T) {
 	backup, err := New(Config{ID: 1, N: 4})
 	if err != nil {

@@ -19,7 +19,7 @@ func (r *Replica) admitCheckpoint(from types.NodeID, m *types.Checkpoint) bool {
 	if !from.IsReplica() {
 		return true
 	}
-	if r.counter != nil && !r.counter.CountsCheckpoint(from.Replica(), m.Seq) {
+	if !r.engine.CountsCheckpoint(from.Replica(), m.Seq) {
 		return false
 	}
 	r.ckptVerifies.Add(1)

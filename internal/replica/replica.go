@@ -428,10 +428,8 @@ type Replica struct {
 	// theirs around engine calls.
 	engine consensus.Engine
 	auth   crypto.NodeAuthenticator
-	// ckptKeys checks the peers' checkpoint votes; counter, when the engine
-	// has one, says which of them would still count.
+	// ckptKeys checks the peers' checkpoint votes.
 	ckptKeys *crypto.CheckpointKeys
-	counter  consensus.CheckpointCounter
 
 	ledger *ledger.Ledger
 	// store is the record table the execute stage writes with Append and
@@ -662,7 +660,6 @@ func New(cfg Config) (*Replica, error) {
 			r.lastExec[c] = seq
 		}
 	}
-	r.counter, _ = r.engine.(consensus.CheckpointCounter)
 	r.notPrimary.Store(!engine.IsPrimary())
 	r.lastProgress.Store(time.Now().UnixNano())
 	r.watchedView.Store(uint64(engine.View()))
@@ -720,13 +717,8 @@ func (r *Replica) IsPrimary() bool {
 }
 
 // ProposalHead returns the highest sequence number the consensus engine
-// has proposed or adopted, or 0 if the engine does not expose it.
-func (r *Replica) ProposalHead() types.SeqNum {
-	if ph, ok := r.engine.(consensus.ProposalHeader); ok {
-		return ph.LastProposed()
-	}
-	return 0
-}
+// has proposed or adopted.
+func (r *Replica) ProposalHead() types.SeqNum { return r.engine.LastProposed() }
 
 // Stats returns a snapshot of the replica's counters. It takes no locks —
 // engine observers and every replica counter are atomics — so polling
